@@ -9,8 +9,8 @@ resident walkers and forward departures to each other through per-pair
 queues (see :mod:`repro.dist.worker`), and the parent stops as soon as
 the global alive count hits zero.  Paths are assembled parent-side from
 the shards' hop logs — every logged hop is ``(query position, step,
-vertex)``, so assembly is one vectorized scatter regardless of how many
-times a walker changed shards.
+vertex)``, so assembly is one scatter per shard straight into the final
+flat path buffer, regardless of how many times a walker changed shards.
 
 Determinism contract: bit-identical ``WalkResults`` and ``EngineStats``
 to ``run_walks_batch`` for any shard count and any forwarding
@@ -29,15 +29,14 @@ import numpy as np
 
 from repro.dist.shard import build_shard_stores, partition_vertices
 from repro.dist.worker import shard_worker_main
-from repro.errors import DistError, GraphError, WalkConfigError
+from repro.errors import DistError, WalkConfigError
 from repro.graph.csr import CSRGraph
 from repro.obs.trace import active as _active_tracer
 from repro.parallel.engine import _pick_context, default_workers
-from repro.parallel.worker import STAT_FIELDS
 from repro.sampling.hybrid import make_walk_kernel, validate_sampler_mode
 from repro.sampling.vectorized import seed_sequence_states
-from repro.walks.base import Query, WalkResults, WalkSpec
-from repro.walks.batch import check_batch_spec
+from repro.walks.base import Query, WalkResults, WalkSpec, start_path_buffer, unpack_queries
+from repro.walks.batch import STAT_FIELDS, check_batch_spec, check_start_vertices, record_run
 from repro.walks.reference import EngineStats
 
 #: Upper bound on any single worker reply.  Supersteps are vectorized
@@ -174,22 +173,11 @@ class DistWalkEngine:
         """Execute ``queries``, bit-identical to ``run_walks_batch``."""
         if self._out is None:
             raise WalkConfigError("dist engine is closed")
-        results = WalkResults()
         num_queries = len(queries)
         if num_queries == 0:
-            return results
-        query_ids = np.fromiter(
-            (query.query_id for query in queries), dtype=np.int64, count=num_queries
-        )
-        starts = np.fromiter(
-            (query.start_vertex for query in queries), dtype=np.int64, count=num_queries
-        )
-        if starts.min() < 0 or starts.max() >= self._graph.num_vertices:
-            bad = int(starts[(starts < 0) | (starts >= self._graph.num_vertices)][0])
-            raise GraphError(
-                f"vertex {bad} out of range for graph with "
-                f"{self._graph.num_vertices} vertices"
-            )
+            return WalkResults()
+        query_ids, starts = unpack_queries(queries)
+        check_start_vertices(self._graph, starts)
 
         tracer = _active_tracer()
         if tracer is not None:
@@ -232,35 +220,23 @@ class DistWalkEngine:
 
         for ctrl in self._ctrl:
             ctrl.put(("collect",))
-        log_pos, log_step, log_vert = [], [], []
-        counter_totals = np.zeros(len(STAT_FIELDS), dtype=np.int64)
-        for message in self._gather("collected"):
-            _, _shard, positions, steps, vertices, counts = message
-            log_pos.append(positions)
-            log_step.append(steps)
-            log_vert.append(vertices)
-            counter_totals += counts
-        positions = np.concatenate(log_pos)
-        steps = np.concatenate(log_step)
-        vertices = np.concatenate(log_vert)
-
-        hops = np.bincount(positions, minlength=num_queries).astype(np.int64)
-        width = int(steps.max()) + 2 if steps.size else 1
-        paths = np.empty((num_queries, width), dtype=np.int64)
-        paths[:, 0] = starts
-        if positions.size:
-            paths[positions, steps + 1] = vertices
-        results.extend_from_matrix(paths, hops)
+        log = []
+        counts = np.zeros(len(STAT_FIELDS), dtype=np.int64)
+        hops = np.zeros(num_queries, dtype=np.int64)
+        for _, _shard, positions, steps, vertices, shard_counts in self._gather("collected"):
+            log.append((positions, steps, vertices))
+            hops += np.bincount(positions, minlength=num_queries)
+            counts += shard_counts
+        # Every logged hop names its query row and step, so each shard's
+        # log lands in the final flat buffer with one scatter.
+        flat, offsets = start_path_buffer(starts, hops)
+        for positions, steps, vertices in log:
+            flat[offsets[positions] + steps + 1] = vertices
+        results = WalkResults.from_flat(flat, offsets)
+        total_hops = results.total_steps
         if tracer is not None:
-            tracer.end(_t_merge, "dist.merge", queries=num_queries,
-                       hops=int(hops.sum()))
-
-        total_hops = int(hops.sum())
-        if stats is not None:
-            for name, value in zip(STAT_FIELDS, counter_totals):
-                setattr(stats, name, getattr(stats, name) + int(value))
-            stats.total_hops += total_hops
-            stats.per_query_hops.extend(int(h) for h in hops)
+            tracer.end(_t_merge, "dist.merge", queries=num_queries, hops=total_hops)
+        record_run(stats, counts, hops)
         self.last_run_stats = {
             "steps": steps_run,
             "forwarded": forwarded_total,

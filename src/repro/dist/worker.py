@@ -4,8 +4,10 @@ Each worker owns one graph shard (attached zero-copy from its shared
 segment) and holds the *resident* walkers — those whose current vertex
 the shard owns.  A run proceeds in parent-coordinated supersteps: on
 every ``("step", k)`` control message the worker advances all residents
-one hop with the same vectorized kernel path as the batch engine, then
-exchanges departures with every peer shard through the per-pair queues.
+one hop with the batch engine's own step function
+(:func:`repro.walks.batch.superstep` over a compact
+:class:`~repro.walks.batch.Frontier`), then exchanges the survivors with
+every peer shard through the per-pair queues.
 
 The exchange is lockstep and therefore deadlock-free: each step, each
 worker sends exactly one (possibly empty) walker batch to every peer,
@@ -34,23 +36,10 @@ import numpy as np
 
 from repro.dist.shard import shard_view_from_store
 from repro.parallel.shared_graph import SharedArrayStore, kernel_state_from_store
-from repro.parallel.worker import STAT_FIELDS
 from repro.sampling.hybrid import make_walk_kernel
-from repro.sampling.vectorized import QueryStreams
+from repro.walks.batch import STAT_FIELDS, Frontier, superstep
 
-#: Indices into the per-run stat-counter vector, aligned with STAT_FIELDS.
-(_PROPOSALS, _READS, _DANGLING, _EARLY, _PROBABILISTIC, _LENGTH) = range(
-    len(STAT_FIELDS)
-)
-
-
-def _empty_walkers() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    return (
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.uint64),
-    )
+_NO_VERTICES = np.empty(0, dtype=np.int64)
 
 
 class _ShardState:
@@ -95,149 +84,60 @@ class _ShardState:
             old_store.close()
 
     def _reset_run(self) -> None:
-        (
-            self._positions,
-            self._current,
-            self._previous,
-            self._states,
-        ) = _empty_walkers()
-        self._log_pos: list[np.ndarray] = []
-        self._log_step: list[np.ndarray] = []
-        self._log_vert: list[np.ndarray] = []
-        self._counts = np.zeros(len(STAT_FIELDS), dtype=np.int64)
+        self.start_run(_NO_VERTICES, _NO_VERTICES, np.empty(0, dtype=np.uint64))
 
     def start_run(self, positions, vertices, states) -> None:
-        self._reset_run()
-        self._positions = np.ascontiguousarray(positions, dtype=np.int64)
-        self._current = np.ascontiguousarray(vertices, dtype=np.int64)
-        self._previous = np.full(self._current.size, -1, dtype=np.int64)
-        self._states = np.ascontiguousarray(states, dtype=np.uint64)
+        self._frontier = Frontier.start(
+            np.ascontiguousarray(positions, dtype=np.int64),
+            np.ascontiguousarray(vertices, dtype=np.int64),
+            np.ascontiguousarray(states, dtype=np.uint64),
+        )
+        self._log = [(_NO_VERTICES, _NO_VERTICES, _NO_VERTICES)]
+        self._counts = np.zeros(len(STAT_FIELDS), dtype=np.int64)
 
     def superstep(self, step: int) -> tuple[int, int, int]:
-        """One frontier hop + peer exchange; ``(alive, forwarded, processed)``.
+        """One frontier hop + peer exchange; ``(alive, forwarded, processed)``."""
+        processed = self._frontier.size
+        pos, next_vertex = superstep(
+            self._view, self._spec, self._kernel, step, self._frontier, self._counts
+        )
+        self._log.append((pos, np.full(pos.size, step, dtype=np.int64), next_vertex))
+        forwarded = self._exchange()
+        return self._frontier.size, forwarded, processed
 
-        The per-walker order of operations — dangling check, kernel
-        sample, early termination, advance, teleport draw — mirrors
-        ``run_walks_batch_arrays`` exactly; only the bookkeeping differs
-        (hop logs instead of a dense path matrix, since the parent owns
-        the final assembly).
-        """
-        spec = self._spec
-        view = self._view
-        processed = int(self._current.size)
-        streams = QueryStreams.from_states(self._states)
-        frontier = np.arange(self._current.size, dtype=np.int64)
-
-        degrees = view.degrees()
-        dangling = degrees[self._current[frontier]] == 0
-        if dangling.any():
-            self._counts[_DANGLING] += int(np.count_nonzero(dangling))
-            frontier = frontier[~dangling]
-
-        if frontier.size:
-            prev_arg = (
-                self._previous[frontier]
-                if spec.needs_prev_vertex
-                else np.full(frontier.size, -1, dtype=np.int64)
-            )
-            batch = self._kernel.sample(
-                view,
-                self._current[frontier],
-                prev_arg,
-                spec.admissible_type(step),
-                streams,
-                frontier,
-            )
-            self._counts[_PROPOSALS] += batch.proposals
-            self._counts[_READS] += batch.neighbor_reads
-
-            terminated = batch.choice < 0
-            if terminated.any():
-                self._counts[_EARLY] += int(np.count_nonzero(terminated))
-                frontier = frontier[~terminated]
-            choice = batch.choice[batch.choice >= 0]
-
-            if frontier.size:
-                next_vertex = view.col[view.row_ptr[self._current[frontier]] + choice]
-                self._previous[frontier] = self._current[frontier]
-                self._current[frontier] = next_vertex
-                self._log_pos.append(self._positions[frontier].copy())
-                self._log_step.append(np.full(frontier.size, step, dtype=np.int64))
-                self._log_vert.append(next_vertex.copy())
-
-                teleport = spec.termination_probability(step)
-                if teleport > 0.0:
-                    stop = streams.uniforms(frontier) < teleport
-                    if stop.any():
-                        self._counts[_PROBABILISTIC] += int(np.count_nonzero(stop))
-                        frontier = frontier[~stop]
-
-        forwarded = self._exchange(frontier)
-        return int(self._current.size), forwarded, processed
-
-    def _exchange(self, survivors: np.ndarray) -> int:
+    def _exchange(self) -> int:
         """Route survivors by next-vertex owner; merge in immigrants.
 
         Send-all before receive-all, peers in ascending shard order on
         both sides, one message per peer per step even when empty — the
         lockstep contract the module docstring relies on.
         """
-        next_owner = (
-            self._owner[self._current[survivors]]
-            if survivors.size
-            else np.empty(0, dtype=np.int64)
-        )
+        frontier = self._frontier
+        walkers = (frontier.pos, frontier.current, frontier.previous, frontier.state)
+        next_owner = self._owner[frontier.current]
         forwarded = 0
         for peer in self._peers:
-            departing = survivors[next_owner == peer]
-            self._send[peer].put(
-                (
-                    self._positions[departing],
-                    self._current[departing],
-                    self._previous[departing],
-                    self._states[departing],
-                )
-            )
-            forwarded += int(departing.size)
-        staying = survivors[next_owner == self._shard_id]
-        parts = [
-            (
-                self._positions[staying],
-                self._current[staying],
-                self._previous[staying],
-                self._states[staying],
-            )
-        ]
+            departing = next_owner == peer
+            self._send[peer].put(tuple(field[departing] for field in walkers))
+            forwarded += int(np.count_nonzero(departing))
+        staying = next_owner == self._shard_id
+        parts = [tuple(field[staying] for field in walkers)]
         for peer in self._peers:
             parts.append(self._recv[peer].get())
-        self._positions = np.concatenate([part[0] for part in parts])
-        self._current = np.concatenate([part[1] for part in parts])
-        self._previous = np.concatenate([part[2] for part in parts])
-        self._states = np.concatenate([part[3] for part in parts])
+        self._frontier = Frontier(*(np.concatenate(column) for column in zip(*parts)))
         return forwarded
 
     def collect(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Drain this run's hop logs and counters; reset for the next run.
+        """Drain this run's hop log and counters; reset for the next run.
 
         Walkers still resident when the parent stops stepping ran to
         ``max_length`` — the batch engine's length-termination bucket.
         """
-        self._counts[_LENGTH] += int(self._positions.size)
-        if self._log_pos:
-            logs = (
-                np.concatenate(self._log_pos),
-                np.concatenate(self._log_step),
-                np.concatenate(self._log_vert),
-            )
-        else:
-            logs = (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-            )
-        counts = self._counts.copy()
+        self._counts[STAT_FIELDS.index("length_terminations")] += self._frontier.size
+        positions, steps, vertices = (np.concatenate(column) for column in zip(*self._log))
+        counts = self._counts
         self._reset_run()
-        return logs[0], logs[1], logs[2], counts
+        return positions, steps, vertices, counts
 
     def close(self) -> None:
         if self._store is not None:

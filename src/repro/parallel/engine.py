@@ -30,15 +30,15 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import GraphError, WalkConfigError
+from repro.errors import WalkConfigError
 from repro.graph.csr import CSRGraph
 from repro.obs.trace import active as _active_tracer
 from repro.parallel import worker as _worker
 from repro.parallel.planner import QueryCostModel, plan_shards
 from repro.parallel.shared_graph import KERNEL_PREFIX, SharedArrayStore, graph_arrays
 from repro.sampling.hybrid import make_walk_kernel, validate_sampler_mode
-from repro.walks.base import Query, WalkResults, WalkSpec, split_path_buffer
-from repro.walks.batch import check_batch_spec
+from repro.walks.base import Query, WalkResults, WalkSpec, path_offsets, unpack_queries
+from repro.walks.batch import STAT_FIELDS, check_batch_spec, check_start_vertices, record_run
 from repro.walks.jit import NUMBA_AVAILABLE, warn_numba_fallback
 from repro.walks.reference import EngineStats
 
@@ -86,7 +86,7 @@ class ParallelWalkEngine:
     Construction pays the one-time costs: kernel preparation (alias
     tables, edge keys), the shared-memory copy of graph + kernel state,
     and pool start-up.  Every :meth:`run` after that only ships shard
-    descriptors (ids, starts, seed) out and dense path matrices back.
+    descriptors (ids, starts, seed) out and compact path buffers back.
     Close the engine (or use it as a context manager) to tear down the
     pool and unlink the shared segment.
     """
@@ -119,9 +119,8 @@ class ParallelWalkEngine:
         self._sampler_mode = sampler
         self._backend = backend
         self._workers = workers or default_workers()
-        # Oversharding streams results back while later shards still
-        # compute, hiding the parent's merge cost behind worker time; it
-        # also lets a fast worker steal queued shards from a slow one.
+        # Oversharding lets a fast worker steal queued shards from a slow
+        # one.
         self._shards_per_worker = shards_per_worker
         self._cost_model = QueryCostModel(graph, spec)
 
@@ -169,23 +168,12 @@ class ParallelWalkEngine:
         """Execute ``queries``, bit-identical to ``run_walks_batch``."""
         if self._pool is None:
             raise WalkConfigError("parallel engine is closed")
-        results = WalkResults()
         num_queries = len(queries)
         if num_queries == 0:
-            return results
-        query_ids = np.fromiter(
-            (query.query_id for query in queries), dtype=np.int64, count=num_queries
-        )
-        starts = np.fromiter(
-            (query.start_vertex for query in queries), dtype=np.int64, count=num_queries
-        )
+            return WalkResults()
+        query_ids, starts = unpack_queries(queries)
         # Fail fast in the parent, before work is sharded out.
-        if starts.min() < 0 or starts.max() >= self._graph.num_vertices:
-            bad = int(starts[(starts < 0) | (starts >= self._graph.num_vertices)][0])
-            raise GraphError(
-                f"vertex {bad} out of range for graph with "
-                f"{self._graph.num_vertices} vertices"
-            )
+        check_start_vertices(self._graph, starts)
 
         tracer = _active_tracer()
         if tracer is not None:
@@ -202,36 +190,33 @@ class ParallelWalkEngine:
                        shards=len(tasks))
             _t_dispatch = tracer.begin()
 
-        # Stream the merge: shards arrive in completion order (the scatter
-        # below is position-addressed, so arrival order cannot change the
-        # result) and the parent reassembles each one while workers are
-        # still computing the rest — merge cost hides behind compute.
-        merged: list[np.ndarray | None] = [None] * num_queries
-        merged_hops = np.zeros(num_queries, dtype=np.int64)
-        counter_totals = np.zeros(len(_worker.STAT_FIELDS), dtype=np.int64)
-        for positions, flat, hops, counts in self._pool.imap_unordered(
+        # Shards arrive in completion order; everything below is
+        # position-addressed, so arrival order cannot change the result.
+        arrived = []
+        hops = np.zeros(num_queries, dtype=np.int64)
+        counts = np.zeros(len(STAT_FIELDS), dtype=np.int64)
+        for positions, shard_flat, shard_hops, shard_counts in self._pool.imap_unordered(
             _worker.run_shard, tasks
         ):
             if tracer is not None:
                 tracer.instant("parallel.shard_merged", size=int(positions.size),
-                               hops=int(hops.sum()))
-            pieces = split_path_buffer(flat, hops + 1)
-            for position, piece in zip(positions.tolist(), pieces):
-                merged[position] = piece
-            merged_hops[positions] = hops
-            counter_totals += counts
+                               hops=int(shard_hops.sum()))
+            arrived.append((positions, shard_flat, shard_hops + 1))
+            hops[positions] = shard_hops
+            counts += shard_counts
         if tracer is not None:
             tracer.end(_t_dispatch, "parallel.dispatch", queries=num_queries,
                        shards=len(tasks), workers=self._workers)
-        results.paths = merged
-        results.total_steps = int(merged_hops.sum())
 
-        if stats is not None:
-            for name, value in zip(_worker.STAT_FIELDS, counter_totals):
-                setattr(stats, name, getattr(stats, name) + int(value))
-            stats.total_hops += int(merged_hops.sum())
-            stats.per_query_hops.extend(int(h) for h in merged_hops)
-        return results
+        # All hop counts in, the layout is known: each shard's compact
+        # buffer moves to its queries' final slots with one scatter.
+        offsets = path_offsets(hops + 1)
+        flat = np.empty(int(offsets[-1]), dtype=np.int64)
+        for positions, shard_flat, lengths in arrived:
+            shift = offsets[positions] - path_offsets(lengths)[:-1]
+            flat[np.repeat(shift, lengths) + np.arange(shard_flat.size)] = shard_flat
+        record_run(stats, counts, hops)
+        return WalkResults.from_flat(flat, offsets)
 
     def swap_graph(
         self, graph: CSRGraph, kernel_arrays: dict | None = None

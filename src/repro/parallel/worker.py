@@ -4,8 +4,8 @@ Each pool worker attaches the shared-memory graph once at initialization
 (zero-copy views), rebuilds its vectorized sampling kernel from the
 broadcast prepared state — no per-worker alias-table or edge-key builds
 — and then serves shard requests by running the batch engine's array
-core.  Results travel back as dense matrices, not per-path objects, so
-the pickling cost stays one buffer per shard.
+core.  Results travel back as one compact path buffer per shard, not
+per-path objects, so the pickling cost stays one buffer per shard.
 
 Module-level functions + globals (rather than closures) keep the worker
 entry points picklable under every multiprocessing start method.
@@ -25,19 +25,9 @@ from repro.parallel.shared_graph import (
 )
 from repro.sampling.hybrid import make_walk_kernel
 from repro.walks.base import compact_path_matrix
-from repro.walks.batch import run_walks_batch_arrays
+from repro.walks.batch import STAT_FIELDS, run_walks_batch_flat
 from repro.walks.jit import jit_state_from_kernel, run_walks_jit_arrays
 from repro.walks.reference import EngineStats
-
-#: Scalar EngineStats counters a worker reports back per shard, in order.
-STAT_FIELDS = (
-    "sampling_proposals",
-    "neighbor_reads",
-    "dangling_terminations",
-    "early_terminations",
-    "probabilistic_terminations",
-    "length_terminations",
-)
 
 _STORE: SharedArrayStore | None = None
 _GRAPH = None
@@ -153,9 +143,9 @@ def run_shard(task):
     ``task`` is ``(positions, query_ids, start_vertices, seed)``; the
     positions index the original query batch and ride through untouched
     so the parent can merge shards deterministically in query order.
-    Paths are compacted worker-side (``compact_path_matrix``) so the
-    padding of the superstep buffer never crosses the process boundary
-    and the gather cost parallelizes across workers.
+    ``flat_paths`` is the shard's compact path buffer — the batch core's
+    native output; the jit kernels' dense matrix is compacted here so its
+    padding never crosses the process boundary.
     """
     _check_init()
     positions, query_ids, starts, seed = task
@@ -164,10 +154,11 @@ def run_shard(task):
         paths, hops = run_walks_jit_arrays(
             _GRAPH, _SPEC, _JIT_STATE, starts, query_ids, seed=seed, stats=stats
         )
+        flat, _ = compact_path_matrix(paths, hops)
     else:
-        paths, hops = run_walks_batch_arrays(
+        flat, offsets = run_walks_batch_flat(
             _GRAPH, _SPEC, _KERNEL, starts, query_ids, seed=seed, stats=stats
         )
-    flat, _ = compact_path_matrix(paths, hops)
+        hops = np.diff(offsets) - 1
     counts = np.array([getattr(stats, name) for name in STAT_FIELDS], dtype=np.int64)
     return positions, flat, hops, counts

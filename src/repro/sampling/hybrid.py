@@ -64,6 +64,7 @@ from repro.sampling.vectorized import (
     build_edge_keys,
     hybrid_edges_exist,
     make_kernel,
+    sub_streams,
 )
 
 #: Per-row strategy codes (stored in selection maps and SamplerState).
@@ -689,7 +690,7 @@ class HybridKernel(VectorizedKernel):
                 previous[group],
                 admissible_type,
                 streams,
-                stream_idx[group],
+                sub_streams(stream_idx, group),
             )
             choice[group] = batch.choice
             proposals += batch.proposals

@@ -220,13 +220,25 @@ class QueryStreams:
     def num_streams(self) -> int:
         return self._state.size
 
-    def uniforms(self, idx: np.ndarray) -> np.ndarray:
-        """One fresh uniform in [0, 1) from each selected stream."""
+    def _advance(self, idx: np.ndarray | None) -> np.ndarray:
+        """Bump the selected streams once and return their new states.
+
+        ``idx=None`` is the identity selection — stream ``k`` belongs to
+        walker ``k``, the compact-frontier engines' layout — and advances
+        the whole state array in place, with no gather/scatter.
+        """
+        if idx is None:
+            self._state += _GAMMA
+            return self._state
         advanced = self._state[idx] + _GAMMA
         self._state[idx] = advanced
-        return _to_unit(_mix64(advanced))
+        return advanced
 
-    def randints(self, bounds: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    def uniforms(self, idx: np.ndarray | None = None) -> np.ndarray:
+        """One fresh uniform in [0, 1) from each selected stream."""
+        return _to_unit(_mix64(self._advance(idx)))
+
+    def randints(self, bounds: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
         """One integer in ``[0, bounds[k])`` from each selected stream."""
         bounds = np.asarray(bounds, dtype=np.int64)
         draw = (self.uniforms(idx) * bounds).astype(np.int64)
@@ -234,7 +246,7 @@ class QueryStreams:
 
     def element_uniforms(
         self,
-        idx: np.ndarray,
+        idx: np.ndarray | None,
         counts: np.ndarray,
         segment: np.ndarray | None = None,
         within: np.ndarray | None = None,
@@ -251,15 +263,20 @@ class QueryStreams:
         ``counts`` layout.
         """
         counts = np.asarray(counts, dtype=np.int64)
-        advanced = self._state[idx] + _GAMMA
-        self._state[idx] = advanced
+        advanced = self._advance(idx)
         if segment is None or within is None:
             total = int(counts.sum())
-            segment = np.repeat(np.arange(idx.size), counts)
+            segment = np.repeat(np.arange(counts.size), counts)
             starts = np.cumsum(counts) - counts
             within = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
         salt = _mix64(within.astype(np.uint64) + _ELEMENT_GAMMA)
         return _to_unit(_mix64(advanced[segment] ^ salt))
+
+
+def sub_streams(stream_idx: np.ndarray | None, group: np.ndarray) -> np.ndarray:
+    """Stream indices of the walkers at frontier positions ``group``
+    (``stream_idx=None``: walker ``k`` reads stream ``k``)."""
+    return group if stream_idx is None else stream_idx[group]
 
 
 def build_edge_keys(graph: CSRGraph) -> np.ndarray:
@@ -442,14 +459,16 @@ class VectorizedKernel(ABC):
         previous: np.ndarray,
         admissible_type: int | None,
         streams: QueryStreams,
-        stream_idx: np.ndarray,
+        stream_idx: np.ndarray | None,
     ) -> BatchSample:
         """Choose a neighbor index for every walker in the frontier.
 
         ``current``/``previous`` are aligned int64 arrays (``previous`` is
         ``-1`` on a first hop); every ``current[k]`` must have out-degree
         >= 1 — the engine terminates dangling walkers before sampling.
-        ``stream_idx[k]`` addresses walker ``k``'s substream.
+        ``stream_idx[k]`` addresses walker ``k``'s substream; ``None``
+        means stream ``k`` *is* walker ``k`` (the engines' compact
+        frontier), which lets whole-frontier draws advance in place.
         """
 
 
@@ -602,13 +621,23 @@ class RejectionKernel(VectorizedKernel):
         reads = 0
 
         first_hop = previous < 0
+        if first_hop.all():
+            # A whole frontier on its first hop (every engine's step 0):
+            # one degenerate-uniform draw each, no gather.
+            choice = streams.randints(degrees, stream_idx)
+            return BatchSample(choice, proposals=current.size, neighbor_reads=current.size)
         if first_hop.any():
             f = np.nonzero(first_hop)[0]
-            choice[f] = streams.randints(degrees[f], stream_idx[f])
+            choice[f] = streams.randints(degrees[f], sub_streams(stream_idx, f))
             proposals += f.size
             reads += f.size
-
-        pending = np.nonzero(~first_hop)[0]
+            pending = np.nonzero(~first_hop)[0]
+            pending_idx = sub_streams(stream_idx, pending)
+        else:
+            # Round one covers the frontier as given, so it draws through
+            # ``stream_idx`` itself (in place when that is ``None``).
+            pending = np.arange(current.size)
+            pending_idx = stream_idx
         prev_degrees = graph.degrees()[np.maximum(previous, 0)]
         max_bias = self._sampler.max_bias
         explore_bias = self._sampler.explore_bias
@@ -628,11 +657,11 @@ class RejectionKernel(VectorizedKernel):
                     f"rejection sampling failed to accept after {_MAX_REJECTION_ROUNDS} "
                     f"rounds (p={self.p}, q={self.q})"
                 )
-            proposal = streams.randints(degrees[pending], stream_idx[pending])
+            proposal = streams.randints(degrees[pending], pending_idx)
             candidate = graph.col[graph.row_ptr[current[pending]] + proposal]
             prev = previous[pending]
             is_return = candidate == prev
-            u = streams.uniforms(stream_idx[pending])
+            u = streams.uniforms(pending_idx)
             undecided = ~is_return & (u >= probe_lo) & (u < probe_hi)
             # Treating every decided non-return candidate as explore-class
             # yields the same accept verdict: below the band both classes
@@ -659,6 +688,7 @@ class RejectionKernel(VectorizedKernel):
             accepted = pending[accept]
             choice[accepted] = proposal[accept]
             pending = pending[~accept]
+            pending_idx = sub_streams(stream_idx, pending)
         return BatchSample(choice, proposals=proposals, neighbor_reads=reads)
 
 

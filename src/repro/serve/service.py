@@ -851,12 +851,9 @@ class WalkService:
         for position, request in enumerate(clients):
             if not request.future.done():
                 if request.cacheable:
-                    path = results.path_of(position)
-                    if path.base is not None:
-                        path = path.copy()
                     request.future.set_result(
-                        ServedWalk(request.query.query_id, path, epoch,
-                                   cache_hit=False)
+                        ServedWalk(request.query.query_id, results.owned_path(position),
+                                   epoch, cache_hit=False)
                     )
                 else:
                     request.future.set_result(results.subset([position]))
@@ -870,13 +867,11 @@ class WalkService:
         if fills and self.cache is not None:
             position = len(clients)
             for fill in fills:
-                entries = []
-                for query in fill.queries:
-                    path = results.path_of(position)
-                    position += 1
-                    if path.base is not None:
-                        path = path.copy()
-                    entries.append((query.query_id, path))
+                entries = [
+                    (query.query_id, results.owned_path(position + offset))
+                    for offset, query in enumerate(fill.queries)
+                ]
+                position += len(entries)
                 self.cache.install(epoch, fill.start_vertex, entries)
                 if tracer is not None:
                     tracer.instant("serve.cache_fill", vertex=fill.start_vertex,

@@ -11,7 +11,8 @@ their statistics meaningful.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import pairwise
 from typing import Sequence
 
 import numpy as np
@@ -113,7 +114,6 @@ class WalkSpec(ABC):
         return f"{type(self).__name__}(max_length={self.max_length})"
 
 
-@dataclass
 class WalkResults:
     """Paths produced by a batch of queries, plus aggregate counters.
 
@@ -121,44 +121,81 @@ class WalkResults:
     start vertex.  ``total_steps`` counts traversed hops (visited vertices
     beyond the start), the quantity the paper's MStep/s metric divides by
     time.
+
+    Array-built results (every vectorized engine) hold one unpadded int64
+    buffer: query ``i``'s path is ``flat[offsets[i]:offsets[i + 1]]``, and
+    ``paths`` is a list of views into it, built on first access.  Results
+    built path by path (:meth:`add_path`) hold the list alone.
     """
 
-    paths: list[np.ndarray] = field(default_factory=list)
-    total_steps: int = 0
+    def __init__(self) -> None:
+        self.total_steps = 0
+        # Exactly one is authoritative: the flat buffer when present
+        # (``_paths`` is then its cached view list, or None), else the list.
+        self._paths: list[np.ndarray] | None = []
+        self._flat: np.ndarray | None = None
+        self._offsets: np.ndarray | None = None
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, offsets: np.ndarray) -> "WalkResults":
+        """Adopt a compact path buffer and its ``num_queries + 1`` offsets."""
+        results = cls()
+        results._flat, results._offsets, results._paths = flat, offsets, None
+        results.total_steps = int(flat.size - (offsets.size - 1))
+        return results
+
+    @property
+    def paths(self) -> list[np.ndarray]:
+        if self._paths is None:
+            self._paths = split_path_buffer(self._flat, self._offsets)
+        return self._paths
+
+    def _buffer(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(flat, offsets)`` of every path; list-built results
+        concatenate on demand."""
+        if self._flat is not None:
+            return self._flat, self._offsets
+        lengths = np.fromiter((p.size for p in self._paths), dtype=np.int64,
+                              count=len(self._paths))
+        flat = np.concatenate(self._paths) if self._paths else np.empty(0, dtype=np.int64)
+        return flat, path_offsets(lengths)
+
+    def _own_list(self) -> list[np.ndarray]:
+        """Make the path list authoritative before it is appended to."""
+        paths = self.paths
+        self._flat = self._offsets = None
+        return paths
 
     def add_path(self, path: Sequence[int]) -> None:
         """Record one finished query path."""
         array = np.asarray(path, dtype=np.int64)
-        self.paths.append(array)
+        self._own_list().append(array)
         self.total_steps += max(0, array.size - 1)
 
     def extend_from_matrix(self, paths: np.ndarray, hops: np.ndarray) -> None:
-        """Bulk-append one path per matrix row; row ``i`` contributes
-        ``paths[i, :hops[i] + 1]``.
-
-        The batch and parallel engines finish with a dense
-        ``(num_queries, width)`` path buffer; appending row-by-row through
-        :meth:`add_path` costs a Python round-trip per query.  This gathers
-        every row's valid prefix into one compact contiguous buffer with a
-        single masked fancy-index and splits it into per-query views, so
-        the per-row cost is one lightweight slice.  The views share the
-        compact buffer — exactly ``sum(hops + 1)`` entries, no superstep
-        padding — so holding any path pins only real path data.
-        """
+        """Bulk-append one path per matrix row (``paths[i, :hops[i] + 1]``),
+        gathered into one compact buffer: an empty result adopts it as its
+        flat representation, a non-empty one appends views of it."""
         flat, lengths = compact_path_matrix(paths, hops)
         if lengths.size == 0:
             return
-        self.paths.extend(split_path_buffer(flat, lengths))
+        offsets = path_offsets(lengths)
+        if self.num_queries == 0:
+            self._flat, self._offsets, self._paths = flat, offsets, None
+        else:
+            self._own_list().extend(split_path_buffer(flat, offsets))
         self.total_steps += int(flat.size - lengths.size)
 
     @property
     def num_queries(self) -> int:
         """Number of completed queries."""
-        return len(self.paths)
+        if self._flat is not None:
+            return self._offsets.size - 1
+        return len(self._paths)
 
     def lengths(self) -> np.ndarray:
         """Hop count of every query (excludes the start vertex)."""
-        return np.asarray([max(0, p.size - 1) for p in self.paths], dtype=np.int64)
+        return np.maximum(np.diff(self._buffer()[1]) - 1, 0)
 
     def visit_counts(self, num_vertices: int, include_start: bool = True) -> np.ndarray:
         """Histogram of vertex visits across all paths.
@@ -167,10 +204,11 @@ class WalkResults:
         running the same spec must produce visit histograms that agree up
         to sampling noise.
         """
-        counts = np.zeros(num_vertices, dtype=np.int64)
-        for path in self.paths:
-            visited = path if include_start else path[1:]
-            counts += np.bincount(visited, minlength=num_vertices)
+        flat, offsets = self._buffer()
+        counts = np.bincount(flat, minlength=num_vertices)
+        if not include_start:
+            first = offsets[:-1][np.diff(offsets) > 0]
+            counts -= np.bincount(flat[first], minlength=num_vertices)
         return counts
 
     def transition_counts(self, num_vertices: int) -> np.ndarray:
@@ -186,34 +224,47 @@ class WalkResults:
         """Path of the query recorded at position ``query_id``."""
         return self.paths[query_id]
 
+    def owned_path(self, position: int) -> np.ndarray:
+        """Path at ``position`` as an array that owns its memory.
+
+        Engine paths are views into one buffer covering the whole batch; a
+        longer-lived holder (a served reply, a cache pool) given a view
+        would pin every other query's path with it.
+        """
+        if self._flat is not None:
+            return self._flat[self._offsets[position]:self._offsets[position + 1]].copy()
+        path = self._paths[position]
+        return path.copy() if path.base is not None else path
+
     def subset(self, positions: Sequence[int]) -> "WalkResults":
         """New :class:`WalkResults` holding the selected positions' paths.
 
-        The serving layer executes a micro-batch as one engine run and
-        resolves each request's future with its own slice.  Paths are
-        *copied*, deliberately: batch-engine paths are views into one
-        compact buffer covering the whole micro-batch, and a slice that
-        shared them would pin every other request's memory for as long
-        as one caller kept their response alive.  ``total_steps`` is
-        recomputed for the subset so per-request hop accounting stays
-        exact.
+        The serving layer runs a micro-batch as one engine call and
+        resolves each request with its own slice: paths are *copied*
+        (:meth:`owned_path`) and ``total_steps`` recomputed, so a reply
+        neither pins the micro-batch nor misstates its hops.
         """
         result = WalkResults()
         for position in positions:
-            path = self.paths[position]
-            result.paths.append(path.copy() if path.base is not None else path)
-            result.total_steps += max(0, path.size - 1)
+            result.add_path(self.owned_path(position))
         return result
+
+
+def unpack_queries(queries: Sequence[Query]) -> tuple[np.ndarray, np.ndarray]:
+    """``(query_ids, start_vertices)`` of a batch as aligned int64 arrays."""
+    count = len(queries)
+    query_ids = np.fromiter((q.query_id for q in queries), dtype=np.int64, count=count)
+    starts = np.fromiter((q.start_vertex for q in queries), dtype=np.int64, count=count)
+    return query_ids, starts
 
 
 def compact_path_matrix(paths: np.ndarray, hops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gather each row's valid prefix into one contiguous buffer.
 
     Returns ``(flat, lengths)`` where ``flat`` is the concatenation of
-    ``paths[i, :hops[i] + 1]`` for every row, in row order.  This is the
-    wire format the parallel engine's workers ship back to the parent —
-    about 30% smaller than the padded matrix on typical walk-length
-    distributions, and exactly what :func:`split_path_buffer` consumes.
+    ``paths[i, :hops[i] + 1]`` for every row, in row order — the dense
+    matrix's route into the compact representation
+    (:meth:`WalkResults.extend_from_matrix`, the jit worker backend).
     """
     paths = np.asarray(paths)
     hops = np.asarray(hops, dtype=np.int64)
@@ -234,9 +285,47 @@ def compact_path_matrix(paths: np.ndarray, hops: np.ndarray) -> tuple[np.ndarray
     return np.ascontiguousarray(paths[keep], dtype=np.int64), lengths
 
 
-def split_path_buffer(flat: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
-    """Split a compact path buffer into one view per query (row order)."""
-    return np.split(flat, np.cumsum(lengths)[:-1])
+def path_offsets(lengths: np.ndarray) -> np.ndarray:
+    """``offsets`` (one more entry than ``lengths``) of back-to-back paths."""
+    offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+def split_path_buffer(flat: np.ndarray, offsets: np.ndarray) -> list[np.ndarray]:
+    """One view per query of a compact path buffer (row order)."""
+    return [flat[a:b] for a, b in pairwise(offsets.tolist())]
+
+
+def start_path_buffer(starts: np.ndarray, hops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(flat, offsets)`` sized for the given hop counts, with every
+    query's start vertex in place and the hops still to be written."""
+    offsets = path_offsets(hops + 1)
+    flat = np.empty(int(offsets[-1]), dtype=np.int64)
+    flat[offsets[:-1]] = starts
+    return flat, offsets
+
+
+def paths_from_step_log(
+    starts: np.ndarray, hops: np.ndarray, step_log: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Assemble ``(flat, offsets)`` from one run's step-major log.
+
+    ``step_log[s]`` holds the vertex reached on hop ``s`` by every query
+    with ``hops > s``, in row order — what a compact frontier emits.  The
+    hop counts fix the layout, so each step lands in its final slots with
+    one scatter; the destinations compact step to step as the frontier
+    did, so no row index is logged and no path matrix built.
+    """
+    flat, offsets = start_path_buffer(starts, hops)
+    dest, left = offsets[:-1] + 1, hops
+    for step, vertices in enumerate(step_log):
+        alive = left > step
+        if not alive.all():
+            dest, left = dest[alive], left[alive]
+        flat[dest] = vertices
+        dest += 1
+    return flat, offsets
 
 
 def make_queries(

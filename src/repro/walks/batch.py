@@ -1,29 +1,35 @@
-"""NumPy-vectorized batch walk engine.
+"""NumPy-vectorized batch walk engine: compact frontier + hop log.
 
-Advances an entire frontier of walkers one superstep at a time instead of
-one query and one hop at a time — the step-centric batching of ThunderRW
-and the software analogue of RidgeWalker's pipelining.  The engine keeps
-arrays of ``(current, previous, alive, hops)`` for all queries; each
-superstep terminates dangling walkers, asks a vectorized sampling kernel
-for the whole frontier's next-hop choices, moves the survivors, and
-applies probabilistic termination (PPR's teleport) in one masked draw.
+RidgeWalker decomposes a walk into stateless ``(query, step, v_last[,
+v_prev])`` tasks so its pipeline only carries live work.  This is the
+software form, in ThunderRW's step-centric shape — one step function
+over a dense task array, many schedulers:
 
-Drop-in alternative to :func:`repro.walks.reference.run_walks`: same
-``WalkSpec``/``Query``/``WalkResults`` API, same per-query RNG substream
-keying (``SeedSequence((seed, query_id))``), same :class:`EngineStats`
-counter semantics.  Statistical equivalence against the reference engine
-is enforced by chi-square tests; throughput is benchmarked by
-``benchmarks/bench_batch_engine.py``.
+* :class:`Frontier` holds **live walkers only** (row, current and
+  previous vertex, splitmix64 stream state) and is boolean-compacted at
+  the three death points — dangling vertex, nothing admissible, teleport
+  — only on steps where a walker dies.  No dead lanes.
+* :func:`superstep` is the one copy of ``dangling -> sample -> early
+  termination -> advance -> teleport``; the batch engine, the parallel
+  workers and the dist shard workers call it.  Stream states travel with
+  the frontier, so kernels draw with ``stream_idx=None`` ("stream k is
+  walker k") and whole-frontier draws advance in place.
+* Each step's next vertices go to a hop log, scattered once — when the
+  hop counts are known — into the flat buffer ``WalkResults`` adopts
+  (:func:`~repro.walks.base.paths_from_step_log`).  No path matrix.
 
-The module exposes two layers: :func:`run_walks_batch` is the
-``Query``-object API, and :func:`run_walks_batch_arrays` is the
-array-level core that the sharded parallel engine
-(:mod:`repro.parallel`) runs inside each worker process against a
-pre-prepared kernel.
+Same API, ``SeedSequence((seed, query_id))`` substream keying and
+:class:`EngineStats` semantics as :func:`repro.walks.reference.run_walks`;
+chi-square tests hold it to that engine, ``tests/walks/test_compact_core.py``
+to the pre-compaction core bit for bit, ``benchmarks/suite`` measures it.
+:func:`run_walks_batch` is the ``Query`` API, :func:`run_walks_batch_flat`
+the array core (what parallel workers run against a prepared kernel),
+:func:`run_walks_batch_arrays` its dense adapter.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,15 +38,27 @@ from repro.errors import GraphError, WalkConfigError
 from repro.graph.csr import CSRGraph
 from repro.obs.trace import active as _active_tracer
 from repro.sampling.hybrid import make_walk_kernel, validate_sampler_mode
-from repro.sampling.vectorized import QueryStreams, VectorizedKernel
-from repro.walks.base import Query, WalkResults, WalkSpec
+from repro.sampling.vectorized import QueryStreams, VectorizedKernel, seed_sequence_states
+from repro.walks.base import (
+    Query,
+    WalkResults,
+    WalkSpec,
+    paths_from_step_log,
+    unpack_queries,
+)
 from repro.walks.reference import EngineStats
 
-#: Termination-cause codes recorded per walker (0 = ran to max length).
-_RAN_FULL_LENGTH = 0
-_DANGLING = 1
-_EARLY = 2
-_PROBABILISTIC = 3
+#: Scalar EngineStats counters a superstep accumulates, in the order of
+#: the ``counts`` vector (also the parallel/dist workers' wire order).
+STAT_FIELDS = (
+    "sampling_proposals",
+    "neighbor_reads",
+    "dangling_terminations",
+    "early_terminations",
+    "probabilistic_terminations",
+    "length_terminations",
+)
+(_PROPOSALS, _READS, _DANGLING, _EARLY, _PROBABILISTIC, _LENGTH) = range(len(STAT_FIELDS))
 
 
 def check_batch_spec(spec: WalkSpec) -> None:
@@ -61,6 +79,164 @@ def check_batch_spec(spec: WalkSpec) -> None:
         )
 
 
+def check_start_vertices(graph: CSRGraph, starts: np.ndarray) -> None:
+    """Reject a batch with a start vertex outside the graph."""
+    if starts.size and (starts.min() < 0 or starts.max() >= graph.num_vertices):
+        bad = int(starts[(starts < 0) | (starts >= graph.num_vertices)][0])
+        raise GraphError(
+            f"vertex {bad} out of range for graph with {graph.num_vertices} vertices"
+        )
+
+
+def record_run(stats: EngineStats | None, counts: np.ndarray, hops: np.ndarray) -> None:
+    """Fold one run's ``counts`` vector and per-query ``hops`` into ``stats``."""
+    if stats is None:
+        return
+    for name, value in zip(STAT_FIELDS, counts.tolist()):
+        setattr(stats, name, getattr(stats, name) + value)
+    stats.total_hops += int(hops.sum())
+    stats.per_query_hops.extend(hops.tolist())
+
+
+@dataclass(slots=True)
+class Frontier:
+    """The live walkers of a run, as aligned arrays.
+
+    ``pos[k]`` is walker ``k``'s row in the original batch, ``state[k]``
+    its raw splitmix64 substream state (see
+    :meth:`QueryStreams.from_states`).  ``previous`` stays all ``-1``
+    under a first-order spec.
+    """
+
+    pos: np.ndarray
+    current: np.ndarray
+    previous: np.ndarray
+    state: np.ndarray
+
+    @classmethod
+    def start(cls, pos: np.ndarray, starts: np.ndarray, states: np.ndarray) -> "Frontier":
+        """Every walker on its start vertex, nothing visited before it."""
+        return cls(pos, starts, np.full(starts.size, -1, dtype=np.int64), states)
+
+    @property
+    def size(self) -> int:
+        return self.pos.size
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the walkers where ``mask`` is False (order preserved)."""
+        self.pos = self.pos[mask]
+        self.current = self.current[mask]
+        self.previous = self.previous[mask]
+        self.state = self.state[mask]
+
+
+def superstep(
+    graph: CSRGraph,
+    spec: WalkSpec,
+    kernel: VectorizedKernel,
+    step: int,
+    frontier: Frontier,
+    counts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance every walker of ``frontier`` one hop, in place.
+
+    Returns the hop record ``(pos, next_vertex)`` of the walkers that
+    moved and leaves ``frontier`` holding those that also did not
+    teleport; proposals, reads and the three kinds of death are added to
+    ``counts`` (:data:`STAT_FIELDS` order).  Every draw consumes only its
+    walker's own stream state, in an order fixed by that walker's
+    trajectory, so frontier composition cannot change a path.
+    """
+    dangling = graph.degrees()[frontier.current] == 0
+    if dangling.any():
+        counts[_DANGLING] += np.count_nonzero(dangling)
+        frontier.keep(~dangling)
+    if frontier.size == 0:
+        # Kernels are never asked to sample an empty frontier.
+        return frontier.pos, frontier.current
+
+    batch = kernel.sample(
+        graph,
+        frontier.current,
+        frontier.previous,
+        spec.admissible_type(step),
+        QueryStreams.from_states(frontier.state),
+        None,
+    )
+    counts[_PROPOSALS] += batch.proposals
+    counts[_READS] += batch.neighbor_reads
+    choice = batch.choice
+    moved = choice >= 0
+    if not moved.all():
+        counts[_EARLY] += moved.size - np.count_nonzero(moved)
+        frontier.keep(moved)
+        choice = choice[moved]
+
+    next_vertex = graph.col[graph.row_ptr[frontier.current] + choice]
+    if spec.needs_prev_vertex:
+        frontier.previous = frontier.current
+    frontier.current = next_vertex
+    pos = frontier.pos
+
+    teleport = spec.termination_probability(step)
+    if teleport > 0.0:
+        stay = QueryStreams.from_states(frontier.state).uniforms() >= teleport
+        if not stay.all():
+            counts[_PROBABILISTIC] += stay.size - np.count_nonzero(stay)
+            frontier.keep(stay)
+    return pos, next_vertex
+
+
+def run_walks_batch_flat(
+    graph: CSRGraph,
+    spec: WalkSpec,
+    kernel: VectorizedKernel,
+    start_vertices: np.ndarray,
+    query_ids: np.ndarray,
+    seed: int = 0,
+    stats: EngineStats | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Array core: run walks for aligned start/id arrays.
+
+    ``kernel`` must already be prepared for ``graph`` (the caller owns
+    preparation so a worker pool can prepare once and run many shards).
+    Returns ``(flat, offsets)``: the walk of ``query_ids[k]`` is
+    ``flat[offsets[k]:offsets[k + 1]]``, start vertex included.  All
+    :class:`EngineStats` counters — including ``per_query_hops``, in the
+    order of the given arrays — are accumulated into ``stats``.
+    """
+    starts = np.array(start_vertices, dtype=np.int64)
+    check_start_vertices(graph, starts)
+    frontier = Frontier.start(
+        np.arange(starts.size), starts, seed_sequence_states(seed, query_ids)
+    )
+    hops = np.zeros(starts.size, dtype=np.int64)
+    counts = np.zeros(len(STAT_FIELDS), dtype=np.int64)
+    log: list[np.ndarray] = []
+
+    # Hoisted once per run: with tracing disabled (the default) the
+    # per-superstep cost is one local ``is not None`` branch — the
+    # overhead contract benchmarks/bench_obs_overhead.py enforces.
+    tracer = _active_tracer()
+
+    for step in range(spec.max_length):
+        if frontier.size == 0:
+            break
+        if tracer is not None:
+            _span_start = tracer.begin()
+            _span_width = frontier.size
+        pos, next_vertex = superstep(graph, spec, kernel, step, frontier, counts)
+        hops[pos] = step + 1
+        log.append(next_vertex)
+        if tracer is not None:
+            tracer.end(_span_start, "batch.superstep", step=step,
+                       frontier=_span_width, survivors=pos.size)
+
+    counts[_LENGTH] += frontier.size
+    record_run(stats, counts, hops)
+    return paths_from_step_log(starts, hops, log)
+
+
 def run_walks_batch_arrays(
     graph: CSRGraph,
     spec: WalkSpec,
@@ -70,121 +246,20 @@ def run_walks_batch_arrays(
     seed: int = 0,
     stats: EngineStats | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Superstep core: run walks for aligned start/id arrays.
+    """Dense adapter over :func:`run_walks_batch_flat`.
 
-    ``kernel`` must already be prepared for ``graph`` (the caller owns
-    preparation so a worker pool can prepare once and run many shards).
-    Returns ``(paths, hops)`` where ``paths`` is a dense
-    ``(num_queries, width)`` int64 matrix whose row ``k`` holds the walk
-    of ``query_ids[k]`` in ``paths[k, :hops[k] + 1]``.  All
-    :class:`EngineStats` counters — including ``per_query_hops``, in the
-    order of the given arrays — are accumulated into ``stats``.
+    Returns ``(paths, hops)`` where ``paths`` is a
+    ``(num_queries, max(hops) + 1)`` int64 matrix whose row ``k`` holds
+    the walk of ``query_ids[k]`` in ``paths[k, :hops[k] + 1]`` (the rest
+    of the row is unspecified).
     """
-    num_queries = int(start_vertices.size)
-    current = np.array(start_vertices, dtype=np.int64)
-    if current.size and (current.min() < 0 or current.max() >= graph.num_vertices):
-        bad = int(current[(current < 0) | (current >= graph.num_vertices)][0])
-        raise GraphError(
-            f"vertex {bad} out of range for graph with {graph.num_vertices} vertices"
-        )
-    streams = QueryStreams(seed, query_ids)
-
-    degrees = graph.degrees()
-    previous = np.full(num_queries, -1, dtype=np.int64)
-    alive = np.ones(num_queries, dtype=bool)
-    hops = np.zeros(num_queries, dtype=np.int64)
-    cause = np.full(num_queries, _RAN_FULL_LENGTH, dtype=np.uint8)
-    # The path buffer grows by doubling as walks lengthen, so peak memory
-    # tracks the longest *observed* walk, not max_length — geometric
-    # terminators like PPR cap walks at hundreds of hops but rarely pass
-    # a dozen.
-    capacity = min(spec.max_length, 16)
-    paths = np.empty((num_queries, capacity + 1), dtype=np.int64)
-    paths[:, 0] = current
-
-    # Hoisted once per run: with tracing disabled (the default) the
-    # per-superstep cost is one local ``is not None`` branch — the
-    # overhead contract benchmarks/bench_obs_overhead.py enforces.
-    tracer = _active_tracer()
-
-    for step in range(spec.max_length):
-        frontier = np.nonzero(alive)[0]
-        if frontier.size == 0:
-            break
-        if tracer is not None:
-            _span_start = tracer.begin()
-            _span_width = int(frontier.size)
-
-        dangling = degrees[current[frontier]] == 0
-        if dangling.any():
-            stuck = frontier[dangling]
-            alive[stuck] = False
-            cause[stuck] = _DANGLING
-            frontier = frontier[~dangling]
-            if frontier.size == 0:
-                if tracer is not None:
-                    tracer.end(_span_start, "batch.superstep", step=step,
-                               frontier=_span_width, survivors=0)
-                break
-
-        prev_arg = previous[frontier] if spec.needs_prev_vertex else np.full(
-            frontier.size, -1, dtype=np.int64
-        )
-        batch = kernel.sample(
-            graph,
-            current[frontier],
-            prev_arg,
-            spec.admissible_type(step),
-            streams,
-            frontier,
-        )
-        if stats is not None:
-            stats.sampling_proposals += batch.proposals
-            stats.neighbor_reads += batch.neighbor_reads
-
-        terminated = batch.choice < 0
-        if terminated.any():
-            ended = frontier[terminated]
-            alive[ended] = False
-            cause[ended] = _EARLY
-            frontier = frontier[~terminated]
-            if frontier.size == 0:
-                if tracer is not None:
-                    tracer.end(_span_start, "batch.superstep", step=step,
-                               frontier=_span_width, survivors=0)
-                continue
-        choice = batch.choice[batch.choice >= 0]
-
-        next_vertex = graph.col[graph.row_ptr[current[frontier]] + choice]
-        previous[frontier] = current[frontier]
-        current[frontier] = next_vertex
-        hops[frontier] += 1
-        if step + 1 > capacity:
-            capacity = min(spec.max_length, capacity * 2)
-            grown = np.empty((num_queries, capacity + 1), dtype=np.int64)
-            grown[:, : paths.shape[1]] = paths
-            paths = grown
-        paths[frontier, step + 1] = next_vertex
-
-        teleport = spec.termination_probability(step)
-        if teleport > 0.0:
-            stop = streams.uniforms(frontier) < teleport
-            if stop.any():
-                ended = frontier[stop]
-                alive[ended] = False
-                cause[ended] = _PROBABILISTIC
-        if tracer is not None:
-            tracer.end(_span_start, "batch.superstep", step=step,
-                       frontier=_span_width, survivors=int(frontier.size))
-
-    if stats is not None:
-        stats.total_hops += int(hops.sum())
-        stats.per_query_hops.extend(int(h) for h in hops)
-        stats.dangling_terminations += int(np.count_nonzero(cause == _DANGLING))
-        stats.early_terminations += int(np.count_nonzero(cause == _EARLY))
-        stats.probabilistic_terminations += int(np.count_nonzero(cause == _PROBABILISTIC))
-        stats.length_terminations += int(np.count_nonzero(alive))
-    return paths, hops
+    flat, offsets = run_walks_batch_flat(
+        graph, spec, kernel, start_vertices, query_ids, seed=seed, stats=stats
+    )
+    lengths = np.diff(offsets)
+    paths = np.empty((lengths.size, int(lengths.max(initial=1))), dtype=np.int64)
+    paths[np.arange(paths.shape[1]) < lengths[:, None]] = flat
+    return paths, lengths - 1
 
 
 def run_walks_batch(
@@ -212,22 +287,12 @@ def run_walks_batch(
     """
     check_batch_spec(spec)
     validate_sampler_mode(sampler)
-    results = WalkResults()
-    num_queries = len(queries)
-    if num_queries == 0:
-        return results
-
+    if len(queries) == 0:
+        return WalkResults()
     if kernel is None:
         kernel = make_walk_kernel(spec.make_sampler(), sampler)
         kernel.prepare(graph)
-    query_ids = np.fromiter(
-        (query.query_id for query in queries), dtype=np.int64, count=num_queries
-    )
-    starts = np.fromiter(
-        (query.start_vertex for query in queries), dtype=np.int64, count=num_queries
-    )
-    paths, hops = run_walks_batch_arrays(
+    query_ids, starts = unpack_queries(queries)
+    return WalkResults.from_flat(*run_walks_batch_flat(
         graph, spec, kernel, starts, query_ids, seed=seed, stats=stats
-    )
-    results.extend_from_matrix(paths, hops)
-    return results
+    ))

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import GraphError, SamplingError
+from repro.errors import SamplingError
 from repro.graph.csr import CSRGraph
 from repro.sampling.alias_sampler import AliasSampler
 from repro.sampling.base import Sampler
@@ -38,8 +38,8 @@ from repro.sampling.rejection import _MAX_REJECTION_ROUNDS, RejectionSampler
 from repro.sampling.reservoir import ReservoirSampler
 from repro.sampling.uniform import UniformSampler
 from repro.sampling.vectorized import VectorizedKernel, seed_sequence_states
-from repro.walks.base import Query, WalkResults, WalkSpec
-from repro.walks.batch import check_batch_spec, run_walks_batch
+from repro.walks.base import Query, WalkResults, WalkSpec, unpack_queries
+from repro.walks.batch import check_batch_spec, check_start_vertices, run_walks_batch
 from repro.walks.jit import kernels
 from repro.walks.jit.compat import NUMBA_AVAILABLE
 from repro.walks.reference import EngineStats
@@ -181,11 +181,7 @@ def run_walks_jit_arrays(
     """
     num_queries = int(start_vertices.size)
     starts = np.array(start_vertices, dtype=np.int64)
-    if starts.size and (starts.min() < 0 or starts.max() >= graph.num_vertices):
-        bad = int(starts[(starts < 0) | (starts >= graph.num_vertices)][0])
-        raise GraphError(
-            f"vertex {bad} out of range for graph with {graph.num_vertices} vertices"
-        )
+    check_start_vertices(graph, starts)
     max_length = int(spec.max_length)
     paths = np.empty((num_queries, max_length + 1), dtype=np.int64)
     hops = np.zeros(num_queries, dtype=np.int64)
@@ -262,7 +258,7 @@ def run_walks_jit_arrays(
         stats.sampling_proposals += int(counters[kernels.IDX_PROPOSALS])
         stats.neighbor_reads += int(counters[kernels.IDX_READS])
         stats.total_hops += int(hops.sum())
-        stats.per_query_hops.extend(int(h) for h in hops)
+        stats.per_query_hops.extend(hops.tolist())
         stats.dangling_terminations += int(np.count_nonzero(cause == kernels.CAUSE_DANGLING))
         stats.early_terminations += int(np.count_nonzero(cause == kernels.CAUSE_EARLY))
         stats.probabilistic_terminations += int(
@@ -283,15 +279,9 @@ def run_walks_jit_prepared(
     """``Query``-object wrapper over :func:`run_walks_jit_arrays` for an
     already-built :class:`JitWalkState` (the prepared-engine path)."""
     results = WalkResults()
-    num_queries = len(queries)
-    if num_queries == 0:
+    if len(queries) == 0:
         return results
-    query_ids = np.fromiter(
-        (query.query_id for query in queries), dtype=np.int64, count=num_queries
-    )
-    starts = np.fromiter(
-        (query.start_vertex for query in queries), dtype=np.int64, count=num_queries
-    )
+    query_ids, starts = unpack_queries(queries)
     paths, hops = run_walks_jit_arrays(
         graph, spec, state, starts, query_ids, seed=seed, stats=stats
     )
