@@ -318,6 +318,8 @@ _BLOCKING_BARE = {
                        "loop.run_in_executor as WalkService._execute does",
     "run_software_walks": "synchronous engine entry point; dispatch via "
                           "loop.run_in_executor",
+    "run_accelerator_walks": "the cycle model runs to completion on the "
+                             "calling thread; dispatch via loop.run_in_executor",
     "prepare_engine": "engine preparation is CPU-bound (alias/CDF "
                       "builds); run it in an executor",
 }

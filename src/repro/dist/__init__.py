@@ -11,7 +11,7 @@ shard count and any forwarding interleave, because every walker carries
 its own ``SeedSequence((seed, query_id))`` substream state with it.
 """
 
-from repro.dist.engine import DistWalkEngine, run_walks_dist
+from repro.dist.engine import DistWalkEngine
 from repro.dist.shard import (
     ShardGraphView,
     build_shard_stores,
@@ -21,7 +21,6 @@ from repro.dist.shard import (
 
 __all__ = [
     "DistWalkEngine",
-    "run_walks_dist",
     "ShardGraphView",
     "build_shard_stores",
     "partition_vertices",

@@ -23,7 +23,6 @@ boundaries.  Enforced by ``tests/dist/`` and
 from __future__ import annotations
 
 from queue import Empty
-from typing import Sequence
 
 import numpy as np
 
@@ -33,11 +32,9 @@ from repro.errors import DistError, WalkConfigError
 from repro.graph.csr import CSRGraph
 from repro.obs.trace import active as _active_tracer
 from repro.parallel.engine import _pick_context, default_workers
-from repro.sampling.hybrid import make_walk_kernel, validate_sampler_mode
-from repro.sampling.vectorized import seed_sequence_states
-from repro.walks.base import Query, WalkResults, WalkSpec, start_path_buffer, unpack_queries
-from repro.walks.batch import STAT_FIELDS, check_batch_spec, check_start_vertices, record_run
-from repro.walks.reference import EngineStats
+from repro.sampling.vectorized import VectorizedKernel, seed_sequence_states
+from repro.walks.base import WalkSpec, start_path_buffer
+from repro.walks.engine import STAT_FIELDS, PreparedEngine, prepared_kernel
 
 #: Upper bound on any single worker reply.  Supersteps are vectorized
 #: and bounded by the shard's resident count, so a silent worker past
@@ -45,7 +42,7 @@ from repro.walks.reference import EngineStats
 _REPLY_TIMEOUT = 300.0
 
 
-class DistWalkEngine:
+class DistWalkEngine(PreparedEngine):
     """A persistent ring of shard workers over a partitioned graph.
 
     Construction pays the one-time costs — kernel preparation,
@@ -55,6 +52,11 @@ class DistWalkEngine:
     workers and unlink the segments.
     """
 
+    name = "dist"
+    #: ``shards`` sets the graph-partition (and worker) count.
+    options = frozenset({"shards", "sampler"})
+    runs_after_close = False
+
     def __init__(
         self,
         graph: CSRGraph,
@@ -62,21 +64,16 @@ class DistWalkEngine:
         shards: int | None = None,
         sampler: str = "default",
     ) -> None:
-        check_batch_spec(spec)
-        validate_sampler_mode(sampler)
+        self._configure(graph, spec, sampler)
         if shards is not None and shards < 1:
             raise WalkConfigError(f"shards must be >= 1, got {shards}")
-        self._graph = graph
-        self._spec = spec
-        self._sampler_mode = sampler
         self._num_shards = int(shards) if shards is not None else default_workers()
         #: Routing/occupancy telemetry of the most recent :meth:`run`
         #: (``steps``, ``forwarded``, ``forward_rate``,
         #: ``per_shard_processed``); the dist benchmark reports it.
         self.last_run_stats: dict | None = None
 
-        kernel = make_walk_kernel(spec.make_sampler(), sampler)
-        kernel.prepare(graph)
+        _, kernel = prepared_kernel(spec, sampler, graph)
         self._owner = partition_vertices(graph, spec, self._num_shards)
         self._stores = build_shard_stores(
             graph, kernel.state_arrays(), self._owner, self._num_shards
@@ -164,20 +161,10 @@ class DistWalkEngine:
             replies.append(message)
         return replies
 
-    def run(
-        self,
-        queries: Sequence[Query],
-        seed: int = 0,
-        stats: EngineStats | None = None,
-    ) -> WalkResults:
-        """Execute ``queries``, bit-identical to ``run_walks_batch``."""
+    def _run_arrays(self, query_ids, starts, seed):
         if self._out is None:
             raise WalkConfigError("dist engine is closed")
-        num_queries = len(queries)
-        if num_queries == 0:
-            return WalkResults()
-        query_ids, starts = unpack_queries(queries)
-        check_start_vertices(self._graph, starts)
+        num_queries = starts.size
 
         tracer = _active_tracer()
         if tracer is not None:
@@ -232,22 +219,18 @@ class DistWalkEngine:
         flat, offsets = start_path_buffer(starts, hops)
         for positions, steps, vertices in log:
             flat[offsets[positions] + steps + 1] = vertices
-        results = WalkResults.from_flat(flat, offsets)
-        total_hops = results.total_steps
+        total_hops = int(hops.sum())
         if tracer is not None:
             tracer.end(_t_merge, "dist.merge", queries=num_queries, hops=total_hops)
-        record_run(stats, counts, hops)
         self.last_run_stats = {
             "steps": steps_run,
             "forwarded": forwarded_total,
             "forward_rate": forwarded_total / total_hops if total_hops else 0.0,
             "per_shard_processed": per_shard_processed.tolist(),
         }
-        return results
+        return flat, offsets, counts
 
-    def swap_graph(
-        self, graph: CSRGraph, kernel_arrays: dict | None = None
-    ) -> None:
+    def _adopt(self, graph: CSRGraph, kernel: VectorizedKernel) -> None:
         """Point the live shard workers at a new graph version.
 
         Barrier-like protocol: the parent repartitions, serializes one
@@ -267,13 +250,9 @@ class DistWalkEngine:
         tracer = _active_tracer()
         if tracer is not None:
             _t_swap = tracer.begin()
-        if kernel_arrays is None:
-            kernel = make_walk_kernel(self._spec.make_sampler(), self._sampler_mode)
-            kernel.prepare(graph)
-            kernel_arrays = kernel.state_arrays()
         owner = partition_vertices(graph, self._spec, self._num_shards)
         new_stores = build_shard_stores(
-            graph, kernel_arrays, owner, self._num_shards
+            graph, kernel.state_arrays(), owner, self._num_shards
         )
         try:
             for shard, ctrl in enumerate(self._ctrl):
@@ -312,33 +291,8 @@ class DistWalkEngine:
         for store in self._stores:
             store.close()
 
-    def __enter__(self) -> "DistWalkEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def __del__(self) -> None:  # pragma: no cover - best-effort safety net
         try:
             self.close()
         except Exception:
             pass
-
-
-def run_walks_dist(
-    graph: CSRGraph,
-    spec: WalkSpec,
-    queries: Sequence[Query],
-    seed: int = 0,
-    stats: EngineStats | None = None,
-    shards: int | None = None,
-    sampler: str = "default",
-) -> WalkResults:
-    """One-shot distributed execution (``--engine dist``).
-
-    Spins the shard workers up and down around a single batch;
-    long-lived callers should hold a :class:`DistWalkEngine` so
-    partitioning and worker start-up amortize across requests.
-    """
-    with DistWalkEngine(graph, spec, shards=shards, sampler=sampler) as engine:
-        return engine.run(queries, seed=seed, stats=stats)

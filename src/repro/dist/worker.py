@@ -35,9 +35,9 @@ import traceback
 import numpy as np
 
 from repro.dist.shard import shard_view_from_store
-from repro.parallel.shared_graph import SharedArrayStore, kernel_state_from_store
-from repro.sampling.hybrid import make_walk_kernel
-from repro.walks.batch import STAT_FIELDS, Frontier, superstep
+from repro.parallel.shared_graph import SharedArrayStore, kernel_from_store
+from repro.walks.batch import Frontier, superstep
+from repro.walks.engine import STAT_FIELDS
 
 _NO_VERTICES = np.empty(0, dtype=np.int64)
 
@@ -70,8 +70,7 @@ class _ShardState:
         store = SharedArrayStore.attach(handle, untrack=False)
         try:
             view, owner = shard_view_from_store(store)
-            kernel = make_walk_kernel(self._spec.make_sampler(), self._sampler_mode)
-            kernel.load_state(kernel_state_from_store(store))
+            kernel = kernel_from_store(self._spec, self._sampler_mode, store)
         except BaseException:
             store.close()
             raise

@@ -1,76 +1,82 @@
-"""Engine registry: the one place that maps engine names to runners.
+"""Engine registry: the one table that maps engine names to engines.
 
 Six engines execute the same ``WalkSpec``/``Query`` workloads and are
-held to the same statistical oracle: the cycle-level accelerator model
-(``sim``), the sharded multicore engine (``parallel``), the distributed
-shard-routed engine (``dist``), the vectorized batch engine (``batch``),
-the numba-compiled fused-kernel engine (``jit``) and the pure-Python
-reference loop (``reference``).  The CLI
-and the example applications both dispatch through this module so the
-engine list, each engine's option surface, and the timing methodology
-cannot drift between entry points.
+held to the same statistical oracle.  Five run as plain software and are
+one class hierarchy rooted at :class:`~repro.walks.engine.PreparedEngine`
+— the vectorized batch engine (``batch``), the numba-compiled
+fused-kernel engine (``jit``), the sharded multicore engine
+(``parallel``), the distributed shard-routed engine (``dist``) and the
+pure-Python reference loop (``reference``); the sixth is the cycle-level
+accelerator model (``sim``, :func:`run_accelerator_walks`).
 
-Engine-specific options (``workers``/``backend`` for the parallel
-engine, ``sampler`` everywhere) ride through ``run_software_walks`` as
-keyword arguments; the registry validates them against each engine's
-declared option set so a typo or a flag aimed at the wrong engine fails
-loudly instead of being ignored.
+:data:`SOFTWARE_ENGINES` is the registry: ``{cls.name: cls}``.  Each
+class declares the keyword options its constructor accepts
+(``cls.options``), and the protocol's shared ``run`` / ``swap_snapshot``
+mean an engine is one subclass with one array hook — so adding one is
+one subclass, one hook, one row here.  :func:`prepare_engine` validates
+options against the class and constructs it; :func:`run_software_walks`
+is ``prepare -> run -> close`` with a timer around it.  The CLI, the
+example applications and the serving layer all dispatch through this
+module, so the engine list, each engine's option surface and the timing
+methodology cannot drift between entry points, and a typo or a flag
+aimed at the wrong engine fails loudly instead of being ignored.
 """
 
 from __future__ import annotations
 
 import time
-from abc import ABC, abstractmethod
 from typing import Sequence
 
 from repro.core import RidgeWalker, RidgeWalkerConfig
-from repro.dist import DistWalkEngine, run_walks_dist
+from repro.dist import DistWalkEngine
 from repro.errors import WalkConfigError
 from repro.graph.csr import CSRGraph
 from repro.memory.spec import HBM2_U55C
 from repro.obs.metrics import global_registry
 from repro.obs.trace import span as _trace_span
-from repro.parallel import ParallelWalkEngine, run_walks_parallel, validate_worker_backend
-from repro.sampling.hybrid import (
-    SAMPLER_MODES,
-    make_walk_kernel,
-    validate_sampler_mode,
-)
-from repro.walks import EngineStats, Query, WalkResults, WalkSpec, run_walks, run_walks_batch
-from repro.walks.batch import check_batch_spec
-from repro.walks.jit import (
-    NUMBA_AVAILABLE,
-    jit_state_from_kernel,
-    run_walks_jit,
-    run_walks_jit_prepared,
-    warn_numba_fallback,
-)
+from repro.parallel import ParallelWalkEngine, validate_worker_backend
+from repro.sampling.hybrid import validate_sampler_mode
+from repro.walks import EngineStats, Query, WalkResults, WalkSpec, run_walks
+from repro.walks.batch import BatchEngine
+from repro.walks.engine import PreparedEngine, snapshot_graph
+from repro.walks.jit import JitEngine
 
-#: Every engine name accepted by ``--engine`` flags.
-ENGINES = ("sim", "batch", "jit", "parallel", "dist", "reference")
 
-#: The engines that run as plain software (no cycle model).
-SOFTWARE_ENGINES = {
-    "batch": run_walks_batch,
-    "jit": run_walks_jit,
-    "parallel": run_walks_parallel,
-    "dist": run_walks_dist,
-    "reference": run_walks,
+class ReferenceEngine(PreparedEngine):
+    """The scalar reference loop: nothing to amortize and no array hook
+    (it is the oracle the array engines are tested against), so it
+    overrides the protocol's two entry points whole."""
+
+    name = "reference"
+
+    def __init__(self, graph: CSRGraph, spec: WalkSpec, sampler: str = "default") -> None:
+        # Not _configure: that rejects specs only this engine runs.
+        self._graph = graph
+        self._spec = spec
+        self._sampler_mode = validate_sampler_mode(sampler)
+
+    def run(self, queries, seed=0, stats=None):
+        return run_walks(self._graph, self._spec, queries, seed=seed, stats=stats,
+                         sampler=self._sampler_mode)
+
+    def swap_snapshot(self, snapshot) -> None:
+        # The scalar samplers re-prepare per run; only the graph swaps.
+        self._graph = snapshot_graph(snapshot)
+
+
+#: The engines that run as plain software (no cycle model), by name.
+SOFTWARE_ENGINES: dict[str, type[PreparedEngine]] = {
+    cls.name: cls
+    for cls in (BatchEngine, JitEngine, ParallelWalkEngine, DistWalkEngine, ReferenceEngine)
 }
 
-#: Extra keyword options each software engine accepts beyond the shared
-#: ``(graph, spec, queries, seed, stats)`` signature.  ``sampler``
-#: (``"default"`` | ``"auto"``) picks the sampling backend on every
-#: engine: auto runs the cost-model-driven per-row hybrid of
-#: :mod:`repro.sampling.hybrid`.  ``backend`` (``"batch"`` | ``"jit"``)
-#: picks the per-shard core the parallel engine's workers run.
-#: ``shards`` sets the distributed engine's graph-partition count.
+#: Every engine name accepted by ``--engine`` flags.
+ENGINES = ("sim", *SOFTWARE_ENGINES)
+
+#: Keyword options each software engine accepts beyond the shared
+#: ``(graph, spec)`` — a view of each class's ``options``.
 ENGINE_OPTIONS: dict[str, frozenset[str]] = {
-    "batch": frozenset({"sampler"}),
-    "jit": frozenset({"sampler"}),
-    "parallel": frozenset({"workers", "sampler", "backend"}),
-    "dist": frozenset({"shards", "sampler"}),
-    "reference": frozenset({"sampler"}),
+    name: cls.options for name, cls in SOFTWARE_ENGINES.items()
 }
 
 
@@ -90,12 +96,13 @@ def _validate_engine_options(engine: str, options: dict) -> dict:
             f"{sorted(SOFTWARE_ENGINES)}"
         )
     options = {name: value for name, value in options.items() if value is not None}
-    unknown = set(options) - ENGINE_OPTIONS[engine]
+    accepted = SOFTWARE_ENGINES[engine].options
+    unknown = set(options) - accepted
     if unknown:
         raise WalkConfigError(
             f"engine {engine!r} does not accept option(s) "
             f"{', '.join(sorted(unknown))}; it accepts "
-            f"{sorted(ENGINE_OPTIONS[engine]) or 'no options'}"
+            f"{sorted(accepted) or 'no options'}"
         )
     if "sampler" in options:
         validate_sampler_mode(options["sampler"])
@@ -113,17 +120,14 @@ def run_software_walks(
     stats: EngineStats | None = None,
     **options,
 ) -> tuple[WalkResults, float]:
-    """Run a software engine, returning ``(results, elapsed_seconds)``.
-
-    ``options`` carries engine-specific settings (``workers=N`` for the
-    parallel engine); ``None``-valued options mean "engine default" and
-    are dropped.  Options an engine does not declare are rejected.
-    """
-    options = _validate_engine_options(engine, options)
-    runner = SOFTWARE_ENGINES[engine]
+    """One-shot run, returning ``(results, elapsed_seconds)``:
+    :func:`prepare_engine` with ``options``, one ``run``, ``close`` —
+    every call pays the engine's whole setup, so repeated callers hold a
+    prepared engine instead."""
     with _trace_span("engine.run", engine=engine, queries=len(queries)):
         started = time.perf_counter()
-        results = runner(graph, spec, queries, seed=seed, stats=stats, **options)
+        with prepare_engine(engine, graph, spec, **options) as prepared:
+            results = prepared.run(queries, seed=seed, stats=stats)
         elapsed = time.perf_counter() - started
     _record_run_metrics(engine, results, elapsed)
     return results, elapsed
@@ -148,251 +152,20 @@ def _record_run_metrics(engine: str, results: WalkResults, elapsed: float) -> No
     ).inc(results.total_steps, engine=engine)
 
 
-class PreparedEngine(ABC):
-    """A software engine with its per-graph setup already paid.
-
-    ``run_software_walks`` is the one-shot path: every call re-prepares
-    the sampling kernel (alias tables, edge keys) and, for the parallel
-    engine, spins the worker pool up and down.  A serving layer calls an
-    engine thousands of times against the same graph, so the registry
-    also hands out *prepared* handles: construction pays the setup once
-    and :meth:`run` does only per-batch work.  Semantics are unchanged —
-    a prepared engine's results are bit-identical to its one-shot
-    counterpart at equal ``(queries, seed)``.
-    """
-
-    #: Registry name of the underlying engine.
-    name: str
-
-    @abstractmethod
-    def run(
-        self,
-        queries: Sequence[Query],
-        seed: int = 0,
-        stats: EngineStats | None = None,
-    ) -> WalkResults:
-        """Execute one batch against the prepared state."""
-
-    def swap_snapshot(self, snapshot) -> None:
-        """Repoint this prepared engine at a new graph version.
-
-        ``snapshot`` is either a plain :class:`CSRGraph` or a dynamic
-        :class:`~repro.dynamic.graph.GraphSnapshot`; a snapshot's
-        incrementally maintained sampler state replaces the kernel
-        preparation pass, so the swap costs a state hand-off rather than
-        an alias-table/edge-key rebuild.  Long-lived resources (the
-        parallel engine's worker pool and its processes) survive the
-        swap.  Callers must not swap while a :meth:`run` is executing;
-        the serving layer applies swaps on epoch boundaries.
-        """
-        raise WalkConfigError(
-            f"engine {self.name!r} does not support snapshot swaps"
-        )
-
-    def close(self) -> None:
-        """Release held resources (worker pools, shared memory)."""
-
-    def __enter__(self) -> "PreparedEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def _resolve_snapshot(snapshot) -> tuple[CSRGraph, object | None]:
-    """Split a swap target into ``(graph, sampler_state_or_None)``.
-
-    Duck-typed on the :class:`~repro.dynamic.graph.GraphSnapshot` shape so
-    this registry does not import the dynamic subsystem (which imports
-    the registry for its benchmarks).
-    """
-    graph = getattr(snapshot, "graph", snapshot)
-    state = getattr(snapshot, "sampler_state", None)
-    if not isinstance(graph, CSRGraph):
-        raise WalkConfigError(
-            f"cannot swap to {type(snapshot).__name__}; expected a CSRGraph "
-            "or a dynamic GraphSnapshot"
-        )
-    return graph, state
-
-
-class _PreparedReferenceEngine(PreparedEngine):
-    """Reference loop handle: nothing to amortize, kept for uniformity."""
-
-    name = "reference"
-
-    def __init__(self, graph: CSRGraph, spec: WalkSpec, sampler: str = "default") -> None:
-        self._graph = graph
-        self._spec = spec
-        self._sampler_mode = validate_sampler_mode(sampler)
-
-    def run(self, queries, seed=0, stats=None):
-        return run_walks(self._graph, self._spec, queries, seed=seed, stats=stats,
-                         sampler=self._sampler_mode)
-
-    def swap_snapshot(self, snapshot) -> None:
-        # The scalar samplers re-prepare per run; only the graph swaps.
-        self._graph, _ = _resolve_snapshot(snapshot)
-
-
-class _PreparedBatchEngine(PreparedEngine):
-    """Batch engine handle holding a prepared vectorized kernel."""
-
-    name = "batch"
-
-    def __init__(self, graph: CSRGraph, spec: WalkSpec, sampler: str = "default") -> None:
-        check_batch_spec(spec)
-        self._graph = graph
-        self._spec = spec
-        self._sampler_mode = validate_sampler_mode(sampler)
-        self._kernel = make_walk_kernel(spec.make_sampler(), sampler)
-        self._kernel.prepare(graph)
-
-    def run(self, queries, seed=0, stats=None):
-        return run_walks_batch(
-            self._graph, self._spec, queries, seed=seed, stats=stats,
-            kernel=self._kernel,
-        )
-
-    def swap_snapshot(self, snapshot) -> None:
-        graph, state = _resolve_snapshot(snapshot)
-        kernel = make_walk_kernel(self._spec.make_sampler(), self._sampler_mode)
-        arrays = state.kernel_arrays(kernel) if state is not None else None
-        if arrays:
-            kernel.load_state(arrays)
-        elif arrays is None:
-            kernel.prepare(graph)
-        # arrays == {}: the kernel holds no per-graph state; nothing to do.
-        self._graph = graph
-        self._kernel = kernel
-
-
-class _PreparedJitEngine(PreparedEngine):
-    """Jit engine handle: prepared kernel state recast as typed arrays.
-
-    Construction prepares the *batch* kernel (alias tables, CDF rows,
-    edge keys, strategy codes) and rebinds its arrays into the fused
-    kernel's :class:`~repro.walks.jit.JitWalkState` — one source of truth
-    for the tables, so the two engines cannot drift.  The first
-    :meth:`run` pays numba's compile (cached on disk via
-    ``cache=True``); without numba every run degrades to the held batch
-    kernel after a single warning, bit-identically.
-    """
-
-    name = "jit"
-
-    def __init__(self, graph: CSRGraph, spec: WalkSpec, sampler: str = "default") -> None:
-        check_batch_spec(spec)
-        self._graph = graph
-        self._spec = spec
-        self._sampler_mode = validate_sampler_mode(sampler)
-        self._kernel = make_walk_kernel(spec.make_sampler(), sampler)
-        self._kernel.prepare(graph)
-        self._state = jit_state_from_kernel(graph, spec, self._kernel)
-
-    def run(self, queries, seed=0, stats=None):
-        if not NUMBA_AVAILABLE:
-            warn_numba_fallback()
-            return run_walks_batch(
-                self._graph, self._spec, queries, seed=seed, stats=stats,
-                kernel=self._kernel,
-            )
-        return run_walks_jit_prepared(
-            self._graph, self._spec, self._state, queries, seed=seed, stats=stats
-        )
-
-    def swap_snapshot(self, snapshot) -> None:
-        graph, state = _resolve_snapshot(snapshot)
-        kernel = make_walk_kernel(self._spec.make_sampler(), self._sampler_mode)
-        arrays = state.kernel_arrays(kernel) if state is not None else None
-        if arrays:
-            kernel.load_state(arrays)
-        elif arrays is None:
-            kernel.prepare(graph)
-        # arrays == {}: the kernel holds no per-graph state; the jit
-        # state still rebinds (strategy codes size with the graph).
-        self._graph = graph
-        self._kernel = kernel
-        self._state = jit_state_from_kernel(graph, self._spec, kernel)
-
-
-class _PreparedParallelEngine(PreparedEngine):
-    """Parallel engine handle wrapping a persistent worker pool."""
-
-    name = "parallel"
-
-    def __init__(self, graph: CSRGraph, spec: WalkSpec, workers: int | None = None,
-                 sampler: str = "default", backend: str = "batch") -> None:
-        self._spec = spec
-        self._sampler_mode = validate_sampler_mode(sampler)
-        self._engine = ParallelWalkEngine(graph, spec, workers=workers,
-                                          sampler=sampler, backend=backend)
-
-    def run(self, queries, seed=0, stats=None):
-        return self._engine.run(queries, seed=seed, stats=stats)
-
-    def swap_snapshot(self, snapshot) -> None:
-        graph, state = _resolve_snapshot(snapshot)
-        arrays = None
-        if state is not None:
-            arrays = state.kernel_arrays(
-                make_walk_kernel(self._spec.make_sampler(), self._sampler_mode)
-            )
-        self._engine.swap_graph(graph, kernel_arrays=arrays)
-
-    def close(self) -> None:
-        self._engine.close()
-
-
-class _PreparedDistEngine(PreparedEngine):
-    """Distributed engine handle wrapping persistent shard workers."""
-
-    name = "dist"
-
-    def __init__(self, graph: CSRGraph, spec: WalkSpec, shards: int | None = None,
-                 sampler: str = "default") -> None:
-        self._spec = spec
-        self._sampler_mode = validate_sampler_mode(sampler)
-        self._engine = DistWalkEngine(graph, spec, shards=shards, sampler=sampler)
-
-    def run(self, queries, seed=0, stats=None):
-        return self._engine.run(queries, seed=seed, stats=stats)
-
-    def swap_snapshot(self, snapshot) -> None:
-        graph, state = _resolve_snapshot(snapshot)
-        arrays = None
-        if state is not None:
-            arrays = state.kernel_arrays(
-                make_walk_kernel(self._spec.make_sampler(), self._sampler_mode)
-            )
-        self._engine.swap_graph(graph, kernel_arrays=arrays)
-
-    def close(self) -> None:
-        self._engine.close()
-
-
-_PREPARED_ENGINES = {
-    "reference": _PreparedReferenceEngine,
-    "batch": _PreparedBatchEngine,
-    "jit": _PreparedJitEngine,
-    "parallel": _PreparedParallelEngine,
-    "dist": _PreparedDistEngine,
-}
-
-
 def prepare_engine(
     engine: str, graph: CSRGraph, spec: WalkSpec, **options
 ) -> PreparedEngine:
     """Build a :class:`PreparedEngine` for repeated runs on one graph.
 
-    Accepts the same engine names and engine-specific options as
-    :func:`run_software_walks` (and rejects misdirected options the same
-    way).  Close the handle — or use it as a context manager — when done;
-    the parallel handle owns a worker pool and a shared-memory segment.
+    ``options`` carries engine-specific settings (``workers=N`` for the
+    parallel engine); ``None``-valued options mean "engine default" and
+    are dropped, options the engine does not declare are rejected.  Close
+    the engine — or use it as a context manager — when done; the pool
+    engines own worker processes and shared-memory segments.
     """
     options = _validate_engine_options(engine, options)
     with _trace_span("engine.prepare", engine=engine):
-        return _PREPARED_ENGINES[engine](graph, spec, **options)
+        return SOFTWARE_ENGINES[engine](graph, spec, **options)
 
 
 def run_accelerator_walks(

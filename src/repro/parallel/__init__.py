@@ -10,7 +10,6 @@ from repro.parallel.engine import (
     WORKER_BACKENDS,
     ParallelWalkEngine,
     default_workers,
-    run_walks_parallel,
     validate_worker_backend,
 )
 from repro.parallel.planner import QueryCostModel, expected_query_costs, plan_shards
@@ -33,5 +32,4 @@ __all__ = [
     "graph_arrays",
     "graph_from_store",
     "plan_shards",
-    "run_walks_parallel",
 ]

@@ -16,9 +16,9 @@ and the merge reassembles paths by original batch position — so
 ``WalkResults`` and ``EngineStats`` are bit-identical for any
 ``workers`` count and any query order.  Tests prove it.
 
-Use :class:`ParallelWalkEngine` directly to amortize pool + shared-graph
-setup across many batches (the serving pattern), or the one-shot
-:func:`run_walks_parallel` wrapper (the ``--engine parallel`` path).
+:class:`ParallelWalkEngine` is the registry's ``--engine parallel``;
+hold one to amortize pool + shared-graph setup across many batches (the
+serving pattern).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import sys
-from typing import Sequence
 
 import numpy as np
 
@@ -36,14 +35,19 @@ from repro.obs.trace import active as _active_tracer
 from repro.parallel import worker as _worker
 from repro.parallel.planner import QueryCostModel, plan_shards
 from repro.parallel.shared_graph import KERNEL_PREFIX, SharedArrayStore, graph_arrays
-from repro.sampling.hybrid import make_walk_kernel, validate_sampler_mode
-from repro.walks.base import Query, WalkResults, WalkSpec, path_offsets, unpack_queries
-from repro.walks.batch import STAT_FIELDS, check_batch_spec, check_start_vertices, record_run
-from repro.walks.jit import NUMBA_AVAILABLE, warn_numba_fallback
-from repro.walks.reference import EngineStats
+from repro.sampling.vectorized import VectorizedKernel
+from repro.walks.base import WalkSpec, path_offsets
+from repro.walks.batch import BatchEngine
+from repro.walks.engine import STAT_FIELDS, PreparedEngine, prepared_kernel
+from repro.walks.jit import NUMBA_AVAILABLE, JitEngine, warn_numba_fallback
 
-#: Per-worker shard cores the pool can run (``backend=`` option).
-WORKER_BACKENDS = ("batch", "jit")
+#: Per-worker shard cores the pool can run (``backend=`` option): the
+#: array engine each worker holds over the shared graph.
+WORKER_BACKENDS = {"batch": BatchEngine, "jit": JitEngine}
+
+#: Shards planned per worker.  Oversharding lets a fast worker steal
+#: queued shards from a slow one.
+SHARDS_PER_WORKER = 4
 
 
 def validate_worker_backend(backend: str) -> str:
@@ -80,7 +84,7 @@ def _pick_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context()
 
 
-class ParallelWalkEngine:
+class ParallelWalkEngine(PreparedEngine):
     """A persistent pool of batch-engine workers over one shared graph.
 
     Construction pays the one-time costs: kernel preparation (alias
@@ -91,17 +95,20 @@ class ParallelWalkEngine:
     pool and unlink the shared segment.
     """
 
+    name = "parallel"
+    #: ``backend`` (``"batch"`` | ``"jit"``) picks the per-shard core.
+    options = frozenset({"workers", "sampler", "backend"})
+    runs_after_close = False
+
     def __init__(
         self,
         graph: CSRGraph,
         spec: WalkSpec,
         workers: int | None = None,
-        shards_per_worker: int = 4,
         sampler: str = "default",
         backend: str = "batch",
     ) -> None:
-        check_batch_spec(spec)
-        validate_sampler_mode(sampler)
+        self._configure(graph, spec, sampler)
         validate_worker_backend(backend)
         if backend == "jit" and not NUMBA_AVAILABLE:
             # Same degradation contract as --engine jit: results are
@@ -110,22 +117,10 @@ class ParallelWalkEngine:
             backend = "batch"
         if workers is not None and workers < 1:
             raise WalkConfigError(f"workers must be >= 1, got {workers}")
-        if shards_per_worker < 1:
-            raise WalkConfigError(
-                f"shards_per_worker must be >= 1, got {shards_per_worker}"
-            )
-        self._graph = graph
-        self._spec = spec
-        self._sampler_mode = sampler
-        self._backend = backend
         self._workers = workers or default_workers()
-        # Oversharding lets a fast worker steal queued shards from a slow
-        # one.
-        self._shards_per_worker = shards_per_worker
         self._cost_model = QueryCostModel(graph, spec)
 
-        kernel = make_walk_kernel(spec.make_sampler(), sampler)
-        kernel.prepare(graph)
+        _, kernel = prepared_kernel(spec, sampler, graph)
         self._store = self._create_store(graph, kernel.state_arrays())
         self._pool = None
         try:
@@ -142,7 +137,7 @@ class ParallelWalkEngine:
                 processes=self._workers,
                 initializer=_worker.init_worker,
                 initargs=(self._store.handle, spec, self._untrack_attach,
-                          self._swap_barrier, sampler, backend),
+                          self._swap_barrier, sampler, WORKER_BACKENDS[backend]),
             )
         except Exception:
             self._store.close()
@@ -159,27 +154,16 @@ class ParallelWalkEngine:
     def workers(self) -> int:
         return self._workers
 
-    def run(
-        self,
-        queries: Sequence[Query],
-        seed: int = 0,
-        stats: EngineStats | None = None,
-    ) -> WalkResults:
-        """Execute ``queries``, bit-identical to ``run_walks_batch``."""
+    def _run_arrays(self, query_ids, starts, seed):
         if self._pool is None:
             raise WalkConfigError("parallel engine is closed")
-        num_queries = len(queries)
-        if num_queries == 0:
-            return WalkResults()
-        query_ids, starts = unpack_queries(queries)
-        # Fail fast in the parent, before work is sharded out.
-        check_start_vertices(self._graph, starts)
+        num_queries = starts.size
 
         tracer = _active_tracer()
         if tracer is not None:
             _t_plan = tracer.begin()
         costs = self._cost_model.costs(starts)
-        shards = plan_shards(costs, self._workers * self._shards_per_worker)
+        shards = plan_shards(costs, self._workers * SHARDS_PER_WORKER)
         tasks = [
             (positions, query_ids[positions], starts[positions], seed)
             for positions in shards
@@ -215,26 +199,16 @@ class ParallelWalkEngine:
         for positions, shard_flat, lengths in arrived:
             shift = offsets[positions] - path_offsets(lengths)[:-1]
             flat[np.repeat(shift, lengths) + np.arange(shard_flat.size)] = shard_flat
-        record_run(stats, counts, hops)
-        return WalkResults.from_flat(flat, offsets)
+        return flat, offsets, counts
 
-    def swap_graph(
-        self, graph: CSRGraph, kernel_arrays: dict | None = None
-    ) -> None:
+    def _adopt(self, graph: CSRGraph, kernel: VectorizedKernel) -> None:
         """Point the live worker pool at a new graph version.
 
         The pool and its processes survive — only the shared-memory
         segment is replaced: the parent serializes the new graph (plus
-        prepared kernel state) into a fresh segment, broadcasts one
+        ``kernel``'s prepared state) into a fresh segment, broadcasts one
         ``adopt_store`` task per worker (a barrier guarantees exactly-once
-        delivery), then unlinks the old segment.  ``kernel_arrays`` —
-        e.g. a dynamic snapshot's incrementally maintained state — skips
-        the parent-side ``kernel.prepare`` pass entirely; pass ``None``
-        to prepare from scratch.
-
-        Must not be called concurrently with :meth:`run` (the serving
-        layer serializes swaps onto epoch boundaries for exactly this
-        reason).
+        delivery), then unlinks the old segment.
         """
         if self._pool is None:
             raise WalkConfigError("parallel engine is closed")
@@ -248,11 +222,7 @@ class ParallelWalkEngine:
         tracer = _active_tracer()
         if tracer is not None:
             _t_swap = tracer.begin()
-        if kernel_arrays is None:
-            kernel = make_walk_kernel(self._spec.make_sampler(), self._sampler_mode)
-            kernel.prepare(graph)
-            kernel_arrays = kernel.state_arrays()
-        new_store = self._create_store(graph, kernel_arrays)
+        new_store = self._create_store(graph, kernel.state_arrays())
         try:
             tasks = [(new_store.handle, self._untrack_attach)] * self._workers
             pids = self._pool.map(_worker.adopt_store, tasks, chunksize=1)
@@ -280,37 +250,8 @@ class ParallelWalkEngine:
             self._pool = None
         self._store.close()
 
-    def __enter__(self) -> "ParallelWalkEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def __del__(self) -> None:  # pragma: no cover - best-effort safety net
         try:
             self.close()
         except Exception:
             pass
-
-
-def run_walks_parallel(
-    graph: CSRGraph,
-    spec: WalkSpec,
-    queries: Sequence[Query],
-    seed: int = 0,
-    stats: EngineStats | None = None,
-    workers: int | None = None,
-    sampler: str = "default",
-    backend: str = "batch",
-) -> WalkResults:
-    """One-shot parallel execution (``--engine parallel``).
-
-    Spins the pool up and down around a single batch; long-lived callers
-    should hold a :class:`ParallelWalkEngine` instead so pool and
-    shared-graph setup amortize across requests.  ``backend="jit"`` runs
-    the fused jit kernels inside each worker (bit-identical results).
-    """
-    with ParallelWalkEngine(
-        graph, spec, workers=workers, sampler=sampler, backend=backend
-    ) as engine:
-        return engine.run(queries, seed=seed, stats=stats)

@@ -23,6 +23,8 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
+from repro.sampling.hybrid import make_walk_kernel
+from repro.sampling.vectorized import VectorizedKernel
 
 _ALIGN = 64
 
@@ -197,3 +199,12 @@ def kernel_state_from_store(store: SharedArrayStore) -> dict[str, np.ndarray]:
         for name, array in store.arrays().items()
         if name.startswith(KERNEL_PREFIX)
     }
+
+
+def kernel_from_store(spec, sampler_mode: str, store: SharedArrayStore) -> VectorizedKernel:
+    """The worker-side kernel: the shell ``spec`` and ``sampler_mode``
+    name, loaded with the prepared state the parent broadcast in
+    ``store`` — no per-worker alias-table or edge-key build."""
+    kernel = make_walk_kernel(spec.make_sampler(), sampler_mode)
+    kernel.load_state(kernel_state_from_store(store))
+    return kernel

@@ -165,11 +165,14 @@ class WalkService:
     already admitted before tearing down the dispatcher, the executor
     thread(s), and the prepared engine.
 
-    ``engine`` is a registry name (``"batch"``, ``"parallel"``,
-    ``"reference"``) resolved through
+    ``engine`` is a registry name (``"batch"``, ``"jit"``,
+    ``"parallel"``, ``"dist"``, ``"reference"`` — any key of
+    :data:`repro.engines.SOFTWARE_ENGINES`) resolved through
     :func:`repro.engines.prepare_engine`, or an already-constructed
     :class:`~repro.engines.PreparedEngine`; either way the service owns
-    it and closes it on :meth:`stop`.
+    it and closes it on :meth:`stop`.  A stopped service restarts only
+    if its engine can run after ``close`` (``runs_after_close``): the
+    pool engines cannot, so build a new service for them.
 
     ``tenants`` declares the admission classes of a multi-tenant
     service (see :mod:`repro.serve.qos`); requests then carry a
@@ -239,6 +242,7 @@ class WalkService:
         self._batch_tasks: set[asyncio.Task] = set()
         self._next_query_id = 0
         self._accepting = False
+        self._runner_closed = False
         self._epoch = self._initial_epoch
         #: Swaps queued but not yet applied.  While non-zero, cache
         #: lookups are suspended: a request admitted now executes on an
@@ -333,6 +337,12 @@ class WalkService:
         """Bring up the dispatcher; idempotent while running."""
         if self._accepting:
             return
+        if self._runner_closed and not self._runner.runs_after_close:
+            raise ServeError(
+                f"cannot restart: stop() closed the {self.engine_name!r} engine "
+                "and it cannot run again (its workers are gone); build a new "
+                "WalkService"
+            )
         self._queue = asyncio.Queue()
         self._inflight = asyncio.Semaphore(self._config.max_inflight)
         self._drained = asyncio.Event()
@@ -359,6 +369,7 @@ class WalkService:
             # worker pool and a shared-memory segment — so release it
             # rather than leak it.  Engine close is idempotent.
             self._runner.close()
+            self._runner_closed = True
             return
         self._accepting = False
         if drain:
@@ -406,6 +417,7 @@ class WalkService:
         assert self._executor is not None
         self._executor.shutdown(wait=True)
         self._runner.close()
+        self._runner_closed = True
         self._queue = None
         self._dispatcher = None
         self._executor = None

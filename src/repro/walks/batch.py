@@ -22,9 +22,10 @@ Same API, ``SeedSequence((seed, query_id))`` substream keying and
 :class:`EngineStats` semantics as :func:`repro.walks.reference.run_walks`;
 chi-square tests hold it to that engine, ``tests/walks/test_compact_core.py``
 to the pre-compaction core bit for bit, ``benchmarks/suite`` measures it.
-:func:`run_walks_batch` is the ``Query`` API, :func:`run_walks_batch_flat`
-the array core (what parallel workers run against a prepared kernel),
-:func:`run_walks_batch_arrays` its dense adapter.
+:class:`BatchEngine` is the engine (its array hook is what parallel
+workers run against a loaded kernel); :func:`run_walks_batch` is the
+one-call ``Query`` form, :func:`run_walks_batch_flat` the one-call array
+form and :func:`run_walks_batch_arrays` its dense adapter.
 """
 
 from __future__ import annotations
@@ -34,68 +35,14 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import GraphError, WalkConfigError
 from repro.graph.csr import CSRGraph
 from repro.obs.trace import active as _active_tracer
-from repro.sampling.hybrid import make_walk_kernel, validate_sampler_mode
 from repro.sampling.vectorized import QueryStreams, VectorizedKernel, seed_sequence_states
-from repro.walks.base import (
-    Query,
-    WalkResults,
-    WalkSpec,
-    paths_from_step_log,
-    unpack_queries,
-)
+from repro.walks.base import Query, WalkResults, WalkSpec, paths_from_step_log
+from repro.walks.engine import STAT_FIELDS, PreparedEngine, prepared_kernel, run_arrays
 from repro.walks.reference import EngineStats
 
-#: Scalar EngineStats counters a superstep accumulates, in the order of
-#: the ``counts`` vector (also the parallel/dist workers' wire order).
-STAT_FIELDS = (
-    "sampling_proposals",
-    "neighbor_reads",
-    "dangling_terminations",
-    "early_terminations",
-    "probabilistic_terminations",
-    "length_terminations",
-)
 (_PROPOSALS, _READS, _DANGLING, _EARLY, _PROBABILISTIC, _LENGTH) = range(len(STAT_FIELDS))
-
-
-def check_batch_spec(spec: WalkSpec) -> None:
-    """Reject specs the vectorized engines cannot run faithfully.
-
-    The batch engine applies probabilistic termination as one vectorized
-    draw per superstep, so it never calls the scalar
-    ``terminates_probabilistically()`` hook; any spec overriding that hook
-    may carry a termination rule ``termination_probability()`` does not
-    express, and running it here would silently drop it.  The parallel
-    engine shares this contract and calls the same check before sharding.
-    """
-    if type(spec).terminates_probabilistically is not WalkSpec.terminates_probabilistically:
-        raise WalkConfigError(
-            f"{type(spec).__name__} overrides terminates_probabilistically(), which the "
-            "batch engine never consults — express the rule via "
-            "termination_probability() or use the reference engine"
-        )
-
-
-def check_start_vertices(graph: CSRGraph, starts: np.ndarray) -> None:
-    """Reject a batch with a start vertex outside the graph."""
-    if starts.size and (starts.min() < 0 or starts.max() >= graph.num_vertices):
-        bad = int(starts[(starts < 0) | (starts >= graph.num_vertices)][0])
-        raise GraphError(
-            f"vertex {bad} out of range for graph with {graph.num_vertices} vertices"
-        )
-
-
-def record_run(stats: EngineStats | None, counts: np.ndarray, hops: np.ndarray) -> None:
-    """Fold one run's ``counts`` vector and per-query ``hops`` into ``stats``."""
-    if stats is None:
-        return
-    for name, value in zip(STAT_FIELDS, counts.tolist()):
-        setattr(stats, name, getattr(stats, name) + value)
-    stats.total_hops += int(hops.sum())
-    stats.per_query_hops.extend(hops.tolist())
 
 
 @dataclass(slots=True)
@@ -187,6 +134,63 @@ def superstep(
     return pos, next_vertex
 
 
+class BatchEngine(PreparedEngine):
+    """The vectorized engine: a prepared kernel driven by :func:`superstep`.
+
+    ``kernel``, when given, must already be prepared (or loaded) for
+    ``graph`` and needs nothing beyond ``sample`` — a pool worker passes
+    the kernel it loaded from shared memory, a tracer a timing proxy.
+    """
+
+    name = "batch"
+
+    def __init__(
+        self,
+        graph: CSRGraph,
+        spec: WalkSpec,
+        sampler: str = "default",
+        kernel: VectorizedKernel | None = None,
+    ) -> None:
+        self._configure(graph, spec, sampler)
+        if kernel is None:
+            _, kernel = prepared_kernel(spec, sampler, graph)
+        self._adopt(graph, kernel)
+
+    def _adopt(self, graph: CSRGraph, kernel: VectorizedKernel) -> None:
+        self._graph = graph
+        self._kernel = kernel
+
+    def _run_arrays(self, query_ids, starts, seed):
+        graph, spec, kernel = self._graph, self._spec, self._kernel
+        frontier = Frontier.start(
+            np.arange(starts.size), starts, seed_sequence_states(seed, query_ids)
+        )
+        hops = np.zeros(starts.size, dtype=np.int64)
+        counts = np.zeros(len(STAT_FIELDS), dtype=np.int64)
+        log: list[np.ndarray] = []
+
+        # Hoisted once per run: with tracing disabled (the default) the
+        # per-superstep cost is one local ``is not None`` branch — the
+        # overhead contract benchmarks/bench_obs_overhead.py enforces.
+        tracer = _active_tracer()
+
+        for step in range(spec.max_length):
+            if frontier.size == 0:
+                break
+            if tracer is not None:
+                _span_start = tracer.begin()
+                _span_width = frontier.size
+            pos, next_vertex = superstep(graph, spec, kernel, step, frontier, counts)
+            hops[pos] = step + 1
+            log.append(next_vertex)
+            if tracer is not None:
+                tracer.end(_span_start, "batch.superstep", step=step,
+                           frontier=_span_width, survivors=pos.size)
+
+        counts[_LENGTH] += frontier.size
+        return *paths_from_step_log(starts, hops, log), counts
+
+
 def run_walks_batch_flat(
     graph: CSRGraph,
     spec: WalkSpec,
@@ -196,45 +200,26 @@ def run_walks_batch_flat(
     seed: int = 0,
     stats: EngineStats | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Array core: run walks for aligned start/id arrays.
+    """Array form: run walks for aligned start/id arrays.
 
-    ``kernel`` must already be prepared for ``graph`` (the caller owns
-    preparation so a worker pool can prepare once and run many shards).
-    Returns ``(flat, offsets)``: the walk of ``query_ids[k]`` is
+    ``kernel`` must already be prepared for ``graph``.  Returns ``(flat,
+    offsets)``: the walk of ``query_ids[k]`` is
     ``flat[offsets[k]:offsets[k + 1]]``, start vertex included.  All
     :class:`EngineStats` counters — including ``per_query_hops``, in the
     order of the given arrays — are accumulated into ``stats``.
     """
+    hook = BatchEngine(graph, spec, kernel=kernel)._run_arrays
     starts = np.array(start_vertices, dtype=np.int64)
-    check_start_vertices(graph, starts)
-    frontier = Frontier.start(
-        np.arange(starts.size), starts, seed_sequence_states(seed, query_ids)
-    )
-    hops = np.zeros(starts.size, dtype=np.int64)
-    counts = np.zeros(len(STAT_FIELDS), dtype=np.int64)
-    log: list[np.ndarray] = []
+    return run_arrays(graph, hook, query_ids, starts, seed, stats)
 
-    # Hoisted once per run: with tracing disabled (the default) the
-    # per-superstep cost is one local ``is not None`` branch — the
-    # overhead contract benchmarks/bench_obs_overhead.py enforces.
-    tracer = _active_tracer()
 
-    for step in range(spec.max_length):
-        if frontier.size == 0:
-            break
-        if tracer is not None:
-            _span_start = tracer.begin()
-            _span_width = frontier.size
-        pos, next_vertex = superstep(graph, spec, kernel, step, frontier, counts)
-        hops[pos] = step + 1
-        log.append(next_vertex)
-        if tracer is not None:
-            tracer.end(_span_start, "batch.superstep", step=step,
-                       frontier=_span_width, survivors=pos.size)
-
-    counts[_LENGTH] += frontier.size
-    record_run(stats, counts, hops)
-    return paths_from_step_log(starts, hops, log)
+def dense_path_matrix(flat: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(paths, hops)`` form of a compact path buffer: row ``k`` holds
+    its walk in ``paths[k, :hops[k] + 1]``, the rest is unspecified."""
+    lengths = np.diff(offsets)
+    paths = np.empty((lengths.size, int(lengths.max(initial=1))), dtype=np.int64)
+    paths[np.arange(paths.shape[1]) < lengths[:, None]] = flat
+    return paths, lengths - 1
 
 
 def run_walks_batch_arrays(
@@ -246,20 +231,12 @@ def run_walks_batch_arrays(
     seed: int = 0,
     stats: EngineStats | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Dense adapter over :func:`run_walks_batch_flat`.
-
-    Returns ``(paths, hops)`` where ``paths`` is a
-    ``(num_queries, max(hops) + 1)`` int64 matrix whose row ``k`` holds
-    the walk of ``query_ids[k]`` in ``paths[k, :hops[k] + 1]`` (the rest
-    of the row is unspecified).
-    """
-    flat, offsets = run_walks_batch_flat(
+    """Dense adapter over :func:`run_walks_batch_flat`: returns ``(paths,
+    hops)`` with ``paths`` a ``(num_queries, max(hops) + 1)`` int64 matrix
+    (see :func:`dense_path_matrix`)."""
+    return dense_path_matrix(*run_walks_batch_flat(
         graph, spec, kernel, start_vertices, query_ids, seed=seed, stats=stats
-    )
-    lengths = np.diff(offsets)
-    paths = np.empty((lengths.size, int(lengths.max(initial=1))), dtype=np.int64)
-    paths[np.arange(paths.shape[1]) < lengths[:, None]] = flat
-    return paths, lengths - 1
+    ))
 
 
 def run_walks_batch(
@@ -278,21 +255,11 @@ def run_walks_batch(
     the reference engine's, not bit-identical (the engines consume their
     substreams in different patterns).
 
-    ``kernel``, when given, must already be prepared for ``graph``;
-    repeated callers (the serving layer's prepared batch engine) pass it
-    to amortize alias-table/edge-key construction across batches.
+    ``kernel``, when given, must already be prepared for ``graph``.
     ``sampler`` selects the kernel family when no kernel is given:
     ``"default"`` runs the spec's own single-strategy kernel, ``"auto"``
     the cost-model-driven hybrid (:mod:`repro.sampling.hybrid`).
+    Repeated callers hold a :class:`BatchEngine` instead, to pay the
+    alias-table/edge-key construction once.
     """
-    check_batch_spec(spec)
-    validate_sampler_mode(sampler)
-    if len(queries) == 0:
-        return WalkResults()
-    if kernel is None:
-        kernel = make_walk_kernel(spec.make_sampler(), sampler)
-        kernel.prepare(graph)
-    query_ids, starts = unpack_queries(queries)
-    return WalkResults.from_flat(*run_walks_batch_flat(
-        graph, spec, kernel, starts, query_ids, seed=seed, stats=stats
-    ))
+    return BatchEngine(graph, spec, sampler, kernel=kernel).run(queries, seed=seed, stats=stats)

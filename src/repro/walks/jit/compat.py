@@ -11,7 +11,7 @@ prove the kernel math on hosts without numba.
 
 Production entry points (``--engine jit``) do **not** run the
 interpreted kernels: they warn once and delegate to the batch engine
-(see :func:`repro.walks.jit.engine.run_walks_jit`).  The interpreted
+(see :class:`repro.walks.jit.engine.JitEngine`).  The interpreted
 path is reserved for the test harness, which calls the array-level core
 directly.
 """

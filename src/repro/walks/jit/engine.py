@@ -2,13 +2,13 @@
 
 Public surface:
 
-* :func:`run_walks_jit` — the ``Query``-object API registered as
-  ``--engine jit``.  With numba installed it runs the fused per-walker
-  kernel (:mod:`repro.walks.jit.kernels`); without numba it warns once
-  and delegates to the batch engine, which is bit-identical by contract.
-* :func:`run_walks_jit_arrays` — the array-level core (parallel workers
-  and the equivalence tests call this directly; it always executes the
-  kernel, compiled or interpreted).
+* :class:`JitEngine` — registered as ``--engine jit``.  With numba
+  installed its array hook is the fused per-walker kernel
+  (:mod:`repro.walks.jit.kernels`); without numba it warns once and is
+  the batch engine, which is bit-identical by contract.
+* :func:`run_walks_jit_arrays` — the dense array-level form (the
+  equivalence tests and benchmarks call this directly; it always
+  executes the kernel, compiled or interpreted).
 * :func:`jit_state_from_kernel` — derives the kernel's typed-array state
   from a *prepared batch kernel*, so the jit engine consumes the exact
   same alias tables / CDF rows / edge keys / strategy codes the batch
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import partial
 
 import numpy as np
 
@@ -28,18 +28,15 @@ from repro.errors import SamplingError
 from repro.graph.csr import CSRGraph
 from repro.sampling.alias_sampler import AliasSampler
 from repro.sampling.base import Sampler
-from repro.sampling.hybrid import (
-    HybridKernel,
-    make_walk_kernel,
-    validate_sampler_mode,
-)
+from repro.sampling.hybrid import HybridKernel
 from repro.sampling.its import InverseTransformSampler
 from repro.sampling.rejection import _MAX_REJECTION_ROUNDS, RejectionSampler
 from repro.sampling.reservoir import ReservoirSampler
 from repro.sampling.uniform import UniformSampler
 from repro.sampling.vectorized import VectorizedKernel, seed_sequence_states
-from repro.walks.base import Query, WalkResults, WalkSpec, unpack_queries
-from repro.walks.batch import check_batch_spec, check_start_vertices, run_walks_batch
+from repro.walks.base import WalkSpec, compact_path_matrix, path_offsets
+from repro.walks.batch import BatchEngine, dense_path_matrix
+from repro.walks.engine import run_arrays
 from repro.walks.jit import kernels
 from repro.walks.jit.compat import NUMBA_AVAILABLE
 from repro.walks.reference import EngineStats
@@ -55,6 +52,14 @@ _BASE_CODES: tuple[tuple[type, int, int], ...] = (
     (RejectionSampler, kernels.CODE_REJECTION, kernels.FAMILY_REJECTION),
     (ReservoirSampler, kernels.CODE_RESERVOIR, kernels.FAMILY_RESERVOIR),
 )
+
+#: Kernel death codes in :data:`~repro.walks.engine.STAT_FIELDS` order.
+_CAUSE_ORDER = [
+    kernels.CAUSE_DANGLING,
+    kernels.CAUSE_EARLY,
+    kernels.CAUSE_PROBABILISTIC,
+    kernels.CAUSE_LENGTH,
+]
 
 _FALLBACK_WARNED = False
 
@@ -161,32 +166,21 @@ def jit_state_from_kernel(
     return jit_state_from_arrays(graph, base, kernel.state_arrays())
 
 
-def run_walks_jit_arrays(
+def fused_walk_arrays(
     graph: CSRGraph,
     spec: WalkSpec,
     state: JitWalkState,
-    start_vertices: np.ndarray,
     query_ids: np.ndarray,
-    seed: int = 0,
-    stats: EngineStats | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fused-kernel core: run walks for aligned start/id arrays.
-
-    Same contract as ``run_walks_batch_arrays`` — returns ``(paths,
-    hops)`` with row ``k`` valid through ``paths[k, :hops[k] + 1]`` and
-    accumulates every :class:`EngineStats` counter.  Executes the kernel
-    whether or not numba is installed (interpreted execution is the
-    bit-identity test harness; production fallback lives in
-    :func:`run_walks_jit`).
-    """
-    num_queries = int(start_vertices.size)
-    starts = np.array(start_vertices, dtype=np.int64)
-    check_start_vertices(graph, starts)
+    starts: np.ndarray,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fused-kernel array hook: ``(flat, offsets, counts)`` for aligned
+    id/start arrays, whether or not numba is installed (interpreted
+    execution is the bit-identity test harness)."""
+    num_queries = int(starts.size)
     max_length = int(spec.max_length)
     paths = np.empty((num_queries, max_length + 1), dtype=np.int64)
     hops = np.zeros(num_queries, dtype=np.int64)
-    if num_queries == 0:
-        return paths, hops
 
     admissible = np.full(max_length, -1, dtype=np.int64)
     term_prob = np.zeros(max_length, dtype=np.float64)
@@ -254,65 +248,61 @@ def run_walks_jit_arrays(
             f"rejection sampling failed to accept after {_MAX_REJECTION_ROUNDS} "
             f"rounds (p={state.rejection_p}, q={state.rejection_q})"
         )
-    if stats is not None:
-        stats.sampling_proposals += int(counters[kernels.IDX_PROPOSALS])
-        stats.neighbor_reads += int(counters[kernels.IDX_READS])
-        stats.total_hops += int(hops.sum())
-        stats.per_query_hops.extend(hops.tolist())
-        stats.dangling_terminations += int(np.count_nonzero(cause == kernels.CAUSE_DANGLING))
-        stats.early_terminations += int(np.count_nonzero(cause == kernels.CAUSE_EARLY))
-        stats.probabilistic_terminations += int(
-            np.count_nonzero(cause == kernels.CAUSE_PROBABILISTIC)
-        )
-        stats.length_terminations += int(np.count_nonzero(cause == kernels.CAUSE_LENGTH))
-    return paths, hops
+    deaths = np.bincount(cause, minlength=len(_CAUSE_ORDER))[_CAUSE_ORDER]
+    counts = np.concatenate(
+        (counters[[kernels.IDX_PROPOSALS, kernels.IDX_READS]], deaths)
+    )
+    # The kernel's dense matrix is compacted here so its padding never
+    # leaves the engine (or, in a pool worker, the process).
+    flat, lengths = compact_path_matrix(paths, hops)
+    return flat, path_offsets(lengths), counts
 
 
-def run_walks_jit_prepared(
+class JitEngine(BatchEngine):
+    """The batch engine with its superstep loop replaced by the fused
+    per-walker kernel where numba can compile it.
+
+    The typed-array state is a recast of the held batch kernel's arrays
+    — one source of truth for the tables, so the two engines cannot
+    drift.  The first :meth:`run` pays numba's compile (cached on disk
+    via ``cache=True``); without numba the engine warns once per process
+    and *is* the batch engine, bit-identically, and builds no state.
+    """
+
+    name = "jit"
+
+    def __init__(self, graph, spec, sampler="default", kernel=None) -> None:
+        if not NUMBA_AVAILABLE:
+            warn_numba_fallback()
+        super().__init__(graph, spec, sampler, kernel=kernel)
+
+    def _adopt(self, graph: CSRGraph, kernel: VectorizedKernel) -> None:
+        super()._adopt(graph, kernel)
+        self._state = jit_state_from_kernel(graph, self._spec, kernel) if NUMBA_AVAILABLE else None
+
+    def _run_arrays(self, query_ids, starts, seed):
+        if self._state is None:
+            return super()._run_arrays(query_ids, starts, seed)
+        return fused_walk_arrays(self._graph, self._spec, self._state, query_ids, starts, seed)
+
+
+def run_walks_jit_arrays(
     graph: CSRGraph,
     spec: WalkSpec,
     state: JitWalkState,
-    queries: Sequence[Query],
+    start_vertices: np.ndarray,
+    query_ids: np.ndarray,
     seed: int = 0,
     stats: EngineStats | None = None,
-) -> WalkResults:
-    """``Query``-object wrapper over :func:`run_walks_jit_arrays` for an
-    already-built :class:`JitWalkState` (the prepared-engine path)."""
-    results = WalkResults()
-    if len(queries) == 0:
-        return results
-    query_ids, starts = unpack_queries(queries)
-    paths, hops = run_walks_jit_arrays(
-        graph, spec, state, starts, query_ids, seed=seed, stats=stats
-    )
-    results.extend_from_matrix(paths, hops)
-    return results
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense one-call form of :func:`fused_walk_arrays`.
 
-
-def run_walks_jit(
-    graph: CSRGraph,
-    spec: WalkSpec,
-    queries: Sequence[Query],
-    seed: int = 0,
-    stats: EngineStats | None = None,
-    sampler: str = "default",
-) -> WalkResults:
-    """Execute ``queries`` under ``spec`` with fused per-walker kernels.
-
-    Bit-identical to :func:`repro.walks.batch.run_walks_batch` for any
-    ``(graph, spec, queries, seed, sampler)`` — the engines share state
-    preparation and the per-hop draw patterns.  Without numba this
-    delegates to the batch engine outright (after one warning), so the
-    guarantee holds trivially.
+    Same contract as ``run_walks_batch_arrays`` — returns ``(paths,
+    hops)`` with row ``k`` valid through ``paths[k, :hops[k] + 1]`` and
+    accumulates every :class:`EngineStats` counter.  Always executes the
+    kernel, compiled or interpreted; production fallback lives in
+    :class:`JitEngine`.
     """
-    check_batch_spec(spec)
-    validate_sampler_mode(sampler)
-    if not NUMBA_AVAILABLE:
-        warn_numba_fallback()
-        return run_walks_batch(graph, spec, queries, seed=seed, stats=stats, sampler=sampler)
-    if len(queries) == 0:
-        return WalkResults()
-    kernel = make_walk_kernel(spec.make_sampler(), sampler)
-    kernel.prepare(graph)
-    state = jit_state_from_kernel(graph, spec, kernel)
-    return run_walks_jit_prepared(graph, spec, state, queries, seed=seed, stats=stats)
+    hook = partial(fused_walk_arrays, graph, spec, state)
+    starts = np.array(start_vertices, dtype=np.int64)
+    return dense_path_matrix(*run_arrays(graph, hook, query_ids, starts, seed, stats))

@@ -105,3 +105,24 @@ def test_parse_error_is_reported_not_raised(tmp_path):
     report = lint_paths([bad])
     assert [f.rule_id for f in report.active] == ["RW000"]
     assert report.exit_code == 1
+
+
+def test_rw104_table_covers_every_public_engine_entry_point():
+    """Every synchronous walk entry point the engine packages export must
+    be a key of RW104's bare-name table, so a new one cannot be called
+    from a coroutine unflagged."""
+    import re
+
+    import repro.engines
+    import repro.walks
+    from repro.analysis.rules import _BLOCKING_BARE
+
+    entry_point = re.compile(r"run_\w*walks\w*|prepare_engine")
+    exported = {
+        name
+        for module in (repro.engines, repro.walks)
+        for name, value in vars(module).items()
+        if callable(value) and entry_point.fullmatch(name)
+    }
+    assert {"run_software_walks", "prepare_engine", "run_walks_batch"} <= exported
+    assert exported <= set(_BLOCKING_BARE), exported - set(_BLOCKING_BARE)

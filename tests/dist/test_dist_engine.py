@@ -16,12 +16,12 @@ import pytest
 
 from repro.bench.workloads import make_spec
 from repro.cli import ALGORITHMS
-from repro.dist import DistWalkEngine, run_walks_dist
+from repro.dist import DistWalkEngine
 from repro.engines import prepare_engine, run_software_walks
 from repro.errors import GraphError, WalkConfigError
 from repro.graph import load_dataset
 from repro.graph.datasets import assign_metapath_schema
-from repro.parallel.worker import STAT_FIELDS
+from repro.walks.engine import STAT_FIELDS
 from repro.walks import (
     DeepWalkSpec,
     EngineStats,
@@ -73,8 +73,8 @@ class TestBitIdenticalToBatch:
             stats=batch_stats,
         )
         dist_stats = EngineStats()
-        result = run_walks_dist(
-            _graph(), _spec(algorithm), list(_queries()), seed=SEED,
+        result, _ = run_software_walks(
+            "dist", _graph(), _spec(algorithm), list(_queries()), seed=SEED,
             stats=dist_stats, shards=shards,
         )
         _assert_identical(baseline, batch_stats, result, dist_stats,
@@ -158,22 +158,10 @@ class TestLifecycle:
         with pytest.raises(WalkConfigError):
             engine.run(list(_queries())[:4], seed=SEED)
         with pytest.raises(WalkConfigError):
-            engine.swap_graph(_graph())
+            engine.swap_snapshot(_graph())
 
 
 class TestRegistry:
-    def test_misdirected_options_rejected(self):
-        with pytest.raises(WalkConfigError):
-            run_software_walks(
-                "dist", _graph(), URWSpec(max_length=5), list(_queries())[:4],
-                workers=2,  # a parallel-engine option
-            )
-        with pytest.raises(WalkConfigError):
-            run_software_walks(
-                "batch", _graph(), URWSpec(max_length=5), list(_queries())[:4],
-                shards=2,  # a dist-engine option
-            )
-
     def test_prepared_engine_amortizes_workers(self):
         spec = URWSpec(max_length=8)
         queries = list(_queries())[:60]

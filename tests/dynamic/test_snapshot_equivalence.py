@@ -84,11 +84,11 @@ def test_swapped_engine_matches_fresh_engine(state, engine, options):
     with prepare_engine(engine, trace_base.snapshot().graph, spec,
                         **options) as swapped:
         if engine == "parallel":
-            pids_before = sorted(p.pid for p in swapped._engine._pool._pool)
+            pids_before = sorted(p.pid for p in swapped._pool._pool)
         swapped.swap_snapshot(snapshot)
         if engine == "parallel":
             # The worker pool must survive the swap: same processes.
-            assert sorted(p.pid for p in swapped._engine._pool._pool) == pids_before
+            assert sorted(p.pid for p in swapped._pool._pool) == pids_before
         swap_stats = EngineStats()
         swap_results = swapped.run(queries, seed=3, stats=swap_stats)
     with prepare_engine(engine, static_graph, spec, **options) as fresh:

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from stat_helpers import CHI_SQUARE_ALPHA, chi_square_compare
 
+from repro.engines import run_software_walks
 from repro.errors import WalkConfigError
 from repro.graph import load_dataset, path_graph
-from repro.parallel import ParallelWalkEngine, run_walks_parallel
+from repro.parallel import ParallelWalkEngine
 from repro.walks import (
     DeepWalkSpec,
     EngineStats,
@@ -46,7 +47,8 @@ class TestBitIdenticalDeterminism:
         queries = make_queries(graph, 120, seed=2)
         baseline = run_walks_batch(graph, spec, queries, seed=3)
         for workers in (1, 2, 4):
-            result = run_walks_parallel(graph, spec, queries, seed=3, workers=workers)
+            result = run_software_walks("parallel", graph, spec, queries, seed=3,
+                                        workers=workers)[0]
             assert result.num_queries == baseline.num_queries
             for a, b in zip(baseline.paths, result.paths):
                 assert np.array_equal(a, b), f"diverged at workers={workers}"
@@ -57,8 +59,8 @@ class TestBitIdenticalDeterminism:
         queries = make_queries(graph, 80, seed=4)
         shuffled = list(queries)
         np.random.default_rng(5).shuffle(shuffled)
-        forward = run_walks_parallel(graph, spec, queries, seed=6, workers=3)
-        permuted = run_walks_parallel(graph, spec, shuffled, seed=6, workers=2)
+        forward = run_software_walks("parallel", graph, spec, queries, seed=6, workers=3)[0]
+        permuted = run_software_walks("parallel", graph, spec, shuffled, seed=6, workers=2)[0]
         by_id = {q.query_id: i for i, q in enumerate(shuffled)}
         for position, query in enumerate(queries):
             assert np.array_equal(
@@ -71,7 +73,7 @@ class TestBitIdenticalDeterminism:
         spec = SAMPLER_SPECS[kernel]()
         queries = make_queries(graph, 60, seed=7)
         batch = run_walks_batch(graph, spec, queries, seed=8)
-        parallel = run_walks_parallel(graph, spec, queries, seed=8, workers=2)
+        parallel = run_software_walks("parallel", graph, spec, queries, seed=8, workers=2)[0]
         for a, b in zip(batch.paths, parallel.paths):
             assert np.array_equal(a, b)
 
@@ -81,7 +83,8 @@ class TestBitIdenticalDeterminism:
         queries = make_queries(graph, 60, seed=9)
         batch_stats, parallel_stats = EngineStats(), EngineStats()
         run_walks_batch(graph, spec, queries, seed=10, stats=batch_stats)
-        run_walks_parallel(graph, spec, queries, seed=10, stats=parallel_stats, workers=3)
+        run_software_walks("parallel", graph, spec, queries, seed=10,
+                           stats=parallel_stats, workers=3)
         assert parallel_stats == batch_stats
 
 
@@ -94,7 +97,7 @@ class TestStatisticalEquivalence:
         spec = SAMPLER_SPECS[kernel]()
         queries = make_queries(graph, 400, seed=11)
         reference = run_walks(graph, spec, queries, seed=12)
-        parallel = run_walks_parallel(graph, spec, queries, seed=13, workers=2)
+        parallel = run_software_walks("parallel", graph, spec, queries, seed=13, workers=2)[0]
         p = chi_square_compare(
             reference.visit_counts(graph.num_vertices),
             parallel.visit_counts(graph.num_vertices),
@@ -123,7 +126,7 @@ class TestEngineLifecycle:
 
     def test_zero_queries(self):
         graph = path_graph(4)
-        results = run_walks_parallel(graph, URWSpec(max_length=5), [], workers=2)
+        results = run_software_walks("parallel", graph, URWSpec(max_length=5), [], workers=2)[0]
         assert results.num_queries == 0 and results.total_steps == 0
 
     def test_invalid_worker_count_rejected(self):
@@ -155,7 +158,6 @@ class TestEngineLifecycle:
 
 class TestRegistryDispatch:
     def test_run_software_walks_parallel(self):
-        from repro.engines import run_software_walks
         graph = _weighted_graph()
         queries = make_queries(graph, 30, seed=16)
         results, elapsed = run_software_walks(
@@ -164,16 +166,7 @@ class TestRegistryDispatch:
         assert results.num_queries == 30
         assert elapsed > 0
 
-    def test_workers_option_rejected_for_batch_engine(self):
-        from repro.engines import run_software_walks
-        graph = path_graph(4)
-        with pytest.raises(WalkConfigError, match="does not accept"):
-            run_software_walks(
-                "batch", graph, URWSpec(max_length=5), [Query(0, 0)], workers=2
-            )
-
     def test_none_options_mean_engine_default(self):
-        from repro.engines import run_software_walks
         graph = path_graph(4)
         results, _ = run_software_walks(
             "batch", graph, URWSpec(max_length=5), [Query(0, 0)], workers=None

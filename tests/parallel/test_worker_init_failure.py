@@ -66,5 +66,5 @@ class TestCrashedWorkerInit:
         before = _shm_segments()
         with ParallelWalkEngine(graph, URWSpec(max_length=5), workers=2) as engine:
             with pytest.raises(RuntimeError, match="injected init failure"):
-                engine.swap_graph(graph)
+                engine.swap_snapshot(graph)
         assert _shm_segments() <= before

@@ -197,6 +197,31 @@ class TestLifecycle:
 
         drive(scenario())
 
+    @pytest.mark.parametrize("engine,options", [("parallel", {"workers": 2}),
+                                                ("dist", {"shards": 2})])
+    def test_restart_refused_when_engine_cannot_run_again(self, engine, options):
+        """stop() tears the pool engines' workers down for good, so a
+        second start() must fail there — not come up and then book every
+        request as failed with 'engine is closed'."""
+        graph = make_graph()
+
+        async def scenario():
+            service = WalkService(graph, URWSpec(max_length=5), engine=engine,
+                                  **options)
+            await service.start()
+            results = await asyncio.wait_for(service.submit(2), timeout=60.0)
+            assert results.path_of(0)[0] == 2
+            await service.stop()
+            with pytest.raises(ServeError, match=f"cannot restart.*{engine}"):
+                await service.start()
+            with pytest.raises(ServeError, match="not running"):
+                service.try_submit(2)
+            await service.stop()  # still safe on the dead service
+            return service.stats
+
+        stats = drive(scenario())
+        assert (stats.offered, stats.completed, stats.failed) == (1, 1, 0)
+
     def test_engine_options_rejected_with_prepared_engine(self):
         with pytest.raises(ServeError, match="prepare_engine"):
             WalkService(make_graph(), URWSpec(max_length=5),

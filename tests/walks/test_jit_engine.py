@@ -32,12 +32,11 @@ from repro.errors import WalkConfigError
 from repro.graph import load_dataset
 from repro.graph.datasets import assign_metapath_schema
 from repro.sampling.hybrid import make_walk_kernel
-from repro.walks import EngineStats, make_queries
+from repro.walks import EngineStats, WalkResults, make_queries
 from repro.walks.batch import run_walks_batch_arrays
 from repro.walks.jit import (
     jit_state_from_kernel,
     run_walks_jit_arrays,
-    run_walks_jit_prepared,
 )
 
 NUM_QUERIES = 120
@@ -156,7 +155,9 @@ def test_snapshot_swap_rebinds_jit_state():
         # would fall back to the held batch kernel there).
         j_stats = EngineStats()
         j_paths, j_hops = run_walks_jit_arrays(
-            snapshot.graph, spec, engine._state, starts, query_ids,
+            snapshot.graph, spec,
+            jit_state_from_kernel(snapshot.graph, spec, engine._kernel),
+            starts, query_ids,
             seed=SEED, stats=j_stats,
         )
         swap_results = engine.run(queries, seed=SEED)
@@ -243,11 +244,13 @@ def test_agrees_with_reference_distribution():
     RNG consumer: rejection rounds + second-order probes)."""
     graph = _graph()
     spec = _spec("Node2Vec")
-    queries, _, _ = _arrays()
+    queries, starts, query_ids = _arrays()
     kernel = make_walk_kernel(spec.make_sampler(), "default")
     kernel.prepare(graph)
     state = jit_state_from_kernel(graph, spec, kernel)
-    jit_results = run_walks_jit_prepared(graph, spec, state, queries, seed=SEED)
+    jit_results = WalkResults()
+    jit_results.extend_from_matrix(*run_walks_jit_arrays(
+        graph, spec, state, starts, query_ids, seed=SEED))
     oracle, _ = run_software_walks("reference", graph, spec, queries,
                                    seed=SEED + 1)
     p = chi_square_compare(

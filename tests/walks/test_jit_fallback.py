@@ -18,13 +18,12 @@ import warnings
 import numpy as np
 import pytest
 
-import repro.engines as engines_module
 import repro.parallel.engine as parallel_engine_module
 import repro.walks.jit.engine as jit_engine_module
 from repro.engines import prepare_engine, run_software_walks
 from repro.graph import load_dataset
 from repro.walks import DeepWalkSpec, EngineStats, make_queries, run_walks_batch
-from repro.walks.jit import reset_fallback_warning, run_walks_jit
+from repro.walks.jit import reset_fallback_warning
 
 SEED = 17
 
@@ -41,7 +40,6 @@ def workload():
 def numba_absent(monkeypatch):
     """Force the fallback path and a fresh one-shot warning flag."""
     monkeypatch.setattr(jit_engine_module, "NUMBA_AVAILABLE", False)
-    monkeypatch.setattr(engines_module, "NUMBA_AVAILABLE", False)
     monkeypatch.setattr(parallel_engine_module, "NUMBA_AVAILABLE", False)
     reset_fallback_warning()
     yield
@@ -55,8 +53,9 @@ def test_fallback_is_batch_identical_and_warns_once(workload, numba_absent):
                                stats=batch_stats)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        first = run_walks_jit(graph, spec, queries, seed=SEED, stats=jit_stats)
-        second = run_walks_jit(graph, spec, queries, seed=SEED)
+        first = run_software_walks("jit", graph, spec, queries, seed=SEED,
+                                   stats=jit_stats)[0]
+        second = run_software_walks("jit", graph, spec, queries, seed=SEED)[0]
     fallback = [w for w in caught if issubclass(w.category, RuntimeWarning)
                 and "numba" in str(w.message)]
     # One warning across two runs: informative, not nagging.

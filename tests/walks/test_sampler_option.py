@@ -16,7 +16,7 @@ import pytest
 from repro.engines import ENGINE_OPTIONS, prepare_engine, run_software_walks
 from repro.errors import WalkConfigError
 from repro.graph import cycle_graph
-from repro.parallel import run_walks_parallel
+from repro.parallel import ParallelWalkEngine
 from repro.sampling import SAMPLER_MODES, validate_sampler_mode
 from repro.walks import Query, URWSpec, run_walks, run_walks_batch
 
@@ -71,8 +71,7 @@ def test_direct_engine_calls_validate_too():
     with pytest.raises(WalkConfigError, match="auto"):
         run_walks(graph, URWSpec(max_length=3), [], seed=1, sampler="x")
     with pytest.raises(WalkConfigError, match="auto"):
-        run_walks_parallel(graph, URWSpec(max_length=3), [], seed=1,
-                           workers=1, sampler="x")
+        ParallelWalkEngine(graph, URWSpec(max_length=3), workers=1, sampler="x")
 
 
 def test_validate_sampler_mode_is_the_shared_place():
@@ -111,10 +110,3 @@ def test_unknown_engine_error_names_every_choice():
     message = str(excinfo.value)
     for engine in ("batch", "jit", "parallel", "reference"):
         assert engine in message
-
-
-def test_misdirected_option_error_still_names_accepted_set():
-    graph = cycle_graph(4)
-    with pytest.raises(WalkConfigError, match="does not accept"):
-        run_software_walks("batch", graph, URWSpec(max_length=3),
-                           [Query(0, 0)], seed=1, workers=2)
