@@ -18,7 +18,7 @@ from repro.dynamic.bench import (
     snapshot_matches_static,
 )
 from repro.dynamic.graph import DynamicGraph, GraphSnapshot
-from repro.dynamic.state import SamplerState, advance_graph_and_state
+from repro.dynamic.state import RowBatch, SamplerState, advance_graph_and_state
 from repro.dynamic.workload import (
     TRACE_KINDS,
     UpdateBatch,
@@ -34,6 +34,7 @@ __all__ = [
     "DynamicGraph",
     "GraphSnapshot",
     "MutateBenchReport",
+    "RowBatch",
     "SamplerState",
     "TRACE_KINDS",
     "UpdateBatch",

@@ -31,14 +31,21 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from repro.dynamic.state import SamplerState, _assemble_csr, advance_graph_and_state
+from repro.dynamic.state import (
+    RowBatch,
+    SamplerState,
+    _assemble_csr,
+    advance_graph_and_state,
+)
 from repro.errors import DynamicGraphError
 from repro.graph.builders import validate_edge_weights
 from repro.graph.csr import CSRGraph
+from repro.graph.rows import gather_rows
 from repro.obs.trace import span as _trace_span
 
 _INDEX_DTYPE = np.int64
@@ -214,25 +221,11 @@ class DynamicGraph:
     def logical_edges(self) -> tuple[np.ndarray, np.ndarray | None]:
         """The full current edge set as ``(edges, weights)``, sorted by
         ``(src, dst)`` — what a from-scratch rebuild would ingest."""
-        n = self.num_vertices
-        sources: list[np.ndarray] = []
-        dests: list[np.ndarray] = []
-        weights: list[np.ndarray] = []
-        for vertex in range(n):
-            dst, row_weights = self._merged_row(vertex)
-            if dst.size == 0:
-                continue
-            sources.append(np.full(dst.size, vertex, dtype=_INDEX_DTYPE))
-            dests.append(dst)
-            if self._weighted:
-                weights.append(row_weights)
-        if not sources:
-            empty = np.empty((0, 2), dtype=_INDEX_DTYPE)
-            return empty, (np.empty(0, dtype=_WEIGHT_DTYPE) if self._weighted else None)
-        edges = np.stack(
-            [np.concatenate(sources), np.concatenate(dests)], axis=1
+        graph = self._merged_csr()
+        sources = np.repeat(
+            np.arange(graph.num_vertices, dtype=_INDEX_DTYPE), graph.degrees()
         )
-        return edges, (np.concatenate(weights) if self._weighted else None)
+        return np.stack([sources, graph.col], axis=1), graph.weights
 
     # ------------------------------------------------------------------
     # Write API (streamed updates)
@@ -349,12 +342,14 @@ class DynamicGraph:
         if not self._dirty:
             return previous
         with _trace_span("dynamic.snapshot", epoch=self._epoch + 1,
-                         dirty_rows=len(self._dirty)):
-            dirty_rows = {v: self._merged_row(v) for v in self._dirty}
+                         dirty_rows=len(self._dirty)) as snapshot_span:
+            with _trace_span("dynamic.merge"):
+                batch = self._merged_rows(self._dirty)
+            snapshot_span.annotate(dirty_edges=int(batch.col.size))
             graph, state = advance_graph_and_state(
                 previous.graph,
                 previous.sampler_state,
-                dirty_rows,
+                batch,
                 name=self._base.name,
             )
             self._epoch += 1
@@ -403,11 +398,7 @@ class DynamicGraph:
             return
         with _trace_span("dynamic.compact", delta_edges=self._delta_entries):
             started = time.perf_counter()
-            dirty_rows = {
-                v: self._merged_row(v) for v in self._adj if self._adj[v]
-            }
-            graph, _, _, _ = _assemble_csr(self._base, dirty_rows, self._base.name)
-            self._base = graph
+            self._base = self._merged_csr()
             self._adj.clear()
             self._delta_entries = 0
             self.compactions += 1
@@ -462,12 +453,71 @@ class DynamicGraph:
             self._adj[vertex] = delta
         return delta
 
+    def _merged_csr(self) -> CSRGraph:
+        """The current logical graph as one CSR: untouched rows straight
+        from the base, touched rows from :meth:`_merged_rows`."""
+        touched = [vertex for vertex, delta in self._adj.items() if delta]
+        if not touched:
+            return self._base
+        graph, _, _ = _assemble_csr(
+            self._base, self._merged_rows(touched), self._base.name
+        )
+        return graph
+
+    def _merged_rows(self, vertices) -> RowBatch:
+        """The full current rows of ``vertices`` as one flat batch.
+
+        One vectorized merge: the base rows are gathered, the vertices'
+        delta entries appended after them, and a stable sort on
+        ``row * |V| + dst`` brings each destination's base and delta
+        entries together with the delta last — the last writer wins, and
+        a winning tombstone drops the edge.  O(rows + their edges) array
+        work however many rows there are; never on the streamed-update
+        path.
+        """
+        n = self.num_vertices
+        vertices = np.array(sorted(vertices), dtype=_INDEX_DTYPE)
+        positions, base_ptr = gather_rows(self._base.row_ptr, vertices)
+        no_delta: dict[int, float | None] = {}
+        deltas = [self._adj.get(vertex, no_delta) for vertex in vertices.tolist()]
+        delta_sizes = [len(delta) for delta in deltas]
+        batch_row = np.arange(vertices.size, dtype=_INDEX_DTYPE)
+        rows = np.concatenate((
+            np.repeat(batch_row, np.diff(base_ptr)),
+            np.repeat(batch_row, delta_sizes),
+        ))
+        dst = np.concatenate((
+            self._base.col[positions],
+            np.fromiter(chain.from_iterable(deltas), dtype=_INDEX_DTYPE,
+                        count=sum(delta_sizes)),
+        ))
+        # A tombstone's ``None`` becomes NaN, which no stored weight is.
+        weight = np.concatenate((
+            self._base.weights[positions] if self._weighted
+            else np.ones(positions.size, dtype=_WEIGHT_DTYPE),
+            np.array([w for delta in deltas for w in delta.values()],
+                     dtype=_WEIGHT_DTYPE),
+        ))
+
+        keys = rows * np.int64(n) + dst
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        last_writer = np.ones(keys.size, dtype=bool)
+        last_writer[:-1] = keys[1:] != keys[:-1]
+        kept = order[last_writer & ~np.isnan(weight[order])]
+        row_ptr = np.zeros(vertices.size + 1, dtype=_INDEX_DTYPE)
+        np.cumsum(np.bincount(rows[kept], minlength=vertices.size), out=row_ptr[1:])
+        return RowBatch(
+            vertices, row_ptr, dst[kept], weight[kept] if self._weighted else None
+        )
+
     def _merged_row(self, vertex: int) -> tuple[np.ndarray, np.ndarray | None]:
         """One vertex's full current row as sorted ``(col, weights)``.
 
         O(deg + delta): merges the base row with the vertex's delta
-        buffer.  Called once per dirty row per snapshot (and by the
-        read API), never on the streamed-update path.
+        buffer.  Backs the single-vertex read API only; snapshots,
+        compaction and :meth:`logical_edges` merge whole batches of rows
+        at once (:meth:`_merged_rows`).
         """
         self._check_vertex(vertex)
         delta = self._adj.get(vertex)

@@ -12,8 +12,9 @@ around.
 :class:`SamplerState` bundles all of that prepared state into one
 immutable value, and :func:`advance_graph_and_state` rebuilds it
 *incrementally*: vertices whose neighborhoods changed ("dirty" rows) are
-rebuilt with the same per-row builders a from-scratch build uses, while
-every clean row's slots are copied bit-for-bit from the previous state.
+rebuilt as one flat batch by the same row builders a from-scratch build
+runs over every row (:mod:`repro.graph.rows`), while every clean row's
+slots are copied bit-for-bit from the previous state.
 Because alias tables, CDF rows and edge keys are all row-local, the
 result is **bit-identical** to ``SamplerState.full_build`` on a freshly
 constructed CSR of the same logical graph — the property the dynamic
@@ -24,17 +25,19 @@ property tests in ``tests/dynamic/``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import DynamicGraphError
-from repro.graph.alias import build_alias_slots, build_alias_table
+from repro.graph.alias import build_alias_rows, build_alias_table
 from repro.graph.csr import CSRGraph
+from repro.graph.rows import gather_rows, row_cumsums, row_sums, within_row_index
+from repro.obs.trace import span as _trace_span
 from repro.sampling.hybrid import (
     HybridKernel,
     resolve_strategy_codes,
-    select_row_strategy,
+    select_row_strategies,
     select_strategies,
 )
 from repro.sampling.its import build_its_cdf, build_its_row_totals
@@ -158,125 +161,130 @@ class SamplerState:
         return {}
 
 
+class RowBatch(NamedTuple):
+    """Complete new neighborhoods of some vertices, as one flat batch.
+
+    ``vertices`` is ascending and duplicate-free; row ``i`` of the batch
+    — ``col[row_ptr[i]:row_ptr[i + 1]]``, ascending, with ``weights``
+    aligned (``None`` on unweighted graphs) — replaces vertex
+    ``vertices[i]``'s whole row.  The same ``(values, row_ptr)`` shape
+    the row builders in :mod:`repro.graph.rows` take.
+    """
+
+    vertices: np.ndarray
+    row_ptr: np.ndarray
+    col: np.ndarray
+    weights: np.ndarray | None
+
+
+#: The unchanged rows of an update: the (at most ``len(batch) + 1``)
+#: contiguous edge ranges between replaced rows, each as ``(new-array
+#: start, old-array start, old-array stop)``.
+_CleanRuns = list[tuple[int, int, int]]
+
+
+def _copy_clean_runs(runs: _CleanRuns, *pairs: tuple[np.ndarray, np.ndarray]) -> None:
+    """``new[...] = old[...]`` over every run, for each ``(new, old)`` pair
+    of edge-aligned arrays: slice copies, no ``|E|``-long index."""
+    for new_start, old_start, old_stop in runs:
+        new_stop = new_start + old_stop - old_start
+        for new, old in pairs:
+            new[new_start:new_stop] = old[old_start:old_stop]
+
+
 def _assemble_csr(
-    prev_graph: CSRGraph,
-    dirty_rows: Mapping[int, tuple[np.ndarray, np.ndarray | None]],
-    name: str,
-) -> tuple[CSRGraph, np.ndarray, np.ndarray, np.ndarray]:
+    prev_graph: CSRGraph, batch: RowBatch, name: str
+) -> tuple[CSRGraph, _CleanRuns, np.ndarray]:
     """Build the next CSR from the previous one plus replaced rows.
 
-    Returns ``(graph, clean_dst, clean_src, row_ptr)`` where ``clean_dst``
-    and ``clean_src`` are aligned position arrays mapping every edge of an
-    unchanged row from its slot in the new arrays to its slot in the old
-    ones — the gather the sampler-state copy reuses, computed once.
+    Returns ``(graph, clean_runs, batch_positions)``: the unchanged edge
+    ranges (which the sampler-state copy reuses) and the position of
+    every batch slot in the new edge-aligned arrays.
     """
     n = prev_graph.num_vertices
-    weighted = prev_graph.is_weighted
+    vertices = batch.vertices
     new_deg = prev_graph.degrees().copy()
-    for vertex, (cols, _) in dirty_rows.items():
-        new_deg[vertex] = cols.size
+    new_deg[vertices] = np.diff(batch.row_ptr)
     row_ptr = np.zeros(n + 1, dtype=_INDEX_DTYPE)
     np.cumsum(new_deg, out=row_ptr[1:])
     num_edges = int(row_ptr[-1])
 
+    # Rows keep their internal order, only their starting offsets shift:
+    # the rows strictly between two replaced vertices move as one block.
+    first_clean = np.concatenate(([0], vertices + 1))
+    old_start = prev_graph.row_ptr[first_clean]
+    old_stop = prev_graph.row_ptr[np.concatenate((vertices, [n]))]
+    occupied = old_stop > old_start
+    runs = list(zip(
+        row_ptr[first_clean][occupied].tolist(),
+        old_start[occupied].tolist(),
+        old_stop[occupied].tolist(),
+    ))
+    batch_positions, _ = gather_rows(row_ptr, vertices)
+
     col = np.empty(num_edges, dtype=_INDEX_DTYPE)
-    weights = np.empty(num_edges, dtype=_WEIGHT_DTYPE) if weighted else None
-
-    dirty_mask = np.zeros(n, dtype=bool)
-    if dirty_rows:
-        dirty_mask[np.fromiter(dirty_rows, dtype=_INDEX_DTYPE, count=len(dirty_rows))] = True
-    clean = np.nonzero(~dirty_mask & (new_deg > 0))[0]
-    counts = new_deg[clean]
-    total_clean = int(counts.sum())
-    # New-array position of every clean edge, and its source position in
-    # the previous arrays: rows keep their internal order, only their
-    # starting offsets shift.
-    within = np.arange(total_clean, dtype=_INDEX_DTYPE) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    clean_dst = np.repeat(row_ptr[:-1][clean], counts) + within
-    clean_src = np.repeat(prev_graph.row_ptr[:-1][clean], counts) + within
-    col[clean_dst] = prev_graph.col[clean_src]
-    if weighted:
-        weights[clean_dst] = prev_graph.weights[clean_src]
-
-    for vertex, (cols, row_weights) in dirty_rows.items():
-        lo, hi = int(row_ptr[vertex]), int(row_ptr[vertex + 1])
-        col[lo:hi] = cols
-        if weighted:
-            weights[lo:hi] = row_weights
-
+    col[batch_positions] = batch.col
+    copies = [(col, prev_graph.col)]
+    weights = None
+    if prev_graph.is_weighted:
+        weights = np.empty(num_edges, dtype=_WEIGHT_DTYPE)
+        weights[batch_positions] = batch.weights
+        copies.append((weights, prev_graph.weights))
+    _copy_clean_runs(runs, *copies)
     graph = CSRGraph(row_ptr=row_ptr, col=col, weights=weights, name=name)
-    return graph, clean_dst, clean_src, row_ptr
+    return graph, runs, batch_positions
 
 
 def advance_graph_and_state(
     prev_graph: CSRGraph,
     prev_state: SamplerState,
-    dirty_rows: Mapping[int, tuple[np.ndarray, np.ndarray | None]],
+    batch: RowBatch,
     name: str | None = None,
 ) -> tuple[CSRGraph, SamplerState]:
     """Produce the next ``(CSRGraph, SamplerState)`` version incrementally.
 
-    ``dirty_rows`` maps each changed vertex to its complete new
-    neighborhood ``(col, weights)`` — ``col`` ascending, ``weights`` None
-    on unweighted graphs.  Unchanged rows are copied (graph arrays and
-    every prepared structure alike); dirty rows are rebuilt with the same
-    per-row builders ``SamplerState.full_build`` uses, so the output is
-    bit-identical to a from-scratch build of the same logical graph while
-    costing O(|E| copies + rebuilt-row work) instead of the full
+    ``batch`` holds each changed vertex's complete new neighborhood.
+    Unchanged rows are copied (graph arrays and every prepared structure
+    alike); the batch is rebuilt with the same row builders
+    ``SamplerState.full_build`` runs over the whole graph, so the output
+    is bit-identical to a from-scratch build of the same logical graph
+    while costing O(|E| copies + rebuilt-row work) instead of the full
     alias/CDF construction passes.
     """
-    weighted = prev_graph.is_weighted
-    graph, clean_dst, clean_src, row_ptr = _assemble_csr(
-        prev_graph, dirty_rows, name or prev_graph.name
-    )
-    num_edges = graph.num_edges
-
-    alias_prob = np.empty(num_edges, dtype=_WEIGHT_DTYPE)
-    alias_index = np.empty(num_edges, dtype=_INDEX_DTYPE)
-    its_cdf = np.empty(num_edges, dtype=_WEIGHT_DTYPE)
-    alias_prob[clean_dst] = prev_state.alias_prob[clean_src]
-    alias_index[clean_dst] = prev_state.alias_index[clean_src]
-    its_cdf[clean_dst] = prev_state.its_cdf[clean_src]
-    its_row_totals = prev_state.its_row_totals.copy()
-    # Clean rows keep their strategy; dirty rows re-enter the cost model
-    # below with the same row-local function a full build uses, so the
-    # selection map stays bit-identical to from-scratch selection.
-    strategy = prev_state.strategy.copy()
-
-    for vertex, (cols, row_weights) in dirty_rows.items():
-        lo, hi = int(row_ptr[vertex]), int(row_ptr[vertex + 1])
-        degree = hi - lo
-        strategy[vertex] = select_row_strategy(
-            degree, row_weights if weighted else None
+    with _trace_span("dynamic.assemble"):
+        graph, runs, batch_positions = _assemble_csr(
+            prev_graph, batch, name or prev_graph.name
         )
-        if degree == 0:
-            its_row_totals[vertex] = 0.0
-            continue
-        if weighted:
-            prob, alias = build_alias_slots(row_weights)
-            alias_prob[lo:hi] = prob
-            alias_index[lo:hi] = alias
-            its_cdf[lo:hi] = np.cumsum(row_weights)
-            # Pairwise sum, matching build_its_row_totals (not the CDF's
-            # sequential last entry — they differ in the final ulp).
-            its_row_totals[vertex] = row_weights.sum()
-        else:
-            alias_prob[lo:hi] = 1.0
-            alias_index[lo:hi] = np.arange(degree, dtype=_INDEX_DTYPE)
-            its_cdf[lo:hi] = np.arange(1, degree + 1, dtype=_WEIGHT_DTYPE)
-            its_row_totals[vertex] = float(degree)
+        num_edges = graph.num_edges
+        alias_prob = np.empty(num_edges, dtype=_WEIGHT_DTYPE)
+        alias_index = np.empty(num_edges, dtype=_INDEX_DTYPE)
+        its_cdf = np.empty(num_edges, dtype=_WEIGHT_DTYPE)
+        _copy_clean_runs(
+            runs,
+            (alias_prob, prev_state.alias_prob),
+            (alias_index, prev_state.alias_index),
+            (its_cdf, prev_state.its_cdf),
+        )
+        its_row_totals = prev_state.its_row_totals.copy()
+        strategy = prev_state.strategy.copy()
+        # One O(|E|) multiply-add: cheaper to rebuild than to patch.
+        edge_keys = build_edge_keys(graph)
 
-    # Sorted neighbor lists make (src * |V| + dst) globally sorted already;
-    # the fallback sort mirrors build_edge_keys exactly for the (never
-    # produced here) unsorted case, keeping bit-identity unconditional.
-    sources = np.repeat(
-        np.arange(graph.num_vertices, dtype=_INDEX_DTYPE), graph.degrees()
-    )
-    edge_keys = sources * np.int64(graph.num_vertices) + graph.col
-    if not graph.cols_sorted:  # pragma: no cover - dirty rows arrive sorted
-        edge_keys = np.sort(edge_keys)
+    with _trace_span("dynamic.rebuild_rows"):
+        vertices = batch.vertices
+        if batch.weights is not None:
+            alias_prob[batch_positions], alias_index[batch_positions] = (
+                build_alias_rows(batch.weights, batch.row_ptr)
+            )
+            its_cdf[batch_positions] = row_cumsums(batch.weights, batch.row_ptr)
+            its_row_totals[vertices] = row_sums(batch.weights, batch.row_ptr)
+        else:
+            within = within_row_index(batch.row_ptr)
+            alias_prob[batch_positions] = 1.0
+            alias_index[batch_positions] = within
+            its_cdf[batch_positions] = within + 1
+            its_row_totals[vertices] = np.diff(batch.row_ptr)
+        strategy[vertices] = select_row_strategies(batch.weights, batch.row_ptr)
 
     state = SamplerState(
         alias_prob=alias_prob,

@@ -14,6 +14,7 @@ Public API::
 from repro.graph.alias import (
     AliasTable,
     alias_expected_distribution,
+    build_alias_rows,
     build_alias_slots,
     build_alias_table,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "PAPER_DATASETS",
     "alias_expected_distribution",
     "assign_metapath_schema",
+    "build_alias_rows",
     "build_alias_slots",
     "build_alias_table",
     "complete_graph",

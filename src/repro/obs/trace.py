@@ -75,8 +75,11 @@ class _NullSpan:
 
     __slots__ = ()
 
-    def __enter__(self) -> None:
-        return None
+    def __enter__(self) -> _NullSpan:
+        return self
+
+    def annotate(self, **args) -> None:
+        pass
 
     def __exit__(self, *exc_info) -> bool:
         return False
@@ -104,6 +107,10 @@ class _LiveSpan:
     def __enter__(self) -> _LiveSpan:
         self._start = time.perf_counter()
         return self
+
+    def annotate(self, **args) -> None:
+        """Add payload fields only known once the span's work is under way."""
+        self._args = {**self._args, **args}
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         if exc_type is not None:

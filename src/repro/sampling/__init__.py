@@ -18,6 +18,7 @@ from repro.sampling.hybrid import (
     make_walk_kernel,
     make_walk_sampler,
     resolve_strategy_codes,
+    select_row_strategies,
     select_row_strategy,
     select_strategies,
     validate_sampler_mode,
@@ -67,6 +68,7 @@ __all__ = [
     "build_its_row_totals",
     "exact_distribution",
     "resolve_strategy_codes",
+    "select_row_strategies",
     "select_row_strategy",
     "select_strategies",
     "validate_sampler_mode",

@@ -44,8 +44,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SamplingError, WalkConfigError
-from repro.graph.alias import build_alias_slots
+from repro.graph.alias import build_alias_rows
 from repro.graph.csr import CSRGraph
+from repro.graph.rows import (
+    degree_buckets,
+    gather_rows,
+    row_cumsums,
+    row_sums,
+    within_row_index,
+)
 from repro.sampling.alias_sampler import AliasSampler
 from repro.sampling.base import RandomSource, SampleOutcome, Sampler, StepContext
 from repro.sampling.its import InverseTransformSampler
@@ -124,10 +131,11 @@ class HybridConfig:
         edge makes the scan effectively O(1).
     ``update_rate``
         Expected per-row mutation rate (edge ops per row per epoch) the
-        deployment anticipates.  Mutations rebuild a dirty row's
-        prepared state, and an ITS CDF row rebuilds for one ``cumsum``
-        while an alias row pays Vose's algorithm — so a declared churn
-        rate widens the ITS read budget via ``update_bias``.
+        deployment anticipates.  Mutations rebuild the dirty rows'
+        prepared state as one batch: ITS CDF rows for one bucketed
+        ``cumsum``, alias rows for lock-step Vose rounds (one per pairing
+        of the longest row) — so a declared churn rate widens the ITS
+        read budget via ``update_bias``.
     ``update_bias``
         How strongly ``update_rate`` widens the ITS budget:
         ``budget = its_max_expected_reads * (1 + update_rate * update_bias)``.
@@ -190,37 +198,64 @@ class HybridConfig:
 DEFAULT_CONFIG = HybridConfig()
 
 
+def select_row_strategies(
+    weights: np.ndarray | None,
+    row_ptr: np.ndarray,
+    config: HybridConfig = DEFAULT_CONFIG,
+) -> np.ndarray:
+    """The row-local cost model over a batch of rows.
+
+    ``weights`` holds the rows back to back (``None`` on unweighted
+    graphs) and ``row_ptr`` their ``len(rows) + 1`` offsets; returns the
+    ``(len(rows), 2)`` int8 ``(first_order, second_order)`` codes.  This
+    single function is the source of truth for the full
+    :func:`select_strategies` pass (every row of the graph) and the
+    dynamic subsystem's incremental re-evaluation (the dirty rows) —
+    sharing it, including its exact float arithmetic, is what makes
+    incrementally maintained selection maps bit-identical to
+    from-scratch ones.
+    """
+    degrees = np.diff(row_ptr)
+    codes = np.empty((degrees.size, 2), dtype=_CODE_DTYPE)
+    codes[:, 1] = np.where(
+        degrees <= 1,
+        STRATEGY_ONE,
+        np.where(degrees <= config.small_degree, STRATEGY_ITS, STRATEGY_HEAVY),
+    )
+    codes[:, 0] = np.where(degrees <= 1, STRATEGY_ONE, STRATEGY_UNIFORM)
+    if weights is None:
+        return codes
+    for rows, index in degree_buckets(row_ptr, min_degree=2):
+        bucket = weights[index]
+        degree = bucket.shape[1]
+        if degree <= config.small_degree:
+            weighted = STRATEGY_ITS
+        else:
+            # Expected sequential-scan depth E[index + 1] of each row.
+            expected_reads = (
+                np.arange(1, degree + 1, dtype=np.float64) * bucket
+            ).sum(axis=1) / bucket.sum(axis=1)
+            weighted = np.where(
+                expected_reads <= config.its_read_budget, STRATEGY_ITS, STRATEGY_ALIAS
+            )
+        # Equal weights: the weighted draw *is* the uniform draw.
+        codes[rows, 0] = np.where(
+            bucket.max(axis=1) == bucket.min(axis=1), STRATEGY_UNIFORM, weighted
+        )
+    return codes
+
+
 def select_row_strategy(
     degree: int,
     weights: np.ndarray | None,
     config: HybridConfig = DEFAULT_CONFIG,
 ) -> tuple[int, int]:
-    """The row-local cost model: ``(first_order, second_order)`` codes.
-
-    This single function is the source of truth for both the full
-    :func:`select_strategies` pass and the dynamic subsystem's
-    incremental per-dirty-row re-evaluation — sharing it (including its
-    exact float arithmetic) is what makes incrementally maintained
-    selection maps bit-identical to from-scratch ones.
-    """
-    if degree <= 1:
-        return STRATEGY_ONE, STRATEGY_ONE
-    second = STRATEGY_ITS if degree <= config.small_degree else STRATEGY_HEAVY
-    if weights is None:
-        return STRATEGY_UNIFORM, second
-    weights = np.asarray(weights, dtype=np.float64)
-    if float(weights.max()) == float(weights.min()):
-        # Equal weights: the weighted draw *is* the uniform draw.
-        return STRATEGY_UNIFORM, second
-    if degree <= config.small_degree:
-        return STRATEGY_ITS, second
-    expected_reads = float(
-        (np.arange(1, degree + 1, dtype=np.float64) * weights).sum()
-        / weights.sum()
-    )
-    if expected_reads <= config.its_read_budget:
-        return STRATEGY_ITS, second
-    return STRATEGY_ALIAS, second
+    """One row's ``(first_order, second_order)`` codes — the one-row call
+    of :func:`select_row_strategies`."""
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+    codes = select_row_strategies(weights, np.array([0, degree], dtype=np.int64), config)
+    return tuple(codes[0].tolist())
 
 
 def select_strategies(
@@ -233,25 +268,7 @@ def select_strategies(
     ``{uniform, its, heavy}`` (``heavy`` resolving to the spec's own
     rejection/reservoir path).  Pure function of the graph and config.
     """
-    degrees = graph.degrees()
-    codes = np.empty((graph.num_vertices, 2), dtype=_CODE_DTYPE)
-    codes[:, 1] = np.where(
-        degrees <= 1,
-        STRATEGY_ONE,
-        np.where(degrees <= config.small_degree, STRATEGY_ITS, STRATEGY_HEAVY),
-    )
-    if not graph.is_weighted:
-        codes[:, 0] = np.where(degrees <= 1, STRATEGY_ONE, STRATEGY_UNIFORM)
-        return codes
-    first = np.full(graph.num_vertices, STRATEGY_ONE, dtype=_CODE_DTYPE)
-    row_ptr = graph.row_ptr
-    for vertex in np.nonzero(degrees >= 2)[0]:
-        lo, hi = int(row_ptr[vertex]), int(row_ptr[vertex + 1])
-        first[vertex], _ = select_row_strategy(
-            hi - lo, graph.weights[lo:hi], config
-        )
-    codes[:, 0] = first
-    return codes
+    return select_row_strategies(graph.weights, graph.row_ptr, config)
 
 
 #: Exact-scan threshold for second-order rows: the scan (O(d) adjacency
@@ -330,29 +347,27 @@ def build_first_order_state(
     Returns full-length ``(alias_prob, alias_index, its_cdf,
     its_row_totals)`` arrays aligned with the CSR column list — rows not
     selecting a structure keep the uniform defaults, selected rows are
-    built with the *same per-row builders* a full build uses, so a row's
+    built with the *same row builders* a full build uses, so a row's
     slots are bit-identical to ``build_alias_table`` / ``build_its_cdf``
     output whenever both built it.
     """
-    degrees = graph.degrees()
-    starts = graph.row_ptr[:-1]
-    within = np.arange(graph.num_edges, dtype=np.int64) - np.repeat(starts, degrees)
+    within = within_row_index(graph.row_ptr)
     alias_prob = np.ones(graph.num_edges, dtype=np.float64)
     alias_index = within.copy()
     its_cdf = (within + 1).astype(np.float64)
-    its_row_totals = degrees.astype(np.float64)
+    its_row_totals = graph.degrees().astype(np.float64)
     if graph.is_weighted:
-        row_ptr = graph.row_ptr
-        for vertex in np.nonzero((codes == STRATEGY_ALIAS) & (degrees > 0))[0]:
-            lo, hi = int(row_ptr[vertex]), int(row_ptr[vertex + 1])
-            prob, alias = build_alias_slots(graph.weights[lo:hi])
-            alias_prob[lo:hi] = prob
-            alias_index[lo:hi] = alias
-        for vertex in np.nonzero((codes == STRATEGY_ITS) & (degrees > 0))[0]:
-            lo, hi = int(row_ptr[vertex]), int(row_ptr[vertex + 1])
-            row_weights = graph.weights[lo:hi]
-            its_cdf[lo:hi] = np.cumsum(row_weights)
-            its_row_totals[vertex] = row_weights.sum()
+        positions, batch_ptr = gather_rows(
+            graph.row_ptr, np.flatnonzero(codes == STRATEGY_ALIAS)
+        )
+        alias_prob[positions], alias_index[positions] = build_alias_rows(
+            graph.weights[positions], batch_ptr
+        )
+        its_rows = np.flatnonzero(codes == STRATEGY_ITS)
+        positions, batch_ptr = gather_rows(graph.row_ptr, its_rows)
+        its_weights = graph.weights[positions]
+        its_cdf[positions] = row_cumsums(its_weights, batch_ptr)
+        its_row_totals[its_rows] = row_sums(its_weights, batch_ptr)
     return alias_prob, alias_index, its_cdf, its_row_totals
 
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.errors import SamplingError
 from repro.graph.csr import CSRGraph
+from repro.graph.rows import row_cumsums, row_sums, within_row_index
 from repro.sampling.base import RandomSource, SampleOutcome, Sampler, StepContext
 
 
@@ -31,43 +32,28 @@ def build_its_cdf(graph: CSRGraph) -> np.ndarray:
     ``cdf[RP[v] + i]`` is the running weight total of vertex ``v``'s
     first ``i + 1`` out-edges — exactly the ``np.cumsum`` the unprepared
     sampler computes per draw (sequential float64 accumulation, so the
-    prefix sums match bit for bit).  Unweighted rows are the exact
-    integers ``1..deg(v)``.
+    prefix sums match bit for bit; see :func:`repro.graph.rows.row_cumsums`).
+    Unweighted rows are the exact integers ``1..deg(v)``.
     """
     if not graph.is_weighted:
-        degrees = graph.degrees()
-        starts = graph.row_ptr[:-1]
-        within = np.arange(graph.num_edges, dtype=np.int64) - np.repeat(
-            starts, degrees
-        )
-        return (within + 1).astype(np.float64)
-    cdf = np.empty(graph.num_edges, dtype=np.float64)
-    row_ptr = graph.row_ptr
-    for v in range(graph.num_vertices):
-        lo, hi = int(row_ptr[v]), int(row_ptr[v + 1])
-        if hi > lo:
-            cdf[lo:hi] = np.cumsum(graph.weights[lo:hi])
-    return cdf
+        return (within_row_index(graph.row_ptr) + 1).astype(np.float64)
+    return row_cumsums(graph.weights, graph.row_ptr)
 
 
 def build_its_row_totals(graph: CSRGraph) -> np.ndarray:
     """Per-vertex total out-weight, length ``|V|``.
 
-    Computed as ``weights[lo:hi].sum()`` per row — numpy's *pairwise*
-    summation, deliberately **not** the CDF's sequential last entry: the
-    two can differ in the final ulp at higher degrees, and the unprepared
-    sampler scales its target by the pairwise sum (see
-    :meth:`InverseTransformSampler.sample`).  Bit-identity between the
-    prepared and unprepared paths requires reproducing that choice.
+    Each row's ``weights[lo:hi].sum()`` — numpy's *pairwise* summation
+    (:func:`repro.graph.rows.row_sums`), deliberately **not** the CDF's
+    sequential last entry: the two can differ in the final ulp at higher
+    degrees, and the unprepared sampler scales its target by the pairwise
+    sum (see :meth:`InverseTransformSampler.sample`).  Bit-identity
+    between the prepared and unprepared paths requires reproducing that
+    choice.
     """
     if not graph.is_weighted:
         return graph.degrees().astype(np.float64)
-    totals = np.empty(graph.num_vertices, dtype=np.float64)
-    row_ptr = graph.row_ptr
-    for v in range(graph.num_vertices):
-        lo, hi = int(row_ptr[v]), int(row_ptr[v + 1])
-        totals[v] = graph.weights[lo:hi].sum() if hi > lo else 0.0
-    return totals
+    return row_sums(graph.weights, graph.row_ptr)
 
 
 class InverseTransformSampler(Sampler):

@@ -96,6 +96,17 @@ class TestRecording:
         assert event.name == "outer"
         assert event.args == {"epoch": 2}
 
+    def test_span_annotate_adds_payload_known_mid_span(self):
+        tracer = get_tracer()
+        with tracer.span("off") as span:
+            span.annotate(rows=3)          # disabled: the shared no-op
+        assert len(tracer) == 0
+        tracer.enable()
+        with tracer.span("outer", epoch=2) as span:
+            span.annotate(rows=3)
+        (event,) = tracer.events()
+        assert event.args == {"epoch": 2, "rows": 3}
+
     def test_span_marks_and_propagates_exceptions(self):
         tracer = enable_tracing()
         with pytest.raises(ValueError):
