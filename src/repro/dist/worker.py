@@ -1,10 +1,11 @@
 """Shard worker process: local supersteps + walker forwarding.
 
-Each worker owns one graph shard (attached zero-copy from its shared
-segment) and holds the *resident* walkers — those whose current vertex
-the shard owns.  A run proceeds in parent-coordinated supersteps: on
-every ``("step", k)`` control message the worker advances all residents
-one hop with the batch engine's own step function
+Each worker of the :class:`~repro.parallel.runtime.WorkerGroup` holds
+one :class:`_ShardState`: it owns one graph shard (attached zero-copy
+from its shared segment) and holds the *resident* walkers — those whose
+current vertex the shard owns.  A run proceeds in parent-coordinated
+supersteps: on every ``superstep(k)`` request the worker advances all
+residents one hop with the batch engine's own step function
 (:func:`repro.walks.batch.superstep` over a compact
 :class:`~repro.walks.batch.Frontier`), then exchanges the survivors with
 every peer shard through the per-pair queues.
@@ -29,9 +30,6 @@ cannot change any path or any counter.
 
 from __future__ import annotations
 
-import os
-import traceback
-
 import numpy as np
 
 from repro.dist.shard import shard_view_from_store
@@ -43,44 +41,24 @@ _NO_VERTICES = np.empty(0, dtype=np.int64)
 
 
 class _ShardState:
-    """Everything one shard worker holds between control messages."""
+    """Everything one shard worker holds between requests: the runtime's
+    handler for ``dist`` (``start_run``, ``superstep``, ``collect``,
+    ``adopt``)."""
 
-    def __init__(self, shard_id, handle, spec, sampler_mode, send_queues, recv_queues):
+    def __init__(self, shard_id, store, spec, sampler_mode, send_queues, recv_queues):
         self._shard_id = shard_id
         self._spec = spec
         self._sampler_mode = sampler_mode
         self._send = send_queues
         self._recv = recv_queues
         self._peers = sorted(send_queues)
-        self._store: SharedArrayStore | None = None
-        self._view = None
-        self._owner = None
-        self._kernel = None
-        self.adopt(handle)
+        self.adopt(store)
         self._reset_run()
 
-    def adopt(self, handle) -> None:
-        """Attach a (new) shard segment; swap-safe and leak-safe.
-
-        If rebuilding the view or kernel fails after the segment mapped,
-        the attach is closed before the error propagates — the worker
-        must never exit holding a mapping the parent cannot see
-        (satellite audit of the shared-segment handoff).
-        """
-        store = SharedArrayStore.attach(handle, untrack=False)
-        try:
-            view, owner = shard_view_from_store(store)
-            kernel = kernel_from_store(self._spec, self._sampler_mode, store)
-        except BaseException:
-            store.close()
-            raise
-        old_store = self._store
-        self._store = store
-        self._view = view
-        self._owner = owner
-        self._kernel = kernel
-        if old_store is not None:
-            old_store.close()
+    def adopt(self, store: SharedArrayStore) -> None:
+        """Serve the shard in a (new) attached segment from now on."""
+        self._view, self._owner = shard_view_from_store(store)
+        self._kernel = kernel_from_store(self._spec, self._sampler_mode, store)
 
     def _reset_run(self) -> None:
         self.start_run(_NO_VERTICES, _NO_VERTICES, np.empty(0, dtype=np.uint64))
@@ -137,56 +115,3 @@ class _ShardState:
         counts = self._counts
         self._reset_run()
         return positions, steps, vertices, counts
-
-    def close(self) -> None:
-        if self._store is not None:
-            self._store.close()
-            self._store = None
-
-
-def shard_worker_main(
-    shard_id, handle, spec, sampler_mode, ctrl, out, send_queues, recv_queues
-) -> None:
-    """Process entry point: serve control messages until ``("stop",)``.
-
-    Every failure — including during initialization — is reported to the
-    parent as an ``("error", shard_id, summary, traceback)`` message so
-    the engine can raise with the worker's real stack instead of hanging
-    on a reply that will never come.
-    """
-    state = None
-    try:
-        state = _ShardState(
-            shard_id, handle, spec, sampler_mode, send_queues, recv_queues
-        )
-        out.put(("ready", shard_id))
-        while True:
-            message = ctrl.get()
-            kind = message[0]
-            if kind == "run":
-                state.start_run(message[1], message[2], message[3])
-            elif kind == "step":
-                alive, forwarded, processed = state.superstep(message[1])
-                out.put(("stepped", shard_id, alive, forwarded, processed))
-            elif kind == "collect":
-                positions, steps, vertices, counts = state.collect()
-                out.put(("collected", shard_id, positions, steps, vertices, counts))
-            elif kind == "adopt":
-                state.adopt(message[1])
-                out.put(("adopted", shard_id, os.getpid()))
-            elif kind == "stop":
-                return
-            else:
-                raise ValueError(f"unknown dist control message {kind!r}")
-    except BaseException as error:
-        out.put(
-            (
-                "error",
-                shard_id,
-                f"{type(error).__name__}: {error}",
-                traceback.format_exc(),
-            )
-        )
-    finally:
-        if state is not None:
-            state.close()

@@ -37,12 +37,14 @@ class MemoryModelError(ReproError):
     """Memory subsystem misconfiguration (channels, timing, capacity)."""
 
 
-class DistError(ReproError):
-    """A distributed-engine shard worker failed or broke protocol.
+class WorkerError(ReproError):
+    """A ``parallel`` / ``dist`` worker process raised or died.
 
-    Carries the worker-side traceback in the message when one exists, so
-    a crash inside a shard process surfaces with its real stack instead
-    of a parent-side timeout.
+    Names the engine and the worker's rank and carries the worker-side
+    traceback, or the exit code when the process died without a word —
+    the real cause, in seconds, never a parent-side timeout.  Raising it
+    closes the engine: the other workers are stopped, the shared
+    segments unlinked, and the next ``run`` raises ``WalkConfigError``.
     """
 
 

@@ -1,6 +1,6 @@
 """Shared-memory backing for CSR graphs and prepared kernel state.
 
-The sharded parallel engine runs one batch-engine instance per worker
+The multi-process engines run one batch-engine instance per worker
 process.  Copying a multi-hundred-megabyte CSR graph into every worker —
 or rebuilding alias tables and edge keys per worker — would dwarf the
 walk time, so the parent serializes every array exactly once into one
@@ -17,7 +17,7 @@ keeps the attach/cleanup surface minimal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -106,24 +106,21 @@ class SharedArrayStore:
             raise
 
     @classmethod
-    def attach(cls, handle: SharedStoreHandle, untrack: bool = False) -> "SharedArrayStore":
+    def attach(cls, handle: SharedStoreHandle) -> "SharedArrayStore":
         """Map an existing segment (worker side) without taking ownership.
 
-        ``untrack`` matters for *spawned* workers, whose private resource
-        tracker would otherwise treat the attached segment as their leak
-        and unlink it when the worker exits (Python < 3.13 has no
-        ``track=False``).  *Forked* workers share the parent's tracker —
-        the segment is registered there exactly once by ``create`` — so
-        they must leave the registration alone (``untrack=False``), or
-        the parent's eventual unlink double-unregisters.
+        Attaching registers the name with the resource tracker a second
+        time (Python < 3.13 has no ``track=False``), which is harmless
+        for every process ``multiprocessing`` starts: forked, spawned and
+        forkserver children all inherit the *creator's* tracker, whose
+        registry is a set — the segment stays registered exactly once,
+        the owner's unlink clears it, and if the owner is killed the
+        tracker unlinks it once the last worker is gone.  (A worker that
+        unregisters its attach instead makes the tracker forget a live
+        segment and fail the owner's own unregister with a ``KeyError``.)
         """
-        shm = shared_memory.SharedMemory(name=handle.segment_name)
-        if untrack:
-            try:
-                resource_tracker.unregister(shm._name, "shared_memory")
-            except Exception:  # pragma: no cover - tracker implementation detail
-                pass
-        return cls(shm, handle, owner=False)
+        return cls(shared_memory.SharedMemory(name=handle.segment_name), handle,
+                   owner=False)
 
     @property
     def handle(self) -> SharedStoreHandle:

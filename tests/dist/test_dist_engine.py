@@ -119,7 +119,10 @@ class TestBitIdenticalToBatch:
             oracle0 = run_walks_batch(snap0.graph, spec, queries, seed=SEED)
             for a, b in zip(oracle0.paths, before.paths):
                 assert np.array_equal(a, b)
+            pids_before = engine.worker_pids
             engine.swap_snapshot(snap1)
+            # The shard workers survive the swap: same processes.
+            assert engine.worker_pids == pids_before
             after = engine.run(queries, seed=SEED)
             oracle1 = run_walks_batch(snap1.graph, spec, queries, seed=SEED)
             for a, b in zip(oracle1.paths, after.paths):

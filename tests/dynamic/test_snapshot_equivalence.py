@@ -83,12 +83,10 @@ def test_swapped_engine_matches_fresh_engine(state, engine, options):
                                       seed=11).build_dynamic()
     with prepare_engine(engine, trace_base.snapshot().graph, spec,
                         **options) as swapped:
-        if engine == "parallel":
-            pids_before = sorted(p.pid for p in swapped._pool._pool)
+        pids_before = getattr(swapped, "worker_pids", None)
         swapped.swap_snapshot(snapshot)
-        if engine == "parallel":
-            # The worker pool must survive the swap: same processes.
-            assert sorted(p.pid for p in swapped._pool._pool) == pids_before
+        # The workers must survive the swap: same processes.
+        assert getattr(swapped, "worker_pids", None) == pids_before
         swap_stats = EngineStats()
         swap_results = swapped.run(queries, seed=3, stats=swap_stats)
     with prepare_engine(engine, static_graph, spec, **options) as fresh:
