@@ -19,12 +19,16 @@ Because alias tables, CDF rows and edge keys are all row-local, the
 result is **bit-identical** to ``SamplerState.full_build`` on a freshly
 constructed CSR of the same logical graph — the property the dynamic
 subsystem's snapshot-equivalence guarantee rests on, enforced by the
-property tests in ``tests/dynamic/``.
+property tests in ``tests/dynamic/``.  (The bit filter in front of the
+edge keys is not row-local; it is derived from the maintained keys the
+first time a second-order kernel asks — :attr:`SamplerState.edge_set` —
+and never during an update.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -43,9 +47,8 @@ from repro.sampling.hybrid import (
 from repro.sampling.its import build_its_cdf, build_its_row_totals
 from repro.sampling.vectorized import (
     AliasKernel,
+    EdgeSet,
     ITSKernel,
-    RejectionKernel,
-    ReservoirKernel,
     VectorizedKernel,
     build_edge_keys,
 )
@@ -140,25 +143,32 @@ class SamplerState:
         sampling, first-order reservoir), so a swap can skip both the load
         and any shared-memory broadcast.
         """
+        arrays: dict[str, np.ndarray] = {}
         if isinstance(kernel, HybridKernel):
             # Same collapse the kernel's own prepare would run (dynamic
             # graphs carry no edge types), so a snapshot hand-off and a
             # fresh auto prepare agree on every row's strategy.
-            arrays = {
-                "hybrid_strategy": resolve_strategy_codes(kernel.base, self.strategy)
-            }
-            for sub in kernel.sub_state_names():
-                arrays[sub] = self.arrays()[sub]
-            return arrays
-        if isinstance(kernel, AliasKernel):
-            return {"alias_prob": self.alias_prob, "alias_index": self.alias_index}
-        if isinstance(kernel, ITSKernel):
-            return {"its_cdf": self.its_cdf, "its_row_totals": self.its_row_totals}
-        if isinstance(kernel, RejectionKernel):
-            return {"edge_keys": self.edge_keys}
-        if isinstance(kernel, ReservoirKernel):
-            return {"edge_keys": self.edge_keys} if kernel.second_order else {}
-        return {}
+            arrays["hybrid_strategy"] = resolve_strategy_codes(kernel.base, self.strategy)
+            own = self.arrays()
+            arrays.update({name: own[name] for name in kernel.sub_state_names()})
+        elif isinstance(kernel, AliasKernel):
+            arrays.update(alias_prob=self.alias_prob, alias_index=self.alias_index)
+        elif isinstance(kernel, ITSKernel):
+            arrays.update(its_cdf=self.its_cdf, its_row_totals=self.its_row_totals)
+        if kernel.second_order:
+            arrays.update(self.edge_set.state_arrays())
+        return arrays
+
+    @cached_property
+    def edge_set(self) -> EdgeSet:
+        """The maintained edge keys behind their bit filter.
+
+        Built on the first second-order kernel's request and kept for the
+        state's lifetime — never inside ``snapshot()`` /
+        :func:`advance_graph_and_state`, so first-order workloads on a
+        mutating graph do not pay for a filter they never probe.
+        """
+        return EdgeSet.from_keys(self.edge_keys, self.its_row_totals.size)
 
 
 class RowBatch(NamedTuple):

@@ -22,7 +22,9 @@ This module is that selection layer:
   grouped by the strategy of each walker's current row and every group
   runs as one fused NumPy pass of the corresponding single-strategy
   kernel, so a mixed-strategy frontier costs one kernel call per
-  *strategy*, not per row.
+  *strategy*, not per row.  The second-order family's kernels
+  (rejection, exact scan, reservoir) probe adjacency through one shared
+  :class:`~repro.sampling.vectorized.EdgeSet`.
 * :class:`HybridSampler` — the scalar twin for the reference engine.
 
 **Determinism contract.**  Every per-walker draw depends only on that
@@ -62,14 +64,12 @@ from repro.sampling.uniform import UniformSampler
 from repro.sampling.vectorized import (
     AliasKernel,
     BatchSample,
-    HubAdjacency,
+    EdgeSet,
     ITSKernel,
     RejectionKernel,
     ReservoirKernel,
     UniformKernel,
     VectorizedKernel,
-    build_edge_keys,
-    hybrid_edges_exist,
     make_kernel,
     sub_streams,
 )
@@ -139,16 +139,10 @@ class HybridConfig:
     ``update_bias``
         How strongly ``update_rate`` widens the ITS budget:
         ``budget = its_max_expected_reads * (1 + update_rate * update_bias)``.
-    ``hub_bitmap_min_degree`` / ``hub_bitmap_max_bytes``
-        Second-order families only: rows at or above the degree
-        threshold get dense adjacency bitmaps
-        (:class:`~repro.sampling.vectorized.HubAdjacency`), turning the
-        ``log2(|E|)`` probe behind every Node2Vec bias decision into an
-        O(1) bit test for the hub rows that absorb most probes.  The
-        byte budget caps the build (heaviest rows kept); declared churn
-        (``update_rate > 0``) disables the bitmap — it is rebuilt from
-        scratch per graph version, exactly the prepare tax a mutating
-        deployment avoids.  Set ``max_bytes`` to 0 to disable outright.
+
+    There is no knob for the second-order families' adjacency probe: they
+    share one :class:`~repro.sampling.vectorized.EdgeSet` whose bit-filter
+    size is a fixed rule.
 
     The dynamic subsystem maintains selection maps with the *default*
     config so snapshots stay bit-identical to from-scratch builds;
@@ -159,8 +153,6 @@ class HybridConfig:
     its_max_expected_reads: float = 4.0
     update_rate: float = 0.0
     update_bias: float = 16.0
-    hub_bitmap_min_degree: int = 32
-    hub_bitmap_max_bytes: int = 64 << 20
 
     def __post_init__(self) -> None:
         if self.small_degree < 1:
@@ -177,17 +169,6 @@ class HybridConfig:
                 "update_rate and update_bias must be non-negative, got "
                 f"{self.update_rate} and {self.update_bias}"
             )
-        if self.hub_bitmap_min_degree < 1 or self.hub_bitmap_max_bytes < 0:
-            raise SamplingError(
-                "hub_bitmap_min_degree must be >= 1 and "
-                "hub_bitmap_max_bytes >= 0, got "
-                f"{self.hub_bitmap_min_degree} and {self.hub_bitmap_max_bytes}"
-            )
-
-    @property
-    def hub_bitmap_budget(self) -> int:
-        """Bitmap byte budget after the churn rule (0 = disabled)."""
-        return 0 if self.update_rate > 0 else self.hub_bitmap_max_bytes
 
     @property
     def its_read_budget(self) -> float:
@@ -401,8 +382,7 @@ class BiasedScanKernel(VectorizedKernel):
         #: the scan must realize the *same* distribution as the strategy
         #: it replaces, even on graphs that happen to carry weights.
         self._use_weights = use_weights
-        self._edge_keys: np.ndarray | None = None
-        self._hub_adjacency: HubAdjacency | None = None
+        self._edge_set: EdgeSet | None = None
 
     @property
     def second_order(self) -> bool:
@@ -410,27 +390,20 @@ class BiasedScanKernel(VectorizedKernel):
 
     def prepare(self, graph: CSRGraph) -> None:
         if self.second_order:
-            self._edge_keys = build_edge_keys(graph)
-
-    def attach_hub_adjacency(self, hub_adjacency: HubAdjacency | None) -> None:
-        self._hub_adjacency = hub_adjacency
+            self._edge_set = EdgeSet.build(graph)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         if not self.second_order:
             return {}
-        if self._edge_keys is None:
+        if self._edge_set is None:
             raise SamplingError(
                 "BiasedScanKernel.prepare(graph) must run before exporting state"
             )
-        arrays = {"edge_keys": self._edge_keys}
-        if self._hub_adjacency is not None:
-            arrays.update(self._hub_adjacency.state_arrays())
-        return arrays
+        return self._edge_set.state_arrays()
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         if self.second_order:
-            self._edge_keys = arrays["edge_keys"]
-            self._hub_adjacency = HubAdjacency.from_state(arrays)
+            self._edge_set = EdgeSet.from_state(arrays)
 
     def sample(self, graph, current, previous, admissible_type, streams, stream_idx):
         if admissible_type is not None:
@@ -448,7 +421,7 @@ class BiasedScanKernel(VectorizedKernel):
         else:
             weight = np.ones(position.shape, dtype=np.float64)
         if self.second_order:
-            if self._edge_keys is None:
+            if self._edge_set is None:
                 raise SamplingError(
                     "BiasedScanKernel.prepare(graph) must be called before sampling"
                 )
@@ -460,13 +433,7 @@ class BiasedScanKernel(VectorizedKernel):
             if biased.any():
                 candidate = graph.col[position[biased]]
                 prev_flat = prev[biased]
-                adjacent = hybrid_edges_exist(
-                    self._edge_keys,
-                    self._hub_adjacency,
-                    graph.num_vertices,
-                    prev_flat,
-                    candidate,
-                )
+                adjacent = self._edge_set.contains(prev_flat, candidate)
                 bias = np.ones(position.shape, dtype=np.float64)
                 bias[biased] = np.where(
                     candidate == prev_flat,
@@ -587,16 +554,21 @@ class HybridKernel(VectorizedKernel):
         """The per-vertex strategy codes (after prepare/load_state)."""
         return self._codes
 
+    @property
+    def second_order(self) -> bool:
+        """Whether the strategy family probes adjacency (holds an
+        :class:`~repro.sampling.vectorized.EdgeSet`)."""
+        return isinstance(self._base, RejectionSampler) or (
+            isinstance(self._base, ReservoirSampler) and self._base.second_order
+        )
+
     def sub_state_names(self) -> tuple[str, ...]:
-        """Names of the prepared arrays this kernel's strategy family
-        consumes — what a :class:`~repro.dynamic.state.SamplerState`
-        hand-off must supply alongside ``hybrid_strategy``."""
+        """Names of the per-edge prepared arrays this kernel's strategy
+        family consumes — what a :class:`~repro.dynamic.state.SamplerState`
+        hand-off must supply alongside ``hybrid_strategy`` (and, for a
+        second-order family, the edge set)."""
         if isinstance(self._base, (AliasSampler, InverseTransformSampler)):
             return ("alias_prob", "alias_index", "its_cdf", "its_row_totals")
-        if isinstance(self._base, RejectionSampler):
-            return ("edge_keys",)
-        if isinstance(self._base, ReservoirSampler) and self._base.second_order:
-            return ("edge_keys",)
         return ()
 
     def strategy_counts(self) -> dict[str, int]:
@@ -635,17 +607,9 @@ class HybridKernel(VectorizedKernel):
             self._kernels[STRATEGY_ITS].load_state(
                 {"its_cdf": cdf, "its_row_totals": totals}
             )
-        elif isinstance(self._base, RejectionSampler) or (
-            isinstance(self._base, ReservoirSampler) and self._base.second_order
-        ):
-            state = {"edge_keys": build_edge_keys(graph)}
-            hub = HubAdjacency.build(
-                graph,
-                self._config.hub_bitmap_min_degree,
-                self._config.hub_bitmap_budget,
-            )
-            if hub is not None:
-                state.update(hub.state_arrays())
+        elif self.second_order:
+            # Built once; the family's probing kernels share its arrays.
+            state = EdgeSet.build(graph).state_arrays()
             for code, kernel in self._kernels.items():
                 if code not in (STRATEGY_UNIFORM, STRATEGY_ONE):
                     kernel.load_state(state)

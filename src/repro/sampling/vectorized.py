@@ -13,12 +13,17 @@ samplers in this package:
   keyed by ``np.random.SeedSequence((seed, query_id))`` exactly like the
   reference engine, but advanced for the whole frontier with vectorized
   splitmix64 arithmetic.
-* a sorted edge-key array (``src * |V| + dst``) that turns the Node2Vec
-  adjacency probe into one batched ``np.searchsorted`` call.
+* :class:`EdgeSet` — the one exact edge-membership structure every
+  second-order kernel probes: sorted edge keys (``src * |V| + dst``)
+  behind a 16-bits-per-edge bit filter, so a batch of Node2Vec adjacency
+  probes is one hash + one cached bit read each, and a batched
+  ``np.searchsorted`` over only the pairs the filter could not rule out.
 * the same cost-counter contract as the scalar samplers: proposals and
-  neighbor reads are accounted identically (the rejection kernel still
-  charges the honest ``O(deg(prev))`` probe cost per retry even though
-  the lookup itself is a binary search).
+  neighbor reads are accounted identically.  ``neighbor_reads`` is a
+  *modeled* cost (the rejection kernel charges the scalar sampler's
+  ``O(deg(prev))`` scan per non-return proposal), part of the
+  cross-engine ``EngineStats`` identity — not a measure of the lookup
+  work the filter saves.
 
 Statistical equivalence with the scalar samplers is enforced by
 chi-square tests in ``tests/walks/test_batch.py``; streams are *not*
@@ -37,6 +42,7 @@ import numpy as np
 from repro.errors import SamplingError
 from repro.graph.alias import AliasTable, build_alias_table
 from repro.graph.csr import CSRGraph
+from repro.obs.trace import active as _active_tracer
 from repro.sampling.alias_sampler import AliasSampler
 from repro.sampling.base import Sampler, normalize_seed
 from repro.sampling.its import InverseTransformSampler, build_its_cdf, build_its_row_totals
@@ -49,6 +55,10 @@ _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 _ELEMENT_GAMMA = np.uint64(0xD1B54A32D192ED03)
 _TO_UNIT = 1.0 / (1 << 53)
+
+#: Sizing rule of the edge filter (see :func:`build_edge_filter`).
+_FILTER_BITS_PER_EDGE = 16
+_FILTER_MIN_BITS = 6
 
 # numpy SeedSequence hashing constants (numpy/random/bit_generator.pyx).
 # The batched derivation below reproduces SeedSequence bit-for-bit so the
@@ -289,106 +299,98 @@ def build_edge_keys(graph: CSRGraph) -> np.ndarray:
     return keys
 
 
-def edges_exist(
-    edge_keys: np.ndarray, num_vertices: int, src: np.ndarray, dst: np.ndarray
-) -> np.ndarray:
-    """Vectorized ``graph.has_edge(src[k], dst[k])`` over aligned arrays."""
-    if edge_keys.size == 0:
-        return np.zeros(src.shape, dtype=bool)
-    keys = src.astype(np.int64) * np.int64(num_vertices) + dst
-    pos = np.searchsorted(edge_keys, keys)
-    pos = np.minimum(pos, edge_keys.size - 1)
-    return edge_keys[pos] == keys
+def build_edge_filter(edge_keys: np.ndarray) -> np.ndarray:
+    """Bit filter over ``edge_keys``: bit ``fib_hash(key)`` set for every key.
+
+    The size is a fixed rule, not an option: the smallest power of two
+    holding at least :data:`_FILTER_BITS_PER_EDGE` bits per edge (fill
+    at most 1/16, so at most that share of absent keys survives to the
+    sorted-key probe).  Built with array passes only: the hashes are
+    sorted, which makes each quarter of the bit array a contiguous run
+    that is scattered into one reused unpacked block and packed — no
+    transient is larger than ``edge_keys`` itself.
+    """
+    bits = max((_FILTER_BITS_PER_EDGE * edge_keys.size - 1).bit_length(), _FILTER_MIN_BITS)
+    hashes = edge_keys.view(np.uint64) * _GAMMA
+    hashes >>= np.uint64(64 - bits)
+    hashes = hashes.astype(np.uint32 if bits <= 32 else np.uint64)
+    hashes.sort()
+    block_bits = 1 << (bits - 2)
+    bounds = np.arange(4, dtype=hashes.dtype) * hashes.dtype.type(block_bits)
+    runs = np.split(hashes, np.searchsorted(hashes, bounds[1:]))
+    unpacked = np.empty(block_bits, dtype=bool)
+    packed = np.empty(4 * (block_bits >> 3), dtype=np.uint8)
+    for low, run, out in zip(bounds, runs, np.split(packed, 4)):
+        unpacked[:] = False
+        unpacked[np.subtract(run, low, dtype=np.int64)] = True
+        out[:] = np.packbits(unpacked, bitorder="little")
+    return packed
 
 
-class HubAdjacency:
-    """Dense neighbor bitmaps for heavy rows: O(1) exact adjacency probes.
+class EdgeSet:
+    """The one exact edge-membership structure behind every adjacency probe.
 
-    The sorted-edge-key probe behind :func:`edges_exist` costs a
-    ``log2(|E|)``-step binary search over a multi-megabyte array — and on
-    skewed graphs most second-order probes ask about a *hub* row.  For
-    rows above a degree threshold this structure stores the neighbor set
-    as one dense bitmap (8 bytes per 64 vertices), so a probe is a
-    two-gather bit test.  Exact membership, no false positives: callers
-    may substitute it for :func:`edges_exist` wherever ``rank[src] >= 0``
-    without changing a single decision.
+    Sorted ``src * |V| + dst`` keys answer ``has_edge`` exactly but cost a
+    ``log2(|E|)``-step dependent-read binary search over a multi-megabyte
+    array, and on Node2Vec most probes ask about a pair that is *not* an
+    edge.  A power-of-two bit array in front of the keys — one Fibonacci
+    hash of every key, >= 16 bits per edge — answers most of those from
+    one cached read; only the survivors (every real edge plus the
+    filter's few false passes) reach ``searchsorted``.  Membership stays
+    exact, so callers' decisions are those of a plain sorted-key probe.
     """
 
-    def __init__(self, rank: np.ndarray, bits: np.ndarray) -> None:
-        self.rank = rank
-        self.bits = bits
+    def __init__(self, keys: np.ndarray, bit_filter: np.ndarray, num_vertices: int) -> None:
+        self.keys = keys
+        self.filter = bit_filter
+        self.num_vertices = int(num_vertices)
+        self._stride = np.int64(num_vertices)
+        # ``filter.size`` bytes hold ``2**bits`` bits.
+        self._shift = np.uint64(64 - (bit_filter.size.bit_length() + 2))
 
     @classmethod
-    def build(
-        cls, graph: CSRGraph, min_degree: int, max_bytes: int
-    ) -> "HubAdjacency | None":
-        """Bitmap the heaviest rows of ``graph`` (None when disabled, no
-        row qualifies, or not even one row fits the byte budget)."""
-        if min_degree < 1 or max_bytes <= 0:
-            return None
-        degrees = graph.degrees()
-        words = (graph.num_vertices + 63) // 64
-        max_rows = int(max_bytes // (words * 8))
-        if max_rows == 0:
-            return None
-        hubs = np.nonzero(degrees >= min_degree)[0]
-        if hubs.size == 0:
-            return None
-        if hubs.size > max_rows:
-            # Keep the heaviest rows — they absorb the most probes.
-            order = np.argsort(degrees[hubs], kind="stable")[::-1][:max_rows]
-            hubs = np.sort(hubs[order])
-        rank = np.full(graph.num_vertices, -1, dtype=np.int64)
-        rank[hubs] = np.arange(hubs.size)
-        bits = np.zeros((hubs.size, words), dtype=np.uint64)
-        for i, vertex in enumerate(hubs.tolist()):
-            neighbors = graph.neighbors(vertex)
-            np.bitwise_or.at(
-                bits[i],
-                neighbors >> 6,
-                np.uint64(1) << (neighbors & 63).astype(np.uint64),
-            )
-        return cls(rank=rank, bits=bits)
+    def from_keys(cls, keys: np.ndarray, num_vertices: int) -> "EdgeSet":
+        """Put a filter in front of already-built sorted keys."""
+        return cls(keys, build_edge_filter(keys), num_vertices)
 
-    def probe_ranked(self, rank: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Membership test for sources already resolved to bitmap ranks."""
-        word = self.bits[rank, dst >> 6]
-        return (word >> (dst & 63).astype(np.uint64)) & np.uint64(1) != 0
+    @classmethod
+    def build(cls, graph: CSRGraph) -> "EdgeSet":
+        return cls.from_keys(build_edge_keys(graph), graph.num_vertices)
+
+    def contains(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Vectorized ``graph.has_edge(src[k], dst[k])`` over aligned 1-D
+        int64 arrays."""
+        tracer = _active_tracer()
+        if tracer is not None:
+            _span_start = tracer.begin()
+        keys = src * self._stride + dst
+        slot = ((keys.view(np.uint64) * _GAMMA) >> self._shift).view(np.int64)
+        passed = np.flatnonzero(
+            (self.filter[slot >> 3] >> (slot & 7).astype(np.uint8)) & np.uint8(1)
+        )
+        found = np.zeros(keys.size, dtype=bool)
+        if passed.size:
+            survivors = keys[passed]
+            pos = np.searchsorted(self.keys, survivors)
+            np.minimum(pos, self.keys.size - 1, out=pos)
+            found[passed] = self.keys[pos] == survivors
+        if tracer is not None:
+            tracer.end(_span_start, "sampling.edge_probe", probes=keys.size,
+                       passed=passed.size, hits=int(np.count_nonzero(found)))
+        return found
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        return {"hub_rank": self.rank, "hub_bits": self.bits}
+        return {
+            "edge_keys": self.keys,
+            "edge_filter": self.filter,
+            "edge_stride": np.array([self.num_vertices], dtype=np.int64),
+        }
 
     @classmethod
-    def from_state(cls, arrays: dict[str, np.ndarray]) -> "HubAdjacency | None":
-        rank = arrays.get("hub_rank")
-        bits = arrays.get("hub_bits")
-        if rank is None or bits is None:
-            return None
-        return cls(rank=rank, bits=bits)
-
-
-def hybrid_edges_exist(
-    edge_keys: np.ndarray,
-    hub_adjacency: HubAdjacency | None,
-    num_vertices: int,
-    src: np.ndarray,
-    dst: np.ndarray,
-) -> np.ndarray:
-    """:func:`edges_exist` with bitmap-covered sources fast-pathed."""
-    if hub_adjacency is None:
-        return edges_exist(edge_keys, num_vertices, src, dst)
-    rank = hub_adjacency.rank[src]
-    covered = rank >= 0
-    if not covered.any():
-        return edges_exist(edge_keys, num_vertices, src, dst)
-    out = np.empty(src.shape, dtype=bool)
-    out[covered] = hub_adjacency.probe_ranked(rank[covered], dst[covered])
-    uncovered = ~covered
-    if uncovered.any():
-        out[uncovered] = edges_exist(
-            edge_keys, num_vertices, src[uncovered], dst[uncovered]
-        )
-    return out
+    def from_state(cls, arrays: dict[str, np.ndarray]) -> "EdgeSet":
+        """Adopt exported arrays as they are (possibly read-only views of
+        shared memory): nothing is copied or rebuilt."""
+        return cls(arrays["edge_keys"], arrays["edge_filter"], arrays["edge_stride"][0])
 
 
 @dataclass
@@ -428,6 +430,10 @@ def flatten_frontier(
 
 class VectorizedKernel(ABC):
     """A sampler that advances a whole frontier per call."""
+
+    #: Whether sampling probes adjacency to the previous vertex, i.e. the
+    #: kernel's prepared state is an :class:`EdgeSet`.
+    second_order = False
 
     def prepare(self, graph: CSRGraph) -> None:
         """Per-graph preprocessing hook (alias tables, edge keys)."""
@@ -569,6 +575,8 @@ class RejectionKernel(VectorizedKernel):
     :class:`~repro.sampling.rejection.RejectionSampler`.
     """
 
+    second_order = True
+
     def __init__(self, sampler: RejectionSampler | None = None, *,
                  p: float | None = None, q: float | None = None) -> None:
         # Wrap the (already validated) scalar sampler so the bias
@@ -579,12 +587,21 @@ class RejectionKernel(VectorizedKernel):
                 raise SamplingError("RejectionKernel needs a sampler or both p and q")
             sampler = RejectionSampler(p=p, q=q)
         self._sampler = sampler
-        self._edge_keys: np.ndarray | None = None
-        #: Optional bitmap accelerator for hub-row adjacency probes; the
-        #: hybrid layer attaches one when its cost model pays for the
-        #: build.  Purely a speed structure — decisions are identical
-        #: with or without it.
-        self._hub_adjacency: HubAdjacency | None = None
+        self._edge_set: EdgeSet | None = None
+        max_bias = sampler.max_bias
+        # Accept thresholds per candidate class.
+        self._return_accept = sampler.return_bias / max_bias
+        self._adjacent_accept = 1.0 / max_bias
+        self._explore_accept = sampler.explore_bias / max_bias
+        # The accept decision only consults adjacency when the drawn
+        # uniform falls *between* the adjacent-class and explore-class
+        # thresholds; outside that band both classes decide identically
+        # (below it both accept, above it both reject), so every other
+        # non-return candidate is decided as explore-class and the probe
+        # is skipped.  Decisions — and stream consumption — are
+        # bit-identical to the probe-everything formulation.
+        self._probe_lo = min(self._adjacent_accept, self._explore_accept)
+        self._probe_hi = max(self._adjacent_accept, self._explore_accept)
 
     @property
     def p(self) -> float:
@@ -595,31 +612,44 @@ class RejectionKernel(VectorizedKernel):
         return self._sampler.q
 
     def prepare(self, graph: CSRGraph) -> None:
-        self._edge_keys = build_edge_keys(graph)
-
-    def attach_hub_adjacency(self, hub_adjacency: HubAdjacency | None) -> None:
-        self._hub_adjacency = hub_adjacency
+        self._edge_set = EdgeSet.build(graph)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        if self._edge_keys is None:
+        if self._edge_set is None:
             raise SamplingError("RejectionKernel.prepare(graph) must run before exporting state")
-        arrays = {"edge_keys": self._edge_keys}
-        if self._hub_adjacency is not None:
-            arrays.update(self._hub_adjacency.state_arrays())
-        return arrays
+        return self._edge_set.state_arrays()
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        self._edge_keys = arrays["edge_keys"]
-        self._hub_adjacency = HubAdjacency.from_state(arrays)
+        self._edge_set = EdgeSet.from_state(arrays)
+
+    def _round(self, graph, degrees, row_start, previous, prev_degrees, streams, idx):
+        """One proposal per walker of aligned arrays: ``(proposal, accept,
+        neighbor_reads)``."""
+        proposal = streams.randints(degrees, idx)
+        candidate = graph.col[row_start + proposal]
+        is_return = candidate == previous
+        not_return = ~is_return
+        u = streams.uniforms(idx)
+        threshold = np.full(u.size, self._explore_accept)
+        threshold[is_return] = self._return_accept
+        undecided = np.flatnonzero(
+            not_return & (u >= self._probe_lo) & (u < self._probe_hi)
+        )
+        if undecided.size:
+            adjacent = self._edge_set.contains(previous[undecided], candidate[undecided])
+            threshold[undecided[adjacent]] = self._adjacent_accept
+        # ``neighbor_reads`` is the *modeled* cost of the scalar sampler —
+        # one read for the proposal plus an O(deg(prev)) adjacency scan
+        # whenever the candidate is not the return edge — not the lookup
+        # work done here (a mostly skipped filter + sorted-key probe).  It
+        # is part of the cross-engine ``EngineStats`` identity.
+        reads = u.size + int(prev_degrees[not_return].sum())
+        return proposal, u < threshold, reads
 
     def sample(self, graph, current, previous, admissible_type, streams, stream_idx):
-        if self._edge_keys is None:
+        if self._edge_set is None:
             raise SamplingError("RejectionKernel.prepare(graph) must be called before sampling")
         degrees = graph.degrees()[current]
-        choice = np.full(current.size, -1, dtype=np.int64)
-        proposals = 0
-        reads = 0
-
         first_hop = previous < 0
         if first_hop.all():
             # A whole frontier on its first hop (every engine's step 0):
@@ -627,29 +657,29 @@ class RejectionKernel(VectorizedKernel):
             choice = streams.randints(degrees, stream_idx)
             return BatchSample(choice, proposals=current.size, neighbor_reads=current.size)
         if first_hop.any():
-            f = np.nonzero(first_hop)[0]
-            choice[f] = streams.randints(degrees[f], sub_streams(stream_idx, f))
-            proposals += f.size
-            reads += f.size
-            pending = np.nonzero(~first_hop)[0]
-            pending_idx = sub_streams(stream_idx, pending)
-        else:
-            # Round one covers the frontier as given, so it draws through
-            # ``stream_idx`` itself (in place when that is ``None``).
-            pending = np.arange(current.size)
-            pending_idx = stream_idx
-        prev_degrees = graph.degrees()[np.maximum(previous, 0)]
-        max_bias = self._sampler.max_bias
-        explore_bias = self._sampler.explore_bias
-        # The accept decision only consults adjacency when the drawn
-        # uniform falls *between* the adjacent-class and explore-class
-        # thresholds; outside that band both classes decide identically,
-        # so the (dominant, searchsorted-backed) probe can be skipped.
-        # Decisions — and stream consumption — are bit-identical to the
-        # probe-everything formulation; only the lookup work shrinks.
-        probe_lo = min(1.0, explore_bias) / max_bias
-        probe_hi = max(1.0, explore_bias) / max_bias
-        rounds = 0
+            # Mixed frontier: first hops draw once, the rest run as a
+            # frontier of their own (draws are per stream, so splitting
+            # changes no walker's sequence).
+            first = np.flatnonzero(first_hop)
+            rest = np.flatnonzero(~first_hop)
+            choice = np.empty(current.size, dtype=np.int64)
+            choice[first] = streams.randints(degrees[first], sub_streams(stream_idx, first))
+            batch = self.sample(graph, current[rest], previous[rest], admissible_type,
+                                streams, sub_streams(stream_idx, rest))
+            choice[rest] = batch.choice
+            return BatchSample(choice, proposals=first.size + batch.proposals,
+                               neighbor_reads=first.size + batch.neighbor_reads)
+
+        row_start = graph.row_ptr[current]
+        prev_degrees = graph.degrees()[previous]
+        # Round one covers the frontier as given, so it draws through
+        # ``stream_idx`` itself (in place when that is ``None``).
+        choice, accept, reads = self._round(
+            graph, degrees, row_start, previous, prev_degrees, streams, stream_idx
+        )
+        proposals = current.size
+        pending = np.flatnonzero(~accept)
+        rounds = 1
         while pending.size:
             rounds += 1
             if rounds > _MAX_REJECTION_ROUNDS:
@@ -657,38 +687,14 @@ class RejectionKernel(VectorizedKernel):
                     f"rejection sampling failed to accept after {_MAX_REJECTION_ROUNDS} "
                     f"rounds (p={self.p}, q={self.q})"
                 )
-            proposal = streams.randints(degrees[pending], pending_idx)
-            candidate = graph.col[graph.row_ptr[current[pending]] + proposal]
-            prev = previous[pending]
-            is_return = candidate == prev
-            u = streams.uniforms(pending_idx)
-            undecided = ~is_return & (u >= probe_lo) & (u < probe_hi)
-            # Treating every decided non-return candidate as explore-class
-            # yields the same accept verdict: below the band both classes
-            # accept, above it both reject.
-            adjacent = np.zeros(pending.size, dtype=bool)
-            if undecided.any():
-                adjacent[undecided] = hybrid_edges_exist(
-                    self._edge_keys, self._hub_adjacency, graph.num_vertices,
-                    prev[undecided], candidate[undecided],
-                )
-            bias = np.where(
-                is_return,
-                self._sampler.return_bias,
-                np.where(adjacent, 1.0, explore_bias),
+            proposal, accept, round_reads = self._round(
+                graph, degrees[pending], row_start[pending], previous[pending],
+                prev_degrees[pending], streams, sub_streams(stream_idx, pending),
             )
             proposals += pending.size
-            # One read for the proposal itself, plus the honest O(deg(prev))
-            # adjacency-probe cost whenever the candidate is not the return
-            # edge — identical to the scalar sampler's accounting, even
-            # though the lookup here is a (lazily skipped) binary search
-            # over edge keys.
-            reads += pending.size + int(prev_degrees[pending[~is_return]].sum())
-            accept = u < bias / max_bias
-            accepted = pending[accept]
-            choice[accepted] = proposal[accept]
+            reads += round_reads
+            choice[pending[accept]] = proposal[accept]
             pending = pending[~accept]
-            pending_idx = sub_streams(stream_idx, pending)
         return BatchSample(choice, proposals=proposals, neighbor_reads=reads)
 
 
@@ -710,7 +716,7 @@ class ReservoirKernel(VectorizedKernel):
         if sampler is None:
             sampler = ReservoirSampler(p=p, q=q)
         self._sampler = sampler
-        self._edge_keys: np.ndarray | None = None
+        self._edge_set: EdgeSet | None = None
 
     @property
     def p(self) -> float | None:
@@ -726,18 +732,18 @@ class ReservoirKernel(VectorizedKernel):
 
     def prepare(self, graph: CSRGraph) -> None:
         if self.second_order:
-            self._edge_keys = build_edge_keys(graph)
+            self._edge_set = EdgeSet.build(graph)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         if not self.second_order:
             return {}
-        if self._edge_keys is None:
+        if self._edge_set is None:
             raise SamplingError("ReservoirKernel.prepare(graph) must run before exporting state")
-        return {"edge_keys": self._edge_keys}
+        return self._edge_set.state_arrays()
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         if self.second_order:
-            self._edge_keys = arrays["edge_keys"]
+            self._edge_set = EdgeSet.from_state(arrays)
 
     def sample(self, graph, current, previous, admissible_type, streams, stream_idx):
         counts, segment, within, position = flatten_frontier(graph, current)
@@ -755,22 +761,24 @@ class ReservoirKernel(VectorizedKernel):
             admissible = graph.edge_types[position] == admissible_type
 
         if self.second_order:
-            if self._edge_keys is None:
+            if self._edge_set is None:
                 raise SamplingError(
                     "ReservoirKernel.prepare(graph) must be called before sampling"
                 )
+            # Only entries of walkers with a previous vertex carry a bias
+            # (and cost a probe); a first hop keeps its plain weights.
             prev = previous[segment]
             has_prev = prev >= 0
-            candidate = graph.col[position]
-            adjacent = edges_exist(
-                self._edge_keys, graph.num_vertices, np.maximum(prev, 0), candidate
-            )
-            bias = np.where(
-                candidate == prev,
-                1.0 / self.p,
-                np.where(adjacent, 1.0, 1.0 / self.q),
-            )
-            weight = weight * np.where(has_prev, bias, 1.0)
+            biased = slice(None) if has_prev.all() else np.flatnonzero(has_prev)
+            prev = prev[biased]
+            if prev.size:
+                candidate = graph.col[position[biased]]
+                adjacent = self._edge_set.contains(prev, candidate)
+                weight[biased] *= np.where(
+                    candidate == prev,
+                    1.0 / self.p,
+                    np.where(adjacent, 1.0, 1.0 / self.q),
+                )
 
         u = streams.element_uniforms(stream_idx, counts, segment=segment, within=within)
         # Same u == 0 guard as the scalar sampler: keep keys positive so

@@ -130,8 +130,9 @@ def jit_state_from_arrays(
 
     ``arrays`` carrying ``hybrid_strategy`` means auto mode (per-row
     codes); otherwise every row runs the base sampler's own strategy.
-    Hub-bitmap arrays, when present, are ignored: the kernel's plain
-    binary search makes identical decisions.
+    Of an edge set's arrays only ``edge_keys`` is read (``edge_filter``
+    is ignored): the kernel's scalar binary search makes identical
+    decisions.
     """
     code, family = _base_code_and_family(base)
     if "hybrid_strategy" in arrays:

@@ -111,7 +111,7 @@ def _randint(u, bound):
 
 @njit(cache=True)
 def _edge_exists(edge_keys, num_vertices, src, dst):
-    """Binary-search twin of ``vectorized.edges_exist`` for one edge."""
+    """Binary-search twin of ``vectorized.EdgeSet.contains`` for one edge."""
     size = edge_keys.size
     if size == 0:
         return False

@@ -161,3 +161,71 @@ def test_uniform_kernel_swap_needs_no_state(state):
                                      seed=9)
     for a, b in zip(results.paths, baseline.paths):
         assert np.array_equal(a, b)
+
+
+# --- where the edge filter is (and is not) built ---------------------------
+
+
+@pytest.fixture
+def filter_builds(monkeypatch):
+    """Sizes of the key arrays every ``build_edge_filter`` call received."""
+    from repro.sampling import vectorized
+
+    builds = []
+    real = vectorized.build_edge_filter
+
+    def counted(edge_keys):
+        builds.append(edge_keys.size)
+        return real(edge_keys)
+
+    monkeypatch.setattr(vectorized, "build_edge_filter", counted)
+    return builds
+
+
+def test_first_order_snapshots_and_swaps_never_build_the_filter(filter_builds):
+    graph = mutated_dynamic_graph()  # four snapshots along an update trace
+    snapshot = graph.snapshot()
+    spec = DeepWalkSpec(max_length=12)
+    queries = make_queries(snapshot.graph, 24, seed=5)
+    with prepare_engine("batch", snapshot.graph, spec) as engine:
+        engine.swap_snapshot(snapshot)
+        engine.run(queries, seed=3)
+    with prepare_engine("batch", snapshot.graph, spec, sampler="auto") as engine:
+        engine.swap_snapshot(snapshot)
+    assert filter_builds == []
+
+
+def test_second_order_swap_builds_one_filter_per_state(filter_builds):
+    from repro.sampling.vectorized import EdgeSet
+    from repro.walks import Node2VecSpec
+    from repro.walks.jit.engine import jit_state_from_kernel
+
+    graph = mutated_dynamic_graph()
+    snapshot = graph.snapshot()
+    static_graph, _ = fresh_static_build(graph)
+    spec = Node2VecSpec(p=2.0, q=0.5, strategy="rejection", max_length=12)
+    queries = make_queries(static_graph, 48, seed=5)
+    expected = EdgeSet.build(static_graph)
+    builds, held = [], []
+    for sampler in ("default", "auto", "default"):
+        with prepare_engine("batch", static_graph, spec, sampler=sampler) as engine:
+            filter_builds.clear()
+            engine.swap_snapshot(snapshot)
+            builds.append(len(filter_builds))
+            arrays = engine._kernel.state_arrays()
+            held.append(arrays["edge_filter"])
+            swap_stats = EngineStats()
+            swapped = engine.run(queries, seed=3, stats=swap_stats)
+            # The fused-kernel state reads the same mapping, keys only.
+            jit_state = jit_state_from_kernel(snapshot.graph, spec, engine._kernel)
+            assert jit_state.edge_keys is arrays["edge_keys"]
+        fresh_stats = EngineStats()
+        fresh, _ = run_software_walks("batch", static_graph, spec, queries, seed=3,
+                                      stats=fresh_stats, sampler=sampler)
+        for a, b in zip(swapped.paths, fresh.paths):
+            assert np.array_equal(a, b)
+        assert_stats_equal(swap_stats, fresh_stats)
+    # Built on the first request, then handed out as it is.
+    assert builds == [1, 0, 0]
+    assert np.array_equal(held[0], expected.filter)
+    assert held[1] is held[0] and held[2] is held[0]

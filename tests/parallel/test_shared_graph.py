@@ -1,8 +1,11 @@
 """Shared-memory graph store: round trips, read-only views, cleanup."""
 
+import os
+
 import numpy as np
 import pytest
 
+from repro.engines import prepare_engine, run_software_walks
 from repro.errors import GraphError
 from repro.graph import cycle_graph, from_edges, load_dataset
 from repro.graph.datasets import assign_metapath_schema
@@ -11,10 +14,12 @@ from repro.parallel.shared_graph import (
     SharedArrayStore,
     graph_arrays,
     graph_from_store,
+    kernel_from_store,
     kernel_state_from_store,
 )
+from repro.parallel.runtime import worker_context
 from repro.sampling.vectorized import make_kernel
-from repro.walks import DeepWalkSpec, Node2VecSpec
+from repro.walks import DeepWalkSpec, Node2VecSpec, make_queries
 
 
 class TestSharedArrayStore:
@@ -109,6 +114,46 @@ class TestKernelStateBroadcast:
         with SharedArrayStore.create(arrays) as store:
             state = kernel_state_from_store(store)
             assert np.array_equal(state["edge_keys"], kernel.state_arrays()["edge_keys"])
+            assert np.array_equal(state["edge_filter"], kernel.state_arrays()["edge_filter"])
+
+    @pytest.mark.skipif(worker_context().get_start_method() != "fork",
+                        reason="the worker-side patches are inherited by fork")
+    @pytest.mark.parametrize("engine,options", [("parallel", {"workers": 2}),
+                                                ("dist", {"shards": 2})])
+    @pytest.mark.parametrize("sampler", ["default", "auto"])
+    def test_workers_attach_the_edge_filter_and_never_build_one(
+        self, monkeypatch, engine, options, sampler
+    ):
+        """The filter is built once, in the parent; a worker's kernel holds
+        a view of the copy in its shared segment."""
+        from repro.sampling import vectorized
+
+        parent = os.getpid()
+        real_build = vectorized.build_edge_filter
+        real_load = kernel_from_store
+
+        def parent_only(edge_keys):
+            assert os.getpid() == parent, "edge filter rebuilt inside a worker"
+            return real_build(edge_keys)
+
+        def checked_load(spec, sampler_mode, store):
+            kernel = real_load(spec, sampler_mode, store)
+            held = kernel.state_arrays()["edge_filter"]
+            assert not held.flags.owndata and not held.flags.writeable
+            assert np.shares_memory(held, store.arrays()[KERNEL_PREFIX + "edge_filter"])
+            return kernel
+
+        monkeypatch.setattr(vectorized, "build_edge_filter", parent_only)
+        monkeypatch.setattr(f"repro.{engine}.worker.kernel_from_store", checked_load)
+        graph = load_dataset("WG", scale=0.05, seed=1)
+        spec = Node2VecSpec(p=2.0, q=0.5, strategy="rejection", max_length=10)
+        queries = make_queries(graph, 64, seed=2)
+        with prepare_engine(engine, graph, spec, sampler=sampler, **options) as pool:
+            results = pool.run(queries, seed=4)  # a failed worker check raises here
+        baseline, _ = run_software_walks("batch", graph, spec, queries, seed=4,
+                                         sampler=sampler)
+        for a, b in zip(results.paths, baseline.paths):
+            assert np.array_equal(a, b)
 
     def test_uniform_kernel_has_no_state(self):
         from repro.walks import URWSpec

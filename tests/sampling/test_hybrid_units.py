@@ -268,94 +268,6 @@ class TestBiasedScanKernel:
         )
 
 
-class TestHubAdjacency:
-    """The hub-row bitmap accelerator must be invisible except in speed."""
-
-    def _hub_graph(self, seed=11, n=96):
-        rng = np.random.default_rng(seed)
-        edges = []
-        for v in range(6):  # hub rows well above the bitmap threshold
-            dsts = rng.choice([u for u in range(n) if u != v],
-                              size=int(rng.integers(40, 70)), replace=False)
-            edges.extend((v, int(d)) for d in dsts)
-        for v in range(6, n):
-            dsts = rng.choice([u for u in range(n) if u != v],
-                              size=int(rng.integers(1, 6)), replace=False)
-            edges.extend((v, int(d)) for d in dsts)
-        return from_edges(edges, num_vertices=n)
-
-    def test_probe_matches_has_edge_exactly(self):
-        from repro.sampling.vectorized import HubAdjacency
-
-        graph = self._hub_graph()
-        hub = HubAdjacency.build(graph, min_degree=32, max_bytes=1 << 20)
-        assert hub is not None
-        rng = np.random.default_rng(3)
-        src = rng.integers(0, 6, size=500)      # bitmap-covered rows
-        dst = rng.integers(0, graph.num_vertices, size=500)
-        got = hub.probe_ranked(hub.rank[src], dst)
-        expected = np.array([graph.has_edge(int(s), int(d))
-                             for s, d in zip(src, dst)])
-        assert np.array_equal(got, expected)
-
-    def test_byte_budget_keeps_heaviest_rows(self):
-        from repro.sampling.vectorized import HubAdjacency
-
-        graph = self._hub_graph()
-        words = (graph.num_vertices + 63) // 64
-        hub = HubAdjacency.build(graph, min_degree=32, max_bytes=2 * words * 8)
-        assert hub is not None
-        kept = np.nonzero(hub.rank >= 0)[0]
-        assert kept.size == 2
-        degrees = graph.degrees()
-        assert set(degrees[kept]) <= set(np.sort(degrees)[-2:])
-
-    def test_disabled_cases_return_none(self):
-        from repro.sampling.vectorized import HubAdjacency
-
-        graph = self._hub_graph()
-        assert HubAdjacency.build(graph, min_degree=32, max_bytes=0) is None
-        assert HubAdjacency.build(graph, min_degree=1000, max_bytes=1 << 20) is None
-
-    def test_churn_config_disables_the_bitmap(self):
-        assert HybridConfig().hub_bitmap_budget > 0
-        assert HybridConfig(update_rate=0.5).hub_bitmap_budget == 0
-
-    def test_rejection_kernel_bit_identical_with_and_without_bitmap(self):
-        from repro.sampling.vectorized import HubAdjacency, RejectionKernel
-        from repro.walks import Query
-
-        graph = self._hub_graph()
-        spec = Node2VecSpec(p=2.0, q=0.5, max_length=15)
-        queries = [Query(i, i % 6) for i in range(40)]
-        plain = RejectionKernel(p=2.0, q=0.5)
-        plain.prepare(graph)
-        accelerated = RejectionKernel(p=2.0, q=0.5)
-        accelerated.prepare(graph)
-        accelerated.attach_hub_adjacency(
-            HubAdjacency.build(graph, min_degree=32, max_bytes=1 << 20)
-        )
-        a = run_walks_batch(graph, spec, queries, seed=9, kernel=plain)
-        b = run_walks_batch(graph, spec, queries, seed=9, kernel=accelerated)
-        for pa, pb in zip(a.paths, b.paths):
-            assert np.array_equal(pa, pb)
-
-    def test_bitmap_survives_state_round_trip(self):
-        from repro.sampling.vectorized import RejectionKernel
-
-        graph = self._hub_graph()
-        kernel = make_walk_kernel(RejectionSampler(p=2.0, q=0.5), "auto",
-                                  config=HybridConfig(hub_bitmap_min_degree=32))
-        kernel.prepare(graph)
-        arrays = kernel.state_arrays()
-        assert "hub_bits" in arrays and "hub_rank" in arrays
-        clone = make_walk_kernel(RejectionSampler(p=2.0, q=0.5), "auto")
-        clone.load_state(arrays)
-        sub = clone._kernels[STRATEGY_REJECTION]
-        assert isinstance(sub, RejectionKernel)
-        assert sub._hub_adjacency is not None
-
-
 class TestHybridSamplerScalar:
     """The reference engine's auto mode: every dispatch arm, exact laws."""
 

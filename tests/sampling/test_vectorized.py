@@ -20,8 +20,7 @@ from repro.sampling.vectorized import (
     RejectionKernel,
     ReservoirKernel,
     UniformKernel,
-    build_edge_keys,
-    edges_exist,
+    EdgeSet,
     seed_sequence_states,
 )
 
@@ -140,18 +139,16 @@ class TestQueryStreams:
 class TestEdgeKeys:
     def test_matches_has_edge_everywhere(self):
         g = rmat(6, edge_factor=3, seed=2)
-        keys = build_edge_keys(g)
         n = g.num_vertices
         src, dst = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        exists = edges_exist(keys, n, src.ravel(), dst.ravel()).reshape(n, n)
+        exists = EdgeSet.build(g).contains(src.ravel(), dst.ravel()).reshape(n, n)
         for v in range(n):
             for u in range(n):
                 assert exists[v, u] == g.has_edge(v, u)
 
     def test_empty_graph(self):
         g = from_edges([], num_vertices=4)
-        keys = build_edge_keys(g)
-        assert not edges_exist(keys, 4, np.array([0]), np.array([1]))[0]
+        assert not EdgeSet.build(g).contains(np.array([0]), np.array([1]))[0]
 
 
 def empirical_kernel(kernel, graph, vertex, prev=None, admissible=None, rounds=20_000):
@@ -198,6 +195,26 @@ class TestKernelDistributions:
         dist = empirical_kernel(kernel, g, 1, prev=0)
         expected = exact_step_distribution(g, current=1, previous=0, p=2.0, q=0.5)
         assert np.allclose(dist, expected, atol=0.02)
+
+    def test_rejection_mixed_frontier_equals_each_walker_alone(self):
+        """First hops, decided and retrying walkers in one frontier: every
+        walker's choice and cost are those of sampling it on its own."""
+        g = rmat(6, edge_factor=4, seed=2)
+        kernel = RejectionKernel(p=4.0, q=0.25)  # retry-heavy
+        kernel.prepare(g)
+        current = np.flatnonzero(g.degrees() > 0)[:40]
+        previous = np.roll(current, 1)
+        previous[::3] = -1
+        ids = np.arange(current.size)
+        whole = kernel.sample(g, current, previous, None, QueryStreams(7, ids), None)
+        alone = [
+            kernel.sample(g, current[k:k + 1], previous[k:k + 1], None,
+                          QueryStreams(7, ids[k:k + 1]), None)
+            for k in ids
+        ]
+        assert whole.choice.tolist() == [int(b.choice[0]) for b in alone]
+        assert whole.proposals == sum(b.proposals for b in alone) > current.size
+        assert whole.neighbor_reads == sum(b.neighbor_reads for b in alone)
 
     def test_reservoir_kernel_weighted(self):
         g = weighted_fan()

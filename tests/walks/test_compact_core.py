@@ -17,6 +17,7 @@ import pytest
 
 from repro.bench.workloads import make_spec
 from repro.cli import ALGORITHMS
+from repro.engines import run_software_walks
 from repro.graph import from_edges, rmat
 from repro.graph.datasets import assign_metapath_schema, thunderrw_weights
 from repro.walks import (
@@ -48,13 +49,18 @@ def golden_queries(graph):
     return make_queries(graph, GOLDEN_QUERIES, seed=5, require_outgoing=False)
 
 
-def golden_cell(graph, queries, algorithm, sampler) -> dict:
-    """Digest of the paths plus every ``EngineStats`` field of one run."""
+def golden_cell(graph, queries, algorithm, sampler, engine=None, **options) -> dict:
+    """Digest of the paths plus every ``EngineStats`` field of one run
+    (through ``run_walks_batch``, or the named registry engine)."""
     spec = make_spec(algorithm)
     spec.max_length = GOLDEN_LENGTH
     stats = EngineStats()
-    results = run_walks_batch(graph, spec, queries, seed=GOLDEN_SEED, stats=stats,
-                              sampler=sampler)
+    if engine is None:
+        results = run_walks_batch(graph, spec, queries, seed=GOLDEN_SEED, stats=stats,
+                                  sampler=sampler)
+    else:
+        results, _ = run_software_walks(engine, graph, spec, queries, seed=GOLDEN_SEED,
+                                        stats=stats, sampler=sampler, **options)
     digest = hashlib.sha256()
     for path in results.paths:
         assert path.dtype == np.int64
@@ -92,6 +98,19 @@ def golden_inputs():
 def test_matches_pre_compaction_golden(golden_inputs, algorithm, sampler):
     expected = json.loads(GOLDEN_PATH.read_text())[f"{algorithm}/{sampler}"]
     assert golden_cell(*golden_inputs, algorithm, sampler) == expected
+
+
+@pytest.mark.parametrize("engine,options", [("parallel", {"workers": 2}),
+                                            ("dist", {"shards": 2})])
+@pytest.mark.parametrize("sampler", SAMPLERS)
+@pytest.mark.parametrize("algorithm", ["Node2Vec", "Node2Vec-reservoir"])
+def test_second_order_golden_cells_hold_on_the_pool_engines(
+    golden_inputs, algorithm, sampler, engine, options
+):
+    """The adjacency probe's answers reach the worker processes through
+    shared segments; the same pre-compaction digests must come back."""
+    expected = json.loads(GOLDEN_PATH.read_text())[f"{algorithm}/{sampler}"]
+    assert golden_cell(*golden_inputs, algorithm, sampler, engine, **options) == expected
 
 
 # --- (b) edge cases the compaction introduces -----------------------------
