@@ -45,7 +45,7 @@ from repro.dynamic.state import (
 from repro.errors import DynamicGraphError
 from repro.graph.builders import validate_edge_weights
 from repro.graph.csr import CSRGraph
-from repro.graph.rows import gather_rows
+from repro.graph.rows import gather_rows, stable_order
 from repro.obs.trace import span as _trace_span
 
 _INDEX_DTYPE = np.int64
@@ -468,10 +468,11 @@ class DynamicGraph:
         """The full current rows of ``vertices`` as one flat batch.
 
         One vectorized merge: the base rows are gathered, the vertices'
-        delta entries appended after them, and a stable sort on
-        ``row * |V| + dst`` brings each destination's base and delta
-        entries together with the delta last — the last writer wins, and
-        a winning tombstone drops the edge.  O(rows + their edges) array
+        delta entries appended after them, and the
+        :func:`~repro.graph.rows.stable_order` of ``row * |V| + dst``
+        brings each destination's base and delta entries together with
+        the delta last — the last writer wins, and a winning tombstone
+        drops the edge.  O(rows + their edges) array
         work however many rows there are; never on the streamed-update
         path.
         """
@@ -500,7 +501,7 @@ class DynamicGraph:
         ))
 
         keys = rows * np.int64(n) + dst
-        order = np.argsort(keys, kind="stable")
+        order = stable_order(keys, vertices.size * n)
         keys = keys[order]
         last_writer = np.ones(keys.size, dtype=bool)
         last_writer[:-1] = keys[1:] != keys[:-1]

@@ -117,9 +117,10 @@ def _edge_stream(
     sources = np.repeat(
         np.arange(graph.num_vertices, dtype=np.int64), graph.degrees()
     )
-    edges = np.stack([sources, graph.col], axis=1)
     rng = _stream_rng(seed, _STREAM_TAG_ARRIVALS)
-    edges = edges[rng.permutation(edges.shape[0])]
+    # Endpoint rows, viewed as (m, 2) pairs: ``from_edges`` reads each
+    # column of a slice of it without a copy.
+    edges = np.stack([sources, graph.col])[:, rng.permutation(graph.num_edges)].T
     weights = (
         rng.uniform(_WEIGHT_LOW, _WEIGHT_HIGH, size=edges.shape[0])
         if weighted

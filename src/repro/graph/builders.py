@@ -8,12 +8,14 @@ input order), which keeps simulations reproducible run to run.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
+from repro.graph.rows import run_heads, stable_order
 
 
 def validate_edge_weights(
@@ -47,6 +49,11 @@ def validate_edge_weights(
     )
 
 
+#: Largest id space whose ``src * num_vertices + dst`` keys fit int64
+#: (3,037,000,499).
+_MAX_KEYED_VERTICES = math.isqrt(2**63 - 1)
+
+
 def from_edges(
     edges: Iterable[tuple[int, int]],
     num_vertices: int | None = None,
@@ -60,11 +67,26 @@ def from_edges(
 ) -> CSRGraph:
     """Build a CSR graph from an iterable of ``(src, dst)`` pairs.
 
+    One sort of the int64 keys ``src * num_vertices + dst`` builds the
+    CSR.  Without per-edge attributes and with ``sort_neighbors`` the
+    key *values* are sorted, duplicates dropped by one adjacent
+    comparison and the endpoints decoded back from the keys — no
+    permutation exists.  With weights or edge types the one
+    :func:`~repro.graph.rows.stable_order` of the keys is the ``(src,
+    dst)`` order with input order inside a run of equal pairs, so the
+    head of each run is its first occurrence and every array is
+    gathered once; ``sort_neighbors=False`` puts those first occurrences
+    back in input order and takes the stable order of ``src`` alone.
+    The keys must fit int64, so ``num_vertices`` may not exceed
+    ``isqrt(2**63 - 1)`` = 3,037,000,499.
+
     Parameters
     ----------
     edges:
-        Directed edge pairs.  With ``directed=False`` each pair also adds
-        the reverse edge (weights/types are duplicated onto it).
+        Directed edge pairs, or an ``(m, 2)`` integer array (a
+        transposed ``(2, m)`` array is read column by column without a
+        copy).  With ``directed=False`` each pair also adds the reverse
+        edge (weights/types are duplicated onto it).
     num_vertices:
         Total vertex count; inferred as ``max id + 1`` when omitted.
     weights, edge_types:
@@ -72,15 +94,16 @@ def from_edges(
     dedupe:
         Drop duplicate ``(src, dst)`` pairs, keeping the first occurrence.
     sort_neighbors:
-        Sort each neighbor list by destination id for determinism.
+        Sort each neighbor list by destination id for determinism;
+        otherwise a neighbor list keeps input order.
     """
     edge_array = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
     if edge_array.size == 0:
         edge_array = edge_array.reshape(0, 2)
     if edge_array.ndim != 2 or edge_array.shape[1] != 2:
         raise GraphError("edges must be a sequence of (src, dst) pairs")
-    src = edge_array[:, 0].astype(np.int64)
-    dst = edge_array[:, 1].astype(np.int64)
+    src = edge_array[:, 0].astype(np.int64, copy=False)
+    dst = edge_array[:, 1].astype(np.int64, copy=False)
 
     weight_array = None if weights is None else np.asarray(weights, dtype=np.float64)
     type_array = None if edge_types is None else np.asarray(edge_types, dtype=np.int16)
@@ -108,26 +131,31 @@ def from_edges(
             f"edge endpoint exceeds num_vertices={num_vertices}: "
             f"max id {int(max(src.max(), dst.max()))}"
         )
+    if num_vertices > _MAX_KEYED_VERTICES:
+        raise GraphError(
+            f"num_vertices={num_vertices} exceeds {_MAX_KEYED_VERTICES}: "
+            "src * num_vertices + dst edge keys would overflow int64"
+        )
 
-    if dedupe and src.size:
-        keys = src * np.int64(num_vertices if num_vertices else 1) + dst
-        _, first = np.unique(keys, return_index=True)
-        first.sort()
-        src, dst = src[first], dst[first]
+    # Ids are checked into [0, num_vertices) above, so every key lies in
+    # [0, stride**2) and sorts in (src, dst) order.
+    stride = np.int64(max(num_vertices, 1))
+    if sort_neighbors and weight_array is None and type_array is None:
+        keys = src * stride
+        keys += dst
+        keys.sort()
+        if dedupe:
+            keys = keys[run_heads(keys)]
+        src = keys // stride
+        dst = keys
+        dst -= src * stride
+    else:
+        order = _edge_order(src, dst, stride, dedupe, sort_neighbors)
+        src, dst = src[order], dst[order]
         if weight_array is not None:
-            weight_array = weight_array[first]
+            weight_array = weight_array[order]
         if type_array is not None:
-            type_array = type_array[first]
-
-    order = np.argsort(src, kind="stable")
-    if sort_neighbors and src.size:
-        # Sort by (src, dst) so each neighbor list is ascending.
-        order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    if weight_array is not None:
-        weight_array = weight_array[order]
-    if type_array is not None:
-        type_array = type_array[order]
+            type_array = type_array[order]
 
     row_ptr = np.zeros(num_vertices + 1, dtype=np.int64)
     if src.size:
@@ -143,6 +171,27 @@ def from_edges(
         vertex_types=vtype_array,
         name=name,
     )
+
+
+def _edge_order(
+    src: np.ndarray, dst: np.ndarray, stride: np.int64, dedupe: bool, sort_neighbors: bool
+) -> np.ndarray:
+    """The permutation that lays edges out row by row: rows ascending,
+    a row by destination (``sort_neighbors``) or in input order, equal
+    pairs in input order and only the first of them kept (``dedupe``)."""
+    if not (dedupe or sort_neighbors):
+        return stable_order(src, stride)
+    keys = src * stride + dst
+    order = stable_order(keys, int(stride) ** 2)
+    if dedupe:
+        order = order[run_heads(keys[order])]
+    if sort_neighbors:
+        return order
+    # First occurrences back in input order, then row by row.
+    first = np.zeros(src.size, dtype=bool)
+    first[order] = True
+    first = np.flatnonzero(first)
+    return first[stable_order(src[first], stride)]
 
 
 def from_adjacency(matrix: np.ndarray, name: str = "graph") -> CSRGraph:

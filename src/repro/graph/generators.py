@@ -43,7 +43,11 @@ def rmat(
     Each of the ``edge_factor * 2**scale`` edges is placed by recursively
     descending ``scale`` levels of the adjacency matrix, choosing the
     quadrant at each level according to the initiator probabilities
-    ``(a, b, c, d)``.
+    ``(a, b, c, d)``.  Every level draws into one reused buffer and
+    shifts its boolean bits into the two endpoint rows in place; the
+    rows reach :func:`~repro.graph.builders.from_edges` as a transposed
+    view, which builds the CSR from one sort of their ``src * |V| + dst``
+    keys.
 
     Parameters
     ----------
@@ -72,21 +76,30 @@ def rmat(
     rng = np.random.default_rng(seed)
     n = 1 << scale
     m = edge_factor * n
-    src = np.zeros(m, dtype=np.int64)
-    dst = np.zeros(m, dtype=np.int64)
     # Descend the recursion levels for all edges at once.  At each level a
     # uniform draw selects the quadrant: a -> (0,0), b -> (0,1), c -> (1,0),
     # d -> (1,1); row and column bits accumulate most-significant first.
+    ends = np.zeros((2, m), dtype=np.int64)
+    src, dst = ends
+    draw = np.empty(m, dtype=np.float64)
+    row_bit = np.empty(m, dtype=bool)
+    col_bit = np.empty(m, dtype=bool)
+    top, right = a + b, a + b + c
     for _ in range(scale):
-        draw = rng.random(m)
-        row_bit = (draw >= a + b).astype(np.int64)
-        col_bit = ((draw >= a) & (draw < a + b) | (draw >= a + b + c)).astype(np.int64)
-        src = (src << 1) | row_bit
-        dst = (dst << 1) | col_bit
-    edges = np.stack([src, dst], axis=1)
+        rng.random(out=draw)
+        np.greater_equal(draw, top, out=row_bit)
+        src <<= 1
+        src |= row_bit
+        # Quadrant b is [a, a + b): at least a, and not yet a row bit.
+        np.greater_equal(draw, a, out=col_bit)
+        col_bit ^= row_bit
+        np.greater_equal(draw, right, out=row_bit)
+        col_bit |= row_bit
+        dst <<= 1
+        dst |= col_bit
     label = name or f"rmat-sc{scale}-ef{edge_factor}"
     return from_edges(
-        edges,
+        ends.T,
         num_vertices=n,
         directed=directed,
         dedupe=dedupe,
@@ -208,7 +221,7 @@ def powerlaw(
     if unique_keys.size > target:
         unique_keys = rng.choice(unique_keys, size=target, replace=False)
 
-    edges = np.stack([unique_keys // n, unique_keys % n], axis=1)
+    edges = np.stack([unique_keys // n, unique_keys % n]).T
     label = name or f"powerlaw-n{num_vertices}"
     return from_edges(edges, num_vertices=num_vertices, directed=directed, name=label)
 
@@ -247,7 +260,7 @@ def erdos_renyi(
     src = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)
     dst = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)
     keep = src != dst
-    edges = np.stack([src[keep], dst[keep]], axis=1)
+    edges = np.stack([src[keep], dst[keep]]).T
     label = name or f"er-n{num_vertices}"
     return from_edges(edges, num_vertices=num_vertices, directed=directed, dedupe=True, name=label)
 
@@ -258,7 +271,7 @@ def cycle_graph(num_vertices: int, name: str = "cycle") -> CSRGraph:
         raise GraphError("num_vertices must be >= 1")
     src = np.arange(num_vertices, dtype=np.int64)
     dst = (src + 1) % num_vertices
-    return from_edges(np.stack([src, dst], axis=1), num_vertices=num_vertices, name=name)
+    return from_edges(np.stack([src, dst]).T, num_vertices=num_vertices, name=name)
 
 
 def path_graph(num_vertices: int, name: str = "path") -> CSRGraph:
@@ -267,7 +280,7 @@ def path_graph(num_vertices: int, name: str = "path") -> CSRGraph:
         raise GraphError("num_vertices must be >= 1")
     src = np.arange(num_vertices - 1, dtype=np.int64)
     dst = src + 1
-    return from_edges(np.stack([src, dst], axis=1), num_vertices=num_vertices, name=name)
+    return from_edges(np.stack([src, dst]).T, num_vertices=num_vertices, name=name)
 
 
 def star_graph(num_leaves: int, name: str = "star") -> CSRGraph:
@@ -276,7 +289,7 @@ def star_graph(num_leaves: int, name: str = "star") -> CSRGraph:
         raise GraphError("num_leaves must be >= 1")
     src = np.zeros(num_leaves, dtype=np.int64)
     dst = np.arange(1, num_leaves + 1, dtype=np.int64)
-    return from_edges(np.stack([src, dst], axis=1), num_vertices=num_leaves + 1, name=name)
+    return from_edges(np.stack([src, dst]).T, num_vertices=num_leaves + 1, name=name)
 
 
 def complete_graph(num_vertices: int, name: str = "complete") -> CSRGraph:
@@ -285,7 +298,7 @@ def complete_graph(num_vertices: int, name: str = "complete") -> CSRGraph:
         raise GraphError("num_vertices must be >= 1")
     src, dst = np.nonzero(~np.eye(num_vertices, dtype=bool))
     return from_edges(
-        np.stack([src.astype(np.int64), dst.astype(np.int64)], axis=1),
+        np.stack([src, dst]).T,
         num_vertices=num_vertices,
         name=name,
     )

@@ -16,6 +16,13 @@ contiguous axis, which applies numpy's 1-D routine to each row — so
 bit.  ``np.add.reduceat`` sums sequentially and does *not* match the
 pairwise totals the samplers scale by.  Rows of degree 0 belong to no
 bucket: every builder skips them.
+
+:func:`stable_order` is the one sort the ingest path and the dynamic
+row merge take a permutation from: keys bounded by the id space are
+ordered by a *value* sort of ``(key << bits) | position``, which on keys
+in no particular order numpy runs 8-10x faster than
+``argsort(kind="stable")`` (56 -> 7 ms at 500k keys; on keys that are
+already nearly sorted the adaptive ``argsort`` is level with it).
 """
 
 from __future__ import annotations
@@ -24,7 +31,45 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.errors import GraphError
+
 _INDEX_DTYPE = np.int64
+
+
+def stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """The stable ascending permutation of ``keys``, all in ``[0, bound)``.
+
+    Equal to ``np.argsort(keys, kind="stable")``.  When ``bound - 1``
+    and the largest position together fit 63 bits, each key is packed
+    with its position as ``(key << bits) | position`` and the packed
+    *values* are sorted — positions break ties, which is stability, and
+    the low ``bits`` of the sorted values are the permutation.  Wider
+    keys take the one fallback, ``argsort(kind="stable")``.  A key
+    outside ``[0, bound)`` would pack into a wrong order, so it raises.
+    """
+    keys = np.asarray(keys, dtype=_INDEX_DTYPE)
+    if keys.size == 0:
+        return np.empty(0, dtype=_INDEX_DTYPE)
+    if keys.min() < 0 or keys.max() >= bound:
+        raise GraphError(
+            f"stable_order keys must lie in [0, {bound}); "
+            f"got {int(keys.min())}..{int(keys.max())}"
+        )
+    bits = (keys.size - 1).bit_length()
+    if (int(bound) - 1).bit_length() + bits > 63:
+        return np.argsort(keys, kind="stable")
+    packed = keys << bits
+    packed |= np.arange(keys.size, dtype=_INDEX_DTYPE)
+    packed.sort()
+    packed &= (1 << bits) - 1
+    return packed
+
+
+def run_heads(sorted_values: np.ndarray) -> np.ndarray:
+    """Mask of the first element of every run of equal sorted values."""
+    heads = np.ones(sorted_values.size, dtype=bool)
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=heads[1:])
+    return heads
 
 
 def degree_buckets(
@@ -37,12 +82,12 @@ def degree_buckets(
     flat value array, so ``values[index]`` is the bucket's row matrix.
     """
     degrees = np.diff(row_ptr)
-    order = np.argsort(degrees, kind="stable")
+    order = stable_order(degrees, int(degrees.max(initial=0)) + 1)
     ordered = degrees[order]
     first = int(np.searchsorted(ordered, min_degree, side="left"))
-    widths, lows = np.unique(ordered[first:], return_index=True)
-    bounds = [*(lows + first).tolist(), ordered.size]
-    for width, lo, hi in zip(widths.tolist(), bounds, bounds[1:]):
+    lows = np.flatnonzero(run_heads(ordered[first:])) + first
+    bounds = [*lows.tolist(), ordered.size]
+    for width, lo, hi in zip(ordered[lows].tolist(), bounds, bounds[1:]):
         rows = order[lo:hi]
         yield rows, row_ptr[rows][:, None] + np.arange(width, dtype=_INDEX_DTYPE)
 

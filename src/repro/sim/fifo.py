@@ -13,6 +13,12 @@ combinational races.
 
 ``is_full`` reflects the registered occupancy plus already-staged pushes,
 the same conservatively-registered full flag a hardware FIFO exports.
+
+A FIFO made by :meth:`SimulationKernel.make_fifo` shares the kernel's
+touched-list: its first push or pop of a cycle appends it there, and the
+kernel commits only the FIFOs on the list (a handful of ~60 move in a
+typical cycle).  A free-standing ``StreamFifo`` lists itself nowhere and
+is committed by whoever owns it.
 """
 
 from __future__ import annotations
@@ -33,11 +39,17 @@ class StreamFifo(Generic[T]):
     non-blocking reads and writes.
     """
 
-    def __init__(self, capacity: int, name: str = "fifo") -> None:
+    def __init__(
+        self, capacity: int, name: str = "fifo", touched: list | None = None
+    ) -> None:
         if capacity < 1:
             raise SimulationError(f"fifo capacity must be >= 1, got {capacity}")
         self.name = name
         self.capacity = capacity
+        # ``touched`` is the owning kernel's commit list; ``_listed`` says
+        # this fifo is already on it this cycle (always, when there is none).
+        self._touched = touched
+        self._listed = touched is None
         self._queue: deque[T] = deque()
         self._staged: list[T] = []
         self._pops_this_cycle = 0
@@ -58,6 +70,9 @@ class StreamFifo(Generic[T]):
             raise SimulationError(f"push into full fifo {self.name!r}")
         self._staged.append(item)
         self.total_pushed += 1
+        if not self._listed:
+            self._listed = True
+            self._touched.append(self)
 
     def try_push(self, item: T) -> bool:
         """Push if space; returns whether the push happened."""
@@ -84,6 +99,9 @@ class StreamFifo(Generic[T]):
         item = self.front()
         self._pops_this_cycle += 1
         self.total_popped += 1
+        if not self._listed:
+            self._listed = True
+            self._touched.append(self)
         return item
 
     def try_pop(self) -> T | None:
@@ -105,6 +123,7 @@ class StreamFifo(Generic[T]):
             self._staged.clear()
         if len(self._queue) > self.peak_occupancy:
             self.peak_occupancy = len(self._queue)
+        self._listed = self._touched is None
 
     def occupancy(self) -> int:
         """Committed items currently held (before this cycle's pops)."""

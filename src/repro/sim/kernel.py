@@ -1,10 +1,11 @@
 """Two-phase synchronous simulation kernel.
 
 Each cycle the kernel (1) ticks every module in registration order,
-(2) commits every FIFO so staged pushes become visible, and (3) checks
-progress for deadlock detection.  Because FIFO writes are registered
-(:mod:`repro.sim.fifo`), the tick order has no semantic effect — the
-kernel is a synchronous digital circuit evaluator, not an event queue.
+(2) commits every FIFO that was pushed or popped this cycle so staged
+pushes become visible, and (3) checks progress for deadlock detection.
+Because FIFO writes are registered (:mod:`repro.sim.fifo`), the tick
+order has no semantic effect — the kernel is a synchronous digital
+circuit evaluator, not an event queue.
 
 The kernel deliberately has no notion of tasks or graphs; RidgeWalker,
 its ablated variants and the FPGA baselines are all just module graphs
@@ -34,6 +35,10 @@ class SimulationKernel:
         self.core_mhz = core_mhz
         self._modules: list[Module] = []
         self._fifos: list[StreamFifo] = []
+        # FIFOs pushed or popped this cycle (each lists itself once), and
+        # how many have been committed so far — the FIFO half of progress.
+        self._touched: list[StreamFifo] = []
+        self._fifo_commits = 0
         self._memories: list[MemorySystem] = []
         self.cycle = 0
 
@@ -61,7 +66,7 @@ class SimulationKernel:
 
     def make_fifo(self, capacity: int, name: str) -> StreamFifo:
         """Create and register a stream FIFO."""
-        fifo = StreamFifo(capacity, name=name)
+        fifo = StreamFifo(capacity, name=name, touched=self._touched)
         self._fifos.append(fifo)
         return fifo
 
@@ -79,8 +84,11 @@ class SimulationKernel:
             module.tick(self.cycle)
         for memory in self._memories:
             memory.tick()
-        for fifo in self._fifos:
+        touched = self._touched
+        for fifo in touched:
             fifo.commit()
+        self._fifo_commits += len(touched)
+        touched.clear()
         self.cycle += 1
 
     def run_until(
@@ -90,8 +98,8 @@ class SimulationKernel:
     ) -> int:
         """Run until ``done()`` or raise on deadlock / cycle budget.
 
-        Progress is measured by total FIFO traffic plus memory traffic;
-        if neither moves for a full deadlock window while ``done()`` stays
+        Progress is measured by FIFOs touched plus memory traffic; if
+        neither moves for a full deadlock window while ``done()`` stays
         false, the module graph has wedged and a :class:`DeadlockError`
         with the in-flight census is raised — far more debuggable than an
         infinite loop.
@@ -118,9 +126,8 @@ class SimulationKernel:
         return self.cycle
 
     def _progress_marker(self) -> tuple[int, int]:
-        fifo_traffic = sum(f.total_pushed + f.total_popped for f in self._fifos)
         memory_traffic = sum(m.total_requests() for m in self._memories)
-        return fifo_traffic, memory_traffic
+        return self._fifo_commits, memory_traffic
 
     # ------------------------------------------------------------------
     # Introspection

@@ -5,18 +5,30 @@
 exactly the row ``DynamicGraph._merged_row`` (the dict merge, now only
 the single-vertex read API) gives it — over inserts, removals,
 re-weights, tombstone-then-resurrect and whole-row removals, weighted
-and unweighted, before and after a compaction.
+and unweighted, before and after a compaction — on both branches of
+the ``stable_order`` the merge sorts by: packed keys, as called, and the
+``argsort`` fallback, reached by a bound patched too wide to pack.
 """
 
 import numpy as np
 import pytest
 
+import repro.dynamic.graph
 from repro.dynamic import DynamicGraph
 from repro.graph import from_edges
+from repro.graph.rows import stable_order
 from repro.obs.trace import tracing
 
 NUM_VERTICES = 12
 WEIGHTED = pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
+
+
+@pytest.fixture(params=["packed", "fallback"])
+def order_branch(request, monkeypatch):
+    if request.param == "fallback":
+        monkeypatch.setattr(
+            repro.dynamic.graph, "stable_order",
+            lambda keys, bound: stable_order(keys, 2**62))
 
 
 def base_graph(weighted: bool, seed: int = 0):
@@ -58,7 +70,7 @@ def weights_for(graph: DynamicGraph, count: int, value: float):
 
 
 @WEIGHTED
-def test_every_kind_of_change_merges_like_the_dict_merge(weighted):
+def test_every_kind_of_change_merges_like_the_dict_merge(weighted, order_branch):
     graph = DynamicGraph(base_graph(weighted))
     everyone = range(NUM_VERTICES)
     assert_batch_matches_rows(graph, everyone)          # no delta at all
@@ -94,7 +106,7 @@ def test_every_kind_of_change_merges_like_the_dict_merge(weighted):
 
 @WEIGHTED
 @pytest.mark.parametrize("seed", range(8))
-def test_random_sequences(seed, weighted):
+def test_random_sequences(seed, weighted, order_branch):
     rng = np.random.default_rng((seed, 31, weighted))
     graph = DynamicGraph(base_graph(weighted, seed))
     for _ in range(6):
@@ -129,3 +141,17 @@ def test_snapshot_span_reports_dirty_edges_and_three_children():
     assert parent.args == {"epoch": 1, "dirty_rows": 2, "dirty_edges": dirty_edges}
     for child in events[:-1]:
         assert parent.ts <= child.ts and child.ts + child.dur <= parent.ts + parent.dur
+
+
+def test_last_writer_wins_and_a_winning_tombstone_drops_the_edge(order_branch):
+    graph = DynamicGraph(from_edges([(0, 1), (0, 2), (0, 3), (1, 0)], num_vertices=4,
+                                    weights=[1.0, 2.0, 3.0, 4.0]))
+    graph.update_weights([(0, 1)], [9.0])           # delta over base: delta wins
+    graph.remove_edges([(0, 2)])                    # tombstone over base: edge gone
+    graph.remove_edges([(0, 3)])
+    graph.add_edges([(0, 3)], weights=[0.5])        # insert over tombstone: back
+    batch = graph._merged_rows([0, 1])
+    assert batch.row_ptr.tolist() == [0, 2, 3]
+    assert batch.col.tolist() == [1, 3, 0]
+    assert batch.weights.tolist() == [9.0, 0.5, 4.0]
+    assert_batch_matches_rows(graph, [0, 1])

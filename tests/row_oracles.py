@@ -92,3 +92,53 @@ def strategy_rows(weights, row_ptr, config=DEFAULT_CONFIG) -> np.ndarray:
          for lo, hi in zip(row_ptr[:-1].tolist(), row_ptr[1:].tolist())],
         dtype=np.int8,
     ).reshape(-1, 2)
+
+
+def csr_from_edges(
+    edges,
+    num_vertices,
+    weights=None,
+    edge_types=None,
+    directed=True,
+    dedupe=False,
+    sort_neighbors=True,
+) -> tuple[list[int], list[int], list[float] | None, list[int] | None]:
+    """``from_edges`` one edge at a time over a dict of lists.
+
+    Returns ``(row_ptr, col, weights, edge_types)`` as plain lists.  The
+    reverse edges of an undirected list follow every forward edge, a
+    duplicate pair is dropped when an earlier one was seen (``dedupe``,
+    so the first occurrence's attributes win), and a row keeps arrival
+    order unless ``sort_neighbors`` orders it by destination — equal
+    destinations staying in arrival order.
+    """
+    records = [
+        (int(src), int(dst),
+         None if weights is None else float(weights[i]),
+         None if edge_types is None else int(edge_types[i]))
+        for i, (src, dst) in enumerate(edges)
+    ]
+    if not directed:
+        records += [(dst, src, weight, kind) for src, dst, weight, kind in records]
+    rows: dict[int, list[tuple]] = {vertex: [] for vertex in range(num_vertices)}
+    seen: set[tuple[int, int]] = set()
+    for src, dst, weight, kind in records:
+        if dedupe and (src, dst) in seen:
+            continue
+        seen.add((src, dst))
+        rows[src].append((dst, weight, kind))
+    row_ptr, col, out_weights, out_types = [0], [], [], []
+    for vertex in range(num_vertices):
+        row = rows[vertex]
+        if sort_neighbors:
+            row = sorted(row, key=lambda entry: entry[0])  # stable
+        col += [entry[0] for entry in row]
+        out_weights += [entry[1] for entry in row]
+        out_types += [entry[2] for entry in row]
+        row_ptr.append(len(col))
+    return (
+        row_ptr,
+        col,
+        None if weights is None else out_weights,
+        None if edge_types is None else out_types,
+    )

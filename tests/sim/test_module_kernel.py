@@ -158,6 +158,135 @@ class TestKernel:
             SimulationKernel(core_mhz=0)
 
 
+class CommitAllKernel(SimulationKernel):
+    """The kernel before touched-list commits: every FIFO committed and
+    every FIFO counter re-summed each cycle."""
+
+    def step(self):
+        for module in self._modules:
+            module.tick(self.cycle)
+        for memory in self._memories:
+            memory.tick()
+        for fifo in self._fifos:
+            fifo.commit()
+        self._touched.clear()
+        self.cycle += 1
+
+    def _progress_marker(self):
+        return (sum(f.total_pushed + f.total_popped for f in self._fifos),
+                sum(m.total_requests() for m in self._memories))
+
+
+class Thief(Module):
+    """A probe that pops every third cycle from a FIFO it does not own."""
+
+    def __init__(self, fifo):
+        super().__init__("thief")
+        self.fifo = fifo
+        self.stolen = []
+
+    def tick(self, cycle):
+        if cycle % 3 == 0 and not self.fifo.is_empty():
+            self.stolen.append(self.fifo.pop())
+
+    def busy(self):
+        return False
+
+
+KERNELS = pytest.mark.parametrize("kernel_cls", [SimulationKernel, CommitAllKernel])
+
+
+def fifo_counters(kernel):
+    return [(f.name, f.total_pushed, f.total_popped, f.peak_occupancy, f.occupancy())
+            for f in kernel.fifos]
+
+
+class TestTouchedListCommits:
+    """Committing only the FIFOs pushed or popped in a cycle is
+    indistinguishable from committing all of them."""
+
+    def two_stage(self, kernel_cls, out_capacity=64):
+        kernel = kernel_cls()
+        src = kernel.make_fifo(64, "src")
+        mid = kernel.make_fifo(2, "mid")
+        dst = kernel.make_fifo(out_capacity, "dst")
+        kernel.make_fifo(4, "idle")              # never touched
+        kernel.add_module(Doubler("a", src, mid, latency=2))
+        kernel.add_module(DropOdd("b", mid, dst, latency=3))
+        for item in range(40):
+            src.push(item)
+        return kernel, src, dst
+
+    def test_counters_match_cycle_by_cycle(self):
+        new, _, _ = self.two_stage(SimulationKernel)
+        old, _, _ = self.two_stage(CommitAllKernel)
+        for _ in range(80):
+            new.step()
+            old.step()
+            assert fifo_counters(new) == fifo_counters(old)
+            assert new.total_in_flight() == old.total_in_flight()
+        assert [f.peak_occupancy for f in new.fifos] == [40, 1, 40, 0]
+
+    def test_only_moving_fifos_are_committed(self):
+        kernel, _, _ = self.two_stage(SimulationKernel)
+        kernel.step()
+        assert kernel._touched == []
+        before = kernel._fifo_commits
+        for _ in range(200):
+            kernel.step()                        # long after the stream drained
+        quiet = kernel._fifo_commits
+        kernel.step()
+        assert before < quiet == kernel._fifo_commits
+
+    @KERNELS
+    def test_wedged_graph_deadlocks_after_the_same_window(self, kernel_cls):
+        kernel, _, dst = self.two_stage(kernel_cls, out_capacity=1)   # dst never drained
+        with pytest.raises(DeadlockError) as err:
+            kernel.run_until(lambda: False, max_cycles=100_000)
+        assert (err.value.cycle, err.value.in_flight) == self.wedge()
+        assert dst.occupancy() == 1
+
+    def wedge(self):
+        kernel, _, _ = self.two_stage(CommitAllKernel, out_capacity=1)
+        with pytest.raises(DeadlockError) as err:
+            kernel.run_until(lambda: False, max_cycles=100_000)
+        return err.value.cycle, err.value.in_flight
+
+    @KERNELS
+    def test_prepended_probe_wins_the_pop_race(self, kernel_cls):
+        kernel, src, dst = self.two_stage(kernel_cls)
+        thief = Thief(src)
+        kernel.add_module(thief, prepend=True)
+        kernel.run_until(lambda: dst.occupancy() + len(thief.stolen) == 40, max_cycles=500)
+        out = []
+        while not dst.is_empty():
+            out.append(dst.pop())
+        assert thief.stolen[:3] == [2, 6, 10]    # the head of the line on its cycles
+        assert sorted(thief.stolen + [item // 2 for item in out]) == list(range(40))
+        assert src.total_popped == 40 and dst.total_pushed == len(out)
+
+    def test_a_hand_commit_between_steps_is_not_applied_twice(self):
+        kernel = SimulationKernel()
+        fifo = kernel.make_fifo(8, "f")
+        for item in (1, 2, 3):
+            fifo.push(item)
+        fifo.commit()                            # seeds the fifo, still listed
+        assert fifo.pop() == 1                   # lists it a second time
+        kernel.step()
+        assert (fifo.occupancy(), fifo.total_pushed, fifo.total_popped) == (2, 3, 1)
+        assert fifo.front() == 2 and fifo.peak_occupancy == 3
+        kernel.step()                            # nothing moved: nothing to commit
+        assert fifo.occupancy() == 2 and kernel._touched == []
+
+    def test_a_free_standing_fifo_lists_itself_nowhere(self):
+        fifo = StreamFifo(4, "alone")
+        fifo.push(1)
+        fifo.commit()
+        assert fifo.pop() == 1
+        fifo.commit()
+        assert fifo.is_empty() and fifo._touched is None
+
+
 class TestRunMetrics:
     def metrics(self, **kw):
         defaults = dict(
