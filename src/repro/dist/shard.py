@@ -9,12 +9,12 @@ rows).  Its shared segment holds three kinds of arrays:
   This is the memory that actually scales down with the shard count.
 * **replicated per-vertex data** — the global ``degrees`` array, the
   owner map, and per-vertex kernel state (ITS row totals, hybrid
-  strategy codes, hub-bitmap ranks).  O(|V|) per shard, the standard
+  strategy codes).  O(|V|) per shard, the standard
   edge-cut trade: any shard may need another shard's *degree* (the
   dangling check, Node2Vec's ``deg(prev)`` accounting) but never its
   edge list.
 * **replicated probe structures** — the sorted global edge-key array
-  (and hub bitmaps) behind second-order adjacency probes, which ask
+  and its bit filter behind second-order adjacency probes, which ask
   about arbitrary ``(prev, candidate)`` pairs regardless of ownership.
 
 :class:`ShardGraphView` presents the shard to the vectorized sampling
@@ -43,10 +43,12 @@ _WEIGHTS_KEY = "dist:weights"
 _EDGE_TYPES_KEY = "dist:edge_types"
 
 #: Kernel state arrays aligned with the global CSR edge list — these are
-#: sliced to the shard's owned edge positions.  Everything else a kernel
-#: exports (per-vertex maps, the sorted global edge keys, hub bitmaps)
-#: is consulted for arbitrary vertices during sampling and replicates.
-_PER_EDGE_STATE = frozenset({"alias_prob", "alias_index", "its_cdf"})
+#: sliced to the shard's owned edge positions (an alias slot names its
+#: neighbours by global vertex id, so a sliced record is valid as it
+#: stands).  Everything else a kernel exports (per-vertex maps, the
+#: sorted global edge keys and their bit filter) is consulted for
+#: arbitrary vertices during sampling and replicates.
+_PER_EDGE_STATE = frozenset({"alias_slots", "its_cdf"})
 
 
 class ShardGraphView:

@@ -127,11 +127,8 @@ def snapshot_matches_static(
         return False
     if dynamic_graph.is_weighted:
         pairs.append((dynamic_graph.weights, graph.weights))
-    pairs.extend(
-        (snapshot.sampler_state.arrays()[name], state.arrays()[name])
-        for name in ("alias_prob", "alias_index", "its_cdf", "its_row_totals",
-                     "edge_keys", "strategy")
-    )
+    ours, theirs = snapshot.sampler_state.arrays(), state.arrays()
+    pairs.extend((ours[name], theirs[name]) for name in theirs)
     return all(np.array_equal(a, b) for a, b in pairs)
 
 

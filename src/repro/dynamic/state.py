@@ -15,14 +15,15 @@ immutable value, and :func:`advance_graph_and_state` rebuilds it
 rebuilt as one flat batch by the same row builders a from-scratch build
 runs over every row (:mod:`repro.graph.rows`), while every clean row's
 slots are copied bit-for-bit from the previous state.
-Because alias tables, CDF rows and edge keys are all row-local, the
-result is **bit-identical** to ``SamplerState.full_build`` on a freshly
+Because alias slots and CDF rows are row-local — a slot names its two
+neighbours by vertex id, which no update moves — the result is
+**bit-identical** to ``SamplerState.full_build`` on a freshly
 constructed CSR of the same logical graph — the property the dynamic
 subsystem's snapshot-equivalence guarantee rests on, enforced by the
-property tests in ``tests/dynamic/``.  (The bit filter in front of the
-edge keys is not row-local; it is derived from the maintained keys the
-first time a second-order kernel asks — :attr:`SamplerState.edge_set` —
-and never during an update.)
+property tests in ``tests/dynamic/``.  (The sorted edge keys and the bit
+filter in front of them are derived from the state's graph the first
+time a second-order kernel asks — :attr:`SamplerState.edge_keys`,
+:attr:`SamplerState.edge_set` — and never during an update.)
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.errors import DynamicGraphError
-from repro.graph.alias import build_alias_rows, build_alias_table
+from repro.graph.alias import build_alias_rows
 from repro.graph.csr import CSRGraph
 from repro.graph.rows import gather_rows, row_cumsums, row_sums, within_row_index
 from repro.obs.trace import span as _trace_span
@@ -46,11 +47,14 @@ from repro.sampling.hybrid import (
 )
 from repro.sampling.its import build_its_cdf, build_its_row_totals
 from repro.sampling.vectorized import (
+    ALIAS_SLOT,
     AliasKernel,
     EdgeSet,
     ITSKernel,
     VectorizedKernel,
     build_edge_keys,
+    graph_alias_slots,
+    pack_alias_slots,
 )
 
 _INDEX_DTYPE = np.int64
@@ -61,18 +65,17 @@ _WEIGHT_DTYPE = np.float64
 class SamplerState:
     """Every engine's prepared per-graph arrays, as one immutable value.
 
-    All four arrays are aligned with the owning graph's CSR column list
-    (``edge_keys`` is additionally sorted, which for the sorted-neighbor
-    CSRs this subsystem produces is the identity order).  A snapshot
-    carries one of these so engines can be swapped onto a new graph
-    version without re-running any preparation pass.
+    The edge-aligned arrays follow the CSR column list of ``graph``, the
+    version they were built for.  A snapshot carries one of these so
+    engines can be swapped onto a new graph version without re-running
+    any preparation pass.
     """
 
-    alias_prob: np.ndarray
-    alias_index: np.ndarray
+    graph: CSRGraph
+    #: One packed :data:`~repro.sampling.vectorized.ALIAS_SLOT` per edge.
+    alias_slots: np.ndarray
     its_cdf: np.ndarray
     its_row_totals: np.ndarray
-    edge_keys: np.ndarray
     #: Per-vertex hybrid strategy codes, shape ``(num_vertices, 2)`` —
     #: the cost model's first-order and second-order choices (see
     #: :func:`repro.sampling.hybrid.select_strategies`), maintained with
@@ -81,14 +84,10 @@ class SamplerState:
     strategy: np.ndarray
 
     def __post_init__(self) -> None:
-        for array in (self.alias_prob, self.alias_index, self.its_cdf,
-                      self.its_row_totals, self.edge_keys, self.strategy):
+        for array in (self.alias_slots, self.its_cdf, self.its_row_totals, self.strategy):
             array.setflags(write=False)
-        if not (
-            self.alias_prob.shape
-            == self.alias_index.shape
-            == self.its_cdf.shape
-            == self.edge_keys.shape
+        if self.alias_slots.dtype != ALIAS_SLOT or not (
+            self.alias_slots.shape == self.its_cdf.shape == self.graph.col.shape
         ):
             raise DynamicGraphError("sampler state arrays must align")
         if self.strategy.shape != (self.its_row_totals.size, 2):
@@ -101,26 +100,23 @@ class SamplerState:
         """Build every prepared structure from scratch (the rebuild tax a
         static pipeline pays per update batch; the incremental path in
         :func:`advance_graph_and_state` must match this bit-for-bit)."""
-        table = build_alias_table(graph)
         return cls(
-            alias_prob=table.prob,
-            alias_index=table.alias,
+            graph=graph,
+            alias_slots=graph_alias_slots(graph),
             its_cdf=build_its_cdf(graph),
             its_row_totals=build_its_row_totals(graph),
-            edge_keys=build_edge_keys(graph),
             strategy=select_strategies(graph),
         )
 
     @property
     def num_slots(self) -> int:
-        return self.alias_prob.size
+        return self.alias_slots.size
 
     def arrays(self) -> dict[str, np.ndarray]:
         """All prepared arrays, keyed with the vectorized kernels' own
         ``state_arrays`` names (plus the ITS sampler's pair)."""
         return {
-            "alias_prob": self.alias_prob,
-            "alias_index": self.alias_index,
+            "alias_slots": self.alias_slots,
             "its_cdf": self.its_cdf,
             "its_row_totals": self.its_row_totals,
             "edge_keys": self.edge_keys,
@@ -149,10 +145,9 @@ class SamplerState:
             # graphs carry no edge types), so a snapshot hand-off and a
             # fresh auto prepare agree on every row's strategy.
             arrays["hybrid_strategy"] = resolve_strategy_codes(kernel.base, self.strategy)
-            own = self.arrays()
-            arrays.update({name: own[name] for name in kernel.sub_state_names()})
+            arrays.update({name: getattr(self, name) for name in kernel.sub_state_names()})
         elif isinstance(kernel, AliasKernel):
-            arrays.update(alias_prob=self.alias_prob, alias_index=self.alias_index)
+            arrays.update(alias_slots=self.alias_slots)
         elif isinstance(kernel, ITSKernel):
             arrays.update(its_cdf=self.its_cdf, its_row_totals=self.its_row_totals)
         if kernel.second_order:
@@ -160,15 +155,22 @@ class SamplerState:
         return arrays
 
     @cached_property
-    def edge_set(self) -> EdgeSet:
-        """The maintained edge keys behind their bit filter.
+    def edge_keys(self) -> np.ndarray:
+        """Sorted ``src * |V| + dst`` keys of the state's graph.
 
-        Built on the first second-order kernel's request and kept for the
-        state's lifetime — never inside ``snapshot()`` /
-        :func:`advance_graph_and_state`, so first-order workloads on a
-        mutating graph do not pay for a filter they never probe.
+        Only second-order kernels read them, so they are built on the
+        first request and kept for the state's lifetime — never inside
+        ``snapshot()`` / :func:`advance_graph_and_state`.
         """
-        return EdgeSet.from_keys(self.edge_keys, self.its_row_totals.size)
+        keys = build_edge_keys(self.graph)
+        keys.setflags(write=False)
+        return keys
+
+    @cached_property
+    def edge_set(self) -> EdgeSet:
+        """The edge keys behind their bit filter, as lazy as the keys:
+        first-order workloads on a mutating graph pay for neither."""
+        return EdgeSet.from_keys(self.edge_keys, self.graph.num_vertices)
 
 
 class RowBatch(NamedTuple):
@@ -193,9 +195,16 @@ class RowBatch(NamedTuple):
 _CleanRuns = list[tuple[int, int, int]]
 
 
+def _opaque_items(array: np.ndarray) -> np.ndarray:
+    """A record array viewed as opaque items of the same size: numpy
+    copies records field by field (7x the time of moving their bytes)."""
+    return array.view((np.void, array.itemsize)) if array.dtype.names else array
+
+
 def _copy_clean_runs(runs: _CleanRuns, *pairs: tuple[np.ndarray, np.ndarray]) -> None:
     """``new[...] = old[...]`` over every run, for each ``(new, old)`` pair
     of edge-aligned arrays: slice copies, no ``|E|``-long index."""
+    pairs = [(_opaque_items(new), _opaque_items(old)) for new, old in pairs]
     for new_start, old_start, old_stop in runs:
         new_stop = new_start + old_stop - old_start
         for new, old in pairs:
@@ -266,42 +275,38 @@ def advance_graph_and_state(
             prev_graph, batch, name or prev_graph.name
         )
         num_edges = graph.num_edges
-        alias_prob = np.empty(num_edges, dtype=_WEIGHT_DTYPE)
-        alias_index = np.empty(num_edges, dtype=_INDEX_DTYPE)
+        alias_slots = np.empty(num_edges, dtype=ALIAS_SLOT)
         its_cdf = np.empty(num_edges, dtype=_WEIGHT_DTYPE)
         _copy_clean_runs(
             runs,
-            (alias_prob, prev_state.alias_prob),
-            (alias_index, prev_state.alias_index),
+            (alias_slots, prev_state.alias_slots),
             (its_cdf, prev_state.its_cdf),
         )
         its_row_totals = prev_state.its_row_totals.copy()
         strategy = prev_state.strategy.copy()
-        # One O(|E|) multiply-add: cheaper to rebuild than to patch.
-        edge_keys = build_edge_keys(graph)
 
     with _trace_span("dynamic.rebuild_rows"):
         vertices = batch.vertices
         if batch.weights is not None:
-            alias_prob[batch_positions], alias_index[batch_positions] = (
-                build_alias_rows(batch.weights, batch.row_ptr)
-            )
+            prob, alias = build_alias_rows(batch.weights, batch.row_ptr)
             its_cdf[batch_positions] = row_cumsums(batch.weights, batch.row_ptr)
             its_row_totals[vertices] = row_sums(batch.weights, batch.row_ptr)
         else:
-            within = within_row_index(batch.row_ptr)
-            alias_prob[batch_positions] = 1.0
-            alias_index[batch_positions] = within
-            its_cdf[batch_positions] = within + 1
+            alias = within_row_index(batch.row_ptr)
+            prob = np.ones(alias.size, dtype=_WEIGHT_DTYPE)
+            its_cdf[batch_positions] = alias + 1
             its_row_totals[vertices] = np.diff(batch.row_ptr)
+        # Only the rebuilt rows are packed, from the batch's own columns.
+        alias_slots[batch_positions] = pack_alias_slots(
+            prob, alias, batch.row_ptr, batch.col
+        )
         strategy[vertices] = select_row_strategies(batch.weights, batch.row_ptr)
 
     state = SamplerState(
-        alias_prob=alias_prob,
-        alias_index=alias_index,
+        graph=graph,
+        alias_slots=alias_slots,
         its_cdf=its_cdf,
         its_row_totals=its_row_totals,
-        edge_keys=edge_keys,
         strategy=strategy,
     )
     return graph, state

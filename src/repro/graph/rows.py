@@ -72,6 +72,25 @@ def run_heads(sorted_values: np.ndarray) -> np.ndarray:
     return heads
 
 
+def segment_last_argmax(
+    values: np.ndarray, starts: np.ndarray, segment: np.ndarray
+) -> np.ndarray:
+    """Flat index of the last maximum of every segment of ``values``.
+
+    Segment ``i`` begins at ``starts[i]`` (ascending; every segment holds
+    at least one entry) and ``segment[j]`` names the segment of entry
+    ``j``.  The winner is the entry a stable sort by ``(segment, value)``
+    puts last — ties go to the later entry — found with two
+    ``np.maximum.reduceat`` passes and no sort: the segment maxima, then
+    the largest index that holds its segment's maximum.
+    """
+    top = np.maximum.reduceat(values, starts)
+    holders = np.where(
+        values == top[segment], np.arange(values.size, dtype=_INDEX_DTYPE), -1
+    )
+    return np.maximum.reduceat(holders, starts)
+
+
 def degree_buckets(
     row_ptr: np.ndarray, min_degree: int = 1
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:

@@ -10,8 +10,9 @@ read-only views; the graph is built and prepared once, period.
 
 Layout: a single shared segment holding all arrays back to back at
 64-byte-aligned offsets, described by per-array ``(name, offset, shape,
-dtype)`` records in the handle.  One segment (rather than one per array)
-keeps the attach/cleanup surface minimal.
+dtype)`` records in the handle (a record array keeps its field names).
+One segment (rather than one per array) keeps the attach/cleanup surface
+minimal.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ class _ArrayRecord:
     name: str
     offset: int
     shape: tuple[int, ...]
-    dtype: str
+    #: ``dtype.str``; for a record dtype ``dtype.descr``, since its
+    #: ``str`` is an opaque ``|V<n>`` that would drop the field names.
+    dtype: str | list
 
 
 @dataclass(frozen=True)
@@ -82,15 +85,17 @@ class SharedArrayStore:
         for name, array in arrays.items():
             array = np.ascontiguousarray(array)
             offset = _aligned(offset)
-            records.append(_ArrayRecord(name, offset, array.shape, array.dtype.str))
+            dtype = array.dtype.descr if array.dtype.names else array.dtype.str
+            records.append(_ArrayRecord(name, offset, array.shape, dtype))
             offset += array.nbytes
         shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
         try:
             for record, array in zip(records, arrays.values()):
-                array = np.ascontiguousarray(array)
-                view = np.ndarray(record.shape, dtype=record.dtype,
-                                  buffer=shm.buf, offset=record.offset)
-                view[...] = array
+                # Bytes, not items: one memcpy whatever the dtype (numpy
+                # copies a record array field by field).
+                source = np.ascontiguousarray(array).reshape(-1).view(np.uint8)
+                np.ndarray(source.size, dtype=np.uint8, buffer=shm.buf,
+                           offset=record.offset)[:] = source
             handle = SharedStoreHandle(shm.name, tuple(records), graph_name)
             return cls(shm, handle, owner=True)
         except BaseException:

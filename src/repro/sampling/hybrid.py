@@ -71,6 +71,8 @@ from repro.sampling.vectorized import (
     UniformKernel,
     VectorizedKernel,
     make_kernel,
+    neighbor_at,
+    pack_alias_slots,
     sub_streams,
 )
 
@@ -322,26 +324,26 @@ def resolve_strategy_codes(
 
 def build_first_order_state(
     graph: CSRGraph, codes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Alias tables and ITS CDF rows covering exactly what ``codes`` need.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Alias slots and ITS CDF rows covering exactly what ``codes`` need.
 
-    Returns full-length ``(alias_prob, alias_index, its_cdf,
-    its_row_totals)`` arrays aligned with the CSR column list — rows not
-    selecting a structure keep the uniform defaults, selected rows are
-    built with the *same row builders* a full build uses, so a row's
-    slots are bit-identical to ``build_alias_table`` / ``build_its_cdf``
-    output whenever both built it.
+    Returns full-length ``(alias_slots, its_cdf, its_row_totals)`` arrays
+    aligned with the CSR column list — rows not selecting a structure
+    keep the uniform defaults, selected rows are built with the *same row
+    builders* a full build uses, so a row's slots are bit-identical to
+    ``graph_alias_slots`` / ``build_its_cdf`` output whenever both built
+    it.
     """
     within = within_row_index(graph.row_ptr)
-    alias_prob = np.ones(graph.num_edges, dtype=np.float64)
-    alias_index = within.copy()
+    prob = np.ones(graph.num_edges, dtype=np.float64)
+    alias = within.copy()
     its_cdf = (within + 1).astype(np.float64)
     its_row_totals = graph.degrees().astype(np.float64)
     if graph.is_weighted:
         positions, batch_ptr = gather_rows(
             graph.row_ptr, np.flatnonzero(codes == STRATEGY_ALIAS)
         )
-        alias_prob[positions], alias_index[positions] = build_alias_rows(
+        prob[positions], alias[positions] = build_alias_rows(
             graph.weights[positions], batch_ptr
         )
         its_rows = np.flatnonzero(codes == STRATEGY_ITS)
@@ -349,7 +351,7 @@ def build_first_order_state(
         its_weights = graph.weights[positions]
         its_cdf[positions] = row_cumsums(its_weights, batch_ptr)
         its_row_totals[its_rows] = row_sums(its_weights, batch_ptr)
-    return alias_prob, alias_index, its_cdf, its_row_totals
+    return pack_alias_slots(prob, alias, graph.row_ptr, graph.col), its_cdf, its_row_totals
 
 
 class BiasedScanKernel(VectorizedKernel):
@@ -450,7 +452,9 @@ class BiasedScanKernel(VectorizedKernel):
         # Full-scan accounting, like the reservoir sampler: every entry
         # of the row is read once to compute its (biased) weight.
         return BatchSample(
-            choice, proposals=current.size, neighbor_reads=int(degrees.sum())
+            neighbor_at(graph, current, choice),
+            proposals=current.size,
+            neighbor_reads=int(degrees.sum()),
         )
 
 
@@ -464,9 +468,9 @@ class SingleNeighborKernel(VectorizedKernel):
     """
 
     def sample(self, graph, current, previous, admissible_type, streams, stream_idx):
-        choice = np.zeros(current.size, dtype=np.int64)
         # Same accounting as a uniform draw: one proposal, one read.
-        return BatchSample(choice, proposals=current.size, neighbor_reads=current.size)
+        return BatchSample(graph.col[graph.row_ptr[current]],
+                           proposals=current.size, neighbor_reads=current.size)
 
 
 def _sub_kernels(base: Sampler) -> dict[int, VectorizedKernel]:
@@ -568,7 +572,7 @@ class HybridKernel(VectorizedKernel):
         hand-off must supply alongside ``hybrid_strategy`` (and, for a
         second-order family, the edge set)."""
         if isinstance(self._base, (AliasSampler, InverseTransformSampler)):
-            return ("alias_prob", "alias_index", "its_cdf", "its_row_totals")
+            return ("alias_slots", "its_cdf", "its_row_totals")
         return ()
 
     def strategy_counts(self) -> dict[str, int]:
@@ -600,10 +604,8 @@ class HybridKernel(VectorizedKernel):
                 has_edge_types=graph.edge_types is not None,
             ))
         if isinstance(self._base, (AliasSampler, InverseTransformSampler)):
-            prob, alias, cdf, totals = build_first_order_state(graph, self._codes)
-            self._kernels[STRATEGY_ALIAS].load_state(
-                {"alias_prob": prob, "alias_index": alias}
-            )
+            slots, cdf, totals = build_first_order_state(graph, self._codes)
+            self._kernels[STRATEGY_ALIAS].load_state({"alias_slots": slots})
             self._kernels[STRATEGY_ITS].load_state(
                 {"its_cdf": cdf, "its_row_totals": totals}
             )
@@ -641,7 +643,7 @@ class HybridKernel(VectorizedKernel):
                 graph, current, previous, admissible_type, streams, stream_idx
             )
         codes = self._codes[current]
-        choice = np.empty(current.size, dtype=np.int64)
+        vertex = np.empty(current.size, dtype=np.int64)
         proposals = 0
         reads = 0
         for code in self._present:
@@ -651,8 +653,8 @@ class HybridKernel(VectorizedKernel):
                 continue
             if code == STRATEGY_ONE:
                 # Degenerate rows resolve inline: the only neighbor, no
-                # draws, no kernel call, no gather/scatter round-trip.
-                choice[mask] = 0
+                # draws, no kernel call.
+                vertex[mask] = graph.col[graph.row_ptr[current[mask]]]
                 proposals += count
                 reads += count
                 continue
@@ -671,10 +673,10 @@ class HybridKernel(VectorizedKernel):
                 streams,
                 sub_streams(stream_idx, group),
             )
-            choice[group] = batch.choice
+            vertex[group] = batch.vertex
             proposals += batch.proposals
             reads += batch.neighbor_reads
-        return BatchSample(choice, proposals=proposals, neighbor_reads=reads)
+        return BatchSample(vertex, proposals=proposals, neighbor_reads=reads)
 
 
 class HybridSampler(Sampler):

@@ -39,9 +39,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import SamplingError
-from repro.graph.alias import AliasTable, build_alias_table
+from repro.errors import GraphError, SamplingError
+from repro.graph.alias import build_alias_table
 from repro.graph.csr import CSRGraph
+from repro.graph.rows import segment_last_argmax
 from repro.obs.trace import active as _active_tracer
 from repro.sampling.alias_sampler import AliasSampler
 from repro.sampling.base import Sampler, normalize_seed
@@ -393,19 +394,81 @@ class EdgeSet:
         return cls(arrays["edge_keys"], arrays["edge_filter"], arrays["edge_stride"][0])
 
 
+#: One alias-table slot with the two neighbours it can resolve to: the
+#: slot's own (``col``) when the draw accepts, its alias's (``alias_col``)
+#: when it redirects.  16 bytes, so a DeepWalk hop reads one record where
+#: it read ``prob``, ``alias`` and ``col`` from three edge-aligned arrays
+#: (and numpy gathers a 16-byte item in one move; a 24-byte slot with
+#: int64 ids measured slower than the three arrays).  ``prob`` stays
+#: float64: the accept compare is bit for bit the alias table's.
+ALIAS_SLOT = np.dtype([("prob", "<f8"), ("col", "<i4"), ("alias_col", "<i4")])
+
+#: Largest vertex count whose ids fit the slot's id fields (2,147,483,647).
+_MAX_SLOT_VERTICES = int(np.iinfo(ALIAS_SLOT["col"]).max)
+
+#: Slots per gather of :func:`pack_alias_slots` (1 MiB of positions).
+_PACK_BLOCK = 1 << 17
+
+
+def pack_alias_slots(
+    prob: np.ndarray, alias: np.ndarray, row_ptr: np.ndarray, col: np.ndarray
+) -> np.ndarray:
+    """One :data:`ALIAS_SLOT` record per edge of the rows ``(row_ptr, col)``.
+
+    ``prob``/``alias`` are the rows' flat alias tables
+    (:func:`~repro.graph.alias.build_alias_rows` layout: ``alias`` holds
+    within-row indices), so ``alias_col = col[row_start + alias]``.  The
+    rows may be a whole CSR or one batch of rebuilt rows — vertex ids do
+    not depend on where a row sits, so a record stays valid wherever its
+    row moves.  Array passes only.  Ids wider than int32 are refused, not
+    given a second layout.
+    """
+    if row_ptr.size - 1 > _MAX_SLOT_VERTICES:
+        raise GraphError(
+            f"alias slots hold int32 vertex ids: at most {_MAX_SLOT_VERTICES:,} "
+            f"vertices, got {row_ptr.size - 1:,}"
+        )
+    slots = np.empty(prob.size, dtype=ALIAS_SLOT)
+    slots["prob"] = prob
+    slots["col"] = col
+    position = np.repeat(row_ptr[:-1], np.diff(row_ptr))
+    position += alias
+    # Gathered in blocks: ``position`` stays the one edge-aligned transient.
+    alias_col = slots["alias_col"]
+    for lo in range(0, position.size, _PACK_BLOCK):
+        alias_col[lo : lo + _PACK_BLOCK] = col[position[lo : lo + _PACK_BLOCK]]
+    return slots
+
+
+def graph_alias_slots(graph: CSRGraph) -> np.ndarray:
+    """The packed alias state of a whole graph: tables built by the one
+    row builder, packed, and dropped."""
+    table = build_alias_table(graph)
+    return pack_alias_slots(table.prob, table.alias, graph.row_ptr, graph.col)
+
+
 @dataclass
 class BatchSample:
     """One frontier-wide sampling decision.
 
-    ``choice[k]`` is the within-neighborhood index walker ``k`` takes, or
-    ``-1`` when nothing was admissible (the walk terminates early).
-    ``proposals``/``neighbor_reads`` follow the same accounting contract
-    as :class:`~repro.sampling.base.SampleOutcome`, summed over walkers.
+    ``vertex[k]`` is the id (int64) of the neighbour walker ``k`` moves
+    to, or ``-1`` when nothing was admissible (the walk terminates
+    early).  Every kernel reads the neighbour itself — most hold it
+    already when they decide — so the engine's superstep never touches
+    ``col``.  ``proposals``/``neighbor_reads`` follow the same accounting
+    contract as :class:`~repro.sampling.base.SampleOutcome`, summed over
+    walkers.
     """
 
-    choice: np.ndarray
+    vertex: np.ndarray
     proposals: int
     neighbor_reads: int
+
+
+def neighbor_at(graph: CSRGraph, current: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``col[row_ptr[current[k]] + index[k]]``: the neighbour at each
+    walker's within-row ``index``."""
+    return graph.col[graph.row_ptr[current] + index]
 
 
 def flatten_frontier(
@@ -467,7 +530,8 @@ class VectorizedKernel(ABC):
         streams: QueryStreams,
         stream_idx: np.ndarray | None,
     ) -> BatchSample:
-        """Choose a neighbor index for every walker in the frontier.
+        """Choose the next vertex of every walker in the frontier
+        (:class:`BatchSample`: neighbour ids, ``-1`` = nothing admissible).
 
         ``current``/``previous`` are aligned int64 arrays (``previous`` is
         ``-1`` on a first hop); every ``current[k]`` must have out-degree
@@ -482,39 +546,47 @@ class UniformKernel(VectorizedKernel):
     """Uniform neighbor choice (URW, PPR): one draw, one read per walker."""
 
     def sample(self, graph, current, previous, admissible_type, streams, stream_idx):
-        degrees = graph.degrees()[current]
-        choice = streams.randints(degrees, stream_idx)
-        return BatchSample(choice, proposals=current.size, neighbor_reads=current.size)
+        choice = streams.randints(graph.degrees()[current], stream_idx)
+        return BatchSample(neighbor_at(graph, current, choice),
+                           proposals=current.size, neighbor_reads=current.size)
 
 
 class AliasKernel(VectorizedKernel):
-    """Weighted O(1) choice via flat alias tables (DeepWalk)."""
+    """Weighted O(1) choice via packed alias slots (DeepWalk): one
+    :data:`ALIAS_SLOT` gather per hop decides and names the neighbour."""
 
     def __init__(self) -> None:
-        self._table: AliasTable | None = None
+        self._slots: np.ndarray | None = None
 
     def prepare(self, graph: CSRGraph) -> None:
-        self._table = build_alias_table(graph)
+        self._slots = graph_alias_slots(graph)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        if self._table is None:
+        if self._slots is None:
             raise SamplingError("AliasKernel.prepare(graph) must run before exporting state")
-        return {"alias_prob": self._table.prob, "alias_index": self._table.alias}
+        return {"alias_slots": self._slots}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        self._table = AliasTable(prob=arrays["alias_prob"], alias=arrays["alias_index"])
+        self._slots = arrays["alias_slots"]
 
     def sample(self, graph, current, previous, admissible_type, streams, stream_idx):
-        if self._table is None:
+        if self._slots is None:
             raise SamplingError("AliasKernel.prepare(graph) must be called before sampling")
         degrees = graph.degrees()[current]
         u1 = streams.uniforms(stream_idx)
         u2 = streams.uniforms(stream_idx)
         slot = np.minimum((u1 * degrees).astype(np.int64), degrees - 1)
-        position = graph.row_ptr[current] + slot
-        choice = np.where(u2 < self._table.prob[position], slot, self._table.alias[position])
+        entry = self._slots[graph.row_ptr[current] + slot]
+        # where(u2 < prob, col, alias_col), written without a branch: on
+        # a mask no predictor can learn, np.where costs twice these
+        # three passes.
+        redirect = entry["alias_col"]
+        vertex = entry["col"] - redirect
+        vertex *= u2 < entry["prob"]
+        vertex += redirect
         # Same accounting as AliasSampler: alias slot + chosen neighbor.
-        return BatchSample(choice, proposals=current.size, neighbor_reads=2 * current.size)
+        return BatchSample(vertex.astype(np.int64), proposals=current.size,
+                           neighbor_reads=2 * current.size)
 
 
 class ITSKernel(VectorizedKernel):
@@ -562,7 +634,8 @@ class ITSKernel(VectorizedKernel):
         # Sequential-scan accounting: a scan stopping at ``index`` has read
         # ``index + 1`` weights.
         reads = int(choice.sum()) + current.size
-        return BatchSample(choice, proposals=current.size, neighbor_reads=reads)
+        return BatchSample(neighbor_at(graph, current, choice),
+                           proposals=current.size, neighbor_reads=reads)
 
 
 class RejectionKernel(VectorizedKernel):
@@ -623,10 +696,9 @@ class RejectionKernel(VectorizedKernel):
         self._edge_set = EdgeSet.from_state(arrays)
 
     def _round(self, graph, degrees, row_start, previous, prev_degrees, streams, idx):
-        """One proposal per walker of aligned arrays: ``(proposal, accept,
-        neighbor_reads)``."""
-        proposal = streams.randints(degrees, idx)
-        candidate = graph.col[row_start + proposal]
+        """One proposal per walker of aligned arrays: ``(candidate, accept,
+        neighbor_reads)``, ``candidate`` the proposed neighbour's id."""
+        candidate = graph.col[row_start + streams.randints(degrees, idx)]
         is_return = candidate == previous
         not_return = ~is_return
         u = streams.uniforms(idx)
@@ -644,7 +716,7 @@ class RejectionKernel(VectorizedKernel):
         # work done here (a mostly skipped filter + sorted-key probe).  It
         # is part of the cross-engine ``EngineStats`` identity.
         reads = u.size + int(prev_degrees[not_return].sum())
-        return proposal, u < threshold, reads
+        return candidate, u < threshold, reads
 
     def sample(self, graph, current, previous, admissible_type, streams, stream_idx):
         if self._edge_set is None:
@@ -653,28 +725,31 @@ class RejectionKernel(VectorizedKernel):
         first_hop = previous < 0
         if first_hop.all():
             # A whole frontier on its first hop (every engine's step 0):
-            # one degenerate-uniform draw each, no gather.
+            # one degenerate-uniform draw each.
             choice = streams.randints(degrees, stream_idx)
-            return BatchSample(choice, proposals=current.size, neighbor_reads=current.size)
+            return BatchSample(neighbor_at(graph, current, choice),
+                               proposals=current.size, neighbor_reads=current.size)
         if first_hop.any():
             # Mixed frontier: first hops draw once, the rest run as a
             # frontier of their own (draws are per stream, so splitting
             # changes no walker's sequence).
             first = np.flatnonzero(first_hop)
             rest = np.flatnonzero(~first_hop)
-            choice = np.empty(current.size, dtype=np.int64)
-            choice[first] = streams.randints(degrees[first], sub_streams(stream_idx, first))
+            vertex = np.empty(current.size, dtype=np.int64)
+            choice = streams.randints(degrees[first], sub_streams(stream_idx, first))
+            vertex[first] = neighbor_at(graph, current[first], choice)
             batch = self.sample(graph, current[rest], previous[rest], admissible_type,
                                 streams, sub_streams(stream_idx, rest))
-            choice[rest] = batch.choice
-            return BatchSample(choice, proposals=first.size + batch.proposals,
+            vertex[rest] = batch.vertex
+            return BatchSample(vertex, proposals=first.size + batch.proposals,
                                neighbor_reads=first.size + batch.neighbor_reads)
 
         row_start = graph.row_ptr[current]
         prev_degrees = graph.degrees()[previous]
         # Round one covers the frontier as given, so it draws through
-        # ``stream_idx`` itself (in place when that is ``None``).
-        choice, accept, reads = self._round(
+        # ``stream_idx`` itself (in place when that is ``None``).  The
+        # candidate a round accepts is the next vertex: no read follows.
+        vertex, accept, reads = self._round(
             graph, degrees, row_start, previous, prev_degrees, streams, stream_idx
         )
         proposals = current.size
@@ -687,15 +762,15 @@ class RejectionKernel(VectorizedKernel):
                     f"rejection sampling failed to accept after {_MAX_REJECTION_ROUNDS} "
                     f"rounds (p={self.p}, q={self.q})"
                 )
-            proposal, accept, round_reads = self._round(
+            candidate, accept, round_reads = self._round(
                 graph, degrees[pending], row_start[pending], previous[pending],
                 prev_degrees[pending], streams, sub_streams(stream_idx, pending),
             )
             proposals += pending.size
             reads += round_reads
-            choice[pending[accept]] = proposal[accept]
+            vertex[pending[accept]] = candidate[accept]
             pending = pending[~accept]
-        return BatchSample(choice, proposals=proposals, neighbor_reads=reads)
+        return BatchSample(vertex, proposals=proposals, neighbor_reads=reads)
 
 
 class ReservoirKernel(VectorizedKernel):
@@ -704,8 +779,9 @@ class ReservoirKernel(VectorizedKernel):
     Covers weighted first-order walks, weighted Node2Vec (``p``/``q``
     biases) and MetaPath (edge-type admissibility): the frontier's
     neighbor lists are flattened into one segment array, exponential-race
-    keys ``u**(1/w)`` are drawn per edge, and a segmented argmax picks
-    each walker's winner.  A walker whose segment has no admissible entry
+    keys ``u**(1/w)`` are drawn per edge, and a segmented argmax
+    (:func:`~repro.graph.rows.segment_last_argmax`) picks each walker's
+    winner.  A walker whose segment has no admissible entry
     gets ``-1`` (early termination), mirroring the scalar sampler.
     """
 
@@ -746,19 +822,13 @@ class ReservoirKernel(VectorizedKernel):
             self._edge_set = EdgeSet.from_state(arrays)
 
     def sample(self, graph, current, previous, admissible_type, streams, stream_idx):
+        if admissible_type is not None and graph.edge_types is None:
+            raise SamplingError("admissible_type given but the graph has no edge types")
         counts, segment, within, position = flatten_frontier(graph, current)
-        total = int(counts.sum())
-
         if graph.is_weighted:
-            weight = graph.weights[position].astype(np.float64)
+            weight = graph.weights[position]
         else:
-            weight = np.ones(total, dtype=np.float64)
-
-        admissible = np.ones(total, dtype=bool)
-        if admissible_type is not None:
-            if graph.edge_types is None:
-                raise SamplingError("admissible_type given but the graph has no edge types")
-            admissible = graph.edge_types[position] == admissible_type
+            weight = np.ones(position.size, dtype=np.float64)
 
         if self.second_order:
             if self._edge_set is None:
@@ -780,16 +850,19 @@ class ReservoirKernel(VectorizedKernel):
                     np.where(adjacent, 1.0, 1.0 / self.q),
                 )
 
+        eligible = weight > 0
+        if admissible_type is not None:
+            eligible &= graph.edge_types[position] == admissible_type
         u = streams.element_uniforms(stream_idx, counts, segment=segment, within=within)
         # Same u == 0 guard as the scalar sampler: keep keys positive so
         # ordering against the -1 sentinel stays correct.
         u = np.where(u == 0.0, 5e-324, u)
         with np.errstate(divide="ignore"):
-            key = np.where(admissible & (weight > 0), u ** (1.0 / weight), -1.0)
-        order = np.lexsort((key, segment))
-        best = order[np.cumsum(counts) - 1]
-        choice = np.where(key[best] > -0.5, within[best], np.int64(-1))
-        return BatchSample(choice, proposals=current.size, neighbor_reads=total)
+            key = np.where(eligible, u ** (1.0 / weight), -1.0)
+        # Ties go to the later entry, as a stable sort of the keys would.
+        best = segment_last_argmax(key, np.cumsum(counts) - counts, segment)
+        vertex = np.where(key[best] > -0.5, graph.col[position[best]], np.int64(-1))
+        return BatchSample(vertex, proposals=current.size, neighbor_reads=position.size)
 
 
 def make_kernel(sampler: Sampler) -> VectorizedKernel:

@@ -125,7 +125,10 @@ class WalkResults:
     Array-built results (every vectorized engine) hold one unpadded int64
     buffer: query ``i``'s path is ``flat[offsets[i]:offsets[i + 1]]``, and
     ``paths`` is a list of views into it, built on first access.  Results
-    built path by path (:meth:`add_path`) hold the list alone.
+    built path by path (:meth:`add_path`) hold the list alone.  Vertex ids
+    are int64 *values* whatever width prepared kernel state stores them
+    at (the packed alias slots hold int32): path digests — the suite's
+    ``paths_sha256``, the golden files — are taken over these values.
     """
 
     def __init__(self) -> None:

@@ -52,7 +52,8 @@ class Frontier:
     ``pos[k]`` is walker ``k``'s row in the original batch, ``state[k]``
     its raw splitmix64 substream state (see
     :meth:`QueryStreams.from_states`).  ``previous`` stays all ``-1``
-    under a first-order spec.
+    under a first-order spec, so there it only ever shrinks to a prefix
+    of itself.
     """
 
     pos: np.ndarray
@@ -69,11 +70,13 @@ class Frontier:
     def size(self) -> int:
         return self.pos.size
 
-    def keep(self, mask: np.ndarray) -> None:
-        """Drop the walkers where ``mask`` is False (order preserved)."""
+    def keep(self, mask: np.ndarray, second_order: bool) -> None:
+        """Drop the walkers where ``mask`` is False (order preserved).
+        A first-order frontier's ``previous`` is all ``-1``: any prefix of
+        it is the compacted array, so it is sliced, not gathered."""
         self.pos = self.pos[mask]
         self.current = self.current[mask]
-        self.previous = self.previous[mask]
+        self.previous = self.previous[mask] if second_order else self.previous[: self.pos.size]
         self.state = self.state[mask]
 
 
@@ -94,10 +97,11 @@ def superstep(
     walker's own stream state, in an order fixed by that walker's
     trajectory, so frontier composition cannot change a path.
     """
+    second_order = spec.needs_prev_vertex
     dangling = graph.degrees()[frontier.current] == 0
     if dangling.any():
         counts[_DANGLING] += np.count_nonzero(dangling)
-        frontier.keep(~dangling)
+        frontier.keep(~dangling, second_order)
     if frontier.size == 0:
         # Kernels are never asked to sample an empty frontier.
         return frontier.pos, frontier.current
@@ -112,15 +116,14 @@ def superstep(
     )
     counts[_PROPOSALS] += batch.proposals
     counts[_READS] += batch.neighbor_reads
-    choice = batch.choice
-    moved = choice >= 0
+    next_vertex = batch.vertex
+    moved = next_vertex >= 0
     if not moved.all():
         counts[_EARLY] += moved.size - np.count_nonzero(moved)
-        frontier.keep(moved)
-        choice = choice[moved]
+        frontier.keep(moved, second_order)
+        next_vertex = next_vertex[moved]
 
-    next_vertex = graph.col[graph.row_ptr[frontier.current] + choice]
-    if spec.needs_prev_vertex:
+    if second_order:
         frontier.previous = frontier.current
     frontier.current = next_vertex
     pos = frontier.pos
@@ -130,7 +133,7 @@ def superstep(
         stay = QueryStreams.from_states(frontier.state).uniforms() >= teleport
         if not stay.all():
             counts[_PROBABILISTIC] += stay.size - np.count_nonzero(stay)
-            frontier.keep(stay)
+            frontier.keep(stay, second_order)
     return pos, next_vertex
 
 

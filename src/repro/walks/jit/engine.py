@@ -11,7 +11,7 @@ Public surface:
   executes the kernel, compiled or interpreted).
 * :func:`jit_state_from_kernel` — derives the kernel's typed-array state
   from a *prepared batch kernel*, so the jit engine consumes the exact
-  same alias tables / CDF rows / edge keys / strategy codes the batch
+  same alias slots / CDF rows / edge keys / strategy codes the batch
   engine would, including those handed over by a dynamic
   ``GraphSnapshot`` through ``SamplerState.kernel_arrays``.
 """
@@ -33,7 +33,7 @@ from repro.sampling.its import InverseTransformSampler
 from repro.sampling.rejection import _MAX_REJECTION_ROUNDS, RejectionSampler
 from repro.sampling.reservoir import ReservoirSampler
 from repro.sampling.uniform import UniformSampler
-from repro.sampling.vectorized import VectorizedKernel, seed_sequence_states
+from repro.sampling.vectorized import ALIAS_SLOT, VectorizedKernel, seed_sequence_states
 from repro.walks.base import WalkSpec, compact_path_matrix, path_offsets
 from repro.walks.batch import BatchEngine, dense_path_matrix
 from repro.walks.engine import run_arrays
@@ -44,6 +44,7 @@ from repro.walks.reference import EngineStats
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 _EMPTY_I16 = np.empty(0, dtype=np.int16)
+_EMPTY_SLOTS = np.empty(0, dtype=ALIAS_SLOT)
 
 _BASE_CODES: tuple[tuple[type, int, int], ...] = (
     (UniformSampler, kernels.CODE_UNIFORM, kernels.FAMILY_FIRST),
@@ -98,8 +99,7 @@ class JitWalkState:
 
     codes: np.ndarray
     family: int
-    alias_prob: np.ndarray = field(default_factory=lambda: _EMPTY_F64)
-    alias_index: np.ndarray = field(default_factory=lambda: _EMPTY_I64)
+    alias_slots: np.ndarray = field(default_factory=lambda: _EMPTY_SLOTS)
     its_cdf: np.ndarray = field(default_factory=lambda: _EMPTY_F64)
     its_row_totals: np.ndarray = field(default_factory=lambda: _EMPTY_F64)
     edge_keys: np.ndarray = field(default_factory=lambda: _EMPTY_I64)
@@ -140,8 +140,7 @@ def jit_state_from_arrays(
     else:
         codes = np.full(graph.num_vertices, code, dtype=np.int8)
     state = JitWalkState(codes=codes, family=family)
-    state.alias_prob = arrays.get("alias_prob", _EMPTY_F64)
-    state.alias_index = arrays.get("alias_index", _EMPTY_I64)
+    state.alias_slots = arrays.get("alias_slots", _EMPTY_SLOTS)
     state.its_cdf = arrays.get("its_cdf", _EMPTY_F64)
     state.its_row_totals = arrays.get("its_row_totals", _EMPTY_F64)
     state.edge_keys = arrays.get("edge_keys", _EMPTY_I64)
@@ -214,8 +213,9 @@ def fused_walk_arrays(
         state.edge_keys,
         state.codes,
         state.family,
-        state.alias_prob,
-        state.alias_index,
+        state.alias_slots["prob"],
+        state.alias_slots["col"],
+        state.alias_slots["alias_col"],
         state.its_cdf,
         state.its_row_totals,
         state.return_bias,

@@ -161,8 +161,9 @@ def walk_kernel(
     edge_keys,
     codes,
     family,
-    alias_prob,
-    alias_index,
+    slot_prob,
+    slot_col,
+    slot_alias_col,
     its_cdf,
     its_row_totals,
     return_bias,
@@ -186,7 +187,10 @@ def walk_kernel(
 
     ``codes`` is the per-vertex strategy map (one column, already
     resolved for the base sampler); ``family`` disambiguates what
-    CODE_ITS means.  ``admissible``/``term_prob`` are the spec's per-step
+    CODE_ITS means.  ``slot_prob``/``slot_col``/``slot_alias_col`` are the
+    field views of the packed alias slots: that branch names the next
+    vertex itself, every other one a within-row ``choice``.
+    ``admissible``/``term_prob`` are the spec's per-step
     hooks evaluated up front (``-1`` = no type constraint).  ``counters``
     receives [proposals, neighbor_reads, rejection_overflow].
     """
@@ -211,6 +215,7 @@ def walk_kernel(
             pp = prev if needs_prev else np.int64(-1)
             code = codes[v]
             choice = np.int64(-1)
+            nxt = np.int64(-1)
 
             if code == CODE_ONE:
                 # Degenerate row: probability 1, zero draws.
@@ -227,10 +232,10 @@ def walk_kernel(
                 state, u2 = _next_uniform(state)
                 slot = _randint(u1, deg)
                 pos = lo + slot
-                if u2 < alias_prob[pos]:
-                    choice = slot
+                if u2 < slot_prob[pos]:
+                    nxt = np.int64(slot_col[pos])
                 else:
-                    choice = alias_index[pos]
+                    nxt = np.int64(slot_alias_col[pos])
                 proposals += 1
                 reads += 2
             elif code == CODE_ITS and family == FAMILY_FIRST:
@@ -361,7 +366,7 @@ def walk_kernel(
                     else:
                         key = -1.0
                     # >= keeps the LAST max — the vectorized kernel's
-                    # stable lexsort picks the final occurrence.
+                    # segmented argmax gives ties to the later entry.
                     if key >= best_key:
                         best_key = key
                         best_i = i
@@ -370,10 +375,11 @@ def walk_kernel(
                 proposals += 1
                 reads += deg
 
-            if choice < 0:
-                c = CAUSE_EARLY
-                break
-            nxt = col[lo + choice]
+            if nxt < 0:
+                if choice < 0:
+                    c = CAUSE_EARLY
+                    break
+                nxt = col[lo + choice]
             paths[k, step + 1] = nxt
             prev = v
             v = nxt

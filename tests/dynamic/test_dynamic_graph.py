@@ -153,7 +153,7 @@ class TestSnapshots:
         assert before.graph.has_edge(0, 1)
         assert not after.graph.has_edge(0, 1)
         assert not before.graph.col.flags.writeable
-        assert not before.sampler_state.alias_prob.flags.writeable
+        assert not before.sampler_state.alias_slots.flags.writeable
 
     def test_logical_edges_roundtrip(self):
         g = DynamicGraph(weighted_graph())
@@ -188,6 +188,6 @@ class TestCompaction:
         s1, s2 = g1.snapshot(), g2.snapshot()
         assert np.array_equal(s1.graph.col, s2.graph.col)
         assert np.array_equal(s1.graph.weights, s2.graph.weights)
-        assert np.array_equal(s1.sampler_state.alias_prob,
-                              s2.sampler_state.alias_prob)
+        assert np.array_equal(s1.sampler_state.alias_slots,
+                              s2.sampler_state.alias_slots)
         assert s1.epoch == s2.epoch == 1

@@ -4,7 +4,7 @@ For >= 20 seeds, a random insert/delete/reweight sequence (with forced
 degenerate cases: vertices dropping to degree 0, duplicate inserts,
 remove-then-readd) is streamed into a ``DynamicGraph``; after every
 batch the published snapshot — CSR arrays *and* every prepared sampler
-structure (alias tables, ITS CDF rows, edge keys) — must equal a
+structure (packed alias slots, ITS CDF rows, edge keys) — must equal a
 from-scratch build of the same logical edge set computed with the
 repo's own builders (``from_edges``, ``build_alias_table``,
 ``build_edge_keys``), bit-identically.  This is the invariant the
@@ -52,6 +52,8 @@ def assert_snapshot_matches(snapshot, graph: DynamicGraph, context: str):
     for name, expected in state.arrays().items():
         actual = snapshot.sampler_state.arrays()[name]
         assert np.array_equal(actual, expected), f"{context}: {name}"
+        assert (actual.dtype, actual.tobytes()) == (expected.dtype, expected.tobytes()), \
+            f"{context}: {name} differs in its bytes"
 
 
 def random_mutation(rng, graph: DynamicGraph, weighted):

@@ -7,6 +7,8 @@ benchmark gate, so the harness gets direct test coverage on a trace
 small enough for the tier-1 suite.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,14 +53,7 @@ def test_snapshot_equivalence_holds_and_detects_divergence(report):
     assert snapshot_matches_static(snapshot, graph, state)
     doctored = state.its_cdf.copy()
     doctored[0] += 1.0
-    tampered = type(state)(
-        alias_prob=state.alias_prob,
-        alias_index=state.alias_index,
-        its_cdf=doctored,
-        its_row_totals=state.its_row_totals,
-        edge_keys=state.edge_keys,
-        strategy=state.strategy,
-    )
+    tampered = dataclasses.replace(state, its_cdf=doctored)
     assert not snapshot_matches_static(snapshot, graph, tampered)
 
 
@@ -70,14 +65,7 @@ def test_strategy_divergence_fails_equivalence(report):
     graph, state = fresh_static_build(dynamic)
     flipped = np.array(state.strategy)
     flipped[0, 0] = (flipped[0, 0] + 1) % 3
-    tampered = type(state)(
-        alias_prob=state.alias_prob,
-        alias_index=state.alias_index,
-        its_cdf=state.its_cdf,
-        its_row_totals=state.its_row_totals,
-        edge_keys=state.edge_keys,
-        strategy=flipped,
-    )
+    tampered = dataclasses.replace(state, strategy=flipped)
     assert not snapshot_matches_static(snapshot, graph, tampered)
 
 

@@ -195,6 +195,39 @@ def test_first_order_snapshots_and_swaps_never_build_the_filter(filter_builds):
     assert filter_builds == []
 
 
+def test_edge_keys_are_built_on_the_first_request_only(monkeypatch):
+    """``snapshot()`` used to rebuild the sorted keys at every epoch; now
+    they are derived, once per state, when something second-order asks."""
+    import repro.dynamic.state as state_module
+    from repro.sampling.vectorized import build_edge_keys
+    from repro.walks import Node2VecSpec
+
+    builds = []
+
+    def counted(graph):
+        builds.append(graph.num_edges)
+        return build_edge_keys(graph)
+
+    monkeypatch.setattr(state_module, "build_edge_keys", counted)
+    graph = mutated_dynamic_graph()  # four snapshots along an update trace
+    snapshot = graph.snapshot()
+    for sampler in ("default", "auto"):
+        with prepare_engine("batch", snapshot.graph, DeepWalkSpec(max_length=12),
+                            sampler=sampler) as engine:
+            engine.swap_snapshot(snapshot)
+    assert builds == []
+    state = snapshot.sampler_state
+    spec = Node2VecSpec(p=2.0, q=0.5, strategy="rejection", max_length=12)
+    with prepare_engine("batch", snapshot.graph, spec) as engine:
+        engine.swap_snapshot(snapshot)
+        engine.swap_snapshot(snapshot)
+    assert builds == [snapshot.graph.num_edges]
+    assert state.arrays()["edge_keys"] is state.edge_keys is state.edge_set.keys
+    assert np.array_equal(state.edge_keys, build_edge_keys(snapshot.graph))
+    assert not state.edge_keys.flags.writeable
+    assert len(builds) == 1
+
+
 def test_second_order_swap_builds_one_filter_per_state(filter_builds):
     from repro.sampling.vectorized import EdgeSet
     from repro.walks import Node2VecSpec

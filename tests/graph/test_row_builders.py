@@ -39,6 +39,7 @@ from repro.graph.rows import (
     row_cumsums,
     row_sums,
     run_heads,
+    segment_last_argmax,
     stable_order,
 )
 from repro.sampling.hybrid import HybridConfig, select_row_strategies, select_strategies
@@ -363,6 +364,23 @@ class TestStableOrder:
     def test_run_heads(self):
         assert run_heads(np.array([2, 2, 3, 5, 5, 5])).tolist() == [1, 0, 1, 1, 0, 0]
         assert run_heads(np.empty(0, dtype=np.int64)).tolist() == []
+
+    @pytest.mark.parametrize("seed", range(NUM_SEEDS))
+    def test_segment_last_argmax_picks_the_stable_sorts_winner(self, seed):
+        """Few distinct values (and the reservoir's ``-1`` sentinel), so
+        most segments tie: the winner is the entry a stable sort by
+        ``(segment, value)`` puts last — the sort the kernel used to run."""
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, 9, size=int(rng.integers(1, 60)))
+        counts[rng.integers(0, counts.size)] = 400
+        values = rng.choice([-1.0, 0.0, 0.25, 0.5, 1.0], size=int(counts.sum()))
+        segment = np.repeat(np.arange(counts.size), counts)
+        ends = np.cumsum(counts)
+        best = segment_last_argmax(values, ends - counts, segment)
+        assert np.array_equal(best, np.lexsort((values, segment))[ends - 1])
+        for k, (lo, hi) in enumerate(zip((ends - counts).tolist(), ends.tolist())):
+            row = values[lo:hi]
+            assert best[k] == lo + max(np.flatnonzero(row == row.max()))
 
 
 def graph_digest(graph) -> str:

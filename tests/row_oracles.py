@@ -94,6 +94,30 @@ def strategy_rows(weights, row_ptr, config=DEFAULT_CONFIG) -> np.ndarray:
     ).reshape(-1, 2)
 
 
+def pack_slots_scalar(prob, alias, row_ptr, col) -> list[tuple[float, int, int]]:
+    """``pack_alias_slots`` one slot at a time: ``(prob, col, alias_col)``
+    per edge, ``alias_col`` the neighbour at the slot's alias index."""
+    records = []
+    for lo, hi in zip(row_ptr[:-1].tolist(), row_ptr[1:].tolist()):
+        for slot in range(lo, hi):
+            records.append((float(prob[slot]), int(col[slot]), int(col[lo + int(alias[slot])])))
+    return records
+
+
+def row_index(graph, current, vertex) -> np.ndarray:
+    """Within-row index of neighbour ``vertex[k]`` in row ``current[k]``
+    (``-1`` stays ``-1``), by ``searchsorted`` in the row — for kernel
+    tests that reason about positions while kernels return vertex ids.
+    Needs ascending rows without repeated neighbours."""
+    assert graph.cols_sorted
+    n = graph.num_vertices
+    sources = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
+    keys = sources * n + graph.col
+    position = np.searchsorted(keys, current * n + np.maximum(vertex, 0))
+    assert np.array_equal(keys[position[vertex >= 0]], (current * n + vertex)[vertex >= 0])
+    return np.where(vertex >= 0, position - graph.row_ptr[current], -1)
+
+
 def csr_from_edges(
     edges,
     num_vertices,

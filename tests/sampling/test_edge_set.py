@@ -209,14 +209,14 @@ def test_reservoir_first_hop_frontier_issues_no_probes():
     _CountingEdgeSet.probes = 0
     batch = sample(kernel, first_hop)
     assert _CountingEdgeSet.probes == 0
-    assert np.array_equal(batch.choice, sample(plain, first_hop).choice)
+    assert np.array_equal(batch.vertex, sample(plain, first_hop).vertex)
 
     # A mixed frontier probes exactly the entries of walkers with a past.
     previous = first_hop.copy()
     previous[::2] = current[::2]
     batch = sample(kernel, previous)
     assert _CountingEdgeSet.probes == int(graph.degrees()[current[::2]].sum())
-    assert np.array_equal(batch.choice, sample(plain, previous).choice)
+    assert np.array_equal(batch.vertex, sample(plain, previous).vertex)
 
 
 # --- structure: one probe path, and the old ones stay gone ----------------

@@ -9,6 +9,7 @@ distributions as the base samplers via the shared chi-square helper.
 
 import numpy as np
 import pytest
+from row_oracles import row_index
 from stat_helpers import CHI_SQUARE_ALPHA, assert_chi_square_fit, chi_square_compare
 
 from repro.errors import SamplingError
@@ -253,15 +254,17 @@ class TestBiasedScanKernel:
         kernel.prepare(graph)
         n = 40_000
         streams = QueryStreams(5, np.arange(n))
+        current = np.full(n, 1, dtype=np.int64)
         batch = kernel.sample(
             graph,
-            np.full(n, 1, dtype=np.int64),
+            current,
             np.zeros(n, dtype=np.int64),
             None,
             streams,
             np.arange(n),
         )
-        counts = np.bincount(batch.choice, minlength=graph.degree(1))
+        counts = np.bincount(row_index(graph, current, batch.vertex),
+                             minlength=graph.degree(1))
         assert_chi_square_fit(
             counts, exact_step_distribution(graph, 1, 0, 4.0, 0.25),
             label="biased-scan kernel",

@@ -20,6 +20,7 @@ marker and run only in the full CI lane.
 
 import numpy as np
 import pytest
+from row_oracles import row_index
 from stat_helpers import assert_chi_square_fit
 
 from repro.graph import from_edges
@@ -83,15 +84,16 @@ def test_rejection_kernel_fits_exact_distribution_under_skew(p, q):
     kernel = RejectionKernel(p=p, q=q)
     kernel.prepare(graph)
     streams = QueryStreams(int(p * 100 + q), np.arange(KERNEL_SAMPLES))
+    current = np.full(KERNEL_SAMPLES, 1, dtype=np.int64)
     batch = kernel.sample(
         graph,
-        np.full(KERNEL_SAMPLES, 1, dtype=np.int64),
+        current,
         np.zeros(KERNEL_SAMPLES, dtype=np.int64),
         None,
         streams,
         np.arange(KERNEL_SAMPLES),
     )
-    counts = np.bincount(batch.choice, minlength=graph.degree(1))
+    counts = np.bincount(row_index(graph, current, batch.vertex), minlength=graph.degree(1))
     assert_chi_square_fit(
         counts,
         exact_step_distribution(graph, 1, 0, p, q),
@@ -138,15 +140,16 @@ class TestITSFlatCDF:
         kernel = ITSKernel()
         kernel.prepare(graph)
         streams = QueryStreams(17, np.arange(KERNEL_SAMPLES))
+        current = np.zeros(KERNEL_SAMPLES, dtype=np.int64)
         batch = kernel.sample(
             graph,
-            np.zeros(KERNEL_SAMPLES, dtype=np.int64),
+            current,
             np.full(KERNEL_SAMPLES, -1, dtype=np.int64),
             None,
             streams,
             np.arange(KERNEL_SAMPLES),
         )
-        counts = np.bincount(batch.choice, minlength=graph.degree(0))
+        counts = np.bincount(row_index(graph, current, batch.vertex), minlength=graph.degree(0))
         assert_chi_square_fit(
             counts, exact_distribution(graph, 0), label="ITS kernel",
         )
@@ -159,13 +162,14 @@ class TestITSFlatCDF:
         kernel.prepare(graph)
         n = 512
         streams = QueryStreams(3, np.arange(n))
+        current = np.zeros(n, dtype=np.int64)
         batch = kernel.sample(
             graph,
-            np.zeros(n, dtype=np.int64),
+            current,
             np.full(n, -1, dtype=np.int64),
             None,
             streams,
             np.arange(n),
         )
         assert batch.proposals == n
-        assert batch.neighbor_reads == int(batch.choice.sum()) + n
+        assert batch.neighbor_reads == int(row_index(graph, current, batch.vertex).sum()) + n

@@ -24,6 +24,8 @@ from repro.sampling.vectorized import (
     seed_sequence_states,
 )
 
+from row_oracles import row_index
+
 
 class TestSeedSequenceStates:
     """The batched derivation must be bit-exact SeedSequence((seed, qid))."""
@@ -158,8 +160,9 @@ def empirical_kernel(kernel, graph, vertex, prev=None, admissible=None, rounds=2
     previous = np.full(rounds, -1 if prev is None else prev, dtype=np.int64)
     batch = kernel.sample(graph, current, previous, admissible, streams, np.arange(rounds))
     degree = graph.degree(vertex)
-    counts = np.bincount(batch.choice[batch.choice >= 0], minlength=degree)
-    return counts / max(1, batch.choice.size)
+    choice = row_index(graph, current, batch.vertex)
+    counts = np.bincount(choice[choice >= 0], minlength=degree)
+    return counts / max(1, choice.size)
 
 
 def weighted_fan():
@@ -212,7 +215,7 @@ class TestKernelDistributions:
                           QueryStreams(7, ids[k:k + 1]), None)
             for k in ids
         ]
-        assert whole.choice.tolist() == [int(b.choice[0]) for b in alone]
+        assert whole.vertex.tolist() == [int(b.vertex[0]) for b in alone]
         assert whole.proposals == sum(b.proposals for b in alone) > current.size
         assert whole.neighbor_reads == sum(b.neighbor_reads for b in alone)
 
@@ -243,7 +246,7 @@ class TestKernelDistributions:
         batch = kernel.sample(
             g, np.array([0]), np.array([-1]), 5, streams, np.array([0])
         )
-        assert batch.choice[0] == -1
+        assert batch.vertex[0] == -1
 
 
 class TestKernelFactory:

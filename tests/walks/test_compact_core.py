@@ -277,7 +277,7 @@ def test_kernels_sample_identically_without_stream_idx(golden_inputs, algorithm,
         a = kernel.sample(graph, current, previous_arg, spec.admissible_type(0), implicit, None)
         b = kernel.sample(graph, current, previous_arg, spec.admissible_type(0), explicit,
                           np.arange(200))
-        assert np.array_equal(a.choice, b.choice)
+        assert np.array_equal(a.vertex, b.vertex)
         assert (a.proposals, a.neighbor_reads) == (b.proposals, b.neighbor_reads)
     assert np.array_equal(implicit.states(), explicit.states())
 
