@@ -1,21 +1,44 @@
-"""Asyncio walk service: open-queue ingest, dynamic micro-batching.
+"""Asyncio walk service: open-queue ingest over a prepared engine.
 
-The engines in :mod:`repro.engines` run *closed* batches: every query is
-known up front, the engine runs to completion, the caller gets one
-``WalkResults``.  Serving is an *open* system — requests arrive one at a
-time, continuously — and the throughput gap between the two shapes is
-exactly what dynamic micro-batching closes: the service coalesces
-individual requests from an asyncio queue into micro-batches (flushed on
-``max_batch`` or ``max_wait_ms``, whichever comes first) and executes
-each micro-batch as one closed run on a prepared engine, while the event
-loop keeps admitting and coalescing the *next* batch.  That overlap is
-the software analogue of RidgeWalker's perfectly pipelined ingest: the
-engine never waits for the batcher, the batcher never waits for the
-engine.
+Serving is an *open* system — requests arrive one at a time,
+continuously — and the engines in :mod:`repro.engines` answer *closed*
+runs: every query known up front, one ``WalkResults`` back.  The service
+sits between the two with one of two dispatchers, **chosen from the
+engine object, never by an option**:
+
+* **The open frontier** (:mod:`repro.serve.frontier`) — for an engine
+  that offers ``open_frontier`` (the in-process superstep engine:
+  ``batch``, and ``jit`` where it falls back to it, under a
+  step-invariant spec).  RidgeWalker's argument is that a walk is a
+  chain of stateless ``(query, step, v_last)`` tasks, so a lane freed by
+  a finished walk takes the next query at once; this is that, in
+  software.  The dispatcher *is* the engine's superstep loop: each
+  event-loop turn it drains the queue into the tenant scheduler, seats
+  ``scheduler.next_batch(free)`` into the frontier's free slots
+  (``max_batch`` slots — the same bound on walkers per superstep, held
+  continuously), runs one superstep, resolves every walk that ended and
+  yields.  No coalescing wait (``max_wait_ms`` has no job here: a
+  request is seated the turn it arrives if a slot is free), no thread,
+  no hand-off, and a short walk never waits for the longest walk of a
+  batch.  The loop steps only while walkers are live — an idle service
+  blocks on its queue — and yields every superstep, so admission and
+  callers' callbacks run between steps.
+* **Closed micro-batches** (this module) — for every engine that only
+  has ``run``: ``parallel``, ``dist``, ``reference``, a MetaPath spec on
+  any engine, test doubles, proxies.  The service coalesces requests
+  into micro-batches (flushed on ``max_batch`` or ``max_wait_ms``,
+  whichever comes first) and executes each as one closed run on an
+  executor thread, while the event loop coalesces the *next* batch; one
+  batch runs at a time.
+
+What that is worth on ``benchmarks/suite``'s ``serve_poisson`` (PPR on
+RMAT-16, ``max_batch=64``, 4000 req/s): p50 latency 4.96 -> 1.07 ms and
+saturated throughput 180k -> 250k hops/s against closed micro-batches on
+the same engine; the README's serving section has the table.
 
 On top of that, the service is (optionally) **multi-tenant**: each
 :class:`~repro.serve.qos.TenantSpec` gets its own admission gate and a
-weighted-priority share of every micro-batch
+weighted-priority share of every admission group
 (:class:`~repro.serve.qos.TenantScheduler`), so a flooding tenant sheds
 its own traffic instead of starving other tenants' latency SLOs.  And it
 (optionally) serves repeated query-id-independent requests from an
@@ -25,13 +48,14 @@ pools of engine-generated walks under reserved query ids, keyed by
 
 The service is a scheduling layer, never a semantics layer.  Every
 request's randomness is keyed by ``SeedSequence((seed, query_id))`` —
-the engines' own per-query substream derivation — so a request's paths
-are bit-identical whether it was served alone, inside a micro-batch of
-64, from a cache pool, or replayed offline through ``run_walks_batch``
-with the same seed.  Batch composition, flush timing, tenant
-interleaving, and engine choice (among the bit-compatible
-``batch``/``parallel`` pair) cannot change a single vertex;
-``tests/serve/`` holds the service to that.
+the engines' own per-query substream derivation — and a walker draws
+only from the stream state that travels with it, so a request's paths
+are bit-identical whether it was served alone, beside 63 strangers of
+any age, inside a closed micro-batch, from a cache pool, or replayed
+offline through ``run_walks_batch`` with the same seed.  Who shares a
+superstep with whom, flush timing, tenant interleaving, and engine
+choice (among the bit-compatible array engines) cannot change a single
+vertex; ``tests/serve/`` holds the service to that.
 """
 
 from __future__ import annotations
@@ -39,7 +63,7 @@ from __future__ import annotations
 import asyncio
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
@@ -58,39 +82,40 @@ from repro.obs.trace import active as _active_tracer
 from repro.sampling.base import normalize_seed
 from repro.serve.admission import AdmissionGate
 from repro.serve.cache import POOL_ID_BASE, HotWalkCache, ServedWalk
+from repro.serve.frontier import frontier_loop
+from repro.serve.items import _EpochSwap, _PendingRequest, _PoolFill
 from repro.serve.qos import DEFAULT_TENANT, TenantScheduler, TenantSpec
 from repro.serve.stats import ServeStats
 from repro.walks.base import Query, WalkResults, WalkSpec
+from repro.walks.engine import STAT_FIELDS
 from repro.walks.reference import EngineStats
 
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Micro-batching and admission knobs.
+    """Dispatch and admission knobs.
 
     ``max_batch``
-        Flush a micro-batch as soon as it holds this many requests.
+        Walkers that may share one engine step: the open frontier's slot
+        count, or the size at which a closed micro-batch flushes.
     ``max_wait_ms``
-        Flush a non-empty micro-batch this long after its first request,
-        even if it is not full — the latency ceiling batching may add.
+        Governs only engines served through closed runs: flush a
+        non-empty micro-batch this long after its first request even if
+        it is not full — the latency ceiling batching may add.  The open
+        frontier seats a request the turn it arrives and never reads it.
     ``queue_depth``
-        Admission high-water: requests outstanding (queued, coalescing,
-        or executing) beyond which new arrivals are shed with
+        Admission high-water: requests outstanding (queued, seated or
+        executing) beyond which new arrivals are shed with
         ``ServeOverloadError``.  Size it with
         :func:`repro.serve.admission.recommended_queue_depth`.  With
         tenants declared, this is the *per-tenant default* for specs
         without their own ``queue_depth``; the global occupancy bound
         becomes the sum of tenant depths.
-    ``max_inflight``
-        Micro-batches allowed to execute concurrently.  1 (the default)
-        already pipelines — batch N+1 coalesces while batch N executes;
-        raise it only for engines that multiplex well internally.
     """
 
     max_batch: int = 64
     max_wait_ms: float = 2.0
     queue_depth: int = 256
-    max_inflight: int = 1
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -99,61 +124,21 @@ class ServeConfig:
             raise ServeError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
         if self.queue_depth < 1:
             raise ServeError(f"queue_depth must be >= 1, got {self.queue_depth}")
-        if self.max_inflight < 1:
-            raise ServeError(f"max_inflight must be >= 1, got {self.max_inflight}")
-
-
-@dataclass
-class _PendingRequest:
-    """One admitted request waiting for (or undergoing) execution."""
-
-    query: Query
-    future: asyncio.Future
-    submitted_at: float
-    tenant: str = DEFAULT_TENANT
-    #: Query-id-independent submissions resolve with a
-    #: :class:`~repro.serve.cache.ServedWalk` instead of ``WalkResults``.
-    cacheable: bool = False
-
-
-@dataclass
-class _PoolFill:
-    """Gate-exempt cache pool generation riding the dispatch queue.
-
-    Carries the reserved-id queries of one pool; executed by the same
-    prepared engine as client batches (appended to one, or dispatched
-    alone), and installed into the cache keyed by the epoch it actually
-    ran on.  No future, no admission accounting — a fill the service
-    drops on teardown is only a lost warm-up.
-    """
-
-    start_vertex: int
-    queries: list[Query] = field(default_factory=list)
-
-
-@dataclass
-class _EpochSwap:
-    """A graph-version change queued behind already-admitted requests.
-
-    Rides the same queue as requests, so ordering *is* the epoch
-    boundary: everything admitted before the swap executes on the old
-    version, everything after on the new one.
-    """
-
-    snapshot: object
-    future: asyncio.Future
 
 
 def _merge_engine_stats(into: EngineStats, part: EngineStats) -> None:
     """Fold one micro-batch's engine counters into the service total."""
-    into.total_hops += part.total_hops
-    into.sampling_proposals += part.sampling_proposals
-    into.neighbor_reads += part.neighbor_reads
-    into.early_terminations += part.early_terminations
-    into.dangling_terminations += part.dangling_terminations
-    into.probabilistic_terminations += part.probabilistic_terminations
-    into.length_terminations += part.length_terminations
+    for name in ("total_hops", *STAT_FIELDS):
+        setattr(into, name, getattr(into, name) + getattr(part, name))
     into.per_query_hops.extend(part.per_query_hops)
+
+
+def _check_client_id(query_id: int) -> None:
+    if query_id >= POOL_ID_BASE:
+        raise ServeError(
+            f"query ids >= {POOL_ID_BASE} are reserved for hot-walk "
+            f"cache pools, got {query_id}"
+        )
 
 
 class WalkService:
@@ -162,8 +147,8 @@ class WalkService:
     Lifecycle: ``await start()`` (or ``async with``), then any number of
     ``await submit(...)`` / ``try_submit(...)`` calls from the event
     loop, then ``await stop()`` — which by default drains everything
-    already admitted before tearing down the dispatcher, the executor
-    thread(s), and the prepared engine.
+    already admitted before tearing down the dispatcher (and, on the
+    closed path, its executor thread) and the prepared engine.
 
     ``engine`` is a registry name (``"batch"``, ``"jit"``,
     ``"parallel"``, ``"dist"``, ``"reference"`` — any key of
@@ -236,10 +221,11 @@ class WalkService:
         self.cache = cache
         self._queue: asyncio.Queue | None = None
         self._dispatcher: asyncio.Task | None = None
-        self._inflight: asyncio.Semaphore | None = None
         self._drained: asyncio.Event | None = None
+        #: Closed path only: the one engine thread, and the micro-batch
+        #: running on it (one at a time; the next coalesces meanwhile).
         self._executor: ThreadPoolExecutor | None = None
-        self._batch_tasks: set[asyncio.Task] = set()
+        self._running: asyncio.Task | None = None
         self._next_query_id = 0
         self._accepting = False
         self._runner_closed = False
@@ -287,11 +273,7 @@ class WalkService:
         the ranges disjoint — duplicate ids would mean duplicate
         randomness and a colliding replay map.
         """
-        if minimum >= POOL_ID_BASE:
-            raise ServeError(
-                f"query ids >= {POOL_ID_BASE} are reserved for hot-walk "
-                f"cache pools, got {minimum}"
-            )
+        _check_client_id(minimum)
         self._next_query_id = max(self._next_query_id, minimum)
 
     def snapshot_metrics(
@@ -344,14 +326,20 @@ class WalkService:
                 "WalkService"
             )
         self._queue = asyncio.Queue()
-        self._inflight = asyncio.Semaphore(self._config.max_inflight)
         self._drained = asyncio.Event()
         self._drained.set()
-        self._executor = ThreadPoolExecutor(
-            max_workers=self._config.max_inflight,
-            thread_name_prefix="walk-serve",
-        )
-        self._dispatcher = asyncio.create_task(self._dispatch_loop())
+        # The dispatcher follows from the engine object: one that can
+        # keep a run open is stepped on this loop, any other gets closed
+        # runs on a thread.
+        open_frontier = getattr(self._runner, "open_frontier", None)
+        if open_frontier is not None:
+            frontier = open_frontier(self._seed, self._config.max_batch)
+            self._dispatcher = asyncio.create_task(frontier_loop(self, frontier))
+        else:
+            self._executor = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="walk-serve"
+            )
+            self._dispatcher = asyncio.create_task(self._dispatch_loop())
         self._accepting = True
 
     async def stop(self, drain: bool = True) -> None:
@@ -380,8 +368,9 @@ class WalkService:
             await self._dispatcher
         except asyncio.CancelledError:
             pass
-        for task in list(self._batch_tasks):
-            await task
+        if self._running is not None:
+            await self._running
+            self._running = None
         # Drain leftovers.  Requests only remain on a no-drain stop (the
         # drained event guarantees none otherwise); epoch swaps and cache
         # pool fills can remain on any stop — neither counts against the
@@ -406,16 +395,16 @@ class WalkService:
                         + " executed"
                     )
                 )
-            if not isinstance(item, _EpochSwap):
+            if isinstance(item, _EpochSwap):
+                # Never applied: admission goes back to the serving graph.
+                self._swaps_queued -= 1
+                self._num_vertices = self._applied_num_vertices
+            else:
                 abandoned[item.tenant] += 1
-        if abandoned:
-            for tenant, count in abandoned.items():
-                self._scheduler.release(tenant, count)
-            self._gate.release(sum(abandoned.values()))
-            if self._gate.occupancy == 0:
-                self._drained.set()
-        assert self._executor is not None
-        self._executor.shutdown(wait=True)
+        for tenant, count in abandoned.items():
+            self._release(tenant, count)
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
         self._runner.close()
         self._runner_closed = True
         self._queue = None
@@ -440,13 +429,20 @@ class WalkService:
         self._scheduler.gate(tenant)  # raises ServeError on unknown names
         return tenant
 
-    def _admit(self, tenant: str, start_vertex: int) -> None:
-        """Validate and count one request into both gate layers."""
+    def _require_running(self) -> None:
+        if not self._accepting or self._queue is None:
+            raise ServeError("service is not running; use 'async with' or start()")
+
+    def _check_vertex(self, start_vertex: int) -> None:
         if start_vertex >= self._num_vertices:
             raise GraphError(
                 f"vertex {start_vertex} out of range for graph with "
                 f"{self._num_vertices} vertices"
             )
+
+    def _admit(self, tenant: str, start_vertex: int) -> None:
+        """Validate and count one request into both gate layers."""
+        self._check_vertex(start_vertex)
         try:
             self._scheduler.admit(tenant)
         except ServeOverloadError:
@@ -485,16 +481,12 @@ class WalkService:
         admission class on a multi-tenant service (mandatory there,
         ignored-by-default on an anonymous one).
         """
-        if not self._accepting or self._queue is None:
-            raise ServeError("service is not running; use 'async with' or start()")
+        self._require_running()
         tenant = self._resolve_tenant(tenant)
         if query_id is None:
             query_id = self._next_query_id
-        elif query_id >= POOL_ID_BASE:
-            raise ServeError(
-                f"query ids >= {POOL_ID_BASE} are reserved for hot-walk "
-                f"cache pools, got {query_id}"
-            )
+        else:
+            _check_client_id(query_id)
         # Validate before admitting: a request that can only fail must be
         # rejected here, at its own call site, not discovered mid-batch
         # where the engine error would poison co-batched requests.
@@ -513,8 +505,7 @@ class WalkService:
         tenant: str | None = None,
     ) -> WalkResults:
         """Admit one request and await its :class:`WalkResults` slice."""
-        return await self.try_submit(start_vertex, query_id=query_id,
-                                     tenant=tenant)
+        return await self.try_submit(start_vertex, query_id=query_id, tenant=tenant)
 
     def try_submit_cached(
         self, start_vertex: int, tenant: str | None = None
@@ -531,19 +522,14 @@ class WalkService:
         count as completions; misses ride the normal admission /
         batching / QoS path and feed the cache's hotness counters.
         """
-        if not self._accepting or self._queue is None:
-            raise ServeError("service is not running; use 'async with' or start()")
+        self._require_running()
         tenant = self._resolve_tenant(tenant)
         loop = asyncio.get_running_loop()
         # Construct (and thereby validate) up front: a bad vertex must be
         # rejected before it can touch cache counters or gate occupancy.
         # On a hit the query is simply discarded — its id stays unspent.
         query = Query(self._next_query_id, start_vertex)
-        if start_vertex >= self._num_vertices:
-            raise GraphError(
-                f"vertex {start_vertex} out of range for graph with "
-                f"{self._num_vertices} vertices"
-            )
+        self._check_vertex(start_vertex)
         # Lookups only against a settled epoch: with a swap queued, this
         # request will execute on a version whose pools cannot exist yet.
         if self.cache is not None and self._swaps_queued == 0:
@@ -599,8 +585,7 @@ class WalkService:
         callers that must interleave a swap between two ``try_submit``
         calls without yielding to the event loop in between.
         """
-        if not self._accepting or self._queue is None:
-            raise ServeError("service is not running; use 'async with' or start()")
+        self._require_running()
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._queue.put_nowait(_EpochSwap(snapshot, future))
         self._swaps_queued += 1
@@ -634,43 +619,15 @@ class WalkService:
         """
         return await self.try_update_graph(snapshot)
 
-    async def _apply_swap(self, swap: _EpochSwap) -> None:
-        """Execute one queued graph swap between micro-batches.
+    def _settle_swap(self, swap: _EpochSwap, error: Exception | None) -> None:
+        """Book one queued swap as applied (``error`` None) or not.
 
-        Holds *every* inflight permit while swapping, so no micro-batch
-        can be executing against the engine mid-swap; the permits also
-        order the swap after all batches flushed before it.
+        On failure the service keeps serving the old graph, so admission
+        validation rolls back to it (``try_update_graph`` advanced the
+        bound optimistically at enqueue time).
         """
-        assert self._inflight is not None
-        loop = asyncio.get_running_loop()
-        acquired = 0
-        tracer = _active_tracer()
-        if tracer is not None:
-            _t_swap = tracer.begin()
-        try:
-            for _ in range(self._config.max_inflight):
-                await self._inflight.acquire()
-                acquired += 1
-            await loop.run_in_executor(
-                self._executor, partial(self._runner.swap_snapshot, swap.snapshot)
-            )
-        except asyncio.CancelledError:
-            self._swaps_queued -= 1
-            if not swap.future.done():
-                swap.future.set_exception(
-                    ServeError("service stopped before the graph swap executed")
-                )
-            raise
-        except Exception as exc:
-            # The service keeps serving the old graph; roll admission
-            # validation back to it (try_update_graph advanced the bound
-            # optimistically at enqueue time).
-            self._swaps_queued -= 1
-            self._num_vertices = self._applied_num_vertices
-            if not swap.future.done():
-                swap.future.set_exception(exc)
-        else:
-            self._swaps_queued -= 1
+        self._swaps_queued -= 1
+        if error is None:
             graph = getattr(swap.snapshot, "graph", swap.snapshot)
             self._applied_num_vertices = graph.num_vertices
             self._epoch = getattr(swap.snapshot, "epoch", self._epoch + 1)
@@ -678,34 +635,60 @@ class WalkService:
                 self.cache.drop_stale(self._epoch)
             if not swap.future.done():
                 swap.future.set_result(self._epoch)
+            return
+        self._num_vertices = self._applied_num_vertices
+        if not swap.future.done():
+            swap.future.set_exception(error)
+
+    async def _apply_swap(self, swap: _EpochSwap) -> None:
+        """Closed path: execute one queued graph swap between micro-batches.
+
+        Waits out the running micro-batch first, so nothing executes
+        against the engine mid-swap and the swap is ordered after every
+        batch flushed before it.
+        """
+        tracer = _active_tracer()
+        if tracer is not None:
+            _t_swap = tracer.begin()
+        error: Exception | None = None
+        try:
+            if self._running is not None:
+                # wait(), not await: a cancelled dispatcher must not
+                # cancel the batch with it.
+                await asyncio.wait((self._running,))
+            await asyncio.get_running_loop().run_in_executor(
+                self._executor, partial(self._runner.swap_snapshot, swap.snapshot)
+            )
+        except asyncio.CancelledError:
+            error = ServeError("service stopped before the graph swap executed")
+            raise
+        except Exception as exc:
+            error = exc
         finally:
-            for _ in range(acquired):
-                self._inflight.release()
+            self._settle_swap(swap, error)
             if tracer is not None:
-                # Covers the permit sweep (the barrier) plus the engine
-                # swap itself; ``epoch`` is the version now serving.
+                # Covers the wait for the running batch (the barrier) plus
+                # the engine swap itself; ``epoch`` is the version now serving.
                 tracer.end(_t_swap, "serve.epoch_swap", epoch=self._epoch,
-                           applied=swap.future.done() and
-                           swap.future.exception() is None)
+                           applied=error is None)
 
     async def _dispatch_loop(self) -> None:
-        """Coalesce requests into micro-batches and hand them off.
+        """Closed path: coalesce requests into micro-batches, hand them off.
 
         Flush policy: the batch opens when its first request arrives and
         closes at ``max_batch`` requests or ``max_wait_ms`` later,
         whichever comes first.  Ingested requests are buffered in the
         tenant scheduler and each batch is *composed* by weighted
         round-robin over the backlogged tenants (FIFO order with a
-        single tenant), with at most one cache pool fill appended.  The
-        hand-off acquires the inflight semaphore, so with
-        ``max_inflight=1`` the loop collects batch N+1 while batch N
-        executes — coalescing rides in the engine's shadow instead of
-        adding latency to it.  An :class:`_EpochSwap` in the stream
+        single tenant), with at most one cache pool fill appended.  One
+        batch executes at a time, so the loop collects batch N+1 while
+        batch N runs — coalescing rides in the engine's shadow instead
+        of adding latency to it.  An :class:`_EpochSwap` in the stream
         closes the open batch early and *barriers*: ingest stops at the
         swap until every request admitted before it has been dispatched
         (batches never span an epoch boundary), then the swap applies.
         """
-        assert self._queue is not None and self._inflight is not None
+        assert self._queue is not None
         loop = asyncio.get_running_loop()
         max_wait = self._config.max_wait_ms / 1e3
         scheduler = self._scheduler
@@ -750,32 +733,28 @@ class WalkService:
                 elif pending_swap is None:
                     # Nothing to coalesce for (full buffer or fills
                     # only): just pick up whatever is already queued.
-                    while True:
-                        try:
-                            item = self._queue.get_nowait()
-                        except asyncio.QueueEmpty:
-                            break
+                    while not self._queue.empty():
+                        item = self._queue.get_nowait()
                         if isinstance(item, _EpochSwap):
                             pending_swap = item
                             break
                         scheduler.push(item)
                 if scheduler.has_work():
-                    # Acquire *before* composing: a cancellation while
-                    # waiting for the permit leaves every request safely
+                    # Wait *before* composing: a cancellation while the
+                    # previous batch runs leaves every request safely
                     # buffered for the teardown requeue below.
-                    await self._inflight.acquire()
+                    if self._running is not None:
+                        await asyncio.wait((self._running,))
                     batch = scheduler.next_batch(self._config.max_batch)
                     tracer = _active_tracer()
                     if tracer is not None:
                         tracer.instant("serve.coalesce", size=len(batch),
                                        backlog=scheduler.pending_clients)
-                    task = asyncio.create_task(self._execute(batch))
-                    self._batch_tasks.add(task)
-                    task.add_done_callback(self._batch_tasks.discard)
+                    self._running = asyncio.create_task(self._execute(batch))
                 if pending_swap is not None and not scheduler.has_work():
                     # Barrier reached: everything admitted before the
-                    # swap has been handed off; _apply_swap's permit
-                    # sweep orders it after their execution too.
+                    # swap has been handed off; _apply_swap orders it
+                    # after their execution too.
                     await self._apply_swap(pending_swap)
                     pending_swap = None
         except asyncio.CancelledError:
@@ -788,14 +767,53 @@ class WalkService:
                 self._queue.put_nowait(pending_swap)
             raise
 
-    def _record_failure(self, request: _PendingRequest, now: float) -> None:
+    def _release(self, tenant: str, count: int = 1) -> None:
+        """Return ``count`` closed requests' places to both gate layers."""
+        assert self._drained is not None
+        self._scheduler.release(tenant, count)
+        self._gate.release(count)
+        if self._gate.occupancy == 0:
+            self._drained.set()
+
+    def _complete(self, request: _PendingRequest, path: np.ndarray, epoch: int,
+                  now: float, busy_seconds: float) -> None:
+        """Resolve one served request with ``path`` (which it now owns).
+
+        ``busy_seconds`` is the request's share of engine time, booked —
+        with its hops — to its tenant's ledger.
+        """
+        if not request.future.done():
+            if request.cacheable:
+                result = ServedWalk(request.query.query_id, path, epoch, cache_hit=False)
+            else:
+                result = WalkResults()
+                result.add_path(path)
+            request.future.set_result(result)
+        latency = now - request.submitted_at
+        self.stats.record_completion(latency, now)
+        tenant_stats = self.tenant_stats.get(request.tenant)
+        if tenant_stats is not None:
+            tenant_stats.record_completion(latency, now)
+            tenant_stats.record_service(path.size - 1, busy_seconds)
+
+    def _fail(self, request: _PendingRequest, error: Exception, now: float) -> None:
+        """Resolve one admitted request with the engine's exception."""
+        if not request.future.done():
+            request.future.set_exception(error)
         self.stats.record_failure(now)
         tenant_stats = self.tenant_stats.get(request.tenant)
         if tenant_stats is not None:
             tenant_stats.record_failure(now)
 
+    def _record_tenant_admission(self, clients: Sequence[_PendingRequest]) -> None:
+        """Each tenant's batch-shape ledger records its share of one
+        admission group (the service-wide one records it whole)."""
+        if self.tenant_stats:
+            for tenant, count in Counter(r.tenant for r in clients).items():
+                self.tenant_stats[tenant].record_admission(count)
+
     async def _execute(self, batch: list) -> None:
-        """Run one micro-batch on the engine and resolve its futures.
+        """Closed path: run one micro-batch on the engine, resolve its futures.
 
         ``batch`` holds client :class:`_PendingRequest`\\ s (clients
         first) and at most one :class:`_PoolFill`.  Every admitted
@@ -804,10 +822,8 @@ class WalkService:
         identity ``offered == completed + dropped + failed`` survives
         engine failures too.
         """
-        assert self._inflight is not None and self._drained is not None
-        # Stable while we hold an inflight permit: swaps sweep every
-        # permit before touching the engine, so the epoch cannot move
-        # under an executing batch.
+        # Stable while this batch runs: a swap waits for it to finish
+        # before touching the engine.
         epoch = self._epoch
         loop = asyncio.get_running_loop()
         clients = [item for item in batch if isinstance(item, _PendingRequest)]
@@ -835,45 +851,27 @@ class WalkService:
                        hops=batch_stats.total_hops,
                        tenants=sorted({r.tenant for r in clients}),
                        failed=failure is not None)
-        self._inflight.release()
         _merge_engine_stats(self.engine_stats, batch_stats)
         if clients:
             # Pure-fill dispatches stay out of the batch-shape ledger:
-            # the histogram and mean describe client-serving batches.
-            self.stats.record_batch(
-                len(clients), batch_stats.total_hops, now - started
-            )
-            released: Counter[str] = Counter(request.tenant for request in clients)
-            for tenant, count in released.items():
-                self._scheduler.release(tenant, count)
-            self._gate.release(len(clients))
-            if self._gate.occupancy == 0:
-                self._drained.set()
+            # the histogram and mean describe client-serving groups.
+            self.stats.record_batch(len(clients), batch_stats.total_hops, now - started)
+            self._record_tenant_admission(clients)
+            for request in clients:
+                self._release(request.tenant)
         if failure is not None:
             for request in clients:
-                if not request.future.done():
-                    request.future.set_exception(failure)
-                self._record_failure(request, now)
+                self._fail(request, failure, now)
             if self.cache is not None:
                 for fill in fills:
                     self.cache.fill_aborted(fill.start_vertex)
             return
         if tracer is not None:
             _t_resp = tracer.begin()
+        # Every query of the run takes an equal share of its engine time.
+        share = (now - started) / len(queries)
         for position, request in enumerate(clients):
-            if not request.future.done():
-                if request.cacheable:
-                    request.future.set_result(
-                        ServedWalk(request.query.query_id, results.owned_path(position),
-                                   epoch, cache_hit=False)
-                    )
-                else:
-                    request.future.set_result(results.subset([position]))
-            latency = now - request.submitted_at
-            self.stats.record_completion(latency, now)
-            tenant_stats = self.tenant_stats.get(request.tenant)
-            if tenant_stats is not None:
-                tenant_stats.record_completion(latency, now)
+            self._complete(request, results.owned_path(position), epoch, now, share)
         if tracer is not None and clients:
             tracer.end(_t_resp, "serve.respond", batch=len(clients))
         if fills and self.cache is not None:

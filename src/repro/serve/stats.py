@@ -1,14 +1,24 @@
-"""Serving-side observability: latency, micro-batch shape, throughput.
+"""Serving-side observability: latency, admission shape, throughput.
 
 :class:`ServeStats` is the service's passive ledger.  The event loop
 stamps every request on submission and completion (monotonic loop time)
-and records every micro-batch it dispatches; the record answers the
+and records every admission group it dispatches; the record answers the
 questions an operator asks of an open system — tail latency (p50/p95/p99),
-how well the batcher is coalescing (micro-batch size histogram), and the
-sustained hop throughput between the first arrival and the last
-completion.  Engine-side counters (proposals, neighbor reads,
-termination causes) stay in :class:`~repro.walks.EngineStats`; this
-module only covers what the *service* adds on top of the engine.
+how requests reach the engine (admission-group size histogram, walkers
+per superstep), and the sustained hop throughput between the first
+arrival and the last completion.
+
+The ledger has one shape under both dispatchers.  ``batch_sizes`` holds
+one entry per **admission group** — a closed micro-batch, or the walkers
+the open frontier seated in one turn — so the histogram always sums to
+the requests dispatched.  ``busy_seconds`` accumulates per engine call
+(a closed run, or one superstep) and ``total_hops`` is booked with it —
+a walk's hops in the superstep that ends it.  Where the service steps
+the engine itself, ``supersteps`` / ``walker_steps`` say how full the
+lanes ran (:meth:`ServeStats.mean_step_occupancy`).  Engine-side
+counters (proposals, neighbor reads, termination causes) stay in
+:class:`~repro.walks.EngineStats`; this module only covers what the
+*service* adds on top of the engine.
 
 Every admitted request ends in exactly one of three buckets —
 ``completed``, ``failed`` (its micro-batch raised), or, for requests
@@ -17,7 +27,9 @@ identity** ``offered == completed + dropped + failed`` holds on every
 drained service and every scenario report; ``tests/serve/`` and the QoS
 benchmark assert it.  A multi-tenant service keeps one ``ServeStats``
 per tenant (plus the global one), so per-class SLOs are measured from
-the same ledger shape.
+the same ledger shape: a tenant's ledger books its own requests' hops,
+its share of each admission group, and its walkers' share of engine
+time (a step's or run's seconds split evenly over the walkers in it).
 """
 
 from __future__ import annotations
@@ -50,11 +62,15 @@ class ServeStats:
     #: Requests served from the hot-walk cache (subset of ``completed``).
     cache_hits: int = 0
     total_hops: int = 0
-    #: Wall-clock engine time summed over micro-batches (busy time).
+    #: Wall-clock engine time summed over engine calls (busy time).
     busy_seconds: float = 0.0
+    #: Supersteps the service ran itself (open frontier only), and the
+    #: walkers they carried, summed.
+    supersteps: int = 0
+    walker_steps: int = 0
     #: Per-request submit-to-resolve latency samples.
     latencies: list[float] = field(default_factory=list)
-    #: Size of every dispatched micro-batch, in dispatch order.
+    #: Size of every admission group, in dispatch order.
     batch_sizes: list[int] = field(default_factory=list)
     first_submit: float | None = None
     last_completion: float | None = None
@@ -74,11 +90,28 @@ class ServeStats:
         """Note a request shed by admission control."""
         self.dropped += 1
 
-    def record_batch(self, size: int, hops: int, service_seconds: float) -> None:
-        """Note one executed micro-batch."""
+    def record_admission(self, size: int) -> None:
+        """Note one admission group: requests handed to the engine together."""
         self.batch_sizes.append(int(size))
+
+    def record_service(self, hops: int, service_seconds: float) -> None:
+        """Note engine work done: hops walked, wall-clock spent."""
         self.total_hops += int(hops)
         self.busy_seconds += float(service_seconds)
+
+    def record_batch(self, size: int, hops: int, service_seconds: float) -> None:
+        """Note one closed micro-batch: one admission group served by
+        one engine run.  (The open frontier books the two separately: a
+        group when it is seated, service every superstep.)"""
+        self.record_admission(size)
+        self.record_service(hops, service_seconds)
+
+    def record_step(self, live: int, hops: int, service_seconds: float) -> None:
+        """Note one superstep over ``live`` walkers; ``hops`` are those of
+        the walks it ended."""
+        self.supersteps += 1
+        self.walker_steps += int(live)
+        self.record_service(hops, service_seconds)
 
     def record_completion(self, latency: float, now: float,
                           cache_hit: bool = False) -> None:
@@ -114,10 +147,17 @@ class ServeStats:
         return dict(sorted(Counter(self.batch_sizes).items()))
 
     def mean_batch_size(self) -> float:
-        """Average micro-batch occupancy (NaN before the first dispatch)."""
+        """Average admission-group size (NaN before the first dispatch)."""
         if not self.batch_sizes:
             return float("nan")
         return float(np.mean(self.batch_sizes))
+
+    def mean_step_occupancy(self) -> float:
+        """Walkers per superstep: walker-steps over supersteps (NaN where
+        the service ran none itself — closed runs step out of its sight)."""
+        if not self.supersteps:
+            return float("nan")
+        return self.walker_steps / self.supersteps
 
     def sustained_hops_per_second(self) -> float:
         """Hops over the open interval first-submit -> last-completion.
@@ -160,6 +200,9 @@ class ServeStats:
             "mean_batch_size": (
                 round(self.mean_batch_size(), 2) if self.batch_sizes else None
             ),
+            "mean_step_occupancy": (
+                round(self.mean_step_occupancy(), 2) if self.supersteps else None
+            ),
             "sustained_hops_per_sec": (
                 round(sustained) if np.isfinite(sustained) else None
             ),
@@ -185,11 +228,17 @@ class ServeStats:
             extras += f", {self.failed} failed"
         if self.cache_hits:
             extras += f", {self.cache_hits} cache hits"
+        steps = (
+            f"\nsupersteps: {self.supersteps}, "
+            f"mean occupancy {self.mean_step_occupancy():.1f} walkers"
+            if self.supersteps else ""
+        )
         return (
             f"served {self.completed} requests ({self.dropped} shed{extras}), "
             f"{self.total_hops} hops, "
             f"{sustained_text}\n"
             f"latency: {latency}\n"
-            f"micro-batches: {len(self.batch_sizes)} dispatched, "
+            f"admission groups: {len(self.batch_sizes)} dispatched, "
             f"mean size {self.mean_batch_size():.1f} [size x count: {shape}]"
+            f"{steps}"
         )

@@ -272,7 +272,10 @@ async def run_open_loop(
     *not* retried (open-loop clients do not slow down); everything
     admitted is awaited — a request whose micro-batch raised lands in
     ``report.failed`` instead of taking down the report, and
-    ``elapsed_seconds`` is stamped no matter what.  ``gaps`` overrides
+    ``elapsed_seconds`` is stamped no matter what.  Requests are paced
+    from absolute due times (the running sum of the gaps): on each wake
+    every request already due is submitted, so the requested rate is
+    offered however slowly the loop turns.  ``gaps`` overrides
     the Poisson schedule with a precomputed one (the scenario
     generators); ``use_cache`` submits through
     :meth:`WalkService.try_submit_cached`, recording each response's
@@ -289,20 +292,33 @@ async def run_open_loop(
     report = OpenLoopReport(offered=int(starts.size))
     pending: dict[int, asyncio.Future] = {}
     began = loop.time()
-    for position, (start, gap) in enumerate(
-        zip(starts.tolist(), np.asarray(gaps).tolist())
-    ):
-        query_id = query_id_base + position
-        if gap > 0:
-            await asyncio.sleep(gap)
-        elif position % 256 == 255:
-            # Saturation arrivals never sleep, but a submit loop that
-            # *never* yields would admit the entire burst before the
-            # dispatcher gets a turn — serializing admission before
-            # execution instead of pipelining them.  A bare yield every
-            # couple hundred requests keeps the burst open-loop while
-            # letting the service start executing behind it.
+    # Absolute due times, not a sleep per gap: a timed sleep costs two
+    # loop iterations, and a dispatcher that steps the engine on this
+    # same loop turns each into a superstep, so sleeping every gap in
+    # turn would offer a 10 us-gap burst at one request per two
+    # supersteps.  On each wake everything already due is submitted.
+    due = (began + np.cumsum(np.asarray(gaps, dtype=np.float64))).tolist()
+    start_list = starts.tolist()
+    position = back_to_back = 0
+    while position < len(start_list):
+        wait = due[position] - loop.time()
+        if wait > 0:
+            await asyncio.sleep(wait)
+            back_to_back = 0
+            continue
+        if back_to_back == 255:
+            # A submit loop that *never* yields would admit an entire
+            # burst before the dispatcher gets a turn — serializing
+            # admission before execution instead of pipelining them.  A
+            # bare yield every couple hundred requests keeps the burst
+            # open-loop while letting the service start executing
+            # behind it.
             await asyncio.sleep(0)
+            back_to_back = 0
+        start = start_list[position]
+        query_id = query_id_base + position
+        position += 1
+        back_to_back += 1
         try:
             if use_cache:
                 pending[query_id] = service.try_submit_cached(

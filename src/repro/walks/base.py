@@ -56,6 +56,14 @@ class WalkSpec(ABC):
     #: Whether tasks must carry the previous vertex (second-order walks).
     needs_prev_vertex: bool = False
 
+    #: Whether :meth:`admissible_type` and :meth:`termination_probability`
+    #: ignore their ``step`` argument.  The array kernels take one scalar
+    #: per superstep, so only a step-invariant spec can have walkers at
+    #: different hop counts share a superstep (the batch engine's open
+    #: frontier).  False unless a spec declares it: one that forgets is
+    #: served through closed runs, slower but never wrong.
+    step_invariant: bool = False
+
     def __init__(self, max_length: int = DEFAULT_MAX_LENGTH) -> None:
         self.max_length = max_length
 

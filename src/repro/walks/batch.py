@@ -17,6 +17,11 @@ over a dense task array, many schedulers:
 * Each step's next vertices go to a hop log, scattered once — when the
   hop counts are known — into the flat buffer ``WalkResults`` adopts
   (:func:`~repro.walks.base.paths_from_step_log`).  No path matrix.
+* :class:`OpenFrontier` is the open form of a run, for a caller whose
+  queries keep arriving (the walk service): walkers are admitted into
+  free slots and retired on their own hop count between supersteps, so a
+  lane freed by a short walk takes the next query at once instead of
+  idling until the longest walk of a closed batch ends.
 
 Same API, ``SeedSequence((seed, query_id))`` substream keying and
 :class:`EngineStats` semantics as :func:`repro.walks.reference.run_walks`;
@@ -31,15 +36,23 @@ form and :func:`run_walks_batch_arrays` its dense adapter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
+from repro.errors import WalkConfigError
 from repro.graph.csr import CSRGraph
 from repro.obs.trace import active as _active_tracer
 from repro.sampling.vectorized import QueryStreams, VectorizedKernel, seed_sequence_states
 from repro.walks.base import Query, WalkResults, WalkSpec, paths_from_step_log
-from repro.walks.engine import STAT_FIELDS, PreparedEngine, prepared_kernel, run_arrays
+from repro.walks.engine import (
+    STAT_FIELDS,
+    PreparedEngine,
+    check_start_vertices,
+    prepared_kernel,
+    run_arrays,
+)
 from repro.walks.reference import EngineStats
 
 (_PROPOSALS, _READS, _DANGLING, _EARLY, _PROBABILISTIC, _LENGTH) = range(len(STAT_FIELDS))
@@ -192,6 +205,147 @@ class BatchEngine(PreparedEngine):
 
         counts[_LENGTH] += frontier.size
         return *paths_from_step_log(starts, hops, log), counts
+
+    @property
+    def open_frontier(self):
+        """``open_frontier(seed, capacity) -> OpenFrontier``: the open
+        form of :meth:`run`, offered only where it is exact.
+
+        Walkers of different ages share a superstep there, and the
+        kernels take one scalar ``step``, so the spec must be
+        :attr:`~repro.walks.base.WalkSpec.step_invariant`; otherwise the
+        attribute is absent (``hasattr`` is False) and callers keep to
+        closed runs.  :class:`PreparedEngine` has no such attribute: the
+        pool engines step in other processes.
+        """
+        if not self._spec.step_invariant:
+            raise AttributeError(
+                f"{type(self._spec).__name__} is not step-invariant; "
+                f"engine {self.name!r} offers closed runs only"
+            )
+        return partial(OpenFrontier, self)
+
+
+_NO_SLOTS = np.empty(0, dtype=np.int64)
+
+
+class OpenFrontier:
+    """A run that stays open: walkers join and leave between supersteps.
+
+    ``capacity`` slots, each holding one walk in a row of a ``(capacity,
+    max_length + 1)`` slab.  :meth:`admit` seats walkers in free slots,
+    :meth:`step` advances every live walker one hop with the one
+    :func:`superstep` and returns the slots whose walks ended —
+    dangling, nothing admissible, teleport, or the walker's *own* hop
+    count reaching ``max_length`` — and :meth:`take` hands a finished
+    path out and frees its slot.  A walker draws only from the stream
+    state that travels with it, so each path, and the sum of every
+    counter, equals a closed :meth:`BatchEngine.run` of the same
+    ``(query_id, start, seed)`` whatever shared its supersteps
+    (``tests/walks/test_open_frontier.py``).
+
+    Reads the engine's graph and kernel at every step, so a snapshot swap
+    while no walker is live needs no re-open; swapping under live walkers
+    would mix graph versions within a path and is the caller's to avoid.
+    """
+
+    def __init__(self, engine: BatchEngine, seed: int, capacity: int) -> None:
+        if capacity < 1:
+            raise WalkConfigError(f"capacity must be >= 1, got {capacity}")
+        self._engine = engine
+        self._seed = seed
+        self._max_length = engine._spec.max_length
+        self._paths = np.empty((capacity, self._max_length + 1), dtype=np.int64)
+        self._hops = np.zeros(capacity, dtype=np.int64)
+        self._walking = np.zeros(capacity, dtype=bool)
+        self.capacity = capacity
+        #: Running :data:`STAT_FIELDS` counters of everything stepped here.
+        self.counts = np.zeros(len(STAT_FIELDS), dtype=np.int64)
+        self.abandon()
+
+    @property
+    def live(self) -> int:
+        """Walkers the next :meth:`step` will advance."""
+        return self._frontier.size
+
+    @property
+    def free(self) -> int:
+        """Slots :meth:`admit` can fill (ended walks hold theirs until taken)."""
+        return len(self._free)
+
+    def admit(self, query_ids, starts, states=None) -> np.ndarray:
+        """Seat one walker per aligned ``(query_id, start)``; returns their slots.
+
+        ``states`` are the walkers' stream states where the caller has
+        already derived them (``seed_sequence_states(seed, query_ids)``),
+        else they are derived here.  More walkers than :attr:`free`, a
+        start vertex outside the graph or a negative id raise before
+        anything is seated.
+        """
+        starts = np.asarray(starts, dtype=np.int64)
+        count = starts.size
+        if count > len(self._free):
+            raise WalkConfigError(
+                f"cannot admit {count} walkers into {len(self._free)} free slots"
+            )
+        check_start_vertices(self._engine._graph, starts)
+        if states is None:
+            states = seed_sequence_states(self._seed, query_ids)
+        if len(states) != count or len(query_ids) != count:
+            raise WalkConfigError("query ids, starts and states must align")
+        if count == 0:
+            return _NO_SLOTS
+        slots = np.array(self._free[-count:], dtype=np.int64)
+        del self._free[-count:]
+        self._paths[slots, 0] = starts
+        self._hops[slots] = 0
+        self._walking[slots] = True
+        frontier = self._frontier
+        frontier.pos = np.concatenate((frontier.pos, slots))
+        frontier.current = np.concatenate((frontier.current, starts))
+        frontier.previous = np.concatenate((frontier.previous, np.full(count, -1, dtype=np.int64)))
+        frontier.state = np.concatenate((frontier.state, np.asarray(states, dtype=np.uint64)))
+        return slots
+
+    def step(self) -> np.ndarray:
+        """One superstep over the live walkers; returns the slots whose
+        walks ended in it; :meth:`take` each once."""
+        engine, frontier, hops = self._engine, self._frontier, self._hops
+        spec = engine._spec
+        seated = frontier.pos
+        # Step-invariant spec: the hooks ignore the step they are given.
+        pos, next_vertex = superstep(engine._graph, spec, engine._kernel, 0, frontier, self.counts)
+        reached = hops[pos] + 1
+        hops[pos] = reached
+        self._paths[pos, reached] = next_vertex
+        if frontier.size:
+            short = hops[frontier.pos] < self._max_length
+            if not short.all():
+                self.counts[_LENGTH] += short.size - np.count_nonzero(short)
+                frontier.keep(short, spec.needs_prev_vertex)
+        if frontier.size == seated.size:
+            return _NO_SLOTS
+        walking = self._walking
+        walking[seated] = False
+        walking[frontier.pos] = True
+        return seated[~walking[seated]]
+
+    def take(self, slot: int) -> np.ndarray:
+        """The finished walk of ``slot`` (start vertex included) as an
+        array that owns its memory; the slot is free again."""
+        path = self._paths[slot, : self._hops[slot] + 1].copy()
+        self._free.append(slot)
+        return path
+
+    def abandon(self) -> None:
+        """Drop every walker, live or ended and untaken: all slots free.
+        What a caller does after :meth:`step` raised (the frontier may be
+        half-compacted) or when it stops without draining."""
+        self._frontier = Frontier.start(
+            _NO_SLOTS, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint64)
+        )
+        self._walking[:] = False
+        self._free = list(range(self.capacity - 1, -1, -1))
 
 
 def run_walks_batch_flat(

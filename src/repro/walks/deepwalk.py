@@ -20,6 +20,8 @@ class DeepWalkSpec(WalkSpec):
     """DeepWalk specification (alias sampling, fixed length)."""
 
     name = "DeepWalk"
+    #: No hook reads the hop index.
+    step_invariant = True
     needs_prev_vertex = False
 
     def __init__(self, max_length: int = DEFAULT_MAX_LENGTH) -> None:

@@ -69,12 +69,17 @@ def check_start_vertices(graph: CSRGraph, starts: np.ndarray) -> None:
         )
 
 
+def add_counts(stats: EngineStats, counts: np.ndarray) -> None:
+    """Add a :data:`STAT_FIELDS`-ordered ``counts`` vector to ``stats``."""
+    for name, value in zip(STAT_FIELDS, counts.tolist()):
+        setattr(stats, name, getattr(stats, name) + value)
+
+
 def record_run(stats: EngineStats | None, counts: np.ndarray, offsets: np.ndarray) -> None:
     """Fold one run's ``counts`` vector and per-query hops into ``stats``."""
     if stats is None:
         return
-    for name, value in zip(STAT_FIELDS, counts.tolist()):
-        setattr(stats, name, getattr(stats, name) + value)
+    add_counts(stats, counts)
     hops = np.diff(offsets) - 1
     stats.total_hops += int(hops.sum())
     stats.per_query_hops.extend(hops.tolist())

@@ -286,6 +286,14 @@ class JitEngine(BatchEngine):
             return super()._run_arrays(query_ids, starts, seed)
         return fused_walk_arrays(self._graph, self._spec, self._state, query_ids, starts, seed)
 
+    @property
+    def open_frontier(self):
+        """Offered only while this engine *is* the batch engine: the
+        fused kernel runs a walk whole and has no superstep to open."""
+        if self._state is not None:
+            raise AttributeError("the compiled jit engine offers closed runs only")
+        return super().open_frontier
+
 
 def run_walks_jit_arrays(
     graph: CSRGraph,

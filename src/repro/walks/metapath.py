@@ -33,6 +33,8 @@ class MetaPathSpec(WalkSpec):
 
     name = "MetaPath"
     needs_prev_vertex = False
+    #: The admissible edge type cycles with the hop index.
+    step_invariant = False
 
     def __init__(
         self,

@@ -43,6 +43,8 @@ class Node2VecSpec(WalkSpec):
     """
 
     name = "Node2Vec"
+    #: The bias reads the previous vertex, not the hop index.
+    step_invariant = True
     needs_prev_vertex = True
 
     def __init__(

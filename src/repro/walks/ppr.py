@@ -24,6 +24,8 @@ class PPRSpec(WalkSpec):
     """PPR walk with per-step termination probability ``alpha``."""
 
     name = "PPR"
+    #: The teleport probability is the same at every hop.
+    step_invariant = True
     needs_prev_vertex = False
 
     def __init__(self, alpha: float = 0.15, max_length: int = DEFAULT_MAX_LENGTH) -> None:

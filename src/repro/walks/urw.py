@@ -14,6 +14,8 @@ class URWSpec(WalkSpec):
     """Uniform random walk specification."""
 
     name = "URW"
+    #: No hook reads the hop index.
+    step_invariant = True
     needs_prev_vertex = False
 
     def __init__(self, max_length: int = DEFAULT_MAX_LENGTH) -> None:

@@ -16,7 +16,7 @@ import pytest
 
 from repro.graph import load_dataset
 from repro.serve import ServeConfig, WalkService, replay_paths, run_open_loop
-from repro.walks import DeepWalkSpec, Node2VecSpec
+from repro.walks import DeepWalkSpec, Node2VecSpec, PPRSpec
 
 NUM_REQUESTS = 40
 SERVICE_SEED = 21
@@ -86,6 +86,34 @@ def test_bit_identical_to_offline_replay(workload, engine, engine_options, max_b
     if max_batch == 1:
         assert set(histogram) == {1}
     assert max(histogram) <= max_batch
+
+
+@pytest.mark.parametrize("engine,engine_options", ENGINES,
+                         ids=[name for name, _ in ENGINES])
+@pytest.mark.parametrize("max_batch", BATCH_SIZES)
+def test_walks_of_unequal_length_replay_bit_identically(workload, engine,
+                                                        engine_options, max_batch):
+    """PPR walks end at different hops, so on the open frontier slots
+    free at different times and later requests join walkers mid-walk
+    (DeepWalk at a fixed length frees them all at once); the closed
+    cells run the same requests as micro-batches.  Same bits."""
+    graph, _, starts, _ = workload
+    spec = PPRSpec(alpha=0.2, max_length=30)
+    oracle = replay_paths(
+        graph, spec, {i: int(v) for i, v in enumerate(starts)}, seed=SERVICE_SEED
+    )
+    assert len({path.size for path in oracle.values()}) > 3
+    report, service = _serve(graph, spec, starts, engine, engine_options, max_batch)
+    assert report.completed == NUM_REQUESTS and not report.dropped
+    for query_id, expected in oracle.items():
+        assert np.array_equal(report.paths[query_id], expected), (
+            f"request {query_id} diverged under engine={engine} max_batch={max_batch}"
+        )
+    assert max(service.stats.batch_size_histogram()) <= max_batch
+    # The batch engine is stepped by the service; the pool engine is not.
+    assert (service.stats.supersteps > 0) == (engine == "batch")
+    if engine == "batch":
+        assert service.stats.mean_step_occupancy() <= max_batch
 
 
 def test_interleaved_arrivals_do_not_change_paths(workload):

@@ -3,10 +3,12 @@
 Covers the scenario generators (diurnal thinning, flash-crowd piecewise
 rates, hub-hammer start mixes), the ``run_open_loop`` regression — a
 failed micro-batch costs exactly its own requests, never the report —
-and the multi-tenant trace driver's id disjointness.
+its pacing from absolute due times, and the multi-tenant trace driver's
+id disjointness.
 """
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -163,6 +165,58 @@ class TestRunOpenLoopFailures:
                                         gaps=np.zeros(3))
 
         drive(scenario())
+
+
+class TestRunOpenLoopPacing:
+    def test_a_late_generator_submits_everything_already_due(self):
+        """The offered rate must not depend on how fast the loop turns:
+        a dispatcher that steps the engine on the generator's loop makes
+        every turn cost a superstep, and a sleep per gap (two turns
+        each) once offered a 10 us-gap burst at one request per two
+        supersteps."""
+        graph = make_graph()
+        requests = 120
+
+        async def scenario():
+            turns = 0
+            running = True
+
+            async def busy_loop():
+                # Stands in for the frontier dispatcher: every loop turn
+                # costs 200 us, twenty times the requested gap.
+                nonlocal turns
+                while running:
+                    turns += 1
+                    time.sleep(200e-6)
+                    await asyncio.sleep(0)
+
+            config = ServeConfig(max_batch=8, max_wait_ms=0.5,
+                                 queue_depth=requests)
+            async with WalkService(graph, URWSpec(max_length=4),
+                                   engine="reference",
+                                   config=config) as service:
+                neighbour = asyncio.ensure_future(busy_loop())
+                submitted_by = []
+                submit = service.try_submit
+
+                def stamped(*args, **kwargs):
+                    submitted_by.append(turns)
+                    return submit(*args, **kwargs)
+
+                service.try_submit = stamped
+                report = await run_open_loop(
+                    service, np.arange(requests, dtype=np.int64) % 60,
+                    gaps=np.full(requests, 10e-6))
+                running = False
+                await neighbour
+            return report, submitted_by
+
+        report, submitted_by = drive(scenario())
+        report.check_identity()
+        assert report.completed == requests
+        # 120 requests due within 1.2 ms: a handful of 200 us turns, not
+        # the 240 a sleep per gap would need.
+        assert submitted_by[-1] - submitted_by[0] <= 12
 
 
 class TestTenantTraces:
