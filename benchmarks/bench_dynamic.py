@@ -6,10 +6,14 @@ weight-churn are selectable) over an RMAT graph into
 batch, and measures:
 
 1. **updates/s** — edge operations applied and published per second,
-   including the incremental alias/ITS/edge-key maintenance;
+   including the incremental maintenance of the sampler state
+   ``--algorithm``'s kernel reads (asked for at epoch 0; a snapshot
+   maintains what has been read and nothing else);
 2. **maintenance speedup** — per-batch incremental cost vs the
-   from-scratch rebuild (``from_edges`` + alias tables + ITS CDF + edge
-   keys) a static pipeline pays per update batch.  Full runs **gate**
+   from-scratch rebuild (``from_edges`` + the same kernel's read on a
+   fresh ``SamplerState``) a static pipeline pays per update batch —
+   like with like: alias slots on both sides for DeepWalk, edge keys and
+   their filter for Node2Vec, the CSR alone for URW/PPR.  Full runs **gate**
    this at ``--min-speedup`` (default 1.3x) on the RMAT-16 sliding-window
    trace — incremental maintenance that cannot clearly beat a rebuild
    has no reason to exist.  The gate has fallen twice, each time
@@ -20,9 +24,17 @@ batch, and measures:
    37 ms = 2.7x (gate 2x); then ``from_edges`` moved to one key sort
    (``stable_order`` instead of ``lexsort``), which took the rebuild
    alone from 94-103 ms to 56 ms while the incremental batch stayed at
-   35-37 ms: 1.5x, so the gate is 1.3x.  What is left of an incremental
-   batch is mostly O(|E|) copies and hub rows rebuilt whole, which a
-   rebuild pays too.  The record carries both absolute times
+   35-37 ms: 1.5x, so the gate is 1.3x.  Then both sides stopped
+   preparing what the walk never loads (ITS rows, strategy map, edge
+   keys under DeepWalk) and the apply path got its one-pass membership
+   search: 39 ms rebuild / 22 ms incremental batch = 1.8x, gate
+   unchanged.  The gate is calibrated on the DeepWalk default; a kernel
+   with no prepared state leaves CSR construction alone on both sides,
+   where one key sort over 247k edges (8.7 ms) is as fast as merge +
+   assemble of ~1,000 dirty rows (PPR reads 0.9-1.0x, Node2Vec 1.0x —
+   pass ``--min-speedup 0`` to record those).  What is left of an
+   incremental batch is mostly O(|E|) copies and hub rows rebuilt whole,
+   which a rebuild pays too.  The record carries both absolute times
    (``mean_full_rebuild_ms``, ``mean_incremental_ms``) — read those,
    not the ratio;
 3. **walk-throughput retention** — batch-engine hops/s on the final

@@ -133,7 +133,7 @@ def check_dynamic_window_conformance(seed):
     spec = DeepWalkSpec(max_length=20)
     snapshot = dynamic.snapshot()
     queries = make_queries(snapshot.graph, 128, seed=seed + 1)
-    with prepare_engine("batch", snapshot.graph, spec, sampler="auto") as engine:
+    with prepare_engine("batch", snapshot, spec, sampler="auto") as engine:
         for batch in trace.batches:
             apply_batch(dynamic, batch)
             snapshot = dynamic.snapshot()

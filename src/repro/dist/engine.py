@@ -70,7 +70,7 @@ class DistWalkEngine(WorkerGroupEngine):
         #: ``per_shard_processed``); the dist benchmark reports it.
         self.last_run_stats: dict | None = None
 
-        _, kernel = prepared_kernel(spec, sampler, graph)
+        graph, kernel = prepared_kernel(spec, sampler, graph)
         ranks = range(self._num_shards)
         context = worker_context()
         # pair[i][j] carries walkers departing shard i for shard j.

@@ -4,7 +4,8 @@
 buffers over an immutable CSR base (compacting once deltas exceed a
 threshold) and publishes epoch-versioned immutable snapshots —
 ``(CSRGraph, SamplerState)`` pairs whose prepared sampler structures are
-maintained *incrementally* yet bit-identically to a from-scratch build.
+built when first read and from then on maintained *incrementally* yet
+bit-identically to a from-scratch build; what nobody reads is not built.
 Engines swap between snapshots without cold preparation
 (``PreparedEngine.swap_snapshot``), and the async ``WalkService`` applies
 swaps on epoch boundaries (``WalkService.update_graph``) so in-flight

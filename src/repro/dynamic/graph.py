@@ -15,7 +15,8 @@ per-snapshot merge cost.
 The read side is :meth:`DynamicGraph.snapshot`: an epoch-versioned,
 immutable ``(CSRGraph, SamplerState)`` pair.  Snapshots are built
 *incrementally* from the previous epoch — only rows dirtied since the
-last snapshot are rebuilt (see :mod:`repro.dynamic.state`) — and are
+last snapshot are rebuilt, and only in the prepared arrays some reader
+has asked a snapshot for (see :mod:`repro.dynamic.state`) — and are
 bit-identical to a from-scratch build of the same logical edge set.
 Engines and the serving layer keep walking one epoch while updates
 stream into the next; swapping an engine onto a new epoch is
@@ -30,8 +31,9 @@ not supported.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -50,17 +52,21 @@ from repro.obs.trace import span as _trace_span
 
 _INDEX_DTYPE = np.int64
 _WEIGHT_DTYPE = np.float64
+#: A removed *base* edge's delta value: one NaN object, known by identity.
+_TOMBSTONE = float("nan")
 
 
 @dataclass(frozen=True, eq=False)
 class GraphSnapshot:
-    """One published graph version: immutable and fully prepared.
+    """One published graph version, immutable.
 
     ``epoch`` is a monotonically increasing version id (0 is the
     construction-time state).  ``graph`` is a plain ``CSRGraph`` every
-    engine already understands; ``sampler_state`` carries the prepared
-    kernel arrays (alias tables, ITS CDF rows, edge keys) so swapping an
-    engine onto this snapshot needs no preparation pass.
+    engine already understands; ``sampler_state`` holds the prepared
+    kernel arrays (alias slots, ITS CDF rows, edge keys) readers of
+    earlier epochs asked for, so a swap onto this snapshot needs no
+    preparation pass.  Hand engines the snapshot, not its ``graph``:
+    what they read at construction is then inherited by later epochs.
     """
 
     epoch: int
@@ -129,11 +135,11 @@ class DynamicGraph:
         self._compaction_threshold = float(compaction_threshold)
         self._min_compaction_edges = int(min_compaction_edges)
         #: Per-vertex delta buffers, relative to the current base:
-        #: ``vertex -> {dst: weight-or-None}``.  A float is an inserted or
-        #: re-weighted edge (1.0 on unweighted graphs); ``None`` is a
-        #: tombstone for a removed *base* edge (removing an edge that only
+        #: ``vertex -> {dst: weight}``.  A weight is an inserted or
+        #: re-weighted edge (1.0 on unweighted graphs); ``_TOMBSTONE``
+        #: marks a removed *base* edge (removing an edge that only
         #: ever lived in the delta just deletes its entry).
-        self._adj: dict[int, dict[int, float | None]] = {}
+        self._adj: dict[int, dict[int, float]] = {}
         #: Vertices whose rows changed since the last published snapshot.
         self._dirty: set[int] = set()
         self._num_edges = base.num_edges
@@ -150,6 +156,8 @@ class DynamicGraph:
         #: High-water mark of :attr:`delta_edges` — how close the overlay
         #: came to the compaction threshold (reported by mutate-bench).
         self.delta_peak = 0
+        #: Sampler-state builds, ``(member, "scratch" | "incremental") -> count``.
+        self.state_builds: Counter = Counter()
 
     # ------------------------------------------------------------------
     # Read API (current logical graph, base + overlay)
@@ -193,7 +201,7 @@ class DynamicGraph:
             return self._base.degree(vertex)
         degree = self._base.degree(vertex)
         for dst, weight in delta.items():
-            if weight is None:
+            if weight is _TOMBSTONE:
                 degree -= 1
             elif not self._base.has_edge(vertex, dst):
                 degree += 1
@@ -215,7 +223,7 @@ class DynamicGraph:
         self._check_vertex(src)
         delta = self._adj.get(src)
         if delta is not None and dst in delta:
-            return delta[dst] is not None
+            return delta[dst] is not _TOMBSTONE
         return self._base.has_edge(src, dst)
 
     def logical_edges(self) -> tuple[np.ndarray, np.ndarray | None]:
@@ -244,14 +252,12 @@ class DynamicGraph:
         """
         src, dst, weight_array = self._check_update(edges, weights, need_weights=True)
         inserted = 0
-        for k in range(src.size):
-            s, d = int(src[k]), int(dst[k])
+        for s, d, w, in_base in zip(*self._ops(src, dst, weight_array)):
             delta = self._delta(s)
-            w = float(weight_array[k]) if weight_array is not None else 1.0
             if d in delta:
-                present = delta[d] is not None
+                present = delta[d] is not _TOMBSTONE
             else:
-                present = self._base.has_edge(s, d)
+                present = in_base
                 self._delta_entries += 1
             if not present:
                 inserted += 1
@@ -269,12 +275,10 @@ class DynamicGraph:
         in one call is fine, and its degree drops to 0).
         """
         src, dst, _ = self._check_update(edges, None, need_weights=False)
-        for k in range(src.size):
-            s, d = int(src[k]), int(dst[k])
+        for s, d, _, in_base in zip(*self._ops(src, dst, None)):
             delta = self._delta(s)
             in_delta = d in delta
-            in_base = self._base.has_edge(s, d)
-            present = delta[d] is not None if in_delta else in_base
+            present = delta[d] is not _TOMBSTONE if in_delta else in_base
             if not present:
                 raise DynamicGraphError(
                     f"cannot remove edge {s} -> {d}: it does not exist"
@@ -284,7 +288,7 @@ class DynamicGraph:
                 # already overrode this destination).
                 if not in_delta:
                     self._delta_entries += 1
-                delta[d] = None
+                delta[d] = _TOMBSTONE
             else:
                 # The edge lives only in the delta: drop its entry.
                 del delta[d]
@@ -301,18 +305,17 @@ class DynamicGraph:
                 "cannot update weights on an unweighted dynamic graph"
             )
         src, dst, weight_array = self._check_update(edges, weights, need_weights=True)
-        for k in range(src.size):
-            s, d = int(src[k]), int(dst[k])
+        for s, d, w, in_base in zip(*self._ops(src, dst, weight_array)):
             delta = self._delta(s)
             in_delta = d in delta
-            present = delta[d] is not None if in_delta else self._base.has_edge(s, d)
+            present = delta[d] is not _TOMBSTONE if in_delta else in_base
             if not present:
                 raise DynamicGraphError(
                     f"cannot re-weight edge {s} -> {d}: it does not exist"
                 )
             if not in_delta:
                 self._delta_entries += 1
-            delta[d] = float(weight_array[k])
+            delta[d] = w
             self._dirty.add(s)
         self.updates_applied += src.size
         self._maybe_compact()
@@ -326,16 +329,17 @@ class DynamicGraph:
         With no pending updates this returns the cached snapshot (same
         object, same epoch).  Otherwise a new epoch is built
         incrementally from the previous one: dirty rows are rebuilt,
-        clean rows — graph arrays and prepared sampler state alike — are
-        copied bit-for-bit (see :func:`repro.dynamic.state.advance_graph_and_state`).
+        clean rows copied bit-for-bit, in the graph arrays and in every
+        prepared array a reader has asked an earlier ``sampler_state``
+        for — epoch 0 starts with none built, what nobody asks for never
+        is (see :func:`repro.dynamic.state.advance_graph_and_state`).
         """
         previous = self._published
         if previous is None:
-            # Epoch 0: the one unavoidable from-scratch preparation.
             previous = GraphSnapshot(
                 epoch=self._epoch,
                 graph=self._base,
-                sampler_state=SamplerState.full_build(self._base),
+                sampler_state=SamplerState(self._base, builds=self.state_builds),
             )
             self._published = previous
             self._notify_epoch(previous)
@@ -352,6 +356,8 @@ class DynamicGraph:
                 batch,
                 name=self._base.name,
             )
+            if state.held:  # what this epoch maintained; absent when nothing
+                snapshot_span.annotate(members=sorted(state.held))
             self._epoch += 1
             snapshot = GraphSnapshot(
                 epoch=self._epoch, graph=graph, sampler_state=state
@@ -444,7 +450,24 @@ class DynamicGraph:
             )
         return src, dst, weight_array
 
-    def _delta(self, vertex: int) -> dict[int, float | None]:
+    def _ops(self, src: np.ndarray, dst: np.ndarray, weights: np.ndarray | None):
+        """One call's ops as ``(src, dst, weight, in base)`` columns.  The
+        base only changes at a call's end (compaction), so membership is
+        one row-bounded binary search over all ops at once."""
+        row_ptr, col = self._base.row_ptr, self._base.col
+        lo, stop = row_ptr[src], row_ptr[src + 1]
+        hi = stop
+        for _ in range(int((stop - lo).max(initial=0)).bit_length()):
+            mid = (lo + hi) >> 1
+            below = (mid < hi) & (col[np.minimum(mid, col.size - 1)] < dst)
+            lo, hi = np.where(below, mid + 1, lo), np.where(below, hi, mid)
+        in_base = np.zeros(src.size, dtype=bool)
+        found = np.flatnonzero(lo < stop)
+        in_base[found] = col[lo[found]] == dst[found]
+        weight = repeat(1.0) if weights is None else weights.tolist()
+        return src.tolist(), dst.tolist(), weight, in_base.tolist()
+
+    def _delta(self, vertex: int) -> dict[int, float]:
         """The (possibly empty, created on demand) delta buffer of one
         vertex.  O(1): never copies the base row."""
         delta = self._adj.get(vertex)
@@ -479,7 +502,7 @@ class DynamicGraph:
         n = self.num_vertices
         vertices = np.array(sorted(vertices), dtype=_INDEX_DTYPE)
         positions, base_ptr = gather_rows(self._base.row_ptr, vertices)
-        no_delta: dict[int, float | None] = {}
+        no_delta: dict[int, float] = {}
         deltas = [self._adj.get(vertex, no_delta) for vertex in vertices.tolist()]
         delta_sizes = [len(delta) for delta in deltas]
         batch_row = np.arange(vertices.size, dtype=_INDEX_DTYPE)
@@ -492,12 +515,12 @@ class DynamicGraph:
             np.fromiter(chain.from_iterable(deltas), dtype=_INDEX_DTYPE,
                         count=sum(delta_sizes)),
         ))
-        # A tombstone's ``None`` becomes NaN, which no stored weight is.
+        # A tombstone is NaN, which no stored weight is.
         weight = np.concatenate((
             self._base.weights[positions] if self._weighted
             else np.ones(positions.size, dtype=_WEIGHT_DTYPE),
-            np.array([w for delta in deltas for w in delta.values()],
-                     dtype=_WEIGHT_DTYPE),
+            np.fromiter(chain.from_iterable(map(dict.values, deltas)),
+                        dtype=_WEIGHT_DTYPE, count=sum(delta_sizes)),
         ))
 
         keys = rows * np.int64(n) + dst
@@ -535,7 +558,7 @@ class DynamicGraph:
         else:
             row = dict.fromkeys(base_cols.tolist(), 1.0)
         for dst, weight in delta.items():
-            if weight is None:
+            if weight is _TOMBSTONE:
                 row.pop(dst, None)
             else:
                 row[dst] = weight

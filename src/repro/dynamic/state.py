@@ -1,36 +1,35 @@
-"""Prepared sampler state with incremental, bit-identical maintenance.
+"""Prepared sampler state, built on first ask and maintained once asked.
 
 Every software engine pays a per-graph preparation cost before its first
-hop: DeepWalk's alias tables (``graph/alias.py``), the second-order
-kernels' sorted edge-key array (``sampling/vectorized.py``), and the
-ITS-style per-vertex CDF rows the weighted baselines scan.  On a static
-graph that cost is paid once; on a mutating graph a naive engine pays it
-again after *every* update batch, which is exactly the rebuild tax the
-dynamic-graph papers (LightRW, FlexiWalker) structure their designs
-around.
+hop — DeepWalk's alias slots, the ITS CDF rows, the second-order
+kernels' sorted edge keys — and each reads only its own: uniform and
+first-order reservoir kernels read none.  On a mutating graph a naive
+engine pays that cost again after *every* update batch, the rebuild tax
+the dynamic-graph papers (LightRW, FlexiWalker) design around.
 
-:class:`SamplerState` bundles all of that prepared state into one
-immutable value, and :func:`advance_graph_and_state` rebuilds it
-*incrementally*: vertices whose neighborhoods changed ("dirty" rows) are
-rebuilt as one flat batch by the same row builders a from-scratch build
-runs over every row (:mod:`repro.graph.rows`), while every clean row's
-slots are copied bit-for-bit from the previous state.
-Because alias slots and CDF rows are row-local — a slot names its two
-neighbours by vertex id, which no update moves — the result is
-**bit-identical** to ``SamplerState.full_build`` on a freshly
-constructed CSR of the same logical graph — the property the dynamic
-subsystem's snapshot-equivalence guarantee rests on, enforced by the
-property tests in ``tests/dynamic/``.  (The sorted edge keys and the bit
-filter in front of them are derived from the state's graph the first
-time a second-order kernel asks — :attr:`SamplerState.edge_keys`,
-:attr:`SamplerState.edge_set` — and never during an update.)
+:class:`SamplerState` is one graph version plus the prepared arrays
+somebody has read.  :data:`MEMBERS` declares each array once — its
+from-scratch builder over a ``CSRGraph``, its row rebuilder over a
+:class:`RowBatch`, edge- or vertex-aligned.  *Reading* a member
+(``state.alias_slots``, :meth:`~SamplerState.kernel_arrays`,
+:meth:`~SamplerState.arrays`) builds it from scratch if the state does
+not hold it and keeps it, read-only; :func:`advance_graph_and_state`
+maintains exactly the members the previous state holds — clean rows
+copied bit-for-bit, dirty rows rebuilt as one flat batch by the same row
+builders the from-scratch build runs (:mod:`repro.graph.rows`) — and
+leaves the rest unbuilt.  So a member is inherited by every epoch after
+its first reader (sticky, never evicted) and one nobody reads costs
+nothing.  Every held member is **bit-identical** to
+``SamplerState.full_build`` on a fresh CSR of the same logical graph
+(``tests/dynamic/``).  The bit filter in front of the edge keys is
+derived from them on first ask per state (:attr:`SamplerState.edge_set`):
+a filter cannot unset bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
+from collections import Counter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,7 +46,6 @@ from repro.sampling.hybrid import (
 )
 from repro.sampling.its import build_its_cdf, build_its_row_totals
 from repro.sampling.vectorized import (
-    ALIAS_SLOT,
     AliasKernel,
     EdgeSet,
     ITSKernel,
@@ -61,70 +59,130 @@ _INDEX_DTYPE = np.int64
 _WEIGHT_DTYPE = np.float64
 
 
-@dataclass(frozen=True, eq=False)
-class SamplerState:
-    """Every engine's prepared per-graph arrays, as one immutable value.
+class RowBatch(NamedTuple):
+    """Complete new neighborhoods of some vertices, as one flat batch.
 
-    The edge-aligned arrays follow the CSR column list of ``graph``, the
-    version they were built for.  A snapshot carries one of these so
-    engines can be swapped onto a new graph version without re-running
-    any preparation pass.
+    ``vertices`` is ascending and duplicate-free; row ``i`` of the batch
+    — ``col[row_ptr[i]:row_ptr[i + 1]]``, ascending, with ``weights``
+    aligned (``None`` on unweighted graphs) — replaces vertex
+    ``vertices[i]``'s whole row.  The same ``(values, row_ptr)`` shape
+    the row builders in :mod:`repro.graph.rows` take.
     """
 
-    graph: CSRGraph
-    #: One packed :data:`~repro.sampling.vectorized.ALIAS_SLOT` per edge.
-    alias_slots: np.ndarray
-    its_cdf: np.ndarray
-    its_row_totals: np.ndarray
-    #: Per-vertex hybrid strategy codes, shape ``(num_vertices, 2)`` —
-    #: the cost model's first-order and second-order choices (see
-    #: :func:`repro.sampling.hybrid.select_strategies`), maintained with
-    #: the default :class:`~repro.sampling.hybrid.HybridConfig` so a
-    #: snapshot's selection map matches any freshly auto-prepared engine.
-    strategy: np.ndarray
+    vertices: np.ndarray
+    row_ptr: np.ndarray
+    col: np.ndarray
+    weights: np.ndarray | None
 
-    def __post_init__(self) -> None:
-        for array in (self.alias_slots, self.its_cdf, self.its_row_totals, self.strategy):
-            array.setflags(write=False)
-        if self.alias_slots.dtype != ALIAS_SLOT or not (
-            self.alias_slots.shape == self.its_cdf.shape == self.graph.col.shape
-        ):
-            raise DynamicGraphError("sampler state arrays must align")
-        if self.strategy.shape != (self.its_row_totals.size, 2):
-            raise DynamicGraphError(
-                "strategy map must hold one (first, second)-order pair per vertex"
-            )
+
+def _alias_rows(batch: RowBatch, num_vertices: int) -> np.ndarray:
+    if batch.weights is None:
+        alias = within_row_index(batch.row_ptr)
+        prob = np.ones(alias.size, dtype=_WEIGHT_DTYPE)
+    else:
+        prob, alias = build_alias_rows(batch.weights, batch.row_ptr)
+    # Only the rebuilt rows are packed, from the batch's own columns.
+    return pack_alias_slots(prob, alias, batch.row_ptr, batch.col)
+
+
+def _cdf_rows(batch: RowBatch, num_vertices: int) -> np.ndarray:
+    if batch.weights is None:
+        return within_row_index(batch.row_ptr) + 1
+    return row_cumsums(batch.weights, batch.row_ptr)
+
+
+def _total_rows(batch: RowBatch, num_vertices: int) -> np.ndarray:
+    if batch.weights is None:
+        return np.diff(batch.row_ptr)
+    return row_sums(batch.weights, batch.row_ptr)
+
+
+def _key_rows(batch: RowBatch, num_vertices: int) -> np.ndarray:
+    sources = np.repeat(batch.vertices, np.diff(batch.row_ptr))
+    return sources * np.int64(num_vertices) + batch.col
+
+
+class Member(NamedTuple):
+    """One prepared array: ``build(graph)`` makes it from scratch,
+    ``rows(batch, num_vertices)`` the slots of a batch of replaced rows;
+    edge-aligned arrays follow ``graph.col``, the others the vertices."""
+
+    build: Callable[[CSRGraph], np.ndarray]
+    rows: Callable[[RowBatch, int], np.ndarray]
+    edge_aligned: bool
+
+
+#: Everything a :class:`SamplerState` can hold.  ``alias_slots`` is one
+#: packed ``ALIAS_SLOT`` per edge; ``strategy`` the ``(|V|, 2)`` hybrid
+#: codes under the default ``HybridConfig``, as a fresh auto prepare picks.
+#: (Lambdas, so a builder is looked up in this module when it runs and a
+#: test's spy on it counts.)
+MEMBERS: dict[str, Member] = {
+    "alias_slots": Member(lambda graph: graph_alias_slots(graph), _alias_rows, True),
+    "its_cdf": Member(lambda graph: build_its_cdf(graph), _cdf_rows, True),
+    "its_row_totals": Member(lambda graph: build_its_row_totals(graph), _total_rows, False),
+    "strategy": Member(lambda graph: select_strategies(graph), lambda batch, n:
+                       select_row_strategies(batch.weights, batch.row_ptr), False),
+    "edge_keys": Member(lambda graph: build_edge_keys(graph), _key_rows, True),
+}
+
+
+class SamplerState:
+    """One graph version and the prepared arrays read on it so far.
+
+    ``held`` maps member name to its read-only array; ``builds`` counts
+    ``(member, "scratch" | "incremental")`` builds over every state of one
+    dynamic graph (telemetry, unsynchronised: readers racing on another
+    thread may build a member twice and count it once — never wrongly).
+    A snapshot carries one of these so an engine swaps onto a new version
+    without re-running a prepare pass.
+    """
+
+    def __init__(self, graph: CSRGraph, held: dict[str, np.ndarray] | None = None,
+                 builds: Counter | None = None) -> None:
+        self.graph = graph
+        self.held: dict[str, np.ndarray] = {}
+        self.builds = Counter() if builds is None else builds
+        self._edge_set: EdgeSet | None = None
+        for name, array in (held or {}).items():
+            self._hold(name, array)
+
+    def _hold(self, name: str, array: np.ndarray) -> None:
+        edge_aligned = MEMBERS[name].edge_aligned
+        if len(array) != (self.graph.num_edges if edge_aligned else self.graph.num_vertices):
+            raise DynamicGraphError(f"sampler state member {name} must align with its graph")
+        array.setflags(write=False)
+        self.held[name] = array
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        """A member not held yet is built from scratch, once, and kept."""
+        if name not in MEMBERS:
+            raise AttributeError(name)
+        if name not in self.held:
+            with _trace_span("dynamic.build_member", member=name):
+                self._hold(name, MEMBERS[name].build(self.graph))
+            self.builds[name, "scratch"] += 1
+        return self.held[name]
 
     @classmethod
     def full_build(cls, graph: CSRGraph) -> "SamplerState":
-        """Build every prepared structure from scratch (the rebuild tax a
-        static pipeline pays per update batch; the incremental path in
-        :func:`advance_graph_and_state` must match this bit-for-bit)."""
-        return cls(
-            graph=graph,
-            alias_slots=graph_alias_slots(graph),
-            its_cdf=build_its_cdf(graph),
-            its_row_totals=build_its_row_totals(graph),
-            strategy=select_strategies(graph),
-        )
+        """Ask for everything: the rebuild tax a static pipeline pays per
+        batch, and what every incrementally held member must equal."""
+        state = cls(graph)
+        state.arrays()
+        return state
 
     @property
     def num_slots(self) -> int:
-        return self.alias_slots.size
+        return self.graph.num_edges
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """All prepared arrays, keyed with the vectorized kernels' own
+        """Every member, keyed with the vectorized kernels' own
         ``state_arrays`` names (plus the ITS sampler's pair)."""
-        return {
-            "alias_slots": self.alias_slots,
-            "its_cdf": self.its_cdf,
-            "its_row_totals": self.its_row_totals,
-            "edge_keys": self.edge_keys,
-            "strategy": self.strategy,
-        }
+        return {name: getattr(self, name) for name in MEMBERS}
 
     def load_its_sampler(self, sampler, graph: CSRGraph) -> None:
-        """Hand the maintained CDF rows to an
+        """Hand the CDF rows to an
         :class:`~repro.sampling.its.InverseTransformSampler` prepared for
         ``graph`` (this state's owning snapshot graph) — the scalar-side
         equivalent of :meth:`kernel_arrays`, skipping the sampler's own
@@ -132,7 +190,8 @@ class SamplerState:
         sampler.load_state(self.its_cdf, self.its_row_totals, graph)
 
     def kernel_arrays(self, kernel: VectorizedKernel) -> dict[str, np.ndarray]:
-        """The subset of prepared arrays ``kernel`` actually consumes.
+        """The prepared arrays ``kernel`` consumes — read, so held from
+        this epoch on.
 
         Shaped for :meth:`~repro.sampling.vectorized.VectorizedKernel.load_state`;
         an empty mapping means the kernel needs no prepared state (uniform
@@ -154,39 +213,12 @@ class SamplerState:
             arrays.update(self.edge_set.state_arrays())
         return arrays
 
-    @cached_property
-    def edge_keys(self) -> np.ndarray:
-        """Sorted ``src * |V| + dst`` keys of the state's graph.
-
-        Only second-order kernels read them, so they are built on the
-        first request and kept for the state's lifetime — never inside
-        ``snapshot()`` / :func:`advance_graph_and_state`.
-        """
-        keys = build_edge_keys(self.graph)
-        keys.setflags(write=False)
-        return keys
-
-    @cached_property
+    @property
     def edge_set(self) -> EdgeSet:
-        """The edge keys behind their bit filter, as lazy as the keys:
-        first-order workloads on a mutating graph pay for neither."""
-        return EdgeSet.from_keys(self.edge_keys, self.graph.num_vertices)
-
-
-class RowBatch(NamedTuple):
-    """Complete new neighborhoods of some vertices, as one flat batch.
-
-    ``vertices`` is ascending and duplicate-free; row ``i`` of the batch
-    — ``col[row_ptr[i]:row_ptr[i + 1]]``, ascending, with ``weights``
-    aligned (``None`` on unweighted graphs) — replaces vertex
-    ``vertices[i]``'s whole row.  The same ``(values, row_ptr)`` shape
-    the row builders in :mod:`repro.graph.rows` take.
-    """
-
-    vertices: np.ndarray
-    row_ptr: np.ndarray
-    col: np.ndarray
-    weights: np.ndarray | None
+        """The edge keys behind their bit filter, derived on first ask."""
+        if self._edge_set is None:
+            self._edge_set = EdgeSet.from_keys(self.edge_keys, self.graph.num_vertices)
+        return self._edge_set
 
 
 #: The unchanged rows of an update: the (at most ``len(batch) + 1``)
@@ -263,50 +295,32 @@ def advance_graph_and_state(
     """Produce the next ``(CSRGraph, SamplerState)`` version incrementally.
 
     ``batch`` holds each changed vertex's complete new neighborhood.
-    Unchanged rows are copied (graph arrays and every prepared structure
-    alike); the batch is rebuilt with the same row builders
-    ``SamplerState.full_build`` runs over the whole graph, so the output
-    is bit-identical to a from-scratch build of the same logical graph
-    while costing O(|E| copies + rebuilt-row work) instead of the full
-    alias/CDF construction passes.
+    Unchanged rows are copied (graph arrays and every member
+    ``prev_state`` holds alike); the batch is rebuilt with the same row
+    builders a from-scratch build runs over the whole graph, so each held
+    member is bit-identical to one while costing O(|E| copies +
+    rebuilt-row work).  Members ``prev_state`` does not hold stay unbuilt.
     """
+    held_before = dict(prev_state.held)  # a reader on another thread may be adding
     with _trace_span("dynamic.assemble"):
         graph, runs, batch_positions = _assemble_csr(
             prev_graph, batch, name or prev_graph.name
         )
-        num_edges = graph.num_edges
-        alias_slots = np.empty(num_edges, dtype=ALIAS_SLOT)
-        its_cdf = np.empty(num_edges, dtype=_WEIGHT_DTYPE)
-        _copy_clean_runs(
-            runs,
-            (alias_slots, prev_state.alias_slots),
-            (its_cdf, prev_state.its_cdf),
-        )
-        its_row_totals = prev_state.its_row_totals.copy()
-        strategy = prev_state.strategy.copy()
+        held = {
+            member: np.empty(graph.num_edges, dtype=old.dtype)
+            if MEMBERS[member].edge_aligned else old.copy()
+            for member, old in held_before.items()
+        }
+        _copy_clean_runs(runs, *(
+            (held[member], old) for member, old in held_before.items()
+            if MEMBERS[member].edge_aligned
+        ))
 
     with _trace_span("dynamic.rebuild_rows"):
-        vertices = batch.vertices
-        if batch.weights is not None:
-            prob, alias = build_alias_rows(batch.weights, batch.row_ptr)
-            its_cdf[batch_positions] = row_cumsums(batch.weights, batch.row_ptr)
-            its_row_totals[vertices] = row_sums(batch.weights, batch.row_ptr)
-        else:
-            alias = within_row_index(batch.row_ptr)
-            prob = np.ones(alias.size, dtype=_WEIGHT_DTYPE)
-            its_cdf[batch_positions] = alias + 1
-            its_row_totals[vertices] = np.diff(batch.row_ptr)
-        # Only the rebuilt rows are packed, from the batch's own columns.
-        alias_slots[batch_positions] = pack_alias_slots(
-            prob, alias, batch.row_ptr, batch.col
-        )
-        strategy[vertices] = select_row_strategies(batch.weights, batch.row_ptr)
-
-    state = SamplerState(
-        graph=graph,
-        alias_slots=alias_slots,
-        its_cdf=its_cdf,
-        its_row_totals=its_row_totals,
-        strategy=strategy,
-    )
-    return graph, state
+        for member, new in held.items():
+            spec = MEMBERS[member]
+            with _trace_span("dynamic.rebuild_member", member=member):
+                slots = batch_positions if spec.edge_aligned else batch.vertices
+                new[slots] = spec.rows(batch, graph.num_vertices)
+            prev_state.builds[member, "incremental"] += 1
+    return graph, SamplerState(graph, held, prev_state.builds)

@@ -49,9 +49,9 @@ class ReferenceEngine(PreparedEngine):
 
     name = "reference"
 
-    def __init__(self, graph: CSRGraph, spec: WalkSpec, sampler: str = "default") -> None:
+    def __init__(self, graph, spec: WalkSpec, sampler: str = "default") -> None:
         # Not _configure: that rejects specs only this engine runs.
-        self._graph = graph
+        self._graph = snapshot_graph(graph)
         self._spec = spec
         self._sampler_mode = validate_sampler_mode(sampler)
 
@@ -153,10 +153,14 @@ def _record_run_metrics(engine: str, results: WalkResults, elapsed: float) -> No
 
 
 def prepare_engine(
-    engine: str, graph: CSRGraph, spec: WalkSpec, **options
+    engine: str, graph, spec: WalkSpec, **options
 ) -> PreparedEngine:
     """Build a :class:`PreparedEngine` for repeated runs on one graph.
 
+    ``graph`` is a ``CSRGraph`` or a dynamic ``GraphSnapshot``.  Given the
+    snapshot, the engine reads its prepared state (built there, once) and
+    every later ``swap_snapshot`` inherits it; given ``snapshot.graph``,
+    the engine prepares privately and the first swap builds it again.
     ``options`` carries engine-specific settings (``workers=N`` for the
     parallel engine); ``None``-valued options mean "engine default" and
     are dropped, options the engine does not declare are rejected.  Close

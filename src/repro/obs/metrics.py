@@ -340,6 +340,13 @@ def dynamic_graph_into(registry: MetricsRegistry, graph, **labels) -> None:
     registry.gauge(
         "repro_dynamic_epoch", "Current published snapshot epoch",
     ).set(graph.epoch, **labels)
+    builds = registry.counter(
+        "repro_dynamic_state_builds_total",
+        "Sampler-state member builds; kind=scratch past epoch 0 is a reader that asked late",
+    )
+    # (Duck-typed like the rest: a graph-like without the ledger has none.)
+    for (member, kind), count in sorted(getattr(graph, "state_builds", {}).items()):
+        builds.inc(count, member=member, kind=kind, **labels)
 
 
 def tracer_into(registry: MetricsRegistry, tracer, **labels) -> None:

@@ -111,7 +111,7 @@ class ParallelWalkEngine(WorkerGroupEngine):
             raise WalkConfigError(f"workers must be >= 1, got {workers}")
         self._workers = workers or default_workers()
 
-        _, kernel = prepared_kernel(spec, sampler, graph)
+        graph, kernel = prepared_kernel(spec, sampler, graph)
         self._group = WorkerGroup(
             self.name,
             self._segments(graph, kernel),

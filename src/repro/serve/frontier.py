@@ -22,12 +22,20 @@ out on the old graph, and the swap applies once the frontier has
 drained — a frontier never spans an epoch, as micro-batches never did.
 It applies on the loop, where the closed path hands it to its executor:
 nothing is seated by then, but submitters and every other coroutine
-wait out ``swap_snapshot``.  Measured on RMAT-16 (edge factor 12): a
-:class:`~repro.dynamic.graph.GraphSnapshot`, whose sampler state is
-already built, swaps in 0.03-1.2 ms for PPR and DeepWalk and 10-16 ms
-for Node2Vec (the edge filter is rebuilt); a plain ``CSRGraph`` runs the
-whole ``prepare`` — 1 ms for PPR, 34-53 ms for DeepWalk's alias tables.
-Hand a frontier-served service snapshots where that stall matters.
+wait out ``swap_snapshot``.  A snapshot maintains the sampler state its
+readers have read: build the service from a
+:class:`~repro.dynamic.graph.GraphSnapshot` (not its ``.graph``) and
+the engine's construction-time prepare *is* that read, so every swap
+after it is a hand-off.  Measured on RMAT-16 (edge factor 12, the
+service's ``sampler="auto"``): such a swap takes 0.9 ms for PPR, 0.6 ms
+for DeepWalk and 5 ms for rejection Node2Vec (the edge filter is
+derived from the maintained keys at each epoch).  A service built from
+a plain ``CSRGraph`` prepared privately, so its *first* swap onto a
+snapshot builds from scratch what the kernel reads — 13 ms for PPR (the
+strategy map), 89 ms for DeepWalk, 15 ms for Node2Vec — and later ones
+inherit as above; a plain ``CSRGraph`` as the swap target runs the whole
+``prepare`` every time (12.5 / 55-83 / 15 ms).  Hand a frontier-served
+service snapshots, from construction on, where that stall matters.
 A pool fill's walkers take the slots clients leave, over as many turns
 as that needs, and the pool installs whole, on the one epoch it ran on,
 when its last walker ends.  If ``step()`` raises, exactly the seated

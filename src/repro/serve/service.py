@@ -182,9 +182,10 @@ class WalkService:
         self._config = config or ServeConfig()
         self._seed = normalize_seed(seed)
         # A dynamic GraphSnapshot may stand in for the graph; the service
-        # adopts its epoch label and serves its CSR.
+        # adopts its epoch label and serves its CSR, and the engine reads
+        # the snapshot's sampler state, which later epochs then maintain.
         self._initial_epoch = getattr(graph, "epoch", 0)
-        graph = getattr(graph, "graph", graph)
+        snapshot, graph = graph, getattr(graph, "graph", graph)
         if isinstance(engine, PreparedEngine):
             if engine_options:
                 raise ServeError(
@@ -200,7 +201,7 @@ class WalkService:
             # offline oracle bit-identical; pass ``sampler="default"`` to
             # pin the spec's single-strategy kernel instead.
             engine_options.setdefault("sampler", "auto")
-            self._runner = prepare_engine(engine, graph, spec, **engine_options)
+            self._runner = prepare_engine(engine, snapshot, spec, **engine_options)
         #: Vertex count of the graph version the *newest queued* swap
         #: targets — requests admitted now execute after every queued
         #: swap, so try_submit validates against this, not against the

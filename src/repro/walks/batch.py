@@ -170,7 +170,7 @@ class BatchEngine(PreparedEngine):
         self._configure(graph, spec, sampler)
         if kernel is None:
             _, kernel = prepared_kernel(spec, sampler, graph)
-        self._adopt(graph, kernel)
+        self._adopt(self._graph, kernel)
 
     def _adopt(self, graph: CSRGraph, kernel: VectorizedKernel) -> None:
         self._graph = graph

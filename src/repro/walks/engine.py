@@ -122,11 +122,13 @@ def prepared_kernel(
 ) -> tuple[CSRGraph, VectorizedKernel]:
     """``(graph, kernel ready to sample it)`` for a graph or a snapshot.
 
-    A snapshot's incrementally maintained sampler state replaces the
-    kernel's ``prepare`` pass (alias tables, edge keys): its
-    ``kernel_arrays`` are loaded as they are, an empty mapping means the
-    kernel holds no per-graph state, and only a plain graph is prepared
-    from scratch.
+    A snapshot's sampler state replaces the kernel's ``prepare`` pass
+    (alias tables, edge keys): its ``kernel_arrays`` are loaded as they
+    are — built there on the first read, maintained incrementally by
+    every later epoch — an empty mapping means the kernel holds no
+    per-graph state, and only a plain graph is prepared from scratch.
+    Engine constructors come through here too, so an engine built from
+    a snapshot leaves what it read to the epochs it will swap to.
     """
     graph = snapshot_graph(snapshot)
     state = getattr(snapshot, "sampler_state", None)
@@ -142,7 +144,8 @@ def prepared_kernel(
 class PreparedEngine:
     """A software engine with its per-graph setup already paid.
 
-    Construction pays the setup once (kernel preparation, and for the
+    Construction — over a ``CSRGraph`` or a dynamic ``GraphSnapshot`` —
+    pays the setup once (kernel preparation, and for the
     pool engines worker start-up and shared segments); :meth:`run` does
     only per-batch work, and results are bit-identical for equal
     ``(queries, seed)`` whichever array engine runs them.  Close the
@@ -166,12 +169,13 @@ class PreparedEngine:
     #: engines whose ``close`` tears down worker processes.
     runs_after_close: bool = True
 
-    def _configure(self, graph: CSRGraph, spec: WalkSpec, sampler: str) -> None:
-        """Validate and hold what the shared methods read.  A method, not
-        ``__init__``: test doubles subclass this with no constructor
+    def _configure(self, graph, spec: WalkSpec, sampler: str) -> None:
+        """Validate and hold what the shared methods read (``graph`` is a
+        ``CSRGraph`` or a ``GraphSnapshot``, as for a swap).  A method,
+        not ``__init__``: test doubles subclass this with no constructor
         arguments at all."""
         check_batch_spec(spec)
-        self._graph = graph
+        self._graph = snapshot_graph(graph)
         self._spec = spec
         self._sampler_mode = validate_sampler_mode(sampler)
 

@@ -7,13 +7,11 @@ benchmark gate, so the harness gets direct test coverage on a trace
 small enough for the tier-1 suite.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from repro.bench.workloads import make_spec
-from repro.dynamic import make_trace, run_mutate_bench
+from repro.dynamic import SamplerState, make_trace, run_mutate_bench
 from repro.dynamic.bench import (
     fresh_static_build,
     rebuild_from_edge_set,
@@ -51,9 +49,11 @@ def test_snapshot_equivalence_holds_and_detects_divergence(report):
     snapshot = dynamic.snapshot()
     graph, state = fresh_static_build(dynamic)
     assert snapshot_matches_static(snapshot, graph, state)
+    # A full build holds every member; the comparison asks the snapshot
+    # for each of them in turn.
     doctored = state.its_cdf.copy()
     doctored[0] += 1.0
-    tampered = dataclasses.replace(state, its_cdf=doctored)
+    tampered = SamplerState(graph, {**state.held, "its_cdf": doctored})
     assert not snapshot_matches_static(snapshot, graph, tampered)
 
 
@@ -65,7 +65,7 @@ def test_strategy_divergence_fails_equivalence(report):
     graph, state = fresh_static_build(dynamic)
     flipped = np.array(state.strategy)
     flipped[0, 0] = (flipped[0, 0] + 1) % 3
-    tampered = dataclasses.replace(state, strategy=flipped)
+    tampered = SamplerState(graph, {**state.held, "strategy": flipped})
     assert not snapshot_matches_static(snapshot, graph, tampered)
 
 

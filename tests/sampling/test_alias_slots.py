@@ -242,7 +242,8 @@ def churned_graph():
     trace = sliding_window_trace(9, edge_factor=4, batch_size=40, num_batches=3,
                                  weighted=True, seed=11)
     dynamic = trace.build_dynamic()
-    dynamic.snapshot()
+    # A reader asks at epoch 0; every later epoch then maintains the slots.
+    assert dynamic.snapshot().sampler_state.alias_slots.dtype == ALIAS_SLOT
     return dynamic, trace.batches
 
 
