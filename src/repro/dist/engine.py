@@ -7,11 +7,13 @@ shard in a :class:`~repro.parallel.runtime.WorkerGroup`.  A run is a
 sequence of parent-coordinated supersteps: the parent broadcasts
 ``superstep(k)`` to every shard, the shards advance their resident
 walkers and forward departures to each other through per-pair queues
-(see :mod:`repro.dist.worker`), and the parent stops as soon as the
-global alive count hits zero.  Paths are assembled parent-side from
-the shards' hop logs — every logged hop is ``(query position, step,
-vertex)``, so assembly is one scatter per shard straight into the final
-flat path buffer, regardless of how many times a walker changed shards.
+(see :mod:`repro.dist.worker`), and the parent stops as soon as no
+shard holds a walker.  Paths are assembled parent-side from the shards'
+hop logs — every logged hop is ``(query position, hop index, vertex)``,
+keyed by the walker's own hop count (a stalled walker is behind the
+superstep count), so assembly is one scatter per shard straight into
+the final flat path buffer, regardless of how many times a walker
+changed shards.
 
 Determinism contract: bit-identical ``WalkResults`` and ``EngineStats``
 to ``run_walks_batch`` for any shard count and any forwarding
@@ -110,7 +112,7 @@ class DistWalkEngine(WorkerGroupEngine):
         with group.session():
             for shard in range(self._num_shards):
                 mine = np.nonzero(start_owner == shard)[0]
-                group.send(shard, "start_run", mine, starts[mine], states[mine])
+                group.send(shard, "start_run", mine, starts[mine], states[mine], num_queries)
             group.gather("start_run")
             if tracer is not None:
                 tracer.end(_t_plan, "dist.plan", queries=num_queries,
@@ -121,10 +123,8 @@ class DistWalkEngine(WorkerGroupEngine):
             steps_run = 0
             forwarded_total = 0
             per_shard_processed = np.zeros(self._num_shards, dtype=np.int64)
-            for step in range(self._spec.max_length):
-                if alive == 0:
-                    break
-                group.broadcast("superstep", step)
+            while alive:
+                group.broadcast("superstep", steps_run)
                 alive = 0
                 step_forwarded = 0
                 for shard, reply in enumerate(group.gather("superstep")):
@@ -133,25 +133,25 @@ class DistWalkEngine(WorkerGroupEngine):
                     step_forwarded += shard_forwarded
                     per_shard_processed[shard] += shard_processed
                 forwarded_total += step_forwarded
-                steps_run += 1
                 if tracer is not None:
-                    tracer.instant("dist.step", step=step, alive=alive,
+                    tracer.instant("dist.step", step=steps_run, alive=alive,
                                    forwarded=step_forwarded)
+                steps_run += 1
             if tracer is not None:
                 tracer.end(_t_dispatch, "dist.dispatch", steps=steps_run,
                            forwarded=forwarded_total, shards=self._num_shards)
                 _t_merge = tracer.begin()
 
             group.broadcast("collect")
-            for positions, steps, vertices, shard_counts in group.gather("collect"):
-                log.append((positions, steps, vertices))
+            for positions, hop_index, vertices, shard_counts in group.gather("collect"):
+                log.append((positions, hop_index, vertices))
                 hops += np.bincount(positions, minlength=num_queries)
                 counts += shard_counts
-        # Every logged hop names its query row and step, so each shard's
-        # log lands in the final flat buffer with one scatter.
+        # Every logged hop names its query row and hop index, so each
+        # shard's log lands in the final flat buffer with one scatter.
         flat, offsets = start_path_buffer(starts, hops)
-        for positions, steps, vertices in log:
-            flat[offsets[positions] + steps + 1] = vertices
+        for positions, hop_index, vertices in log:
+            flat[offsets[positions] + hop_index + 1] = vertices
         total_hops = int(hops.sum())
         if tracer is not None:
             tracer.end(_t_merge, "dist.merge", queries=num_queries, hops=total_hops)

@@ -62,6 +62,7 @@ from repro.sampling.rejection import RejectionSampler
 from repro.sampling.reservoir import ReservoirSampler
 from repro.sampling.uniform import UniformSampler
 from repro.sampling.vectorized import (
+    NO_STALLS,
     AliasKernel,
     BatchSample,
     EdgeSet,
@@ -519,7 +520,9 @@ class HybridKernel(VectorizedKernel):
     otherwise :meth:`prepare` runs the cost model.  Groups dispatch in
     ascending code order, but since every sub-kernel's per-walker draws
     depend only on that walker's substream, grouping cannot change any
-    walker's path.
+    walker's path.  A group's stalled walkers (the rejection strategy's)
+    are reported at their frontier positions; a stalled walker stays on
+    its row, so its row's strategy asks it again.
     """
 
     def __init__(
@@ -646,6 +649,7 @@ class HybridKernel(VectorizedKernel):
         vertex = np.empty(current.size, dtype=np.int64)
         proposals = 0
         reads = 0
+        stalls = []
         for code in self._present:
             mask = codes == code
             count = int(np.count_nonzero(mask))
@@ -676,7 +680,14 @@ class HybridKernel(VectorizedKernel):
             vertex[group] = batch.vertex
             proposals += batch.proposals
             reads += batch.neighbor_reads
-        return BatchSample(vertex, proposals=proposals, neighbor_reads=reads)
+            if batch.stalled.size:
+                stalls.append(group[batch.stalled])
+        stalled = np.sort(np.concatenate(stalls)) if stalls else NO_STALLS
+        return BatchSample(vertex, proposals=proposals, neighbor_reads=reads, stalled=stalled)
+
+    def stalled_out(self, stalls: int) -> SamplingError:
+        rejection = self._kernels.get(STRATEGY_REJECTION)
+        return super().stalled_out(stalls) if rejection is None else rejection.stalled_out(stalls)
 
 
 class HybridSampler(Sampler):

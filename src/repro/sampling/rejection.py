@@ -71,15 +71,8 @@ class RejectionSampler(Sampler):
                 index=random_source.randint(degree), proposals=1, neighbor_reads=1
             )
         prev_degree = graph.degree(prev)
-        proposals = 0
         reads = 0
-        while True:
-            proposals += 1
-            if proposals > _MAX_REJECTION_ROUNDS:
-                raise SamplingError(
-                    f"rejection sampling failed to accept after {_MAX_REJECTION_ROUNDS} "
-                    f"rounds at vertex {context.vertex} (p={self.p}, q={self.q})"
-                )
+        for proposals in range(1, _MAX_REJECTION_ROUNDS + 1):
             index = random_source.randint(degree)
             candidate = int(neighbors[index])
             reads += 1
@@ -90,3 +83,7 @@ class RejectionSampler(Sampler):
             accept_probability = self.bias(graph, prev, candidate) / self.max_bias
             if random_source.uniform() < accept_probability:
                 return SampleOutcome(index=index, proposals=proposals, neighbor_reads=reads)
+        raise SamplingError(
+            f"rejection sampling failed to accept after {_MAX_REJECTION_ROUNDS} "
+            f"rounds at vertex {context.vertex} (p={self.p}, q={self.q})"
+        )

@@ -17,7 +17,8 @@ samplers in this package:
   second-order kernel probes: sorted edge keys (``src * |V| + dst``)
   behind a 16-bits-per-edge bit filter, so a batch of Node2Vec adjacency
   probes is one hash + one cached bit read each, and a batched
-  ``np.searchsorted`` over only the pairs the filter could not rule out.
+  ``np.searchsorted`` of sorted needles over only the pairs the filter
+  could not rule out.
 * the same cost-counter contract as the scalar samplers: proposals and
   neighbor reads are accounted identically.  ``neighbor_reads`` is a
   *modeled* cost (the rejection kernel charges the scalar sampler's
@@ -34,7 +35,7 @@ identically keyed per query.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -60,6 +61,18 @@ _TO_UNIT = 1.0 / (1 << 53)
 #: Sizing rule of the edge filter (see :func:`build_edge_filter`).
 _FILTER_BITS_PER_EDGE = 16
 _FILTER_MIN_BITS = 6
+
+#: ``BatchSample.vertex`` of a walker the kernel left undecided.
+STALL = -2
+
+#: A walker left undecided this many supersteps running fails its run:
+#: rejection sampling's safety valve (as many proposals for one hop as
+#: the scalar sampler allows), counted per walker by the superstep.
+MAX_STALLS = _MAX_REJECTION_ROUNDS
+
+#: ``BatchSample.stalled`` of a decision that left no walker undecided.
+NO_STALLS = np.empty(0, dtype=np.intp)
+NO_STALLS.setflags(write=False)
 
 # numpy SeedSequence hashing constants (numpy/random/bit_generator.pyx).
 # The batched derivation below reproduces SeedSequence bit-for-bit so the
@@ -351,8 +364,10 @@ class EdgeSet:
     edge.  A power-of-two bit array in front of the keys — one Fibonacci
     hash of every key, >= 16 bits per edge — answers most of those from
     one cached read; only the survivors (every real edge plus the
-    filter's few false passes) reach ``searchsorted``.  Membership stays
-    exact, so callers' decisions are those of a plain sorted-key probe.
+    filter's few false passes) reach ``searchsorted``, sorted first, so
+    consecutive binary searches walk neighbouring paths through the keys
+    instead of each starting cold.  Membership stays exact, so callers'
+    decisions are those of a plain sorted-key probe.
     """
 
     def __init__(self, keys: np.ndarray, bit_filter: np.ndarray, num_vertices: int) -> None:
@@ -386,9 +401,11 @@ class EdgeSet:
         found = np.zeros(keys.size, dtype=bool)
         if passed.size:
             survivors = keys[passed]
-            pos = np.searchsorted(self.keys, survivors)
+            order = survivors.argsort()
+            needles = survivors[order]
+            pos = np.searchsorted(self.keys, needles)
             np.minimum(pos, self.keys.size - 1, out=pos)
-            found[passed] = self.keys[pos] == survivors
+            found[passed[order]] = self.keys[pos] == needles
         if tracer is not None:
             tracer.end(_span_start, "sampling.edge_probe", probes=keys.size,
                        passed=passed.size, hits=int(np.count_nonzero(found)))
@@ -466,17 +483,21 @@ class BatchSample:
     """One frontier-wide sampling decision.
 
     ``vertex[k]`` is the id (int64) of the neighbour walker ``k`` moves
-    to, or ``-1`` when nothing was admissible (the walk terminates
-    early).  Every kernel reads the neighbour itself — most hold it
+    to, ``-1`` when nothing was admissible (the walk terminates early),
+    or :data:`STALL` when this call left the walker undecided — a
+    rejected proposal, made again by the next call.  ``stalled`` lists
+    the :data:`STALL` positions, ascending, so no caller searches for
+    them.  Every kernel reads the neighbour itself — most hold it
     already when they decide — so the engine's superstep never touches
     ``col``.  ``proposals``/``neighbor_reads`` follow the same accounting
     contract as :class:`~repro.sampling.base.SampleOutcome`, summed over
-    walkers.
+    walkers and over this call's proposals only.
     """
 
     vertex: np.ndarray
     proposals: int
     neighbor_reads: int
+    stalled: np.ndarray = field(default_factory=lambda: NO_STALLS)
 
 
 def neighbor_at(graph: CSRGraph, current: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -545,8 +566,12 @@ class VectorizedKernel(ABC):
         stream_idx: np.ndarray | None,
     ) -> BatchSample:
         """Choose the next vertex of every walker in the frontier
-        (:class:`BatchSample`: neighbour ids, ``-1`` = nothing admissible).
+        (:class:`BatchSample`: neighbour ids, ``-1`` = nothing admissible,
+        :data:`STALL` = undecided, ask again).
 
+        One call is one round of draws per walker: a kernel never loops
+        until a walker is decided — a walker it cannot decide yet it
+        reports stalled, and the engine's next superstep asks again.
         ``current``/``previous`` are aligned int64 arrays (``previous`` is
         ``-1`` on a first hop); every ``current[k]`` must have out-degree
         >= 1 — the engine terminates dangling walkers before sampling.
@@ -554,6 +579,13 @@ class VectorizedKernel(ABC):
         means stream ``k`` *is* walker ``k`` (the engines' compact
         frontier), which lets whole-frontier draws advance in place.
         """
+
+    def stalled_out(self, stalls: int) -> SamplingError:
+        """The error of a walker this kernel left undecided ``stalls``
+        calls running (the superstep raises it at :data:`MAX_STALLS`)."""
+        return SamplingError(
+            f"{type(self).__name__} left a walker undecided for {stalls} supersteps"
+        )
 
 
 class UniformKernel(VectorizedKernel):
@@ -653,12 +685,16 @@ class ITSKernel(VectorizedKernel):
 
 
 class RejectionKernel(VectorizedKernel):
-    """Node2Vec rejection sampling with masked retry rounds.
+    """Node2Vec rejection sampling, one proposal round per call.
 
-    Every pending walker proposes a uniform neighbor per round; accepted
-    walkers leave the frontier, rejected ones retry next round.  First
-    hops (no previous vertex) are degenerate-uniform and accepted
-    outright — see the matching fix in
+    Every walker proposes a uniform neighbor and accepts it with
+    probability ``bias / max_bias``; a rejected walker is reported
+    stalled (:data:`STALL`) and proposes again in the engine's next
+    superstep, beside walkers that are hops ahead of it — no call waits
+    for its slowest walker.  The draws a walker makes are those of the
+    scalar sampler's retry loop, in the same order, wherever its retries
+    fall.  First hops (no previous vertex) are degenerate-uniform and
+    accepted outright — see the matching fix in
     :class:`~repro.sampling.rejection.RejectionSampler`.
     """
 
@@ -709,28 +745,11 @@ class RejectionKernel(VectorizedKernel):
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         self._edge_set = EdgeSet.from_state(arrays)
 
-    def _round(self, graph, degrees, row_start, previous, prev_degrees, streams, idx):
-        """One proposal per walker of aligned arrays: ``(candidate, accept,
-        neighbor_reads)``, ``candidate`` the proposed neighbour's id."""
-        candidate = graph.col[row_start + streams.randints(degrees, idx)]
-        is_return = candidate == previous
-        not_return = ~is_return
-        u = streams.uniforms(idx)
-        threshold = np.full(u.size, self._explore_accept)
-        threshold[is_return] = self._return_accept
-        undecided = np.flatnonzero(
-            not_return & (u >= self._probe_lo) & (u < self._probe_hi)
+    def stalled_out(self, stalls: int) -> SamplingError:
+        return SamplingError(
+            f"rejection sampling failed to accept after {stalls} rounds "
+            f"(p={self.p}, q={self.q})"
         )
-        if undecided.size:
-            adjacent = self._edge_set.contains(previous[undecided], candidate[undecided])
-            threshold[undecided[adjacent]] = self._adjacent_accept
-        # ``neighbor_reads`` is the *modeled* cost of the scalar sampler —
-        # one read for the proposal plus an O(deg(prev)) adjacency scan
-        # whenever the candidate is not the return edge — not the lookup
-        # work done here (a mostly skipped filter + sorted-key probe).  It
-        # is part of the cross-engine ``EngineStats`` identity.
-        reads = u.size + int(prev_degrees[not_return].sum())
-        return candidate, u < threshold, reads
 
     def sample(self, graph, current, previous, admissible_type, streams, stream_idx):
         if self._edge_set is None:
@@ -756,35 +775,34 @@ class RejectionKernel(VectorizedKernel):
                                 streams, sub_streams(stream_idx, rest))
             vertex[rest] = batch.vertex
             return BatchSample(vertex, proposals=first.size + batch.proposals,
-                               neighbor_reads=first.size + batch.neighbor_reads)
+                               neighbor_reads=first.size + batch.neighbor_reads,
+                               stalled=rest[batch.stalled])
 
-        row_start = graph.row_ptr[current]
-        prev_degrees = graph.degrees()[previous]
-        # Round one covers the frontier as given, so it draws through
-        # ``stream_idx`` itself (in place when that is ``None``).  The
-        # candidate a round accepts is the next vertex: no read follows.
-        vertex, accept, reads = self._round(
-            graph, degrees, row_start, previous, prev_degrees, streams, stream_idx
+        # One proposal per walker, drawn through ``stream_idx`` itself (in
+        # place when that is ``None``).  An accepted candidate is the next
+        # vertex: no read follows.
+        candidate = graph.col[graph.row_ptr[current] + streams.randints(degrees, stream_idx)]
+        is_return = candidate == previous
+        not_return = ~is_return
+        u = streams.uniforms(stream_idx)
+        threshold = np.full(u.size, self._explore_accept)
+        threshold[is_return] = self._return_accept
+        undecided = np.flatnonzero(
+            not_return & (u >= self._probe_lo) & (u < self._probe_hi)
         )
-        proposals = current.size
-        pending = np.flatnonzero(~accept)
-        rounds = 1
-        while pending.size:
-            rounds += 1
-            if rounds > _MAX_REJECTION_ROUNDS:
-                raise SamplingError(
-                    f"rejection sampling failed to accept after {_MAX_REJECTION_ROUNDS} "
-                    f"rounds (p={self.p}, q={self.q})"
-                )
-            candidate, accept, round_reads = self._round(
-                graph, degrees[pending], row_start[pending], previous[pending],
-                prev_degrees[pending], streams, sub_streams(stream_idx, pending),
-            )
-            proposals += pending.size
-            reads += round_reads
-            vertex[pending[accept]] = candidate[accept]
-            pending = pending[~accept]
-        return BatchSample(vertex, proposals=proposals, neighbor_reads=reads)
+        if undecided.size:
+            adjacent = self._edge_set.contains(previous[undecided], candidate[undecided])
+            threshold[undecided[adjacent]] = self._adjacent_accept
+        # ``neighbor_reads`` is the *modeled* cost of the scalar sampler —
+        # one read for the proposal plus an O(deg(prev)) adjacency scan
+        # whenever the candidate is not the return edge — not the lookup
+        # work done here (a mostly skipped filter + sorted-key probe).  It
+        # is part of the cross-engine ``EngineStats`` identity.
+        reads = u.size + int(graph.degrees()[previous[not_return]].sum())
+        stalled = np.flatnonzero(u >= threshold)
+        candidate[stalled] = STALL
+        return BatchSample(candidate, proposals=current.size, neighbor_reads=reads,
+                           stalled=stalled)
 
 
 class ReservoirKernel(VectorizedKernel):

@@ -60,8 +60,10 @@ class WalkSpec(ABC):
     #: ignore their ``step`` argument.  The array kernels take one scalar
     #: per superstep, so only a step-invariant spec can have walkers at
     #: different hop counts share a superstep (the batch engine's open
-    #: frontier).  False unless a spec declares it: one that forgets is
-    #: served through closed runs, slower but never wrong.
+    #: frontier; a walker whose proposal was rejected, which retries a
+    #: superstep later).  False unless a spec declares it: one that
+    #: forgets is served through closed runs, slower but never wrong,
+    #: and may not use a sampler that stalls.
     step_invariant: bool = False
 
     def __init__(self, max_length: int = DEFAULT_MAX_LENGTH) -> None:
@@ -318,23 +320,38 @@ def start_path_buffer(starts: np.ndarray, hops: np.ndarray) -> tuple[np.ndarray,
 
 
 def paths_from_step_log(
-    starts: np.ndarray, hops: np.ndarray, step_log: Sequence[np.ndarray]
+    starts: np.ndarray,
+    hops: np.ndarray,
+    step_log: Sequence[np.ndarray | tuple[np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble ``(flat, offsets)`` from one run's step-major log.
+    """Assemble ``(flat, offsets)`` from one run's superstep-major log.
 
-    ``step_log[s]`` holds the vertex reached on hop ``s`` by every query
-    with ``hops > s``, in row order — what a compact frontier emits.  The
-    hop counts fix the layout, so each step lands in its final slots with
-    one scatter; the destinations compact step to step as the frontier
-    did, so no row index is logged and no path matrix built.
+    ``step_log[s]`` holds the vertex reached in superstep ``s`` by every
+    row still walking, in row order — what a compact frontier emits.
+    Without stalls that is hop ``s`` of every row with ``hops > s``.  A
+    superstep in which rows stalled logs ``(vertices, stalled)``,
+    ``stalled`` indexing the rows of ``vertices`` that did not move and
+    hold the vertex they stay on: they are skipped, and take that hop in
+    a later superstep (a stall is always followed by a hop).  The hop
+    counts fix the layout, so each superstep lands in its final slots
+    with one scatter; the destinations compact as the frontier did, so
+    no row index is logged and no path matrix built.
     """
     flat, offsets = start_path_buffer(starts, hops)
-    dest, left = offsets[:-1] + 1, hops
-    for step, vertices in enumerate(step_log):
+    # Row k has a hop still to write while ``left[k] > step``: its hop
+    # count plus the supersteps it has stalled in so far.
+    dest, left = offsets[:-1] + 1, hops.copy()
+    for step, entry in enumerate(step_log):
         alive = left > step
         if not alive.all():
             dest, left = dest[alive], left[alive]
-        flat[dest] = vertices
+        if isinstance(entry, tuple):
+            # A stalled row writes the vertex it stays on over its last
+            # slot again, and its hop goes to the next one later.
+            entry, stalled = entry
+            left[stalled] += 1
+            dest[stalled] -= 1
+        flat[dest] = entry
         dest += 1
     return flat, offsets
 

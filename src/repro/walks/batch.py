@@ -10,13 +10,18 @@ over a dense task array, many schedulers:
   the three death points — dangling vertex, nothing admissible, teleport
   — only on steps where a walker dies.  No dead lanes.
 * :func:`superstep` is the one copy of ``dangling -> sample -> early
-  termination -> advance -> teleport``; the batch engine, the parallel
-  workers and the dist shard workers call it.  Stream states travel with
-  the frontier, so kernels draw with ``stream_idx=None`` ("stream k is
-  walker k") and whole-frontier draws advance in place.
+  termination | stall | advance -> teleport``; the batch engine, the
+  parallel workers, the open frontier and the dist shard workers call
+  it.  Stream states travel with the frontier, so kernels draw with
+  ``stream_idx=None`` ("stream k is walker k") and whole-frontier draws
+  advance in place.  A walker the kernel left undecided (a rejected
+  Node2Vec proposal) *stalls*: it stays where it is and proposes again
+  next superstep, beside walkers hops ahead of it — the superstep is the
+  retry loop, so no superstep waits for its unluckiest walker.
 * Each step's next vertices go to a hop log, scattered once — when the
   hop counts are known — into the flat buffer ``WalkResults`` adopts
   (:func:`~repro.walks.base.paths_from_step_log`).  No path matrix.
+  Every run ends each walker on its own hop count.
 * :class:`OpenFrontier` is the open form of a run, for a caller whose
   queries keep arriving (the walk service): walkers are admitted into
   free slots and retired on their own hop count between supersteps, so a
@@ -41,10 +46,16 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import WalkConfigError
+from repro.errors import SamplingError, WalkConfigError
 from repro.graph.csr import CSRGraph
 from repro.obs.trace import active as _active_tracer
-from repro.sampling.vectorized import QueryStreams, VectorizedKernel, seed_sequence_states
+from repro.sampling.vectorized import (
+    MAX_STALLS,
+    BatchSample,
+    QueryStreams,
+    VectorizedKernel,
+    seed_sequence_states,
+)
 from repro.walks.base import Query, WalkResults, WalkSpec, paths_from_step_log
 from repro.walks.engine import (
     STAT_FIELDS,
@@ -57,6 +68,12 @@ from repro.walks.reference import EngineStats
 
 (_PROPOSALS, _READS, _DANGLING, _EARLY, _PROBABILISTIC, _LENGTH) = range(len(STAT_FIELDS))
 
+#: No indices: the stalls of a superstep without any, an empty admission.
+_NO_SLOTS = np.empty(0, dtype=np.int64)
+
+#: The walker arrays of a :class:`Frontier` besides its stall streaks.
+_WALKER_FIELDS = ("pos", "current", "previous", "state")
+
 
 @dataclass(slots=True)
 class Frontier:
@@ -66,22 +83,43 @@ class Frontier:
     its raw splitmix64 substream state (see
     :meth:`QueryStreams.from_states`).  ``previous`` stays all ``-1``
     under a first-order spec, so there it only ever shrinks to a prefix
-    of itself.
+    of itself.  ``stalls[k]`` counts the supersteps walker ``k`` has
+    stalled in a row; it is ``None`` whenever no walker is stalled,
+    which is all a walk that never stalls ever carries.
     """
 
     pos: np.ndarray
     current: np.ndarray
     previous: np.ndarray
     state: np.ndarray
+    stalls: np.ndarray | None = None
 
     @classmethod
     def start(cls, pos: np.ndarray, starts: np.ndarray, states: np.ndarray) -> "Frontier":
         """Every walker on its start vertex, nothing visited before it."""
         return cls(pos, starts, np.full(starts.size, -1, dtype=np.int64), states)
 
+    @classmethod
+    def concat(cls, parts: Sequence["Frontier"]) -> "Frontier":
+        """The walkers of ``parts``, in order, as one frontier."""
+        stalls = None
+        if any(part.stalls is not None for part in parts):
+            stalls = np.concatenate([
+                np.zeros(part.size, dtype=np.int64) if part.stalls is None else part.stalls
+                for part in parts
+            ])
+        columns = (np.concatenate([getattr(part, name) for part in parts])
+                   for name in _WALKER_FIELDS)
+        return cls(*columns, stalls)
+
     @property
     def size(self) -> int:
         return self.pos.size
+
+    def subset(self, mask: np.ndarray) -> "Frontier":
+        """The walkers where ``mask`` is True, as a new frontier."""
+        columns = (getattr(self, name)[mask] for name in _WALKER_FIELDS)
+        return Frontier(*columns, None if self.stalls is None else self.stalls[mask])
 
     def keep(self, mask: np.ndarray, second_order: bool) -> None:
         """Drop the walkers where ``mask`` is False (order preserved).
@@ -91,6 +129,8 @@ class Frontier:
         self.current = self.current[mask]
         self.previous = self.previous[mask] if second_order else self.previous[: self.pos.size]
         self.state = self.state[mask]
+        if self.stalls is not None:
+            self.stalls = self.stalls[mask]
 
 
 def superstep(
@@ -100,15 +140,32 @@ def superstep(
     step: int,
     frontier: Frontier,
     counts: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Advance every walker of ``frontier`` one hop, in place.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Take every walker of ``frontier`` through one superstep, in place.
 
-    Returns the hop record ``(pos, next_vertex)`` of the walkers that
-    moved and leaves ``frontier`` holding those that also did not
-    teleport; proposals, reads and the three kinds of death are added to
-    ``counts`` (:data:`STAT_FIELDS` order).  Every draw consumes only its
-    walker's own stream state, in an order fixed by that walker's
-    trajectory, so frontier composition cannot change a path.
+    Each walker comes out one of four ways: its vertex is *dangling*, or
+    the kernel found *nothing admissible* — both end the walk; the kernel
+    left it *stalled* (a rejected proposal), so it keeps its vertex and
+    proposes again next superstep; or it *moved*, and then draws its
+    teleport uniform.  Returns ``(pos, next_vertex, stalled)``, the hop
+    record of every walker that moved or stalled: ``stalled`` indexes
+    the entries of the stalled (ascending; empty in a superstep without
+    stalls), whose ``next_vertex`` is the vertex they stay on.
+    ``frontier`` keeps the movers that did not teleport and the stalled;
+    proposals, reads and the three kinds of death are added to ``counts``
+    (:data:`STAT_FIELDS` order).  Every draw consumes only its walker's
+    own stream state, in an order fixed by that walker's trajectory, so
+    neither frontier composition nor how many supersteps a hop took can
+    change a path.
+
+    ``step`` is what the spec's hooks are asked with.  A walker that has
+    stalled is behind the superstep count, so a stall under a spec that
+    is not :attr:`~repro.walks.base.WalkSpec.step_invariant` raises
+    :class:`~repro.errors.WalkConfigError` before the superstep draws
+    anything more.  A stall promises a later hop: a walker stalled
+    :data:`MAX_STALLS` supersteps running raises the kernel's
+    :class:`~repro.errors.SamplingError`, and so does a kernel ending a
+    walker it stalled.
     """
     second_order = spec.needs_prev_vertex
     dangling = graph.degrees()[frontier.current] == 0
@@ -117,7 +174,7 @@ def superstep(
         frontier.keep(~dangling, second_order)
     if frontier.size == 0:
         # Kernels are never asked to sample an empty frontier.
-        return frontier.pos, frontier.current
+        return frontier.pos, frontier.current, _NO_SLOTS
 
     batch = kernel.sample(
         graph,
@@ -129,12 +186,16 @@ def superstep(
     )
     counts[_PROPOSALS] += batch.proposals
     counts[_READS] += batch.neighbor_reads
+    if batch.stalled.size:
+        return _stalled_superstep(spec, kernel, step, frontier, counts, batch)
     next_vertex = batch.vertex
     moved = next_vertex >= 0
     if not moved.all():
-        counts[_EARLY] += moved.size - np.count_nonzero(moved)
+        _end_early(kernel, frontier, counts, ~moved)
         frontier.keep(moved, second_order)
         next_vertex = next_vertex[moved]
+    # Nobody stalled: every stall streak is over.
+    frontier.stalls = None
 
     if second_order:
         frontier.previous = frontier.current
@@ -147,7 +208,76 @@ def superstep(
         if not stay.all():
             counts[_PROBABILISTIC] += stay.size - np.count_nonzero(stay)
             frontier.keep(stay, second_order)
-    return pos, next_vertex
+    return pos, next_vertex, _NO_SLOTS
+
+
+def _end_early(
+    kernel: VectorizedKernel, frontier: Frontier, counts: np.ndarray, ended: np.ndarray
+) -> None:
+    """Count the walkers ``ended`` marks as ended by the kernel, which may
+    not end one it stalled: that walker's hop was promised."""
+    if frontier.stalls is not None and frontier.stalls[ended].any():
+        raise SamplingError(
+            f"{type(kernel).__name__} ended a walker it had stalled; a stalled "
+            "walker must take its hop in a later superstep"
+        )
+    counts[_EARLY] += np.count_nonzero(ended)
+
+
+def _stalled_superstep(
+    spec: WalkSpec,
+    kernel: VectorizedKernel,
+    step: int,
+    frontier: Frontier,
+    counts: np.ndarray,
+    batch: BatchSample,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rest of :func:`superstep` once the kernel stalled walkers: the
+    stalled keep their vertices and extend their streaks, the movers
+    advance and draw their teleport uniforms."""
+    stalled = batch.stalled
+    if not spec.step_invariant:
+        raise WalkConfigError(
+            f"{type(spec).__name__} is not step-invariant, so a walker that "
+            "stalls cannot take its hop in a later superstep"
+        )
+    if frontier.stalls is None:
+        streak = np.ones(stalled.size, dtype=np.int64)
+    else:
+        streak = frontier.stalls[stalled] + 1
+    if streak.max() >= MAX_STALLS:
+        raise kernel.stalled_out(MAX_STALLS)
+
+    next_vertex = batch.vertex
+    moved = next_vertex >= 0
+    if np.count_nonzero(moved) + stalled.size < moved.size:
+        walking = moved.copy()
+        walking[stalled] = True
+        _end_early(kernel, frontier, counts, ~walking)
+        # Stall indices into the walkers that are left.
+        stalled = np.cumsum(walking)[stalled] - 1
+        frontier.keep(walking, spec.needs_prev_vertex)
+        next_vertex, moved = next_vertex[walking], moved[walking]
+
+    if spec.needs_prev_vertex:
+        previous = frontier.current.copy()
+        previous[stalled] = frontier.previous[stalled]
+        frontier.previous = previous
+    next_vertex[stalled] = frontier.current[stalled]
+    frontier.current = next_vertex
+    frontier.stalls = np.zeros(next_vertex.size, dtype=np.int64)
+    frontier.stalls[stalled] = streak
+    pos = frontier.pos
+
+    teleport = spec.termination_probability(step)
+    if teleport > 0.0:
+        stay = QueryStreams.from_states(frontier.state).uniforms(moved) >= teleport
+        if not stay.all():
+            counts[_PROBABILISTIC] += stay.size - np.count_nonzero(stay)
+            keep = np.ones(moved.size, dtype=bool)
+            keep[moved] = stay
+            frontier.keep(keep, spec.needs_prev_vertex)
+    return pos, next_vertex, stalled
 
 
 class BatchEngine(PreparedEngine):
@@ -183,27 +313,49 @@ class BatchEngine(PreparedEngine):
         )
         hops = np.zeros(starts.size, dtype=np.int64)
         counts = np.zeros(len(STAT_FIELDS), dtype=np.int64)
-        log: list[np.ndarray] = []
+        log: list = []
+        max_length = spec.max_length
+        # Each row's stalls so far, from the run's first stall on.  Every
+        # row still walking has been in every superstep, and a stall is
+        # always followed by a hop, so a row's hop count is the supersteps
+        # up to its last hop less its stalls.
+        behind = None
 
         # Hoisted once per run: with tracing disabled (the default) the
         # per-superstep cost is one local ``is not None`` branch — the
         # overhead contract benchmarks/bench_obs_overhead.py enforces.
         tracer = _active_tracer()
 
-        for step in range(spec.max_length):
-            if frontier.size == 0:
-                break
+        step = 0
+        while frontier.size:
             if tracer is not None:
                 _span_start = tracer.begin()
                 _span_width = frontier.size
-            pos, next_vertex = superstep(graph, spec, kernel, step, frontier, counts)
-            hops[pos] = step + 1
-            log.append(next_vertex)
+            pos, next_vertex, stalled = superstep(graph, spec, kernel, step, frontier, counts)
+            step += 1
+            hops[pos] = step
+            if stalled.size:
+                if behind is None:
+                    behind = np.zeros(starts.size, dtype=np.int64)
+                behind[pos[stalled]] += 1
+                log.append((next_vertex, stalled))
+            else:
+                log.append(next_vertex)
+            if step >= max_length and frontier.size:
+                # Walkers end on their own hop count: one that stalled
+                # is behind the superstep count and walks on.
+                if behind is None:
+                    short = np.zeros(frontier.size, dtype=bool)
+                else:
+                    short = step - behind[frontier.pos] < max_length
+                counts[_LENGTH] += short.size - np.count_nonzero(short)
+                frontier.keep(short, spec.needs_prev_vertex)
             if tracer is not None:
-                tracer.end(_span_start, "batch.superstep", step=step,
+                tracer.end(_span_start, "batch.superstep", step=step - 1,
                            frontier=_span_width, survivors=pos.size)
 
-        counts[_LENGTH] += frontier.size
+        if behind is not None:
+            hops -= behind
         return *paths_from_step_log(starts, hops, log), counts
 
     @property
@@ -226,19 +378,16 @@ class BatchEngine(PreparedEngine):
         return partial(OpenFrontier, self)
 
 
-_NO_SLOTS = np.empty(0, dtype=np.int64)
-
-
 class OpenFrontier:
     """A run that stays open: walkers join and leave between supersteps.
 
     ``capacity`` slots, each holding one walk in a row of a ``(capacity,
     max_length + 1)`` slab.  :meth:`admit` seats walkers in free slots,
-    :meth:`step` advances every live walker one hop with the one
-    :func:`superstep` and returns the slots whose walks ended —
-    dangling, nothing admissible, teleport, or the walker's *own* hop
-    count reaching ``max_length`` — and :meth:`take` hands a finished
-    path out and frees its slot.  A walker draws only from the stream
+    :meth:`step` takes every live walker through the one
+    :func:`superstep` — a stalled walker stays seated, a hop behind — and
+    returns the slots whose walks ended — dangling, nothing admissible,
+    teleport, or the walker's *own* hop count reaching ``max_length`` —
+    and :meth:`take` hands a finished path out and frees its slot.  A walker draws only from the stream
     state that travels with it, so each path, and the sum of every
     counter, equals a closed :meth:`BatchEngine.run` of the same
     ``(query_id, start, seed)`` whatever shared its supersteps
@@ -305,6 +454,8 @@ class OpenFrontier:
         frontier.current = np.concatenate((frontier.current, starts))
         frontier.previous = np.concatenate((frontier.previous, np.full(count, -1, dtype=np.int64)))
         frontier.state = np.concatenate((frontier.state, np.asarray(states, dtype=np.uint64)))
+        if frontier.stalls is not None:
+            frontier.stalls = np.concatenate((frontier.stalls, np.zeros(count, dtype=np.int64)))
         return slots
 
     def step(self) -> np.ndarray:
@@ -314,8 +465,12 @@ class OpenFrontier:
         spec = engine._spec
         seated = frontier.pos
         # Step-invariant spec: the hooks ignore the step they are given.
-        pos, next_vertex = superstep(engine._graph, spec, engine._kernel, 0, frontier, self.counts)
+        pos, next_vertex, stalled = superstep(
+            engine._graph, spec, engine._kernel, 0, frontier, self.counts
+        )
         reached = hops[pos] + 1
+        # A stalled walker rewrites the vertex it stays on.
+        reached[stalled] -= 1
         hops[pos] = reached
         self._paths[pos, reached] = next_vertex
         if frontier.size:

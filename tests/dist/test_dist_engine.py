@@ -10,21 +10,24 @@ any shard count, either sampler mode, and across an epoch swap.
 """
 
 import functools
+import os
 
 import numpy as np
 import pytest
+from stall_helpers import RETRY_HEAVY, NeverAccepting
 
 from repro.bench.workloads import make_spec
 from repro.cli import ALGORITHMS
 from repro.dist import DistWalkEngine
 from repro.engines import prepare_engine, run_software_walks
-from repro.errors import GraphError, WalkConfigError
+from repro.errors import GraphError, WalkConfigError, WorkerError
 from repro.graph import load_dataset
 from repro.graph.datasets import assign_metapath_schema
 from repro.walks.engine import STAT_FIELDS
 from repro.walks import (
     DeepWalkSpec,
     EngineStats,
+    Node2VecSpec,
     URWSpec,
     make_queries,
     run_walks_batch,
@@ -128,6 +131,22 @@ class TestBitIdenticalToBatch:
             for a, b in zip(oracle1.paths, after.paths):
                 assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("p,q", RETRY_HEAVY)
+    def test_retry_heavy_node2vec_at_two_and_three_shards(self, p, q):
+        """A stalled walker is behind the superstep count: its hops are
+        logged under its own hop count, wherever it is forwarded."""
+        spec = Node2VecSpec(p=p, q=q, max_length=WALK_LENGTH)
+        batch_stats = EngineStats()
+        baseline = run_walks_batch(_graph(), spec, list(_queries()), seed=SEED,
+                                   stats=batch_stats)
+        assert batch_stats.sampling_proposals > batch_stats.total_hops
+        for shards in (2, 3):
+            dist_stats = EngineStats()
+            result, _ = run_software_walks("dist", _graph(), spec, list(_queries()),
+                                           seed=SEED, stats=dist_stats, shards=shards)
+            _assert_identical(baseline, batch_stats, result, dist_stats,
+                              label=f"p={p} q={q} shards={shards}")
+
     def test_routing_telemetry_reported(self):
         with DistWalkEngine(_graph(), URWSpec(max_length=8), shards=2) as engine:
             engine.run(list(_queries())[:50], seed=SEED)
@@ -162,6 +181,24 @@ class TestLifecycle:
             engine.run(list(_queries())[:4], seed=SEED)
         with pytest.raises(WalkConfigError):
             engine.swap_snapshot(_graph())
+
+    def test_walkers_stalled_past_the_safety_valve_close_the_engine(self, monkeypatch):
+        """A sampler that never accepts: the shard whose walker reaches
+        the stall bound fails the run with the sampler's error, and the
+        engine closes as on any worker fault — no peer is left waiting.
+        (A lower bound, inherited by the forked workers, keeps the
+        10,000 supersteps of the real one out of the suite's time.)"""
+        monkeypatch.setattr("repro.walks.batch.MAX_STALLS", 500)
+        engine = DistWalkEngine(_graph(), NeverAccepting(p=4.0, q=0.25, max_length=8),
+                                shards=2)
+        pids = engine.worker_pids
+        with pytest.raises(WorkerError, match=r"after \d+ rounds \(p=4\.0, q=0\.25\)"):
+            engine.run(list(_queries())[:6], seed=SEED)
+        with pytest.raises(WalkConfigError, match="engine is closed"):
+            engine.run(list(_queries())[:6], seed=SEED)
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 class TestRegistry:

@@ -10,12 +10,14 @@ alias, rejection, reservoir).
 
 import numpy as np
 import pytest
+from stall_helpers import RETRY_HEAVY
 from stat_helpers import CHI_SQUARE_ALPHA, chi_square_compare
 
 from repro.engines import run_software_walks
 from repro.errors import WalkConfigError
 from repro.graph import load_dataset, path_graph
 from repro.parallel import ParallelWalkEngine
+from repro.walks.engine import STAT_FIELDS
 from repro.walks import (
     DeepWalkSpec,
     EngineStats,
@@ -52,6 +54,24 @@ class TestBitIdenticalDeterminism:
             assert result.num_queries == baseline.num_queries
             for a, b in zip(baseline.paths, result.paths):
                 assert np.array_equal(a, b), f"diverged at workers={workers}"
+
+    @pytest.mark.parametrize("p,q", RETRY_HEAVY)
+    def test_retry_heavy_node2vec_identical_at_two_and_three_workers(self, p, q):
+        """Each shard's supersteps retry its own rejected proposals; the
+        paths and all six counters are the single-process run's."""
+        graph = _weighted_graph()
+        spec = Node2VecSpec(p=p, q=q, max_length=12)
+        queries = make_queries(graph, 120, seed=6)
+        expected = EngineStats()
+        baseline = run_walks_batch(graph, spec, queries, seed=3, stats=expected)
+        for workers in (2, 3):
+            stats = EngineStats()
+            result = run_software_walks("parallel", graph, spec, queries, seed=3,
+                                        stats=stats, workers=workers)[0]
+            for a, b in zip(baseline.paths, result.paths, strict=True):
+                assert np.array_equal(a, b), f"diverged at workers={workers}"
+            for name in STAT_FIELDS + ("total_hops",):
+                assert getattr(stats, name) == getattr(expected, name), (workers, name)
 
     def test_identical_under_query_shuffle(self):
         graph = _weighted_graph()

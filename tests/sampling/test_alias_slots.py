@@ -365,3 +365,17 @@ def test_superstep_never_reads_the_column_list():
 def test_no_sort_picks_a_reservoir_winner():
     for path in _sources("sampling"):
         assert "lexsort" not in path.read_text(), path
+
+
+def test_no_sampler_loops_until_it_decides():
+    """Retries belong to the superstep: a ``sample`` method under
+    ``sampling/`` holds no ``while`` loop (a rejected proposal is reported
+    stalled, and bounded retries are a ``for``)."""
+    methods = 0
+    for path in _sources("sampling"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name == "sample":
+                methods += 1
+                loops = [n for n in ast.walk(node) if isinstance(n, ast.While)]
+                assert not loops, f"{path.name}:{loops[0].lineno}"
+    assert methods >= 10

@@ -107,6 +107,38 @@ def test_contains_equals_has_edge(name):
     assert edges.contains(none, none).shape == (0,)
 
 
+@pytest.mark.parametrize("name", ["one-edge", "hub", "rmat-3", "powerlaw-2", "unsorted-2"])
+def test_sorted_needle_probe_equals_set_membership(name):
+    """``contains`` sorts the filter's survivors before its key search;
+    every answer must still come back at its own probe's position,
+    whatever order, repeats and misses the probe holds."""
+    graph = GRAPHS[name]
+    e_src, e_dst = _edge_pairs(graph)
+    members = set(zip(e_src.tolist(), e_dst.tolist()))
+    rng = np.random.default_rng(11)
+    n = graph.num_vertices
+    pick = rng.permutation(e_src.size)[:200]
+    # Real edges descending and again shuffled (so each twice), random pairs.
+    src = np.concatenate((e_src[pick][::-1], e_src[pick], rng.integers(0, n, 300)))
+    dst = np.concatenate((e_dst[pick][::-1], e_dst[pick], rng.integers(0, n, 300)))
+    order = rng.permutation(src.size)
+    src, dst = src[order], dst[order]
+    expected = [(s, d) in members for s, d in zip(src.tolist(), dst.tolist())]
+    assert EdgeSet.build(graph).contains(src, dst).tolist() == expected
+
+
+def test_sorted_needle_probe_corner_cases():
+    none = np.empty(0, dtype=np.int64)
+    edgeless = EdgeSet.build(GRAPHS["empty"])
+    assert edgeless.contains(none, none).shape == (0,)
+    every_pair = np.arange(25, dtype=np.int64)
+    assert not edgeless.contains(every_pair // 5, every_pair % 5).any()
+    edges = EdgeSet.build(GRAPHS["one-edge"])  # the edge 2 -> 0
+    assert edges.contains(none, none).shape == (0,)
+    assert edges.contains(np.full(40, 2), np.zeros(40, dtype=np.int64)).all()
+    assert not edges.contains(np.zeros(40, dtype=np.int64), np.full(40, 2)).any()
+
+
 def test_hub_row_probes_are_exact():
     """Every (hub, v) pair — the probes the old hub bitmaps served."""
     graph = GRAPHS["hub"]

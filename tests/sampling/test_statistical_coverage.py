@@ -21,6 +21,7 @@ marker and run only in the full CI lane.
 import numpy as np
 import pytest
 from row_oracles import row_index
+from stall_helpers import sample_decided
 from stat_helpers import assert_chi_square_fit
 
 from repro.graph import from_edges
@@ -85,7 +86,8 @@ def test_rejection_kernel_fits_exact_distribution_under_skew(p, q):
     kernel.prepare(graph)
     streams = QueryStreams(int(p * 100 + q), np.arange(KERNEL_SAMPLES))
     current = np.full(KERNEL_SAMPLES, 1, dtype=np.int64)
-    batch = kernel.sample(
+    batch = sample_decided(
+        kernel,
         graph,
         current,
         np.zeros(KERNEL_SAMPLES, dtype=np.int64),

@@ -15,6 +15,7 @@ from repro.sampling import (
 )
 from repro.sampling.its import InverseTransformSampler
 from repro.sampling.vectorized import (
+    STALL,
     AliasKernel,
     ITSKernel,
     RejectionKernel,
@@ -25,6 +26,7 @@ from repro.sampling.vectorized import (
 )
 
 from row_oracles import row_index
+from stall_helpers import sample_decided
 
 
 class TestSeedSequenceStates:
@@ -158,7 +160,8 @@ def empirical_kernel(kernel, graph, vertex, prev=None, admissible=None, rounds=2
     streams = QueryStreams(0, list(range(rounds)))
     current = np.full(rounds, vertex, dtype=np.int64)
     previous = np.full(rounds, -1 if prev is None else prev, dtype=np.int64)
-    batch = kernel.sample(graph, current, previous, admissible, streams, np.arange(rounds))
+    batch = sample_decided(kernel, graph, current, previous, admissible, streams,
+                           np.arange(rounds))
     degree = graph.degree(vertex)
     choice = row_index(graph, current, batch.vertex)
     counts = np.bincount(choice[choice >= 0], minlength=degree)
@@ -209,15 +212,31 @@ class TestKernelDistributions:
         previous = np.roll(current, 1)
         previous[::3] = -1
         ids = np.arange(current.size)
-        whole = kernel.sample(g, current, previous, None, QueryStreams(7, ids), None)
+        whole = sample_decided(kernel, g, current, previous, None, QueryStreams(7, ids), None)
         alone = [
-            kernel.sample(g, current[k:k + 1], previous[k:k + 1], None,
-                          QueryStreams(7, ids[k:k + 1]), None)
+            sample_decided(kernel, g, current[k:k + 1], previous[k:k + 1], None,
+                           QueryStreams(7, ids[k:k + 1]), None)
             for k in ids
         ]
         assert whole.vertex.tolist() == [int(b.vertex[0]) for b in alone]
         assert whole.proposals == sum(b.proposals for b in alone) > current.size
         assert whole.neighbor_reads == sum(b.neighbor_reads for b in alone)
+
+    def test_rejection_kernel_runs_one_round_per_call(self):
+        """A call proposes once per walker: the rejected come back as
+        ``STALL``, listed ascending in ``stalled``; first hops never stall."""
+        g = rmat(6, edge_factor=4, seed=2)
+        kernel = RejectionKernel(p=4.0, q=0.25)
+        kernel.prepare(g)
+        current = np.flatnonzero(g.degrees() > 0)[:40]
+        previous = np.roll(current, 1)
+        previous[::3] = -1
+        batch = kernel.sample(g, current, previous, None, QueryStreams(7, np.arange(40)), None)
+        assert batch.proposals == current.size
+        assert batch.stalled.size and (np.diff(batch.stalled) > 0).all()
+        assert np.array_equal(np.flatnonzero(batch.vertex == STALL), batch.stalled)
+        assert (previous[batch.stalled] >= 0).all()
+        assert (np.delete(batch.vertex, batch.stalled) >= 0).all()
 
     def test_reservoir_kernel_weighted(self):
         g = weighted_fan()

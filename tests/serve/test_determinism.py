@@ -13,6 +13,7 @@ import asyncio
 
 import numpy as np
 import pytest
+from stall_helpers import RETRY_HEAVY
 
 from repro.graph import load_dataset
 from repro.serve import ServeConfig, WalkService, replay_paths, run_open_loop
@@ -154,6 +155,29 @@ def test_second_order_walks_survive_batching(workload):
         report, _ = _serve(graph, spec, starts, "batch", {}, max_batch)
         for query_id, expected in oracle.items():
             assert np.array_equal(report.paths[query_id], expected)
+
+
+@pytest.mark.parametrize("p,q", RETRY_HEAVY)
+def test_retry_heavy_walks_replay_with_equal_counters(workload, p, q):
+    """Rejected proposals retry in later supersteps, beside walkers that
+    joined the frontier after them: paths and all six counters still
+    equal one closed offline run (the run ``replay_paths`` makes)."""
+    from repro.walks import EngineStats, run_walks_batch
+    from repro.walks.base import Query
+    from repro.walks.engine import STAT_FIELDS
+
+    graph, _, starts, _ = workload
+    spec = Node2VecSpec(p=p, q=q, max_length=10)
+    offline = EngineStats()
+    expected = run_walks_batch(graph, spec, [Query(i, int(v)) for i, v in enumerate(starts)],
+                               seed=SERVICE_SEED, stats=offline, sampler="auto")
+    assert offline.sampling_proposals > offline.total_hops
+    report, service = _serve(graph, spec, starts, "batch", {}, max_batch=8)
+    assert service.stats.supersteps > 0  # stepped by the open frontier
+    for query_id in range(NUM_REQUESTS):
+        assert np.array_equal(report.paths[query_id], expected.path_of(query_id))
+    for name in STAT_FIELDS + ("total_hops",):
+        assert getattr(service.engine_stats, name) == getattr(offline, name), name
 
 
 def test_engine_stats_match_offline_batch(workload):

@@ -13,8 +13,9 @@ import asyncio
 
 import numpy as np
 import pytest
+from stall_helpers import NeverAccepting
 
-from repro.errors import GraphError, ReproError, ServeError
+from repro.errors import GraphError, ReproError, SamplingError, ServeError
 from repro.graph import from_edges
 from repro.obs.trace import tracing
 from repro.serve import (
@@ -222,6 +223,32 @@ def test_raising_step_fails_exactly_the_seated_requests():
     assert np.array_equal(later.path_of(0), oracle[50])
     stats = service.stats
     assert (stats.offered, stats.completed, stats.dropped, stats.failed) == (6, 4, 0, 2)
+    assert stats.offered == stats.completed + stats.dropped + stats.failed
+    assert service.occupancy == 0
+
+
+def test_walkers_stalled_past_the_safety_valve_fail_only_their_requests():
+    """A sampler that never accepts stalls the ring walkers after their
+    first hop until the per-walker bound raises from ``step()``: the two
+    seated requests fail naming p and q, the one waiting behind them is
+    seated next and walks out, and the ledger identity holds."""
+    graph, spec = lollipop(), NeverAccepting(p=4.0, q=0.25, max_length=10)
+
+    async def scenario():
+        engine = BatchEngine(graph, spec)  # degree-1 rows stay on the rejection kernel
+        async with WalkService(graph, spec, engine=engine, seed=2,
+                               config=config(2)) as service:
+            futures = [service.try_submit(v, query_id=v) for v in (0, 1, RING)]
+            outcomes = await asyncio.gather(*futures, return_exceptions=True)
+            return outcomes, service
+
+    outcomes, service = drive(scenario())
+    for outcome in outcomes[:2]:
+        assert isinstance(outcome, SamplingError)
+        assert "after 10000 rounds (p=4.0, q=0.25)" in str(outcome)
+    assert outcomes[2].path_of(0).tolist() == [RING, RING + 1]
+    stats = service.stats
+    assert (stats.offered, stats.completed, stats.dropped, stats.failed) == (3, 1, 0, 2)
     assert stats.offered == stats.completed + stats.dropped + stats.failed
     assert service.occupancy == 0
 

@@ -11,6 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from stall_helpers import RETRY_HEAVY
 
 from repro.errors import GraphError, SamplingError, WalkConfigError
 from repro.graph import from_edges, load_dataset
@@ -39,6 +40,8 @@ SPECS = {
     "DeepWalk": DeepWalkSpec(max_length=8),
     "URW": URWSpec(max_length=6),
     "Node2Vec": Node2VecSpec(max_length=7),
+    # Stalled walkers share supersteps with walkers hops ahead of them.
+    **{f"Node2Vec p={p} q={q}": Node2VecSpec(p=p, q=q, max_length=4) for p, q in RETRY_HEAVY},
 }
 
 
