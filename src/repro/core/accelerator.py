@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.access_engine import ResponseRouter
 from repro.core.config import RidgeWalkerConfig
 from repro.core.endpoints import FlatBalancer, QueryLoader, QueryWriter, TaskDemux
@@ -38,6 +40,7 @@ from repro.sampling.base import RingRandomSource
 from repro.sim.kernel import SimulationKernel
 from repro.sim.stats import RunMetrics
 from repro.walks.base import Query, WalkResults, WalkSpec
+from repro.walks.engine import check_start_vertices
 
 #: Depth of loader-side distribution FIFOs.
 _NEW_TASK_DEPTH = 4
@@ -133,6 +136,9 @@ class _Machine:
         self.config = config
         self.queries = list(queries)
         self.endless = endless
+        # The pipelines decode vertices through per-vertex tables, which
+        # take any id the graph holds; only a start vertex comes from outside.
+        check_start_vertices(graph, np.array([q.start_vertex for q in self.queries]))
         n = config.num_pipelines
 
         self.kernel = SimulationKernel(core_mhz=config.core_mhz)

@@ -73,43 +73,42 @@ class AccessEngine(Module):
 
     def tick(self, cycle: int) -> None:
         progressed = False
+        input_fifo = self.input_fifo
+        output_fifo = self.output_fifo
 
         # Response proxy: reunite one returned task per cycle.
-        if not self.response_fifo.is_empty() and not self.output_fifo.is_full():
+        if self.response_fifo.ready and output_fifo.space:
             task = self.response_fifo.pop()
             self._outstanding -= 1
             self._on_response(task, cycle)
-            self.output_fifo.push(task)
+            output_fifo.push(task)
             self.responses_handled += 1
             self.stats.items_processed += 1
             progressed = True
 
         # Request proxy: issue one new request per cycle.
-        if not self.input_fifo.is_empty():
-            task = self.input_fifo.front()
+        if input_fifo.ready:
+            task = input_fifo.front()
             if not task.needs_memory():
                 # Bypass lane: terminated/ghost tasks skip memory entirely.
-                if not self.output_fifo.is_full():
-                    self.input_fifo.pop()
-                    self.output_fifo.push(task)
+                if output_fifo.space:
+                    input_fifo.pop()
+                    output_fifo.push(task)
                     self.stats.items_processed += 1
                     progressed = True
             elif self._outstanding < self._capacity:
-                group, channel, burst = self._route(task)
-                if self._memory.can_accept(group, channel):
-                    self.input_fifo.pop()
-                    self._memory.submit(
-                        group,
-                        channel,
-                        MemoryRequest(tag=(self.response_fifo, task), burst_words=burst),
-                    )
+                group, index, burst = self._route(task)
+                channel = self._memory.channel(group, index)
+                if channel.can_accept():
+                    input_fifo.pop()
+                    channel.submit(MemoryRequest((self.response_fifo, task), burst))
                     self._outstanding += 1
                     self.requests_issued += 1
                     progressed = True
 
         if progressed:
             self.stats.active_cycles += 1
-        elif self.input_fifo.is_empty() and self._outstanding == 0:
+        elif not input_fifo.ready and self._outstanding == 0:
             self.stats.starved_cycles += 1
         else:
             self.stats.blocked_cycles += 1
@@ -136,31 +135,33 @@ class ResponseRouter(Module):
 
     def __init__(self, name: str, memory: MemorySystem) -> None:
         super().__init__(name)
-        self._memory = memory
+        self._channels = memory.all_channels()
         self.delivered = 0
 
     def tick(self, cycle: int) -> None:
         delivered_this_cycle = 0
-        for channel in self._memory.all_channels():
-            if not channel.has_response():
-                continue
-            blocked: set[int] = set()
-
-            def try_deliver(request) -> bool:
-                fifo, task = request.tag
-                if id(fifo) in blocked:
-                    return False
-                if fifo.is_full():
-                    blocked.add(id(fifo))
-                    return False
-                fifo.push(task)
-                return True
-
-            delivered_this_cycle += channel.deliver_out_of_order(
-                try_deliver, window=self.REORDER_WINDOW
-            )
+        for channel in self._channels:
+            if channel.has_response():
+                delivered_this_cycle += channel.deliver_out_of_order(
+                    _deliver, window=self.REORDER_WINDOW
+                )
         if delivered_this_cycle:
             self.stats.active_cycles += 1
             self.delivered += delivered_this_cycle
         else:
             self.stats.starved_cycles += 1
+
+
+def _deliver(request: MemoryRequest) -> bool:
+    """Push one response into the response FIFO its tag names.
+
+    A FIFO that refuses stays full for the rest of the cycle (its space
+    comes back only at the commit), so every later response for it in
+    the same window is refused too: per-destination order holds with no
+    record of who refused.
+    """
+    fifo, task = request.tag
+    if not fifo.space:
+        return False
+    fifo.push(task)
+    return True

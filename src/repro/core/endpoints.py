@@ -135,8 +135,8 @@ class QueryWriter(Module):
     def tick(self, cycle: int) -> None:
         drained = 0
         for fifo in self._inputs:
-            task = fifo.try_pop()
-            if task is not None:
+            if fifo.ready:
+                task = fifo.pop()
                 self._recorder.finish_query(task.query_id)
                 self.completed += 1
                 drained += 1
@@ -178,7 +178,7 @@ class TaskDemux(Module):
         self.ghost_laps = 0
 
     def tick(self, cycle: int) -> None:
-        if self.input_fifo.is_empty():
+        if not self.input_fifo.ready:
             self.stats.starved_cycles += 1
             return
         task = self.input_fifo.front()
@@ -199,7 +199,7 @@ class TaskDemux(Module):
         else:
             target = self.recirculate_fifo
 
-        if target.is_full():
+        if not target.space:
             self.stats.blocked_cycles += 1
             return
         self.input_fifo.pop()

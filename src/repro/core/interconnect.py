@@ -48,8 +48,8 @@ class Forwarder(Module):
         self.output_fifo = output_fifo
 
     def tick(self, cycle: int) -> None:
-        if not self.input_fifo.is_empty():
-            if not self.output_fifo.is_full():
+        if self.input_fifo.ready:
+            if self.output_fifo.space:
                 self.output_fifo.push(self.input_fifo.pop())
                 self.stats.active_cycles += 1
                 self.stats.items_processed += 1
@@ -201,7 +201,7 @@ class _BitRouter(RoutingDispatcher):
     def _choose(self):
         item = self._pipe[0][1]
         wanted = 0 if ((item.dest >> self.bit) & 1) == self.node_bit else 1
-        if self.outputs[wanted].is_full():
+        if not self.outputs[wanted].space:
             return None
         return wanted
 

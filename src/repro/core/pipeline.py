@@ -58,11 +58,7 @@ class AsyncPipeline:
         outstanding_capacity: int,
     ) -> None:
         self.index = index
-        self._graph = graph
-        self._layout = layout
-        self._spec = spec
-        self._termination_random = termination_random
-        self._recorder = recorder
+        hop = _HopLogic(index, graph, layout, spec, termination_random, recorder)
 
         name = f"pipe{index}"
         sp_in = kernel.make_fifo(_STAGE_FIFO_DEPTH, f"{name}.sp_in")
@@ -76,8 +72,8 @@ class AsyncPipeline:
             output_fifo=sp_in,
             response_fifo=ra_resp,
             memory=memory,
-            route=self._route_row,
-            on_response=self._on_row_response,
+            route=hop.route_row,
+            on_response=hop.on_row_response,
             outstanding_capacity=outstanding_capacity,
         )
         self.sampling = SamplingModule(
@@ -95,37 +91,76 @@ class AsyncPipeline:
             output_fifo=output_fifo,
             response_fifo=ca_resp,
             memory=memory,
-            route=self._route_column,
-            on_response=self._on_column_response,
+            route=hop.route_column,
+            on_response=hop.on_column_response,
             outstanding_capacity=outstanding_capacity,
         )
         kernel.add_modules([self.row_access, self.sampling, self.column_access])
 
+    def modules(self) -> list[Module]:
+        return [self.row_access, self.sampling, self.column_access]
+
+    def compute_stats(self):
+        """The sampling stage's stats — the pipeline-utilization signal
+        the bubble-ratio metric is computed from."""
+        return self.sampling.stats
+
+
+class _HopLogic:
+    """What the two access engines of one pipeline call back into.
+
+    It holds no module.  Were these bound methods of the pipeline, the
+    loop engine -> callback -> pipeline -> engine would keep a finished
+    machine (memory system, recorder, sampler tables) alive until the
+    cyclic collector's next full pass.
+    """
+
+    def __init__(
+        self,
+        index: int,
+        graph: CSRGraph,
+        layout: GraphMemoryLayout,
+        spec: WalkSpec,
+        termination_random: RandomSource,
+        recorder: WalkRecorder,
+    ) -> None:
+        self._graph = graph
+        self._layout = layout
+        self._spec = spec
+        self._termination_random = termination_random
+        self._recorder = recorder
+        # Row Access routes and decodes through per-vertex tables.
+        self._row_channel_of = layout.row_channel_table(
+            home_channel=index % layout.num_row_channels
+        )
+        self._rp_entry_words = layout.rp_entry_words()
+        self._degree_of, self._column_channel_of, self._column_address_of = (
+            layout.row_entries
+        )
+
     # ------------------------------------------------------------------
     # Row Access callbacks
     # ------------------------------------------------------------------
-    def _route_row(self, task: Task):
+    def route_row(self, task: Task):
         # Replicated hot entries are served from this pipeline's home
         # channel; everything else from its id-partitioned owner.
-        home = self.index % self._layout.num_row_channels
-        channel = self._layout.row_channel(task.vertex, home_channel=home)
-        return ChannelGroup.ROW, channel, self._layout.rp_entry_words()
+        return ChannelGroup.ROW, self._row_channel_of[task.vertex], self._rp_entry_words
 
-    def _on_row_response(self, task: Task, cycle: int) -> None:
-        entry = self._layout.row_entry(task.vertex)
-        task.degree = entry.degree
-        task.column_channel = entry.column_channel
-        task.column_address = entry.column_address
+    def on_row_response(self, task: Task, cycle: int) -> None:
+        vertex = task.vertex
+        task.degree = degree = self._degree_of[vertex]
+        task.column_channel = self._column_channel_of[vertex]
+        task.column_address = self._column_address_of[vertex]
         if task.is_ghost():
             return  # dead slot: the fetch happened, nothing to decode
-        if entry.degree == 0:
+        if degree == 0:
             # Figure 1b case II: no outgoing edges, the walk ends here.
             task.status = TaskStatus.TERMINATED_DANGLING
 
     # ------------------------------------------------------------------
     # Column Access callbacks
     # ------------------------------------------------------------------
-    def _route_column(self, task: Task):
+    def route_column(self, task: Task):
         if task.is_ghost():
             # Dead slot: the schedule still spends a column transaction.
             channel = task.query_id % self._layout.num_column_channels
@@ -135,7 +170,7 @@ class AsyncPipeline:
         channel = self._layout.column_channel_of(task.column_address + task.sample_index)
         return ChannelGroup.COLUMN, channel, task.column_burst_words
 
-    def _on_column_response(self, task: Task, cycle: int) -> None:
+    def on_column_response(self, task: Task, cycle: int) -> None:
         if task.is_ghost():
             return  # demux advances the ghost's slot counter
         next_vertex = int(self._graph.col[task.column_address + task.sample_index])
@@ -147,14 +182,3 @@ class AsyncPipeline:
             task.status = TaskStatus.TERMINATED_LENGTH
         elif self._spec.terminates_probabilistically(task.step - 1, self._termination_random):
             task.status = TaskStatus.TERMINATED_PROBABILISTIC
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def modules(self) -> list[Module]:
-        return [self.row_access, self.sampling, self.column_access]
-
-    def compute_stats(self):
-        """The sampling stage's stats — the pipeline-utilization signal
-        the bubble-ratio metric is computed from."""
-        return self.sampling.stats

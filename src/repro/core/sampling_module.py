@@ -91,7 +91,7 @@ class SamplingModule(Module):
         progressed = False
         # Retire the in-service task once its occupancy elapsed.
         if self._current is not None and cycle >= self._ready_at:
-            if not self.output_fifo.is_full():
+            if self.output_fifo.space:
                 self.output_fifo.push(self._current)
                 self._current = None
                 self.stats.items_processed += 1
@@ -100,7 +100,7 @@ class SamplingModule(Module):
                 self.stats.blocked_cycles += 1
                 return
         # Accept and decide the next task.
-        if self._current is None and not self.input_fifo.is_empty():
+        if self._current is None and self.input_fifo.ready:
             task = self.input_fifo.pop()
             service = 1
             if task.is_running():

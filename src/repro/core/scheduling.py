@@ -76,35 +76,40 @@ class Dispatcher(Module):
         self.sent = [0, 0]
 
     def _choose(self) -> int | None:
-        full0 = self.outputs[0].is_full()
-        full1 = self.outputs[1].is_full()
+        out0, out1 = self.outputs
         if self._blocked_on is not None:
             committed = self._blocked_on
-            if not self.outputs[committed].is_full():
+            if self.outputs[committed].space:
                 self._blocked_on = None
                 self._blocked_cycles = 0
                 return committed
             self._blocked_cycles += 1
             other = 1 - committed
-            if self._blocked_cycles > self.COMMIT_PATIENCE and not self.outputs[other].is_full():
+            if self._blocked_cycles > self.COMMIT_PATIENCE and self.outputs[other].space:
                 self._blocked_on = None
                 self._blocked_cycles = 0
                 return other
             return None
-        if not full0 and not full1:
+        if out0.space and out1.space:
             return 1 - self.last_selection  # alternate: not-last-served
-        if full0 and full1:
+        if not out0.space and not out1.space:
             self._blocked_on = 1 - self.last_selection  # block fairly
             self._blocked_cycles = 0
             return None
-        return 1 if full0 else 0  # the only channel that can accept
+        return 0 if out0.space else 1  # the only channel that can accept
 
     def tick(self, cycle: int) -> None:
+        pipe = self._pipe
+        if not pipe and not self.input_fifo.ready:
+            self.stats.starved_cycles += 1
+            return
+        # From here on the unit either moves a task or holds one it
+        # cannot move yet, so it is never starved this cycle.
         progressed = False
-        if self._pipe and self._pipe[0][0] <= cycle:
+        if pipe and pipe[0][0] <= cycle:
             choice = self._choose()
             if choice is not None:
-                _, item = self._pipe.popleft()
+                _, item = pipe.popleft()
                 self.outputs[choice].push(item)
                 self.last_selection = choice
                 self.sent[choice] += 1
@@ -113,13 +118,11 @@ class Dispatcher(Module):
             else:
                 self.stats.blocked_cycles += 1
                 return
-        if len(self._pipe) < self.latency and not self.input_fifo.is_empty():
-            self._pipe.append((cycle + self.latency, self.input_fifo.pop()))
+        if len(pipe) < self.latency and self.input_fifo.ready:
+            pipe.append((cycle + self.latency, self.input_fifo.pop()))
             progressed = True
         if progressed:
             self.stats.active_cycles += 1
-        elif not self._pipe and self.input_fifo.is_empty():
-            self.stats.starved_cycles += 1
         else:
             self.stats.blocked_cycles += 1
 
@@ -153,41 +156,44 @@ class Merger(Module):
         self.received = [0, 0]
 
     def _choose(self) -> int | None:
-        empty0 = self.inputs[0].is_empty()
-        empty1 = self.inputs[1].is_empty()
-        if empty0 and empty1:
+        in0, in1 = self.inputs
+        if not in0.ready and not in1.ready:
             return None
         if self.priority_input is not None:
             # Scheduler module (2): unfinished queries preempt new ones.
-            if not self.inputs[self.priority_input].is_empty():
+            if self.inputs[self.priority_input].ready:
                 return self.priority_input
             return 1 - self.priority_input
-        if not empty0 and not empty1:
+        if in0.ready and in1.ready:
             return 1 - self.last_selection  # alternate: not-last-served
-        return 0 if not empty0 else 1
+        return 0 if in0.ready else 1
 
     def tick(self, cycle: int) -> None:
+        pipe = self._pipe
+        if not pipe and not self.inputs[0].ready and not self.inputs[1].ready:
+            self.stats.starved_cycles += 1
+            return
+        # From here on the unit either moves a task or holds one it
+        # cannot move yet, so it is never starved this cycle.
         progressed = False
-        if self._pipe and self._pipe[0][0] <= cycle:
-            if not self.output_fifo.is_full():
-                _, item = self._pipe.popleft()
+        if pipe and pipe[0][0] <= cycle:
+            if self.output_fifo.space:
+                _, item = pipe.popleft()
                 self.output_fifo.push(item)
                 self.stats.items_processed += 1
                 progressed = True
             else:
                 self.stats.blocked_cycles += 1
                 return
-        if len(self._pipe) < self.latency:
+        if len(pipe) < self.latency:
             choice = self._choose()
             if choice is not None:
-                self._pipe.append((cycle + self.latency, self.inputs[choice].pop()))
+                pipe.append((cycle + self.latency, self.inputs[choice].pop()))
                 self.last_selection = choice
                 self.received[choice] += 1
                 progressed = True
         if progressed:
             self.stats.active_cycles += 1
-        elif not self._pipe and self.inputs[0].is_empty() and self.inputs[1].is_empty():
-            self.stats.starved_cycles += 1
         else:
             self.stats.blocked_cycles += 1
 
@@ -221,6 +227,6 @@ class RoutingDispatcher(Dispatcher):
     def _choose(self) -> int | None:
         item = self._pipe[0][1]
         wanted = (item.dest >> self.bit) & 1
-        if self.outputs[wanted].is_full():
+        if not self.outputs[wanted].space:
             return None
         return wanted

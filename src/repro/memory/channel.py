@@ -23,14 +23,13 @@ semantics per transaction id stream.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import MemoryModelError
 from repro.memory.spec import MemorySpec
 
 
-@dataclass(frozen=True)
 class MemoryRequest:
     """One memory access issued by an access engine.
 
@@ -40,12 +39,16 @@ class MemoryRequest:
     the simulated analogue of AXI transaction metadata.
     """
 
-    tag: Any
-    burst_words: int = 1
+    __slots__ = ("tag", "burst_words")
 
-    def __post_init__(self) -> None:
-        if self.burst_words < 1:
-            raise MemoryModelError(f"burst_words must be >= 1, got {self.burst_words}")
+    def __init__(self, tag: Any, burst_words: int = 1) -> None:
+        if burst_words < 1:
+            raise MemoryModelError(f"burst_words must be >= 1, got {burst_words}")
+        self.tag = tag
+        self.burst_words = burst_words
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"MemoryRequest(tag={self.tag!r}, burst_words={self.burst_words})"
 
 
 @dataclass
@@ -72,6 +75,7 @@ class MemoryChannel:
         core_mhz: float,
         channel_id: int = 0,
         queue_capacity: int = 256,
+        accepted: list[int] | None = None,
     ) -> None:
         if queue_capacity < 1:
             raise MemoryModelError("queue_capacity must be >= 1")
@@ -86,6 +90,12 @@ class MemoryChannel:
         self._in_flight: deque[tuple[int, MemoryRequest]] = deque()  # (done_cycle, req)
         self._responses: deque[MemoryRequest] = deque()
         self._now = 0
+        #: Token cost per burst length, priced once per length.
+        self._burst_costs: dict[int, float] = {}
+        #: Running count of requests accepted, in a one-element list that
+        #: the owning :class:`~repro.memory.system.MemorySystem` shares
+        #: with every sibling channel, so its total is one read.
+        self._accepted = [0] if accepted is None else accepted
         self.stats = ChannelStats()
 
     # ------------------------------------------------------------------
@@ -97,13 +107,14 @@ class MemoryChannel:
 
     def submit(self, request: MemoryRequest) -> None:
         """Enqueue a request (caller must check :meth:`can_accept`)."""
-        if not self.can_accept():
+        if len(self._pending) >= self._queue_capacity:
             raise MemoryModelError(
                 f"channel {self.channel_id} request queue overflow "
                 f"(capacity {self._queue_capacity})"
             )
         self._pending.append(request)
         self.stats.requests_accepted += 1
+        self._accepted[0] += 1
 
     def pending_count(self) -> int:
         """Requests waiting to be issued."""
@@ -164,39 +175,51 @@ class MemoryChannel:
     # ------------------------------------------------------------------
     def tick(self) -> None:
         """Advance one core cycle: issue, progress, complete."""
-        self._now += 1
+        self._now = now = self._now + 1
         # Refill the token bucket; cap so idle periods cannot bank
         # unbounded burst credit (row activations don't accumulate).
-        self._tokens = min(self._tokens + self._tokens_per_cycle, 4.0)
+        tokens = self._tokens + self._tokens_per_cycle
+        if tokens > 4.0:
+            tokens = 4.0
+        self._tokens = tokens
+        pending, in_flight = self._pending, self._in_flight
+        if not pending and not in_flight:
+            return  # idle: nothing to issue, complete, or count
 
+        stats = self.stats
         issued_any = False
-        while self._pending and len(self._in_flight) < self._max_outstanding:
-            head = self._pending[0]
-            cost = self.spec.burst_cost_tx(head.burst_words)
+        while pending and len(in_flight) < self._max_outstanding:
+            head = pending[0]
+            cost = self._burst_costs.get(head.burst_words)
+            if cost is None:
+                cost = self._burst_costs[head.burst_words] = self.spec.burst_cost_tx(
+                    head.burst_words
+                )
             # A burst is issued once one activation's worth of credit is
             # available; its full cost may drive the balance negative,
             # which stalls subsequent issues while the burst streams —
             # exactly how a long burst occupies the channel for several
             # cycles.  (Requiring the full cost up front would make any
             # burst costing more than the bank cap unissuable.)
-            if self._tokens < min(cost, 1.0):
+            if tokens < min(cost, 1.0):
                 break
-            self._tokens -= cost
-            self._pending.popleft()
-            self._in_flight.append((self._now + self._latency, head))
-            self.stats.tokens_spent += cost
-            self.stats.words_transferred += head.burst_words
+            tokens -= cost
+            pending.popleft()
+            in_flight.append((now + self._latency, head))
+            stats.tokens_spent += cost
+            stats.words_transferred += head.burst_words
             issued_any = True
+        self._tokens = tokens
 
-        if issued_any or self._in_flight:
-            self.stats.busy_cycles += 1
-        elif self._pending:
-            self.stats.stalled_cycles += 1
+        if issued_any or in_flight:
+            stats.busy_cycles += 1
+        elif pending:
+            stats.stalled_cycles += 1
 
-        while self._in_flight and self._in_flight[0][0] <= self._now:
-            _, request = self._in_flight.popleft()
+        while in_flight and in_flight[0][0] <= now:
+            _, request = in_flight.popleft()
             self._responses.append(request)
-            self.stats.requests_completed += 1
+            stats.requests_completed += 1
 
     def drain_complete(self) -> bool:
         """Whether nothing is pending, in flight, or waiting collection."""

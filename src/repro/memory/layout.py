@@ -21,6 +21,7 @@ column-list entries are 64-bit vertex ids.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -145,6 +146,34 @@ class GraphMemoryLayout:
             degree=self.graph.degree(vertex),
             column_channel=self.column_channel(vertex),
             column_address=int(self.graph.row_ptr[vertex]),
+        )
+
+    # ------------------------------------------------------------------
+    # Decode tables: the answers above for every vertex, as lists indexed
+    # by vertex id, for a reader that needs one per hop.  They skip the
+    # range checks: a walk's vertex ids come from the graph itself.
+    # ------------------------------------------------------------------
+    def row_channel_table(self, home_channel: int | None = None) -> list[int]:
+        """:meth:`row_channel` of every vertex for one ``home_channel``."""
+        ids = np.arange(self.graph.num_vertices, dtype=np.uint64)
+        # uint64 products wrap modulo 2**64, which is the scalar ``& _MASK64``.
+        hashed = ids * np.uint64(_HASH_MULTIPLIER)
+        table = ((hashed >> np.uint64(24)) % np.uint64(self.num_row_channels)).tolist()
+        if home_channel is not None:
+            self._check_row_channel(home_channel)
+            for vertex in self._replicated:
+                table[vertex] = home_channel
+        return table
+
+    @cached_property
+    def row_entries(self) -> tuple[list[int], list[int], list[int]]:
+        """:meth:`row_entry` of every vertex, as ``(degree, column_channel,
+        column_address)`` lists; built once, shared by every reader."""
+        starts = self.graph.row_ptr[:-1]
+        return (
+            self.graph.degrees().tolist(),
+            (starts % self.num_column_channels).tolist(),
+            starts.tolist(),
         )
 
     def rp_entry_words(self) -> int:

@@ -43,13 +43,19 @@ class MemorySystem:
             raise MemoryModelError("need at least one channel per group")
         self.spec = spec
         self.core_mhz = core_mhz
+        # Every channel adds its accepted requests to this one cell.
+        self._accepted = [0]
         self._row_channels = [
-            MemoryChannel(spec, core_mhz, channel_id=i) for i in range(num_row_channels)
+            MemoryChannel(spec, core_mhz, channel_id=i, accepted=self._accepted)
+            for i in range(num_row_channels)
         ]
         self._column_channels = [
-            MemoryChannel(spec, core_mhz, channel_id=num_row_channels + i)
+            MemoryChannel(
+                spec, core_mhz, channel_id=num_row_channels + i, accepted=self._accepted
+            )
             for i in range(num_column_channels)
         ]
+        self._channels = [*self._row_channels, *self._column_channels]
 
     # ------------------------------------------------------------------
     # Access
@@ -81,7 +87,7 @@ class MemorySystem:
 
     def all_channels(self) -> list[MemoryChannel]:
         """Every channel, row group first."""
-        return [*self._row_channels, *self._column_channels]
+        return list(self._channels)
 
     def _group(self, group: ChannelGroup) -> list[MemoryChannel]:
         return self._row_channels if group is ChannelGroup.ROW else self._column_channels
@@ -91,9 +97,7 @@ class MemorySystem:
     # ------------------------------------------------------------------
     def tick(self) -> None:
         """Advance every channel one core cycle."""
-        for channel in self._row_channels:
-            channel.tick()
-        for channel in self._column_channels:
+        for channel in self._channels:
             channel.tick()
 
     def idle(self) -> bool:
@@ -108,8 +112,9 @@ class MemorySystem:
         return sum(c.stats.words_transferred for c in self.all_channels())
 
     def total_requests(self) -> int:
-        """Random transactions accepted across all channels."""
-        return sum(c.stats.requests_accepted for c in self.all_channels())
+        """Random transactions accepted across all channels (a running
+        count kept by the channels, however a request reached them)."""
+        return self._accepted[0]
 
     def effective_bandwidth_gbs(self, cycles: int) -> float:
         """Achieved bandwidth over ``cycles`` core cycles, in GB/s.

@@ -11,8 +11,20 @@ within a cycle irrelevant — exactly like flip-flop-separated hardware —
 and is what lets the kernel call modules in any fixed order without
 combinational races.
 
-``is_full`` reflects the registered occupancy plus already-staged pushes,
-the same conservatively-registered full flag a hardware FIFO exports.
+The status flags are registers too, kept as two running counters rather
+than recomputed from the queues on every read:
+
+* ``ready`` — committed items a consumer may still pop this cycle (the
+  AXI-Stream ``valid`` side; ``is_empty()`` is ``ready == 0``);
+* ``space`` — pushes a producer may still stage this cycle (the
+  ``ready`` side of the producer's handshake; ``is_full()`` is
+  ``space == 0``).  It counts committed occupancy plus staged pushes, the
+  same conservatively-registered full flag a hardware FIFO exports, so a
+  pop frees no space until the commit.
+
+``push`` / ``pop`` move one counter each and ``commit`` reloads both.
+Hot modules read the counters directly; ``is_empty()`` / ``is_full()``
+stay the public API with the same meaning.
 
 A FIFO made by :meth:`SimulationKernel.make_fifo` shares the kernel's
 touched-list: its first push or pop of a cycle appends it there, and the
@@ -24,7 +36,7 @@ is committed by whoever owns it.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Generic, TypeVar
+from typing import Generic, TypeVar
 
 from repro.errors import SimulationError
 
@@ -52,7 +64,10 @@ class StreamFifo(Generic[T]):
         self._listed = touched is None
         self._queue: deque[T] = deque()
         self._staged: list[T] = []
-        self._pops_this_cycle = 0
+        #: Registered flags: ``len(_queue) - pops this cycle`` and
+        #: ``capacity - len(_queue) - len(_staged)``.
+        self.ready = 0
+        self.space = capacity
         self.total_pushed = 0
         self.total_popped = 0
         self.peak_occupancy = 0
@@ -62,13 +77,14 @@ class StreamFifo(Generic[T]):
     # ------------------------------------------------------------------
     def is_full(self) -> bool:
         """Registered full flag (committed occupancy + staged pushes)."""
-        return len(self._queue) + len(self._staged) >= self.capacity
+        return not self.space
 
     def push(self, item: T) -> None:
         """Stage a push; visible to consumers next cycle."""
-        if self.is_full():
+        if not self.space:
             raise SimulationError(f"push into full fifo {self.name!r}")
         self._staged.append(item)
+        self.space -= 1
         self.total_pushed += 1
         if not self._listed:
             self._listed = True
@@ -76,7 +92,7 @@ class StreamFifo(Generic[T]):
 
     def try_push(self, item: T) -> bool:
         """Push if space; returns whether the push happened."""
-        if self.is_full():
+        if not self.space:
             return False
         self.push(item)
         return True
@@ -86,27 +102,29 @@ class StreamFifo(Generic[T]):
     # ------------------------------------------------------------------
     def is_empty(self) -> bool:
         """Whether no committed item is available this cycle."""
-        return len(self._queue) - self._pops_this_cycle == 0
+        return not self.ready
 
     def front(self) -> T:
         """Peek the oldest committed item."""
-        if self.is_empty():
+        if not self.ready:
             raise SimulationError(f"front of empty fifo {self.name!r}")
-        return self._queue[self._pops_this_cycle]
+        return self._queue[-self.ready]
 
     def pop(self) -> T:
         """Consume the oldest committed item (removed at commit)."""
-        item = self.front()
-        self._pops_this_cycle += 1
+        ready = self.ready
+        if not ready:
+            raise SimulationError(f"front of empty fifo {self.name!r}")
+        self.ready = ready - 1
         self.total_popped += 1
         if not self._listed:
             self._listed = True
             self._touched.append(self)
-        return item
+        return self._queue[-ready]
 
     def try_pop(self) -> T | None:
         """Pop if available; ``None`` otherwise (non-blocking read)."""
-        if self.is_empty():
+        if not self.ready:
             return None
         return self.pop()
 
@@ -115,14 +133,20 @@ class StreamFifo(Generic[T]):
     # ------------------------------------------------------------------
     def commit(self) -> None:
         """End-of-cycle: apply pops, make staged pushes visible."""
-        for _ in range(self._pops_this_cycle):
-            self._queue.popleft()
-        self._pops_this_cycle = 0
-        if self._staged:
-            self._queue.extend(self._staged)
-            self._staged.clear()
-        if len(self._queue) > self.peak_occupancy:
-            self.peak_occupancy = len(self._queue)
+        queue = self._queue
+        pops = len(queue) - self.ready
+        while pops:
+            queue.popleft()
+            pops -= 1
+        staged = self._staged
+        if staged:
+            queue.extend(staged)
+            staged.clear()
+        held = len(queue)
+        self.ready = held
+        self.space = self.capacity - held
+        if held > self.peak_occupancy:
+            self.peak_occupancy = held
         self._listed = self._touched is None
 
     def occupancy(self) -> int:
@@ -131,7 +155,7 @@ class StreamFifo(Generic[T]):
 
     def in_flight(self) -> int:
         """Committed plus staged items — work the fifo is responsible for."""
-        return len(self._queue) + len(self._staged) - self._pops_this_cycle
+        return self.ready + len(self._staged)
 
     def __len__(self) -> int:
         return self.occupancy()

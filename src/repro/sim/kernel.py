@@ -7,6 +7,12 @@ Because FIFO writes are registered (:mod:`repro.sim.fifo`), the tick
 order has no semantic effect — the kernel is a synchronous digital
 circuit evaluator, not an event queue.
 
+Nothing is re-derived per cycle that hardware would hold in a register.
+A FIFO's empty/full flags are its ``ready`` / ``space`` counters, which
+the commit reloads; progress is two running counts, FIFO commits and the
+memory requests the channels have accepted, so the deadlock check reads
+counters instead of sweeping FIFOs or channels.
+
 The kernel deliberately has no notion of tasks or graphs; RidgeWalker,
 its ablated variants and the FPGA baselines are all just module graphs
 wired over FIFOs and memory channels.
@@ -80,8 +86,9 @@ class SimulationKernel:
     # ------------------------------------------------------------------
     def step(self) -> None:
         """Advance exactly one cycle."""
+        cycle = self.cycle
         for module in self._modules:
-            module.tick(self.cycle)
+            module.tick(cycle)
         for memory in self._memories:
             memory.tick()
         touched = self._touched
@@ -89,7 +96,7 @@ class SimulationKernel:
             fifo.commit()
         self._fifo_commits += len(touched)
         touched.clear()
-        self.cycle += 1
+        self.cycle = cycle + 1
 
     def run_until(
         self,
@@ -98,8 +105,9 @@ class SimulationKernel:
     ) -> int:
         """Run until ``done()`` or raise on deadlock / cycle budget.
 
-        Progress is measured by FIFOs touched plus memory traffic; if
-        neither moves for a full deadlock window while ``done()`` stays
+        Progress is measured by FIFOs touched plus requests accepted by
+        any memory channel (however they were submitted); if neither
+        moves for a full deadlock window while ``done()`` stays
         false, the module graph has wedged and a :class:`DeadlockError`
         with the in-flight census is raised — far more debuggable than an
         infinite loop.
@@ -126,8 +134,7 @@ class SimulationKernel:
         return self.cycle
 
     def _progress_marker(self) -> tuple[int, int]:
-        memory_traffic = sum(m.total_requests() for m in self._memories)
-        return self._fifo_commits, memory_traffic
+        return self._fifo_commits, sum(m.total_requests() for m in self._memories)
 
     # ------------------------------------------------------------------
     # Introspection

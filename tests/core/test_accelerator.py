@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import RidgeWalker, RidgeWalkerConfig, run_ridgewalker
-from repro.errors import WalkConfigError
+from repro.errors import GraphError, WalkConfigError
 from repro.graph import cycle_graph, load_dataset, path_graph
 from repro.graph.datasets import assign_metapath_schema
 from repro.memory.spec import MemorySpec
@@ -195,6 +195,13 @@ class TestModesAndMetrics:
         g = cycle_graph(4)
         with pytest.raises(WalkConfigError):
             RidgeWalker(g, URWSpec(), small_config()).run([])
+
+    def test_out_of_range_start_rejected_before_the_run(self):
+        walker = RidgeWalker(cycle_graph(4), URWSpec(), small_config())
+        with pytest.raises(GraphError, match="out of range"):
+            walker.run([Query(0, 1), Query(1, 4)])
+        with pytest.raises(GraphError, match="out of range"):
+            walker.run_streaming([Query(0, 4)], measure_cycles=10)
 
 
 class TestStreaming:

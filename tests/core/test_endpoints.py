@@ -7,14 +7,15 @@ from repro.core import (
     FlatBalancer,
     QueryLoader,
     QueryWriter,
+    ResponseRouter,
     Task,
     TaskDemux,
     TaskStatus,
     WalkRecorder,
 )
 from repro.errors import SchedulerError
-from repro.memory import ChannelGroup, MemorySpec, MemorySystem
-from repro.sim import SimulationKernel
+from repro.memory import ChannelGroup, MemoryRequest, MemorySpec, MemorySystem
+from repro.sim import SimulationKernel, StreamFifo
 from repro.walks import Query
 
 SPEC = MemorySpec(
@@ -221,3 +222,54 @@ class TestAccessEngineBypass:
         assert dst.pop().query_id == 7
         assert engine.requests_issued == 1
         assert engine.outstanding == 0
+
+
+class TestResponseRouter:
+    """Out of order across destinations within the 64-entry reorder
+    window, in order per destination."""
+
+    def completed(self, tagged):
+        """A router over one channel whose responses are ``tagged``,
+        ``(fifo, item)`` pairs in completion order."""
+        memory = MemorySystem(SPEC, core_mhz=320, num_row_channels=1, num_column_channels=1)
+        channel = memory.channel(ChannelGroup.ROW, 0)
+        for tag in tagged:
+            channel.submit(MemoryRequest(tag))
+        for _ in range(len(tagged) + 2 * SPEC.round_trip_cycles):
+            memory.tick()
+        assert channel.stats.requests_completed == len(tagged)
+        return ResponseRouter("r", memory), channel
+
+    @staticmethod
+    def drain(fifo):
+        fifo.commit()
+        items = []
+        while not fifo.is_empty():
+            items.append(fifo.pop())
+        fifo.commit()
+        return items
+
+    def test_a_full_destination_holds_back_only_its_own_responses(self):
+        slow, fast = StreamFifo(2, "slow"), StreamFifo(64, "fast")
+        router, channel = self.completed(
+            [pair for i in range(20) for pair in ((slow, f"s{i}"), (fast, f"f{i}"))])
+        router.tick(0)
+        assert self.drain(fast) == [f"f{i}" for i in range(20)]
+        assert [r.tag[1] for r in channel._responses] == [f"s{i}" for i in range(2, 20)]
+        slow.commit()
+        assert slow.pop() == "s0"                # frees no space until the commit
+        router.tick(1)
+        assert router.delivered == 22
+        slow.commit()                            # s1 held, one slot free
+        router.tick(2)
+        assert self.drain(slow) == ["s1", "s2"] and router.delivered == 23
+        assert channel.peek_response().tag[1] == "s3"
+
+    def test_only_the_oldest_64_responses_are_offered(self):
+        slow, fast = StreamFifo(1, "slow"), StreamFifo(8, "fast")
+        slow.push("held")                        # slow refuses everything
+        router, _ = self.completed([(slow, i) for i in range(62)] +
+                                   [(fast, i) for i in range(5)])
+        for cycle, expected in enumerate(([0, 1], [2, 3], [4])):
+            router.tick(cycle)
+            assert self.drain(fast) == expected  # window slots 63 and 64

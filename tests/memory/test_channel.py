@@ -214,3 +214,52 @@ class TestAccounting:
     def test_pop_empty_raises(self):
         with pytest.raises(MemoryModelError):
             make_channel().pop_response()
+
+
+class PerCycleChannel(MemoryChannel):
+    """The channel's tick before idle cycles returned early and burst
+    costs were cached: the whole body runs every cycle."""
+
+    def tick(self):
+        self._now += 1
+        self._tokens = min(self._tokens + self._tokens_per_cycle, 4.0)
+        issued_any = False
+        while self._pending and len(self._in_flight) < self._max_outstanding:
+            head = self._pending[0]
+            cost = self.spec.burst_cost_tx(head.burst_words)
+            if self._tokens < min(cost, 1.0):
+                break
+            self._tokens -= cost
+            self._pending.popleft()
+            self._in_flight.append((self._now + self._latency, head))
+            self.stats.tokens_spent += cost
+            self.stats.words_transferred += head.burst_words
+            issued_any = True
+        if issued_any or self._in_flight:
+            self.stats.busy_cycles += 1
+        elif self._pending:
+            self.stats.stalled_cycles += 1
+        while self._in_flight and self._in_flight[0][0] <= self._now:
+            _, request = self._in_flight.popleft()
+            self._responses.append(request)
+            self.stats.requests_completed += 1
+
+
+class TestIdleCycles:
+    def test_idle_stretches_match_the_per_cycle_path(self):
+        # 103 MT/s at 320 MHz: a refill that is not a binary fraction.
+        spec = MemorySpec("u50ish", num_channels=1, random_tx_rate_mhz=103.0,
+                          sequential_gbs=10.0, round_trip_cycles=7, max_outstanding=4)
+        new, old = MemoryChannel(spec, 320.0), PerCycleChannel(spec, 320.0)
+        bursts = {40: [1, 33, 2], 60: [64, 1, 1, 1, 1, 5], 400: [2]}
+        for cycle in range(600):
+            for words in bursts.get(cycle, ()):
+                new.submit(MemoryRequest(tag=cycle, burst_words=words))
+                old.submit(MemoryRequest(tag=cycle, burst_words=words))
+            new.tick()
+            old.tick()
+            assert (vars(new.stats), new._tokens, new.now) == (
+                vars(old.stats), old._tokens, old.now)
+            assert ([r.tag for r in new._responses], new.pending_count()) == (
+                [r.tag for r in old._responses], old.pending_count())
+        assert new.stats.stalled_cycles > 0 and new.stats.busy_cycles < 600

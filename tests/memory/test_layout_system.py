@@ -69,6 +69,24 @@ class TestLayout:
         assert entry.column_address == int(g.row_ptr[v])
         assert entry.column_channel == layout.column_channel_of(entry.column_address)
 
+    @pytest.mark.parametrize("rows,columns,replicated", [(1, 1, 0), (4, 4, 16), (3, 5, 200)])
+    def test_decode_tables_equal_the_per_vertex_answers(self, rows, columns, replicated):
+        g = self.graph()
+        layout = GraphMemoryLayout(g, rows, columns, replicate_hot_entries=replicated)
+        vertices = range(g.num_vertices)
+        assert layout.row_channel_table() == [layout.row_channel(v) for v in vertices]
+        for home in range(rows):
+            assert layout.row_channel_table(home_channel=home) == [
+                layout.row_channel(v, home_channel=home) for v in vertices]
+        entries = [layout.row_entry(v) for v in vertices]
+        assert layout.row_entries == (
+            [e.degree for e in entries],
+            [e.column_channel for e in entries],
+            [e.column_address for e in entries],
+        )
+        with pytest.raises(MemoryModelError):
+            layout.row_channel_table(home_channel=rows)
+
     def test_rp_entry_words_by_width(self):
         g = self.graph()
         assert GraphMemoryLayout(g, 2, 2, rp_entry_bits=64).rp_entry_words() == 1
@@ -139,6 +157,13 @@ class TestMemorySystem:
         assert system.total_words_transferred() == 2
         assert system.total_requests() == 1
         assert system.effective_bandwidth_gbs(10) > 0
+
+    def test_requests_are_counted_at_the_channel(self):
+        system = MemorySystem(SPEC, core_mhz=320, num_row_channels=2, num_column_channels=2)
+        system.submit(ChannelGroup.ROW, 1, MemoryRequest(tag="via system"))
+        system.channel(ChannelGroup.COLUMN, 1).submit(MemoryRequest(tag="straight"))
+        assert system.total_requests() == 2 == sum(
+            c.stats.requests_accepted for c in system.all_channels())
 
     def test_channel_index_bounds(self):
         system = MemorySystem(SPEC, core_mhz=320, num_row_channels=2, num_column_channels=2)

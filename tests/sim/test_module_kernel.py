@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
+from repro.memory import ChannelGroup, MemoryRequest, MemorySystem
+from repro.memory.spec import HBM2_U55C
 from repro.sim import (
     Module,
     PipelinedModule,
@@ -10,6 +12,7 @@ from repro.sim import (
     SimulationKernel,
     StreamFifo,
 )
+from repro.sim.kernel import _DEADLOCK_WINDOW
 
 
 class Doubler(PipelinedModule):
@@ -285,6 +288,47 @@ class TestTouchedListCommits:
         assert fifo.pop() == 1
         fifo.commit()
         assert fifo.is_empty() and fifo._touched is None
+
+
+class ChannelFeeder(Module):
+    """Submits a request straight to a channel every ``every`` cycles
+    until cycle ``stop``, touching no FIFO and bypassing the system."""
+
+    def __init__(self, channel, every, stop):
+        super().__init__("feeder")
+        self.channel, self.every, self.stop = channel, every, stop
+
+    def tick(self, cycle):
+        if cycle < self.stop and cycle % self.every == 0:
+            self.channel.submit(MemoryRequest(tag=cycle))
+
+
+class TestDeadlockProgress:
+    """Progress is FIFO commits plus requests accepted at any channel."""
+
+    def feeding_kernel(self, stop):
+        kernel = SimulationKernel()
+        memory = kernel.add_memory(MemorySystem(HBM2_U55C, 320.0, 1, 1))
+        kernel.add_module(ChannelFeeder(memory.channel(ChannelGroup.ROW, 0), 500, stop))
+        return kernel
+
+    def test_the_wedged_graph_reports_the_same_cycle_and_census(self):
+        kernel, _, _ = TestTouchedListCommits().two_stage(SimulationKernel, out_capacity=1)
+        with pytest.raises(DeadlockError) as err:
+            kernel.run_until(lambda: False, max_cycles=100_000)
+        assert str(err.value) == ("simulation deadlocked at cycle 2058 with 37 tasks in "
+                                  "flight: fifos[src=32, mid=2, dst=1] busy[a, b]")
+
+    def test_memory_traffic_alone_is_progress(self):
+        long_run = 4 * _DEADLOCK_WINDOW
+        kernel = self.feeding_kernel(stop=long_run)
+        assert kernel.run_until(lambda: kernel.cycle >= long_run) == long_run
+
+    def test_a_graph_whose_traffic_stops_deadlocks_one_window_later(self):
+        kernel = self.feeding_kernel(stop=1000)
+        with pytest.raises(DeadlockError) as err:
+            kernel.run_until(lambda: False, max_cycles=100_000)
+        assert err.value.cycle == 501 + _DEADLOCK_WINDOW + 1
 
 
 class TestRunMetrics:
