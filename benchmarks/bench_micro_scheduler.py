@@ -1,6 +1,6 @@
 """Section VI microbenchmarks — the scheduler's formal guarantees.
 
-Two sweeps back the design choices DESIGN.md calls out:
+Two sweeps back the scheduler's design choices (Section VI):
 
 * Theorem VI.1 buffer depth: bubbles collapse once per-pipeline FIFO
   depth reaches ``1 + 4*log2(N)``;

@@ -2,8 +2,9 @@
 
 Each benchmark runs its experiment exactly once (``pedantic`` with one
 round — these are simulations, not microbenchmarks to be repeated),
-prints the regenerated table, and archives it under
-``benchmarks/results/`` for EXPERIMENTS.md.
+prints the regenerated table, and archives it as
+``benchmarks/results/<experiment id>.txt`` (untracked; the printed
+table is the record).
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ from repro.walks import URWSpec, make_queries, run_walks
 
 def main() -> None:
     # 1. A graph.  Table II datasets are regenerated as scaled synthetic
-    #    stand-ins with the same structural character (see DESIGN.md).
+    #    stand-ins with the same structural character (see
+    #    repro.graph.datasets; `repro experiment tab2` prints both).
     graph = load_dataset("WG", seed=1)
     stats = degree_statistics(graph)
     print(f"graph: {graph}")

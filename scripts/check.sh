@@ -77,6 +77,10 @@ echo "== serve QoS smoke (tenant isolation under flash crowd, epoch-safe cache) 
 python benchmarks/bench_serve_qos.py --smoke
 python -m repro serve-bench --scenario flash-crowd --tenants 2 \
   --requests 200 --rate 2000 --scale 0.05 --length 16 --max-batch 64
+# MetaPath's edge type follows each walker's own hop count: served by the
+# open frontier, and the exit code gates replay identity.
+python -m repro serve-bench --algorithm MetaPath --scenario flash-crowd --tenants 2 \
+  --requests 200 --rate 2000 --scale 0.05 --length 16 --max-batch 64
 
 echo
 echo "== dynamic smoke (update trace + snapshot-equivalence check) =="

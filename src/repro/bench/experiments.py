@@ -1,4 +1,4 @@
-"""One experiment function per paper table/figure (the DESIGN.md index).
+"""One experiment function per paper table/figure (``repro info`` lists the ids).
 
 Every function returns an :class:`~repro.bench.reporting.ExperimentResult`
 whose rows regenerate the corresponding artifact: same series, same
@@ -494,7 +494,7 @@ def micro_outstanding_sweep() -> ExperimentResult:
     return result
 
 
-#: Registry used by the benchmark files and EXPERIMENTS.md generator.
+#: Registry behind ``repro experiment ID`` and the ``benchmarks/`` files.
 EXPERIMENTS = {
     "fig3a": fig3a_motivation,
     "fig8a": fig8a_fastrw,

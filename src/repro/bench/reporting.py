@@ -17,7 +17,7 @@ class ExperimentResult:
     """Outcome of one paper artifact reproduction (a table or figure).
 
     ``rows`` is a list of dicts with homogeneous keys; ``notes`` records
-    deviations and context worth carrying into EXPERIMENTS.md.
+    deviations from the paper and the context a reader of the table needs.
     """
 
     experiment_id: str

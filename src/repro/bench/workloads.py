@@ -7,7 +7,7 @@ over a steady-state window.
 
 ``fast_mode()`` (environment variable ``REPRO_BENCH_FAST=1``) shrinks
 graphs and measurement windows so the whole suite runs in CI time; the
-default sizes are the ones EXPERIMENTS.md reports.
+default sizes are what ``repro experiment ID`` runs.
 """
 
 from __future__ import annotations

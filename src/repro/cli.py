@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     experiment = sub.add_parser("experiment", help="regenerate a paper artifact")
     experiment.add_argument("id", choices=sorted(EXPERIMENTS),
-                            help="table/figure id (see DESIGN.md index)")
+                            help="table/figure id (`repro info` lists them)")
 
     sub.add_parser("info", help="list datasets, algorithms, devices, experiments")
     return parser

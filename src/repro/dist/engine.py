@@ -5,15 +5,15 @@ parallel planner's cost model), serializes each shard into its own
 shared-memory segment, and keeps one long-lived worker process per
 shard in a :class:`~repro.parallel.runtime.WorkerGroup`.  A run is a
 sequence of parent-coordinated supersteps: the parent broadcasts
-``superstep(k)`` to every shard, the shards advance their resident
+``superstep`` to every shard, the shards advance their resident
 walkers and forward departures to each other through per-pair queues
 (see :mod:`repro.dist.worker`), and the parent stops as soon as no
 shard holds a walker.  Paths are assembled parent-side from the shards'
-hop logs — every logged hop is ``(query position, hop index, vertex)``,
-keyed by the walker's own hop count (a stalled walker is behind the
-superstep count), so assembly is one scatter per shard straight into
-the final flat path buffer, regardless of how many times a walker
-changed shards.
+hop logs — every logged hop is ``(query position, hop, vertex)``,
+keyed by the walker's own hop count (a walker that stalled has taken
+fewer hops than supersteps have run), so assembly is one scatter per
+shard straight into the final flat path buffer, regardless of how many
+times a walker changed shards.
 
 Determinism contract: bit-identical ``WalkResults`` and ``EngineStats``
 to ``run_walks_batch`` for any shard count and any forwarding
@@ -112,7 +112,7 @@ class DistWalkEngine(WorkerGroupEngine):
         with group.session():
             for shard in range(self._num_shards):
                 mine = np.nonzero(start_owner == shard)[0]
-                group.send(shard, "start_run", mine, starts[mine], states[mine], num_queries)
+                group.send(shard, "start_run", mine, starts[mine], states[mine])
             group.gather("start_run")
             if tracer is not None:
                 tracer.end(_t_plan, "dist.plan", queries=num_queries,
@@ -124,7 +124,7 @@ class DistWalkEngine(WorkerGroupEngine):
             forwarded_total = 0
             per_shard_processed = np.zeros(self._num_shards, dtype=np.int64)
             while alive:
-                group.broadcast("superstep", steps_run)
+                group.broadcast("superstep")
                 alive = 0
                 step_forwarded = 0
                 for shard, reply in enumerate(group.gather("superstep")):
@@ -134,7 +134,7 @@ class DistWalkEngine(WorkerGroupEngine):
                     per_shard_processed[shard] += shard_processed
                 forwarded_total += step_forwarded
                 if tracer is not None:
-                    tracer.instant("dist.step", step=steps_run, alive=alive,
+                    tracer.instant("dist.step", superstep=steps_run, alive=alive,
                                    forwarded=step_forwarded)
                 steps_run += 1
             if tracer is not None:
@@ -143,15 +143,15 @@ class DistWalkEngine(WorkerGroupEngine):
                 _t_merge = tracer.begin()
 
             group.broadcast("collect")
-            for positions, hop_index, vertices, shard_counts in group.gather("collect"):
-                log.append((positions, hop_index, vertices))
+            for positions, hop, vertices, shard_counts in group.gather("collect"):
+                log.append((positions, hop, vertices))
                 hops += np.bincount(positions, minlength=num_queries)
                 counts += shard_counts
         # Every logged hop names its query row and hop index, so each
         # shard's log lands in the final flat buffer with one scatter.
         flat, offsets = start_path_buffer(starts, hops)
-        for positions, hop_index, vertices in log:
-            flat[offsets[positions] + hop_index + 1] = vertices
+        for positions, hop, vertices in log:
+            flat[offsets[positions] + hop] = vertices
         total_hops = int(hops.sum())
         if tracer is not None:
             tracer.end(_t_merge, "dist.merge", queries=num_queries, hops=total_hops)

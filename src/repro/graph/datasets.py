@@ -27,8 +27,8 @@ to a GRW accelerator* preserved:
   the capacity threshold in the FastRW model is scaled identically, see
   :mod:`repro.baselines.fastrw`).
 
-The substitution is recorded in DESIGN.md.  Paper-reported values are kept
-on each spec so Table II can print both columns side by side.
+Paper-reported values are kept on each spec so Table II (``repro
+experiment tab2``) prints both columns side by side.
 """
 
 from __future__ import annotations

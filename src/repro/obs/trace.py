@@ -163,7 +163,7 @@ class Tracer:
                 t0 = tracer.begin()
             ...vectorized work...
             if tracer is not None:
-                tracer.end(t0, "batch.superstep", step=step, frontier=width)
+                tracer.end(t0, "batch.superstep", superstep=index, frontier=width)
         """
         return time.perf_counter()
 

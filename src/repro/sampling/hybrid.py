@@ -673,7 +673,7 @@ class HybridKernel(VectorizedKernel):
                 graph,
                 current[group],
                 previous[group],
-                admissible_type,
+                None if admissible_type is None else admissible_type[group],
                 streams,
                 sub_streams(stream_idx, group),
             )

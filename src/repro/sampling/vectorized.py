@@ -561,13 +561,15 @@ class VectorizedKernel(ABC):
         graph: CSRGraph,
         current: np.ndarray,
         previous: np.ndarray,
-        admissible_type: int | None,
+        admissible_type: np.ndarray | None,
         streams: QueryStreams,
         stream_idx: np.ndarray | None,
     ) -> BatchSample:
         """Choose the next vertex of every walker in the frontier
         (:class:`BatchSample`: neighbour ids, ``-1`` = nothing admissible,
-        :data:`STALL` = undecided, ask again).
+        :data:`STALL` = undecided, ask again).  ``admissible_type[k]`` is
+        the edge type walker ``k`` must take (MetaPath: it follows the
+        walker's own hop count); ``None``: any edge, for every walker.
 
         One call is one round of draws per walker: a kernel never loops
         until a walker is decided — a walker it cannot decide yet it
@@ -771,7 +773,8 @@ class RejectionKernel(VectorizedKernel):
             vertex = np.empty(current.size, dtype=np.int64)
             choice = streams.randints(degrees[first], sub_streams(stream_idx, first))
             vertex[first] = neighbor_at(graph, current[first], choice)
-            batch = self.sample(graph, current[rest], previous[rest], admissible_type,
+            # Rejection (Node2Vec) walks are untyped: no admissible types.
+            batch = self.sample(graph, current[rest], previous[rest], None,
                                 streams, sub_streams(stream_idx, rest))
             vertex[rest] = batch.vertex
             return BatchSample(vertex, proposals=first.size + batch.proposals,
@@ -884,7 +887,7 @@ class ReservoirKernel(VectorizedKernel):
 
         eligible = weight > 0
         if admissible_type is not None:
-            eligible &= graph.edge_types[position] == admissible_type
+            eligible &= graph.edge_types[position] == admissible_type[segment]
         u = streams.element_uniforms(stream_idx, counts, segment=segment, within=within)
         # Same u == 0 guard as the scalar sampler: keep keys positive so
         # ordering against the -1 sentinel stays correct.

@@ -8,26 +8,28 @@ engine object, never by an option**:
 
 * **The open frontier** (:mod:`repro.serve.frontier`) — for an engine
   that offers ``open_frontier`` (the in-process superstep engine:
-  ``batch``, and ``jit`` where it falls back to it, under a
-  step-invariant spec).  RidgeWalker's argument is that a walk is a
-  chain of stateless ``(query, step, v_last)`` tasks, so a lane freed by
-  a finished walk takes the next query at once; this is that, in
-  software.  The dispatcher *is* the engine's superstep loop: each
-  event-loop turn it drains the queue into the tenant scheduler, seats
-  ``scheduler.next_batch(free)`` into the frontier's free slots
-  (``max_batch`` slots — the same bound on walkers per superstep, held
-  continuously), runs one superstep, resolves every walk that ended and
-  yields.  No coalescing wait (``max_wait_ms`` has no job here: a
+  ``batch``, and ``jit`` where it falls back to it, under any spec).
+  RidgeWalker's argument is that a walk is a chain of stateless
+  ``(query, step, v_last)`` tasks, so a lane freed by a finished walk
+  takes the next query at once; this is that, in software.  Each walker
+  carries its own hop count, and the spec's hooks are asked with it, so
+  walkers of any age — MetaPath's, whose edge type follows the hop,
+  included — share a superstep.  The dispatcher *is* the engine's
+  superstep loop: each event-loop turn it drains the queue into the
+  tenant scheduler, seats ``scheduler.next_batch(free)`` into the
+  frontier's free slots (``max_batch`` slots — the same bound on
+  walkers per superstep, held continuously), runs one superstep,
+  resolves every walk that ended and yields.  No coalescing wait (``max_wait_ms`` has no job here: a
   request is seated the turn it arrives if a slot is free), no thread,
   no hand-off, and a short walk never waits for the longest walk of a
   batch.  The loop steps only while walkers are live — an idle service
   blocks on its queue — and yields every superstep, so admission and
   callers' callbacks run between steps.
 * **Closed micro-batches** (this module) — for every engine that only
-  has ``run``: ``parallel``, ``dist``, ``reference``, a MetaPath spec on
-  any engine, test doubles, proxies.  The service coalesces requests
-  into micro-batches (flushed on ``max_batch`` or ``max_wait_ms``,
-  whichever comes first) and executes each as one closed run on an
+  has ``run``: ``parallel``, ``dist``, ``reference``, compiled ``jit``,
+  test doubles, proxies.  The service coalesces requests into
+  micro-batches (flushed on ``max_batch`` or ``max_wait_ms``, whichever
+  comes first) and executes each as one closed run on an
   executor thread, while the event loop coalesces the *next* batch; one
   batch runs at a time.
 

@@ -56,16 +56,6 @@ class WalkSpec(ABC):
     #: Whether tasks must carry the previous vertex (second-order walks).
     needs_prev_vertex: bool = False
 
-    #: Whether :meth:`admissible_type` and :meth:`termination_probability`
-    #: ignore their ``step`` argument.  The array kernels take one scalar
-    #: per superstep, so only a step-invariant spec can have walkers at
-    #: different hop counts share a superstep (the batch engine's open
-    #: frontier; a walker whose proposal was rejected, which retries a
-    #: superstep later).  False unless a spec declares it: one that
-    #: forgets is served through closed runs, slower but never wrong,
-    #: and may not use a sampler that stalls.
-    step_invariant: bool = False
-
     def __init__(self, max_length: int = DEFAULT_MAX_LENGTH) -> None:
         self.max_length = max_length
 
@@ -91,28 +81,39 @@ class WalkSpec(ABC):
     def make_sampler(self) -> Sampler:
         """Create a fresh sampler configured for this algorithm."""
 
-    def admissible_type(self, step: int) -> int | None:
-        """Edge-type constraint for hop ``step`` (MetaPath); ``None`` = any."""
+    def admissible_type(self, hops: int | np.ndarray) -> int | np.ndarray | None:
+        """Edge-type constraint (MetaPath) on the hop a walker that has
+        taken ``hops`` hops takes next; ``None`` = any edge.
+
+        ``hops`` is the walker's own hop count — an int, or an int64
+        array with one count per walker (the batch engines ask a whole
+        frontier at once, walkers of every age together), answered in
+        kind: one type per walker — or ``None``, any edge for all.
+        """
         return None
 
-    def termination_probability(self, step: int) -> float:
-        """Probability the walk ends after hop ``step`` by algorithmic
-        choice (PPR's teleport).  0.0 — never — by default.
+    def termination_probability(self, hops: int | np.ndarray) -> float | np.ndarray:
+        """Probability the walk ends after the hop a walker that has
+        taken ``hops`` hops takes next, by algorithmic choice (PPR's
+        teleport).  0.0 — never — by default.
 
-        Declaring the probability (rather than only the draw) lets the
-        batch engine apply termination to a whole frontier with one
-        vectorized draw.
+        ``hops`` is an int or an int64 array of per-walker counts, as
+        for :meth:`admissible_type`; an answer that does not depend on
+        the hop may stay one scalar for every walker.  Declaring the
+        probability (rather than only the draw) lets the batch engine
+        apply termination to a whole frontier with one vectorized draw,
+        made only by walkers whose probability is above 0.
         """
         return 0.0
 
     def terminates_probabilistically(
-        self, step: int, random_source: RandomSource
+        self, hops: int, random_source: RandomSource
     ) -> bool:
-        """Whether the walk ends after ``step`` by algorithmic choice;
-        draws one uniform only when :meth:`termination_probability` is
-        non-zero, preserving RNG stream alignment for non-terminating
-        specs."""
-        probability = self.termination_probability(step)
+        """Whether the walk ends after the hop taken at ``hops`` by
+        algorithmic choice; draws one uniform only when
+        :meth:`termination_probability` is non-zero, preserving RNG
+        stream alignment for non-terminating specs."""
+        probability = self.termination_probability(hops)
         return probability > 0.0 and random_source.uniform() < probability
 
     @property

@@ -6,22 +6,24 @@ software form, in ThunderRW's step-centric shape — one step function
 over a dense task array, many schedulers:
 
 * :class:`Frontier` holds **live walkers only** (row, current and
-  previous vertex, splitmix64 stream state) and is boolean-compacted at
-  the three death points — dangling vertex, nothing admissible, teleport
-  — only on steps where a walker dies.  No dead lanes.
+  previous vertex, splitmix64 stream state, hop count) and is
+  boolean-compacted at the four death points — dangling vertex, nothing
+  admissible, teleport, length — only on steps where a walker dies.  No
+  dead lanes.
 * :func:`superstep` is the one copy of ``dangling -> sample -> early
-  termination | stall | advance -> teleport``; the batch engine, the
-  parallel workers, the open frontier and the dist shard workers call
-  it.  Stream states travel with the frontier, so kernels draw with
-  ``stream_idx=None`` ("stream k is walker k") and whole-frontier draws
-  advance in place.  A walker the kernel left undecided (a rejected
-  Node2Vec proposal) *stalls*: it stays where it is and proposes again
-  next superstep, beside walkers hops ahead of it — the superstep is the
-  retry loop, so no superstep waits for its unluckiest walker.
+  termination | stall | advance -> teleport -> length``; the batch
+  engine, the parallel workers, the open frontier and the dist shard
+  workers call it.  Stream states and hop counts travel with the
+  frontier, so kernels draw with ``stream_idx=None`` ("stream k is
+  walker k"), whole-frontier draws advance in place, and the spec's
+  hooks are asked with each walker's own hop count.  A walker the kernel
+  left undecided (a rejected Node2Vec proposal) *stalls*: it stays where
+  it is and proposes again next superstep, beside walkers hops ahead of
+  it — the superstep is the retry loop, so no superstep waits for its
+  unluckiest walker.
 * Each step's next vertices go to a hop log, scattered once — when the
   hop counts are known — into the flat buffer ``WalkResults`` adopts
   (:func:`~repro.walks.base.paths_from_step_log`).  No path matrix.
-  Every run ends each walker on its own hop count.
 * :class:`OpenFrontier` is the open form of a run, for a caller whose
   queries keep arriving (the walk service): walkers are admitted into
   free slots and retired on their own hop count between supersteps, so a
@@ -41,7 +43,6 @@ form and :func:`run_walks_batch_arrays` its dense adapter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -72,7 +73,7 @@ from repro.walks.reference import EngineStats
 _NO_SLOTS = np.empty(0, dtype=np.int64)
 
 #: The walker arrays of a :class:`Frontier` besides its stall streaks.
-_WALKER_FIELDS = ("pos", "current", "previous", "state")
+_WALKER_FIELDS = ("pos", "current", "previous", "state", "hops")
 
 
 @dataclass(slots=True)
@@ -81,10 +82,11 @@ class Frontier:
 
     ``pos[k]`` is walker ``k``'s row in the original batch, ``state[k]``
     its raw splitmix64 substream state (see
-    :meth:`QueryStreams.from_states`).  ``previous`` stays all ``-1``
-    under a first-order spec, so there it only ever shrinks to a prefix
-    of itself.  ``stalls[k]`` counts the supersteps walker ``k`` has
-    stalled in a row; it is ``None`` whenever no walker is stalled,
+    :meth:`QueryStreams.from_states`), ``hops[k]`` the hops it has taken
+    — its own clock, all zeros when not given.  ``previous`` stays all
+    ``-1`` under a first-order spec, so there it only ever shrinks to a
+    prefix of itself.  ``stalls[k]`` counts the supersteps walker ``k``
+    has stalled in a row; it is ``None`` whenever no walker is stalled,
     which is all a walk that never stalls ever carries.
     """
 
@@ -92,7 +94,12 @@ class Frontier:
     current: np.ndarray
     previous: np.ndarray
     state: np.ndarray
+    hops: np.ndarray | None = None
     stalls: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.hops is None:
+            self.hops = np.zeros(self.pos.size, dtype=np.int64)
 
     @classmethod
     def start(cls, pos: np.ndarray, starts: np.ndarray, states: np.ndarray) -> "Frontier":
@@ -129,6 +136,7 @@ class Frontier:
         self.current = self.current[mask]
         self.previous = self.previous[mask] if second_order else self.previous[: self.pos.size]
         self.state = self.state[mask]
+        self.hops = self.hops[mask]
         if self.stalls is not None:
             self.stalls = self.stalls[mask]
 
@@ -137,35 +145,34 @@ def superstep(
     graph: CSRGraph,
     spec: WalkSpec,
     kernel: VectorizedKernel,
-    step: int,
     frontier: Frontier,
     counts: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Take every walker of ``frontier`` through one superstep, in place.
 
     Each walker comes out one of four ways: its vertex is *dangling*, or
     the kernel found *nothing admissible* — both end the walk; the kernel
     left it *stalled* (a rejected proposal), so it keeps its vertex and
-    proposes again next superstep; or it *moved*, and then draws its
-    teleport uniform.  Returns ``(pos, next_vertex, stalled)``, the hop
-    record of every walker that moved or stalled: ``stalled`` indexes
-    the entries of the stalled (ascending; empty in a superstep without
-    stalls), whose ``next_vertex`` is the vertex they stay on.
-    ``frontier`` keeps the movers that did not teleport and the stalled;
-    proposals, reads and the three kinds of death are added to ``counts``
-    (:data:`STAT_FIELDS` order).  Every draw consumes only its walker's
-    own stream state, in an order fixed by that walker's trajectory, so
-    neither frontier composition nor how many supersteps a hop took can
-    change a path.
+    proposes again next superstep; or it *moved*: its hop count grows by
+    one, it draws its teleport uniform, and it ends if it teleported or
+    its count reached ``max_length``.  Returns ``(pos, hop, next_vertex,
+    stalled)``, the hop record of every walker that moved or stalled:
+    ``next_vertex`` is vertex ``hop`` of row ``pos``'s path, and
+    ``stalled`` indexes the entries of the stalled (ascending; empty in a
+    superstep without stalls), whose ``next_vertex`` is the vertex they
+    stay on at the hop count they keep.  ``frontier`` keeps the movers
+    that did not end and the stalled; proposals, reads and the four
+    kinds of death are added to ``counts`` (:data:`STAT_FIELDS` order).
+    Every draw consumes only its walker's own stream state, in an order
+    fixed by that walker's trajectory, so neither frontier composition
+    nor how many supersteps a hop took can change a path.
 
-    ``step`` is what the spec's hooks are asked with.  A walker that has
-    stalled is behind the superstep count, so a stall under a spec that
-    is not :attr:`~repro.walks.base.WalkSpec.step_invariant` raises
-    :class:`~repro.errors.WalkConfigError` before the superstep draws
-    anything more.  A stall promises a later hop: a walker stalled
-    :data:`MAX_STALLS` supersteps running raises the kernel's
-    :class:`~repro.errors.SamplingError`, and so does a kernel ending a
-    walker it stalled.
+    The spec's hooks are asked with ``frontier.hops`` before the hop —
+    each walker's 0-based index of the hop it is taking — so walkers of
+    any age, stalled or not, share a superstep under any spec.  A stall
+    promises a later hop: a walker stalled :data:`MAX_STALLS` supersteps
+    running raises the kernel's :class:`~repro.errors.SamplingError`,
+    and so does a kernel ending a walker it stalled.
     """
     second_order = spec.needs_prev_vertex
     dangling = graph.degrees()[frontier.current] == 0
@@ -174,41 +181,42 @@ def superstep(
         frontier.keep(~dangling, second_order)
     if frontier.size == 0:
         # Kernels are never asked to sample an empty frontier.
-        return frontier.pos, frontier.current, _NO_SLOTS
+        return frontier.pos, frontier.hops, frontier.current, _NO_SLOTS
 
     batch = kernel.sample(
         graph,
         frontier.current,
         frontier.previous,
-        spec.admissible_type(step),
+        spec.admissible_type(frontier.hops),
         QueryStreams.from_states(frontier.state),
         None,
     )
     counts[_PROPOSALS] += batch.proposals
     counts[_READS] += batch.neighbor_reads
     if batch.stalled.size:
-        return _stalled_superstep(spec, kernel, step, frontier, counts, batch)
-    next_vertex = batch.vertex
-    moved = next_vertex >= 0
-    if not moved.all():
-        _end_early(kernel, frontier, counts, ~moved)
-        frontier.keep(moved, second_order)
-        next_vertex = next_vertex[moved]
-    # Nobody stalled: every stall streak is over.
-    frontier.stalls = None
+        next_vertex, stalled, moved = _stall(kernel, frontier, counts, batch, second_order)
+    else:
+        next_vertex, stalled, moved = batch.vertex, _NO_SLOTS, None
+        decided = next_vertex >= 0
+        if not decided.all():
+            _end_early(kernel, frontier, counts, ~decided)
+            frontier.keep(decided, second_order)
+            next_vertex = next_vertex[decided]
+        # Nobody stalled: every stall streak is over.
+        frontier.stalls = None
+        if second_order:
+            frontier.previous = frontier.current
+        frontier.current = next_vertex
 
-    if second_order:
-        frontier.previous = frontier.current
-    frontier.current = next_vertex
-    pos = frontier.pos
-
-    teleport = spec.termination_probability(step)
-    if teleport > 0.0:
-        stay = QueryStreams.from_states(frontier.state).uniforms() >= teleport
-        if not stay.all():
-            counts[_PROBABILISTIC] += stay.size - np.count_nonzero(stay)
-            frontier.keep(stay, second_order)
-    return pos, next_vertex, _NO_SLOTS
+    pos, taken = frontier.pos, frontier.hops
+    frontier.hops = hop = taken + 1 if moved is None else taken + moved
+    _teleport(spec, frontier, taken, moved, counts)
+    max_length = spec.max_length
+    if frontier.size and frontier.hops.max() >= max_length:
+        short = frontier.hops < max_length
+        counts[_LENGTH] += short.size - np.count_nonzero(short)
+        frontier.keep(short, second_order)
+    return pos, hop, next_vertex, stalled
 
 
 def _end_early(
@@ -224,23 +232,18 @@ def _end_early(
     counts[_EARLY] += np.count_nonzero(ended)
 
 
-def _stalled_superstep(
-    spec: WalkSpec,
+def _stall(
     kernel: VectorizedKernel,
-    step: int,
     frontier: Frontier,
     counts: np.ndarray,
     batch: BatchSample,
+    second_order: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rest of :func:`superstep` once the kernel stalled walkers: the
+    """The moves of a superstep in which the kernel stalled walkers: the
     stalled keep their vertices and extend their streaks, the movers
-    advance and draw their teleport uniforms."""
+    advance.  Returns ``(next_vertex, stalled, moved)`` over the walkers
+    left."""
     stalled = batch.stalled
-    if not spec.step_invariant:
-        raise WalkConfigError(
-            f"{type(spec).__name__} is not step-invariant, so a walker that "
-            "stalls cannot take its hop in a later superstep"
-        )
     if frontier.stalls is None:
         streak = np.ones(stalled.size, dtype=np.int64)
     else:
@@ -256,10 +259,10 @@ def _stalled_superstep(
         _end_early(kernel, frontier, counts, ~walking)
         # Stall indices into the walkers that are left.
         stalled = np.cumsum(walking)[stalled] - 1
-        frontier.keep(walking, spec.needs_prev_vertex)
+        frontier.keep(walking, second_order)
         next_vertex, moved = next_vertex[walking], moved[walking]
 
-    if spec.needs_prev_vertex:
+    if second_order:
         previous = frontier.current.copy()
         previous[stalled] = frontier.previous[stalled]
         frontier.previous = previous
@@ -267,17 +270,41 @@ def _stalled_superstep(
     frontier.current = next_vertex
     frontier.stalls = np.zeros(next_vertex.size, dtype=np.int64)
     frontier.stalls[stalled] = streak
-    pos = frontier.pos
+    return next_vertex, stalled, moved
 
-    teleport = spec.termination_probability(step)
-    if teleport > 0.0:
-        stay = QueryStreams.from_states(frontier.state).uniforms(moved) >= teleport
-        if not stay.all():
-            counts[_PROBABILISTIC] += stay.size - np.count_nonzero(stay)
-            keep = np.ones(moved.size, dtype=bool)
-            keep[moved] = stay
-            frontier.keep(keep, spec.needs_prev_vertex)
-    return pos, next_vertex, stalled
+
+def _teleport(
+    spec: WalkSpec,
+    frontier: Frontier,
+    taken: np.ndarray,
+    moved: np.ndarray | None,
+    counts: np.ndarray,
+) -> None:
+    """Draw the teleport uniform of every mover whose termination
+    probability at the hop it took (``taken``, its count before it) is
+    above 0, and drop the walkers it ends.  ``moved`` masks the movers;
+    ``None``: every walker moved.  A stalled walker draws nothing: its
+    uniform belongs to the hop it has yet to take."""
+    probability = spec.termination_probability(taken)
+    if isinstance(probability, np.ndarray):
+        draw = probability > 0.0
+        if moved is not None:
+            draw &= moved
+        probability = probability[draw]
+        if probability.size == 0:
+            return
+    elif probability > 0.0:
+        draw = moved
+    else:
+        return
+    stay = QueryStreams.from_states(frontier.state).uniforms(draw) >= probability
+    if not stay.all():
+        counts[_PROBABILISTIC] += stay.size - np.count_nonzero(stay)
+        if draw is not None:
+            keep = np.ones(frontier.size, dtype=bool)
+            keep[draw] = stay
+            stay = keep
+        frontier.keep(stay, spec.needs_prev_vertex)
 
 
 class BatchEngine(PreparedEngine):
@@ -314,68 +341,31 @@ class BatchEngine(PreparedEngine):
         hops = np.zeros(starts.size, dtype=np.int64)
         counts = np.zeros(len(STAT_FIELDS), dtype=np.int64)
         log: list = []
-        max_length = spec.max_length
-        # Each row's stalls so far, from the run's first stall on.  Every
-        # row still walking has been in every superstep, and a stall is
-        # always followed by a hop, so a row's hop count is the supersteps
-        # up to its last hop less its stalls.
-        behind = None
 
         # Hoisted once per run: with tracing disabled (the default) the
         # per-superstep cost is one local ``is not None`` branch — the
         # overhead contract benchmarks/bench_obs_overhead.py enforces.
         tracer = _active_tracer()
 
-        step = 0
         while frontier.size:
             if tracer is not None:
                 _span_start = tracer.begin()
                 _span_width = frontier.size
-            pos, next_vertex, stalled = superstep(graph, spec, kernel, step, frontier, counts)
-            step += 1
-            hops[pos] = step
-            if stalled.size:
-                if behind is None:
-                    behind = np.zeros(starts.size, dtype=np.int64)
-                behind[pos[stalled]] += 1
-                log.append((next_vertex, stalled))
-            else:
-                log.append(next_vertex)
-            if step >= max_length and frontier.size:
-                # Walkers end on their own hop count: one that stalled
-                # is behind the superstep count and walks on.
-                if behind is None:
-                    short = np.zeros(frontier.size, dtype=bool)
-                else:
-                    short = step - behind[frontier.pos] < max_length
-                counts[_LENGTH] += short.size - np.count_nonzero(short)
-                frontier.keep(short, spec.needs_prev_vertex)
+            pos, hop, next_vertex, stalled = superstep(graph, spec, kernel, frontier, counts)
+            hops[pos] = hop
+            log.append((next_vertex, stalled) if stalled.size else next_vertex)
             if tracer is not None:
-                tracer.end(_span_start, "batch.superstep", step=step - 1,
+                tracer.end(_span_start, "batch.superstep", superstep=len(log) - 1,
                            frontier=_span_width, survivors=pos.size)
 
-        if behind is not None:
-            hops -= behind
         return *paths_from_step_log(starts, hops, log), counts
 
-    @property
-    def open_frontier(self):
-        """``open_frontier(seed, capacity) -> OpenFrontier``: the open
-        form of :meth:`run`, offered only where it is exact.
-
-        Walkers of different ages share a superstep there, and the
-        kernels take one scalar ``step``, so the spec must be
-        :attr:`~repro.walks.base.WalkSpec.step_invariant`; otherwise the
-        attribute is absent (``hasattr`` is False) and callers keep to
-        closed runs.  :class:`PreparedEngine` has no such attribute: the
-        pool engines step in other processes.
-        """
-        if not self._spec.step_invariant:
-            raise AttributeError(
-                f"{type(self._spec).__name__} is not step-invariant; "
-                f"engine {self.name!r} offers closed runs only"
-            )
-        return partial(OpenFrontier, self)
+    def open_frontier(self, seed: int, capacity: int) -> "OpenFrontier":
+        """The open form of :meth:`run` (:class:`OpenFrontier`): walkers
+        of any age share its supersteps, each on its own hop count.
+        :class:`PreparedEngine` has no such method: the pool engines step
+        in other processes."""
+        return OpenFrontier(self, seed, capacity)
 
 
 class OpenFrontier:
@@ -384,11 +374,12 @@ class OpenFrontier:
     ``capacity`` slots, each holding one walk in a row of a ``(capacity,
     max_length + 1)`` slab.  :meth:`admit` seats walkers in free slots,
     :meth:`step` takes every live walker through the one
-    :func:`superstep` — a stalled walker stays seated, a hop behind — and
-    returns the slots whose walks ended — dangling, nothing admissible,
-    teleport, or the walker's *own* hop count reaching ``max_length`` —
-    and :meth:`take` hands a finished path out and frees its slot.  A walker draws only from the stream
-    state that travels with it, so each path, and the sum of every
+    :func:`superstep` — a stalled walker stays seated — and returns the
+    slots whose walks ended — dangling, nothing admissible, teleport, or
+    the walker's own hop count reaching ``max_length`` — and :meth:`take`
+    hands a finished path out and frees its slot.  A walker carries its
+    hop count and draws only from the stream state that travels with
+    it, so each path, and the sum of every
     counter, equals a closed :meth:`BatchEngine.run` of the same
     ``(query_id, start, seed)`` whatever shared its supersteps
     (``tests/walks/test_open_frontier.py``).
@@ -403,8 +394,8 @@ class OpenFrontier:
             raise WalkConfigError(f"capacity must be >= 1, got {capacity}")
         self._engine = engine
         self._seed = seed
-        self._max_length = engine._spec.max_length
-        self._paths = np.empty((capacity, self._max_length + 1), dtype=np.int64)
+        self._paths = np.empty((capacity, engine._spec.max_length + 1), dtype=np.int64)
+        #: Each slot's hops so far: its walk is ``_paths[slot, :_hops[slot] + 1]``.
         self._hops = np.zeros(capacity, dtype=np.int64)
         self._walking = np.zeros(capacity, dtype=bool)
         self.capacity = capacity
@@ -454,6 +445,7 @@ class OpenFrontier:
         frontier.current = np.concatenate((frontier.current, starts))
         frontier.previous = np.concatenate((frontier.previous, np.full(count, -1, dtype=np.int64)))
         frontier.state = np.concatenate((frontier.state, np.asarray(states, dtype=np.uint64)))
+        frontier.hops = np.concatenate((frontier.hops, np.zeros(count, dtype=np.int64)))
         if frontier.stalls is not None:
             frontier.stalls = np.concatenate((frontier.stalls, np.zeros(count, dtype=np.int64)))
         return slots
@@ -461,23 +453,14 @@ class OpenFrontier:
     def step(self) -> np.ndarray:
         """One superstep over the live walkers; returns the slots whose
         walks ended in it; :meth:`take` each once."""
-        engine, frontier, hops = self._engine, self._frontier, self._hops
-        spec = engine._spec
+        engine, frontier = self._engine, self._frontier
         seated = frontier.pos
-        # Step-invariant spec: the hooks ignore the step they are given.
-        pos, next_vertex, stalled = superstep(
-            engine._graph, spec, engine._kernel, 0, frontier, self.counts
+        pos, hop, next_vertex, _ = superstep(
+            engine._graph, engine._spec, engine._kernel, frontier, self.counts
         )
-        reached = hops[pos] + 1
         # A stalled walker rewrites the vertex it stays on.
-        reached[stalled] -= 1
-        hops[pos] = reached
-        self._paths[pos, reached] = next_vertex
-        if frontier.size:
-            short = hops[frontier.pos] < self._max_length
-            if not short.all():
-                self.counts[_LENGTH] += short.size - np.count_nonzero(short)
-                frontier.keep(short, spec.needs_prev_vertex)
+        self._hops[pos] = hop
+        self._paths[pos, hop] = next_vertex
         if frontier.size == seated.size:
             return _NO_SLOTS
         walking = self._walking

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.errors import WalkConfigError
 from repro.sampling.reservoir import ReservoirSampler
 from repro.walks.base import DEFAULT_MAX_LENGTH, WalkSpec
@@ -33,8 +35,6 @@ class MetaPathSpec(WalkSpec):
 
     name = "MetaPath"
     needs_prev_vertex = False
-    #: The admissible edge type cycles with the hop index.
-    step_invariant = False
 
     def __init__(
         self,
@@ -47,10 +47,12 @@ class MetaPathSpec(WalkSpec):
         if any(t < 0 for t in pattern):
             raise WalkConfigError(f"edge types must be non-negative, got {list(pattern)}")
         self.pattern = tuple(int(t) for t in pattern)
+        self._types = np.array(self.pattern, dtype=np.int64)
 
     def make_sampler(self) -> ReservoirSampler:
         return ReservoirSampler()
 
-    def admissible_type(self, step: int) -> int:
-        """Edge type required at hop ``step`` (0-based)."""
-        return self.pattern[step % len(self.pattern)]
+    def admissible_type(self, hops: int | np.ndarray) -> int | np.ndarray:
+        """Edge type required on the hop taken at ``hops`` (its 0-based
+        index): one per walker for an array of hop counts."""
+        return self._types[hops % self._types.size]

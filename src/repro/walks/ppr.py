@@ -24,8 +24,6 @@ class PPRSpec(WalkSpec):
     """PPR walk with per-step termination probability ``alpha``."""
 
     name = "PPR"
-    #: The teleport probability is the same at every hop.
-    step_invariant = True
     needs_prev_vertex = False
 
     def __init__(self, alpha: float = 0.15, max_length: int = DEFAULT_MAX_LENGTH) -> None:
@@ -37,7 +35,7 @@ class PPRSpec(WalkSpec):
     def make_sampler(self) -> UniformSampler:
         return UniformSampler()
 
-    def termination_probability(self, step: int) -> float:
+    def termination_probability(self, hops: int | np.ndarray) -> float:
         return self.alpha
 
     def expected_length(self) -> float:

@@ -197,7 +197,7 @@ class TestBiasedScanKernel:
         kernel = BiasedScanKernel(p=2.0, q=0.5)
         kernel.prepare(graph)
         with pytest.raises(SamplingError, match="admissib"):
-            kernel.sample(graph, np.array([0]), np.array([-1]), 1,
+            kernel.sample(graph, np.array([0]), np.array([-1]), np.array([1]),
                           QueryStreams(0, [0]), np.array([0]))
 
     def test_parameter_validation(self):

@@ -160,6 +160,8 @@ def empirical_kernel(kernel, graph, vertex, prev=None, admissible=None, rounds=2
     streams = QueryStreams(0, list(range(rounds)))
     current = np.full(rounds, vertex, dtype=np.int64)
     previous = np.full(rounds, -1 if prev is None else prev, dtype=np.int64)
+    if admissible is not None:
+        admissible = np.full(rounds, admissible, dtype=np.int64)
     batch = sample_decided(kernel, graph, current, previous, admissible, streams,
                            np.arange(rounds))
     degree = graph.degree(vertex)
@@ -263,7 +265,7 @@ class TestKernelDistributions:
         kernel.prepare(g)
         streams = QueryStreams(0, [0])
         batch = kernel.sample(
-            g, np.array([0]), np.array([-1]), 5, streams, np.array([0])
+            g, np.array([0]), np.array([-1]), np.array([5]), streams, np.array([0])
         )
         assert batch.vertex[0] == -1
 

@@ -73,3 +73,45 @@ def test_no_option_selects_the_dispatcher():
 
     assert [field.name for field in fields(ServeConfig)] == [
         "max_batch", "max_wait_ms", "queue_depth"]
+
+
+def test_a_metapath_service_runs_the_frontier_and_replays_exactly():
+    """MetaPath's edge type follows the hop; each walker carries its own
+    hop count, so its walkers share supersteps with walkers of any age
+    like every other spec's: frontier-served, no executor thread, and
+    every served path equals the offline replay."""
+    import asyncio
+
+    import numpy as np
+
+    from repro.graph import load_dataset
+    from repro.graph.datasets import assign_metapath_schema
+    from repro.serve import ServeConfig, WalkService, replay_paths
+    from repro.walks import MetaPathSpec
+
+    graph = assign_metapath_schema(load_dataset("WG", scale=0.05, seed=1, weighted=True),
+                                   num_types=2, seed=1)
+    spec = MetaPathSpec([0, 1], max_length=12)
+    starts = {query_id: query_id % graph.num_vertices for query_id in range(48)}
+
+    async def scenario():
+        service = WalkService(graph, spec, engine="batch", seed=5,
+                              config=ServeConfig(max_batch=8))
+        async with service:
+            futures = []
+            for query_id, start in starts.items():
+                futures.append(service.try_submit(start, query_id=query_id))
+                if query_id % 5 == 4:
+                    await asyncio.sleep(0)  # later arrivals join walkers mid-walk
+            results = await asyncio.gather(*futures)
+            return results, service._executor, service.stats
+
+    results, executor, stats = asyncio.run(scenario())
+    assert executor is None
+    assert stats.supersteps > 0
+    oracle = replay_paths(graph, spec, starts, seed=5)
+    lengths = set()
+    for query_id, result in zip(starts, results):
+        assert np.array_equal(result.path_of(0), oracle[query_id]), query_id
+        lengths.add(result.path_of(0).size)
+    assert len(lengths) > 2

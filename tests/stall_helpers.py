@@ -7,9 +7,12 @@ around it, want each walker's *decision*; :func:`sample_decided` asks
 again the way the supersteps would — the stalled walkers only, from
 their own streams — and sums the rounds into one ``BatchSample``.
 
-Also here: the retry-heavy Node2Vec corners every engine is held to, and
-a spec whose sampler accepts nothing, for the safety valve.
+Also here: the retry-heavy Node2Vec corners every engine is held to, a
+spec whose sampler accepts nothing, for the safety valve, and a teleport
+that depends on the walker's own hop count.
 """
+
+import numpy as np
 
 from repro.sampling.vectorized import MAX_STALLS, BatchSample, sub_streams
 from repro.walks import Node2VecSpec
@@ -31,7 +34,8 @@ def sample_decided(kernel, graph, current, previous, admissible_type, streams, s
     while pending.size:
         rounds += 1
         assert rounds <= MAX_STALLS, "kernel never decided its stalled walkers"
-        batch = kernel.sample(graph, current[pending], previous[pending], admissible_type,
+        batch = kernel.sample(graph, current[pending], previous[pending],
+                              None if admissible_type is None else admissible_type[pending],
                               streams, sub_streams(stream_idx, pending))
         vertex[pending] = batch.vertex
         proposals += batch.proposals
@@ -49,3 +53,12 @@ class NeverAccepting(Node2VecSpec):
         # Every accept threshold is bias / max_bias = 0.
         sampler.max_bias = float("inf")
         return sampler
+
+
+class HopTeleport:
+    """Spec mixin: a walk ends after hop 2, 5, 8, ... (0-based) with
+    probability 0.3 and never after any other — a hook that reads the
+    walker's own hop count, answered in kind for an int or an array."""
+
+    def termination_probability(self, hops):
+        return np.where(np.asarray(hops) % 3 == 2, 0.3, 0.0)

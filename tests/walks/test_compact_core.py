@@ -273,9 +273,10 @@ def test_kernels_sample_identically_without_stream_idx(golden_inputs, algorithm,
     # First hops and later hops mixed: the rejection kernel's sub-index path.
     previous = np.where(rng.random(200) < 0.3, -1, graph.col[graph.row_ptr[current]])
     implicit, explicit = QueryStreams(9, np.arange(200)), QueryStreams(9, np.arange(200))
+    admissible = spec.admissible_type(np.zeros(200, dtype=np.int64))
     for previous_arg in (previous, np.maximum(previous, 0), np.full(200, -1)):
-        a = kernel.sample(graph, current, previous_arg, spec.admissible_type(0), implicit, None)
-        b = kernel.sample(graph, current, previous_arg, spec.admissible_type(0), explicit,
+        a = kernel.sample(graph, current, previous_arg, admissible, implicit, None)
+        b = kernel.sample(graph, current, previous_arg, admissible, explicit,
                           np.arange(200))
         assert np.array_equal(a.vertex, b.vertex)
         assert (a.proposals, a.neighbor_reads) == (b.proposals, b.neighbor_reads)

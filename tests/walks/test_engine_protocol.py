@@ -13,6 +13,7 @@ shared pieces from being re-grown per engine.
 import ast
 import asyncio
 import dataclasses
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -251,3 +252,62 @@ def test_shared_pieces_are_written_once():
     retired = {"run_walks_jit", "run_walks_jit_prepared", "run_walks_parallel",
                "run_walks_dist"}
     assert not retired & {node.name for node in definitions}
+
+
+def _src_trees():
+    """``(path under src/repro, parsed module)`` of every source file."""
+    root = Path(repro.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        yield path.relative_to(root).as_posix(), ast.parse(path.read_text())
+
+
+def _length_slot_names(tree: ast.AST) -> set[str]:
+    """Names a module binds to the ``length_terminations`` position of
+    ``STAT_FIELDS``: ``X = STAT_FIELDS.index("length_terminations")`` or
+    one target of ``(...) = range(len(STAT_FIELDS))``."""
+    from repro.walks.engine import STAT_FIELDS
+
+    by_index = ast.dump(ast.parse('STAT_FIELDS.index("length_terminations")').body[0].value)
+    unpacked = ast.dump(ast.parse("range(len(STAT_FIELDS))").body[0].value)
+    names = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign):
+            continue
+        value = ast.dump(node.value)
+        for target in node.targets:
+            if value == by_index and isinstance(target, ast.Name):
+                names.add(target.id)
+            elif value == unpacked and isinstance(target, ast.Tuple):
+                names.add(target.elts[STAT_FIELDS.index("length_terminations")].id)
+    return names
+
+
+def test_one_walker_clock():
+    """Each walker carries its own hop count: ``superstep`` takes no
+    scalar step, no spec declares itself step-invariant, and the
+    max-length rule lives in ``superstep`` alone — no superstep caller
+    counts a length termination of its own.  (The scalar reference
+    engine has no superstep: it walks each query whole and tallies its
+    own ``EngineStats``.)"""
+    from repro.walks.batch import superstep
+
+    assert "step" not in inspect.signature(superstep).parameters
+    trees = list(_src_trees())
+    assert [path for path, tree in trees if "step_invariant" in ast.unparse(tree)] == []
+
+    counted = set()
+    for path, tree in trees:
+        slots = _length_slot_names(tree)
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if not isinstance(node, ast.AugAssign):
+                    continue
+                target = node.target
+                if (isinstance(target, ast.Subscript) and isinstance(target.slice, ast.Name)
+                        and target.slice.id in slots) or (
+                        isinstance(target, ast.Attribute)
+                        and target.attr == "length_terminations"):
+                    counted.add((path, function.name))
+    assert counted == {("walks/batch.py", "superstep"), ("walks/reference.py", "run_walks")}

@@ -3,7 +3,9 @@
 ``OpenFrontier`` lets walkers join and leave between supersteps; the
 contract is that nothing about *who shares a superstep with whom* can
 reach a path or a counter.  Held here against ``BatchEngine.run`` on the
-same ``(query id, start, seed)`` under random admission schedules.
+same ``(query id, start, seed)`` under random admission schedules, for
+specs whose hooks ignore the hop and for specs whose hooks read each
+walker's own hop count (MetaPath's edge type, a hop-dependent teleport).
 """
 
 import warnings
@@ -11,11 +13,11 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from stall_helpers import RETRY_HEAVY
+from stall_helpers import RETRY_HEAVY, HopTeleport
 
 from repro.errors import GraphError, SamplingError, WalkConfigError
 from repro.graph import from_edges, load_dataset
-from repro.sampling.uniform import UniformSampler
+from repro.graph.datasets import assign_metapath_schema
 from repro.sampling.vectorized import _SS_SCALAR_MAX_IDS, seed_sequence_states
 from repro.walks import (
     DeepWalkSpec,
@@ -25,7 +27,7 @@ from repro.walks import (
     PPRSpec,
     URWSpec,
 )
-from repro.walks.base import Query, WalkSpec
+from repro.walks.base import Query
 from repro.walks.batch import BatchEngine
 from repro.walks.engine import STAT_FIELDS, PreparedEngine
 from repro.walks.jit import JitEngine
@@ -35,6 +37,15 @@ SEED = 9
 WALKERS = 30
 SCHEDULES = 20
 
+
+class HopTeleportingDeepWalk(HopTeleport, DeepWalkSpec):
+    pass
+
+
+class HopTeleportingNode2Vec(HopTeleport, Node2VecSpec):
+    pass
+
+
 SPECS = {
     "PPR": PPRSpec(alpha=0.15, max_length=20),
     "DeepWalk": DeepWalkSpec(max_length=8),
@@ -42,18 +53,25 @@ SPECS = {
     "Node2Vec": Node2VecSpec(max_length=7),
     # Stalled walkers share supersteps with walkers hops ahead of them.
     **{f"Node2Vec p={p} q={q}": Node2VecSpec(p=p, q=q, max_length=4) for p, q in RETRY_HEAVY},
+    # Hooks that read the walker's own hop count: walkers of different
+    # ages in one superstep ask them different questions.
+    "MetaPath": MetaPathSpec([0, 1], max_length=8),
+    "DeepWalk hop-teleport": HopTeleportingDeepWalk(max_length=10),
+    "Node2Vec p=4.0 q=0.25 hop-teleport": HopTeleportingNode2Vec(p=4.0, q=0.25, max_length=6),
 }
 
 
 @lru_cache(maxsize=None)
-def graph():
-    return load_dataset("WG", scale=0.06, seed=1, weighted=True)
+def graph(typed: bool = False):
+    plain = load_dataset("WG", scale=0.06, seed=1, weighted=True)
+    return assign_metapath_schema(plain, num_types=2, seed=1) if typed else plain
 
 
 @lru_cache(maxsize=None)
 def closed_run(name: str, sampler: str):
     """Engine, ids, starts, and the closed run's paths and counters."""
-    engine = BatchEngine(graph(), SPECS[name], sampler)
+    spec = SPECS[name]
+    engine = BatchEngine(graph(typed=isinstance(spec, MetaPathSpec)), spec, sampler)
     rng = np.random.default_rng(5)
     ids = rng.permutation(10 * WALKERS)[:WALKERS]
     starts = rng.integers(0, graph().num_vertices, WALKERS)
@@ -163,29 +181,26 @@ def test_abandon_frees_every_slot():
         assert np.array_equal(paths[position], results.path_of(position))
 
 
-def test_offered_only_where_exact():
+def test_offered_for_every_spec():
+    """Each walker carries its own hop count, so walkers of any age may
+    share a superstep under any spec: the batch engine always offers
+    its open form."""
+    for name in SPECS:
+        assert callable(closed_run(name, "default")[0].open_frontier)
     typed = from_edges([(0, 1), (1, 0)], edge_types=[0, 1], num_vertices=2)
-    typed = typed.with_weights(np.ones(2))
-    spec = MetaPathSpec([0, 1], max_length=5)
-    assert not spec.step_invariant and PPRSpec().step_invariant
-    engine = BatchEngine(typed, spec)
-    # hop k needs pattern[k]: walkers of different ages cannot share the
-    # kernels' one scalar, so the engine offers closed runs only.
-    assert not hasattr(engine, "open_frontier")
-    assert getattr(engine, "open_frontier", None) is None
-    assert engine.run([Query(0, 0)], seed=1).path_of(0).tolist() == [0, 1, 0, 1, 0, 1]
-    assert hasattr(closed_run("PPR", "default")[0], "open_frontier")
-
-    class Decaying(WalkSpec):
-        """Forgets to declare itself: the flag's default keeps it closed."""
-
-        def make_sampler(self):
-            return UniformSampler()
-
-        def termination_probability(self, step):
-            return 1.0 / (step + 2)
-
-    assert not hasattr(BatchEngine(typed, Decaying(max_length=5)), "open_frontier")
+    engine = BatchEngine(typed.with_weights(np.ones(2)), MetaPathSpec([0, 1], max_length=5))
+    # Hop k needs pattern[k % 2]: admitted a superstep apart, the two
+    # walkers ask for different edge types in every shared superstep.
+    frontier = engine.open_frontier(SEED, 2)
+    first = frontier.admit([0], [0])[0]
+    assert frontier.step().size == 0
+    second = frontier.admit([1], [0])[0]
+    ended = []
+    while frontier.live:
+        ended.extend(frontier.step().tolist())
+    assert ended == [first, second]
+    for slot in ended:
+        assert frontier.take(slot).tolist() == [0, 1, 0, 1, 0, 1]
     # The protocol itself has no open form: pool engines step elsewhere.
     assert not hasattr(PreparedEngine, "open_frontier")
     # jit is the batch engine where numba is absent, and only there has a

@@ -7,8 +7,9 @@ draws only from its own stream, in its own order, so nothing about how
 many supersteps a hop took may reach a path or a counter.  Held here
 against the jit scalar kernel — a per-walker loop that retries in place —
 at retry-heavy ``(p, q)``, beside the rules around a stall: the teleport
-draw belongs to movers only, a step-dependent spec may not stall, a
-kernel may not end a walker it stalled, and the safety valve fires.
+draw belongs to movers only, a hook that reads the hop reads the
+walker's own count, a kernel may not end a walker it stalled, and the
+safety valve fires.
 """
 
 import functools
@@ -16,9 +17,10 @@ import time
 
 import numpy as np
 import pytest
-from stall_helpers import RETRY_HEAVY, NeverAccepting
+from stall_helpers import RETRY_HEAVY, HopTeleport, NeverAccepting
 
-from repro.errors import SamplingError, WalkConfigError
+from repro.engines import prepare_engine
+from repro.errors import SamplingError
 from repro.graph import load_dataset
 from repro.sampling.hybrid import make_walk_kernel
 from repro.sampling.vectorized import (
@@ -36,8 +38,6 @@ from repro.walks.jit import jit_state_from_kernel, run_walks_jit_arrays
 SEED = 23
 NUM_QUERIES = 150
 WALK_LENGTH = 10
-_GAMMA = 0x9E3779B97F4A7C15
-_MASK = (1 << 64) - 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -113,19 +113,33 @@ def stalling_frontier(spec):
     return kernel, Frontier(np.arange(current.size), current, previous, states)
 
 
-def test_a_stall_under_a_step_dependent_spec_raises_before_any_further_draw():
-    class StepDependent(NeverAccepting, Teleporting):
-        step_invariant = False
+class HopTeleporting(HopTeleport, Node2VecSpec):
+    """Node2Vec whose teleport reads the walker's own hop count."""
 
-    spec = StepDependent(max_length=WALK_LENGTH)
-    kernel, frontier = stalling_frontier(spec)
-    before = frontier.state.copy()
-    counts = np.zeros(len(STAT_FIELDS), dtype=np.int64)
-    with pytest.raises(WalkConfigError, match="not step-invariant"):
-        superstep(graph(), spec, kernel, 3, frontier, counts)
-    # The kernel's proposal and accept draws, and no teleport draw.
-    expected = [(int(s) + 2 * _GAMMA) & _MASK for s in before.tolist()]
-    assert frontier.state.tolist() == expected
+
+@pytest.mark.parametrize("p,q", RETRY_HEAVY)
+def test_a_stall_under_a_step_dependent_spec_keeps_the_walkers_own_hop(p, q):
+    """A stalled walker has taken fewer hops than supersteps have run, so
+    a hook asked with the superstep count would teleport it on the wrong
+    hop.  The scalar kernel indexes its per-hop tables by the walker's
+    own hop; the batch engine, and dist whose walkers change shards
+    mid-stall, must agree with it."""
+    spec = HopTeleporting(p=p, q=q, max_length=WALK_LENGTH)
+    batch, jit = batch_and_jit(spec)
+    assert_same_runs(batch, jit)
+    assert batch[2].sampling_proposals > batch[2].total_hops
+    # Walks teleport only after hop 2, 5 or 8: 3, 6 or 9 hops.
+    teleported = batch[2].probabilistic_terminations
+    assert 0 < teleported < NUM_QUERIES
+    assert np.count_nonzero(np.isin(batch[1], (3, 6, 9))) >= teleported
+
+    closed_stats, dist_stats = EngineStats(), EngineStats()
+    closed = BatchEngine(graph(), spec).run(queries(), seed=SEED, stats=closed_stats)
+    with prepare_engine("dist", graph(), spec, shards=2) as dist:
+        sharded = dist.run(queries(), seed=SEED, stats=dist_stats)
+    for left, right in zip(closed.paths, sharded.paths, strict=True):
+        assert np.array_equal(left, right)
+    assert closed_stats == dist_stats
 
 
 def test_stalled_walkers_keep_their_place_and_extend_their_streaks():
@@ -134,7 +148,7 @@ def test_stalled_walkers_keep_their_place_and_extend_their_streaks():
     current, previous = frontier.current.copy(), frontier.previous.copy()
     counts = np.zeros(len(STAT_FIELDS), dtype=np.int64)
     for streak in (1, 2, 3):
-        pos, next_vertex, stalled = superstep(graph(), spec, kernel, 0, frontier, counts)
+        pos, _, next_vertex, stalled = superstep(graph(), spec, kernel, frontier, counts)
         assert np.array_equal(stalled, np.arange(current.size))
         assert np.array_equal(pos, np.arange(current.size))
         assert np.array_equal(next_vertex, current)
@@ -192,6 +206,6 @@ def test_step_log_skips_stalled_rows():
 def test_a_walk_that_never_stalls_carries_no_streaks():
     spec = Node2VecSpec(p=1.0, q=1.0, max_length=WALK_LENGTH)  # accepts every proposal
     kernel, frontier = stalling_frontier(spec)
-    _, _, stalled = superstep(graph(), spec, kernel, 0, frontier,
-                              np.zeros(len(STAT_FIELDS), dtype=np.int64))
+    _, _, _, stalled = superstep(graph(), spec, kernel, frontier,
+                                 np.zeros(len(STAT_FIELDS), dtype=np.int64))
     assert stalled.size == 0 and frontier.stalls is None
