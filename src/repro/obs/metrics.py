@@ -291,8 +291,16 @@ def serve_stats_into(registry: MetricsRegistry, stats, **labels) -> None:
     ).inc(stats.total_hops, **labels)
     registry.counter(
         "repro_serve_busy_seconds_total",
-        "Engine wall-clock summed over micro-batches",
+        "Engine wall-clock summed over engine calls (supersteps or closed micro-batches)",
     ).inc(stats.busy_seconds, **labels)
+    registry.counter(
+        "repro_serve_supersteps_total",
+        "Supersteps the service stepped itself (open frontier; service-wide ledger only)",
+    ).inc(stats.supersteps, **labels)
+    registry.counter(
+        "repro_serve_walker_steps_total",
+        "Walkers summed over those supersteps: over supersteps_total, the mean lane occupancy",
+    ).inc(stats.walker_steps, **labels)
     registry.histogram(
         "repro_serve_latency_seconds",
         "Submit-to-resolve latency of completed requests",

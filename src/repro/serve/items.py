@@ -15,11 +15,18 @@ from repro.serve.qos import DEFAULT_TENANT
 from repro.walks.base import Query
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class _PendingRequest:
-    """One admitted request waiting for (or undergoing) execution."""
+    """One admitted request waiting for (or undergoing) execution.
 
-    query: Query
+    The request is its own query: it carries ``query_id`` and
+    ``start_vertex`` (validated at submission), so the closed dispatcher
+    hands the records to ``engine.run`` as they are and the frontier
+    reads the two fields when it seats them.
+    """
+
+    query_id: int
+    start_vertex: int
     future: asyncio.Future
     submitted_at: float
     tenant: str = DEFAULT_TENANT

@@ -222,8 +222,7 @@ class TenantScheduler:
             self._queues[tenant].append(item)
             self._pending_clients += 1
 
-    def _pick(self) -> str:
-        backlogged = [name for name in self._order if self._queues[name]]
+    def _pick(self, backlogged: list[str]) -> str:
         total = sum(self._specs[name].weight for name in backlogged)
         best = backlogged[0]
         for name in backlogged:
@@ -241,10 +240,21 @@ class TenantScheduler:
         fill appended whole — fills are atomic (a pool's entries must
         all come from one engine run on one epoch) and gate-exempt, so
         they ride along without displacing client slots.
+
+        A tenant backlogged alone wins every pick, and each pick credits
+        it its weight and charges it the same total, so its run of picks
+        is taken as one slice — the same requests, credits unchanged.
         """
         batch: list = []
         while self._pending_clients and len(batch) < max_batch:
-            batch.append(self._queues[self._pick()].popleft())
+            backlogged = [name for name in self._order if self._queues[name]]
+            if len(backlogged) == 1:
+                queue = self._queues[backlogged[0]]
+                take = min(max_batch - len(batch), len(queue))
+                batch.extend([queue.popleft() for _ in range(take)])
+                self._pending_clients -= take
+                break
+            batch.append(self._queues[self._pick(backlogged)].popleft())
             self._pending_clients -= 1
         if self._fills:
             batch.append(self._fills.popleft())

@@ -33,10 +33,16 @@ engine object, never by an option**:
   executor thread, while the event loop coalesces the *next* batch; one
   batch runs at a time.
 
+Either way a request is one slotted record (:class:`_PendingRequest`,
+its own query) from submission to reply, and a dispatcher books what
+one engine turn finished — a superstep's ended walks, a micro-batch's
+requests — in one pass (``WalkService._resolve`` / ``_fail``).
 What that is worth on ``benchmarks/suite``'s ``serve_poisson`` (PPR on
-RMAT-16, ``max_batch=64``, 4000 req/s): p50 latency 4.96 -> 1.07 ms and
-saturated throughput 180k -> 250k hops/s against closed micro-batches on
-the same engine; the README's serving section has the table.
+RMAT-16, ``max_batch=64``; 2-core host, medians of ten alternating runs,
+seed 1): saturated throughput 308k -> 366k hops/s against per-request
+records and booking, with p50 at 4000 req/s unchanged at 0.63 ms; closed
+micro-batches on the same engine had read 180k hops/s and 4.96 ms when
+the frontier replaced them.  The README's serving section has the table.
 
 On top of that, the service is (optionally) **multi-tenant**: each
 :class:`~repro.serve.qos.TenantSpec` gets its own admission gate and a
@@ -67,6 +73,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -88,7 +95,7 @@ from repro.serve.frontier import frontier_loop
 from repro.serve.items import _EpochSwap, _PendingRequest, _PoolFill
 from repro.serve.qos import DEFAULT_TENANT, TenantScheduler, TenantSpec
 from repro.serve.stats import ServeStats
-from repro.walks.base import Query, WalkResults, WalkSpec
+from repro.walks.base import Query, WalkResults, WalkSpec, walk_index
 from repro.walks.engine import STAT_FIELDS
 from repro.walks.reference import EngineStats
 
@@ -215,6 +222,9 @@ class WalkService:
         self.engine_stats = EngineStats()
         specs = tuple(tenants) if tenants else (TenantSpec(DEFAULT_TENANT),)
         self._scheduler = TenantScheduler(specs, self._config.queue_depth)
+        #: The tenant a request without ``tenant=`` belongs to: the only
+        #: one declared, else None (the caller must name one).
+        self._sole_tenant = specs[0].name if len(specs) == 1 else None
         #: Per-tenant ledgers; populated only for explicitly declared
         #: tenants (an anonymous service keeps one global ledger).
         self.tenant_stats: dict[str, ServeStats] = (
@@ -423,11 +433,10 @@ class WalkService:
 
     def _resolve_tenant(self, tenant: str | None) -> str:
         if tenant is None:
-            names = self._scheduler.tenant_names
-            if len(names) == 1:
-                return names[0]
+            if self._sole_tenant is not None:
+                return self._sole_tenant
             raise ServeError(
-                f"this service declares tenants {list(names)}; pass tenant="
+                f"this service declares tenants {list(self.tenant_names)}; pass tenant="
             )
         self._scheduler.gate(tenant)  # raises ServeError on unknown names
         return tenant
@@ -486,21 +495,22 @@ class WalkService:
         """
         self._require_running()
         tenant = self._resolve_tenant(tenant)
-        if query_id is None:
-            query_id = self._next_query_id
-        else:
-            _check_client_id(query_id)
         # Validate before admitting: a request that can only fail must be
         # rejected here, at its own call site, not discovered mid-batch
         # where the engine error would poison co-batched requests.
-        query = Query(query_id, start_vertex)
+        if query_id is None:
+            query_id = self._next_query_id
+        else:
+            query_id = walk_index(query_id, "query_id")
+            _check_client_id(query_id)
+        start_vertex = walk_index(start_vertex, "start_vertex")
         self._admit(tenant, start_vertex)
         # Only advance the auto-id counter for admitted requests, and keep
         # it ahead of explicit ids so mixed usage cannot collide.
         self._next_query_id = max(self._next_query_id, query_id + 1)
-        now = asyncio.get_running_loop().time()
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._enqueue(_PendingRequest(query, future, now, tenant=tenant))
+        loop = asyncio.get_running_loop()
+        future: asyncio.Future = loop.create_future()
+        self._enqueue(_PendingRequest(query_id, start_vertex, future, loop.time(), tenant))
         return future
 
     async def submit(
@@ -528,10 +538,10 @@ class WalkService:
         self._require_running()
         tenant = self._resolve_tenant(tenant)
         loop = asyncio.get_running_loop()
-        # Construct (and thereby validate) up front: a bad vertex must be
-        # rejected before it can touch cache counters or gate occupancy.
-        # On a hit the query is simply discarded — its id stays unspent.
-        query = Query(self._next_query_id, start_vertex)
+        # Validate up front: a bad vertex must be rejected before it can
+        # touch cache counters or gate occupancy.  The id is spent only
+        # on a miss.
+        start_vertex = walk_index(start_vertex, "start_vertex")
         self._check_vertex(start_vertex)
         # Lookups only against a settled epoch: with a swap queued, this
         # request will execute on a version whose pools cannot exist yet.
@@ -566,12 +576,11 @@ class WalkService:
                                    pool_size=len(fill_queries))
                 self._queue.put_nowait(_PoolFill(start_vertex, fill_queries))
         self._admit(tenant, start_vertex)
+        query_id = self._next_query_id
         self._next_query_id += 1
-        now = loop.time()
         future = loop.create_future()
-        self._enqueue(
-            _PendingRequest(query, future, now, tenant=tenant, cacheable=True)
-        )
+        self._enqueue(_PendingRequest(query_id, start_vertex, future, loop.time(),
+                                      tenant, cacheable=True))
         return future
 
     async def submit_cached(
@@ -778,35 +787,57 @@ class WalkService:
         if self._gate.occupancy == 0:
             self._drained.set()
 
-    def _complete(self, request: _PendingRequest, path: np.ndarray, epoch: int,
-                  now: float, busy_seconds: float) -> None:
-        """Resolve one served request with ``path`` (which it now owns).
+    def _resolve(self, requests: list[_PendingRequest], paths: list[np.ndarray],
+                 busy: list[float], epoch: int, now: float) -> None:
+        """Book the requests one engine turn finished, in one pass.
 
-        ``busy_seconds`` is the request's share of engine time, booked —
-        with its hops — to its tenant's ledger.
+        Both dispatchers end here — the open frontier once per superstep,
+        the closed path once per micro-batch.  Request ``k`` resolves with
+        ``paths[k]`` (which it now owns) and is charged ``busy[k]`` engine
+        seconds; each ledger books the turn's completions in one call,
+        each tenant's ledger its hops and engine time, and each tenant's
+        places in the gates are released together.
         """
-        if not request.future.done():
-            if request.cacheable:
-                result = ServedWalk(request.query.query_id, path, epoch, cache_hit=False)
-            else:
-                result = WalkResults()
-                result.add_path(path)
-            request.future.set_result(result)
-        latency = now - request.submitted_at
-        self.stats.record_completion(latency, now)
-        tenant_stats = self.tenant_stats.get(request.tenant)
-        if tenant_stats is not None:
-            tenant_stats.record_completion(latency, now)
-            tenant_stats.record_service(path.size - 1, busy_seconds)
+        if not requests:
+            return
+        latencies = []
+        for request, path in zip(requests, paths):
+            future = request.future
+            if not future.done():
+                future.set_result(
+                    ServedWalk(request.query_id, path, epoch, cache_hit=False)
+                    if request.cacheable else WalkResults.from_path(path)
+                )
+            latencies.append(now - request.submitted_at)
+        self.stats.record_completions(latencies, now)
+        if not self.tenant_stats:
+            # Anonymous: every request is the one default tenant's.
+            self._release(self._sole_tenant, len(requests))
+            return
+        by_tenant: dict[str, list[int]] = {}
+        for k, request in enumerate(requests):
+            by_tenant.setdefault(request.tenant, []).append(k)
+        for tenant, positions in by_tenant.items():
+            ledger = self.tenant_stats[tenant]
+            ledger.record_completions([latencies[k] for k in positions], now)
+            ledger.record_service(sum(paths[k].size - 1 for k in positions),
+                                  sum(busy[k] for k in positions))
+            self._release(tenant, len(positions))
 
-    def _fail(self, request: _PendingRequest, error: Exception, now: float) -> None:
-        """Resolve one admitted request with the engine's exception."""
-        if not request.future.done():
-            request.future.set_exception(error)
-        self.stats.record_failure(now)
-        tenant_stats = self.tenant_stats.get(request.tenant)
-        if tenant_stats is not None:
-            tenant_stats.record_failure(now)
+    def _fail(self, requests: list[_PendingRequest], error: Exception, now: float) -> None:
+        """Resolve admitted requests with the engine's exception: booked
+        failed, and their places released, per tenant."""
+        if not requests:
+            return
+        for request in requests:
+            if not request.future.done():
+                request.future.set_exception(error)
+        self.stats.record_failure(now, len(requests))
+        for tenant, count in Counter(request.tenant for request in requests).items():
+            tenant_stats = self.tenant_stats.get(tenant)
+            if tenant_stats is not None:
+                tenant_stats.record_failure(now, count)
+            self._release(tenant, count)
 
     def _record_tenant_admission(self, clients: Sequence[_PendingRequest]) -> None:
         """Each tenant's batch-shape ledger records its share of one
@@ -831,9 +862,9 @@ class WalkService:
         loop = asyncio.get_running_loop()
         clients = [item for item in batch if isinstance(item, _PendingRequest)]
         fills = [item for item in batch if isinstance(item, _PoolFill)]
-        queries = [request.query for request in clients]
-        for fill in fills:
-            queries.extend(fill.queries)
+        # A request carries its own ``query_id`` and ``start_vertex``: it
+        # runs as its own query.
+        queries = [*clients, *chain.from_iterable(fill.queries for fill in fills)]
         batch_stats = EngineStats()
         started = loop.time()
         failure: Exception | None = None
@@ -860,11 +891,8 @@ class WalkService:
             # the histogram and mean describe client-serving groups.
             self.stats.record_batch(len(clients), batch_stats.total_hops, now - started)
             self._record_tenant_admission(clients)
-            for request in clients:
-                self._release(request.tenant)
         if failure is not None:
-            for request in clients:
-                self._fail(request, failure, now)
+            self._fail(clients, failure, now)
             if self.cache is not None:
                 for fill in fills:
                     self.cache.fill_aborted(fill.start_vertex)
@@ -873,8 +901,8 @@ class WalkService:
             _t_resp = tracer.begin()
         # Every query of the run takes an equal share of its engine time.
         share = (now - started) / len(queries)
-        for position, request in enumerate(clients):
-            self._complete(request, results.owned_path(position), epoch, now, share)
+        self._resolve(clients, [results.owned_path(k) for k in range(len(clients))],
+                      [share] * len(clients), epoch, now)
         if tracer is not None and clients:
             tracer.end(_t_resp, "serve.respond", batch=len(clients))
         if fills and self.cache is not None:

@@ -113,24 +113,30 @@ class ServeStats:
         self.walker_steps += int(live)
         self.record_service(hops, service_seconds)
 
-    def record_completion(self, latency: float, now: float,
-                          cache_hit: bool = False) -> None:
-        """Note one resolved request."""
-        self.completed += 1
-        if cache_hit:
-            self.cache_hits += 1
-        self.latencies.append(float(latency))
+    def record_completions(self, latencies: list[float], now: float) -> None:
+        """Note requests resolved together at ``now``, one latency each:
+        a dispatcher books a turn's (or a micro-batch's) in one call."""
+        self.completed += len(latencies)
+        self.latencies.extend(latencies)
         if self.last_completion is None or now > self.last_completion:
             self.last_completion = now
 
-    def record_failure(self, now: float) -> None:
-        """Note one admitted request resolved with its batch's exception.
+    def record_completion(self, latency: float, now: float,
+                          cache_hit: bool = False) -> None:
+        """Note one resolved request."""
+        if cache_hit:
+            self.cache_hits += 1
+        self.record_completions([float(latency)], now)
+
+    def record_failure(self, now: float, count: int = 1) -> None:
+        """Note ``count`` admitted requests resolved with their engine
+        call's exception.
 
         Failures close the request (the accounting identity counts them
         next to completions) but contribute no latency sample — the
         percentiles describe successful service only.
         """
-        self.failed += 1
+        self.failed += count
         if self.last_completion is None or now > self.last_completion:
             self.last_completion = now
 

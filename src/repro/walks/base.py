@@ -10,6 +10,7 @@ their statistics meaningful.
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import pairwise
@@ -25,6 +26,27 @@ from repro.sampling.base import RandomSource, Sampler
 DEFAULT_MAX_LENGTH = 80
 
 
+def walk_index(value, name: str) -> int:
+    """``value`` as a non-negative Python ``int`` — a query id or a start
+    vertex — or :class:`WalkConfigError` naming it.
+
+    Anything with ``__index__`` passes (numpy integers included); a
+    ``bool``, a float or a string does not, so ``1.5`` or ``True`` can
+    never quietly walk from vertex 1.
+    """
+    if type(value) is int and value >= 0:  # the common case, checked first
+        return value
+    if isinstance(value, bool):
+        raise WalkConfigError(f"{name} must be an integer, got {value!r}")
+    try:
+        index = operator.index(value)
+    except TypeError:
+        raise WalkConfigError(f"{name} must be an integer, got {value!r}") from None
+    if index < 0:
+        raise WalkConfigError(f"{name} must be non-negative, got {index}")
+    return index
+
+
 @dataclass(frozen=True)
 class Query:
     """One random-walk query: a start vertex plus a tracking id."""
@@ -33,12 +55,8 @@ class Query:
     start_vertex: int
 
     def __post_init__(self) -> None:
-        if self.query_id < 0:
-            raise WalkConfigError(f"query_id must be non-negative, got {self.query_id}")
-        if self.start_vertex < 0:
-            raise WalkConfigError(
-                f"start_vertex must be non-negative, got {self.start_vertex}"
-            )
+        walk_index(self.query_id, "query_id")
+        walk_index(self.start_vertex, "start_vertex")
 
 
 class WalkSpec(ABC):
@@ -156,6 +174,15 @@ class WalkResults:
         results = cls()
         results._flat, results._offsets, results._paths = flat, offsets, None
         results.total_steps = int(flat.size - (offsets.size - 1))
+        return results
+
+    @classmethod
+    def from_path(cls, path: np.ndarray) -> "WalkResults":
+        """Adopt one finished int64 path, as it is — a served reply: the
+        caller hands over an array that owns its memory."""
+        results = cls.__new__(cls)
+        results._paths, results._flat, results._offsets = [path], None, None
+        results.total_steps = path.size - 1
         return results
 
     @property

@@ -55,7 +55,9 @@ def driven_service():
         TenantTrace(
             "premium",
             rng.choice(hot, size=REQUESTS_PER_TENANT, replace=True),
-            np.full(REQUESTS_PER_TENANT, 1e-4),
+            # 30 ms of steady traffic: long enough for the pools its early
+            # misses trigger to walk out and serve its later requests.
+            np.full(REQUESTS_PER_TENANT, 5e-4),
             use_cache=True,
         ),
         TenantTrace(
@@ -95,6 +97,30 @@ def test_per_tenant_counters_match_the_ledgers_exactly(driven_service):
         latency = registry.get("repro_serve_latency_seconds")
         assert latency.count(tenant=tenant) == len(ledger.latencies)
         assert latency.sum(tenant=tenant) == pytest.approx(sum(ledger.latencies))
+
+
+def test_lane_occupancy_and_service_counters_match_the_ledgers(driven_service):
+    """The open frontier's lane-occupancy ledger — supersteps and the
+    walkers they carried — is exported, beside hops and busy time, for
+    the service-wide ledger and every tenant's."""
+    service, _ = driven_service
+    registry = service.snapshot_metrics()
+    ledgers = [({}, service.stats)] + [
+        ({"tenant": tenant}, ledger) for tenant, ledger in service.tenant_stats.items()
+    ]
+    for labels, ledger in ledgers:
+        assert registry.get("repro_serve_supersteps_total").value(**labels) == ledger.supersteps
+        assert registry.get("repro_serve_walker_steps_total").value(
+            **labels) == ledger.walker_steps
+        assert registry.get("repro_serve_hops_total").value(**labels) == ledger.total_hops
+        assert registry.get("repro_serve_busy_seconds_total").value(
+            **labels) == ledger.busy_seconds
+    # The batch engine is frontier-served: the service stepped it itself.
+    assert service.stats.supersteps > 0
+    assert service.stats.walker_steps >= service.stats.supersteps
+    samples = parse_prometheus(render_prometheus(registry))
+    assert samples[("repro_serve_supersteps_total", "")] == service.stats.supersteps
+    assert samples[("repro_serve_walker_steps_total", "")] == service.stats.walker_steps
 
 
 def test_accounting_identity_holds_on_exported_values(driven_service):

@@ -244,6 +244,67 @@ class TestTenantScheduler:
         assert scheduler.pending_clients == 0
 
 
+def pick_by_pick_batch(scheduler, max_batch, lone_picks):
+    """The oracle: ``next_batch`` as one smooth-WRR pick per request —
+    every pick credits each backlogged tenant its weight, takes the
+    highest credit (first declared wins ties) and charges it the total —
+    on the scheduler's own queues and credits.  Counts the picks made
+    with one tenant backlogged into ``lone_picks[0]``."""
+    batch = []
+    while scheduler._pending_clients and len(batch) < max_batch:
+        backlogged = [name for name in scheduler._order if scheduler._queues[name]]
+        lone_picks[0] += len(backlogged) == 1
+        total = sum(scheduler._specs[name].weight for name in backlogged)
+        best = backlogged[0]
+        for name in backlogged:
+            scheduler._credit[name] += scheduler._specs[name].weight
+            if scheduler._credit[name] > scheduler._credit[best]:
+                best = name
+        scheduler._credit[best] -= total
+        batch.append(scheduler._queues[best].popleft())
+        scheduler._pending_clients -= 1
+    if scheduler._fills:
+        batch.append(scheduler._fills.popleft())
+    return batch
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_one_slice_for_a_lone_tenant_equals_pick_by_pick(seed):
+    """``next_batch`` takes a lone backlogged tenant's run in one slice;
+    over random pushes, pool fills and batch sizes it composes exactly
+    the oracle's batches and leaves exactly its credits."""
+    rng = np.random.default_rng(seed)
+    specs = tuple(TenantSpec(f"t{k}", weight=int(rng.integers(1, 6)))
+                  for k in range(int(rng.integers(1, 5))))
+    fast = TenantScheduler(specs, default_depth=64)
+    oracle = TenantScheduler(specs, default_depth=64)
+    label = 0
+    lone_picks = [0]
+    for _ in range(60):
+        if rng.random() < 0.5:
+            # A burst from one tenant (a lone backlog once the others
+            # drain) or from a mix.
+            burst_tenants = rng.choice(len(specs), size=int(rng.integers(1, 4)))
+            for _ in range(int(rng.integers(1, 20))):
+                tenant = specs[int(rng.choice(burst_tenants))].name
+                for scheduler in (fast, oracle):
+                    scheduler.push(FakeItem(tenant, label=label))
+                label += 1
+            if rng.random() < 0.2:
+                for scheduler in (fast, oracle):
+                    scheduler.push(FakeItem(label=f"fill-{label}"))
+                label += 1
+        else:
+            max_batch = int(rng.integers(1, 33))
+            got = [item.label for item in fast.next_batch(max_batch)]
+            want = [item.label for item in pick_by_pick_batch(oracle, max_batch, lone_picks)]
+            assert got == want
+            assert fast._credit == oracle._credit
+            assert fast.pending_clients == oracle.pending_clients
+            assert fast.backlog() == oracle.backlog()
+    assert lone_picks[0] > 0
+
+
 class TestServiceTenancy:
     def test_anonymous_service_keeps_old_behavior(self):
         graph = make_graph()

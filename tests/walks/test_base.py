@@ -1,5 +1,7 @@
 """Unit tests for walk specs, queries and results containers."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,18 @@ class TestQuery:
             Query(-1, 0)
         with pytest.raises(WalkConfigError):
             Query(0, -1)
+
+    @pytest.mark.parametrize("bad", [1.5, True, False, "7", None, np.float64(2.0)])
+    def test_rejects_non_integral_values_by_name(self, bad):
+        with pytest.raises(WalkConfigError,
+                           match=re.escape(f"query_id must be an integer, got {bad!r}")):
+            Query(bad, 0)
+        with pytest.raises(WalkConfigError, match="start_vertex must be an integer"):
+            Query(0, bad)
+
+    def test_numpy_integers_pass(self):
+        q = Query(np.int64(3), np.int32(7))
+        assert q.query_id == 3 and q.start_vertex == 7
 
 
 class TestMakeQueries:
