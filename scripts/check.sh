@@ -61,6 +61,14 @@ else
 fi
 
 echo
+echo "== lane invariance on one CPU (taskset -c 0: the batch engine runs one lane) =="
+if command -v taskset >/dev/null 2>&1; then
+  taskset -c 0 python -m pytest -x -q tests/walks/test_lanes.py
+else
+  echo "(taskset not installed; skipping the one-CPU lane run)"
+fi
+
+echo
 echo "== batch engine smoke benchmark =="
 python benchmarks/bench_batch_engine.py --smoke
 

@@ -27,8 +27,6 @@ hold one to amortize worker + shared-graph setup across many batches
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.errors import WalkConfigError
@@ -41,7 +39,7 @@ from repro.parallel.worker import ShardRunner
 from repro.sampling.vectorized import VectorizedKernel
 from repro.walks.base import WalkSpec, path_offsets
 from repro.walks.batch import BatchEngine
-from repro.walks.engine import STAT_FIELDS, prepared_kernel
+from repro.walks.engine import STAT_FIELDS, prepared_kernel, usable_cpus
 from repro.walks.jit import NUMBA_AVAILABLE, JitEngine, warn_numba_fallback
 
 #: Per-worker shard cores the workers can run (``backend=`` option): the
@@ -63,18 +61,10 @@ def validate_worker_backend(backend: str) -> str:
     return backend
 
 
-def default_workers() -> int:
-    """Worker count when none is given: every core actually available.
-
-    CPU affinity masks and container quotas make this differ from
-    ``os.cpu_count()`` — a 2-CPU cgroup on a 16-core host should get 2
-    workers, not 16 oversubscribed ones.  The parallel benchmark gates
-    its speedup requirement on the same number.
-    """
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except (AttributeError, OSError):  # platforms without affinity APIs
-        return max(1, os.cpu_count() or 1)
+#: Worker count when none is given: every usable CPU, affinity-aware, so
+#: a 2-CPU cgroup on a 16-core host gets 2 workers, not 16 oversubscribed
+#: ones.  The parallel benchmark gates its speedup requirement on it.
+default_workers = usable_cpus
 
 
 class ParallelWalkEngine(WorkerGroupEngine):

@@ -30,7 +30,8 @@ class ShardRunner:
     instantiates the matching shell and loads it.  ``engine_class`` is
     the per-shard core: the batch superstep engine or the fused-kernel
     jit engine (bit-identical; the parent only requests the latter when
-    numba is importable).
+    numba is importable).  A batch core runs each shard on one lane,
+    however large: the workers are the fan-out.
     """
 
     def __init__(self, rank: int, store: SharedArrayStore, spec,
@@ -44,6 +45,8 @@ class ShardRunner:
         graph = graph_from_store(store)
         kernel = kernel_from_store(spec, sampler_mode, store)
         self._engine = engine_class(graph, spec, sampler_mode, kernel=kernel)
+        # This process already owns a core: its shards never fan out.
+        self._engine._one_lane = True
 
     def shard(self, query_ids, starts, seed):
         """Run one shard; returns ``(flat_paths, hops, stat_counts)``.

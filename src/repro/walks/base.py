@@ -348,27 +348,30 @@ def start_path_buffer(starts: np.ndarray, hops: np.ndarray) -> tuple[np.ndarray,
 
 
 def paths_from_step_log(
-    starts: np.ndarray,
+    flat: np.ndarray,
     hops: np.ndarray,
     step_log: Sequence[np.ndarray | tuple[np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble ``(flat, offsets)`` from one run's superstep-major log.
+) -> None:
+    """Fill ``flat`` from one block of rows' superstep-major log.
 
-    ``step_log[s]`` holds the vertex reached in superstep ``s`` by every
-    row still walking, in row order — what a compact frontier emits.
-    Without stalls that is hop ``s`` of every row with ``hops > s``.  A
-    superstep in which rows stalled logs ``(vertices, stalled)``,
+    ``flat`` holds the block's paths back to back — row ``k`` takes
+    ``hops[k] + 1`` slots, its start vertex already in the first (a
+    slice of :func:`start_path_buffer`'s buffer) — and receives every
+    hop.  ``step_log[s]`` holds the vertex reached in superstep ``s`` by
+    every row still walking, in row order — what a compact frontier
+    emits.  Without stalls that is hop ``s`` of every row with ``hops >
+    s``.  A superstep in which rows stalled logs ``(vertices, stalled)``,
     ``stalled`` indexing the rows of ``vertices`` that did not move and
     hold the vertex they stay on: they are skipped, and take that hop in
     a later superstep (a stall is always followed by a hop).  The hop
     counts fix the layout, so each superstep lands in its final slots
     with one scatter; the destinations compact as the frontier did, so
-    no row index is logged and no path matrix built.
+    no row index is logged and no path matrix built.  Blocks fill
+    disjoint slices, so they may fill concurrently.
     """
-    flat, offsets = start_path_buffer(starts, hops)
     # Row k has a hop still to write while ``left[k] > step``: its hop
     # count plus the supersteps it has stalled in so far.
-    dest, left = offsets[:-1] + 1, hops.copy()
+    dest, left = path_offsets(hops + 1)[:-1] + 1, hops.copy()
     for step, entry in enumerate(step_log):
         alive = left > step
         if not alive.all():
@@ -381,7 +384,6 @@ def paths_from_step_log(
             dest[stalled] -= 1
         flat[dest] = entry
         dest += 1
-    return flat, offsets
 
 
 def make_queries(

@@ -27,8 +27,27 @@ over a dense task array, many schedulers:
 * :class:`OpenFrontier` is the open form of a run, for a caller whose
   queries keep arriving (the walk service): walkers are admitted into
   free slots and retired on their own hop count between supersteps, so a
-  lane freed by a short walk takes the next query at once instead of
+  slot freed by a short walk takes the next query at once instead of
   idling until the longest walk of a closed batch ends.
+* A large closed run fans out to *lanes* (:func:`lane_count`), one per
+  usable CPU: each lane takes one contiguous row block with its own
+  frontier, hop log and counters through the same superstep loop —
+  lane 0 on the calling thread, the others on a private thread pool —
+  and, once every hop count is in, fills its own slice of the one flat
+  buffer.  numpy releases the GIL inside each pass, so the lanes
+  overlap, and every walker draws only from its own stream, so paths
+  and counters do not depend on the lane count
+  (``tests/walks/test_lanes.py``).  The open frontier, small batches and
+  pool workers (each process already owns a core) run one lane.
+
+Lanes on the ``deepwalk_batch`` shape (RMAT-16, 50k DeepWalk queries,
+length 80), 2-CPU host: in a traced call of ~100 ms the two lanes walk
+for 76.0 ms (calling thread) and 76.8 ms (pool thread), and fill their
+slices in the rest.  One lane takes 153 ms on the main thread and 146 ms
+on another, so a non-main thread costs nothing once warm.  The pool
+thread allocates from its own malloc arena, which at the fill holds its
+lane's hop log (10.6 MB) and 1.8 MB of freed temporaries, so peak RSS
+grows by ~12 MiB on the first run that fans out and not after.
 
 Same API, ``SeedSequence((seed, query_id))`` substream keying and
 :class:`EngineStats` semantics as :func:`repro.walks.reference.run_walks`;
@@ -42,8 +61,13 @@ form and :func:`run_walks_batch_arrays` its dense adapter.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from itertools import pairwise
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -57,17 +81,39 @@ from repro.sampling.vectorized import (
     VectorizedKernel,
     seed_sequence_states,
 )
-from repro.walks.base import Query, WalkResults, WalkSpec, paths_from_step_log
+from repro.walks.base import (
+    Query,
+    WalkResults,
+    WalkSpec,
+    paths_from_step_log,
+    start_path_buffer,
+)
 from repro.walks.engine import (
     STAT_FIELDS,
     PreparedEngine,
     check_start_vertices,
     prepared_kernel,
     run_arrays,
+    usable_cpus,
 )
 from repro.walks.reference import EngineStats
 
 (_PROPOSALS, _READS, _DANGLING, _EARLY, _PROBABILISTIC, _LENGTH) = range(len(STAT_FIELDS))
+
+#: Fewest walkers a lane of a closed run takes (:func:`lane_count`).
+#: Every superstep hands the GIL between lanes a few dozen times, and
+#: numpy keeps it through small passes, so a small block loses to its
+#: hand-offs what a second core gives it.  Two lanes against one,
+#: in-process on RMAT-16 at length 80, 2-CPU host: DeepWalk 0.63x at
+#: 8,192 walkers, 0.85x at 16,384, 1.04x at 20,000, 1.38x at 32,768,
+#: 1.64x at 50,000 and 1.70x at 100,000; Node2Vec 0.78x at 10,000 and
+#: 1.08x at 20,000; PPR, whose frontier thins out early, 0.94x at 32,768
+#: and 1.08x at 50,000.  The cut sits where DeepWalk's two blocks gain.
+_MIN_BLOCK_WALKERS = 16384
+
+#: The lane pool (:func:`_lane_pool`) and the lock that creates it once.
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
 
 #: No indices: the stalls of a superstep without any, an empty admission.
 _NO_SLOTS = np.empty(0, dtype=np.int64)
@@ -307,6 +353,91 @@ def _teleport(
         frontier.keep(stay, spec.needs_prev_vertex)
 
 
+def lane_count(walkers: int) -> int:
+    """Lanes a closed run of ``walkers`` fans out to: one per usable CPU,
+    each taking at least :data:`_MIN_BLOCK_WALKERS` walkers, and at
+    least one."""
+    return max(1, min(usable_cpus(), walkers // _MIN_BLOCK_WALKERS))
+
+
+def _walk_block(
+    graph: CSRGraph,
+    spec: WalkSpec,
+    kernel: VectorizedKernel,
+    seed: int,
+    tracer,
+    lane: int,
+    query_ids: np.ndarray,
+    starts: np.ndarray,
+    hops: np.ndarray,
+) -> tuple[list, np.ndarray]:
+    """Walk one lane's row block to its end through :func:`superstep`.
+
+    Writes each row's hop count into ``hops`` (the block's slice of the
+    run's) and returns ``(log, counts)``: the block's superstep-major hop
+    log (:func:`~repro.walks.base.paths_from_step_log`) and its
+    :data:`STAT_FIELDS` counters.  ``tracer`` (the run's, ``None`` when
+    tracing is off) records a ``batch.superstep`` span per superstep and
+    one ``batch.lane`` span for the block, all carrying ``lane``.
+    """
+    if tracer is not None:
+        _lane_start = tracer.begin()
+    frontier = Frontier.start(
+        np.arange(starts.size), starts, seed_sequence_states(seed, query_ids)
+    )
+    counts = np.zeros(len(STAT_FIELDS), dtype=np.int64)
+    log: list = []
+    while frontier.size:
+        if tracer is not None:
+            _span_start = tracer.begin()
+            _span_width = frontier.size
+        pos, hop, next_vertex, stalled = superstep(graph, spec, kernel, frontier, counts)
+        hops[pos] = hop
+        log.append((next_vertex, stalled) if stalled.size else next_vertex)
+        if tracer is not None:
+            tracer.end(_span_start, "batch.superstep", lane=lane, superstep=len(log) - 1,
+                       frontier=_span_width, survivors=pos.size)
+    if tracer is not None:
+        tracer.end(_lane_start, "batch.lane", lane=lane, walkers=starts.size,
+                   supersteps=len(log))
+    return log, counts
+
+
+def _on_lanes(task: Callable, lanes: Sequence[tuple]) -> list:
+    """``[task(*args) for args in lanes]``, lane 0 on the calling thread
+    and the others at once on the lane pool; no lane outlives the call,
+    not even when one raised."""
+    if len(lanes) == 1:
+        return [task(*lanes[0])]
+    futures = [_lane_pool().submit(task, *args) for args in lanes[1:]]
+    try:
+        first = task(*lanes[0])
+    finally:
+        wait(futures)
+    return [first, *(future.result() for future in futures)]
+
+
+def _lane_pool() -> ThreadPoolExecutor:
+    """The threads lanes 1.. of every closed run take, created on the
+    first run that fans out; its threads start on demand."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, (os.cpu_count() or 1) - 1),
+                                       thread_name_prefix="repro-lane")
+        return _pool
+
+
+def _forget_lane_pool() -> None:
+    """A forked child inherits the pool but none of its threads (and maybe
+    a held lock): it starts its own on first need."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_lane_pool)
+
+
 class BatchEngine(PreparedEngine):
     """The vectorized engine: a prepared kernel driven by :func:`superstep`.
 
@@ -316,6 +447,9 @@ class BatchEngine(PreparedEngine):
     """
 
     name = "batch"
+    #: Whether closed runs stay on one lane whatever their size: a pool
+    #: worker's engine does, its process already owning a core.
+    _one_lane = False
 
     def __init__(
         self,
@@ -334,31 +468,26 @@ class BatchEngine(PreparedEngine):
         self._kernel = kernel
 
     def _run_arrays(self, query_ids, starts, seed):
-        graph, spec, kernel = self._graph, self._spec, self._kernel
-        frontier = Frontier.start(
-            np.arange(starts.size), starts, seed_sequence_states(seed, query_ids)
-        )
-        hops = np.zeros(starts.size, dtype=np.int64)
-        counts = np.zeros(len(STAT_FIELDS), dtype=np.int64)
-        log: list = []
-
+        size = starts.size
+        lanes = 1 if self._one_lane else lane_count(size)
+        blocks = list(pairwise([size * lane // lanes for lane in range(lanes + 1)]))
+        hops = np.zeros(size, dtype=np.int64)
         # Hoisted once per run: with tracing disabled (the default) the
         # per-superstep cost is one local ``is not None`` branch — the
         # overhead contract benchmarks/bench_obs_overhead.py enforces.
-        tracer = _active_tracer()
-
-        while frontier.size:
-            if tracer is not None:
-                _span_start = tracer.begin()
-                _span_width = frontier.size
-            pos, hop, next_vertex, stalled = superstep(graph, spec, kernel, frontier, counts)
-            hops[pos] = hop
-            log.append((next_vertex, stalled) if stalled.size else next_vertex)
-            if tracer is not None:
-                tracer.end(_span_start, "batch.superstep", superstep=len(log) - 1,
-                           frontier=_span_width, survivors=pos.size)
-
-        return *paths_from_step_log(starts, hops, log), counts
+        walk = partial(_walk_block, self._graph, self._spec, self._kernel, seed,
+                       _active_tracer())
+        walked = _on_lanes(walk, [
+            (lane, query_ids[lo:hi], starts[lo:hi], hops[lo:hi])
+            for lane, (lo, hi) in enumerate(blocks)
+        ])
+        # All hop counts in, the layout is known: each lane fills its slice.
+        flat, offsets = start_path_buffer(starts, hops)
+        _on_lanes(paths_from_step_log, [
+            (flat[offsets[lo] : offsets[hi]], hops[lo:hi], log)
+            for (lo, hi), (log, _) in zip(blocks, walked)
+        ])
+        return flat, offsets, sum(counts for _, counts in walked)
 
     def open_frontier(self, seed: int, capacity: int) -> "OpenFrontier":
         """The open form of :meth:`run` (:class:`OpenFrontier`): walkers

@@ -20,6 +20,7 @@ prepared kernel)`` and gives it to the engine's ``_adopt``.
 
 from __future__ import annotations
 
+import os
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,6 +42,21 @@ STAT_FIELDS = (
     "probabilistic_terminations",
     "length_terminations",
 )
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on, read afresh on every call.
+
+    CPU affinity masks and container quotas make this differ from
+    ``os.cpu_count()`` — a 2-CPU cgroup on a 16-core host offers 2, not
+    16 — and ``taskset`` or ``sched_setaffinity`` may change it at any
+    time.  The pool engines' default worker count and the batch engine's
+    lane count both come from here.
+    """
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except (AttributeError, OSError):  # platforms without affinity APIs
+        return max(1, os.cpu_count() or 1)
 
 
 def check_batch_spec(spec: WalkSpec) -> None:

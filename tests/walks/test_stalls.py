@@ -30,7 +30,7 @@ from repro.sampling.vectorized import (
     seed_sequence_states,
 )
 from repro.walks import EngineStats, Node2VecSpec, make_queries
-from repro.walks.base import paths_from_step_log, unpack_queries
+from repro.walks.base import paths_from_step_log, start_path_buffer, unpack_queries
 from repro.walks.batch import BatchEngine, Frontier, run_walks_batch_arrays, superstep
 from repro.walks.engine import STAT_FIELDS
 from repro.walks.jit import jit_state_from_kernel, run_walks_jit_arrays
@@ -197,7 +197,8 @@ def test_step_log_skips_stalled_rows():
         (np.array([11, 30]), np.array([0, 1])),
         np.array([12, 31]),
     ]
-    flat, offsets = paths_from_step_log(starts, hops, log)
+    flat, offsets = start_path_buffer(starts, hops)
+    paths_from_step_log(flat, hops, log)
     paths = [flat[a:b].tolist() for a, b in zip(offsets[:-1], offsets[1:])]
     assert paths == [[10, 11, 12], [20, 21], [30, 31]]
     assert hops.tolist() == [2, 1, 1]
