@@ -51,7 +51,7 @@ from repro.bench.workloads import make_spec
 from repro.engines import hops_per_second
 from repro.graph import rmat
 from repro.obs.trace import get_tracer, tracing
-from repro.sampling.hybrid import make_walk_kernel
+from repro.sampling.vectorized import make_kernel
 from repro.walks import EngineStats, make_queries
 from repro.walks.batch import run_walks_batch_arrays
 
@@ -95,7 +95,7 @@ def _measure(config, graph, spec, kernel, starts, query_ids, seed, capacity):
 
 def _paths_equal(a_paths, a_hops, b_paths, b_hops) -> bool:
     """Per-walk prefix comparison: the buffer beyond each walk's last hop
-    is uninitialized padding (see bench_jit_engine), so only
+    is uninitialized padding, so only
     ``paths[row, :hops[row] + 1]`` is meaningful."""
     if not np.array_equal(a_hops, b_hops):
         return False
@@ -154,7 +154,7 @@ def main(argv=None) -> int:
     graph = rmat(args.scale, edge_factor=args.edge_factor, seed=args.seed)
     spec = make_spec("DeepWalk")
     spec.max_length = args.length
-    kernel = make_walk_kernel(spec.make_sampler(), "auto")
+    kernel = make_kernel(spec.make_sampler())
     kernel.prepare(graph)
     queries = make_queries(graph, args.queries, seed=args.seed + 1)
     query_ids = np.fromiter((q.query_id for q in queries), np.int64,

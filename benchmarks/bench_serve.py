@@ -46,7 +46,7 @@ from repro.bench.reporting import resolve_bench_json_path, write_bench_json
 from repro.bench.workloads import RMAT_BENCH_ALGORITHMS, make_spec
 from repro.engines import hops_per_second
 from repro.graph import rmat
-from repro.sampling.hybrid import SAMPLER_MODES, make_walk_kernel
+from repro.sampling.vectorized import make_kernel
 from repro.serve import (
     ServeConfig,
     WalkService,
@@ -58,14 +58,10 @@ from repro.walks import EngineStats, make_queries
 from repro.walks.batch import run_walks_batch_arrays
 
 
-def closed_batch_baseline(graph, spec, starts, seed, sampler="auto"):
-    """Warmed single-core batch run over all queries at once.
-
-    ``sampler`` must match the service's mode: the >= min-ratio gate is
-    about micro-batching overhead, so the baseline and the service have
-    to run the same kernel family.
-    """
-    kernel = make_walk_kernel(spec.make_sampler(), sampler)
+def closed_batch_baseline(graph, spec, starts, seed):
+    """Warmed single-core batch run over all queries at once, on the
+    kernel the service runs too."""
+    kernel = make_kernel(spec.make_sampler())
     kernel.prepare(graph)
     query_ids = np.arange(starts.size, dtype=np.int64)
     stats = EngineStats()
@@ -76,10 +72,10 @@ def closed_batch_baseline(graph, spec, starts, seed, sampler="auto"):
     return stats.total_hops, elapsed
 
 
-def assert_replay_identical(graph, spec, report, seed, label, sampler="auto"):
+def assert_replay_identical(graph, spec, report, seed, label):
     """Every served path must equal its offline replay, bit for bit."""
     requests = {query_id: int(path[0]) for query_id, path in report.paths.items()}
-    oracle = replay_paths(graph, spec, requests, seed=seed, sampler=sampler)
+    oracle = replay_paths(graph, spec, requests, seed=seed)
     for query_id, expected in oracle.items():
         if not np.array_equal(report.paths[query_id], expected):
             print(f"FAIL: {label}: request {query_id} diverged from offline replay",
@@ -103,9 +99,6 @@ def main(argv=None) -> int:
                         "the closed single-core batch engine)")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes (parallel engine only)")
-    parser.add_argument("--sampler", choices=SAMPLER_MODES, default="auto",
-                        help="sampling backend for BOTH the service and the "
-                        "closed baseline (default: auto, the serve default)")
     parser.add_argument("--max-batch", type=int, default=8192,
                         help="service micro-batch flush size (the saturation "
                         "leg is throughput-oriented; nominal-load batches "
@@ -156,7 +149,7 @@ def main(argv=None) -> int:
     # legs get the same treatment, so the ratio stays honest.
     repeats = 1 if args.smoke else args.repeats
     closed_hops, closed_s = min(
-        (closed_batch_baseline(graph, spec, starts, serve_seed, args.sampler)
+        (closed_batch_baseline(graph, spec, starts, serve_seed)
          for _ in range(repeats)),
         key=lambda pair: pair[1],
     )
@@ -166,7 +159,6 @@ def main(argv=None) -> int:
           f"best of {repeats})")
 
     engine_options = {"workers": args.workers} if args.engine == "parallel" else {}
-    engine_options["sampler"] = args.sampler
 
     # -- saturation serving: equal total query count, open ingest ----------
     saturation_config = ServeConfig(
@@ -206,8 +198,7 @@ def main(argv=None) -> int:
         print(f"FAIL: saturation run shed {len(report.dropped)} requests with "
               f"depth {saturation_config.queue_depth}", file=sys.stderr)
         ok = False
-    ok = assert_replay_identical(graph, spec, report, serve_seed, "saturation",
-                                 sampler=args.sampler) and ok
+    ok = assert_replay_identical(graph, spec, report, serve_seed, "saturation") and ok
 
     # -- nominal Poisson serving: latency under admission-model depth ------
     mean_hops = serve_stats.total_hops / max(1, serve_stats.completed)
@@ -240,8 +231,7 @@ def main(argv=None) -> int:
         print(f"FAIL: nominal load shed {len(nominal_report.dropped)} requests "
               f"(depth {depth} from the occupancy model)", file=sys.stderr)
         ok = False
-    ok = assert_replay_identical(graph, spec, nominal_report, serve_seed,
-                                 "nominal", sampler=args.sampler) and ok
+    ok = assert_replay_identical(graph, spec, nominal_report, serve_seed, "nominal") and ok
 
     if args.json:
         write_bench_json(args.json, {

@@ -49,7 +49,7 @@ from repro.bench.reporting import resolve_bench_json_path, write_bench_json
 from repro.bench.workloads import RMAT_BENCH_ALGORITHMS, make_spec
 from repro.dynamic import DynamicGraph
 from repro.graph import from_edges, rmat
-from repro.sampling.hybrid import make_walk_kernel
+from repro.sampling.vectorized import make_kernel
 from repro.serve import (
     HotWalkCache,
     ServeConfig,
@@ -76,7 +76,7 @@ def closed_capacity(graph, spec, starts, seed, max_batch):
     400, so one closed batch of every query overstates what a
     ``max_batch``-lane service can sustain by roughly that ratio.
     """
-    kernel = make_walk_kernel(spec.make_sampler(), "auto")
+    kernel = make_kernel(spec.make_sampler())
     kernel.prepare(graph)
     query_ids = np.arange(starts.size, dtype=np.int64)
     stats = EngineStats()

@@ -3,10 +3,9 @@
 Thin printing wrapper over :mod:`repro.engines`: every example runs its
 walks on one of the five engines held to the same statistical oracle —
 the vectorized batch engine (default, the high-throughput software
-path), the numba-compiled jit engine (``--engine jit``; falls back to
-batch with a warning when numba is absent), the sharded multicore
-parallel engine (``--engine parallel [--workers N] [--backend jit]``),
-the pure-Python reference loop, or the cycle-level accelerator model.
+path), the sharded multicore parallel engine (``--engine parallel
+[--workers N]``), the distributed engine, the pure-Python reference
+loop, or the cycle-level accelerator model.
 """
 
 from repro.engines import (
@@ -15,45 +14,28 @@ from repro.engines import (
     run_accelerator_walks,
     run_software_walks,
 )
-from repro.parallel import WORKER_BACKENDS
-from repro.sampling.hybrid import SAMPLER_MODES
 
 
 def add_engine_arguments(parser, default: str = "batch") -> None:
-    """The engine flags every example shares (--engine, --workers,
-    --backend, --sampler)."""
+    """The engine flags every example shares (--engine, --workers)."""
     parser.add_argument("--engine", choices=ENGINE_CHOICES, default=default)
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes (parallel engine only; "
                         "default: all cores)")
-    parser.add_argument("--backend", choices=WORKER_BACKENDS, default=None,
-                        help="per-worker shard core (parallel engine only): "
-                        "'batch' supersteps or 'jit' fused kernels")
-    parser.add_argument("--sampler", choices=SAMPLER_MODES, default="default",
-                        help="sampling backend (software engines only): "
-                        "'auto' = per-row hybrid strategy selection")
 
 
-def run_with_engine(engine: str, graph, spec, queries, seed: int, workers=None,
-                    sampler: str = "default", backend=None):
+def run_with_engine(engine: str, graph, spec, queries, seed: int, workers=None):
     """Run the walks on the selected engine, returning WalkResults."""
     if workers is not None and engine != "parallel":
         # Same contract as the CLI and the registry: a misdirected option
         # fails loudly instead of being silently ignored.
         raise SystemExit("error: --workers only applies to the parallel engine")
-    if backend is not None and engine != "parallel":
-        raise SystemExit("error: --backend only applies to the parallel engine")
     if engine == "sim":
-        if sampler != "default":
-            raise SystemExit(
-                "error: --sampler only applies to the software engines"
-            )
         run = run_accelerator_walks(graph, spec, queries, seed=seed)
         print(f"accelerator: {run.metrics.summary()}")
         return run.results
     results, elapsed = run_software_walks(
         engine, graph, spec, queries, seed=seed, workers=workers,
-        sampler=sampler, backend=backend,
     )
     print(f"{engine} engine: {results.total_steps} hops in {elapsed:.3f}s "
           f"({hops_per_second(results.total_steps, elapsed):,.0f} hops/s)")

@@ -58,8 +58,7 @@ def main() -> None:
     spec = DeepWalkSpec(max_length=40)
     queries = make_queries(graph, 600, seed=2)
     results = run_with_engine(args.engine, graph, spec, queries, seed=3,
-                              workers=args.workers, sampler=args.sampler,
-                              backend=args.backend)
+                              workers=args.workers)
     print(f"corpus: {results.num_queries} walks, {results.total_steps} hops")
 
     counts = cooccurrence_counts(results, window=WINDOW)

@@ -69,8 +69,7 @@ def main() -> None:
     spec = PPRSpec(alpha=ALPHA, max_length=200)
     queries = [Query(i, source) for i in range(NUM_WALKS)]
     results = run_with_engine(args.engine, graph, spec, queries, seed=7,
-                              workers=args.workers, sampler=args.sampler,
-                              backend=args.backend)
+                              workers=args.workers)
 
     estimated = estimate_ppr(results, graph.num_vertices)
     exact = exact_ppr(graph, source, ALPHA)

@@ -12,15 +12,10 @@
 # epoch-keyed hot-walk cache stays bit-identical to replay across an
 # epoch swap, the dynamic subsystem must publish
 # snapshots bit-identical to from-scratch builds after a streamed
-# update trace, the hybrid auto sampler must stay bit-identical to
-# fixed-strategy kernels under forced selection maps, the observability
-# layer must keep instrumented-but-disabled throughput at baseline
+# update trace, the observability layer must keep instrumented-but-disabled throughput at baseline
 # (gated on full runs; the smoke asserts traced runs stay bit-identical
 # to untraced) while a traced CLI run exports sample trace + metrics
-# artifacts, and the fused jit
-# kernels must stay bit-identical to the batch engine (compiled where
-# numba is installed, interpreted through the same code path where it
-# is not) plus run end-to-end from the CLI, and the distributed
+# artifacts, and the distributed
 # graph-partitioned engine (2 shards, walker forwarding) must stay
 # bit-identical to the batch engine end-to-end.  (The machine-readable
 # BENCH_*.json perf records are rewritten by the *full* benchmark runs,
@@ -94,9 +89,6 @@ echo
 echo "== dynamic smoke (update trace + snapshot-equivalence check) =="
 python benchmarks/bench_dynamic.py --smoke
 
-echo
-echo "== hybrid smoke (auto vs fixed strategies, conformance + throughput) =="
-python benchmarks/bench_hybrid.py --smoke
 
 echo
 echo "== observability smoke (disabled-overhead gate + traced CLI artifacts) =="
@@ -107,11 +99,6 @@ python -m repro trace --out benchmarks/sample_trace.jsonl --format jsonl -- \
 python -m repro metrics --out benchmarks/sample_metrics.prom -- \
   walk --engine batch --queries 200 --length 20 --scale 0.05
 
-echo
-echo "== jit smoke (fused kernels bit-identical to batch + CLI end-to-end) =="
-python benchmarks/bench_jit_engine.py --smoke
-python -m repro walk --engine jit --algorithm DeepWalk --queries 200 --length 20 --scale 0.05
-python -m repro walk --engine jit --algorithm Node2Vec --queries 200 --length 20 --scale 0.05
 
 echo
 echo "== dist engine smoke (2 shards, walker forwarding, bit-identical to batch) =="

@@ -10,7 +10,6 @@ RW102     ad-hoc seed derivation (arithmetic on seeds fed to RNGs)
 RW103     ``SharedMemory(create=True)`` without guaranteed unlink
 RW104     blocking calls inside ``async def`` bodies
 RW105     ``set`` iteration feeding ordered outputs
-RW106     ``@njit`` kernels compiled without ``cache=True``
 RW107     ``time.time()`` differences measuring durations
 ========  ==========================================================
 
@@ -457,64 +456,6 @@ class SetOrderRule(Rule):
             yield self.finding(
                 context, call.args[0],
                 f"str.join over a set serializes in hash order: {self._advice}",
-            )
-
-
-def _is_njit_name(node: ast.AST) -> bool:
-    name = dotted_name(node)
-    return name is not None and (name == "njit" or name.endswith(".njit"))
-
-
-@register_rule
-class NumbaCacheRule(Rule):
-    id = "RW106"
-    name = "njit-without-disk-cache"
-    description = (
-        "An @njit kernel without cache=True recompiles from scratch in "
-        "every process — worker pools and CI lanes each pay the full "
-        "nopython compile instead of hitting the on-disk cache, turning "
-        "a one-time cost into a per-process stall. Decorate with "
-        "@njit(cache=True)."
-    )
-
-    _advice = "pass cache=True so compiled kernels persist across processes"
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for decorator in node.decorator_list:
-                yield from self._check_decorator(context, node, decorator)
-
-    def _check_decorator(
-        self, context: FileContext, function: ast.AST, decorator: ast.AST
-    ) -> Iterator[Finding]:
-        if isinstance(decorator, ast.Call):
-            if not _is_njit_name(decorator.func):
-                return
-            for keyword in decorator.keywords:
-                if keyword.arg == "cache":
-                    # Any explicit cache= is a decision, not an omission;
-                    # cache=False on purpose deserves an allow comment.
-                    if (isinstance(keyword.value, ast.Constant)
-                            and keyword.value.value is True):
-                        return
-                    yield self.finding(
-                        context, decorator,
-                        f"@njit on {function.name!r} sets cache to a "
-                        f"non-True value: {self._advice}",
-                    )
-                    return
-            yield self.finding(
-                context, decorator,
-                f"@njit call on {function.name!r} omits cache=True: "
-                f"{self._advice}",
-            )
-        elif _is_njit_name(decorator):
-            yield self.finding(
-                context, decorator,
-                f"bare @njit on {function.name!r} cannot cache its "
-                f"compile: {self._advice}",
             )
 
 

@@ -105,14 +105,9 @@ def host_metadata() -> dict:
     them: a 2-core CI runner and a 32-core workstation differ by an
     order of magnitude on the same code.  Every committed record carries
     this block so a regression-looking diff can be told apart from a
-    host change — and so advisory runs (too few cores, missing numba)
-    are interpretable after the fact.
+    host change — and so advisory runs (too few cores) are interpretable
+    after the fact.
     """
-    try:
-        import numba
-        numba_version = numba.__version__
-    except ImportError:  # optional accelerator dep, absent on many hosts
-        numba_version = None
     import numpy
 
     return {
@@ -121,7 +116,6 @@ def host_metadata() -> dict:
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "numba": numba_version,
     }
 
 

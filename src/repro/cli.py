@@ -30,12 +30,10 @@ import sys
 from repro.bench.experiments import EXPERIMENTS
 from repro.bench.workloads import make_spec
 from repro.core import RidgeWalker, RidgeWalkerConfig
-from repro.engines import ENGINES, hops_per_second, run_software_walks
-from repro.sampling.hybrid import SAMPLER_MODES
+from repro.engines import ENGINES, SOFTWARE_ENGINES, hops_per_second, run_software_walks
 from repro.errors import ReproError, WalkConfigError
 from repro.graph import dataset_names, load_dataset, load_edge_list, load_npz
 from repro.graph.datasets import assign_metapath_schema
-from repro.parallel import WORKER_BACKENDS
 from repro.resources import DEVICE_CATALOG, get_device
 from repro.sampling.base import derive_seed, normalize_seed
 from repro.serve.workload import SCENARIOS
@@ -60,7 +58,6 @@ SIM_ONLY_WALK_OPTIONS = (
 #: options too, but checking here fails before a large graph loads.
 ENGINE_ONLY_WALK_OPTIONS = (
     ("--workers", "workers", None, "parallel"),
-    ("--backend", "backend", None, "parallel"),
     ("--shards", "shards", None, "dist"),
 )
 
@@ -70,22 +67,30 @@ ENGINE_ONLY_WALK_OPTIONS = (
 WRAPPABLE_COMMANDS = ("walk", "serve-bench", "mutate-bench")
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser reports the arguments it does not know itself,
+    so the usage printed with the error lists every flag it accepts."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="RidgeWalker reproduction: graph random walks on a "
         "cycle-level FPGA accelerator simulator.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     walk = sub.add_parser("walk", help="run a GRW workload on the accelerator")
     walk.add_argument("--algorithm", choices=ALGORITHMS, default="URW")
     walk.add_argument("--engine", choices=ENGINES, default="sim",
                       help="execution engine: 'sim' = cycle-level accelerator "
                       "model, 'batch' = vectorized software frontier engine, "
-                      "'jit' = numba-compiled fused per-walker kernels "
-                      "(bit-identical to batch; falls back to batch with a "
-                      "warning when numba is absent), "
                       "'parallel' = sharded multicore batch engine, "
                       "'dist' = distributed graph-partitioned engine with "
                       "walker forwarding, "
@@ -93,17 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
     walk.add_argument("--workers", type=int, default=None,
                       help="worker processes (parallel engine only; "
                       "default: all cores)")
-    walk.add_argument("--backend", choices=WORKER_BACKENDS, default=None,
-                      help="per-worker shard core (parallel engine only): "
-                      "'batch' supersteps or 'jit' fused kernels")
     walk.add_argument("--shards", type=int, default=None,
                       help="graph partitions / shard workers (dist engine "
                       "only; default: all cores)")
-    walk.add_argument("--sampler", choices=SAMPLER_MODES, default="default",
-                      help="sampling backend (software engines only): "
-                      "'default' = the algorithm's single-strategy sampler, "
-                      "'auto' = cost-model-driven per-row hybrid "
-                      "(alias / ITS flat-CDF / rejection / uniform)")
     walk.add_argument(
         "--dataset", default="WG",
         help=f"Table II dataset ({', '.join(dataset_names())}) or a path to "
@@ -134,17 +131,12 @@ def build_parser() -> argparse.ArgumentParser:
         "throughput.",
     )
     serve.add_argument("--algorithm", choices=ALGORITHMS, default="DeepWalk")
-    serve.add_argument("--engine",
-                       choices=("batch", "jit", "parallel", "dist", "reference"),
-                       default="batch",
+    serve.add_argument("--engine", choices=tuple(SOFTWARE_ENGINES), default="batch",
                        help="execution engine behind the service (default batch)")
     serve.add_argument("--workers", type=int, default=None,
                        help="worker processes (parallel engine only)")
     serve.add_argument("--shards", type=int, default=None,
                        help="graph partitions (dist engine only)")
-    serve.add_argument("--sampler", choices=SAMPLER_MODES, default="auto",
-                       help="sampling backend behind the service (default "
-                       "auto: per-row hybrid strategy selection)")
     serve.add_argument("--dataset", default="WG",
                        help=f"Table II dataset ({', '.join(dataset_names())}) or "
                        "a path to a .npz / edge-list graph file")
@@ -265,8 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         "determinism contract (README.md): SeedSequence-rooted RNG streams "
         "(RW101/RW102), shared-memory segment lifecycles (RW103), a "
         "non-blocking asyncio serve path (RW104), no set-ordered "
-        "outputs (RW105), disk-cached numba kernels (RW106), and "
-        "monotonic-clock duration measurement (RW107). "
+        "outputs (RW105), and monotonic-clock duration measurement (RW107). "
         "Exits 1 if any unsuppressed finding remains; "
         "suppress with `# repro: allow[RW###] <reason>`.",
     )
@@ -319,8 +310,7 @@ def _run_software_engine(args, graph, spec, queries) -> int:
     stats = EngineStats()
     results, elapsed = run_software_walks(
         args.engine, graph, spec, queries, seed=derive_seed(args.seed, "engine"), stats=stats,
-        workers=args.workers, sampler=args.sampler, backend=args.backend,
-        shards=args.shards,
+        workers=args.workers, shards=args.shards,
     )
     # Feed the full per-run EngineStats ledger so `repro metrics walk ...`
     # exports hop/proposal/termination counters, not just run totals.
@@ -358,11 +348,6 @@ def cmd_walk(args) -> int:
                 f"{flag} only applies to the {engine} engine; drop it or "
                 f"use --engine {engine}"
             )
-    if args.engine == "sim" and args.sampler != "default":
-        raise WalkConfigError(
-            "--sampler only applies to the software engines; the accelerator "
-            "model fixes its sampling datapath per algorithm (Table I)"
-        )
 
     graph = _load_graph(args)
     spec = make_spec(args.algorithm)
@@ -452,7 +437,7 @@ def cmd_serve_bench(args) -> int:
           f"length {args.length}, scenario {args.scenario}, "
           + (f"Poisson {args.rate:,.0f} req/s" if args.rate > 0
              else "saturation arrivals"))
-    print(f"service: engine={args.engine}, sampler={args.sampler}, "
+    print(f"service: engine={args.engine}, "
           f"max_batch={args.max_batch}, max_wait={args.max_wait_ms}ms, "
           f"depth={depth}"
           + (f", tenants={args.tenants}" if args.tenants else "")
@@ -461,7 +446,6 @@ def cmd_serve_bench(args) -> int:
     engine_options = {"workers": args.workers} if args.engine == "parallel" else {}
     if args.engine == "dist":
         engine_options["shards"] = args.shards
-    engine_options["sampler"] = args.sampler
     engine_seed = derive_seed(args.seed, "engine")
 
     if not args.tenants and args.scenario == "steady" and not args.cache:
@@ -542,8 +526,7 @@ def cmd_serve_bench(args) -> int:
     for report in reports.values():
         all_requests.update(report.requests)
         all_paths.update(report.paths)
-    oracle = replay_paths(graph, spec, all_requests, seed=engine_seed,
-                          sampler=args.sampler)
+    oracle = replay_paths(graph, spec, all_requests, seed=engine_seed)
     mismatched = [qid for qid, path in all_paths.items()
                   if not np.array_equal(path, oracle[qid])]
     if mismatched:

@@ -54,16 +54,10 @@ class DistWalkEngine(WorkerGroupEngine):
 
     name = "dist"
     #: ``shards`` sets the graph-partition (and worker) count.
-    options = frozenset({"shards", "sampler"})
+    options = frozenset({"shards"})
 
-    def __init__(
-        self,
-        graph: CSRGraph,
-        spec: WalkSpec,
-        shards: int | None = None,
-        sampler: str = "default",
-    ) -> None:
-        self._configure(graph, spec, sampler)
+    def __init__(self, graph: CSRGraph, spec: WalkSpec, shards: int | None = None) -> None:
+        self._configure(graph, spec)
         if shards is not None and shards < 1:
             raise WalkConfigError(f"shards must be >= 1, got {shards}")
         self._num_shards = int(shards) if shards is not None else default_workers()
@@ -72,13 +66,13 @@ class DistWalkEngine(WorkerGroupEngine):
         #: ``per_shard_processed``); the dist benchmark reports it.
         self.last_run_stats: dict | None = None
 
-        graph, kernel = prepared_kernel(spec, sampler, graph)
+        graph, kernel = prepared_kernel(spec, graph)
         ranks = range(self._num_shards)
         context = worker_context()
         # pair[i][j] carries walkers departing shard i for shard j.
         pair = {i: {j: context.Queue() for j in ranks if j != i} for i in ranks}
         extras = [
-            (spec, sampler, pair[shard],
+            (spec, pair[shard],
              {peer: pair[peer][shard] for peer in ranks if peer != shard})
             for shard in ranks
         ]

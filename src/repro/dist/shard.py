@@ -8,8 +8,8 @@ rows).  Its shared segment holds three kinds of arrays:
   owned slices of per-edge kernel state (alias slots, ITS CDF rows).
   This is the memory that actually scales down with the shard count.
 * **replicated per-vertex data** — the global ``degrees`` array, the
-  owner map, and per-vertex kernel state (ITS row totals, hybrid
-  strategy codes).  O(|V|) per shard, the standard
+  owner map, and per-vertex kernel state (ITS row totals).  O(|V|)
+  per shard, the standard
   edge-cut trade: any shard may need another shard's *degree* (the
   dangling check, Node2Vec's ``deg(prev)`` accounting) but never its
   edge list.

@@ -49,10 +49,9 @@ class _ShardState:
     handler for ``dist`` (``start_run``, ``superstep``, ``collect``,
     ``adopt``)."""
 
-    def __init__(self, shard_id, store, spec, sampler_mode, send_queues, recv_queues):
+    def __init__(self, shard_id, store, spec, send_queues, recv_queues):
         self._shard_id = shard_id
         self._spec = spec
-        self._sampler_mode = sampler_mode
         self._send = send_queues
         self._recv = recv_queues
         self._peers = sorted(send_queues)
@@ -62,7 +61,7 @@ class _ShardState:
     def adopt(self, store: SharedArrayStore) -> None:
         """Serve the shard in a (new) attached segment from now on."""
         self._view, self._owner = shard_view_from_store(store)
-        self._kernel = kernel_from_store(self._spec, self._sampler_mode, store)
+        self._kernel = kernel_from_store(self._spec, store)
 
     def _reset_run(self) -> None:
         self.start_run(_NO_VERTICES, _NO_VERTICES, np.empty(0, dtype=np.uint64))

@@ -38,12 +38,6 @@ from repro.graph.alias import build_alias_rows
 from repro.graph.csr import CSRGraph
 from repro.graph.rows import gather_rows, row_cumsums, row_sums, within_row_index
 from repro.obs.trace import span as _trace_span
-from repro.sampling.hybrid import (
-    HybridKernel,
-    resolve_strategy_codes,
-    select_row_strategies,
-    select_strategies,
-)
 from repro.sampling.its import build_its_cdf, build_its_row_totals
 from repro.sampling.vectorized import (
     AliasKernel,
@@ -113,16 +107,12 @@ class Member(NamedTuple):
 
 
 #: Everything a :class:`SamplerState` can hold.  ``alias_slots`` is one
-#: packed ``ALIAS_SLOT`` per edge; ``strategy`` the ``(|V|, 2)`` hybrid
-#: codes under the default ``HybridConfig``, as a fresh auto prepare picks.
-#: (Lambdas, so a builder is looked up in this module when it runs and a
-#: test's spy on it counts.)
+#: packed ``ALIAS_SLOT`` per edge.  (Lambdas, so a builder is looked up in
+#: this module when it runs and a test's spy on it counts.)
 MEMBERS: dict[str, Member] = {
     "alias_slots": Member(lambda graph: graph_alias_slots(graph), _alias_rows, True),
     "its_cdf": Member(lambda graph: build_its_cdf(graph), _cdf_rows, True),
     "its_row_totals": Member(lambda graph: build_its_row_totals(graph), _total_rows, False),
-    "strategy": Member(lambda graph: select_strategies(graph), lambda batch, n:
-                       select_row_strategies(batch.weights, batch.row_ptr), False),
     "edge_keys": Member(lambda graph: build_edge_keys(graph), _key_rows, True),
 }
 
@@ -199,13 +189,7 @@ class SamplerState:
         and any shared-memory broadcast.
         """
         arrays: dict[str, np.ndarray] = {}
-        if isinstance(kernel, HybridKernel):
-            # Same collapse the kernel's own prepare would run (dynamic
-            # graphs carry no edge types), so a snapshot hand-off and a
-            # fresh auto prepare agree on every row's strategy.
-            arrays["hybrid_strategy"] = resolve_strategy_codes(kernel.base, self.strategy)
-            arrays.update({name: getattr(self, name) for name in kernel.sub_state_names()})
-        elif isinstance(kernel, AliasKernel):
+        if isinstance(kernel, AliasKernel):
             arrays.update(alias_slots=self.alias_slots)
         elif isinstance(kernel, ITSKernel):
             arrays.update(its_cdf=self.its_cdf, its_row_totals=self.its_row_totals)

@@ -1,13 +1,13 @@
 """Engine registry: the one table that maps engine names to engines.
 
-Six engines execute the same ``WalkSpec``/``Query`` workloads and are
-held to the same statistical oracle.  Five run as plain software and are
+Five engines execute the same ``WalkSpec``/``Query`` workloads and are
+held to the same statistical oracle.  Four run as plain software and are
 one class hierarchy rooted at :class:`~repro.walks.engine.PreparedEngine`
-— the vectorized batch engine (``batch``), the numba-compiled
-fused-kernel engine (``jit``), the sharded multicore engine
+— the vectorized batch engine (``batch``), the sharded multicore engine
 (``parallel``), the distributed shard-routed engine (``dist``) and the
-pure-Python reference loop (``reference``); the sixth is the cycle-level
-accelerator model (``sim``, :func:`run_accelerator_walks`).
+pure-Python reference loop (``reference``); the fifth is the cycle-level
+accelerator model (``sim``, :func:`run_accelerator_walks`).  Every
+software engine samples with the spec's own kernel.
 
 :data:`SOFTWARE_ENGINES` is the registry: ``{cls.name: cls}``.  Each
 class declares the keyword options its constructor accepts
@@ -34,12 +34,10 @@ from repro.graph.csr import CSRGraph
 from repro.memory.spec import HBM2_U55C
 from repro.obs.metrics import global_registry
 from repro.obs.trace import span as _trace_span
-from repro.parallel import ParallelWalkEngine, validate_worker_backend
-from repro.sampling.hybrid import validate_sampler_mode
+from repro.parallel import ParallelWalkEngine
 from repro.walks import EngineStats, Query, WalkResults, WalkSpec, run_walks
 from repro.walks.batch import BatchEngine
 from repro.walks.engine import PreparedEngine, snapshot_graph
-from repro.walks.jit import JitEngine
 
 
 class ReferenceEngine(PreparedEngine):
@@ -49,15 +47,13 @@ class ReferenceEngine(PreparedEngine):
 
     name = "reference"
 
-    def __init__(self, graph, spec: WalkSpec, sampler: str = "default") -> None:
+    def __init__(self, graph, spec: WalkSpec) -> None:
         # Not _configure: that rejects specs only this engine runs.
         self._graph = snapshot_graph(graph)
         self._spec = spec
-        self._sampler_mode = validate_sampler_mode(sampler)
 
     def run(self, queries, seed=0, stats=None):
-        return run_walks(self._graph, self._spec, queries, seed=seed, stats=stats,
-                         sampler=self._sampler_mode)
+        return run_walks(self._graph, self._spec, queries, seed=seed, stats=stats)
 
     def swap_snapshot(self, snapshot) -> None:
         # The scalar samplers re-prepare per run; only the graph swaps.
@@ -67,7 +63,7 @@ class ReferenceEngine(PreparedEngine):
 #: The engines that run as plain software (no cycle model), by name.
 SOFTWARE_ENGINES: dict[str, type[PreparedEngine]] = {
     cls.name: cls
-    for cls in (BatchEngine, JitEngine, ParallelWalkEngine, DistWalkEngine, ReferenceEngine)
+    for cls in (BatchEngine, ParallelWalkEngine, DistWalkEngine, ReferenceEngine)
 }
 
 #: Every engine name accepted by ``--engine`` flags.
@@ -84,11 +80,10 @@ def _validate_engine_options(engine: str, options: dict) -> dict:
     """Drop ``None``-valued options and reject ones ``engine`` lacks.
 
     This is the one shared validation point for every entry path
-    (one-shot runs, prepared engines, the serving layer): option *names*
-    are checked against the engine's declared set, and the ``sampler``
-    option's *value* is checked against :data:`SAMPLER_MODES` so a typo
-    fails here, naming the valid choices, instead of deep inside a
-    kernel factory (or, worse, inside a worker process).
+    (one-shot runs, prepared engines, the serving layer): option names
+    are checked against the engine's declared set, so a typo or an
+    option aimed at another engine fails here, naming what the engine
+    accepts, instead of inside a worker process.
     """
     if engine not in SOFTWARE_ENGINES:
         raise WalkConfigError(
@@ -104,10 +99,6 @@ def _validate_engine_options(engine: str, options: dict) -> dict:
             f"{', '.join(sorted(unknown))}; it accepts "
             f"{sorted(accepted) or 'no options'}"
         )
-    if "sampler" in options:
-        validate_sampler_mode(options["sampler"])
-    if "backend" in options:
-        validate_worker_backend(options["backend"])
     return options
 
 

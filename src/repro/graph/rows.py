@@ -4,9 +4,8 @@ A batch of rows is a flat ``values`` array plus a ``row_ptr`` of
 ``len(rows) + 1`` offsets — a whole CSR graph (every row) and the dirty
 rows of one dynamic snapshot have the same shape, so the sampler-state
 builders written against it (:func:`repro.graph.alias.build_alias_rows`,
-:func:`row_sums`, :func:`row_cumsums`,
-:func:`repro.sampling.hybrid.select_row_strategies`) serve the full and
-the incremental build unchanged.
+:func:`row_sums`, :func:`row_cumsums`) serve the full and the
+incremental build unchanged.
 
 Reductions run on **degree buckets**: rows of equal degree ``d`` are
 gathered into one C-contiguous ``(k, d)`` matrix and reduced along the
@@ -91,10 +90,8 @@ def segment_last_argmax(
     return np.maximum.reduceat(holders, starts)
 
 
-def degree_buckets(
-    row_ptr: np.ndarray, min_degree: int = 1
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(rows, index)`` per distinct degree ``d >= min_degree``.
+def degree_buckets(row_ptr: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield ``(rows, index)`` per distinct nonzero degree ``d``.
 
     ``rows`` are the batch-local indices of the rows of that degree and
     ``index`` the ``(len(rows), d)`` matrix of their positions in the
@@ -103,7 +100,7 @@ def degree_buckets(
     degrees = np.diff(row_ptr)
     order = stable_order(degrees, int(degrees.max(initial=0)) + 1)
     ordered = degrees[order]
-    first = int(np.searchsorted(ordered, min_degree, side="left"))
+    first = int(np.searchsorted(ordered, 1, side="left"))
     lows = np.flatnonzero(run_heads(ordered[first:])) + first
     bounds = [*lows.tolist(), ordered.size]
     for width, lo, hi in zip(ordered[lows].tolist(), bounds, bounds[1:]):

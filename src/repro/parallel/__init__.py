@@ -6,12 +6,7 @@ shared-memory CSR graph, balanced by a degree-aware shard planner, and
 merged deterministically (bit-identical results for any worker count).
 """
 
-from repro.parallel.engine import (
-    WORKER_BACKENDS,
-    ParallelWalkEngine,
-    default_workers,
-    validate_worker_backend,
-)
+from repro.parallel.engine import ParallelWalkEngine, default_workers
 from repro.parallel.planner import QueryCostModel, expected_query_costs, plan_shards
 from repro.parallel.shared_graph import (
     SharedArrayStore,
@@ -23,8 +18,6 @@ from repro.parallel.shared_graph import (
 __all__ = [
     "ParallelWalkEngine",
     "QueryCostModel",
-    "WORKER_BACKENDS",
-    "validate_worker_backend",
     "SharedArrayStore",
     "SharedStoreHandle",
     "default_workers",

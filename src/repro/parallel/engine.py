@@ -38,28 +38,11 @@ from repro.parallel.shared_graph import KERNEL_PREFIX, SharedArrayStore, graph_a
 from repro.parallel.worker import ShardRunner
 from repro.sampling.vectorized import VectorizedKernel
 from repro.walks.base import WalkSpec, path_offsets
-from repro.walks.batch import BatchEngine
 from repro.walks.engine import STAT_FIELDS, prepared_kernel, usable_cpus
-from repro.walks.jit import NUMBA_AVAILABLE, JitEngine, warn_numba_fallback
-
-#: Per-worker shard cores the workers can run (``backend=`` option): the
-#: array engine each worker holds over the shared graph.
-WORKER_BACKENDS = {"batch": BatchEngine, "jit": JitEngine}
 
 #: Shards planned per worker.  Oversharding lets a fast worker take
 #: the next planned shard while a slow one is still busy.
 SHARDS_PER_WORKER = 4
-
-
-def validate_worker_backend(backend: str) -> str:
-    """Reject unknown worker backends, naming the valid choices."""
-    if backend not in WORKER_BACKENDS:
-        raise WalkConfigError(
-            f"unknown worker backend {backend!r}; expected one of "
-            f"{list(WORKER_BACKENDS)}"
-        )
-    return backend
-
 
 #: Worker count when none is given: every usable CPU, affinity-aware, so
 #: a 2-CPU cgroup on a 16-core host gets 2 workers, not 16 oversubscribed
@@ -79,34 +62,17 @@ class ParallelWalkEngine(WorkerGroupEngine):
     """
 
     name = "parallel"
-    #: ``backend`` (``"batch"`` | ``"jit"``) picks the per-shard core.
-    options = frozenset({"workers", "sampler", "backend"})
+    options = frozenset({"workers"})
 
-    def __init__(
-        self,
-        graph: CSRGraph,
-        spec: WalkSpec,
-        workers: int | None = None,
-        sampler: str = "default",
-        backend: str = "batch",
-    ) -> None:
-        self._configure(graph, spec, sampler)
-        validate_worker_backend(backend)
-        if backend == "jit" and not NUMBA_AVAILABLE:
-            # Same degradation contract as --engine jit: results are
-            # bit-identical either way, so warn once and run batch cores.
-            warn_numba_fallback()
-            backend = "batch"
+    def __init__(self, graph: CSRGraph, spec: WalkSpec, workers: int | None = None) -> None:
+        self._configure(graph, spec)
         if workers is not None and workers < 1:
             raise WalkConfigError(f"workers must be >= 1, got {workers}")
         self._workers = workers or default_workers()
 
-        graph, kernel = prepared_kernel(spec, sampler, graph)
+        graph, kernel = prepared_kernel(spec, graph)
         self._group = WorkerGroup(
-            self.name,
-            self._segments(graph, kernel),
-            ShardRunner,
-            [(spec, sampler, WORKER_BACKENDS[backend])] * self._workers,
+            self.name, self._segments(graph, kernel), ShardRunner, [(spec,)] * self._workers
         )
 
     def _segments(self, graph: CSRGraph, kernel: VectorizedKernel) -> list[SharedArrayStore]:

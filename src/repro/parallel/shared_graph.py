@@ -24,8 +24,7 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
-from repro.sampling.hybrid import make_walk_kernel
-from repro.sampling.vectorized import VectorizedKernel
+from repro.sampling.vectorized import VectorizedKernel, make_kernel
 
 _ALIGN = 64
 
@@ -203,10 +202,10 @@ def kernel_state_from_store(store: SharedArrayStore) -> dict[str, np.ndarray]:
     }
 
 
-def kernel_from_store(spec, sampler_mode: str, store: SharedArrayStore) -> VectorizedKernel:
-    """The worker-side kernel: the shell ``spec`` and ``sampler_mode``
-    name, loaded with the prepared state the parent broadcast in
-    ``store`` — no per-worker alias-table or edge-key build."""
-    kernel = make_walk_kernel(spec.make_sampler(), sampler_mode)
+def kernel_from_store(spec, store: SharedArrayStore) -> VectorizedKernel:
+    """The worker-side kernel: ``spec``'s kernel shell, loaded with the
+    prepared state the parent broadcast in ``store`` — no per-worker
+    alias-table or edge-key build."""
+    kernel = make_kernel(spec.make_sampler())
     kernel.load_state(kernel_state_from_store(store))
     return kernel

@@ -9,20 +9,7 @@ from repro.sampling.base import (
     Sampler,
     StepContext,
 )
-from repro.sampling.hybrid import (
-    SAMPLER_MODES,
-    BiasedScanKernel,
-    HybridConfig,
-    HybridKernel,
-    HybridSampler,
-    make_walk_kernel,
-    make_walk_sampler,
-    resolve_strategy_codes,
-    select_row_strategies,
-    select_row_strategy,
-    select_strategies,
-    validate_sampler_mode,
-)
+from repro.sampling.hybrid import make_walk_kernel
 from repro.sampling.its import (
     InverseTransformSampler,
     build_its_cdf,
@@ -43,19 +30,13 @@ from repro.sampling.vectorized import (
 __all__ = [
     "AliasSampler",
     "BatchSample",
-    "BiasedScanKernel",
-    "HybridConfig",
-    "HybridKernel",
-    "HybridSampler",
     "ITSKernel",
     "InverseTransformSampler",
     "NumpyRandomSource",
     "QueryStreams",
-    "SAMPLER_MODES",
     "VectorizedKernel",
     "make_kernel",
     "make_walk_kernel",
-    "make_walk_sampler",
     "RandomSource",
     "RejectionSampler",
     "ReservoirSampler",
@@ -67,9 +48,4 @@ __all__ = [
     "build_its_cdf",
     "build_its_row_totals",
     "exact_distribution",
-    "resolve_strategy_codes",
-    "select_row_strategies",
-    "select_row_strategy",
-    "select_strategies",
-    "validate_sampler_mode",
 ]

@@ -32,15 +32,16 @@ wait out ``swap_snapshot``.  A snapshot maintains the sampler state its
 readers have read: build the service from a
 :class:`~repro.dynamic.graph.GraphSnapshot` (not its ``.graph``) and
 the engine's construction-time prepare *is* that read, so every swap
-after it is a hand-off.  Measured on RMAT-16 (edge factor 12, the
-service's ``sampler="auto"``): such a swap takes 0.9 ms for PPR, 0.6 ms
-for DeepWalk and 5 ms for rejection Node2Vec (the edge filter is
-derived from the maintained keys at each epoch).  A service built from
-a plain ``CSRGraph`` prepared privately, so its *first* swap onto a
-snapshot builds from scratch what the kernel reads — 13 ms for PPR (the
-strategy map), 89 ms for DeepWalk, 15 ms for Node2Vec — and later ones
+after it is a hand-off.  Measured on a sliding window over an RMAT-16
+edge stream (edge factor 12, 1000-edge update batches; 2-core host,
+medians of five epochs): such a swap takes 0.03 ms for PPR, 0.04 ms for
+DeepWalk and 4.5 ms for rejection Node2Vec (the edge filter is derived
+from the maintained keys at each epoch).  A service built from a plain
+``CSRGraph`` prepared privately, so its *first* swap onto a snapshot
+builds from scratch what the kernel reads — nothing for PPR, 44 ms for
+DeepWalk (the alias slots), 5.7 ms for Node2Vec — and later ones
 inherit as above; a plain ``CSRGraph`` as the swap target runs the whole
-``prepare`` every time (12.5 / 55-83 / 15 ms).  Hand a frontier-served
+``prepare`` every time (0 / 46 / 5.9 ms).  Hand a frontier-served
 service snapshots, from construction on, where that stall matters.
 A pool fill's walkers take the slots clients leave, over as many turns
 as that needs, and the pool installs whole, on the one epoch it ran on,

@@ -7,8 +7,8 @@ sits between the two with one of two dispatchers, **chosen from the
 engine object, never by an option**:
 
 * **The open frontier** (:mod:`repro.serve.frontier`) — for an engine
-  that offers ``open_frontier`` (the in-process superstep engine:
-  ``batch``, and ``jit`` where it falls back to it, under any spec).
+  that offers ``open_frontier`` (the in-process superstep engine,
+  ``batch``, under any spec).
   RidgeWalker's argument is that a walk is a chain of stateless
   ``(query, step, v_last)`` tasks, so a lane freed by a finished walk
   takes the next query at once; this is that, in software.  Each walker
@@ -26,8 +26,8 @@ engine object, never by an option**:
   blocks on its queue — and yields every superstep, so admission and
   callers' callbacks run between steps.
 * **Closed micro-batches** (this module) — for every engine that only
-  has ``run``: ``parallel``, ``dist``, ``reference``, compiled ``jit``,
-  test doubles, proxies.  The service coalesces requests into
+  has ``run``: ``parallel``, ``dist``, ``reference``, test doubles,
+  proxies.  The service coalesces requests into
   micro-batches (flushed on ``max_batch`` or ``max_wait_ms``, whichever
   comes first) and executes each as one closed run on an
   executor thread, while the event loop coalesces the *next* batch; one
@@ -89,6 +89,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import active as _active_tracer
 from repro.sampling.base import normalize_seed
+from repro.sampling.hybrid import require_default
 from repro.serve.admission import AdmissionGate
 from repro.serve.cache import POOL_ID_BASE, HotWalkCache, ServedWalk
 from repro.serve.frontier import frontier_loop
@@ -159,8 +160,8 @@ class WalkService:
     already admitted before tearing down the dispatcher (and, on the
     closed path, its executor thread) and the prepared engine.
 
-    ``engine`` is a registry name (``"batch"``, ``"jit"``,
-    ``"parallel"``, ``"dist"``, ``"reference"`` — any key of
+    ``engine`` is a registry name (``"batch"``, ``"parallel"``,
+    ``"dist"``, ``"reference"`` — any key of
     :data:`repro.engines.SOFTWARE_ENGINES`) resolved through
     :func:`repro.engines.prepare_engine`, or an already-constructed
     :class:`~repro.engines.PreparedEngine`; either way the service owns
@@ -203,13 +204,6 @@ class WalkService:
                 )
             self._runner = engine
         else:
-            # Serving defaults to the runtime-adaptive hybrid sampler: the
-            # cost model picks each row's strategy once at prepare time, so
-            # the hot path never meets a pathological row.  Replay
-            # (:func:`replay_paths`) defaults to the same mode, keeping the
-            # offline oracle bit-identical; pass ``sampler="default"`` to
-            # pin the spec's single-strategy kernel instead.
-            engine_options.setdefault("sampler", "auto")
             self._runner = prepare_engine(engine, snapshot, spec, **engine_options)
         #: Vertex count of the graph version the *newest queued* swap
         #: targets — requests admitted now execute after every queued
@@ -924,7 +918,7 @@ def replay_paths(
     spec: WalkSpec,
     requests: dict[int, int],
     seed: int,
-    sampler: str = "auto",
+    sampler: str = "default",
 ) -> dict[int, np.ndarray]:
     """Offline oracle for served requests: ``{query_id: path}``.
 
@@ -935,14 +929,14 @@ def replay_paths(
     and the CI smoke assert.  This covers cache-served walks too: a
     :class:`~repro.serve.cache.ServedWalk`'s ``query_id`` (a reserved
     pool id on hits) replayed against its ``epoch``'s graph reproduces
-    its path bit-for-bit.  ``sampler`` defaults to ``"auto"``, the
-    service's own default; replaying a service pinned to
-    ``sampler="default"`` must pass the same.
+    its path bit-for-bit.  ``sampler`` accepts only ``"default"``: every
+    engine runs the spec's own kernel.
     """
     from repro.walks.batch import run_walks_batch
 
+    require_default("sampler", sampler)
     queries = [Query(query_id, start) for query_id, start in sorted(requests.items())]
-    results = run_walks_batch(graph, spec, queries, seed=seed, sampler=sampler)
+    results = run_walks_batch(graph, spec, queries, seed=seed)
     return {
         query.query_id: results.path_of(position)
         for position, query in enumerate(queries)

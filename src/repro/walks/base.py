@@ -305,7 +305,7 @@ def compact_path_matrix(paths: np.ndarray, hops: np.ndarray) -> tuple[np.ndarray
     Returns ``(flat, lengths)`` where ``flat`` is the concatenation of
     ``paths[i, :hops[i] + 1]`` for every row, in row order — the dense
     matrix's route into the compact representation
-    (:meth:`WalkResults.extend_from_matrix`, the jit worker backend).
+    (:meth:`WalkResults.extend_from_matrix`).
     """
     paths = np.asarray(paths)
     hops = np.asarray(hops, dtype=np.int64)

@@ -455,12 +455,11 @@ class BatchEngine(PreparedEngine):
         self,
         graph: CSRGraph,
         spec: WalkSpec,
-        sampler: str = "default",
         kernel: VectorizedKernel | None = None,
     ) -> None:
-        self._configure(graph, spec, sampler)
+        self._configure(graph, spec)
         if kernel is None:
-            _, kernel = prepared_kernel(spec, sampler, graph)
+            _, kernel = prepared_kernel(spec, graph)
         self._adopt(self._graph, kernel)
 
     def _adopt(self, graph: CSRGraph, kernel: VectorizedKernel) -> None:
@@ -670,7 +669,6 @@ def run_walks_batch(
     seed: int = 0,
     stats: EngineStats | None = None,
     kernel: VectorizedKernel | None = None,
-    sampler: str = "default",
 ) -> WalkResults:
     """Execute ``queries`` under ``spec`` with frontier supersteps.
 
@@ -679,11 +677,9 @@ def run_walks_batch(
     the reference engine's, not bit-identical (the engines consume their
     substreams in different patterns).
 
-    ``kernel``, when given, must already be prepared for ``graph``.
-    ``sampler`` selects the kernel family when no kernel is given:
-    ``"default"`` runs the spec's own single-strategy kernel, ``"auto"``
-    the cost-model-driven hybrid (:mod:`repro.sampling.hybrid`).
-    Repeated callers hold a :class:`BatchEngine` instead, to pay the
-    alias-table/edge-key construction once.
+    ``kernel``, when given, must already be prepared for ``graph``;
+    otherwise the spec's own kernel is prepared here.  Repeated callers
+    hold a :class:`BatchEngine` instead, to pay the alias-table/edge-key
+    construction once.
     """
-    return BatchEngine(graph, spec, sampler, kernel=kernel).run(queries, seed=seed, stats=stats)
+    return BatchEngine(graph, spec, kernel=kernel).run(queries, seed=seed, stats=stats)

@@ -27,8 +27,7 @@ import numpy as np
 
 from repro.errors import GraphError, WalkConfigError
 from repro.graph.csr import CSRGraph
-from repro.sampling.hybrid import make_walk_kernel, validate_sampler_mode
-from repro.sampling.vectorized import VectorizedKernel
+from repro.sampling.vectorized import VectorizedKernel, make_kernel
 from repro.walks.base import Query, WalkResults, WalkSpec, unpack_queries
 from repro.walks.reference import EngineStats
 
@@ -133,9 +132,7 @@ def snapshot_graph(snapshot) -> CSRGraph:
     return graph
 
 
-def prepared_kernel(
-    spec: WalkSpec, sampler_mode: str, snapshot
-) -> tuple[CSRGraph, VectorizedKernel]:
+def prepared_kernel(spec: WalkSpec, snapshot) -> tuple[CSRGraph, VectorizedKernel]:
     """``(graph, kernel ready to sample it)`` for a graph or a snapshot.
 
     A snapshot's sampler state replaces the kernel's ``prepare`` pass
@@ -148,7 +145,7 @@ def prepared_kernel(
     """
     graph = snapshot_graph(snapshot)
     state = getattr(snapshot, "sampler_state", None)
-    kernel = make_walk_kernel(spec.make_sampler(), sampler_mode)
+    kernel = make_kernel(spec.make_sampler())
     arrays = state.kernel_arrays(kernel) if state is not None else None
     if arrays is None:
         kernel.prepare(graph)
@@ -176,16 +173,14 @@ class PreparedEngine:
 
     #: Registry name of the engine.
     name: str
-    #: Constructor options beyond ``(graph, spec)``.  ``sampler``
-    #: (``"default"`` | ``"auto"``) picks the sampling backend on every
-    #: engine: auto runs the cost-model-driven per-row hybrid of
-    #: :mod:`repro.sampling.hybrid`.
-    options: frozenset[str] = frozenset({"sampler"})
+    #: Constructor options beyond ``(graph, spec)``.  Every engine samples
+    #: with its spec's own kernel, so only the pool engines declare any.
+    options: frozenset[str] = frozenset()
     #: Whether :meth:`run` still works after :meth:`close`.  False for
     #: engines whose ``close`` tears down worker processes.
     runs_after_close: bool = True
 
-    def _configure(self, graph, spec: WalkSpec, sampler: str) -> None:
+    def _configure(self, graph, spec: WalkSpec) -> None:
         """Validate and hold what the shared methods read (``graph`` is a
         ``CSRGraph`` or a ``GraphSnapshot``, as for a swap).  A method,
         not ``__init__``: test doubles subclass this with no constructor
@@ -193,7 +188,6 @@ class PreparedEngine:
         check_batch_spec(spec)
         self._graph = snapshot_graph(graph)
         self._spec = spec
-        self._sampler_mode = validate_sampler_mode(sampler)
 
     def run(
         self,
@@ -231,7 +225,7 @@ class PreparedEngine:
             # Before anything reads constructor state: run/close-only
             # test doubles land here too.
             raise WalkConfigError(f"engine {self.name!r} does not support snapshot swaps")
-        self._adopt(*prepared_kernel(self._spec, self._sampler_mode, snapshot))
+        self._adopt(*prepared_kernel(self._spec, snapshot))
 
     def _adopt(self, graph: CSRGraph, kernel: VectorizedKernel) -> None:
         """Serve ``graph`` through ``kernel`` (prepared for it) from now on."""

@@ -55,20 +55,14 @@ def run_walks(
     queries: Sequence[Query],
     seed: int = 0,
     stats: EngineStats | None = None,
-    sampler: str = "default",
 ) -> WalkResults:
     """Execute ``queries`` under ``spec`` and return their paths.
 
     Deterministic in ``seed``; each query gets an independent substream so
     results do not depend on query order.  Pass an :class:`EngineStats`
     to collect cost counters (used by the baseline performance models).
-    ``sampler="auto"`` wraps the spec's sampler in the per-row hybrid
-    dispatcher (:mod:`repro.sampling.hybrid`) — same per-hop
-    distributions, so the engine stays the statistical oracle either way.
     """
-    from repro.sampling.hybrid import make_walk_sampler
-
-    sampler = make_walk_sampler(spec.make_sampler(), sampler)
+    sampler = spec.make_sampler()
     sampler.prepare(graph)
     results = WalkResults()
     seed = normalize_seed(seed)

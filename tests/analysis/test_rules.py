@@ -20,8 +20,7 @@ from repro.analysis import all_rules, lint_paths
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-RULE_IDS = ("RW100", "RW101", "RW102", "RW103", "RW104", "RW105", "RW106",
-            "RW107")
+RULE_IDS = ("RW100", "RW101", "RW102", "RW103", "RW104", "RW105", "RW107")
 
 #: Minimum *active* findings each flagging fixture must produce for its
 #: own rule (the fixtures document each pattern they embed).
@@ -32,7 +31,6 @@ EXPECTED_FLAG_COUNTS = {
     "RW103": 1,
     "RW104": 3,  # time.sleep, sync engine call, open()
     "RW105": 3,  # list(setcomp), join(set var), for-over-set
-    "RW106": 3,  # bare @njit, call without cache=, explicit cache=False
     "RW107": 3,  # inline time()-start, finish-start tracked names, bare time()
 }
 

@@ -178,10 +178,9 @@ def test_a_ppr_service_never_builds_alias_slots(scratch_builds):
             return service.epoch
 
     assert asyncio.run(scenario()) == 3
-    # sampler="auto" reads the strategy map, once, at construction.
-    assert scratch_builds == ["strategy"]
-    assert set(dynamic.snapshot().sampler_state.held) == {"strategy"}
-    assert dynamic.state_builds["strategy", "incremental"] == 3
+    # PPR's uniform kernel reads no prepared state, so no epoch builds any.
+    assert scratch_builds == []
+    assert not dynamic.snapshot().sampler_state.held and not dynamic.state_builds
 
 
 # --- visible without a profiler ---------------------------------------------------
@@ -221,7 +220,7 @@ def test_a_traced_snapshot_names_what_it_maintained_and_the_ledger_is_exported()
 
 # --- hand engines the snapshot, not its graph ----------------------------------
 
-ENGINE_ROWS = {"batch": {}, "jit": {}, "parallel": {"workers": 2}, "dist": {"shards": 2},
+ENGINE_ROWS = {"batch": {}, "parallel": {"workers": 2}, "dist": {"shards": 2},
                "reference": {}}
 
 

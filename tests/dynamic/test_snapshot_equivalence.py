@@ -190,8 +190,6 @@ def test_first_order_snapshots_and_swaps_never_build_the_filter(filter_builds):
     with prepare_engine("batch", snapshot.graph, spec) as engine:
         engine.swap_snapshot(snapshot)
         engine.run(queries, seed=3)
-    with prepare_engine("batch", snapshot.graph, spec, sampler="auto") as engine:
-        engine.swap_snapshot(snapshot)
     assert filter_builds == []
 
 
@@ -211,10 +209,8 @@ def test_edge_keys_are_built_on_the_first_request_only(monkeypatch):
     monkeypatch.setattr(state_module, "build_edge_keys", counted)
     graph = mutated_dynamic_graph()  # four snapshots along an update trace
     snapshot = graph.snapshot()
-    for sampler in ("default", "auto"):
-        with prepare_engine("batch", snapshot.graph, DeepWalkSpec(max_length=12),
-                            sampler=sampler) as engine:
-            engine.swap_snapshot(snapshot)
+    with prepare_engine("batch", snapshot.graph, DeepWalkSpec(max_length=12)) as engine:
+        engine.swap_snapshot(snapshot)
     assert builds == []
     state = snapshot.sampler_state
     spec = Node2VecSpec(p=2.0, q=0.5, strategy="rejection", max_length=12)
@@ -231,7 +227,6 @@ def test_edge_keys_are_built_on_the_first_request_only(monkeypatch):
 def test_second_order_swap_builds_one_filter_per_state(filter_builds):
     from repro.sampling.vectorized import EdgeSet
     from repro.walks import Node2VecSpec
-    from repro.walks.jit.engine import jit_state_from_kernel
 
     graph = mutated_dynamic_graph()
     snapshot = graph.snapshot()
@@ -240,8 +235,8 @@ def test_second_order_swap_builds_one_filter_per_state(filter_builds):
     queries = make_queries(static_graph, 48, seed=5)
     expected = EdgeSet.build(static_graph)
     builds, held = [], []
-    for sampler in ("default", "auto", "default"):
-        with prepare_engine("batch", static_graph, spec, sampler=sampler) as engine:
+    for _ in range(3):
+        with prepare_engine("batch", static_graph, spec) as engine:
             filter_builds.clear()
             engine.swap_snapshot(snapshot)
             builds.append(len(filter_builds))
@@ -249,12 +244,9 @@ def test_second_order_swap_builds_one_filter_per_state(filter_builds):
             held.append(arrays["edge_filter"])
             swap_stats = EngineStats()
             swapped = engine.run(queries, seed=3, stats=swap_stats)
-            # The fused-kernel state reads the same mapping, keys only.
-            jit_state = jit_state_from_kernel(snapshot.graph, spec, engine._kernel)
-            assert jit_state.edge_keys is arrays["edge_keys"]
         fresh_stats = EngineStats()
         fresh, _ = run_software_walks("batch", static_graph, spec, queries, seed=3,
-                                      stats=fresh_stats, sampler=sampler)
+                                      stats=fresh_stats)
         for a, b in zip(swapped.paths, fresh.paths):
             assert np.array_equal(a, b)
         assert_stats_equal(swap_stats, fresh_stats)

@@ -1,8 +1,8 @@
 """Row-segmented builders == their one-row oracles, exactly.
 
-``build_alias_rows`` (lock-step Vose), ``row_sums`` / ``row_cumsums``
-(degree-bucketed reductions) and ``select_row_strategies`` serve both the
-full build and the dynamic subsystem's dirty-row build, so each must
+``build_alias_rows`` (lock-step Vose) and ``row_sums`` / ``row_cumsums``
+(degree-bucketed reductions) serve both the full build and the dynamic
+subsystem's dirty-row build, so each must
 return, for every row of any batch, precisely what the per-row loop it
 replaced returns (``tests/row_oracles.py``) — whatever the row shares
 the batch with.
@@ -24,7 +24,6 @@ import pytest
 
 import repro.dynamic.state
 import repro.graph.alias
-import repro.sampling.hybrid
 import repro.sampling.its
 import repro.graph
 import repro.graph.rows
@@ -42,9 +41,8 @@ from repro.graph.rows import (
     segment_last_argmax,
     stable_order,
 )
-from repro.sampling.hybrid import HybridConfig, select_row_strategies, select_strategies
 from repro.sampling.its import build_its_cdf, build_its_row_totals
-from row_oracles import csr_from_edges, cumsum_rows, strategy_rows, sum_rows, vose_rows
+from row_oracles import csr_from_edges, cumsum_rows, sum_rows, vose_rows
 
 NUM_SEEDS = 24
 
@@ -87,17 +85,6 @@ class TestBatchEqualsOracle:
         assert np.array_equal(row_cumsums(weights, row_ptr), cumsum_rows(weights, row_ptr))
         assert np.array_equal(row_sums(weights, row_ptr), sum_rows(weights, row_ptr))
 
-    def test_strategies(self, seed):
-        weights, row_ptr = adversarial_batch(seed)
-        for config in (HybridConfig(), HybridConfig(update_rate=0.5, small_degree=3)):
-            assert np.array_equal(
-                select_row_strategies(weights, row_ptr, config),
-                strategy_rows(weights, row_ptr, config),
-            )
-        assert np.array_equal(
-            select_row_strategies(None, row_ptr), strategy_rows(None, row_ptr)
-        )
-
 
 def test_a_row_does_not_depend_on_its_batch():
     """The lock-step rounds and the one-row finisher give the same table:
@@ -135,7 +122,6 @@ def test_degree_buckets_cover_each_nonempty_row_once():
         assert np.array_equal(index[:, 0], row_ptr[rows])
         assert np.array_equal(index[:, -1] + 1, row_ptr[rows + 1])
     assert np.array_equal(seen, (np.diff(row_ptr) > 0).astype(int))
-    assert all(index.shape[1] >= 2 for _, index in degree_buckets(row_ptr, min_degree=2))
     assert list(degree_buckets(np.zeros(4, dtype=np.int64))) == []
 
 
@@ -170,7 +156,6 @@ class TestInvalidWeights:
         assert prob.tolist() == [0.5, 1.0] and alias.tolist() == [1, 1]
         assert row_sums(weights, row_ptr).tolist() == [0.0, 8.0, 0.0]
         assert row_cumsums(weights, row_ptr).tolist() == [2.0, 8.0]
-        assert select_row_strategies(weights, row_ptr)[:, 0].tolist() == [5, 2, 5]
         empty = np.zeros(3, dtype=np.int64)
         assert build_alias_rows(np.empty(0), empty)[0].size == 0
 
@@ -186,7 +171,6 @@ def test_graph_level_builders_are_the_all_rows_call():
     assert np.array_equal(table.prob, prob) and np.array_equal(table.alias, alias)
     assert np.array_equal(build_its_cdf(graph), cumsum_rows(graph.weights, graph.row_ptr))
     assert np.array_equal(build_its_row_totals(graph), sum_rows(graph.weights, graph.row_ptr))
-    assert np.array_equal(select_strategies(graph), strategy_rows(graph.weights, graph.row_ptr))
 
 
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
@@ -194,7 +178,7 @@ _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.Gener
 
 @pytest.mark.parametrize(
     "module",
-    [repro.graph.alias, repro.sampling.its, repro.sampling.hybrid, repro.dynamic.state],
+    [repro.graph.alias, repro.sampling.its, repro.dynamic.state],
     ids=lambda module: module.__name__,
 )
 def test_no_per_vertex_python_in_the_builders(module):

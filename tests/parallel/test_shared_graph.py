@@ -120,9 +120,8 @@ class TestKernelStateBroadcast:
                         reason="the worker-side patches are inherited by fork")
     @pytest.mark.parametrize("engine,options", [("parallel", {"workers": 2}),
                                                 ("dist", {"shards": 2})])
-    @pytest.mark.parametrize("sampler", ["default", "auto"])
     def test_workers_attach_the_edge_filter_and_never_build_one(
-        self, monkeypatch, engine, options, sampler
+        self, monkeypatch, engine, options
     ):
         """The filter is built once, in the parent; a worker's kernel holds
         a view of the copy in its shared segment."""
@@ -136,8 +135,8 @@ class TestKernelStateBroadcast:
             assert os.getpid() == parent, "edge filter rebuilt inside a worker"
             return real_build(edge_keys)
 
-        def checked_load(spec, sampler_mode, store):
-            kernel = real_load(spec, sampler_mode, store)
+        def checked_load(spec, store):
+            kernel = real_load(spec, store)
             held = kernel.state_arrays()["edge_filter"]
             assert not held.flags.owndata and not held.flags.writeable
             assert np.shares_memory(held, store.arrays()[KERNEL_PREFIX + "edge_filter"])
@@ -148,10 +147,9 @@ class TestKernelStateBroadcast:
         graph = load_dataset("WG", scale=0.05, seed=1)
         spec = Node2VecSpec(p=2.0, q=0.5, strategy="rejection", max_length=10)
         queries = make_queries(graph, 64, seed=2)
-        with prepare_engine(engine, graph, spec, sampler=sampler, **options) as pool:
+        with prepare_engine(engine, graph, spec, **options) as pool:
             results = pool.run(queries, seed=4)  # a failed worker check raises here
-        baseline, _ = run_software_walks("batch", graph, spec, queries, seed=4,
-                                         sampler=sampler)
+        baseline, _ = run_software_walks("batch", graph, spec, queries, seed=4)
         for a, b in zip(results.paths, baseline.paths):
             assert np.array_equal(a, b)
 

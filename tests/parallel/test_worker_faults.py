@@ -193,7 +193,7 @@ def test_service_books_a_killed_worker_as_failed():
     before = _shm_segments()
 
     async def scenario():
-        engine = ParallelWalkEngine(graph, spec, workers=2, sampler="auto")
+        engine = ParallelWalkEngine(graph, spec, workers=2)
         # Rank 0 is handed the first shard of every run, however small.
         victim = engine.worker_pids[0]
         async with WalkService(graph, spec, engine=engine, seed=11) as service:

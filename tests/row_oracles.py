@@ -1,21 +1,12 @@
 """One-row reference implementations for the row-segmented builders.
 
-These are the per-row loops the builders in ``repro.graph.rows``,
-``repro.graph.alias`` and ``repro.sampling.hybrid`` replaced, kept here
+These are the per-row loops the builders in ``repro.graph.rows`` and
+``repro.graph.alias`` replaced, kept here
 as the oracles their property tests compare against — the arithmetic is
 unchanged, so the comparison is exact equality, not a tolerance.
 """
 
 import numpy as np
-
-from repro.sampling.hybrid import (
-    DEFAULT_CONFIG,
-    STRATEGY_ALIAS,
-    STRATEGY_HEAVY,
-    STRATEGY_ITS,
-    STRATEGY_ONE,
-    STRATEGY_UNIFORM,
-)
 
 
 def vose_row(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -64,34 +55,6 @@ def sum_rows(weights: np.ndarray, row_ptr: np.ndarray) -> np.ndarray:
          for lo, hi in zip(row_ptr[:-1].tolist(), row_ptr[1:].tolist())],
         dtype=np.float64,
     )
-
-
-def strategy_row(degree, weights, config=DEFAULT_CONFIG) -> tuple[int, int]:
-    """The row-local cost model, one row at a time."""
-    if degree <= 1:
-        return STRATEGY_ONE, STRATEGY_ONE
-    second = STRATEGY_ITS if degree <= config.small_degree else STRATEGY_HEAVY
-    if weights is None:
-        return STRATEGY_UNIFORM, second
-    weights = np.asarray(weights, dtype=np.float64)
-    if float(weights.max()) == float(weights.min()):
-        return STRATEGY_UNIFORM, second
-    if degree <= config.small_degree:
-        return STRATEGY_ITS, second
-    expected_reads = float(
-        (np.arange(1, degree + 1, dtype=np.float64) * weights).sum() / weights.sum()
-    )
-    if expected_reads <= config.its_read_budget:
-        return STRATEGY_ITS, second
-    return STRATEGY_ALIAS, second
-
-
-def strategy_rows(weights, row_ptr, config=DEFAULT_CONFIG) -> np.ndarray:
-    return np.array(
-        [strategy_row(hi - lo, None if weights is None else weights[lo:hi], config)
-         for lo, hi in zip(row_ptr[:-1].tolist(), row_ptr[1:].tolist())],
-        dtype=np.int8,
-    ).reshape(-1, 2)
 
 
 def pack_slots_scalar(prob, alias, row_ptr, col) -> list[tuple[float, int, int]]:

@@ -23,7 +23,7 @@ from repro.graph import CSRGraph, from_edges, rmat
 from repro.graph.alias import build_alias_table
 from repro.parallel.runtime import worker_context
 from repro.parallel.shared_graph import KERNEL_PREFIX, SharedArrayStore, kernel_from_store
-from repro.sampling import hybrid, vectorized
+from repro.sampling import vectorized
 from repro.sampling.vectorized import (
     ALIAS_SLOT,
     AliasKernel,
@@ -222,7 +222,7 @@ def test_record_arrays_round_trip_through_the_store_with_their_fields():
 
 # --- dynamic snapshots: slice-copied, packed only where rebuilt -------------
 
-_PACKER_SITES = (vectorized, hybrid, repro.dynamic.state)
+_PACKER_SITES = (vectorized, repro.dynamic.state)
 
 
 def forbid_packing(monkeypatch, allowed_pid: int | None = None) -> None:
@@ -270,11 +270,10 @@ def test_update_packs_only_the_rebuilt_rows(monkeypatch):
         assert snapshot.sampler_state.alias_slots.tobytes() == fresh.tobytes()
 
 
-@pytest.mark.parametrize("sampler", ["default", "auto"])
-def test_a_swap_hands_the_records_over_and_never_packs(monkeypatch, sampler):
+def test_a_swap_hands_the_records_over_and_never_packs(monkeypatch):
     dynamic, batches = churned_graph()
     spec = DeepWalkSpec(max_length=12)
-    with prepare_engine("batch", dynamic.snapshot().graph, spec, sampler=sampler) as engine:
+    with prepare_engine("batch", dynamic.snapshot().graph, spec) as engine:
         for batch in batches:
             apply_batch(dynamic, batch)
         snapshot = dynamic.snapshot()
@@ -285,8 +284,7 @@ def test_a_swap_hands_the_records_over_and_never_packs(monkeypatch, sampler):
             held = engine._kernel.state_arrays()["alias_slots"]
             assert held is snapshot.sampler_state.alias_slots
             swapped = engine.run(queries, seed=3)
-    fresh, _ = run_software_walks("batch", snapshot.graph, spec, queries, seed=3,
-                                  sampler=sampler)
+    fresh, _ = run_software_walks("batch", snapshot.graph, spec, queries, seed=3)
     assert all(map(np.array_equal, swapped.paths, fresh.paths))
 
 
@@ -304,14 +302,11 @@ def test_snapshot_state_holds_no_unpacked_tables():
                     reason="the worker-side patches are inherited by fork")
 @pytest.mark.parametrize("engine,options", [("parallel", {"workers": 2}),
                                             ("dist", {"shards": 2})])
-@pytest.mark.parametrize("sampler", ["default", "auto"])
-def test_workers_hold_a_view_of_their_segment_and_never_pack(
-    monkeypatch, engine, options, sampler
-):
+def test_workers_hold_a_view_of_their_segment_and_never_pack(monkeypatch, engine, options):
     real_load = kernel_from_store
 
-    def checked_load(spec, sampler_mode, store):
-        kernel = real_load(spec, sampler_mode, store)
+    def checked_load(spec, store):
+        kernel = real_load(spec, store)
         held = kernel.state_arrays()["alias_slots"]
         assert held.dtype == ALIAS_SLOT
         assert not held.flags.owndata and not held.flags.writeable
@@ -323,11 +318,11 @@ def test_workers_hold_a_view_of_their_segment_and_never_pack(
     graph = weighted_rmat()
     spec = DeepWalkSpec(max_length=10)
     queries = make_queries(graph, 64, seed=2)
-    with prepare_engine(engine, graph, spec, sampler=sampler, **options) as pool:
+    with prepare_engine(engine, graph, spec, **options) as pool:
         results = pool.run(queries, seed=4)  # a failed worker check raises here
         pool.swap_snapshot(graph)  # workers adopt a new segment the same way
         again = pool.run(queries, seed=4)
-    baseline, _ = run_software_walks("batch", graph, spec, queries, seed=4, sampler=sampler)
+    baseline, _ = run_software_walks("batch", graph, spec, queries, seed=4)
     assert all(map(np.array_equal, results.paths, baseline.paths))
     assert all(map(np.array_equal, again.paths, baseline.paths))
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from stall_helpers import RETRY_HEAVY
 
+from repro.engines import prepare_engine
 from repro.graph import load_dataset
 from repro.serve import ServeConfig, WalkService, replay_paths, run_open_loop
 from repro.walks import DeepWalkSpec, Node2VecSpec, PPRSpec
@@ -117,6 +118,24 @@ def test_walks_of_unequal_length_replay_bit_identically(workload, engine,
         assert service.stats.mean_step_occupancy() <= max_batch
 
 
+def test_a_handed_in_engine_replays_at_replay_paths_defaults(workload):
+    """A service over an engine it did not build replays through
+    ``replay_paths`` called with no sampler: every engine runs the spec's
+    own kernel, so the oracle's defaults are the engine's."""
+    graph, spec, starts, _ = workload
+
+    async def _drive():
+        engine = prepare_engine("batch", graph, spec)
+        async with WalkService(graph, spec, engine=engine, seed=SERVICE_SEED) as service:
+            return await run_open_loop(service, starts)
+
+    report = asyncio.run(_drive())
+    oracle = replay_paths(graph, spec, report.requests, SERVICE_SEED)
+    assert len(oracle) == NUM_REQUESTS
+    for query_id, expected in oracle.items():
+        assert np.array_equal(report.paths[query_id], expected), query_id
+
+
 def test_interleaved_arrivals_do_not_change_paths(workload):
     """Paced arrivals slice the stream differently; paths must not move."""
     graph, spec, starts, oracle = workload
@@ -170,7 +189,7 @@ def test_retry_heavy_walks_replay_with_equal_counters(workload, p, q):
     spec = Node2VecSpec(p=p, q=q, max_length=10)
     offline = EngineStats()
     expected = run_walks_batch(graph, spec, [Query(i, int(v)) for i, v in enumerate(starts)],
-                               seed=SERVICE_SEED, stats=offline, sampler="auto")
+                               seed=SERVICE_SEED, stats=offline)
     assert offline.sampling_proposals > offline.total_hops
     report, service = _serve(graph, spec, starts, "batch", {}, max_batch=8)
     assert service.stats.supersteps > 0  # stepped by the open frontier
@@ -191,12 +210,10 @@ def test_engine_stats_match_offline_batch(workload):
 
     graph, spec, starts, _ = workload
     offline = EngineStats()
-    # The service defaults to sampler="auto"; the closed-run oracle must
-    # run the same backend for its counters to be comparable.
     run_walks_batch(
         graph, spec,
         [Query(i, int(v)) for i, v in enumerate(starts)],
-        seed=SERVICE_SEED, stats=offline, sampler="auto",
+        seed=SERVICE_SEED, stats=offline,
     )
     _, service = _serve(graph, spec, starts, "batch", {}, max_batch=16)
     served = service.engine_stats

@@ -34,7 +34,11 @@ GOLDEN_PATH = Path(__file__).with_name("golden_compact_core.json")
 GOLDEN_SEED = 13
 GOLDEN_LENGTH = 20
 GOLDEN_QUERIES = 400
-SAMPLERS = ("default", "auto")
+
+
+def golden_key(algorithm):
+    """A cell's key: the algorithm under its spec's own (``default``) kernel."""
+    return f"{algorithm}/default"
 
 
 def golden_graph():
@@ -49,18 +53,17 @@ def golden_queries(graph):
     return make_queries(graph, GOLDEN_QUERIES, seed=5, require_outgoing=False)
 
 
-def golden_cell(graph, queries, algorithm, sampler, engine=None, **options) -> dict:
+def golden_cell(graph, queries, algorithm, engine=None, **options) -> dict:
     """Digest of the paths plus every ``EngineStats`` field of one run
     (through ``run_walks_batch``, or the named registry engine)."""
     spec = make_spec(algorithm)
     spec.max_length = GOLDEN_LENGTH
     stats = EngineStats()
     if engine is None:
-        results = run_walks_batch(graph, spec, queries, seed=GOLDEN_SEED, stats=stats,
-                                  sampler=sampler)
+        results = run_walks_batch(graph, spec, queries, seed=GOLDEN_SEED, stats=stats)
     else:
         results, _ = run_software_walks(engine, graph, spec, queries, seed=GOLDEN_SEED,
-                                        stats=stats, sampler=sampler, **options)
+                                        stats=stats, **options)
     digest = hashlib.sha256()
     for path in results.paths:
         assert path.dtype == np.int64
@@ -78,9 +81,8 @@ def golden_table() -> dict:
     graph = golden_graph()
     queries = golden_queries(graph)
     return {
-        f"{algorithm}/{sampler}": golden_cell(graph, queries, algorithm, sampler)
+        golden_key(algorithm): golden_cell(graph, queries, algorithm)
         for algorithm in ALGORITHMS
-        for sampler in SAMPLERS
     }
 
 
@@ -93,24 +95,22 @@ def golden_inputs():
     return graph, golden_queries(graph)
 
 
-@pytest.mark.parametrize("sampler", SAMPLERS)
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_matches_pre_compaction_golden(golden_inputs, algorithm, sampler):
-    expected = json.loads(GOLDEN_PATH.read_text())[f"{algorithm}/{sampler}"]
-    assert golden_cell(*golden_inputs, algorithm, sampler) == expected
+def test_matches_pre_compaction_golden(golden_inputs, algorithm):
+    expected = json.loads(GOLDEN_PATH.read_text())[golden_key(algorithm)]
+    assert golden_cell(*golden_inputs, algorithm) == expected
 
 
 @pytest.mark.parametrize("engine,options", [("parallel", {"workers": 2}),
                                             ("dist", {"shards": 2})])
-@pytest.mark.parametrize("sampler", SAMPLERS)
 @pytest.mark.parametrize("algorithm", ["Node2Vec", "Node2Vec-reservoir"])
 def test_second_order_golden_cells_hold_on_the_pool_engines(
-    golden_inputs, algorithm, sampler, engine, options
+    golden_inputs, algorithm, engine, options
 ):
     """The adjacency probe's answers reach the worker processes through
     shared segments; the same pre-compaction digests must come back."""
-    expected = json.loads(GOLDEN_PATH.read_text())[f"{algorithm}/{sampler}"]
-    assert golden_cell(*golden_inputs, algorithm, sampler, engine, **options) == expected
+    expected = json.loads(GOLDEN_PATH.read_text())[golden_key(algorithm)]
+    assert golden_cell(*golden_inputs, algorithm, engine, **options) == expected
 
 
 # --- (b) edge cases the compaction introduces -----------------------------
@@ -208,14 +208,14 @@ def test_duplicate_wide_and_permuted_query_ids():
 
 @pytest.mark.parametrize("algorithm", ["DeepWalk", "PPR", "MetaPath"])
 def test_dense_adapter_equals_flat_rows(golden_inputs, algorithm):
-    from repro.sampling.hybrid import make_walk_kernel
+    from repro.sampling.vectorized import make_kernel
     from repro.walks.base import unpack_queries
     from repro.walks.batch import run_walks_batch_arrays, run_walks_batch_flat
 
     graph, queries = golden_inputs
     spec = make_spec(algorithm)
     spec.max_length = GOLDEN_LENGTH
-    kernel = make_walk_kernel(spec.make_sampler(), "default")
+    kernel = make_kernel(spec.make_sampler())
     kernel.prepare(graph)
     ids, starts = unpack_queries(queries)
     flat_stats, dense_stats = EngineStats(), EngineStats()
@@ -259,14 +259,12 @@ def test_identity_draws_advance_carried_states_in_place():
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("sampler", SAMPLERS)
-def test_kernels_sample_identically_without_stream_idx(golden_inputs, algorithm, sampler):
-    from repro.sampling.hybrid import make_walk_kernel
-    from repro.sampling.vectorized import QueryStreams
+def test_kernels_sample_identically_without_stream_idx(golden_inputs, algorithm):
+    from repro.sampling.vectorized import QueryStreams, make_kernel
 
     graph, _ = golden_inputs
     spec = make_spec(algorithm)
-    kernel = make_walk_kernel(spec.make_sampler(), sampler)
+    kernel = make_kernel(spec.make_sampler())
     kernel.prepare(graph)
     rng = np.random.default_rng(4)
     current = rng.choice(np.flatnonzero(graph.degrees() > 0), size=200)

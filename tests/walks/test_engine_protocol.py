@@ -5,7 +5,7 @@ one shared ``run`` (empty check, unpack, start-vertex check, the
 engine's array hook, stats fold, ``WalkResults``), one shared
 ``swap_snapshot`` (snapshot -> prepared kernel -> ``_adopt``), one
 registry table.  Each behaviour the protocol promises is asserted here
-for all five names, so a new engine inherits the checks by adding one
+for all four names, so a new engine inherits the checks by adding one
 row to ``ENGINE_ROWS`` — and a structural guard at the bottom keeps the
 shared pieces from being re-grown per engine.
 """
@@ -29,14 +29,12 @@ from repro.engines import (
     run_software_walks,
 )
 from repro.errors import GraphError, WalkConfigError
-from repro.sampling import SAMPLER_MODES
 from repro.serve import WalkService
 from repro.walks import DeepWalkSpec, EngineStats, Query, WalkResults, make_queries
 
 #: Registry name -> the options this file constructs it with.
 ENGINE_ROWS = {
     "batch": {},
-    "jit": {},
     "parallel": {"workers": 2},
     "dist": {"shards": 2},
     "reference": {},
@@ -46,7 +44,6 @@ ENGINE_NAMES = tuple(ENGINE_ROWS)
 #: Options each engine does not declare (another engine's).
 MISDIRECTED = {
     "batch": ("workers", "shards"),
-    "jit": ("backend",),
     "parallel": ("shards",),
     "dist": ("workers",),
     "reference": ("workers",),
@@ -102,11 +99,10 @@ def test_one_shot_is_prepare_run_close(epochs, engine):
 
 
 @pytest.mark.parametrize("target", ["csr", "snapshot"])
-@pytest.mark.parametrize("sampler", SAMPLER_MODES)
 @pytest.mark.parametrize("engine", ENGINE_NAMES)
-def test_swap_equals_fresh_engine(epochs, engine, sampler, target):
+def test_swap_equals_fresh_engine(epochs, engine, target):
     base, snapshot, static_graph, spec, queries = epochs
-    options = dict(ENGINE_ROWS[engine], sampler=sampler)
+    options = ENGINE_ROWS[engine]
     swap_to = snapshot if target == "snapshot" else static_graph
     swap_stats, fresh_stats = EngineStats(), EngineStats()
     with prepare_engine(engine, base, spec, **options) as swapped:
@@ -158,16 +154,6 @@ def test_misdirected_option_names_the_accepted_set(epochs, engine):
             assert option in str(excinfo.value)
             for accepted in SOFTWARE_ENGINES[engine].options:
                 assert accepted in str(excinfo.value)
-
-
-@pytest.mark.parametrize("engine", ENGINE_NAMES)
-def test_bad_sampler_names_the_modes_even_off_registry(epochs, engine):
-    _, _, graph, spec, _ = epochs
-    for build in (SOFTWARE_ENGINES[engine], lambda *a, **o: prepare_engine(engine, *a, **o)):
-        with pytest.raises(WalkConfigError, match="sampler") as excinfo:
-            build(graph, spec, sampler="bogus", **ENGINE_ROWS[engine])
-        for mode in SAMPLER_MODES:
-            assert mode in str(excinfo.value)
 
 
 def test_run_close_only_subclass_serves_without_base_init(epochs):
@@ -235,7 +221,8 @@ def test_shared_pieces_are_written_once():
     the scalar reference engine define ``swap_snapshot``."""
     assert _call_sites("unpack_queries") == 1
     assert _call_sites("record_run") == 1
-    assert 1 <= _call_sites("make_walk_kernel") <= 4
+    assert _call_sites("make_walk_kernel") == 0
+    assert 1 <= _call_sites("make_kernel") <= 4
     definitions = [
         node
         for tree in _engine_layer_trees()
@@ -250,7 +237,7 @@ def test_shared_pieces_are_written_once():
     ]
     assert len(swappers) <= 2, swappers
     retired = {"run_walks_jit", "run_walks_jit_prepared", "run_walks_parallel",
-               "run_walks_dist"}
+               "run_walks_dist", "JitEngine", "HybridKernel", "HybridSampler"}
     assert not retired & {node.name for node in definitions}
 
 

@@ -125,13 +125,11 @@ def test_one_usable_cpu_is_one_lane():
         os.sched_setaffinity(0, before)
 
 
-@pytest.mark.parametrize("sampler", ("default", "auto"))
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_paths_and_stats_do_not_depend_on_lanes(monkeypatch, graph, queries,
-                                                algorithm, sampler):
+def test_paths_and_stats_do_not_depend_on_lanes(monkeypatch, graph, queries, algorithm):
     spec = make_spec(algorithm)
     spec.max_length = LENGTH
-    engine = BatchEngine(graph, spec, sampler)
+    engine = BatchEngine(graph, spec)
     assert_lane_invariant(runs_by_lanes(monkeypatch, engine, queries))
 
 
@@ -219,7 +217,7 @@ class RaisesOffTheCallingThread:
 
 def test_a_failing_lane_raises_from_the_run(monkeypatch, graph, queries):
     spec = make_spec("DeepWalk")
-    _, kernel = prepared_kernel(spec, "default", graph)
+    _, kernel = prepared_kernel(spec, graph)
     engine = BatchEngine(graph, spec, kernel=RaisesOffTheCallingThread(
         kernel, threading.get_ident()))
     force_lanes(monkeypatch, 2, QUERIES)

@@ -8,7 +8,6 @@ specs whose hooks ignore the hop and for specs whose hooks read each
 walker's own hop count (MetaPath's edge type, a hop-dependent teleport).
 """
 
-import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -30,8 +29,6 @@ from repro.walks import (
 from repro.walks.base import Query
 from repro.walks.batch import BatchEngine
 from repro.walks.engine import STAT_FIELDS, PreparedEngine
-from repro.walks.jit import JitEngine
-from repro.walks.jit.compat import NUMBA_AVAILABLE
 
 SEED = 9
 WALKERS = 30
@@ -68,10 +65,10 @@ def graph(typed: bool = False):
 
 
 @lru_cache(maxsize=None)
-def closed_run(name: str, sampler: str):
+def closed_run(name: str):
     """Engine, ids, starts, and the closed run's paths and counters."""
     spec = SPECS[name]
-    engine = BatchEngine(graph(typed=isinstance(spec, MetaPathSpec)), spec, sampler)
+    engine = BatchEngine(graph(typed=isinstance(spec, MetaPathSpec)), spec)
     rng = np.random.default_rng(5)
     ids = rng.permutation(10 * WALKERS)[:WALKERS]
     starts = rng.integers(0, graph().num_vertices, WALKERS)
@@ -103,10 +100,9 @@ def walk_out(frontier, ids, starts, rng, burst):
 
 
 @pytest.mark.parametrize("capacity", [1, 2, 64])
-@pytest.mark.parametrize("sampler", ["default", "auto"])
 @pytest.mark.parametrize("name", list(SPECS))
-def test_open_run_equals_closed_run(name, sampler, capacity):
-    engine, ids, starts, results, closed_counts = closed_run(name, sampler)
+def test_open_run_equals_closed_run(name, capacity):
+    engine, ids, starts, results, closed_counts = closed_run(name)
     for schedule in range(SCHEDULES):
         rng = np.random.default_rng([schedule, capacity])
         order = rng.permutation(WALKERS)
@@ -114,7 +110,7 @@ def test_open_run_equals_closed_run(name, sampler, capacity):
         paths, slots_used = walk_out(frontier, ids[order], starts[order], rng, burst=5)
         for position, walker in enumerate(order.tolist()):
             assert np.array_equal(paths[position], results.path_of(walker)), (
-                f"{name}/{sampler} capacity {capacity} schedule {schedule}: "
+                f"{name} capacity {capacity} schedule {schedule}: "
                 f"query {ids[walker]} walked a different path open than closed"
             )
             assert paths[position].base is None
@@ -127,7 +123,7 @@ def test_open_run_equals_closed_run(name, sampler, capacity):
 
 
 def test_admit_rejects_before_seating_anything():
-    engine, ids, starts, results, _ = closed_run("PPR", "default")
+    engine, ids, starts, results, _ = closed_run("PPR")
     frontier = engine.open_frontier(SEED, 4)
     owner = dict(zip(frontier.admit(ids[:3], starts[:3]).tolist(), range(3)))
     before = (frontier.live, frontier.free, frontier.counts.copy())
@@ -157,7 +153,7 @@ def test_admit_rejects_before_seating_anything():
 
 def test_wide_pool_ids_seat_correctly():
     """Reserved cache-pool ids sit past 2**40: two entropy words."""
-    engine = closed_run("PPR", "default")[0]
+    engine = closed_run("PPR")[0]
     ids = np.array([(1 << 40) + 3, 7, (1 << 40) + 4, (1 << 33), 2**63 - 1])
     starts = np.arange(5) + 10
     results = engine.run([Query(int(q), int(v)) for q, v in zip(ids, starts)], seed=SEED)
@@ -170,7 +166,7 @@ def test_wide_pool_ids_seat_correctly():
 
 
 def test_abandon_frees_every_slot():
-    engine, ids, starts, results, _ = closed_run("DeepWalk", "default")
+    engine, ids, starts, results, _ = closed_run("DeepWalk")
     frontier = engine.open_frontier(SEED, 8)
     frontier.admit(ids[:8], starts[:8])
     frontier.step()
@@ -186,7 +182,7 @@ def test_offered_for_every_spec():
     share a superstep under any spec: the batch engine always offers
     its open form."""
     for name in SPECS:
-        assert callable(closed_run(name, "default")[0].open_frontier)
+        assert callable(closed_run(name)[0].open_frontier)
     typed = from_edges([(0, 1), (1, 0)], edge_types=[0, 1], num_vertices=2)
     engine = BatchEngine(typed.with_weights(np.ones(2)), MetaPathSpec([0, 1], max_length=5))
     # Hop k needs pattern[k % 2]: admitted a superstep apart, the two
@@ -203,12 +199,6 @@ def test_offered_for_every_spec():
         assert frontier.take(slot).tolist() == [0, 1, 0, 1, 0, 1]
     # The protocol itself has no open form: pool engines step elsewhere.
     assert not hasattr(PreparedEngine, "open_frontier")
-    # jit is the batch engine where numba is absent, and only there has a
-    # superstep to open.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        jit = JitEngine(graph(), SPECS["PPR"])
-    assert hasattr(jit, "open_frontier") == (not NUMBA_AVAILABLE)
 
 
 class TestSeedStateRoutes:

@@ -1,112 +1,107 @@
-"""Error-path coverage for the ``sampler=`` engine option.
+"""Every engine samples with its spec's own kernel: what that refuses.
 
-Mirrors the ``make_kernel`` unknown-sampler test at the engine-registry
-level: an unknown ``sampler=`` value must fail loudly on *every* engine,
-through every entry path (one-shot registry runs, prepared engines, the
-serving layer, and the engine functions called directly), and the error
-must name the valid choices — including ``auto`` — so the fix is obvious
-from the message.  The registry's ``_validate_engine_options`` is the one
-shared validation point; these tests pin that the value check happens
-there (before any graph work) and is not re-implemented per engine.
+There is no ``sampler`` option, no ``parallel`` worker ``backend`` and no
+``jit`` engine.  Each row below is an input that must fail, before any
+graph work or worker start-up, with a ``WalkConfigError`` or an argparse
+error that names what *is* accepted.  The two names the benchmark suite
+still calls — ``make_walk_kernel(sampler, mode)`` and
+``replay_paths(..., sampler=)`` — accept ``"default"`` and nothing else.
 """
 
-import numpy as np
 import pytest
 
-from repro.engines import ENGINE_OPTIONS, prepare_engine, run_software_walks
+from repro.cli import main
+from repro.engines import ENGINE_OPTIONS, ENGINES, prepare_engine, run_software_walks
 from repro.errors import WalkConfigError
 from repro.graph import cycle_graph
-from repro.parallel import ParallelWalkEngine
-from repro.sampling import SAMPLER_MODES, validate_sampler_mode
-from repro.walks import Query, URWSpec, run_walks, run_walks_batch
+from repro.sampling.hybrid import make_walk_kernel
+from repro.sampling.vectorized import UniformKernel
+from repro.serve import WalkService, replay_paths
+from repro.walks import Query, URWSpec
 
+SPEC = URWSpec(max_length=3)
 SOFTWARE_ENGINE_NAMES = tuple(sorted(ENGINE_OPTIONS))
 
-
-def _expect_naming_choices(excinfo):
-    message = str(excinfo.value)
-    for mode in SAMPLER_MODES:
-        assert mode in message
-    assert "auto" in message  # the choice this option exists for
-
-
-def test_every_engine_declares_the_sampler_option():
-    for engine in SOFTWARE_ENGINE_NAMES:
-        assert "sampler" in ENGINE_OPTIONS[engine]
+#: What each engine's option error must name: the options it accepts.
+ACCEPTED = {"batch": "no options", "parallel": "workers", "dist": "shards",
+            "reference": "no options"}
+GONE_OPTIONS = [("sampler", "auto"), ("sampler", "default"), ("backend", "jit"),
+                ("backend", "batch")]
 
 
+def test_the_option_surface():
+    assert ENGINES == ("sim", "batch", "parallel", "dist", "reference")
+    assert ENGINE_OPTIONS == {"batch": frozenset(), "parallel": {"workers"},
+                              "dist": {"shards"}, "reference": frozenset()}
+
+
+@pytest.mark.parametrize("option,value", GONE_OPTIONS)
 @pytest.mark.parametrize("engine", SOFTWARE_ENGINE_NAMES)
-def test_unknown_sampler_option_rejected_by_registry(engine):
-    graph = cycle_graph(4)
-    with pytest.raises(WalkConfigError, match="sampler") as excinfo:
-        run_software_walks(engine, graph, URWSpec(max_length=3),
-                           [Query(0, 0)], seed=1, sampler="alias-only")
-    _expect_naming_choices(excinfo)
+def test_a_gone_option_is_refused_on_every_entry_path(engine, option, value):
+    entries = (
+        lambda: prepare_engine(engine, cycle_graph(4), SPEC, **{option: value}),
+        lambda: run_software_walks(engine, cycle_graph(4), SPEC, [Query(0, 0)],
+                                   **{option: value}),
+        lambda: WalkService(cycle_graph(4), SPEC, engine=engine, **{option: value}),
+    )
+    for entry in entries:
+        with pytest.raises(WalkConfigError, match=rf"does not accept option\(s\) {option}"
+                                                  rf".*{ACCEPTED[engine]}"):
+            entry()
 
 
-@pytest.mark.parametrize("engine", SOFTWARE_ENGINE_NAMES)
-def test_unknown_sampler_option_rejected_by_prepare_engine(engine):
-    graph = cycle_graph(4)
-    with pytest.raises(WalkConfigError, match="sampler") as excinfo:
-        prepare_engine(engine, graph, URWSpec(max_length=3), sampler="hybrid2")
-    _expect_naming_choices(excinfo)
+def test_the_jit_engine_is_gone():
+    for entry in (
+        lambda: prepare_engine("jit", cycle_graph(4), SPEC),
+        lambda: run_software_walks("jit", cycle_graph(4), SPEC, [Query(0, 0)]),
+        lambda: WalkService(cycle_graph(4), SPEC, engine="jit"),
+    ):
+        with pytest.raises(WalkConfigError, match="unknown software engine 'jit'") as excinfo:
+            entry()
+        for engine in SOFTWARE_ENGINE_NAMES:
+            assert engine in str(excinfo.value)
 
 
-def test_unknown_sampler_option_rejected_by_service():
-    from repro.serve import WalkService
-
-    graph = cycle_graph(4)
-    with pytest.raises(WalkConfigError, match="sampler") as excinfo:
-        WalkService(graph, URWSpec(max_length=3), engine="batch",
-                    sampler="bogus")
-    _expect_naming_choices(excinfo)
+COMMON_FLAGS = ["--algorithm", "URW", "--dataset", "WG", "--scale", "0.05"]
 
 
-def test_direct_engine_calls_validate_too():
-    """The engine functions validate eagerly when called off-registry —
-    even before an empty query batch short-circuits."""
-    graph = cycle_graph(4)
-    with pytest.raises(WalkConfigError, match="auto"):
-        run_walks_batch(graph, URWSpec(max_length=3), [], seed=1, sampler="x")
-    with pytest.raises(WalkConfigError, match="auto"):
-        run_walks(graph, URWSpec(max_length=3), [], seed=1, sampler="x")
-    with pytest.raises(WalkConfigError, match="auto"):
-        ParallelWalkEngine(graph, URWSpec(max_length=3), workers=1, sampler="x")
+@pytest.mark.parametrize("command", ["walk", "serve-bench"])
+@pytest.mark.parametrize("flags", [["--sampler", "auto"], ["--sampler", "default"],
+                                   ["--backend", "jit"]])
+def test_the_cli_refuses_gone_flags(command, flags, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--engine", "batch", *COMMON_FLAGS, *flags])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(flags)}" in err
+    # The usage line argparse prints names every flag the command accepts.
+    assert f"usage: repro {command}" in err and "--engine" in err
 
 
-def test_validate_sampler_mode_is_the_shared_place():
-    assert validate_sampler_mode("default") == "default"
-    assert validate_sampler_mode("auto") == "auto"
-    with pytest.raises(WalkConfigError) as excinfo:
-        validate_sampler_mode("its")
-    _expect_naming_choices(excinfo)
-
-
-def test_valid_modes_run_on_every_engine():
-    graph = cycle_graph(4)
-    spec = URWSpec(max_length=4)
-    queries = [Query(0, 0), Query(1, 2)]
+@pytest.mark.parametrize("command", ["walk", "serve-bench"])
+def test_the_cli_refuses_engine_jit(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--engine", "jit", *COMMON_FLAGS])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'jit'" in err
     for engine in SOFTWARE_ENGINE_NAMES:
-        options = {"workers": 1} if engine == "parallel" else {}
-        for mode in SAMPLER_MODES:
-            results, _ = run_software_walks(engine, graph, spec, queries,
-                                            seed=1, sampler=mode, **options)
-            assert results.num_queries == 2
-    # URW on a cycle is fully deterministic, so auto == default exactly.
-    a, _ = run_software_walks("batch", graph, spec, queries, seed=1,
-                              sampler="auto")
-    b, _ = run_software_walks("batch", graph, spec, queries, seed=1,
-                              sampler="default")
-    for pa, pb in zip(a.paths, b.paths):
-        assert np.array_equal(pa, pb)
+        assert repr(engine) in err
+
+
+def test_the_suite_names_accept_only_default():
+    sampler = SPEC.make_sampler()
+    assert isinstance(make_walk_kernel(sampler), UniformKernel)
+    assert isinstance(make_walk_kernel(sampler, "default"), UniformKernel)
+    assert list(replay_paths(cycle_graph(4), SPEC, {0: 1}, seed=1, sampler="default")) == [0]
+    with pytest.raises(WalkConfigError, match="mode accepts only 'default'"):
+        make_walk_kernel(sampler, "auto")
+    with pytest.raises(WalkConfigError, match="sampler accepts only 'default'"):
+        replay_paths(cycle_graph(4), SPEC, {0: 1}, seed=1, sampler="auto")
 
 
 def test_unknown_engine_error_names_every_choice():
-    """A typo'd engine name lists the full registry — including jit."""
-    graph = cycle_graph(4)
     with pytest.raises(WalkConfigError, match="unknown software engine") as excinfo:
-        run_software_walks("turbo", graph, URWSpec(max_length=3),
-                           [Query(0, 0)], seed=1)
-    message = str(excinfo.value)
-    for engine in ("batch", "jit", "parallel", "reference"):
-        assert engine in message
+        run_software_walks("turbo", cycle_graph(4), SPEC, [Query(0, 0)], seed=1)
+    for engine in SOFTWARE_ENGINE_NAMES:
+        assert engine in str(excinfo.value)

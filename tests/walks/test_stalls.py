@@ -5,8 +5,8 @@ walkers it left undecided; :func:`~repro.walks.batch.superstep` keeps
 them where they are, so the superstep is the retry loop.  A walker still
 draws only from its own stream, in its own order, so nothing about how
 many supersteps a hop took may reach a path or a counter.  Held here
-against the jit scalar kernel — a per-walker loop that retries in place —
-at retry-heavy ``(p, q)``, beside the rules around a stall: the teleport
+against the scalar oracle (``tests/scalar_oracle.py``) — a per-walker
+loop that retries in place — at retry-heavy ``(p, q)``, beside the rules around a stall: the teleport
 draw belongs to movers only, a hook that reads the hop reads the
 walker's own count, a kernel may not end a walker it stalled, and the
 safety valve fires.
@@ -17,23 +17,23 @@ import time
 
 import numpy as np
 import pytest
+from scalar_oracle import assert_same_runs, run_walks_scalar_arrays
 from stall_helpers import RETRY_HEAVY, HopTeleport, NeverAccepting
 
 from repro.engines import prepare_engine
 from repro.errors import SamplingError
 from repro.graph import load_dataset
-from repro.sampling.hybrid import make_walk_kernel
 from repro.sampling.vectorized import (
     STALL,
     BatchSample,
     VectorizedKernel,
+    make_kernel,
     seed_sequence_states,
 )
 from repro.walks import EngineStats, Node2VecSpec, make_queries
 from repro.walks.base import paths_from_step_log, start_path_buffer, unpack_queries
 from repro.walks.batch import BatchEngine, Frontier, run_walks_batch_arrays, superstep
 from repro.walks.engine import STAT_FIELDS
-from repro.walks.jit import jit_state_from_kernel, run_walks_jit_arrays
 
 SEED = 23
 NUM_QUERIES = 150
@@ -50,37 +50,25 @@ def queries():
     return tuple(make_queries(graph(), NUM_QUERIES, seed=3))
 
 
-def batch_and_jit(spec, sampler="default"):
-    """Dense ``(paths, hops, stats)`` of the batch engine and of the jit
-    scalar kernel (interpreted where numba is absent) on one kernel."""
-    kernel = make_walk_kernel(spec.make_sampler(), sampler)
+def batch_and_scalar(spec):
+    """Dense ``(paths, hops, stats)`` of the batch engine and of the
+    scalar oracle on one prepared kernel."""
+    kernel = make_kernel(spec.make_sampler())
     kernel.prepare(graph())
     ids, starts = unpack_queries(queries())
     runs = []
-    for run in (run_walks_batch_arrays, run_walks_jit_arrays):
+    for run in (run_walks_batch_arrays, run_walks_scalar_arrays):
         stats = EngineStats()
-        state = kernel if run is run_walks_batch_arrays else jit_state_from_kernel(
-            graph(), spec, kernel)
-        paths, hops = run(graph(), spec, state, starts, ids, seed=SEED, stats=stats)
+        paths, hops = run(graph(), spec, kernel, starts, ids, seed=SEED, stats=stats)
         runs.append((paths, hops, stats))
     return runs
 
 
-def assert_same_runs(a, b):
-    (a_paths, a_hops, a_stats), (b_paths, b_hops, b_stats) = a, b
-    assert np.array_equal(a_hops, b_hops)
-    for row, hops in enumerate(a_hops.tolist()):
-        assert np.array_equal(a_paths[row, :hops + 1], b_paths[row, :hops + 1]), row
-    for name in STAT_FIELDS + ("total_hops", "per_query_hops"):
-        assert getattr(a_stats, name) == getattr(b_stats, name), name
-
-
-@pytest.mark.parametrize("sampler", ["default", "auto"])
 @pytest.mark.parametrize("p,q", RETRY_HEAVY)
-def test_retry_heavy_batch_equals_the_scalar_kernel(p, q, sampler):
+def test_retry_heavy_batch_equals_the_scalar_kernel(p, q):
     spec = Node2VecSpec(p=p, q=q, max_length=WALK_LENGTH)
-    batch, jit = batch_and_jit(spec, sampler)
-    assert_same_runs(batch, jit)
+    batch, scalar = batch_and_scalar(spec)
+    assert_same_runs(batch, scalar)
     # Retries happened: more proposals than hops.
     assert batch[2].sampling_proposals > batch[2].total_hops
 
@@ -96,16 +84,16 @@ class Teleporting(Node2VecSpec):
 @pytest.mark.parametrize("p,q", RETRY_HEAVY)
 def test_only_movers_draw_the_teleport_uniform(p, q):
     """A walker that stalled must not draw its teleport uniform until
-    its hop is taken — the scalar kernel draws it once, after the hop."""
-    batch, jit = batch_and_jit(Teleporting(p=p, q=q, max_length=WALK_LENGTH))
-    assert_same_runs(batch, jit)
+    its hop is taken — the scalar oracle draws it once, after the hop."""
+    batch, scalar = batch_and_scalar(Teleporting(p=p, q=q, max_length=WALK_LENGTH))
+    assert_same_runs(batch, scalar)
     assert 0 < batch[2].probabilistic_terminations < NUM_QUERIES
 
 
 def stalling_frontier(spec):
     """A superstep's inputs in which every walker stalls (second hops
     under a sampler that accepts nothing)."""
-    kernel = make_walk_kernel(spec.make_sampler(), "default")
+    kernel = make_kernel(spec.make_sampler())
     kernel.prepare(graph())
     current = np.flatnonzero(graph().degrees() > 0)[:12]
     previous = graph().col[graph().row_ptr[current]]
@@ -121,12 +109,12 @@ class HopTeleporting(HopTeleport, Node2VecSpec):
 def test_a_stall_under_a_step_dependent_spec_keeps_the_walkers_own_hop(p, q):
     """A stalled walker has taken fewer hops than supersteps have run, so
     a hook asked with the superstep count would teleport it on the wrong
-    hop.  The scalar kernel indexes its per-hop tables by the walker's
+    hop.  The scalar oracle indexes its per-hop tables by the walker's
     own hop; the batch engine, and dist whose walkers change shards
     mid-stall, must agree with it."""
     spec = HopTeleporting(p=p, q=q, max_length=WALK_LENGTH)
-    batch, jit = batch_and_jit(spec)
-    assert_same_runs(batch, jit)
+    batch, scalar = batch_and_scalar(spec)
+    assert_same_runs(batch, scalar)
     assert batch[2].sampling_proposals > batch[2].total_hops
     # Walks teleport only after hop 2, 5 or 8: 3, 6 or 9 hops.
     teleported = batch[2].probabilistic_terminations
