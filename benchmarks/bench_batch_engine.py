@@ -25,8 +25,8 @@ from repro.bench.reporting import resolve_bench_json_path, write_bench_json
 from repro.bench.workloads import RMAT_BENCH_ALGORITHMS, make_spec
 from repro.engines import hops_per_second, run_software_walks
 from repro.graph import rmat
-from repro.parallel import default_workers
 from repro.walks import EngineStats, make_queries
+from repro.walks.engine import usable_cpus
 
 
 def measure(engine, graph, spec, queries, seed):
@@ -96,7 +96,7 @@ def main(argv=None) -> int:
                 "length": args.length,
                 "smoke": args.smoke,
             },
-            "host_cores": default_workers(),  # affinity-aware available cores
+            "host_cores": usable_cpus(),  # affinity-aware available cores
             "hops_per_sec": {
                 "batch": round(batch_rate),
                 "reference": round(ref_rate),

@@ -94,11 +94,6 @@ def main(argv=None) -> int:
     parser.add_argument("--length", type=int, default=80)
     parser.add_argument("--algorithm", choices=RMAT_BENCH_ALGORITHMS,
                         default="Node2Vec")
-    parser.add_argument("--engine", choices=("batch", "parallel"), default="batch",
-                        help="engine behind the service (baseline is always "
-                        "the closed single-core batch engine)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes (parallel engine only)")
     parser.add_argument("--max-batch", type=int, default=8192,
                         help="service micro-batch flush size (the saturation "
                         "leg is throughput-oriented; nominal-load batches "
@@ -141,7 +136,7 @@ def main(argv=None) -> int:
     serve_seed = args.seed + 2
     print(f"graph: {graph}")
     print(f"workload: {args.algorithm}, {args.requests} requests, "
-          f"length {args.length}; service engine: {args.engine}, "
+          f"length {args.length}; service engine: batch, "
           f"max_batch {args.max_batch}")
 
     # Best-of-N on both sides: single-run wall clocks on a shared host
@@ -158,8 +153,6 @@ def main(argv=None) -> int:
           f"{closed_rate:>12,.0f} hops/s  (batch engine, one closed batch, "
           f"best of {repeats})")
 
-    engine_options = {"workers": args.workers} if args.engine == "parallel" else {}
-
     # -- saturation serving: equal total query count, open ingest ----------
     saturation_config = ServeConfig(
         max_batch=args.max_batch,
@@ -175,8 +168,8 @@ def main(argv=None) -> int:
     report, service = None, None
     for _ in range(repeats):
         candidate_report, candidate_service = serve_open_loop(
-            lambda: WalkService(graph, spec, engine=args.engine, seed=serve_seed,
-                                config=saturation_config, **engine_options),
+            lambda: WalkService(graph, spec, engine="batch", seed=serve_seed,
+                                config=saturation_config),
             starts,
             rate_per_second=0.0,
         )
@@ -213,8 +206,8 @@ def main(argv=None) -> int:
     nominal_config = ServeConfig(max_batch=args.max_batch,
                                  max_wait_ms=args.max_wait_ms, queue_depth=depth)
     nominal_report, nominal_service = serve_open_loop(
-        lambda: WalkService(graph, spec, engine=args.engine, seed=serve_seed,
-                            config=nominal_config, **engine_options),
+        lambda: WalkService(graph, spec, engine="batch", seed=serve_seed,
+                            config=nominal_config),
         starts[:nominal_requests],
         rate_per_second=arrival_rate,
         arrival_seed=args.seed + 3,
@@ -245,7 +238,7 @@ def main(argv=None) -> int:
                 "smoke": args.smoke,
             },
             "service": {
-                "engine": args.engine,
+                "engine": "batch",
                 "max_batch": args.max_batch,
                 "max_wait_ms": args.max_wait_ms,
             },

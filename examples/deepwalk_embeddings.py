@@ -8,7 +8,7 @@ the cycle-level RidgeWalker model instead — then builds a co-occurrence
 PPMI matrix plus truncated-SVD embeddings (no ML framework needed), and
 sanity-checks that embedding similarity reflects graph proximity.
 
-Run:  python examples/deepwalk_embeddings.py [--engine {batch,parallel,reference,sim}]
+Run:  python examples/deepwalk_embeddings.py [--engine {batch,reference,sim}]
 """
 
 import argparse
@@ -57,8 +57,7 @@ def main() -> None:
 
     spec = DeepWalkSpec(max_length=40)
     queries = make_queries(graph, 600, seed=2)
-    results = run_with_engine(args.engine, graph, spec, queries, seed=3,
-                              workers=args.workers)
+    results = run_with_engine(args.engine, graph, spec, queries, seed=3)
     print(f"corpus: {results.num_queries} walks, {results.total_steps} hops")
 
     counts = cooccurrence_counts(results, window=WINDOW)

@@ -9,7 +9,7 @@ accelerator model — and compares the Monte-Carlo estimate against an
 exact power-iteration solution of the same PPR system, demonstrating
 end-to-end statistical correctness, not just throughput.
 
-Run:  python examples/ppr_ranking.py [--engine {batch,parallel,reference,sim}]
+Run:  python examples/ppr_ranking.py [--engine {batch,reference,sim}]
 """
 
 import argparse
@@ -68,8 +68,7 @@ def main() -> None:
 
     spec = PPRSpec(alpha=ALPHA, max_length=200)
     queries = [Query(i, source) for i in range(NUM_WALKS)]
-    results = run_with_engine(args.engine, graph, spec, queries, seed=7,
-                              workers=args.workers)
+    results = run_with_engine(args.engine, graph, spec, queries, seed=7)
 
     estimated = estimate_ppr(results, graph.num_vertices)
     exact = exact_ppr(graph, source, ALPHA)

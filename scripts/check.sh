@@ -1,25 +1,20 @@
 #!/usr/bin/env bash
 # CI gate: the determinism & resource-safety lint (`repro lint`, zero
 # unsuppressed findings over src/repro — see the README's "Determinism
-# contract"), then the tier-1 test suite plus engine smoke benchmarks
-# — the batch
-# engine must beat the reference loop on a 10k-query RMAT workload, the
-# sharded parallel engine (2 workers, small graph) must produce
-# bit-identical results to the batch engine, the async walk service
-# must shed zero requests under nominal open-loop load while replaying
-# bit-identically offline, the multi-tenant QoS layer must keep a
-# flash-crowding best-effort tenant from starving premium while the
-# epoch-keyed hot-walk cache stays bit-identical to replay across an
-# epoch swap, the dynamic subsystem must publish
-# snapshots bit-identical to from-scratch builds after a streamed
-# update trace, the observability layer must keep instrumented-but-disabled throughput at baseline
-# (gated on full runs; the smoke asserts traced runs stay bit-identical
-# to untraced) while a traced CLI run exports sample trace + metrics
-# artifacts, and the distributed
-# graph-partitioned engine (2 shards, walker forwarding) must stay
-# bit-identical to the batch engine end-to-end.  (The machine-readable
-# BENCH_*.json perf records are rewritten by the *full* benchmark runs,
-# not by these smokes.)
+# contract"), then the tier-1 test suite plus engine smoke benchmarks:
+# the batch engine must beat the reference loop on a 10k-query RMAT
+# workload, the async walk service must shed zero requests under nominal
+# open-loop load while replaying bit-identically offline, the
+# multi-tenant QoS layer must keep a flash-crowding best-effort tenant
+# from starving premium while the epoch-keyed hot-walk cache stays
+# bit-identical to replay across an epoch swap, the dynamic subsystem
+# must publish snapshots bit-identical to from-scratch builds after a
+# streamed update trace, and the observability layer must keep
+# instrumented-but-disabled throughput at baseline (gated on full runs;
+# the smoke asserts traced runs stay bit-identical to untraced) while a
+# traced CLI run exports sample trace + metrics artifacts.  (The
+# machine-readable BENCH_*.json perf records are rewritten by the *full*
+# benchmark runs, not by these smokes.)
 #
 # When pytest-cov is installed (it is in CI; see requirements-ci.txt),
 # the suite runs under a coverage gate on the sampling + dynamic
@@ -68,10 +63,6 @@ echo "== batch engine smoke benchmark =="
 python benchmarks/bench_batch_engine.py --smoke
 
 echo
-echo "== parallel engine smoke (2 workers) =="
-python benchmarks/bench_parallel_engine.py --smoke
-
-echo
 echo "== serve smoke (zero drops at nominal load, bit-identical replay) =="
 python benchmarks/bench_serve.py --smoke
 
@@ -98,9 +89,3 @@ python -m repro trace --out benchmarks/sample_trace.jsonl --format jsonl -- \
   --requests 200 --rate 2000 --scale 0.05 --length 16 --max-batch 64
 python -m repro metrics --out benchmarks/sample_metrics.prom -- \
   walk --engine batch --queries 200 --length 20 --scale 0.05
-
-
-echo
-echo "== dist engine smoke (2 shards, walker forwarding, bit-identical to batch) =="
-python benchmarks/bench_dist_engine.py --smoke
-python -m repro walk --engine dist --shards 2 --algorithm DeepWalk --queries 200 --length 20 --scale 0.05

@@ -2,12 +2,11 @@
 
 The repository's correctness story rests on invariants the conformance
 suites can only *sample*: every RNG stream must be rooted in
-``SeedSequence((seed, tag))`` spawn keys, shared-memory segments must be
-unlinked on every path, the asyncio serve path must never block its
-event loop, and anything ordered must never be fed from a ``set``.
-This package enforces those invariants *statically*, over the AST, so a
-violation is caught the moment it is written rather than the first time
-a 20-seed sweep happens to hit it.
+``SeedSequence((seed, tag))`` spawn keys, the asyncio serve path must
+never block its event loop, and anything ordered must never be fed
+from a ``set``.  This package enforces those invariants *statically*,
+over the AST, so a violation is caught the moment it is written rather
+than the first time a 20-seed sweep happens to hit it.
 
 Layout:
 

@@ -10,7 +10,7 @@ Design constraints, in order:
 2. **No imports of the linted code.**  Everything works on
    ``ast.parse`` output; linting a file can never execute it, pull in
    heavy dependencies, or depend on the interpreter's import state.
-3. **Suppressions carry reasons.**  ``# repro: allow[RW103] <reason>``
+3. **Suppressions carry reasons.**  ``# repro: allow[RW104] <reason>``
    silences a finding on its own line (or the line directly above, for
    statements too long to annotate inline).  An allow-comment without a
    reason does *not* suppress — the policy is that every waiver is a

@@ -7,7 +7,6 @@ only spot-check:
 RW100     suppression hygiene (reason-less / unknown / unused allows)
 RW101     global-state RNG (``np.random.<fn>`` / stdlib ``random``)
 RW102     ad-hoc seed derivation (arithmetic on seeds fed to RNGs)
-RW103     ``SharedMemory(create=True)`` without guaranteed unlink
 RW104     blocking calls inside ``async def`` bodies
 RW105     ``set`` iteration feeding ordered outputs
 RW107     ``time.time()`` differences measuring durations
@@ -211,84 +210,6 @@ class SeedDerivationRule(Rule):
                         f"SeedSequence((seed, tag)) spawn keys (or "
                         f"derive_seed) so child streams cannot collide",
                     )
-
-
-def _enclosing_scope(context: FileContext, node: ast.AST) -> ast.AST:
-    current = context.parent(node)
-    while current is not None and not isinstance(
-        current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)
-    ):
-        current = context.parent(current)
-    return current if current is not None else context.tree
-
-
-def _unlinks_in(nodes: list[ast.stmt]) -> bool:
-    for stmt in nodes:
-        for sub in ast.walk(stmt):
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr == "unlink"
-            ):
-                return True
-    return False
-
-
-@register_rule
-class SharedMemoryLifecycleRule(Rule):
-    id = "RW103"
-    name = "shared-memory-lifecycle"
-    description = (
-        "A SharedMemory(create=True) segment outlives the process unless "
-        "unlink() runs on every path; a crash between creation and cleanup "
-        "registration leaks /dev/shm until reboot. Create inside a with "
-        "block or guard the handoff with try/except+unlink (see "
-        "SharedArrayStore.create)."
-    )
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _call_name(node) or ""
-            if not name.endswith("SharedMemory"):
-                continue
-            creates = any(
-                keyword.arg == "create"
-                and isinstance(keyword.value, ast.Constant)
-                and keyword.value.value is True
-                for keyword in node.keywords
-            )
-            if not creates:
-                continue
-            if self._guarded(context, node):
-                continue
-            yield self.finding(
-                context, node,
-                "SharedMemory(create=True) without a guaranteed unlink: "
-                "wrap in `with` or follow with try/except that close()s "
-                "and unlink()s the segment before re-raising",
-            )
-
-    def _guarded(self, context: FileContext, node: ast.Call) -> bool:
-        # Case 1: context-manager expression of a `with` item.
-        parent = context.parent(node)
-        if isinstance(parent, ast.withitem):
-            return True
-        # Case 2: some try/except/finally in the same scope, at or after
-        # the creation site, unlinks a segment.  Deliberately loose —
-        # proving "all paths" needs dataflow; the heuristic demands the
-        # author at least wrote a cleanup path, and review judges it.
-        scope = _enclosing_scope(context, node)
-        for sub in ast.walk(scope):
-            if not isinstance(sub, ast.Try):
-                continue
-            if sub.end_lineno is not None and sub.end_lineno < node.lineno:
-                continue
-            handler_bodies = [stmt for h in sub.handlers for stmt in h.body]
-            if _unlinks_in(sub.finalbody) or _unlinks_in(handler_bodies):
-                return True
-        return False
 
 
 #: Call targets that block the event loop.  Dotted entries match the

@@ -15,8 +15,8 @@ Eight commands cover the workflows a downstream user reaches for first:
 * ``metrics`` — run one of the three commands above and export the
   metrics it fed into the global registry as Prometheus text;
 * ``lint`` — statically check the determinism & resource-safety
-  invariants (seeded streams, shared-memory lifecycles, non-blocking
-  serve path, ordered outputs) over a source tree; the CI gate;
+  invariants (seeded streams, non-blocking serve path, ordered
+  outputs) over a source tree; the CI gate;
 * ``experiment`` — regenerate one of the paper's tables/figures by id
   (the same registry the benchmark suite uses);
 * ``info`` — list datasets, algorithms, devices and experiment ids.
@@ -53,14 +53,6 @@ SIM_ONLY_WALK_OPTIONS = (
     ("--device", "device", None),
 )
 
-#: ``walk`` options that only one software engine understands, as
-#: ``(flag, dest, default, engine)``; the registry rejects misdirected
-#: options too, but checking here fails before a large graph loads.
-ENGINE_ONLY_WALK_OPTIONS = (
-    ("--workers", "workers", None, "parallel"),
-    ("--shards", "shards", None, "dist"),
-)
-
 #: Commands the ``trace`` / ``metrics`` observability wrappers can run.
 #: They re-dispatch through :func:`build_parser`, so the wrapped command
 #: accepts exactly its normal flags.
@@ -90,17 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     walk.add_argument("--algorithm", choices=ALGORITHMS, default="URW")
     walk.add_argument("--engine", choices=ENGINES, default="sim",
                       help="execution engine: 'sim' = cycle-level accelerator "
-                      "model, 'batch' = vectorized software frontier engine, "
-                      "'parallel' = sharded multicore batch engine, "
-                      "'dist' = distributed graph-partitioned engine with "
-                      "walker forwarding, "
+                      "model, 'batch' = vectorized software frontier engine "
+                      "(one thread lane per usable CPU on large runs), "
                       "'reference' = pure-Python oracle loop")
-    walk.add_argument("--workers", type=int, default=None,
-                      help="worker processes (parallel engine only; "
-                      "default: all cores)")
-    walk.add_argument("--shards", type=int, default=None,
-                      help="graph partitions / shard workers (dist engine "
-                      "only; default: all cores)")
     walk.add_argument(
         "--dataset", default="WG",
         help=f"Table II dataset ({', '.join(dataset_names())}) or a path to "
@@ -133,10 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--algorithm", choices=ALGORITHMS, default="DeepWalk")
     serve.add_argument("--engine", choices=tuple(SOFTWARE_ENGINES), default="batch",
                        help="execution engine behind the service (default batch)")
-    serve.add_argument("--workers", type=int, default=None,
-                       help="worker processes (parallel engine only)")
-    serve.add_argument("--shards", type=int, default=None,
-                       help="graph partitions (dist engine only)")
     serve.add_argument("--dataset", default="WG",
                        help=f"Table II dataset ({', '.join(dataset_names())}) or "
                        "a path to a .npz / edge-list graph file")
@@ -255,8 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="statically check determinism & resource-safety invariants",
         description="AST-based static analysis enforcing the repository's "
         "determinism contract (README.md): SeedSequence-rooted RNG streams "
-        "(RW101/RW102), shared-memory segment lifecycles (RW103), a "
-        "non-blocking asyncio serve path (RW104), no set-ordered "
+        "(RW101/RW102), a non-blocking asyncio serve path (RW104), no set-ordered "
         "outputs (RW105), and monotonic-clock duration measurement (RW107). "
         "Exits 1 if any unsuppressed finding remains; "
         "suppress with `# repro: allow[RW###] <reason>`.",
@@ -310,7 +289,6 @@ def _run_software_engine(args, graph, spec, queries) -> int:
     stats = EngineStats()
     results, elapsed = run_software_walks(
         args.engine, graph, spec, queries, seed=derive_seed(args.seed, "engine"), stats=stats,
-        workers=args.workers, shards=args.shards,
     )
     # Feed the full per-run EngineStats ledger so `repro metrics walk ...`
     # exports hop/proposal/termination counters, not just run totals.
@@ -342,12 +320,6 @@ def cmd_walk(args) -> int:
                     f"{flag} only applies to the accelerator model; drop it or "
                     f"use --engine sim"
                 )
-    for flag, dest, default, engine in ENGINE_ONLY_WALK_OPTIONS:
-        if getattr(args, dest) != default and args.engine != engine:
-            raise WalkConfigError(
-                f"{flag} only applies to the {engine} engine; drop it or "
-                f"use --engine {engine}"
-            )
 
     graph = _load_graph(args)
     spec = make_spec(args.algorithm)
@@ -408,16 +380,6 @@ def cmd_serve_bench(args) -> int:
     )
 
     args.seed = normalize_seed(args.seed)
-    if args.workers is not None and args.engine != "parallel":
-        raise WalkConfigError(
-            "--workers only applies to the parallel engine; drop it or use "
-            "--engine parallel"
-        )
-    if args.shards is not None and args.engine != "dist":
-        raise WalkConfigError(
-            "--shards only applies to the dist engine; drop it or use "
-            "--engine dist"
-        )
     if args.tenants < 0:
         raise WalkConfigError(f"--tenants must be >= 0, got {args.tenants}")
     graph = _load_graph(args)
@@ -443,17 +405,13 @@ def cmd_serve_bench(args) -> int:
           + (f", tenants={args.tenants}" if args.tenants else "")
           + (", cache" if args.cache else ""))
 
-    engine_options = {"workers": args.workers} if args.engine == "parallel" else {}
-    if args.engine == "dist":
-        engine_options["shards"] = args.shards
     engine_seed = derive_seed(args.seed, "engine")
 
     if not args.tenants and args.scenario == "steady" and not args.cache:
         # The plain single-stream path, unchanged.
         report, service = serve_open_loop(
             lambda: WalkService(graph, spec, engine=args.engine,
-                                seed=engine_seed, config=config,
-                                **engine_options),
+                                seed=engine_seed, config=config),
             starts,
             rate_per_second=args.rate,
             arrival_seed=derive_seed(args.seed, "arrivals"),
@@ -495,8 +453,7 @@ def cmd_serve_bench(args) -> int:
         cache = HotWalkCache() if args.cache else None
         service = WalkService(graph, spec, engine=args.engine,
                               seed=engine_seed, config=config,
-                              tenants=tenant_specs, cache=cache,
-                              **engine_options)
+                              tenants=tenant_specs, cache=cache)
         async with service:
             reports = await run_tenant_traces(service, traces)
         return reports, service

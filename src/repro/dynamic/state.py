@@ -185,8 +185,7 @@ class SamplerState:
 
         Shaped for :meth:`~repro.sampling.vectorized.VectorizedKernel.load_state`;
         an empty mapping means the kernel needs no prepared state (uniform
-        sampling, first-order reservoir), so a swap can skip both the load
-        and any shared-memory broadcast.
+        sampling, first-order reservoir), so a swap can skip the load.
         """
         arrays: dict[str, np.ndarray] = {}
         if isinstance(kernel, AliasKernel):

@@ -1,25 +1,23 @@
 """Engine registry: the one table that maps engine names to engines.
 
-Five engines execute the same ``WalkSpec``/``Query`` workloads and are
-held to the same statistical oracle.  Four run as plain software and are
+Three engines execute the same ``WalkSpec``/``Query`` workloads and are
+held to the same statistical oracle.  Two run as plain software and are
 one class hierarchy rooted at :class:`~repro.walks.engine.PreparedEngine`
-— the vectorized batch engine (``batch``), the sharded multicore engine
-(``parallel``), the distributed shard-routed engine (``dist``) and the
-pure-Python reference loop (``reference``); the fifth is the cycle-level
-accelerator model (``sim``, :func:`run_accelerator_walks`).  Every
-software engine samples with the spec's own kernel.
+— the vectorized batch engine (``batch``), which fans a large run out to
+one thread lane per usable CPU, and the pure-Python reference loop
+(``reference``); the third is the cycle-level accelerator model
+(``sim``, :func:`run_accelerator_walks`).  Every software engine samples
+with the spec's own kernel.
 
-:data:`SOFTWARE_ENGINES` is the registry: ``{cls.name: cls}``.  Each
-class declares the keyword options its constructor accepts
-(``cls.options``), and the protocol's shared ``run`` / ``swap_snapshot``
-mean an engine is one subclass with one array hook — so adding one is
-one subclass, one hook, one row here.  :func:`prepare_engine` validates
-options against the class and constructs it; :func:`run_software_walks`
-is ``prepare -> run -> close`` with a timer around it.  The CLI, the
-example applications and the serving layer all dispatch through this
-module, so the engine list, each engine's option surface and the timing
-methodology cannot drift between entry points, and a typo or a flag
-aimed at the wrong engine fails loudly instead of being ignored.
+:data:`SOFTWARE_ENGINES` is the registry: ``{cls.name: cls}``.  The
+protocol's shared ``run`` / ``swap_snapshot`` mean an engine is one
+subclass with one array hook — so adding one is one subclass, one hook,
+one row here.  :func:`prepare_engine` constructs it by name;
+:func:`run_software_walks` is ``prepare -> run -> close`` with a timer
+around it.  The CLI, the example applications and the serving layer all
+dispatch through this module, so the engine list and the timing
+methodology cannot drift between entry points, and an unknown engine
+name fails loudly instead of being ignored.
 """
 
 from __future__ import annotations
@@ -28,13 +26,11 @@ import time
 from typing import Sequence
 
 from repro.core import RidgeWalker, RidgeWalkerConfig
-from repro.dist import DistWalkEngine
 from repro.errors import WalkConfigError
 from repro.graph.csr import CSRGraph
 from repro.memory.spec import HBM2_U55C
 from repro.obs.metrics import global_registry
 from repro.obs.trace import span as _trace_span
-from repro.parallel import ParallelWalkEngine
 from repro.walks import EngineStats, Query, WalkResults, WalkSpec, run_walks
 from repro.walks.batch import BatchEngine
 from repro.walks.engine import PreparedEngine, snapshot_graph
@@ -62,44 +58,11 @@ class ReferenceEngine(PreparedEngine):
 
 #: The engines that run as plain software (no cycle model), by name.
 SOFTWARE_ENGINES: dict[str, type[PreparedEngine]] = {
-    cls.name: cls
-    for cls in (BatchEngine, ParallelWalkEngine, DistWalkEngine, ReferenceEngine)
+    cls.name: cls for cls in (BatchEngine, ReferenceEngine)
 }
 
 #: Every engine name accepted by ``--engine`` flags.
 ENGINES = ("sim", *SOFTWARE_ENGINES)
-
-#: Keyword options each software engine accepts beyond the shared
-#: ``(graph, spec)`` — a view of each class's ``options``.
-ENGINE_OPTIONS: dict[str, frozenset[str]] = {
-    name: cls.options for name, cls in SOFTWARE_ENGINES.items()
-}
-
-
-def _validate_engine_options(engine: str, options: dict) -> dict:
-    """Drop ``None``-valued options and reject ones ``engine`` lacks.
-
-    This is the one shared validation point for every entry path
-    (one-shot runs, prepared engines, the serving layer): option names
-    are checked against the engine's declared set, so a typo or an
-    option aimed at another engine fails here, naming what the engine
-    accepts, instead of inside a worker process.
-    """
-    if engine not in SOFTWARE_ENGINES:
-        raise WalkConfigError(
-            f"unknown software engine {engine!r}; expected one of "
-            f"{sorted(SOFTWARE_ENGINES)}"
-        )
-    options = {name: value for name, value in options.items() if value is not None}
-    accepted = SOFTWARE_ENGINES[engine].options
-    unknown = set(options) - accepted
-    if unknown:
-        raise WalkConfigError(
-            f"engine {engine!r} does not accept option(s) "
-            f"{', '.join(sorted(unknown))}; it accepts "
-            f"{sorted(accepted) or 'no options'}"
-        )
-    return options
 
 
 def run_software_walks(
@@ -109,15 +72,14 @@ def run_software_walks(
     queries: Sequence[Query],
     seed: int = 0,
     stats: EngineStats | None = None,
-    **options,
 ) -> tuple[WalkResults, float]:
     """One-shot run, returning ``(results, elapsed_seconds)``:
-    :func:`prepare_engine` with ``options``, one ``run``, ``close`` —
-    every call pays the engine's whole setup, so repeated callers hold a
-    prepared engine instead."""
+    :func:`prepare_engine`, one ``run``, ``close`` — every call pays the
+    engine's whole setup, so repeated callers hold a prepared engine
+    instead."""
     with _trace_span("engine.run", engine=engine, queries=len(queries)):
         started = time.perf_counter()
-        with prepare_engine(engine, graph, spec, **options) as prepared:
+        with prepare_engine(engine, graph, spec) as prepared:
             results = prepared.run(queries, seed=seed, stats=stats)
         elapsed = time.perf_counter() - started
     _record_run_metrics(engine, results, elapsed)
@@ -143,24 +105,24 @@ def _record_run_metrics(engine: str, results: WalkResults, elapsed: float) -> No
     ).inc(results.total_steps, engine=engine)
 
 
-def prepare_engine(
-    engine: str, graph, spec: WalkSpec, **options
-) -> PreparedEngine:
+def prepare_engine(engine: str, graph, spec: WalkSpec) -> PreparedEngine:
     """Build a :class:`PreparedEngine` for repeated runs on one graph.
 
     ``graph`` is a ``CSRGraph`` or a dynamic ``GraphSnapshot``.  Given the
     snapshot, the engine reads its prepared state (built there, once) and
     every later ``swap_snapshot`` inherits it; given ``snapshot.graph``,
     the engine prepares privately and the first swap builds it again.
-    ``options`` carries engine-specific settings (``workers=N`` for the
-    parallel engine); ``None``-valued options mean "engine default" and
-    are dropped, options the engine does not declare are rejected.  Close
-    the engine — or use it as a context manager — when done; the pool
-    engines own worker processes and shared-memory segments.
+    Close the engine — or use it as a context manager — when done.  Every
+    entry path (one-shot runs, prepared engines, the serving layer) comes
+    through here, so an unknown name fails the same way on each.
     """
-    options = _validate_engine_options(engine, options)
+    if engine not in SOFTWARE_ENGINES:
+        raise WalkConfigError(
+            f"unknown software engine {engine!r}; expected one of "
+            f"{sorted(SOFTWARE_ENGINES)}"
+        )
     with _trace_span("engine.prepare", engine=engine):
-        return SOFTWARE_ENGINES[engine](graph, spec, **options)
+        return SOFTWARE_ENGINES[engine](graph, spec)
 
 
 def run_accelerator_walks(

@@ -37,17 +37,6 @@ class MemoryModelError(ReproError):
     """Memory subsystem misconfiguration (channels, timing, capacity)."""
 
 
-class WorkerError(ReproError):
-    """A ``parallel`` / ``dist`` worker process raised or died.
-
-    Names the engine and the worker's rank and carries the worker-side
-    traceback, or the exit code when the process died without a word —
-    the real cause, in seconds, never a parent-side timeout.  Raising it
-    closes the engine: the other workers are stopped, the shared
-    segments unlinked, and the next ``run`` raises ``WalkConfigError``.
-    """
-
-
 class SimulationError(ReproError):
     """The simulation kernel detected an inconsistent state."""
 

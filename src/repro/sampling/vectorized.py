@@ -230,11 +230,11 @@ class QueryStreams:
     def from_states(cls, states: np.ndarray) -> "QueryStreams":
         """Resume streams from raw splitmix64 states, by reference.
 
-        The distributed engine ships an in-flight walker between shards
-        as ``(query_id, step, vertex, rng state)``; the receiving shard
-        wraps the carried state array — zero-copy, so every draw
-        advances the caller's array in place — and the walk continues
-        bit-identically to one that never crossed a shard boundary.
+        A batch :class:`~repro.walks.batch.Frontier` carries each live
+        walker's state from superstep to superstep; each superstep wraps
+        the carried state array — zero-copy, so every draw advances the
+        caller's array in place — and the walk continues bit-identically
+        to one drawn from a single :class:`QueryStreams` throughout.
         ``states`` must be the uint64 array a :class:`QueryStreams`
         seeded from ``SeedSequence((seed, query_id))`` would hold (see
         :func:`seed_sequence_states`); arbitrary integers would step
@@ -420,8 +420,8 @@ class EdgeSet:
 
     @classmethod
     def from_state(cls, arrays: dict[str, np.ndarray]) -> "EdgeSet":
-        """Adopt exported arrays as they are (possibly read-only views of
-        shared memory): nothing is copied or rebuilt."""
+        """Adopt exported arrays as they are (possibly read-only, e.g. a
+        snapshot's sampler state): nothing is copied or rebuilt."""
         return cls(arrays["edge_keys"], arrays["edge_filter"], arrays["edge_stride"][0])
 
 
@@ -539,20 +539,19 @@ class VectorizedKernel(ABC):
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Prepared per-graph state as named flat arrays.
 
-        The parallel engine broadcasts these through shared memory so the
-        (potentially expensive) :meth:`prepare` pass runs once in the
-        parent instead of once per worker.  Kernels without prepared
-        state return an empty mapping.  Must be called after
-        :meth:`prepare`.
+        A dynamic snapshot's sampler state is held in this shape, so an
+        engine swapped onto it skips the (potentially expensive)
+        :meth:`prepare` pass.  Kernels without prepared state return an
+        empty mapping.  Must be called after :meth:`prepare`.
         """
         return {}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         """Adopt prepared state exported by :meth:`state_arrays`.
 
-        ``arrays`` may be zero-copy views of shared memory; kernels must
-        not mutate them.  A kernel loaded this way is ready to sample
-        without a :meth:`prepare` call.
+        ``arrays`` may be shared with a snapshot and other engines;
+        kernels must not mutate them.  A kernel loaded this way is ready
+        to sample without a :meth:`prepare` call.
         """
 
     @abstractmethod

@@ -54,7 +54,7 @@ def recommended_queue_depth(
     if not queue.is_stable():
         raise ServeError(
             f"offered load rho={rho:.2f} >= 1: no queue depth bounds latency; "
-            "add capacity (workers, a faster engine) or shed at the client"
+            "add capacity (cores, a faster engine) or shed at the client"
         )
     backlog_batches = safety * rho / (1.0 - rho)
     depth = max_batch * max(float(MIN_DEPTH_BATCHES), backlog_batches)

@@ -26,12 +26,11 @@ engine object, never by an option**:
   blocks on its queue — and yields every superstep, so admission and
   callers' callbacks run between steps.
 * **Closed micro-batches** (this module) — for every engine that only
-  has ``run``: ``parallel``, ``dist``, ``reference``, test doubles,
-  proxies.  The service coalesces requests into
-  micro-batches (flushed on ``max_batch`` or ``max_wait_ms``, whichever
-  comes first) and executes each as one closed run on an
-  executor thread, while the event loop coalesces the *next* batch; one
-  batch runs at a time.
+  has ``run``: ``reference``, test doubles, proxies.  The service
+  coalesces requests into micro-batches (flushed on ``max_batch`` or
+  ``max_wait_ms``, whichever comes first) and executes each as one
+  closed run on an executor thread, while the event loop coalesces the
+  *next* batch; one batch runs at a time.
 
 Either way a request is one slotted record (:class:`_PendingRequest`,
 its own query) from submission to reply, and a dispatcher books what
@@ -61,9 +60,8 @@ only from the stream state that travels with it, so a request's paths
 are bit-identical whether it was served alone, beside 63 strangers of
 any age, inside a closed micro-batch, from a cache pool, or replayed
 offline through ``run_walks_batch`` with the same seed.  Who shares a
-superstep with whom, flush timing, tenant interleaving, and engine
-choice (among the bit-compatible array engines) cannot change a single
-vertex; ``tests/serve/`` holds the service to that.
+superstep with whom, flush timing and tenant interleaving cannot change
+a single vertex; ``tests/serve/`` holds the service to that.
 """
 
 from __future__ import annotations
@@ -160,14 +158,13 @@ class WalkService:
     already admitted before tearing down the dispatcher (and, on the
     closed path, its executor thread) and the prepared engine.
 
-    ``engine`` is a registry name (``"batch"``, ``"parallel"``,
-    ``"dist"``, ``"reference"`` — any key of
-    :data:`repro.engines.SOFTWARE_ENGINES`) resolved through
+    ``engine`` is a registry name (``"batch"`` or ``"reference"`` — any
+    key of :data:`repro.engines.SOFTWARE_ENGINES`) resolved through
     :func:`repro.engines.prepare_engine`, or an already-constructed
     :class:`~repro.engines.PreparedEngine`; either way the service owns
-    it and closes it on :meth:`stop`.  A stopped service restarts only
-    if its engine can run after ``close`` (``runs_after_close``): the
-    pool engines cannot, so build a new service for them.
+    it and closes it on :meth:`stop`.  A stopped service can
+    :meth:`start` again on the same object: every engine runs after
+    ``close``.
 
     ``tenants`` declares the admission classes of a multi-tenant
     service (see :mod:`repro.serve.qos`); requests then carry a
@@ -187,7 +184,6 @@ class WalkService:
         config: ServeConfig | None = None,
         tenants: Sequence[TenantSpec] | None = None,
         cache: HotWalkCache | None = None,
-        **engine_options,
     ) -> None:
         self._config = config or ServeConfig()
         self._seed = normalize_seed(seed)
@@ -197,14 +193,9 @@ class WalkService:
         self._initial_epoch = getattr(graph, "epoch", 0)
         snapshot, graph = graph, getattr(graph, "graph", graph)
         if isinstance(engine, PreparedEngine):
-            if engine_options:
-                raise ServeError(
-                    "engine options only apply when the service builds the "
-                    "engine; pass them to prepare_engine instead"
-                )
             self._runner = engine
         else:
-            self._runner = prepare_engine(engine, snapshot, spec, **engine_options)
+            self._runner = prepare_engine(engine, snapshot, spec)
         #: Vertex count of the graph version the *newest queued* swap
         #: targets — requests admitted now execute after every queued
         #: swap, so try_submit validates against this, not against the
@@ -235,7 +226,6 @@ class WalkService:
         self._running: asyncio.Task | None = None
         self._next_query_id = 0
         self._accepting = False
-        self._runner_closed = False
         self._epoch = self._initial_epoch
         #: Swaps queued but not yet applied.  While non-zero, cache
         #: lookups are suspended: a request admitted now executes on an
@@ -326,12 +316,6 @@ class WalkService:
         """Bring up the dispatcher; idempotent while running."""
         if self._accepting:
             return
-        if self._runner_closed and not self._runner.runs_after_close:
-            raise ServeError(
-                f"cannot restart: stop() closed the {self.engine_name!r} engine "
-                "and it cannot run again (its workers are gone); build a new "
-                "WalkService"
-            )
         self._queue = asyncio.Queue()
         self._drained = asyncio.Event()
         self._drained.set()
@@ -360,11 +344,9 @@ class WalkService:
         """
         if self._queue is None:
             # Never started (or already stopped): the prepared engine was
-            # still built eagerly in __init__ — a parallel engine holds a
-            # worker pool and a shared-memory segment — so release it
-            # rather than leak it.  Engine close is idempotent.
+            # still built eagerly in __init__, so release it.  Engine
+            # close is idempotent.
             self._runner.close()
-            self._runner_closed = True
             return
         self._accepting = False
         if drain:
@@ -413,7 +395,6 @@ class WalkService:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
         self._runner.close()
-        self._runner_closed = True
         self._queue = None
         self._dispatcher = None
         self._executor = None
@@ -619,9 +600,8 @@ class WalkService:
         moment the swap applies (and are unreachable even before that —
         pools are keyed by epoch).
 
-        The engine swap itself preserves long-lived resources (the
-        parallel engine's worker pool survives; see
-        :meth:`repro.engines.PreparedEngine.swap_snapshot`).
+        The engine swap itself is
+        :meth:`repro.engines.PreparedEngine.swap_snapshot`.
         """
         return await self.try_update_graph(snapshot)
 

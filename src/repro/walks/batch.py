@@ -11,12 +11,12 @@ over a dense task array, many schedulers:
   admissible, teleport, length — only on steps where a walker dies.  No
   dead lanes.
 * :func:`superstep` is the one copy of ``dangling -> sample -> early
-  termination | stall | advance -> teleport -> length``; the batch
-  engine, the parallel workers, the open frontier and the dist shard
-  workers call it.  Stream states and hop counts travel with the
-  frontier, so kernels draw with ``stream_idx=None`` ("stream k is
-  walker k"), whole-frontier draws advance in place, and the spec's
-  hooks are asked with each walker's own hop count.  A walker the kernel
+  termination | stall | advance -> teleport -> length``; every lane of
+  a closed run and the open frontier call it.  Stream states and hop
+  counts travel with the frontier, so kernels draw with
+  ``stream_idx=None`` ("stream k is walker k"), whole-frontier draws
+  advance in place, and the spec's hooks are asked with each walker's
+  own hop count.  A walker the kernel
   left undecided (a rejected Node2Vec proposal) *stalls*: it stays where
   it is and proposes again next superstep, beside walkers hops ahead of
   it — the superstep is the retry loop, so no superstep waits for its
@@ -37,8 +37,8 @@ over a dense task array, many schedulers:
   buffer.  numpy releases the GIL inside each pass, so the lanes
   overlap, and every walker draws only from its own stream, so paths
   and counters do not depend on the lane count
-  (``tests/walks/test_lanes.py``).  The open frontier, small batches and
-  pool workers (each process already owns a core) run one lane.
+  (``tests/walks/test_lanes.py``).  The open frontier and small batches
+  run one lane.
 
 Lanes on the ``deepwalk_batch`` shape (RMAT-16, 50k DeepWalk queries,
 length 80), 2-CPU host: in a traced call of ~100 ms the two lanes walk
@@ -53,8 +53,7 @@ Same API, ``SeedSequence((seed, query_id))`` substream keying and
 :class:`EngineStats` semantics as :func:`repro.walks.reference.run_walks`;
 chi-square tests hold it to that engine, ``tests/walks/test_compact_core.py``
 to the pre-compaction core bit for bit, ``benchmarks/suite`` measures it.
-:class:`BatchEngine` is the engine (its array hook is what parallel
-workers run against a loaded kernel); :func:`run_walks_batch` is the
+:class:`BatchEngine` is the engine; :func:`run_walks_batch` is the
 one-call ``Query`` form, :func:`run_walks_batch_flat` the one-call array
 form and :func:`run_walks_batch_arrays` its dense adapter.
 """
@@ -109,6 +108,16 @@ from repro.walks.reference import EngineStats
 #: 1.64x at 50,000 and 1.70x at 100,000; Node2Vec 0.78x at 10,000 and
 #: 1.08x at 20,000; PPR, whose frontier thins out early, 0.94x at 32,768
 #: and 1.08x at 50,000.  The cut sits where DeepWalk's two blocks gain.
+#:
+#: What caps more lanes is the share of a run that stays serial.  On
+#: DeepWalk at 50,000 walkers (same host, three runs of nine calls), a
+#: call on two lanes is 1.49-1.63x faster than on one: an Amdahl serial
+#: share of 23-34%, so a ceiling of 2.9-4.4x however many cores.  Each
+#: lane's ``time.thread_time`` is 90-92% of its wall time, so waiting
+#: for the GIL is only 8-10% of a lane.  The rest of the serial share is
+#: extra work: the two lanes together spend 1.2x the CPU time of one
+#: (they contend for memory bandwidth and cache), and the unpack and
+#: buffer set-up around them run alone.
 _MIN_BLOCK_WALKERS = 16384
 
 #: The lane pool (:func:`_lane_pool`) and the lock that creates it once.
@@ -442,14 +451,11 @@ class BatchEngine(PreparedEngine):
     """The vectorized engine: a prepared kernel driven by :func:`superstep`.
 
     ``kernel``, when given, must already be prepared (or loaded) for
-    ``graph`` and needs nothing beyond ``sample`` — a pool worker passes
-    the kernel it loaded from shared memory, a tracer a timing proxy.
+    ``graph`` and needs nothing beyond ``sample`` — a tracer passes a
+    timing proxy.
     """
 
     name = "batch"
-    #: Whether closed runs stay on one lane whatever their size: a pool
-    #: worker's engine does, its process already owning a core.
-    _one_lane = False
 
     def __init__(
         self,
@@ -468,7 +474,7 @@ class BatchEngine(PreparedEngine):
 
     def _run_arrays(self, query_ids, starts, seed):
         size = starts.size
-        lanes = 1 if self._one_lane else lane_count(size)
+        lanes = lane_count(size)
         blocks = list(pairwise([size * lane // lanes for lane in range(lanes + 1)]))
         hops = np.zeros(size, dtype=np.int64)
         # Hoisted once per run: with tracing disabled (the default) the
@@ -491,8 +497,8 @@ class BatchEngine(PreparedEngine):
     def open_frontier(self, seed: int, capacity: int) -> "OpenFrontier":
         """The open form of :meth:`run` (:class:`OpenFrontier`): walkers
         of any age share its supersteps, each on its own hop count.
-        :class:`PreparedEngine` has no such method: the pool engines step
-        in other processes."""
+        :class:`PreparedEngine` has no such method: the reference loop
+        walks one query at a time."""
         return OpenFrontier(self, seed, capacity)
 
 

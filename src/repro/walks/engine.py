@@ -1,21 +1,21 @@
 """The engine protocol: what every software walk engine is.
 
-A :class:`PreparedEngine` holds its per-graph setup (prepared sampling
-kernel, worker pool, shared segments) and answers ``run(queries, seed,
-stats)``.  The request and result handling around a run is the same for
-every engine, so it is written once here: empty check, one
-:func:`~repro.walks.base.unpack_queries`, one parent-side start-vertex
-check, the engine's array hook, one :func:`record_run`, one
+A :class:`PreparedEngine` holds its per-graph setup (the prepared
+sampling kernel) and answers ``run(queries, seed, stats)``.  The request
+and result handling around a run is the same for every engine, so it is
+written once here: empty check, one
+:func:`~repro.walks.base.unpack_queries`, one start-vertex check, the
+engine's array hook, one :func:`record_run`, one
 ``WalkResults.from_flat``.  An engine is a subclass with that one hook::
 
     _run_arrays(query_ids, starts, seed) -> (flat, offsets, counts)
 
 ``flat[offsets[k]:offsets[k + 1]]`` is the walk of ``query_ids[k]``,
 start vertex included; ``counts`` is one run's scalar counters in
-:data:`STAT_FIELDS` order (also the parallel/dist workers' wire order).
-Snapshot swaps share one hand-off the same way: :meth:`swap_snapshot`
-resolves a ``CSRGraph`` or a dynamic ``GraphSnapshot`` to ``(graph,
-prepared kernel)`` and gives it to the engine's ``_adopt``.
+:data:`STAT_FIELDS` order.  Snapshot swaps share one hand-off the same
+way: :meth:`swap_snapshot` resolves a ``CSRGraph`` or a dynamic
+``GraphSnapshot`` to ``(graph, prepared kernel)`` and gives it to the
+engine's ``_adopt``.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ def usable_cpus() -> int:
     CPU affinity masks and container quotas make this differ from
     ``os.cpu_count()`` — a 2-CPU cgroup on a 16-core host offers 2, not
     16 — and ``taskset`` or ``sched_setaffinity`` may change it at any
-    time.  The pool engines' default worker count and the batch engine's
-    lane count both come from here.
+    time.  The batch engine's lane count comes from here.
     """
     try:
         return max(1, len(os.sched_getaffinity(0)))
@@ -158,27 +157,20 @@ class PreparedEngine:
     """A software engine with its per-graph setup already paid.
 
     Construction — over a ``CSRGraph`` or a dynamic ``GraphSnapshot`` —
-    pays the setup once (kernel preparation, and for the
-    pool engines worker start-up and shared segments); :meth:`run` does
-    only per-batch work, and results are bit-identical for equal
-    ``(queries, seed)`` whichever array engine runs them.  Close the
-    engine — or use it as a context manager — when done.
+    pays the setup once (kernel preparation); :meth:`run` does only
+    per-batch work, and results are bit-identical for equal ``(queries,
+    seed)`` whatever the lane count.  Close the engine — or use it as a
+    context manager — when done; every engine runs again after
+    ``close``.
 
-    Subclasses declare ``name`` (the registry key) and ``options`` (the
-    keyword options their constructor accepts beyond ``graph, spec``),
-    call :meth:`_configure` first thing in their constructor, and
+    Subclasses declare ``name`` (the registry key), call
+    :meth:`_configure` first thing in their constructor, and
     implement :meth:`_run_arrays` and :meth:`_adopt`.  Test doubles that
     override only :meth:`run`/:meth:`close` need none of that.
     """
 
     #: Registry name of the engine.
     name: str
-    #: Constructor options beyond ``(graph, spec)``.  Every engine samples
-    #: with its spec's own kernel, so only the pool engines declare any.
-    options: frozenset[str] = frozenset()
-    #: Whether :meth:`run` still works after :meth:`close`.  False for
-    #: engines whose ``close`` tears down worker processes.
-    runs_after_close: bool = True
 
     def _configure(self, graph, spec: WalkSpec) -> None:
         """Validate and hold what the shared methods read (``graph`` is a
@@ -216,9 +208,8 @@ class PreparedEngine:
         ``snapshot`` is either a plain :class:`CSRGraph` or a dynamic
         :class:`~repro.dynamic.graph.GraphSnapshot` (see
         :func:`prepared_kernel`), so a snapshot swap costs a state
-        hand-off rather than an alias-table/edge-key rebuild.  Long-lived
-        resources (worker pools and their processes) survive the swap.
-        Callers must not swap while a :meth:`run` is executing; the
+        hand-off rather than an alias-table/edge-key rebuild.  Callers
+        must not swap while a :meth:`run` is executing; the
         serving layer applies swaps on epoch boundaries.
         """
         if type(self)._adopt is PreparedEngine._adopt:
@@ -232,7 +223,7 @@ class PreparedEngine:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release held resources (worker pools, shared memory)."""
+        """Release held resources; the engines here hold none past a run."""
 
     def __enter__(self):
         return self

@@ -46,23 +46,24 @@ def test_lint_json_format_is_machine_readable(capsys):
 
 
 def test_lint_verbose_lists_suppression_reasons(capsys):
-    assert main(["lint", str(FIXTURES / "rw103_suppressed.py"),
+    assert main(["lint", str(FIXTURES / "rw102_suppressed.py"),
                  "--verbose"]) == 0
     out = capsys.readouterr().out
-    assert "suppressed (test harness owns cleanup" in out
+    assert "suppressed (frozen stream: golden files pin" in out
 
 
 def test_lint_select_restricts_rules(capsys):
     assert main(["lint", str(FIXTURES / "rw101_flag.py"),
-                 "--select", "RW103"]) == 0
+                 "--select", "RW104"]) == 0
     assert "0 finding(s)" in capsys.readouterr().out
 
 
 def test_lint_list_rules(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("RW100", "RW101", "RW102", "RW103", "RW104", "RW105"):
+    for rule_id in ("RW100", "RW101", "RW102", "RW104", "RW105", "RW107"):
         assert rule_id in out
+    assert "RW103" not in out
 
 
 def test_lint_baseline_workflow_via_cli(tmp_path, capsys):

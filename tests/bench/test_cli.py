@@ -39,7 +39,7 @@ class TestCommands:
         assert "MStep/s" in out and "walk lengths" in out
 
     def test_walk_software_engines(self, capsys):
-        for engine in ("batch", "parallel", "reference"):
+        for engine in ("batch", "reference"):
             code = main([
                 "walk", "--engine", engine, "--dataset", "WG", "--scale", "0.05",
                 "--queries", "32", "--length", "8", "--algorithm", "PPR",
@@ -48,23 +48,6 @@ class TestCommands:
             out = capsys.readouterr().out
             assert f"{engine} engine:" in out and "hops/s" in out
             assert "walk lengths" in out
-
-    def test_walk_parallel_engine_with_workers(self, capsys):
-        code = main([
-            "walk", "--engine", "parallel", "--workers", "2", "--dataset", "WG",
-            "--scale", "0.05", "--queries", "16", "--length", "6",
-        ])
-        assert code == 0
-        assert "parallel engine:" in capsys.readouterr().out
-
-    def test_workers_flag_rejected_for_other_engines(self, capsys):
-        for engine in ("batch", "sim"):
-            code = main([
-                "walk", "--engine", engine, "--workers", "2",
-                "--dataset", "WG", "--scale", "0.05", "--queries", "8",
-            ])
-            assert code == 1
-            assert "--engine parallel" in capsys.readouterr().err
 
     def test_software_engine_rejects_sim_only_flags(self, capsys):
         code = main([

@@ -14,11 +14,11 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-#: Suites whose tests start worker processes (or serve through engines
-#: that do).  A regression back to a hang there must fail one test in
-#: bounded time instead of stalling the lane; requirements-ci.txt has no
+#: Suites whose tests wait on an event loop and its dispatcher.  A
+#: regression back to a hang there must fail one test in bounded time
+#: instead of stalling the lane; requirements-ci.txt has no
 #: pytest-timeout, so the guard is a plain ``signal.alarm``.
-_GUARDED_SUITES = {"parallel", "dist", "serve"}
+_GUARDED_SUITES = {"serve"}
 HANG_LIMIT_SECONDS = 120
 
 

@@ -220,11 +220,7 @@ def test_a_traced_snapshot_names_what_it_maintained_and_the_ledger_is_exported()
 
 # --- hand engines the snapshot, not its graph ----------------------------------
 
-ENGINE_ROWS = {"batch": {}, "parallel": {"workers": 2}, "dist": {"shards": 2},
-               "reference": {}}
-
-
-@pytest.mark.parametrize("engine", ENGINE_ROWS)
+@pytest.mark.parametrize("engine", ["batch", "reference"])
 def test_an_engine_built_from_a_snapshot_leaves_its_state_to_later_epochs(
     engine, scratch_builds
 ):
@@ -236,7 +232,7 @@ def test_an_engine_built_from_a_snapshot_leaves_its_state_to_later_epochs(
         dynamic = trace.build_dynamic()
         snapshot = dynamic.snapshot()
         queries = make_queries(snapshot.graph, 16, seed=5)
-        with prepare_engine(engine, hand_over(snapshot), spec, **ENGINE_ROWS[engine]) as built:
+        with prepare_engine(engine, hand_over(snapshot), spec) as built:
             before = built.run(queries, seed=9)
             apply_batch(dynamic, trace.batches[0])
             snapshot = dynamic.snapshot()

@@ -3,10 +3,8 @@
 After an arbitrary update trace, ``DynamicGraph.snapshot()`` must be
 indistinguishable from a ``CSRGraph`` freshly built from the same
 logical edge set — not statistically, but bit-for-bit: identical paths
-and identical ``EngineStats``, for both the batch and parallel engines,
-whether the engine is built on the snapshot or *swapped* onto it
-mid-life (``PreparedEngine.swap_snapshot``).  The parallel engine must
-survive the swap without respawning its worker pool.
+and identical ``EngineStats``, whether the engine is built on the
+snapshot or *swapped* onto it mid-life (``PreparedEngine.swap_snapshot``).
 """
 
 import numpy as np
@@ -56,16 +54,14 @@ def state():
     return snapshot, static_graph, spec, queries
 
 
-@pytest.mark.parametrize("engine,options", [("batch", {}),
-                                            ("parallel", {"workers": 2})])
-def test_walks_bit_identical_on_snapshot(state, engine, options):
+def test_walks_bit_identical_on_snapshot(state):
     snapshot, static_graph, spec, queries = state
     dyn_stats, static_stats = EngineStats(), EngineStats()
     dyn_results, _ = run_software_walks(
-        engine, snapshot.graph, spec, queries, seed=3, stats=dyn_stats, **options
+        "batch", snapshot.graph, spec, queries, seed=3, stats=dyn_stats
     )
     static_results, _ = run_software_walks(
-        engine, static_graph, spec, queries, seed=3, stats=static_stats, **options
+        "batch", static_graph, spec, queries, seed=3, stats=static_stats
     )
     assert len(dyn_results.paths) == len(queries)
     for a, b in zip(dyn_results.paths, static_results.paths):
@@ -73,23 +69,17 @@ def test_walks_bit_identical_on_snapshot(state, engine, options):
     assert_stats_equal(dyn_stats, static_stats)
 
 
-@pytest.mark.parametrize("engine,options", [("batch", {}),
-                                            ("reference", {}),
-                                            ("parallel", {"workers": 2})])
-def test_swapped_engine_matches_fresh_engine(state, engine, options):
+@pytest.mark.parametrize("engine", ["batch", "reference"])
+def test_swapped_engine_matches_fresh_engine(state, engine):
     snapshot, static_graph, spec, queries = state
     trace_base = sliding_window_trace(7, edge_factor=4, batch_size=120,
                                       num_batches=3, weighted=True,
                                       seed=11).build_dynamic()
-    with prepare_engine(engine, trace_base.snapshot().graph, spec,
-                        **options) as swapped:
-        pids_before = getattr(swapped, "worker_pids", None)
+    with prepare_engine(engine, trace_base.snapshot().graph, spec) as swapped:
         swapped.swap_snapshot(snapshot)
-        # The workers must survive the swap: same processes.
-        assert getattr(swapped, "worker_pids", None) == pids_before
         swap_stats = EngineStats()
         swap_results = swapped.run(queries, seed=3, stats=swap_stats)
-    with prepare_engine(engine, static_graph, spec, **options) as fresh:
+    with prepare_engine(engine, static_graph, spec) as fresh:
         fresh_stats = EngineStats()
         fresh_results = fresh.run(queries, seed=3, stats=fresh_stats)
     for a, b in zip(swap_results.paths, fresh_results.paths):
@@ -112,16 +102,6 @@ def test_swap_rejects_non_graphs(state):
     with prepare_engine("batch", snapshot.graph, spec) as engine:
         with pytest.raises(WalkConfigError, match="expected a CSRGraph"):
             engine.swap_snapshot(object())
-
-
-def test_parallel_swap_rejects_changed_vertex_count(state):
-    snapshot, _, _, _ = state
-    spec = URWSpec(max_length=5)
-    from repro.graph import cycle_graph
-
-    with prepare_engine("parallel", snapshot.graph, spec, workers=2) as engine:
-        with pytest.raises(WalkConfigError, match="vertices"):
-            engine.swap_snapshot(cycle_graph(3))
 
 
 def test_its_sampler_loaded_from_snapshot_state(state):

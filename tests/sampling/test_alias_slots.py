@@ -2,14 +2,12 @@
 
 ``pack_alias_slots`` is held to a scalar oracle; the kernel that samples
 from the records is held to the scalar ``AliasTable``; and every place
-that carries alias state — the kernel's export, the shared-memory store,
-the dynamic snapshots, the ``parallel`` and ``dist`` workers — is shown to
-carry the one record array, zero-copy, without packing it again.
+that carries alias state — the kernel's export, the dynamic snapshots, an
+engine swapped onto one — is shown to carry the one record array,
+zero-copy, without packing it again.
 """
 
 import ast
-import multiprocessing
-import os
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +19,6 @@ from repro.engines import prepare_engine, run_software_walks
 from repro.errors import GraphError
 from repro.graph import CSRGraph, from_edges, rmat
 from repro.graph.alias import build_alias_table
-from repro.parallel.runtime import worker_context
-from repro.parallel.shared_graph import KERNEL_PREFIX, SharedArrayStore, kernel_from_store
 from repro.sampling import vectorized
 from repro.sampling.vectorized import (
     ALIAS_SLOT,
@@ -171,68 +167,16 @@ def test_kernel_moves_where_the_scalar_table_points(make_graph):
     assert (batch.proposals, batch.neighbor_reads) == (current.size, 2 * current.size)
 
 
-# --- the shared-memory store keeps a record array's fields ------------------
-
-
-def _describe_attached(handle, pipe) -> None:
-    """Spawned-process side of the store round trip."""
-    store = SharedArrayStore.attach(handle)
-    try:
-        view = store.arrays()["slots"]
-        pipe.send({
-            "names": view.dtype.names,
-            "itemsize": view.dtype.itemsize,
-            "writeable": bool(view.flags.writeable),
-            "owndata": bool(view.flags.owndata),
-            "prob": view["prob"].tolist(),
-            "col": view["col"].tolist(),
-            "alias_col": view["alias_col"].tolist(),
-            "plain": store.arrays()["plain"].tolist(),
-        })
-        del view
-    finally:
-        store.close()
-
-
-def test_record_arrays_round_trip_through_the_store_with_their_fields():
-    """``dtype.str`` of a record dtype is ``'|V16'``; a store that recorded
-    it handed workers opaque bytes (``view["prob"]`` raised)."""
-    graph = weighted_rmat()
-    slots = graph_alias_slots(graph)[:50]
-    with SharedArrayStore.create({"slots": slots, "plain": np.arange(5)}) as store:
-        local = store.arrays()["slots"]
-        assert local.dtype == ALIAS_SLOT and not local.flags.writeable
-        assert local.tobytes() == slots.tobytes()
-        context = multiprocessing.get_context("spawn")
-        receiver, sender = context.Pipe(duplex=False)
-        child = context.Process(target=_describe_attached, args=(store.handle, sender))
-        child.start()
-        try:
-            assert receiver.poll(60), "spawned reader never answered"
-            seen = receiver.recv()
-        finally:
-            child.join(30)
-        assert child.exitcode == 0
-    assert seen["names"] == ALIAS_SLOT.names and seen["itemsize"] == 16
-    assert not seen["writeable"] and not seen["owndata"]
-    for name in ALIAS_SLOT.names:
-        assert seen[name] == slots[name].tolist()
-    assert seen["plain"] == [0, 1, 2, 3, 4]
-
-
 # --- dynamic snapshots: slice-copied, packed only where rebuilt -------------
 
 _PACKER_SITES = (vectorized, repro.dynamic.state)
 
 
-def forbid_packing(monkeypatch, allowed_pid: int | None = None) -> None:
-    """Make every module's reference to the packer fail (outside
-    ``allowed_pid``, when given)."""
-    real = vectorized.pack_alias_slots
+def forbid_packing(monkeypatch) -> None:
+    """Make every module's reference to the packer fail."""
 
     def guarded(*args):
-        assert os.getpid() == allowed_pid, "alias slots packed where they must be handed over"
-        return real(*args)
+        raise AssertionError("alias slots packed where they must be handed over")
 
     for module in _PACKER_SITES:
         monkeypatch.setattr(module, "pack_alias_slots", guarded)
@@ -293,38 +237,6 @@ def test_snapshot_state_holds_no_unpacked_tables():
     assert state.alias_slots.dtype == ALIAS_SLOT
     assert state.num_slots == state.graph.num_edges
     assert not hasattr(state, "alias_prob") and not hasattr(state, "alias_index")
-
-
-# --- workers attach the records; they never pack ----------------------------
-
-
-@pytest.mark.skipif(worker_context().get_start_method() != "fork",
-                    reason="the worker-side patches are inherited by fork")
-@pytest.mark.parametrize("engine,options", [("parallel", {"workers": 2}),
-                                            ("dist", {"shards": 2})])
-def test_workers_hold_a_view_of_their_segment_and_never_pack(monkeypatch, engine, options):
-    real_load = kernel_from_store
-
-    def checked_load(spec, store):
-        kernel = real_load(spec, store)
-        held = kernel.state_arrays()["alias_slots"]
-        assert held.dtype == ALIAS_SLOT
-        assert not held.flags.owndata and not held.flags.writeable
-        assert np.shares_memory(held, store.arrays()[KERNEL_PREFIX + "alias_slots"])
-        return kernel
-
-    forbid_packing(monkeypatch, allowed_pid=os.getpid())
-    monkeypatch.setattr(f"repro.{engine}.worker.kernel_from_store", checked_load)
-    graph = weighted_rmat()
-    spec = DeepWalkSpec(max_length=10)
-    queries = make_queries(graph, 64, seed=2)
-    with prepare_engine(engine, graph, spec, **options) as pool:
-        results = pool.run(queries, seed=4)  # a failed worker check raises here
-        pool.swap_snapshot(graph)  # workers adopt a new segment the same way
-        again = pool.run(queries, seed=4)
-    baseline, _ = run_software_walks("batch", graph, spec, queries, seed=4)
-    assert all(map(np.array_equal, results.paths, baseline.paths))
-    assert all(map(np.array_equal, again.paths, baseline.paths))
 
 
 # --- structure: one state, one contract -------------------------------------

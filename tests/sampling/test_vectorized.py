@@ -103,7 +103,7 @@ class TestQueryStreams:
         assert flat.min() >= 0.0 and flat.max() < 1.0
 
     def test_from_states_resumes_bit_identically(self):
-        # The forwarding contract: draws, a state hand-off, then more
+        # The frontier contract: draws, a state hand-off, then more
         # draws must equal one uninterrupted stream.
         oracle = QueryStreams(5, [3, 7, 11])
         live = QueryStreams(5, [3, 7, 11])
@@ -115,7 +115,7 @@ class TestQueryStreams:
 
     def test_from_states_wraps_by_reference(self):
         # Zero-copy: draws through the wrapper advance the caller's
-        # array in place, so a shard's walker table IS the RNG state.
+        # array in place, so a frontier's state column IS the RNG state.
         carried = QueryStreams(1, [0, 1]).states().copy()
         before = carried.copy()
         streams = QueryStreams.from_states(carried)
@@ -124,7 +124,7 @@ class TestQueryStreams:
         assert not np.array_equal(carried, before)
 
     def test_from_states_permutation_matches_reseeding(self):
-        # Forwarding reorders walkers arbitrarily; a permuted slice of
+        # Compaction and admission reorder walkers; a permuted slice of
         # the state array must behave as streams for the permuted ids.
         states = seed_sequence_states(9, [0, 1, 2, 3])
         perm = np.array([2, 0, 3, 1])

@@ -2,8 +2,8 @@
 
 The acceptance bar: a request's paths are bit-identical whether it was
 served alone (micro-batch of 1), in micro-batches of 16, in one maximal
-batch, on the batch engine or the parallel engine — and all of those
-equal the offline replay through ``run_walks_batch`` at the same
+batch, stepped on the open frontier or run in closed micro-batches — and
+all of those equal the offline replay through ``run_walks_batch`` at the same
 ``(seed, query_id)``.  Any divergence means batch composition leaked
 into the randomness, which is the one bug a serving layer must never
 have.
@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 from stall_helpers import RETRY_HEAVY
 
-from repro.engines import prepare_engine
+from repro.engines import PreparedEngine, prepare_engine
 from repro.graph import load_dataset
 from repro.serve import ServeConfig, WalkService, replay_paths, run_open_loop
 from repro.walks import DeepWalkSpec, Node2VecSpec, PPRSpec
+from repro.walks.batch import BatchEngine
 
 NUM_REQUESTS = 40
 SERVICE_SEED = 21
@@ -28,9 +29,23 @@ SERVICE_SEED = 21
 #: request at once.
 BATCH_SIZES = (1, 16, NUM_REQUESTS)
 
-#: Engine cells the service must agree across; parallel runs 2 workers
-#: so sharding is actually exercised.
-ENGINES = (("batch", {}), ("parallel", {"workers": 2}))
+#: The dispatchers the service must agree across: ``batch`` is stepped
+#: on the open frontier, ``closed`` is the same engine behind ``run``
+#: alone, served in closed micro-batches.
+ENGINES = ("batch", "closed")
+
+
+class ClosedBatch(PreparedEngine):
+    """The batch engine with no ``open_frontier``: the shape of the
+    benchmark suite's timing proxy."""
+
+    name = "closed-batch"
+
+    def __init__(self, graph, spec):
+        self.inner = BatchEngine(graph, spec)
+
+    def run(self, queries, seed=0, stats=None):
+        return self.inner.run(queries, seed=seed, stats=stats)
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +61,7 @@ def workload():
     return graph, spec, starts, oracle
 
 
-def _serve(graph, spec, starts, engine, engine_options, max_batch):
+def _serve(graph, spec, starts, engine, max_batch):
     async def _drive():
         config = ServeConfig(
             max_batch=max_batch,
@@ -56,10 +71,8 @@ def _serve(graph, spec, starts, engine, engine_options, max_batch):
             max_wait_ms=50.0,
             queue_depth=4 * NUM_REQUESTS,
         )
-        service = WalkService(
-            graph, spec, engine=engine, seed=SERVICE_SEED, config=config,
-            **engine_options,
-        )
+        runner = engine if engine == "batch" else ClosedBatch(graph, spec)
+        service = WalkService(graph, spec, engine=runner, seed=SERVICE_SEED, config=config)
         async with service:
             report = await run_open_loop(service, starts)
         return report, service
@@ -67,13 +80,12 @@ def _serve(graph, spec, starts, engine, engine_options, max_batch):
     return asyncio.run(_drive())
 
 
-@pytest.mark.parametrize("engine,engine_options", ENGINES,
-                         ids=[name for name, _ in ENGINES])
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("max_batch", BATCH_SIZES)
-def test_bit_identical_to_offline_replay(workload, engine, engine_options, max_batch):
+def test_bit_identical_to_offline_replay(workload, engine, max_batch):
     """Every (batch size, engine) cell reproduces the offline oracle."""
     graph, spec, starts, oracle = workload
-    report, service = _serve(graph, spec, starts, engine, engine_options, max_batch)
+    report, service = _serve(graph, spec, starts, engine, max_batch)
     assert not report.dropped
     assert report.completed == NUM_REQUESTS
     for query_id, expected in oracle.items():
@@ -90,11 +102,9 @@ def test_bit_identical_to_offline_replay(workload, engine, engine_options, max_b
     assert max(histogram) <= max_batch
 
 
-@pytest.mark.parametrize("engine,engine_options", ENGINES,
-                         ids=[name for name, _ in ENGINES])
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("max_batch", BATCH_SIZES)
-def test_walks_of_unequal_length_replay_bit_identically(workload, engine,
-                                                        engine_options, max_batch):
+def test_walks_of_unequal_length_replay_bit_identically(workload, engine, max_batch):
     """PPR walks end at different hops, so on the open frontier slots
     free at different times and later requests join walkers mid-walk
     (DeepWalk at a fixed length frees them all at once); the closed
@@ -105,14 +115,14 @@ def test_walks_of_unequal_length_replay_bit_identically(workload, engine,
         graph, spec, {i: int(v) for i, v in enumerate(starts)}, seed=SERVICE_SEED
     )
     assert len({path.size for path in oracle.values()}) > 3
-    report, service = _serve(graph, spec, starts, engine, engine_options, max_batch)
+    report, service = _serve(graph, spec, starts, engine, max_batch)
     assert report.completed == NUM_REQUESTS and not report.dropped
     for query_id, expected in oracle.items():
         assert np.array_equal(report.paths[query_id], expected), (
             f"request {query_id} diverged under engine={engine} max_batch={max_batch}"
         )
     assert max(service.stats.batch_size_histogram()) <= max_batch
-    # The batch engine is stepped by the service; the pool engine is not.
+    # The batch engine is stepped by the service; the run-only proxy is not.
     assert (service.stats.supersteps > 0) == (engine == "batch")
     if engine == "batch":
         assert service.stats.mean_step_occupancy() <= max_batch
@@ -139,7 +149,7 @@ def test_a_handed_in_engine_replays_at_replay_paths_defaults(workload):
 def test_interleaved_arrivals_do_not_change_paths(workload):
     """Paced arrivals slice the stream differently; paths must not move."""
     graph, spec, starts, oracle = workload
-    report, service = _serve(graph, spec, starts, "batch", {}, max_batch=16)
+    report, service = _serve(graph, spec, starts, "batch", max_batch=16)
     paced_report, paced_service = None, None
 
     async def _paced():
@@ -171,7 +181,7 @@ def test_second_order_walks_survive_batching(workload):
         graph, spec, {i: int(v) for i, v in enumerate(starts)}, seed=SERVICE_SEED
     )
     for max_batch in (1, NUM_REQUESTS):
-        report, _ = _serve(graph, spec, starts, "batch", {}, max_batch)
+        report, _ = _serve(graph, spec, starts, "batch", max_batch)
         for query_id, expected in oracle.items():
             assert np.array_equal(report.paths[query_id], expected)
 
@@ -191,7 +201,7 @@ def test_retry_heavy_walks_replay_with_equal_counters(workload, p, q):
     expected = run_walks_batch(graph, spec, [Query(i, int(v)) for i, v in enumerate(starts)],
                                seed=SERVICE_SEED, stats=offline)
     assert offline.sampling_proposals > offline.total_hops
-    report, service = _serve(graph, spec, starts, "batch", {}, max_batch=8)
+    report, service = _serve(graph, spec, starts, "batch", max_batch=8)
     assert service.stats.supersteps > 0  # stepped by the open frontier
     for query_id in range(NUM_REQUESTS):
         assert np.array_equal(report.paths[query_id], expected.path_of(query_id))
@@ -215,7 +225,7 @@ def test_engine_stats_match_offline_batch(workload):
         [Query(i, int(v)) for i, v in enumerate(starts)],
         seed=SERVICE_SEED, stats=offline,
     )
-    _, service = _serve(graph, spec, starts, "batch", {}, max_batch=16)
+    _, service = _serve(graph, spec, starts, "batch", max_batch=16)
     served = service.engine_stats
     assert served.total_hops == offline.total_hops
     assert served.sampling_proposals == offline.sampling_proposals

@@ -8,7 +8,7 @@ import pytest
 from repro.engines import PreparedEngine
 from repro.errors import GraphError, ReproError, ServeError
 from repro.graph import path_graph, powerlaw
-from repro.serve import ServeConfig, WalkService, run_open_loop
+from repro.serve import ServeConfig, WalkService, replay_paths, run_open_loop
 from repro.serve.stats import ServeStats
 from repro.walks import URWSpec, WalkResults
 
@@ -161,9 +161,8 @@ class TestLifecycle:
         assert engine.closed
 
     def test_stop_without_start_still_closes_engine(self):
-        """__init__ builds the engine eagerly (a parallel engine holds a
-        worker pool + shared memory), so an abandoned, never-started
-        service must still release it on stop."""
+        """__init__ builds the engine eagerly, so an abandoned,
+        never-started service must still release it on stop."""
         engine = SlowEngine()
         service = WalkService(make_graph(), URWSpec(max_length=5), engine=engine)
         drive(service.stop())
@@ -197,35 +196,31 @@ class TestLifecycle:
 
         drive(scenario())
 
-    @pytest.mark.parametrize("engine,options", [("parallel", {"workers": 2}),
-                                                ("dist", {"shards": 2})])
-    def test_restart_refused_when_engine_cannot_run_again(self, engine, options):
-        """stop() tears the pool engines' workers down for good, so a
-        second start() must fail there — not come up and then book every
-        request as failed with 'engine is closed'."""
+    def test_stopped_batch_service_restarts_and_serves(self):
+        """stop() closes the engine, and every engine runs after close:
+        the same batch-engine service starts again, serves, and every
+        path from either life replays bit-identically offline."""
         graph = make_graph()
+        spec = URWSpec(max_length=5)
 
         async def scenario():
-            service = WalkService(graph, URWSpec(max_length=5), engine=engine,
-                                  **options)
-            await service.start()
-            results = await asyncio.wait_for(service.submit(2), timeout=60.0)
-            assert results.path_of(0)[0] == 2
-            await service.stop()
-            with pytest.raises(ServeError, match=f"cannot restart.*{engine}"):
+            service = WalkService(graph, spec, engine="batch", seed=4)
+            paths = {}
+            for query_id in (0, 1):
                 await service.start()
+                results = await asyncio.wait_for(
+                    service.submit(2, query_id=query_id), timeout=30.0)
+                paths[query_id] = results.path_of(0)
+                await service.stop()
             with pytest.raises(ServeError, match="not running"):
                 service.try_submit(2)
-            await service.stop()  # still safe on the dead service
-            return service.stats
+            return service.stats, paths
 
-        stats = drive(scenario())
-        assert (stats.offered, stats.completed, stats.failed) == (1, 1, 0)
-
-    def test_engine_options_rejected_with_prepared_engine(self):
-        with pytest.raises(ServeError, match="prepare_engine"):
-            WalkService(make_graph(), URWSpec(max_length=5),
-                        engine=SlowEngine(), workers=2)
+        stats, paths = drive(scenario())
+        assert (stats.offered, stats.completed, stats.failed) == (2, 2, 0)
+        oracle = replay_paths(graph, spec, {0: 2, 1: 2}, seed=4)
+        for query_id, path in paths.items():
+            assert np.array_equal(path, oracle[query_id])
 
 
 class TestFailureIsolation:

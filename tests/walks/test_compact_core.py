@@ -17,7 +17,6 @@ import pytest
 
 from repro.bench.workloads import make_spec
 from repro.cli import ALGORITHMS
-from repro.engines import run_software_walks
 from repro.graph import from_edges, rmat
 from repro.graph.datasets import assign_metapath_schema, thunderrw_weights
 from repro.walks import (
@@ -29,6 +28,7 @@ from repro.walks import (
     make_queries,
     run_walks_batch,
 )
+from repro.walks import batch
 
 GOLDEN_PATH = Path(__file__).with_name("golden_compact_core.json")
 GOLDEN_SEED = 13
@@ -53,17 +53,13 @@ def golden_queries(graph):
     return make_queries(graph, GOLDEN_QUERIES, seed=5, require_outgoing=False)
 
 
-def golden_cell(graph, queries, algorithm, engine=None, **options) -> dict:
-    """Digest of the paths plus every ``EngineStats`` field of one run
-    (through ``run_walks_batch``, or the named registry engine)."""
+def golden_cell(graph, queries, algorithm) -> dict:
+    """Digest of the paths plus every ``EngineStats`` field of one
+    ``run_walks_batch`` run."""
     spec = make_spec(algorithm)
     spec.max_length = GOLDEN_LENGTH
     stats = EngineStats()
-    if engine is None:
-        results = run_walks_batch(graph, spec, queries, seed=GOLDEN_SEED, stats=stats)
-    else:
-        results, _ = run_software_walks(engine, graph, spec, queries, seed=GOLDEN_SEED,
-                                        stats=stats, **options)
+    results = run_walks_batch(graph, spec, queries, seed=GOLDEN_SEED, stats=stats)
     digest = hashlib.sha256()
     for path in results.paths:
         assert path.dtype == np.int64
@@ -101,16 +97,16 @@ def test_matches_pre_compaction_golden(golden_inputs, algorithm):
     assert golden_cell(*golden_inputs, algorithm) == expected
 
 
-@pytest.mark.parametrize("engine,options", [("parallel", {"workers": 2}),
-                                            ("dist", {"shards": 2})])
-@pytest.mark.parametrize("algorithm", ["Node2Vec", "Node2Vec-reservoir"])
-def test_second_order_golden_cells_hold_on_the_pool_engines(
-    golden_inputs, algorithm, engine, options
-):
-    """The adjacency probe's answers reach the worker processes through
-    shared segments; the same pre-compaction digests must come back."""
+@pytest.mark.parametrize("lanes", [2, 3])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_golden_cells_hold_on_any_lane_count(monkeypatch, golden_inputs, algorithm, lanes):
+    """Lanes walk their row blocks on their own threads through the one
+    prepared kernel; the same pre-compaction digests must come back."""
+    monkeypatch.setattr(batch, "usable_cpus", lambda: lanes)
+    monkeypatch.setattr(batch, "_MIN_BLOCK_WALKERS", GOLDEN_QUERIES // lanes)
+    assert batch.lane_count(GOLDEN_QUERIES) == lanes
     expected = json.loads(GOLDEN_PATH.read_text())[golden_key(algorithm)]
-    assert golden_cell(*golden_inputs, algorithm, engine, **options) == expected
+    assert golden_cell(*golden_inputs, algorithm) == expected
 
 
 # --- (b) edge cases the compaction introduces -----------------------------

@@ -2,13 +2,12 @@
 
 One parametrized test sweeps the full CLI algorithm list (``URW``,
 ``PPR``, ``DeepWalk``, ``Node2Vec``, ``Node2Vec-reservoir``, ``MetaPath``)
-across the ``reference``, ``batch``, ``parallel`` and ``dist`` engines,
-holding each cell to the strongest relation it supports:
+across the ``reference`` and ``batch`` engines, holding each cell to the
+strongest relation it supports:
 
 * **Exact determinism** — every engine re-run at the same seed must be
-  bit-identical to itself, and ``parallel`` and ``dist`` must be
-  bit-identical to ``batch`` (same kernels, same
-  ``SeedSequence((seed, query_id))`` substreams).
+  bit-identical to itself.  (That ``batch`` is bit-identical whatever
+  its lane count is ``tests/walks/test_lanes.py``'s job.)
 * **Chi-square agreement** — every engine's visit histogram must match
   the reference engine's under the shared two-sample oracle (the engines
   consume their substreams differently, so bit-equality across that
@@ -16,7 +15,7 @@ holding each cell to the strongest relation it supports:
 
 Every cell *runs*: a cell an engine cannot execute must be listed in
 ``XFAIL_CELLS`` with a tracking reason so the gap stays visible in test
-output instead of silently skipping.  (Today the map is empty — all 24
+output instead of silently skipping.  (Today the map is empty — all 12
 cells execute.)
 """
 
@@ -32,14 +31,9 @@ from repro.engines import SOFTWARE_ENGINES, run_software_walks
 from repro.graph import load_dataset
 from repro.graph.datasets import assign_metapath_schema
 
-#: The 24-cell matrix spins worker pools per cell: full CI lane only.
+#: The matrix's chi-square cells run the scalar reference loop: full CI
+#: lane only.
 pytestmark = pytest.mark.slow
-
-#: Per-engine run options keeping multi-process cells small in CI.
-ENGINE_RUN_OPTIONS = {"parallel": {"workers": 2}, "dist": {"shards": 2}}
-#: Different sizing for the determinism re-run: the shard/worker count
-#: must not matter, so the second run deliberately uses another one.
-ENGINE_RERUN_OPTIONS = {"parallel": {"workers": 3}, "dist": {"shards": 3}}
 
 SOFTWARE_ENGINE_NAMES = tuple(sorted(SOFTWARE_ENGINES))
 
@@ -79,10 +73,8 @@ def _spec(algorithm):
 def _run(algorithm, engine, seed):
     """One engine run per (cell, seed), cached so determinism re-runs and
     cross-engine comparisons don't recompute the matrix."""
-    options = ENGINE_RUN_OPTIONS.get(engine, {})
     results, _ = run_software_walks(
-        engine, _graph(), _spec(algorithm), list(_queries(algorithm)),
-        seed=seed, **options,
+        engine, _graph(), _spec(algorithm), list(_queries(algorithm)), seed=seed
     )
     return results
 
@@ -109,8 +101,7 @@ class TestEngineMatrix:
         """Two runs at one seed are bit-identical (every engine)."""
         first = _run(algorithm, engine, RUN_SEED)
         again, _ = run_software_walks(
-            engine, _graph(), _spec(algorithm), list(_queries(algorithm)),
-            seed=RUN_SEED, **ENGINE_RERUN_OPTIONS.get(engine, {}),
+            engine, _graph(), _spec(algorithm), list(_queries(algorithm)), seed=RUN_SEED
         )
         assert first.num_queries == again.num_queries == NUM_QUERIES
         for a, b in zip(first.paths, again.paths):
@@ -135,35 +126,11 @@ class TestEngineMatrix:
         )
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_parallel_bit_identical_to_batch(algorithm):
-    """Where exact determinism is supported — the vectorized pair — the
-    matrix demands it: sharding must not move a single vertex."""
-    batch = _run(algorithm, "batch", RUN_SEED)
-    parallel = _run(algorithm, "parallel", RUN_SEED)
-    assert batch.num_queries == parallel.num_queries
-    for a, b in zip(batch.paths, parallel.paths):
-        assert np.array_equal(a, b)
-    assert batch.total_steps == parallel.total_steps
-
-
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_dist_bit_identical_to_batch(algorithm):
-    """Partitioning the graph and forwarding walkers across shard
-    boundaries must not move a vertex or change a termination count."""
-    batch = _run(algorithm, "batch", RUN_SEED)
-    dist = _run(algorithm, "dist", RUN_SEED)
-    assert batch.num_queries == dist.num_queries
-    for a, b in zip(batch.paths, dist.paths):
-        assert np.array_equal(a, b)
-    assert batch.total_steps == dist.total_steps
-
-
 def test_matrix_covers_every_cell():
     """The parametrization sweeps the full cross product — nobody can
     drop a cell without this inventory noticing."""
     cells = {(a, e) for a in ALGORITHMS for e in SOFTWARE_ENGINE_NAMES}
-    assert len(cells) == len(ALGORITHMS) * len(SOFTWARE_ENGINE_NAMES) == 24
+    assert len(cells) == len(ALGORITHMS) * len(SOFTWARE_ENGINE_NAMES) == 12
     params = {(algorithm, engine) for algorithm, engine, *_ in
               (p.values for p in _cell_params())}
     assert params == cells

@@ -29,7 +29,6 @@ from repro.graph import rmat
 from repro.graph.datasets import assign_metapath_schema, thunderrw_weights
 from repro.obs.exporters import chrome_trace
 from repro.obs.trace import DEFAULT_CAPACITY, configure_tracer, tracing
-from repro.parallel import ParallelWalkEngine
 from repro.walks import EngineStats, Node2VecSpec, PPRSpec, Query, make_queries
 from repro.walks import batch
 from repro.walks.batch import BatchEngine, lane_count
@@ -285,33 +284,3 @@ def test_a_forked_child_starts_its_own_lane_pool(monkeypatch, graph, queries):
         child.join()
         pytest.fail("a forked child's fanned-out run hung")
     assert child.exitcode == 0
-
-
-def test_pool_workers_run_one_lane(monkeypatch):
-    """After the parent fanned out, a forked 2-worker parallel engine on
-    shards of at least two blocks finishes, matches batch bit for bit,
-    and never fans out inside a worker."""
-    graph = rmat(10, edge_factor=8, seed=3)
-    spec = make_spec("DeepWalk")
-    spec.max_length = LENGTH
-    queries = make_queries(graph, 2000, seed=4)
-    monkeypatch.setattr(batch, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(batch, "_MIN_BLOCK_WALKERS", 32)
-    expected, _, expected_stats = flat_run(BatchEngine(graph, spec), queries)
-    assert batch._pool is not None
-
-    parent = os.getpid()
-    lane_pool = batch._lane_pool
-
-    def parent_only_pool():
-        if os.getpid() != parent:
-            raise AssertionError("a pool worker fanned out")
-        return lane_pool()
-
-    monkeypatch.setattr(batch, "_lane_pool", parent_only_pool)
-    with ParallelWalkEngine(graph, spec, workers=2) as engine:
-        shards = len(queries) // (2 * 4)  # SHARDS_PER_WORKER
-        assert lane_count(shards) >= 2
-        flat, offsets, stats = flat_run(engine, queries)
-    assert np.array_equal(flat, expected)
-    assert stats == expected_stats

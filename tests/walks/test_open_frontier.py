@@ -197,7 +197,7 @@ def test_offered_for_every_spec():
     assert ended == [first, second]
     for slot in ended:
         assert frontier.take(slot).tolist() == [0, 1, 0, 1, 0, 1]
-    # The protocol itself has no open form: pool engines step elsewhere.
+    # The protocol itself has no open form: the reference loop has none.
     assert not hasattr(PreparedEngine, "open_frontier")
 
 

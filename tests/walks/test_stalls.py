@@ -20,7 +20,6 @@ import pytest
 from scalar_oracle import assert_same_runs, run_walks_scalar_arrays
 from stall_helpers import RETRY_HEAVY, HopTeleport, NeverAccepting
 
-from repro.engines import prepare_engine
 from repro.errors import SamplingError
 from repro.graph import load_dataset
 from repro.sampling.vectorized import (
@@ -110,8 +109,7 @@ def test_a_stall_under_a_step_dependent_spec_keeps_the_walkers_own_hop(p, q):
     """A stalled walker has taken fewer hops than supersteps have run, so
     a hook asked with the superstep count would teleport it on the wrong
     hop.  The scalar oracle indexes its per-hop tables by the walker's
-    own hop; the batch engine, and dist whose walkers change shards
-    mid-stall, must agree with it."""
+    own hop; the batch engine must agree with it."""
     spec = HopTeleporting(p=p, q=q, max_length=WALK_LENGTH)
     batch, scalar = batch_and_scalar(spec)
     assert_same_runs(batch, scalar)
@@ -120,14 +118,6 @@ def test_a_stall_under_a_step_dependent_spec_keeps_the_walkers_own_hop(p, q):
     teleported = batch[2].probabilistic_terminations
     assert 0 < teleported < NUM_QUERIES
     assert np.count_nonzero(np.isin(batch[1], (3, 6, 9))) >= teleported
-
-    closed_stats, dist_stats = EngineStats(), EngineStats()
-    closed = BatchEngine(graph(), spec).run(queries(), seed=SEED, stats=closed_stats)
-    with prepare_engine("dist", graph(), spec, shards=2) as dist:
-        sharded = dist.run(queries(), seed=SEED, stats=dist_stats)
-    for left, right in zip(closed.paths, sharded.paths, strict=True):
-        assert np.array_equal(left, right)
-    assert closed_stats == dist_stats
 
 
 def test_stalled_walkers_keep_their_place_and_extend_their_streaks():
