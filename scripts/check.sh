@@ -75,6 +75,10 @@ python -m repro serve-bench --scenario flash-crowd --tenants 2 \
 # open frontier, and the exit code gates replay identity.
 python -m repro serve-bench --algorithm MetaPath --scenario flash-crowd --tenants 2 \
   --requests 200 --rate 2000 --scale 0.05 --length 16 --max-batch 64
+# A run-only engine is served by the run-backed frontier (one closed run
+# per step); the exit code gates replay identity against its own run.
+python -m repro serve-bench --engine reference --scenario flash-crowd --tenants 2 \
+  --requests 200 --rate 2000 --scale 0.05 --length 16 --max-batch 64
 
 echo
 echo "== dynamic smoke (update trace + snapshot-equivalence check) =="

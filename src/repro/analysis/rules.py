@@ -231,11 +231,11 @@ _BLOCKING_BARE = {
     "input": "console input blocks the event loop",
     # This repository's synchronous engine entry points: a direct call
     # from a coroutine runs the whole walk batch on the event loop,
-    # freezing admission, flush timers, and every other request.
+    # freezing admission and every other request.
     "run_walks": "synchronous engine entry point; dispatch via "
-                 "loop.run_in_executor as WalkService._execute does",
+                 "loop.run_in_executor",
     "run_walks_batch": "synchronous engine entry point; dispatch via "
-                       "loop.run_in_executor as WalkService._execute does",
+                       "loop.run_in_executor",
     "run_software_walks": "synchronous engine entry point; dispatch via "
                           "loop.run_in_executor",
     "run_accelerator_walks": "the cycle model runs to completion on the "
@@ -251,7 +251,7 @@ class BlockingAsyncRule(Rule):
     name = "blocking-call-in-async"
     description = (
         "A blocking call inside an async def body stalls the event loop: "
-        "micro-batch flush timers, admission, and every concurrent request "
+        "timers, admission, and every concurrent request "
         "stop until it returns. Await an async equivalent or dispatch via "
         "loop.run_in_executor."
     )

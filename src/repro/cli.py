@@ -30,7 +30,13 @@ import sys
 from repro.bench.experiments import EXPERIMENTS
 from repro.bench.workloads import make_spec
 from repro.core import RidgeWalker, RidgeWalkerConfig
-from repro.engines import ENGINES, SOFTWARE_ENGINES, hops_per_second, run_software_walks
+from repro.engines import (
+    ENGINES,
+    SOFTWARE_ENGINES,
+    hops_per_second,
+    prepare_engine,
+    run_software_walks,
+)
 from repro.errors import ReproError, WalkConfigError
 from repro.graph import dataset_names, load_dataset, load_edge_list, load_npz
 from repro.graph.datasets import assign_metapath_schema
@@ -38,7 +44,7 @@ from repro.resources import DEVICE_CATALOG, get_device
 from repro.sampling.base import derive_seed, normalize_seed
 from repro.serve.workload import SCENARIOS
 from repro.sim import UtilizationTracer, render_dashboard
-from repro.walks import EngineStats, make_queries
+from repro.walks import EngineStats, Query, make_queries
 
 ALGORITHMS = ("URW", "PPR", "DeepWalk", "Node2Vec", "Node2Vec-reservoir", "MetaPath")
 
@@ -109,10 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve-bench",
         help="drive the async walk service with an open-loop workload",
-        description="Serve individual walk requests through the micro-batching "
-        "walk service (repro.serve) under an open-loop arrival process and "
-        "report latency percentiles, micro-batch shape, and sustained "
-        "throughput.",
+        description="Serve individual walk requests through the walk service "
+        "(repro.serve) under an open-loop arrival process and report latency "
+        "percentiles, admission-group shape, and sustained throughput.",
     )
     serve.add_argument("--algorithm", choices=ALGORITHMS, default="DeepWalk")
     serve.add_argument("--engine", choices=tuple(SOFTWARE_ENGINES), default="batch",
@@ -126,9 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Poisson arrival rate in requests/sec; <= 0 means "
                        "back-to-back saturation arrivals (default)")
     serve.add_argument("--max-batch", type=int, default=64,
-                       help="micro-batch flush size")
-    serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="micro-batch flush deadline after first request")
+                       help="walkers that may share one engine step")
     serve.add_argument("--depth", type=int, default=None,
                        help="admission high-water (outstanding requests); "
                        "default: large enough to never shed this workload — "
@@ -373,7 +376,6 @@ def cmd_serve_bench(args) -> int:
         TenantTrace,
         WalkService,
         hub_hammer_starts,
-        replay_paths,
         run_tenant_traces,
         scenario_gaps,
         serve_open_loop,
@@ -391,8 +393,7 @@ def cmd_serve_bench(args) -> int:
     # The CLI default never sheds: sizing a real deployment's depth is
     # recommended_queue_depth's job, and it needs a measured service rate.
     depth = args.depth or max(2 * args.max_batch, args.requests)
-    config = ServeConfig(max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
-                         queue_depth=depth)
+    config = ServeConfig(max_batch=args.max_batch, queue_depth=depth)
 
     print(f"graph: {graph}")
     print(f"workload: {args.algorithm}, {args.requests} requests, "
@@ -400,7 +401,7 @@ def cmd_serve_bench(args) -> int:
           + (f"Poisson {args.rate:,.0f} req/s" if args.rate > 0
              else "saturation arrivals"))
     print(f"service: engine={args.engine}, "
-          f"max_batch={args.max_batch}, max_wait={args.max_wait_ms}ms, "
+          f"max_batch={args.max_batch}, "
           f"depth={depth}"
           + (f", tenants={args.tenants}" if args.tenants else "")
           + (", cache" if args.cache else ""))
@@ -477,13 +478,17 @@ def cmd_serve_bench(args) -> int:
     if service.cache is not None:
         print(f"cache: {service.cache.snapshot()}")
     # Every completed path — cache hits included — must replay
-    # bit-identically offline; the CLI run is its own determinism check.
+    # bit-identically through one offline run of the serving engine; the
+    # CLI run is its own determinism check.
     all_requests: dict[int, int] = {}
     all_paths: dict[int, np.ndarray] = {}
     for report in reports.values():
         all_requests.update(report.requests)
         all_paths.update(report.paths)
-    oracle = replay_paths(graph, spec, all_requests, seed=engine_seed)
+    replay = [Query(qid, start) for qid, start in sorted(all_requests.items())]
+    with prepare_engine(args.engine, graph, spec) as engine:
+        results = engine.run(replay, seed=engine_seed)
+    oracle = {query.query_id: results.path_of(k) for k, query in enumerate(replay)}
     mismatched = [qid for qid, path in all_paths.items()
                   if not np.array_equal(path, oracle[qid])]
     if mismatched:

@@ -2,8 +2,8 @@
 
 One instrumentation story for every subsystem grown in PRs 1–8.  The
 :mod:`~repro.obs.trace` tracer records where time goes *inside* a run
-(supersteps, lanes, serve coalesce→execute→respond, epoch
-swaps, cache pool fills) into a bounded ring; the
+(supersteps, lanes, serve dispatcher steps, epoch swaps, cache
+pool fills) into a bounded ring; the
 :mod:`~repro.obs.metrics` registry unifies the end-of-run ledgers
 (``EngineStats``, ``ServeStats``, tenant QoS ledgers, cache and dynamic
 graph counters) into Prometheus-shaped counters/gauges/histograms; the

@@ -27,7 +27,7 @@ from collections.abc import Iterable, Iterator
 from repro.errors import ObservabilityError
 
 #: Latency histogram bounds in seconds: 0.5ms .. 2.5s, roughly log-spaced
-#: around the micro-batching coalesce windows the serve layer uses.
+#: around the serve layer's millisecond request latencies.
 LATENCY_BUCKETS = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
 )
@@ -291,15 +291,15 @@ def serve_stats_into(registry: MetricsRegistry, stats, **labels) -> None:
     ).inc(stats.total_hops, **labels)
     registry.counter(
         "repro_serve_busy_seconds_total",
-        "Engine wall-clock summed over engine calls (supersteps or closed micro-batches)",
+        "Engine wall-clock summed over frontier steps (supersteps or closed runs)",
     ).inc(stats.busy_seconds, **labels)
     registry.counter(
         "repro_serve_supersteps_total",
-        "Supersteps the service stepped itself (open frontier; service-wide ledger only)",
+        "Frontier steps the service ran (service-wide ledger only)",
     ).inc(stats.supersteps, **labels)
     registry.counter(
         "repro_serve_walker_steps_total",
-        "Walkers summed over those supersteps: over supersteps_total, the mean lane occupancy",
+        "Walkers summed over those steps: over supersteps_total, the mean frontier occupancy",
     ).inc(stats.walker_steps, **labels)
     registry.histogram(
         "repro_serve_latency_seconds",
@@ -308,7 +308,7 @@ def serve_stats_into(registry: MetricsRegistry, stats, **labels) -> None:
     ).observe_many(stats.latencies, **labels)
     registry.histogram(
         "repro_serve_batch_size",
-        "Requests per dispatched micro-batch",
+        "Requests per admission group (seated in one dispatcher turn)",
         buckets=BATCH_SIZE_BUCKETS,
     ).observe_many(stats.batch_sizes, **labels)
 

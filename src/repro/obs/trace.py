@@ -58,8 +58,8 @@ class SpanEvent:
 
     ``ts`` and ``dur`` are seconds on the tracer's ``perf_counter``
     timeline (``dur == 0.0`` for instants); ``tid`` is the OS thread
-    ident of the recording thread, which is what makes engine-executor
-    work visibly parallel to the event loop in Perfetto.
+    ident of the recording thread, which is what makes a batch run's
+    lanes visibly parallel in Perfetto.
     """
 
     name: str

@@ -81,7 +81,7 @@ def weighted_capacity_split(
 ) -> list[float]:
     """Split one server's total service rate into per-class rates.
 
-    A weighted-priority bulk server (the multi-tenant micro-batcher of
+    A weighted-priority bulk server (the multi-tenant dispatcher of
     :mod:`repro.serve.qos`) is, per class, an M/M/1[N] queue whose
     long-run service rate is the class's weight share of the total: a
     class with weight ``w_i`` out of ``sum(w)`` is dispatched ``w_i /

@@ -1,16 +1,17 @@
-"""Async walk-serving layer: open-queue ingest over the closed-batch engines.
+"""Async walk-serving layer: open-queue ingest over the prepared engines.
 
-``WalkService`` coalesces individual walk requests into dynamic
-micro-batches and executes them on a prepared engine; admission control
-sheds past a queueing-model-sized high-water mark; ``ServeStats``
-records tail latency, batch shape, and sustained throughput.  On top of
+``WalkService`` seats individual walk requests into the frontier its
+engine opens and steps it once per event-loop turn (one dispatcher, no
+thread, no coalescing wait); admission control sheds past a
+queueing-model-sized high-water mark; ``ServeStats`` records tail
+latency, admission-group shape, and sustained throughput.  On top of
 that, ``TenantSpec``/``TenantScheduler`` give the service per-tenant
 admission classes with weighted-priority dispatch (a flooding tenant
 sheds its own traffic, not its neighbors' SLOs), and ``HotWalkCache``
 serves repeated query-id-independent requests from epoch-keyed,
 pre-generated walk pools.  The service is a scheduling layer only —
 per-request determinism (``SeedSequence((seed, query_id))``) survives
-any batching, any tenant interleaving, and any cache hit.
+any step composition, any tenant interleaving, and any cache hit.
 """
 
 from repro.serve.admission import AdmissionGate, recommended_queue_depth

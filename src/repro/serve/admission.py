@@ -4,14 +4,14 @@ An open system that admits everything melts: queues grow without bound,
 every request's latency goes to infinity, and the operator learns about
 the overload from timeouts instead of errors.  The service instead
 tracks *occupancy* — requests admitted but not yet resolved, whether
-still queued, being coalesced, or executing — and sheds new arrivals
+still queued, buffered in the scheduler, or seated — and sheds new arrivals
 with :class:`~repro.errors.ServeOverloadError` once occupancy reaches a
 high-water mark.
 
 The mark itself comes from the same M/M/1[N] bulk-service analytics the
 accelerator's zero-bubble scheduler is reasoned with
-(:mod:`repro.queueing.mm1n`): the micro-batcher *is* a bulk server that
-drains up to ``max_batch`` requests per dispatch, so the model's
+(:mod:`repro.queueing.mm1n`): the dispatcher *is* a bulk server that
+seats up to ``max_batch`` requests per step, so the model's
 offered-load and backlog arguments size the buffer directly.
 """
 
@@ -22,7 +22,7 @@ import math
 from repro.errors import ServeError, ServeOverloadError
 from repro.queueing.mm1n import BulkServiceQueue
 
-#: Floor on any recommended depth, in units of micro-batches.  Theorem
+#: Floor on any recommended depth, in units of full frontiers.  Theorem
 #: VI.1's premise — a backlog of at least one full batch guarantees the
 #: server never dispatches a partial batch for lack of work — needs one
 #: batch buffered while another executes, hence two.
@@ -37,13 +37,13 @@ def recommended_queue_depth(
 ) -> int:
     """Occupancy high-water for a stable open-loop workload.
 
-    Models the micro-batcher as a bulk-service queue: requests arrive
+    Models the dispatcher as a bulk-service queue: requests arrive
     Poisson(``arrival_rate``), the engine retires ``service_rate``
     requests per second per batch slot, and each dispatch serves at most
     ``max_batch``.  The depth scales the mean M/M/1-style backlog
     ``rho / (1 - rho)`` by ``safety`` (so nominal load practically never
     sheds) and never drops below ``MIN_DEPTH_BATCHES`` full batches (so
-    the batcher can always coalesce while a batch executes).  An
+    a full group is buffered while another is seated).  An
     unstable workload (``rho >= 1``) has no finite depth that avoids
     shedding — that is a capacity problem, so it is rejected loudly.
     """

@@ -1,15 +1,16 @@
-"""The open-frontier dispatcher: one superstep per event-loop turn.
+"""The service's one dispatcher: one frontier step per event-loop turn.
 
-For an engine that can keep a run open
-(:class:`~repro.walks.batch.OpenFrontier`), the service does not batch at
-all.  Its dispatcher is the engine's superstep loop, run on the event
-loop itself; every turn
+The service does not batch.  Its dispatcher steps the frontier the
+engine opens — ``batch``'s :class:`~repro.walks.batch.OpenFrontier`, one
+superstep a step, or any other engine's
+:class:`~repro.walks.engine.RunFrontier`, one closed ``run`` of
+everything seated a step — on the event loop itself; every turn
 
 1. **ingests** what the queue holds into the tenant scheduler, deriving
    the stream states of everything that arrived in one array pass;
 2. **seats** ``scheduler.next_batch(free)`` — clients by weighted
    round-robin, then pool-fill walkers — into the frontier's free slots;
-3. runs **one superstep** over the live walkers;
+3. runs **one step** over the live walkers;
 4. **resolves** the walks that ended in one pass
    (``WalkService._resolve``): each request gets a ``WalkResults`` of its
    own path, every ledger books the turn's completions in one call, each
@@ -19,14 +20,13 @@ loop itself; every turn
    in place of three objects, took saturated ``hops_per_s`` from 308k to
    366k (2-core host, medians of ten alternating runs);
 5. **yields** (``await asyncio.sleep(0)``), so submitters and callers'
-   callbacks run between supersteps.
+   callbacks run between steps.
 
 With nothing live and nothing buffered the loop blocks on the queue; it
 never spins.  A queued :class:`~repro.serve.items._EpochSwap` stops
 ingest where it sits; what was admitted before it is seated and walked
 out on the old graph, and the swap applies once the frontier has
-drained — a frontier never spans an epoch, as micro-batches never did.
-It applies on the loop, where the closed path hands it to its executor:
+drained — a frontier never spans an epoch.  It applies on the loop:
 nothing is seated by then, but submitters and every other coroutine
 wait out ``swap_snapshot``.  A snapshot maintains the sampler state its
 readers have read: build the service from a
@@ -41,8 +41,8 @@ from the maintained keys at each epoch).  A service built from a plain
 builds from scratch what the kernel reads — nothing for PPR, 44 ms for
 DeepWalk (the alias slots), 5.7 ms for Node2Vec — and later ones
 inherit as above; a plain ``CSRGraph`` as the swap target runs the whole
-``prepare`` every time (0 / 46 / 5.9 ms).  Hand a frontier-served
-service snapshots, from construction on, where that stall matters.
+``prepare`` every time (0 / 46 / 5.9 ms).  Hand the service snapshots,
+from construction on, where that stall matters.
 A pool fill's walkers take the slots clients leave, over as many turns
 as that needs, and the pool installs whole, on the one epoch it ran on,
 when its last walker ends.  If ``step()`` raises, exactly the seated
@@ -50,9 +50,8 @@ requests fail and the loop carries on with what is buffered.
 
 This is :class:`~repro.serve.service.WalkService`'s own dispatcher,
 split out by file: it works on the service's state directly.  Nothing
-here starts a thread or touches an executor (``tests/serve/
-test_dispatch_guard.py``); an engine that needs one is served by the
-closed path in ``service.py``.
+under ``serve/`` starts a thread or touches an executor (``tests/serve/
+test_dispatch_guard.py``).
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ from repro.obs.trace import active as _active_tracer
 from repro.sampling.vectorized import seed_sequence_states
 from repro.serve.items import _EpochSwap, _PendingRequest, _PoolFill
 from repro.walks.batch import OpenFrontier
-from repro.walks.engine import add_counts
+from repro.walks.engine import RunFrontier, add_counts
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.serve.service import WalkService
@@ -97,7 +96,7 @@ def _queued(queue: asyncio.Queue):
         yield queue.get_nowait()
 
 
-def _seat_fill(frontier: OpenFrontier, run: _FillRun, walkers: dict) -> int:
+def _seat_fill(frontier: OpenFrontier | RunFrontier, run: _FillRun, walkers: dict) -> int:
     """Seat as many of ``run``'s unseated walkers as there are free slots."""
     queries = run.fill.queries[run.seated:run.seated + frontier.free]
     slots = frontier.admit(
@@ -111,7 +110,7 @@ def _seat_fill(frontier: OpenFrontier, run: _FillRun, walkers: dict) -> int:
     return len(queries)
 
 
-async def frontier_loop(service: "WalkService", frontier: OpenFrontier) -> None:
+async def frontier_loop(service: "WalkService", frontier: OpenFrontier | RunFrontier) -> None:
     """Serve ``service``'s queue through ``frontier`` until cancelled."""
     queue, scheduler = service._queue, service._scheduler
     stats, engine_stats, cache = service.stats, service.engine_stats, service.cache
@@ -125,7 +124,7 @@ async def frontier_loop(service: "WalkService", frontier: OpenFrontier) -> None:
     fills: deque[_FillRun] = deque()
     pending_swap: _EpochSwap | None = None
     # Engine seconds a walker seated since the start would have been
-    # charged: each superstep's time, split evenly over its walkers.  A
+    # charged: each step's time, split evenly over its walkers.  A
     # request is charged ``share`` when it ends less its slot's entry.
     share = 0.0
     seated_share = [0.0] * frontier.capacity

@@ -1,9 +1,8 @@
 """What rides a :class:`~repro.serve.service.WalkService`'s dispatch queue.
 
 Three kinds of item share one queue, so their order *is* the order of
-events: a client request, a cache pool fill, a graph swap.  Both
-dispatchers (the closed micro-batcher in ``service.py``, the open
-frontier in ``frontier.py``) read them.
+events: a client request, a cache pool fill, a graph swap.  The
+dispatcher in ``frontier.py`` reads them.
 """
 
 from __future__ import annotations
@@ -20,9 +19,8 @@ class _PendingRequest:
     """One admitted request waiting for (or undergoing) execution.
 
     The request is its own query: it carries ``query_id`` and
-    ``start_vertex`` (validated at submission), so the closed dispatcher
-    hands the records to ``engine.run`` as they are and the frontier
-    reads the two fields when it seats them.
+    ``start_vertex`` (validated at submission), and the dispatcher reads
+    the two fields when it seats it.
     """
 
     query_id: int
@@ -33,8 +31,8 @@ class _PendingRequest:
     #: Query-id-independent submissions resolve with a
     #: :class:`~repro.serve.cache.ServedWalk` instead of ``WalkResults``.
     cacheable: bool = False
-    #: Stream state of ``(service seed, query id)``; the frontier
-    #: dispatcher derives it for everything it ingests in a turn at once.
+    #: Stream state of ``(service seed, query id)``; the dispatcher
+    #: derives it for everything it ingests in a turn at once.
     state: int = 0
 
 

@@ -16,7 +16,7 @@ this module gives :class:`~repro.serve.service.WalkService` tenancy:
   and therefore their latency SLOs — are untouched.
 
 * **Weighted-priority dispatch.**  :class:`TenantScheduler` buffers
-  admitted requests per tenant and composes each micro-batch by smooth
+  admitted requests per tenant and composes each admission group by smooth
   weighted round-robin over the backlogged tenants: a tenant with
   weight 8 gets 8 batch slots for every 1 a weight-1 tenant gets while
   both are backlogged, and idle tenants donate their slots.  The pick
@@ -139,7 +139,7 @@ class TenantScheduler:
 
     The service's dispatch loop pushes admitted requests (and cache pool
     fills) here instead of batching them FIFO; :meth:`next_batch` then
-    composes each micro-batch by smooth weighted round-robin.  Like
+    composes each admission group by smooth weighted round-robin.  Like
     :class:`AdmissionGate`, all state is plain single-threaded (asyncio)
     bookkeeping.
 
@@ -205,7 +205,7 @@ class TenantScheduler:
 
         A point-in-time telemetry gauge (``WalkService.snapshot_metrics``):
         distinct from gate occupancy, which also counts requests already
-        composed into an executing micro-batch.
+        seated in the frontier.
         """
         return {name: len(self._queues[name]) for name in self._order}
 
@@ -233,7 +233,7 @@ class TenantScheduler:
         return best
 
     def next_batch(self, max_batch: int) -> list:
-        """Compose one micro-batch: weighted client picks plus one fill.
+        """Compose one admission group: weighted client picks plus one fill.
 
         Up to ``max_batch`` client requests by weighted round-robin
         (FIFO within each tenant), then at most one pending cache pool

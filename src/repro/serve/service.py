@@ -3,45 +3,32 @@
 Serving is an *open* system — requests arrive one at a time,
 continuously — and the engines in :mod:`repro.engines` answer *closed*
 runs: every query known up front, one ``WalkResults`` back.  The service
-sits between the two with one of two dispatchers, **chosen from the
-engine object, never by an option**:
+sits between the two with one dispatcher, :mod:`repro.serve.frontier`,
+over the frontier the engine opens
+(:meth:`~repro.engines.PreparedEngine.open_frontier`).  RidgeWalker's
+argument is that a walk is a chain of stateless ``(query, step,
+v_last)`` tasks with no batch boundary, so a lane freed by a finished
+walk takes the next query at once; the dispatcher is that, in software.
+Each event-loop turn it drains the queue into the tenant scheduler,
+seats ``scheduler.next_batch(free)`` into the frontier's free slots
+(``max_batch`` slots), steps the frontier once, resolves every walk that
+ended and yields — no coalescing wait, no thread.  ``batch``'s frontier
+steps one superstep at a time, walkers of any age (MetaPath's included)
+sharing it, so a short walk never waits for the longest one; every
+other engine (``reference``, test doubles, proxies) gets a
+:class:`~repro.walks.engine.RunFrontier`, whose step is one closed
+``run`` of everything seated.  An idle service blocks on its queue.
 
-* **The open frontier** (:mod:`repro.serve.frontier`) — for an engine
-  that offers ``open_frontier`` (the in-process superstep engine,
-  ``batch``, under any spec).
-  RidgeWalker's argument is that a walk is a chain of stateless
-  ``(query, step, v_last)`` tasks, so a lane freed by a finished walk
-  takes the next query at once; this is that, in software.  Each walker
-  carries its own hop count, and the spec's hooks are asked with it, so
-  walkers of any age — MetaPath's, whose edge type follows the hop,
-  included — share a superstep.  The dispatcher *is* the engine's
-  superstep loop: each event-loop turn it drains the queue into the
-  tenant scheduler, seats ``scheduler.next_batch(free)`` into the
-  frontier's free slots (``max_batch`` slots — the same bound on
-  walkers per superstep, held continuously), runs one superstep,
-  resolves every walk that ended and yields.  No coalescing wait (``max_wait_ms`` has no job here: a
-  request is seated the turn it arrives if a slot is free), no thread,
-  no hand-off, and a short walk never waits for the longest walk of a
-  batch.  The loop steps only while walkers are live — an idle service
-  blocks on its queue — and yields every superstep, so admission and
-  callers' callbacks run between steps.
-* **Closed micro-batches** (this module) — for every engine that only
-  has ``run``: ``reference``, test doubles, proxies.  The service
-  coalesces requests into micro-batches (flushed on ``max_batch`` or
-  ``max_wait_ms``, whichever comes first) and executes each as one
-  closed run on an executor thread, while the event loop coalesces the
-  *next* batch; one batch runs at a time.
-
-Either way a request is one slotted record (:class:`_PendingRequest`,
-its own query) from submission to reply, and a dispatcher books what
-one engine turn finished — a superstep's ended walks, a micro-batch's
-requests — in one pass (``WalkService._resolve`` / ``_fail``).
-What that is worth on ``benchmarks/suite``'s ``serve_poisson`` (PPR on
-RMAT-16, ``max_batch=64``; 2-core host, medians of ten alternating runs,
-seed 1): saturated throughput 308k -> 366k hops/s against per-request
-records and booking, with p50 at 4000 req/s unchanged at 0.63 ms; closed
-micro-batches on the same engine had read 180k hops/s and 4.96 ms when
-the frontier replaced them.  The README's serving section has the table.
+A request is one slotted record (:class:`_PendingRequest`, its own
+query) from submission to reply, and the dispatcher books what one step
+finished in one pass (``WalkService._resolve`` / ``_fail``).  What that
+is worth on ``benchmarks/suite``'s ``serve_poisson`` (PPR on RMAT-16,
+``max_batch=64``; 2-core host, medians of ten alternating runs, seed 1):
+saturated throughput 308k -> 366k hops/s against per-request records and
+booking, with p50 at 4000 req/s unchanged at 0.63 ms; closed
+micro-batches on an executor thread, the dispatcher this one replaced,
+had read 180k hops/s and 4.96 ms on the same engine.  The README's
+serving section has the table.
 
 On top of that, the service is (optionally) **multi-tenant**: each
 :class:`~repro.serve.qos.TenantSpec` gets its own admission gate and a
@@ -58,20 +45,16 @@ request's randomness is keyed by ``SeedSequence((seed, query_id))`` —
 the engines' own per-query substream derivation — and a walker draws
 only from the stream state that travels with it, so a request's paths
 are bit-identical whether it was served alone, beside 63 strangers of
-any age, inside a closed micro-batch, from a cache pool, or replayed
-offline through ``run_walks_batch`` with the same seed.  Who shares a
-superstep with whom, flush timing and tenant interleaving cannot change
-a single vertex; ``tests/serve/`` holds the service to that.
+any age, from a cache pool, or replayed offline through the engine's own
+``run`` with the same seed.  Who shares a step with whom and tenant
+interleaving cannot change a single vertex; ``tests/serve/`` holds the service to that.
 """
 
 from __future__ import annotations
 
 import asyncio
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -95,7 +78,6 @@ from repro.serve.items import _EpochSwap, _PendingRequest, _PoolFill
 from repro.serve.qos import DEFAULT_TENANT, TenantScheduler, TenantSpec
 from repro.serve.stats import ServeStats
 from repro.walks.base import Query, WalkResults, WalkSpec, walk_index
-from repro.walks.engine import STAT_FIELDS
 from repro.walks.reference import EngineStats
 
 
@@ -104,13 +86,11 @@ class ServeConfig:
     """Dispatch and admission knobs.
 
     ``max_batch``
-        Walkers that may share one engine step: the open frontier's slot
-        count, or the size at which a closed micro-batch flushes.
+        Walkers that may share one engine step: the frontier's slot count.
     ``max_wait_ms``
-        Governs only engines served through closed runs: flush a
-        non-empty micro-batch this long after its first request even if
-        it is not full — the latency ceiling batching may add.  The open
-        frontier seats a request the turn it arrives and never reads it.
+        Accepted and validated, and read by no dispatcher: the frontier
+        seats a request the turn it arrives, so there is no coalescing
+        wait for it to bound.
     ``queue_depth``
         Admission high-water: requests outstanding (queued, seated or
         executing) beyond which new arrivals are shed with
@@ -134,13 +114,6 @@ class ServeConfig:
             raise ServeError(f"queue_depth must be >= 1, got {self.queue_depth}")
 
 
-def _merge_engine_stats(into: EngineStats, part: EngineStats) -> None:
-    """Fold one micro-batch's engine counters into the service total."""
-    for name in ("total_hops", *STAT_FIELDS):
-        setattr(into, name, getattr(into, name) + getattr(part, name))
-    into.per_query_hops.extend(part.per_query_hops)
-
-
 def _check_client_id(query_id: int) -> None:
     if query_id >= POOL_ID_BASE:
         raise ServeError(
@@ -155,8 +128,8 @@ class WalkService:
     Lifecycle: ``await start()`` (or ``async with``), then any number of
     ``await submit(...)`` / ``try_submit(...)`` calls from the event
     loop, then ``await stop()`` — which by default drains everything
-    already admitted before tearing down the dispatcher (and, on the
-    closed path, its executor thread) and the prepared engine.
+    already admitted before tearing down the dispatcher and the prepared
+    engine.
 
     ``engine`` is a registry name (``"batch"`` or ``"reference"`` — any
     key of :data:`repro.engines.SOFTWARE_ENGINES`) resolved through
@@ -220,10 +193,6 @@ class WalkService:
         self._queue: asyncio.Queue | None = None
         self._dispatcher: asyncio.Task | None = None
         self._drained: asyncio.Event | None = None
-        #: Closed path only: the one engine thread, and the micro-batch
-        #: running on it (one at a time; the next coalesces meanwhile).
-        self._executor: ThreadPoolExecutor | None = None
-        self._running: asyncio.Task | None = None
         self._next_query_id = 0
         self._accepting = False
         self._epoch = self._initial_epoch
@@ -319,18 +288,8 @@ class WalkService:
         self._queue = asyncio.Queue()
         self._drained = asyncio.Event()
         self._drained.set()
-        # The dispatcher follows from the engine object: one that can
-        # keep a run open is stepped on this loop, any other gets closed
-        # runs on a thread.
-        open_frontier = getattr(self._runner, "open_frontier", None)
-        if open_frontier is not None:
-            frontier = open_frontier(self._seed, self._config.max_batch)
-            self._dispatcher = asyncio.create_task(frontier_loop(self, frontier))
-        else:
-            self._executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="walk-serve"
-            )
-            self._dispatcher = asyncio.create_task(self._dispatch_loop())
+        frontier = self._runner.open_frontier(self._seed, self._config.max_batch)
+        self._dispatcher = asyncio.create_task(frontier_loop(self, frontier))
         self._accepting = True
 
     async def stop(self, drain: bool = True) -> None:
@@ -357,9 +316,6 @@ class WalkService:
             await self._dispatcher
         except asyncio.CancelledError:
             pass
-        if self._running is not None:
-            await self._running
-            self._running = None
         # Drain leftovers.  Requests only remain on a no-drain stop (the
         # drained event guarantees none otherwise); epoch swaps and cache
         # pool fills can remain on any stop — neither counts against the
@@ -392,12 +348,9 @@ class WalkService:
                 abandoned[item.tenant] += 1
         for tenant, count in abandoned.items():
             self._release(tenant, count)
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
         self._runner.close()
         self._queue = None
         self._dispatcher = None
-        self._executor = None
 
     async def __aenter__(self) -> "WalkService":
         await self.start()
@@ -593,7 +546,7 @@ class WalkService:
         The swap is an *epoch boundary*, enforced by queue order: every
         request admitted before this call executes on the old version —
         including ones already in flight — and every request admitted
-        after it executes on the new one.  Micro-batches never span the
+        after it executes on the new one.  No engine step spans the
         boundary.  Per-epoch determinism survives: a request's paths
         replay bit-identically offline against its epoch's graph.
         Hot-walk cache pools from older epochs are invalidated the
@@ -626,133 +579,6 @@ class WalkService:
         if not swap.future.done():
             swap.future.set_exception(error)
 
-    async def _apply_swap(self, swap: _EpochSwap) -> None:
-        """Closed path: execute one queued graph swap between micro-batches.
-
-        Waits out the running micro-batch first, so nothing executes
-        against the engine mid-swap and the swap is ordered after every
-        batch flushed before it.
-        """
-        tracer = _active_tracer()
-        if tracer is not None:
-            _t_swap = tracer.begin()
-        error: Exception | None = None
-        try:
-            if self._running is not None:
-                # wait(), not await: a cancelled dispatcher must not
-                # cancel the batch with it.
-                await asyncio.wait((self._running,))
-            await asyncio.get_running_loop().run_in_executor(
-                self._executor, partial(self._runner.swap_snapshot, swap.snapshot)
-            )
-        except asyncio.CancelledError:
-            error = ServeError("service stopped before the graph swap executed")
-            raise
-        except Exception as exc:
-            error = exc
-        finally:
-            self._settle_swap(swap, error)
-            if tracer is not None:
-                # Covers the wait for the running batch (the barrier) plus
-                # the engine swap itself; ``epoch`` is the version now serving.
-                tracer.end(_t_swap, "serve.epoch_swap", epoch=self._epoch,
-                           applied=error is None)
-
-    async def _dispatch_loop(self) -> None:
-        """Closed path: coalesce requests into micro-batches, hand them off.
-
-        Flush policy: the batch opens when its first request arrives and
-        closes at ``max_batch`` requests or ``max_wait_ms`` later,
-        whichever comes first.  Ingested requests are buffered in the
-        tenant scheduler and each batch is *composed* by weighted
-        round-robin over the backlogged tenants (FIFO order with a
-        single tenant), with at most one cache pool fill appended.  One
-        batch executes at a time, so the loop collects batch N+1 while
-        batch N runs — coalescing rides in the engine's shadow instead
-        of adding latency to it.  An :class:`_EpochSwap` in the stream
-        closes the open batch early and *barriers*: ingest stops at the
-        swap until every request admitted before it has been dispatched
-        (batches never span an epoch boundary), then the swap applies.
-        """
-        assert self._queue is not None
-        loop = asyncio.get_running_loop()
-        max_wait = self._config.max_wait_ms / 1e3
-        scheduler = self._scheduler
-        pending_swap: _EpochSwap | None = None
-        try:
-            while True:
-                if not scheduler.has_work() and pending_swap is None:
-                    item = await self._queue.get()
-                    if isinstance(item, _EpochSwap):
-                        pending_swap = item
-                    else:
-                        scheduler.push(item)
-                if pending_swap is None and (
-                    0 < scheduler.pending_clients < self._config.max_batch
-                ):
-                    # Coalescing window: opened by the first buffered
-                    # request, closed by max_batch or the deadline.
-                    deadline = loop.time() + max_wait
-                    while scheduler.pending_clients < self._config.max_batch:
-                        # Fast path: drain everything already queued
-                        # without touching the event loop.  A timed wait
-                        # costs tens of microseconds (timer + wakeup per
-                        # call); under a burst that overhead would eat
-                        # the coalescing window and flush chronically
-                        # under-filled batches.
-                        try:
-                            item = self._queue.get_nowait()
-                        except asyncio.QueueEmpty:
-                            remaining = deadline - loop.time()
-                            if remaining <= 0:
-                                break
-                            try:
-                                item = await asyncio.wait_for(
-                                    self._queue.get(), remaining
-                                )
-                            except asyncio.TimeoutError:
-                                break
-                        if isinstance(item, _EpochSwap):
-                            pending_swap = item
-                            break
-                        scheduler.push(item)
-                elif pending_swap is None:
-                    # Nothing to coalesce for (full buffer or fills
-                    # only): just pick up whatever is already queued.
-                    while not self._queue.empty():
-                        item = self._queue.get_nowait()
-                        if isinstance(item, _EpochSwap):
-                            pending_swap = item
-                            break
-                        scheduler.push(item)
-                if scheduler.has_work():
-                    # Wait *before* composing: a cancellation while the
-                    # previous batch runs leaves every request safely
-                    # buffered for the teardown requeue below.
-                    if self._running is not None:
-                        await asyncio.wait((self._running,))
-                    batch = scheduler.next_batch(self._config.max_batch)
-                    tracer = _active_tracer()
-                    if tracer is not None:
-                        tracer.instant("serve.coalesce", size=len(batch),
-                                       backlog=scheduler.pending_clients)
-                    self._running = asyncio.create_task(self._execute(batch))
-                if pending_swap is not None and not scheduler.has_work():
-                    # Barrier reached: everything admitted before the
-                    # swap has been handed off; _apply_swap orders it
-                    # after their execution too.
-                    await self._apply_swap(pending_swap)
-                    pending_swap = None
-        except asyncio.CancelledError:
-            # Cancelled (a no-drain stop): hand buffered requests and any
-            # pending swap back to the queue so stop() can fail their
-            # futures instead of leaving callers hanging.
-            for item in scheduler.drain_all():
-                self._queue.put_nowait(item)
-            if pending_swap is not None:
-                self._queue.put_nowait(pending_swap)
-            raise
-
     def _release(self, tenant: str, count: int = 1) -> None:
         """Return ``count`` closed requests' places to both gate layers."""
         assert self._drained is not None
@@ -763,10 +589,9 @@ class WalkService:
 
     def _resolve(self, requests: list[_PendingRequest], paths: list[np.ndarray],
                  busy: list[float], epoch: int, now: float) -> None:
-        """Book the requests one engine turn finished, in one pass.
+        """Book the requests one frontier step finished, in one pass.
 
-        Both dispatchers end here — the open frontier once per superstep,
-        the closed path once per micro-batch.  Request ``k`` resolves with
+        The dispatcher ends every step here.  Request ``k`` resolves with
         ``paths[k]`` (which it now owns) and is charged ``busy[k]`` engine
         seconds; each ledger books the turn's completions in one call,
         each tenant's ledger its hops and engine time, and each tenant's
@@ -820,78 +645,6 @@ class WalkService:
             for tenant, count in Counter(r.tenant for r in clients).items():
                 self.tenant_stats[tenant].record_admission(count)
 
-    async def _execute(self, batch: list) -> None:
-        """Closed path: run one micro-batch on the engine, resolve its futures.
-
-        ``batch`` holds client :class:`_PendingRequest`\\ s (clients
-        first) and at most one :class:`_PoolFill`.  Every admitted
-        request leaves through exactly one ledger bucket — completed on
-        success, failed when the engine raises — so the accounting
-        identity ``offered == completed + dropped + failed`` survives
-        engine failures too.
-        """
-        # Stable while this batch runs: a swap waits for it to finish
-        # before touching the engine.
-        epoch = self._epoch
-        loop = asyncio.get_running_loop()
-        clients = [item for item in batch if isinstance(item, _PendingRequest)]
-        fills = [item for item in batch if isinstance(item, _PoolFill)]
-        # A request carries its own ``query_id`` and ``start_vertex``: it
-        # runs as its own query.
-        queries = [*clients, *chain.from_iterable(fill.queries for fill in fills)]
-        batch_stats = EngineStats()
-        started = loop.time()
-        failure: Exception | None = None
-        tracer = _active_tracer()
-        if tracer is not None:
-            _t_exec = tracer.begin()
-        try:
-            results = await loop.run_in_executor(
-                self._executor,
-                partial(self._runner.run, queries, seed=self._seed, stats=batch_stats),
-            )
-        except Exception as exc:
-            failure = exc
-        now = loop.time()
-        if tracer is not None:
-            tracer.end(_t_exec, "serve.execute", batch=len(clients),
-                       fills=len(fills), queries=len(queries), epoch=epoch,
-                       hops=batch_stats.total_hops,
-                       tenants=sorted({r.tenant for r in clients}),
-                       failed=failure is not None)
-        _merge_engine_stats(self.engine_stats, batch_stats)
-        if clients:
-            # Pure-fill dispatches stay out of the batch-shape ledger:
-            # the histogram and mean describe client-serving groups.
-            self.stats.record_batch(len(clients), batch_stats.total_hops, now - started)
-            self._record_tenant_admission(clients)
-        if failure is not None:
-            self._fail(clients, failure, now)
-            if self.cache is not None:
-                for fill in fills:
-                    self.cache.fill_aborted(fill.start_vertex)
-            return
-        if tracer is not None:
-            _t_resp = tracer.begin()
-        # Every query of the run takes an equal share of its engine time.
-        share = (now - started) / len(queries)
-        self._resolve(clients, [results.owned_path(k) for k in range(len(clients))],
-                      [share] * len(clients), epoch, now)
-        if tracer is not None and clients:
-            tracer.end(_t_resp, "serve.respond", batch=len(clients))
-        if fills and self.cache is not None:
-            position = len(clients)
-            for fill in fills:
-                entries = [
-                    (query.query_id, results.owned_path(position + offset))
-                    for offset, query in enumerate(fill.queries)
-                ]
-                position += len(entries)
-                self.cache.install(epoch, fill.start_vertex, entries)
-                if tracer is not None:
-                    tracer.instant("serve.cache_fill", vertex=fill.start_vertex,
-                                   entries=len(entries), epoch=epoch)
-
 
 def replay_paths(
     graph: CSRGraph,
@@ -903,10 +656,10 @@ def replay_paths(
     """Offline oracle for served requests: ``{query_id: path}``.
 
     Runs ``{query_id: start_vertex}`` through ``run_walks_batch`` with
-    the service seed, in one closed batch.  A correct service returns
-    exactly these paths regardless of how its micro-batching happened to
-    slice the request stream — the determinism contract the serve tests
-    and the CI smoke assert.  This covers cache-served walks too: a
+    the service seed, in one closed batch.  A correct ``batch``-served
+    service returns exactly these paths regardless of how its frontier
+    happened to slice the request stream — the determinism contract the
+    serve tests and the CI smoke assert.  This covers cache-served walks too: a
     :class:`~repro.serve.cache.ServedWalk`'s ``query_id`` (a reserved
     pool id on hits) replayed against its ``epoch``'s graph reproduces
     its path bit-for-bit.  ``sampler`` accepts only ``"default"``: every

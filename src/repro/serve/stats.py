@@ -8,20 +8,20 @@ how requests reach the engine (admission-group size histogram, walkers
 per superstep), and the sustained hop throughput between the first
 arrival and the last completion.
 
-The ledger has one shape under both dispatchers.  ``batch_sizes`` holds
-one entry per **admission group** — a closed micro-batch, or the walkers
-the open frontier seated in one turn — so the histogram always sums to
-the requests dispatched.  ``busy_seconds`` accumulates per engine call
-(a closed run, or one superstep) and ``total_hops`` is booked with it —
-a walk's hops in the superstep that ends it.  Where the service steps
-the engine itself, ``supersteps`` / ``walker_steps`` say how full the
-lanes ran (:meth:`ServeStats.mean_step_occupancy`).  Engine-side
+``batch_sizes`` holds one entry per **admission group** — the requests
+the dispatcher seated in one turn — so the histogram always sums to the
+requests dispatched.  ``busy_seconds`` accumulates per frontier step
+(one superstep of ``batch``, one closed run of any other engine) and
+``total_hops`` is booked with it — a walk's hops in the step that ends
+it.  ``supersteps`` / ``walker_steps`` count those steps and the walkers
+they carried, so :meth:`ServeStats.mean_step_occupancy` says how full
+the frontier ran.  Engine-side
 counters (proposals, neighbor reads, termination causes) stay in
 :class:`~repro.walks.EngineStats`; this module only covers what the
 *service* adds on top of the engine.
 
 Every admitted request ends in exactly one of three buckets —
-``completed``, ``failed`` (its micro-batch raised), or, for requests
+``completed``, ``failed`` (its step raised), or, for requests
 never admitted, ``dropped`` (shed at the gate) — so the **accounting
 identity** ``offered == completed + dropped + failed`` holds on every
 drained service and every scenario report; ``tests/serve/`` and the QoS
@@ -29,7 +29,7 @@ benchmark assert it.  A multi-tenant service keeps one ``ServeStats``
 per tenant (plus the global one), so per-class SLOs are measured from
 the same ledger shape: a tenant's ledger books its own requests' hops,
 its share of each admission group, and its walkers' share of engine
-time (a step's or run's seconds split evenly over the walkers in it).
+time (a step's seconds split evenly over the walkers in it).
 """
 
 from __future__ import annotations
@@ -56,16 +56,16 @@ class ServeStats:
     submitted: int = 0
     completed: int = 0
     dropped: int = 0
-    #: Admitted requests whose micro-batch raised; they resolve with the
+    #: Admitted requests whose frontier step raised; they resolve with the
     #: engine's exception and land here instead of ``completed``.
     failed: int = 0
     #: Requests served from the hot-walk cache (subset of ``completed``).
     cache_hits: int = 0
     total_hops: int = 0
-    #: Wall-clock engine time summed over engine calls (busy time).
+    #: Wall-clock engine time summed over frontier steps (busy time).
     busy_seconds: float = 0.0
-    #: Supersteps the service ran itself (open frontier only), and the
-    #: walkers they carried, summed.
+    #: Frontier steps the service ran, and the walkers they carried,
+    #: summed.
     supersteps: int = 0
     walker_steps: int = 0
     #: Per-request submit-to-resolve latency samples.
@@ -99,23 +99,16 @@ class ServeStats:
         self.total_hops += int(hops)
         self.busy_seconds += float(service_seconds)
 
-    def record_batch(self, size: int, hops: int, service_seconds: float) -> None:
-        """Note one closed micro-batch: one admission group served by
-        one engine run.  (The open frontier books the two separately: a
-        group when it is seated, service every superstep.)"""
-        self.record_admission(size)
-        self.record_service(hops, service_seconds)
-
     def record_step(self, live: int, hops: int, service_seconds: float) -> None:
-        """Note one superstep over ``live`` walkers; ``hops`` are those of
-        the walks it ended."""
+        """Note one frontier step over ``live`` walkers; ``hops`` are those
+        of the walks it ended."""
         self.supersteps += 1
         self.walker_steps += int(live)
         self.record_service(hops, service_seconds)
 
     def record_completions(self, latencies: list[float], now: float) -> None:
         """Note requests resolved together at ``now``, one latency each:
-        a dispatcher books a turn's (or a micro-batch's) in one call."""
+        the dispatcher books a turn's in one call."""
         self.completed += len(latencies)
         self.latencies.extend(latencies)
         if self.last_completion is None or now > self.last_completion:
@@ -129,8 +122,8 @@ class ServeStats:
         self.record_completions([float(latency)], now)
 
     def record_failure(self, now: float, count: int = 1) -> None:
-        """Note ``count`` admitted requests resolved with their engine
-        call's exception.
+        """Note ``count`` admitted requests resolved with their frontier
+        step's exception.
 
         Failures close the request (the accounting identity counts them
         next to completions) but contribute no latency sample — the
@@ -149,7 +142,7 @@ class ServeStats:
         return {f"p{q}": float(v) for q, v in zip(LATENCY_QUANTILES, values)}
 
     def batch_size_histogram(self) -> dict[int, int]:
-        """``{micro-batch size: count}``, ascending by size."""
+        """``{admission-group size: count}``, ascending by size."""
         return dict(sorted(Counter(self.batch_sizes).items()))
 
     def mean_batch_size(self) -> float:
@@ -159,8 +152,8 @@ class ServeStats:
         return float(np.mean(self.batch_sizes))
 
     def mean_step_occupancy(self) -> float:
-        """Walkers per superstep: walker-steps over supersteps (NaN where
-        the service ran none itself — closed runs step out of its sight)."""
+        """Walkers per frontier step: walker-steps over steps (NaN before
+        the first step)."""
         if not self.supersteps:
             return float("nan")
         return self.walker_steps / self.supersteps

@@ -6,7 +6,7 @@ behaviour.  The serving benchmarks instead use *open-loop* arrivals: a
 request schedule is drawn up front (Poisson inter-arrival gaps at a
 given rate, or back-to-back for a saturation run) and submitted on
 schedule regardless of completions — the shape under which tail latency,
-micro-batch coalescing, and admission shedding actually show themselves.
+step composition, and admission shedding actually show themselves.
 
 Beyond steady Poisson, this module generates the arrival shapes a
 multi-tenant service is actually judged on:
@@ -46,7 +46,7 @@ class OpenLoopReport:
 
     ``paths`` maps each *completed* request's query id to its walk; shed
     requests appear in ``dropped``, and admitted requests whose
-    micro-batch raised appear in ``failed`` — every offered request
+    engine step raised appear in ``failed`` — every offered request
     lands in exactly one of the three, so
     ``offered == completed + len(dropped) + len(failed)`` always holds
     (the client-side mirror of the service's accounting identity).
@@ -270,7 +270,7 @@ async def run_open_loop(
     bases let concurrent tenant runs share one service without id
     collisions.  Requests shed by admission control are recorded and
     *not* retried (open-loop clients do not slow down); everything
-    admitted is awaited — a request whose micro-batch raised lands in
+    admitted is awaited — a request whose engine step raised lands in
     ``report.failed`` instead of taking down the report, and
     ``elapsed_seconds`` is stamped no matter what.  Requests are paced
     from absolute due times (the running sum of the gaps): on each wake
@@ -332,7 +332,7 @@ async def run_open_loop(
         except ServeOverloadError:
             report.dropped.append(query_id)
     for query_id, future in pending.items():
-        # Await *every* future: one failed micro-batch must cost exactly
+        # Await *every* future: one failed engine step must cost exactly
         # its own requests, not the whole report.
         try:
             outcome = await future

@@ -277,19 +277,6 @@ class WalkResults:
         path = self._paths[position]
         return path.copy() if path.base is not None else path
 
-    def subset(self, positions: Sequence[int]) -> "WalkResults":
-        """New :class:`WalkResults` holding the selected positions' paths.
-
-        The serving layer runs a micro-batch as one engine call and
-        resolves each request with its own slice: paths are *copied*
-        (:meth:`owned_path`) and ``total_steps`` recomputed, so a reply
-        neither pins the micro-batch nor misstates its hops.
-        """
-        result = WalkResults()
-        for position in positions:
-            result.add_path(self.owned_path(position))
-        return result
-
 
 def unpack_queries(queries: Sequence[Query]) -> tuple[np.ndarray, np.ndarray]:
     """``(query_ids, start_vertices)`` of a batch as aligned int64 arrays."""

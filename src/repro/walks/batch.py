@@ -497,8 +497,8 @@ class BatchEngine(PreparedEngine):
     def open_frontier(self, seed: int, capacity: int) -> "OpenFrontier":
         """The open form of :meth:`run` (:class:`OpenFrontier`): walkers
         of any age share its supersteps, each on its own hop count.
-        :class:`PreparedEngine` has no such method: the reference loop
-        walks one query at a time."""
+        Overrides :meth:`PreparedEngine.open_frontier`, whose frontier
+        runs every seated walker to its end in one closed run."""
         return OpenFrontier(self, seed, capacity)
 
 

@@ -15,7 +15,9 @@ start vertex included; ``counts`` is one run's scalar counters in
 :data:`STAT_FIELDS` order.  Snapshot swaps share one hand-off the same
 way: :meth:`swap_snapshot` resolves a ``CSRGraph`` or a dynamic
 ``GraphSnapshot`` to ``(graph, prepared kernel)`` and gives it to the
-engine's ``_adopt``.
+engine's ``_adopt``.  The serving layer steps every engine through
+:meth:`PreparedEngine.open_frontier`: by default a :class:`RunFrontier`,
+one closed ``run`` per step.
 """
 
 from __future__ import annotations
@@ -222,6 +224,13 @@ class PreparedEngine:
         """Serve ``graph`` through ``kernel`` (prepared for it) from now on."""
         raise NotImplementedError
 
+    def open_frontier(self, seed: int, capacity: int) -> "RunFrontier":
+        """The open form of :meth:`run`, as the serving layer steps it: a
+        :class:`RunFrontier` whose every step is one closed :meth:`run`.
+        ``BatchEngine`` overrides it with a frontier whose walkers share
+        supersteps."""
+        return RunFrontier(self, seed, capacity)
+
     def close(self) -> None:
         """Release held resources; the engines here hold none past a run."""
 
@@ -230,3 +239,73 @@ class PreparedEngine:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+class RunFrontier:
+    """The open-frontier interface over an engine's :meth:`~PreparedEngine.run`.
+
+    ``capacity`` slots.  :meth:`admit` seats ``Query(query_id, start)``
+    records; :meth:`step` walks every seated one to its end in one
+    ``run(seated, seed)`` and returns all their slots; :meth:`take` hands a
+    finished path out and frees its slot.  ``run`` derives each query's
+    stream from ``(seed, query_id)``, so a path equals the one a closed run
+    of any other company gives it, and :attr:`counts` sums the
+    :data:`STAT_FIELDS` counters of every run made here.
+    """
+
+    def __init__(self, engine: PreparedEngine, seed: int, capacity: int) -> None:
+        if capacity < 1:
+            raise WalkConfigError(f"capacity must be >= 1, got {capacity}")
+        self._engine = engine
+        self._seed = seed
+        self.capacity = capacity
+        #: Running :data:`STAT_FIELDS` counters of every run made here.
+        self.counts = np.zeros(len(STAT_FIELDS), dtype=np.int64)
+        self.abandon()
+
+    @property
+    def live(self) -> int:
+        """Walkers the next :meth:`step` will run."""
+        return len(self._seated)
+
+    @property
+    def free(self) -> int:
+        """Slots :meth:`admit` can fill (ended walks hold theirs until taken)."""
+        return len(self._free)
+
+    def admit(self, query_ids, starts, states=None) -> np.ndarray:
+        """Seat one walker per aligned ``(query_id, start)``; returns their
+        slots.  ``states`` is ignored: ``run`` derives every stream itself."""
+        count = len(starts)
+        if count > len(self._free) or len(query_ids) != count:
+            raise WalkConfigError(
+                f"cannot admit {len(query_ids)} ids and {count} starts "
+                f"into {len(self._free)} free slots"
+            )
+        queries = [Query(int(query_id), int(start)) for query_id, start in zip(query_ids, starts)]
+        slots = [self._free.pop() for _ in queries]
+        self._seated.update(zip(slots, queries))
+        return np.array(slots, dtype=np.int64)
+
+    def step(self) -> np.ndarray:
+        """One run over the seated walkers; every seated slot ends in it."""
+        stats = EngineStats()
+        results = self._engine.run(list(self._seated.values()), self._seed, stats)
+        self.counts += [getattr(stats, name) for name in STAT_FIELDS]
+        slots = list(self._seated)
+        self._ended.update((slot, results.owned_path(k)) for k, slot in enumerate(slots))
+        self._seated.clear()
+        return np.array(slots, dtype=np.int64)
+
+    def take(self, slot: int) -> np.ndarray:
+        """The finished walk of ``slot`` (start vertex included), owning its
+        memory; the slot is free again."""
+        path = self._ended.pop(slot)
+        self._free.append(slot)
+        return path
+
+    def abandon(self) -> None:
+        """Drop every walker, seated or ended and untaken: all slots free."""
+        self._seated: dict[int, Query] = {}
+        self._ended: dict[int, np.ndarray] = {}
+        self._free = list(range(self.capacity - 1, -1, -1))

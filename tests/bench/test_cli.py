@@ -22,6 +22,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
 
+    def test_serve_bench_has_no_max_wait(self):
+        """No dispatcher waits to coalesce, so no flag sets the wait."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve-bench", "--max-wait-ms", "2"])
+
 
 class TestCommands:
     def test_info(self, capsys):
@@ -89,6 +94,21 @@ class TestCommands:
         assert main(["experiment", "tab1"]) == 0
         out = capsys.readouterr().out
         assert "Table I" in out and "reservoir" in out
+
+    @pytest.mark.parametrize("engine", ["batch", "reference"])
+    def test_serve_bench_replays_through_the_serving_engine(self, engine, capsys):
+        """The tenant / scenario / cache path checks every served path
+        against one offline run of the engine that served it: reference
+        paths equal reference's own run, not batch's."""
+        code = main([
+            "serve-bench", "--engine", engine, "--scenario", "flash-crowd",
+            "--tenants", "2", "--cache", "--requests", "100", "--rate", "2000",
+            "--scale", "0.05", "--length", "16",
+        ])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "100 served paths bit-identical" in captured.out
+        assert "supersteps:" in captured.out
 
     def test_error_reported_cleanly(self, tmp_path, capsys):
         missing = tmp_path / "missing.npz"

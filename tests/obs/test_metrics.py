@@ -152,7 +152,8 @@ class TestBridges:
             stats.record_submit(float(i))
         stats.record_drop()
         stats.record_drop()
-        stats.record_batch(4, hops=40, service_seconds=0.01)
+        stats.record_admission(4)
+        stats.record_service(hops=40, service_seconds=0.01)
         for i in range(5):
             stats.record_completion(0.002 * (i + 1), float(10 + i),
                                     cache_hit=(i == 0))

@@ -1,8 +1,8 @@
 """Determinism under batching: the service is scheduling, never semantics.
 
 The acceptance bar: a request's paths are bit-identical whether it was
-served alone (micro-batch of 1), in micro-batches of 16, in one maximal
-batch, stepped on the open frontier or run in closed micro-batches — and
+served alone (a frontier of 1), in frontiers of 16, in one maximal
+frontier, stepped superstep by superstep or one closed run per step — and
 all of those equal the offline replay through ``run_walks_batch`` at the same
 ``(seed, query_id)``.  Any divergence means batch composition leaked
 into the randomness, which is the one bug a serving layer must never
@@ -24,20 +24,21 @@ from repro.walks.batch import BatchEngine
 NUM_REQUESTS = 40
 SERVICE_SEED = 21
 
-#: The micro-batch sizes the acceptance criterion names: singleton
-#: batches, mid-size coalescing, and one maximal batch holding every
-#: request at once.
+#: The frontier sizes the acceptance criterion names: singleton
+#: steps, mid-size ones, and one maximal step holding every request at
+#: once.
 BATCH_SIZES = (1, 16, NUM_REQUESTS)
 
-#: The dispatchers the service must agree across: ``batch`` is stepped
-#: on the open frontier, ``closed`` is the same engine behind ``run``
-#: alone, served in closed micro-batches.
+#: The frontiers the service must agree across: ``batch`` is stepped one
+#: superstep at a time, ``closed`` is the same engine behind ``run``
+#: alone, stepped one closed run at a time (``RunFrontier``).
 ENGINES = ("batch", "closed")
 
 
 class ClosedBatch(PreparedEngine):
-    """The batch engine with no ``open_frontier``: the shape of the
-    benchmark suite's timing proxy."""
+    """The batch engine behind ``run`` alone, so it inherits
+    ``PreparedEngine.open_frontier``: the shape of the benchmark suite's
+    timing proxy."""
 
     name = "closed-batch"
 
@@ -65,9 +66,6 @@ def _serve(graph, spec, starts, engine, max_batch):
     async def _drive():
         config = ServeConfig(
             max_batch=max_batch,
-            # A generous wait makes mid-size runs actually coalesce to
-            # max_batch instead of flushing tiny timing-dependent batches
-            # — the *composition* under test must be the requested one.
             max_wait_ms=50.0,
             queue_depth=4 * NUM_REQUESTS,
         )
@@ -108,7 +106,7 @@ def test_walks_of_unequal_length_replay_bit_identically(workload, engine, max_ba
     """PPR walks end at different hops, so on the open frontier slots
     free at different times and later requests join walkers mid-walk
     (DeepWalk at a fixed length frees them all at once); the closed
-    cells run the same requests as micro-batches.  Same bits."""
+    cells run each step's requests as one closed run.  Same bits."""
     graph, _, starts, _ = workload
     spec = PPRSpec(alpha=0.2, max_length=30)
     oracle = replay_paths(
@@ -122,10 +120,9 @@ def test_walks_of_unequal_length_replay_bit_identically(workload, engine, max_ba
             f"request {query_id} diverged under engine={engine} max_batch={max_batch}"
         )
     assert max(service.stats.batch_size_histogram()) <= max_batch
-    # The batch engine is stepped by the service; the run-only proxy is not.
-    assert (service.stats.supersteps > 0) == (engine == "batch")
-    if engine == "batch":
-        assert service.stats.mean_step_occupancy() <= max_batch
+    # Both are stepped by the one dispatcher, never past max_batch walkers.
+    assert service.stats.supersteps > 0
+    assert service.stats.mean_step_occupancy() <= max_batch
 
 
 def test_a_handed_in_engine_replays_at_replay_paths_defaults(workload):

@@ -1,19 +1,15 @@
-"""Structural guards on the serving layer's two dispatchers.
+"""Structural guards on the serving layer's one dispatcher.
 
-The open-frontier path steps the engine on the event loop itself: no
-thread, no executor hand-off.  The dispatcher follows from the engine
-object, so no option may select it — and ``max_inflight``, the closed
-path's old concurrency knob, is gone from the package.
+The dispatcher steps the engine's frontier on the event loop itself: no
+thread, no executor hand-off, anywhere under ``serve/``.  No option
+selects a dispatcher — and ``max_inflight``, the deleted closed path's
+concurrency knob, is gone from the package.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
-
-#: Modules the frontier-served path runs (everything under ``serve/``
-#: except the closed dispatcher's home and the offline drivers).
-FRONTIER_PATH = ("frontier.py", "items.py", "qos.py", "admission.py", "cache.py", "stats.py")
 
 _THREAD_CONSTRUCTORS = {"Thread", "ThreadPoolExecutor", "ProcessPoolExecutor", "Timer"}
 
@@ -28,9 +24,13 @@ def _called_names(tree: ast.AST) -> set[str]:
 
 
 def test_frontier_path_starts_no_thread_and_uses_no_executor():
-    for name in FRONTIER_PATH:
-        source = (SRC / "serve" / name).read_text()
-        tree = ast.parse(source)
+    """Every module under ``serve/`` — ``service.py`` included — is on
+    the frontier path: the only dispatcher there is."""
+    modules = sorted((SRC / "serve").glob("*.py"))
+    assert "service.py" in {path.name for path in modules}
+    for path in modules:
+        name = path.name
+        tree = ast.parse(path.read_text())
         called = _called_names(tree)
         assert "run_in_executor" not in called, name
         assert not called & _THREAD_CONSTRUCTORS, name
@@ -41,17 +41,6 @@ def test_frontier_path_starts_no_thread_and_uses_no_executor():
                           else node.names)
         }
         assert not imported & {"threading", "concurrent", "multiprocessing"}, name
-
-
-def test_only_the_closed_dispatcher_hands_off_to_a_thread():
-    tree = ast.parse((SRC / "serve" / "service.py").read_text())
-    users = {
-        function.name
-        for function in ast.walk(tree)
-        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and "run_in_executor" in _called_names(function)
-    }
-    assert users == {"_execute", "_apply_swap"}
 
 
 def test_max_inflight_is_gone():
@@ -104,11 +93,12 @@ def test_a_metapath_service_runs_the_frontier_and_replays_exactly():
                 if query_id % 5 == 4:
                     await asyncio.sleep(0)  # later arrivals join walkers mid-walk
             results = await asyncio.gather(*futures)
-            return results, service._executor, service.stats
+            return results, service.stats
 
-    results, executor, stats = asyncio.run(scenario())
-    assert executor is None
-    assert stats.supersteps > 0
+    results, stats = asyncio.run(scenario())
+    # Superstep-served: walkers stay seated across steps, so there are more
+    # steps than admission groups (a run-backed step ends all it seated).
+    assert stats.supersteps > len(stats.batch_sizes)
     oracle = replay_paths(graph, spec, starts, seed=5)
     lengths = set()
     for query_id, result in zip(starts, results):

@@ -10,6 +10,7 @@ replies) are held here; determinism against ``replay_paths`` is in
 """
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -46,8 +47,7 @@ def drive(coro):
 
 
 def config(max_batch):
-    # max_wait_ms is never read on this path: a huge one would hang a
-    # closed dispatcher on every under-full batch.
+    # max_wait_ms is read by nothing: a huge one changes nothing.
     return ServeConfig(max_batch=max_batch, max_wait_ms=60_000.0, queue_depth=256)
 
 
@@ -75,12 +75,15 @@ class FlakyKernelEngine(BatchEngine):
 
 def test_batch_engine_is_served_without_a_thread():
     async def scenario():
+        before = set(threading.enumerate())
         async with WalkService(lollipop(), URWSpec(max_length=5),
                                config=config(4)) as service:
             await service.submit(0)
-            return service._executor
+            return set(threading.enumerate()) - before, service.stats
 
-    assert drive(scenario()) is None
+    started, stats = drive(scenario())
+    assert started == set()
+    assert stats.supersteps > 1  # batch's own frontier: one superstep a step
 
 
 def test_short_walk_overtakes_the_walks_it_joined():

@@ -1,4 +1,4 @@
-"""Service mechanics: flush policy, lifecycle, stats, failure isolation."""
+"""Service mechanics: step composition, lifecycle, stats, failure isolation."""
 
 import asyncio
 
@@ -62,8 +62,7 @@ class TestFlushPolicy:
                 await asyncio.gather(*futures)
 
         drive(scenario())
-        # A huge max_wait means only the size trigger can flush: two full
-        # batches, no partials.
+        # Eight buffered requests through four slots: two full runs.
         assert engine.batches == [4, 4]
 
     def test_flushes_on_max_wait(self):
@@ -78,13 +77,13 @@ class TestFlushPolicy:
                 await asyncio.wait_for(future, timeout=5.0)
 
         drive(scenario())
-        # The size trigger is unreachable; only the deadline can have
-        # flushed this singleton.
+        # A lone request runs the turn it arrives: no wait for company
+        # (max_wait_ms is read by nothing).
         assert engine.batches == [1]
 
     def test_coalesces_while_engine_busy(self):
-        """Requests arriving during an execution form the next batch —
-        the pipelining that keeps the engine from idling."""
+        """Requests arriving while a run holds the loop form the next
+        step's run together."""
         engine = SlowEngine(delay_seconds=0.05)
         graph = make_graph()
 
@@ -264,8 +263,10 @@ class TestStats:
         stats = ServeStats()
         for latency in (0.010, 0.020, 0.030, 0.040):
             stats.record_completion(latency, now=1.0 + latency)
-        stats.record_batch(2, hops=10, service_seconds=0.01)
-        stats.record_batch(2, hops=14, service_seconds=0.01)
+        stats.record_admission(2)
+        stats.record_service(hops=10, service_seconds=0.01)
+        stats.record_admission(2)
+        stats.record_service(hops=14, service_seconds=0.01)
         percentiles = stats.latency_percentiles()
         assert percentiles["p50"] == pytest.approx(0.025)
         assert percentiles["p99"] <= 0.040
@@ -284,7 +285,8 @@ class TestStats:
     def test_sustained_throughput_spans_submit_to_completion(self):
         stats = ServeStats()
         stats.record_submit(10.0)
-        stats.record_batch(3, hops=300, service_seconds=0.5)
+        stats.record_admission(3)
+        stats.record_service(hops=300, service_seconds=0.5)
         stats.record_completion(1.0, now=12.0)
         assert stats.sustained_hops_per_second() == pytest.approx(150.0)
 
@@ -314,7 +316,8 @@ class TestStatsRegressions:
         round(inf) used to raise OverflowError out of snapshot()."""
         stats = ServeStats()
         stats.record_submit(5.0)
-        stats.record_batch(1, hops=10, service_seconds=0.0)
+        stats.record_admission(1)
+        stats.record_service(hops=10, service_seconds=0.0)
         stats.record_completion(0.0, now=5.0)
         assert stats.sustained_hops_per_second() == float("inf")
         snapshot = stats.snapshot()  # must not raise
@@ -368,9 +371,9 @@ class TestFailureAccounting:
         drive(scenario())
 
 
-class TestStopMidCoalesce:
+class TestStopWithRequestsQueued:
     def test_abandoned_futures_fail_and_service_restarts(self):
-        """stop(drain=False) while requests sit mid-coalesce: every
+        """stop(drain=False) while requests still sit in the queue: every
         abandoned future gets ServeError, occupancy returns to 0, and a
         subsequent start() serves cleanly on the same service object."""
         engine = SlowEngine()
@@ -382,12 +385,12 @@ class TestStopMidCoalesce:
             service = WalkService(graph, URWSpec(max_length=5), engine=engine,
                                   config=config)
             await service.start()
-            # max_batch and max_wait are both unreachable: these requests
-            # are parked in the coalescing window when stop() lands.
+            await asyncio.sleep(0)  # the dispatcher now waits on its queue
+            # No yield between submitting and stopping: the dispatcher
+            # never takes these requests off the queue.
             futures = [service.try_submit(v) for v in range(6)]
-            await asyncio.sleep(0.01)
-            assert engine.batches == []  # nothing flushed yet
             await service.stop(drain=False)
+            assert engine.batches == []  # nothing ran
             for future in futures:
                 assert future.done()
                 with pytest.raises(ServeError, match="stopped before"):

@@ -1,13 +1,13 @@
 """One booking pass per dispatcher turn, and ids checked before admission.
 
-Both dispatchers book what an engine turn finished — a superstep's ended
-walks, a micro-batch's requests — in one pass
+The dispatcher books what a frontier step finished — a superstep's ended
+walks, or a closed run's requests — in one pass
 (``WalkService._resolve`` / ``_fail``): one completion booking per
 ledger, one engine-time and hop booking per tenant, one gate release per
 tenant.  The oracle here is the per-request booking that pass replaced,
 fed the very same turns: every ledger must come out equal, on either
-dispatcher, anonymous or with three weighted tenants, through a pool
-fill and a turn that raises.
+kind of frontier, anonymous or with three weighted tenants, through a
+pool fill and a turn that raises.
 """
 
 import ast
@@ -44,7 +44,7 @@ TENANCIES = {
 
 
 class FlakyRunEngine(PreparedEngine):
-    """Served by closed micro-batches (``run`` only): the run after
+    """Served through a ``RunFrontier`` (``run`` only): the run after
     ``armed`` is set raises once."""
 
     name = "flaky-run"
@@ -115,7 +115,7 @@ async def burst(service, engine, names):
             in zip(submitted.items(), outcomes)}, cached
 
 
-@pytest.mark.parametrize("dispatcher", ["frontier", "closed"])
+@pytest.mark.parametrize("dispatcher", ["frontier", "run-only"])
 @pytest.mark.parametrize("tenancy", list(TENANCIES))
 def test_turn_booking_equals_per_request_booking(dispatcher, tenancy):
     specs = TENANCIES[tenancy]
@@ -132,8 +132,8 @@ def test_turn_booking_equals_per_request_booking(dispatcher, tenancy):
         return service, oracle, served, cached
 
     service, oracle, served, cached = asyncio.run(scenario())
-    # Only the frontier steps the engine itself.
-    assert (service.stats.supersteps > 0) == (dispatcher == "frontier")
+    # Either frontier is stepped by the one dispatcher.
+    assert service.stats.supersteps > 0
 
     # Booked per turn == booked per request, ledger by ledger.
     for tenant, expected in oracle.items():
@@ -258,7 +258,7 @@ def test_no_query_and_no_add_path_on_the_request_path():
     service = ast.parse((SRC / "serve" / "service.py").read_text())
     functions = {node.name: node for node in ast.walk(service)
                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
-    for name in ("try_submit", "try_submit_cached", "_resolve", "_execute"):
+    for name in ("try_submit", "try_submit_cached", "_resolve"):
         assert _constructs_query_or_adds_paths(functions[name]) == [], name
     assert "_complete" not in functions
     frontier = ast.parse((SRC / "serve" / "frontier.py").read_text())

@@ -197,8 +197,9 @@ def test_offered_for_every_spec():
     assert ended == [first, second]
     for slot in ended:
         assert frontier.take(slot).tolist() == [0, 1, 0, 1, 0, 1]
-    # The protocol itself has no open form: the reference loop has none.
-    assert not hasattr(PreparedEngine, "open_frontier")
+    # The protocol's own open form is one closed run a step; batch's is
+    # its own.
+    assert BatchEngine.open_frontier is not PreparedEngine.open_frontier
 
 
 class TestSeedStateRoutes:
