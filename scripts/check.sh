@@ -1,27 +1,23 @@
 #!/usr/bin/env bash
 # CI gate: the determinism & resource-safety lint (`repro lint`, zero
 # unsuppressed findings over src/repro — see the README's "Determinism
-# contract"), then the tier-1 test suite plus engine smoke benchmarks:
-# the batch engine must beat the reference loop on a 10k-query RMAT
-# workload, the async walk service must shed zero requests under nominal
-# open-loop load while replaying bit-identically offline, the
-# multi-tenant QoS layer must keep a flash-crowding best-effort tenant
-# from starving premium while the epoch-keyed hot-walk cache stays
-# bit-identical to replay across an epoch swap, the dynamic subsystem
-# must publish snapshots bit-identical to from-scratch builds after a
-# streamed update trace, and the observability layer must keep
-# instrumented-but-disabled throughput at baseline (gated on full runs;
-# the smoke asserts traced runs stay bit-identical to untraced) while a
-# traced CLI run exports sample trace + metrics artifacts.  (The
-# machine-readable BENCH_*.json perf records are rewritten by the *full*
-# benchmark runs, not by these smokes.)
+# contract"), then the tier-1 test suite — which holds the perf gates
+# too (batch >= 10x reference, flash-crowd premium p99 <= 2x, dynamic
+# maintenance >= 1.3x a rebuild, one tracer lookup per untraced run) —
+# then CLI smokes whose exit codes are gates: every `serve-bench` run
+# replays each served path bit-identically through its engine (plain,
+# multi-tenant flash crowd, MetaPath, the run-backed reference
+# frontier), `mutate-bench` exits non-zero unless its final snapshot
+# equals a from-scratch build, and a traced CLI run exports sample
+# trace + metrics artifacts.  The timed benchmark is
+# `benchmarks/suite/run.py` (see benchmarks/suite/README.md).
 #
 # When pytest-cov is installed (it is in CI; see requirements-ci.txt),
 # the suite runs under a coverage gate on the sampling + dynamic
 # packages — the floor sits just below measured coverage so genuinely
 # untested new code fails the lane, and the XML report lands next to
-# the BENCH_*.json artifacts.  Without pytest-cov the suite runs plain,
-# so local checks need no extra installs.
+# the sample trace + metrics artifacts.  Without pytest-cov the suite
+# runs plain, so local checks need no extra installs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -59,16 +55,8 @@ else
 fi
 
 echo
-echo "== batch engine smoke benchmark =="
-python benchmarks/bench_batch_engine.py --smoke
-
-echo
-echo "== serve smoke (zero drops at nominal load, bit-identical replay) =="
-python benchmarks/bench_serve.py --smoke
-
-echo
-echo "== serve QoS smoke (tenant isolation under flash crowd, epoch-safe cache) =="
-python benchmarks/bench_serve_qos.py --smoke
+echo "== serve smokes (exit code gates bit-identical replay) =="
+python -m repro serve-bench --requests 400 --scale 0.05 --length 40
 python -m repro serve-bench --scenario flash-crowd --tenants 2 \
   --requests 200 --rate 2000 --scale 0.05 --length 16 --max-batch 64
 # MetaPath's edge type follows each walker's own hop count: served by the
@@ -81,13 +69,11 @@ python -m repro serve-bench --engine reference --scenario flash-crowd --tenants 
   --requests 200 --rate 2000 --scale 0.05 --length 16 --max-batch 64
 
 echo
-echo "== dynamic smoke (update trace + snapshot-equivalence check) =="
-python benchmarks/bench_dynamic.py --smoke
-
+echo "== dynamic smoke (exit code gates snapshot == from-scratch build) =="
+python -m repro mutate-bench --scale 9 --batch-size 200 --batches 6 --queries 256 --length 40
 
 echo
-echo "== observability smoke (disabled-overhead gate + traced CLI artifacts) =="
-python benchmarks/bench_obs_overhead.py --smoke
+echo "== observability smoke (traced CLI artifacts) =="
 python -m repro trace --out benchmarks/sample_trace.jsonl --format jsonl -- \
   serve-bench --scenario flash-crowd --tenants 2 --cache \
   --requests 200 --rate 2000 --scale 0.05 --length 16 --max-batch 64

@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Sequence
 
 from repro.errors import BenchmarkError
@@ -97,54 +93,3 @@ def geometric_mean(values: Sequence[float]) -> float:
         product *= v
     return product ** (1.0 / len(values))
 
-
-def host_metadata() -> dict:
-    """Identity of the machine a BENCH record was taken on.
-
-    Absolute hops/sec numbers are meaningless without knowing what ran
-    them: a 2-core CI runner and a 32-core workstation differ by an
-    order of magnitude on the same code.  Every committed record carries
-    this block so a regression-looking diff can be told apart from a
-    host change — and so advisory runs (too few cores) are interpretable
-    after the fact.
-    """
-    import numpy
-
-    return {
-        "cpu_count": os.cpu_count(),
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-    }
-
-
-def write_bench_json(path, payload: dict) -> None:
-    """Write one engine benchmark's machine-readable record.
-
-    The throughput benchmarks drop ``BENCH_<engine>.json`` files (hops/sec,
-    workload, host core count) that are committed alongside code changes,
-    so the perf trajectory across PRs lives in version control rather than
-    in prose.  Keys are sorted and floats rounded by the caller, keeping
-    diffs reviewable.  A ``host`` block (:func:`host_metadata`) is
-    stamped into every record here, so no benchmark can forget it.
-    """
-    payload = dict(payload)
-    payload.setdefault("host", host_metadata())
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def resolve_bench_json_path(json_arg, smoke: bool, script_file, filename: str) -> str:
-    """Where an engine benchmark should write its BENCH record.
-
-    One place encodes the convention both engine benchmarks share: an
-    explicit ``--json`` always wins (``''`` disables), smokes default to
-    off (CI smokes must not overwrite the acceptance record), and full
-    runs default to ``filename`` next to the benchmark script — not the
-    cwd, so a run launched from anywhere lands in ``benchmarks/``.
-    """
-    if json_arg is not None:
-        return json_arg
-    if smoke:
-        return ""
-    return str(Path(script_file).resolve().parent / filename)

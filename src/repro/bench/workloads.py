@@ -74,11 +74,6 @@ class Workload:
     label: str
 
 
-#: Algorithms runnable on a plain RMAT graph (no type schema needed);
-#: the engine-throughput benchmarks offer exactly these.
-RMAT_BENCH_ALGORITHMS = ("DeepWalk", "Node2Vec", "PPR", "URW")
-
-
 def make_spec(algorithm: str) -> WalkSpec:
     """Build a walk spec with the paper's parameters."""
     if algorithm == "URW":

@@ -378,7 +378,6 @@ def cmd_serve_bench(args) -> int:
         hub_hammer_starts,
         run_tenant_traces,
         scenario_gaps,
-        serve_open_loop,
     )
 
     args.seed = normalize_seed(args.seed)
@@ -408,24 +407,9 @@ def cmd_serve_bench(args) -> int:
 
     engine_seed = derive_seed(args.seed, "engine")
 
-    if not args.tenants and args.scenario == "steady" and not args.cache:
-        # The plain single-stream path, unchanged.
-        report, service = serve_open_loop(
-            lambda: WalkService(graph, spec, engine=args.engine,
-                                seed=engine_seed, config=config),
-            starts,
-            rate_per_second=args.rate,
-            arrival_seed=derive_seed(args.seed, "arrivals"),
-        )
-        service.snapshot_metrics(global_registry())
-        print()
-        print(service.stats.summary())
-        if report.dropped:
-            print(f"shed request ids (first 10): {report.dropped[:10]}")
-        return 0
-
-    # Tenant / scenario / cache path: one trace per tenant class, driven
-    # concurrently; the last tenant is the stressor running --scenario.
+    # One trace per tenant class (the anonymous service's single
+    # "default" trace without --tenants), driven concurrently; the last
+    # tenant is the stressor running --scenario.
     tenant_specs = None
     if args.tenants:
         tenant_specs = [TenantSpec("premium", weight=8, queue_depth=depth)]

@@ -1,5 +1,5 @@
-"""Measurement harness shared by ``repro mutate-bench`` and
-``benchmarks/bench_dynamic.py``.
+"""Measurement harness behind ``repro mutate-bench`` and the tier-1
+maintenance gate (``tests/dynamic/test_mutate_bench.py``).
 
 One function drives a full update trace against a :class:`DynamicGraph`
 and measures the three quantities the dynamic subsystem is judged on:

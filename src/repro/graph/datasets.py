@@ -228,11 +228,11 @@ def load_dataset(
         directed=spec.directed,
         preferential=True,
         # Topology seeds are deliberately frozen on the historical
-        # name-salt derivation: every recorded BENCH_*.json perf record
-        # pins these exact stand-in graphs, and the name-salt already
-        # gives each dataset a distinct stream, so re-deriving would
-        # invalidate all cross-PR perf comparisons for zero gain.
-        # repro: allow[RW102] frozen topology streams; BENCH_*.json records pin these graphs
+        # name-salt derivation: every recorded experiment table pins
+        # these exact stand-in graphs, and the name-salt already gives
+        # each dataset a distinct stream, so re-deriving would invalidate
+        # all cross-PR comparisons for zero gain.
+        # repro: allow[RW102] frozen topology streams; recorded experiment tables pin these graphs
         seed=seed ^ _stable_hash(name),
         name=name,
     )

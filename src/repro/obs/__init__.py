@@ -11,8 +11,8 @@ graph counters) into Prometheus-shaped counters/gauges/histograms; the
 ``trace_event`` JSON (Perfetto-loadable), or Prometheus text.
 
 The contract that keeps this shippable: tracing is **off by default**
-and its disabled path is benchmarked (``benchmarks/bench_obs_overhead.py``)
-to stay within 2% of uninstrumented batch throughput, and nothing in
+and its disabled path is one tracer lookup per closed run
+(``tests/obs/test_tracer.py`` counts it), and nothing in
 this package ever touches RNG state — traced runs are bit-identical to
 untraced runs.  Entry points: ``repro trace`` / ``repro metrics`` wrap
 any CLI run; ``WalkService.snapshot_metrics()`` exports a live service.

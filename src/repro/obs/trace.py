@@ -10,21 +10,19 @@ subsystem context (frontier width, batch shape, epoch, tenant) — into a
 bounded ring buffer that the exporters (:mod:`repro.obs.exporters`)
 turn into JSONL, Chrome ``trace_event`` JSON, or nothing at all.
 
-Design contract (benchmarked by ``benchmarks/bench_obs_overhead.py``):
+Design contract (held by ``tests/obs/test_tracer.py``):
 
 * **Disabled by default, nearly free when disabled.**  The module-level
   :func:`active` returns ``None`` unless tracing is on, so hot loops
   hoist one call per run (``tracer = active()``) and pay a single local
-  ``is not None`` branch per superstep thereafter.  Instrumented-but-
-  disabled batch throughput must stay within 2% of the uninstrumented
-  baseline (``BENCH_obs.json`` records the measurement).
+  ``is not None`` branch per superstep thereafter: an untraced closed
+  batch run calls :func:`active` exactly once, whatever its lanes.
 * **Bounded memory with drop accounting.**  The ring holds at most
   ``capacity`` events; once full, the *oldest* events are evicted and
   counted in :attr:`Tracer.dropped` — a long traced run degrades into a
   suffix trace plus an honest drop count, never into unbounded growth.
 * **No effect on results.**  Tracing never touches RNG state or walk
-  data; enabling it must be bit-identical to disabling it (asserted by
-  the overhead benchmark and ``tests/obs``).
+  data; enabling it must be bit-identical to disabling it.
 
 Timestamps are ``perf_counter`` seconds relative to the tracer's own
 start; they order events within one process and support duration

@@ -35,7 +35,6 @@ from repro.serve.workload import (
     run_open_loop,
     run_tenant_traces,
     scenario_gaps,
-    serve_open_loop,
 )
 
 __all__ = [
@@ -61,6 +60,5 @@ __all__ = [
     "run_open_loop",
     "run_tenant_traces",
     "scenario_gaps",
-    "serve_open_loop",
     "size_tenant_depths",
 ]

@@ -174,7 +174,7 @@ class ServeStats:
         return self.total_hops / elapsed if elapsed > 0 else float("inf")
 
     def snapshot(self) -> dict:
-        """JSON-ready summary (the shape ``BENCH_serve.json`` embeds).
+        """JSON-ready summary of the ledger, one flat dict.
 
         Non-finite rates become ``None`` — a zero-elapsed window's
         ``inf`` must not crash the snapshot (``round(inf)`` raises

@@ -2,7 +2,7 @@
 
 A *closed-loop* client waits for each response before sending the next
 request, which lets a slow server set the pace and hides its queueing
-behaviour.  The serving benchmarks instead use *open-loop* arrivals: a
+behaviour.  ``repro serve-bench`` instead uses *open-loop* arrivals: a
 request schedule is drawn up front (Poisson inter-arrival gaps at a
 given rate, or back-to-back for a saturation run) and submitted on
 schedule regardless of completions — the shape under which tail latency,
@@ -15,7 +15,7 @@ multi-tenant service is actually judged on:
   its mean), produced by thinning a peak-rate Poisson stream.
 * :func:`flash_crowd_gaps` — a piecewise-constant rate that jumps to a
   multiple of nominal for a burst window and falls back: the
-  tenant-isolation stress in the QoS benchmark.
+  tenant-isolation stress of ``serve-bench --scenario flash-crowd``.
 * :func:`hub_hammer_starts` — an adversarial start-vertex mix that
   hammers the highest-degree hubs with most of the traffic: the
   hot-walk cache's best case and a skew stress for everything else.
@@ -401,31 +401,3 @@ async def run_tenant_traces(
     ))
     return {trace.tenant: report for trace, report in zip(traces, reports)}
 
-
-def serve_open_loop(
-    service_factory,
-    start_vertices: np.ndarray,
-    rate_per_second: float = 0.0,
-    arrival_seed: int = 0,
-) -> tuple[OpenLoopReport, WalkService]:
-    """Synchronous wrapper: build a service, drive it, drain it.
-
-    ``service_factory`` is a zero-argument callable returning an
-    unstarted :class:`WalkService` — constructed inside the event loop so
-    its futures bind to the right loop.  Returns the report plus the
-    (stopped) service for its ``stats`` / ``engine_stats``.  This is the
-    entry point the CLI and the benchmark share.
-    """
-
-    async def _drive() -> tuple[OpenLoopReport, WalkService]:
-        service = service_factory()
-        async with service:
-            report = await run_open_loop(
-                service,
-                start_vertices,
-                rate_per_second=rate_per_second,
-                arrival_seed=arrival_seed,
-            )
-        return report, service
-
-    return asyncio.run(_drive())

@@ -479,7 +479,7 @@ class BatchEngine(PreparedEngine):
         hops = np.zeros(size, dtype=np.int64)
         # Hoisted once per run: with tracing disabled (the default) the
         # per-superstep cost is one local ``is not None`` branch — the
-        # overhead contract benchmarks/bench_obs_overhead.py enforces.
+        # overhead contract tests/obs/test_tracer.py counts.
         walk = partial(_walk_block, self._graph, self._spec, self._kernel, seed,
                        _active_tracer())
         walked = _on_lanes(walk, [

@@ -97,18 +97,20 @@ class TestCommands:
 
     @pytest.mark.parametrize("engine", ["batch", "reference"])
     def test_serve_bench_replays_through_the_serving_engine(self, engine, capsys):
-        """The tenant / scenario / cache path checks every served path
-        against one offline run of the engine that served it: reference
-        paths equal reference's own run, not batch's."""
-        code = main([
-            "serve-bench", "--engine", engine, "--scenario", "flash-crowd",
-            "--tenants", "2", "--cache", "--requests", "100", "--rate", "2000",
-            "--scale", "0.05", "--length", "16",
-        ])
-        captured = capsys.readouterr()
-        assert code == 0, captured.err
-        assert "100 served paths bit-identical" in captured.out
-        assert "supersteps:" in captured.out
+        """Every run, plain or with tenants / scenario / cache, checks
+        every served path against one offline run of the engine that
+        served it: reference paths equal reference's own run, not
+        batch's."""
+        plain = ["serve-bench", "--engine", engine, "--requests", "100",
+                 "--scale", "0.05", "--length", "16"]
+        for argv in (plain, plain + ["--scenario", "flash-crowd", "--tenants", "2",
+                                     "--cache", "--rate", "2000"]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 0, captured.err
+            assert ("replay identity: 100 served paths bit-identical"
+                    in captured.out), argv
+            assert "supersteps:" in captured.out
 
     def test_error_reported_cleanly(self, tmp_path, capsys):
         missing = tmp_path / "missing.npz"

