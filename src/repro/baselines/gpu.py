@@ -58,7 +58,6 @@ REAL_REGIME_BASE_MSTEPS = {
     "alias": 160.0,
     "rejection": 900.0,
     "reservoir": 400.0,
-    "inverse-transform": 300.0,
 }
 
 #: Random transactions per step, by sampler.
@@ -67,7 +66,6 @@ TX_PER_STEP = {
     "alias": 3.0,
     "rejection": 4.0,
     "reservoir": 4.0,
-    "inverse-transform": 4.0,
 }
 
 

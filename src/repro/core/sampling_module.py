@@ -43,8 +43,8 @@ def sampling_service_cycles(sampler: Sampler, outcome: SampleOutcome, degree: in
         return 1
     if sampler.name == "rejection":
         return max(1, outcome.proposals)
-    # reservoir / inverse-transform: scan the list one 512-bit beat per
-    # cycle, tiled at the burst cap.
+    # reservoir: scan the list one 512-bit beat per cycle, tiled at the
+    # burst cap.
     words = min(degree, MAX_SCAN_BURST_WORDS)
     return max(1, (words + SCAN_WORDS_PER_CYCLE - 1) // SCAN_WORDS_PER_CYCLE)
 

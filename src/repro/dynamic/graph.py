@@ -63,9 +63,8 @@ class GraphSnapshot:
     ``epoch`` is a monotonically increasing version id (0 is the
     construction-time state).  ``graph`` is a plain ``CSRGraph`` every
     engine already understands; ``sampler_state`` holds the prepared
-    kernel arrays (alias slots, ITS CDF rows, edge keys) readers of
-    earlier epochs asked for, so a swap onto this snapshot needs no
-    preparation pass.  Hand engines the snapshot, not its ``graph``:
+    kernel arrays (alias slots, edge keys) readers of earlier epochs
+    asked for, so a swap onto this snapshot needs no preparation pass.  Hand engines the snapshot, not its ``graph``:
     what they read at construction is then inherited by later epochs.
     """
 

@@ -1,17 +1,17 @@
 """Prepared sampler state, built on first ask and maintained once asked.
 
 Every software engine pays a per-graph preparation cost before its first
-hop — DeepWalk's alias slots, the ITS CDF rows, the second-order
-kernels' sorted edge keys — and each reads only its own: uniform and
-first-order reservoir kernels read none.  On a mutating graph a naive
-engine pays that cost again after *every* update batch, the rebuild tax
-the dynamic-graph papers (LightRW, FlexiWalker) design around.
+hop — DeepWalk's alias slots, the second-order kernels' sorted edge
+keys — and each reads only its own: uniform and first-order reservoir
+kernels read none.  On a mutating graph a naive engine pays that cost
+again after *every* update batch, the rebuild tax the dynamic-graph
+papers (LightRW, FlexiWalker) design around.
 
 :class:`SamplerState` is one graph version plus the prepared arrays
 somebody has read.  :data:`MEMBERS` declares each array once — its
-from-scratch builder over a ``CSRGraph``, its row rebuilder over a
-:class:`RowBatch`, edge- or vertex-aligned.  *Reading* a member
-(``state.alias_slots``, :meth:`~SamplerState.kernel_arrays`,
+from-scratch builder over a ``CSRGraph`` and its row rebuilder over a
+:class:`RowBatch`, one slot per ``graph.col`` entry.  *Reading* a
+member (``state.alias_slots``, :meth:`~SamplerState.kernel_arrays`,
 :meth:`~SamplerState.arrays`) builds it from scratch if the state does
 not hold it and keeps it, read-only; :func:`advance_graph_and_state`
 maintains exactly the members the previous state holds — clean rows
@@ -36,13 +36,11 @@ import numpy as np
 from repro.errors import DynamicGraphError
 from repro.graph.alias import build_alias_rows
 from repro.graph.csr import CSRGraph
-from repro.graph.rows import gather_rows, row_cumsums, row_sums, within_row_index
+from repro.graph.rows import gather_rows, within_row_index
 from repro.obs.trace import span as _trace_span
-from repro.sampling.its import build_its_cdf, build_its_row_totals
 from repro.sampling.vectorized import (
     AliasKernel,
     EdgeSet,
-    ITSKernel,
     VectorizedKernel,
     build_edge_keys,
     graph_alias_slots,
@@ -79,41 +77,26 @@ def _alias_rows(batch: RowBatch, num_vertices: int) -> np.ndarray:
     return pack_alias_slots(prob, alias, batch.row_ptr, batch.col)
 
 
-def _cdf_rows(batch: RowBatch, num_vertices: int) -> np.ndarray:
-    if batch.weights is None:
-        return within_row_index(batch.row_ptr) + 1
-    return row_cumsums(batch.weights, batch.row_ptr)
-
-
-def _total_rows(batch: RowBatch, num_vertices: int) -> np.ndarray:
-    if batch.weights is None:
-        return np.diff(batch.row_ptr)
-    return row_sums(batch.weights, batch.row_ptr)
-
-
 def _key_rows(batch: RowBatch, num_vertices: int) -> np.ndarray:
     sources = np.repeat(batch.vertices, np.diff(batch.row_ptr))
     return sources * np.int64(num_vertices) + batch.col
 
 
 class Member(NamedTuple):
-    """One prepared array: ``build(graph)`` makes it from scratch,
-    ``rows(batch, num_vertices)`` the slots of a batch of replaced rows;
-    edge-aligned arrays follow ``graph.col``, the others the vertices."""
+    """One prepared array, aligned with ``graph.col``: ``build(graph)``
+    makes it from scratch, ``rows(batch, num_vertices)`` the slots of a
+    batch of replaced rows."""
 
     build: Callable[[CSRGraph], np.ndarray]
     rows: Callable[[RowBatch, int], np.ndarray]
-    edge_aligned: bool
 
 
 #: Everything a :class:`SamplerState` can hold.  ``alias_slots`` is one
 #: packed ``ALIAS_SLOT`` per edge.  (Lambdas, so a builder is looked up in
 #: this module when it runs and a test's spy on it counts.)
 MEMBERS: dict[str, Member] = {
-    "alias_slots": Member(lambda graph: graph_alias_slots(graph), _alias_rows, True),
-    "its_cdf": Member(lambda graph: build_its_cdf(graph), _cdf_rows, True),
-    "its_row_totals": Member(lambda graph: build_its_row_totals(graph), _total_rows, False),
-    "edge_keys": Member(lambda graph: build_edge_keys(graph), _key_rows, True),
+    "alias_slots": Member(lambda graph: graph_alias_slots(graph), _alias_rows),
+    "edge_keys": Member(lambda graph: build_edge_keys(graph), _key_rows),
 }
 
 
@@ -138,8 +121,7 @@ class SamplerState:
             self._hold(name, array)
 
     def _hold(self, name: str, array: np.ndarray) -> None:
-        edge_aligned = MEMBERS[name].edge_aligned
-        if len(array) != (self.graph.num_edges if edge_aligned else self.graph.num_vertices):
+        if len(array) != self.graph.num_edges:
             raise DynamicGraphError(f"sampler state member {name} must align with its graph")
         array.setflags(write=False)
         self.held[name] = array
@@ -168,16 +150,8 @@ class SamplerState:
 
     def arrays(self) -> dict[str, np.ndarray]:
         """Every member, keyed with the vectorized kernels' own
-        ``state_arrays`` names (plus the ITS sampler's pair)."""
+        ``state_arrays`` names."""
         return {name: getattr(self, name) for name in MEMBERS}
-
-    def load_its_sampler(self, sampler, graph: CSRGraph) -> None:
-        """Hand the CDF rows to an
-        :class:`~repro.sampling.its.InverseTransformSampler` prepared for
-        ``graph`` (this state's owning snapshot graph) — the scalar-side
-        equivalent of :meth:`kernel_arrays`, skipping the sampler's own
-        O(|E|) ``prepare`` pass."""
-        sampler.load_state(self.its_cdf, self.its_row_totals, graph)
 
     def kernel_arrays(self, kernel: VectorizedKernel) -> dict[str, np.ndarray]:
         """The prepared arrays ``kernel`` consumes — read, so held from
@@ -190,8 +164,6 @@ class SamplerState:
         arrays: dict[str, np.ndarray] = {}
         if isinstance(kernel, AliasKernel):
             arrays.update(alias_slots=self.alias_slots)
-        elif isinstance(kernel, ITSKernel):
-            arrays.update(its_cdf=self.its_cdf, its_row_totals=self.its_row_totals)
         if kernel.second_order:
             arrays.update(self.edge_set.state_arrays())
         return arrays
@@ -291,19 +263,13 @@ def advance_graph_and_state(
         )
         held = {
             member: np.empty(graph.num_edges, dtype=old.dtype)
-            if MEMBERS[member].edge_aligned else old.copy()
             for member, old in held_before.items()
         }
-        _copy_clean_runs(runs, *(
-            (held[member], old) for member, old in held_before.items()
-            if MEMBERS[member].edge_aligned
-        ))
+        _copy_clean_runs(runs, *((held[member], old) for member, old in held_before.items()))
 
     with _trace_span("dynamic.rebuild_rows"):
         for member, new in held.items():
-            spec = MEMBERS[member]
             with _trace_span("dynamic.rebuild_member", member=member):
-                slots = batch_positions if spec.edge_aligned else batch.vertices
-                new[slots] = spec.rows(batch, graph.num_vertices)
+                new[batch_positions] = MEMBERS[member].rows(batch, graph.num_vertices)
             prev_state.builds[member, "incremental"] += 1
     return graph, SamplerState(graph, held, prev_state.builds)

@@ -3,18 +3,17 @@
 A batch of rows is a flat ``values`` array plus a ``row_ptr`` of
 ``len(rows) + 1`` offsets — a whole CSR graph (every row) and the dirty
 rows of one dynamic snapshot have the same shape, so the sampler-state
-builders written against it (:func:`repro.graph.alias.build_alias_rows`,
-:func:`row_sums`, :func:`row_cumsums`) serve the full and the
+builders written against it (:func:`repro.graph.alias.build_alias_rows`
+and the :func:`row_sums` it scales by) serve the full and the
 incremental build unchanged.
 
 Reductions run on **degree buckets**: rows of equal degree ``d`` are
 gathered into one C-contiguous ``(k, d)`` matrix and reduced along the
 contiguous axis, which applies numpy's 1-D routine to each row — so
-``sum(axis=1)`` reproduces ``row.sum()`` (pairwise) and
-``cumsum(axis=1)`` reproduces ``np.cumsum(row)`` (sequential) bit for
-bit.  ``np.add.reduceat`` sums sequentially and does *not* match the
-pairwise totals the samplers scale by.  Rows of degree 0 belong to no
-bucket: every builder skips them.
+``sum(axis=1)`` reproduces ``row.sum()`` (pairwise) bit for bit.
+``np.add.reduceat`` sums sequentially and does *not* match the
+pairwise totals the alias builder scales by.  Rows of degree 0 belong
+to no bucket: every builder skips them.
 
 :func:`stable_order` is the one sort the ingest path and the dynamic
 row merge take a permutation from: keys bounded by the id space are
@@ -115,14 +114,6 @@ def row_sums(values: np.ndarray, row_ptr: np.ndarray) -> np.ndarray:
     for rows, index in degree_buckets(row_ptr):
         totals[rows] = values[index].sum(axis=1)
     return totals
-
-
-def row_cumsums(values: np.ndarray, row_ptr: np.ndarray) -> np.ndarray:
-    """Flat per-row ``np.cumsum(values[lo:hi])``, aligned with ``values``."""
-    out = np.empty(values.size, dtype=np.float64)
-    for _, index in degree_buckets(row_ptr):
-        out[index] = values[index].cumsum(axis=1)
-    return out
 
 
 def within_row_index(row_ptr: np.ndarray) -> np.ndarray:

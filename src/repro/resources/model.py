@@ -86,7 +86,6 @@ SAMPLER_UNITS: dict[str, ResourceVector] = {
     "alias": ResourceVector(luts=19_800, registers=16_400, bram36=24, dsp=12),
     "rejection": ResourceVector(luts=22_000, registers=25_500, bram36=4, dsp=29),
     "reservoir": ResourceVector(luts=22_000, registers=25_500, bram36=20, dsp=29),
-    "inverse-transform": ResourceVector(luts=9_000, registers=7_000, bram36=2, dsp=8),
 }
 
 #: ThundeRiNG RNG pair per pipeline (shared multiplier in DSPs).

@@ -10,18 +10,11 @@ from repro.sampling.base import (
     StepContext,
 )
 from repro.sampling.hybrid import make_walk_kernel
-from repro.sampling.its import (
-    InverseTransformSampler,
-    build_its_cdf,
-    build_its_row_totals,
-    exact_distribution,
-)
 from repro.sampling.rejection import RejectionSampler
 from repro.sampling.reservoir import ReservoirSampler
 from repro.sampling.uniform import UniformSampler
 from repro.sampling.vectorized import (
     BatchSample,
-    ITSKernel,
     QueryStreams,
     VectorizedKernel,
     make_kernel,
@@ -30,8 +23,6 @@ from repro.sampling.vectorized import (
 __all__ = [
     "AliasSampler",
     "BatchSample",
-    "ITSKernel",
-    "InverseTransformSampler",
     "NumpyRandomSource",
     "QueryStreams",
     "VectorizedKernel",
@@ -45,7 +36,4 @@ __all__ = [
     "Sampler",
     "StepContext",
     "UniformSampler",
-    "build_its_cdf",
-    "build_its_row_totals",
-    "exact_distribution",
 ]

@@ -8,9 +8,9 @@ and the pure-software reference engine share sampler implementations.
 
 Outcomes carry cost counters (memory reads of the neighbor list, proposal
 attempts) because different samplers stress the memory system differently:
-uniform/alias sampling touch O(1) entries per hop while reservoir and
-inverse-transform sampling scan the whole list — the effect behind the
-paper's Node2Vec observations in Figure 9d.
+uniform/alias sampling touch O(1) entries per hop while reservoir
+sampling scans the whole list — the effect behind the paper's Node2Vec
+observations in Figure 9d.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ class SampleOutcome:
     neighbor_reads:
         Neighbor-list entries the sampler had to *fetch* to decide; this
         feeds the memory cost model (O(1) for uniform/alias, O(d) for
-        reservoir / inverse transform / rejection adjacency checks).
+        reservoir / rejection adjacency checks).
     """
 
     index: int | None

@@ -47,7 +47,6 @@ from repro.graph.rows import segment_last_argmax
 from repro.obs.trace import active as _active_tracer
 from repro.sampling.alias_sampler import AliasSampler
 from repro.sampling.base import Sampler, normalize_seed
-from repro.sampling.its import InverseTransformSampler, build_its_cdf, build_its_row_totals
 from repro.sampling.rejection import _MAX_REJECTION_ROUNDS, RejectionSampler
 from repro.sampling.reservoir import ReservoirSampler
 from repro.sampling.uniform import UniformSampler
@@ -514,8 +513,8 @@ def flatten_frontier(
     Returns ``(counts, segment, within, position)``: walker ``k`` owns
     ``counts[k]`` consecutive flat entries, ``segment[j]`` is the walker
     of flat entry ``j``, ``within[j]`` its within-neighborhood index and
-    ``position[j]`` its offset into the CSR column list.  The shared
-    gather behind every whole-row scanning kernel.
+    ``position[j]`` its offset into the CSR column list: the gather
+    behind the whole-row scan of :class:`ReservoirKernel`.
     """
     counts = graph.degrees()[current].astype(np.int64)
     total = int(counts.sum())
@@ -634,55 +633,6 @@ class AliasKernel(VectorizedKernel):
         # Same accounting as AliasSampler: alias slot + chosen neighbor.
         return BatchSample(vertex.astype(np.int64), proposals=current.size,
                            neighbor_reads=2 * current.size)
-
-
-class ITSKernel(VectorizedKernel):
-    """Weighted inverse-transform sampling over prepared flat CDF rows.
-
-    The vectorized twin of the *prepared*
-    :class:`~repro.sampling.its.InverseTransformSampler` path: one
-    uniform per walker is scaled by the row's total weight and located in
-    the row's CDF slice.  Instead of a per-walker ``searchsorted``, the
-    frontier's CDF slices are flattened and the within-row index is the
-    per-segment count of entries at or below the target — the same
-    "first running total exceeding the target" rule, so the realized
-    distribution and the sequential-scan read accounting
-    (``index + 1`` reads per draw) match the scalar sampler exactly.
-    """
-
-    def __init__(self) -> None:
-        self._cdf: np.ndarray | None = None
-        self._row_totals: np.ndarray | None = None
-
-    def prepare(self, graph: CSRGraph) -> None:
-        self._cdf = build_its_cdf(graph)
-        self._row_totals = build_its_row_totals(graph)
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        if self._cdf is None or self._row_totals is None:
-            raise SamplingError("ITSKernel.prepare(graph) must run before exporting state")
-        return {"its_cdf": self._cdf, "its_row_totals": self._row_totals}
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        self._cdf = arrays["its_cdf"]
-        self._row_totals = arrays["its_row_totals"]
-
-    def sample(self, graph, current, previous, admissible_type, streams, stream_idx):
-        if self._cdf is None or self._row_totals is None:
-            raise SamplingError("ITSKernel.prepare(graph) must be called before sampling")
-        degrees = graph.degrees()[current]
-        target = streams.uniforms(stream_idx) * self._row_totals[current]
-        _, segment, _, position = flatten_frontier(graph, current)
-        below = self._cdf[position] <= target[segment]
-        choice = np.bincount(segment[below], minlength=current.size)
-        # Round-off can leave target == total weight; take the last entry,
-        # exactly like the scalar sampler's fell-off-the-scan clamp.
-        choice = np.minimum(choice.astype(np.int64), degrees - 1)
-        # Sequential-scan accounting: a scan stopping at ``index`` has read
-        # ``index + 1`` weights.
-        reads = int(choice.sum()) + current.size
-        return BatchSample(neighbor_at(graph, current, choice),
-                           proposals=current.size, neighbor_reads=reads)
 
 
 class RejectionKernel(VectorizedKernel):
@@ -909,8 +859,6 @@ def make_kernel(sampler: Sampler) -> VectorizedKernel:
         return UniformKernel()
     if isinstance(sampler, AliasSampler):
         return AliasKernel()
-    if isinstance(sampler, InverseTransformSampler):
-        return ITSKernel()
     if isinstance(sampler, RejectionSampler):
         return RejectionKernel(sampler)
     if isinstance(sampler, ReservoirSampler):

@@ -11,9 +11,9 @@ this module gives :class:`~repro.serve.service.WalkService` tenancy:
   :class:`~repro.serve.admission.AdmissionGate`, sized from its
   *declared* arrival rate against its *weight share* of service
   capacity (:func:`size_tenant_depths`, built on the same M/M/1[N]
-  bulk-service model as the global gate).  A tenant that floods fills
-  its own gate and sheds its own traffic; other tenants' gates —
-  and therefore their latency SLOs — are untouched.
+  bulk-service model as the anonymous service's gate).  A tenant that
+  floods fills its own gate and sheds its own traffic; other tenants'
+  gates — and therefore their latency SLOs — are untouched.
 
 * **Weighted-priority dispatch.**  :class:`TenantScheduler` buffers
   admitted requests per tenant and composes each admission group by smooth
@@ -168,10 +168,16 @@ class TenantScheduler:
         self._credit = {name: 0 for name in names}
         self._fills: deque = deque()
         self._pending_clients = 0
+        self._occupancy = 0
 
     @property
     def tenant_names(self) -> tuple[str, ...]:
         return tuple(self._order)
+
+    @property
+    def occupancy(self) -> int:
+        """Requests admitted and not yet released, over every tenant."""
+        return self._occupancy
 
     @property
     def pending_clients(self) -> int:
@@ -193,12 +199,11 @@ class TenantScheduler:
     def admit(self, tenant: str) -> None:
         """Count one request into ``tenant``'s gate (sheds past its depth)."""
         self.gate(tenant).admit()
+        self._occupancy += 1
 
     def release(self, tenant: str, count: int = 1) -> None:
         self.gate(tenant).release(count)
-
-    def total_depth(self) -> int:
-        return sum(gate.high_water for gate in self._gates.values())
+        self._occupancy -= count
 
     def backlog(self) -> dict[str, int]:
         """Buffered-but-undispatched client requests per tenant.

@@ -71,7 +71,6 @@ from repro.obs.metrics import (
 from repro.obs.trace import active as _active_tracer
 from repro.sampling.base import normalize_seed
 from repro.sampling.hybrid import require_default
-from repro.serve.admission import AdmissionGate
 from repro.serve.cache import POOL_ID_BASE, HotWalkCache, ServedWalk
 from repro.serve.frontier import frontier_loop
 from repro.serve.items import _EpochSwap, _PendingRequest, _PoolFill
@@ -97,8 +96,7 @@ class ServeConfig:
         ``ServeOverloadError``.  Size it with
         :func:`repro.serve.admission.recommended_queue_depth`.  With
         tenants declared, this is the *per-tenant default* for specs
-        without their own ``queue_depth``; the global occupancy bound
-        becomes the sum of tenant depths.
+        without their own ``queue_depth``.
     """
 
     max_batch: int = 64
@@ -188,7 +186,6 @@ class WalkService:
         self.tenant_stats: dict[str, ServeStats] = (
             {spec.name: ServeStats() for spec in specs} if tenants else {}
         )
-        self._gate = AdmissionGate(self._scheduler.total_depth())
         self.cache = cache
         self._queue: asyncio.Queue | None = None
         self._dispatcher: asyncio.Task | None = None
@@ -219,7 +216,7 @@ class WalkService:
     @property
     def occupancy(self) -> int:
         """Requests admitted and not yet resolved."""
-        return self._gate.occupancy
+        return self._scheduler.occupancy
 
     @property
     def epoch(self) -> int:
@@ -381,7 +378,7 @@ class WalkService:
             )
 
     def _admit(self, tenant: str, start_vertex: int) -> None:
-        """Validate and count one request into both gate layers."""
+        """Validate and count one request into its tenant's gate."""
         self._check_vertex(start_vertex)
         try:
             self._scheduler.admit(tenant)
@@ -394,9 +391,6 @@ class WalkService:
             if tracer is not None:
                 tracer.instant("serve.shed", tenant=tenant)
             raise
-        # The global gate's high-water is the sum of tenant depths, so a
-        # request its tenant admitted always fits here too.
-        self._gate.admit()
 
     def _enqueue(self, request: _PendingRequest) -> None:
         assert self._drained is not None and self._queue is not None
@@ -430,7 +424,7 @@ class WalkService:
             query_id = self._next_query_id
         else:
             query_id = walk_index(query_id, "query_id")
-            _check_client_id(query_id)
+        _check_client_id(query_id)
         start_vertex = walk_index(start_vertex, "start_vertex")
         self._admit(tenant, start_vertex)
         # Only advance the auto-id counter for admitted requests, and keep
@@ -473,7 +467,8 @@ class WalkService:
         self._check_vertex(start_vertex)
         # Lookups only against a settled epoch: with a swap queued, this
         # request will execute on a version whose pools cannot exist yet.
-        if self.cache is not None and self._swaps_queued == 0:
+        lookup = self.cache is not None and self._swaps_queued == 0
+        if lookup:
             entry = self.cache.take(self._epoch, start_vertex)
             if entry is not None:
                 pool_id, path = entry
@@ -493,6 +488,11 @@ class WalkService:
                     ServedWalk(pool_id, path, self._epoch, cache_hit=True)
                 )
                 return future
+        # A miss spends the next auto id: refuse it before it counts
+        # anywhere if it has run into the pools' reserved range.
+        query_id = self._next_query_id
+        _check_client_id(query_id)
+        if lookup:
             fill_queries = self.cache.note_miss(self._epoch, start_vertex)
             if fill_queries is not None:
                 # Gate-exempt: pool generation is the service's own work,
@@ -504,7 +504,6 @@ class WalkService:
                                    pool_size=len(fill_queries))
                 self._queue.put_nowait(_PoolFill(start_vertex, fill_queries))
         self._admit(tenant, start_vertex)
-        query_id = self._next_query_id
         self._next_query_id += 1
         future = loop.create_future()
         self._enqueue(_PendingRequest(query_id, start_vertex, future, loop.time(),
@@ -580,11 +579,10 @@ class WalkService:
             swap.future.set_exception(error)
 
     def _release(self, tenant: str, count: int = 1) -> None:
-        """Return ``count`` closed requests' places to both gate layers."""
+        """Return ``count`` closed requests' places to their tenant's gate."""
         assert self._drained is not None
         self._scheduler.release(tenant, count)
-        self._gate.release(count)
-        if self._gate.occupancy == 0:
+        if self._scheduler.occupancy == 0:
             self._drained.set()
 
     def _resolve(self, requests: list[_PendingRequest], paths: list[np.ndarray],

@@ -17,7 +17,7 @@ from repro.walks.node2vec import (
     exact_step_distribution,
 )
 from repro.walks.ppr import PPRSpec, estimate_ppr
-from repro.walks.reference import EngineStats, expected_visit_distribution, run_walks
+from repro.walks.reference import EngineStats, run_walks
 from repro.walks.urw import URWSpec
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "cooccurrence_counts",
     "estimate_ppr",
     "exact_step_distribution",
-    "expected_visit_distribution",
     "make_queries",
     "run_walks",
     "run_walks_batch",

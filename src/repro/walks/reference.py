@@ -22,7 +22,6 @@ from repro.graph.csr import CSRGraph
 from repro.sampling.base import (
     NumpyRandomSource,
     StepContext,
-    derive_seed,
     normalize_seed,
 )
 from repro.walks.base import Query, WalkResults, WalkSpec
@@ -114,21 +113,3 @@ def run_walks(
             stats.per_query_hops.append(hops)
     return results
 
-
-def expected_visit_distribution(
-    graph: CSRGraph, spec: WalkSpec, queries: Sequence[Query], num_trials: int = 1, seed: int = 0
-) -> np.ndarray:
-    """Empirical visit distribution from repeated reference runs.
-
-    Convenience wrapper for statistical tests that want a high-sample
-    oracle without hand-rolling the loop.
-    """
-    counts = np.zeros(graph.num_vertices, dtype=np.float64)
-    for trial in range(num_trials):
-        # Per-trial child seeds via spawn keys (RW102): the historical
-        # ``seed + trial * 7919`` stride collided across (seed, trial)
-        # pairs, silently correlating oracle trials.
-        results = run_walks(graph, spec, queries, seed=derive_seed(seed, trial))
-        counts += results.visit_counts(graph.num_vertices)
-    total = counts.sum()
-    return counts / total if total else counts

@@ -189,33 +189,29 @@ def test_a_ppr_service_never_builds_alias_slots(scratch_builds):
 def test_a_traced_snapshot_names_what_it_maintained_and_the_ledger_is_exported():
     trace = small_trace("window", 2)
     dynamic = trace.build_dynamic()
-    state = dynamic.snapshot().sampler_state
-    state.alias_slots, state.edge_keys
+    dynamic.snapshot().sampler_state.alias_slots
     apply_batch(dynamic, trace.batches[0])
     with tracing() as tracer:
         tracer.clear()
         dynamic.snapshot()
-        dynamic.snapshot().sampler_state.its_cdf       # a late ask
+        dynamic.snapshot().sampler_state.edge_keys     # a late ask
         events = tracer.events()
     assert [event.name for event in events] == [
         "dynamic.merge", "dynamic.assemble", "dynamic.rebuild_member",
-        "dynamic.rebuild_member", "dynamic.rebuild_rows", "dynamic.snapshot",
-        "dynamic.build_member"]
-    rebuilt, snapshot_span, late = events[4], events[5], events[6]
-    assert snapshot_span.args["members"] == ["alias_slots", "edge_keys"]
-    assert [event.args for event in events[2:4]] == [{"member": "alias_slots"},
-                                                     {"member": "edge_keys"}]
-    for child in events[2:4]:
-        assert rebuilt.ts <= child.ts and child.ts + child.dur <= rebuilt.ts + rebuilt.dur
-    assert late.args == {"member": "its_cdf"}
+        "dynamic.rebuild_rows", "dynamic.snapshot", "dynamic.build_member"]
+    child, rebuilt, snapshot_span, late = events[2:]
+    assert snapshot_span.args["members"] == ["alias_slots"]
+    assert child.args == {"member": "alias_slots"}
+    assert rebuilt.ts <= child.ts and child.ts + child.dur <= rebuilt.ts + rebuilt.dur
+    assert late.args == {"member": "edge_keys"}
 
     registry = MetricsRegistry()
     dynamic_graph_into(registry, dynamic)
     builds = registry.get("repro_dynamic_state_builds_total")
     assert builds.value(member="alias_slots", kind="scratch") == 1
     assert builds.value(member="alias_slots", kind="incremental") == 1
-    assert builds.value(member="its_cdf", kind="scratch") == 1
-    assert builds.value(member="its_cdf", kind="incremental") == 0
+    assert builds.value(member="edge_keys", kind="scratch") == 1
+    assert builds.value(member="edge_keys", kind="incremental") == 0
 
 
 # --- hand engines the snapshot, not its graph ----------------------------------

@@ -4,7 +4,7 @@ For >= 20 seeds, a random insert/delete/reweight sequence (with forced
 degenerate cases: vertices dropping to degree 0, duplicate inserts,
 remove-then-readd) is streamed into a ``DynamicGraph``; after every
 batch the published snapshot — CSR arrays *and* every prepared sampler
-structure (packed alias slots, ITS CDF rows, edge keys) — must equal a
+structure (packed alias slots, edge keys) — must equal a
 from-scratch build of the same logical edge set computed with the
 repo's own builders (``from_edges``, ``build_alias_table``,
 ``build_edge_keys``), bit-identically.  This is the invariant the

@@ -51,9 +51,9 @@ def test_snapshot_equivalence_holds_and_detects_divergence(report):
     assert snapshot_matches_static(snapshot, graph, state)
     # A full build holds every member; the comparison asks the snapshot
     # for each of them in turn.
-    doctored = state.its_cdf.copy()
-    doctored[0] += 1.0
-    tampered = SamplerState(graph, {**state.held, "its_cdf": doctored})
+    doctored = state.edge_keys.copy()
+    doctored[0] += 1
+    tampered = SamplerState(graph, {**state.held, "edge_keys": doctored})
     assert not snapshot_matches_static(snapshot, graph, tampered)
 
 

@@ -104,32 +104,6 @@ def test_swap_rejects_non_graphs(state):
             engine.swap_snapshot(object())
 
 
-def test_its_sampler_loaded_from_snapshot_state(state):
-    """The incrementally maintained ITS CDF rows must drive the actual
-    scalar sampler bit-identically to a sampler freshly prepared on a
-    from-scratch static build."""
-    from repro.sampling import InverseTransformSampler, NumpyRandomSource
-
-    snapshot, static_graph, _, _ = state
-    handed_over = InverseTransformSampler()
-    snapshot.sampler_state.load_its_sampler(handed_over, snapshot.graph)
-    fresh = InverseTransformSampler()
-    fresh.prepare(static_graph)
-
-    from repro.sampling import StepContext
-
-    source_a = NumpyRandomSource(np.random.default_rng(21))
-    source_b = NumpyRandomSource(np.random.default_rng(21))
-    starts = [int(v) for v in np.nonzero(static_graph.degrees() > 0)[0][:16]]
-    for vertex in starts:
-        for _ in range(50):
-            a = handed_over.sample(snapshot.graph, StepContext(vertex=vertex),
-                                   source_a)
-            b = fresh.sample(static_graph, StepContext(vertex=vertex), source_b)
-            assert a.index == b.index
-            assert a.neighbor_reads == b.neighbor_reads
-
-
 def test_uniform_kernel_swap_needs_no_state(state):
     """URW's kernel has no prepared state; swapping stays bit-identical."""
     snapshot, static_graph, _, queries = state

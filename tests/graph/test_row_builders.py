@@ -1,9 +1,8 @@
 """Row-segmented builders == their one-row oracles, exactly.
 
-``build_alias_rows`` (lock-step Vose) and ``row_sums`` / ``row_cumsums``
-(degree-bucketed reductions) serve both the full build and the dynamic
-subsystem's dirty-row build, so each must
-return, for every row of any batch, precisely what the per-row loop it
+``build_alias_rows`` (lock-step Vose) and ``row_sums`` (a
+degree-bucketed reduction) serve both the full build and the dynamic
+subsystem's dirty-row build, so each must return, for every row of any batch, precisely what the per-row loop it
 replaced returns (``tests/row_oracles.py``) — whatever the row shares
 the batch with.
 
@@ -24,9 +23,9 @@ import pytest
 
 import repro.dynamic.state
 import repro.graph.alias
-import repro.sampling.its
 import repro.graph
 import repro.graph.rows
+import repro.sampling.vectorized
 from repro.dynamic.workload import sliding_window_trace
 from repro.errors import GraphError, SamplingError
 from repro.graph import from_edges, rmat
@@ -35,14 +34,12 @@ from repro.graph.datasets import thunderrw_weights
 from repro.graph.rows import (
     degree_buckets,
     gather_rows,
-    row_cumsums,
     row_sums,
     run_heads,
     segment_last_argmax,
     stable_order,
 )
-from repro.sampling.its import build_its_cdf, build_its_row_totals
-from row_oracles import csr_from_edges, cumsum_rows, sum_rows, vose_rows
+from row_oracles import csr_from_edges, sum_rows, vose_rows
 
 NUM_SEEDS = 24
 
@@ -80,9 +77,8 @@ class TestBatchEqualsOracle:
         assert np.array_equal(prob, expected_prob)
         assert np.array_equal(alias, expected_alias)
 
-    def test_cdf_rows_and_totals(self, seed):
+    def test_row_totals(self, seed):
         weights, row_ptr = adversarial_batch(seed)
-        assert np.array_equal(row_cumsums(weights, row_ptr), cumsum_rows(weights, row_ptr))
         assert np.array_equal(row_sums(weights, row_ptr), sum_rows(weights, row_ptr))
 
 
@@ -155,7 +151,6 @@ class TestInvalidWeights:
         prob, alias = build_alias_rows(weights, row_ptr)
         assert prob.tolist() == [0.5, 1.0] and alias.tolist() == [1, 1]
         assert row_sums(weights, row_ptr).tolist() == [0.0, 8.0, 0.0]
-        assert row_cumsums(weights, row_ptr).tolist() == [2.0, 8.0]
         empty = np.zeros(3, dtype=np.int64)
         assert build_alias_rows(np.empty(0), empty)[0].size == 0
 
@@ -169,8 +164,8 @@ def test_graph_level_builders_are_the_all_rows_call():
     table = build_alias_table(graph)
     prob, alias = vose_rows(graph.weights, graph.row_ptr)
     assert np.array_equal(table.prob, prob) and np.array_equal(table.alias, alias)
-    assert np.array_equal(build_its_cdf(graph), cumsum_rows(graph.weights, graph.row_ptr))
-    assert np.array_equal(build_its_row_totals(graph), sum_rows(graph.weights, graph.row_ptr))
+    assert np.array_equal(row_sums(graph.weights, graph.row_ptr),
+                          sum_rows(graph.weights, graph.row_ptr))
 
 
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
@@ -178,7 +173,8 @@ _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.Gener
 
 @pytest.mark.parametrize(
     "module",
-    [repro.graph.alias, repro.sampling.its, repro.dynamic.state],
+    [repro.graph.alias, repro.graph.rows, repro.sampling.vectorized,
+     repro.dynamic.state],
     ids=lambda module: module.__name__,
 )
 def test_no_per_vertex_python_in_the_builders(module):

@@ -42,13 +42,6 @@ def vose_rows(weights: np.ndarray, row_ptr: np.ndarray) -> tuple[np.ndarray, np.
     return prob, alias
 
 
-def cumsum_rows(weights: np.ndarray, row_ptr: np.ndarray) -> np.ndarray:
-    out = np.empty(weights.size, dtype=np.float64)
-    for lo, hi in zip(row_ptr[:-1].tolist(), row_ptr[1:].tolist()):
-        out[lo:hi] = np.cumsum(weights[lo:hi])
-    return out
-
-
 def sum_rows(weights: np.ndarray, row_ptr: np.ndarray) -> np.ndarray:
     return np.array(
         [weights[lo:hi].sum() if hi > lo else 0.0

@@ -23,6 +23,7 @@ small weighted rows.
 """
 
 import asyncio
+import inspect
 
 import numpy as np
 import pytest
@@ -33,7 +34,10 @@ from repro.dynamic.bench import fresh_static_build, snapshot_matches_static
 from repro.engines import prepare_engine
 from repro.graph import from_edges
 from repro.graph.datasets import assign_metapath_schema
-from repro.sampling.vectorized import make_kernel
+import repro.sampling
+from repro.sampling import vectorized
+from repro.sampling.base import Sampler
+from repro.sampling.vectorized import VectorizedKernel, make_kernel
 from repro.walks import (
     DeepWalkSpec,
     EngineStats,
@@ -118,6 +122,35 @@ def case_inputs(name, seed):
     graph = adversarial_graph(seed, weighted=weighted, typed=typed)
     queries = make_queries(graph, NUM_QUERIES, seed=seed + 1, require_outgoing=False)
     return graph, make_spec(), queries
+
+
+def concrete_subclasses(namespace, base):
+    """The non-abstract subclasses of ``base`` among ``namespace``'s values."""
+    return {value for value in namespace if inspect.isclass(value)
+            and issubclass(value, base) and not inspect.isabstract(value)}
+
+
+def case_samplers():
+    return [make_spec().make_sampler() for make_spec, _, _ in CASES.values()]
+
+
+def test_the_cases_cover_every_kernel():
+    """Structural guard: the specs the sweep runs select exactly the
+    concrete kernels ``repro.sampling.vectorized`` defines — no kernel
+    without a spec that selects it, and none escapes the contracts
+    below."""
+    defined = {kernel for kernel in concrete_subclasses(vars(vectorized).values(),
+                                                        VectorizedKernel)
+               if kernel.__module__ == vectorized.__name__}
+    assert {type(make_kernel(sampler)) for sampler in case_samplers()} == defined
+
+
+def test_the_cases_cover_every_sampler():
+    """Structural guard: the specs the sweep runs select exactly the
+    samplers ``repro.sampling`` exports."""
+    exported = concrete_subclasses(
+        (getattr(repro.sampling, name) for name in repro.sampling.__all__), Sampler)
+    assert {type(sampler) for sampler in case_samplers()} == exported
 
 
 def prepared_kernel(graph, spec):

@@ -18,7 +18,6 @@ import pytest
 from repro.errors import SamplingError
 from repro.graph import rmat
 from repro.graph.datasets import assign_metapath_schema, thunderrw_weights
-from repro.sampling.its import InverseTransformSampler
 from repro.sampling.vectorized import make_kernel
 from repro.walks import (
     DeepWalkSpec,
@@ -28,23 +27,16 @@ from repro.walks import (
     URWSpec,
     make_queries,
 )
-from repro.walks.base import WalkSpec
 from repro.walks.batch import BatchEngine
 
 LENGTH = 12
 EDGE_SET = ("edge_keys", "edge_filter", "edge_stride")
 
 
-class ITSSpec(WalkSpec):
-    def make_sampler(self):
-        return InverseTransformSampler()
-
-
 #: Spec -> the state names its kernel exports (empty: nothing prepared).
 SPECS = {
     "uniform": (lambda: URWSpec(max_length=LENGTH), ()),
     "alias": (lambda: DeepWalkSpec(max_length=LENGTH), ("alias_slots",)),
-    "its": (lambda: ITSSpec(max_length=LENGTH), ("its_cdf", "its_row_totals")),
     "rejection": (lambda: Node2VecSpec(p=2.0, q=0.5, max_length=LENGTH), EDGE_SET),
     "reservoir-second-order": (
         lambda: Node2VecSpec(p=2.0, q=0.5, strategy="reservoir", max_length=LENGTH),

@@ -9,15 +9,14 @@ import pytest
 
 from repro.errors import SamplingError
 from repro.graph import from_edges
+from repro.graph.alias import alias_expected_distribution, build_alias_table
 from repro.sampling import (
     AliasSampler,
-    InverseTransformSampler,
     NumpyRandomSource,
     RejectionSampler,
     ReservoirSampler,
     StepContext,
     UniformSampler,
-    exact_distribution,
 )
 from repro.walks.node2vec import exact_step_distribution
 
@@ -80,7 +79,7 @@ class TestAliasSampler:
         sampler = AliasSampler()
         sampler.prepare(g)
         dist = empirical(sampler, g, StepContext(vertex=0))
-        assert np.allclose(dist, exact_distribution(g, 0), atol=TOLERANCE)
+        assert np.allclose(dist, alias_expected_distribution(g, 0), atol=TOLERANCE)
 
     def test_unweighted_degenerates_to_uniform(self):
         g = from_edges([(0, 1), (0, 2), (0, 3)], num_vertices=4)
@@ -98,6 +97,41 @@ class TestAliasSampler:
 
     def test_rp_entry_bits_is_256(self):
         assert AliasSampler().rp_entry_bits == 256
+
+    def test_agrees_with_reservoir_sampler(self):
+        """Two independent weighted samplers realize one distribution."""
+        g = weighted_fan()
+        alias = AliasSampler()
+        alias.prepare(g)
+        d_alias = empirical(alias, g, StepContext(vertex=0), seed=1)
+        d_reservoir = empirical(ReservoirSampler(), g, StepContext(vertex=0), seed=2)
+        assert np.allclose(d_alias, d_reservoir, atol=2 * TOLERANCE)
+
+    def test_given_table_draws_like_a_prepared_one(self):
+        g = weighted_fan()
+        given = AliasSampler(build_alias_table(g))
+        prepared = AliasSampler()
+        prepared.prepare(g)
+        source_a, source_b = rng_source(5), rng_source(5)
+        for _ in range(500):
+            a = given.sample(g, StepContext(vertex=0), source_a)
+            b = prepared.sample(g, StepContext(vertex=0), source_b)
+            assert (a.index, a.neighbor_reads) == (b.index, b.neighbor_reads)
+
+    def test_prepare_rebuilds_for_the_latest_graph(self):
+        """A second ``prepare`` replaces the tables, so the sampler
+        draws by the new graph's weights, not the first one's."""
+        first = weighted_fan()
+        second = from_edges([(0, 1), (0, 2), (0, 3), (0, 4)],
+                            weights=[8.0, 1.0, 1.0, 0.5], num_vertices=5)
+        sampler = AliasSampler()
+        sampler.prepare(first)
+        sampler.prepare(second)
+        expected = build_alias_table(second)
+        assert np.array_equal(sampler.table.prob, expected.prob)
+        assert np.array_equal(sampler.table.alias, expected.alias)
+        dist = empirical(sampler, second, StepContext(vertex=0))
+        assert np.allclose(dist, alias_expected_distribution(second, 0), atol=TOLERANCE)
 
 
 class TestRejectionSampler:
@@ -162,7 +196,7 @@ class TestReservoirSampler:
     def test_weighted_distribution(self):
         g = weighted_fan()
         dist = empirical(ReservoirSampler(), g, StepContext(vertex=0))
-        assert np.allclose(dist, exact_distribution(g, 0), atol=TOLERANCE)
+        assert np.allclose(dist, alias_expected_distribution(g, 0), atol=TOLERANCE)
 
     def test_unweighted_uniform(self):
         g = from_edges([(0, 1), (0, 2)], num_vertices=3)
@@ -215,123 +249,19 @@ class TestReservoirSampler:
             ReservoirSampler(p=2.0)
 
 
-class TestInverseTransformSampler:
-    def test_matches_exact_distribution(self):
-        g = weighted_fan()
-        dist = empirical(InverseTransformSampler(), g, StepContext(vertex=0))
-        assert np.allclose(dist, exact_distribution(g, 0), atol=TOLERANCE)
-
-    def test_agrees_with_alias_sampler(self):
-        g = weighted_fan()
-        alias = AliasSampler()
-        alias.prepare(g)
-        d_alias = empirical(alias, g, StepContext(vertex=0), seed=1)
-        d_its = empirical(InverseTransformSampler(), g, StepContext(vertex=0), seed=2)
-        assert np.allclose(d_alias, d_its, atol=2 * TOLERANCE)
-
-    def test_single_neighbor(self):
-        g = from_edges([(0, 1)], num_vertices=2)
-        outcome = InverseTransformSampler().sample(g, StepContext(vertex=0), rng_source())
-        assert outcome.index == 0
-
-    @pytest.mark.parametrize("degree", [4, 200])
-    @pytest.mark.parametrize("weighted", [True, False],
-                             ids=["weighted", "unweighted"])
-    def test_prepared_path_bit_identical_to_unprepared(self, degree, weighted):
-        """prepare() (flat CDF rows + pairwise row totals) must reproduce
-        the per-draw cumsum path exactly: same index, same reads, for the
-        same uniform stream.  Degree 200 exercises the last-ulp gap
-        between pairwise and sequential totals."""
-        weight_rng = np.random.default_rng(degree)
-        g = from_edges(
-            [(0, 1 + i) for i in range(degree)] + [(1, 0)],
-            weights=(np.concatenate([
-                weight_rng.uniform(0.1, 3.0, size=degree), [1.0]])
-                if weighted else None),
-            num_vertices=degree + 1,
-        )
-        plain = InverseTransformSampler()
-        prepared = InverseTransformSampler()
-        prepared.prepare(g)
-        source_a, source_b = rng_source(3), rng_source(3)
-        for _ in range(2_000):
-            a = plain.sample(g, StepContext(vertex=0), source_a)
-            b = prepared.sample(g, StepContext(vertex=0), source_b)
-            assert a.index == b.index
-            assert a.neighbor_reads == b.neighbor_reads
-
-    def test_prepared_state_ignored_on_other_graph(self):
-        """State prepared for one graph must not leak onto another."""
-        g1, g2 = weighted_fan(), weighted_fan().reverse().reverse()
-        sampler = InverseTransformSampler()
-        sampler.prepare(g1)
-        # Sampling on a different graph object falls back cleanly.
-        dist = empirical(sampler, g2, StepContext(vertex=0), samples=2_000)
-        assert np.isclose(dist.sum(), 1.0)
-
-    @pytest.mark.parametrize("degree", [4, 200])
-    def test_matches_scalar_scan_bit_for_bit(self, degree):
-        """The cumsum+searchsorted fast path must reproduce the original
-        sequential CDF scan exactly — same index, same reads — for the
-        same uniform draw, including the round-off fallback.  The
-        degree-200 case matters: there NumPy's pairwise ``weights.sum()``
-        differs from the sequential running total in the last ulp, and
-        the target must keep using the former (as the scalar loop did)
-        or boundary draws flip."""
-
-        def scalar_scan(weights, target):
-            cumulative = 0.0
-            for i, w in enumerate(weights):
-                cumulative += float(w)
-                if target < cumulative:
-                    return i, i + 1
-            return len(weights) - 1, len(weights)
-
-        weight_rng = np.random.default_rng(degree)
-        g = from_edges(
-            [(0, 1 + i) for i in range(degree)],
-            weights=weight_rng.uniform(0.1, 3.0, size=degree),
-            num_vertices=degree + 1,
-        )
-        weights = g.neighbor_weights(0)
-        sampler = InverseTransformSampler()
-        rng = np.random.default_rng(11)
-        for _ in range(2_000):
-            u = float(rng.random())
-
-            class FixedSource:
-                def uniform(self_inner):
-                    return u
-
-            outcome = sampler.sample(g, StepContext(vertex=0), FixedSource())
-            index, reads = scalar_scan(weights, u * float(weights.sum()))
-            assert outcome.index == index
-            assert outcome.neighbor_reads == reads
-
-    def test_neighbor_reads_follow_chosen_index(self):
-        """Accounting semantics: a scan that stops at index i has read
-        i + 1 weights — the O(d) cost the baseline models charge."""
-        g = weighted_fan()
-        sampler = InverseTransformSampler()
-        source = rng_source(3)
-        for _ in range(500):
-            outcome = sampler.sample(g, StepContext(vertex=0), source)
-            assert outcome.neighbor_reads == outcome.index + 1
-            assert outcome.proposals == 1
-
-    def test_roundoff_target_takes_last_neighbor(self):
-        """A uniform draw of exactly 1.0-epsilon scaled to the total can
-        land past the final prefix sum; the sampler must clamp to the
-        last neighbor after a full-degree read, like the scalar scan."""
-
-        class TopSource:
-            # Out-of-contract 1.0 forces target == total exactly, the
-            # worst case round-off can produce.
-            def uniform(self):
-                return 1.0
-
-        g = from_edges([(0, 1), (0, 2), (0, 3)],
-                       weights=[0.1, 0.1, 0.1], num_vertices=4)
-        outcome = InverseTransformSampler().sample(g, StepContext(vertex=0), TopSource())
-        assert outcome.index == g.degree(0) - 1
-        assert outcome.neighbor_reads == g.degree(0)
+@pytest.mark.parametrize(
+    "make_sampler",
+    [UniformSampler, AliasSampler, lambda: RejectionSampler(p=4.0, q=0.25),
+     lambda: ReservoirSampler(p=4.0, q=0.25)],
+    ids=["uniform", "alias", "rejection", "reservoir"],
+)
+def test_a_degree_one_row_always_takes_its_edge(make_sampler):
+    """Every sampler, first and second order, takes a lone edge — even
+    the return edge a second-order bias discourages."""
+    g = from_edges([(0, 1), (1, 0)], weights=[3.0, 1.0], num_vertices=2)
+    sampler = make_sampler()
+    sampler.prepare(g)
+    source = rng_source(9)
+    for context in (StepContext(vertex=0), StepContext(vertex=0, prev_vertex=1)):
+        for _ in range(50):
+            assert sampler.sample(g, context, source).index == 0

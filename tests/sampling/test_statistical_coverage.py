@@ -1,4 +1,5 @@
-"""Statistical-coverage fills: rejection under skewed p/q, ITS flat-CDF.
+"""Statistical-coverage fills: rejection under skewed p/q, weighted rows
+under skewed weights.
 
 Two gaps this suite closes with the shared chi-square goodness-of-fit
 helper (``stat_helpers.assert_chi_square_fit`` — one critical-value
@@ -9,10 +10,12 @@ floor for the whole statistical tier, no per-file thresholds):
   where a biased retry loop would hide.  Both the scalar sampler and the
   vectorized kernel are held to Node2Vec's exact one-hop distribution
   across skewed parameter corners.
-* the **ITS flat-CDF fast path** (prepared rows) vs the per-draw
-  ``cumsum`` path: bit-identical draws on a shared stream, and both —
-  plus the vectorized :class:`ITSKernel` — fitting the exact weighted
-  distribution on skewed rows.
+* the **weighted samplers** (alias, reservoir) on rows whose weights are
+  skewed: a dominant edge with a long light tail, and one dominant edge
+  placed first or last — where an off-by-one in an alias slot or a
+  reservoir's tie and replacement rule would hide.  Kernels and scalar
+  samplers alike are held to ``w / sum(w)``, and each kernel charges the
+  reads its scalar sampler charges.
 
 All seeds are pinned; the sample-heavy scalar loops carry the ``slow``
 marker and run only in the full CI lane.
@@ -25,15 +28,17 @@ from stall_helpers import sample_decided
 from stat_helpers import assert_chi_square_fit
 
 from repro.graph import from_edges
+from repro.graph.alias import alias_expected_distribution
 from repro.sampling import (
-    InverseTransformSampler,
+    AliasSampler,
     NumpyRandomSource,
     QueryStreams,
     RejectionSampler,
+    ReservoirSampler,
     StepContext,
-    exact_distribution,
+    UniformSampler,
 )
-from repro.sampling.vectorized import ITSKernel, RejectionKernel
+from repro.sampling.vectorized import RejectionKernel, make_kernel
 from repro.walks.node2vec import exact_step_distribution
 
 #: Skewed Node2Vec corners: return-averse, return-seeking, explore-averse.
@@ -52,14 +57,6 @@ def node2vec_graph():
         (2, 1), (3, 1), (4, 1), (5, 1),
     ]
     return from_edges(edges, num_vertices=6)
-
-
-def skewed_weighted_row():
-    """One row with a dominant edge and a long light tail."""
-    degree = 8
-    weights = [50.0, 0.5, 4.0, 0.25, 1.0, 8.0, 0.125, 2.0]
-    edges = [(0, dst) for dst in range(1, degree + 1)]
-    return from_edges(edges, num_vertices=degree + 1, weights=weights)
 
 
 @pytest.mark.slow
@@ -103,75 +100,79 @@ def test_rejection_kernel_fits_exact_distribution_under_skew(p, q):
     )
 
 
-class TestITSFlatCDF:
-    def test_prepared_and_unprepared_draws_bit_identical(self):
-        """Same stream, same graph: the flat-CDF fast path must pick the
-        same index with the same read accounting as the per-draw cumsum."""
-        graph = skewed_weighted_row()
-        prepared = InverseTransformSampler()
-        prepared.prepare(graph)
-        unprepared = InverseTransformSampler()
-        src_a = NumpyRandomSource(np.random.default_rng(5))
-        src_b = NumpyRandomSource(np.random.default_rng(5))
-        context = StepContext(vertex=0)
-        for _ in range(2_000):
-            a = prepared.sample(graph, context, src_a)
-            b = unprepared.sample(graph, context, src_b)
-            assert (a.index, a.proposals, a.neighbor_reads) == (
-                b.index, b.proposals, b.neighbor_reads,
-            )
 
-    @pytest.mark.slow
-    @pytest.mark.parametrize("path", ("flat-cdf", "per-draw-cumsum"))
-    def test_scalar_paths_fit_exact_distribution(self, path):
-        graph = skewed_weighted_row()
-        sampler = InverseTransformSampler()
-        if path == "flat-cdf":
-            sampler.prepare(graph)
-        source = NumpyRandomSource(np.random.default_rng(31))
-        context = StepContext(vertex=0)
-        counts = np.zeros(graph.degree(0))
-        for _ in range(SCALAR_SAMPLES):
-            counts[sampler.sample(graph, context, source).index] += 1
-        assert_chi_square_fit(
-            counts, exact_distribution(graph, 0), label=f"ITS {path}",
-        )
+#: Skewed weighted rows, one per archetype a weighted draw branches on.
+SKEWED_ROWS = {
+    "light-tail": [50.0, 0.5, 4.0, 0.25, 1.0, 8.0, 0.125, 2.0],
+    "dominant-first": [100.0] + [1.0] * 7,
+    "dominant-last": [1.0] * 7 + [100.0],
+}
 
-    def test_its_kernel_fits_exact_distribution(self):
-        graph = skewed_weighted_row()
-        kernel = ITSKernel()
-        kernel.prepare(graph)
-        streams = QueryStreams(17, np.arange(KERNEL_SAMPLES))
-        current = np.zeros(KERNEL_SAMPLES, dtype=np.int64)
-        batch = kernel.sample(
-            graph,
-            current,
-            np.full(KERNEL_SAMPLES, -1, dtype=np.int64),
-            None,
-            streams,
-            np.arange(KERNEL_SAMPLES),
-        )
-        counts = np.bincount(row_index(graph, current, batch.vertex), minlength=graph.degree(0))
-        assert_chi_square_fit(
-            counts, exact_distribution(graph, 0), label="ITS kernel",
-        )
+#: The first-order samplers a weighted row is drawn with.
+WEIGHTED_SAMPLERS = {"alias": AliasSampler, "reservoir": ReservoirSampler}
 
-    def test_its_kernel_read_accounting_matches_scalar(self):
-        """The vectorized kernel must charge the sequential-scan cost
-        (``index + 1`` reads per draw), like the scalar sampler."""
-        graph = skewed_weighted_row()
-        kernel = ITSKernel()
-        kernel.prepare(graph)
-        n = 512
-        streams = QueryStreams(3, np.arange(n))
-        current = np.zeros(n, dtype=np.int64)
-        batch = kernel.sample(
-            graph,
-            current,
-            np.full(n, -1, dtype=np.int64),
-            None,
-            streams,
-            np.arange(n),
-        )
-        assert batch.proposals == n
-        assert batch.neighbor_reads == int(row_index(graph, current, batch.vertex).sum()) + n
+
+def weighted_row(weights):
+    """Vertex 0 with one out-edge per weight."""
+    edges = [(0, dst) for dst in range(1, len(weights) + 1)]
+    return from_edges(edges, num_vertices=len(weights) + 1, weights=weights)
+
+
+def kernel_draws(sampler, graph, n, seed):
+    """``n`` first-order draws at vertex 0 through ``sampler``'s kernel."""
+    kernel = make_kernel(sampler)
+    kernel.prepare(graph)
+    current = np.zeros(n, dtype=np.int64)
+    batch = sample_decided(kernel, graph, current, np.full(n, -1, dtype=np.int64), None,
+                           QueryStreams(seed, np.arange(n)), np.arange(n))
+    return current, batch
+
+
+@pytest.mark.parametrize("row", SKEWED_ROWS)
+@pytest.mark.parametrize("name", WEIGHTED_SAMPLERS)
+def test_weighted_kernel_fits_exact_distribution_on_skewed_rows(name, row):
+    graph = weighted_row(SKEWED_ROWS[row])
+    current, batch = kernel_draws(WEIGHTED_SAMPLERS[name](), graph, KERNEL_SAMPLES, seed=17)
+    counts = np.bincount(row_index(graph, current, batch.vertex), minlength=graph.degree(0))
+    assert_chi_square_fit(counts, alias_expected_distribution(graph, 0),
+                          label=f"{name} kernel on the {row} row")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", WEIGHTED_SAMPLERS)
+def test_scalar_weighted_sampler_fits_exact_distribution(name):
+    graph = weighted_row(SKEWED_ROWS["light-tail"])
+    sampler = WEIGHTED_SAMPLERS[name]()
+    sampler.prepare(graph)
+    source = NumpyRandomSource(np.random.default_rng(31))
+    context = StepContext(vertex=0)
+    counts = np.zeros(graph.degree(0))
+    for _ in range(SCALAR_SAMPLES):
+        counts[sampler.sample(graph, context, source).index] += 1
+    assert_chi_square_fit(counts, alias_expected_distribution(graph, 0),
+                          label=f"scalar {name}")
+
+
+def test_uniform_kernel_ignores_the_weights():
+    graph = weighted_row(SKEWED_ROWS["light-tail"])
+    current, batch = kernel_draws(UniformSampler(), graph, KERNEL_SAMPLES, seed=19)
+    counts = np.bincount(row_index(graph, current, batch.vertex), minlength=graph.degree(0))
+    assert_chi_square_fit(counts, np.full(graph.degree(0), 1.0 / graph.degree(0)),
+                          label="uniform kernel on a weighted row")
+
+
+@pytest.mark.parametrize("make_sampler", [UniformSampler, AliasSampler, ReservoirSampler],
+                         ids=lambda make: make.name)
+def test_kernel_read_accounting_matches_scalar(make_sampler):
+    """A kernel charges, draw for draw, the proposals and neighbor reads
+    its scalar sampler charges: one read for uniform, slot plus neighbor
+    for alias, the whole row for reservoir."""
+    graph = weighted_row(SKEWED_ROWS["light-tail"])
+    n = 512
+    _, batch = kernel_draws(make_sampler(), graph, n, seed=3)
+    sampler = make_sampler()
+    sampler.prepare(graph)
+    source = NumpyRandomSource(np.random.default_rng(3))
+    outcomes = [sampler.sample(graph, StepContext(vertex=0), source) for _ in range(n)]
+    assert batch.proposals == sum(outcome.proposals for outcome in outcomes)
+    assert batch.neighbor_reads == sum(outcome.neighbor_reads for outcome in outcomes)

@@ -13,11 +13,9 @@ from repro.sampling import (
     UniformSampler,
     make_kernel,
 )
-from repro.sampling.its import InverseTransformSampler
 from repro.sampling.vectorized import (
     STALL,
     AliasKernel,
-    ITSKernel,
     RejectionKernel,
     ReservoirKernel,
     UniformKernel,
@@ -274,7 +272,6 @@ class TestKernelFactory:
     def test_maps_all_table_one_samplers(self):
         assert isinstance(make_kernel(UniformSampler()), UniformKernel)
         assert isinstance(make_kernel(AliasSampler()), AliasKernel)
-        assert isinstance(make_kernel(InverseTransformSampler()), ITSKernel)
         assert isinstance(make_kernel(RejectionSampler(p=2, q=0.5)), RejectionKernel)
         reservoir = make_kernel(ReservoirSampler(p=2.0, q=0.5))
         assert isinstance(reservoir, ReservoirKernel)

@@ -136,16 +136,42 @@ class TestHotWalkCacheUnit:
 class TestServiceCache:
     def test_reserved_ids_rejected_for_clients(self):
         graph = powerlaw(num_vertices=20, num_edges=60, seed=1, name="c")
+        spec = URWSpec(max_length=4)
+        cache = HotWalkCache(pool_size=4, hot_threshold=1)
 
         async def scenario():
-            async with WalkService(graph, URWSpec(max_length=4)) as service:
+            async with WalkService(graph, spec) as service:
                 with pytest.raises(ServeError, match="reserved"):
                     service.try_submit(0, query_id=POOL_ID_BASE)
                 service.reserve_query_ids(10)
                 with pytest.raises(ServeError, match="reserved"):
                     service.reserve_query_ids(POOL_ID_BASE)
+            # Auto ids stop below the pools' range: the last free id is
+            # served; the next submission is refused before it takes a
+            # gate place, a ledger entry or a cache miss; a cache hit,
+            # which spends no client id, is still served.
+            async with WalkService(graph, spec, seed=3, cache=cache) as service:
+                await service.submit_cached(5)          # miss: fills a pool
+                while not cache.live_pools:
+                    await asyncio.sleep(0)
+                service.reserve_query_ids(POOL_ID_BASE - 1)
+                last = await service.submit(0)
+                offered, misses = service.stats.offered, cache.misses
+                with pytest.raises(ServeError, match="reserved"):
+                    service.try_submit(0)
+                with pytest.raises(ServeError, match="reserved"):
+                    service.try_submit_cached(6)
+                assert service.occupancy == 0
+                assert service.stats.offered == offered
+                assert cache.misses == misses
+                hit = await service.submit_cached(5)
+                assert hit.cache_hit and hit.query_id >= POOL_ID_BASE
+                return last.paths[0], hit
 
-        drive(scenario())
+        last, hit = drive(scenario())
+        oracle = replay_paths(graph, spec, {POOL_ID_BASE - 1: 0, hit.query_id: 5}, seed=3)
+        assert np.array_equal(last, oracle[POOL_ID_BASE - 1])
+        assert np.array_equal(hit.path, oracle[hit.query_id])
 
     def test_hits_are_bit_identical_to_replay(self):
         """The tentpole contract: a hit's path equals the offline replay

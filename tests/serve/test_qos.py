@@ -176,15 +176,51 @@ class TestTenantScheduler:
         scheduler = TenantScheduler(
             (TenantSpec("a", queue_depth=2), TenantSpec("b", queue_depth=3)),
             default_depth=99)
-        assert scheduler.total_depth() == 5
         scheduler.admit("a")
         scheduler.admit("a")
         with pytest.raises(ServeOverloadError):
             scheduler.admit("a")
+        assert scheduler.occupancy == 2, "a shed request takes no place"
         # b's gate is untouched by a's overflow.
         scheduler.admit("b")
         scheduler.release("a", 2)
         scheduler.admit("a")
+        assert scheduler.occupancy == 2
+
+    def test_occupancy_is_the_sum_of_the_tenant_gates(self):
+        """The one running total tracks every tenant's gate through a
+        seeded mix of admits, sheds and releases, back down to zero."""
+        scheduler = TenantScheduler(
+            (TenantSpec("a", queue_depth=3), TenantSpec("b", queue_depth=5),
+             TenantSpec("c", queue_depth=1)),
+            default_depth=99)
+        rng = np.random.default_rng(12)
+        for _ in range(400):
+            tenant = str(rng.choice(scheduler.tenant_names))
+            held = scheduler.gate(tenant).occupancy
+            if held and rng.random() < 0.45:
+                scheduler.release(tenant, int(rng.integers(1, held + 1)))
+            else:
+                try:
+                    scheduler.admit(tenant)
+                except ServeOverloadError:
+                    pass
+            assert scheduler.occupancy == sum(
+                scheduler.gate(name).occupancy for name in scheduler.tenant_names)
+        for name in scheduler.tenant_names:
+            scheduler.release(name, scheduler.gate(name).occupancy)
+        assert scheduler.occupancy == 0
+
+    def test_an_over_release_is_refused_and_changes_nothing(self):
+        scheduler = TenantScheduler(
+            (TenantSpec("a", queue_depth=2), TenantSpec("b", queue_depth=2)),
+            default_depth=99)
+        scheduler.admit("a")
+        scheduler.admit("b")
+        with pytest.raises(ServeError, match="cannot release"):
+            scheduler.release("a", 2)
+        assert scheduler.occupancy == 2
+        assert scheduler.gate("a").occupancy == 1
 
     def test_single_tenant_is_fifo(self):
         scheduler = TenantScheduler((TenantSpec(DEFAULT_TENANT),),

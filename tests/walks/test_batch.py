@@ -184,19 +184,6 @@ class TestBasicSemantics:
         with pytest.raises(SamplingError, match="vectorized"):
             run_walks_batch(g, BespokeSpec(max_length=3), [Query(0, 0)], seed=1)
 
-    def test_its_spec_runs_on_batch_engine(self):
-        """InverseTransformSampler now has a vectorized kernel: an ITS
-        spec runs end to end instead of bouncing to the reference engine."""
-        from repro.sampling.its import InverseTransformSampler
-        from repro.walks.base import WalkSpec
-
-        class ITSSpec(WalkSpec):
-            def make_sampler(self):
-                return InverseTransformSampler()
-
-        g = cycle_graph(3).with_weights(np.ones(3))
-        results = run_walks_batch(g, ITSSpec(max_length=3), [Query(0, 0)], seed=1)
-        assert results.path_of(0).tolist() == [0, 1, 2, 0]
 
 
 class TestStatisticalEquivalence:
