@@ -183,8 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
     mutate.add_argument("--length", type=int, default=80)
     mutate.add_argument("--seed", type=int, default=1)
     mutate.add_argument("--compaction-threshold", type=float, default=0.25,
-                        help="fold deltas into a fresh CSR base once they "
-                        "exceed this fraction of base edges")
+                        help="fold deltas into a fresh CSR base once the "
+                        "ops since the last snapshot or compaction exceed "
+                        "this fraction of base edges (every batch is "
+                        "snapshotted, so only a batch larger than that "
+                        "compacts)")
 
     trace = sub.add_parser(
         "trace",

@@ -57,7 +57,10 @@ class MutateBenchReport:
     compactions: int
     compaction_seconds: float
     updates_applied: int
+    #: Overlay left after the last batch: 0, since each batch's snapshot
+    #: adopts its epoch as the next base and empties the overlay.
     delta_edges: int
+    #: The largest overlay between two snapshots (at most one batch's ops).
     delta_peak: int
     # Sampled from-scratch rebuild cost and the resulting speedup.
     full_rebuild_samples: int
@@ -225,8 +228,12 @@ def run_mutate_bench(
     # so the build ledger shows what the trace itself maintained.
     dynamic_graph_into(global_registry(), dynamic)
 
-    # Final-state equivalence + walk-throughput retention.
-    static_graph, static_state = fresh_static_build(dynamic)
+    # Final-state equivalence + walk-throughput retention.  The static
+    # side rebuilds the trace replayed op by op: the dynamic graph's own
+    # logical edges are its last snapshot's once that is published.
+    static_graph, static_state = rebuild_from_edge_set(
+        *trace.final_edges(), dynamic.num_vertices, dynamic.name
+    )
     equivalent = snapshot_matches_static(snapshot, static_graph, static_state)
 
     queries = make_queries(static_graph, walk_queries,

@@ -7,10 +7,14 @@ base row — inserted edges, re-drawn weights, and tombstones for removed
 base edges — so a streamed ``add_edges`` / ``remove_edges`` /
 ``update_weights`` op costs one dictionary write plus one O(log d)
 adjacency probe, independent of the vertex's degree (touching an RMAT
-hub must not copy its whole neighbor list).  Once the deltas grow past
-a configurable fraction of the base, they are **compacted** back into a
-fresh ``CSRGraph`` (amortized O(|E|)), bounding overlay memory and
-per-snapshot merge cost.
+hub must not copy its whole neighbor list).  The base is the latest
+published snapshot's CSR: every snapshot adopts its own graph as the
+next base and empties the overlay, so the overlay only ever holds the
+ops since the last epoch and a superseded epoch is freed once its last
+reader lets go.  A caller that applies more than a configurable
+fraction of the base between two snapshots has the deltas **compacted**
+into a fresh ``CSRGraph`` (amortized O(|E|)), bounding overlay memory
+and the next snapshot's merge cost.
 
 The read side is :meth:`DynamicGraph.snapshot`: an epoch-versioned,
 immutable ``(CSRGraph, SamplerState)`` pair.  Snapshots are built
@@ -98,11 +102,14 @@ class DynamicGraph:
         lifetime: updates to a weighted base must carry weights, updates
         to an unweighted base must not.
     compaction_threshold:
-        Fold the delta overlay back into a fresh CSR base once the
-        overlay holds more than this fraction of the base's edges.
+        Fold the delta overlay into a fresh CSR base once it holds more
+        than this fraction of the base's edges.  The overlay holds the
+        ops since the last snapshot or compaction, so a caller that
+        snapshots every batch below this size never compacts.
     min_compaction_edges:
-        Never compact below this overlay size — tiny graphs would
-        otherwise compact on every update.
+        Never compact below this overlay size (ops since the last
+        snapshot or compaction) — tiny graphs would otherwise compact
+        on every update.
     """
 
     def __init__(
@@ -133,7 +140,8 @@ class DynamicGraph:
         self._weighted = base.is_weighted
         self._compaction_threshold = float(compaction_threshold)
         self._min_compaction_edges = int(min_compaction_edges)
-        #: Per-vertex delta buffers, relative to the current base:
+        #: Per-vertex delta buffers, relative to the current base (the
+        #: last published epoch, or a later compaction):
         #: ``vertex -> {dst: weight}``.  A weight is an inserted or
         #: re-weighted edge (1.0 on unweighted graphs); ``_TOMBSTONE``
         #: marks a removed *base* edge (removing an edge that only
@@ -152,8 +160,9 @@ class DynamicGraph:
         self.updates_applied = 0
         self.compactions = 0
         self.compaction_seconds = 0.0
-        #: High-water mark of :attr:`delta_edges` — how close the overlay
-        #: came to the compaction threshold (reported by mutate-bench).
+        #: High-water mark of :attr:`delta_edges`: the largest overlay
+        #: between two snapshots — how close it came to the compaction
+        #: threshold (reported by mutate-bench).
         self.delta_peak = 0
         #: Sampler-state builds, ``(member, "scratch" | "incremental") -> count``.
         self.state_builds: Counter = Counter()
@@ -185,7 +194,8 @@ class DynamicGraph:
 
     @property
     def delta_edges(self) -> int:
-        """Entries currently held in the per-vertex delta buffers."""
+        """Entries currently held in the per-vertex delta buffers: the
+        ops since the last snapshot or compaction (0 right after either)."""
         return self._delta_entries
 
     @property
@@ -332,6 +342,10 @@ class DynamicGraph:
         prepared array a reader has asked an earlier ``sampler_state``
         for — epoch 0 starts with none built, what nobody asks for never
         is (see :func:`repro.dynamic.state.advance_graph_and_state`).
+        The new epoch's graph then becomes the base and the overlay is
+        emptied: reads, :meth:`logical_edges` and the next snapshot's
+        merge start from this epoch, and the previous one is no longer
+        referenced here.
         """
         previous = self._published
         if previous is None:
@@ -363,6 +377,12 @@ class DynamicGraph:
             )
             self._published = snapshot
             self._dirty.clear()
+            # The new epoch is the next base: the overlay only ever holds
+            # the ops since the last snapshot, and no superseded epoch
+            # stays pinned here.
+            self._base = graph
+            self._adj.clear()
+            self._delta_entries = 0
             self._notify_epoch(snapshot)
         return snapshot
 
@@ -395,9 +415,11 @@ class DynamicGraph:
 
         Purely representational: the logical graph, the dirty set and the
         published epoch are unchanged, so snapshots before and after a
-        compaction are bit-identical.  Runs automatically after an update
-        crosses the threshold; callers only need it to bound memory ahead
-        of a known burst.
+        compaction are bit-identical.  Runs automatically once the ops
+        since the last snapshot or compaction cross the threshold — a
+        snapshot already empties the overlay, so only callers applying a
+        large burst between two snapshots reach it; they may also call it
+        to bound memory ahead of a known burst.
         """
         if not self._adj:
             return
@@ -451,8 +473,9 @@ class DynamicGraph:
 
     def _ops(self, src: np.ndarray, dst: np.ndarray, weights: np.ndarray | None):
         """One call's ops as ``(src, dst, weight, in base)`` columns.  The
-        base only changes at a call's end (compaction), so membership is
-        one row-bounded binary search over all ops at once."""
+        base only changes at a call's end (compaction) or at a snapshot,
+        so membership is one row-bounded binary search over all ops at
+        once."""
         row_ptr, col = self._base.row_ptr, self._base.col
         lo, stop = row_ptr[src], row_ptr[src + 1]
         hi = stop

@@ -25,6 +25,7 @@ same objects the tests replay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -93,6 +94,28 @@ class UpdateTrace:
             name=self.name,
         )
         return DynamicGraph(base, **kwargs)
+
+    def final_edges(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The edge set after every batch as ``(edges, weights)``, sorted
+        by ``(src, dst)``: each op replayed into a plain dict, sharing no
+        code with the dynamic graph's overlay, merge or snapshots."""
+        edges = dict(_keyed(self.base_edges, self.base_weights))
+        for batch in self.batches:
+            edges.update(_keyed(batch.add, batch.add_weights))
+            for edge in map(tuple, batch.remove.tolist()):
+                del edges[edge]
+            edges.update(_keyed(batch.reweight, batch.reweight_weights))
+        ordered = sorted(edges)
+        array = np.array(ordered, dtype=np.int64).reshape(-1, 2)
+        if self.base_weights is None:
+            return array, None
+        return array, np.array([edges[edge] for edge in ordered], dtype=np.float64)
+
+
+def _keyed(edges: np.ndarray, weights: np.ndarray | None):
+    """``((src, dst), weight)`` pairs of one op list (1.0 when unweighted)."""
+    keys = map(tuple, edges.tolist())
+    return zip(keys, repeat(1.0) if weights is None else weights.tolist())
 
 
 def apply_batch(graph: DynamicGraph, batch: UpdateBatch) -> None:

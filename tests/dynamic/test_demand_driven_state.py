@@ -92,6 +92,9 @@ def test_held_members_match_a_full_build_under_any_ask_schedule(kind, seed, scra
 
     def publish(round_index):
         epoch = dynamic.epoch
+        # Built before the snapshot adopts the new epoch as its base: a
+        # full merge of the overlay, not the snapshot's own edges.
+        expected = fresh_state(dynamic)
         snapshot = dynamic.snapshot()
         state = snapshot.sampler_state
         assert set(state.held) == asked, "held exactly what was asked, at every epoch"
@@ -101,7 +104,6 @@ def test_held_members_match_a_full_build_under_any_ask_schedule(kind, seed, scra
             if at <= round_index and (name not in asked or rng.random() < 0.3):
                 getattr(state, name)
                 asked.add(name)
-        expected = fresh_state(dynamic)
         for name, array in state.held.items():
             want = getattr(expected, name)
             assert (array.dtype, array.shape) == (want.dtype, want.shape), name

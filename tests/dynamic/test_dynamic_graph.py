@@ -1,9 +1,12 @@
 """DynamicGraph update semantics, validation, epochs and compaction."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.dynamic import DynamicGraph
+from repro.dynamic import DynamicGraph, apply_batch, sliding_window_trace
 from repro.errors import DynamicGraphError, GraphError
 from repro.graph import from_edges
 from repro.graph.datasets import assign_metapath_schema
@@ -191,3 +194,91 @@ class TestCompaction:
         assert np.array_equal(s1.sampler_state.alias_slots,
                               s2.sampler_state.alias_slots)
         assert s1.epoch == s2.epoch == 1
+
+
+class TestOneEpochOverlay:
+    """A snapshot is the next base: the overlay holds one epoch of ops."""
+
+    NUM_VERTICES = 30
+
+    @staticmethod
+    def reads(graph, vertices, pairs):
+        rows = [(graph.degree(v), graph.neighbors(v).tolist(),
+                 graph.neighbor_weights(v).tolist()) for v in vertices]
+        edges, weights = graph.logical_edges()
+        return (rows, [graph.has_edge(s, d) for s, d in pairs],
+                edges.tolist(), None if weights is None else weights.tolist())
+
+    @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
+    def test_snapshot_empties_the_overlay_and_keeps_every_read(self, weighted):
+        n = self.NUM_VERTICES
+        rng = np.random.default_rng((37, weighted))
+        pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
+        oracle = {pair: float(rng.uniform(0.5, 2.0)) if weighted else 1.0
+                  for pair in pairs if rng.random() < 0.15}
+        base_edges = sorted(oracle)
+        graph = DynamicGraph(from_edges(
+            base_edges, num_vertices=n,
+            weights=[oracle[e] for e in base_edges] if weighted else None))
+        graph.snapshot()
+        vertices = sorted(rng.choice(n, size=10, replace=False).tolist())
+        probes = [pairs[i] for i in rng.choice(len(pairs), size=60, replace=False)]
+
+        def weights(count):
+            return rng.uniform(0.5, 2.0, size=count) if weighted else None
+
+        for _ in range(8):
+            for _ in range(3):
+                present, absent = sorted(oracle), sorted(set(pairs) - set(oracle))
+                added = [absent[i] for i in rng.choice(len(absent), 6, replace=False)]
+                added += [present[i] for i in rng.choice(len(present), 2, replace=False)]
+                drawn = weights(len(added))
+                graph.add_edges(added, weights=drawn)
+                oracle.update(zip(added, [1.0] * len(added) if drawn is None
+                                  else drawn.tolist()))
+                present = sorted(oracle)
+                removed = [present[i] for i in rng.choice(len(present), 5, replace=False)]
+                graph.remove_edges(removed)
+                for edge in removed:
+                    del oracle[edge]
+                if weighted:
+                    present = sorted(oracle)
+                    picked = [present[i] for i in rng.choice(len(present), 4, replace=False)]
+                    drawn = weights(len(picked))
+                    graph.update_weights(picked, drawn)
+                    oracle.update(zip(picked, drawn.tolist()))
+            assert graph.has_pending_updates and graph.delta_edges > 0
+            before = self.reads(graph, vertices, probes)
+            snapshot = graph.snapshot()
+            assert graph.delta_edges == 0
+            assert not graph.has_pending_updates
+            assert self.reads(graph, vertices, probes) == before
+            # An oracle sharing no code with the overlay or the merge.
+            expected = sorted(oracle)
+            assert before[2] == [list(edge) for edge in expected]
+            if weighted:
+                assert before[3] == [oracle[edge] for edge in expected]
+            assert snapshot.graph.num_edges == graph.num_edges == len(oracle)
+
+    def test_snapshot_per_batch_never_compacts(self):
+        trace = sliding_window_trace(10, batch_size=200, seed=1)
+        graph = trace.build_dynamic()
+        graph.snapshot()
+        for batch in trace.batches:
+            apply_batch(graph, batch)
+            graph.snapshot()
+        assert len(trace.batches) > 10
+        assert graph.compactions == 0
+        assert graph.delta_peak <= max(batch.num_ops for batch in trace.batches)
+
+    def test_a_superseded_epoch_is_released(self):
+        graph = DynamicGraph(weighted_graph())
+        first = graph.snapshot()
+        epoch_zero = weakref.ref(first.graph)
+        del first
+        for edge, weight in (((3, 0), 1.5), ((4, 0), 2.5)):
+            graph.add_edges([edge], weights=[weight])
+            graph.snapshot()
+        gc.collect()
+        assert graph.epoch == 2
+        assert epoch_zero() is None

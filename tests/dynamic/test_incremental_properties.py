@@ -7,8 +7,10 @@ batch the published snapshot — CSR arrays *and* every prepared sampler
 structure (packed alias slots, edge keys) — must equal a
 from-scratch build of the same logical edge set computed with the
 repo's own builders (``from_edges``, ``build_alias_table``,
-``build_edge_keys``), bit-identically.  This is the invariant the
-engine-swap and serving layers rely on.
+``build_edge_keys``), bit-identically.  The edge set comes from every
+op replayed into a plain dict, not from the dynamic graph: once a
+snapshot is published its own edges are that snapshot's.  This is the
+invariant the engine-swap and serving layers rely on.
 """
 
 import numpy as np
@@ -23,6 +25,8 @@ BATCHES_PER_SEED = 5
 
 
 def random_base(rng, weighted):
+    """A random base graph and its edge set as the oracle dict
+    ``(src, dst) -> weight`` (1.0 on unweighted graphs)."""
     edges = [
         (s, d)
         for s in range(NUM_VERTICES)
@@ -30,19 +34,21 @@ def random_base(rng, weighted):
         if s != d and rng.random() < 0.18
     ]
     weights = rng.uniform(0.5, 2.0, size=len(edges)) if weighted else None
-    return from_edges(edges, num_vertices=NUM_VERTICES, weights=weights,
+    base = from_edges(edges, num_vertices=NUM_VERTICES, weights=weights,
                       name="prop")
+    return base, dict(zip(edges, weights.tolist() if weighted else [1.0] * len(edges)))
 
 
-def fresh_build(graph: DynamicGraph):
-    edges, weights = graph.logical_edges()
-    rebuilt = from_edges(edges, num_vertices=graph.num_vertices,
-                         weights=weights, name="prop")
+def fresh_build(model: dict, weighted: bool):
+    edges = sorted(model)
+    rebuilt = from_edges(edges, num_vertices=NUM_VERTICES,
+                         weights=[model[e] for e in edges] if weighted else None,
+                         name="prop")
     return rebuilt, SamplerState.full_build(rebuilt)
 
 
-def assert_snapshot_matches(snapshot, graph: DynamicGraph, context: str):
-    rebuilt, state = fresh_build(graph)
+def assert_snapshot_matches(snapshot, model: dict, weighted, context: str):
+    rebuilt, state = fresh_build(model, weighted)
     assert np.array_equal(snapshot.graph.row_ptr, rebuilt.row_ptr), context
     assert np.array_equal(snapshot.graph.col, rebuilt.col), context
     if rebuilt.is_weighted:
@@ -56,9 +62,21 @@ def assert_snapshot_matches(snapshot, graph: DynamicGraph, context: str):
             f"{context}: {name} differs in its bytes"
 
 
-def random_mutation(rng, graph: DynamicGraph, weighted):
-    """One random batch of ops, biased to hit degenerate paths."""
-    present = {tuple(int(x) for x in e) for e in graph.logical_edges()[0]}
+def add(graph: DynamicGraph, model: dict, picks, weights):
+    graph.add_edges(picks, weights=weights)
+    model.update(zip(picks, [1.0] * len(picks) if weights is None else weights.tolist()))
+
+
+def remove(graph: DynamicGraph, model: dict, picks):
+    graph.remove_edges(picks)
+    for edge in picks:
+        del model[edge]
+
+
+def random_mutation(rng, graph: DynamicGraph, model: dict, weighted):
+    """One random batch of ops, biased to hit degenerate paths, applied
+    to the dynamic graph and to the oracle dict alike."""
+    present = set(model)
     absent = [
         (s, d)
         for s in range(NUM_VERTICES)
@@ -70,36 +88,39 @@ def random_mutation(rng, graph: DynamicGraph, weighted):
         picks = [absent[i] for i in rng.choice(len(absent),
                                                size=min(6, len(absent)),
                                                replace=False)]
-        graph.add_edges(picks, weights=(
-            rng.uniform(0.5, 2.0, size=len(picks)) if weighted else None))
+        add(graph, model, picks,
+            rng.uniform(0.5, 2.0, size=len(picks)) if weighted else None)
     elif kind == 1 and present:  # plain deletes
         pool = sorted(present)
         picks = [pool[i] for i in rng.choice(len(pool),
                                              size=min(6, len(pool)),
                                              replace=False)]
-        graph.remove_edges(picks)
+        remove(graph, model, picks)
     elif kind == 2 and present and weighted:  # reweights
         pool = sorted(present)
         picks = [pool[i] for i in rng.choice(len(pool),
                                              size=min(6, len(pool)),
                                              replace=False)]
-        graph.update_weights(picks, rng.uniform(0.5, 2.0, size=len(picks)))
+        reweights = rng.uniform(0.5, 2.0, size=len(picks))
+        graph.update_weights(picks, reweights)
+        model.update(zip(picks, reweights.tolist()))
     elif kind == 3 and present:  # drop one vertex to degree 0, then readd
         vertex = int(sorted({s for s, _ in present})[
             rng.integers(0, len({s for s, _ in present}))])
         row = [(vertex, int(d)) for d in graph.neighbors(vertex)]
-        graph.remove_edges(row)
+        assert sorted(row) == sorted(e for e in present if e[0] == vertex)
+        remove(graph, model, row)
         assert graph.degree(vertex) == 0
         readd = row[: max(1, len(row) // 2)]
-        graph.add_edges(readd, weights=(
-            rng.uniform(0.5, 2.0, size=len(readd)) if weighted else None))
+        add(graph, model, readd,
+            rng.uniform(0.5, 2.0, size=len(readd)) if weighted else None)
     elif present:  # duplicate inserts (weight overwrite / no-op)
         pool = sorted(present)
         picks = [pool[i] for i in rng.choice(len(pool),
                                              size=min(4, len(pool)),
                                              replace=False)]
-        graph.add_edges(picks, weights=(
-            rng.uniform(0.5, 2.0, size=len(picks)) if weighted else None))
+        add(graph, model, picks,
+            rng.uniform(0.5, 2.0, size=len(picks)) if weighted else None)
 
 
 @pytest.mark.parametrize("seed", range(NUM_SEEDS))
@@ -107,13 +128,15 @@ def random_mutation(rng, graph: DynamicGraph, weighted):
                          ids=["weighted", "unweighted"])
 def test_incremental_rebuild_bit_identical(seed, weighted):
     rng = np.random.default_rng((seed, 17, weighted))
-    graph = DynamicGraph(random_base(rng, weighted))
-    assert_snapshot_matches(graph.snapshot(), graph, f"seed {seed} epoch 0")
+    base, model = random_base(rng, weighted)
+    graph = DynamicGraph(base)
+    assert_snapshot_matches(graph.snapshot(), model, weighted, f"seed {seed} epoch 0")
     for batch in range(BATCHES_PER_SEED):
-        random_mutation(rng, graph, weighted)
+        random_mutation(rng, graph, model, weighted)
         snapshot = graph.snapshot()
         assert_snapshot_matches(
-            snapshot, graph, f"seed {seed} batch {batch} (epoch {snapshot.epoch})"
+            snapshot, model, weighted,
+            f"seed {seed} batch {batch} (epoch {snapshot.epoch})"
         )
 
 
@@ -121,12 +144,14 @@ def test_incremental_rebuild_bit_identical(seed, weighted):
 def test_incremental_rebuild_survives_forced_compaction(seed):
     """Same invariant with a compaction interleaved mid-sequence."""
     rng = np.random.default_rng((seed, 23))
-    graph = DynamicGraph(random_base(rng, True))
+    base, model = random_base(rng, True)
+    graph = DynamicGraph(base)
     graph.snapshot()
     for batch in range(BATCHES_PER_SEED):
-        random_mutation(rng, graph, True)
+        random_mutation(rng, graph, model, True)
         if batch == 2:
+            assert graph.delta_edges > 0
             graph.compact()
-        assert_snapshot_matches(graph.snapshot(), graph,
+        assert_snapshot_matches(graph.snapshot(), model, True,
                                 f"seed {seed} batch {batch} (compacting)")
     assert graph.compactions >= 1

@@ -8,10 +8,18 @@ invalidate that gate, so the harness gets direct test coverage on a
 trace small enough for the tier-1 suite.
 """
 
+import numpy as np
 import pytest
 
 from repro.bench.workloads import make_spec
-from repro.dynamic import SamplerState, make_trace, run_mutate_bench
+from repro.dynamic import (
+    TRACE_KINDS,
+    SamplerState,
+    UpdateTrace,
+    apply_batch,
+    make_trace,
+    run_mutate_bench,
+)
 from repro.dynamic.bench import (
     fresh_static_build,
     rebuild_from_edge_set,
@@ -65,6 +73,38 @@ def test_rebuild_baseline_matches_logical_edges(report):
                                          dynamic.name)
     assert graph.num_edges == dynamic.num_edges
     assert state.num_slots == graph.num_edges
+
+
+@pytest.mark.parametrize("kind", TRACE_KINDS)
+def test_final_edges_replay_the_trace(kind):
+    trace = make_trace(kind, 7, edge_factor=6, batch_size=80, num_batches=4, seed=3)
+    dynamic = trace.build_dynamic()
+    edges, weights = trace.final_edges()
+    assert edges.shape[0] > trace.base_edges.shape[0] // 2
+    for batch in trace.batches:
+        apply_batch(dynamic, batch)
+        dynamic.snapshot()
+    expected_edges, expected_weights = dynamic.logical_edges()
+    assert np.array_equal(edges, expected_edges)
+    assert np.array_equal(weights, expected_weights)
+
+
+def test_equivalence_check_reads_the_replayed_trace(report, monkeypatch):
+    """The final check compares against the trace replayed on its own, so
+    a replay that disagrees with the dynamic graph must fail it."""
+    trace, _ = report
+    replay = UpdateTrace.final_edges
+
+    def one_edge_short(self):
+        edges, weights = replay(self)
+        return edges[1:], None if weights is None else weights[1:]
+
+    monkeypatch.setattr(UpdateTrace, "final_edges", one_edge_short)
+    spec = make_spec("DeepWalk")
+    spec.max_length = 16
+    result = run_mutate_bench(trace, spec, seed=2, walk_queries=64,
+                              full_rebuild_samples=0)
+    assert not result.snapshot_equivalent
 
 
 def test_summary_renders(report):

@@ -10,27 +10,35 @@ snapshot or *swapped* onto it mid-life (``PreparedEngine.swap_snapshot``).
 import numpy as np
 import pytest
 
-from repro.dynamic import (
-    DynamicGraph,
-    apply_batch,
-    fresh_static_build,
-    sliding_window_trace,
-)
+from repro.dynamic import DynamicGraph, apply_batch, sliding_window_trace
+from repro.dynamic.bench import rebuild_from_edge_set
 from repro.engines import prepare_engine, run_software_walks
 from repro.errors import WalkConfigError
 from repro.walks import DeepWalkSpec, EngineStats, URWSpec, make_queries
 
 
+def mutation_trace():
+    return sliding_window_trace(7, edge_factor=4, batch_size=120,
+                                num_batches=3, weighted=True, seed=11)
+
+
 def mutated_dynamic_graph():
     """A dynamic graph driven through a real insert+delete trace."""
-    trace = sliding_window_trace(7, edge_factor=4, batch_size=120,
-                                 num_batches=3, weighted=True, seed=11)
+    trace = mutation_trace()
     graph = trace.build_dynamic()
     graph.snapshot()
     for batch in trace.batches:
         apply_batch(graph, batch)
         graph.snapshot()
     return graph
+
+
+def replayed_static_graph(graph: DynamicGraph):
+    """A from-scratch build of the trace replayed into a plain dict: the
+    dynamic graph's own edges are its last snapshot's, so cannot check it."""
+    static_graph, _ = rebuild_from_edge_set(*mutation_trace().final_edges(),
+                                            graph.num_vertices, graph.name)
+    return static_graph
 
 
 def assert_stats_equal(a: EngineStats, b: EngineStats):
@@ -48,7 +56,7 @@ def assert_stats_equal(a: EngineStats, b: EngineStats):
 def state():
     graph = mutated_dynamic_graph()
     snapshot = graph.snapshot()
-    static_graph, _ = fresh_static_build(graph)
+    static_graph = replayed_static_graph(graph)
     spec = DeepWalkSpec(max_length=12)
     queries = make_queries(static_graph, 48, seed=5)
     return snapshot, static_graph, spec, queries
@@ -184,7 +192,7 @@ def test_second_order_swap_builds_one_filter_per_state(filter_builds):
 
     graph = mutated_dynamic_graph()
     snapshot = graph.snapshot()
-    static_graph, _ = fresh_static_build(graph)
+    static_graph = replayed_static_graph(graph)
     spec = Node2VecSpec(p=2.0, q=0.5, strategy="rejection", max_length=12)
     queries = make_queries(static_graph, 48, seed=5)
     expected = EdgeSet.build(static_graph)

@@ -203,12 +203,13 @@ def test_update_packs_only_the_rebuilt_rows(monkeypatch):
     monkeypatch.setattr(repro.dynamic.state, "pack_alias_slots", counted)
     for batch in batches:
         apply_batch(dynamic, batch)
+        # Read before the snapshot makes its own edges the base.
+        edges, weights = dynamic.logical_edges()
         snapshot = dynamic.snapshot()
         # One call, over the dirty rows' slots: the rest was slice-copied.
         (rebuilt,) = packed
         assert 0 < rebuilt < snapshot.graph.num_edges // 2
         packed.clear()
-        edges, weights = dynamic.logical_edges()
         fresh = graph_alias_slots(
             from_edges(edges, num_vertices=dynamic.num_vertices, weights=weights))
         assert snapshot.sampler_state.alias_slots.tobytes() == fresh.tobytes()

@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.dynamic import apply_batch, fresh_static_build, sliding_window_trace
+from repro.dynamic import apply_batch, sliding_window_trace
+from repro.dynamic.bench import rebuild_from_edge_set
 from repro.engines import (
     SOFTWARE_ENGINES,
     PreparedEngine,
@@ -48,7 +49,10 @@ def epochs():
     for batch in trace.batches:
         apply_batch(dynamic, batch)
     snapshot = dynamic.snapshot()
-    static_graph, _ = fresh_static_build(dynamic)
+    # The trace replayed into a plain dict: the dynamic graph's own edges
+    # are the snapshot's now.
+    static_graph, _ = rebuild_from_edge_set(*trace.final_edges(),
+                                            dynamic.num_vertices, dynamic.name)
     spec = DeepWalkSpec(max_length=10)
     return base, snapshot, static_graph, spec, make_queries(static_graph, 40, seed=5)
 
