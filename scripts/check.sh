@@ -8,7 +8,8 @@
 # replays each served path bit-identically through its engine (plain,
 # multi-tenant flash crowd, MetaPath, the run-backed reference
 # frontier), `mutate-bench` exits non-zero unless its final snapshot
-# equals a from-scratch build, and a traced CLI run exports sample
+# equals a from-scratch build (per small batch, and for bursts larger
+# than a quarter of the base graph), and a traced CLI run exports sample
 # trace + metrics artifacts.  The timed benchmark is
 # `benchmarks/suite/run.py` (see benchmarks/suite/README.md).
 #
@@ -71,6 +72,9 @@ python -m repro serve-bench --engine reference --scenario flash-crowd --tenants 
 echo
 echo "== dynamic smoke (exit code gates snapshot == from-scratch build) =="
 python -m repro mutate-bench --scale 9 --batch-size 200 --batches 6 --queries 256 --length 40
+# Bursts: each batch exceeds a quarter of the base graph and stays in the
+# overlay until its snapshot.
+python -m repro mutate-bench --scale 10 --batch-size 2500 --batches 3 --queries 256 --length 40
 
 echo
 echo "== observability smoke (traced CLI artifacts) =="

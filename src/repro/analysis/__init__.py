@@ -12,8 +12,7 @@ Layout:
 
 * :mod:`repro.analysis.core` — the rule framework: :class:`Finding`,
   :class:`Rule` + registry, per-file contexts with parent-annotated
-  ASTs, ``# repro: allow[RW###] <reason>`` suppression handling, and
-  the optional fingerprint baseline;
+  ASTs, and ``# repro: allow[RW###] <reason>`` suppression handling;
 * :mod:`repro.analysis.rules` — the shipped RW1xx rules;
 * :mod:`repro.analysis.report` — deterministic text / JSON reporters.
 
@@ -28,9 +27,7 @@ from repro.analysis.core import (
     get_rule,
     lint_paths,
     lint_source,
-    load_baseline,
     register_rule,
-    write_baseline,
 )
 from repro.analysis.report import render_json, render_text
 
@@ -45,9 +42,7 @@ __all__ = [
     "get_rule",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "register_rule",
     "render_json",
     "render_text",
-    "write_baseline",
 ]

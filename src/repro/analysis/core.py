@@ -3,9 +3,8 @@
 Design constraints, in order:
 
 1. **Deterministic output.**  Findings are sorted by ``(path, line,
-   col, rule id)`` and fingerprints depend only on file-relative facts,
-   so two runs over the same tree — on any machine, in any directory —
-   render byte-identical reports.  A linter that polices determinism
+   col, rule id)``, so two runs over the same tree — on any machine,
+   in any directory — render byte-identical reports.  A linter that polices determinism
    has no business being nondeterministic itself.
 2. **No imports of the linted code.**  Everything works on
    ``ast.parse`` output; linting a file can never execute it, pull in
@@ -21,9 +20,7 @@ Design constraints, in order:
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
-import json
 import re
 import time
 import tokenize
@@ -36,7 +33,7 @@ from repro.errors import ReproError
 
 
 class AnalysisError(ReproError):
-    """Raised for unusable linter inputs (bad paths, baselines, rule ids)."""
+    """Raised for unusable linter inputs (bad paths, rule ids)."""
 
 
 #: Matches one allow-comment.  Group 1: comma-separated rule ids;
@@ -68,12 +65,11 @@ class Finding:
     snippet: str = ""
     suppressed: bool = False
     suppression_reason: str = ""
-    baselined: bool = False
 
     @property
     def active(self) -> bool:
-        """Counts toward the exit code (neither suppressed nor baselined)."""
-        return not (self.suppressed or self.baselined)
+        """Counts toward the exit code (not suppressed)."""
+        return not self.suppressed
 
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.col, self.rule_id, self.message)
@@ -344,72 +340,8 @@ class LintReport:
         return tuple(f for f in self.findings if f.suppressed)
 
     @property
-    def baselined(self) -> tuple[Finding, ...]:
-        return tuple(f for f in self.findings if f.baselined)
-
-    @property
     def exit_code(self) -> int:
         return 1 if self.active else 0
-
-
-def fingerprint(finding: Finding, occurrence: int) -> str:
-    """Stable identity for baseline matching.
-
-    Line numbers drift with every edit, so the fingerprint hashes the
-    *content* of the flagged line (plus an occurrence index for repeats)
-    instead — a finding survives unrelated edits above it, and any edit
-    to the flagged line itself invalidates the baseline entry, forcing a
-    fresh look.
-    """
-    basis = "\0".join(
-        [Path(finding.path).name, finding.rule_id, finding.snippet,
-         str(occurrence)]
-    )
-    return hashlib.sha256(basis.encode("utf-8")).hexdigest()[:16]
-
-
-def _fingerprints(findings: Sequence[Finding]) -> list[str]:
-    counts: dict[tuple[str, str, str], int] = {}
-    out = []
-    for finding in findings:
-        key = (Path(finding.path).name, finding.rule_id, finding.snippet)
-        occurrence = counts.get(key, 0)
-        counts[key] = occurrence + 1
-        out.append(fingerprint(finding, occurrence))
-    return out
-
-
-def load_baseline(path: str | Path) -> frozenset[str]:
-    """Fingerprints recorded by a previous ``--write-baseline`` run."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise AnalysisError(f"baseline file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise AnalysisError(f"unreadable baseline {path}: {exc}") from None
-    if (
-        not isinstance(payload, dict)
-        or payload.get("version") != 1
-        or not isinstance(payload.get("fingerprints"), list)
-    ):
-        raise AnalysisError(
-            f"baseline {path} is not a version-1 repro-lint baseline"
-        )
-    return frozenset(str(item) for item in payload["fingerprints"])
-
-
-def write_baseline(path: str | Path, report: LintReport) -> int:
-    """Record the run's unsuppressed findings; returns the entry count."""
-    prints = sorted(_fingerprints(report.active))
-    payload = {
-        "version": 1,
-        "tool": "repro lint",
-        "fingerprints": prints,
-    }
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return len(prints)
 
 
 def _select_rules(select: Sequence[str] | None) -> tuple[Rule, ...]:
@@ -477,7 +409,6 @@ def _display_path(path: Path) -> str:
 def lint_paths(
     paths: Sequence[str | Path],
     select: Sequence[str] | None = None,
-    baseline: frozenset[str] | None = None,
 ) -> LintReport:
     """Lint files/directories and return the combined report."""
     started = time.perf_counter()
@@ -490,21 +421,6 @@ def lint_paths(
             lint_source(source, path=_display_path(path), select=select)
         )
     findings.sort(key=Finding.sort_key)
-    if baseline:
-        # Fingerprint over *active* findings only — the same population
-        # write_baseline records — so occurrence indices line up even
-        # when suppressed twins of a finding exist.
-        active = [finding for finding in findings if finding.active]
-        matched = {
-            id(finding)
-            for finding, print_ in zip(active, _fingerprints(active))
-            if print_ in baseline
-        }
-        findings = [
-            replace(finding, baselined=True) if id(finding) in matched
-            else finding
-            for finding in findings
-        ]
     return LintReport(
         findings=tuple(findings),
         files_scanned=len(files),

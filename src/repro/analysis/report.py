@@ -16,8 +16,8 @@ from repro.analysis.core import Finding, LintReport
 def render_text(report: LintReport, verbose: bool = False) -> str:
     """Human-readable report: one line per finding plus a summary.
 
-    ``verbose`` additionally lists suppressed/baselined findings with
-    their recorded reasons — the audit view of every active waiver.
+    ``verbose`` additionally lists suppressed findings with their
+    recorded reasons — the audit view of every active waiver.
     """
     lines = []
     for finding in report.active:
@@ -32,14 +32,9 @@ def render_text(report: LintReport, verbose: bool = False) -> str:
                 f"{finding.location()}: {finding.rule_id} suppressed "
                 f"({finding.suppression_reason})"
             )
-        for finding in report.baselined:
-            lines.append(
-                f"{finding.location()}: {finding.rule_id} baselined"
-            )
     lines.append(
         f"{len(report.active)} finding(s) "
-        f"({len(report.suppressed)} suppressed, "
-        f"{len(report.baselined)} baselined) in "
+        f"({len(report.suppressed)} suppressed) in "
         f"{report.files_scanned} file(s) "
         f"[{report.elapsed_seconds * 1e3:.0f} ms]"
     )
@@ -54,11 +49,7 @@ def _finding_payload(finding: Finding) -> dict:
         "line": finding.line,
         "col": finding.col + 1,
         "snippet": finding.snippet,
-        "status": (
-            "suppressed" if finding.suppressed
-            else "baselined" if finding.baselined
-            else "active"
-        ),
+        "status": "suppressed" if finding.suppressed else "active",
     }
     if finding.suppressed:
         payload["reason"] = finding.suppression_reason
@@ -76,7 +67,6 @@ def render_json(report: LintReport) -> str:
         "counts": {
             "active": len(report.active),
             "suppressed": len(report.suppressed),
-            "baselined": len(report.baselined),
         },
         "findings": [_finding_payload(f) for f in report.findings],
     }

@@ -87,18 +87,6 @@ class WorkloadTrace:
             return 1.0
         return max(1.0, self.stats.neighbor_reads / self.total_steps)
 
-    def mean_proposals_per_step(self) -> float:
-        """Average sampling proposals per step (rejection retries)."""
-        if self.total_steps == 0:
-            return 1.0
-        return max(1.0, self.stats.sampling_proposals / self.total_steps)
-
-    def visit_probability(self) -> np.ndarray:
-        """Empirical per-vertex visit distribution (cache-model input)."""
-        counts = self.results.visit_counts(self.graph.num_vertices).astype(np.float64)
-        total = counts.sum()
-        return counts / total if total else counts
-
 
 def rng_words_per_step(spec: WalkSpec) -> int:
     """64-bit random words one step of this algorithm consumes.

@@ -7,8 +7,8 @@ Eight commands cover the workflows a downstream user reaches for first:
 * ``serve-bench`` — drive the async walk service with an open-loop
   (Poisson or saturation) request workload and print serving metrics;
 * ``mutate-bench`` — stream an update trace into a dynamic graph and
-  print incremental-maintenance throughput, compaction cost, and
-  walk-throughput retention vs a static rebuild;
+  print incremental-maintenance throughput, the peak delta overlay,
+  and walk-throughput retention vs a static rebuild;
 * ``trace`` — run one of the three commands above with span tracing
   enabled and export the recorded spans as Perfetto-loadable Chrome
   ``trace_event`` JSON or a JSONL event log (``repro.obs``);
@@ -161,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Drive a streamed update trace (grow-only, sliding-window "
         "or weight-churn over an RMAT graph) into a dynamic graph "
         "(repro.dynamic), publishing an epoch snapshot per batch, and report "
-        "updates/sec, compaction cost, the speedup of incremental sampler "
-        "maintenance over from-scratch rebuilds, and walk-throughput "
+        "updates/sec, the peak delta overlay, the speedup of incremental "
+        "sampler maintenance over from-scratch rebuilds, and walk-throughput "
         "retention on the final snapshot.",
     )
     mutate.add_argument("--trace", choices=("grow", "window", "churn"),
@@ -182,12 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="walk queries for the retention measurement")
     mutate.add_argument("--length", type=int, default=80)
     mutate.add_argument("--seed", type=int, default=1)
-    mutate.add_argument("--compaction-threshold", type=float, default=0.25,
-                        help="fold deltas into a fresh CSR base once the "
-                        "ops since the last snapshot or compaction exceed "
-                        "this fraction of base edges (every batch is "
-                        "snapshotted, so only a batch larger than that "
-                        "compacts)")
 
     trace = sub.add_parser(
         "trace",
@@ -254,15 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="report format (default text)")
     lint.add_argument("--select", default=None, metavar="RW###,RW###",
                       help="comma-separated rule ids to run (default: all)")
-    lint.add_argument("--baseline", default=None, metavar="FILE",
-                      help="ignore findings fingerprinted in this baseline "
-                      "file (adopt-then-ratchet workflow)")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="write the current unsuppressed findings to "
-                      "--baseline instead of failing on them")
     lint.add_argument("--verbose", action="store_true",
-                      help="also list suppressed/baselined findings with "
-                      "their recorded reasons")
+                      help="also list suppressed findings with their "
+                      "recorded reasons")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule table and exit")
 
@@ -520,7 +508,6 @@ def cmd_mutate_bench(args) -> int:
         trace, spec,
         seed=args.seed,
         walk_queries=args.queries,
-        compaction_threshold=args.compaction_threshold,
     )
     print()
     print(report.summary())
@@ -601,10 +588,7 @@ def cmd_lint(args) -> int:
     from pathlib import Path
 
     import repro
-    from repro.analysis import (
-        all_rules, lint_paths, load_baseline, render_json, render_text,
-        write_baseline,
-    )
+    from repro.analysis import all_rules, lint_paths, render_json, render_text
 
     if args.list_rules:
         for rule in all_rules():
@@ -616,16 +600,7 @@ def cmd_lint(args) -> int:
         [part.strip() for part in args.select.split(",") if part.strip()]
         if args.select else None
     )
-    if args.write_baseline and not args.baseline:
-        raise WalkConfigError("--write-baseline requires --baseline FILE")
-    baseline = None
-    if args.baseline and not args.write_baseline:
-        baseline = load_baseline(args.baseline)
-    report = lint_paths(paths, select=select, baseline=baseline)
-    if args.write_baseline:
-        count = write_baseline(args.baseline, report)
-        print(f"baseline: recorded {count} finding(s) in {args.baseline}")
-        return 0
+    report = lint_paths(paths, select=select)
     if args.output_format == "json":
         sys.stdout.write(render_json(report))
     else:

@@ -1,9 +1,8 @@
 """Dynamic-graph subsystem: streamed updates, versioned snapshots, serving.
 
 ``DynamicGraph`` ingests streamed edge updates into per-vertex delta
-buffers over the last snapshot's CSR (compacting once the deltas since
-that snapshot exceed a threshold) and publishes epoch-versioned
-immutable snapshots —
+buffers over the last snapshot's CSR and publishes epoch-versioned
+immutable snapshots, each of which becomes the next base —
 ``(CSRGraph, SamplerState)`` pairs whose prepared sampler structures are
 built when first read and from then on maintained *incrementally* yet
 bit-identically to a from-scratch build; what nobody reads is not built.

@@ -53,14 +53,8 @@ class MutateBenchReport:
     incremental_seconds: float
     updates_per_second: float
     mean_snapshot_seconds: float
-    # Compaction and delta-overlay accounting (DynamicGraph counters).
-    compactions: int
-    compaction_seconds: float
-    updates_applied: int
-    #: Overlay left after the last batch: 0, since each batch's snapshot
-    #: adopts its epoch as the next base and empties the overlay.
-    delta_edges: int
-    #: The largest overlay between two snapshots (at most one batch's ops).
+    #: The largest delta overlay between two snapshots (at most one
+    #: batch's ops: each batch's snapshot empties it).
     delta_peak: int
     # Sampled from-scratch rebuild cost and the resulting speedup.
     full_rebuild_samples: int
@@ -79,10 +73,7 @@ class MutateBenchReport:
             f"epoch {self.final_epoch})",
             f"updates:    {self.updates_per_second:,.0f} ops/s incremental "
             f"(mean snapshot {self.mean_snapshot_seconds * 1e3:.1f} ms)",
-            f"compaction: {self.compactions} compactions, "
-            f"{self.compaction_seconds:.3f}s total "
-            f"({self.updates_applied} updates applied; "
-            f"delta {self.delta_edges} final, {self.delta_peak} peak)",
+            f"overlay:    {self.delta_peak} delta entries at peak",
             f"rebuild:    {self.mean_full_rebuild_seconds * 1e3:.1f} ms "
             f"from-scratch (x{self.full_rebuild_samples} samples) -> "
             f"incremental speedup {self.maintenance_speedup:.1f}x",
@@ -172,10 +163,9 @@ def run_mutate_bench(
     seed: int = 1,
     walk_queries: int = 512,
     full_rebuild_samples: int = 3,
-    compaction_threshold: float = 0.25,
 ) -> MutateBenchReport:
     """Drive one update trace end to end and measure it (see module doc)."""
-    dynamic = trace.build_dynamic(compaction_threshold=compaction_threshold)
+    dynamic = trace.build_dynamic()
     snapshot = dynamic.snapshot()
     # Epoch 0, untimed: the one cold build of what this walk's kernel
     # reads; every later epoch maintains exactly that.
@@ -195,7 +185,6 @@ def run_mutate_bench(
     incremental_seconds = 0.0
     snapshot_seconds = 0.0
     rebuild_seconds: list[float] = []
-    compaction_base = dynamic.compaction_seconds
     for index, batch in enumerate(trace.batches):
         started = time.perf_counter()
         apply_batch(dynamic, batch)
@@ -277,10 +266,6 @@ def run_mutate_bench(
         mean_snapshot_seconds=(
             snapshot_seconds / num_batches if num_batches else 0.0
         ),
-        compactions=dynamic.compactions,
-        compaction_seconds=dynamic.compaction_seconds - compaction_base,
-        updates_applied=dynamic.updates_applied,
-        delta_edges=dynamic.delta_edges,
         delta_peak=dynamic.delta_peak,
         full_rebuild_samples=len(rebuild_seconds),
         mean_full_rebuild_seconds=mean_rebuild,

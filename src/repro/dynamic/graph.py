@@ -1,4 +1,4 @@
-"""Versioned mutable graph: streamed updates, snapshots, compaction.
+"""Versioned mutable graph: streamed updates and snapshots.
 
 :class:`DynamicGraph` is the write side of the dynamic subsystem.  It
 holds an immutable CSR **base** plus per-vertex **delta buffers**: each
@@ -11,10 +11,8 @@ hub must not copy its whole neighbor list).  The base is the latest
 published snapshot's CSR: every snapshot adopts its own graph as the
 next base and empties the overlay, so the overlay only ever holds the
 ops since the last epoch and a superseded epoch is freed once its last
-reader lets go.  A caller that applies more than a configurable
-fraction of the base between two snapshots has the deltas **compacted**
-into a fresh ``CSRGraph`` (amortized O(|E|)), bounding overlay memory
-and the next snapshot's merge cost.
+reader lets go.  Only a snapshot moves the base: a caller bounds overlay
+memory and the next snapshot's merge cost by how often it publishes.
 
 The read side is :meth:`DynamicGraph.snapshot`: an epoch-versioned,
 immutable ``(CSRGraph, SamplerState)`` pair.  Snapshots are built
@@ -34,7 +32,6 @@ not supported.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -101,23 +98,9 @@ class DynamicGraph:
         edge/vertex types.  Weightedness is fixed for the graph's
         lifetime: updates to a weighted base must carry weights, updates
         to an unweighted base must not.
-    compaction_threshold:
-        Fold the delta overlay into a fresh CSR base once it holds more
-        than this fraction of the base's edges.  The overlay holds the
-        ops since the last snapshot or compaction, so a caller that
-        snapshots every batch below this size never compacts.
-    min_compaction_edges:
-        Never compact below this overlay size (ops since the last
-        snapshot or compaction) — tiny graphs would otherwise compact
-        on every update.
     """
 
-    def __init__(
-        self,
-        base: CSRGraph,
-        compaction_threshold: float = 0.25,
-        min_compaction_edges: int = 4096,
-    ) -> None:
+    def __init__(self, base: CSRGraph) -> None:
         if base.edge_types is not None or base.vertex_types is not None:
             raise DynamicGraphError(
                 "dynamic graphs do not support edge/vertex types (MetaPath "
@@ -128,20 +111,10 @@ class DynamicGraph:
                 "dynamic graphs require sorted neighbor lists; rebuild the "
                 "base with from_edges(..., sort_neighbors=True)"
             )
-        if compaction_threshold <= 0:
-            raise DynamicGraphError(
-                f"compaction_threshold must be > 0, got {compaction_threshold}"
-            )
-        if min_compaction_edges < 0:
-            raise DynamicGraphError(
-                f"min_compaction_edges must be >= 0, got {min_compaction_edges}"
-            )
         self._base = base
         self._weighted = base.is_weighted
-        self._compaction_threshold = float(compaction_threshold)
-        self._min_compaction_edges = int(min_compaction_edges)
         #: Per-vertex delta buffers, relative to the current base (the
-        #: last published epoch, or a later compaction):
+        #: last published epoch):
         #: ``vertex -> {dst: weight}``.  A weight is an inserted or
         #: re-weighted edge (1.0 on unweighted graphs); ``_TOMBSTONE``
         #: marks a removed *base* edge (removing an edge that only
@@ -158,11 +131,10 @@ class DynamicGraph:
         #: here to invalidate stale pools the moment an epoch exists.
         self._epoch_listeners: list = []
         self.updates_applied = 0
-        self.compactions = 0
-        self.compaction_seconds = 0.0
+        # Nothing compacts; only the frozen benchmarks/suite still reads these.
+        self.compactions, self.compaction_seconds = 0, 0.0
         #: High-water mark of :attr:`delta_edges`: the largest overlay
-        #: between two snapshots — how close it came to the compaction
-        #: threshold (reported by mutate-bench).
+        #: between two snapshots (reported by mutate-bench).
         self.delta_peak = 0
         #: Sampler-state builds, ``(member, "scratch" | "incremental") -> count``.
         self.state_builds: Counter = Counter()
@@ -195,7 +167,7 @@ class DynamicGraph:
     @property
     def delta_edges(self) -> int:
         """Entries currently held in the per-vertex delta buffers: the
-        ops since the last snapshot or compaction (0 right after either)."""
+        ops since the last snapshot (0 right after one)."""
         return self._delta_entries
 
     @property
@@ -274,7 +246,7 @@ class DynamicGraph:
             delta[d] = w
             self._dirty.add(s)
         self.updates_applied += src.size
-        self._maybe_compact()
+        self._note_delta_peak()
         return inserted
 
     def remove_edges(self, edges) -> None:
@@ -305,7 +277,7 @@ class DynamicGraph:
             self._num_edges -= 1
             self._dirty.add(s)
         self.updates_applied += src.size
-        self._maybe_compact()
+        self._note_delta_peak()
 
     def update_weights(self, edges, weights: Sequence[float] | np.ndarray) -> None:
         """Re-weight existing edges (weighted graphs only)."""
@@ -327,10 +299,10 @@ class DynamicGraph:
             delta[d] = w
             self._dirty.add(s)
         self.updates_applied += src.size
-        self._maybe_compact()
+        self._note_delta_peak()
 
     # ------------------------------------------------------------------
-    # Snapshots and compaction
+    # Snapshots
     # ------------------------------------------------------------------
     def snapshot(self) -> GraphSnapshot:
         """Publish the current logical graph as an immutable epoch.
@@ -402,35 +374,6 @@ class DynamicGraph:
         for listener in self._epoch_listeners:
             listener(snapshot)
 
-    @property
-    def needs_compaction(self) -> bool:
-        limit = max(
-            self._min_compaction_edges,
-            int(self._compaction_threshold * self._base.num_edges),
-        )
-        return self._delta_entries > limit
-
-    def compact(self) -> None:
-        """Fold the delta overlay into a fresh CSR base (amortized O(|E|)).
-
-        Purely representational: the logical graph, the dirty set and the
-        published epoch are unchanged, so snapshots before and after a
-        compaction are bit-identical.  Runs automatically once the ops
-        since the last snapshot or compaction cross the threshold — a
-        snapshot already empties the overlay, so only callers applying a
-        large burst between two snapshots reach it; they may also call it
-        to bound memory ahead of a known burst.
-        """
-        if not self._adj:
-            return
-        with _trace_span("dynamic.compact", delta_edges=self._delta_entries):
-            started = time.perf_counter()
-            self._base = self._merged_csr()
-            self._adj.clear()
-            self._delta_entries = 0
-            self.compactions += 1
-            self.compaction_seconds += time.perf_counter() - started
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -473,8 +416,8 @@ class DynamicGraph:
 
     def _ops(self, src: np.ndarray, dst: np.ndarray, weights: np.ndarray | None):
         """One call's ops as ``(src, dst, weight, in base)`` columns.  The
-        base only changes at a call's end (compaction) or at a snapshot,
-        so membership is one row-bounded binary search over all ops at
+        base only changes at a snapshot, never inside a call, so
+        membership is one row-bounded binary search over all ops at
         once."""
         row_ptr, col = self._base.row_ptr, self._base.col
         lo, stop = row_ptr[src], row_ptr[src + 1]
@@ -561,9 +504,9 @@ class DynamicGraph:
         """One vertex's full current row as sorted ``(col, weights)``.
 
         O(deg + delta): merges the base row with the vertex's delta
-        buffer.  Backs the single-vertex read API only; snapshots,
-        compaction and :meth:`logical_edges` merge whole batches of rows
-        at once (:meth:`_merged_rows`).
+        buffer.  Backs the single-vertex read API only; snapshots and
+        :meth:`logical_edges` merge whole batches of rows at once
+        (:meth:`_merged_rows`).
         """
         self._check_vertex(vertex)
         delta = self._adj.get(vertex)
@@ -592,11 +535,9 @@ class DynamicGraph:
         )
         return cols, weights
 
-    def _maybe_compact(self) -> None:
+    def _note_delta_peak(self) -> None:
         if self._delta_entries > self.delta_peak:
             self.delta_peak = self._delta_entries
-        if self.needs_compaction:
-            self.compact()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

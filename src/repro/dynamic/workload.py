@@ -85,7 +85,7 @@ class UpdateTrace:
     def total_ops(self) -> int:
         return sum(batch.num_ops for batch in self.batches)
 
-    def build_dynamic(self, **kwargs) -> DynamicGraph:
+    def build_dynamic(self) -> DynamicGraph:
         """The starting :class:`DynamicGraph` this trace's batches mutate."""
         base = from_edges(
             self.base_edges,
@@ -93,7 +93,7 @@ class UpdateTrace:
             weights=self.base_weights,
             name=self.name,
         )
-        return DynamicGraph(base, **kwargs)
+        return DynamicGraph(base)
 
     def final_edges(self) -> tuple[np.ndarray, np.ndarray | None]:
         """The edge set after every batch as ``(edges, weights)``, sorted

@@ -3,7 +3,7 @@
 One registry unifies every subsystem ledger the reproduction has grown
 — :class:`~repro.walks.EngineStats`, :class:`~repro.serve.ServeStats`
 (global and per-tenant), the :class:`~repro.serve.HotWalkCache`
-counters, and :class:`~repro.dynamic.DynamicGraph` delta/compaction
+counters, and :class:`~repro.dynamic.DynamicGraph` update/overlay/epoch
 stats — into one namespace that the exporters render as Prometheus
 text exposition or JSONL (:mod:`repro.obs.exporters`).
 
@@ -335,13 +335,6 @@ def dynamic_graph_into(registry: MetricsRegistry, graph, **labels) -> None:
     registry.counter(
         "repro_dynamic_updates_total", "Streamed edge updates applied",
     ).inc(graph.updates_applied, **labels)
-    registry.counter(
-        "repro_dynamic_compactions_total", "Delta-into-CSR compactions",
-    ).inc(graph.compactions, **labels)
-    registry.counter(
-        "repro_dynamic_compaction_seconds_total",
-        "Wall-clock spent compacting deltas into the CSR base",
-    ).inc(graph.compaction_seconds, **labels)
     registry.gauge(
         "repro_dynamic_delta_edges", "Edge endpoints currently in the delta layer",
     ).set(graph.delta_edges, **labels)

@@ -41,9 +41,6 @@ class TraceSeries:
     def peak(self) -> float:
         return max(self.values) if self.values else 0.0
 
-    def trough(self) -> float:
-        return min(self.values) if self.values else 0.0
-
 
 class UtilizationTracer:
     """Samples watched modules and FIFOs every ``window`` cycles."""

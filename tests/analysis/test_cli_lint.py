@@ -52,6 +52,16 @@ def test_lint_verbose_lists_suppression_reasons(capsys):
     assert "suppressed (frozen stream: golden files pin" in out
 
 
+def test_lint_json_marks_waived_findings(capsys):
+    assert main(["lint", str(FIXTURES / "rw102_suppressed.py"),
+                 "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["counts"] == {"active": 0, "suppressed": 1}
+    [finding] = payload["findings"]
+    assert finding["status"] == "suppressed"
+    assert finding["reason"].startswith("frozen stream:")
+
+
 def test_lint_select_restricts_rules(capsys):
     assert main(["lint", str(FIXTURES / "rw101_flag.py"),
                  "--select", "RW104"]) == 0
@@ -64,25 +74,6 @@ def test_lint_list_rules(capsys):
     for rule_id in ("RW100", "RW101", "RW102", "RW104", "RW105", "RW107"):
         assert rule_id in out
     assert "RW103" not in out
-
-
-def test_lint_baseline_workflow_via_cli(tmp_path, capsys):
-    module = tmp_path / "legacy.py"
-    module.write_text(
-        "import numpy as np\nrng = np.random.default_rng(seed + 1)\n",
-        encoding="utf-8",
-    )
-    baseline = tmp_path / "baseline.json"
-    assert main(["lint", str(module), "--baseline", str(baseline),
-                 "--write-baseline"]) == 0
-    assert "recorded 1 finding(s)" in capsys.readouterr().out
-    assert main(["lint", str(module), "--baseline", str(baseline)]) == 0
-    assert "1 baselined" in capsys.readouterr().out
-
-
-def test_write_baseline_requires_baseline_path(capsys):
-    assert main(["lint", "--write-baseline"]) == 1
-    assert "--write-baseline requires" in capsys.readouterr().err
 
 
 def test_unknown_select_is_a_clean_error(capsys):

@@ -1,9 +1,11 @@
-"""Framework-level behavior: suppression grammar, ordering, baselines."""
+"""Framework-level behavior: suppression grammar, ordering, reports."""
+
+import json
 
 import numpy as np
 import pytest
 
-from repro.analysis import lint_paths, lint_source, load_baseline, write_baseline
+from repro.analysis import lint_paths, lint_source, render_json, render_text
 from repro.analysis.core import AnalysisError
 
 FLAGGED = "import numpy as np\nrng = np.random.default_rng(seed + 1)\n"
@@ -104,50 +106,52 @@ class TestDeterministicOutput:
         assert {f.rule_id for f in findings} == {"RW101"}
 
 
-class TestBaseline:
-    def test_round_trip_silences_recorded_findings(self, tmp_path):
-        module = tmp_path / "legacy.py"
-        module.write_text(FLAGGED, encoding="utf-8")
-        baseline_path = tmp_path / "lint-baseline.json"
-        count = write_baseline(baseline_path, lint_paths([module]))
-        assert count == 1
-        report = lint_paths([module], baseline=load_baseline(baseline_path))
-        assert not report.active
-        assert [f.baselined for f in report.findings] == [True]
+MIXED = (
+    "import numpy as np\n"
+    "rng = np.random.default_rng(seed + 1)\n"
+    "# repro: allow[RW102] frozen golden stream\n"
+    "old = np.random.default_rng(seed ^ 0x5EED)\n"
+)
+
+
+class TestReport:
+    """Only an active finding fails a run; both reporters count both kinds."""
+
+    def test_suppressed_findings_do_not_fail_the_run(self, tmp_path):
+        module = tmp_path / "waived.py"
+        module.write_text(violation(comment="  # repro: allow[RW102] frozen golden stream"),
+                          encoding="utf-8")
+        report = lint_paths([module])
+        assert (len(report.active), len(report.suppressed)) == (0, 1)
         assert report.exit_code == 0
 
-    def test_new_findings_still_fail_under_baseline(self, tmp_path):
-        module = tmp_path / "legacy.py"
-        module.write_text(FLAGGED, encoding="utf-8")
-        baseline_path = tmp_path / "lint-baseline.json"
-        write_baseline(baseline_path, lint_paths([module]))
-        module.write_text(
-            FLAGGED + "other = np.random.default_rng(seed ^ 0x5EED)\n",
-            encoding="utf-8",
-        )
-        report = lint_paths([module], baseline=load_baseline(baseline_path))
-        assert len(report.active) == 1
-        assert "0x5EED" in report.active[0].snippet
+    def test_one_active_finding_fails_the_run(self, tmp_path):
+        module = tmp_path / "mixed.py"
+        module.write_text(MIXED, encoding="utf-8")
+        report = lint_paths([module])
+        assert (len(report.active), len(report.suppressed)) == (1, 1)
+        assert report.exit_code == 1
 
-    def test_editing_the_flagged_line_invalidates_its_entry(self, tmp_path):
-        module = tmp_path / "legacy.py"
-        module.write_text(FLAGGED, encoding="utf-8")
-        baseline_path = tmp_path / "lint-baseline.json"
-        write_baseline(baseline_path, lint_paths([module]))
-        module.write_text(
-            "import numpy as np\nrng = np.random.default_rng(seed + 2)\n",
-            encoding="utf-8",
-        )
-        report = lint_paths([module], baseline=load_baseline(baseline_path))
-        assert len(report.active) == 1
+    def test_json_counts_statuses_and_reasons(self, tmp_path):
+        module = tmp_path / "mixed.py"
+        module.write_text(MIXED, encoding="utf-8")
+        payload = json.loads(render_json(lint_paths([module])))
+        assert payload["counts"] == {"active": 1, "suppressed": 1}
+        assert [(f["line"], f["status"]) for f in payload["findings"]] == [
+            (2, "active"), (4, "suppressed")]
+        active, suppressed = payload["findings"]
+        assert "reason" not in active
+        assert suppressed["reason"] == "frozen golden stream"
 
-    def test_unreadable_baseline_raises(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{]", encoding="utf-8")
-        with pytest.raises(AnalysisError, match="unreadable baseline"):
-            load_baseline(bad)
-        with pytest.raises(AnalysisError, match="not found"):
-            load_baseline(tmp_path / "missing.json")
+    def test_text_summary_counts_both_kinds(self, tmp_path):
+        module = tmp_path / "mixed.py"
+        module.write_text(MIXED, encoding="utf-8")
+        report = lint_paths([module])
+        quiet = render_text(report).splitlines()
+        assert quiet[-1].startswith("1 finding(s) (1 suppressed) in 1 file(s)")
+        assert not any("suppressed (" in line for line in quiet)
+        verbose = render_text(report, verbose=True).splitlines()
+        assert sum("suppressed (frozen golden stream)" in line for line in verbose) == 1
 
 
 def test_missing_path_raises():

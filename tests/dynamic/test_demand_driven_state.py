@@ -80,8 +80,7 @@ def test_held_members_match_a_full_build_under_any_ask_schedule(kind, seed, scra
     rng = np.random.default_rng((seed, KINDS.index(kind), 24))
     trace = small_trace(kind, seed)
     assert len(trace.batches) >= 3
-    dynamic = trace.build_dynamic(
-        **({"compaction_threshold": 0.05, "min_compaction_edges": 0} if seed % 3 == 0 else {}))
+    dynamic = trace.build_dynamic()
     # Each member is first asked at a random round — possibly one whose
     # snapshot is never taken, possibly never — and from then on only now
     # and again: holding must not depend on being read every epoch.
@@ -118,8 +117,6 @@ def test_held_members_match_a_full_build_under_any_ask_schedule(kind, seed, scra
             restore = None
         apply_batch(dynamic, batch)
         if rng.random() < 0.25:
-            dynamic.compact()
-        if rng.random() < 0.25:
             continue                                   # this epoch is skipped
         publish(index)
         if rng.random() < 0.4:
@@ -135,8 +132,6 @@ def test_held_members_match_a_full_build_under_any_ask_schedule(kind, seed, scra
         assert dynamic.state_builds[name, "scratch"] == (name in asked)
         assert dynamic.state_builds[name, "incremental"] == inherited[name]
     assert dynamic.epoch >= 2
-    if seed % 3 == 0:
-        assert dynamic.compactions >= 1
 
 
 def test_asking_a_superseded_epoch_is_a_late_ask_not_an_error(scratch_builds):
@@ -252,7 +247,7 @@ def test_an_engine_built_from_a_snapshot_leaves_its_state_to_later_epochs(
 @pytest.mark.parametrize("kind,seed", TRACES[::3])
 def test_vectorised_base_membership_is_has_edge(kind, seed):
     trace = small_trace(kind, seed)
-    dynamic = trace.build_dynamic(compaction_threshold=0.05, min_compaction_edges=0)
+    dynamic = trace.build_dynamic()
     rng = np.random.default_rng((seed, 7))
     for batch in trace.batches:
         probes = np.concatenate((batch.add, batch.remove, batch.reweight,
@@ -261,7 +256,8 @@ def test_vectorised_base_membership_is_has_edge(kind, seed):
         base = dynamic._base
         *_, in_base = dynamic._ops(src, dst, None)
         assert in_base == [base.has_edge(s, d) for s, d in zip(src.tolist(), dst.tolist())]
-        apply_batch(dynamic, batch)                    # compacts: the base moves on
+        apply_batch(dynamic, batch)
+        dynamic.snapshot()                             # the base moves on
 
 
 def test_membership_search_on_an_edgeless_base():

@@ -1,4 +1,4 @@
-"""DynamicGraph update semantics, validation, epochs and compaction."""
+"""DynamicGraph update semantics, validation, epochs and the overlay."""
 
 import gc
 import weakref
@@ -6,7 +6,14 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.dynamic import DynamicGraph, apply_batch, sliding_window_trace
+from repro.dynamic import (
+    DynamicGraph,
+    apply_batch,
+    make_trace,
+    sliding_window_trace,
+    snapshot_matches_static,
+)
+from repro.dynamic.bench import rebuild_from_edge_set
 from repro.errors import DynamicGraphError, GraphError
 from repro.graph import from_edges
 from repro.graph.datasets import assign_metapath_schema
@@ -34,10 +41,6 @@ class TestConstruction:
         unsorted = from_edges([(0, 2), (0, 1)], sort_neighbors=False)
         with pytest.raises(DynamicGraphError, match="sorted neighbor lists"):
             DynamicGraph(unsorted)
-
-    def test_rejects_bad_threshold(self):
-        with pytest.raises(DynamicGraphError, match="compaction_threshold"):
-            DynamicGraph(unweighted_graph(), compaction_threshold=0.0)
 
 
 class TestReadApi:
@@ -170,32 +173,6 @@ class TestSnapshots:
         assert np.array_equal(rebuilt.weights, snap.graph.weights)
 
 
-class TestCompaction:
-    def test_threshold_triggers_compaction(self):
-        g = DynamicGraph(unweighted_graph(), compaction_threshold=0.5,
-                         min_compaction_edges=2)
-        g.snapshot()
-        g.add_edges([(0, 3), (1, 0), (1, 3), (3, 0), (3, 1)])
-        assert g.compactions >= 1
-        assert g.delta_edges == 0
-
-    def test_compaction_preserves_snapshot_identity(self):
-        g1 = DynamicGraph(weighted_graph(), min_compaction_edges=10**9)
-        g2 = DynamicGraph(weighted_graph(), min_compaction_edges=10**9)
-        for g in (g1, g2):
-            g.snapshot()
-            g.add_edges([(3, 0), (4, 3)], weights=[1.5, 2.5])
-            g.remove_edges([(0, 1)])
-        g1.compact()  # explicit compaction on one of the twins only
-        assert g1.compactions == 1 and g2.compactions == 0
-        s1, s2 = g1.snapshot(), g2.snapshot()
-        assert np.array_equal(s1.graph.col, s2.graph.col)
-        assert np.array_equal(s1.graph.weights, s2.graph.weights)
-        assert np.array_equal(s1.sampler_state.alias_slots,
-                              s2.sampler_state.alias_slots)
-        assert s1.epoch == s2.epoch == 1
-
-
 class TestOneEpochOverlay:
     """A snapshot is the next base: the overlay holds one epoch of ops."""
 
@@ -260,7 +237,7 @@ class TestOneEpochOverlay:
                 assert before[3] == [oracle[edge] for edge in expected]
             assert snapshot.graph.num_edges == graph.num_edges == len(oracle)
 
-    def test_snapshot_per_batch_never_compacts(self):
+    def test_snapshot_per_batch_holds_at_most_one_batch(self):
         trace = sliding_window_trace(10, batch_size=200, seed=1)
         graph = trace.build_dynamic()
         graph.snapshot()
@@ -268,8 +245,65 @@ class TestOneEpochOverlay:
             apply_batch(graph, batch)
             graph.snapshot()
         assert len(trace.batches) > 10
-        assert graph.compactions == 0
         assert graph.delta_peak <= max(batch.num_ops for batch in trace.batches)
+
+    def test_a_burst_is_held_until_the_snapshot(self):
+        """Only a snapshot moves the base: two batches that together hold
+        twice the base's edges stay in the overlay until one is taken."""
+        trace = make_trace("window", 10, batch_size=2500, num_batches=3, seed=1)
+        dynamic = trace.build_dynamic()
+        previous = dynamic.snapshot()
+        assert len(trace.batches) == 2
+        assert trace.batches[0].num_ops > max(4096, previous.graph.num_edges // 4)
+        for batch in trace.batches:
+            apply_batch(dynamic, batch)
+            assert dynamic._base is previous.graph
+            assert dynamic.delta_edges == dynamic.delta_peak > 0
+        assert dynamic.delta_peak > previous.graph.num_edges
+        static_graph, static_state = rebuild_from_edge_set(
+            *trace.final_edges(), dynamic.num_vertices, dynamic.name)
+        snapshot = dynamic.snapshot()
+        assert snapshot.epoch == previous.epoch + 1
+        assert snapshot_matches_static(snapshot, static_graph, static_state)
+
+    def test_only_a_snapshot_moves_the_base(self):
+        graph = DynamicGraph(weighted_graph())
+        first = graph.snapshot()
+        graph.add_edges([(3, 0), (4, 3)], weights=[1.5, 2.5])
+        graph.remove_edges([(0, 1)])
+        pending = graph.delta_edges
+        assert pending > 0 and graph._base is first.graph
+        second = graph.snapshot()
+        assert graph._base is second.graph
+        assert graph.delta_edges == 0 and graph.delta_peak == pending
+
+    def test_skipping_a_snapshot_does_not_change_the_next_one(self):
+        every, skipping = (DynamicGraph(weighted_graph()) for _ in range(2))
+        for graph in (every, skipping):
+            graph.snapshot()
+            graph.add_edges([(3, 0), (4, 3)], weights=[1.5, 2.5])
+        every.snapshot()  # only one of the twins publishes this epoch
+        for graph in (every, skipping):
+            graph.remove_edges([(0, 1)])
+            graph.update_weights([(3, 0)], [0.25])
+        s1, s2 = every.snapshot(), skipping.snapshot()
+        assert (s1.epoch, s2.epoch) == (2, 1)
+        assert np.array_equal(s1.graph.row_ptr, s2.graph.row_ptr)
+        assert np.array_equal(s1.graph.col, s2.graph.col)
+        assert np.array_equal(s1.graph.weights, s2.graph.weights)
+        assert np.array_equal(s1.sampler_state.alias_slots,
+                              s2.sampler_state.alias_slots)
+
+    def test_compaction_counters_stay_zero(self):
+        """benchmarks/suite reads these two attributes; nothing else does."""
+        trace = sliding_window_trace(8, batch_size=300, seed=2)
+        graph = trace.build_dynamic()
+        graph.snapshot()
+        for index, batch in enumerate(trace.batches):
+            apply_batch(graph, batch)
+            if index % 3 == 2:
+                graph.snapshot()
+        assert (graph.compactions, graph.compaction_seconds) == (0, 0.0)
 
     def test_a_superseded_epoch_is_released(self):
         graph = DynamicGraph(weighted_graph())

@@ -1,11 +1,11 @@
 """Merge oracle: the flat batch merge == the per-vertex dict merge.
 
 ``DynamicGraph._merged_rows`` (one vectorized base + delta merge, behind
-``snapshot``, ``compact`` and ``logical_edges``) must give every vertex
+``snapshot`` and ``logical_edges``) must give every vertex
 exactly the row ``DynamicGraph._merged_row`` (the dict merge, now only
 the single-vertex read API) gives it — over inserts, removals,
 re-weights, tombstone-then-resurrect and whole-row removals, weighted
-and unweighted, before and after a compaction — on both branches of
+and unweighted — on both branches of
 the ``stable_order`` the merge sorts by: packed keys, as called, and the
 ``argsort`` fallback, reached by a bound patched too wide to pack.
 """
@@ -92,16 +92,6 @@ def test_every_kind_of_change_merges_like_the_dict_merge(weighted, order_branch)
     assert_batch_matches_rows(graph, [3, 0])            # unsorted subset
     assert_batch_matches_rows(graph, [3])               # a batch of one empty row
     assert_whole_graph_matches_rows(graph)
-
-    # Dirty rows survive a compaction (which empties every delta buffer).
-    snapshot_before = graph.logical_edges()
-    graph.compact()
-    assert graph.delta_edges == 0
-    assert_batch_matches_rows(graph, everyone)
-    after = graph.logical_edges()
-    assert np.array_equal(after[0], snapshot_before[0])
-    if weighted:
-        assert np.array_equal(after[1], snapshot_before[1])
 
 
 @WEIGHTED

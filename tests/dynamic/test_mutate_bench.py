@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.bench.workloads import make_spec
+from repro.cli import main
 from repro.dynamic import (
     TRACE_KINDS,
     SamplerState,
@@ -111,6 +112,17 @@ def test_summary_renders(report):
     _, result = report
     text = result.summary()
     assert "retention" in text and "speedup" in text.lower()
+
+
+def test_cli_holds_a_burst_larger_than_the_base(capsys):
+    """Each 2,500-op batch outgrows RMAT-10's base; the overlay holds it
+    until the batch's snapshot and the run still ends bit-identical."""
+    assert main(["mutate-bench", "--scale", "10", "--batch-size", "2500",
+                 "--batches", "3", "--queries", "64", "--length", "10"]) == 0
+    out = capsys.readouterr().out
+    assert "bit-identical=True" in out
+    peak = int(out.split("overlay:")[1].split()[0])
+    assert 2500 <= peak <= 2 * 2500
 
 
 @pytest.mark.slow

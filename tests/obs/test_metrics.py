@@ -197,17 +197,13 @@ class TestBridges:
     def test_dynamic_graph_bridge_uses_duck_typed_counters(self):
         class FakeDynamic:
             updates_applied = 1200
-            compactions = 2
-            compaction_seconds = 0.75
             delta_edges = 40
             epoch = 9
 
         registry = MetricsRegistry()
         dynamic_graph_into(registry, FakeDynamic())
         assert registry.get("repro_dynamic_updates_total").value() == 1200
-        assert registry.get(
-            "repro_dynamic_compaction_seconds_total"
-        ).value() == pytest.approx(0.75)
+        assert registry.get("repro_dynamic_delta_edges").value() == 40
         assert registry.get("repro_dynamic_epoch").value() == 9
 
     def test_tracer_bridge_exports_ring_accounting(self):

@@ -219,31 +219,20 @@ def adversarial_updates(dynamic, seed, weighted):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("case", UNTYPED_CASES)
 def test_swapped_engine_equals_fresh_engine(case, seed):
-    """Contract 3, through a forced compaction too: a compaction is
-    representational only."""
+    """Contract 3."""
     base, spec, queries = case_inputs(case, seed)
-    dynamic, twin = (DynamicGraph(base, min_compaction_edges=1 << 30) for _ in range(2))
-    twin.snapshot()
+    dynamic = DynamicGraph(base)
     with prepare_engine("batch", dynamic.snapshot().graph, spec) as engine:
-        for graph in (dynamic, twin):
-            adversarial_updates(graph, seed, base.is_weighted)
+        adversarial_updates(dynamic, seed, base.is_weighted)
         # Built before a snapshot adopts the new epoch as the base: the
         # full merge of base and overlay, not the snapshot's own edges.
-        static_graph, static_state = fresh_static_build(twin)
-        dynamic.compact()
-        assert dynamic.compactions == 1 and dynamic.delta_edges == 0
+        static_graph, static_state = fresh_static_build(dynamic)
         snapshot = dynamic.snapshot()
+        assert snapshot.epoch == 1
         engine.swap_snapshot(snapshot)
-        swapped = engine.run(queries, seed=seed + 2)
         assert snapshot_matches_static(snapshot, static_graph, static_state)
-        assert_same_results(swapped, run_walks_batch(static_graph, spec, queries,
-                                                     seed=seed + 2))
-        uncompacted = twin.snapshot()
-        assert twin.compactions == 0
-        assert uncompacted.epoch == snapshot.epoch == 1
-        assert snapshot_matches_static(uncompacted, static_graph, static_state)
-        engine.swap_snapshot(uncompacted)
-        assert_same_results(swapped, engine.run(queries, seed=seed + 2))
+        assert_same_results(engine.run(queries, seed=seed + 2),
+                            run_walks_batch(static_graph, spec, queries, seed=seed + 2))
 
 
 @pytest.mark.slow
