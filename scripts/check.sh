@@ -9,8 +9,9 @@
 # multi-tenant flash crowd, MetaPath, the run-backed reference
 # frontier), `mutate-bench` exits non-zero unless its final snapshot
 # equals a from-scratch build (per small batch, and for bursts larger
-# than a quarter of the base graph), and a traced CLI run exports sample
-# trace + metrics artifacts.  The timed benchmark is
+# than a quarter of the base graph), a streaming, traced cycle-model walk
+# runs the device default of 16 pipelines (the cycle golden pins 1, 4
+# and 8), and a traced CLI run exports sample trace + metrics artifacts.  The timed benchmark is
 # `benchmarks/suite/run.py` (see benchmarks/suite/README.md).
 #
 # When pytest-cov is installed (it is in CI; see requirements-ci.txt),
@@ -75,6 +76,11 @@ python -m repro mutate-bench --scale 9 --batch-size 200 --batches 6 --queries 25
 # Bursts: each batch exceeds a quarter of the base graph and stays in the
 # overlay until its snapshot.
 python -m repro mutate-bench --scale 10 --batch-size 2500 --batches 3 --queries 256 --length 40
+
+echo
+echo "== cycle-model smoke (16 pipelines, streaming, traced) =="
+python -m repro walk --engine sim --algorithm Node2Vec --dataset WG --scale 0.05 \
+  --queries 64 --length 16 --streaming --trace
 
 echo
 echo "== observability smoke (traced CLI artifacts) =="

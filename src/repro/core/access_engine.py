@@ -4,10 +4,10 @@ The engine decouples request issue from response handling so the pipeline
 never serializes on memory latency:
 
 * the **request proxy** side pulls one task per cycle from the upstream
-  FIFO, translates its vertex into a (channel, address, burst) triple via
-  the graph layout, and issues a non-blocking request — up to
-  ``outstanding_capacity`` in flight (128 in the paper's build, 1 in the
-  synchronous ablation);
+  FIFO, routes it to a (channel, burst) pair — the channel object itself,
+  bound from the graph layout when the pipeline was wired — and issues a
+  non-blocking request, up to ``outstanding_capacity`` in flight (128 in
+  the paper's build, 1 in the synchronous ablation);
 * task metadata bypasses the data path: the simulator carries the task
   object *as* the AXI transaction tag, playing the role of the BRAM
   metadata queue sized for the round-trip latency;
@@ -28,14 +28,16 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.errors import SimulationError
-from repro.memory.channel import MemoryRequest
-from repro.memory.system import ChannelGroup, MemorySystem
+from repro.memory.channel import MemoryChannel, MemoryRequest
+from repro.memory.system import MemorySystem
 from repro.sim.fifo import StreamFifo
 from repro.sim.module import Module
 from repro.core.task import Task
 
-#: (group, channel index, burst words) chosen by the routing function.
-RouteResult = tuple[ChannelGroup, int, int]
+#: (channel, burst words) chosen by the routing function.  The channel
+#: is the :class:`MemoryChannel` object, bound once when the routes were
+#: built, so issuing a request resolves nothing.
+RouteResult = tuple[MemoryChannel, int]
 
 
 class AccessEngine(Module):
@@ -47,7 +49,6 @@ class AccessEngine(Module):
         input_fifo: StreamFifo,
         output_fifo: StreamFifo,
         response_fifo: StreamFifo,
-        memory: MemorySystem,
         route: Callable[[Task], RouteResult],
         on_response: Callable[[Task, int], None],
         outstanding_capacity: int,
@@ -58,7 +59,6 @@ class AccessEngine(Module):
         self.input_fifo = input_fifo
         self.output_fifo = output_fifo
         self.response_fifo = response_fifo
-        self._memory = memory
         self._route = route
         self._on_response = on_response
         self._capacity = outstanding_capacity
@@ -72,13 +72,21 @@ class AccessEngine(Module):
         return self._outstanding
 
     def tick(self, cycle: int) -> None:
-        progressed = False
         input_fifo = self.input_fifo
+        response_fifo = self.response_fifo
+        if not input_fifo.ready and not response_fifo.ready:
+            # Idle: nothing to issue or reunite this cycle.
+            if self._outstanding:
+                self.stats.blocked_cycles += 1
+            else:
+                self.stats.starved_cycles += 1
+            return
+        progressed = False
         output_fifo = self.output_fifo
 
         # Response proxy: reunite one returned task per cycle.
-        if self.response_fifo.ready and output_fifo.space:
-            task = self.response_fifo.pop()
+        if response_fifo.ready and output_fifo.space:
+            task = response_fifo.pop()
             self._outstanding -= 1
             self._on_response(task, cycle)
             output_fifo.push(task)
@@ -97,11 +105,10 @@ class AccessEngine(Module):
                     self.stats.items_processed += 1
                     progressed = True
             elif self._outstanding < self._capacity:
-                group, index, burst = self._route(task)
-                channel = self._memory.channel(group, index)
+                channel, burst = self._route(task)
                 if channel.can_accept():
                     input_fifo.pop()
-                    channel.submit(MemoryRequest((self.response_fifo, task), burst))
+                    channel.submit(MemoryRequest((response_fifo, task), burst))
                     self._outstanding += 1
                     self.requests_issued += 1
                     progressed = True
@@ -135,13 +142,17 @@ class ResponseRouter(Module):
 
     def __init__(self, name: str, memory: MemorySystem) -> None:
         super().__init__(name)
-        self._channels = memory.all_channels()
+        # Each channel beside its response queue: a cycle polls the
+        # queues themselves and calls only into channels holding one.
+        self._ports = [
+            (channel.response_queue(), channel) for channel in memory.all_channels()
+        ]
         self.delivered = 0
 
     def tick(self, cycle: int) -> None:
         delivered_this_cycle = 0
-        for channel in self._channels:
-            if channel.has_response():
+        for responses, channel in self._ports:
+            if responses:
                 delivered_this_cycle += channel.deliver_out_of_order(
                     _deliver, window=self.REORDER_WINDOW
                 )

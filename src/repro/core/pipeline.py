@@ -17,7 +17,7 @@ the degree-aware memory layout (Figure 4b):
 
 from __future__ import annotations
 
-from repro.core.access_engine import AccessEngine
+from repro.core.access_engine import AccessEngine, RouteResult
 from repro.core.recorder import WalkRecorder
 from repro.core.sampling_module import SamplingModule
 from repro.core.task import Task, TaskStatus
@@ -58,7 +58,7 @@ class AsyncPipeline:
         outstanding_capacity: int,
     ) -> None:
         self.index = index
-        hop = _HopLogic(index, graph, layout, spec, termination_random, recorder)
+        hop = _HopLogic(index, graph, layout, memory, spec, termination_random, recorder)
 
         name = f"pipe{index}"
         sp_in = kernel.make_fifo(_STAGE_FIFO_DEPTH, f"{name}.sp_in")
@@ -71,7 +71,6 @@ class AsyncPipeline:
             input_fifo=input_fifo,
             output_fifo=sp_in,
             response_fifo=ra_resp,
-            memory=memory,
             route=hop.route_row,
             on_response=hop.on_row_response,
             outstanding_capacity=outstanding_capacity,
@@ -90,7 +89,6 @@ class AsyncPipeline:
             input_fifo=ca_in,
             output_fifo=output_fifo,
             response_fifo=ca_resp,
-            memory=memory,
             route=hop.route_column,
             on_response=hop.on_column_response,
             outstanding_capacity=outstanding_capacity,
@@ -113,6 +111,10 @@ class _HopLogic:
     loop engine -> callback -> pipeline -> engine would keep a finished
     machine (memory system, recorder, sampler tables) alive until the
     cyclic collector's next full pass.
+
+    The routes hand back channel objects, bound here at wiring through
+    :meth:`MemorySystem.channel`: a layout naming a channel the memory
+    system lacks fails at construction, and a hop looks no channel up.
     """
 
     def __init__(
@@ -120,19 +122,29 @@ class _HopLogic:
         index: int,
         graph: CSRGraph,
         layout: GraphMemoryLayout,
+        memory: MemorySystem,
         spec: WalkSpec,
         termination_random: RandomSource,
         recorder: WalkRecorder,
     ) -> None:
         self._graph = graph
-        self._layout = layout
         self._spec = spec
         self._termination_random = termination_random
         self._recorder = recorder
         # Row Access routes and decodes through per-vertex tables.
-        self._row_channel_of = layout.row_channel_table(
-            home_channel=index % layout.num_row_channels
-        )
+        row_channels = [
+            memory.channel(ChannelGroup.ROW, i) for i in range(layout.num_row_channels)
+        ]
+        self._row_channel_of = [
+            row_channels[c]
+            for c in layout.row_channel_table(home_channel=index % layout.num_row_channels)
+        ]
+        # Column Access: element ``e`` lives on column channel ``e mod N``
+        # (``layout.column_channel_of``).
+        self._column_channels = [
+            memory.channel(ChannelGroup.COLUMN, i) for i in range(layout.num_column_channels)
+        ]
+        self._num_column_channels = layout.num_column_channels
         self._rp_entry_words = layout.rp_entry_words()
         self._degree_of, self._column_channel_of, self._column_address_of = (
             layout.row_entries
@@ -141,10 +153,10 @@ class _HopLogic:
     # ------------------------------------------------------------------
     # Row Access callbacks
     # ------------------------------------------------------------------
-    def route_row(self, task: Task):
+    def route_row(self, task: Task) -> RouteResult:
         # Replicated hot entries are served from this pipeline's home
         # channel; everything else from its id-partitioned owner.
-        return ChannelGroup.ROW, self._row_channel_of[task.vertex], self._rp_entry_words
+        return self._row_channel_of[task.vertex], self._rp_entry_words
 
     def on_row_response(self, task: Task, cycle: int) -> None:
         vertex = task.vertex
@@ -160,15 +172,17 @@ class _HopLogic:
     # ------------------------------------------------------------------
     # Column Access callbacks
     # ------------------------------------------------------------------
-    def route_column(self, task: Task):
+    def route_column(self, task: Task) -> RouteResult:
         if task.is_ghost():
             # Dead slot: the schedule still spends a column transaction.
-            channel = task.query_id % self._layout.num_column_channels
-            return ChannelGroup.COLUMN, channel, 1
+            return self._column_channels[task.query_id % self._num_column_channels], 1
         # Element interleaving: the sampled element's channel, not the
         # list-head channel — hub lists span all channels (Figure 4b).
-        channel = self._layout.column_channel_of(task.column_address + task.sample_index)
-        return ChannelGroup.COLUMN, channel, task.column_burst_words
+        element = task.column_address + task.sample_index
+        return (
+            self._column_channels[element % self._num_column_channels],
+            task.column_burst_words,
+        )
 
     def on_column_response(self, task: Task, cycle: int) -> None:
         if task.is_ghost():

@@ -37,10 +37,17 @@ MAX_SCAN_BURST_WORDS = 64
 SCAN_WORDS_PER_CYCLE = 8
 
 
+#: ``(service cycles, column burst words)`` of the samplers whose cost
+#: does not depend on the outcome: one cycle, and a one-word burst for
+#: uniform, a two-word one (alias slot + neighbor) for alias.
+_FIXED_COSTS = {"uniform": (1, 1), "alias": (1, 2)}
+
+
 def sampling_service_cycles(sampler: Sampler, outcome: SampleOutcome, degree: int) -> int:
     """Stage occupancy in cycles for one sampling decision."""
-    if sampler.name in ("uniform", "alias"):
-        return 1
+    fixed = _FIXED_COSTS.get(sampler.name)
+    if fixed is not None:
+        return fixed[0]
     if sampler.name == "rejection":
         return max(1, outcome.proposals)
     # reservoir: scan the list one 512-bit beat per cycle, tiled at the
@@ -51,10 +58,9 @@ def sampling_service_cycles(sampler: Sampler, outcome: SampleOutcome, degree: in
 
 def column_burst_words(sampler: Sampler, outcome: SampleOutcome, degree: int) -> int:
     """Column-channel burst length charged for this hop's data movement."""
-    if sampler.name == "uniform":
-        return 1
-    if sampler.name == "alias":
-        return 2  # alias slot + neighbor, fetched in one burst
+    fixed = _FIXED_COSTS.get(sampler.name)
+    if fixed is not None:
+        return fixed[1]
     if sampler.name == "rejection":
         # Each proposal reads one candidate; adjacency probes are bounded
         # scans of the previous vertex's list, tiled like reservoir scans.
@@ -83,6 +89,11 @@ class SamplingModule(Module):
         self._spec = spec
         self._sampler = sampler
         self._random = random_source
+        self._needs_prev_vertex = spec.needs_prev_vertex
+        # Uniform and alias draws cost the same whatever the outcome:
+        # resolve their (service cycles, burst words) once, here; the
+        # other samplers price each outcome through the functions above.
+        self._fixed_cost: tuple[int, int] | None = _FIXED_COSTS.get(sampler.name)
         self._current: Task | None = None
         self._ready_at = 0
         self.samples_taken = 0
@@ -120,21 +131,22 @@ class SamplingModule(Module):
                 f"running task for query {task.query_id} reached sampling with "
                 f"degree {task.degree}; Row Access must terminate dangling walks"
             )
+        prev_vertex = task.prev_vertex
         context = StepContext(
-            vertex=task.vertex,
-            prev_vertex=(
-                task.prev_vertex
-                if self._spec.needs_prev_vertex and task.prev_vertex >= 0
-                else None
-            ),
-            admissible_type=self._spec.admissible_type(task.step),
+            task.vertex,
+            prev_vertex if self._needs_prev_vertex and prev_vertex >= 0 else None,
+            self._spec.admissible_type(task.step),
         )
         outcome = self._sampler.sample(self._graph, context, self._random)
         self.samples_taken += 1
-        if outcome.terminated:
+        if outcome.index is None:
             task.status = TaskStatus.TERMINATED_FILTERED
             return 1
         task.sample_index = outcome.index
+        fixed = self._fixed_cost
+        if fixed is not None:
+            service, task.column_burst_words = fixed
+            return service
         task.column_burst_words = column_burst_words(self._sampler, outcome, task.degree)
         return sampling_service_cycles(self._sampler, outcome, task.degree)
 

@@ -147,6 +147,8 @@ class Merger(Module):
             raise SchedulerError("latency must be >= 1")
         if priority_input not in (None, 0, 1):
             raise SchedulerError("priority_input must be None, 0 or 1")
+        self.in0 = in0
+        self.in1 = in1
         self.inputs = (in0, in1)
         self.output_fifo = output_fifo
         self.latency = latency
@@ -156,7 +158,7 @@ class Merger(Module):
         self.received = [0, 0]
 
     def _choose(self) -> int | None:
-        in0, in1 = self.inputs
+        in0, in1 = self.in0, self.in1
         if not in0.ready and not in1.ready:
             return None
         if self.priority_input is not None:
@@ -170,7 +172,7 @@ class Merger(Module):
 
     def tick(self, cycle: int) -> None:
         pipe = self._pipe
-        if not pipe and not self.inputs[0].ready and not self.inputs[1].ready:
+        if not pipe and not self.in0.ready and not self.in1.ready:
             self.stats.starved_cycles += 1
             return
         # From here on the unit either moves a task or holds one it

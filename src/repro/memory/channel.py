@@ -131,6 +131,15 @@ class MemoryChannel:
         """Whether a completed response is waiting to be collected."""
         return bool(self._responses)
 
+    def response_queue(self) -> deque[MemoryRequest]:
+        """The live queue of completed responses, oldest first.
+
+        For a poller that tests it every cycle (truthy = a response is
+        waiting) without a call; collect through :meth:`pop_response` or
+        :meth:`deliver_out_of_order`, never by editing the queue.
+        """
+        return self._responses
+
     def peek_response(self) -> MemoryRequest:
         """Inspect the oldest completed response without consuming it."""
         if not self._responses:

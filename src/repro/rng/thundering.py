@@ -13,7 +13,12 @@ that paper's recipe:
 3. a per-stream **xorshift output scrambler** that breaks the linear
    lattice structure the LCG family shares.
 
-The result is one 64-bit uniform per stream per ``tick()``, matching the
+A stream's scrambler is a :class:`~repro.rng.xorshift.XorShift128`
+seeded the usual way; the ring keeps only its four 32-bit lanes, as one
+list per stream, and steps them inline — a draw is two xorshift128
+steps, the high word first, exactly as ``XorShift128.next_u64``.
+
+The result is one 64-bit uniform per stream per root step, matching the
 hardware's one-sample-per-cycle-per-pipeline rate, with no per-stream
 multiplier (that is ThundeRiNG's resource win — captured in
 :mod:`repro.resources.model`).
@@ -29,6 +34,7 @@ from repro.errors import SamplingError
 from repro.rng.xorshift import SplitMix64, XorShift128
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
 
 # Knuth's MMIX LCG multiplier; one shared multiplier serves all streams.
 _LCG_MULTIPLIER = 6364136223846793005
@@ -55,17 +61,18 @@ class ThunderRing:
         self._root_state = mixer.next_u64()
         # Distinct odd increments decorrelate the streams (step 2).
         self._increments = [(mixer.next_u64() | 1) for _ in range(num_streams)]
-        # Per-stream xorshift scramblers (step 3).
-        self._scramblers = [XorShift128.from_seed(mixer.next_u64()) for _ in range(num_streams)]
+        # Per-stream xorshift scramblers (step 3): each stream's lanes
+        # ``[x, y, z, w]``, keyed by stream id so that a bad id fails the
+        # lookup itself instead of a range check on every draw.
+        self._lanes: dict[int, list[int]] = {}
+        for stream in range(num_streams):
+            scrambler = XorShift128.from_seed(mixer.next_u64())
+            self._lanes[stream] = [scrambler.x, scrambler.y, scrambler.z, scrambler.w]
 
     @property
     def num_streams(self) -> int:
         """Number of independent streams."""
         return self._num_streams
-
-    def tick(self) -> None:
-        """Advance the shared root state by one cycle."""
-        self._root_state = (self._root_state * _LCG_MULTIPLIER + _LCG_INCREMENT) & _MASK64
 
     def next_u64(self, stream: int) -> int:
         """Next 64-bit uniform from ``stream`` (also advances the root).
@@ -74,10 +81,27 @@ class ThunderRing:
         usually consumed on demand, so each draw advances the shared root
         once — the per-stream sequences remain decorrelated either way.
         """
-        self._check_stream(stream)
-        self.tick()
-        mixed = (self._root_state + self._increments[stream]) & _MASK64
-        return mixed ^ self._scramblers[stream].next_u64()
+        lanes = self._lanes.get(stream)
+        if lanes is None:
+            raise SamplingError(
+                f"stream {stream} out of range for {self._num_streams} streams"
+            )
+        # Advance the shared root (step 1).
+        self._root_state = root = (
+            self._root_state * _LCG_MULTIPLIER + _LCG_INCREMENT
+        ) & _MASK64
+        # Two xorshift128 steps; every term is below 2**32, so only the
+        # left shifts need a mask.
+        x, y, z, w = lanes
+        t = x ^ ((x << 11) & _MASK32)
+        high = w ^ (w >> 19) ^ t ^ (t >> 8)
+        t = y ^ ((y << 11) & _MASK32)
+        low = high ^ (high >> 19) ^ t ^ (t >> 8)
+        lanes[0] = z
+        lanes[1] = w
+        lanes[2] = high
+        lanes[3] = low
+        return ((root + self._increments[stream]) & _MASK64) ^ ((high << 32) | low)
 
     def uniform(self, stream: int) -> float:
         """Uniform float in ``[0, 1)`` from ``stream``."""
@@ -101,12 +125,6 @@ class ThunderRing:
             draw = self.next_u64(stream)
             if draw < zone:
                 return draw % bound
-
-    def _check_stream(self, stream: int) -> None:
-        if not 0 <= stream < self._num_streams:
-            raise SamplingError(
-                f"stream {stream} out of range for {self._num_streams} streams"
-            )
 
 
 def stream_correlation(ring: ThunderRing, stream_a: int, stream_b: int, samples: int = 4096) -> float:

@@ -115,7 +115,7 @@ class RingRandomSource:
         return self._ring.randint(self._stream, bound)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampleOutcome:
     """Result of one sampling decision.
 
@@ -142,7 +142,7 @@ class SampleOutcome:
         return self.index is None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepContext:
     """Everything a sampler may consult for one hop.
 

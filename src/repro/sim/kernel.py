@@ -133,8 +133,12 @@ class SimulationKernel:
                 )
         return self.cycle
 
-    def _progress_marker(self) -> tuple[int, int]:
-        return self._fifo_commits, sum(m.total_requests() for m in self._memories)
+    def _progress_marker(self) -> int:
+        # Both counts only grow, so their sum moves exactly when either does.
+        marker = self._fifo_commits
+        for memory in self._memories:
+            marker += memory.total_requests()
+        return marker
 
     # ------------------------------------------------------------------
     # Introspection

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import (
     AccessEngine,
+    AsyncPipeline,
     FlatBalancer,
     QueryLoader,
     QueryWriter,
@@ -13,10 +14,19 @@ from repro.core import (
     TaskStatus,
     WalkRecorder,
 )
-from repro.errors import SchedulerError
-from repro.memory import ChannelGroup, MemoryRequest, MemorySpec, MemorySystem
+from repro.errors import MemoryModelError, SchedulerError
+from repro.graph import cycle_graph
+from repro.memory import (
+    ChannelGroup,
+    GraphMemoryLayout,
+    MemoryRequest,
+    MemorySpec,
+    MemorySystem,
+)
+from repro.rng import ThunderRing
+from repro.sampling.base import RingRandomSource
 from repro.sim import SimulationKernel, StreamFifo
-from repro.walks import Query
+from repro.walks import Query, URWSpec
 
 SPEC = MemorySpec(
     "t", num_channels=4, random_tx_rate_mhz=320, sequential_gbs=10, round_trip_cycles=3
@@ -184,8 +194,8 @@ class TestAccessEngineBypass:
         dst = kernel.make_fifo(8, "dst")
         resp = kernel.make_fifo(8, "resp")
         engine = AccessEngine(
-            "e", src, dst, resp, memory,
-            route=lambda t: (ChannelGroup.ROW, 0, 1),
+            "e", src, dst, resp,
+            route=lambda t: (memory.channel(ChannelGroup.ROW, 0), 1),
             on_response=lambda t, c: None,
             outstanding_capacity=4,
         )
@@ -208,8 +218,8 @@ class TestAccessEngineBypass:
         resp = kernel.make_fifo(8, "resp")
         touched = []
         engine = AccessEngine(
-            "e", src, dst, resp, memory,
-            route=lambda t: (ChannelGroup.ROW, 1, 1),
+            "e", src, dst, resp,
+            route=lambda t: (memory.channel(ChannelGroup.ROW, 1), 1),
             on_response=lambda t, c: touched.append(t.query_id),
             outstanding_capacity=4,
         )
@@ -273,3 +283,26 @@ class TestResponseRouter:
         for cycle, expected in enumerate(([0, 1], [2, 3], [4])):
             router.tick(cycle)
             assert self.drain(fast) == expected  # window slots 63 and 64
+
+
+class TestPipelineWiring:
+    def test_a_channel_the_memory_lacks_fails_at_construction(self):
+        """The layout names 4 row and 4 column channels; the memory has 2
+        of each.  Routes bind channels at wiring, so the pipeline refuses
+        to build instead of failing at the first task routed there."""
+        graph = cycle_graph(8)
+        spec = URWSpec(max_length=4)
+        kernel = SimulationKernel()
+        memory = MemorySystem(SPEC, core_mhz=320, num_row_channels=2, num_column_channels=2)
+        layout = GraphMemoryLayout(graph, num_row_channels=4, num_column_channels=4)
+        ring = ThunderRing(2, seed=0)
+        with pytest.raises(MemoryModelError, match="out of range"):
+            AsyncPipeline(
+                kernel=kernel, index=0, graph=graph, layout=layout, memory=memory,
+                spec=spec, sampler=spec.make_sampler(),
+                sampling_random=RingRandomSource(ring, 0),
+                termination_random=RingRandomSource(ring, 1),
+                recorder=WalkRecorder(),
+                input_fifo=kernel.make_fifo(4, "in"), output_fifo=kernel.make_fifo(4, "out"),
+                outstanding_capacity=4,
+            )

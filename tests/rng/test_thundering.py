@@ -1,10 +1,15 @@
 """Unit tests for the ThundeRiNG-style multi-stream RNG."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.errors import SamplingError
-from repro.rng import ThunderRing, stream_correlation
+from repro.rng import SplitMix64, ThunderRing, XorShift128, stream_correlation
+from repro.rng.thundering import _LCG_INCREMENT, _LCG_MULTIPLIER
+
+_MASK64 = (1 << 64) - 1
 
 
 class TestConstruction:
@@ -87,3 +92,63 @@ class TestRandint:
         ring = ThunderRing(2, seed=11)
         with pytest.raises(SamplingError, match="stream"):
             ring.next_u64(2)
+
+
+class TestPinnedDraws:
+    """The draws of ``ThunderRing(4, seed)``, recorded from the
+    object-per-stream implementation: 64 ``next_u64`` interleaved over
+    streams 0-3, then 16 ``randint(s, 7)`` and 16 ``uniform`` the same
+    way.  The cycle model's every decision comes from these streams."""
+
+    PINNED = {
+        0: ("8d22639f86b93b9a2bcff22c2691ca8cea858b08a0c8e010c59bc69aa053d2cf",
+            [0xF0B92C0E75C15927, 0xC8236627C2E64667, 0x2C5085264C4C59AC, 0x71B85CEA3541D1A8],
+            [0, 4, 6, 5, 2, 1, 4, 1, 0, 3, 4, 4, 6, 2, 1, 1]),
+        1: ("8fe223eaeea61c13d133522652d83617d1e7b51c736a1e864dc7a58cae95c35a",
+            [0x045FF2DEC1301286, 0x0DF6965EDB565B24, 0x23A4D24A51803238, 0xA9CE9C3E187335C0],
+            [4, 2, 3, 0, 0, 2, 4, 2, 2, 5, 3, 2, 5, 4, 3, 3]),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_draws_are_pinned(self, seed):
+        digest, first_words, randints = self.PINNED[seed]
+        ring = ThunderRing(4, seed)
+        words = [ring.next_u64(i % 4) for i in range(64)]
+        ints = [ring.randint(i % 4, 7) for i in range(16)]
+        floats = [ring.uniform(i % 4) for i in range(16)]
+        assert words[:4] == first_words
+        assert ints == randints
+        assert hashlib.sha256(repr((words, ints, floats)).encode()).hexdigest() == digest
+
+
+class _OracleRing:
+    """ThundeRiNG from its definition: a SplitMix64 root seed, one odd
+    increment and one ``XorShift128`` scrambler per stream, the shared
+    LCG advanced once per draw."""
+
+    def __init__(self, num_streams, seed):
+        mixer = SplitMix64(seed)
+        self.root = mixer.next_u64()
+        self.increments = [mixer.next_u64() | 1 for _ in range(num_streams)]
+        self.scramblers = [XorShift128.from_seed(mixer.next_u64()) for _ in range(num_streams)]
+
+    def next_u64(self, stream):
+        self.root = (self.root * _LCG_MULTIPLIER + _LCG_INCREMENT) & _MASK64
+        mixed = (self.root + self.increments[stream]) & _MASK64
+        return mixed ^ self.scramblers[stream].next_u64()
+
+
+class TestDefinitionOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_interleaved_draws_match_the_definition(self, seed):
+        ring, oracle = ThunderRing(8, seed), _OracleRing(8, seed)
+        order = np.random.default_rng(seed % 1000).integers(0, 8, size=1000)
+        for stream in order.tolist():
+            assert ring.next_u64(stream) == oracle.next_u64(stream)
+
+    @pytest.mark.parametrize("stream", [-1, 8, 100])
+    def test_bad_stream_leaves_the_ring_untouched(self, stream):
+        ring, oracle = ThunderRing(8, 3), _OracleRing(8, 3)
+        with pytest.raises(SamplingError, match="out of range"):
+            ring.next_u64(stream)
+        assert [ring.next_u64(s) for s in range(8)] == [oracle.next_u64(s) for s in range(8)]
