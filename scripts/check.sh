@@ -11,7 +11,8 @@
 # equals a from-scratch build (per small batch, and for bursts larger
 # than a quarter of the base graph), a streaming, traced cycle-model walk
 # runs the device default of 16 pipelines (the cycle golden pins 1, 4
-# and 8), and a traced CLI run exports sample trace + metrics artifacts.  The timed benchmark is
+# and 8), every example script runs to a zero exit, and a traced CLI run
+# exports sample trace + metrics artifacts.  The timed benchmark is
 # `benchmarks/suite/run.py` (see benchmarks/suite/README.md).
 #
 # When pytest-cov is installed (it is in CI; see requirements-ci.txt),
@@ -81,6 +82,10 @@ echo
 echo "== cycle-model smoke (16 pipelines, streaming, traced) =="
 python -m repro walk --engine sim --algorithm Node2Vec --dataset WG --scale 0.05 \
   --queries 64 --length 16 --streaming --trace
+
+echo
+echo "== examples smoke (every examples/*.py script exits 0) =="
+scripts/examples_smoke.sh
 
 echo
 echo "== observability smoke (traced CLI artifacts) =="

@@ -1,7 +1,6 @@
-"""Baseline performance models: FastRW, LightRW, Su et al., gSampler, CPU."""
+"""Baseline performance models: FastRW, LightRW, Su et al. and gSampler (GPU)."""
 
 from repro.baselines.base import BaselineModel, WorkloadTrace, rng_words_per_step
-from repro.baselines.cpu import CPUModel
 from repro.baselines.fastrw import DEFAULT_CACHE_BYTES, FastRWModel
 from repro.baselines.gpu import (
     H100_RANDOM_TX_PER_S,
@@ -14,7 +13,6 @@ from repro.baselines.su import SuModel
 
 __all__ = [
     "BaselineModel",
-    "CPUModel",
     "DEFAULT_CACHE_BYTES",
     "FastRWModel",
     "GPUModel",

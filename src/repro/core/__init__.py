@@ -1,29 +1,22 @@
 """RidgeWalker core: the paper's primary contribution, cycle-simulated."""
 
 from repro.core.access_engine import AccessEngine, ResponseRouter
-from repro.core.accelerator import RidgeWalker, RidgeWalkerRun, run_ridgewalker
+from repro.core.accelerator import RidgeWalker, RidgeWalkerRun
 from repro.core.config import RidgeWalkerConfig, theorem_fifo_depth
-from repro.core.endpoints import FlatBalancer, QueryLoader, QueryWriter, TaskDemux
-from repro.core.interconnect import (
-    ButterflyBalancer,
-    ButterflyRouter,
-    DistributionTree,
-    Forwarder,
-)
+from repro.core.endpoints import QueryLoader, QueryWriter, TaskDemux
+from repro.core.interconnect import ButterflyBalancer, DistributionTree, Forwarder
 from repro.core.pipeline import AsyncPipeline
 from repro.core.recorder import WalkRecorder
 from repro.core.sampling_module import SamplingModule, sampling_service_cycles
-from repro.core.scheduling import Dispatcher, Merger, RoutingDispatcher
+from repro.core.scheduling import Dispatcher, Merger
 from repro.core.task import TERMINAL_STATUSES, Task, TaskStatus
 
 __all__ = [
     "AccessEngine",
     "AsyncPipeline",
     "ButterflyBalancer",
-    "ButterflyRouter",
     "Dispatcher",
     "DistributionTree",
-    "FlatBalancer",
     "Forwarder",
     "Merger",
     "QueryLoader",
@@ -32,14 +25,12 @@ __all__ = [
     "RidgeWalker",
     "RidgeWalkerConfig",
     "RidgeWalkerRun",
-    "RoutingDispatcher",
     "SamplingModule",
     "TERMINAL_STATUSES",
     "Task",
     "TaskDemux",
     "TaskStatus",
     "WalkRecorder",
-    "run_ridgewalker",
     "sampling_service_cycles",
     "theorem_fifo_depth",
 ]

@@ -26,12 +26,12 @@ import numpy as np
 
 from repro.core.access_engine import ResponseRouter
 from repro.core.config import RidgeWalkerConfig
-from repro.core.endpoints import FlatBalancer, QueryLoader, QueryWriter, TaskDemux
+from repro.core.endpoints import QueryLoader, QueryWriter, TaskDemux
 from repro.core.interconnect import ButterflyBalancer, DistributionTree
 from repro.core.pipeline import AsyncPipeline
 from repro.core.recorder import WalkRecorder
 from repro.core.scheduling import Merger
-from repro.errors import SchedulerError, WalkConfigError
+from repro.errors import WalkConfigError
 from repro.graph.csr import CSRGraph
 from repro.memory.layout import GraphMemoryLayout
 from repro.memory.system import MemorySystem
@@ -54,7 +54,6 @@ class RidgeWalkerRun:
 
     results: WalkResults
     metrics: RunMetrics
-    recorder: WalkRecorder
 
 
 class RidgeWalker:
@@ -243,17 +242,7 @@ class _Machine:
                     priority_input=0,
                 )
             )
-        if self.config.scheduler_detail == "butterfly":
-            ButterflyBalancer(self.kernel, "sched.balancer", merged, pipe_in)
-        else:
-            self.kernel.add_module(
-                FlatBalancer(
-                    "sched.balancer",
-                    inputs=merged,
-                    outputs=pipe_in,
-                    latency=max(2, self.config.scheduler_latency_cycles // 2),
-                )
-            )
+        ButterflyBalancer(self.kernel, "sched.balancer", merged, pipe_in)
         self.loader = QueryLoader(
             "loader",
             queries=self.queries,
@@ -310,7 +299,7 @@ class _Machine:
         cycles = self.kernel.run_until(done)
         results = self.recorder.to_results()
         metrics = self._metrics(results.total_steps, max(1, cycles))
-        return RidgeWalkerRun(results=results, metrics=metrics, recorder=self.recorder)
+        return RidgeWalkerRun(results=results, metrics=metrics)
 
     def attach_tracer(self, tracer) -> None:
         """Watch every sampling stage and scheduler FIFO with ``tracer``."""
@@ -371,14 +360,3 @@ class _Machine:
                 "async_memory": self.config.async_memory,
             },
         )
-
-
-def run_ridgewalker(
-    graph: CSRGraph,
-    spec: WalkSpec,
-    queries: Sequence[Query],
-    config: RidgeWalkerConfig | None = None,
-    seed: int = 0,
-) -> RidgeWalkerRun:
-    """One-call convenience wrapper: build, run, return results+metrics."""
-    return RidgeWalker(graph, spec, config=config, seed=seed).run(queries)

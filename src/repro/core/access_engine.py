@@ -127,7 +127,9 @@ class AccessEngine(Module):
 class ResponseRouter(Module):
     """Delivers channel responses to their engines' response FIFOs.
 
-    Plays the return half of the Task Router.  Delivery is out-of-order
+    Plays the return half of the paper's Task Router (Section IV-A); the
+    forward half is each access engine's route, whose channels are bound
+    when the machine is wired.  Delivery is out-of-order
     *across* destination engines within a bounded reorder window —
     matching the engine's 64-transaction-id reorder buffer (Section V-B)
     — but strictly in-order *per* destination: once one engine's FIFO

@@ -6,13 +6,23 @@ pipelines (32 HBM channels / 2 per pipeline), 320 MHz core clock, up to
 FIFOs of depth ``1 + 4*log2(N)`` from Theorem VI.1 with ``mu = 1`` and
 ``C = 4*log2(N)`` (Section VI-D).
 
-The two ablation switches mirror Figure 11's breakdown exactly:
+Nine fields, each read when the machine is wired: the device
+(``num_pipelines``, ``core_mhz``, ``memory``), the three Figure 11
+switches below, the access engines' ``engine_outstanding`` and two
+buffer depths (``pipeline_fifo_depth``, ``recirculation_depth``).  The
+admission limit is derived from them
+(:meth:`RidgeWalkerConfig.safe_inflight_limit`).
+
+The ablation switches mirror Figure 11's breakdown exactly:
 
 * ``dynamic_scheduling=False`` statically binds queries to pipelines and
   (optionally) runs bulk-synchronous batches with ghost slots — the
   "Baseline" and "Baseline with Async Pipeline" bars;
-* ``async_memory=False`` caps each access engine at one outstanding
-  request — the "Baseline" and "Baseline with Zero-Bubble Scheduler" bars.
+* ``async_memory=False`` caps each access engine at
+  ``SYNC_OUTSTANDING`` outstanding requests — the "Baseline" and
+  "Baseline with Zero-Bubble Scheduler" bars;
+* ``bulk_synchronous=True`` (static schedules only) keeps a terminated
+  query's slots as ghosts until its batch drains.
 """
 
 from __future__ import annotations
@@ -23,13 +33,21 @@ from dataclasses import dataclass, field
 from repro.errors import SchedulerError
 from repro.memory.spec import HBM2_U55C, MemorySpec
 
+#: Outstanding window when ``async_memory=False``: a conventional HLS
+#: dataflow pipeline with a standard AXI interface still keeps a handful
+#: of reads in flight, it just cannot decouple issue from response
+#: handling the way the asynchronous engine does.
+SYNC_OUTSTANDING = 4
+
 
 def theorem_fifo_depth(num_pipelines: int, mu: float = 1.0) -> int:
     """Theorem VI.1 per-pipeline queue depth.
 
     Total depth ``D = N + mu*C*N`` with feedback delay ``C = 4*log2(N)``
     (2*log2(N) through the butterfly balancer plus the round trip to the
-    pipeline, Section VI-D), i.e. ``1 + 4*log2(N)`` per pipeline.
+    pipeline, Section VI-D), i.e. ``1 + 4*log2(N)`` per pipeline.  This
+    is the paper's ``C``; an uncongested task takes ``6*log2(N) + 1``
+    cycles through the modelled balancer (see ``core.interconnect``).
     """
     if num_pipelines < 1:
         raise SchedulerError(f"num_pipelines must be >= 1, got {num_pipelines}")
@@ -57,18 +75,12 @@ class RidgeWalkerConfig:
     dynamic_scheduling: bool = True
 
     #: Asynchronous access engine with many outstanding requests (True)
-    #: vs one blocking request at a time.
+    #: vs a ``SYNC_OUTSTANDING``-deep blocking window.
     async_memory: bool = True
 
     #: Outstanding-request capacity of each access engine when async
     #: (paper: "up to 128 outstanding, non-blocking requests").
     engine_outstanding: int = 128
-
-    #: Outstanding window when ``async_memory=False``: a conventional
-    #: HLS dataflow pipeline with a standard AXI interface still keeps a
-    #: handful of reads in flight, it just cannot decouple issue from
-    #: response handling the way the asynchronous engine does.
-    sync_outstanding: int = 4
 
     #: Bulk-synchronous batching for static schedules: terminated queries
     #: keep their slots as ghosts until the batch's walk length drains —
@@ -85,16 +97,6 @@ class RidgeWalkerConfig:
     #: x ~130-cycle loop at one step/cycle each).
     recirculation_depth: int = 192
 
-    #: 'butterfly' = faithful Dispatcher/Merger network; 'flat' = a
-    #: functionally equivalent single-module balancer with the same
-    #: 2*log2(N) latency, ~3x faster to simulate (used by the large
-    #: benchmark sweeps; equivalence is covered by tests).
-    scheduler_detail: str = "butterfly"
-
-    #: Cap on queries concurrently in flight; ``None`` derives a safe
-    #: default from loop buffering so the task loop can never wedge.
-    max_inflight_queries: int | None = None
-
     def __post_init__(self) -> None:
         if self.num_pipelines < 1:
             raise SchedulerError(f"num_pipelines must be >= 1, got {self.num_pipelines}")
@@ -107,15 +109,8 @@ class RidgeWalkerConfig:
             raise SchedulerError("core_mhz must be positive")
         if self.engine_outstanding < 1:
             raise SchedulerError("engine_outstanding must be >= 1")
-        if self.sync_outstanding < 1:
-            raise SchedulerError("sync_outstanding must be >= 1")
         if self.recirculation_depth < 2:
             raise SchedulerError("recirculation_depth must be >= 2")
-        if self.scheduler_detail not in ("butterfly", "flat"):
-            raise SchedulerError(
-                f"scheduler_detail must be 'butterfly' or 'flat', "
-                f"got {self.scheduler_detail!r}"
-            )
         if self.pipeline_fifo_depth is not None and self.pipeline_fifo_depth < 1:
             raise SchedulerError("pipeline_fifo_depth must be >= 1")
         if self.memory.num_channels < 2 * self.num_pipelines:
@@ -142,14 +137,7 @@ class RidgeWalkerConfig:
     @property
     def effective_outstanding(self) -> int:
         """Outstanding requests per engine under the async switch."""
-        return self.engine_outstanding if self.async_memory else self.sync_outstanding
-
-    @property
-    def scheduler_latency_cycles(self) -> int:
-        """Total scheduling latency bound: ``4*log2(N)`` (Section VI-D)."""
-        if self.num_pipelines == 1:
-            return 2
-        return 4 * math.ceil(math.log2(self.num_pipelines))
+        return self.engine_outstanding if self.async_memory else SYNC_OUTSTANDING
 
     def safe_inflight_limit(self) -> int:
         """Queries that can be in flight without wedging the task loop.
@@ -163,8 +151,6 @@ class RidgeWalkerConfig:
         retire work, and the balancer reroutes the backlog into it — so
         the loop can never close into a deadlock cycle.
         """
-        if self.max_inflight_queries is not None:
-            return self.max_inflight_queries
         recirc_capacity = self.num_pipelines * self.recirculation_depth
         return max(self.num_pipelines, int(recirc_capacity * 0.8))
 

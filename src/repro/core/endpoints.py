@@ -1,22 +1,14 @@
-"""Query Loader, Query Writer, task demux and the flat balancer.
+"""Query Loader, Query Writer and the task demux.
 
 These are the boundary modules of the accelerator (Figure 4a steps 1 and
-the write-back path) plus two simulation conveniences:
-
-* :class:`TaskDemux` splits a pipeline's Column Access output into the
-  recirculation stream (unfinished queries, fed back to the scheduler)
-  and the completion stream (to the Query Writer);
-* :class:`FlatBalancer` is a functional stand-in for the butterfly
-  balancer with identical interface, work-conserving availability
-  routing and the same ``2*log2(N)``-cycle latency, used by large
-  benchmark sweeps where simulating 128 butterfly units dominates
-  wall-clock time.  Equivalence of delivered throughput is covered by
-  the scheduler test suite.
+the write-back path) plus :class:`TaskDemux`, which splits a pipeline's
+Column Access output into the recirculation stream (unfinished queries,
+fed back to the scheduler) and the completion stream (to the Query
+Writer).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Sequence
 
 from repro.core.recorder import WalkRecorder
@@ -212,60 +204,3 @@ class TaskDemux(Module):
         target.push(task)
         self.stats.active_cycles += 1
         self.stats.items_processed += 1
-
-
-class FlatBalancer(Module):
-    """Work-conserving N-to-N balancer with butterfly-equivalent latency.
-
-    Each cycle it accepts up to one task per input and, after the modeled
-    fabric latency, delivers each task to the least-occupied non-full
-    output — the steady-state behaviour the butterfly converges to.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        inputs: list[StreamFifo],
-        outputs: list[StreamFifo],
-        latency: int,
-    ) -> None:
-        super().__init__(name)
-        if latency < 1:
-            raise SchedulerError("latency must be >= 1")
-        self._inputs = inputs
-        self._outputs = outputs
-        self._latency = latency
-        self._pipe: deque[tuple[int, Task]] = deque()
-        self._capacity = max(2 * len(inputs), 2) * latency
-        self._rr = 0
-
-    def tick(self, cycle: int) -> None:
-        progressed = False
-        # Deliver every ready task to the emptiest available output.
-        while self._pipe and self._pipe[0][0] <= cycle:
-            candidates = [f for f in self._outputs if not f.is_full()]
-            if not candidates:
-                break
-            target = min(candidates, key=lambda f: f.in_flight())
-            _, task = self._pipe.popleft()
-            target.push(task)
-            self.stats.items_processed += 1
-            progressed = True
-        # Accept one task per input port, round-robin start for fairness.
-        n = len(self._inputs)
-        for k in range(n):
-            if len(self._pipe) >= self._capacity:
-                break
-            fifo = self._inputs[(self._rr + k) % n]
-            task = fifo.try_pop()
-            if task is not None:
-                self._pipe.append((cycle + self._latency, task))
-                progressed = True
-        self._rr = (self._rr + 1) % n
-        if progressed or self._pipe:
-            self.stats.active_cycles += 1
-        else:
-            self.stats.starved_cycles += 1
-
-    def busy(self) -> bool:
-        return bool(self._pipe)

@@ -1,6 +1,6 @@
 """Butterfly interconnects built from Dispatcher/Merger primitives.
 
-Three fabrics (paper Figures 7a/7b):
+Two fabrics (paper Figures 7a/7b):
 
 * :class:`DistributionTree` — 1-to-N dispatcher tree distributing newly
   loaded queries (scheduler module 1);
@@ -8,14 +8,15 @@ Three fabrics (paper Figures 7a/7b):
   (scheduler module 3, Figure 7b): ``log2(N)`` stages, each pairing node
   ``i`` with ``i XOR 2^s`` through one Dispatcher and one Merger per
   node.  Dispatchers spread load by backpressure, so local congestion is
-  averaged upstream exactly as the 100/4 pkt/s example in Section VI-C1;
-* :class:`ButterflyRouter` — the same topology routed by destination bits
-  (the Task Router of Section IV-A): stage ``s`` corrects bit ``s`` of
-  the destination, giving a unique path per (input, dest) pair.
+  averaged upstream exactly as the 100/4 pkt/s example in Section VI-C1.
 
-All units are fully pipelined (II=1, latency 2), so a task crosses any
-fabric in ``2*log2(N)`` cycles when uncongested — the ``C`` that sizes
-the Theorem VI.1 FIFOs.
+Every unit is fully pipelined (II=1, latency 2) and every wire between
+units is a FIFO whose push is visible one cycle later, so one task in an
+idle fabric reaches an output FIFO in ``3*log2(N) + 1`` cycles through
+the tree (one Dispatcher and one wire per level) and ``6*log2(N) + 1``
+through the balancer (a Dispatcher, a Merger and two wires per stage);
+the 1-wide :class:`Forwarder` takes 2.  ``theorem_fifo_depth`` sizes
+the Theorem VI.1 FIFOs with the paper's ``C = 4*log2(N)`` instead.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.errors import SchedulerError
 from repro.sim.fifo import StreamFifo
 from repro.sim.kernel import SimulationKernel
 from repro.sim.module import Module
-from repro.core.scheduling import Dispatcher, Merger, RoutingDispatcher
+from repro.core.scheduling import Dispatcher, Merger
 
 #: Capacity of the shallow CLB FIFOs between stages (the paper notes a
 #: single-CLB 32-entry FIFO suffices; 4 keeps pipelining without bulk).
@@ -116,94 +117,6 @@ class ButterflyBalancer:
                 self.modules.extend((dispatcher, merger))
             current = nxt
         kernel.add_modules(self.modules)
-
-    @property
-    def latency_bound(self) -> int:
-        """Uncongested traversal latency: 2 units of 2 cycles per stage."""
-        stages = _require_power_of_two(self.width)
-        return 4 * stages
-
-
-class ButterflyRouter:
-    """N-to-N destination-routed butterfly (the Task Router).
-
-    Items must expose an integer ``dest`` attribute in ``[0, N)``.
-    Stage ``s`` sends the item straight or across depending on whether
-    bit ``s`` of ``dest`` matches the node index, so after ``log2(N)``
-    stages every item sits at its destination output.
-    """
-
-    def __init__(
-        self,
-        kernel: SimulationKernel,
-        name: str,
-        inputs: list[StreamFifo],
-        outputs: list[StreamFifo],
-    ) -> None:
-        if len(inputs) != len(outputs):
-            raise SchedulerError("router needs equal input/output counts")
-        self.width = len(inputs)
-        num_stages = _require_power_of_two(self.width)
-        self.name = name
-        self.modules: list[Module] = []
-
-        if num_stages == 0:
-            self.modules.append(Forwarder(f"{name}.fwd", inputs[0], outputs[0]))
-            kernel.add_modules(self.modules)
-            return
-
-        current = inputs
-        for stage in range(num_stages):
-            straight = [
-                kernel.make_fifo(_WIRE_DEPTH, f"{name}.s{stage}.straight{i}")
-                for i in range(self.width)
-            ]
-            cross = [
-                kernel.make_fifo(_WIRE_DEPTH, f"{name}.s{stage}.cross{i}")
-                for i in range(self.width)
-            ]
-            is_last = stage == num_stages - 1
-            nxt = (
-                outputs
-                if is_last
-                else [
-                    kernel.make_fifo(_WIRE_DEPTH, f"{name}.s{stage}.out{i}")
-                    for i in range(self.width)
-                ]
-            )
-            for i in range(self.width):
-                partner = i ^ (1 << stage)
-                # Output 0 keeps bit ``stage`` equal to the node's bit
-                # (straight), output 1 flips it (cross to the partner).
-                dispatcher = _BitRouter(
-                    f"{name}.s{stage}.d{i}",
-                    current[i],
-                    straight[i],
-                    cross[i],
-                    bit=stage,
-                    node_bit=(i >> stage) & 1,
-                )
-                merger = Merger(
-                    f"{name}.s{stage}.m{i}", straight[i], cross[partner], nxt[i]
-                )
-                self.modules.extend((dispatcher, merger))
-            current = nxt
-        kernel.add_modules(self.modules)
-
-
-class _BitRouter(RoutingDispatcher):
-    """Stage dispatcher: straight if dest bit matches node bit, else cross."""
-
-    def __init__(self, name, input_fifo, out0, out1, bit, node_bit):
-        super().__init__(name, input_fifo, out0, out1, bit=bit)
-        self.node_bit = node_bit
-
-    def _choose(self):
-        item = self._pipe[0][1]
-        wanted = 0 if ((item.dest >> self.bit) & 1) == self.node_bit else 1
-        if not self.outputs[wanted].space:
-            return None
-        return wanted
 
 
 class DistributionTree:

@@ -59,14 +59,10 @@ class Dispatcher(Module):
         input_fifo: StreamFifo,
         out0: StreamFifo,
         out1: StreamFifo,
-        latency: int = UNIT_LATENCY,
     ) -> None:
         super().__init__(name)
-        if latency < 1:
-            raise SchedulerError("latency must be >= 1")
         self.input_fifo = input_fifo
         self.outputs = (out0, out1)
-        self.latency = latency
         self.last_selection = 0
         self._pipe: deque[tuple[int, Any]] = deque()
         #: Output we committed to while both were full (fairness rule),
@@ -118,8 +114,8 @@ class Dispatcher(Module):
             else:
                 self.stats.blocked_cycles += 1
                 return
-        if len(pipe) < self.latency and self.input_fifo.ready:
-            pipe.append((cycle + self.latency, self.input_fifo.pop()))
+        if len(pipe) < UNIT_LATENCY and self.input_fifo.ready:
+            pipe.append((cycle + UNIT_LATENCY, self.input_fifo.pop()))
             progressed = True
         if progressed:
             self.stats.active_cycles += 1
@@ -139,19 +135,15 @@ class Merger(Module):
         in0: StreamFifo,
         in1: StreamFifo,
         output_fifo: StreamFifo,
-        latency: int = UNIT_LATENCY,
         priority_input: int | None = None,
     ) -> None:
         super().__init__(name)
-        if latency < 1:
-            raise SchedulerError("latency must be >= 1")
         if priority_input not in (None, 0, 1):
             raise SchedulerError("priority_input must be None, 0 or 1")
         self.in0 = in0
         self.in1 = in1
         self.inputs = (in0, in1)
         self.output_fifo = output_fifo
-        self.latency = latency
         self.priority_input = priority_input
         self.last_selection = 0
         self._pipe: deque[tuple[int, Any]] = deque()
@@ -187,10 +179,10 @@ class Merger(Module):
             else:
                 self.stats.blocked_cycles += 1
                 return
-        if len(pipe) < self.latency:
+        if len(pipe) < UNIT_LATENCY:
             choice = self._choose()
             if choice is not None:
-                pipe.append((cycle + self.latency, self.inputs[choice].pop()))
+                pipe.append((cycle + UNIT_LATENCY, self.inputs[choice].pop()))
                 self.last_selection = choice
                 self.received[choice] += 1
                 progressed = True
@@ -201,34 +193,3 @@ class Merger(Module):
 
     def busy(self) -> bool:
         return bool(self._pipe)
-
-
-class RoutingDispatcher(Dispatcher):
-    """Dispatcher variant that routes by a destination bit (Task Router).
-
-    The data-aware butterfly (Section IV-A's Task Router) uses the same
-    two-output fabric but picks the output from bit ``bit`` of the item's
-    ``dest`` attribute instead of availability; it blocks when the wanted
-    output is full, preserving per-destination order.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        input_fifo: StreamFifo,
-        out0: StreamFifo,
-        out1: StreamFifo,
-        bit: int,
-        latency: int = UNIT_LATENCY,
-    ) -> None:
-        super().__init__(name, input_fifo, out0, out1, latency=latency)
-        if bit < 0:
-            raise SchedulerError("bit must be non-negative")
-        self.bit = bit
-
-    def _choose(self) -> int | None:
-        item = self._pipe[0][1]
-        wanted = (item.dest >> self.bit) & 1
-        if not self.outputs[wanted].space:
-            return None
-        return wanted

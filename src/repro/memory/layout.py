@@ -10,8 +10,9 @@ The CSR graph is mapped onto channels exactly as Section IV-B describes:
   hub vertices from hot-spotting one channel — a hub's neighbor list
   spans every channel, and the randomly sampled index lands uniformly;
 * each **RP entry encodes the column channel id and starting address**
-  of the neighbor list, so Column Access needs no extra lookup — the
-  Task Router reads the channel id straight out of the entry.
+  of the neighbor list, so Column Access needs no extra lookup — its
+  route (the paper's Task Router) reads the channel id straight out of
+  the entry.
 
 The layout also fixes per-entry widths.  Table I makes the RP entry
 width algorithm-dependent (64b uniform / 128b reservoir / 256b alias);

@@ -107,10 +107,6 @@ class ThunderRing:
         """Uniform float in ``[0, 1)`` from ``stream``."""
         return (self.next_u64(stream) >> 11) * (1.0 / (1 << 53))
 
-    def uniform_pair(self, stream: int) -> tuple[float, float]:
-        """Two uniforms, as alias sampling consumes per draw."""
-        return self.uniform(stream), self.uniform(stream)
-
     def randint(self, stream: int, bound: int) -> int:
         """Uniform integer in ``[0, bound)`` via 64-bit rejection.
 

@@ -127,9 +127,6 @@ _pool_lock = threading.Lock()
 #: No indices: the stalls of a superstep without any, an empty admission.
 _NO_SLOTS = np.empty(0, dtype=np.int64)
 
-#: The walker arrays of a :class:`Frontier` besides its stall streaks.
-_WALKER_FIELDS = ("pos", "current", "previous", "state", "hops")
-
 
 @dataclass(slots=True)
 class Frontier:
@@ -161,27 +158,9 @@ class Frontier:
         """Every walker on its start vertex, nothing visited before it."""
         return cls(pos, starts, np.full(starts.size, -1, dtype=np.int64), states)
 
-    @classmethod
-    def concat(cls, parts: Sequence["Frontier"]) -> "Frontier":
-        """The walkers of ``parts``, in order, as one frontier."""
-        stalls = None
-        if any(part.stalls is not None for part in parts):
-            stalls = np.concatenate([
-                np.zeros(part.size, dtype=np.int64) if part.stalls is None else part.stalls
-                for part in parts
-            ])
-        columns = (np.concatenate([getattr(part, name) for part in parts])
-                   for name in _WALKER_FIELDS)
-        return cls(*columns, stalls)
-
     @property
     def size(self) -> int:
         return self.pos.size
-
-    def subset(self, mask: np.ndarray) -> "Frontier":
-        """The walkers where ``mask`` is True, as a new frontier."""
-        columns = (getattr(self, name)[mask] for name in _WALKER_FIELDS)
-        return Frontier(*columns, None if self.stalls is None else self.stalls[mask])
 
     def keep(self, mask: np.ndarray, second_order: bool) -> None:
         """Drop the walkers where ``mask`` is False (order preserved).

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.baselines import (
-    CPUModel,
     FastRWModel,
     GPUModel,
     LightRWModel,
@@ -173,17 +172,3 @@ class TestGPUModel:
     def test_invalid_regime_rejected(self):
         with pytest.raises(SimulationError):
             GPUModel(regime="magic")
-
-
-class TestCPUModel:
-    def test_slower_than_gpu(self):
-        g, queries = workload()
-        cpu = CPUModel().run(g, URWSpec(max_length=30), queries)
-        gpu = GPUModel().run(g, URWSpec(max_length=30), queries)
-        assert cpu.msteps_per_second() < gpu.msteps_per_second()
-
-    def test_thread_scaling(self):
-        g, queries = workload()
-        few = CPUModel(threads=8).run(g, URWSpec(max_length=30), queries)
-        many = CPUModel(threads=128).run(g, URWSpec(max_length=30), queries)
-        assert many.msteps_per_second() > few.msteps_per_second()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import RidgeWalker, RidgeWalkerConfig, run_ridgewalker
+from repro.core import RidgeWalker, RidgeWalkerConfig
 from repro.errors import GraphError, WalkConfigError
 from repro.graph import cycle_graph, load_dataset, path_graph
 from repro.graph.datasets import assign_metapath_schema
@@ -38,22 +38,18 @@ def small_config(**kw):
 class TestExactPaths:
     def test_cycle_graph_paths_deterministic(self):
         g = cycle_graph(10)
-        run = run_ridgewalker(
-            g, URWSpec(max_length=7), [Query(0, 3)], config=small_config(), seed=1
-        )
+        run = RidgeWalker(g, URWSpec(max_length=7), small_config(), seed=1).run([Query(0, 3)])
         assert run.results.path_of(0).tolist() == [3, 4, 5, 6, 7, 8, 9, 0]
 
     def test_walk_terminates_at_dangling(self):
         g = path_graph(5)
-        run = run_ridgewalker(
-            g, URWSpec(max_length=80), [Query(0, 2)], config=small_config(), seed=1
-        )
+        run = RidgeWalker(g, URWSpec(max_length=80), small_config(), seed=1).run([Query(0, 2)])
         assert run.results.path_of(0).tolist() == [2, 3, 4]
 
     def test_every_hop_is_an_edge(self):
         g = load_dataset("WG", scale=0.1, seed=1)
         qs = make_queries(g, 24, seed=2)
-        run = run_ridgewalker(g, URWSpec(max_length=20), qs, config=small_config(), seed=3)
+        run = RidgeWalker(g, URWSpec(max_length=20), small_config(), seed=3).run(qs)
         for path in run.results.paths:
             for a, b in zip(path[:-1], path[1:]):
                 assert g.has_edge(int(a), int(b))
@@ -61,14 +57,14 @@ class TestExactPaths:
     def test_max_length_respected(self):
         g = cycle_graph(5)
         qs = [Query(i, i % 5) for i in range(8)]
-        run = run_ridgewalker(g, URWSpec(max_length=12), qs, config=small_config(), seed=1)
+        run = RidgeWalker(g, URWSpec(max_length=12), small_config(), seed=1).run(qs)
         assert all(length == 12 for length in run.results.lengths())
 
     def test_reproducible_across_runs(self):
         g = load_dataset("CP", scale=0.1, seed=1)
         qs = make_queries(g, 16, seed=4)
-        a = run_ridgewalker(g, URWSpec(max_length=15), qs, config=small_config(), seed=7)
-        b = run_ridgewalker(g, URWSpec(max_length=15), qs, config=small_config(), seed=7)
+        a = RidgeWalker(g, URWSpec(max_length=15), small_config(), seed=7).run(qs)
+        b = RidgeWalker(g, URWSpec(max_length=15), small_config(), seed=7).run(qs)
         for pa, pb in zip(a.results.paths, b.results.paths):
             assert np.array_equal(pa, pb)
         assert a.metrics.cycles == b.metrics.cycles
@@ -76,8 +72,8 @@ class TestExactPaths:
     def test_different_seeds_differ(self):
         g = load_dataset("CP", scale=0.1, seed=1)
         qs = make_queries(g, 16, seed=4)
-        a = run_ridgewalker(g, URWSpec(max_length=15), qs, config=small_config(), seed=7)
-        b = run_ridgewalker(g, URWSpec(max_length=15), qs, config=small_config(), seed=8)
+        a = RidgeWalker(g, URWSpec(max_length=15), small_config(), seed=7).run(qs)
+        b = RidgeWalker(g, URWSpec(max_length=15), small_config(), seed=8).run(qs)
         assert any(
             not np.array_equal(pa, pb) for pa, pb in zip(a.results.paths, b.results.paths)
         )
@@ -87,9 +83,7 @@ class TestAllAlgorithms:
     def test_ppr_walks_terminate_early(self):
         g = cycle_graph(100)
         qs = [Query(i, 0) for i in range(64)]
-        run = run_ridgewalker(
-            g, PPRSpec(alpha=0.3, max_length=80), qs, config=small_config(), seed=2
-        )
+        run = RidgeWalker(g, PPRSpec(alpha=0.3, max_length=80), small_config(), seed=2).run(qs)
         lengths = run.results.lengths()
         assert lengths.mean() < 15  # geometric with mean ~3.3
         assert lengths.min() >= 1
@@ -97,16 +91,14 @@ class TestAllAlgorithms:
     def test_deepwalk_on_weighted_graph(self):
         g = load_dataset("WG", scale=0.1, seed=1, weighted=True)
         qs = make_queries(g, 16, seed=3)
-        run = run_ridgewalker(g, DeepWalkSpec(max_length=10), qs, config=small_config(), seed=4)
+        run = RidgeWalker(g, DeepWalkSpec(max_length=10), small_config(), seed=4).run(qs)
         assert run.results.total_steps > 0
 
     def test_node2vec_rejection(self):
         g = load_dataset("AS", scale=0.1, seed=1)
         qs = make_queries(g, 12, seed=5)
-        run = run_ridgewalker(
-            g, Node2VecSpec(max_length=10, strategy="rejection"),
-            qs, config=small_config(), seed=6,
-        )
+        spec = Node2VecSpec(max_length=10, strategy="rejection")
+        run = RidgeWalker(g, spec, small_config(), seed=6).run(qs)
         assert run.results.total_steps > 0
 
     def test_node2vec_never_backtracks_with_huge_p(self):
@@ -115,9 +107,8 @@ class TestAllAlgorithms:
             [(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)], num_vertices=3
         )
         qs = [Query(i, 0) for i in range(12)]
-        run = run_ridgewalker(
-            g, Node2VecSpec(p=1e9, q=1.0, max_length=30), qs, config=small_config(), seed=7
-        )
+        spec = Node2VecSpec(p=1e9, q=1.0, max_length=30)
+        run = RidgeWalker(g, spec, small_config(), seed=7).run(qs)
         for path in run.results.paths:
             for i in range(2, path.size):
                 assert path[i] != path[i - 2]
@@ -127,9 +118,8 @@ class TestAllAlgorithms:
         g = assign_metapath_schema(g, num_types=3, seed=8)
         pattern = [0, 1]
         qs = make_queries(g, 16, seed=9)
-        run = run_ridgewalker(
-            g, MetaPathSpec(pattern=pattern, max_length=12), qs, config=small_config(), seed=10
-        )
+        spec = MetaPathSpec(pattern=pattern, max_length=12)
+        run = RidgeWalker(g, spec, small_config(), seed=10).run(qs)
         for path in run.results.paths:
             for hop, dst in enumerate(path[1:]):
                 assert int(g.vertex_types[int(dst)]) == pattern[hop % 2]
@@ -140,14 +130,14 @@ class TestModesAndMetrics:
         g = load_dataset("WG", scale=0.1, seed=1)
         qs = make_queries(g, 32, seed=2)
         cfg = small_config(dynamic_scheduling=False)
-        run = run_ridgewalker(g, URWSpec(max_length=10), qs, config=cfg, seed=3)
+        run = RidgeWalker(g, URWSpec(max_length=10), cfg, seed=3).run(qs)
         assert run.results.num_queries == 32
 
     def test_bulk_synchronous_produces_ghost_laps(self):
         g = load_dataset("WG", scale=0.2, seed=1)  # directed: early deaths
         qs = make_queries(g, 32, seed=2)
         cfg = small_config(dynamic_scheduling=False, bulk_synchronous=True)
-        run = run_ridgewalker(g, URWSpec(max_length=30), qs, config=cfg, seed=3)
+        run = RidgeWalker(g, URWSpec(max_length=30), cfg, seed=3).run(qs)
         assert run.metrics.extra["ghost_laps"] > 0
         # paths are unaffected by ghosts
         assert run.results.num_queries == 32
@@ -155,41 +145,28 @@ class TestModesAndMetrics:
     def test_dynamic_mode_has_no_ghosts(self):
         g = load_dataset("WG", scale=0.2, seed=1)
         qs = make_queries(g, 32, seed=2)
-        run = run_ridgewalker(g, URWSpec(max_length=30), qs, config=small_config(), seed=3)
+        run = RidgeWalker(g, URWSpec(max_length=30), small_config(), seed=3).run(qs)
         assert run.metrics.extra["ghost_laps"] == 0
 
     def test_sync_mode_slower_than_async(self):
         g = load_dataset("AS", scale=0.1, seed=1)
         qs = make_queries(g, 48, seed=2)
-        fast = run_ridgewalker(
-            g, URWSpec(max_length=20), qs, config=small_config(), seed=3
-        )
-        slow = run_ridgewalker(
-            g, URWSpec(max_length=20), qs, config=small_config(async_memory=False), seed=3
-        )
+        fast = RidgeWalker(g, URWSpec(max_length=20), small_config(), seed=3).run(qs)
+        slow = RidgeWalker(
+            g, URWSpec(max_length=20), small_config(async_memory=False), seed=3
+        ).run(qs)
         assert slow.metrics.cycles > fast.metrics.cycles
 
     def test_metrics_accounting(self):
         g = cycle_graph(20)
         qs = [Query(i, i % 20) for i in range(16)]
-        run = run_ridgewalker(g, URWSpec(max_length=10), qs, config=small_config(), seed=1)
+        run = RidgeWalker(g, URWSpec(max_length=10), small_config(), seed=1).run(qs)
         m = run.metrics
         assert m.total_steps == 160
         # URW: one row + one column transaction per step
         assert m.random_transactions == pytest.approx(2 * 160, abs=5)
         assert m.msteps_per_second() > 0
         assert 0 <= m.bubble_ratio() <= 1
-
-    def test_flat_scheduler_equivalent_results(self):
-        g = load_dataset("WG", scale=0.1, seed=1)
-        qs = make_queries(g, 24, seed=2)
-        flat = run_ridgewalker(
-            g, URWSpec(max_length=12), qs, config=small_config(scheduler_detail="flat"), seed=5
-        )
-        assert flat.results.num_queries == 24
-        for path in flat.results.paths:
-            for a, b in zip(path[:-1], path[1:]):
-                assert g.has_edge(int(a), int(b))
 
     def test_empty_queries_rejected(self):
         g = cycle_graph(4)

@@ -1,11 +1,10 @@
-"""Unit tests for loader, writer, demux, flat balancer and access engine."""
+"""Unit tests for loader, writer, demux and access engine."""
 
 import pytest
 
 from repro.core import (
     AccessEngine,
     AsyncPipeline,
-    FlatBalancer,
     QueryLoader,
     QueryWriter,
     ResponseRouter,
@@ -160,28 +159,6 @@ class TestTaskDemux:
         f = kernel.make_fifo(2, "f")
         with pytest.raises(SchedulerError):
             TaskDemux("d", f, f, f, bulk_synchronous=True, max_length=0)
-
-
-class TestFlatBalancer:
-    def test_work_conserving_spread(self):
-        kernel = SimulationKernel()
-        ins = [kernel.make_fifo(32, f"i{k}") for k in range(2)]
-        outs = [kernel.make_fifo(32, f"o{k}") for k in range(4)]
-        balancer = FlatBalancer("b", ins, outs, latency=3)
-        kernel.add_module(balancer)
-        for i in range(24):
-            ins[i % 2].push(Task(query_id=i, vertex=0))
-        for _ in range(40):
-            kernel.step()
-        counts = [o.occupancy() for o in outs]
-        assert sum(counts) == 24
-        assert max(counts) - min(counts) <= 2  # near-even spread
-
-    def test_latency_validation(self):
-        kernel = SimulationKernel()
-        f = kernel.make_fifo(2, "f")
-        with pytest.raises(SchedulerError):
-            FlatBalancer("b", [f], [f], latency=0)
 
 
 class TestAccessEngineBypass:

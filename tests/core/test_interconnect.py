@@ -1,10 +1,10 @@
-"""Unit tests for the butterfly balancer, router and distribution tree."""
+"""Unit tests for the butterfly balancer and the distribution tree."""
 
 from dataclasses import dataclass
 
 import pytest
 
-from repro.core import ButterflyBalancer, ButterflyRouter, DistributionTree
+from repro.core import ButterflyBalancer, DistributionTree
 from repro.errors import SchedulerError
 from repro.sim import SimulationKernel
 
@@ -12,11 +12,20 @@ from repro.sim import SimulationKernel
 @dataclass
 class Packet:
     value: int
-    dest: int = 0
 
 
 def build_fifos(kernel, n, capacity, prefix):
     return [kernel.make_fifo(capacity, f"{prefix}{i}") for i in range(n)]
+
+
+def crossing_cycles(kernel, source, outputs):
+    """Cycles one task pushed into an idle fabric takes to reach an output."""
+    source.push(Packet(value=0))
+    steps = 0
+    while all(fifo.is_empty() for fifo in outputs) and steps < 100:
+        kernel.step()
+        steps += 1
+    return steps
 
 
 def drain(fifo):
@@ -96,50 +105,18 @@ class TestButterflyBalancer:
             kernel.step()
         assert drain(outs[0])[0].value == 7
 
-    def test_latency_bound(self):
+    @pytest.mark.parametrize(
+        "width, cycles", [(1, 2), (2, 7), (4, 13), (8, 19), (16, 25)]
+    )
+    def test_measured_crossing_time(self, width, cycles):
+        # Dispatcher and Merger hold a task 2 cycles and each wire adds 1.
         kernel = SimulationKernel()
-        b = ButterflyBalancer(
-            kernel, "b", build_fifos(kernel, 8, 4, "i"), build_fifos(kernel, 8, 4, "o")
-        )
-        assert b.latency_bound == 12  # 3 stages * 4 cycles
-
-
-class TestButterflyRouter:
-    def test_routes_to_destination(self):
-        kernel = SimulationKernel()
-        ins = build_fifos(kernel, 4, 32, "i")
-        outs = build_fifos(kernel, 4, 64, "o")
-        ButterflyRouter(kernel, "r", ins, outs)
-        for src in range(4):
-            for dest in range(4):
-                ins[src].push(Packet(value=src * 10 + dest, dest=dest))
-        for _ in range(150):
-            kernel.step()
-        for dest, fifo in enumerate(outs):
-            got = drain(fifo)
-            assert len(got) == 4, f"dest {dest} got {len(got)}"
-            assert all(p.dest == dest for p in got)
-
-    def test_per_source_dest_order_preserved(self):
-        kernel = SimulationKernel()
-        ins = build_fifos(kernel, 4, 32, "i")
-        outs = build_fifos(kernel, 4, 64, "o")
-        ButterflyRouter(kernel, "r", ins, outs)
-        for i in range(10):
-            ins[2].push(Packet(value=i, dest=3))
-        for _ in range(100):
-            kernel.step()
-        assert [p.value for p in drain(outs[3])] == list(range(10))
-
-    def test_width_one(self):
-        kernel = SimulationKernel()
-        ins = build_fifos(kernel, 1, 8, "i")
-        outs = build_fifos(kernel, 1, 8, "o")
-        ButterflyRouter(kernel, "r", ins, outs)
-        ins[0].push(Packet(value=1, dest=0))
-        for _ in range(5):
-            kernel.step()
-        assert len(drain(outs[0])) == 1
+        ins = build_fifos(kernel, width, 4, "i")
+        outs = build_fifos(kernel, width, 4, "o")
+        ButterflyBalancer(kernel, "b", ins, outs)
+        assert crossing_cycles(kernel, ins[0], outs) == cycles
+        if width > 1:
+            assert cycles == 6 * (width.bit_length() - 1) + 1
 
 
 class TestDistributionTree:
@@ -171,3 +148,15 @@ class TestDistributionTree:
         root = kernel.make_fifo(4, "root")
         with pytest.raises(SchedulerError):
             DistributionTree(kernel, "t", root, build_fifos(kernel, 3, 4, "o"))
+
+    @pytest.mark.parametrize(
+        "width, cycles", [(1, 2), (2, 4), (4, 7), (8, 10), (16, 13)]
+    )
+    def test_measured_crossing_time(self, width, cycles):
+        kernel = SimulationKernel()
+        root = kernel.make_fifo(4, "root")
+        outs = build_fifos(kernel, width, 4, "o")
+        DistributionTree(kernel, "t", root, outs)
+        assert crossing_cycles(kernel, root, outs) == cycles
+        if width > 1:
+            assert cycles == 3 * (width.bit_length() - 1) + 1

@@ -3,8 +3,19 @@
 import pytest
 
 from repro.core import Dispatcher, Merger
+from repro.core.scheduling import UNIT_LATENCY
 from repro.errors import SchedulerError
 from repro.sim import SimulationKernel
+
+
+def crossing_cycles(kernel, source, outputs):
+    """Cycles one item pushed into an idle unit takes to reach an output."""
+    source.push("x")
+    steps = 0
+    while all(fifo.is_empty() for fifo in outputs) and steps < 20:
+        kernel.step()
+        steps += 1
+    return steps
 
 
 def drain(fifo):
@@ -62,6 +73,11 @@ class TestDispatcher:
         kernel.step()
         assert not (out0.is_empty() and out1.is_empty())
 
+    def test_measured_crossing_time(self):
+        # One cycle on the input wire, UNIT_LATENCY inside, one on the output wire.
+        kernel, src, out0, out1, _ = self.build()
+        assert crossing_cycles(kernel, src, [out0, out1]) == UNIT_LATENCY + 2 == 4
+
     def test_throughput_ii_one(self):
         kernel, src, out0, out1, d = self.build(out_capacity=64)
         for i in range(30):
@@ -85,12 +101,6 @@ class TestDispatcher:
             drain(out1)
             kernel.step()
         assert d.stats.items_processed >= 3
-
-    def test_latency_validation(self):
-        kernel = SimulationKernel()
-        f = kernel.make_fifo(2, "f")
-        with pytest.raises(SchedulerError):
-            Dispatcher("d", f, f, f, latency=0)
 
 
 class TestMerger:
@@ -164,6 +174,12 @@ class TestMerger:
         for _ in range(60):
             kernel.step()
         assert sorted(drain(out)) == sorted(list(range(12)) + list(range(100, 107)))
+
+    @pytest.mark.parametrize("port", [0, 1])
+    def test_measured_crossing_time(self, port):
+        kernel, in0, in1, out, _ = self.build()
+        source = (in0, in1)[port]
+        assert crossing_cycles(kernel, source, [out]) == UNIT_LATENCY + 2 == 4
 
     def test_priority_validation(self):
         kernel = SimulationKernel()

@@ -1,5 +1,7 @@
 """Unit tests for tasks, the walk recorder, and configuration."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core import (
@@ -9,6 +11,7 @@ from repro.core import (
     WalkRecorder,
     theorem_fifo_depth,
 )
+from repro.core.config import SYNC_OUTSTANDING
 from repro.errors import SchedulerError, SimulationError
 from repro.memory.spec import DDR4_U250, HBM2_U55C
 
@@ -122,7 +125,6 @@ class TestConfig:
         assert cfg.core_mhz == 320.0
         assert cfg.engine_outstanding == 128
         assert cfg.effective_fifo_depth == 17
-        assert cfg.scheduler_latency_cycles == 16  # 4*log2(16)
 
     def test_power_of_two_pipelines_required(self):
         with pytest.raises(SchedulerError, match="power of two"):
@@ -138,7 +140,7 @@ class TestConfig:
 
     def test_sync_switch_changes_outstanding(self):
         sync = RidgeWalkerConfig(num_pipelines=2, memory=DDR4_U250, async_memory=False)
-        assert sync.effective_outstanding == sync.sync_outstanding
+        assert sync.effective_outstanding == SYNC_OUTSTANDING == 4
         full = RidgeWalkerConfig(num_pipelines=2, memory=DDR4_U250)
         assert full.effective_outstanding == 128
 
@@ -154,16 +156,13 @@ class TestConfig:
         cfg = RidgeWalkerConfig(num_pipelines=2, memory=DDR4_U250, recirculation_depth=100)
         assert cfg.safe_inflight_limit() == int(2 * 100 * 0.8)
 
-    def test_explicit_inflight_override(self):
-        cfg = RidgeWalkerConfig(
-            num_pipelines=2, memory=DDR4_U250, max_inflight_queries=42
-        )
-        assert cfg.safe_inflight_limit() == 42
-
     def test_peak_tx_per_cycle(self):
         cfg = RidgeWalkerConfig(num_pipelines=2, memory=DDR4_U250)
         assert cfg.peak_random_tx_per_cycle() == pytest.approx(2 * 2 * 160 / 320)
 
-    def test_scheduler_detail_validation(self):
-        with pytest.raises(SchedulerError):
-            RidgeWalkerConfig(num_pipelines=2, memory=DDR4_U250, scheduler_detail="magic")
+    def test_the_nine_fields(self):
+        assert [f.name for f in fields(RidgeWalkerConfig)] == [
+            "num_pipelines", "core_mhz", "memory", "dynamic_scheduling", "async_memory",
+            "engine_outstanding", "bulk_synchronous", "pipeline_fifo_depth",
+            "recirculation_depth",
+        ]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import RidgeWalker, RidgeWalkerConfig, run_ridgewalker
+from repro.core import RidgeWalker, RidgeWalkerConfig
 from repro.graph import load_dataset
 from repro.graph.datasets import assign_metapath_schema
 from repro.memory.spec import DDR4_U250, MemorySpec
@@ -48,9 +48,7 @@ class TestAllModesComplete:
     def test_urw_completes_in_every_mode(self, overrides):
         g = load_dataset("WG", scale=0.05, seed=1)
         queries = make_queries(g, 48, seed=2)
-        run = run_ridgewalker(
-            g, URWSpec(max_length=15), queries, config=config(**overrides), seed=3
-        )
+        run = RidgeWalker(g, URWSpec(max_length=15), config(**overrides), seed=3).run(queries)
         assert run.results.num_queries == 48
         for path in run.results.paths:
             for a, b in zip(path[:-1], path[1:]):
@@ -61,13 +59,8 @@ class TestAllModesComplete:
         g = load_dataset("WG", scale=0.05, seed=1, weighted=True)
         g = assign_metapath_schema(g, num_types=3, seed=4)
         queries = make_queries(g, 32, seed=5)
-        run = run_ridgewalker(
-            g,
-            MetaPathSpec(pattern=[0, 1, 2], max_length=9),
-            queries,
-            config=config(**overrides),
-            seed=6,
-        )
+        spec = MetaPathSpec(pattern=[0, 1, 2], max_length=9)
+        run = RidgeWalker(g, spec, config(**overrides), seed=6).run(queries)
         assert run.results.num_queries == 32
 
 
@@ -75,7 +68,7 @@ class TestMetricsConsistency:
     def test_transaction_count_tracks_steps_urw(self):
         g = load_dataset("AS", scale=0.05, seed=1)
         queries = make_queries(g, 64, seed=2)
-        run = run_ridgewalker(g, URWSpec(max_length=20), queries, config=config(), seed=3)
+        run = RidgeWalker(g, URWSpec(max_length=20), config(), seed=3).run(queries)
         # URW: exactly one row + one column transaction per hop, plus one
         # row access per terminal-dangling check.
         steps = run.metrics.total_steps
@@ -84,13 +77,13 @@ class TestMetricsConsistency:
     def test_total_steps_equals_path_lengths(self):
         g = load_dataset("CP", scale=0.05, seed=1)
         queries = make_queries(g, 64, seed=2)
-        run = run_ridgewalker(g, URWSpec(max_length=20), queries, config=config(), seed=3)
+        run = RidgeWalker(g, URWSpec(max_length=20), config(), seed=3).run(queries)
         assert run.metrics.total_steps == int(run.results.lengths().sum())
 
     def test_words_at_least_transactions(self):
         g = load_dataset("WG", scale=0.05, seed=1, weighted=True)
         queries = make_queries(g, 32, seed=2)
-        run = run_ridgewalker(g, DeepWalkSpec(max_length=10), queries, config=config(), seed=3)
+        run = RidgeWalker(g, DeepWalkSpec(max_length=10), config(), seed=3).run(queries)
         assert run.metrics.words_transferred >= run.metrics.random_transactions
 
     def test_throughput_improves_with_pipelines(self):
@@ -111,7 +104,7 @@ class TestDeviceConfigs:
         g = load_dataset("WG", scale=0.05, seed=1)
         queries = make_queries(g, 48, seed=2)
         cfg = RidgeWalkerConfig(num_pipelines=2, memory=DDR4_U250)
-        run = run_ridgewalker(g, URWSpec(max_length=15), queries, config=cfg, seed=3)
+        run = RidgeWalker(g, URWSpec(max_length=15), cfg, seed=3).run(queries)
         assert run.results.num_queries == 48
 
     def test_second_order_tasks_thread_prev_vertex_across_pipelines(self):
@@ -119,13 +112,8 @@ class TestDeviceConfigs:
         # survive rescheduling (it travels inside the task tuple).
         g = load_dataset("AS", scale=0.04, seed=1)
         queries = make_queries(g, 48, seed=2)
-        run = run_ridgewalker(
-            g,
-            Node2VecSpec(p=1e9, q=1.0, max_length=20),
-            queries,
-            config=config(num_pipelines=4),
-            seed=3,
-        )
+        spec = Node2VecSpec(p=1e9, q=1.0, max_length=20)
+        run = RidgeWalker(g, spec, config(num_pipelines=4), seed=3).run(queries)
         for path in run.results.paths:
             for i in range(2, path.size):
                 # with p -> inf, never backtrack (unless degree-1 trap,
@@ -139,6 +127,6 @@ class TestDeviceConfigs:
         spec = PPRSpec(alpha=0.25, max_length=60)
         means = []
         for overrides in (dict(), dict(dynamic_scheduling=False)):
-            run = run_ridgewalker(g, spec, queries, config=config(**overrides), seed=3)
+            run = RidgeWalker(g, spec, config(**overrides), seed=3).run(queries)
             means.append(run.results.lengths().mean())
         assert means[0] == pytest.approx(means[1], rel=0.2)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from stat_helpers import CHI_SQUARE_ALPHA, chi_square_compare
 
-from repro.core import RidgeWalkerConfig, run_ridgewalker
+from repro.core import RidgeWalker, RidgeWalkerConfig
 from repro.graph import from_edges, load_dataset
 from repro.memory.spec import MemorySpec
 from repro.walks import (
@@ -46,7 +46,7 @@ def config(**kw):
 class TestVisitDistributions:
     def _compare(self, graph, spec, num_queries=400, seed=5):
         queries = make_queries(graph, num_queries, seed=seed)
-        hw = run_ridgewalker(graph, spec, queries, config=config(), seed=seed + 1)
+        hw = RidgeWalker(graph, spec, config(), seed=seed + 1).run(queries)
         sw = run_walks(graph, spec, queries, seed=seed + 2)
         p = chi_square_compare(
             hw.results.visit_counts(graph.num_vertices),
@@ -86,7 +86,7 @@ class TestTransitionDistributions:
             num_vertices=4,
         )
         queries = [Query(i, 0) for i in range(600)]
-        hw = run_ridgewalker(g, DeepWalkSpec(max_length=2), queries, config=config(), seed=9)
+        hw = RidgeWalker(g, DeepWalkSpec(max_length=2), config(), seed=9).run(queries)
         transitions = hw.results.transition_counts(4)[0]
         total = transitions[1:].sum()
         observed = transitions[1:] / total
@@ -99,9 +99,7 @@ class TestTransitionDistributions:
         g = cycle_graph(512)
         alpha = 0.25
         queries = [Query(i, i % 512) for i in range(800)]
-        hw = run_ridgewalker(
-            g, PPRSpec(alpha=alpha, max_length=200), queries, config=config(), seed=11
-        )
+        hw = RidgeWalker(g, PPRSpec(alpha=alpha, max_length=200), config(), seed=11).run(queries)
         lengths = hw.results.lengths()
         assert lengths.mean() == pytest.approx(1 / alpha, rel=0.15)
         # Memorylessness: P(L > 8 | L > 4) ~ P(L > 4)
@@ -117,10 +115,8 @@ class TestSchedulingInvariance:
         g = load_dataset("CP", scale=0.05, seed=1)
         queries = make_queries(g, 300, seed=3)
         spec = URWSpec(max_length=25)
-        dynamic = run_ridgewalker(g, spec, queries, config=config(), seed=7)
-        static = run_ridgewalker(
-            g, spec, queries, config=config(dynamic_scheduling=False), seed=7
-        )
+        dynamic = RidgeWalker(g, spec, config(), seed=7).run(queries)
+        static = RidgeWalker(g, spec, config(dynamic_scheduling=False), seed=7).run(queries)
         p = chi_square_compare(
             dynamic.results.visit_counts(g.num_vertices),
             static.results.visit_counts(g.num_vertices),
@@ -131,8 +127,8 @@ class TestSchedulingInvariance:
         g = load_dataset("WG", scale=0.05, seed=1)
         queries = make_queries(g, 300, seed=4)
         spec = URWSpec(max_length=25)
-        narrow = run_ridgewalker(g, spec, queries, config=config(num_pipelines=2), seed=8)
-        wide = run_ridgewalker(g, spec, queries, config=config(num_pipelines=4), seed=8)
+        narrow = RidgeWalker(g, spec, config(num_pipelines=2), seed=8).run(queries)
+        wide = RidgeWalker(g, spec, config(num_pipelines=4), seed=8).run(queries)
         p = chi_square_compare(
             narrow.results.visit_counts(g.num_vertices),
             wide.results.visit_counts(g.num_vertices),

@@ -7,7 +7,7 @@ of every module's, FIFO's and memory channel's own statistics, for the
 benchmark suite's ``sim_deepwalk`` shape and for small RMAT-8 shapes that
 reach every branch of the FIFO flags, the memory channels and the return
 network (static binding, bulk-synchronous ghost laps, the synchronous
-access engine, the flat balancer, 1 and 8 pipelines, multi-cycle
+access engine, 1 and 8 pipelines, multi-cycle
 rejection sampling with long bursts, reservoir scans, probabilistic
 termination), plus one streaming run's tracer windows.
 
@@ -64,8 +64,6 @@ CASES = {
                          {"dynamic_scheduling": False, "bulk_synchronous": True}),
     "sync_memory": (SMALL_SCALE, True, lambda: DeepWalkSpec(max_length=SMALL_LENGTH),
                     SMALL_QUERIES, {"async_memory": False}),
-    "flat": (SMALL_SCALE, True, lambda: DeepWalkSpec(max_length=SMALL_LENGTH),
-             SMALL_QUERIES, {"scheduler_detail": "flat"}),
     "one_pipeline": (SMALL_SCALE, True, lambda: DeepWalkSpec(max_length=SMALL_LENGTH),
                      SMALL_QUERIES, {"num_pipelines": 1}),
     "eight_pipelines": (SMALL_SCALE, True, lambda: DeepWalkSpec(max_length=SMALL_LENGTH),
@@ -99,9 +97,6 @@ GOLDEN = {
     "sync_memory": (488, 3709, 981, 2948, 13899, 14836, 0,
                     "20d97105430aa6ac9af6042c4cf0e734c6cad6fb73cee3a55b63e9b34ac708a3",
                     "ee9392c0f08ff2a25f071a80e9833b730532558f60646bbdb8c269099568104e"),
-    "flat": (498, 3546, 998, 2996, 13340, 14184, 0,
-             "d994eb5b4e70a7af970ee95a22fa8bdb660d25c584593d1ef3cf1b668e4ab9fb",
-             "a0081104780718abe4d7eab62f22da92ab6e48779266a72c23ec17ab950d37f6"),
     "one_pipeline": (482, 3489, 969, 2912, 2515, 3489, 0,
                      "fde5b4bf9e861aa8e752d55077d7846ce4bfbbcd15adaf90121827901386b45f",
                      "ad4d42e49fd84db36450977613bcf29f6adc038923327102100f44223930c8f2"),
