@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # CI gate: the determinism & resource-safety lint (`repro lint`, zero
 # unsuppressed findings over src/repro — see the README's "Determinism
-# contract"), then the tier-1 test suite — which holds the perf gates
+# contract"), then the two cycle-model goldens (every simulated counter
+# pinned at 1, 4, 8 and 16 pipelines, so a counter drift is the first red
+# line), then the tier-1 test suite — which holds the perf gates
 # too (batch >= 10x reference, flash-crowd premium p99 <= 2x, dynamic
 # maintenance >= 1.3x a rebuild, one tracer lookup per untraced run) —
 # then CLI smokes whose exit codes are gates: every `serve-bench` run
@@ -10,8 +12,8 @@
 # frontier), `mutate-bench` exits non-zero unless its final snapshot
 # equals a from-scratch build (per small batch, and for bursts larger
 # than a quarter of the base graph), a streaming, traced cycle-model walk
-# runs the device default of 16 pipelines (the cycle golden pins 1, 4
-# and 8), every example script runs to a zero exit, and a traced CLI run
+# runs the device default of 16 pipelines (the cycle goldens pin 1, 4,
+# 8 and 16), every example script runs to a zero exit, and a traced CLI run
 # exports sample trace + metrics artifacts.  The timed benchmark is
 # `benchmarks/suite/run.py` (see benchmarks/suite/README.md).
 #
@@ -36,6 +38,10 @@ if command -v ruff >/dev/null 2>&1; then
 else
   echo "(ruff not installed; skipping — CI runs it)"
 fi
+
+echo
+echo "== cycle-model goldens (every simulated counter, 1 to 16 pipelines) =="
+python -m pytest -q tests/sim/test_cycle_golden.py tests/sim/test_cycle_golden_wide.py
 
 echo
 echo "== tier-1 tests =="

@@ -72,53 +72,56 @@ class AccessEngine(Module):
         return self._outstanding
 
     def tick(self, cycle: int) -> None:
-        input_fifo = self.input_fifo
-        response_fifo = self.response_fifo
-        if not input_fifo.ready and not response_fifo.ready:
+        # Only this engine pops its inputs: one read of a flag holds all tick.
+        input_ready = self.input_fifo.ready
+        response_ready = self.response_fifo.ready
+        stats = self.stats
+        if not input_ready and not response_ready:
             # Idle: nothing to issue or reunite this cycle.
             if self._outstanding:
-                self.stats.blocked_cycles += 1
+                stats.blocked_cycles += 1
             else:
-                self.stats.starved_cycles += 1
+                stats.starved_cycles += 1
             return
         progressed = False
         output_fifo = self.output_fifo
 
         # Response proxy: reunite one returned task per cycle.
-        if response_fifo.ready and output_fifo.space:
-            task = response_fifo.pop()
+        if response_ready and output_fifo.space:
+            task = self.response_fifo.pop()
             self._outstanding -= 1
             self._on_response(task, cycle)
             output_fifo.push(task)
             self.responses_handled += 1
-            self.stats.items_processed += 1
+            stats.items_processed += 1
             progressed = True
 
         # Request proxy: issue one new request per cycle.
-        if input_fifo.ready:
+        if input_ready:
+            input_fifo = self.input_fifo
             task = input_fifo.front()
             if not task.needs_memory():
                 # Bypass lane: terminated/ghost tasks skip memory entirely.
                 if output_fifo.space:
                     input_fifo.pop()
                     output_fifo.push(task)
-                    self.stats.items_processed += 1
+                    stats.items_processed += 1
                     progressed = True
             elif self._outstanding < self._capacity:
                 channel, burst = self._route(task)
                 if channel.can_accept():
                     input_fifo.pop()
-                    channel.submit(MemoryRequest((response_fifo, task), burst))
+                    channel.submit(MemoryRequest((self.response_fifo, task), burst))
                     self._outstanding += 1
                     self.requests_issued += 1
                     progressed = True
 
         if progressed:
-            self.stats.active_cycles += 1
-        elif not input_fifo.ready and self._outstanding == 0:
-            self.stats.starved_cycles += 1
+            stats.active_cycles += 1
+        elif not input_ready and self._outstanding == 0:
+            stats.starved_cycles += 1
         else:
-            self.stats.blocked_cycles += 1
+            stats.blocked_cycles += 1
 
     def busy(self) -> bool:
         return self._outstanding > 0
@@ -154,7 +157,15 @@ class ResponseRouter(Module):
     def tick(self, cycle: int) -> None:
         delivered_this_cycle = 0
         for responses, channel in self._ports:
-            if responses:
+            if not responses:
+                continue
+            if len(responses) == 1:
+                # A lone response needs no reorder window: deliver it in
+                # place, or leave it queued for the next cycle.
+                if _deliver(responses[0]):
+                    channel.pop_response()
+                    delivered_this_cycle += 1
+            else:
                 delivered_this_cycle += channel.deliver_out_of_order(
                     _deliver, window=self.REORDER_WINDOW
                 )

@@ -9,6 +9,7 @@ Writer).
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from repro.core.recorder import WalkRecorder
@@ -53,6 +54,8 @@ class QueryLoader(Module):
         self._batch_size = batch_size
         self._endless = endless
         self._next = 0
+        #: ``_next`` at which the stream is exhausted (never, when endless).
+        self._end = math.inf if endless else len(self._queries)
         self.injected = 0
 
     def _inflight(self) -> int:
@@ -77,6 +80,10 @@ class QueryLoader(Module):
         return Query(query_id=self._next, start_vertex=base.start_vertex)
 
     def tick(self, cycle: int) -> None:
+        if self._next >= self._end:
+            # Every query injected: the loader only counts a starved cycle.
+            self.stats.starved_cycles += 1
+            return
         injected_this_cycle = 0
         # Up to one injection per output port per cycle.
         for port, fifo in enumerate(self._outputs):
@@ -100,14 +107,12 @@ class QueryLoader(Module):
         if injected_this_cycle:
             self.stats.active_cycles += 1
             self.stats.items_processed += injected_this_cycle
-        elif self.done():
-            self.stats.starved_cycles += 1
         else:
             self.stats.blocked_cycles += 1
 
     def done(self) -> bool:
         """Whether every query has been injected (never, when endless)."""
-        return not self._endless and self._next >= len(self._queries)
+        return self._next >= self._end
 
 
 class QueryWriter(Module):

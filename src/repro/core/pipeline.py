@@ -115,6 +115,7 @@ class _HopLogic:
     The routes hand back channel objects, bound here at wiring through
     :meth:`MemorySystem.channel`: a layout naming a channel the memory
     system lacks fails at construction, and a hop looks no channel up.
+    So are the column list, walk length, ``record_hop`` and termination hook.
     """
 
     def __init__(
@@ -127,10 +128,11 @@ class _HopLogic:
         termination_random: RandomSource,
         recorder: WalkRecorder,
     ) -> None:
-        self._graph = graph
-        self._spec = spec
+        self._col = graph.col
+        self._max_length = spec.max_length
+        self._terminates = spec.terminates_probabilistically
         self._termination_random = termination_random
-        self._recorder = recorder
+        self._record_hop = recorder.record_hop
         # Row Access routes and decodes through per-vertex tables.
         row_channels = [
             memory.channel(ChannelGroup.ROW, i) for i in range(layout.num_row_channels)
@@ -187,12 +189,12 @@ class _HopLogic:
     def on_column_response(self, task: Task, cycle: int) -> None:
         if task.is_ghost():
             return  # demux advances the ghost's slot counter
-        next_vertex = int(self._graph.col[task.column_address + task.sample_index])
-        self._recorder.record_hop(task.query_id, next_vertex)
+        next_vertex = int(self._col[task.column_address + task.sample_index])
+        self._record_hop(task.query_id, next_vertex)
         task.prev_vertex = task.vertex
         task.vertex = next_vertex
-        task.step += 1
-        if task.step >= self._spec.max_length:
+        task.step = step = task.step + 1
+        if step >= self._max_length:
             task.status = TaskStatus.TERMINATED_LENGTH
-        elif self._spec.terminates_probabilistically(task.step - 1, self._termination_random):
+        elif self._terminates(step - 1, self._termination_random):
             task.status = TaskStatus.TERMINATED_PROBABILISTIC

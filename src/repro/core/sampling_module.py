@@ -13,8 +13,13 @@ stalls), but data-dependent samplers occupy the stage longer:
   the scan as a sequential burst on the column channel.
 
 The *semantic* decision is made by the exact same sampler objects the
-reference engine uses (statistical equivalence by construction); only the
-*timing* comes from the outcome's cost counters.
+reference engine uses (statistical equivalence by construction).  Uniform
+and alias samplers decide through their one ``draw(graph, vertex, degree,
+random_source)`` — the method their reference-engine ``sample()`` wraps —
+called with the degree Row Access decoded; their cost is fixed, so that
+path builds no ``StepContext`` and no ``SampleOutcome``.  Rejection and
+reservoir samplers go through ``sample()``, and their *timing* comes from
+the outcome's cost counters.
 """
 
 from __future__ import annotations
@@ -90,10 +95,11 @@ class SamplingModule(Module):
         self._sampler = sampler
         self._random = random_source
         self._needs_prev_vertex = spec.needs_prev_vertex
-        # Uniform and alias draws cost the same whatever the outcome:
-        # resolve their (service cycles, burst words) once, here; the
+        # Uniform and alias draws cost the same whatever the outcome: bind
+        # their ``draw`` and (service cycles, burst words) once, here; the
         # other samplers price each outcome through the functions above.
         self._fixed_cost: tuple[int, int] | None = _FIXED_COSTS.get(sampler.name)
+        self._draw = sampler.draw if self._fixed_cost is not None else None
         self._current: Task | None = None
         self._ready_at = 0
         self.samples_taken = 0
@@ -131,6 +137,12 @@ class SamplingModule(Module):
                 f"running task for query {task.query_id} reached sampling with "
                 f"degree {task.degree}; Row Access must terminate dangling walks"
             )
+        self.samples_taken += 1
+        fixed = self._fixed_cost
+        if fixed is not None:
+            task.sample_index = self._draw(self._graph, task.vertex, task.degree, self._random)
+            service, task.column_burst_words = fixed
+            return service
         prev_vertex = task.prev_vertex
         context = StepContext(
             task.vertex,
@@ -138,15 +150,10 @@ class SamplingModule(Module):
             self._spec.admissible_type(task.step),
         )
         outcome = self._sampler.sample(self._graph, context, self._random)
-        self.samples_taken += 1
         if outcome.index is None:
             task.status = TaskStatus.TERMINATED_FILTERED
             return 1
         task.sample_index = outcome.index
-        fixed = self._fixed_cost
-        if fixed is not None:
-            service, task.column_burst_words = fixed
-            return service
         task.column_burst_words = column_burst_words(self._sampler, outcome, task.degree)
         return sampling_service_cycles(self._sampler, outcome, task.degree)
 

@@ -72,6 +72,9 @@ class Dispatcher(Module):
         self.sent = [0, 0]
 
     def _choose(self) -> int | None:
+        """The output for the head task, off the common path (``tick``
+        alternates inline while both outputs have space and no
+        commitment is held); ``None`` holds it this cycle."""
         out0, out1 = self.outputs
         if self._blocked_on is not None:
             committed = self._blocked_on
@@ -86,8 +89,6 @@ class Dispatcher(Module):
                 self._blocked_cycles = 0
                 return other
             return None
-        if out0.space and out1.space:
-            return 1 - self.last_selection  # alternate: not-last-served
         if not out0.space and not out1.space:
             self._blocked_on = 1 - self.last_selection  # block fairly
             self._blocked_cycles = 0
@@ -96,25 +97,32 @@ class Dispatcher(Module):
 
     def tick(self, cycle: int) -> None:
         pipe = self._pipe
-        if not pipe and not self.input_fifo.ready:
-            self.stats.starved_cycles += 1
+        ready = self.input_fifo.ready  # only this unit pops it: one read holds
+        if not pipe:
+            if ready:
+                pipe.append((cycle + UNIT_LATENCY, self.input_fifo.pop()))
+                self.stats.active_cycles += 1
+            else:
+                self.stats.starved_cycles += 1
             return
         # From here on the unit either moves a task or holds one it
         # cannot move yet, so it is never starved this cycle.
         progressed = False
-        if pipe and pipe[0][0] <= cycle:
-            choice = self._choose()
-            if choice is not None:
-                _, item = pipe.popleft()
-                self.outputs[choice].push(item)
-                self.last_selection = choice
-                self.sent[choice] += 1
-                self.stats.items_processed += 1
-                progressed = True
+        if pipe[0][0] <= cycle:
+            out0, out1 = self.outputs
+            if self._blocked_on is None and out0.space and out1.space:
+                choice = 1 - self.last_selection  # alternate: not-last-served
             else:
-                self.stats.blocked_cycles += 1
-                return
-        if len(pipe) < UNIT_LATENCY and self.input_fifo.ready:
+                choice = self._choose()
+                if choice is None:
+                    self.stats.blocked_cycles += 1
+                    return
+            (out1 if choice else out0).push(pipe.popleft()[1])
+            self.last_selection = choice
+            self.sent[choice] += 1
+            self.stats.items_processed += 1
+            progressed = True
+        if ready and len(pipe) < UNIT_LATENCY:
             pipe.append((cycle + UNIT_LATENCY, self.input_fifo.pop()))
             progressed = True
         if progressed:
@@ -142,29 +150,18 @@ class Merger(Module):
             raise SchedulerError("priority_input must be None, 0 or 1")
         self.in0 = in0
         self.in1 = in1
-        self.inputs = (in0, in1)
         self.output_fifo = output_fifo
         self.priority_input = priority_input
         self.last_selection = 0
         self._pipe: deque[tuple[int, Any]] = deque()
         self.received = [0, 0]
 
-    def _choose(self) -> int | None:
-        in0, in1 = self.in0, self.in1
-        if not in0.ready and not in1.ready:
-            return None
-        if self.priority_input is not None:
-            # Scheduler module (2): unfinished queries preempt new ones.
-            if self.inputs[self.priority_input].ready:
-                return self.priority_input
-            return 1 - self.priority_input
-        if in0.ready and in1.ready:
-            return 1 - self.last_selection  # alternate: not-last-served
-        return 0 if in0.ready else 1
-
     def tick(self, cycle: int) -> None:
         pipe = self._pipe
-        if not pipe and not self.in0.ready and not self.in1.ready:
+        # Only this unit pops its inputs: one read of a flag holds all tick.
+        ready0 = self.in0.ready
+        ready1 = self.in1.ready
+        if not pipe and not ready0 and not ready1:
             self.stats.starved_cycles += 1
             return
         # From here on the unit either moves a task or holds one it
@@ -172,20 +169,24 @@ class Merger(Module):
         progressed = False
         if pipe and pipe[0][0] <= cycle:
             if self.output_fifo.space:
-                _, item = pipe.popleft()
-                self.output_fifo.push(item)
+                self.output_fifo.push(pipe.popleft()[1])
                 self.stats.items_processed += 1
                 progressed = True
             else:
                 self.stats.blocked_cycles += 1
                 return
-        if len(pipe) < UNIT_LATENCY:
-            choice = self._choose()
-            if choice is not None:
-                pipe.append((cycle + UNIT_LATENCY, self.inputs[choice].pop()))
-                self.last_selection = choice
-                self.received[choice] += 1
-                progressed = True
+        if (ready0 or ready1) and len(pipe) < UNIT_LATENCY:
+            if not (ready0 and ready1):
+                choice = 0 if ready0 else 1  # forward the one valid input
+            elif self.priority_input is not None:
+                # Scheduler module (2): unfinished queries preempt new ones.
+                choice = self.priority_input
+            else:
+                choice = 1 - self.last_selection  # alternate: not-last-served
+            pipe.append((cycle + UNIT_LATENCY, (self.in1 if choice else self.in0).pop()))
+            self.last_selection = choice
+            self.received[choice] += 1
+            progressed = True
         if progressed:
             self.stats.active_cycles += 1
         else:

@@ -50,6 +50,13 @@ TERMINAL_STATUSES = frozenset(
 )
 
 
+#: The two live statuses, bound once: an ``Enum`` attribute read or hash
+#: costs more than the rest of a status test, so the tests below compare
+#: identities (every other status is in ``TERMINAL_STATUSES``).
+_RUNNING = TaskStatus.RUNNING
+_GHOST = TaskStatus.GHOST
+
+
 @dataclass(slots=True)
 class Task:
     """One in-flight GRW hop.
@@ -76,13 +83,14 @@ class Task:
 
     def is_terminal(self) -> bool:
         """Whether the owning query is finished."""
-        return self.status in TERMINAL_STATUSES
+        status = self.status
+        return status is not _RUNNING and status is not _GHOST
 
     def is_running(self) -> bool:
-        return self.status is TaskStatus.RUNNING
+        return self.status is _RUNNING
 
     def is_ghost(self) -> bool:
-        return self.status is TaskStatus.GHOST
+        return self.status is _GHOST
 
     def needs_memory(self) -> bool:
         """Terminated tasks flow through without touching memory.
@@ -92,7 +100,8 @@ class Task:
         accesses every round, wasting bandwidth as well as issue slots —
         that waste is precisely what Figure 11's scheduler bars recover.
         """
-        return self.status in (TaskStatus.RUNNING, TaskStatus.GHOST)
+        status = self.status
+        return status is _RUNNING or status is _GHOST
 
     def reset_hop_state(self) -> None:
         """Clear per-hop transients before recirculating to the next hop."""

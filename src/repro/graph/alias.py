@@ -46,23 +46,6 @@ class AliasTable:
         self.prob.setflags(write=False)
         self.alias.setflags(write=False)
 
-    def slot(self, offset: int, index: int) -> tuple[float, int]:
-        """Return ``(prob, alias)`` for table slot ``index`` of the
-        neighborhood starting at CSR offset ``offset``."""
-        return float(self.prob[offset + index]), int(self.alias[offset + index])
-
-    def sample_index(self, offset: int, degree: int, u1: float, u2: float) -> int:
-        """Draw a within-neighborhood index using two uniforms in [0, 1).
-
-        This is the exact operation the hardware Sampling module performs:
-        ``u1`` picks the slot, ``u2`` accepts or redirects to the alias.
-        """
-        if degree <= 0:
-            raise SamplingError("cannot alias-sample from an empty neighborhood")
-        slot = min(int(u1 * degree), degree - 1)
-        prob, alias = self.slot(offset, slot)
-        return slot if u2 < prob else alias
-
     @property
     def num_slots(self) -> int:
         """Total number of table slots (== number of edges)."""

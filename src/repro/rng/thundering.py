@@ -18,6 +18,9 @@ seeded the usual way; the ring keeps only its four 32-bit lanes, as one
 list per stream, and steps them inline — a draw is two xorshift128
 steps, the high word first, exactly as ``XorShift128.next_u64``.
 
+A :class:`RingRandomSource` binds one stream's registers and steps them
+itself, so a sampler's uniform costs no call into the ring.
+
 The result is one 64-bit uniform per stream per root step, matching the
 hardware's one-sample-per-cycle-per-pipeline rate, with no per-stream
 multiplier (that is ThundeRiNG's resource win — captured in
@@ -58,7 +61,8 @@ class ThunderRing:
             raise SamplingError(f"num_streams must be >= 1, got {num_streams}")
         self._num_streams = num_streams
         mixer = SplitMix64(seed)
-        self._root_state = mixer.next_u64()
+        # The shared root (step 1), a cell every stream handle binds.
+        self._root = [mixer.next_u64()]
         # Distinct odd increments decorrelate the streams (step 2).
         self._increments = [(mixer.next_u64() | 1) for _ in range(num_streams)]
         # Per-stream xorshift scramblers (step 3): each stream's lanes
@@ -87,9 +91,8 @@ class ThunderRing:
                 f"stream {stream} out of range for {self._num_streams} streams"
             )
         # Advance the shared root (step 1).
-        self._root_state = root = (
-            self._root_state * _LCG_MULTIPLIER + _LCG_INCREMENT
-        ) & _MASK64
+        cell = self._root
+        cell[0] = root = (cell[0] * _LCG_MULTIPLIER + _LCG_INCREMENT) & _MASK64
         # Two xorshift128 steps; every term is below 2**32, so only the
         # left shifts need a mask.
         x, y, z, w = lanes
@@ -103,11 +106,42 @@ class ThunderRing:
         lanes[3] = low
         return ((root + self._increments[stream]) & _MASK64) ^ ((high << 32) | low)
 
-    def uniform(self, stream: int) -> float:
-        """Uniform float in ``[0, 1)`` from ``stream``."""
-        return (self.next_u64(stream) >> 11) * (1.0 / (1 << 53))
 
-    def randint(self, stream: int, bound: int) -> int:
+class RingRandomSource:
+    """One :class:`ThunderRing` stream as a sampler's random source.
+
+    A draw steps the registers bound here (a bad stream id fails here)
+    exactly as :meth:`ThunderRing.next_u64` does, shared root included.
+    """
+
+    def __init__(self, ring: ThunderRing, stream: int) -> None:
+        lanes = ring._lanes.get(stream)
+        if lanes is None:
+            raise SamplingError(f"stream {stream} out of range for {ring.num_streams} streams")
+        self._ring = ring
+        self._stream = stream
+        self._root = ring._root
+        self._lanes = lanes
+        self._increment = ring._increments[stream]
+
+    def uniform(self) -> float:
+        """Uniform float in ``[0, 1)``: the top 53 bits of one draw."""
+        cell = self._root
+        cell[0] = root = (cell[0] * _LCG_MULTIPLIER + _LCG_INCREMENT) & _MASK64
+        lanes = self._lanes
+        x, y, z, w = lanes
+        t = x ^ ((x << 11) & _MASK32)
+        high = w ^ (w >> 19) ^ t ^ (t >> 8)
+        t = y ^ ((y << 11) & _MASK32)
+        low = high ^ (high >> 19) ^ t ^ (t >> 8)
+        lanes[0] = z
+        lanes[1] = w
+        lanes[2] = high
+        lanes[3] = low
+        word = ((root + self._increment) & _MASK64) ^ ((high << 32) | low)
+        return (word >> 11) * (1.0 / (1 << 53))
+
+    def randint(self, bound: int) -> int:
         """Uniform integer in ``[0, bound)`` via 64-bit rejection.
 
         Rejection keeps the distribution exactly uniform, matching the
@@ -118,7 +152,7 @@ class ThunderRing:
         # Zone rejection: accept draws below the largest multiple of bound.
         zone = (1 << 64) - ((1 << 64) % bound)
         while True:
-            draw = self.next_u64(stream)
+            draw = self._ring.next_u64(self._stream)
             if draw < zone:
                 return draw % bound
 
@@ -129,11 +163,13 @@ def stream_correlation(ring: ThunderRing, stream_a: int, stream_b: int, samples:
     Used by tests to check decorrelation: well-separated streams should
     show |r| within a few sigma of zero (sigma ~ 1/sqrt(samples)).
     """
+    source_a = RingRandomSource(ring, stream_a)
+    source_b = RingRandomSource(ring, stream_b)
     xs = []
     ys = []
     for _ in range(samples):
-        xs.append(ring.uniform(stream_a))
-        ys.append(ring.uniform(stream_b))
+        xs.append(source_a.uniform())
+        ys.append(source_b.uniform())
     n = float(samples)
     mean_x = sum(xs) / n
     mean_y = sum(ys) / n

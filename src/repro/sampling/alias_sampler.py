@@ -36,6 +36,17 @@ class AliasSampler(Sampler):
             raise SamplingError("AliasSampler.prepare(graph) must be called before sampling")
         return self._table
 
+    def draw(
+        self, graph: CSRGraph, vertex: int, degree: int, random_source: RandomSource
+    ) -> int:
+        """The index of ``vertex``'s next neighbour, ``degree >= 1``: one
+        uniform picks the table slot, a second keeps it or takes its alias."""
+        table = self.table
+        slot = min(int(random_source.uniform() * degree), degree - 1)
+        accept = random_source.uniform()
+        element = int(graph.row_ptr[vertex]) + slot
+        return slot if accept < table.prob[element] else int(table.alias[element])
+
     def sample(
         self,
         graph: CSRGraph,
@@ -43,9 +54,6 @@ class AliasSampler(Sampler):
         random_source: RandomSource,
     ) -> SampleOutcome:
         degree = self._require_degree(graph, context.vertex)
-        offset = int(graph.row_ptr[context.vertex])
-        u1 = random_source.uniform()
-        u2 = random_source.uniform()
-        index = self.table.sample_index(offset, degree, u1, u2)
+        index = self.draw(graph, context.vertex, degree, random_source)
         # One read for the alias slot, one for the chosen neighbor.
         return SampleOutcome(index=index, proposals=1, neighbor_reads=2)

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.errors import SamplingError
 from repro.graph.csr import CSRGraph
-from repro.rng.thundering import ThunderRing
+from repro.rng.thundering import RingRandomSource  # noqa: F401  (re-exported)
 
 
 def normalize_seed(seed: int) -> int:
@@ -98,21 +98,6 @@ class NumpyRandomSource:
         if bound <= 0:
             raise SamplingError(f"bound must be positive, got {bound}")
         return int(self._rng.integers(0, bound))
-
-
-class RingRandomSource:
-    """Adapter over one :class:`~repro.rng.thundering.ThunderRing` stream
-    (simulated hardware)."""
-
-    def __init__(self, ring: ThunderRing, stream: int) -> None:
-        self._ring = ring
-        self._stream = stream
-
-    def uniform(self) -> float:
-        return self._ring.uniform(self._stream)
-
-    def randint(self, bound: int) -> int:
-        return self._ring.randint(self._stream, bound)
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,6 +16,12 @@ class UniformSampler(Sampler):
     rp_entry_bits = 64
     name = "uniform"
 
+    def draw(
+        self, graph: CSRGraph, vertex: int, degree: int, random_source: RandomSource
+    ) -> int:
+        """The index of ``vertex``'s next neighbour, ``degree >= 1``."""
+        return random_source.randint(degree)
+
     def sample(
         self,
         graph: CSRGraph,
@@ -23,5 +29,5 @@ class UniformSampler(Sampler):
         random_source: RandomSource,
     ) -> SampleOutcome:
         degree = self._require_degree(graph, context.vertex)
-        index = random_source.randint(degree)
+        index = self.draw(graph, context.vertex, degree, random_source)
         return SampleOutcome(index=index, proposals=1, neighbor_reads=1)

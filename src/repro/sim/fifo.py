@@ -12,7 +12,7 @@ and is what lets the kernel call modules in any fixed order without
 combinational races.
 
 The status flags are registers too, kept as two running counters rather
-than recomputed from the queues on every read:
+than recomputed from the queue on every read:
 
 * ``ready`` — committed items a consumer may still pop this cycle (the
   AXI-Stream ``valid`` side; ``is_empty()`` is ``ready == 0``);
@@ -22,9 +22,12 @@ than recomputed from the queues on every read:
   same conservatively-registered full flag a hardware FIFO exports, so a
   pop frees no space until the commit.
 
-``push`` / ``pop`` move one counter each and ``commit`` reloads both.
-Hot modules read the counters directly; ``is_empty()`` / ``is_full()``
-stay the public API with the same meaning.
+One deque holds the committed items still unpopped, then this cycle's
+pushes behind them.  ``ready`` guards the committed head, so ``pop``
+takes from the left at once and ``push`` appends at the right; the
+commit moves no item, it only reloads both counters (and the peak) from
+the deque's length.  Hot modules read the counters directly;
+``is_empty()`` / ``is_full()`` stay the public API with the same meaning.
 
 A FIFO made by :meth:`SimulationKernel.make_fifo` shares the kernel's
 touched-list: its first push or pop of a cycle appends it there, and the
@@ -62,10 +65,10 @@ class StreamFifo(Generic[T]):
         # this fifo is already on it this cycle (always, when there is none).
         self._touched = touched
         self._listed = touched is None
+        #: Committed items not yet popped, then this cycle's pushes.
         self._queue: deque[T] = deque()
-        self._staged: list[T] = []
-        #: Registered flags: ``len(_queue) - pops this cycle`` and
-        #: ``capacity - len(_queue) - len(_staged)``.
+        #: Registered flags: committed items minus this cycle's pops, and
+        #: ``capacity`` minus committed items and this cycle's pushes.
         self.ready = 0
         self.space = capacity
         self.total_pushed = 0
@@ -83,7 +86,7 @@ class StreamFifo(Generic[T]):
         """Stage a push; visible to consumers next cycle."""
         if not self.space:
             raise SimulationError(f"push into full fifo {self.name!r}")
-        self._staged.append(item)
+        self._queue.append(item)
         self.space -= 1
         self.total_pushed += 1
         if not self._listed:
@@ -108,19 +111,18 @@ class StreamFifo(Generic[T]):
         """Peek the oldest committed item."""
         if not self.ready:
             raise SimulationError(f"front of empty fifo {self.name!r}")
-        return self._queue[-self.ready]
+        return self._queue[0]
 
     def pop(self) -> T:
-        """Consume the oldest committed item (removed at commit)."""
-        ready = self.ready
-        if not ready:
-            raise SimulationError(f"front of empty fifo {self.name!r}")
-        self.ready = ready - 1
+        """Consume the oldest committed item."""
+        if not self.ready:
+            raise SimulationError(f"pop from empty fifo {self.name!r}")
+        self.ready -= 1
         self.total_popped += 1
         if not self._listed:
             self._listed = True
             self._touched.append(self)
-        return self._queue[-ready]
+        return self._queue.popleft()
 
     def try_pop(self) -> T | None:
         """Pop if available; ``None`` otherwise (non-blocking read)."""
@@ -132,17 +134,9 @@ class StreamFifo(Generic[T]):
     # Kernel side
     # ------------------------------------------------------------------
     def commit(self) -> None:
-        """End-of-cycle: apply pops, make staged pushes visible."""
-        queue = self._queue
-        pops = len(queue) - self.ready
-        while pops:
-            queue.popleft()
-            pops -= 1
-        staged = self._staged
-        if staged:
-            queue.extend(staged)
-            staged.clear()
-        held = len(queue)
+        """End-of-cycle: make this cycle's pushes visible and its pops
+        free their space."""
+        held = len(self._queue)
         self.ready = held
         self.space = self.capacity - held
         if held > self.peak_occupancy:
@@ -151,11 +145,13 @@ class StreamFifo(Generic[T]):
 
     def occupancy(self) -> int:
         """Committed items currently held (before this cycle's pops)."""
-        return len(self._queue)
+        # ``capacity - space`` is committed plus pushed; the pushes are
+        # what the deque holds beyond ``ready``.
+        return self.capacity - self.space - len(self._queue) + self.ready
 
     def in_flight(self) -> int:
         """Committed plus staged items — work the fifo is responsible for."""
-        return self.ready + len(self._staged)
+        return len(self._queue)
 
     def __len__(self) -> int:
         return self.occupancy()

@@ -40,6 +40,9 @@ class SimulationKernel:
             raise SimulationError("core_mhz must be positive")
         self.core_mhz = core_mhz
         self._modules: list[Module] = []
+        # The modules' bound ``tick`` methods in the same order, bound as
+        # each module is added, so a cycle resolves no method.
+        self._ticks: list[Callable[[int], None]] = []
         self._fifos: list[StreamFifo] = []
         # FIFOs pushed or popped this cycle (each lists itself once), and
         # how many have been committed so far — the FIFO half of progress.
@@ -61,8 +64,10 @@ class SimulationKernel:
         """
         if prepend:
             self._modules.insert(0, module)
+            self._ticks.insert(0, module.tick)
         else:
             self._modules.append(module)
+            self._ticks.append(module.tick)
         return module
 
     def add_modules(self, modules: Iterable[Module]) -> None:
@@ -87,8 +92,8 @@ class SimulationKernel:
     def step(self) -> None:
         """Advance exactly one cycle."""
         cycle = self.cycle
-        for module in self._modules:
-            module.tick(cycle)
+        for tick in self._ticks:
+            tick(cycle)
         for memory in self._memories:
             memory.tick()
         touched = self._touched

@@ -1,9 +1,13 @@
 """Integration tests for the full RidgeWalker machine (small configs)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.core import RidgeWalker, RidgeWalkerConfig
+from repro.core.accelerator import _Machine
 from repro.errors import GraphError, WalkConfigError
 from repro.graph import cycle_graph, load_dataset, path_graph
 from repro.graph.datasets import assign_metapath_schema
@@ -208,3 +212,27 @@ class TestStreaming:
             rw.run_streaming([], measure_cycles=100)
         with pytest.raises(WalkConfigError):
             rw.run_streaming([Query(0, 0)], measure_cycles=0)
+
+
+class TestMachineLifetime:
+    @pytest.mark.parametrize("spec", [DeepWalkSpec(max_length=8), URWSpec(max_length=8),
+                                      Node2VecSpec(max_length=8)],
+                             ids=["alias", "uniform", "rejection"])
+    def test_a_finished_machine_is_freed_by_reference_counting(self, spec):
+        """No reference cycle runs through a machine: the bound draws,
+        routes, hooks and tick list point down, never back at a module,
+        so a finished machine (sampler tables, memory system, recorder)
+        goes the moment its last reference does, with no collector pass."""
+        g = load_dataset("AS", scale=0.1, seed=1)
+        machine = _Machine(g, spec, small_config(), 3, make_queries(g, 16, seed=2))
+        sampling = machine.pipelines[0].sampling
+        hop = machine.pipelines[0].row_access._route.__self__
+        refs = [weakref.ref(machine), weakref.ref(sampling), weakref.ref(hop)]
+        gc.disable()
+        try:
+            run = machine.execute()
+            assert run.results.total_steps > 0
+            del machine, sampling, hop
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()

@@ -252,6 +252,18 @@ class TestResponseRouter:
         assert self.drain(slow) == ["s1", "s2"] and router.delivered == 23
         assert channel.peek_response().tag[1] == "s3"
 
+    def test_a_lone_response_is_delivered_in_place_or_left_queued(self):
+        dest = StreamFifo(1, "dest")
+        dest.push("held")                        # full: refuses this cycle
+        router, channel = self.completed([(dest, "r0")])
+        router.tick(0)
+        assert router.delivered == 0 and channel.peek_response().tag[1] == "r0"
+        assert self.drain(dest) == ["held"]
+        router.tick(1)
+        assert router.delivered == 1 and not channel.has_response()
+        assert self.drain(dest) == ["r0"]
+        assert (router.stats.starved_cycles, router.stats.active_cycles) == (1, 1)
+
     def test_only_the_oldest_64_responses_are_offered(self):
         slow, fast = StreamFifo(1, "slow"), StreamFifo(8, "fast")
         slow.push("held")                        # slow refuses everything

@@ -10,6 +10,7 @@ from repro.graph import (
     build_alias_table,
     from_edges,
 )
+from repro.sampling import AliasSampler, NumpyRandomSource, StepContext
 
 
 def alias_exact_distribution(prob: np.ndarray, alias: np.ndarray) -> np.ndarray:
@@ -102,21 +103,22 @@ class TestBuildAliasTable:
 
     def test_sample_index_statistics(self):
         g = self.graph()
-        table = build_alias_table(g)
-        rng = np.random.default_rng(0)
-        lo, d = int(g.row_ptr[0]), g.degree(0)
+        sampler = AliasSampler(build_alias_table(g))
+        source = NumpyRandomSource(np.random.default_rng(0))
+        d = g.degree(0)
         draws = np.zeros(d)
         n = 40_000
         for _ in range(n):
-            draws[table.sample_index(lo, d, rng.random(), rng.random())] += 1
+            draws[sampler.draw(g, 0, d, source)] += 1
         expected = alias_expected_distribution(g, 0)
         assert np.allclose(draws / n, expected, atol=0.02)
 
     def test_sample_index_rejects_empty(self):
         g = self.graph()
-        table = build_alias_table(g)
-        with pytest.raises(SamplingError, match="empty"):
-            table.sample_index(0, 0, 0.5, 0.5)
+        sampler = AliasSampler(build_alias_table(g))
+        source = NumpyRandomSource(np.random.default_rng(0))
+        with pytest.raises(SamplingError, match="dangling vertex 3"):
+            sampler.sample(g, StepContext(3), source)
 
     def test_table_bytes(self):
         g = self.graph()

@@ -100,9 +100,12 @@ class TestTaskDuplication:
 class TestWedgedModule:
     def test_wedged_sampler_is_detected(self):
         machine, queries = build_machine()
-        # Break one sampling module: it stops ticking (hard hang).
+        # Break one sampling module: it stops ticking (hard hang).  The
+        # kernel ticks through the methods it bound at registration, so
+        # the hang goes where it reads them.
         broken = machine.pipelines[0].sampling
-        broken.tick = lambda cycle: None
+        ticks = machine.kernel._ticks
+        ticks[ticks.index(broken.tick)] = lambda cycle: None
         with pytest.raises((DeadlockError, SimulationError)):
             machine.kernel.run_until(
                 lambda: machine.writer.completed >= len(queries), max_cycles=80_000

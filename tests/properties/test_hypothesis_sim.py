@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core import Dispatcher, Merger
 from repro.memory import MemoryChannel, MemoryRequest, MemorySpec
-from repro.rng import ThunderRing
+from repro.rng import RingRandomSource, ThunderRing
 from repro.sim import SimulationKernel, StreamFifo
 
 actions = st.lists(st.sampled_from(["push", "pop", "commit"]), min_size=1, max_size=200)
@@ -123,12 +123,13 @@ class TestRngContracts:
     def test_uniforms_in_unit_interval(self, seed, streams):
         ring = ThunderRing(streams, seed=seed)
         for s in range(streams):
+            source = RingRandomSource(ring, s)
             for _ in range(20):
-                assert 0.0 <= ring.uniform(s) < 1.0
+                assert 0.0 <= source.uniform() < 1.0
 
     @given(seed=st.integers(0, 2**32), bound=st.integers(1, 1000))
     @settings(max_examples=40, deadline=None)
     def test_randint_in_bounds(self, seed, bound):
-        ring = ThunderRing(1, seed=seed)
+        source = RingRandomSource(ThunderRing(1, seed=seed), 0)
         for _ in range(30):
-            assert 0 <= ring.randint(0, bound) < bound
+            assert 0 <= source.randint(bound) < bound

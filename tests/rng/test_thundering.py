@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SamplingError
-from repro.rng import SplitMix64, ThunderRing, XorShift128, stream_correlation
+from repro.rng import RingRandomSource, SplitMix64, ThunderRing, XorShift128, stream_correlation
 from repro.rng.thundering import _LCG_INCREMENT, _LCG_MULTIPLIER
 
 _MASK64 = (1 << 64) - 1
@@ -33,21 +33,19 @@ class TestDeterminism:
         assert [a.next_u64(0) for _ in range(4)] != [b.next_u64(0) for _ in range(4)]
 
     def test_streams_differ(self):
-        ring = ThunderRing(4, seed=3)
-        s0 = [ring.uniform(0) for _ in range(16)]
-        ring2 = ThunderRing(4, seed=3)
-        s1 = [ring2.uniform(1) for _ in range(16)]
-        assert s0 != s1
+        s0 = RingRandomSource(ThunderRing(4, seed=3), 0)
+        s1 = RingRandomSource(ThunderRing(4, seed=3), 1)
+        assert [s0.uniform() for _ in range(16)] != [s1.uniform() for _ in range(16)]
 
 
 class TestStatistics:
     def test_uniform_range(self):
-        ring = ThunderRing(2, seed=1)
-        assert all(0.0 <= ring.uniform(0) < 1.0 for _ in range(1000))
+        source = RingRandomSource(ThunderRing(2, seed=1), 0)
+        assert all(0.0 <= source.uniform() < 1.0 for _ in range(1000))
 
     def test_uniform_moments(self):
-        ring = ThunderRing(1, seed=2)
-        draws = np.array([ring.uniform(0) for _ in range(20_000)])
+        source = RingRandomSource(ThunderRing(1, seed=2), 0)
+        draws = np.array([source.uniform() for _ in range(20_000)])
         assert abs(draws.mean() - 0.5) < 0.01
         assert abs(draws.var() - 1 / 12) < 0.005
 
@@ -65,28 +63,28 @@ class TestStatistics:
 
 class TestRandint:
     def test_bounds(self):
-        ring = ThunderRing(1, seed=7)
-        draws = [ring.randint(0, 10) for _ in range(2000)]
+        source = RingRandomSource(ThunderRing(1, seed=7), 0)
+        draws = [source.randint(10) for _ in range(2000)]
         assert min(draws) >= 0 and max(draws) < 10
 
     def test_uniformity_chi_square(self):
-        ring = ThunderRing(1, seed=8)
+        source = RingRandomSource(ThunderRing(1, seed=8), 0)
         counts = np.zeros(7)
         n = 14_000
         for _ in range(n):
-            counts[ring.randint(0, 7)] += 1
+            counts[source.randint(7)] += 1
         expected = n / 7
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < 6 + 6 * np.sqrt(12)  # 6 dof, generous bound
 
     def test_bound_one_always_zero(self):
-        ring = ThunderRing(1, seed=9)
-        assert all(ring.randint(0, 1) == 0 for _ in range(20))
+        source = RingRandomSource(ThunderRing(1, seed=9), 0)
+        assert all(source.randint(1) == 0 for _ in range(20))
 
     def test_rejects_nonpositive_bound(self):
-        ring = ThunderRing(1, seed=10)
+        source = RingRandomSource(ThunderRing(1, seed=10), 0)
         with pytest.raises(SamplingError):
-            ring.randint(0, 0)
+            source.randint(0)
 
     def test_rejects_bad_stream(self):
         ring = ThunderRing(2, seed=11)
@@ -97,8 +95,9 @@ class TestRandint:
 class TestPinnedDraws:
     """The draws of ``ThunderRing(4, seed)``, recorded from the
     object-per-stream implementation: 64 ``next_u64`` interleaved over
-    streams 0-3, then 16 ``randint(s, 7)`` and 16 ``uniform`` the same
-    way.  The cycle model's every decision comes from these streams."""
+    streams 0-3, then 16 ``randint(7)`` and 16 ``uniform()`` the same
+    way, through one ``RingRandomSource`` per stream.  The cycle model's
+    every decision comes from these streams."""
 
     PINNED = {
         0: ("8d22639f86b93b9a2bcff22c2691ca8cea858b08a0c8e010c59bc69aa053d2cf",
@@ -113,9 +112,10 @@ class TestPinnedDraws:
     def test_draws_are_pinned(self, seed):
         digest, first_words, randints = self.PINNED[seed]
         ring = ThunderRing(4, seed)
+        sources = [RingRandomSource(ring, s) for s in range(4)]
         words = [ring.next_u64(i % 4) for i in range(64)]
-        ints = [ring.randint(i % 4, 7) for i in range(16)]
-        floats = [ring.uniform(i % 4) for i in range(16)]
+        ints = [sources[i % 4].randint(7) for i in range(16)]
+        floats = [sources[i % 4].uniform() for i in range(16)]
         assert words[:4] == first_words
         assert ints == randints
         assert hashlib.sha256(repr((words, ints, floats)).encode()).hexdigest() == digest
@@ -151,4 +151,30 @@ class TestDefinitionOracle:
         ring, oracle = ThunderRing(8, 3), _OracleRing(8, 3)
         with pytest.raises(SamplingError, match="out of range"):
             ring.next_u64(stream)
+        with pytest.raises(SamplingError, match="out of range"):
+            RingRandomSource(ring, stream)
         assert [ring.next_u64(s) for s in range(8)] == [oracle.next_u64(s) for s in range(8)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_stream_handles_step_the_ring_they_share(self, seed):
+        """A handle's inline uniform is ``next_u64``'s top 53 bits, and
+        handles, ``randint`` and ``next_u64`` on one ring interleave
+        into the definition's one sequence."""
+        ring, oracle = ThunderRing(8, seed), _OracleRing(8, seed)
+        sources = [RingRandomSource(ring, s) for s in range(8)]
+        order = np.random.default_rng(seed % 997).integers(0, 8, size=600)
+        for i, stream in enumerate(order.tolist()):
+            if i % 3 == 0:
+                assert sources[stream].uniform() == (oracle.next_u64(stream) >> 11) * 2.0**-53
+            elif i % 3 == 1:
+                assert sources[stream].randint(2**63 + 1) == _oracle_randint(
+                    oracle, stream, 2**63 + 1)
+            else:
+                assert ring.next_u64(stream) == oracle.next_u64(stream)
+
+
+def _oracle_randint(oracle, stream, bound):
+    zone = 2**64 - 2**64 % bound
+    while (draw := oracle.next_u64(stream)) >= zone:
+        pass
+    return draw % bound

@@ -1,7 +1,7 @@
 """The packed alias slot: one 16-byte record per edge, everywhere.
 
 ``pack_alias_slots`` is held to a scalar oracle; the kernel that samples
-from the records is held to the scalar ``AliasTable``; and every place
+from the records is held to the scalar ``AliasSampler.draw``; and every place
 that carries alias state — the kernel's export, the dynamic snapshots, an
 engine swapped onto one — is shown to carry the one record array,
 zero-copy, without packing it again.
@@ -19,6 +19,7 @@ from repro.engines import prepare_engine, run_software_walks
 from repro.errors import GraphError
 from repro.graph import CSRGraph, from_edges, rmat
 from repro.graph.alias import build_alias_table
+from repro.sampling import AliasSampler
 from repro.sampling import vectorized
 from repro.sampling.vectorized import (
     ALIAS_SLOT,
@@ -140,15 +141,22 @@ def test_state_round_trip_is_zero_copy_and_read_only():
         == ["_slots"]
 
 
+class Replay:
+    """A random source handing out the given uniforms in order."""
+
+    def __init__(self, *uniforms):
+        self.uniform = iter(uniforms).__next__
+
+
 @pytest.mark.parametrize("make_graph", [weighted_rmat, hub_graph, unsorted_graph,
                                         lambda: random_graph(4, False)],
                          ids=["rmat", "hub", "unsorted", "unweighted"])
 def test_kernel_moves_where_the_scalar_table_points(make_graph):
     """Same uniforms, same slot, same compare: the vertex the kernel
-    returns is the neighbour at the index ``AliasTable.sample_index``
-    picks."""
+    returns is the neighbour at the index the scalar ``AliasSampler.draw``
+    (the cycle model's decision) picks."""
     graph = make_graph()
-    table = build_alias_table(graph)
+    sampler = AliasSampler(build_alias_table(graph))
     kernel = AliasKernel()
     kernel.prepare(graph)
     rng = np.random.default_rng(8)
@@ -159,7 +167,7 @@ def test_kernel_moves_where_the_scalar_table_points(make_graph):
     twin = QueryStreams(6, ids)
     u1, u2 = twin.uniforms(), twin.uniforms()
     index = np.array([
-        table.sample_index(int(graph.row_ptr[v]), graph.degree(int(v)), float(a), float(b))
+        sampler.draw(graph, int(v), graph.degree(int(v)), Replay(float(a), float(b)))
         for v, a, b in zip(current, u1, u2)
     ])
     assert batch.vertex.dtype == np.int64

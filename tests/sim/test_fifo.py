@@ -93,8 +93,16 @@ class TestConsumerSide:
         assert f.try_pop() is None
 
     def test_front_empty_raises(self):
-        with pytest.raises(SimulationError, match="empty"):
-            StreamFifo(2).front()
+        with pytest.raises(SimulationError, match="front of empty fifo 'f'"):
+            StreamFifo(2, "f").front()
+
+    def test_pop_empty_raises(self):
+        f = StreamFifo(2, "f")
+        with pytest.raises(SimulationError, match="pop from empty fifo 'f'"):
+            f.pop()
+        f.push(1)
+        with pytest.raises(SimulationError, match="pop from empty fifo 'f'"):
+            f.pop()                  # staged, not yet committed
 
     def test_in_flight_counts_staged_and_committed(self):
         f = StreamFifo(4)
@@ -153,7 +161,9 @@ class RecomputingFifo:
         return self.queue[self.pops]
 
     def pop(self):
-        item = self.front()
+        if self.is_empty():
+            raise SimulationError(f"pop from empty fifo {self.name!r}")
+        item = self.queue[self.pops]
         self.pops += 1
         self.total_popped += 1
         return item
@@ -203,8 +213,8 @@ class TestCountersAgainstRecomputingOracle:
             else:
                 got, want = outcome(getattr(fifo, op)), outcome(getattr(oracle, op))
             assert got == want, op
-            assert fifo.ready == len(fifo._queue) - oracle.pops
-            assert fifo.space == fifo.capacity - len(fifo._queue) - len(fifo._staged)
+            assert fifo.ready == len(oracle.queue) - oracle.pops
+            assert fifo.space == fifo.capacity - len(oracle.queue) - len(oracle.staged)
             assert (fifo.is_empty(), fifo.is_full()) == (oracle.is_empty(), oracle.is_full())
             assert (fifo.total_pushed, fifo.total_popped, fifo.peak_occupancy) == (
                 oracle.total_pushed, oracle.total_popped, oracle.peak_occupancy)
