@@ -12,10 +12,16 @@ Walks through the scheduler's three layers with direct measurements:
 Run:  python examples/scheduler_anatomy.py
 """
 
-from repro.core import ButterflyBalancer, Dispatcher, RidgeWalker, RidgeWalkerConfig
+from repro.core import (
+    ButterflyBalancer,
+    Dispatcher,
+    RidgeWalker,
+    RidgeWalkerConfig,
+    theorem_fifo_depth,
+)
 from repro.graph import load_dataset
 from repro.memory.spec import HBM2_U55C
-from repro.queueing import depth_sweep, minimum_depth_per_pipeline
+from repro.queueing import depth_sweep
 from repro.sim import SimulationKernel
 from repro.walks import URWSpec, make_queries
 
@@ -70,7 +76,7 @@ def butterfly_demo() -> None:
 
 def theorem_demo() -> None:
     print("== 3. Theorem VI.1: depth vs bubbles (N=16, C=16) ==")
-    theorem = minimum_depth_per_pipeline(16)
+    theorem = theorem_fifo_depth(16)
     sweep = depth_sweep(num_servers=16, feedback_delay=16,
                         depths=[1, 4, 8, theorem, 2 * theorem], cycles=6000)
     for depth, bubbles in sweep.items():

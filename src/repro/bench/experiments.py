@@ -19,17 +19,23 @@ from repro.bench.workloads import (
     num_queries,
     run_ridgewalker_streaming,
 )
+from repro.core.config import theorem_fifo_depth
 from repro.graph import DATASET_ORDER, degree_statistics, estimate_diameter, get_spec
 from repro.graph.datasets import load_dataset
 from repro.memory.spec import (
     DDR4_U250,
-    DDR4_VCK5000,
     HBM2_U50,
     HBM2_U280,
     HBM2_U55C,
 )
-from repro.queueing import depth_sweep, minimum_depth_per_pipeline
-from repro.resources import ALVEO_U55C, SCHEDULER_STANDALONE_MHZ, scheduler_resources, table4_row
+from repro.queueing import depth_sweep
+from repro.resources import (
+    ALVEO_U55C,
+    SCHEDULER_STANDALONE_MHZ,
+    get_device,
+    scheduler_resources,
+    table4_row,
+)
 from repro.walks import make_queries
 
 #: Table I rows (GRW, weighted?, sampling algorithm, RP entry bits).
@@ -333,25 +339,22 @@ def tab2_datasets() -> ExperimentResult:
     return result
 
 
-#: Table III devices: (name, memory spec, pipelines).
-TAB3_DEVICES = (
-    ("U250", DDR4_U250, 2),
-    ("VCK5000", DDR4_VCK5000, 2),
-    ("U50", HBM2_U50, 16),
-    ("U55C", HBM2_U55C, 16),
-)
+#: Table III devices, in the paper's column order.
+TAB3_DEVICES = ("U250", "VCK5000", "U50", "U55C")
 
 
 def tab3_devices(datasets: tuple[str, ...] = ("WG", "AS", "LJ")) -> ExperimentResult:
     """Table III: average URW throughput and utilization per FPGA."""
     result = ExperimentResult("tab3", "URW throughput across FPGAs (Table III)")
-    for device_name, memory, pipelines in TAB3_DEVICES:
+    for device_name in TAB3_DEVICES:
+        device = get_device(device_name)
+        memory = device.memory
         throughputs = []
         utilizations = []
         for dataset in datasets:
             workload = make_workload(dataset, "URW")
             metrics = run_ridgewalker_streaming(
-                workload, memory=memory, num_pipelines=pipelines
+                workload, memory=memory, num_pipelines=device.max_pipelines
             )
             throughputs.append(metrics.msteps_per_second())
             utilizations.append(metrics.bandwidth_utilization())
@@ -416,7 +419,7 @@ def micro_scheduler_depth() -> ExperimentResult:
         "micro-depth", "Bubble ratio vs scheduler FIFO depth (Theorem VI.1)"
     )
     n = 16
-    theorem = minimum_depth_per_pipeline(n)
+    theorem = theorem_fifo_depth(n)
     sweep = depth_sweep(
         num_servers=n,
         feedback_delay=16,

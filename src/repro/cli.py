@@ -133,10 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch", type=int, default=64,
                        help="walkers that may share one engine step")
     serve.add_argument("--depth", type=int, default=None,
-                       help="admission high-water (outstanding requests); "
-                       "default: large enough to never shed this workload — "
-                       "size real deployments with "
-                       "repro.serve.recommended_queue_depth")
+                       help="admission high-water (outstanding requests), "
+                       "per tenant with --tenants; default: large enough "
+                       "to never shed this workload")
     serve.add_argument("--length", type=int, default=80)
     serve.add_argument("--seed", type=int, default=1)
     serve.add_argument("--scale", type=float, default=1.0,
@@ -385,8 +384,8 @@ def cmd_serve_bench(args) -> int:
     queries = make_queries(graph, args.requests, seed=derive_seed(args.seed, "queries"))
     starts = np.fromiter((q.start_vertex for q in queries), dtype=np.int64,
                          count=len(queries))
-    # The CLI default never sheds: sizing a real deployment's depth is
-    # recommended_queue_depth's job, and it needs a measured service rate.
+    # The CLI default never sheds; a deployment passes the depth its own
+    # latency budget allows.
     depth = args.depth or max(2 * args.max_batch, args.requests)
     config = ServeConfig(max_batch=args.max_batch, queue_depth=depth)
 

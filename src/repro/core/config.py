@@ -40,12 +40,13 @@ from repro.memory.spec import HBM2_U55C, MemorySpec
 SYNC_OUTSTANDING = 4
 
 
-def theorem_fifo_depth(num_pipelines: int, mu: float = 1.0) -> int:
+def theorem_fifo_depth(num_pipelines: int) -> int:
     """Theorem VI.1 per-pipeline queue depth.
 
     Total depth ``D = N + mu*C*N`` with feedback delay ``C = 4*log2(N)``
     (2*log2(N) through the butterfly balancer plus the round trip to the
-    pipeline, Section VI-D), i.e. ``1 + 4*log2(N)`` per pipeline.  This
+    pipeline, Section VI-D).  Each pipeline retires one task per cycle,
+    so ``mu = 1`` and the depth is ``1 + 4*log2(N)`` per pipeline.  This
     is the paper's ``C``; an uncongested task takes ``6*log2(N) + 1``
     cycles through the modelled balancer (see ``core.interconnect``).
     """
@@ -53,8 +54,7 @@ def theorem_fifo_depth(num_pipelines: int, mu: float = 1.0) -> int:
         raise SchedulerError(f"num_pipelines must be >= 1, got {num_pipelines}")
     if num_pipelines == 1:
         return 1
-    log_n = math.ceil(math.log2(num_pipelines))
-    return int(1 + math.ceil(4 * mu * log_n))
+    return 1 + 4 * math.ceil(math.log2(num_pipelines))
 
 
 @dataclass(frozen=True)
@@ -159,9 +159,3 @@ class RidgeWalkerConfig:
         this configuration provisions (2 per pipeline)."""
         per_channel = self.memory.channel_tx_per_core_cycle(self.core_mhz)
         return per_channel * 2 * self.num_pipelines
-
-    def peak_msteps_per_second(self) -> float:
-        """Ideal throughput if every channel issued at its random-access
-        rate and each step cost one row + one column transaction."""
-        per_channel_msteps = self.memory.random_tx_rate_mhz
-        return min(per_channel_msteps, self.core_mhz) * self.num_pipelines

@@ -10,7 +10,6 @@ from repro.memory.spec import (
     HBM2_U55C,
     RANDOM_TX_BYTES,
     MemorySpec,
-    equation1_peak_gbs,
 )
 from repro.memory.system import ChannelGroup, MemorySystem
 
@@ -29,5 +28,4 @@ __all__ = [
     "MemorySystem",
     "RANDOM_TX_BYTES",
     "RowPointerEntry",
-    "equation1_peak_gbs",
 ]

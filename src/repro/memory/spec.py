@@ -79,10 +79,6 @@ class MemorySpec:
         """Equation (1): peak random-access bandwidth in GB/s."""
         return self.random_tx_rate_mhz * 1e6 * self.num_channels * RANDOM_TX_BYTES / 1e9
 
-    def peak_random_tx_per_second(self) -> float:
-        """Total random 64-bit transactions per second across channels."""
-        return self.random_tx_rate_mhz * 1e6 * self.num_channels
-
     def channel_tx_per_core_cycle(self, core_mhz: float) -> float:
         """Random transactions one channel can issue per core clock cycle."""
         if core_mhz <= 0:
@@ -106,20 +102,6 @@ class MemorySpec:
         if words < 1:
             raise MemoryModelError(f"burst must cover >= 1 word, got {words}")
         return 1.0 + (words - 1) / self.sequential_words_per_tx()
-
-
-def equation1_peak_gbs(f_mem_mhz: float, t_rrd_ns: float, num_channels: int) -> float:
-    """Equation (1) in its literal form: ``f_mem/t_RRD * N_chn * 8B``.
-
-    ``f_mem/t_RRD`` is the row-activation-limited random transaction rate;
-    with ``f_mem`` in MHz and ``t_RRD`` in nanoseconds the product
-    ``f_mem * 1e6 / (t_RRD * f_mem * 1e6 * 1e-9) = 1/t_RRD * 1e9``
-    collapses to activations per second.
-    """
-    if f_mem_mhz <= 0 or t_rrd_ns <= 0 or num_channels < 1:
-        raise MemoryModelError("f_mem, t_RRD and channel count must be positive")
-    activations_per_second = 1e9 / t_rrd_ns
-    return activations_per_second * num_channels * RANDOM_TX_BYTES / 1e9
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ class MemorySystem:
         if num_row_channels < 1 or num_column_channels < 1:
             raise MemoryModelError("need at least one channel per group")
         self.spec = spec
-        self.core_mhz = core_mhz
         # Every channel adds its accepted requests to this one cell.
         self._accepted = [0]
         self._row_channels = [
@@ -115,21 +114,3 @@ class MemorySystem:
         """Random transactions accepted across all channels (a running
         count kept by the channels, however a request reached them)."""
         return self._accepted[0]
-
-    def effective_bandwidth_gbs(self, cycles: int) -> float:
-        """Achieved bandwidth over ``cycles`` core cycles, in GB/s.
-
-        ``B_measured`` in the paper's utilization metric: bytes moved
-        divided by elapsed time at the core clock.
-        """
-        if cycles <= 0:
-            raise MemoryModelError("cycles must be positive")
-        seconds = cycles / (self.core_mhz * 1e6)
-        return self.total_words_transferred() * 8 / seconds / 1e9
-
-    def utilization(self, cycles: int) -> float:
-        """``B_measured / B_peak`` against the Equation (1) peak of the
-        channels actually provisioned (not the full stack)."""
-        provisioned = len(self.all_channels())
-        peak = self.spec.random_tx_rate_mhz * 1e6 * provisioned * 8 / 1e9
-        return self.effective_bandwidth_gbs(cycles) / peak

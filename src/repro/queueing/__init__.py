@@ -1,16 +1,11 @@
-"""Queueing theory: M/M/1[N] analytics and Theorem VI.1 validation."""
+"""Queueing theory: an independent simulation check of Theorem VI.1.
 
-from repro.queueing.buffering import (
-    feedback_delay_cycles,
-    is_zero_bubble_depth,
-    minimum_depth_per_pipeline,
-    minimum_total_depth,
-)
-from repro.queueing.mm1n import (
-    BulkServiceQueue,
-    weighted_capacity_split,
-    zero_bubble_condition,
-)
+The accelerator sizes its scheduler FIFOs with
+:func:`repro.core.config.theorem_fifo_depth`; this package checks that
+depth against a delayed-feedback model that shares no code with the
+accelerator.
+"""
+
 from repro.queueing.validation import (
     DelayedFeedbackResult,
     depth_sweep,
@@ -18,14 +13,7 @@ from repro.queueing.validation import (
 )
 
 __all__ = [
-    "BulkServiceQueue",
     "DelayedFeedbackResult",
     "depth_sweep",
-    "feedback_delay_cycles",
-    "is_zero_bubble_depth",
-    "minimum_depth_per_pipeline",
-    "minimum_total_depth",
     "simulate_delayed_feedback",
-    "weighted_capacity_split",
-    "zero_bubble_condition",
 ]

@@ -8,12 +8,11 @@ carry *classes* of traffic with different rates and different SLOs, so
 this module gives :class:`~repro.serve.service.WalkService` tenancy:
 
 * **Per-tenant admission.**  Every :class:`TenantSpec` owns its own
-  :class:`~repro.serve.admission.AdmissionGate`, sized from its
-  *declared* arrival rate against its *weight share* of service
-  capacity (:func:`size_tenant_depths`, built on the same M/M/1[N]
-  bulk-service model as the anonymous service's gate).  A tenant that
-  floods fills its own gate and sheds its own traffic; other tenants'
-  gates — and therefore their latency SLOs — are untouched.
+  :class:`~repro.serve.admission.AdmissionGate` of depth ``queue_depth``,
+  or ``ServeConfig.queue_depth`` when the spec leaves it unset.  A
+  tenant that floods fills its own gate and sheds its own traffic;
+  other tenants' gates — and therefore their latency SLOs — are
+  untouched.
 
 * **Weighted-priority dispatch.**  :class:`TenantScheduler` buffers
   admitted requests per tenant and composes each admission group by smooth
@@ -32,17 +31,11 @@ offline replay oracle regardless of tenant interleaving.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
 from repro.errors import ServeError
-from repro.queueing.mm1n import weighted_capacity_split
-from repro.serve.admission import (
-    MIN_DEPTH_BATCHES,
-    AdmissionGate,
-    recommended_queue_depth,
-)
+from repro.serve.admission import AdmissionGate
 
 #: Tenant name used when a service is built without explicit tenants
 #: (and the one `try_submit` assumes when no tenant is given).
@@ -56,17 +49,13 @@ class TenantSpec:
     ``weight``
         Dispatch priority share: while several tenants are backlogged,
         batch slots are split proportionally to weight.
-    ``rate_per_second``
-        The tenant's *declared* arrival rate, used to size its gate via
-        :func:`size_tenant_depths` (0 = undeclared: the gate falls back
-        to the minimum bulk-service depth or an explicit ``queue_depth``).
     ``queue_depth``
-        Explicit admission high-water for this tenant; overrides sizing.
+        Admission high-water for this tenant's gate; ``None`` takes the
+        service's ``ServeConfig.queue_depth``.
     """
 
     name: str
     weight: int = 1
-    rate_per_second: float = 0.0
     queue_depth: int | None = None
 
     def __post_init__(self) -> None:
@@ -76,62 +65,11 @@ class TenantSpec:
             raise ServeError(
                 f"tenant {self.name!r} weight must be >= 1, got {self.weight}"
             )
-        if self.rate_per_second < 0:
-            raise ServeError(
-                f"tenant {self.name!r} rate_per_second must be >= 0, "
-                f"got {self.rate_per_second}"
-            )
         if self.queue_depth is not None and self.queue_depth < 1:
             raise ServeError(
                 f"tenant {self.name!r} queue_depth must be >= 1, "
                 f"got {self.queue_depth}"
             )
-
-
-def size_tenant_depths(
-    specs: list[TenantSpec] | tuple[TenantSpec, ...],
-    service_rate: float,
-    max_batch: int,
-    safety: float = 4.0,
-) -> dict[str, int]:
-    """Admission high-water per tenant from declared rates and weights.
-
-    Each tenant's share of service capacity is its weight fraction
-    (:func:`repro.queueing.mm1n.weighted_capacity_split`); its depth is
-    then the M/M/1[N] recommendation for its declared rate against that
-    share.  Tenants without a declared rate get the model's minimum
-    (``MIN_DEPTH_BATCHES`` full batches); explicit ``queue_depth``
-    overrides win unconditionally.  A tenant whose declared rate exceeds
-    its capacity share is unstable *by declaration* and rejected loudly —
-    admission control cannot bound its latency, only shed it.
-    """
-    shares = weighted_capacity_split(
-        service_rate,
-        [s.weight for s in specs],
-        keys=[s.name for s in specs],
-    )
-    # The split's exact-sum contract is what makes per-tenant sizing
-    # sound: a share lost to rounding would size some gate against
-    # capacity nobody is ever dispatched.
-    if math.fsum(shares) != service_rate:
-        raise ServeError(
-            f"tenant capacity shares sum to {math.fsum(shares)!r}, not the "
-            f"service rate {service_rate!r} being split"
-        )
-    depths: dict[str, int] = {}
-    for spec, share in zip(specs, shares):
-        if spec.queue_depth is not None:
-            depths[spec.name] = spec.queue_depth
-        elif spec.rate_per_second > 0:
-            depths[spec.name] = recommended_queue_depth(
-                arrival_rate=spec.rate_per_second,
-                service_rate=share / max_batch,
-                max_batch=max_batch,
-                safety=safety,
-            )
-        else:
-            depths[spec.name] = MIN_DEPTH_BATCHES * max_batch
-    return depths
 
 
 class TenantScheduler:

@@ -93,10 +93,9 @@ class ServeConfig:
     ``queue_depth``
         Admission high-water: requests outstanding (queued, seated or
         executing) beyond which new arrivals are shed with
-        ``ServeOverloadError``.  Size it with
-        :func:`repro.serve.admission.recommended_queue_depth`.  With
-        tenants declared, this is the *per-tenant default* for specs
-        without their own ``queue_depth``.
+        ``ServeOverloadError``.  With tenants declared, this is the
+        depth of every tenant gate whose spec leaves ``queue_depth``
+        unset.
     """
 
     max_batch: int = 64

@@ -9,7 +9,6 @@ from repro.memory import (
     HBM2_U50,
     HBM2_U55C,
     MemorySpec,
-    equation1_peak_gbs,
 )
 
 
@@ -18,10 +17,6 @@ class TestMemorySpec:
         # Eq (1): rate * channels * 8 bytes.
         spec = MemorySpec("t", num_channels=4, random_tx_rate_mhz=100, sequential_gbs=50)
         assert spec.peak_random_bandwidth_gbs() == pytest.approx(4 * 100e6 * 8 / 1e9)
-
-    def test_peak_tx_per_second(self):
-        spec = MemorySpec("t", num_channels=2, random_tx_rate_mhz=150, sequential_gbs=50)
-        assert spec.peak_random_tx_per_second() == pytest.approx(300e6)
 
     def test_channel_tx_per_core_cycle(self):
         spec = MemorySpec("t", num_channels=1, random_tx_rate_mhz=160, sequential_gbs=10)
@@ -46,17 +41,6 @@ class TestMemorySpec:
             HBM2_U55C.burst_cost_tx(0)
         with pytest.raises(MemoryModelError):
             HBM2_U55C.channel_tx_per_core_cycle(0)
-
-
-class TestEquationOne:
-    def test_literal_form(self):
-        # 1/t_RRD activations/s * channels * 8B
-        assert equation1_peak_gbs(450, 10.0, 1) == pytest.approx(0.8)
-        assert equation1_peak_gbs(450, 10.0, 32) == pytest.approx(25.6)
-
-    def test_validation(self):
-        with pytest.raises(MemoryModelError):
-            equation1_peak_gbs(0, 1, 1)
 
 
 class TestCatalog:

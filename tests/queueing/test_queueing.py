@@ -1,83 +1,10 @@
-"""Unit tests for the queueing-theory package (Section VI)."""
+"""Unit tests for the Theorem VI.1 delayed-feedback simulation (Section VI)."""
 
 import pytest
 
+from repro.core import theorem_fifo_depth
 from repro.errors import SchedulerError
-from repro.queueing import (
-    BulkServiceQueue,
-    depth_sweep,
-    feedback_delay_cycles,
-    is_zero_bubble_depth,
-    minimum_depth_per_pipeline,
-    minimum_total_depth,
-    simulate_delayed_feedback,
-    zero_bubble_condition,
-)
-
-
-class TestBulkServiceQueue:
-    def test_offered_load(self):
-        q = BulkServiceQueue(arrival_rate=8.0, service_rate=1.0, batch_size=16)
-        assert q.offered_load == pytest.approx(0.5)
-        assert q.is_stable()
-
-    def test_instability(self):
-        q = BulkServiceQueue(arrival_rate=20.0, service_rate=1.0, batch_size=16)
-        assert not q.is_stable()
-        assert q.throughput() == pytest.approx(16.0)
-
-    def test_stable_throughput_is_arrival_rate(self):
-        q = BulkServiceQueue(arrival_rate=5.0, service_rate=1.0, batch_size=16)
-        assert q.throughput() == pytest.approx(5.0)
-
-    def test_idle_pipelines(self):
-        q = BulkServiceQueue(arrival_rate=4.0, service_rate=1.0, batch_size=16)
-        assert q.idle_pipelines() == pytest.approx(12.0)
-        saturated = BulkServiceQueue(arrival_rate=32.0, service_rate=1.0, batch_size=16)
-        assert saturated.idle_pipelines() == pytest.approx(0.0)
-
-    def test_utilization_capped(self):
-        q = BulkServiceQueue(arrival_rate=100.0, service_rate=1.0, batch_size=16)
-        assert q.utilization() == 1.0
-
-    def test_validation(self):
-        with pytest.raises(SchedulerError):
-            BulkServiceQueue(arrival_rate=0, service_rate=1, batch_size=4)
-        with pytest.raises(SchedulerError):
-            BulkServiceQueue(arrival_rate=1, service_rate=0, batch_size=4)
-        with pytest.raises(SchedulerError):
-            BulkServiceQueue(arrival_rate=1, service_rate=1, batch_size=0)
-
-    def test_zero_bubble_condition(self):
-        assert zero_bubble_condition(8.0, 1.0, 16, backlog=16)
-        assert not zero_bubble_condition(8.0, 1.0, 16, backlog=15)
-
-
-class TestTheoremFormulas:
-    def test_feedback_delay(self):
-        # 4*log2(N) per Section VI-D.
-        assert feedback_delay_cycles(16) == 16
-        assert feedback_delay_cycles(4) == 8
-        assert feedback_delay_cycles(1) == 2
-
-    def test_minimum_total_depth(self):
-        # D = N + mu*C*N.
-        assert minimum_total_depth(16) == 16 + 16 * 16
-        assert minimum_total_depth(4, mu=2.0) == 4 + 2 * 8 * 4
-
-    def test_per_pipeline_depth(self):
-        assert minimum_depth_per_pipeline(16) == 17
-        assert minimum_depth_per_pipeline(4) == 9
-
-    def test_is_zero_bubble_depth(self):
-        assert is_zero_bubble_depth(17, 16)
-        assert not is_zero_bubble_depth(16, 16)
-
-    def test_validation(self):
-        with pytest.raises(SchedulerError):
-            minimum_total_depth(0)
-        with pytest.raises(SchedulerError):
-            minimum_total_depth(4, mu=0)
+from repro.queueing import depth_sweep, simulate_delayed_feedback
 
 
 class TestDelayedFeedbackSimulation:
@@ -93,7 +20,7 @@ class TestDelayedFeedbackSimulation:
         )
         deep = simulate_delayed_feedback(
             num_servers=16,
-            fifo_depth=minimum_depth_per_pipeline(16),
+            fifo_depth=theorem_fifo_depth(16),
             feedback_delay=16,
             cycles=5000,
             seed=2,

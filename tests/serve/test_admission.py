@@ -1,4 +1,4 @@
-"""Admission control: bounded occupancy, shedding, and depth sizing."""
+"""Admission control: bounded occupancy and shedding."""
 
 import asyncio
 
@@ -11,10 +11,8 @@ from repro.serve import (
     AdmissionGate,
     ServeConfig,
     WalkService,
-    recommended_queue_depth,
     run_open_loop,
 )
-from repro.serve.admission import MIN_DEPTH_BATCHES
 from repro.walks import URWSpec
 
 from test_service import SlowEngine
@@ -51,33 +49,6 @@ class TestAdmissionGate:
             AdmissionGate(high_water=0)
 
 
-class TestRecommendedQueueDepth:
-    def test_floor_is_two_full_batches(self):
-        # Nearly idle system: the zero-bubble floor applies.
-        depth = recommended_queue_depth(
-            arrival_rate=1.0, service_rate=1000.0, max_batch=32
-        )
-        assert depth == MIN_DEPTH_BATCHES * 32
-
-    def test_grows_with_offered_load(self):
-        depths = [
-            recommended_queue_depth(rate, service_rate=10.0, max_batch=16)
-            for rate in (40.0, 120.0, 150.0)  # rho = 0.25, 0.75, 0.94
-        ]
-        assert depths == sorted(depths)
-        assert depths[-1] > depths[0]
-
-    def test_unstable_load_rejected(self):
-        with pytest.raises(ServeError, match="rho"):
-            recommended_queue_depth(
-                arrival_rate=200.0, service_rate=10.0, max_batch=16
-            )
-
-    def test_bad_safety_rejected(self):
-        with pytest.raises(ServeError, match="safety"):
-            recommended_queue_depth(1.0, 1.0, 16, safety=0.0)
-
-
 class TestServiceShedding:
     def test_flood_sheds_and_recovers(self):
         """A burst past the high-water sheds the overflow with the typed
@@ -109,16 +80,14 @@ class TestServiceShedding:
         asyncio.run(scenario())
 
     def test_nominal_open_loop_load_never_sheds(self):
-        """At an offered load well under capacity, with the depth sized by
-        the occupancy model, zero requests are dropped — the invariant the
-        CI smoke also asserts."""
+        """At an offered load well under capacity, with a depth of two
+        full batches, zero requests are dropped — the invariant the CI
+        smoke also asserts."""
         graph = powerlaw(num_vertices=40, num_edges=160, seed=2)
         # The stub serves a batch in 1ms -> capacity ~ max_batch / 1ms.
         engine = SlowEngine(delay_seconds=0.001)
         arrival_rate = 500.0  # requests/s, ~6% of the stub's capacity
-        depth = recommended_queue_depth(
-            arrival_rate=arrival_rate, service_rate=1000.0, max_batch=8
-        )
+        depth = 16
 
         async def scenario():
             config = ServeConfig(max_batch=8, max_wait_ms=2.0, queue_depth=depth)

@@ -3,8 +3,7 @@
 The contracts under test: each tenant sheds at its *own* gate (a
 flooding tenant cannot spend another tenant's depth), micro-batches are
 composed by smooth weighted round-robin (deterministic, proportional to
-weights while backlogged), depth sizing follows the M/M/1[N] model
-against weight shares, and tenancy never touches walk semantics —
+weights while backlogged), and tenancy never touches walk semantics —
 per-request paths stay bit-identical to the offline replay oracle under
 any tenant interleaving.
 """
@@ -17,9 +16,8 @@ import pytest
 
 from repro.bench.workloads import make_spec
 from repro.engines import prepare_engine
-from repro.errors import SchedulerError, ServeError, ServeOverloadError
+from repro.errors import ServeError, ServeOverloadError
 from repro.graph import powerlaw, rmat
-from repro.queueing import weighted_capacity_split
 from repro.serve import (
     DEFAULT_TENANT,
     ServeConfig,
@@ -31,9 +29,7 @@ from repro.serve import (
     flash_crowd_gaps,
     replay_paths,
     run_tenant_traces,
-    size_tenant_depths,
 )
-from repro.serve.admission import MIN_DEPTH_BATCHES
 from repro.walks import URWSpec, make_queries
 
 
@@ -54,64 +50,6 @@ class FakeItem:
         self.label = label
 
 
-class TestWeightedCapacitySplit:
-    def test_splits_proportionally(self):
-        assert weighted_capacity_split(90.0, [8, 1]) == [80.0, 10.0]
-
-    def test_single_class_gets_everything(self):
-        assert weighted_capacity_split(42.0, [3]) == [42.0]
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(SchedulerError):
-            weighted_capacity_split(0.0, [1])
-        with pytest.raises(SchedulerError):
-            weighted_capacity_split(10.0, [])
-        with pytest.raises(SchedulerError):
-            weighted_capacity_split(10.0, [2, 0])
-        with pytest.raises(SchedulerError):
-            weighted_capacity_split(10.0, [2, 1], keys=["only-one"])
-
-    def test_shares_sum_exactly(self):
-        # The per-class divisions round; the split must still conserve
-        # the total bit-for-bit (math.fsum detects any ulp lost).
-        import math
-
-        for rate, weights in [
-            (100.0, [1, 1, 1]),          # 1/3 shares: classic rounding loss
-            (90.0, [8, 1]),
-            (0.3, [7, 11, 13]),
-            (1e9, [1, 2, 3, 4, 5, 6, 7]),
-            # Regression: anchor share in the total's binade — a single
-            # largest-share correction is sub-ulp and cannot converge;
-            # the residue must walk down to a smaller share.
-            (903010.7076379164, [45, 2]),
-        ]:
-            shares = weighted_capacity_split(rate, weights)
-            assert math.fsum(shares) == rate, (rate, weights, shares)
-            assert all(s > 0 for s in shares)
-
-    def test_shares_sum_exactly_fuzz(self):
-        import math
-        import random
-
-        rng = random.Random(20260808)
-        for _ in range(2000):
-            n = rng.randint(1, 8)
-            weights = [rng.randint(1, 100) for _ in range(n)]
-            rate = rng.uniform(1e-3, 1e6)
-            assert math.fsum(weighted_capacity_split(rate, weights)) == rate
-
-    def test_residue_assignment_is_deterministic_under_ties(self):
-        # Equal weights tie on share; keys (tenant names) break the tie,
-        # so the same config always corrects the same class regardless of
-        # declaration order.
-        by_pos = weighted_capacity_split(100.0, [1, 1, 1])
-        assert weighted_capacity_split(100.0, [1, 1, 1]) == by_pos
-        keyed_abc = weighted_capacity_split(100.0, [1, 1, 1], keys=["a", "b", "c"])
-        keyed_cba = weighted_capacity_split(100.0, [1, 1, 1], keys=["c", "b", "a"])
-        assert keyed_abc == list(reversed(keyed_cba))
-
-
 class TestTenantSpec:
     def test_validation(self):
         with pytest.raises(ServeError):
@@ -119,45 +57,10 @@ class TestTenantSpec:
         with pytest.raises(ServeError):
             TenantSpec("a", weight=0)
         with pytest.raises(ServeError):
-            TenantSpec("a", rate_per_second=-1.0)
-        with pytest.raises(ServeError):
             TenantSpec("a", queue_depth=0)
-
-
-class TestSizeTenantDepths:
-    def test_explicit_depth_wins(self):
-        specs = (TenantSpec("a", queue_depth=7), TenantSpec("b"))
-        depths = size_tenant_depths(specs, service_rate=100.0, max_batch=4)
-        assert depths["a"] == 7
-        assert depths["b"] == MIN_DEPTH_BATCHES * 4
-
-    def test_declared_rate_uses_model(self):
-        # One tenant at half its share: the model returns a finite depth
-        # at least the minimum, and deeper for a hotter tenant.
-        cool = size_tenant_depths(
-            (TenantSpec("a", weight=1, rate_per_second=10.0),),
-            service_rate=100.0, max_batch=4)["a"]
-        hot = size_tenant_depths(
-            (TenantSpec("a", weight=1, rate_per_second=90.0),),
-            service_rate=100.0, max_batch=4)["a"]
-        assert cool >= MIN_DEPTH_BATCHES * 4
-        assert hot > cool
-
-    def test_shares_conserve_service_rate(self):
-        # The exact-sum invariant asserted inside size_tenant_depths must
-        # hold for awkward rates and many equal-weight tenants — the
-        # configurations where naive division loses capacity.
-        specs = tuple(TenantSpec(f"t{i}") for i in range(7))
-        depths = size_tenant_depths(specs, service_rate=0.1 + 0.2, max_batch=4)
-        assert set(depths) == {f"t{i}" for i in range(7)}
-
-    def test_rate_beyond_share_rejected(self):
-        # 10% weight share of 100/s = 10/s capacity; declaring 50/s is
-        # unstable by declaration.
-        specs = (TenantSpec("hog", weight=1, rate_per_second=50.0),
-                 TenantSpec("big", weight=9))
-        with pytest.raises(ServeError):
-            size_tenant_depths(specs, service_rate=100.0, max_batch=4)
+        # A gate's depth is the number passed: no field sizes it from a rate.
+        with pytest.raises(TypeError):
+            TenantSpec("a", rate_per_second=1.0)
 
 
 class TestTenantScheduler:
@@ -487,9 +390,10 @@ class TestServiceTenancy:
             capacity = len(queries) / (time.perf_counter() - began)
         premium_rate = 0.4 * capacity
         besteffort_rate = min(0.5 * premium_rate, 0.08 * capacity)
-        declared = (TenantSpec("premium", weight=8, rate_per_second=premium_rate),
-                    TenantSpec("besteffort", weight=1, rate_per_second=besteffort_rate))
-        depths = size_tenant_depths(declared, capacity, max_batch)
+        # Gate depths for offered loads of 0.45 (premium, 8/9 of capacity)
+        # and 0.72 (best-effort, 1/9): max_batch * 4 * rho / (1 - rho),
+        # rounded up, which holds for any measured capacity.
+        depths = {"premium": 105, "besteffort": 330}
         config = ServeConfig(max_batch=max_batch, queue_depth=max(depths.values()))
         premium = TenantTrace("premium", starts[:per_tenant],
                               arrival_gaps(per_tenant, premium_rate, seed=4))
