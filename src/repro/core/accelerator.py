@@ -142,19 +142,9 @@ class _Machine:
 
         self.kernel = SimulationKernel(core_mhz=config.core_mhz)
         self.memory = self.kernel.add_memory(
-            MemorySystem(
-                spec=config.memory,
-                core_mhz=config.core_mhz,
-                num_row_channels=n,
-                num_column_channels=n,
-            )
+            MemorySystem(spec=config.memory, core_mhz=config.core_mhz, num_channels=n)
         )
-        self.layout = GraphMemoryLayout(
-            graph,
-            num_row_channels=n,
-            num_column_channels=n,
-            rp_entry_bits=spec.rp_entry_bits,
-        )
+        self.layout = GraphMemoryLayout(graph, num_channels=n, rp_entry_bits=spec.rp_entry_bits)
         self.recorder = WalkRecorder()
 
         # ThundeRiNG streams: one per sampling module, one per column

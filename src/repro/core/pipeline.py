@@ -5,12 +5,12 @@ access engines, with the routing and response callbacks that implement
 the degree-aware memory layout (Figure 4b):
 
 * **Row Access** targets the row channel owning the task's vertex; its
-  response decodes the RP entry (degree, column channel, column address)
-  into the task and terminates walks that reached a dangling vertex;
+  response decodes the RP entry (degree, column address) into the task
+  and terminates walks that reached a dangling vertex;
 * **Sampling** draws the neighbor index (see
   :mod:`repro.core.sampling_module`);
-* **Column Access** targets the column channel from the RP entry, and its
-  response advances the walk: record the hop, bump the step counter,
+* **Column Access** targets the column channel holding the sampled
+  element (``element mod N``), and its response advances the walk: record the hop, bump the step counter,
   thread ``prev_vertex`` for second-order walks, and apply length or
   probabilistic (PPR) termination.
 """
@@ -27,7 +27,6 @@ from repro.memory.system import ChannelGroup, MemorySystem
 from repro.sampling.base import RandomSource, Sampler
 from repro.sim.fifo import StreamFifo
 from repro.sim.kernel import SimulationKernel
-from repro.sim.module import Module
 from repro.walks.base import WalkSpec
 
 #: Depth of the intra-pipeline FIFOs ("shallow FIFOs within the
@@ -95,9 +94,6 @@ class AsyncPipeline:
         )
         kernel.add_modules([self.row_access, self.sampling, self.column_access])
 
-    def modules(self) -> list[Module]:
-        return [self.row_access, self.sampling, self.column_access]
-
     def compute_stats(self):
         """The sampling stage's stats — the pipeline-utilization signal
         the bubble-ratio metric is computed from."""
@@ -133,24 +129,17 @@ class _HopLogic:
         self._terminates = spec.terminates_probabilistically
         self._termination_random = termination_random
         self._record_hop = recorder.record_hop
+        n = layout.num_channels
         # Row Access routes and decodes through per-vertex tables.
-        row_channels = [
-            memory.channel(ChannelGroup.ROW, i) for i in range(layout.num_row_channels)
-        ]
+        row_channels = [memory.channel(ChannelGroup.ROW, i) for i in range(n)]
         self._row_channel_of = [
-            row_channels[c]
-            for c in layout.row_channel_table(home_channel=index % layout.num_row_channels)
+            row_channels[c] for c in layout.row_channel_table(home_channel=index % n)
         ]
-        # Column Access: element ``e`` lives on column channel ``e mod N``
-        # (``layout.column_channel_of``).
-        self._column_channels = [
-            memory.channel(ChannelGroup.COLUMN, i) for i in range(layout.num_column_channels)
-        ]
-        self._num_column_channels = layout.num_column_channels
+        # Column Access: element ``e`` lives on column channel ``e mod N``.
+        self._column_channels = [memory.channel(ChannelGroup.COLUMN, i) for i in range(n)]
+        self._num_column_channels = n
         self._rp_entry_words = layout.rp_entry_words()
-        self._degree_of, self._column_channel_of, self._column_address_of = (
-            layout.row_entries
-        )
+        self._degree_of, self._column_address_of = layout.row_entries
 
     # ------------------------------------------------------------------
     # Row Access callbacks
@@ -163,7 +152,6 @@ class _HopLogic:
     def on_row_response(self, task: Task, cycle: int) -> None:
         vertex = task.vertex
         task.degree = degree = self._degree_of[vertex]
-        task.column_channel = self._column_channel_of[vertex]
         task.column_address = self._column_address_of[vertex]
         if task.is_ghost():
             return  # dead slot: the fetch happened, nothing to decode

@@ -58,10 +58,6 @@ class WalkRecorder:
         """Whether every started query has finished."""
         return len(self._finished) == len(self._paths)
 
-    def path(self, query_id: int) -> list[int]:
-        """Current path of one query (for debugging and tests)."""
-        return list(self._paths[query_id])
-
     def to_results(self) -> WalkResults:
         """Assemble final :class:`WalkResults`, ordered by query id."""
         if not self.all_done():

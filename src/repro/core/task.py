@@ -9,9 +9,7 @@ rollback (Section V-C).
 
 The simulator's :class:`Task` carries the same fields plus the transient
 values a hop accumulates as it flows through the pipeline (decoded RP
-entry, sampled index, priced burst length).  The paper bounds the packed
-tuple at 512 bits; :meth:`Task.packed_bits` checks our field set against
-that budget so the representation stays honest.
+entry, sampled index, priced burst length).
 """
 
 from __future__ import annotations
@@ -75,7 +73,6 @@ class Task:
     status: TaskStatus = TaskStatus.RUNNING
     # --- filled by Row Access ---
     degree: int = -1
-    column_channel: int = -1
     column_address: int = -1
     # --- filled by Sampling ---
     sample_index: int = -1
@@ -106,19 +103,6 @@ class Task:
     def reset_hop_state(self) -> None:
         """Clear per-hop transients before recirculating to the next hop."""
         self.degree = -1
-        self.column_channel = -1
         self.column_address = -1
         self.sample_index = -1
         self.column_burst_words = 1
-
-    @staticmethod
-    def packed_bits(vertex_bits: int = 40, query_bits: int = 32, step_bits: int = 16) -> int:
-        """Size of the hardware task word for given field widths.
-
-        Persistent fields only (two vertices, query id, step, status tag,
-        RP-entry payload): must stay within the paper's 512-bit single
-        AXI-Stream beat (Section V-C).
-        """
-        status_bits = 3
-        rp_payload_bits = 256  # worst case: alias-table RP entry in flight
-        return 2 * vertex_bits + query_bits + step_bits + status_bits + rp_payload_bits

@@ -1,7 +1,7 @@
 """Memory substrate: channel timing models, layouts, device specs."""
 
 from repro.memory.channel import ChannelStats, MemoryChannel, MemoryRequest
-from repro.memory.layout import GraphMemoryLayout, RowPointerEntry
+from repro.memory.layout import GraphMemoryLayout
 from repro.memory.spec import (
     DDR4_U250,
     DDR4_VCK5000,
@@ -27,5 +27,4 @@ __all__ = [
     "MemorySpec",
     "MemorySystem",
     "RANDOM_TX_BYTES",
-    "RowPointerEntry",
 ]

@@ -62,9 +62,6 @@ class ChannelStats:
     busy_cycles: int = 0
     stalled_cycles: int = 0  # had pending work but no token/window space
 
-    def bytes_transferred(self) -> int:
-        return self.words_transferred * 8
-
 
 class MemoryChannel:
     """One rate-limited, latency-bound memory channel."""
@@ -233,8 +230,3 @@ class MemoryChannel:
     def drain_complete(self) -> bool:
         """Whether nothing is pending, in flight, or waiting collection."""
         return not (self._pending or self._in_flight or self._responses)
-
-    @property
-    def now(self) -> int:
-        """Current cycle count."""
-        return self._now

@@ -3,8 +3,8 @@
 RidgeWalker assigns each asynchronous pipeline two dedicated channels —
 one for Row Access and one for Column Access — "which avoids inter-channel
 arbitration and contention" (Section IV-A).  The system object owns all
-channels, splits them into the two groups, and gives engines a uniform
-submit/collect interface keyed by (group, channel index).
+channels, splits them into the two groups, and hands each engine the
+channel objects it binds at wiring, keyed by (group, channel index).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from enum import Enum
 
 from repro.errors import MemoryModelError
-from repro.memory.channel import MemoryChannel, MemoryRequest
+from repro.memory.channel import MemoryChannel
 from repro.memory.spec import MemorySpec
 
 
@@ -24,35 +24,29 @@ class ChannelGroup(Enum):
 
 
 class MemorySystem:
-    """All memory channels of one device, split into row/column groups."""
+    """All memory channels of one device, split into row/column groups of
+    ``num_channels`` each (one of each per pipeline)."""
 
-    def __init__(
-        self,
-        spec: MemorySpec,
-        core_mhz: float,
-        num_row_channels: int,
-        num_column_channels: int,
-    ) -> None:
-        total = num_row_channels + num_column_channels
-        if total > spec.num_channels:
+    def __init__(self, spec: MemorySpec, core_mhz: float, num_channels: int) -> None:
+        if num_channels < 1:
+            raise MemoryModelError("need at least one channel per group")
+        if 2 * num_channels > spec.num_channels:
             raise MemoryModelError(
-                f"layout needs {total} channels but {spec.name} exposes "
+                f"layout needs {2 * num_channels} channels but {spec.name} exposes "
                 f"{spec.num_channels}"
             )
-        if num_row_channels < 1 or num_column_channels < 1:
-            raise MemoryModelError("need at least one channel per group")
         self.spec = spec
         # Every channel adds its accepted requests to this one cell.
         self._accepted = [0]
         self._row_channels = [
             MemoryChannel(spec, core_mhz, channel_id=i, accepted=self._accepted)
-            for i in range(num_row_channels)
+            for i in range(num_channels)
         ]
         self._column_channels = [
             MemoryChannel(
-                spec, core_mhz, channel_id=num_row_channels + i, accepted=self._accepted
+                spec, core_mhz, channel_id=num_channels + i, accepted=self._accepted
             )
-            for i in range(num_column_channels)
+            for i in range(num_channels)
         ]
         self._channels = [*self._row_channels, *self._column_channels]
 
@@ -68,22 +62,6 @@ class MemorySystem:
             )
         return channels[index]
 
-    def submit(self, group: ChannelGroup, index: int, request: MemoryRequest) -> None:
-        """Submit a request to one channel."""
-        self.channel(group, index).submit(request)
-
-    def can_accept(self, group: ChannelGroup, index: int) -> bool:
-        """Whether the channel can take another request this cycle."""
-        return self.channel(group, index).can_accept()
-
-    @property
-    def num_row_channels(self) -> int:
-        return len(self._row_channels)
-
-    @property
-    def num_column_channels(self) -> int:
-        return len(self._column_channels)
-
     def all_channels(self) -> list[MemoryChannel]:
         """Every channel, row group first."""
         return list(self._channels)
@@ -98,10 +76,6 @@ class MemorySystem:
         """Advance every channel one core cycle."""
         for channel in self._channels:
             channel.tick()
-
-    def idle(self) -> bool:
-        """Whether no channel holds pending or in-flight work."""
-        return all(c.drain_complete() for c in self.all_channels())
 
     # ------------------------------------------------------------------
     # Accounting

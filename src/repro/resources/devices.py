@@ -31,7 +31,6 @@ class DeviceSpec:
     bram36: int
     dsp: int
     memory: MemorySpec
-    default_frequency_mhz: float = 320.0
 
     @property
     def max_pipelines(self) -> int:

@@ -67,10 +67,6 @@ class ResourceVector:
             "DSPs": self.dsp / device.dsp,
         }
 
-    def fits(self, device: DeviceSpec) -> bool:
-        """Whether the design fits the device."""
-        return all(value <= 1.0 for value in self.utilization(device).values())
-
 
 # ---------------------------------------------------------------------------
 # Component costs (calibrated on the paper's U55C utilization, Table IV)

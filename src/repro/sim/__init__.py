@@ -2,7 +2,7 @@
 
 from repro.sim.fifo import StreamFifo
 from repro.sim.kernel import SimulationKernel
-from repro.sim.module import Module, ModuleStats, PipelinedModule
+from repro.sim.module import Module, ModuleStats
 from repro.sim.stats import RunMetrics
 from repro.sim.trace import (
     TraceSeries,
@@ -14,7 +14,6 @@ from repro.sim.trace import (
 __all__ = [
     "Module",
     "ModuleStats",
-    "PipelinedModule",
     "RunMetrics",
     "SimulationKernel",
     "StreamFifo",

@@ -159,10 +159,6 @@ class SimulationKernel:
         busy = [m.name for m in self._modules if m.busy()]
         return f"fifos[{', '.join(occupied)}] busy[{', '.join(busy)}]"
 
-    def elapsed_seconds(self) -> float:
-        """Wall-clock time the simulated cycles represent."""
-        return self.cycle / (self.core_mhz * 1e6)
-
     @property
     def modules(self) -> list[Module]:
         return list(self._modules)

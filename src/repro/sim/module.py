@@ -1,27 +1,23 @@
-"""Module base classes for the cycle-level simulator.
+"""Module base class for the cycle-level simulator.
 
-A :class:`Module` is anything the kernel ticks once per cycle.  The
-workhorse subclass is :class:`PipelinedModule`: a fixed-latency,
-initiation-interval-1 pipeline stage — the paper's modules ("all modules
-are designed to process one task per cycle", Section V-A) map onto it
-directly.  Utilization counters distinguish the three states the paper's
-analysis cares about:
+A :class:`Module` is anything the kernel ticks once per cycle — the
+paper's modules each process one task per cycle (Section V-A).  Its
+utilization counters distinguish the three states the paper's analysis
+cares about:
 
 * **active** — the module advanced work this cycle;
 * **starved** — no input available (a *pipeline bubble*: this counter is
   the numerator of the bubble ratios quoted against LightRW);
 * **blocked** — input ready but downstream backpressure stalled it.
+
+:class:`~repro.sim.stats.RunMetrics` turns the summed counters into the
+run's bubble ratio.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import deque
 from dataclasses import dataclass
-from typing import Any
-
-from repro.errors import SimulationError
-from repro.sim.fifo import StreamFifo
 
 
 @dataclass
@@ -35,16 +31,6 @@ class ModuleStats:
 
     def total_cycles(self) -> int:
         return self.active_cycles + self.starved_cycles + self.blocked_cycles
-
-    def utilization(self) -> float:
-        """Fraction of cycles the module advanced work."""
-        total = self.total_cycles()
-        return self.active_cycles / total if total else 0.0
-
-    def bubble_ratio(self) -> float:
-        """Fraction of cycles lost to input starvation."""
-        total = self.total_cycles()
-        return self.starved_cycles / total if total else 0.0
 
 
 class Module(ABC):
@@ -65,65 +51,3 @@ class Module(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.name!r})"
-
-
-class PipelinedModule(Module):
-    """Fixed-latency, II=1 pipeline stage between two stream FIFOs.
-
-    Accepts one item per cycle from ``input_fifo`` (when internal pipeline
-    registers have room), transforms it with :meth:`process` after
-    ``latency`` cycles, and pushes the result to ``output_fifo`` (stalling
-    on backpressure).  ``process`` may return ``None`` to drop the item
-    (e.g. a filter) — the stage still counts it as processed.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        input_fifo: StreamFifo,
-        output_fifo: StreamFifo,
-        latency: int = 1,
-    ) -> None:
-        super().__init__(name)
-        if latency < 1:
-            raise SimulationError(f"latency must be >= 1, got {latency}")
-        self.input_fifo = input_fifo
-        self.output_fifo = output_fifo
-        self.latency = latency
-        self._pipe: deque[tuple[int, Any]] = deque()  # (ready_cycle, item)
-
-    def process(self, item: Any, cycle: int) -> Any:
-        """Transform one item; identity by default."""
-        return item
-
-    def tick(self, cycle: int) -> None:
-        progressed = False
-        # Retire: oldest item leaves if ready and downstream has space.
-        if self._pipe and self._pipe[0][0] <= cycle:
-            if not self.output_fifo.is_full():
-                _, item = self._pipe.popleft()
-                result = self.process(item, cycle)
-                if result is not None:
-                    self.output_fifo.push(result)
-                self.stats.items_processed += 1
-                progressed = True
-            else:
-                self.stats.blocked_cycles += 1
-                return
-        # Accept: one new item per cycle while registers have room.
-        if len(self._pipe) < self.latency and not self.input_fifo.is_empty():
-            self._pipe.append((cycle + self.latency, self.input_fifo.pop()))
-            progressed = True
-        if progressed:
-            self.stats.active_cycles += 1
-        elif self.input_fifo.is_empty() and not self._pipe:
-            self.stats.starved_cycles += 1
-        else:
-            self.stats.blocked_cycles += 1
-
-    def busy(self) -> bool:
-        return bool(self._pipe)
-
-    def in_flight(self) -> int:
-        """Items currently inside the pipeline registers."""
-        return len(self._pipe)

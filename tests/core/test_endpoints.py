@@ -165,7 +165,7 @@ class TestAccessEngineBypass:
     def test_terminated_tasks_skip_memory(self):
         kernel = SimulationKernel()
         memory = kernel.add_memory(
-            MemorySystem(SPEC, core_mhz=320, num_row_channels=2, num_column_channels=2)
+            MemorySystem(SPEC, core_mhz=320, num_channels=2)
         )
         src = kernel.make_fifo(8, "src")
         dst = kernel.make_fifo(8, "dst")
@@ -186,7 +186,7 @@ class TestAccessEngineBypass:
     def test_running_tasks_round_trip_through_memory(self):
         kernel = SimulationKernel()
         memory = kernel.add_memory(
-            MemorySystem(SPEC, core_mhz=320, num_row_channels=2, num_column_channels=2)
+            MemorySystem(SPEC, core_mhz=320, num_channels=2)
         )
         from repro.core import ResponseRouter
 
@@ -218,7 +218,7 @@ class TestResponseRouter:
     def completed(self, tagged):
         """A router over one channel whose responses are ``tagged``,
         ``(fifo, item)`` pairs in completion order."""
-        memory = MemorySystem(SPEC, core_mhz=320, num_row_channels=1, num_column_channels=1)
+        memory = MemorySystem(SPEC, core_mhz=320, num_channels=1)
         channel = memory.channel(ChannelGroup.ROW, 0)
         for tag in tagged:
             channel.submit(MemoryRequest(tag))
@@ -276,14 +276,14 @@ class TestResponseRouter:
 
 class TestPipelineWiring:
     def test_a_channel_the_memory_lacks_fails_at_construction(self):
-        """The layout names 4 row and 4 column channels; the memory has 2
-        of each.  Routes bind channels at wiring, so the pipeline refuses
+        """The layout names 4 channels per group; the memory has 2 of
+        each.  Routes bind channels at wiring, so the pipeline refuses
         to build instead of failing at the first task routed there."""
         graph = cycle_graph(8)
         spec = URWSpec(max_length=4)
         kernel = SimulationKernel()
-        memory = MemorySystem(SPEC, core_mhz=320, num_row_channels=2, num_column_channels=2)
-        layout = GraphMemoryLayout(graph, num_row_channels=4, num_column_channels=4)
+        memory = MemorySystem(SPEC, core_mhz=320, num_channels=2)
+        layout = GraphMemoryLayout(graph, num_channels=4)
         ring = ThunderRing(2, seed=0)
         with pytest.raises(MemoryModelError, match="out of range"):
             AsyncPipeline(

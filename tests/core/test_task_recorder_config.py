@@ -41,16 +41,13 @@ class TestTask:
         assert t.needs_memory()  # dead slots still burn bandwidth
 
     def test_reset_hop_state(self):
-        t = Task(query_id=0, vertex=0, degree=5, column_channel=3,
-                 column_address=10, sample_index=2, column_burst_words=4)
+        t = Task(query_id=0, vertex=0, degree=5, column_address=10, sample_index=2,
+                 column_burst_words=4)
         t.reset_hop_state()
         assert t.degree == -1
+        assert t.column_address == -1
         assert t.sample_index == -1
         assert t.column_burst_words == 1
-
-    def test_packed_bits_within_one_beat(self):
-        # The paper bounds the task word at 512 bits (Section V-C).
-        assert Task.packed_bits() <= 512
 
 
 class TestWalkRecorder:

@@ -205,7 +205,6 @@ class TestAccounting:
         for _ in range(20):
             ch.tick()
         assert ch.stats.words_transferred == 4
-        assert ch.stats.bytes_transferred() == 32
 
     def test_burst_words_validation(self):
         with pytest.raises(MemoryModelError):
@@ -258,8 +257,8 @@ class TestIdleCycles:
                 old.submit(MemoryRequest(tag=cycle, burst_words=words))
             new.tick()
             old.tick()
-            assert (vars(new.stats), new._tokens, new.now) == (
-                vars(old.stats), old._tokens, old.now)
+            assert (vars(new.stats), new._tokens, new._now) == (
+                vars(old.stats), old._tokens, old._now)
             assert ([r.tag for r in new._responses], new.pending_count()) == (
                 [r.tag for r in old._responses], old.pending_count())
         assert new.stats.stalled_cycles > 0 and new.stats.busy_cycles < 600

@@ -7,12 +7,13 @@ from repro.memory import ChannelGroup, MemoryRequest, MemorySystem
 from repro.memory.spec import HBM2_U55C
 from repro.sim import (
     Module,
-    PipelinedModule,
     RunMetrics,
     SimulationKernel,
     StreamFifo,
 )
 from repro.sim.kernel import _DEADLOCK_WINDOW
+
+from pipelined_module import PipelinedModule
 
 
 class Doubler(PipelinedModule):
@@ -110,8 +111,7 @@ class TestPipelinedModule:
         kernel.add_module(mod)
         for _ in range(10):
             kernel.step()
-        assert mod.stats.starved_cycles == 10
-        assert mod.stats.bubble_ratio() == 1.0
+        assert mod.stats.starved_cycles == mod.stats.total_cycles() == 10
 
     def test_latency_validation(self):
         kernel = SimulationKernel()
@@ -149,12 +149,6 @@ class TestKernel:
         with pytest.raises(DeadlockError) as err:
             kernel.run_until(lambda: False, max_cycles=100_000)
         assert err.value.in_flight > 0
-
-    def test_elapsed_seconds(self):
-        kernel = SimulationKernel(core_mhz=320.0)
-        for _ in range(320):
-            kernel.step()
-        assert kernel.elapsed_seconds() == pytest.approx(1e-6)
 
     def test_core_mhz_validation(self):
         with pytest.raises(SimulationError):
@@ -308,7 +302,7 @@ class TestDeadlockProgress:
 
     def feeding_kernel(self, stop):
         kernel = SimulationKernel()
-        memory = kernel.add_memory(MemorySystem(HBM2_U55C, 320.0, 1, 1))
+        memory = kernel.add_memory(MemorySystem(HBM2_U55C, 320.0, 1))
         kernel.add_module(ChannelFeeder(memory.channel(ChannelGroup.ROW, 0), 500, stop))
         return kernel
 

@@ -7,7 +7,6 @@ from repro.errors import SimulationError
 from repro.graph import cycle_graph, load_dataset
 from repro.memory.spec import MemorySpec
 from repro.sim import (
-    PipelinedModule,
     SimulationKernel,
     TraceSeries,
     UtilizationTracer,
@@ -15,6 +14,8 @@ from repro.sim import (
     render_timeline,
 )
 from repro.walks import URWSpec, make_queries
+
+from pipelined_module import PipelinedModule
 
 
 class Identity(PipelinedModule):
