@@ -3,7 +3,9 @@
 # unsuppressed findings over src/repro — see the README's "Determinism
 # contract"), then the two cycle-model goldens (every simulated counter
 # pinned at 1, 4, 8 and 16 pipelines, so a counter drift is the first red
-# line), then the tier-1 test suite — which holds the perf gates
+# line) — run twice, the second time with numpy's SIMD sort kernels
+# switched off beside the `micro-depth` pins, so a tie order that
+# depends on the CPU fails here — then the tier-1 test suite — which holds the perf gates
 # too (batch >= 10x reference, flash-crowd premium p99 <= 2x, dynamic
 # maintenance >= 1.3x a rebuild, one tracer lookup per untraced run) —
 # then CLI smokes whose exit codes are gates: every `serve-bench` run
@@ -42,6 +44,16 @@ fi
 echo
 echo "== cycle-model goldens (every simulated counter, 1 to 16 pipelines) =="
 python -m pytest -q tests/sim/test_cycle_golden.py tests/sim/test_cycle_golden_wide.py
+
+echo
+echo "== the goldens and the micro-depth pins again at baseline SIMD dispatch =="
+# numpy sends an unstable sort to AVX2 / AVX-512 kernels whose tie order
+# differs by CPU; every pinned value must hold with them switched off.
+# numpy ignores a feature name the host does not know.
+NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR" python -m pytest -q \
+  tests/sim/test_cycle_golden.py tests/sim/test_cycle_golden_wide.py \
+  tests/bench/test_harness.py::TestFastExperiments::test_micro_depth_rows_are_pinned \
+  tests/queueing/test_queueing.py::TestDelayedFeedbackSimulation::test_a_small_shape_is_pinned
 
 echo
 echo "== tier-1 tests =="

@@ -63,11 +63,13 @@ class GraphMemoryLayout:
         # them from its own home channel.  This is what keeps a single
         # celebrity vertex from serializing one channel — the "degree-
         # aware" part of Figure 4's graph memory.  Cost: K entries of
-        # extra capacity per channel, no coherence (read-only).
+        # extra capacity per channel, no coherence (read-only).  Ties at
+        # the cutoff in-degree go to the lower vertex id: a stable sort,
+        # not the host's SIMD one, whose tie order depends on the CPU.
         replicated = min(max(64, graph.num_vertices // 64), graph.num_vertices)
         if graph.num_edges:
             in_degree = np.bincount(graph.col, minlength=graph.num_vertices)
-            hottest = np.argsort(in_degree)[::-1][:replicated]
+            hottest = np.argsort(-in_degree, kind="stable")[:replicated]
             self._replicated = frozenset(int(v) for v in hottest)
         else:
             self._replicated = frozenset()

@@ -82,10 +82,12 @@ def simulate_delayed_feedback(
 
     for cycle in range(cycles):
         observed = history[0]
-        # Dispatch up to num_servers tasks to the believed-emptiest FIFOs.
+        # Dispatch up to num_servers tasks to the believed-emptiest FIFOs;
+        # ties go to the lower server index (a stable sort: the host's
+        # SIMD sort orders ties by CPU).
         budget = num_servers
         believed_space = fifo_depth - observed
-        for i in np.argsort(-believed_space):
+        for i in np.argsort(-believed_space, kind="stable"):
             if budget <= 0:
                 break
             want = int(believed_space[i])

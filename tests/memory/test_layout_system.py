@@ -7,7 +7,7 @@ from repro.core.pipeline import _HopLogic
 from repro.core.recorder import WalkRecorder
 from repro.core.task import Task, TaskStatus
 from repro.errors import MemoryModelError
-from repro.graph import powerlaw
+from repro.graph import cycle_graph, powerlaw
 from repro.memory import (
     ChannelGroup,
     GraphMemoryLayout,
@@ -48,6 +48,15 @@ class TestLayout:
             assert layout.row_channel(hot, home_channel=home) == home
         # Without a home channel, the hash placement is used.
         assert 0 <= layout.row_channel(hot) < 4
+
+    def test_ties_at_the_cutoff_go_to_the_lower_vertex_id(self):
+        """Every in-degree of a 200-cycle is 1, so every vertex ties and the
+        replicated set is the K = 64 lowest ids, on any host."""
+        layout = GraphMemoryLayout(cycle_graph(200), 4)
+        for home in range(4):
+            table = layout.row_channel_table(home_channel=home)
+            assert table[:64] == [home] * 64
+            assert table[64:] == [layout.row_channel(v) for v in range(64, 200)]
 
     @pytest.mark.parametrize("channels", [1, 3, 4])
     def test_decode_tables_equal_the_per_vertex_answers(self, channels):

@@ -34,6 +34,15 @@ class TestDelayedFeedbackSimulation:
         assert result.served > 0
         assert result.server_cycles > 0
 
+    def test_a_small_shape_is_pinned(self):
+        """Exact counts: the dispatcher breaks ties in believed space by
+        server index, so they are equal on every host (CI reruns this at
+        baseline SIMD dispatch)."""
+        result = simulate_delayed_feedback(
+            num_servers=4, fifo_depth=4, feedback_delay=4, cycles=400, seed=0
+        )
+        assert (result.served, result.bubble_cycles, result.server_cycles) == (996, 99, 1088)
+
     def test_depth_sweep_monotone_trend(self):
         sweep = depth_sweep(
             num_servers=16, feedback_delay=16, depths=[1, 17, 34], cycles=5000, seed=4

@@ -87,37 +87,37 @@ GOLDEN = {
                      "2d5540e044f12455fa324885f3d7ecd3f86b1d56d37ee974665bb189b6272a1d"),
     "deepwalk": (488, 3623, 981, 2948, 13560, 14492, 0,
                  "20d97105430aa6ac9af6042c4cf0e734c6cad6fb73cee3a55b63e9b34ac708a3",
-                 "5516d6faf1ae4928ff679ad1fa720b48c2f9d96446a747e1c6904c196eccc6aa"),
-    "static": (495, 3421, 993, 2982, 12788, 13684, 0,
-               "22779efd032a8b95ff8192303cc6c3d1c6dab4e45801ce232ceea42ccdb8a549",
-               "6b6c3959f9dd8ae5d3328ac68f08b19bdd341e743e5c78f58bdd87df0f83d3e7"),
+                 "154311a1787ce2755d5e1de2222e2888a309fb246b6dcc1868633f175c3266d5"),
+    "static": (500, 3424, 1002, 3008, 12783, 13696, 0,
+               "feb0bb0c0b8646c7c8487a0fc99fbfef29d2535072445d4d7fd4d90a397d4d1f",
+               "f7b72a16de50176db67c2fdc75fbdd1eb02fc2f4985a0b50233179a4ef725af2"),
     "bulk_synchronous": (139, 3406, 964, 964, 12797, 13624, 343,
                          "a7844abb9c105fc77958e1f68a08748c9651eddd969963382fed8e9e3d388e58",
-                         "a3ac959b2e6f0f8c2ed6f13cfa217242a6324fc4a58d016e714ca0f5f0b6018e"),
+                         "585c52fb0146f4519bcc3902c104f9839a254349b0a67540d4976d56782c1422"),
     "sync_memory": (488, 3709, 981, 2948, 13899, 14836, 0,
                     "20d97105430aa6ac9af6042c4cf0e734c6cad6fb73cee3a55b63e9b34ac708a3",
-                    "ee9392c0f08ff2a25f071a80e9833b730532558f60646bbdb8c269099568104e"),
+                    "459cf86bc6e5cc2f566b8d0dfe028b1bcffbfe076e8ac6a611df8fc2d61e138b"),
     "one_pipeline": (482, 3489, 969, 2912, 2515, 3489, 0,
                      "fde5b4bf9e861aa8e752d55077d7846ce4bfbbcd15adaf90121827901386b45f",
                      "ad4d42e49fd84db36450977613bcf29f6adc038923327102100f44223930c8f2"),
     "eight_pipelines": (474, 3722, 952, 2860, 28833, 29776, 0,
                         "15401d23ba5a2b4217883710f8d8436cda60ce0e3be2cfab8062ae7e0f7d1ad3",
-                        "a5c6aa3b53582cfe4a54c69b4f18e37d243dc5881549e9ab717da489f828cb2b"),
+                        "6d40190817a48fb85e5a8b3bbcd9e34841a7d2147c7d004b882a288060c9f665"),
     "node2vec_rejection": (487, 3905, 976, 25417, 11748, 15620, 0,
                            "c5558af38472655073db87a389ba48d9f77b43c8ecce13699672f7c382c24ff2",
-                           "4779818347457e16406ac9ed8efa3e4343579f950a893301a8242bd5a391b16f"),
+                           "f8498011be5bd72d8bde394e67382e380fdcd83e6c48f983e9a1c3e447e80bc2"),
     "node2vec_reservoir": (506, 3759, 1014, 15521, 12607, 15036, 0,
                            "628d1ffecab7aaaa2cdbf975d4cc927d8f84955bae800bfb89af5dca9aad897b",
-                           "a4800500e91aef66d81f3354e3c5d3b831bc9ac7884e857b7a6bb1894d0ddef5"),
+                           "af0fe6ccfbc27292b6a059f74583ece8764e3395cdc9e30a3f4f603c1dc25307"),
     "ppr": (157, 3618, 314, 314, 14174, 14472, 0,
             "1191c8c98af88eaf7afd06c84c2114ea70f2fbae05a0121c2b8c97f93fc78ba9",
-            "62571949cef066a63b227e9a5bbd33949e896d69581553db0da3f2cada306682"),
+            "84f18e6da090e8b9e64debd8d34e7b4043ca520e758f6b24861f276533e400ab"),
 }
 
 #: (total_steps, cycles, random_transactions, words_transferred,
 #:  bubble_cycles, pipeline_cycles, sha256 of every tracer window)
-STREAMING_GOLDEN = (4457, 3000, 9078, 26912, 3981, 12000,
-                    "853575a4fa86e2bdf45aeb5c724b68c022b65ca6be72ac006acb6d29accf52da")
+STREAMING_GOLDEN = (4470, 3000, 9091, 26936, 3927, 12000,
+                    "f6abfe6d1e5186d78333819f347af512b1f423e5810d5995633000f7f29d870b")
 
 
 def machine_sha256(machine: _Machine) -> str:

@@ -33,13 +33,13 @@ WIDE_CASES = {
 GOLDEN_WIDE = {
     "deepwalk_16": (500, 3821, 1002, 3008, 60139, 61136, 0,
                     "b226059e24761a22e5c56cc9b64eb76ce4c1302a05ec7a1b01b1ad220bbd9e7d",
-                    "08fb957cddc9ae032e5d8728753f2ca91feb5527a55a566290b95826c0fa7eef"),
+                    "db8108500fbdf13a92ffd81d1710ad35146d4767c8fab69975d62be7c9dad023"),
     "node2vec_rejection_16": (483, 4064, 969, 25120, 60923, 65024, 0,
                               "be0b7aba5b03f8540eaf29dec7b97e5d5c14e79f51b6c966bfb9f8ab555a0053",
-                              "227898ddaf3e3889f5acf09f16631a5c8365ea49b70266c0bd4463562e3b18e5"),
+                              "a46b5739c21fb6f43b7db5fad5ac15270ae92637a82b2bae9ddcbcccf8b19595"),
     "node2vec_reservoir_16": (492, 3894, 988, 14711, 59901, 62304, 0,
                               "66a99f3e914626553a43029b37e5c4ebd09a06256633dcf140a1ab7bba968405",
-                              "4b63c2286652e8ae09e0594a7720d0b1c40344c85b795007ff5757d5d55efcbd"),
+                              "92229b8b59cc255b54352731666d81bcca0c2700c73588f9b84f452008771085"),
 }
 
 
