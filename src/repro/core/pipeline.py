@@ -10,9 +10,10 @@ the degree-aware memory layout (Figure 4b):
 * **Sampling** draws the neighbor index (see
   :mod:`repro.core.sampling_module`);
 * **Column Access** targets the column channel holding the sampled
-  element (``element mod N``), and its response advances the walk: record the hop, bump the step counter,
-  thread ``prev_vertex`` for second-order walks, and apply length or
-  probabilistic (PPR) termination.
+  element (``element mod N``), and its response advances the walk:
+  record the hop, bump the step counter, thread ``prev_vertex`` for
+  second-order walks, and apply length or probabilistic (PPR)
+  termination.
 """
 
 from __future__ import annotations

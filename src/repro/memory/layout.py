@@ -89,7 +89,7 @@ class GraphMemoryLayout:
         """
         self._check_vertex(vertex)
         if home_channel is not None:
-            self._check_channel(home_channel)
+            self._check_row_channel(home_channel)
             if vertex in self._replicated:
                 return home_channel
         hashed = (vertex * _HASH_MULTIPLIER) & _MASK64
@@ -107,7 +107,7 @@ class GraphMemoryLayout:
         hashed = ids * np.uint64(_HASH_MULTIPLIER)
         table = ((hashed >> np.uint64(24)) % np.uint64(self.num_channels)).tolist()
         if home_channel is not None:
-            self._check_channel(home_channel)
+            self._check_row_channel(home_channel)
             for vertex in self._replicated:
                 table[vertex] = home_channel
         return table
@@ -128,6 +128,6 @@ class GraphMemoryLayout:
                 f"vertex {vertex} out of range for {self.graph.num_vertices} vertices"
             )
 
-    def _check_channel(self, channel: int) -> None:
+    def _check_row_channel(self, channel: int) -> None:
         if not 0 <= channel < self.num_channels:
             raise MemoryModelError(f"row channel {channel} out of range")

@@ -55,7 +55,7 @@ class MemorySystem:
     # ------------------------------------------------------------------
     def channel(self, group: ChannelGroup, index: int) -> MemoryChannel:
         """The channel at ``index`` within ``group``."""
-        channels = self._group(group)
+        channels = self._row_channels if group is ChannelGroup.ROW else self._column_channels
         if not 0 <= index < len(channels):
             raise MemoryModelError(
                 f"{group.value} channel {index} out of range (have {len(channels)})"
@@ -65,9 +65,6 @@ class MemorySystem:
     def all_channels(self) -> list[MemoryChannel]:
         """Every channel, row group first."""
         return list(self._channels)
-
-    def _group(self, group: ChannelGroup) -> list[MemoryChannel]:
-        return self._row_channels if group is ChannelGroup.ROW else self._column_channels
 
     # ------------------------------------------------------------------
     # Simulation

@@ -120,14 +120,10 @@ class TestFastExperiments:
         shallow = result.row_for(depth=1)["bubble_ratio"]
         deep = [r for r in result.rows if r["meets_theorem"]]
         assert all(r["bubble_ratio"] < shallow for r in deep)
-
-    def test_micro_depth_rows_are_pinned(self):
-        """Exact bubble ratios, each bubble cycles over 16 servers x 5872
-        post-warmup cycles.  Dispatch ties break by server index, so the
-        rows are equal on every host (CI reruns this at baseline SIMD
-        dispatch)."""
+        # Pinned exactly: bubble cycles over 16 servers x 5872 post-warmup
+        # cycles.  Dispatch ties break by server index, so the rows are
+        # equal on every host (CI reruns this at baseline SIMD dispatch).
         server_cycles = 16 * (6000 - 128)
         bubbles = {1: 7139, 2: 7138, 4: 7466, 8: 4262, 17: 1099, 34: 267}
-        rows = EXPERIMENTS["micro-depth"]().rows
-        assert [(r["depth"], r["bubble_ratio"], r["meets_theorem"]) for r in rows] == [
+        assert [(r["depth"], r["bubble_ratio"], r["meets_theorem"]) for r in result.rows] == [
             (depth, count / server_cycles, depth >= 17) for depth, count in bubbles.items()]
