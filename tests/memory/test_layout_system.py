@@ -7,7 +7,7 @@ from repro.core.pipeline import _HopLogic
 from repro.core.recorder import WalkRecorder
 from repro.core.task import Task, TaskStatus
 from repro.errors import MemoryModelError
-from repro.graph import cycle_graph, powerlaw
+from repro.graph import cycle_graph, from_edges, powerlaw, rmat
 from repro.memory import (
     ChannelGroup,
     GraphMemoryLayout,
@@ -26,6 +26,15 @@ SPEC = MemorySpec(
 
 def graph():
     return powerlaw(num_vertices=200, num_edges=1000, seed=1)
+
+
+def replicated_set(layout):
+    """Vertices every home channel serves from itself.  A vertex that is
+    not replicated has one hash channel, which differs from all but one
+    home channel, so with two or more channels this is the set exactly."""
+    tables = [layout.row_channel_table(home_channel=h) for h in range(layout.num_channels)]
+    return {v for v in range(layout.graph.num_vertices)
+            if all(table[v] == h for h, table in enumerate(tables))}
 
 
 class TestLayout:
@@ -58,6 +67,25 @@ class TestLayout:
             assert table[:64] == [home] * 64
             assert table[64:] == [layout.row_channel(v) for v in range(64, 200)]
 
+    def test_replicated_set_is_the_hottest_by_in_degree_then_id(self):
+        """RMAT-8 seed 1 has 9 vertices at the cutoff in-degree and takes 2:
+        the set is a plain sort on (-in-degree, id), whatever numpy's dispatch."""
+        g = rmat(8, seed=1)
+        in_degree = np.bincount(g.col, minlength=g.num_vertices).tolist()
+        ranked = sorted(range(g.num_vertices), key=lambda v: (-in_degree[v], v))
+        cutoff = in_degree[ranked[63]]
+        assert in_degree.count(cutoff) > sum(in_degree[v] == cutoff for v in ranked[:64])
+        assert replicated_set(GraphMemoryLayout(g, 4)) == set(ranked[:64])
+
+    @pytest.mark.parametrize("num_vertices,count", [(40, 40), (200, 64), (64 * 80, 80)])
+    def test_replicated_count_is_min_max_64_v_over_64_v(self, num_vertices, count):
+        layout = GraphMemoryLayout(cycle_graph(num_vertices), 2)
+        assert len(replicated_set(layout)) == count
+
+    def test_an_edgeless_graph_replicates_nothing(self):
+        layout = GraphMemoryLayout(from_edges([], num_vertices=10), 2)
+        assert replicated_set(layout) == set()
+
     @pytest.mark.parametrize("channels", [1, 3, 4])
     def test_decode_tables_equal_the_per_vertex_answers(self, channels):
         g = graph()
@@ -67,12 +95,17 @@ class TestLayout:
         for home in range(channels):
             assert layout.row_channel_table(home_channel=home) == [
                 layout.row_channel(v, home_channel=home) for v in vertices]
-        assert layout.row_entries == (
-            [g.degree(v) for v in vertices],
-            [int(g.row_ptr[v]) for v in vertices],
-        )
         with pytest.raises(MemoryModelError):
             layout.row_channel_table(home_channel=channels)
+
+    def test_row_entry_decodes_graph(self):
+        g = graph()
+        degrees, addresses = GraphMemoryLayout(g, 4).row_entries
+        assert degrees[17] == g.degree(17)
+        assert addresses[17] == int(g.row_ptr[17])
+        vertices = range(g.num_vertices)
+        assert degrees == [g.degree(v) for v in vertices]
+        assert addresses == [int(g.row_ptr[v]) for v in vertices]
 
     def test_rp_entry_words_by_width(self):
         g = graph()
@@ -143,6 +176,13 @@ class TestMemorySystem:
         assert len(system.all_channels()) == 6
         assert [system.channel(ChannelGroup.ROW, i).channel_id for i in range(3)] == [0, 1, 2]
         assert [system.channel(ChannelGroup.COLUMN, i).channel_id for i in range(3)] == [3, 4, 5]
+
+    def test_submit_routes_to_group(self):
+        system = MemorySystem(SPEC, core_mhz=320, num_channels=2)
+        system.channel(ChannelGroup.ROW, 1).submit(MemoryRequest(tag="r"))
+        system.channel(ChannelGroup.COLUMN, 0).submit(MemoryRequest(tag="c"))
+        # Channel ids: rows 0-1, then columns 2-3.
+        assert [c.pending_count() for c in system.all_channels()] == [0, 1, 1, 0]
 
     def test_rejects_overprovisioning(self):
         with pytest.raises(MemoryModelError, match="exposes"):
