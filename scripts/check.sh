@@ -12,12 +12,16 @@
 # replays each served path bit-identically through its engine (plain,
 # multi-tenant flash crowd, MetaPath, the run-backed reference
 # frontier), `mutate-bench` exits non-zero unless its final snapshot
-# equals a from-scratch build (per small batch, and for bursts larger
-# than a quarter of the base graph), a streaming, traced cycle-model walk
+# equals a from-scratch build (per small batch, for bursts larger than a
+# quarter of the base graph, and for Node2Vec's maintained edge keys),
+# `repro info` lists the catalogue, a streaming, traced cycle-model walk
 # runs the device default of 16 pipelines (the cycle goldens pin 1, 4,
-# 8 and 16), every example script runs to a zero exit, and a traced CLI run
-# exports sample trace + metrics artifacts.  The timed benchmark is
-# `benchmarks/suite/run.py` (see benchmarks/suite/README.md).
+# 8 and 16), one weighted RMAT saved as `.npz` and as an edge list walks
+# alike from both files, every example script runs to a zero exit, and a
+# traced CLI run exports sample trace + metrics artifacts, which are read
+# back and must hold a `serve.step` span and non-zero engine hops.  The
+# timed benchmark is `benchmarks/suite/run.py` (see
+# benchmarks/suite/README.md).
 #
 # When pytest-cov is installed (it is in CI; see requirements-ci.txt),
 # the suite runs under a coverage gate on the sampling + dynamic
@@ -32,6 +36,9 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== determinism & resource-safety lint (repro lint) =="
 python -m repro lint src/repro
+# The JSON report must parse, and count the files it scanned.
+python -m repro lint --format json src/repro | python -c \
+  'import json, sys; report = json.load(sys.stdin); assert report["files_scanned"] > 0, report'
 
 if command -v ruff >/dev/null 2>&1; then
   echo
@@ -95,11 +102,23 @@ python -m repro mutate-bench --scale 9 --batch-size 200 --batches 6 --queries 25
 # Bursts: each batch exceeds a quarter of the base graph and stays in the
 # overlay until its snapshot.
 python -m repro mutate-bench --scale 10 --batch-size 2500 --batches 3 --queries 256 --length 40
+# Node2Vec reads the edge keys: every snapshot maintains them and hands
+# the engine its edge set, and the final one must equal a fresh build.
+python -m repro mutate-bench --algorithm Node2Vec --scale 9 --batch-size 200 --batches 6 \
+  --queries 256 --length 40
 
 echo
 echo "== cycle-model smoke (16 pipelines, streaming, traced) =="
 python -m repro walk --engine sim --algorithm Node2Vec --dataset WG --scale 0.05 \
   --queries 64 --length 16 --streaming --trace
+
+echo
+echo "== info smoke (lists every dataset, algorithm, device and experiment) =="
+python -m repro info
+
+echo
+echo "== graph-file smoke (.npz and edge-list copies of one graph walk alike) =="
+scripts/graph_files_smoke.sh
 
 echo
 echo "== examples smoke (every examples/*.py script exits 0) =="
@@ -112,3 +131,4 @@ python -m repro trace --out benchmarks/sample_trace.jsonl --format jsonl -- \
   --requests 200 --rate 2000 --scale 0.05 --length 16 --max-batch 64
 python -m repro metrics --out benchmarks/sample_metrics.prom -- \
   walk --engine batch --queries 200 --length 20 --scale 0.05
+python scripts/check_obs_artifacts.py benchmarks/sample_trace.jsonl benchmarks/sample_metrics.prom

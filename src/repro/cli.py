@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "weight 1) and drive them concurrently; 0 (default) "
                        "runs the single anonymous class")
     serve.add_argument("--scenario", choices=SCENARIOS, default="steady",
-                       help="arrival/start shape for the last (stressor) "
+                       help="arrival shape for the last (stressor) "
                        "tenant — or for the whole stream without --tenants; "
                        "other tenants stay steady Poisson (default steady)")
     serve.add_argument("--cache", action="store_true",
@@ -157,8 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     mutate = sub.add_parser(
         "mutate-bench",
         help="stream graph updates and measure incremental maintenance",
-        description="Drive a streamed update trace (grow-only, sliding-window "
-        "or weight-churn over an RMAT graph) into a dynamic graph "
+        description="Drive a streamed sliding-window update trace over an "
+        "RMAT graph into a dynamic graph "
         "(repro.dynamic), publishing an epoch snapshot per batch, and report "
         "updates/sec, the peak delta overlay, the speedup of incremental "
         "sampler maintenance over from-scratch rebuilds, and walk-throughput "
@@ -167,9 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
         "reads below 1x (0.5-0.6x on a 2-CPU host); the >= 1.3x maintenance "
         "gate holds at RMAT-16 (--scale 16).",
     )
-    mutate.add_argument("--trace", choices=("grow", "window", "churn"),
-                        default="window",
-                        help="update pattern (default: sliding window)")
     mutate.add_argument("--algorithm", choices=ALGORITHMS, default="DeepWalk")
     mutate.add_argument("--scale", type=int, default=12,
                         help="RMAT scale (2**scale vertices).  At the default "
@@ -181,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     mutate.add_argument("--batches", type=int, default=20,
                         help="update batches to stream")
     mutate.add_argument("--unweighted", action="store_true",
-                        help="drop edge weights (grow/window traces only)")
+                        help="drop edge weights")
     mutate.add_argument("--queries", type=int, default=512,
                         help="walk queries for the retention measurement")
     mutate.add_argument("--length", type=int, default=80)
@@ -370,7 +367,6 @@ def cmd_serve_bench(args) -> int:
         TenantSpec,
         TenantTrace,
         WalkService,
-        hub_hammer_starts,
         run_tenant_traces,
         scenario_gaps,
     )
@@ -420,10 +416,6 @@ def cmd_serve_bench(args) -> int:
         tenant_starts = starts[i * per_tenant:(i + 1) * per_tenant]
         if tenant_starts.size < per_tenant:
             tenant_starts = starts[:per_tenant]
-        if scenario == "hub-hammer":
-            tenant_starts = hub_hammer_starts(
-                graph, per_tenant, seed=derive_seed(args.seed, "hubs", i)
-            )
         gaps = scenario_gaps(scenario, per_tenant, args.rate,
                              seed=derive_seed(args.seed, "arrivals", i))
         traces.append(TenantTrace(name or "default", tenant_starts, gaps,
@@ -481,7 +473,7 @@ def cmd_serve_bench(args) -> int:
 
 def cmd_mutate_bench(args) -> int:
     """Streamed-update benchmark: one dynamic graph, one update trace."""
-    from repro.dynamic import make_trace, run_mutate_bench
+    from repro.dynamic import run_mutate_bench, sliding_window_trace
 
     args.seed = normalize_seed(args.seed)
     if args.algorithm == "MetaPath":
@@ -489,17 +481,14 @@ def cmd_mutate_bench(args) -> int:
             "the dynamic subsystem does not support edge-typed graphs; "
             "pick a non-MetaPath algorithm"
         )
-    if args.unweighted and args.trace == "churn":
-        raise WalkConfigError("the weight-churn trace requires edge weights")
-    kwargs = dict(
+    trace = sliding_window_trace(
+        args.scale,
         edge_factor=args.edge_factor,
         batch_size=args.batch_size,
         num_batches=args.batches,
+        weighted=not args.unweighted,
         seed=args.seed,
     )
-    if args.trace != "churn":
-        kwargs["weighted"] = not args.unweighted
-    trace = make_trace(args.trace, args.scale, **kwargs)
     spec = make_spec(args.algorithm)
     spec.max_length = args.length
 

@@ -140,7 +140,7 @@ class _Machine:
         check_start_vertices(graph, np.array([q.start_vertex for q in self.queries]))
         n = config.num_pipelines
 
-        self.kernel = SimulationKernel(core_mhz=config.core_mhz)
+        self.kernel = SimulationKernel()
         self.memory = self.kernel.add_memory(
             MemorySystem(spec=config.memory, core_mhz=config.core_mhz, num_channels=n)
         )

@@ -7,9 +7,7 @@ immutable snapshots, each of which becomes the next base —
 built when first read and from then on maintained *incrementally* yet
 bit-identically to a from-scratch build; what nobody reads is not built.
 Engines swap between snapshots without cold preparation
-(``PreparedEngine.swap_snapshot``), and the async ``WalkService`` applies
-swaps on epoch boundaries (``WalkService.update_graph``) so in-flight
-requests finish on the version they started on.
+(``PreparedEngine.swap_snapshot``).
 """
 
 from repro.dynamic.bench import (
@@ -21,14 +19,10 @@ from repro.dynamic.bench import (
 from repro.dynamic.graph import DynamicGraph, GraphSnapshot
 from repro.dynamic.state import RowBatch, SamplerState, advance_graph_and_state
 from repro.dynamic.workload import (
-    TRACE_KINDS,
     UpdateBatch,
     UpdateTrace,
     apply_batch,
-    grow_only_trace,
-    make_trace,
     sliding_window_trace,
-    weight_churn_trace,
 )
 
 __all__ = [
@@ -37,16 +31,12 @@ __all__ = [
     "MutateBenchReport",
     "RowBatch",
     "SamplerState",
-    "TRACE_KINDS",
     "UpdateBatch",
     "UpdateTrace",
     "advance_graph_and_state",
     "apply_batch",
     "fresh_static_build",
-    "grow_only_trace",
-    "make_trace",
     "run_mutate_bench",
     "sliding_window_trace",
     "snapshot_matches_static",
-    "weight_churn_trace",
 ]

@@ -3,11 +3,11 @@
 :class:`DynamicGraph` is the write side of the dynamic subsystem.  It
 holds an immutable CSR **base** plus per-vertex **delta buffers**: each
 touched vertex carries a small override map of *changes* against its
-base row — inserted edges, re-drawn weights, and tombstones for removed
-base edges — so a streamed ``add_edges`` / ``remove_edges`` /
-``update_weights`` op costs one dictionary write plus one O(log d)
-adjacency probe, independent of the vertex's degree (touching an RMAT
-hub must not copy its whole neighbor list).  The base is the latest
+base row — inserted (or re-weighted) edges and tombstones for removed
+base edges — so a streamed ``add_edges`` / ``remove_edges`` op costs one
+dictionary write plus one O(log d) adjacency probe, independent of the
+vertex's degree (touching an RMAT hub must not copy its whole neighbor
+list).  The base is the latest
 published snapshot's CSR: every snapshot adopts its own graph as the
 next base and empties the overlay, so the overlay only ever holds the
 ops since the last epoch and a superseded epoch is freed once its last
@@ -20,9 +20,9 @@ immutable ``(CSRGraph, SamplerState)`` pair.  Snapshots are built
 last snapshot are rebuilt, and only in the prepared arrays some reader
 has asked a snapshot for (see :mod:`repro.dynamic.state`) — and are
 bit-identical to a from-scratch build of the same logical edge set.
-Engines and the serving layer keep walking one epoch while updates
-stream into the next; swapping an engine onto a new epoch is
-``PreparedEngine.swap_snapshot`` (no pool respawn, no cold prepare).
+Engines keep walking one epoch while updates stream into the next;
+swapping an engine onto a new epoch is ``PreparedEngine.swap_snapshot``
+(no pool respawn, no cold prepare).
 
 Model notes: the vertex set is fixed at construction; the graph is
 simple (at most one directed edge per ``(src, dst)`` — a duplicate
@@ -126,10 +126,6 @@ class DynamicGraph:
         self._delta_entries = 0
         self._epoch = 0
         self._published: GraphSnapshot | None = None
-        #: Callbacks invoked with each newly published GraphSnapshot
-        #: (epoch 0 included).  The serve layer's hot-walk cache hooks in
-        #: here to invalidate stale pools the moment an epoch exists.
-        self._epoch_listeners: list = []
         self.updates_applied = 0
         # Nothing compacts; only the frozen benchmarks/suite still reads these.
         self.compactions, self.compaction_seconds = 0, 0.0
@@ -152,10 +148,6 @@ class DynamicGraph:
         return self._num_edges
 
     @property
-    def is_weighted(self) -> bool:
-        return self._weighted
-
-    @property
     def name(self) -> str:
         return self._base.name
 
@@ -169,43 +161,6 @@ class DynamicGraph:
         """Entries currently held in the per-vertex delta buffers: the
         ops since the last snapshot (0 right after one)."""
         return self._delta_entries
-
-    @property
-    def has_pending_updates(self) -> bool:
-        """Whether updates since the last snapshot await publication."""
-        return bool(self._dirty)
-
-    def degree(self, vertex: int) -> int:
-        self._check_vertex(vertex)
-        delta = self._adj.get(vertex)
-        if not delta:
-            return self._base.degree(vertex)
-        degree = self._base.degree(vertex)
-        for dst, weight in delta.items():
-            if weight is _TOMBSTONE:
-                degree -= 1
-            elif not self._base.has_edge(vertex, dst):
-                degree += 1
-        return degree
-
-    def neighbors(self, vertex: int) -> np.ndarray:
-        """Current neighbor list of ``vertex``, ascending."""
-        cols, _ = self._merged_row(vertex)
-        return cols
-
-    def neighbor_weights(self, vertex: int) -> np.ndarray:
-        """Weights aligned with :meth:`neighbors` (ones when unweighted)."""
-        cols, weights = self._merged_row(vertex)
-        if weights is None:
-            return np.ones(cols.size, dtype=_WEIGHT_DTYPE)
-        return weights
-
-    def has_edge(self, src: int, dst: int) -> bool:
-        self._check_vertex(src)
-        delta = self._adj.get(src)
-        if delta is not None and dst in delta:
-            return delta[dst] is not _TOMBSTONE
-        return self._base.has_edge(src, dst)
 
     def logical_edges(self) -> tuple[np.ndarray, np.ndarray | None]:
         """The full current edge set as ``(edges, weights)``, sorted by
@@ -279,28 +234,6 @@ class DynamicGraph:
         self.updates_applied += src.size
         self._note_delta_peak()
 
-    def update_weights(self, edges, weights: Sequence[float] | np.ndarray) -> None:
-        """Re-weight existing edges (weighted graphs only)."""
-        if not self._weighted:
-            raise DynamicGraphError(
-                "cannot update weights on an unweighted dynamic graph"
-            )
-        src, dst, weight_array = self._check_update(edges, weights, need_weights=True)
-        for s, d, w, in_base in zip(*self._ops(src, dst, weight_array)):
-            delta = self._delta(s)
-            in_delta = d in delta
-            present = delta[d] is not _TOMBSTONE if in_delta else in_base
-            if not present:
-                raise DynamicGraphError(
-                    f"cannot re-weight edge {s} -> {d}: it does not exist"
-                )
-            if not in_delta:
-                self._delta_entries += 1
-            delta[d] = w
-            self._dirty.add(s)
-        self.updates_applied += src.size
-        self._note_delta_peak()
-
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
@@ -327,7 +260,6 @@ class DynamicGraph:
                 sampler_state=SamplerState(self._base, builds=self.state_builds),
             )
             self._published = previous
-            self._notify_epoch(previous)
         if not self._dirty:
             return previous
         with _trace_span("dynamic.snapshot", epoch=self._epoch + 1,
@@ -355,24 +287,7 @@ class DynamicGraph:
             self._base = graph
             self._adj.clear()
             self._delta_entries = 0
-            self._notify_epoch(snapshot)
         return snapshot
-
-    def add_epoch_listener(self, listener) -> None:
-        """Register ``listener(snapshot)`` for every published epoch.
-
-        Fires on each *new* publication (including the lazy epoch-0
-        build); re-returning a cached snapshot does not re-fire.  The
-        hot-walk cache's :meth:`repro.serve.cache.HotWalkCache.on_epoch`
-        is the canonical listener — attaching it here invalidates stale
-        pools at the write side, without waiting for the serve layer to
-        apply the swap.
-        """
-        self._epoch_listeners.append(listener)
-
-    def _notify_epoch(self, snapshot: GraphSnapshot) -> None:
-        for listener in self._epoch_listeners:
-            listener(snapshot)
 
     # ------------------------------------------------------------------
     # Internals
@@ -504,9 +419,9 @@ class DynamicGraph:
         """One vertex's full current row as sorted ``(col, weights)``.
 
         O(deg + delta): merges the base row with the vertex's delta
-        buffer.  Backs the single-vertex read API only; snapshots and
-        :meth:`logical_edges` merge whole batches of rows at once
-        (:meth:`_merged_rows`).
+        buffer.  No read path calls it: it is the one-row oracle
+        ``tests/dynamic/test_merged_rows.py`` holds :meth:`_merged_rows`
+        to, which snapshots and :meth:`logical_edges` use.
         """
         self._check_vertex(vertex)
         delta = self._adj.get(vertex)
@@ -538,10 +453,3 @@ class DynamicGraph:
     def _note_delta_peak(self) -> None:
         if self._delta_entries > self.delta_peak:
             self.delta_peak = self._delta_entries
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"DynamicGraph(name={self.name!r}, |V|={self.num_vertices}, "
-            f"|E|={self.num_edges}, epoch={self._epoch}, "
-            f"delta={self._delta_entries}, dirty={len(self._dirty)})"
-        )

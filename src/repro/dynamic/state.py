@@ -144,10 +144,6 @@ class SamplerState:
         state.arrays()
         return state
 
-    @property
-    def num_slots(self) -> int:
-        return self.graph.num_edges
-
     def arrays(self) -> dict[str, np.ndarray]:
         """Every member, keyed with the vectorized kernels' own
         ``state_arrays`` names."""

@@ -50,14 +50,9 @@ from repro.graph.generators import (
 from repro.graph.io import load_edge_list, load_npz, save_edge_list, save_npz
 from repro.graph.properties import (
     DegreeStatistics,
-    degree_ccdf,
-    degree_histogram,
     degree_statistics,
     estimate_diameter,
-    fit_powerlaw_exponent,
     gini_coefficient,
-    largest_out_component_fraction,
-    working_set_bytes,
 )
 
 __all__ = [
@@ -77,18 +72,14 @@ __all__ = [
     "complete_graph",
     "cycle_graph",
     "dataset_names",
-    "degree_ccdf",
-    "degree_histogram",
     "degree_statistics",
     "erdos_renyi",
     "estimate_diameter",
     "from_adjacency",
     "from_adjacency_dict",
-    "fit_powerlaw_exponent",
     "from_edges",
     "get_spec",
     "gini_coefficient",
-    "largest_out_component_fraction",
     "load_dataset",
     "load_edge_list",
     "load_npz",
@@ -101,5 +92,4 @@ __all__ = [
     "star_graph",
     "thunderrw_weights",
     "validate_edge_weights",
-    "working_set_bytes",
 ]

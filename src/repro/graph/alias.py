@@ -46,15 +46,6 @@ class AliasTable:
         self.prob.setflags(write=False)
         self.alias.setflags(write=False)
 
-    @property
-    def num_slots(self) -> int:
-        """Total number of table slots (== number of edges)."""
-        return self.prob.size
-
-    def table_bytes(self, entry_bits: int = 64) -> int:
-        """Memory footprint of the flat tables at the given entry width."""
-        return self.num_slots * entry_bits // 8
-
 
 #: Below this many unfinished rows a lock-step round costs more in numpy
 #: call overhead than pairing the rows one at a time (the tail of a batch

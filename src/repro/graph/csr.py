@@ -7,8 +7,8 @@ neighbors of vertex ``v`` occupy ``CL[RP[v]:RP[v+1]]``.  Optional parallel
 arrays carry edge weights (weighted GRWs such as DeepWalk on weighted
 graphs), edge types (MetaPath), and vertex types (MetaPath node schemas).
 
-The class is immutable after construction; all mutation-style operations
-(``reverse``, ``with_weights`` ...) return new instances.  Arrays are stored
+The class is immutable after construction; ``with_weights`` returns a
+new instance.  Arrays are stored
 as numpy with fixed dtypes so that memory footprints and address arithmetic
 in :mod:`repro.memory.layout` are well defined.
 """
@@ -16,7 +16,7 @@ in :mod:`repro.memory.layout` are well defined.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -213,21 +213,11 @@ class CSRGraph:
             return pos < hi and int(self.col[pos]) == dst
         return bool(np.any(self.col[lo:hi] == dst))
 
-    def dangling_vertices(self) -> np.ndarray:
-        """Ids of vertices with zero out-degree (walks terminate there)."""
-        return np.nonzero(self._degrees == 0)[0]
-
     def dangling_fraction(self) -> float:
         """Fraction of vertices with zero out-degree."""
         if self.num_vertices == 0:
             return 0.0
         return float(np.count_nonzero(self._degrees == 0)) / self.num_vertices
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Iterate over all directed edges as ``(src, dst)`` pairs."""
-        for v in range(self.num_vertices):
-            for u in self.neighbors(v):
-                yield v, int(u)
 
     def _check_vertex(self, vertex: int) -> None:
         if not 0 <= vertex < self.num_vertices:
@@ -247,51 +237,6 @@ class CSRGraph:
             edge_types=self.edge_types,
             vertex_types=self.vertex_types,
             name=self.name,
-        )
-
-    def with_name(self, name: str) -> "CSRGraph":
-        """Return a copy of this graph with a different display name."""
-        return CSRGraph(
-            row_ptr=self.row_ptr,
-            col=self.col,
-            weights=self.weights,
-            edge_types=self.edge_types,
-            vertex_types=self.vertex_types,
-            name=name,
-        )
-
-    def reverse(self) -> "CSRGraph":
-        """Return the transpose graph (every edge reversed).
-
-        Weights and edge types follow their edges; vertex types are kept.
-        """
-        n = self.num_vertices
-        in_degree = np.bincount(self.col, minlength=n)
-        new_row_ptr = np.zeros(n + 1, dtype=_INDEX_DTYPE)
-        np.cumsum(in_degree, out=new_row_ptr[1:])
-        new_col = np.empty(self.num_edges, dtype=_INDEX_DTYPE)
-        new_weights = np.empty(self.num_edges, dtype=_WEIGHT_DTYPE) if self.is_weighted else None
-        new_types = (
-            np.empty(self.num_edges, dtype=_TYPE_DTYPE) if self.edge_types is not None else None
-        )
-        cursor = new_row_ptr[:-1].copy()
-        sources = np.repeat(np.arange(n, dtype=_INDEX_DTYPE), np.diff(self.row_ptr))
-        for eid in range(self.num_edges):
-            dst = self.col[eid]
-            slot = cursor[dst]
-            new_col[slot] = sources[eid]
-            if new_weights is not None:
-                new_weights[slot] = self.weights[eid]
-            if new_types is not None:
-                new_types[slot] = self.edge_types[eid]
-            cursor[dst] += 1
-        return CSRGraph(
-            row_ptr=new_row_ptr,
-            col=new_col,
-            weights=new_weights,
-            edge_types=new_types,
-            vertex_types=self.vertex_types,
-            name=f"{self.name}-reversed",
         )
 
     # ------------------------------------------------------------------

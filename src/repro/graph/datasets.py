@@ -74,11 +74,6 @@ class DatasetSpec:
     scaled_vertices: int
     scaled_edges: int
 
-    @property
-    def mean_degree(self) -> float:
-        """Mean out-degree implied by the paper's counts."""
-        return self.paper_edges / self.paper_vertices
-
     def paper_size_bytes(self) -> int:
         """Table II's on-disk size parsed to bytes (cache-model input)."""
         text = self.paper_size.upper()

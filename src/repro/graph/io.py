@@ -10,6 +10,7 @@ Two formats:
 from __future__ import annotations
 
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,9 @@ from repro.graph.builders import from_edges
 from repro.graph.csr import CSRGraph
 
 _NPZ_VERSION = 1
+#: The first line :func:`save_edge_list` writes; it carries the vertex
+#: count, which trailing isolated vertices would otherwise lose.
+_HEADER = re.compile(r"# .*: (\d+) vertices, \d+ edges$")
 
 
 def save_npz(graph: CSRGraph, path: str | os.PathLike) -> None:
@@ -60,18 +64,21 @@ def load_npz(path: str | os.PathLike) -> CSRGraph:
 
 
 def save_edge_list(graph: CSRGraph, path: str | os.PathLike) -> None:
-    """Write a SNAP-style edge list: ``src dst [weight]`` per line."""
+    """Write a SNAP-style edge list: ``src dst [weight]`` per line.
+
+    Each weight is written as its shortest exact decimal (``repr`` of the
+    float), so :func:`load_edge_list` reads back the same weights bit for
+    bit and a reloaded graph builds the same alias tables.
+    """
+    sources = np.repeat(np.arange(graph.num_vertices), graph.degrees()).tolist()
+    targets = graph.col.tolist()
     with open(Path(path), "w", encoding="ascii") as handle:
         handle.write(f"# {graph.name}: {graph.num_vertices} vertices, {graph.num_edges} edges\n")
-        weights = graph.weights
-        eid = 0
-        for src in range(graph.num_vertices):
-            for dst in graph.neighbors(src):
-                if weights is None:
-                    handle.write(f"{src}\t{int(dst)}\n")
-                else:
-                    handle.write(f"{src}\t{int(dst)}\t{weights[eid]:.8g}\n")
-                eid += 1
+        if graph.weights is None:
+            handle.writelines(f"{s}\t{d}\n" for s, d in zip(sources, targets))
+        else:
+            handle.writelines(f"{s}\t{d}\t{w!r}\n"
+                              for s, d, w in zip(sources, targets, graph.weights.tolist()))
 
 
 def load_edge_list(
@@ -83,6 +90,8 @@ def load_edge_list(
     """Load a SNAP-style edge list (``#`` lines are comments).
 
     A third column, when present on every edge, is read as edge weights.
+    Without ``num_vertices``, the vertex count is the one a
+    :func:`save_edge_list` header declares, else one past the largest id.
     """
     sources: list[int] = []
     targets: list[int] = []
@@ -91,6 +100,10 @@ def load_edge_list(
     with open(Path(path), "r", encoding="ascii") as handle:
         for line_number, line in enumerate(handle, start=1):
             line = line.strip()
+            if line_number == 1 and num_vertices is None:
+                header = _HEADER.match(line)
+                if header:
+                    num_vertices = int(header.group(1))
             if not line or line.startswith("#"):
                 continue
             parts = line.split()

@@ -2,8 +2,7 @@
 
 These back Table II (dataset catalog: |V|, |E|, size, diameter) and the
 motivation analysis (degree skew and dangling fraction drive workload
-imbalance; working-set size relative to on-chip SRAM drives the FastRW
-cache collapse in Figure 3a).
+imbalance).
 """
 
 from __future__ import annotations
@@ -27,10 +26,6 @@ class DegreeStatistics:
     std: float
     gini: float
     dangling_fraction: float
-
-    def is_skewed(self, threshold: float = 0.5) -> bool:
-        """Whether the distribution is heavy-tailed by Gini coefficient."""
-        return self.gini >= threshold
 
 
 def degree_statistics(graph: CSRGraph) -> DegreeStatistics:
@@ -104,86 +99,3 @@ def _bfs_eccentricity(graph: CSRGraph, source: int) -> int:
         frontier = next_frontier
         depth += 1
     return int(dist.max())
-
-
-def largest_out_component_fraction(graph: CSRGraph, seed: int = 0) -> float:
-    """Fraction of vertices reachable from the highest-out-degree vertex.
-
-    A cheap connectivity proxy: random-walk workloads mostly live inside
-    the giant component, so datasets are generated to keep this high.
-    """
-    if graph.num_vertices == 0:
-        raise GraphError("empty graph")
-    start = int(np.argmax(graph.degrees()))
-    n = graph.num_vertices
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    stack = [start]
-    row_ptr, col = graph.row_ptr, graph.col
-    while stack:
-        v = stack.pop()
-        for u in col[row_ptr[v] : row_ptr[v + 1]]:
-            u = int(u)
-            if not seen[u]:
-                seen[u] = True
-                stack.append(u)
-    return float(seen.sum()) / n
-
-
-def working_set_bytes(graph: CSRGraph, rp_entry_bits: int = 64) -> int:
-    """Bytes of row-pointer state a cache-based accelerator must hold.
-
-    FastRW's collapse threshold (Figure 3a) is whether this fits in the
-    device's on-chip SRAM.
-    """
-    return graph.row_pointer_bytes(rp_entry_bits)
-
-
-def degree_histogram(graph: CSRGraph, in_degree: bool = False) -> np.ndarray:
-    """Counts of vertices per degree value (index = degree)."""
-    if in_degree:
-        degrees = np.bincount(graph.col, minlength=graph.num_vertices)
-    else:
-        degrees = graph.degrees()
-    if degrees.size == 0:
-        raise GraphError("cannot histogram an empty graph")
-    return np.bincount(degrees)
-
-
-def degree_ccdf(graph: CSRGraph, in_degree: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Complementary CDF of the degree distribution.
-
-    Returns ``(degrees, P(D >= degree))`` over the degrees present; the
-    standard view for eyeballing power-law tails.
-    """
-    histogram = degree_histogram(graph, in_degree=in_degree)
-    degrees = np.nonzero(histogram)[0]
-    counts = histogram[degrees].astype(np.float64)
-    total = counts.sum()
-    ccdf = np.cumsum(counts[::-1])[::-1] / total
-    return degrees, ccdf
-
-
-def fit_powerlaw_exponent(
-    graph: CSRGraph, in_degree: bool = True, minimum_degree: int = 2
-) -> float:
-    """Maximum-likelihood (Hill) estimate of the degree tail exponent.
-
-    ``alpha = 1 + n / sum(ln(d_i / (d_min - 1/2)))`` over degrees
-    ``>= minimum_degree`` (Clauset-Shalizi-Newman's discrete
-    approximation).  Used by tests to confirm the synthetic Table II
-    stand-ins carry the heavy tail the catalog promises.
-    """
-    if minimum_degree < 1:
-        raise GraphError(f"minimum_degree must be >= 1, got {minimum_degree}")
-    if in_degree:
-        degrees = np.bincount(graph.col, minlength=graph.num_vertices)
-    else:
-        degrees = np.asarray(graph.degrees())
-    tail = degrees[degrees >= minimum_degree].astype(np.float64)
-    if tail.size < 10:
-        raise GraphError(
-            f"only {tail.size} vertices have degree >= {minimum_degree}; "
-            "not enough tail to fit"
-        )
-    return float(1.0 + tail.size / np.log(tail / (minimum_degree - 0.5)).sum())

@@ -2,7 +2,7 @@
 
 One instrumentation story for every subsystem grown in PRs 1–8.  The
 :mod:`~repro.obs.trace` tracer records where time goes *inside* a run
-(supersteps, lanes, serve dispatcher steps, epoch swaps, cache
+(supersteps, lanes, serve dispatcher steps, dynamic snapshots, cache
 pool fills) into a bounded ring; the
 :mod:`~repro.obs.metrics` registry unifies the end-of-run ledgers
 (``EngineStats``, ``ServeStats``, tenant QoS ledgers, cache and dynamic

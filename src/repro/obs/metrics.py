@@ -321,10 +321,9 @@ def cache_into(registry: MetricsRegistry, cache, **labels) -> None:
     lookups.inc(cache.hits, result="hit", **labels)
     lookups.inc(cache.misses, result="miss", **labels)
     pools = registry.counter(
-        "repro_cache_pools_total", "Walk pools built / invalidated",
+        "repro_cache_pools_total", "Walk pools built",
     )
     pools.inc(cache.pools_built, event="built", **labels)
-    pools.inc(cache.pools_invalidated, event="invalidated", **labels)
     registry.gauge(
         "repro_cache_live_pools", "Walk pools currently installed",
     ).set(cache.live_pools, **labels)

@@ -2,8 +2,8 @@
 
 The tracer answers the question the end-of-run aggregates
 (:class:`~repro.walks.EngineStats`, :class:`~repro.serve.ServeStats`)
-cannot: *where does the time go* inside a superstep, an epoch swap, or
-a QoS dispatch cycle.  Every instrumented site records a
+cannot: *where does the time go* inside a superstep, a dynamic
+snapshot, or a QoS dispatch cycle.  Every instrumented site records a
 :class:`SpanEvent` — a name, a wall-clock interval measured with
 ``time.perf_counter()``, the recording thread, and a small payload of
 subsystem context (frontier width, batch shape, epoch, tenant) — into a

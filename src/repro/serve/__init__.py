@@ -9,8 +9,8 @@ sustained throughput.  On top of that, ``TenantSpec``/``TenantScheduler``
 give the service per-tenant admission classes with weighted-priority
 dispatch (a flooding tenant sheds its own traffic, not its neighbors'
 SLOs), and ``HotWalkCache``
-serves repeated query-id-independent requests from epoch-keyed,
-pre-generated walk pools.  The service is a scheduling layer only —
+serves repeated query-id-independent requests from pre-generated walk
+pools.  The service is a scheduling layer only —
 per-request determinism (``SeedSequence((seed, query_id))``) survives
 any step composition, any tenant interleaving, and any cache hit.
 """
@@ -25,9 +25,7 @@ from repro.serve.workload import (
     OpenLoopReport,
     TenantTrace,
     arrival_gaps,
-    diurnal_gaps,
     flash_crowd_gaps,
-    hub_hammer_starts,
     run_open_loop,
     run_tenant_traces,
     scenario_gaps,
@@ -48,9 +46,7 @@ __all__ = [
     "TenantTrace",
     "WalkService",
     "arrival_gaps",
-    "diurnal_gaps",
     "flash_crowd_gaps",
-    "hub_hammer_starts",
     "replay_paths",
     "run_open_loop",
     "run_tenant_traces",

@@ -33,10 +33,6 @@ class AdmissionGate:
         self._occupancy = 0
 
     @property
-    def high_water(self) -> int:
-        return self._high_water
-
-    @property
     def occupancy(self) -> int:
         """Requests admitted and not yet released."""
         return self._occupancy

@@ -1,39 +1,32 @@
-"""Epoch-safe hot-walk caching: pre-generated pools for repeated queries.
+"""Hot-walk caching: pre-generated pools for repeated queries.
 
 Real walk traffic is heavily repeated: the same PPR / DeepWalk queries
 hit the same hot vertices over and over (ThunderRW's application mix),
 and a random-walk response is *query-id-independent* whenever the
 caller asked for "a walk from v" rather than "the walk for id 17".
 Those requests can be served from a **pool** of walks generated ahead
-of time — as long as two contracts hold:
+of time, as long as every pooled walk stays replayable:
 
-* **Determinism by replay.**  Every pooled walk is generated by the
-  engine itself under a *reserved* query id (``>=`` :data:`POOL_ID_BASE`,
-  disjoint from client ids), so a cache hit returns a path that is
-  bit-identical to ``replay_paths(graph, spec, {id: v}, seed)`` for the
-  id it hands back.  The response carries that id
-  (:class:`ServedWalk.query_id`); nothing about caching is outside the
-  ``SeedSequence((seed, query_id))`` contract.  Entries are consumed
-  at most once, so no two responses ever share a path.
-
-* **Epoch safety.**  Pools are keyed by ``(epoch, start_vertex)``.  A
-  lookup for epoch ``e`` can only ever see walks generated on epoch
-  ``e``'s graph; stale pools are additionally dropped eagerly at every
-  epoch swap (:meth:`HotWalkCache.drop_stale`, called from the
-  service's swap path and available as a
-  :meth:`repro.dynamic.DynamicGraph.add_epoch_listener` callback via
-  :meth:`HotWalkCache.on_epoch`).
+* Every pooled walk is generated by the engine itself under a
+  *reserved* query id (``>=`` :data:`POOL_ID_BASE`, disjoint from client
+  ids), so a cache hit returns a path that is bit-identical to
+  ``replay_paths(graph, spec, {id: v}, seed)`` for the id it hands back.
+  The response carries that id (:class:`ServedWalk.query_id`); nothing
+  about caching is outside the ``SeedSequence((seed, query_id))``
+  contract.  Entries are consumed at most once, so no two responses
+  ever share a path.
+* Pools are keyed by start vertex: a cache holds walks of one graph,
+  the one its service serves.
 
 The cache itself is passive bookkeeping: the service decides when to
-look up (only for id-independent submissions, only when no epoch swap
-is queued), and pool *generation* rides the service's own dispatch
-queue as gate-exempt fill work, so pools are always produced by the
-same prepared engine, on the same epoch, as the requests they serve.
+look up (only for id-independent submissions), and pool *generation*
+rides the service's own dispatch queue as gate-exempt fill work, so
+pools are always produced by the same prepared engine as the requests
+they serve.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,28 +47,26 @@ class ServedWalk:
 
     ``query_id`` is the id that *actually* keyed the walk's randomness —
     a pool-reserved id on a cache hit, the service-assigned id on a miss
-    — so ``replay_paths(graph_of(epoch), spec, {query_id: path[0]},
-    seed)`` reproduces ``path`` bit-for-bit.  ``epoch`` names the graph
-    version the walk executed on.
+    — so ``replay_paths(graph, spec, {query_id: path[0]}, seed)``
+    reproduces ``path`` bit-for-bit.
     """
 
     query_id: int
     path: np.ndarray
-    epoch: int
     cache_hit: bool
 
 
 class HotWalkCache:
-    """Consume-once walk pools keyed by ``(epoch, start_vertex)``.
+    """Consume-once walk pools keyed by start vertex.
 
     ``pool_size``
         Walks generated per pool fill.
     ``hot_threshold``
-        Cacheable misses a ``(epoch, vertex)`` must accumulate before a
+        Cacheable misses a vertex must accumulate before a
         pool fill is triggered for it — cold vertices never earn pools.
     ``max_pools``
         Bound on live pools (memory cap); while at the bound, no new
-        fills trigger.  Exhausted and stale pools leave the bound.
+        fills trigger.  Exhausted pools leave the bound.
     """
 
     def __init__(self, pool_size: int = 32, hot_threshold: int = 8,
@@ -89,45 +80,32 @@ class HotWalkCache:
         self.pool_size = pool_size
         self.hot_threshold = hot_threshold
         self.max_pools = max_pools
-        self._pools: OrderedDict[tuple[int, int], list[tuple[int, np.ndarray]]] = (
-            OrderedDict()
-        )
-        self._misses: dict[tuple[int, int], int] = {}
-        # Start vertices with a pool fill in flight — keyed by vertex
-        # alone (not epoch) so a fill that executes after an epoch swap
-        # still clears its marker when it installs.
+        self._pools: dict[int, list[tuple[int, np.ndarray]]] = {}
+        self._misses: dict[int, int] = {}
+        #: Start vertices with a pool fill in flight.
         self._filling: set[int] = set()
         self._next_id = POOL_ID_BASE
         self.hits = 0
         self.misses = 0
         self.pools_built = 0
-        self.pools_invalidated = 0
 
     @property
     def live_pools(self) -> int:
         return len(self._pools)
 
-    def take(self, epoch: int, start_vertex: int) -> tuple[int, np.ndarray] | None:
-        """Consume one pooled ``(query_id, path)`` for this exact epoch.
-
-        Keying by epoch makes serving a stale-epoch walk structurally
-        impossible: a pool built on epoch ``e`` is unreachable from any
-        other epoch's lookups, swap or no swap.
-        """
-        key = (epoch, start_vertex)
-        pool = self._pools.get(key)
-        if not pool:
-            if pool is not None:
-                del self._pools[key]
+    def take(self, start_vertex: int) -> tuple[int, np.ndarray] | None:
+        """Consume one pooled ``(query_id, path)`` from ``start_vertex``."""
+        pool = self._pools.get(start_vertex)
+        if pool is None:
             return None
         self.hits += 1
         entry = pool.pop()
         if not pool:
             # Exhausted pools leave the max_pools budget immediately.
-            del self._pools[key]
+            del self._pools[start_vertex]
         return entry
 
-    def note_miss(self, epoch: int, start_vertex: int) -> list[Query] | None:
+    def note_miss(self, start_vertex: int) -> list[Query] | None:
         """Count one cacheable miss; return pool-fill queries at threshold.
 
         Returns ``None`` until the vertex is hot (or while a fill for it
@@ -136,14 +114,13 @@ class HotWalkCache:
         returns the queries the service should run to build the pool.
         """
         self.misses += 1
-        key = (epoch, start_vertex)
         if start_vertex in self._filling or len(self._pools) >= self.max_pools:
             return None
-        count = self._misses.get(key, 0) + 1
+        count = self._misses.get(start_vertex, 0) + 1
         if count < self.hot_threshold:
-            self._misses[key] = count
+            self._misses[start_vertex] = count
             return None
-        self._misses.pop(key, None)
+        self._misses.pop(start_vertex, None)
         self._filling.add(start_vertex)
         queries = [
             Query(self._next_id + i, start_vertex) for i in range(self.pool_size)
@@ -151,64 +128,20 @@ class HotWalkCache:
         self._next_id += self.pool_size
         return queries
 
-    def install(self, epoch: int, start_vertex: int,
-                entries: list[tuple[int, np.ndarray]]) -> None:
-        """Publish one generated pool for ``(epoch, start_vertex)``.
+    def install(self, start_vertex: int, entries: list[tuple[int, np.ndarray]]) -> None:
+        """Publish one generated pool for ``start_vertex``.
 
-        ``epoch`` must be the epoch the fill *executed* on (the service
-        captures it around the engine run), which may differ from the
-        epoch the fill was triggered on — the pool is keyed by where its
-        walks are actually valid.  Reversed so :meth:`take` pops ids in
-        generation order.
+        Reversed so :meth:`take` pops ids in generation order.
         """
         self._filling.discard(start_vertex)
         if not entries:
             return
-        self._pools[(epoch, start_vertex)] = list(reversed(entries))
+        self._pools[start_vertex] = list(reversed(entries))
         self.pools_built += 1
 
     def fill_aborted(self, start_vertex: int) -> None:
         """Forget an in-flight fill that failed; misses may re-trigger it."""
         self._filling.discard(start_vertex)
-
-    def drop_stale(self, current_epoch: int) -> int:
-        """Invalidate every pool (and hotness count) from older epochs.
-
-        Returns the number of pools dropped.  Called by the service at
-        each applied epoch swap and by :meth:`on_epoch` when attached to
-        a :class:`~repro.dynamic.DynamicGraph` directly.
-        """
-        stale = [key for key in self._pools if key[0] < current_epoch]
-        for key in stale:
-            del self._pools[key]
-        self.pools_invalidated += len(stale)
-        self._misses = {
-            key: count for key, count in self._misses.items()
-            if key[0] >= current_epoch
-        }
-        return len(stale)
-
-    def on_epoch(self, snapshot) -> None:
-        """Epoch listener for ``DynamicGraph.add_epoch_listener``.
-
-        Invalidates everything older than the newly published epoch the
-        moment the write side publishes it — conservative (the serve
-        layer may still be executing the previous epoch for a moment,
-        losing those hits) but never wrong, because :meth:`take` keys on
-        the serving epoch regardless.
-        """
-        self.drop_stale(getattr(snapshot, "epoch", 0))
-
-    def metrics_into(self, registry, **labels) -> None:
-        """Export these counters into a :mod:`repro.obs` metrics registry.
-
-        Convenience twin of :meth:`snapshot` for the telemetry layer;
-        ``WalkService.snapshot_metrics`` calls the same bridge for its
-        attached cache.
-        """
-        from repro.obs.metrics import cache_into
-
-        cache_into(registry, self, **labels)
 
     def snapshot(self) -> dict:
         """JSON-ready counters (embedded in serve benchmark records)."""
@@ -219,5 +152,4 @@ class HotWalkCache:
             "hit_rate": round(self.hits / total, 4) if total else None,
             "live_pools": self.live_pools,
             "pools_built": self.pools_built,
-            "pools_invalidated": self.pools_invalidated,
         }

@@ -23,29 +23,9 @@ everything seated a step — on the event loop itself; every turn
    callbacks run between steps.
 
 With nothing live and nothing buffered the loop blocks on the queue; it
-never spins.  A queued :class:`~repro.serve.items._EpochSwap` stops
-ingest where it sits; what was admitted before it is seated and walked
-out on the old graph, and the swap applies once the frontier has
-drained — a frontier never spans an epoch.  It applies on the loop:
-nothing is seated by then, but submitters and every other coroutine
-wait out ``swap_snapshot``.  A snapshot maintains the sampler state its
-readers have read: build the service from a
-:class:`~repro.dynamic.graph.GraphSnapshot` (not its ``.graph``) and
-the engine's construction-time prepare *is* that read, so every swap
-after it is a hand-off.  Measured on a sliding window over an RMAT-16
-edge stream (edge factor 12, 1000-edge update batches; 2-core host,
-medians of five epochs): such a swap takes 0.03 ms for PPR, 0.04 ms for
-DeepWalk and 4.5 ms for rejection Node2Vec (the edge filter is derived
-from the maintained keys at each epoch).  A service built from a plain
-``CSRGraph`` prepared privately, so its *first* swap onto a snapshot
-builds from scratch what the kernel reads — nothing for PPR, 44 ms for
-DeepWalk (the alias slots), 5.7 ms for Node2Vec — and later ones
-inherit as above; a plain ``CSRGraph`` as the swap target runs the whole
-``prepare`` every time (0 / 46 / 5.9 ms).  Hand the service snapshots,
-from construction on, where that stall matters.
-A pool fill's walkers take the slots clients leave, over as many turns
-as that needs, and the pool installs whole, on the one epoch it ran on,
-when its last walker ends.  If ``step()`` raises, exactly the seated
+never spins.  A pool fill's walkers take the slots clients leave, over
+as many turns as that needs, and the pool installs whole when its last
+walker ends.  If ``step()`` raises, exactly the seated
 requests fail and the loop carries on with what is buffered.
 
 This is :class:`~repro.serve.service.WalkService`'s own dispatcher,
@@ -66,7 +46,7 @@ import numpy as np
 
 from repro.obs.trace import active as _active_tracer
 from repro.sampling.vectorized import seed_sequence_states
-from repro.serve.items import _EpochSwap, _PendingRequest, _PoolFill
+from repro.serve.items import _PendingRequest, _PoolFill
 from repro.walks.batch import OpenFrontier
 from repro.walks.engine import RunFrontier, add_counts
 
@@ -122,7 +102,6 @@ async def frontier_loop(service: "WalkService", frontier: OpenFrontier | RunFron
     pool_walkers: dict[int, tuple[_FillRun, int]] = {}
     #: Fills with walkers still to seat, oldest first.
     fills: deque[_FillRun] = deque()
-    pending_swap: _EpochSwap | None = None
     # Engine seconds a walker seated since the start would have been
     # charged: each step's time, split evenly over its walkers.  A
     # request is charged ``share`` when it ends less its slot's entry.
@@ -145,14 +124,9 @@ async def frontier_loop(service: "WalkService", frontier: OpenFrontier | RunFron
         while True:
             # -- ingest ------------------------------------------------
             # Idle — nothing to step until something arrives: block.
-            idle = not (frontier.live or fills or scheduler.has_work() or pending_swap)
-            if pending_swap is None and (idle or not queue.empty()):
-                arrived: list = []
-                for item in chain([await queue.get()] if idle else (), _queued(queue)):
-                    if isinstance(item, _EpochSwap):
-                        pending_swap = item
-                        break
-                    arrived.append(item)
+            idle = not (frontier.live or fills or scheduler.has_work())
+            if idle or not queue.empty():
+                arrived = list(chain([await queue.get()] if idle else (), _queued(queue)))
                 requests = [item for item in arrived if isinstance(item, _PendingRequest)]
                 if requests:
                     states = seed_sequence_states(
@@ -166,7 +140,6 @@ async def frontier_loop(service: "WalkService", frontier: OpenFrontier | RunFron
             tracer = _active_tracer()
             if tracer is not None:
                 _t_step = tracer.begin()
-            epoch = service._epoch
 
             # -- seat --------------------------------------------------
             seated = 0
@@ -184,8 +157,7 @@ async def frontier_loop(service: "WalkService", frontier: OpenFrontier | RunFron
                             np.array([request.state for request in group], dtype=np.uint64),
                         )
                     except Exception as error:
-                        # Nothing was seated (a start vertex admitted
-                        # against a swap that then failed to apply).
+                        # Nothing was seated.
                         service._fail(group, error, clock())
                     else:
                         for slot, request in zip(slots.tolist(), group):
@@ -235,40 +207,22 @@ async def frontier_loop(service: "WalkService", frontier: OpenFrontier | RunFron
                         run.entries[index] = (run.fill.queries[index].query_id, path)
                         run.left -= 1
                         if run.left == 0:
-                            cache.install(epoch, run.fill.start_vertex, run.entries)
+                            cache.install(run.fill.start_vertex, run.entries)
                             if tracer is not None:
                                 tracer.instant("serve.cache_fill", vertex=run.fill.start_vertex,
-                                               entries=len(run.entries), epoch=epoch)
+                                               entries=len(run.entries))
                     turn_hops = sum(hops)
                     engine_stats.per_query_hops.extend(hops)
                     engine_stats.total_hops += turn_hops
                     stats.record_step(live, turn_hops, now - began)
                     add_counts(engine_stats, frontier.counts - booked)
                     booked[:] = frontier.counts
-                    service._resolve(done, paths, busy, epoch, now)
+                    service._resolve(done, paths, busy, now)
                 if tracer is not None:
                     tracer.end(_t_step, "serve.step", live=live, seated=seated,
                                ended=len(ended) if ended is not None else live,
                                failed=ended is None,
-                               backlog=scheduler.pending_clients, epoch=epoch)
-
-            # -- swap --------------------------------------------------
-            if pending_swap is not None and not (
-                frontier.live or fills or scheduler.has_work()
-            ):
-                # Everything admitted before the swap has walked out.
-                if tracer is not None:
-                    _t_swap = tracer.begin()
-                error: Exception | None = None
-                try:
-                    service._runner.swap_snapshot(pending_swap.snapshot)
-                except Exception as exc:
-                    error = exc
-                service._settle_swap(pending_swap, error)
-                pending_swap = None
-                if tracer is not None:
-                    tracer.end(_t_swap, "serve.epoch_swap", epoch=service._epoch,
-                               applied=error is None)
+                               backlog=scheduler.pending_clients)
 
             await asyncio.sleep(0)
     except asyncio.CancelledError:
@@ -281,7 +235,5 @@ async def frontier_loop(service: "WalkService", frontier: OpenFrontier | RunFron
             queue.put_nowait(run.fill)
         for item in scheduler.drain_all():
             queue.put_nowait(item)
-        if pending_swap is not None:
-            queue.put_nowait(pending_swap)
         frontier.abandon()
         raise

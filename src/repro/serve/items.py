@@ -1,8 +1,8 @@
 """What rides a :class:`~repro.serve.service.WalkService`'s dispatch queue.
 
-Three kinds of item share one queue, so their order *is* the order of
-events: a client request, a cache pool fill, a graph swap.  The
-dispatcher in ``frontier.py`` reads them.
+Two kinds of item share one queue, so their order *is* the order of
+events: a client request and a cache pool fill.  The dispatcher in
+``frontier.py`` reads them.
 """
 
 from __future__ import annotations
@@ -42,23 +42,10 @@ class _PoolFill:
 
     Carries the reserved-id queries of one pool; executed by the same
     prepared engine as client requests and installed into the cache
-    whole, keyed by the one epoch it actually ran on.  No future, no
-    admission accounting — a fill the service drops on teardown is only
-    a lost warm-up.
+    whole.  No future, no admission accounting — a fill the service
+    drops on teardown is only a lost warm-up.
     """
 
     start_vertex: int
     queries: list[Query] = field(default_factory=list)
 
-
-@dataclass
-class _EpochSwap:
-    """A graph-version change queued behind already-admitted requests.
-
-    Rides the same queue as requests, so ordering *is* the epoch
-    boundary: everything admitted before the swap executes on the old
-    version, everything after on the new one.
-    """
-
-    snapshot: object
-    future: asyncio.Future

@@ -152,10 +152,6 @@ class TenantScheduler:
         """
         return {name: len(self._queues[name]) for name in self._order}
 
-    def occupancies(self) -> dict[str, int]:
-        """Admitted-and-unresolved requests per tenant (gate view)."""
-        return {name: self._gates[name].occupancy for name in self._order}
-
     def push(self, item) -> None:
         """Buffer one dispatchable item (request or pool fill)."""
         tenant = getattr(item, "tenant", None)
@@ -180,9 +176,9 @@ class TenantScheduler:
 
         Up to ``max_batch`` client requests by weighted round-robin
         (FIFO within each tenant), then at most one pending cache pool
-        fill appended whole — fills are atomic (a pool's entries must
-        all come from one engine run on one epoch) and gate-exempt, so
-        they ride along without displacing client slots.
+        fill appended whole — fills are atomic (a pool installs whole)
+        and gate-exempt, so they ride along without displacing client
+        slots.
 
         A tenant backlogged alone wins every pick, and each pick credits
         it its weight and charges it the same total, so its run of picks

@@ -35,10 +35,9 @@ On top of that, the service is (optionally) **multi-tenant**: each
 weighted-priority share of every admission group
 (:class:`~repro.serve.qos.TenantScheduler`), so a flooding tenant sheds
 its own traffic instead of starving other tenants' latency SLOs.  And it
-(optionally) serves repeated query-id-independent requests from an
-epoch-safe **hot-walk cache** (:class:`~repro.serve.cache.HotWalkCache`):
-pools of engine-generated walks under reserved query ids, keyed by
-``(epoch, start_vertex)`` and invalidated at epoch boundaries.
+(optionally) serves repeated query-id-independent requests from a
+**hot-walk cache** (:class:`~repro.serve.cache.HotWalkCache`): pools of
+engine-generated walks under reserved query ids, keyed by start vertex.
 
 The service is a scheduling layer, never a semantics layer.  Every
 request's randomness is keyed by ``SeedSequence((seed, query_id))`` —
@@ -73,7 +72,7 @@ from repro.sampling.base import normalize_seed
 from repro.sampling.hybrid import require_default
 from repro.serve.cache import POOL_ID_BASE, HotWalkCache, ServedWalk
 from repro.serve.frontier import frontier_loop
-from repro.serve.items import _EpochSwap, _PendingRequest, _PoolFill
+from repro.serve.items import _PendingRequest, _PoolFill
 from repro.serve.qos import DEFAULT_TENANT, TenantScheduler, TenantSpec
 from repro.serve.stats import ServeStats
 from repro.walks.base import Query, WalkResults, WalkSpec, walk_index
@@ -158,21 +157,13 @@ class WalkService:
         self._config = config or ServeConfig()
         self._seed = normalize_seed(seed)
         # A dynamic GraphSnapshot may stand in for the graph; the service
-        # adopts its epoch label and serves its CSR, and the engine reads
-        # the snapshot's sampler state, which later epochs then maintain.
-        self._initial_epoch = getattr(graph, "epoch", 0)
+        # serves its CSR, and the engine reads the snapshot's sampler state.
         snapshot, graph = graph, getattr(graph, "graph", graph)
         if isinstance(engine, PreparedEngine):
             self._runner = engine
         else:
             self._runner = prepare_engine(engine, snapshot, spec)
-        #: Vertex count of the graph version the *newest queued* swap
-        #: targets — requests admitted now execute after every queued
-        #: swap, so try_submit validates against this, not against the
-        #: currently executing version (tracked separately for rollback
-        #: when a queued swap fails to apply).
         self._num_vertices = graph.num_vertices
-        self._applied_num_vertices = graph.num_vertices
         self.stats = ServeStats()
         self.engine_stats = EngineStats()
         specs = tuple(tenants) if tenants else (TenantSpec(DEFAULT_TENANT),)
@@ -191,22 +182,6 @@ class WalkService:
         self._drained: asyncio.Event | None = None
         self._next_query_id = 0
         self._accepting = False
-        self._epoch = self._initial_epoch
-        #: Swaps queued but not yet applied.  While non-zero, cache
-        #: lookups are suspended: a request admitted now executes on an
-        #: epoch whose pools do not exist yet, and hotness counts taken
-        #: against the dying epoch would only build doomed pools.
-        self._swaps_queued = 0
-
-    @property
-    def config(self) -> ServeConfig:
-        return self._config
-
-    @property
-    def seed(self) -> int:
-        """The service seed; replaying a request offline with this seed
-        and its query id reproduces its paths bit-for-bit."""
-        return self._seed
 
     @property
     def engine_name(self) -> str:
@@ -216,16 +191,6 @@ class WalkService:
     def occupancy(self) -> int:
         """Requests admitted and not yet resolved."""
         return self._scheduler.occupancy
-
-    @property
-    def epoch(self) -> int:
-        """Version id of the graph new requests are served against."""
-        return self._epoch
-
-    @property
-    def tenant_names(self) -> tuple[str, ...]:
-        """Declared admission classes (a single default when anonymous)."""
-        return self._scheduler.tenant_names
 
     def reserve_query_ids(self, minimum: int) -> None:
         """Advance the auto-id counter to at least ``minimum``.
@@ -247,11 +212,11 @@ class WalkService:
         from the global :class:`~repro.serve.stats.ServeStats` ledger,
         the per-tenant ledgers (labelled ``tenant="..."``), the merged
         engine counters, the hot-walk cache counters (when attached),
-        and point-in-time gauges (occupancy, per-tenant backlog, serving
-        epoch).  The export copies the ledgers exactly, so the
-        accounting identity ``offered == completed + dropped + failed``
-        holds per tenant on the exported counters whenever it holds on
-        the ledgers; render it with
+        and point-in-time gauges (occupancy, per-tenant backlog).  The
+        export copies the ledgers exactly, so the accounting identity
+        ``offered == completed + dropped + failed`` holds per tenant on
+        the exported counters whenever it holds on the ledgers; render
+        it with
         :func:`repro.obs.exporters.render_prometheus` or
         :func:`repro.obs.exporters.write_jsonl`.  Safe to call at any
         point in the service lifecycle — it only reads.
@@ -266,9 +231,6 @@ class WalkService:
         registry.gauge(
             "repro_serve_occupancy", "Requests admitted and not yet resolved",
         ).set(self.occupancy)
-        registry.gauge(
-            "repro_serve_epoch", "Graph version new requests are served against",
-        ).set(self._epoch)
         backlog = registry.gauge(
             "repro_serve_backlog",
             "Buffered client requests awaiting batch composition",
@@ -313,11 +275,11 @@ class WalkService:
         except asyncio.CancelledError:
             pass
         # Drain leftovers.  Requests only remain on a no-drain stop (the
-        # drained event guarantees none otherwise); epoch swaps and cache
-        # pool fills can remain on any stop — neither counts against the
-        # admission gate, so draining does not wait for them.  Either
-        # way, fail the request/swap futures so no caller hangs; fills
-        # have no futures and are simply discarded.
+        # drained event guarantees none otherwise); cache pool fills can
+        # remain on any stop — they do not count against the admission
+        # gate, so draining does not wait for them.  Either way, fail the
+        # request futures so no caller hangs; fills have no futures and
+        # are simply discarded.
         abandoned: Counter[str] = Counter()
         while not self._queue.empty():
             item = self._queue.get_nowait()
@@ -330,18 +292,9 @@ class WalkService:
                 continue
             if not item.future.done():
                 item.future.set_exception(
-                    ServeError(
-                        "service stopped before the "
-                        + ("graph swap" if isinstance(item, _EpochSwap) else "request")
-                        + " executed"
-                    )
+                    ServeError("service stopped before the request executed")
                 )
-            if isinstance(item, _EpochSwap):
-                # Never applied: admission goes back to the serving graph.
-                self._swaps_queued -= 1
-                self._num_vertices = self._applied_num_vertices
-            else:
-                abandoned[item.tenant] += 1
+            abandoned[item.tenant] += 1
         for tenant, count in abandoned.items():
             self._release(tenant, count)
         self._runner.close()
@@ -360,7 +313,8 @@ class WalkService:
             if self._sole_tenant is not None:
                 return self._sole_tenant
             raise ServeError(
-                f"this service declares tenants {list(self.tenant_names)}; pass tenant="
+                f"this service declares tenants {list(self._scheduler.tenant_names)}; "
+                f"pass tenant="
             )
         self._scheduler.gate(tenant)  # raises ServeError on unknown names
         return tenant
@@ -450,8 +404,8 @@ class WalkService:
         lets the service pick the query id; the future resolves with a
         :class:`~repro.serve.cache.ServedWalk` carrying the id that
         actually keyed the walk's randomness — a cache-pool reserved id
-        on a hit, a service-assigned id on a miss — plus the epoch it
-        executed on, so every response replays bit-identically offline.
+        on a hit, a service-assigned id on a miss — so every response
+        replays bit-identically offline.
         Hits resolve immediately, bypass admission (no engine work), and
         count as completions; misses ride the normal admission /
         batching / QoS path and feed the cache's hotness counters.
@@ -464,42 +418,32 @@ class WalkService:
         # on a miss.
         start_vertex = walk_index(start_vertex, "start_vertex")
         self._check_vertex(start_vertex)
-        # Lookups only against a settled epoch: with a swap queued, this
-        # request will execute on a version whose pools cannot exist yet.
-        lookup = self.cache is not None and self._swaps_queued == 0
-        if lookup:
-            entry = self.cache.take(self._epoch, start_vertex)
-            if entry is not None:
-                pool_id, path = entry
-                now = loop.time()
-                self.stats.record_submit(now)
-                self.stats.record_completion(0.0, now, cache_hit=True)
-                tenant_stats = self.tenant_stats.get(tenant)
-                if tenant_stats is not None:
-                    tenant_stats.record_submit(now)
-                    tenant_stats.record_completion(0.0, now, cache_hit=True)
-                tracer = _active_tracer()
-                if tracer is not None:
-                    tracer.instant("serve.cache_hit", vertex=start_vertex,
-                                   epoch=self._epoch, tenant=tenant)
-                future: asyncio.Future = loop.create_future()
-                future.set_result(
-                    ServedWalk(pool_id, path, self._epoch, cache_hit=True)
-                )
-                return future
+        entry = self.cache.take(start_vertex) if self.cache is not None else None
+        if entry is not None:
+            pool_id, path = entry
+            now = loop.time()
+            for ledger in (self.stats, self.tenant_stats.get(tenant)):
+                if ledger is not None:
+                    ledger.record_submit(now)
+                    ledger.cache_hits += 1
+                    ledger.record_completions([0.0], now)
+            tracer = _active_tracer()
+            if tracer is not None:
+                tracer.instant("serve.cache_hit", vertex=start_vertex, tenant=tenant)
+            future: asyncio.Future = loop.create_future()
+            future.set_result(ServedWalk(pool_id, path, cache_hit=True))
+            return future
         # A miss spends the next auto id: refuse it before it counts
         # anywhere if it has run into the pools' reserved range.
         query_id = self._next_query_id
         _check_client_id(query_id)
-        if lookup:
-            fill_queries = self.cache.note_miss(self._epoch, start_vertex)
+        if self.cache is not None:
+            fill_queries = self.cache.note_miss(start_vertex)
             if fill_queries is not None:
-                # Gate-exempt: pool generation is the service's own work,
-                # queued *now* so it lands on the epoch that is hot.
+                # Gate-exempt: pool generation is the service's own work.
                 tracer = _active_tracer()
                 if tracer is not None:
-                    tracer.instant("serve.cache_fill_queued",
-                                   vertex=start_vertex, epoch=self._epoch,
+                    tracer.instant("serve.cache_fill_queued", vertex=start_vertex,
                                    pool_size=len(fill_queries))
                 self._queue.put_nowait(_PoolFill(start_vertex, fill_queries))
         self._admit(tenant, start_vertex)
@@ -509,74 +453,6 @@ class WalkService:
                                       tenant, cacheable=True))
         return future
 
-    async def submit_cached(
-        self, start_vertex: int, tenant: str | None = None
-    ) -> ServedWalk:
-        """Awaitable twin of :meth:`try_submit_cached`."""
-        return await self.try_submit_cached(start_vertex, tenant=tenant)
-
-    def try_update_graph(self, snapshot) -> asyncio.Future:
-        """Queue a graph swap *now*; returns the future of its epoch id.
-
-        The epoch boundary is the queue position at the moment of this
-        call — the synchronous-enqueue twin of :meth:`update_graph`, for
-        callers that must interleave a swap between two ``try_submit``
-        calls without yielding to the event loop in between.
-        """
-        self._require_running()
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._queue.put_nowait(_EpochSwap(snapshot, future))
-        self._swaps_queued += 1
-        # Requests admitted from this point on will execute after the
-        # swap, so admission validation must use the new graph's bounds
-        # immediately — not when the swap drains the queue.
-        graph = getattr(snapshot, "graph", snapshot)
-        self._num_vertices = graph.num_vertices
-        return future
-
-    async def update_graph(self, snapshot) -> int:
-        """Swap the service onto a new graph version; returns its epoch.
-
-        ``snapshot`` is a dynamic
-        :class:`~repro.dynamic.graph.GraphSnapshot` (whose prepared
-        sampler state makes the swap cheap and whose ``epoch`` labels the
-        version) or a plain :class:`CSRGraph` (epoch auto-incremented).
-        The swap is an *epoch boundary*, enforced by queue order: every
-        request admitted before this call executes on the old version —
-        including ones already in flight — and every request admitted
-        after it executes on the new one.  No engine step spans the
-        boundary.  Per-epoch determinism survives: a request's paths
-        replay bit-identically offline against its epoch's graph.
-        Hot-walk cache pools from older epochs are invalidated the
-        moment the swap applies (and are unreachable even before that —
-        pools are keyed by epoch).
-
-        The engine swap itself is
-        :meth:`repro.engines.PreparedEngine.swap_snapshot`.
-        """
-        return await self.try_update_graph(snapshot)
-
-    def _settle_swap(self, swap: _EpochSwap, error: Exception | None) -> None:
-        """Book one queued swap as applied (``error`` None) or not.
-
-        On failure the service keeps serving the old graph, so admission
-        validation rolls back to it (``try_update_graph`` advanced the
-        bound optimistically at enqueue time).
-        """
-        self._swaps_queued -= 1
-        if error is None:
-            graph = getattr(swap.snapshot, "graph", swap.snapshot)
-            self._applied_num_vertices = graph.num_vertices
-            self._epoch = getattr(swap.snapshot, "epoch", self._epoch + 1)
-            if self.cache is not None:
-                self.cache.drop_stale(self._epoch)
-            if not swap.future.done():
-                swap.future.set_result(self._epoch)
-            return
-        self._num_vertices = self._applied_num_vertices
-        if not swap.future.done():
-            swap.future.set_exception(error)
-
     def _release(self, tenant: str, count: int = 1) -> None:
         """Return ``count`` closed requests' places to their tenant's gate."""
         assert self._drained is not None
@@ -585,7 +461,7 @@ class WalkService:
             self._drained.set()
 
     def _resolve(self, requests: list[_PendingRequest], paths: list[np.ndarray],
-                 busy: list[float], epoch: int, now: float) -> None:
+                 busy: list[float], now: float) -> None:
         """Book the requests one frontier step finished, in one pass.
 
         The dispatcher ends every step here.  Request ``k`` resolves with
@@ -601,7 +477,7 @@ class WalkService:
             future = request.future
             if not future.done():
                 future.set_result(
-                    ServedWalk(request.query_id, path, epoch, cache_hit=False)
+                    ServedWalk(request.query_id, path, cache_hit=False)
                     if request.cacheable else WalkResults.from_path(path)
                 )
             latencies.append(now - request.submitted_at)
@@ -658,8 +534,7 @@ def replay_paths(
     happened to slice the request stream — the determinism contract the
     serve tests and the CI smoke assert.  This covers cache-served walks too: a
     :class:`~repro.serve.cache.ServedWalk`'s ``query_id`` (a reserved
-    pool id on hits) replayed against its ``epoch``'s graph reproduces
-    its path bit-for-bit.  ``sampler`` accepts only ``"default"``: every
+    pool id on hits) replays to its path bit-for-bit.  ``sampler`` accepts only ``"default"``: every
     engine runs the spec's own kernel.
     """
     from repro.walks.batch import run_walks_batch

@@ -114,13 +114,6 @@ class ServeStats:
         if self.last_completion is None or now > self.last_completion:
             self.last_completion = now
 
-    def record_completion(self, latency: float, now: float,
-                          cache_hit: bool = False) -> None:
-        """Note one resolved request."""
-        if cache_hit:
-            self.cache_hits += 1
-        self.record_completions([float(latency)], now)
-
     def record_failure(self, now: float, count: int = 1) -> None:
         """Note ``count`` admitted requests resolved with their frontier
         step's exception.
@@ -172,41 +165,6 @@ class ServeStats:
             return 0.0
         elapsed = self.last_completion - self.first_submit
         return self.total_hops / elapsed if elapsed > 0 else float("inf")
-
-    def snapshot(self) -> dict:
-        """JSON-ready summary of the ledger, one flat dict.
-
-        Non-finite rates become ``None`` — a zero-elapsed window's
-        ``inf`` must not crash the snapshot (``round(inf)`` raises
-        ``OverflowError``) nor leak a non-JSON value into the record.
-        """
-        percentiles = self.latency_percentiles()
-        sustained = self.sustained_hops_per_second()
-        return {
-            "offered": self.offered,
-            "completed": self.completed,
-            "dropped": self.dropped,
-            "failed": self.failed,
-            "cache_hits": self.cache_hits,
-            "total_hops": self.total_hops,
-            "latency_ms": {
-                key: round(value * 1e3, 3) if np.isfinite(value) else None
-                for key, value in percentiles.items()
-            },
-            "batch_size_histogram": {
-                str(size): count for size, count in self.batch_size_histogram().items()
-            },
-            "mean_batch_size": (
-                round(self.mean_batch_size(), 2) if self.batch_sizes else None
-            ),
-            "mean_step_occupancy": (
-                round(self.mean_step_occupancy(), 2) if self.supersteps else None
-            ),
-            "sustained_hops_per_sec": (
-                round(sustained) if np.isfinite(sustained) else None
-            ),
-            "busy_seconds": round(self.busy_seconds, 4),
-        }
 
     def summary(self) -> str:
         """Human-readable one-stop report (CLI output)."""

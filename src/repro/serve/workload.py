@@ -8,17 +8,10 @@ given rate, or back-to-back for a saturation run) and submitted on
 schedule regardless of completions — the shape under which tail latency,
 step composition, and admission shedding actually show themselves.
 
-Beyond steady Poisson, this module generates the arrival shapes a
-multi-tenant service is actually judged on:
-
-* :func:`diurnal_gaps` — a sinusoidal day/night ramp (rate swings around
-  its mean), produced by thinning a peak-rate Poisson stream.
-* :func:`flash_crowd_gaps` — a piecewise-constant rate that jumps to a
-  multiple of nominal for a burst window and falls back: the
-  tenant-isolation stress of ``serve-bench --scenario flash-crowd``.
-* :func:`hub_hammer_starts` — an adversarial start-vertex mix that
-  hammers the highest-degree hubs with most of the traffic: the
-  hot-walk cache's best case and a skew stress for everything else.
+Beyond steady Poisson, :func:`flash_crowd_gaps` generates the arrival
+shape a multi-tenant service is judged on: a piecewise-constant rate
+that jumps to a multiple of nominal for a burst window and falls back,
+the tenant-isolation stress of ``serve-bench --scenario flash-crowd``.
 
 :func:`run_tenant_traces` drives several tenants' schedules against one
 service concurrently and returns one :class:`OpenLoopReport` per tenant,
@@ -33,11 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ServeOverloadError, WalkConfigError
-from repro.graph.csr import CSRGraph
 from repro.serve.service import WalkService
 
 #: Scenario names understood by :func:`scenario_gaps` (and the CLI).
-SCENARIOS = ("steady", "flash-crowd", "diurnal", "hub-hammer")
+SCENARIOS = ("steady", "flash-crowd")
 
 
 @dataclass
@@ -51,9 +43,7 @@ class OpenLoopReport:
     ``offered == completed + len(dropped) + len(failed)`` always holds
     (the client-side mirror of the service's accounting identity).
     ``requests`` maps every *submitted* query id to its start vertex —
-    exactly the mapping :func:`repro.serve.service.replay_paths` takes —
-    and ``epochs`` records the serving epoch of cache-capable requests
-    so multi-epoch runs can replay each id against the right graph.
+    exactly the mapping :func:`repro.serve.service.replay_paths` takes.
     Service-side metrics (latency percentiles, batch histogram,
     sustained hops/s) live on the service's own ``stats`` — this report
     carries the client's view.
@@ -68,8 +58,6 @@ class OpenLoopReport:
     requests: dict[int, int] = field(default_factory=dict)
     #: Query ids served from the hot-walk cache (cached runs only).
     cache_hits: list[int] = field(default_factory=list)
-    #: ``{query_id: epoch}`` for cache-capable requests.
-    epochs: dict[int, int] = field(default_factory=dict)
     elapsed_seconds: float = 0.0
 
     @property
@@ -100,50 +88,6 @@ def arrival_gaps(count: int, rate_per_second: float, seed: int = 0) -> np.ndarra
         return np.zeros(count, dtype=np.float64)
     rng = np.random.default_rng(seed)
     return rng.exponential(1.0 / rate_per_second, size=count)
-
-
-def diurnal_gaps(
-    count: int,
-    mean_rate: float,
-    swing: float = 0.8,
-    period_seconds: float = 1.0,
-    seed: int = 0,
-) -> np.ndarray:
-    """Gaps for a sinusoidal rate ramp: ``rate(t) = mean*(1 + swing*sin)``.
-
-    A compressed day/night cycle (``period_seconds`` per "day"): the
-    instantaneous rate swings ``±swing`` around ``mean_rate``.  Generated
-    by *thinning*: draw a homogeneous Poisson stream at the peak rate,
-    then keep each arrival with probability ``rate(t)/peak`` — the
-    standard exact construction for inhomogeneous Poisson processes, so
-    the kept stream has precisely the sinusoidal intensity.  Returns the
-    gaps of the first ``count`` kept arrivals.
-    """
-    if count < 1:
-        raise WalkConfigError(f"count must be >= 1, got {count}")
-    if mean_rate <= 0:
-        raise WalkConfigError(f"mean_rate must be positive, got {mean_rate}")
-    if not 0 <= swing < 1:
-        raise WalkConfigError(f"swing must be in [0, 1), got {swing}")
-    if period_seconds <= 0:
-        raise WalkConfigError(
-            f"period_seconds must be positive, got {period_seconds}"
-        )
-    rng = np.random.default_rng(seed)
-    peak = mean_rate * (1.0 + swing)
-    gaps = np.empty(count, dtype=np.float64)
-    kept = 0
-    now = 0.0
-    last_kept = 0.0
-    while kept < count:
-        now += rng.exponential(1.0 / peak)
-        phase = 2.0 * np.pi * now / period_seconds
-        rate = mean_rate * (1.0 + swing * np.sin(phase))
-        if rng.random() < rate / peak:
-            gaps[kept] = now - last_kept
-            last_kept = now
-            kept += 1
-    return gaps
 
 
 def flash_crowd_gaps(
@@ -191,53 +135,14 @@ def flash_crowd_gaps(
     return np.concatenate(parts)
 
 
-def hub_hammer_starts(
-    graph: CSRGraph,
-    count: int,
-    num_hubs: int = 4,
-    hammer_fraction: float = 0.8,
-    seed: int = 0,
-) -> np.ndarray:
-    """Adversarial start mix: most requests hammer the top-degree hubs.
-
-    ``hammer_fraction`` of the ``count`` starts are drawn uniformly from
-    the ``num_hubs`` highest-out-degree vertices; the rest are uniform
-    over the whole graph.  Shuffled, so hub hits interleave with
-    background traffic instead of arriving as one block.  This is the
-    hot-walk cache's intended workload (repeated queries on hot
-    vertices) and, without a cache, a skew stress.
-    """
-    if count < 1:
-        raise WalkConfigError(f"count must be >= 1, got {count}")
-    if num_hubs < 1:
-        raise WalkConfigError(f"num_hubs must be >= 1, got {num_hubs}")
-    if not 0 <= hammer_fraction <= 1:
-        raise WalkConfigError(
-            f"hammer_fraction must be in [0, 1], got {hammer_fraction}"
-        )
-    num_hubs = min(num_hubs, graph.num_vertices)
-    hubs = np.argsort(graph.degrees())[::-1][:num_hubs].astype(np.int64)
-    rng = np.random.default_rng(seed)
-    hammered = int(round(count * hammer_fraction))
-    starts = np.concatenate([
-        rng.choice(hubs, size=hammered),
-        rng.integers(0, graph.num_vertices, size=count - hammered,
-                     dtype=np.int64),
-    ])
-    rng.shuffle(starts)
-    return starts
-
-
 def scenario_gaps(
     scenario: str, count: int, rate_per_second: float, seed: int = 0
 ) -> np.ndarray:
     """Arrival gaps for a named scenario (see :data:`SCENARIOS`).
 
-    ``steady`` and ``hub-hammer`` use plain Poisson gaps (hub-hammer's
-    adversarial character lives in its *start vertices*, via
-    :func:`hub_hammer_starts`, not its arrival times); ``diurnal`` and
-    ``flash-crowd`` use the shaped generators above.  A non-positive
-    rate degenerates every scenario to back-to-back saturation.
+    ``steady`` uses plain Poisson gaps, ``flash-crowd``
+    :func:`flash_crowd_gaps`.  A non-positive rate degenerates every
+    scenario to back-to-back saturation.
     """
     if scenario not in SCENARIOS:
         raise WalkConfigError(
@@ -245,8 +150,6 @@ def scenario_gaps(
         )
     if rate_per_second <= 0:
         return arrival_gaps(count, 0.0)
-    if scenario == "diurnal":
-        return diurnal_gaps(count, rate_per_second, seed=seed)
     if scenario == "flash-crowd":
         return flash_crowd_gaps(count, rate_per_second, seed=seed)
     return arrival_gaps(count, rate_per_second, seed=seed)
@@ -279,7 +182,7 @@ async def run_open_loop(
     the Poisson schedule with a precomputed one (the scenario
     generators); ``use_cache`` submits through
     :meth:`WalkService.try_submit_cached`, recording each response's
-    true query id, epoch, and cache-hit flag.
+    true query id and cache-hit flag.
     """
     starts = np.asarray(start_vertices, dtype=np.int64)
     if gaps is None:
@@ -344,7 +247,6 @@ async def run_open_loop(
             # pool-reserved id on hits) keys the walk's randomness.
             report.paths[outcome.query_id] = outcome.path
             report.requests[outcome.query_id] = int(outcome.path[0])
-            report.epochs[outcome.query_id] = outcome.epoch
             if outcome.cache_hit:
                 report.cache_hits.append(outcome.query_id)
         else:

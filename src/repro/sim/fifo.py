@@ -7,9 +7,11 @@ protocol, enabling backpressure-based flow control" (Section IV-B).
 Semantics are *registered* (two-phase): items pushed during cycle ``t``
 become visible to consumers at cycle ``t + 1``, when the simulation
 kernel commits all staged writes.  This makes module evaluation order
-within a cycle irrelevant — exactly like flip-flop-separated hardware —
-and is what lets the kernel call modules in any fixed order without
-combinational races.
+within a cycle irrelevant for FIFO traffic — exactly like
+flip-flop-separated hardware — and is what lets the kernel call modules
+in any fixed order without combinational races.  State shared outside
+the FIFOs (the random root, a memory channel's request queue) still
+sees the tick order; see :mod:`repro.sim.kernel`.
 
 The status flags are registers too, kept as two running counters rather
 than recomputed from the queue on every read:

@@ -3,9 +3,21 @@
 Each cycle the kernel (1) ticks every module in registration order,
 (2) commits every FIFO that was pushed or popped this cycle so staged
 pushes become visible, and (3) checks progress for deadlock detection.
-Because FIFO writes are registered (:mod:`repro.sim.fifo`), the tick
-order has no semantic effect — the kernel is a synchronous digital
-circuit evaluator, not an event queue.
+FIFO writes are registered (:mod:`repro.sim.fifo`), so FIFO traffic
+does not depend on the tick order — the kernel is a synchronous digital
+circuit evaluator, not an event queue.  Two couplings outside the FIFOs
+do depend on it:
+
+* ThundeRiNG's one shared root (:mod:`repro.rng.thundering`) is
+  advanced by every draw of every stream, so the value one sampling
+  module draws depends on how many draws the modules ticked before it
+  made;
+* two access engines that submit to one memory channel in one cycle
+  queue there in tick order.
+
+Reversing the four sampling modules' tick order on the suite's RMAT-12
+shape moves ``total_steps`` from 13,917 to 13,863 and ``cycles`` from
+18,224 to 18,204.  ROADMAP item 11 takes the root's coupling out.
 
 Nothing is re-derived per cycle that hardware would hold in a register.
 A FIFO's empty/full flags are its ``ready`` / ``space`` counters, which
@@ -35,10 +47,7 @@ _DEADLOCK_WINDOW = 2048
 class SimulationKernel:
     """Owns the module list, FIFOs and memory; advances the clock."""
 
-    def __init__(self, core_mhz: float = 320.0) -> None:
-        if core_mhz <= 0:
-            raise SimulationError("core_mhz must be positive")
-        self.core_mhz = core_mhz
+    def __init__(self) -> None:
         self._modules: list[Module] = []
         # The modules' bound ``tick`` methods in the same order, bound as
         # each module is added, so a cycle resolves no method.
@@ -58,9 +67,11 @@ class SimulationKernel:
         """Register a module to be ticked each cycle.
 
         ``prepend`` ticks the module before everything already
-        registered — semantically irrelevant for well-formed designs
-        (FIFO writes are registered), but useful for fault injectors and
-        probes that must win same-cycle FIFO pop races.
+        registered, for fault injectors and probes that must win
+        same-cycle FIFO pop races.  The order does not change FIFO
+        traffic (FIFO writes are registered), but it does change shared
+        random-root draws and same-cycle channel submissions (see the
+        module docstring).
         """
         if prepend:
             self._modules.insert(0, module)

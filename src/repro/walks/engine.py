@@ -211,8 +211,7 @@ class PreparedEngine:
         :class:`~repro.dynamic.graph.GraphSnapshot` (see
         :func:`prepared_kernel`), so a snapshot swap costs a state
         hand-off rather than an alias-table/edge-key rebuild.  Callers
-        must not swap while a :meth:`run` is executing; the
-        serving layer applies swaps on epoch boundaries.
+        must not swap while a :meth:`run` is executing.
         """
         if type(self)._adopt is PreparedEngine._adopt:
             # Before anything reads constructor state: run/close-only

@@ -9,13 +9,11 @@ held, and kernels that read nothing cost nothing.  The apply path's
 one-pass base-membership search is held to the scalar ``has_edge``.
 """
 
-import asyncio
-
 import numpy as np
 import pytest
 
 import repro.dynamic.state as state_module
-from repro.dynamic import DynamicGraph, SamplerState, make_trace
+from repro.dynamic import DynamicGraph, SamplerState, sliding_window_trace
 from repro.dynamic.state import MEMBERS
 from repro.dynamic.workload import apply_batch
 from repro.engines import prepare_engine
@@ -24,18 +22,22 @@ from repro.graph import from_edges
 from repro.obs import MetricsRegistry, dynamic_graph_into
 from repro.obs.trace import tracing
 from repro.sampling.vectorized import ReservoirKernel, UniformKernel
-from repro.serve import ServeConfig, WalkService
 from repro.walks import DeepWalkSpec, PPRSpec, make_queries
 
-KINDS = ("grow", "window", "churn")
-#: ``(kind, seed)``: 27 traces, weighted on even seeds (churn always is).
-TRACES = [(kind, seed) for kind in KINDS for seed in range(9)]
+#: 27 sliding-window traces, weighted on even seeds.
+SEEDS = range(27)
 NEVER = 99
 
 
-def small_trace(kind, seed):
-    return make_trace(kind, 6, edge_factor=6, batch_size=24, num_batches=6,
-                      seed=seed, weighted=seed % 2 == 0)
+def small_trace(seed):
+    return sliding_window_trace(6, edge_factor=6, batch_size=24, num_batches=6,
+                                seed=seed, weighted=seed % 2 == 0)
+
+
+def row_of(dynamic, vertex):
+    """One current row as ``(destinations, weights or None)``."""
+    cols, weights = dynamic._merged_row(vertex)
+    return cols.tolist(), weights
 
 
 def fresh_state(dynamic):
@@ -66,19 +68,27 @@ def scratch_builds(monkeypatch):
 
 def drop_a_row(rng, dynamic):
     """Take one vertex to degree 0; returns what puts its row back."""
-    occupied = [v for v in range(dynamic.num_vertices) if dynamic.degree(v)]
+    occupied = [v for v in range(dynamic.num_vertices) if row_of(dynamic, v)[0]]
     vertex = occupied[rng.integers(len(occupied))]
-    row = [(vertex, int(dst)) for dst in dynamic.neighbors(vertex)]
-    weights = dynamic.neighbor_weights(vertex) if dynamic.is_weighted else None
+    cols, weights = row_of(dynamic, vertex)
+    row = [(vertex, dst) for dst in cols]
     dynamic.remove_edges(row)
-    assert dynamic.degree(vertex) == 0
+    assert row_of(dynamic, vertex)[0] == []
     return row, weights
 
 
-@pytest.mark.parametrize("kind,seed", TRACES)
-def test_held_members_match_a_full_build_under_any_ask_schedule(kind, seed, scratch_builds):
-    rng = np.random.default_rng((seed, KINDS.index(kind), 24))
-    trace = small_trace(kind, seed)
+def reweight_some(rng, dynamic):
+    """Re-draw the weights of four present edges: a duplicate insert
+    re-weights in place, so only weights move in the dirty rows."""
+    edges, _ = dynamic.logical_edges()
+    picked = edges[rng.choice(len(edges), size=4, replace=False)]
+    assert dynamic.add_edges(picked, weights=rng.uniform(0.5, 2.0, size=4)) == 0
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_held_members_match_a_full_build_under_any_ask_schedule(seed, scratch_builds):
+    rng = np.random.default_rng((seed, 24))
+    trace = small_trace(seed)
     assert len(trace.batches) >= 3
     dynamic = trace.build_dynamic()
     # Each member is first asked at a random round — possibly one whose
@@ -116,6 +126,8 @@ def test_held_members_match_a_full_build_under_any_ask_schedule(kind, seed, scra
             dynamic.add_edges(restore[0], weights=restore[1])
             restore = None
         apply_batch(dynamic, batch)
+        if trace.base_weights is not None and rng.random() < 0.5:
+            reweight_some(rng, dynamic)
         if rng.random() < 0.25:
             continue                                   # this epoch is skipped
         publish(index)
@@ -135,7 +147,7 @@ def test_held_members_match_a_full_build_under_any_ask_schedule(kind, seed, scra
 
 
 def test_asking_a_superseded_epoch_is_a_late_ask_not_an_error(scratch_builds):
-    trace = small_trace("window", 4)
+    trace = small_trace(4)
     dynamic = trace.build_dynamic()
     old = dynamic.snapshot()
     apply_batch(dynamic, trace.batches[0])
@@ -148,7 +160,7 @@ def test_asking_a_superseded_epoch_is_a_late_ask_not_an_error(scratch_builds):
 
 
 def test_kernels_without_prepared_state_build_nothing(scratch_builds):
-    trace = small_trace("window", 2)
+    trace = small_trace(2)
     dynamic = trace.build_dynamic()
     for batch in trace.batches[:3]:
         snapshot = dynamic.snapshot()
@@ -159,23 +171,19 @@ def test_kernels_without_prepared_state_build_nothing(scratch_builds):
     assert not dynamic.state_builds
 
 
-def test_a_ppr_service_never_builds_alias_slots(scratch_builds):
-    trace = small_trace("window", 6)
+def test_a_ppr_engine_never_builds_alias_slots(scratch_builds):
+    """An engine swapped across epochs asks each snapshot only for what
+    its kernel reads; PPR's uniform kernel reads no prepared state."""
+    trace = small_trace(6)
     dynamic = trace.build_dynamic()
-    spec = PPRSpec(max_length=12)
-
-    async def scenario():
-        async with WalkService(dynamic.snapshot(), spec, engine="batch", seed=3,
-                               config=ServeConfig(max_batch=16)) as service:
-            for batch in trace.batches[:3]:
-                await service.submit(0)
-                apply_batch(dynamic, batch)
-                await service.update_graph(dynamic.snapshot())
-            await service.submit(1)
-            return service.epoch
-
-    assert asyncio.run(scenario()) == 3
-    # PPR's uniform kernel reads no prepared state, so no epoch builds any.
+    snapshot = dynamic.snapshot()
+    queries = make_queries(snapshot.graph, 16, seed=3)
+    with prepare_engine("batch", snapshot, PPRSpec(max_length=12)) as engine:
+        for batch in trace.batches[:3]:
+            assert engine.run(queries, seed=3).paths
+            apply_batch(dynamic, batch)
+            engine.swap_snapshot(dynamic.snapshot())
+        assert engine.run(queries, seed=3).paths
     assert scratch_builds == []
     assert not dynamic.snapshot().sampler_state.held and not dynamic.state_builds
 
@@ -184,7 +192,7 @@ def test_a_ppr_service_never_builds_alias_slots(scratch_builds):
 
 
 def test_a_traced_snapshot_names_what_it_maintained_and_the_ledger_is_exported():
-    trace = small_trace("window", 2)
+    trace = small_trace(2)
     dynamic = trace.build_dynamic()
     dynamic.snapshot().sampler_state.alias_slots
     apply_batch(dynamic, trace.batches[0])
@@ -221,7 +229,7 @@ def test_an_engine_built_from_a_snapshot_leaves_its_state_to_later_epochs(
 
     def drive(hand_over):
         """Paths on epoch 0 and 1, and the scratch builds the swap cost."""
-        trace = small_trace("window", 8)
+        trace = small_trace(8)
         dynamic = trace.build_dynamic()
         snapshot = dynamic.snapshot()
         queries = make_queries(snapshot.graph, 16, seed=5)
@@ -244,13 +252,13 @@ def test_an_engine_built_from_a_snapshot_leaves_its_state_to_later_epochs(
 # --- the apply path: base membership for a whole call at once ----------------
 
 
-@pytest.mark.parametrize("kind,seed", TRACES[::3])
-def test_vectorised_base_membership_is_has_edge(kind, seed):
-    trace = small_trace(kind, seed)
+@pytest.mark.parametrize("seed", SEEDS[::3])
+def test_vectorised_base_membership_is_has_edge(seed):
+    trace = small_trace(seed)
     dynamic = trace.build_dynamic()
     rng = np.random.default_rng((seed, 7))
     for batch in trace.batches:
-        probes = np.concatenate((batch.add, batch.remove, batch.reweight,
+        probes = np.concatenate((batch.add, batch.remove,
                                  rng.integers(0, dynamic.num_vertices, size=(16, 2))))
         src, dst = probes[:, 0].astype(np.int64), probes[:, 1].astype(np.int64)
         base = dynamic._base
@@ -263,7 +271,7 @@ def test_vectorised_base_membership_is_has_edge(kind, seed):
 def test_membership_search_on_an_edgeless_base():
     dynamic = DynamicGraph(from_edges(np.empty((0, 2), dtype=np.int64), num_vertices=4))
     assert dynamic.add_edges([(0, 1), (3, 2), (0, 1)]) == 2
-    assert dynamic.num_edges == 2 and dynamic.has_edge(3, 2)
+    assert dynamic.num_edges == 2 and row_of(dynamic, 3)[0] == [2]
 
 
 def test_duplicates_inside_one_call_apply_in_order():
@@ -271,8 +279,8 @@ def test_duplicates_inside_one_call_apply_in_order():
     dynamic = DynamicGraph(base)
     # New edge twice (second is a re-weight), base edge re-inserted.
     assert dynamic.add_edges([(2, 0), (2, 0), (0, 1)], weights=[5.0, 6.0, 7.0]) == 1
-    assert dynamic.neighbor_weights(2).tolist() == [6.0]
-    assert dynamic.neighbor_weights(0).tolist() == [7.0, 2.0]
+    assert row_of(dynamic, 2)[1].tolist() == [6.0]
+    assert row_of(dynamic, 0)[1].tolist() == [7.0, 2.0]
     # Remove, re-add and remove again in single calls: order is honoured.
     dynamic.remove_edges([(0, 2)])
     dynamic.add_edges([(0, 2)], weights=[4.0])
@@ -280,9 +288,6 @@ def test_duplicates_inside_one_call_apply_in_order():
     with pytest.raises(DynamicGraphError, match=r"cannot remove edge 0 -> 2: it does not exist"):
         dynamic.remove_edges([(0, 1), (0, 2)])
     assert dynamic.num_edges == 1 and dynamic.delta_edges == 2
-    with pytest.raises(DynamicGraphError, match=r"cannot re-weight edge 0 -> 2: it does not exist"):
-        dynamic.update_weights([(1, 0), (0, 2)], [8.0, 9.0])
-    assert dynamic.neighbor_weights(1).tolist() == [8.0]
 
 
 def test_a_failing_remove_mid_call_keeps_the_earlier_ops():
@@ -290,7 +295,7 @@ def test_a_failing_remove_mid_call_keeps_the_earlier_ops():
     dynamic = DynamicGraph(base)
     with pytest.raises(DynamicGraphError, match=r"cannot remove edge 2 -> 0: it does not exist"):
         dynamic.remove_edges([(0, 1), (2, 0), (1, 2)])
-    assert not dynamic.has_edge(0, 1) and dynamic.has_edge(1, 2)
+    assert row_of(dynamic, 0)[0] == [2] and row_of(dynamic, 1)[0] == [2]
     assert dynamic.num_edges == 2 and dynamic.updates_applied == 0
     # The same edge removed twice in one call fails at its second mention.
     with pytest.raises(DynamicGraphError, match=r"cannot remove edge 1 -> 2"):

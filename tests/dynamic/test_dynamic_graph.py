@@ -9,7 +9,6 @@ import pytest
 from repro.dynamic import (
     DynamicGraph,
     apply_batch,
-    make_trace,
     sliding_window_trace,
     snapshot_matches_static,
 )
@@ -31,6 +30,17 @@ def unweighted_graph():
     return from_edges([(0, 1), (0, 2), (1, 2), (2, 0)], num_vertices=4)
 
 
+def neighbors(graph, vertex):
+    """One current row's destinations, base plus overlay, through the
+    one-row merge (``tests/dynamic/test_merged_rows.py`` holds the
+    batched merge every snapshot uses to it)."""
+    return graph._merged_row(vertex)[0].tolist()
+
+
+def weights_of(graph, vertex):
+    return graph._merged_row(vertex)[1].tolist()
+
+
 class TestConstruction:
     def test_rejects_edge_typed_base(self):
         typed = assign_metapath_schema(unweighted_graph(), num_types=2, seed=0)
@@ -48,25 +58,24 @@ class TestReadApi:
         g = DynamicGraph(weighted_graph())
         assert g.num_vertices == 5
         assert g.num_edges == 5
-        assert g.degree(2) == 2
-        assert g.neighbors(0).tolist() == [1, 2]
-        assert g.neighbor_weights(2).tolist() == [4.0, 5.0]
-        assert g.has_edge(0, 1) and not g.has_edge(1, 0)
+        assert neighbors(g, 0) == [1, 2]
+        assert weights_of(g, 2) == [4.0, 5.0]
 
     def test_reads_see_pending_updates(self):
         g = DynamicGraph(weighted_graph())
         g.add_edges([(1, 0)], weights=[7.0])
         g.remove_edges([(0, 2)])
-        assert g.has_edge(1, 0) and not g.has_edge(0, 2)
-        assert g.neighbors(0).tolist() == [1]
-        assert g.neighbors(1).tolist() == [0, 2]
-        assert g.neighbor_weights(1).tolist() == [7.0, 3.0]
+        assert neighbors(g, 0) == [1]
+        assert neighbors(g, 1) == [0, 2]
+        assert weights_of(g, 1) == [7.0, 3.0]
         assert g.num_edges == 5
 
-    def test_unweighted_neighbor_weights_are_ones(self):
+    def test_unweighted_rows_carry_no_weights(self):
         g = DynamicGraph(unweighted_graph())
         g.add_edges([(3, 0)])
-        assert g.neighbor_weights(3).tolist() == [1.0]
+        assert g._merged_row(3)[1] is None and neighbors(g, 3) == [0]
+        assert g.logical_edges()[1] is None
+        assert g.snapshot().graph.weights is None
 
 
 class TestUpdateSemantics:
@@ -74,7 +83,7 @@ class TestUpdateSemantics:
         g = DynamicGraph(weighted_graph())
         assert g.add_edges([(0, 1)], weights=[9.0]) == 0
         assert g.num_edges == 5
-        assert g.neighbor_weights(0).tolist() == [9.0, 2.0]
+        assert weights_of(g, 0) == [9.0, 2.0]
 
     def test_duplicate_insert_unweighted_is_noop(self):
         g = DynamicGraph(unweighted_graph())
@@ -89,28 +98,17 @@ class TestUpdateSemantics:
     def test_remove_then_readd(self):
         g = DynamicGraph(weighted_graph())
         g.remove_edges([(0, 1)])
-        assert not g.has_edge(0, 1)
+        assert neighbors(g, 0) == [2]
         assert g.add_edges([(0, 1)], weights=[8.0]) == 1
-        assert g.neighbor_weights(0).tolist() == [8.0, 2.0]
+        assert weights_of(g, 0) == [8.0, 2.0]
         assert g.num_edges == 5
 
     def test_vertex_drops_to_degree_zero(self):
         g = DynamicGraph(weighted_graph())
         g.remove_edges([(2, 0), (2, 3)])
-        assert g.degree(2) == 0
-        assert g.neighbors(2).size == 0
+        assert neighbors(g, 2) == []
         snap = g.snapshot()
         assert snap.graph.degree(2) == 0
-
-    def test_update_weights_requires_existing_edge(self):
-        g = DynamicGraph(weighted_graph())
-        with pytest.raises(DynamicGraphError, match="re-weight"):
-            g.update_weights([(3, 0)], weights=[1.0])
-
-    def test_update_weights_on_unweighted_rejected(self):
-        g = DynamicGraph(unweighted_graph())
-        with pytest.raises(DynamicGraphError, match="unweighted"):
-            g.update_weights([(0, 1)], weights=[2.0])
 
     def test_weighted_updates_require_weights(self):
         g = DynamicGraph(weighted_graph())
@@ -127,7 +125,7 @@ class TestUpdateSemantics:
         with pytest.raises(GraphError, match="positive and finite"):
             g.add_edges([(3, 0), (3, 1)], weights=[1.0, -2.0])
         # Array-level validation runs before the first edge applies.
-        assert not g.has_edge(3, 0)
+        assert neighbors(g, 3) == [] and g.delta_edges == 0
 
     def test_vertex_set_is_fixed(self):
         g = DynamicGraph(unweighted_graph())
@@ -180,10 +178,11 @@ class TestOneEpochOverlay:
 
     @staticmethod
     def reads(graph, vertices, pairs):
-        rows = [(graph.degree(v), graph.neighbors(v).tolist(),
-                 graph.neighbor_weights(v).tolist()) for v in vertices]
+        rows = [graph._merged_row(v) for v in vertices]
+        rows = [(cols.tolist(), None if weights is None else weights.tolist())
+                for cols, weights in rows]
         edges, weights = graph.logical_edges()
-        return (rows, [graph.has_edge(s, d) for s, d in pairs],
+        return (rows, [d in neighbors(graph, s) for s, d in pairs],
                 edges.tolist(), None if weights is None else weights.tolist())
 
     @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
@@ -219,16 +218,16 @@ class TestOneEpochOverlay:
                 for edge in removed:
                     del oracle[edge]
                 if weighted:
+                    # A duplicate insert re-weights the edge in place.
                     present = sorted(oracle)
                     picked = [present[i] for i in rng.choice(len(present), 4, replace=False)]
                     drawn = weights(len(picked))
-                    graph.update_weights(picked, drawn)
+                    assert graph.add_edges(picked, weights=drawn) == 0
                     oracle.update(zip(picked, drawn.tolist()))
-            assert graph.has_pending_updates and graph.delta_edges > 0
+            assert graph.delta_edges > 0
             before = self.reads(graph, vertices, probes)
             snapshot = graph.snapshot()
             assert graph.delta_edges == 0
-            assert not graph.has_pending_updates
             assert self.reads(graph, vertices, probes) == before
             # An oracle sharing no code with the overlay or the merge.
             expected = sorted(oracle)
@@ -250,7 +249,7 @@ class TestOneEpochOverlay:
     def test_a_burst_is_held_until_the_snapshot(self):
         """Only a snapshot moves the base: two batches that together hold
         twice the base's edges stay in the overlay until one is taken."""
-        trace = make_trace("window", 10, batch_size=2500, num_batches=3, seed=1)
+        trace = sliding_window_trace(10, batch_size=2500, num_batches=3, seed=1)
         dynamic = trace.build_dynamic()
         previous = dynamic.snapshot()
         assert len(trace.batches) == 2
@@ -285,7 +284,7 @@ class TestOneEpochOverlay:
         every.snapshot()  # only one of the twins publishes this epoch
         for graph in (every, skipping):
             graph.remove_edges([(0, 1)])
-            graph.update_weights([(3, 0)], [0.25])
+            graph.add_edges([(3, 0)], weights=[0.25])
         s1, s2 = every.snapshot(), skipping.snapshot()
         assert (s1.epoch, s2.epoch) == (2, 1)
         assert np.array_equal(s1.graph.row_ptr, s2.graph.row_ptr)

@@ -96,21 +96,19 @@ def random_mutation(rng, graph: DynamicGraph, model: dict, weighted):
                                              size=min(6, len(pool)),
                                              replace=False)]
         remove(graph, model, picks)
-    elif kind == 2 and present and weighted:  # reweights
+    elif kind == 2 and present and weighted:  # reweights: duplicate inserts
         pool = sorted(present)
         picks = [pool[i] for i in rng.choice(len(pool),
                                              size=min(6, len(pool)),
                                              replace=False)]
-        reweights = rng.uniform(0.5, 2.0, size=len(picks))
-        graph.update_weights(picks, reweights)
-        model.update(zip(picks, reweights.tolist()))
+        add(graph, model, picks, rng.uniform(0.5, 2.0, size=len(picks)))
     elif kind == 3 and present:  # drop one vertex to degree 0, then readd
         vertex = int(sorted({s for s, _ in present})[
             rng.integers(0, len({s for s, _ in present}))])
-        row = [(vertex, int(d)) for d in graph.neighbors(vertex)]
+        row = [(vertex, int(d)) for d in graph._merged_row(vertex)[0]]
         assert sorted(row) == sorted(e for e in present if e[0] == vertex)
         remove(graph, model, row)
-        assert graph.degree(vertex) == 0
+        assert graph._merged_row(vertex)[0].size == 0
         readd = row[: max(1, len(row) // 2)]
         add(graph, model, readd,
             rng.uniform(0.5, 2.0, size=len(readd)) if weighted else None)

@@ -2,8 +2,8 @@
 
 ``DynamicGraph._merged_rows`` (one vectorized base + delta merge, behind
 ``snapshot`` and ``logical_edges``) must give every vertex
-exactly the row ``DynamicGraph._merged_row`` (the dict merge, now only
-the single-vertex read API) gives it — over inserts, removals,
+exactly the row ``DynamicGraph._merged_row`` (the dict merge, kept as
+this oracle) gives it — over inserts, removals,
 re-weights, tombstone-then-resurrect and whole-row removals, weighted
 and unweighted — on both branches of
 the ``stable_order`` the merge sorts by: packed keys, as called, and the
@@ -42,12 +42,12 @@ def base_graph(weighted: bool, seed: int = 0):
 def assert_batch_matches_rows(graph: DynamicGraph, vertices) -> None:
     batch = graph._merged_rows(vertices)
     assert batch.vertices.tolist() == sorted(set(vertices))
-    assert (batch.weights is None) == (not graph.is_weighted)
+    assert (batch.weights is None) == (not graph._weighted)
     for i, vertex in enumerate(batch.vertices.tolist()):
         lo, hi = batch.row_ptr[i], batch.row_ptr[i + 1]
         cols, weights = graph._merged_row(vertex)
         assert np.array_equal(batch.col[lo:hi], cols), vertex
-        if graph.is_weighted:
+        if graph._weighted:
             assert np.array_equal(batch.weights[lo:hi], weights), vertex
     assert batch.row_ptr[-1] == batch.col.size
 
@@ -58,7 +58,7 @@ def assert_whole_graph_matches_rows(graph: DynamicGraph) -> None:
     sources = np.repeat(np.arange(NUM_VERTICES), [cols.size for cols, _ in rows])
     assert np.array_equal(edges[:, 0], sources)
     assert np.array_equal(edges[:, 1], np.concatenate([cols for cols, _ in rows]))
-    if graph.is_weighted:
+    if graph._weighted:
         assert np.array_equal(weights, np.concatenate([w for _, w in rows]))
     else:
         assert weights is None
@@ -66,7 +66,7 @@ def assert_whole_graph_matches_rows(graph: DynamicGraph) -> None:
 
 
 def weights_for(graph: DynamicGraph, count: int, value: float):
-    return np.full(count, value) if graph.is_weighted else None
+    return np.full(count, value) if graph._weighted else None
 
 
 @WEIGHTED
@@ -75,7 +75,7 @@ def test_every_kind_of_change_merges_like_the_dict_merge(weighted, order_branch)
     everyone = range(NUM_VERTICES)
     assert_batch_matches_rows(graph, everyone)          # no delta at all
 
-    row0 = [(0, int(d)) for d in graph.neighbors(0)]
+    row0 = [(0, int(d)) for d in graph._merged_row(0)[0]]
     absent0 = [(0, d) for d in range(1, NUM_VERTICES) if (0, d) not in row0]
     graph.add_edges(absent0[:2] + [(5, 7), (5, 2)],     # inserts, one into an empty row
                     weights=weights_for(graph, 4, 3.25))
@@ -83,10 +83,10 @@ def test_every_kind_of_change_merges_like_the_dict_merge(weighted, order_branch)
     graph.add_edges(row0[:1], weights=weights_for(graph, 1, 0.125))   # resurrect one
     graph.remove_edges(absent0[:1])                     # delta-only edge dropped again
     if weighted:
-        graph.update_weights(row0[2:3], [7.5])          # re-weight a base edge
-    whole = [(3, int(d)) for d in graph.neighbors(3)]
+        assert graph.add_edges(row0[2:3], weights=[7.5]) == 0   # re-weight a base edge
+    whole = [(3, int(d)) for d in graph._merged_row(3)[0]]
     graph.remove_edges(whole)                           # whole row gone
-    assert graph.degree(3) == 0
+    assert graph._merged_row(3)[0].size == 0
 
     assert_batch_matches_rows(graph, everyone)
     assert_batch_matches_rows(graph, [3, 0])            # unsorted subset
@@ -119,7 +119,7 @@ def test_snapshot_span_reports_dirty_edges_and_three_children():
     graph = DynamicGraph(base_graph(True))
     graph.snapshot()
     graph.add_edges([(5, 1), (0, 5)], weights=[1.5, 2.5])
-    dirty_edges = graph.degree(5) + graph.degree(0)
+    dirty_edges = graph._merged_row(5)[0].size + graph._merged_row(0)[0].size
     with tracing() as tracer:
         tracer.clear()
         graph.snapshot()
@@ -136,7 +136,7 @@ def test_snapshot_span_reports_dirty_edges_and_three_children():
 def test_last_writer_wins_and_a_winning_tombstone_drops_the_edge(order_branch):
     graph = DynamicGraph(from_edges([(0, 1), (0, 2), (0, 3), (1, 0)], num_vertices=4,
                                     weights=[1.0, 2.0, 3.0, 4.0]))
-    graph.update_weights([(0, 1)], [9.0])           # delta over base: delta wins
+    graph.add_edges([(0, 1)], weights=[9.0])        # delta over base: delta wins
     graph.remove_edges([(0, 2)])                    # tombstone over base: edge gone
     graph.remove_edges([(0, 3)])
     graph.add_edges([(0, 3)], weights=[0.5])        # insert over tombstone: back

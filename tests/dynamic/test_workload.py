@@ -1,17 +1,8 @@
-"""Update-trace generators: determinism and structural invariants."""
+"""The sliding-window update trace: determinism and structural invariants."""
 
 import numpy as np
-import pytest
 
-from repro.dynamic import (
-    DynamicGraph,
-    apply_batch,
-    grow_only_trace,
-    make_trace,
-    sliding_window_trace,
-    weight_churn_trace,
-)
-from repro.errors import DynamicGraphError
+from repro.dynamic import DynamicGraph, apply_batch, sliding_window_trace
 
 
 def replay(trace):
@@ -22,46 +13,19 @@ def replay(trace):
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("kind", ["grow", "window", "churn"])
-    def test_same_seed_same_trace(self, kind):
-        a = make_trace(kind, 6, edge_factor=4, batch_size=50, num_batches=4,
-                       seed=9)
-        b = make_trace(kind, 6, edge_factor=4, batch_size=50, num_batches=4,
-                       seed=9)
+    def test_same_seed_same_trace(self):
+        a = sliding_window_trace(6, edge_factor=4, batch_size=50, num_batches=4, seed=9)
+        b = sliding_window_trace(6, edge_factor=4, batch_size=50, num_batches=4, seed=9)
         assert np.array_equal(a.base_edges, b.base_edges)
         assert len(a.batches) == len(b.batches)
         for x, y in zip(a.batches, b.batches):
             assert np.array_equal(x.add, y.add)
             assert np.array_equal(x.remove, y.remove)
-            assert np.array_equal(x.reweight, y.reweight)
 
     def test_different_seed_differs(self):
-        a = grow_only_trace(6, edge_factor=4, batch_size=50, seed=1)
-        b = grow_only_trace(6, edge_factor=4, batch_size=50, seed=2)
+        a = sliding_window_trace(6, edge_factor=4, batch_size=50, seed=1)
+        b = sliding_window_trace(6, edge_factor=4, batch_size=50, seed=2)
         assert not np.array_equal(a.base_edges, b.base_edges)
-
-
-class TestGrowOnly:
-    def test_batches_only_insert(self):
-        trace = grow_only_trace(6, edge_factor=4, batch_size=50, seed=3)
-        assert all(
-            b.remove.shape[0] == 0 and b.reweight.shape[0] == 0
-            for b in trace.batches
-        )
-
-    def test_replays_cleanly_and_grows(self):
-        trace = grow_only_trace(6, edge_factor=4, batch_size=50, seed=3)
-        graph = replay(trace)
-        assert graph.num_edges == trace.base_edges.shape[0] + sum(
-            b.add.shape[0] for b in trace.batches
-        )
-
-    def test_unweighted_variant(self):
-        trace = grow_only_trace(6, edge_factor=4, batch_size=50, seed=3,
-                                weighted=False)
-        assert trace.base_weights is None
-        graph = replay(trace)
-        assert not graph.is_weighted
 
 
 class TestSlidingWindow:
@@ -80,35 +44,12 @@ class TestSlidingWindow:
         snapshot = graph.snapshot()
         assert snapshot.graph.num_edges == graph.num_edges
 
-
-class TestWeightChurn:
-    def test_topology_is_fixed(self):
-        trace = weight_churn_trace(6, edge_factor=4, batch_size=30,
-                                   num_batches=4, seed=5)
-        graph = trace.build_dynamic()
-        before = graph.num_edges
-        for batch in trace.batches:
-            assert batch.add.shape[0] == 0 and batch.remove.shape[0] == 0
-            apply_batch(graph, batch)
-        assert graph.num_edges == before
-
-    def test_weights_actually_churn(self):
-        trace = weight_churn_trace(6, edge_factor=4, batch_size=30,
-                                   num_batches=2, seed=5)
-        graph = trace.build_dynamic()
-        graph.snapshot()
-        before = graph.snapshot().graph.weights.copy()
-        for batch in trace.batches:
-            apply_batch(graph, batch)
-        after = graph.snapshot().graph.weights
-        assert not np.array_equal(before, after)
-
-
-class TestMakeTrace:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(DynamicGraphError, match="unknown trace kind"):
-            make_trace("shrink", 6)
+    def test_unweighted_variant(self):
+        trace = sliding_window_trace(6, edge_factor=4, batch_size=50, seed=3,
+                                     weighted=False)
+        assert trace.base_weights is None
+        assert replay(trace).snapshot().graph.weights is None
 
     def test_build_dynamic_returns_dynamic_graph(self):
-        trace = make_trace("grow", 6, edge_factor=4, batch_size=50, seed=1)
+        trace = sliding_window_trace(6, edge_factor=4, batch_size=50, seed=1)
         assert isinstance(trace.build_dynamic(), DynamicGraph)

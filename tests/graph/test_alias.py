@@ -78,7 +78,7 @@ class TestBuildAliasTable:
     def test_flat_layout_aligned_with_col(self):
         g = self.graph()
         table = build_alias_table(g)
-        assert table.num_slots == g.num_edges
+        assert table.prob.size == table.alias.size == g.num_edges
 
     def test_per_vertex_distribution(self):
         g = self.graph()
@@ -99,7 +99,7 @@ class TestBuildAliasTable:
     def test_dangling_vertices_skipped(self):
         g = from_edges([(0, 1)], num_vertices=3)
         table = build_alias_table(g)  # must not raise on dangling 1, 2
-        assert table.num_slots == 1
+        assert table.prob.size == 1
 
     def test_sample_index_statistics(self):
         g = self.graph()
@@ -119,8 +119,3 @@ class TestBuildAliasTable:
         source = NumpyRandomSource(np.random.default_rng(0))
         with pytest.raises(SamplingError, match="dangling vertex 3"):
             sampler.sample(g, StepContext(3), source)
-
-    def test_table_bytes(self):
-        g = self.graph()
-        table = build_alias_table(g)
-        assert table.table_bytes(64) == g.num_edges * 8

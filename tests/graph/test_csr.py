@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from graph_helpers import edge_pairs
+
 from repro.errors import GraphError
 from repro.graph import CSRGraph, from_adjacency_dict, paper_example_graph
 
@@ -138,14 +140,9 @@ class TestQueries:
             dst = int(rng.integers(0, g.num_vertices))
             assert g.has_edge(src, dst) == bool(np.any(g.neighbors(src) == dst))
 
-    def test_dangling_vertices(self):
+    def test_dangling_fraction(self):
         g = make_simple()
-        assert g.dangling_vertices().tolist() == [2]
         assert g.dangling_fraction() == pytest.approx(1 / 3)
-
-    def test_edges_iterator(self):
-        g = make_simple()
-        assert list(g.edges()) == [(0, 1), (0, 2), (1, 2)]
 
     def test_neighbor_edge_types_requires_types(self):
         with pytest.raises(GraphError, match="edge types"):
@@ -157,27 +154,6 @@ class TestDerived:
         g = make_simple().with_weights([1.0, 2.0, 3.0])
         assert g.is_weighted
         assert g.weights.tolist() == [1.0, 2.0, 3.0]
-
-    def test_with_name(self):
-        g = make_simple().with_name("renamed")
-        assert g.name == "renamed"
-
-    def test_reverse_swaps_edges(self):
-        g = make_simple()
-        r = g.reverse()
-        assert set(r.edges()) == {(1, 0), (2, 0), (2, 1)}
-
-    def test_reverse_twice_is_identity(self):
-        g = make_simple()
-        rr = g.reverse().reverse()
-        assert set(rr.edges()) == set(g.edges())
-
-    def test_reverse_carries_weights(self):
-        g = make_simple().with_weights([1.0, 2.0, 3.0])
-        r = g.reverse()
-        # edge 0->2 had weight 2.0; reversed edge 2->0 must carry it
-        idx = list(r.edges()).index((2, 0))
-        assert r.weights[idx] == 2.0
 
 
 class TestSizeAccounting:
@@ -208,4 +184,4 @@ class TestPaperExample:
 
     def test_adjacency_dict_equivalence(self):
         g = from_adjacency_dict({0: [1], 1: [0]})
-        assert set(g.edges()) == {(0, 1), (1, 0)}
+        assert set(edge_pairs(g)) == {(0, 1), (1, 0)}

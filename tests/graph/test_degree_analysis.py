@@ -1,73 +1,32 @@
-"""Unit tests for degree-distribution analysis helpers."""
+"""The synthetic graphs carry the heavy degree tails the catalog promises."""
 
 import numpy as np
-import pytest
 
-from repro.errors import GraphError
-from repro.graph import (
-    cycle_graph,
-    degree_ccdf,
-    degree_histogram,
-    fit_powerlaw_exponent,
-    load_dataset,
-    powerlaw,
-    star_graph,
-)
+from repro.graph import load_dataset, powerlaw
 
 
-class TestDegreeHistogram:
-    def test_regular_graph(self):
-        hist = degree_histogram(cycle_graph(10))
-        assert hist.tolist() == [0, 10]  # everyone has out-degree 1
-
-    def test_star_graph(self):
-        hist = degree_histogram(star_graph(5))
-        assert hist[0] == 5 and hist[5] == 1
-
-    def test_in_degree_option(self):
-        g = star_graph(5)
-        in_hist = degree_histogram(g, in_degree=True)
-        assert in_hist[0] == 1  # the hub receives nothing
-        assert in_hist[1] == 5
+def hill_exponent(in_degrees: np.ndarray, minimum_degree: int = 2) -> float:
+    """Maximum-likelihood (Hill) tail exponent over degrees >= the minimum:
+    ``1 + n / sum(ln(d_i / (d_min - 1/2)))`` (Clauset-Shalizi-Newman's
+    discrete approximation)."""
+    tail = in_degrees[in_degrees >= minimum_degree].astype(np.float64)
+    assert tail.size >= 10
+    return float(1.0 + tail.size / np.log(tail / (minimum_degree - 0.5)).sum())
 
 
-class TestCCDF:
-    def test_monotone_decreasing(self):
-        g = powerlaw(num_vertices=500, num_edges=2500, seed=1)
-        degrees, ccdf = degree_ccdf(g)
-        assert np.all(np.diff(ccdf) <= 1e-12)
-        assert ccdf[0] <= 1.0
-
-    def test_starts_at_total_mass(self):
-        g = cycle_graph(10)
-        degrees, ccdf = degree_ccdf(g)
-        assert degrees.tolist() == [1]
-        assert ccdf[0] == pytest.approx(1.0)
-
-
-class TestPowerlawFit:
+class TestPowerlawTail:
     def test_synthetic_tail_is_heavy(self):
         # Table II stand-ins must carry the catalog's heavy in-degree tail.
         for name in ("WG", "LJ"):
             g = load_dataset(name, scale=0.3, seed=1)
-            alpha = fit_powerlaw_exponent(g, in_degree=True)
+            alpha = hill_exponent(np.bincount(g.col, minlength=g.num_vertices))
             assert 1.2 < alpha < 3.5, (name, alpha)
 
     def test_preferential_tail_heavier_than_uniform(self):
         # Preferential target selection produces a far heavier in-degree
-        # tail than uniform selection; the CCDF reaches much deeper.
+        # tail than uniform selection: its largest in-degree is far larger.
         pref = powerlaw(num_vertices=2000, num_edges=10_000, exponent=2.0,
                         preferential=True, seed=1, max_in_share=None)
         unif = powerlaw(num_vertices=2000, num_edges=10_000, exponent=2.0,
                         preferential=False, seed=1)
-        d_pref, _ = degree_ccdf(pref, in_degree=True)
-        d_unif, _ = degree_ccdf(unif, in_degree=True)
-        assert d_pref.max() > 10 * d_unif.max()
-
-    def test_insufficient_tail_rejected(self):
-        with pytest.raises(GraphError, match="tail"):
-            fit_powerlaw_exponent(cycle_graph(5), minimum_degree=10)
-
-    def test_minimum_degree_validation(self):
-        with pytest.raises(GraphError):
-            fit_powerlaw_exponent(cycle_graph(5), minimum_degree=0)
+        assert np.bincount(pref.col).max() > 10 * np.bincount(unif.col).max()

@@ -1,16 +1,26 @@
 """Unit tests for graph serialization."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import GraphFormatError
+from graph_helpers import edge_pairs
+
+from repro.errors import GraphError, GraphFormatError
 from repro.graph import (
     from_edges,
     load_edge_list,
     load_npz,
+    path_graph,
     powerlaw,
+    rmat,
     save_edge_list,
     save_npz,
+    star_graph,
 )
 from repro.graph.datasets import assign_metapath_schema
 
@@ -112,12 +122,37 @@ class TestRoundTripPreservesDerivedState:
         save_edge_list(g, path)
         loaded = load_edge_list(path)
         assert loaded.cols_sorted
-        # Text serialization uses %.8g: exactly-representable weights
-        # must survive verbatim (dyadic rationals are the honest bar for
-        # a decimal text format).
-        by_edge = dict(zip(g.edges(), g.weights))
-        loaded_by_edge = dict(zip(loaded.edges(), loaded.weights))
+        by_edge = dict(zip(edge_pairs(g), g.weights))
+        loaded_by_edge = dict(zip(edge_pairs(loaded), loaded.weights))
         assert by_edge == loaded_by_edge
+
+    def test_edge_list_round_trip_is_exact_on_a_weighted_rmat(self, tmp_path):
+        """Each weight is written as its shortest exact decimal, so the
+        reloaded graph equals the ``.npz`` one array for array — weights
+        bit for bit, and the trailing isolated vertices the header
+        declares — and DeepWalk walks it along the same paths."""
+        from repro.bench.workloads import make_spec
+        from repro.graph import rmat, thunderrw_weights
+        from repro.walks import make_queries, run_walks_batch
+
+        g = rmat(8, 8, seed=1, name="rmat8")
+        g = g.with_weights(thunderrw_weights(g, seed=1))
+        save_edge_list(g, tmp_path / "rmat8.el")
+        save_npz(g, tmp_path / "rmat8.npz")
+        from_text = load_edge_list(tmp_path / "rmat8.el")
+        from_npz = load_npz(tmp_path / "rmat8.npz")
+        for loaded in (from_text, from_npz):
+            assert np.array_equal(loaded.weights, g.weights)
+            assert np.array_equal(loaded.col, g.col)
+            assert np.array_equal(loaded.row_ptr, g.row_ptr)
+        assert from_text.num_vertices == from_npz.num_vertices == g.num_vertices
+        assert from_text.name == from_npz.name == "rmat8"
+        spec = make_spec("DeepWalk")
+        spec.max_length = 20
+        queries = make_queries(g, 200, seed=3)
+        text_paths = run_walks_batch(from_text, spec, queries, seed=4).paths
+        npz_paths = run_walks_batch(from_npz, spec, queries, seed=4).paths
+        assert all(map(np.array_equal, text_paths, npz_paths))
 
 
 class TestEdgeListRoundTrip:
@@ -126,7 +161,7 @@ class TestEdgeListRoundTrip:
         path = tmp_path / "g.txt"
         save_edge_list(g, path)
         loaded = load_edge_list(path)
-        assert set(loaded.edges()) == set(g.edges())
+        assert set(edge_pairs(loaded)) == set(edge_pairs(g))
 
     def test_weighted(self, tmp_path):
         g = from_edges([(0, 1), (1, 0)], weights=[1.5, 2.5])
@@ -140,7 +175,7 @@ class TestEdgeListRoundTrip:
         path = tmp_path / "g.txt"
         path.write_text("# header\n\n0\t1\n1\t2\n")
         loaded = load_edge_list(path)
-        assert set(loaded.edges()) == {(0, 1), (1, 2)}
+        assert set(edge_pairs(loaded)) == {(0, 1), (1, 2)}
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "g.txt"
@@ -165,3 +200,82 @@ class TestEdgeListRoundTrip:
         path = tmp_path / "mygraph.txt"
         save_edge_list(g, path)
         assert load_edge_list(path).name == "mygraph"
+
+
+class TestEdgeListHeader:
+    """The first line :func:`save_edge_list` writes declares the vertex
+    count; :func:`load_edge_list` honours it unless told otherwise."""
+
+    def test_trailing_isolated_vertices_survive(self, tmp_path):
+        g = from_edges([(0, 1), (1, 0)], num_vertices=6, name="padded")
+        save_edge_list(g, tmp_path / "g.el")
+        assert (tmp_path / "g.el").read_text().splitlines()[0] == (
+            "# padded: 6 vertices, 2 edges")
+        loaded = load_edge_list(tmp_path / "g.el")
+        assert loaded.num_vertices == 6
+        assert np.array_equal(loaded.row_ptr, g.row_ptr)
+
+    def test_an_edgeless_graph_round_trips(self, tmp_path):
+        g = from_edges(np.empty((0, 2), dtype=np.int64), num_vertices=3)
+        save_edge_list(g, tmp_path / "g.el")
+        loaded = load_edge_list(tmp_path / "g.el")
+        assert (loaded.num_vertices, loaded.num_edges) == (3, 0)
+
+    def test_an_explicit_vertex_count_overrides_the_header(self, tmp_path):
+        save_edge_list(from_edges([(0, 1)], num_vertices=6), tmp_path / "g.el")
+        assert load_edge_list(tmp_path / "g.el", num_vertices=9).num_vertices == 9
+
+    def test_a_header_below_line_one_is_a_comment(self, tmp_path):
+        path = tmp_path / "g.el"
+        path.write_text("# a graph\n# g: 6 vertices, 1 edges\n0\t1\n")
+        assert load_edge_list(path).num_vertices == 2
+
+    def test_a_foreign_first_comment_leaves_the_count_inferred(self, tmp_path):
+        path = tmp_path / "g.el"
+        path.write_text("# Nodes: 9 Edges: 2\n0\t1\n1\t3\n")
+        assert load_edge_list(path).num_vertices == 4
+
+    def test_a_header_that_undercounts_its_edges_is_rejected(self, tmp_path):
+        path = tmp_path / "g.el"
+        path.write_text("# g: 2 vertices, 1 edges\n0\t5\n")
+        with pytest.raises(GraphError, match="exceeds num_vertices=2"):
+            load_edge_list(path)
+
+
+def shape(name):
+    if name == "rmat-undirected":
+        return rmat(6, 4, seed=2, directed=False)
+    if name == "powerlaw":
+        return powerlaw(num_vertices=120, num_edges=600, seed=2)
+    if name == "star":
+        return star_graph(7)
+    return path_graph(9)
+
+
+@pytest.mark.parametrize("name", ["rmat-undirected", "powerlaw", "star", "path"])
+def test_edge_list_round_trip_is_exact_on_any_shape(name, tmp_path):
+    """Dangling rows, a dangling last vertex and mirrored edges all read
+    back as the same arrays, with weights drawn across six decades."""
+    g = shape(name)
+    g = g.with_weights(10.0 ** np.random.default_rng(5).uniform(-3, 3, g.num_edges))
+    save_edge_list(g, tmp_path / "g.el")
+    loaded = load_edge_list(tmp_path / "g.el")
+    assert loaded.num_vertices == g.num_vertices
+    assert np.array_equal(loaded.row_ptr, g.row_ptr)
+    assert np.array_equal(loaded.col, g.col)
+    assert loaded.weights.tobytes() == g.weights.tobytes()
+
+
+positive_floats = st.floats(min_value=5e-324, max_value=1e300, allow_nan=False,
+                            allow_infinity=False)
+
+
+@given(weights=st.lists(positive_floats, min_size=1, max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_any_positive_finite_weight_reads_back_bit_for_bit(weights):
+    g = from_edges([(i, i + 1) for i in range(len(weights))], weights=weights)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.el"
+        save_edge_list(g, path)
+        loaded = load_edge_list(path)
+    assert loaded.weights.tobytes() == g.weights.tobytes()

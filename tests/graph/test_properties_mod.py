@@ -11,11 +11,9 @@ from repro.graph import (
     degree_statistics,
     estimate_diameter,
     gini_coefficient,
-    largest_out_component_fraction,
     path_graph,
     powerlaw,
     star_graph,
-    working_set_bytes,
 )
 
 
@@ -30,7 +28,7 @@ class TestDegreeStatistics:
         stats = degree_statistics(star_graph(20))
         assert stats.maximum == 20
         assert stats.dangling_fraction == pytest.approx(20 / 21)
-        assert stats.is_skewed()
+        assert stats.gini >= 0.5
 
     def test_empty_graph_rejected(self):
         g = CSRGraph(row_ptr=np.array([0]), col=np.array([], dtype=np.int64))
@@ -76,22 +74,3 @@ class TestDiameter:
         many = estimate_diameter(g, num_sources=16, seed=1)
         assert many >= few
 
-
-class TestComponents:
-    def test_complete_graph_fully_reachable(self):
-        assert largest_out_component_fraction(complete_graph(6)) == 1.0
-
-    def test_star_reaches_everything(self):
-        assert largest_out_component_fraction(star_graph(5)) == 1.0
-
-    def test_disconnected(self):
-        # two cycles 0->1->0 and 2->3->2
-        g = CSRGraph(row_ptr=np.array([0, 1, 2, 3, 4]), col=np.array([1, 0, 3, 2]))
-        assert largest_out_component_fraction(g) == pytest.approx(0.5)
-
-
-class TestWorkingSet:
-    def test_matches_row_pointer_bytes(self):
-        g = cycle_graph(100)
-        assert working_set_bytes(g, 64) == g.row_pointer_bytes(64)
-        assert working_set_bytes(g, 256) == 4 * working_set_bytes(g, 64)

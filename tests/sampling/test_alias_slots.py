@@ -244,7 +244,7 @@ def test_a_swap_hands_the_records_over_and_never_packs(monkeypatch):
 def test_snapshot_state_holds_no_unpacked_tables():
     state = DynamicGraph(weighted_rmat()).snapshot().sampler_state
     assert state.alias_slots.dtype == ALIAS_SLOT
-    assert state.num_slots == state.graph.num_edges
+    assert state.alias_slots.size == state.graph.num_edges
     assert not hasattr(state, "alias_prob") and not hasattr(state, "alias_index")
 
 

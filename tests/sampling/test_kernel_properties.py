@@ -197,23 +197,28 @@ def test_grouped_dispatch_equals_per_query(case, seed):
 def adversarial_updates(dynamic, seed, weighted):
     """Dirty every archetype: equalise the dominant-first row, strip a
     small row to degree 0 and re-add one edge, give the dangling vertex
-    a row, and (weighted) churn a random row's weights."""
+    a row, and (weighted) churn a random row's weights.  A duplicate
+    insert re-weights an edge in place."""
     rng = np.random.default_rng((seed, 0x5E))
-    dominant = dynamic.neighbors(1)
+
+    def neighbors(vertex):
+        return dynamic._merged_row(vertex)[0]
+
+    dominant = neighbors(1)
     if weighted:
-        dynamic.update_weights([(1, int(d)) for d in dominant], [1.0] * dominant.size)
+        dynamic.add_edges([(1, int(d)) for d in dominant], [1.0] * dominant.size)
     else:
         dynamic.remove_edges([(1, int(d)) for d in dominant[: dominant.size // 2]])
     victim = 6
-    dynamic.remove_edges([(victim, int(d)) for d in dynamic.neighbors(victim)])
+    dynamic.remove_edges([(victim, int(d)) for d in neighbors(victim)])
     dynamic.add_edges([(victim, 0)], [2.0] if weighted else None)
     dynamic.add_edges([(5, 1), (5, 2), (5, 3)], [9.0, 0.01, 0.01] if weighted else None)
     churn = int(rng.integers(7, dynamic.num_vertices))
     if weighted:
-        for dst in dynamic.neighbors(churn):
-            dynamic.update_weights([(churn, int(dst))], [float(rng.uniform(0.1, 10.0))])
+        for dst in neighbors(churn):
+            dynamic.add_edges([(churn, int(dst))], [float(rng.uniform(0.1, 10.0))])
     else:
-        dynamic.remove_edges([(churn, int(dynamic.neighbors(churn)[0]))])
+        dynamic.remove_edges([(churn, int(neighbors(churn)[0]))])
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -3,10 +3,9 @@
 A batch engine can keep its run open, so the service seats requests
 into free walker slots and steps the engine itself, one superstep per
 event-loop turn — no coalescing wait, no thread.  What that buys (a short
-walk does not wait for a long one) and what it must keep (epoch
-boundaries, whole pools, failure isolation, the ledger identity, owned
-replies) are held here; determinism against ``replay_paths`` is in
-``test_determinism.py``.
+walk does not wait for a long one) and what it must keep (whole pools,
+failure isolation, the ledger identity, owned replies) are held here;
+determinism against ``replay_paths`` is in ``test_determinism.py``.
 """
 
 import asyncio
@@ -16,7 +15,7 @@ import numpy as np
 import pytest
 from stall_helpers import NeverAccepting
 
-from repro.errors import GraphError, ReproError, SamplingError, ServeError
+from repro.errors import ReproError, SamplingError, ServeError
 from repro.graph import from_edges
 from repro.obs.trace import tracing
 from repro.serve import (
@@ -29,8 +28,6 @@ from repro.serve import (
 )
 from repro.walks import PPRSpec, URWSpec
 from repro.walks.batch import BatchEngine
-
-from test_update_graph import two_epochs
 
 RING = 12
 
@@ -118,42 +115,7 @@ def test_short_walk_overtakes_the_walks_it_joined():
     assert 1.0 <= stats.mean_step_occupancy() <= 5.0
 
 
-def test_swap_waits_for_seated_walkers_and_no_path_mixes_epochs():
-    snap0, snap1 = two_epochs()
-    spec = URWSpec(max_length=30)
-    order = []
-
-    async def scenario():
-        async with WalkService(snap0, spec, seed=7, config=config(4)) as service:
-            # Six old requests through four slots: two wait in the backlog.
-            old = [service.try_submit(i, query_id=i) for i in range(6)]
-            await turns(4)
-            assert service.occupancy == 6 and not any(f.done() for f in old)
-            swap = service.try_update_graph(snap1)
-            new = [service.try_submit(i, query_id=100 + i) for i in range(6)]
-            for tag, futures in (("old", old), ("swap", [swap]), ("new", new)):
-                for future in futures:
-                    future.add_done_callback(lambda _, tag=tag: order.append(tag))
-            await turns(10)
-            assert service.epoch == 0 and not swap.done()  # walkers still seated
-            old_results = await asyncio.gather(*old)
-            assert await swap == 1
-            return old_results, await asyncio.gather(*new)
-
-    old_results, new_results = drive(scenario())
-    assert order == ["old"] * 6 + ["swap"] + ["new"] * 6
-    oracle_old = replay_paths(snap0.graph, spec, {i: i for i in range(6)}, seed=7)
-    oracle_new = replay_paths(snap1.graph, spec, {100 + i: i for i in range(6)}, seed=7)
-    for i in range(6):
-        assert np.array_equal(old_results[i].path_of(0), oracle_old[i])
-        assert np.array_equal(new_results[i].path_of(0), oracle_new[100 + i])
-        # The rings run opposite ways: a path that changed graphs mid-walk
-        # would turn round.
-        assert set(np.diff(old_results[i].path_of(0)) % 8) == {1}
-        assert set(np.diff(new_results[i].path_of(0)) % 8) == {7}
-
-
-def test_pool_fill_split_over_turns_installs_once_whole_on_one_epoch():
+def test_pool_fill_split_over_turns_installs_once_whole():
     graph, spec = lollipop(), URWSpec(max_length=6)
     cache = HotWalkCache(pool_size=10, hot_threshold=1)
 
@@ -161,7 +123,7 @@ def test_pool_fill_split_over_turns_installs_once_whole_on_one_epoch():
         # Ten pool walkers through three slots: at least four seatings.
         async with WalkService(graph, spec, seed=5, config=config(3),
                                cache=cache) as service:
-            miss = await service.submit_cached(2)
+            miss = await service.try_submit_cached(2)
             assert not miss.cache_hit
             installs = []
             install = cache.install
@@ -169,14 +131,14 @@ def test_pool_fill_split_over_turns_installs_once_whole_on_one_epoch():
             while not cache.live_pools:
                 assert cache.pools_built == 0
                 await asyncio.sleep(0)
-            hits = [await service.submit_cached(2) for _ in range(10)]
+            hits = [await service.try_submit_cached(2) for _ in range(10)]
             return installs, hits
 
     installs, hits = drive(scenario())
     assert len(installs) == 1 and cache.pools_built == 1
-    epoch, vertex, entries = installs[0]
-    assert (epoch, vertex, len(entries)) == (0, 2, 10)
-    assert all(hit.cache_hit and hit.epoch == 0 for hit in hits)
+    vertex, entries = installs[0]
+    assert (vertex, len(entries)) == (2, 10)
+    assert all(hit.cache_hit for hit in hits)
     assert len({hit.query_id for hit in hits}) == 10
     oracle = replay_paths(graph, spec, {hit.query_id: 2 for hit in hits}, seed=5)
     for hit in hits:
@@ -191,15 +153,15 @@ def test_stop_with_a_half_seated_fill_aborts_it():
     async def scenario():
         service = WalkService(graph, spec, seed=5, config=config(3), cache=cache)
         await service.start()
-        await service.submit_cached(2)  # its fill now holds the three slots
-        assert cache.note_miss(0, 2) is None  # marked in flight
+        await service.try_submit_cached(2)  # its fill now holds the three slots
+        assert cache.note_miss(2) is None  # marked in flight
         await service.stop()
         return service
 
     service = drive(scenario())
     assert cache.pools_built == 0 and service.occupancy == 0
     # Not stuck "filling": the next miss at the threshold triggers again.
-    assert cache.note_miss(0, 2) is not None
+    assert cache.note_miss(2) is not None
 
 
 def test_raising_step_fails_exactly_the_seated_requests():
@@ -256,31 +218,35 @@ def test_walkers_stalled_past_the_safety_valve_fail_only_their_requests():
     assert service.occupancy == 0
 
 
-def test_request_admitted_against_a_swap_that_fails_costs_only_itself():
-    """Admission validates against the newest *queued* graph; if that
-    swap then fails to apply, a start vertex only the new graph had is
-    refused at seating — before anything is seated — and fails alone."""
-    small, big = lollipop(), from_edges([(i, (i + 1) % 40) for i in range(40)],
-                                        num_vertices=40)
+def test_group_refused_at_seating_fails_alone():
+    """If the frontier refuses an admission group, nothing of it is
+    seated: the group fails together, and the dispatcher carries on."""
+    graph, spec = lollipop(), URWSpec(max_length=5)
 
-    class NoSwapEngine(BatchEngine):
-        def swap_snapshot(self, snapshot):
-            raise ReproError("injected swap failure")
+    class RefusingEngine(BatchEngine):
+        def open_frontier(self, seed, capacity):
+            frontier = super().open_frontier(seed, capacity)
+            admit = frontier.admit
+
+            def refuse_id_30(query_ids, starts, states=None):
+                if 30 in query_ids:
+                    raise ReproError("injected refusal")
+                return admit(query_ids, starts, states)
+
+            frontier.admit = refuse_id_30
+            return frontier
 
     async def scenario():
-        engine = NoSwapEngine(small, URWSpec(max_length=5))
-        async with WalkService(small, URWSpec(max_length=5), engine=engine, seed=2,
+        async with WalkService(graph, spec, engine=RefusingEngine(graph, spec), seed=2,
                                config=config(4)) as service:
-            swap = service.try_update_graph(big)
-            futures = [service.try_submit(v, query_id=v) for v in (30, 1)]
-            outcomes = await asyncio.gather(swap, *futures, return_exceptions=True)
+            futures = [service.try_submit(v, query_id=q) for v, q in ((3, 30), (1, 1))]
+            outcomes = await asyncio.gather(*futures, return_exceptions=True)
             later = await service.submit(2, query_id=9)
             return outcomes, later, service
 
-    (swapped, grown, plain), later, service = drive(scenario())
-    assert isinstance(swapped, ReproError) and service.epoch == 0
+    (refused, plain), later, service = drive(scenario())
     # Seated together, refused together: admit raises before seating any.
-    assert isinstance(grown, GraphError) and isinstance(plain, GraphError)
+    assert isinstance(refused, ReproError) and isinstance(plain, ReproError)
     assert later.path_of(0)[0] == 2
     stats = service.stats
     assert (stats.offered, stats.completed, stats.failed) == (3, 1, 2)
@@ -288,9 +254,8 @@ def test_request_admitted_against_a_swap_that_fails_costs_only_itself():
 
 
 def test_pool_fill_refused_at_seating_is_aborted_and_the_loop_carries_on():
-    """A fill is queued on the epoch it will run on, so its ``admit`` has
-    nothing to refuse — but if it raises all the same, the fill is
-    aborted, nothing else is lost, and the dispatcher lives."""
+    """If a fill's ``admit`` raises, the fill is aborted, nothing else is
+    lost, and the dispatcher lives."""
     graph, spec = lollipop(), URWSpec(max_length=5)
     cache = HotWalkCache(pool_size=4, hot_threshold=1)
 
@@ -310,7 +275,7 @@ def test_pool_fill_refused_at_seating_is_aborted_and_the_loop_carries_on():
     async def scenario():
         async with WalkService(graph, spec, engine=NoPoolEngine(graph, spec), seed=2,
                                config=config(4), cache=cache) as service:
-            miss = await service.submit_cached(2)
+            miss = await service.try_submit_cached(2)
             await turns(4)  # the fill reaches the frontier and is refused
             later = await service.submit(3, query_id=9)
             return miss, later, service
@@ -319,31 +284,27 @@ def test_pool_fill_refused_at_seating_is_aborted_and_the_loop_carries_on():
     assert not miss.cache_hit and later.path_of(0)[0] == 3
     assert cache.pools_built == 0 and service.occupancy == 0
     # Not stuck "filling": the next miss at the threshold triggers again.
-    assert cache.note_miss(0, 2) is not None
+    assert cache.note_miss(2) is not None
 
 
 def test_no_drain_stop_resolves_every_seated_and_queued_future():
     graph, spec = lollipop(), URWSpec(max_length=60)
-    snap = from_edges([(0, 1), (1, 0)], num_vertices=2)
 
     async def scenario():
         service = WalkService(graph, spec, seed=2, config=config(2))
         await service.start()
         seated_and_buffered = [service.try_submit(v) for v in range(5)]
         await turns(3)
-        swap = service.try_update_graph(snap)
-        behind_the_swap = [service.try_submit(0) for _ in range(3)]
+        queued = [service.try_submit(0) for _ in range(3)]
         await turns(2)
         await service.stop(drain=False)
-        return service, seated_and_buffered + behind_the_swap, swap
+        return service, seated_and_buffered + queued
 
-    service, futures, swap = drive(scenario())
+    service, futures = drive(scenario())
     for future in futures:
         assert future.done()
         with pytest.raises(ServeError, match="stopped before the request"):
             future.result()
-    with pytest.raises(ServeError, match="graph swap"):
-        swap.result()
     assert service.occupancy == 0
 
 
@@ -405,7 +366,7 @@ def test_both_tenants_ledgers_book_their_hops_and_engine_time():
             service.stats.busy_seconds)
         for ledger in ledgers.values():
             assert sum(ledger.batch_sizes) == ledger.completed == 20
-            assert ledger.snapshot()["sustained_hops_per_sec"] > 0
+            assert ledger.sustained_hops_per_second() > 0
 
 
 def test_one_step_span_per_turn():
@@ -425,5 +386,5 @@ def test_one_step_span_per_turn():
     assert sum(event.args["seated"] for event in steps) == 6
     assert sum(event.args["ended"] for event in steps) == 6
     assert sum(event.args["live"] for event in steps) == stats.walker_steps
-    assert all(event.args["epoch"] == 0 and event.args["live"] <= 4 for event in steps)
+    assert all(event.args["live"] <= 4 for event in steps)
     assert steps[0].args["backlog"] == 2

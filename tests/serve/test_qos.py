@@ -258,7 +258,6 @@ class TestServiceTenancy:
         async def scenario():
             async with WalkService(graph, URWSpec(max_length=5),
                                    seed=3) as service:
-                assert service.tenant_names == (DEFAULT_TENANT,)
                 result = await service.submit(0, query_id=0)
                 assert service.tenant_stats == {}
                 return result.path_of(0)

@@ -66,15 +66,15 @@ def per_request_oracle(service):
     oracle = {None: ServeStats(), **{name: ServeStats() for name in service.tenant_stats}}
     resolve, fail = service._resolve, service._fail
 
-    def spy_resolve(requests, paths, busy, epoch, now):
+    def spy_resolve(requests, paths, busy, now):
         for request, path, seconds in zip(requests, paths, busy):
             latency = now - request.submitted_at
-            oracle[None].record_completion(latency, now)
+            oracle[None].record_completions([latency], now)
             ledger = oracle.get(request.tenant)
             if ledger is not None:
-                ledger.record_completion(latency, now)
+                ledger.record_completions([latency], now)
                 ledger.record_service(path.size - 1, seconds)
-        resolve(requests, paths, busy, epoch, now)
+        resolve(requests, paths, busy, now)
 
     def spy_fail(requests, error, now):
         for request in requests:
@@ -179,7 +179,8 @@ def test_turn_booking_equals_per_request_booking(dispatcher, tenancy):
     # Gates drained, the fill installed or aborted (never stuck filling),
     # and every served path replays exactly.
     assert service.occupancy == 0
-    assert set(service._scheduler.occupancies().values()) == {0}
+    scheduler = service._scheduler
+    assert {scheduler.gate(name).occupancy for name in scheduler.tenant_names} == {0}
     assert cache.misses == 3
     assert cache.pools_built == 1 or HOT not in cache._filling
     oracle_paths = replay_paths(GRAPH, SPEC, {qid: start for qid, (start, _) in requests.items()},

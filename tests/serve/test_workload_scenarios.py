@@ -1,7 +1,7 @@
 """Workload generators and the open-loop driver's failure accounting.
 
-Covers the scenario generators (diurnal thinning, flash-crowd piecewise
-rates, hub-hammer start mixes), the ``run_open_loop`` regression — a
+Covers the scenario generators (Poisson, flash-crowd piecewise
+rates), the ``run_open_loop`` regression — a
 failed micro-batch costs exactly its own requests, never the report —
 its pacing from absolute due times, and the multi-tenant trace driver's
 id disjointness.
@@ -23,9 +23,7 @@ from repro.serve import (
     TenantTrace,
     WalkService,
     arrival_gaps,
-    diurnal_gaps,
     flash_crowd_gaps,
-    hub_hammer_starts,
     replay_paths,
     run_open_loop,
     run_tenant_traces,
@@ -43,24 +41,6 @@ def drive(coro):
 
 
 class TestGenerators:
-    def test_diurnal_gaps_reproducible_and_positive(self):
-        a = diurnal_gaps(200, mean_rate=1000.0, seed=3)
-        b = diurnal_gaps(200, mean_rate=1000.0, seed=3)
-        assert np.array_equal(a, b)
-        assert a.size == 200 and (a > 0).all()
-        # The mean gap tracks the mean rate (thinning preserves intensity).
-        assert 1.0 / a.mean() == pytest.approx(1000.0, rel=0.35)
-
-    def test_diurnal_validation(self):
-        with pytest.raises(WalkConfigError):
-            diurnal_gaps(0, 10.0)
-        with pytest.raises(WalkConfigError):
-            diurnal_gaps(10, 0.0)
-        with pytest.raises(WalkConfigError):
-            diurnal_gaps(10, 10.0, swing=1.0)
-        with pytest.raises(WalkConfigError):
-            diurnal_gaps(10, 10.0, period_seconds=0)
-
     def test_flash_crowd_burst_is_faster(self):
         gaps = flash_crowd_gaps(400, nominal_rate=100.0, burst_multiplier=10.0,
                                 burst_fraction=0.5, seed=5)
@@ -77,25 +57,6 @@ class TestGenerators:
             flash_crowd_gaps(10, 10.0, burst_multiplier=0.5)
         with pytest.raises(WalkConfigError):
             flash_crowd_gaps(10, 10.0, burst_fraction=0.0)
-
-    def test_hub_hammer_concentrates_on_top_degree(self):
-        graph = make_graph()
-        starts = hub_hammer_starts(graph, 500, num_hubs=2,
-                                   hammer_fraction=0.8, seed=7)
-        assert starts.size == 500
-        assert (starts >= 0).all() and (starts < graph.num_vertices).all()
-        hubs = set(np.argsort(graph.degrees())[::-1][:2].tolist())
-        on_hubs = sum(1 for s in starts.tolist() if s in hubs)
-        assert on_hubs >= 380  # ~0.8 of 500, plus uniform strays
-
-    def test_hub_hammer_validation(self):
-        graph = make_graph()
-        with pytest.raises(WalkConfigError):
-            hub_hammer_starts(graph, 0)
-        with pytest.raises(WalkConfigError):
-            hub_hammer_starts(graph, 10, num_hubs=0)
-        with pytest.raises(WalkConfigError):
-            hub_hammer_starts(graph, 10, hammer_fraction=1.5)
 
     def test_scenario_gaps_dispatch(self):
         for scenario in SCENARIOS:

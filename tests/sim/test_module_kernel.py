@@ -150,10 +150,6 @@ class TestKernel:
             kernel.run_until(lambda: False, max_cycles=100_000)
         assert err.value.in_flight > 0
 
-    def test_core_mhz_validation(self):
-        with pytest.raises(SimulationError):
-            SimulationKernel(core_mhz=0)
-
 
 class CommitAllKernel(SimulationKernel):
     """The kernel before touched-list commits: every FIFO committed and

@@ -20,6 +20,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from graph_helpers import edge_pairs
+
 from repro.bench.workloads import make_spec
 from repro.cli import ALGORITHMS
 from repro.graph.builders import from_edges
@@ -45,7 +47,7 @@ def sweep_graph(weighted: bool):
     every algorithm runs on it.
     """
     base = powerlaw(num_vertices=80, num_edges=260, seed=7, name="sweep")
-    edges = [(int(a), int(b)) for a, b in base.edges()]
+    edges = [(int(a), int(b)) for a, b in edge_pairs(base)]
     edges += [(v % 80, 80 + (v % 12)) for v in range(12)]
     graph = from_edges(np.asarray(edges, dtype=np.int64), num_vertices=92,
                        directed=True, name="sweep")
