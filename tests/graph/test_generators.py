@@ -18,6 +18,8 @@ from repro.graph import (
     rmat,
     star_graph,
 )
+from repro.graph.builders import from_edges
+from repro.graph.generators import RMAT_BLOCK, rmat_word
 
 
 class TestRmat:
@@ -63,6 +65,55 @@ class TestRmat:
     def test_name_labels(self):
         g = rmat(scale=4, edge_factor=2, seed=0)
         assert g.name == "rmat-sc4-ef2"
+
+
+def level_major_rmat(scale, edge_factor, initiator, seed, directed, dedupe):
+    """The oracle: every level drawn and applied to all m edges at once,
+    in int64 endpoint rows — the loop the blocked one must equal."""
+    a, b, c, _ = initiator
+    rng = np.random.default_rng(seed)
+    m = edge_factor << scale
+    src = np.zeros(m, dtype=np.int64)
+    dst = np.zeros(m, dtype=np.int64)
+    for _ in range(scale):
+        draw = rng.random(m)
+        src = (src << 1) | (draw >= a + b)
+        dst = (dst << 1) | (((draw >= a) & (draw < a + b)) | (draw >= a + b + c))
+    return from_edges(np.stack([src, dst], axis=1), num_vertices=1 << scale,
+                      directed=directed, dedupe=dedupe)
+
+
+class TestRmatBlocks:
+    """The blocked level passes build the oracle's graph byte for byte."""
+
+    @pytest.mark.parametrize("scale,edge_factor", [
+        (5, 16),   # m = 512, less than one block
+        (14, 5),   # m = 81,920: one full block and a short one
+        (16, 16),  # m = 2**20: sixteen blocks
+    ])
+    @pytest.mark.parametrize("initiator", [GRAPH500_INITIATOR, BALANCED_INITIATOR])
+    def test_block_shapes_match_the_level_major_loop(self, scale, edge_factor, initiator):
+        graph = rmat(scale, edge_factor, initiator, seed=7)
+        oracle = level_major_rmat(scale, edge_factor, initiator, 7, True, True)
+        assert np.array_equal(graph.row_ptr, oracle.row_ptr)
+        assert np.array_equal(graph.col, oracle.col)
+
+    @pytest.mark.parametrize("directed,dedupe", [(False, True), (True, False), (False, False)])
+    def test_directed_and_dedupe_match_the_level_major_loop(self, directed, dedupe):
+        graph = rmat(14, 5, seed=3, directed=directed, dedupe=dedupe)
+        oracle = level_major_rmat(14, 5, GRAPH500_INITIATOR, 3, directed, dedupe)
+        assert np.array_equal(graph.row_ptr, oracle.row_ptr)
+        assert np.array_equal(graph.col, oracle.col)
+
+    def test_the_block_fits_a_level_pass_in_two_mebibytes(self):
+        # A draw, two bit masks and two 32-bit words per edge.
+        assert RMAT_BLOCK * (8 + 1 + 1 + 4 + 4) <= 2 << 20
+
+    @pytest.mark.parametrize("scale,word", [(1, np.uint32), (16, np.uint32), (31, np.uint32),
+                                            (32, np.uint32), (33, np.uint64), (62, np.uint64)])
+    def test_the_accumulator_word_holds_every_vertex_id(self, scale, word):
+        assert rmat_word(scale) is word
+        assert np.iinfo(word).max >= (1 << scale) - 1
 
 
 class TestPowerlaw:
