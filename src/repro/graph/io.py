@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.errors import GraphFormatError
+from repro.errors import GraphError, GraphFormatError
 from repro.graph.builders import from_edges
 from repro.graph.csr import CSRGraph
 
@@ -128,10 +128,13 @@ def load_edge_list(
     edges = np.stack(
         [np.asarray(sources, dtype=np.int64), np.asarray(targets, dtype=np.int64)], axis=1
     ) if sources else np.empty((0, 2), dtype=np.int64)
-    return from_edges(
-        edges,
-        num_vertices=num_vertices,
-        weights=np.asarray(weights) if saw_weights else None,
-        directed=directed,
-        name=name or Path(path).stem,
-    )
+    try:
+        return from_edges(
+            edges,
+            num_vertices=num_vertices,
+            weights=np.asarray(weights) if saw_weights else None,
+            directed=directed,
+            name=name or Path(path).stem,
+        )
+    except GraphError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from exc

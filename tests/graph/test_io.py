@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from graph_helpers import edge_pairs
 
-from repro.errors import GraphError, GraphFormatError
+from repro.errors import GraphFormatError
 from repro.graph import (
     from_edges,
     load_edge_list,
@@ -238,7 +238,14 @@ class TestEdgeListHeader:
     def test_a_header_that_undercounts_its_edges_is_rejected(self, tmp_path):
         path = tmp_path / "g.el"
         path.write_text("# g: 2 vertices, 1 edges\n0\t5\n")
-        with pytest.raises(GraphError, match="exceeds num_vertices=2"):
+        with pytest.raises(GraphFormatError, match="exceeds num_vertices=2") as raised:
+            load_edge_list(path)
+        assert str(raised.value).startswith(f"{path}: ")
+
+    def test_a_negative_weight_names_the_file(self, tmp_path):
+        path = tmp_path / "g.el"
+        path.write_text("0 1 1.0\n1 2 -2.0\n")
+        with pytest.raises(GraphFormatError, match=r"g\.el: edge weights must be strictly"):
             load_edge_list(path)
 
 
