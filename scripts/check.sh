@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # CI gate: the determinism & resource-safety lint (`repro lint`, zero
 # unsuppressed findings over src/repro — see the README's "Determinism
-# contract"), then the two cycle-model goldens (every simulated counter
-# pinned at 1, 4, 8 and 16 pipelines, so a counter drift is the first red
-# line) — run twice, the second time with numpy's SIMD sort kernels
+# contract"; text, JSON and one `--select`ed rule), then the two
+# cycle-model goldens (every simulated counter pinned at 1, 4, 8 and 16
+# pipelines, so a counter drift is the first red line) — run twice, the second time with numpy's SIMD sort kernels
 # switched off beside the `micro-depth` pins, so a tie order that
 # depends on the CPU fails here — then the tier-1 test suite — which holds the perf gates
 # too (batch >= 10x reference, flash-crowd premium p99 <= 2x, dynamic
@@ -11,13 +11,15 @@
 # then CLI smokes whose exit codes are gates: every `serve-bench` run
 # replays each served path bit-identically through its engine (plain,
 # multi-tenant flash crowd, MetaPath, the run-backed reference
-# frontier), `mutate-bench` exits non-zero unless its final snapshot
+# frontier, and a paced walk-cache run that must also serve cache hits),
+# `mutate-bench` exits non-zero unless its final snapshot
 # equals a from-scratch build (per small batch, for bursts larger than a
 # quarter of the base graph, and for Node2Vec's maintained edge keys),
 # `repro info` lists the catalogue, a streaming, traced cycle-model walk
 # runs the device default of 16 pipelines (the cycle goldens pin 1, 4,
-# 8 and 16), one weighted RMAT saved as `.npz` and as an edge list walks
-# alike from both files, every example script runs to a zero exit, and a
+# 8 and 16) and a one-pipeline walk its single-Forwarder balancer, one
+# weighted RMAT saved as `.npz` and as an edge list walks alike from both
+# files, every example script runs to a zero exit, and a
 # traced CLI run exports sample trace + metrics artifacts, which are read
 # back and must hold a `serve.step` span and non-zero engine hops.  The
 # timed benchmark is `benchmarks/suite/run.py` (see
@@ -39,6 +41,8 @@ python -m repro lint src/repro
 # The JSON report must parse, and count the files it scanned.
 python -m repro lint --format json src/repro | python -c \
   'import json, sys; report = json.load(sys.stdin); assert report["files_scanned"] > 0, report'
+# One selected rule: the --select path runs only the rules it names.
+python -m repro lint --select RW101 src/repro
 
 if command -v ruff >/dev/null 2>&1; then
   echo
@@ -95,6 +99,12 @@ python -m repro serve-bench --algorithm MetaPath --scenario flash-crowd --tenant
 # per step); the exit code gates replay identity against its own run.
 python -m repro serve-bench --engine reference --scenario flash-crowd --tenants 2 \
   --requests 200 --rate 2000 --scale 0.05 --length 16 --max-batch 64
+# The walk cache must serve hits: paced arrivals leave the dispatcher idle
+# between requests, so pool fills run and later requests hit them (at
+# saturation every fill queues behind the client requests and is dropped
+# at stop).  Zero hits fails the grep.
+python -m repro serve-bench --cache --requests 1000 --rate 4000 --scale 0.002 \
+  --length 16 --max-batch 64 | tee /dev/stderr | grep -E "^cache: \{'hits': [1-9]"
 
 echo
 echo "== dynamic smoke (exit code gates snapshot == from-scratch build) =="
@@ -111,6 +121,8 @@ echo
 echo "== cycle-model smoke (16 pipelines, streaming, traced) =="
 python -m repro walk --engine sim --algorithm Node2Vec --dataset WG --scale 0.05 \
   --queries 64 --length 16 --streaming --trace
+# One pipeline: the balancer degenerates to a single Forwarder.
+python -m repro walk --engine sim --pipelines 1 --queries 16 --length 8 --scale 0.05
 
 echo
 echo "== info smoke (lists every dataset, algorithm, device and experiment) =="

@@ -63,10 +63,13 @@ def cli_smokes(workdir: Path) -> list[list[str]]:
     return [
         ["lint", "src/repro"],
         ["lint", "--format", "json", "src/repro"],
+        ["lint", "--select", "RW101", "src/repro"],
         ["serve-bench", "--requests", "400", "--scale", "0.05", "--length", "40"],
         ["serve-bench", *flash],
         ["serve-bench", "--algorithm", "MetaPath", *flash],
         ["serve-bench", "--engine", "reference", *flash],
+        ["serve-bench", "--cache", "--requests", "1000", "--rate", "4000", "--scale", "0.002",
+         "--length", "16", "--max-batch", "64"],
         ["mutate-bench", "--scale", "9", "--batch-size", "200", "--batches", "6",
          "--queries", "256", "--length", "40"],
         ["mutate-bench", "--scale", "10", "--batch-size", "2500", "--batches", "3",
@@ -76,6 +79,8 @@ def cli_smokes(workdir: Path) -> list[list[str]]:
         ["info"],
         ["walk", "--engine", "sim", "--algorithm", "Node2Vec", "--dataset", "WG",
          "--scale", "0.05", "--queries", "64", "--length", "16", "--streaming", "--trace"],
+        ["walk", "--engine", "sim", "--pipelines", "1", "--queries", "16", "--length", "8",
+         "--scale", "0.05"],
         ["walk", *graph, "--dataset", str(workdir / "rmat8.npz")],
         ["walk", *graph, "--dataset", str(workdir / "rmat8.el")],
         ["trace", "--out", str(workdir / "sample_trace.jsonl"), "--format", "jsonl", "--",
