@@ -10,9 +10,9 @@ swapping which goes first each pair.  For every end-to-end metric of
 ``BENCHMARK.json`` it prints each side's median and quartiles, the
 head's wins, a Mann-Whitney U p-value and a verdict:
 
-* ``better``: the head wins at least nine tenths of the pairs (ties
-  count for neither) and its median beats the base's by more than the
-  base's own interquartile range;
+* ``better``: at least ten pairs, the head wins at least nine tenths of
+  them (ties count for neither) and its median beats the base's by more
+  than the base's own interquartile range;
 * ``worse``: the head's median is worse by more than the metric's bound;
 * ``unresolved``: either side's interquartile range, relative to the
   base median, is wider than the bound, and not every head run beats
@@ -40,6 +40,10 @@ ROOT = Path(__file__).resolve().parents[1]
 WINDOWED_DIGESTS = frozenset({"dynamic_churn"})
 
 SIDES = ("base", "head")
+
+#: Fewest pairs a ``better`` verdict may rest on: with fewer, nine tenths
+#: of wins comes too easily by chance.
+MIN_PAIRS_FOR_GAIN = 10
 
 
 def trial_dtype(metrics: list[str]) -> np.dtype:
@@ -70,7 +74,8 @@ def summarise(trials: np.ndarray, metric: dict) -> dict:
     scale = abs(q_base[1]) or 1.0
     spread = max(q_base[2] - q_base[0], q_head[2] - q_head[0]) / scale
     every_run_better = bool(np.min(sign * head) > np.max(sign * base))
-    if wins >= 0.9 * base.size and gain > q_base[2] - q_base[0]:
+    if base.size >= MIN_PAIRS_FOR_GAIN and wins >= 0.9 * base.size \
+            and gain > q_base[2] - q_base[0]:
         verdict = "better"
     elif -gain / scale > bound:
         verdict = "worse"

@@ -44,6 +44,12 @@ def test_nine_wins_and_a_gap_past_the_parents_iqr_is_better():
     assert summary["ratio"] == pytest.approx(1.39, rel=0.01)
 
 
+def test_fewer_than_ten_pairs_is_never_better():
+    head = [value * 1.39 for value in BASE]
+    summary = compare.summarise(trials(BASE[:9], head[:9]), HOPS)
+    assert summary["wins"] == 9 and summary["verdict"] == "unchanged"
+
+
 def test_eight_wins_is_not_better():
     head = [value * 1.10 for value in BASE]
     head[3] = head[4] = 90.0
