@@ -15,7 +15,8 @@
 # frontier, and a paced walk-cache run that must also serve cache hits),
 # `mutate-bench` exits non-zero unless its final snapshot
 # equals a from-scratch build (per small batch, for bursts larger than a
-# quarter of the base graph, and for Node2Vec's maintained edge keys),
+# quarter of the base graph, and for Node2Vec's maintained edge keys,
+# rejection and reservoir),
 # `repro info` lists the catalogue, a streaming, traced cycle-model walk
 # runs the device default of 16 pipelines (the cycle goldens pin 1, 4,
 # 8 and 16) and a one-pipeline walk its single-Forwarder balancer, one
@@ -117,6 +118,10 @@ python -m repro mutate-bench --scale 10 --batch-size 2500 --batches 3 --queries 
 # the engine its edge set, and the final one must equal a fresh build.
 python -m repro mutate-bench --algorithm Node2Vec --scale 9 --batch-size 200 --batches 6 \
   --queries 256 --length 40
+# Reservoir Node2Vec probes every flattened neighbour through the edge set
+# a snapshot hands the engine.
+python -m repro mutate-bench --algorithm Node2Vec-reservoir --scale 9 --batch-size 200 \
+  --batches 6 --queries 256 --length 40
 
 echo
 echo "== cycle-model smoke (16 pipelines, streaming, traced) =="

@@ -76,6 +76,8 @@ def cli_smokes(workdir: Path) -> list[list[str]]:
          "--queries", "256", "--length", "40"],
         ["mutate-bench", "--algorithm", "Node2Vec", "--scale", "9", "--batch-size", "200",
          "--batches", "6", "--queries", "256", "--length", "40"],
+        ["mutate-bench", "--algorithm", "Node2Vec-reservoir", "--scale", "9", "--batch-size",
+         "200", "--batches", "6", "--queries", "256", "--length", "40"],
         ["info"],
         ["walk", "--engine", "sim", "--algorithm", "Node2Vec", "--dataset", "WG",
          "--scale", "0.05", "--queries", "64", "--length", "16", "--streaming", "--trace"],

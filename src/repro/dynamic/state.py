@@ -1,8 +1,8 @@
 """Prepared sampler state, built on first ask and maintained once asked.
 
 Every software engine pays a per-graph preparation cost before its first
-hop — DeepWalk's alias slots, the second-order kernels' sorted edge
-keys — and each reads only its own: uniform and first-order reservoir
+hop — DeepWalk's alias slots, the second-order kernels' edge keys —
+and each reads only its own: uniform and first-order reservoir
 kernels read none.  On a mutating graph a naive engine pays that cost
 again after *every* update batch, the rebuild tax the dynamic-graph
 papers (LightRW, FlexiWalker) design around.
@@ -21,9 +21,12 @@ leaves the rest unbuilt.  So a member is inherited by every epoch after
 its first reader (sticky, never evicted) and one nobody reads costs
 nothing.  Every held member is **bit-identical** to
 ``SamplerState.full_build`` on a fresh CSR of the same logical graph
-(``tests/dynamic/``).  The bit filter in front of the edge keys is
+(``tests/dynamic/``).  The edge keys are maintained in CSR order; the
+:class:`~repro.sampling.vectorized.EdgeSet` the second-order kernels
+probe — a bit filter in front of a bucketed table of the keys — is
 derived from them on first ask per state (:attr:`SamplerState.edge_set`):
-a filter cannot unset bits.
+a filter cannot unset bits, and a removed key would leave a hole in its
+bucket line.
 """
 
 from __future__ import annotations
@@ -166,7 +169,7 @@ class SamplerState:
 
     @property
     def edge_set(self) -> EdgeSet:
-        """The edge keys behind their bit filter, derived on first ask."""
+        """The edge keys' filter and bucketed table, derived on first ask."""
         if self._edge_set is None:
             self._edge_set = EdgeSet.from_keys(self.edge_keys, self.graph.num_vertices)
         return self._edge_set

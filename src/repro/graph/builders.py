@@ -102,8 +102,11 @@ def from_edges(
         edge_array = edge_array.reshape(0, 2)
     if edge_array.ndim != 2 or edge_array.shape[1] != 2:
         raise GraphError("edges must be a sequence of (src, dst) pairs")
-    src = edge_array[:, 0].astype(np.int64, copy=False)
-    dst = edge_array[:, 1].astype(np.int64, copy=False)
+    src, dst = edge_array[:, 0], edge_array[:, 1]
+    if edge_array.dtype.kind not in "iu" or edge_array.dtype.itemsize == 8:
+        # Narrower integer ids stay as they are: the key multiply by the
+        # int64 stride widens them (uint64 would promote to float64).
+        src, dst = src.astype(np.int64, copy=False), dst.astype(np.int64, copy=False)
 
     weight_array = None if weights is None else np.asarray(weights, dtype=np.float64)
     type_array = None if edge_types is None else np.asarray(edge_types, dtype=np.int16)
@@ -125,7 +128,7 @@ def from_edges(
         raise GraphError("vertex ids must be non-negative")
 
     if num_vertices is None:
-        num_vertices = int(max(src.max(initial=-1), dst.max(initial=-1)) + 1) if src.size else 0
+        num_vertices = int(max(src.max(), dst.max())) + 1 if src.size else 0
     elif src.size and max(src.max(), dst.max()) >= num_vertices:
         raise GraphError(
             f"edge endpoint exceeds num_vertices={num_vertices}: "
@@ -150,6 +153,7 @@ def from_edges(
         dst = keys
         dst -= src * stride
     else:
+        src, dst = src.astype(np.int64, copy=False), dst.astype(np.int64, copy=False)
         order = _edge_order(src, dst, stride, dedupe, sort_neighbors)
         src, dst = src[order], dst[order]
         if weight_array is not None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graph.builders import from_edges
+from repro.graph.builders import _MAX_KEYED_VERTICES, from_edges
 from repro.graph.csr import CSRGraph
 
 #: The Graph500 reference initiator probabilities used in Figure 10.
@@ -31,12 +31,6 @@ BALANCED_INITIATOR = (0.25, 0.25, 0.25, 0.25)
 #: Edges per block of an RMAT level pass.  A block's draws, two bit masks
 #: and two 32-bit accumulator rows take 1.1 MB, inside one core's L2.
 RMAT_BLOCK = 1 << 16
-
-
-def rmat_word(scale: int) -> type[np.unsignedinteger]:
-    """The accumulator word for ``scale``-bit vertex ids: 32 bits up to
-    scale 32, else 64."""
-    return np.uint32 if scale <= 32 else np.uint64
 
 
 def rmat(
@@ -57,12 +51,14 @@ def rmat(
     uniform per edge in edge order, so the stream is the level-major one;
     a level runs in blocks of :data:`RMAT_BLOCK` edges, each drawn into
     one reused buffer whose bit passes shift into the block's slice of
-    the two endpoint rows while it sits in L2.  The rows hold
-    :func:`rmat_word` words (32 bits up to scale 32), half the bytes of
-    int64 per pass; :func:`~repro.graph.builders.from_edges` widens them
-    once and builds the CSR from one sort of their ``src * |V| + dst``
-    keys.  On G16 (2**20 edges, 16 levels) the levels take 110 ms, ~75 of
-    them the draws, where the level-major int64 loop took 220.
+    the two endpoint rows while it sits in L2.  The rows hold 32-bit
+    words, half the bytes of int64 per pass, and
+    :func:`~repro.graph.builders.from_edges` builds the CSR from one sort
+    of their ``src * |V| + dst`` keys, which the multiply widens to
+    int64.  Those keys must fit int64, so a ``scale`` above 31
+    (``2**scale > isqrt(2**63 - 1)``) is refused before anything is
+    allocated.  On G16 (2**20 edges, 16 levels) the levels take 110 ms,
+    ~75 of them the draws, where the level-major int64 loop took 220.
 
     Parameters
     ----------
@@ -79,6 +75,11 @@ def rmat(
     """
     if scale < 1:
         raise GraphError(f"scale must be >= 1, got {scale}")
+    if 1 << scale > _MAX_KEYED_VERTICES:
+        raise GraphError(
+            f"scale must be <= 31, got {scale}: 2**{scale} vertices exceed "
+            f"{_MAX_KEYED_VERTICES}, the largest id space with int64 edge keys"
+        )
     if edge_factor < 1:
         raise GraphError(f"edge_factor must be >= 1, got {edge_factor}")
     a, b, c, d = initiator
@@ -96,7 +97,7 @@ def rmat(
     # d -> (1,1); row and column bits accumulate most-significant first.
     # A level is one pass of the stream over all m edges, taken a block at
     # a time so the draws, bit masks and accumulator words stay in cache.
-    ends = np.zeros((2, m), dtype=rmat_word(scale))
+    ends = np.zeros((2, m), dtype=np.uint32)
     block = min(m, RMAT_BLOCK)
     draw = np.empty(block, dtype=np.float64)
     row_bit = np.empty(block, dtype=bool)

@@ -113,21 +113,9 @@ class MemoryChannel:
         self.stats.requests_accepted += 1
         self._accepted[0] += 1
 
-    def pending_count(self) -> int:
-        """Requests waiting to be issued."""
-        return len(self._pending)
-
-    def in_flight_count(self) -> int:
-        """Requests issued but not yet completed."""
-        return len(self._in_flight)
-
     # ------------------------------------------------------------------
     # Response side
     # ------------------------------------------------------------------
-    def has_response(self) -> bool:
-        """Whether a completed response is waiting to be collected."""
-        return bool(self._responses)
-
     def response_queue(self) -> deque[MemoryRequest]:
         """The live queue of completed responses, oldest first.
 
@@ -136,12 +124,6 @@ class MemoryChannel:
         :meth:`deliver_out_of_order`, never by editing the queue.
         """
         return self._responses
-
-    def peek_response(self) -> MemoryRequest:
-        """Inspect the oldest completed response without consuming it."""
-        if not self._responses:
-            raise MemoryModelError(f"channel {self.channel_id} has no response ready")
-        return self._responses[0]
 
     def deliver_out_of_order(self, try_deliver, window: int = 64) -> int:
         """Deliver responses out of order within a bounded reorder window.
@@ -226,7 +208,3 @@ class MemoryChannel:
             _, request = in_flight.popleft()
             self._responses.append(request)
             stats.requests_completed += 1
-
-    def drain_complete(self) -> bool:
-        """Whether nothing is pending, in flight, or waiting collection."""
-        return not (self._pending or self._in_flight or self._responses)

@@ -14,11 +14,11 @@ samplers in this package:
   reference engine, but advanced for the whole frontier with vectorized
   splitmix64 arithmetic.
 * :class:`EdgeSet` — the one exact edge-membership structure every
-  second-order kernel probes: sorted edge keys (``src * |V| + dst``)
-  behind a 16-bits-per-edge bit filter, so a batch of Node2Vec adjacency
-  probes is one hash + one cached bit read each, and a batched
-  ``np.searchsorted`` of sorted needles over only the pairs the filter
-  could not rule out.
+  second-order kernel probes: a bucketed table of the edge keys
+  (``src * |V| + dst``) behind a 16-bits-per-edge bit filter, so a batch
+  of Node2Vec adjacency probes is one hash + one cached bit read each,
+  and one 64-byte table line for each pair the filter could not rule
+  out (a small sorted stash for the few lines that overflowed).
 * the same cost-counter contract as the scalar samplers: proposals and
   neighbor reads are accounted identically.  ``neighbor_reads`` is a
   *modeled* cost (the rejection kernel charges the scalar sampler's
@@ -57,9 +57,22 @@ _MIX_2 = np.uint64(0x94D049BB133111EB)
 _ELEMENT_GAMMA = np.uint64(0xD1B54A32D192ED03)
 _TO_UNIT = 1.0 / (1 << 53)
 
+#: The inverse of ``_GAMMA`` mod 2**64: a key back from its hash.
+_GAMMA_INVERSE = np.uint64(pow(int(_GAMMA), -1, 1 << 64))
+
 #: Sizing rule of the edge filter (see :func:`build_edge_filter`).
 _FILTER_BITS_PER_EDGE = 16
 _FILTER_MIN_BITS = 6
+#: log2 of the filter bits built per block (a 1 MiB unpacked block).
+_FILTER_BLOCK_BITS = 20
+
+#: Ways of one edge-table bucket: eight int64 keys, one 64-byte line
+#: (see :func:`build_edge_table`).
+_TABLE_WAYS = 8
+#: An edge-table way no key fills (keys are non-negative).
+_EMPTY_WAY = -1
+#: log2 of the edge-table buckets built per block (256 KiB of lines).
+_TABLE_BLOCK_BITS = 12
 
 #: ``BatchSample.vertex`` of a walker the kernel left undecided.
 STALL = -2
@@ -317,74 +330,130 @@ def sub_streams(stream_idx: np.ndarray | None, group: np.ndarray) -> np.ndarray:
 
 
 def build_edge_keys(graph: CSRGraph) -> np.ndarray:
-    """Sorted ``src * |V| + dst`` keys for batched edge-existence probes."""
+    """``src * |V| + dst`` of every edge, in CSR order (an :class:`EdgeSet`
+    hashes them, so they need no order of their own)."""
     n = np.int64(graph.num_vertices)
     sources = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
-    keys = sources * n + graph.col
-    if not graph.cols_sorted:
-        keys = np.sort(keys)
+    keys = sources * n
+    keys += graph.col
     return keys
 
 
-def build_edge_filter(edge_keys: np.ndarray) -> np.ndarray:
-    """Bit filter over ``edge_keys``: bit ``fib_hash(key)`` set for every key.
+def _prefix_runs(hashes: np.ndarray, bits: int, step: int) -> list[tuple[int, np.ndarray]]:
+    """Sorted ``hashes`` cut where their ``bits``-bit prefix crosses a
+    multiple of ``step``: one ``(first prefix, run)`` per block of
+    ``step`` prefixes, in order, empty runs included."""
+    firsts = np.arange(0, 1 << bits, step, dtype=np.uint64)
+    bounds = np.searchsorted(hashes, firsts[1:] << np.uint64(64 - bits))
+    return list(zip(firsts.tolist(), np.split(hashes, bounds)))
+
+
+def build_edge_filter(hashes: np.ndarray) -> np.ndarray:
+    """Bit filter over sorted edge hashes: bit ``hash >> (64 - bits)`` set
+    for every hash.
 
     The size is a fixed rule, not an option: the smallest power of two
     holding at least :data:`_FILTER_BITS_PER_EDGE` bits per edge (fill
     at most 1/16, so at most that share of absent keys survives to the
-    sorted-key probe).  Built with array passes only: the hashes are
-    sorted, which makes each quarter of the bit array a contiguous run
-    that is scattered into one reused unpacked block and packed — no
-    transient is larger than ``edge_keys`` itself.
+    table).  Built in blocks of ``2**_FILTER_BLOCK_BITS`` bits: the
+    sorted hashes of a block are scattered into one reused unpacked
+    block and packed.
     """
-    bits = max((_FILTER_BITS_PER_EDGE * edge_keys.size - 1).bit_length(), _FILTER_MIN_BITS)
-    hashes = edge_keys.view(np.uint64) * _GAMMA
-    hashes >>= np.uint64(64 - bits)
-    hashes = hashes.astype(np.uint32 if bits <= 32 else np.uint64)
-    hashes.sort()
-    block_bits = 1 << (bits - 2)
-    bounds = np.arange(4, dtype=hashes.dtype) * hashes.dtype.type(block_bits)
-    runs = np.split(hashes, np.searchsorted(hashes, bounds[1:]))
-    unpacked = np.empty(block_bits, dtype=bool)
-    packed = np.empty(4 * (block_bits >> 3), dtype=np.uint8)
-    for low, run, out in zip(bounds, runs, np.split(packed, 4)):
+    bits = max((_FILTER_BITS_PER_EDGE * hashes.size - 1).bit_length(), _FILTER_MIN_BITS)
+    step = 1 << min(bits, _FILTER_BLOCK_BITS)
+    shift = np.uint64(64 - bits)
+    packed = np.empty(1 << (bits - 3), dtype=np.uint8)
+    unpacked = np.empty(step, dtype=bool)
+    for first, run in _prefix_runs(hashes, bits, step):
         unpacked[:] = False
-        unpacked[np.subtract(run, low, dtype=np.int64)] = True
-        out[:] = np.packbits(unpacked, bitorder="little")
+        slot = (run >> shift).view(np.int64)
+        slot -= first
+        unpacked[slot] = True
+        packed[first >> 3 : (first + step) >> 3] = np.packbits(unpacked, bitorder="little")
     return packed
+
+
+def build_edge_table(hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(table, overflow, stash)``: every edge key of the sorted
+    ``hashes``, by bucket.
+
+    ``table`` has ``2**b`` lines of :data:`_TABLE_WAYS` int64 ways, ``b =
+    (|E| // 8).bit_length()`` (a fixed rule: 0.5 to 1 keys a way); a key
+    lives in the line its hash's top ``b`` bits name, ways unused by any
+    key hold :data:`_EMPTY_WAY`.  A line's keys beyond its eight go to
+    ``stash``, sorted, and set the line's ``overflow`` flag.  Keys come
+    back from their hashes through the inverse multiplier.  Built in
+    blocks of ``2**_TABLE_BLOCK_BITS`` lines: a block's hashes are
+    one contiguous run, since the bucket is a prefix of the hash.
+    """
+    bits = (hashes.size // _TABLE_WAYS).bit_length()
+    step = 1 << min(bits, _TABLE_BLOCK_BITS)
+    table = np.full((1 << bits, _TABLE_WAYS), _EMPTY_WAY, dtype=np.int64)
+    overflow = np.empty(1 << bits, dtype=bool)
+    shift = np.uint64(64 - bits)
+    stash = []
+    for first, run in _prefix_runs(hashes, bits, step):
+        bucket = (run >> shift).view(np.int64)
+        bucket -= first
+        counts = np.bincount(bucket, minlength=step)
+        overflow[first : first + step] = counts > _TABLE_WAYS
+        way = np.arange(run.size)
+        way -= np.repeat(np.cumsum(counts) - counts, counts)
+        keys = (run * _GAMMA_INVERSE).view(np.int64)
+        inline = way < _TABLE_WAYS
+        bucket *= _TABLE_WAYS
+        bucket += way  # each key's place among the block's ways
+        table[first : first + step].reshape(-1)[bucket[inline]] = keys[inline]
+        stash.append(keys[~inline])
+    return table, overflow, np.sort(np.concatenate(stash))
 
 
 class EdgeSet:
     """The one exact edge-membership structure behind every adjacency probe.
 
-    Sorted ``src * |V| + dst`` keys answer ``has_edge`` exactly but cost a
-    ``log2(|E|)``-step dependent-read binary search over a multi-megabyte
-    array, and on Node2Vec most probes ask about a pair that is *not* an
-    edge.  A power-of-two bit array in front of the keys — one Fibonacci
-    hash of every key, >= 16 bits per edge — answers most of those from
-    one cached read; only the survivors (every real edge plus the
-    filter's few false passes) reach ``searchsorted``, sorted first, so
-    consecutive binary searches walk neighbouring paths through the keys
-    instead of each starting cold.  Membership stays exact, so callers'
-    decisions are those of a plain sorted-key probe.
+    On Node2Vec most probes ask about a pair that is *not* an edge.  A
+    power-of-two bit array — bit ``hash >> (64 - bits)`` of the
+    Fibonacci hash ``key * _GAMMA mod 2**64`` of every ``src * |V| +
+    dst`` key, >= 16 bits per edge — answers most of those from one
+    cached read.  Behind it, one bucketed table of every key
+    (:func:`build_edge_table`) answers a survivor — a real edge or one
+    of the filter's few false passes — from the one 64-byte line its
+    hash's top bits name, and only a survivor that missed a line flagged
+    as overflowed reads the small sorted stash.  Both are prefixes of
+    the same hash, so one sort of the hashes builds both.  Membership
+    is exact, so callers' decisions are those of a plain sorted-key
+    probe.
     """
 
-    def __init__(self, keys: np.ndarray, bit_filter: np.ndarray, num_vertices: int) -> None:
-        self.keys = keys
+    def __init__(self, bit_filter: np.ndarray, table: np.ndarray, overflow: np.ndarray,
+                 stash: np.ndarray, num_vertices: int) -> None:
         self.filter = bit_filter
+        self.table = table
+        self.overflow = overflow
+        self.stash = stash
         self.num_vertices = int(num_vertices)
         self._stride = np.int64(num_vertices)
-        # ``filter.size`` bytes hold ``2**bits`` bits.
-        self._shift = np.uint64(64 - (bit_filter.size.bit_length() + 2))
+        # ``filter.size`` bytes hold ``2**filter_bits`` bits; the bucket is
+        # the top ``log2(len(table))`` of those bits.
+        filter_bits = bit_filter.size.bit_length() + 2
+        self._filter_shift = np.uint64(64 - filter_bits)
+        self._bucket_shift = np.int64(filter_bits - (len(table).bit_length() - 1))
 
     @classmethod
     def from_keys(cls, keys: np.ndarray, num_vertices: int) -> "EdgeSet":
-        """Put a filter in front of already-built sorted keys."""
-        return cls(keys, build_edge_filter(keys), num_vertices)
+        """Build from ``src * |V| + dst`` keys in any order (left as they are)."""
+        return cls._from_hashes(keys.view(np.uint64) * _GAMMA, num_vertices)
 
     @classmethod
     def build(cls, graph: CSRGraph) -> "EdgeSet":
-        return cls.from_keys(build_edge_keys(graph), graph.num_vertices)
+        hashes = build_edge_keys(graph).view(np.uint64)
+        hashes *= _GAMMA  # the keys are this call's own: hashed in place
+        return cls._from_hashes(hashes, graph.num_vertices)
+
+    @classmethod
+    def _from_hashes(cls, hashes: np.ndarray, num_vertices: int) -> "EdgeSet":
+        hashes.sort()
+        return cls(build_edge_filter(hashes), *build_edge_table(hashes), num_vertices)
 
     def contains(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Vectorized ``graph.has_edge(src[k], dst[k])`` over aligned 1-D
@@ -393,27 +462,38 @@ class EdgeSet:
         if tracer is not None:
             _span_start = tracer.begin()
         keys = src * self._stride + dst
-        slot = ((keys.view(np.uint64) * _GAMMA) >> self._shift).view(np.int64)
+        slot = ((keys.view(np.uint64) * _GAMMA) >> self._filter_shift).view(np.int64)
         passed = np.flatnonzero(
             (self.filter[slot >> 3] >> (slot & 7).astype(np.uint8)) & np.uint8(1)
         )
         found = np.zeros(keys.size, dtype=bool)
+        stashed = 0
         if passed.size:
-            survivors = keys[passed]
-            order = survivors.argsort()
-            needles = survivors[order]
-            pos = np.searchsorted(self.keys, needles)
-            np.minimum(pos, self.keys.size - 1, out=pos)
-            found[passed[order]] = self.keys[pos] == needles
+            needles = keys[passed]
+            bucket = slot[passed] >> self._bucket_shift
+            # A line's eight compares are eight adjacent bools: one uint64
+            # each, non-zero where any way matched.
+            hit = (self.table[bucket] == needles[:, None]).view(np.uint64)[:, 0] != 0
+            missed = np.flatnonzero(~hit & self.overflow[bucket])
+            stashed = missed.size
+            if stashed:
+                needles = needles[missed]
+                pos = np.searchsorted(self.stash, needles)
+                np.minimum(pos, self.stash.size - 1, out=pos)
+                hit[missed] = self.stash[pos] == needles
+            found[passed] = hit
         if tracer is not None:
             tracer.end(_span_start, "sampling.edge_probe", probes=keys.size,
-                       passed=passed.size, hits=int(np.count_nonzero(found)))
+                       passed=passed.size, stashed=stashed,
+                       hits=int(np.count_nonzero(found)))
         return found
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {
-            "edge_keys": self.keys,
             "edge_filter": self.filter,
+            "edge_table": self.table,
+            "edge_overflow": self.overflow,
+            "edge_stash": self.stash,
             "edge_stride": np.array([self.num_vertices], dtype=np.int64),
         }
 
@@ -421,7 +501,8 @@ class EdgeSet:
     def from_state(cls, arrays: dict[str, np.ndarray]) -> "EdgeSet":
         """Adopt exported arrays as they are (possibly read-only, e.g. a
         snapshot's sampler state): nothing is copied or rebuilt."""
-        return cls(arrays["edge_keys"], arrays["edge_filter"], arrays["edge_stride"][0])
+        return cls(arrays["edge_filter"], arrays["edge_table"], arrays["edge_overflow"],
+                   arrays["edge_stash"], arrays["edge_stride"][0])
 
 
 #: One alias-table slot with the two neighbours it can resolve to: the

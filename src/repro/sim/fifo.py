@@ -95,13 +95,6 @@ class StreamFifo(Generic[T]):
             self._listed = True
             self._touched.append(self)
 
-    def try_push(self, item: T) -> bool:
-        """Push if space; returns whether the push happened."""
-        if not self.space:
-            return False
-        self.push(item)
-        return True
-
     # ------------------------------------------------------------------
     # Consumer side
     # ------------------------------------------------------------------
@@ -125,12 +118,6 @@ class StreamFifo(Generic[T]):
             self._listed = True
             self._touched.append(self)
         return self._queue.popleft()
-
-    def try_pop(self) -> T | None:
-        """Pop if available; ``None`` otherwise (non-blocking read)."""
-        if not self.ready:
-            return None
-        return self.pop()
 
     # ------------------------------------------------------------------
     # Kernel side

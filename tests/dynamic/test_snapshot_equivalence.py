@@ -180,7 +180,8 @@ def test_edge_keys_are_built_on_the_first_request_only(monkeypatch):
         engine.swap_snapshot(snapshot)
         engine.swap_snapshot(snapshot)
     assert builds == [snapshot.graph.num_edges]
-    assert state.arrays()["edge_keys"] is state.edge_keys is state.edge_set.keys
+    assert state.arrays()["edge_keys"] is state.edge_keys
+    assert state.edge_set is state.edge_set  # derived once per state
     assert np.array_equal(state.edge_keys, build_edge_keys(snapshot.graph))
     assert not state.edge_keys.flags.writeable
     assert len(builds) == 1

@@ -108,6 +108,32 @@ class TestFromEdges:
         with pytest.raises(GraphError, match="pairs"):
             from_edges([(0, 1, 2)])
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.uint32, np.uint64,
+                                       np.float64])
+    @pytest.mark.parametrize("options", [
+        {},  # the key fast path
+        {"num_vertices": 300, "dedupe": True},
+        {"directed": False},
+        {"weights": True},  # the permutation path
+        {"sort_neighbors": False, "dedupe": True},
+    ])
+    def test_any_id_dtype_builds_the_int64_graph(self, dtype, options):
+        """Narrower integer ids reach the keys unwidened; every array of
+        the graph is still the int64 one the same ids build."""
+        rng = np.random.default_rng(4)
+        ids = rng.integers(0, 200, size=(900, 2))
+        options = dict(options)
+        if options.pop("weights", False):
+            options["weights"] = rng.random(900) + 0.5
+        expected = from_edges(ids, **options)
+        graph = from_edges(ids.astype(dtype), **options)
+        assert graph.col.dtype == graph.row_ptr.dtype == np.int64
+        assert graph.num_vertices == expected.num_vertices
+        assert graph.row_ptr.tobytes() == expected.row_ptr.tobytes()
+        assert graph.col.tobytes() == expected.col.tobytes()
+        if expected.weights is not None:
+            assert graph.weights.tobytes() == expected.weights.tobytes()
+
 
 class TestFromAdjacency:
     def test_binary_matrix_is_unweighted(self):

@@ -18,8 +18,7 @@ from repro.graph import (
     rmat,
     star_graph,
 )
-from repro.graph.builders import from_edges
-from repro.graph.generators import rmat_word
+from repro.graph.builders import _MAX_KEYED_VERTICES, from_edges
 
 
 class TestRmat:
@@ -61,6 +60,21 @@ class TestRmat:
     def test_rejects_bad_scale(self):
         with pytest.raises(GraphError, match="scale"):
             rmat(scale=0)
+
+    @pytest.mark.parametrize("scale", [32, 33, 62])
+    def test_refuses_ids_past_int64_keys_before_allocating(self, scale, monkeypatch):
+        """Scale 31 is the last whose ``src * |V| + dst`` keys fit int64
+        (and whose ids fit the 32-bit endpoint words); a larger scale is
+        refused before the ``2 x edge_factor x 2**scale`` words exist."""
+        assert 1 << 31 <= _MAX_KEYED_VERTICES < 1 << 32
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("rmat allocated before refusing the scale")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        monkeypatch.setattr(np, "empty", refuse)
+        with pytest.raises(GraphError, match=f"scale must be <= 31, got {scale}"):
+            rmat(scale)
 
     def test_name_labels(self):
         g = rmat(scale=4, edge_factor=2, seed=0)
@@ -105,11 +119,6 @@ class TestRmatBlocks:
         assert np.array_equal(graph.row_ptr, oracle.row_ptr)
         assert np.array_equal(graph.col, oracle.col)
 
-    @pytest.mark.parametrize("scale,word", [(1, np.uint32), (16, np.uint32), (31, np.uint32),
-                                            (32, np.uint32), (33, np.uint64), (62, np.uint64)])
-    def test_the_accumulator_word_holds_every_vertex_id(self, scale, word):
-        assert rmat_word(scale) is word
-        assert np.iinfo(word).max >= (1 << scale) - 1
 
 
 class TestPowerlaw:

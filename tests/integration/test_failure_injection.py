@@ -48,8 +48,8 @@ class TaskEater(Module):
     def tick(self, cycle):
         if self.eaten >= self._after:
             return
-        task = self._fifo.try_pop()
-        if task is not None:
+        if not self._fifo.is_empty():
+            self._fifo.pop()
             self.eaten += 1
 
 

@@ -6,6 +6,17 @@ from repro.errors import MemoryModelError
 from repro.memory import MemoryChannel, MemoryRequest, MemorySpec
 
 
+def issued(ch):
+    """Requests issued so far: one word each, every request here is
+    single-word."""
+    return ch.stats.words_transferred
+
+
+def drained(ch):
+    """Nothing pending, in flight, or waiting collection."""
+    return ch.stats.requests_completed == ch.stats.requests_accepted and not ch.response_queue()
+
+
 def make_channel(rate_mhz=160.0, core_mhz=320.0, latency=10, outstanding=4, queue=8):
     spec = MemorySpec(
         "test",
@@ -23,10 +34,10 @@ class TestLatency:
         ch = make_channel(rate_mhz=320.0, latency=10)
         ch.submit(MemoryRequest(tag="a"))
         for cycle in range(10):
-            assert not ch.has_response(), f"early response at {cycle}"
+            assert not ch.response_queue(), f"early response at {cycle}"
             ch.tick()
         ch.tick()
-        assert ch.has_response()
+        assert ch.response_queue()
         assert ch.pop_response().tag == "a"
 
     def test_responses_in_order(self):
@@ -46,8 +57,7 @@ class TestRateLimit:
             ch.submit(MemoryRequest(tag=i))
         for _ in range(1000):
             ch.tick()
-        completed_plus_inflight = ch.stats.requests_accepted - ch.pending_count()
-        assert completed_plus_inflight == pytest.approx(500, abs=10)
+        assert issued(ch) == pytest.approx(500, abs=10)
 
     def test_burst_consumes_more_tokens(self):
         single = make_channel(outstanding=64, queue=2000)
@@ -67,10 +77,8 @@ class TestRateLimit:
             ch.tick()  # idle
         for i in range(50):
             ch.submit(MemoryRequest(tag=i))
-        issued_immediately = 0
         ch.tick()
-        issued_immediately = ch.in_flight_count()
-        assert issued_immediately <= 4  # bank cap, not 100 cycles' worth
+        assert issued(ch) <= 4  # bank cap, not 100 cycles' worth
 
 
 class TestOutstandingWindow:
@@ -80,7 +88,8 @@ class TestOutstandingWindow:
             ch.submit(MemoryRequest(tag=i))
         for _ in range(50):
             ch.tick()
-        assert ch.in_flight_count() <= 2
+        assert issued(ch) - ch.stats.requests_completed <= 2
+        assert ch.stats.requests_completed == 0 and issued(ch) == 2
 
     def test_queue_capacity_enforced(self):
         ch = make_channel(queue=2)
@@ -105,7 +114,7 @@ class TestReorderWindow:
         )
         assert delivered == ["y", "z"]
         # x stays at the head, order preserved
-        assert ch.peek_response().tag == "x"
+        assert [r.tag for r in ch.response_queue()] == ["x"]
 
     def test_window_bounds_scan(self):
         ch = make_channel(rate_mhz=320.0, latency=1, queue=40, outstanding=40)
@@ -136,10 +145,10 @@ class TestReorderWindow:
         )
         assert delivered == 0
         assert offered == ["a"]
-        assert ch.peek_response().tag == "a"
+        assert [r.tag for r in ch.response_queue()] == ["a", "b", "c"]
         # Accepting the head with window=1 consumes exactly one.
         assert ch.deliver_out_of_order(lambda req: True, window=1) == 1
-        assert ch.peek_response().tag == "b"
+        assert [r.tag for r in ch.response_queue()] == ["b", "c"]
 
     def test_window_larger_than_pending(self):
         # The scan is bounded by what has completed, not the window: a
@@ -156,7 +165,7 @@ class TestReorderWindow:
         )
         assert delivered == 2
         assert offered == ["a", "b"]
-        assert not ch.has_response()
+        assert not ch.response_queue()
         assert ch.deliver_out_of_order(lambda req: True, window=1000) == 0
 
     def test_responses_arriving_during_drain_wait_their_turn(self):
@@ -169,7 +178,7 @@ class TestReorderWindow:
         ch.submit(MemoryRequest(tag="early"))
         for _ in range(6):
             ch.tick()
-        assert ch.has_response()
+        assert ch.response_queue()
         ch.submit(MemoryRequest(tag="late"))
 
         offered = []
@@ -189,15 +198,16 @@ class TestReorderWindow:
 
 
 class TestAccounting:
-    def test_drain_complete(self):
+    def test_every_accepted_request_completes_and_is_collected(self):
         ch = make_channel(rate_mhz=320.0, latency=3)
-        assert ch.drain_complete()
+        assert drained(ch)
         ch.submit(MemoryRequest(tag=1))
-        assert not ch.drain_complete()
+        assert not drained(ch)
         for _ in range(10):
             ch.tick()
-        ch.pop_response()
-        assert ch.drain_complete()
+        assert not drained(ch)  # completed, not yet collected
+        assert ch.pop_response().tag == 1
+        assert drained(ch)
 
     def test_words_and_bytes(self):
         ch = make_channel(rate_mhz=320.0)
@@ -259,6 +269,6 @@ class TestIdleCycles:
             old.tick()
             assert (vars(new.stats), new._tokens, new._now) == (
                 vars(old.stats), old._tokens, old._now)
-            assert ([r.tag for r in new._responses], new.pending_count()) == (
-                [r.tag for r in old._responses], old.pending_count())
+            assert ([r.tag for r in new._responses], len(new._pending)) == (
+                [r.tag for r in old._responses], len(old._pending))
         assert new.stats.stalled_cycles > 0 and new.stats.busy_cycles < 600

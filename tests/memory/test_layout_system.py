@@ -182,7 +182,7 @@ class TestMemorySystem:
         system.channel(ChannelGroup.ROW, 1).submit(MemoryRequest(tag="r"))
         system.channel(ChannelGroup.COLUMN, 0).submit(MemoryRequest(tag="c"))
         # Channel ids: rows 0-1, then columns 2-3.
-        assert [c.pending_count() for c in system.all_channels()] == [0, 1, 1, 0]
+        assert [c.stats.requests_accepted for c in system.all_channels()] == [0, 1, 1, 0]
 
     def test_rejects_overprovisioning(self):
         with pytest.raises(MemoryModelError, match="exposes"):
@@ -200,7 +200,9 @@ class TestMemorySystem:
             system.tick()
         assert row.pop_response().tag == "r"
         assert column.pop_response().tag == "c"
-        assert row.drain_complete() and column.drain_complete()
+        for channel in (row, column):
+            assert channel.stats.requests_completed == channel.stats.requests_accepted == 1
+            assert not channel.response_queue()
 
     def test_bandwidth_accounting(self):
         system = MemorySystem(SPEC, core_mhz=320, num_channels=1)

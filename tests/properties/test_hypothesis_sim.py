@@ -111,10 +111,11 @@ class TestChannelConservation:
         received = []
         for _ in range(int(num_requests / min(rate, 1.0)) + latency + 200):
             channel.tick()
-            while channel.has_response():
+            while channel.response_queue():
                 received.append(channel.pop_response().tag)
         assert sorted(received) == list(range(num_requests))
-        assert channel.drain_complete()
+        assert channel.stats.requests_completed == num_requests
+        assert not channel.response_queue()
 
 
 class TestRngContracts:

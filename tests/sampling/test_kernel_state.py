@@ -30,7 +30,7 @@ from repro.walks import (
 from repro.walks.batch import BatchEngine
 
 LENGTH = 12
-EDGE_SET = ("edge_keys", "edge_filter", "edge_stride")
+EDGE_SET = ("edge_filter", "edge_table", "edge_overflow", "edge_stash", "edge_stride")
 
 
 #: Spec -> the state names its kernel exports (empty: nothing prepared).

@@ -10,8 +10,8 @@ A rejected Node2Vec proposal retries in place here, where the batch
 engine stalls the walker to its next superstep, so equal paths and
 counters show that how many supersteps a hop took reaches neither.
 
-The oracle reads a prepared batch kernel's state (its alias slots and
-edge keys), so both sides sample the same tables, and it covers the
+The oracle reads a prepared batch kernel's alias slots, so both sides
+sample the same tables, takes adjacency from the graph, and covers the
 strategies the specs' own kernels run: uniform, alias, rejection and
 reservoir.  :func:`run_walks_scalar_arrays` has the signature of
 ``run_walks_batch_arrays``, and :func:`assert_same_runs` compares the two.
@@ -116,7 +116,12 @@ class ScalarWalks:
             slots = arrays["alias_slots"]
             self._slots = (slots["prob"].tolist(), slots["col"].tolist(),
                            slots["alias_col"].tolist())
-        self._edges = set(arrays["edge_keys"].tolist()) if "edge_keys" in arrays else set()
+        # Adjacency from the graph itself, not the kernel's edge table.
+        self._edges = set()
+        if kernel.second_order:
+            for src in range(self._n):
+                row = self._col[self._row_ptr[src]:self._row_ptr[src + 1]]
+                self._edges.update(src * self._n + dst for dst in row)
         sampler = spec.make_sampler()
         if isinstance(kernel, RejectionKernel):
             self._p, self._q = sampler.p, sampler.q

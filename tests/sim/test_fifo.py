@@ -60,10 +60,13 @@ class TestCapacity:
         with pytest.raises(SimulationError, match="full"):
             f.push(3)
 
-    def test_try_push(self):
+    def test_a_push_fills_a_one_slot_fifo(self):
         f = StreamFifo(1)
-        assert f.try_push(1)
-        assert not f.try_push(2)
+        assert not f.is_full()
+        f.push(1)
+        assert f.is_full()
+        with pytest.raises(SimulationError, match="full"):
+            f.push(2)
 
     def test_full_is_registered_not_pop_aware(self):
         # Popping this cycle does NOT free space this cycle (hardware
@@ -89,8 +92,8 @@ class TestConsumerSide:
         f.commit()
         assert f.pop() == 1
         assert f.pop() == 2
-        assert f.try_pop() == 3
-        assert f.try_pop() is None
+        assert f.pop() == 3
+        assert f.is_empty()
 
     def test_front_empty_raises(self):
         with pytest.raises(SimulationError, match="front of empty fifo 'f'"):
@@ -149,12 +152,6 @@ class RecomputingFifo:
         self.staged.append(item)
         self.total_pushed += 1
 
-    def try_push(self, item):
-        if self.is_full():
-            return False
-        self.push(item)
-        return True
-
     def front(self):
         if self.is_empty():
             raise SimulationError(f"front of empty fifo {self.name!r}")
@@ -168,9 +165,6 @@ class RecomputingFifo:
         self.total_popped += 1
         return item
 
-    def try_pop(self):
-        return None if self.is_empty() else self.pop()
-
     def commit(self):
         for _ in range(self.pops):
             self.queue.popleft()
@@ -182,7 +176,7 @@ class RecomputingFifo:
 
 #: ``step`` advances the kernel (which commits the FIFO only if it moved);
 #: ``commit`` is a hand commit, between kernel steps when kernel-made.
-FIFO_OPS = ("push", "try_push", "pop", "try_pop", "front", "commit", "step")
+FIFO_OPS = ("push", "pop", "front", "commit", "step")
 
 
 def outcome(call):
@@ -204,9 +198,8 @@ class TestCountersAgainstRecomputingOracle:
         fifo = kernel.make_fifo(capacity, "f") if kernel_made else StreamFifo(capacity, "f")
         oracle = RecomputingFifo(capacity, "f")
         for item, op in enumerate(ops):
-            if op in ("push", "try_push"):
-                got = outcome(lambda: getattr(fifo, op)(item))
-                want = outcome(lambda: getattr(oracle, op)(item))
+            if op == "push":
+                got, want = outcome(lambda: fifo.push(item)), outcome(lambda: oracle.push(item))
             elif op == "step":
                 got = outcome(kernel.step if kernel_made else fifo.commit)
                 want = outcome(oracle.commit)
