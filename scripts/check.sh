@@ -65,7 +65,7 @@ echo "== the goldens and the micro-depth pins again at baseline SIMD dispatch ==
 # numpy ignores a feature name the host does not know.
 NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR" python -m pytest -q \
   tests/sim/test_cycle_golden.py tests/sim/test_cycle_golden_wide.py \
-  tests/bench/test_harness.py::TestFastExperiments::test_micro_depth \
+  tests/bench/test_experiments.py::test_micro_depth \
   tests/queueing/test_queueing.py::TestDelayedFeedbackSimulation::test_a_small_shape_is_pinned
 
 echo

@@ -7,7 +7,9 @@ runs four sets of entry points:
 * the CLI smokes of ``scripts/check.sh`` plus ``repro lint`` (text and
   JSON), each through ``repro.cli.main`` in this process;
 * every ``examples/*.py`` script except the ``common.py`` helper;
-* all ``EXPERIMENTS`` under ``REPRO_BENCH_FAST=1``;
+* all ``EXPERIMENTS`` at their tier-1 sizes, through
+  ``tests/bench/test_experiments.py``, plus ``repro experiment tab1``
+  through the CLI;
 * the five workloads of ``benchmarks/suite`` in ``--smoke``, untraced and
   traced.
 
@@ -15,8 +17,8 @@ An AST pass then lists every ``def`` under ``src/repro`` with its lines.
 The report prints each file's unreached functions with their line
 counts, then the totals.  A nested function inside an unreached one is
 counted as a function, but its lines only once, in its parent.  It is a
-diagnostic, not a CI step: a run takes 17-21 minutes on 2 CPUs, most of
-it in the experiments (fig9, fig11, fig8c and fig10) under the profiler.
+diagnostic, not a CI step: a run takes about 7.5 minutes on 2 CPUs, most
+of it (5.7 minutes) in the experiment tests under the profiler.
 
     PYTHONPATH=src python scripts/reachability.py
 
@@ -126,11 +128,13 @@ def run_examples(workdir: Path) -> None:
 
 
 def run_experiments(workdir: Path) -> None:
-    from repro.cli import main
-    from repro.bench.experiments import EXPERIMENTS
+    import pytest
 
-    for name in EXPERIMENTS:
-        _entry(f"repro experiment {name}", lambda name=name: main(["experiment", name]))
+    from repro.cli import main
+
+    _entry("repro experiment tab1", lambda: main(["experiment", "tab1"]))
+    _entry("tests/bench/test_experiments.py", lambda: pytest.main(
+        ["-q", "-p", "no:cacheprovider", str(ROOT / "tests/bench/test_experiments.py")]))
 
 
 def run_suite(workdir: Path) -> None:
@@ -210,7 +214,6 @@ def report() -> int:
 
 
 def main() -> int:
-    os.environ["REPRO_BENCH_FAST"] = "1"
     sys.path.insert(0, str(SOURCE.parent))
     runners = {"cli": run_cli, "examples": run_examples,
                "experiments": run_experiments, "suite": run_suite}

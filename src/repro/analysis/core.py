@@ -93,30 +93,19 @@ class Suppression:
 
 
 class FileContext:
-    """Everything a rule may inspect about one source file.
-
-    The AST carries ``.repro_parent`` links (set once here) so rules can
-    look *up* the tree — "is this call a ``with`` context expression?" —
-    without each rule re-walking the module.
-    """
+    """Everything a rule may inspect about one source file."""
 
     def __init__(self, path: str, source: str, tree: ast.Module) -> None:
         self.path = path
         self.source = source
         self.lines = source.splitlines()
         self.tree = tree
-        for parent in ast.walk(tree):
-            for child in ast.iter_child_nodes(parent):
-                child.repro_parent = parent  # type: ignore[attr-defined]
         self.suppressions = _parse_suppressions(source)
 
     def line_text(self, lineno: int) -> str:
         if 1 <= lineno <= len(self.lines):
             return self.lines[lineno - 1].strip()
         return ""
-
-    def parent(self, node: ast.AST) -> ast.AST | None:
-        return getattr(node, "repro_parent", None)
 
 
 class Rule(ABC):

@@ -3,11 +3,12 @@
 Every baseline the paper compares against is closed-source (FastRW,
 Su et al.) or hardware we do not have (LightRW bitstreams, gSampler on
 H100).  Each model here is a *behavioral performance model*: walk
-semantics come from the shared reference engine (so the statistics are
-exactly right), and timing comes from a round-based cost model
-parameterized by the device and the architectural property the paper
-identifies as that system's bottleneck (cache collapse, static batch
-bubbles, blocking pointer chase, warp lockstep divergence).
+semantics come from the batch engine (held to the reference engine's
+distribution, so the statistics are right), and timing comes from a
+round-based cost model parameterized by the device and the architectural
+property the paper identifies as that system's bottleneck (cache
+collapse, static batch bubbles, blocking pointer chase, warp lockstep
+divergence).
 
 All models emit :class:`~repro.sim.stats.RunMetrics`, so benchmark
 harnesses treat them interchangeably with the cycle-level RidgeWalker
@@ -24,7 +25,8 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.sim.stats import RunMetrics
 from repro.walks.base import Query, WalkSpec
-from repro.walks.reference import EngineStats, run_walks
+from repro.walks.batch import run_walks_batch
+from repro.walks.reference import EngineStats
 
 
 class BaselineModel(ABC):
@@ -45,11 +47,11 @@ class BaselineModel(ABC):
 
 
 class WorkloadTrace:
-    """Reference-engine trace shared by the cost models.
+    """Batch-engine trace shared by the cost models.
 
     Captures exactly what the round-based models need: per-query walk
-    lengths (divergence and bubbles), totals of sampling work (scans,
-    proposals) and the per-step memory demand.
+    lengths (divergence and bubbles), in query order, and totals of
+    sampling work (scans, proposals).
     """
 
     def __init__(
@@ -59,27 +61,11 @@ class WorkloadTrace:
         queries: Sequence[Query],
         seed: int = 0,
     ) -> None:
-        self.graph = graph
-        self.spec = spec
-        self.num_queries = len(queries)
         stats = EngineStats()
-        self.results = run_walks(graph, spec, queries, seed=seed, stats=stats)
+        run_walks_batch(graph, spec, queries, seed=seed, stats=stats)
         self.stats = stats
         self.lengths = np.asarray(stats.per_query_hops, dtype=np.int64)
         self.total_steps = int(self.lengths.sum())
-
-    def alive_per_round(self, max_rounds: int | None = None) -> np.ndarray:
-        """Number of still-walking queries at the start of each round.
-
-        Round ``r`` counts queries whose length exceeds ``r`` — the warp
-        lockstep and batch-slot occupancy signal.
-        """
-        horizon = int(self.lengths.max()) if self.lengths.size else 0
-        if max_rounds is not None:
-            horizon = min(horizon, max_rounds)
-        return np.array(
-            [int((self.lengths > r).sum()) for r in range(horizon)], dtype=np.int64
-        )
 
     def mean_scan_words_per_step(self) -> float:
         """Average neighbor-list words a step needs the sampler to read."""

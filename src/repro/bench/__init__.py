@@ -9,12 +9,9 @@ from repro.bench.experiments import (
 )
 from repro.bench.reporting import ExperimentResult, geometric_mean, speedup
 from repro.bench.workloads import (
-    MEASURE_CYCLES,
-    NUM_QUERIES,
     WALK_LENGTH,
-    WARMUP_CYCLES,
+    BenchSize,
     Workload,
-    fast_mode,
     make_rmat_workload,
     make_spec,
     make_workload,
@@ -22,18 +19,15 @@ from repro.bench.workloads import (
 )
 
 __all__ = [
+    "BenchSize",
     "EXPERIMENTS",
     "ExperimentResult",
     "FIG10_CONFIGS",
     "FIG11_VARIANTS",
     "FIG9_BANDS",
-    "MEASURE_CYCLES",
-    "NUM_QUERIES",
     "TABLE1_ROWS",
     "WALK_LENGTH",
-    "WARMUP_CYCLES",
     "Workload",
-    "fast_mode",
     "geometric_mean",
     "make_rmat_workload",
     "make_spec",

@@ -2,8 +2,11 @@
 
 Every function returns an :class:`~repro.bench.reporting.ExperimentResult`
 whose rows regenerate the corresponding artifact: same series, same
-comparison axes.  The ``benchmarks/`` directory exposes each one as a
-pytest-benchmark target and asserts the paper's qualitative shape.
+comparison axes.  Each takes one :class:`~repro.bench.workloads.BenchSize`,
+the full size by default; ``tests/bench/test_experiments.py`` runs every
+one at a reduced size and asserts the paper's qualitative shape.
+Tables I, II and IV and the Theorem VI.1 depth sweep simulate no
+stream, so their rows do not depend on the size.
 """
 
 from __future__ import annotations
@@ -11,12 +14,11 @@ from __future__ import annotations
 from repro.baselines import DEFAULT_CACHE_BYTES, FastRWModel, GPUModel, LightRWModel, SuModel
 from repro.bench.reporting import ExperimentResult, speedup
 from repro.bench.workloads import (
+    BenchSize,
     Workload,
-    graph_scale,
     make_rmat_workload,
     make_spec,
     make_workload,
-    num_queries,
     run_ridgewalker_streaming,
 )
 from repro.core.config import theorem_fifo_depth
@@ -49,15 +51,16 @@ TABLE1_ROWS = (
 )
 
 
-def _baseline_queries(workload: Workload, seed: int = 18):
-    return make_queries(workload.graph, num_queries(), seed=seed)
+def _baseline_queries(workload: Workload, size: BenchSize, seed: int = 18):
+    return make_queries(workload.graph, size.num_queries, seed=seed)
 
 
-def _fastrw_model(memory=HBM2_U50) -> FastRWModel:
-    """FastRW with its on-chip cache scaled like the graphs, so the
-    fits/spills boundary of Figure 3a survives fast mode."""
+def _fastrw_model(size: BenchSize) -> FastRWModel:
+    """FastRW on U50 with its on-chip cache scaled like the graphs, so
+    the fits/spills boundary of Figure 3a survives a reduced size."""
     return FastRWModel(
-        memory=memory, cache_bytes=max(1024, int(DEFAULT_CACHE_BYTES * graph_scale()))
+        memory=HBM2_U50,
+        cache_bytes=max(1024, int(DEFAULT_CACHE_BYTES * size.graph_scale)),
     )
 
 
@@ -65,16 +68,16 @@ def _fastrw_model(memory=HBM2_U50) -> FastRWModel:
 # Motivation (Figure 3a)
 # ---------------------------------------------------------------------------
 
-def fig3a_motivation() -> ExperimentResult:
+def fig3a_motivation(size: BenchSize = BenchSize()) -> ExperimentResult:
     """FastRW bandwidth collapse: WG (RP cached) vs LJ (RP spills)."""
     result = ExperimentResult(
         "fig3a", "FastRW effective bandwidth vs Equation (1) peak (DeepWalk)"
     )
-    model = _fastrw_model()
+    model = _fastrw_model(size)
     for dataset in ("WG", "LJ"):
-        workload = make_workload(dataset, "DeepWalk")
+        workload = make_workload(dataset, "DeepWalk", size)
         metrics = model.run(
-            workload.graph, workload.spec, _baseline_queries(workload), seed=3
+            workload.graph, workload.spec, _baseline_queries(workload, size), seed=3
         )
         result.add_row(
             graph=dataset,
@@ -95,15 +98,17 @@ def fig3a_motivation() -> ExperimentResult:
 # FPGA comparisons (Figure 8)
 # ---------------------------------------------------------------------------
 
-def fig8a_fastrw() -> ExperimentResult:
+def fig8a_fastrw(size: BenchSize = BenchSize()) -> ExperimentResult:
     """DeepWalk vs FastRW on U50 (WG/CP/AS/LJ)."""
     result = ExperimentResult("fig8a", "DeepWalk throughput vs FastRW on U50")
-    model = _fastrw_model(memory=HBM2_U50)
+    model = _fastrw_model(size)
     for dataset in ("WG", "CP", "AS", "LJ"):
-        workload = make_workload(dataset, "DeepWalk")
-        ridge = run_ridgewalker_streaming(workload, memory=HBM2_U50, num_pipelines=16)
+        workload = make_workload(dataset, "DeepWalk", size)
+        ridge = run_ridgewalker_streaming(
+            workload, memory=HBM2_U50, num_pipelines=16, size=size
+        )
         fastrw = model.run(
-            workload.graph, workload.spec, _baseline_queries(workload), seed=3
+            workload.graph, workload.spec, _baseline_queries(workload, size), seed=3
         )
         result.add_row(
             graph=dataset,
@@ -115,14 +120,18 @@ def fig8a_fastrw() -> ExperimentResult:
     return result
 
 
-def fig8b_su() -> ExperimentResult:
+def fig8b_su(size: BenchSize = BenchSize()) -> ExperimentResult:
     """PPR and URW vs Su et al. on U280 (WG only, as in the paper)."""
     result = ExperimentResult("fig8b", "PPR/URW throughput vs Su et al. on U280")
     model = SuModel(memory=HBM2_U280)
     for algorithm in ("PPR", "URW"):
-        workload = make_workload("WG", algorithm)
-        ridge = run_ridgewalker_streaming(workload, memory=HBM2_U280, num_pipelines=16)
-        su = model.run(workload.graph, workload.spec, _baseline_queries(workload), seed=3)
+        workload = make_workload("WG", algorithm, size)
+        ridge = run_ridgewalker_streaming(
+            workload, memory=HBM2_U280, num_pipelines=16, size=size
+        )
+        su = model.run(
+            workload.graph, workload.spec, _baseline_queries(workload, size), seed=3
+        )
         result.add_row(
             algorithm=algorithm,
             su_msteps=su.msteps_per_second(),
@@ -133,14 +142,18 @@ def fig8b_su() -> ExperimentResult:
     return result
 
 
-def _fig8_lightrw(algorithm: str, experiment_id: str, title: str) -> ExperimentResult:
+def _fig8_lightrw(
+    algorithm: str, experiment_id: str, title: str, size: BenchSize
+) -> ExperimentResult:
     result = ExperimentResult(experiment_id, title)
     model = LightRWModel(memory=DDR4_U250)
     for dataset in DATASET_ORDER:
-        workload = make_workload(dataset, algorithm)
-        ridge = run_ridgewalker_streaming(workload, memory=DDR4_U250, num_pipelines=2)
+        workload = make_workload(dataset, algorithm, size)
+        ridge = run_ridgewalker_streaming(
+            workload, memory=DDR4_U250, num_pipelines=2, size=size
+        )
         light = model.run(
-            workload.graph, workload.spec, _baseline_queries(workload), seed=3
+            workload.graph, workload.spec, _baseline_queries(workload, size), seed=3
         )
         result.add_row(
             graph=dataset,
@@ -152,18 +165,20 @@ def _fig8_lightrw(algorithm: str, experiment_id: str, title: str) -> ExperimentR
     return result
 
 
-def fig8c_lightrw_node2vec() -> ExperimentResult:
+def fig8c_lightrw_node2vec(size: BenchSize = BenchSize()) -> ExperimentResult:
     """Node2Vec (reservoir) vs LightRW on U250, six graphs."""
     result = _fig8_lightrw(
-        "Node2Vec-reservoir", "fig8c", "Node2Vec throughput vs LightRW on U250"
+        "Node2Vec-reservoir", "fig8c", "Node2Vec throughput vs LightRW on U250", size
     )
     result.add_note("Paper speedups: 1.1x-1.5x across the six graphs.")
     return result
 
 
-def fig8d_lightrw_metapath() -> ExperimentResult:
+def fig8d_lightrw_metapath(size: BenchSize = BenchSize()) -> ExperimentResult:
     """MetaPath vs LightRW on U250, six graphs."""
-    result = _fig8_lightrw("MetaPath", "fig8d", "MetaPath throughput vs LightRW on U250")
+    result = _fig8_lightrw(
+        "MetaPath", "fig8d", "MetaPath throughput vs LightRW on U250", size
+    )
     result.add_note(
         "Paper speedups: 1.3x-1.7x — larger than Node2Vec because typed "
         "walks terminate early and static schedules leave the slots empty."
@@ -184,19 +199,21 @@ FIG9_BANDS = {
 }
 
 
-def fig9_gpu(algorithms: tuple[str, ...] = ("PPR", "URW", "DeepWalk", "Node2Vec")) -> ExperimentResult:
+def fig9_gpu(size: BenchSize = BenchSize()) -> ExperimentResult:
     """RidgeWalker (U55C) vs gSampler (H100) on four GRWs, six graphs."""
     result = ExperimentResult("fig9", "Speedup over gSampler (H100), per algorithm")
-    for algorithm in algorithms:
+    for algorithm in FIG9_BANDS:
         for dataset in DATASET_ORDER:
-            workload = make_workload(dataset, algorithm)
+            workload = make_workload(dataset, algorithm, size)
             gpu = GPUModel(
                 regime="real",
                 full_scale_bytes=get_spec(dataset).paper_size_bytes(),
             )
-            ridge = run_ridgewalker_streaming(workload, memory=HBM2_U55C, num_pipelines=16)
+            ridge = run_ridgewalker_streaming(
+                workload, memory=HBM2_U55C, num_pipelines=16, size=size
+            )
             gsampler = gpu.run(
-                workload.graph, workload.spec, _baseline_queries(workload), seed=3
+                workload.graph, workload.spec, _baseline_queries(workload, size), seed=3
             )
             result.add_row(
                 algorithm=algorithm,
@@ -221,7 +238,7 @@ FIG10_CONFIGS = (
 )
 
 
-def fig10_rmat() -> ExperimentResult:
+def fig10_rmat(size: BenchSize = BenchSize()) -> ExperimentResult:
     """DeepWalk on RMAT: balanced vs Graph500 initiators, vs gSampler."""
     result = ExperimentResult(
         "fig10", "RMAT balanced vs Graph500: gSampler (H100) vs RidgeWalker (U55C)"
@@ -230,9 +247,11 @@ def fig10_rmat() -> ExperimentResult:
     for initiator in ("balanced", "graph500"):
         for scale, edge_factor in FIG10_CONFIGS:
             workload = make_rmat_workload(scale, edge_factor, initiator)
-            ridge = run_ridgewalker_streaming(workload, memory=HBM2_U55C, num_pipelines=16)
+            ridge = run_ridgewalker_streaming(
+                workload, memory=HBM2_U55C, num_pipelines=16, size=size
+            )
             gsampler = gpu.run(
-                workload.graph, workload.spec, _baseline_queries(workload), seed=3
+                workload.graph, workload.spec, _baseline_queries(workload, size), seed=3
             )
             result.add_row(
                 config=f"SC{scale}-{edge_factor}",
@@ -263,18 +282,18 @@ FIG11_VARIANTS = (
 )
 
 
-def fig11_ablation(datasets: tuple[str, ...] = DATASET_ORDER) -> ExperimentResult:
+def fig11_ablation(size: BenchSize = BenchSize()) -> ExperimentResult:
     """Breakdown of the two optimizations on U55C (URW), normalized to
     the Equation (1) HBM peak."""
     result = ExperimentResult(
         "fig11", "Async pipeline / zero-bubble scheduler breakdown (URW, U55C)"
     )
-    for dataset in datasets:
-        workload = make_workload(dataset, "URW")
+    for dataset in DATASET_ORDER:
+        workload = make_workload(dataset, "URW", size)
         baseline_msteps = None
         for variant, overrides in FIG11_VARIANTS:
             metrics = run_ridgewalker_streaming(
-                workload, memory=HBM2_U55C, num_pipelines=16, **overrides
+                workload, memory=HBM2_U55C, num_pipelines=16, size=size, **overrides
             )
             msteps = metrics.msteps_per_second()
             if baseline_msteps is None:
@@ -300,7 +319,7 @@ def fig11_ablation(datasets: tuple[str, ...] = DATASET_ORDER) -> ExperimentResul
 # Tables
 # ---------------------------------------------------------------------------
 
-def tab1_sampling_support() -> ExperimentResult:
+def tab1_sampling_support(size: BenchSize = BenchSize()) -> ExperimentResult:
     """Table I: supported sampling algorithms and RP entry widths."""
     result = ExperimentResult("tab1", "Supported sampling algorithms (Table I)")
     for algorithm, weighted, sampler_name, bits in TABLE1_ROWS:
@@ -317,7 +336,7 @@ def tab1_sampling_support() -> ExperimentResult:
     return result
 
 
-def tab2_datasets() -> ExperimentResult:
+def tab2_datasets(size: BenchSize = BenchSize()) -> ExperimentResult:
     """Table II: dataset catalog — paper numbers vs generated stand-ins."""
     result = ExperimentResult("tab2", "Evaluated graph datasets (Table II)")
     for name in DATASET_ORDER:
@@ -343,7 +362,7 @@ def tab2_datasets() -> ExperimentResult:
 TAB3_DEVICES = ("U250", "VCK5000", "U50", "U55C")
 
 
-def tab3_devices(datasets: tuple[str, ...] = ("WG", "AS", "LJ")) -> ExperimentResult:
+def tab3_devices(size: BenchSize = BenchSize()) -> ExperimentResult:
     """Table III: average URW throughput and utilization per FPGA."""
     result = ExperimentResult("tab3", "URW throughput across FPGAs (Table III)")
     for device_name in TAB3_DEVICES:
@@ -351,10 +370,10 @@ def tab3_devices(datasets: tuple[str, ...] = ("WG", "AS", "LJ")) -> ExperimentRe
         memory = device.memory
         throughputs = []
         utilizations = []
-        for dataset in datasets:
-            workload = make_workload(dataset, "URW")
+        for dataset in ("WG", "AS", "LJ"):
+            workload = make_workload(dataset, "URW", size)
             metrics = run_ridgewalker_streaming(
-                workload, memory=memory, num_pipelines=device.max_pipelines
+                workload, memory=memory, num_pipelines=device.max_pipelines, size=size
             )
             throughputs.append(metrics.msteps_per_second())
             utilizations.append(metrics.bandwidth_utilization())
@@ -373,7 +392,7 @@ def tab3_devices(datasets: tuple[str, ...] = ("WG", "AS", "LJ")) -> ExperimentRe
     return result
 
 
-def tab4_resources() -> ExperimentResult:
+def tab4_resources(size: BenchSize = BenchSize()) -> ExperimentResult:
     """Table IV: resource utilization and frequency per kernel (U55C)."""
     result = ExperimentResult("tab4", "Resource utilization on U55C (Table IV)")
     paper = {
@@ -413,7 +432,7 @@ def tab4_resources() -> ExperimentResult:
 # Microbenchmarks (Section VI guarantees)
 # ---------------------------------------------------------------------------
 
-def micro_scheduler_depth() -> ExperimentResult:
+def micro_scheduler_depth(size: BenchSize = BenchSize()) -> ExperimentResult:
     """Theorem VI.1 validation: bubble ratio vs FIFO depth."""
     result = ExperimentResult(
         "micro-depth", "Bubble ratio vs scheduler FIFO depth (Theorem VI.1)"
@@ -436,7 +455,7 @@ def micro_scheduler_depth() -> ExperimentResult:
     return result
 
 
-def micro_pipeline_scaling() -> ExperimentResult:
+def micro_pipeline_scaling(size: BenchSize = BenchSize()) -> ExperimentResult:
     """Scalability study: throughput vs pipeline count, N=2..32.
 
     Section VIII-F argues the zero-bubble scheduler (at 450 MHz, 1.8% of
@@ -450,12 +469,12 @@ def micro_pipeline_scaling() -> ExperimentResult:
     result = ExperimentResult(
         "micro-scaling", "Throughput vs pipeline count (scheduler scalability)"
     )
-    workload = make_workload("AS", "URW")
+    workload = make_workload("AS", "URW", size)
     points = [(2, HBM2_U55C), (4, HBM2_U55C), (8, HBM2_U55C), (16, HBM2_U55C),
               (32, HBM3_PROJECTED)]
     for pipelines, memory in points:
         metrics = run_ridgewalker_streaming(
-            workload, memory=memory, num_pipelines=pipelines
+            workload, memory=memory, num_pipelines=pipelines, size=size
         )
         msteps = metrics.msteps_per_second()
         result.add_row(
@@ -472,17 +491,18 @@ def micro_pipeline_scaling() -> ExperimentResult:
     return result
 
 
-def micro_outstanding_sweep() -> ExperimentResult:
+def micro_outstanding_sweep(size: BenchSize = BenchSize()) -> ExperimentResult:
     """Ablation: access-engine outstanding-request capacity sweep."""
     result = ExperimentResult(
         "micro-outstanding", "Throughput vs access-engine outstanding capacity"
     )
-    workload = make_workload("AS", "URW")
+    workload = make_workload("AS", "URW", size)
     for outstanding in (1, 4, 16, 64, 128):
         metrics = run_ridgewalker_streaming(
             workload,
             memory=HBM2_U55C,
             num_pipelines=16,
+            size=size,
             engine_outstanding=outstanding,
         )
         result.add_row(
@@ -497,7 +517,7 @@ def micro_outstanding_sweep() -> ExperimentResult:
     return result
 
 
-#: Registry behind ``repro experiment ID`` and the ``benchmarks/`` files.
+#: Registry behind ``repro experiment ID`` and ``tests/bench/test_experiments.py``.
 EXPERIMENTS = {
     "fig3a": fig3a_motivation,
     "fig8a": fig8a_fastrw,

@@ -5,14 +5,13 @@ Centralizes the evaluation methodology of Section VIII-A4: query length
 GRWs, queries issued as a continuous stream with throughput measured
 over a steady-state window.
 
-``fast_mode()`` (environment variable ``REPRO_BENCH_FAST=1``) shrinks
-graphs and measurement windows so the whole suite runs in CI time; the
-default sizes are what ``repro experiment ID`` runs.
+How large a run is — graph scale, streaming window and traced queries —
+is one :class:`BenchSize` value that every experiment takes;
+``repro experiment ID`` runs the default, full size.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.core import RidgeWalker, RidgeWalkerConfig
@@ -36,33 +35,21 @@ from repro.walks import (
 #: Paper walk length (Section VIII-A4).
 WALK_LENGTH = 80
 
-#: Default queries traced per run (the stream repeats them endlessly).
-NUM_QUERIES = 512
 
-#: Streaming measurement window.
-WARMUP_CYCLES = 4000
-MEASURE_CYCLES = 12000
+@dataclass(frozen=True)
+class BenchSize:
+    """How large an experiment runs; the defaults are the full size.
 
+    ``graph_scale`` scales the dataset stand-ins (and FastRW's on-chip
+    cache with them); ``num_queries`` queries are traced per run, and
+    the simulator streams them endlessly, measuring ``measure_cycles``
+    after ``warmup_cycles``.
+    """
 
-def fast_mode() -> bool:
-    """Whether the suite runs in the reduced CI configuration."""
-    return os.environ.get("REPRO_BENCH_FAST", "") == "1"
-
-
-def graph_scale() -> float:
-    return 0.25 if fast_mode() else 1.0
-
-
-def measure_cycles() -> int:
-    return 4000 if fast_mode() else MEASURE_CYCLES
-
-
-def warmup_cycles() -> int:
-    return 1500 if fast_mode() else WARMUP_CYCLES
-
-
-def num_queries() -> int:
-    return 256 if fast_mode() else NUM_QUERIES
+    graph_scale: float = 1.0
+    warmup_cycles: int = 4000
+    measure_cycles: int = 12000
+    num_queries: int = 512
 
 
 @dataclass(frozen=True)
@@ -91,11 +78,14 @@ def make_spec(algorithm: str) -> WalkSpec:
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-def make_workload(dataset: str, algorithm: str, seed: int = 1) -> Workload:
-    """Dataset stand-in + spec, with weights/types where the algorithm
-    needs them (weighted DeepWalk/Node2Vec-reservoir/MetaPath)."""
+def make_workload(
+    dataset: str, algorithm: str, size: BenchSize, seed: int = 1
+) -> Workload:
+    """Dataset stand-in at ``size.graph_scale`` + spec, with weights/types
+    where the algorithm needs them (weighted DeepWalk/Node2Vec-reservoir/
+    MetaPath)."""
     weighted = algorithm in ("DeepWalk", "Node2Vec-reservoir", "MetaPath")
-    graph = load_dataset(dataset, scale=graph_scale(), seed=seed, weighted=weighted)
+    graph = load_dataset(dataset, scale=size.graph_scale, seed=seed, weighted=weighted)
     if algorithm == "MetaPath":
         graph = assign_metapath_schema(graph, num_types=3, seed=seed)
     return Workload(graph=graph, spec=make_spec(algorithm), label=f"{algorithm}/{dataset}")
@@ -157,16 +147,18 @@ def run_ridgewalker_streaming(
     workload: Workload,
     memory: MemorySpec,
     num_pipelines: int,
+    size: BenchSize,
     seed: int = 1,
     **config_overrides,
 ) -> RunMetrics:
-    """Steady-state RidgeWalker throughput for one workload."""
+    """Steady-state RidgeWalker throughput for one workload, over
+    ``size``'s queries and streaming window."""
     config = RidgeWalkerConfig(
         num_pipelines=num_pipelines, memory=memory, **config_overrides
     )
-    queries = make_queries(workload.graph, num_queries(),
+    queries = make_queries(workload.graph, size.num_queries,
                            seed=derive_seed(seed, "queries"))
     engine = RidgeWalker(workload.graph, workload.spec, config, seed=seed)
     return engine.run_streaming(
-        queries, warmup_cycles=warmup_cycles(), measure_cycles=measure_cycles()
+        queries, warmup_cycles=size.warmup_cycles, measure_cycles=size.measure_cycles
     )

@@ -66,11 +66,6 @@ class AccessEngine(Module):
         self.requests_issued = 0
         self.responses_handled = 0
 
-    @property
-    def outstanding(self) -> int:
-        """Requests in flight right now."""
-        return self._outstanding
-
     def tick(self, cycle: int) -> None:
         # Only this engine pops its inputs: one read of a flag holds all tick.
         input_ready = self.input_fifo.ready

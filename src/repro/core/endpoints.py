@@ -110,10 +110,6 @@ class QueryLoader(Module):
         else:
             self.stats.blocked_cycles += 1
 
-    def done(self) -> bool:
-        """Whether every query has been injected (never, when endless)."""
-        return self._next >= self._end
-
 
 class QueryWriter(Module):
     """Collects finished queries from all pipelines (Figure 4a writer).

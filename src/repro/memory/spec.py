@@ -162,9 +162,9 @@ DDR4_VCK5000 = MemorySpec(
 
 #: Hypothetical next-generation HBM3 stack: 64 pseudo-channels at a
 #: higher per-channel random rate.  Section VIII-F argues the scheduler
-#: scales "beyond 32 HBM channels"; this spec backs the scalability
-#: study in ``benchmarks/bench_micro_scaling.py`` — it is a projection,
-#: not a shipping device.
+#: scales "beyond 32 HBM channels"; this spec backs the ``micro-scaling``
+#: experiment's 32-pipeline point — it is a projection, not a shipping
+#: device.
 HBM3_PROJECTED = MemorySpec(
     name="HBM3-projected",
     num_channels=64,

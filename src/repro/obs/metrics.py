@@ -91,13 +91,6 @@ class Gauge(Metric):
     def set(self, value: float, **labels) -> None:
         self._series[_label_key(labels)] = float(value)
 
-    def inc(self, amount: float = 1.0, **labels) -> None:
-        key = _label_key(labels)
-        self._series[key] = self._series.get(key, 0.0) + amount
-
-    def dec(self, amount: float = 1.0, **labels) -> None:
-        self.inc(-amount, **labels)
-
 
 class Histogram(Metric):
     """Cumulative histogram with explicit ascending bucket bounds.

@@ -73,11 +73,6 @@ class ThunderRing:
             scrambler = XorShift128.from_seed(mixer.next_u64())
             self._lanes[stream] = [scrambler.x, scrambler.y, scrambler.z, scrambler.w]
 
-    @property
-    def num_streams(self) -> int:
-        """Number of independent streams."""
-        return self._num_streams
-
     def next_u64(self, stream: int) -> int:
         """Next 64-bit uniform from ``stream`` (also advances the root).
 
@@ -117,7 +112,7 @@ class RingRandomSource:
     def __init__(self, ring: ThunderRing, stream: int) -> None:
         lanes = ring._lanes.get(stream)
         if lanes is None:
-            raise SamplingError(f"stream {stream} out of range for {ring.num_streams} streams")
+            raise SamplingError(f"stream {stream} out of range for {ring._num_streams} streams")
         self._ring = ring
         self._stream = stream
         self._root = ring._root

@@ -42,10 +42,6 @@ class SplitMix64:
         self._state, value = splitmix64_next(self._state)
         return value
 
-    def spawn_seeds(self, count: int) -> list[int]:
-        """Derive ``count`` well-separated 64-bit seeds."""
-        return [self.next_u64() for _ in range(count)]
-
 
 @dataclass
 class XorShift128:

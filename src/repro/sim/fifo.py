@@ -142,8 +142,5 @@ class StreamFifo(Generic[T]):
         """Committed plus staged items — work the fifo is responsible for."""
         return len(self._queue)
 
-    def __len__(self) -> int:
-        return self.occupancy()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"StreamFifo({self.name!r}, {self.occupancy()}/{self.capacity})"

@@ -38,11 +38,6 @@ class PPRSpec(WalkSpec):
     def termination_probability(self, hops: int | np.ndarray) -> float:
         return self.alpha
 
-    def expected_length(self) -> float:
-        """Mean walk length implied by geometric termination (capped)."""
-        # E[min(Geom(alpha), L)] = (1 - (1-alpha)**L) / alpha
-        return (1.0 - (1.0 - self.alpha) ** self.max_length) / self.alpha
-
 
 def estimate_ppr(results: WalkResults, num_vertices: int) -> np.ndarray:
     """Monte-Carlo PPR estimate from walk endpoints.

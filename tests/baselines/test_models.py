@@ -29,20 +29,14 @@ class TestWorkloadTrace:
         assert trace.total_steps == 600
         assert np.all(trace.lengths == 30)
 
-    def test_alive_per_round(self):
-        g = cycle_graph(50)
-        queries = [Query(i, i % 50) for i in range(10)]
-        trace = WorkloadTrace(g, URWSpec(max_length=5), queries, seed=1)
-        assert trace.alive_per_round().tolist() == [10] * 5
-
-    def test_alive_decays_with_ppr(self):
+    def test_lengths_follow_query_order(self):
         g = cycle_graph(500)
-        queries = [Query(i, 0) for i in range(100)]
-        trace = WorkloadTrace(g, PPRSpec(alpha=0.3, max_length=80), queries, seed=1)
-        alive = trace.alive_per_round()
-        assert alive[0] == 100
-        assert alive[-1] < alive[0]
-        assert np.all(np.diff(alive) <= 0)
+        queries = [Query(i, i) for i in range(100)]
+        spec = PPRSpec(alpha=0.3, max_length=80)
+        forward = WorkloadTrace(g, spec, queries, seed=1).lengths
+        backward = WorkloadTrace(g, spec, queries[::-1], seed=1).lengths
+        assert len(set(forward.tolist())) > 1
+        assert backward.tolist() == forward[::-1].tolist()
 
     def test_mean_scan_words(self):
         g, queries = workload(weighted=True)

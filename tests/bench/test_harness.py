@@ -1,11 +1,10 @@
-"""Unit tests for the benchmark harness (reporting + fast experiments)."""
-
-import os
+"""Unit tests for the benchmark harness (reporting + workloads)."""
 
 import pytest
 
 from repro.bench import (
     EXPERIMENTS,
+    BenchSize,
     ExperimentResult,
     geometric_mean,
     make_rmat_workload,
@@ -72,11 +71,11 @@ class TestWorkloads:
             make_spec("QuantumWalk")
 
     def test_metapath_workload_has_types(self):
-        workload = make_workload("WG", "MetaPath")
+        workload = make_workload("WG", "MetaPath", BenchSize(graph_scale=0.25))
         assert workload.graph.has_edge_types
 
     def test_deepwalk_workload_is_weighted(self):
-        workload = make_workload("WG", "DeepWalk")
+        workload = make_workload("WG", "DeepWalk", BenchSize(graph_scale=0.25))
         assert workload.graph.is_weighted
 
     def test_rmat_workload_labels(self):
@@ -98,32 +97,3 @@ class TestWorkloads:
             "micro-depth", "micro-outstanding",
         }
         assert expected <= set(EXPERIMENTS)
-
-
-class TestFastExperiments:
-    """Cheap experiments run directly; the simulator-heavy ones are
-    exercised by benchmarks/ (and by these same functions in fast mode)."""
-
-    def test_tab1(self):
-        result = EXPERIMENTS["tab1"]()
-        assert len(result.rows) == 6
-        assert all(r["sampler"] == r["expected_sampler"] for r in result.rows)
-
-    def test_tab4(self):
-        result = EXPERIMENTS["tab4"]()
-        assert len(result.rows) == 4
-        assert all(r["frequency_mhz"] == 320.0 for r in result.rows)
-
-    def test_micro_depth(self):
-        result = EXPERIMENTS["micro-depth"]()
-        assert any(r["meets_theorem"] for r in result.rows)
-        shallow = result.row_for(depth=1)["bubble_ratio"]
-        deep = [r for r in result.rows if r["meets_theorem"]]
-        assert all(r["bubble_ratio"] < shallow for r in deep)
-        # Pinned exactly: bubble cycles over 16 servers x 5872 post-warmup
-        # cycles.  Dispatch ties break by server index, so the rows are
-        # equal on every host (CI reruns this at baseline SIMD dispatch).
-        server_cycles = 16 * (6000 - 128)
-        bubbles = {1: 7139, 2: 7138, 4: 7466, 8: 4262, 17: 1099, 34: 267}
-        assert [(r["depth"], r["bubble_ratio"], r["meets_theorem"]) for r in result.rows] == [
-            (depth, count / server_cycles, depth >= 17) for depth, count in bubbles.items()]

@@ -53,8 +53,7 @@ class TestQueryLoader:
             tasks.append(out.pop())
         assert [t.query_id for t in tasks] == [0, 1, 2, 3, 4]
         assert [t.vertex for t in tasks] == [10, 11, 12, 13, 14]
-        assert recorder.started == 5
-        assert loader.done()
+        assert recorder.started == loader.injected == 5
 
     def test_respects_inflight_cap(self):
         queries = [Query(i, 0) for i in range(20)]
@@ -73,7 +72,6 @@ class TestQueryLoader:
             while not out.is_empty():
                 out.pop()
         assert loader.injected > 2
-        assert not loader.done()
         assert recorder.started == loader.injected  # unique ids throughout
 
     def test_validation(self):
@@ -207,8 +205,7 @@ class TestAccessEngineBypass:
             kernel.step()
         assert touched == [7]
         assert dst.pop().query_id == 7
-        assert engine.requests_issued == 1
-        assert engine.outstanding == 0
+        assert engine.requests_issued == engine.responses_handled == 1
 
 
 class TestResponseRouter:

@@ -53,11 +53,10 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
+    def test_set_overwrites(self):
         gauge = MetricsRegistry().gauge("g")
         gauge.set(10)
-        gauge.inc(5)
-        gauge.dec(3)
+        gauge.set(12)
         assert gauge.value() == 12
 
 

@@ -17,9 +17,6 @@ class TestConstruction:
         with pytest.raises(SamplingError):
             ThunderRing(num_streams=0)
 
-    def test_num_streams(self):
-        assert ThunderRing(num_streams=16).num_streams == 16
-
 
 class TestDeterminism:
     def test_same_seed_same_sequence(self):

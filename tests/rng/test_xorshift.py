@@ -16,10 +16,6 @@ class TestSplitMix64:
         b = SplitMix64(123)
         assert [a.next_u64() for _ in range(5)] == [b.next_u64() for _ in range(5)]
 
-    def test_spawn_seeds_distinct(self):
-        seeds = SplitMix64(7).spawn_seeds(64)
-        assert len(set(seeds)) == 64
-
     def test_outputs_fit_64_bits(self):
         gen = SplitMix64(999)
         assert all(0 <= gen.next_u64() < 2**64 for _ in range(100))

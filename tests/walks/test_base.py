@@ -201,7 +201,3 @@ class TestSpecValidation:
         assert Node2VecSpec().needs_prev_vertex
         assert not URWSpec().needs_prev_vertex
         assert not DeepWalkSpec().needs_prev_vertex
-
-    def test_ppr_expected_length(self):
-        spec = PPRSpec(alpha=0.5, max_length=1000)
-        assert spec.expected_length() == pytest.approx(2.0, abs=0.01)
