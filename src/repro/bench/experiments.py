@@ -337,11 +337,12 @@ def tab1_sampling_support(size: BenchSize = BenchSize()) -> ExperimentResult:
 
 
 def tab2_datasets(size: BenchSize = BenchSize()) -> ExperimentResult:
-    """Table II: dataset catalog — paper numbers vs generated stand-ins."""
+    """Table II: dataset catalog — paper numbers vs generated stand-ins
+    at ``size.graph_scale``."""
     result = ExperimentResult("tab2", "Evaluated graph datasets (Table II)")
     for name in DATASET_ORDER:
         spec = get_spec(name)
-        graph = load_dataset(name, seed=1)
+        graph = load_dataset(name, scale=size.graph_scale, seed=1)
         stats = degree_statistics(graph)
         result.add_row(
             graph=name,

@@ -2,12 +2,12 @@
 
 ``DynamicGraph`` ingests streamed edge updates into per-vertex delta
 buffers over the last snapshot's CSR and publishes epoch-versioned
-immutable snapshots, each of which becomes the next base —
-``(CSRGraph, SamplerState)`` pairs whose prepared sampler structures are
-built when first read and from then on maintained *incrementally* yet
-bit-identically to a from-scratch build; what nobody reads is not built.
-Engines swap between snapshots without cold preparation
-(``PreparedEngine.swap_snapshot``).
+immutable snapshots, each of which becomes the next base.  A snapshot's
+graph comes with its sampler state seeded: every prepared structure a
+reader read on an earlier epoch is carried into it — alias slots
+maintained *incrementally* — bit-identically to a from-scratch build;
+what nobody reads is not built.  Engines swap between snapshots without
+cold preparation (``PreparedEngine.swap_snapshot``).
 """
 
 from repro.dynamic.bench import (
@@ -17,7 +17,7 @@ from repro.dynamic.bench import (
     snapshot_matches_static,
 )
 from repro.dynamic.graph import DynamicGraph, GraphSnapshot
-from repro.dynamic.state import RowBatch, SamplerState, advance_graph_and_state
+from repro.dynamic.state import RowBatch, advance_graph_and_state
 from repro.dynamic.workload import (
     UpdateBatch,
     UpdateTrace,
@@ -30,7 +30,6 @@ __all__ = [
     "GraphSnapshot",
     "MutateBenchReport",
     "RowBatch",
-    "SamplerState",
     "UpdateBatch",
     "UpdateTrace",
     "advance_graph_and_state",

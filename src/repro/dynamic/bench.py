@@ -9,11 +9,12 @@ and measures the three quantities the dynamic subsystem is judged on:
 2. **maintenance speedup** — incremental per-batch maintenance vs the
    from-scratch rebuild a static pipeline would pay (``from_edges`` +
    the prepared arrays the walk's kernel reads, on the same logical edge
-   set), sampled at a few points along the trace.  A snapshot maintains
-   only what has been read, so the harness reads the same arrays at
-   epoch 0: both sides then prepare exactly what the algorithm loads;
+   set), sampled at a few points along the trace.  A snapshot carries
+   only what has been read, so the harness prepares the walk's kernel at
+   epoch 0: both sides then build exactly what the algorithm reads, the
+   incremental side inside ``snapshot()``;
 3. **walk-throughput retention** — hops/s of the batch engine on the
-   final snapshot (kernel loaded from the snapshot's prepared state)
+   final snapshot (its kernel prepared from what the snapshot carried)
    relative to the same engine on a freshly built static graph, with
    paths and ``EngineStats`` required to be bit-identical.
 """
@@ -26,14 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dynamic.graph import DynamicGraph, GraphSnapshot
-from repro.dynamic.state import SamplerState
 from repro.dynamic.workload import UpdateTrace, apply_batch
 from repro.engines import hops_per_second
 from repro.graph.builders import from_edges
 from repro.graph.csr import CSRGraph
 from repro.obs.metrics import dynamic_graph_into, global_registry
 from repro.sampling.base import derive_seed
-from repro.sampling.vectorized import make_kernel
+from repro.sampling.vectorized import SamplerState, VectorizedKernel, make_kernel
 from repro.walks.base import WalkSpec, make_queries
 from repro.walks.batch import run_walks_batch
 from repro.walks.reference import EngineStats
@@ -90,22 +90,20 @@ def rebuild_from_edge_set(
     weights: np.ndarray | None,
     num_vertices: int,
     name: str,
-    kernel=None,
+    kernel: VectorizedKernel | None = None,
 ) -> tuple[CSRGraph, SamplerState]:
     """What a static pipeline rebuilds per update batch, given an edge
-    set it already holds: a new CSR plus the prepared sampler structures
-    ``kernel`` reads (every one of them without a kernel).  This — and
-    only this — is the timed rebuild baseline; extracting the edge list
-    out of the dynamic overlay (``logical_edges``) is a cost of *our*
-    measurement harness, not of a static pipeline, and stays outside the
-    timer."""
+    set it already holds: a new CSR, and ``kernel`` prepared for it (the
+    graph's state builds what that kernel reads; without a kernel, each
+    member is built when first read).  This — and only this — is the
+    timed rebuild baseline; extracting the edge list out of the dynamic
+    overlay (``logical_edges``) is a cost of *our* measurement harness,
+    not of a static pipeline, and stays outside the timer."""
     rebuilt = from_edges(edges, num_vertices=num_vertices, weights=weights,
                          name=name)
-    if kernel is None:
-        return rebuilt, SamplerState.full_build(rebuilt)
-    state = SamplerState(rebuilt)
-    state.kernel_arrays(kernel)
-    return rebuilt, state
+    if kernel is not None:
+        kernel.prepare(rebuilt)
+    return rebuilt, SamplerState.of(rebuilt)
 
 
 def fresh_static_build(
@@ -119,7 +117,12 @@ def fresh_static_build(
 def snapshot_matches_static(
     snapshot: GraphSnapshot, graph: CSRGraph, state: SamplerState
 ) -> bool:
-    """Bit-exact comparison of a snapshot against a from-scratch build."""
+    """Bit-exact comparison of a snapshot against a from-scratch build
+    ``(graph, state)``: the CSR arrays, then every member the snapshot
+    carries against the same member read from ``state`` — the edge set
+    array by array, as its probe reads them (filter, table, overflow
+    flags, stash).  A member the snapshot does not hold would be built
+    from its CSR, so the CSR check covers it."""
     dynamic_graph = snapshot.graph
     pairs = [
         (dynamic_graph.row_ptr, graph.row_ptr),
@@ -129,8 +132,13 @@ def snapshot_matches_static(
         return False
     if dynamic_graph.is_weighted:
         pairs.append((dynamic_graph.weights, graph.weights))
-    ours, theirs = snapshot.sampler_state.arrays(), state.arrays()
-    pairs.extend((ours[name], theirs[name]) for name in theirs)
+    held = dict(snapshot.sampler_state.held)
+    if "alias_slots" in held:
+        pairs.append((held["alias_slots"], state.alias_slots))
+    if "edge_set" in held:
+        ours, theirs = held["edge_set"], state.edge_set
+        pairs.extend((getattr(ours, field), getattr(theirs, field))
+                     for field in ("filter", "table", "overflow", "stash"))
     return all(np.array_equal(a, b) for a, b in pairs)
 
 
@@ -168,9 +176,10 @@ def run_mutate_bench(
     dynamic = trace.build_dynamic()
     snapshot = dynamic.snapshot()
     # Epoch 0, untimed: the one cold build of what this walk's kernel
-    # reads; every later epoch maintains exactly that.
+    # reads; every later snapshot carries exactly that.
     dynamic_kernel = make_kernel(spec.make_sampler())
-    snapshot.kernel_arrays(dynamic_kernel)
+    dynamic_kernel.prepare(snapshot.graph)
+    rebuild_kernel = make_kernel(spec.make_sampler())
 
     num_batches = len(trace.batches)
     sample_at = set()
@@ -200,7 +209,7 @@ def run_mutate_bench(
             edges, weights = dynamic.logical_edges()
             rebuild_started = time.perf_counter()
             rebuild_from_edge_set(edges, weights, dynamic.num_vertices,
-                                  dynamic.name, dynamic_kernel)
+                                  dynamic.name, rebuild_kernel)
             rebuild_seconds.append(time.perf_counter() - rebuild_started)
 
     mean_incremental = incremental_seconds / num_batches if num_batches else 0.0
@@ -212,9 +221,7 @@ def run_mutate_bench(
     )
 
     # Feed the telemetry layer once per run so `repro metrics
-    # mutate-bench ...` exports the dynamic-graph counters — before the
-    # equivalence check below asks the last snapshot for every member,
-    # so the build ledger shows what the trace itself maintained.
+    # mutate-bench ...` exports the dynamic-graph counters.
     dynamic_graph_into(global_registry(), dynamic)
 
     # Final-state equivalence + walk-throughput retention.  The static
@@ -228,11 +235,7 @@ def run_mutate_bench(
     queries = make_queries(static_graph, walk_queries,
                            seed=derive_seed(seed, "queries"))
     walk_seed = derive_seed(seed, "engine")
-    arrays = snapshot.kernel_arrays(dynamic_kernel)
-    if arrays:
-        dynamic_kernel.load_state(arrays)
-    else:
-        dynamic_kernel.prepare(snapshot.graph)
+    dynamic_kernel.prepare(snapshot.graph)
     static_kernel = make_kernel(spec.make_sampler())
     static_kernel.prepare(static_graph)
     dynamic_results, dynamic_stats, dynamic_s = _timed_walks(

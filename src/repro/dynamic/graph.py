@@ -15,14 +15,14 @@ reader lets go.  Only a snapshot moves the base: a caller bounds overlay
 memory and the next snapshot's merge cost by how often it publishes.
 
 The read side is :meth:`DynamicGraph.snapshot`: an epoch-versioned,
-immutable ``(CSRGraph, SamplerState)`` pair.  Snapshots are built
-*incrementally* from the previous epoch — only rows dirtied since the
-last snapshot are rebuilt, and only in the prepared arrays some reader
-has asked a snapshot for (see :mod:`repro.dynamic.state`) — and are
-bit-identical to a from-scratch build of the same logical edge set.
-Engines keep walking one epoch while updates stream into the next;
-swapping an engine onto a new epoch is ``PreparedEngine.swap_snapshot``
-(no pool respawn, no cold prepare).
+immutable ``CSRGraph`` whose sampler state comes pre-seeded.  Snapshots
+are built *incrementally* from the previous epoch — only rows dirtied
+since the last snapshot are rebuilt, and the prepared arrays some reader
+of an earlier epoch's graph read are carried into the new one (see
+:mod:`repro.dynamic.state`) — and are bit-identical to a from-scratch
+build of the same logical edge set.  Engines keep walking one epoch
+while updates stream into the next; swapping an engine onto a new epoch
+is ``PreparedEngine.swap_snapshot``, and it builds nothing.
 
 Model notes: the vertex set is fixed at construction; the graph is
 simple (at most one directed edge per ``(src, dst)`` — a duplicate
@@ -32,24 +32,19 @@ not supported.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
 
-from repro.dynamic.state import (
-    RowBatch,
-    SamplerState,
-    _assemble_csr,
-    advance_graph_and_state,
-)
+from repro.dynamic.state import RowBatch, _assemble_csr, advance_graph_and_state
 from repro.errors import DynamicGraphError
 from repro.graph.builders import validate_edge_weights
 from repro.graph.csr import CSRGraph
 from repro.graph.rows import gather_rows, stable_order
 from repro.obs.trace import span as _trace_span
+from repro.sampling.vectorized import SamplerState
 
 _INDEX_DTYPE = np.int64
 _WEIGHT_DTYPE = np.float64
@@ -63,19 +58,18 @@ class GraphSnapshot:
 
     ``epoch`` is a monotonically increasing version id (0 is the
     construction-time state).  ``graph`` is a plain ``CSRGraph`` every
-    engine already understands; ``sampler_state`` holds the prepared
-    kernel arrays (alias slots, edge keys) readers of earlier epochs
-    asked for, so a swap onto this snapshot needs no preparation pass.  Hand engines the snapshot, not its ``graph``:
-    what they read at construction is then inherited by later epochs.
+    engine already understands; its :attr:`sampler_state` holds the
+    prepared arrays (alias slots, edge set) readers of earlier epochs
+    read, so a swap onto this snapshot needs no preparation pass.
     """
 
     epoch: int
     graph: CSRGraph
-    sampler_state: SamplerState
 
-    def kernel_arrays(self, kernel) -> dict[str, np.ndarray]:
-        """Prepared arrays for one vectorized kernel (possibly empty)."""
-        return self.sampler_state.kernel_arrays(kernel)
+    @property
+    def sampler_state(self) -> SamplerState:
+        """The graph's one sampler state."""
+        return SamplerState.of(self.graph)
 
 
 def _as_edge_array(edges) -> tuple[np.ndarray, np.ndarray]:
@@ -132,8 +126,9 @@ class DynamicGraph:
         #: High-water mark of :attr:`delta_edges`: the largest overlay
         #: between two snapshots (reported by mutate-bench).
         self.delta_peak = 0
-        #: Sampler-state builds, ``(member, "scratch" | "incremental") -> count``.
-        self.state_builds: Counter = Counter()
+        #: Sampler-state builds, ``(member, "scratch" | "incremental") -> count``:
+        #: the base graph's ledger, which every epoch's state shares.
+        self.state_builds = SamplerState.of(base).builds
 
     # ------------------------------------------------------------------
     # Read API (current logical graph, base + overlay)
@@ -243,10 +238,11 @@ class DynamicGraph:
         With no pending updates this returns the cached snapshot (same
         object, same epoch).  Otherwise a new epoch is built
         incrementally from the previous one: dirty rows are rebuilt,
-        clean rows copied bit-for-bit, in the graph arrays and in every
-        prepared array a reader has asked an earlier ``sampler_state``
-        for — epoch 0 starts with none built, what nobody asks for never
-        is (see :func:`repro.dynamic.state.advance_graph_and_state`).
+        clean rows copied bit-for-bit, in the graph arrays, and every
+        prepared array a reader has read from the previous epoch's
+        ``sampler_state`` is carried into the new one — what nobody reads
+        is never built (see
+        :func:`repro.dynamic.state.advance_graph_and_state`).
         The new epoch's graph then becomes the base and the overlay is
         emptied: reads, :meth:`logical_edges` and the next snapshot's
         merge start from this epoch, and the previous one is no longer
@@ -254,11 +250,7 @@ class DynamicGraph:
         """
         previous = self._published
         if previous is None:
-            previous = GraphSnapshot(
-                epoch=self._epoch,
-                graph=self._base,
-                sampler_state=SamplerState(self._base, builds=self.state_builds),
-            )
+            previous = GraphSnapshot(epoch=self._epoch, graph=self._base)
             self._published = previous
         if not self._dirty:
             return previous
@@ -268,17 +260,12 @@ class DynamicGraph:
                 batch = self._merged_rows(self._dirty)
             snapshot_span.annotate(dirty_edges=int(batch.col.size))
             graph, state = advance_graph_and_state(
-                previous.graph,
-                previous.sampler_state,
-                batch,
-                name=self._base.name,
+                previous.graph, batch, name=self._base.name
             )
-            if state.held:  # what this epoch maintained; absent when nothing
+            if state.held:  # what this epoch carried; absent when nothing
                 snapshot_span.annotate(members=sorted(state.held))
             self._epoch += 1
-            snapshot = GraphSnapshot(
-                epoch=self._epoch, graph=graph, sampler_state=state
-            )
+            snapshot = GraphSnapshot(epoch=self._epoch, graph=graph)
             self._published = snapshot
             self._dirty.clear()
             # The new epoch is the next base: the overlay only ever holds

@@ -108,11 +108,9 @@ def _record_run_metrics(engine: str, results: WalkResults, elapsed: float) -> No
 def prepare_engine(engine: str, graph, spec: WalkSpec) -> PreparedEngine:
     """Build a :class:`PreparedEngine` for repeated runs on one graph.
 
-    ``graph`` is a ``CSRGraph`` or a dynamic ``GraphSnapshot``.  Given the
-    snapshot, the engine reads its prepared state (built there, once) and
-    every later ``swap_snapshot`` inherits it; given ``snapshot.graph``,
-    the engine prepares privately and the first swap builds it again.
-    Close the engine — or use it as a context manager — when done.  Every
+    ``graph`` is a ``CSRGraph`` or a dynamic ``GraphSnapshot``, one
+    hand-off either way: the engine reads the graph's one sampler state,
+    and later epochs carry what it read.  Close the engine — or use it as a context manager — when done.  Every
     entry path (one-shot runs, prepared engines, the serving layer) comes
     through here, so an unknown name fails the same way on each.
     """

@@ -59,6 +59,9 @@ class CSRGraph:
     name: str = "graph"
     _degrees: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     _cols_sorted: bool = field(init=False, repr=False, compare=False, default=False)
+    #: The sampling layer's per-graph state
+    #: (:meth:`repro.sampling.vectorized.SamplerState.of`), opaque here.
+    _sampler_state: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         row_ptr = np.ascontiguousarray(self.row_ptr, dtype=_INDEX_DTYPE)

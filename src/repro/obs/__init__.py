@@ -50,7 +50,6 @@ from repro.obs.trace import (
     configure_tracer,
     disable_tracing,
     enable_tracing,
-    get_tracer,
     span,
     tracing,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "dynamic_graph_into",
     "enable_tracing",
     "engine_stats_into",
-    "get_tracer",
     "global_registry",
     "parse_prometheus",
     "render_prometheus",

@@ -151,12 +151,6 @@ class Histogram(Metric):
         """``(per-bound counts, sum, count)`` — raw, non-cumulative."""
         return self._counts[key], self._sums[key], self._totals[key]
 
-    def count(self, **labels) -> int:
-        return self._totals.get(_label_key(labels), 0)
-
-    def sum(self, **labels) -> float:
-        return self._sums.get(_label_key(labels), 0.0)
-
 
 class MetricsRegistry:
     """Get-or-create metric namespace with type/help consistency checks."""

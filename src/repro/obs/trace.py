@@ -214,10 +214,6 @@ class Tracer:
         with self._lock:
             return tuple(self._ring)
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._ring)
-
     def snapshot(self) -> dict:
         """JSON-ready tracer accounting (embedded next to exports)."""
         with self._lock:
@@ -239,11 +235,6 @@ class Tracer:
 # tests) goes through enable/disable or the ``tracing()`` guard.
 
 _tracer = Tracer()
-
-
-def get_tracer() -> Tracer:
-    """The process-global tracer (disabled by default)."""
-    return _tracer
 
 
 def active() -> Tracer | None:

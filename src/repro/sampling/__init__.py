@@ -16,6 +16,7 @@ from repro.sampling.uniform import UniformSampler
 from repro.sampling.vectorized import (
     BatchSample,
     QueryStreams,
+    SamplerState,
     VectorizedKernel,
     make_kernel,
 )
@@ -33,6 +34,7 @@ __all__ = [
     "ReservoirSampler",
     "RingRandomSource",
     "SampleOutcome",
+    "SamplerState",
     "Sampler",
     "StepContext",
     "UniformSampler",

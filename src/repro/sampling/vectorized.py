@@ -19,6 +19,9 @@ samplers in this package:
   of Node2Vec adjacency probes is one hash + one cached bit read each,
   and one 64-byte table line for each pair the filter could not rule
   out (a small sorted stash for the few lines that overflowed).
+  It and DeepWalk's packed alias slots are a graph's prepared state,
+  owned by its one :class:`SamplerState`: a kernel's ``prepare(graph)``
+  reads them there, so each is built once per graph.
 * the same cost-counter contract as the scalar samplers: proposals and
   neighbor reads are accounted identically.  ``neighbor_reads`` is a
   *modeled* cost (the rejection kernel charges the scalar sampler's
@@ -34,7 +37,9 @@ identically keyed per query.
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -45,6 +50,7 @@ from repro.graph.alias import build_alias_table
 from repro.graph.csr import CSRGraph
 from repro.graph.rows import segment_last_argmax
 from repro.obs.trace import active as _active_tracer
+from repro.obs.trace import span as _trace_span
 from repro.sampling.alias_sampler import AliasSampler
 from repro.sampling.base import Sampler, normalize_seed
 from repro.sampling.rejection import _MAX_REJECTION_ROUNDS, RejectionSampler
@@ -262,14 +268,6 @@ class QueryStreams:
         streams._state = states
         return streams
 
-    def states(self) -> np.ndarray:
-        """The live per-stream state array (mutates as draws are made)."""
-        return self._state
-
-    @property
-    def num_streams(self) -> int:
-        return self._state.size
-
     def _advance(self, idx: np.ndarray | None) -> np.ndarray:
         """Bump the selected streams once and return their new states.
 
@@ -440,20 +438,14 @@ class EdgeSet:
         self._bucket_shift = np.int64(filter_bits - (len(table).bit_length() - 1))
 
     @classmethod
-    def from_keys(cls, keys: np.ndarray, num_vertices: int) -> "EdgeSet":
-        """Build from ``src * |V| + dst`` keys in any order (left as they are)."""
-        return cls._from_hashes(keys.view(np.uint64) * _GAMMA, num_vertices)
-
-    @classmethod
     def build(cls, graph: CSRGraph) -> "EdgeSet":
         hashes = build_edge_keys(graph).view(np.uint64)
         hashes *= _GAMMA  # the keys are this call's own: hashed in place
-        return cls._from_hashes(hashes, graph.num_vertices)
-
-    @classmethod
-    def _from_hashes(cls, hashes: np.ndarray, num_vertices: int) -> "EdgeSet":
         hashes.sort()
-        return cls(build_edge_filter(hashes), *build_edge_table(hashes), num_vertices)
+        arrays = (build_edge_filter(hashes), *build_edge_table(hashes))
+        for array in arrays:
+            array.setflags(write=False)  # shared by every kernel of the graph
+        return cls(*arrays, graph.num_vertices)
 
     def contains(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Vectorized ``graph.has_edge(src[k], dst[k])`` over aligned 1-D
@@ -487,22 +479,6 @@ class EdgeSet:
                        passed=passed.size, stashed=stashed,
                        hits=int(np.count_nonzero(found)))
         return found
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "edge_filter": self.filter,
-            "edge_table": self.table,
-            "edge_overflow": self.overflow,
-            "edge_stash": self.stash,
-            "edge_stride": np.array([self.num_vertices], dtype=np.int64),
-        }
-
-    @classmethod
-    def from_state(cls, arrays: dict[str, np.ndarray]) -> "EdgeSet":
-        """Adopt exported arrays as they are (possibly read-only, e.g. a
-        snapshot's sampler state): nothing is copied or rebuilt."""
-        return cls(arrays["edge_filter"], arrays["edge_table"], arrays["edge_overflow"],
-                   arrays["edge_stash"], arrays["edge_stride"][0])
 
 
 #: One alias-table slot with the two neighbours it can resolve to: the
@@ -552,10 +528,75 @@ def pack_alias_slots(
 
 
 def graph_alias_slots(graph: CSRGraph) -> np.ndarray:
-    """The packed alias state of a whole graph: tables built by the one
-    row builder, packed, and dropped."""
+    """The packed alias state of a whole graph, read-only: tables built by
+    the one row builder, packed, and dropped."""
     table = build_alias_table(graph)
-    return pack_alias_slots(table.prob, table.alias, graph.row_ptr, graph.col)
+    slots = pack_alias_slots(table.prob, table.alias, graph.row_ptr, graph.col)
+    slots.setflags(write=False)  # shared by every kernel of the graph
+    return slots
+
+
+class SamplerState:
+    """The prepared arrays one graph's kernels sample, built on first read.
+
+    :meth:`of` is the one way to reach them: one state per ``CSRGraph``
+    object, kept on the frozen graph, so every kernel prepared for that
+    graph — an engine's, a traced proxy's, one swapped onto a dynamic
+    snapshot — reads the same read-only copy, built at most once.  Two
+    members: :attr:`alias_slots` (DeepWalk's :data:`ALIAS_SLOT` records)
+    and :attr:`edge_set` (the second-order kernels' :class:`EdgeSet`);
+    uniform and first-order reservoir kernels read neither.
+
+    ``held`` maps each member built so far to its value.  ``builds``
+    counts ``(member, kind)`` builds: ``"scratch"`` on a read,
+    ``"incremental"`` when a dynamic snapshot carries a member the
+    previous epoch held into the next one
+    (:func:`repro.dynamic.state.advance_graph_and_state`), whose states
+    all share one counter.  Telemetry, unsynchronised: readers racing on
+    another thread may build a member twice and count it once.
+    """
+
+    def __init__(self, graph: CSRGraph) -> None:
+        # Weak: the graph owns its state, so a dropped graph is freed by
+        # its reference count alone, with its arrays (a cycle would wait
+        # for the collector, an epoch's arrays with it).  Hold the graph,
+        # not only its state.
+        self._graph = weakref.ref(graph)
+        self.held: dict[str, object] = {}
+        self.builds: Counter = Counter()
+
+    @classmethod
+    def of(cls, graph: CSRGraph) -> "SamplerState":
+        """The state of ``graph``, made empty on its first request."""
+        state = graph._sampler_state
+        if state is None:
+            state = cls(graph)
+            object.__setattr__(graph, "_sampler_state", state)
+        return state
+
+    def hold(self, name: str, member, kind: str) -> None:
+        """Keep a built member and count its build."""
+        self.held[name] = member
+        self.builds[name, kind] += 1
+
+    def _read(self, name: str, build):
+        member = self.held.get(name)
+        if member is None:
+            graph = self._graph()
+            if graph is None:
+                raise SamplingError(f"cannot build {name}: this sampler state's graph is gone")
+            with _trace_span("sampling.build_member", member=name):
+                member = build(graph)
+            self.hold(name, member, "scratch")
+        return member
+
+    @property
+    def alias_slots(self) -> np.ndarray:
+        return self._read("alias_slots", graph_alias_slots)
+
+    @property
+    def edge_set(self) -> "EdgeSet":
+        return self._read("edge_set", EdgeSet.build)
 
 
 @dataclass
@@ -614,25 +655,9 @@ class VectorizedKernel(ABC):
     second_order = False
 
     def prepare(self, graph: CSRGraph) -> None:
-        """Per-graph preprocessing hook (alias tables, edge keys)."""
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Prepared per-graph state as named flat arrays.
-
-        A dynamic snapshot's sampler state is held in this shape, so an
-        engine swapped onto it skips the (potentially expensive)
-        :meth:`prepare` pass.  Kernels without prepared state return an
-        empty mapping.  Must be called after :meth:`prepare`.
-        """
-        return {}
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Adopt prepared state exported by :meth:`state_arrays`.
-
-        ``arrays`` may be shared with a snapshot and other engines;
-        kernels must not mutate them.  A kernel loaded this way is ready
-        to sample without a :meth:`prepare` call.
-        """
+        """Ready this kernel for ``graph``: take what it samples from
+        ``SamplerState.of(graph)``, shared and read-only (built there on
+        the first read); kernels without prepared state take nothing."""
 
     @abstractmethod
     def sample(
@@ -686,15 +711,7 @@ class AliasKernel(VectorizedKernel):
         self._slots: np.ndarray | None = None
 
     def prepare(self, graph: CSRGraph) -> None:
-        self._slots = graph_alias_slots(graph)
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        if self._slots is None:
-            raise SamplingError("AliasKernel.prepare(graph) must run before exporting state")
-        return {"alias_slots": self._slots}
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        self._slots = arrays["alias_slots"]
+        self._slots = SamplerState.of(graph).alias_slots
 
     def sample(self, graph, current, previous, admissible_type, streams, stream_idx):
         if self._slots is None:
@@ -767,15 +784,7 @@ class RejectionKernel(VectorizedKernel):
         return self._sampler.q
 
     def prepare(self, graph: CSRGraph) -> None:
-        self._edge_set = EdgeSet.build(graph)
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        if self._edge_set is None:
-            raise SamplingError("RejectionKernel.prepare(graph) must run before exporting state")
-        return self._edge_set.state_arrays()
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        self._edge_set = EdgeSet.from_state(arrays)
+        self._edge_set = SamplerState.of(graph).edge_set
 
     def stalled_out(self, stalls: int) -> SamplingError:
         return SamplingError(
@@ -873,18 +882,7 @@ class ReservoirKernel(VectorizedKernel):
 
     def prepare(self, graph: CSRGraph) -> None:
         if self.second_order:
-            self._edge_set = EdgeSet.build(graph)
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        if not self.second_order:
-            return {}
-        if self._edge_set is None:
-            raise SamplingError("ReservoirKernel.prepare(graph) must run before exporting state")
-        return self._edge_set.state_arrays()
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        if self.second_order:
-            self._edge_set = EdgeSet.from_state(arrays)
+            self._edge_set = SamplerState.of(graph).edge_set
 
     def sample(self, graph, current, previous, admissible_type, streams, stream_idx):
         if admissible_type is not None and graph.edge_types is None:

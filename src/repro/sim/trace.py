@@ -9,10 +9,10 @@ renderer turns them into the kind of timeline Figure 3/5 sketch.
 Usage::
 
     tracer = UtilizationTracer(window=64)
-    tracer.watch_module(machine.pipelines[0].sampling)
+    series = tracer.watch_module(machine.pipelines[0].sampling)
     tracer.watch_fifo(some_fifo)
     ... kernel.step() loop calling tracer.sample(kernel.cycle) ...
-    print(render_timeline(tracer.series("pipe0.sp"), width=60))
+    print(render_timeline(series, width=60))
 """
 
 from __future__ import annotations
@@ -37,9 +37,6 @@ class TraceSeries:
 
     def mean(self) -> float:
         return sum(self.values) / len(self.values) if self.values else 0.0
-
-    def peak(self) -> float:
-        return max(self.values) if self.values else 0.0
 
 
 class UtilizationTracer:
@@ -77,16 +74,6 @@ class UtilizationTracer:
         for fifo, series in self._fifos:
             series.values.append(min(1.0, fifo.occupancy() / fifo.capacity))
         return True
-
-    def series(self, name: str) -> TraceSeries:
-        """Look up a traced series by its module/FIFO name."""
-        for _, series, _ in self._modules:
-            if series.name == name:
-                return series
-        for _, series in self._fifos:
-            if series.name == name:
-                return series
-        raise SimulationError(f"no traced series named {name!r}")
 
     def all_series(self) -> list[TraceSeries]:
         return [s for _, s, _ in self._modules] + [s for _, s in self._fifos]

@@ -429,9 +429,8 @@ os.register_at_fork(after_in_child=_forget_lane_pool)
 class BatchEngine(PreparedEngine):
     """The vectorized engine: a prepared kernel driven by :func:`superstep`.
 
-    ``kernel``, when given, must already be prepared (or loaded) for
-    ``graph`` and needs nothing beyond ``sample`` — a tracer passes a
-    timing proxy.
+    ``kernel``, when given, must already be prepared for ``graph`` and
+    needs nothing beyond ``sample`` — a tracer passes a timing proxy.
     """
 
     name = "batch"

@@ -15,7 +15,9 @@ start vertex included; ``counts`` is one run's scalar counters in
 :data:`STAT_FIELDS` order.  Snapshot swaps share one hand-off the same
 way: :meth:`swap_snapshot` resolves a ``CSRGraph`` or a dynamic
 ``GraphSnapshot`` to ``(graph, prepared kernel)`` and gives it to the
-engine's ``_adopt``.  The serving layer steps every engine through
+engine's ``_adopt``; a kernel is prepared one way, ``kernel.prepare(graph)``,
+which reads the arrays the graph's one
+:class:`~repro.sampling.vectorized.SamplerState` holds or builds.  The serving layer steps every engine through
 :meth:`PreparedEngine.open_frontier`: by default a :class:`RunFrontier`,
 one closed ``run`` per step.
 """
@@ -134,24 +136,16 @@ def snapshot_graph(snapshot) -> CSRGraph:
 
 
 def prepared_kernel(spec: WalkSpec, snapshot) -> tuple[CSRGraph, VectorizedKernel]:
-    """``(graph, kernel ready to sample it)`` for a graph or a snapshot.
+    """``(graph, kernel prepared for it)`` for a graph or a snapshot.
 
-    A snapshot's sampler state replaces the kernel's ``prepare`` pass
-    (alias tables, edge keys): its ``kernel_arrays`` are loaded as they
-    are — built there on the first read, maintained incrementally by
-    every later epoch — an empty mapping means the kernel holds no
-    per-graph state, and only a plain graph is prepared from scratch.
-    Engine constructors come through here too, so an engine built from
-    a snapshot leaves what it read to the epochs it will swap to.
+    ``prepare`` reads the graph's one sampler state, so a snapshot and
+    its ``graph`` are the same hand-off: what a snapshot's epoch carried
+    from the one before is read as it is, and what nobody read yet is
+    built once, for every later reader and epoch.
     """
     graph = snapshot_graph(snapshot)
-    state = getattr(snapshot, "sampler_state", None)
     kernel = make_kernel(spec.make_sampler())
-    arrays = state.kernel_arrays(kernel) if state is not None else None
-    if arrays is None:
-        kernel.prepare(graph)
-    elif arrays:
-        kernel.load_state(arrays)
+    kernel.prepare(graph)
     return graph, kernel
 
 
@@ -210,7 +204,7 @@ class PreparedEngine:
         ``snapshot`` is either a plain :class:`CSRGraph` or a dynamic
         :class:`~repro.dynamic.graph.GraphSnapshot` (see
         :func:`prepared_kernel`), so a snapshot swap costs a state
-        hand-off rather than an alias-table/edge-key rebuild.  Callers
+        hand-off rather than an alias-table/edge-set rebuild.  Callers
         must not swap while a :meth:`run` is executing.
         """
         if type(self)._adopt is PreparedEngine._adopt:

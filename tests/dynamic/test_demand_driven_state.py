@@ -1,32 +1,38 @@
-"""A snapshot maintains what its readers read — and nothing else.
+"""A snapshot carries what its readers read — and nothing else.
 
-``SamplerState`` builds a member on its first read and every later epoch
-then maintains it incrementally.  Over seeded update traces and random
-ask schedules this pins the whole contract: a held member equals a
-from-scratch build byte for byte at every epoch, a member is built from
-scratch at most once per dynamic graph and never unasked, held stays
-held, and kernels that read nothing cost nothing.  The apply path's
-one-pass base-membership search is held to the scalar ``has_edge``.
+A graph's ``SamplerState`` builds a member on its first read and every
+later epoch's snapshot then carries it.  Over seeded update traces and
+random ask schedules this pins the whole contract: a held member equals
+a from-scratch build byte for byte at every epoch, a member is built
+from scratch at most once per dynamic graph and never unasked, held
+stays held, and kernels that read nothing cost nothing.  The apply
+path's one-pass base-membership search is held to the scalar
+``has_edge``.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import repro.dynamic.state as state_module
-from repro.dynamic import DynamicGraph, SamplerState, sliding_window_trace
-from repro.dynamic.state import MEMBERS
+import repro
+from repro.dynamic import DynamicGraph, sliding_window_trace
 from repro.dynamic.workload import apply_batch
 from repro.engines import prepare_engine
 from repro.errors import DynamicGraphError
 from repro.graph import from_edges
 from repro.obs import MetricsRegistry, dynamic_graph_into
 from repro.obs.trace import tracing
+from repro.sampling import SamplerState
 from repro.sampling.vectorized import ReservoirKernel, UniformKernel
-from repro.walks import DeepWalkSpec, PPRSpec, make_queries
+from repro.walks import DeepWalkSpec, Node2VecSpec, PPRSpec, make_queries
 
 #: 27 sliding-window traces, weighted on even seeds.
 SEEDS = range(27)
 NEVER = 99
+#: Everything a sampler state can hold.
+MEMBER_NAMES = ("alias_slots", "edge_set")
 
 
 def small_trace(seed):
@@ -40,29 +46,35 @@ def row_of(dynamic, vertex):
     return cols.tolist(), weights
 
 
-def fresh_state(dynamic):
+def fresh_graph(dynamic):
+    """A from-scratch CSR of the current edge set (its state is the oracle)."""
     edges, weights = dynamic.logical_edges()
-    fresh = from_edges(edges, num_vertices=dynamic.num_vertices, weights=weights,
-                       name="fresh")
-    return SamplerState.full_build(fresh)
+    return from_edges(edges, num_vertices=dynamic.num_vertices, weights=weights,
+                      name="fresh")
+
+
+def member_arrays(name, member):
+    """A member as the arrays its kernel reads."""
+    if name == "edge_set":
+        return [member.filter, member.table, member.overflow, member.stash]
+    return [member]
 
 
 @pytest.fixture
 def scratch_builds(monkeypatch):
-    """Member names in the order their from-scratch builders ran on a
+    """Member names in the order a read built them from scratch on a
     dynamic graph's own snapshots (the ``fresh`` oracle builds aside)."""
     builds = []
+    read = SamplerState._read
 
-    def spy(name, build):
+    def counted_read(state, name, build):
         def counted(graph):
             if graph.name != "fresh":
                 builds.append(name)
             return build(graph)
-        return counted
+        return read(state, name, counted)
 
-    for name, member in MEMBERS.items():
-        monkeypatch.setitem(state_module.MEMBERS, name,
-                            member._replace(build=spy(name, member.build)))
+    monkeypatch.setattr(SamplerState, "_read", counted_read)
     return builds
 
 
@@ -95,15 +107,16 @@ def test_held_members_match_a_full_build_under_any_ask_schedule(seed, scratch_bu
     # snapshot is never taken, possibly never — and from then on only now
     # and again: holding must not depend on being read every epoch.
     first_ask = {name: int(rng.choice([*range(len(trace.batches) + 1), NEVER]))
-                 for name in MEMBERS}
-    asked, inherited = set(), dict.fromkeys(MEMBERS, 0)
+                 for name in MEMBER_NAMES}
+    asked, inherited = set(), dict.fromkeys(MEMBER_NAMES, 0)
     restore = None
 
     def publish(round_index):
         epoch = dynamic.epoch
         # Built before the snapshot adopts the new epoch as its base: a
         # full merge of the overlay, not the snapshot's own edges.
-        expected = fresh_state(dynamic)
+        fresh = fresh_graph(dynamic)  # held: a state does not keep its graph alive
+        expected = SamplerState.of(fresh)
         snapshot = dynamic.snapshot()
         state = snapshot.sampler_state
         assert set(state.held) == asked, "held exactly what was asked, at every epoch"
@@ -113,11 +126,12 @@ def test_held_members_match_a_full_build_under_any_ask_schedule(seed, scratch_bu
             if at <= round_index and (name not in asked or rng.random() < 0.3):
                 getattr(state, name)
                 asked.add(name)
-        for name, array in state.held.items():
-            want = getattr(expected, name)
-            assert (array.dtype, array.shape) == (want.dtype, want.shape), name
-            assert array.tobytes() == want.tobytes(), f"{name} at epoch {snapshot.epoch}"
-            assert not array.flags.writeable
+        for name, member in state.held.items():
+            want = member_arrays(name, getattr(expected, name))
+            for array, wanted in zip(member_arrays(name, member), want, strict=True):
+                assert (array.dtype, array.shape) == (wanted.dtype, wanted.shape), name
+                assert array.tobytes() == wanted.tobytes(), f"{name} at epoch {snapshot.epoch}"
+                assert not array.flags.writeable
         return snapshot
 
     publish(0)
@@ -138,9 +152,9 @@ def test_held_members_match_a_full_build_under_any_ask_schedule(seed, scratch_bu
 
     assert sorted(scratch_builds) == sorted(asked), "one scratch build per asked member"
     assert set(final.sampler_state.held) == asked
-    for name in MEMBERS:
-        # From scratch on the epoch it was asked on, incrementally on
-        # every epoch published after that.
+    for name in MEMBER_NAMES:
+        # From scratch on the epoch it was asked on, carried into every
+        # epoch published after that.
         assert dynamic.state_builds[name, "scratch"] == (name in asked)
         assert dynamic.state_builds[name, "incremental"] == inherited[name]
     assert dynamic.epoch >= 2
@@ -154,7 +168,9 @@ def test_asking_a_superseded_epoch_is_a_late_ask_not_an_error(scratch_builds):
     new = dynamic.snapshot()
     old.sampler_state.alias_slots                      # epoch 1 exists already
     assert "alias_slots" not in new.sampler_state.held
-    assert new.sampler_state.alias_slots.tobytes() == fresh_state(dynamic).alias_slots.tobytes()
+    fresh = fresh_graph(dynamic)
+    assert new.sampler_state.alias_slots.tobytes() == \
+        SamplerState.of(fresh).alias_slots.tobytes()
     assert scratch_builds == ["alias_slots", "alias_slots"]
     assert dynamic.state_builds["alias_slots", "scratch"] == 2
 
@@ -164,8 +180,9 @@ def test_kernels_without_prepared_state_build_nothing(scratch_builds):
     dynamic = trace.build_dynamic()
     for batch in trace.batches[:3]:
         snapshot = dynamic.snapshot()
-        assert snapshot.kernel_arrays(UniformKernel()) == {}
-        assert snapshot.kernel_arrays(ReservoirKernel()) == {}
+        UniformKernel().prepare(snapshot.graph)
+        ReservoirKernel().prepare(snapshot.graph)
+        assert not snapshot.sampler_state.held
         apply_batch(dynamic, batch)
     assert scratch_builds == [] and not dynamic.snapshot().sampler_state.held
     assert not dynamic.state_builds
@@ -199,54 +216,81 @@ def test_a_traced_snapshot_names_what_it_maintained_and_the_ledger_is_exported()
     with tracing() as tracer:
         tracer.clear()
         dynamic.snapshot()
-        dynamic.snapshot().sampler_state.edge_keys     # a late ask
+        dynamic.snapshot().sampler_state.edge_set      # a late ask
         events = tracer.events()
     assert [event.name for event in events] == [
         "dynamic.merge", "dynamic.assemble", "dynamic.rebuild_member",
-        "dynamic.rebuild_rows", "dynamic.snapshot", "dynamic.build_member"]
+        "dynamic.rebuild_rows", "dynamic.snapshot", "sampling.build_member"]
     child, rebuilt, snapshot_span, late = events[2:]
     assert snapshot_span.args["members"] == ["alias_slots"]
     assert child.args == {"member": "alias_slots"}
     assert rebuilt.ts <= child.ts and child.ts + child.dur <= rebuilt.ts + rebuilt.dur
-    assert late.args == {"member": "edge_keys"}
+    assert late.args == {"member": "edge_set"}
 
     registry = MetricsRegistry()
     dynamic_graph_into(registry, dynamic)
     builds = registry.get("repro_dynamic_state_builds_total")
     assert builds.value(member="alias_slots", kind="scratch") == 1
     assert builds.value(member="alias_slots", kind="incremental") == 1
-    assert builds.value(member="edge_keys", kind="scratch") == 1
-    assert builds.value(member="edge_keys", kind="incremental") == 0
+    assert builds.value(member="edge_set", kind="scratch") == 1
+    assert builds.value(member="edge_set", kind="incremental") == 0
 
 
-# --- hand engines the snapshot, not its graph ----------------------------------
+# --- a snapshot or its graph: one hand-off -------------------------------------
 
 @pytest.mark.parametrize("engine", ["batch", "reference"])
-def test_an_engine_built_from_a_snapshot_leaves_its_state_to_later_epochs(
+def test_an_engine_built_from_a_snapshot_or_its_graph_leaves_its_state_to_later_epochs(
     engine, scratch_builds
 ):
     spec = DeepWalkSpec(max_length=8)
 
     def drive(hand_over):
-        """Paths on epoch 0 and 1, and the scratch builds the swap cost."""
+        """Paths on epochs 0 to 4, and the build ledger."""
         trace = small_trace(8)
         dynamic = trace.build_dynamic()
         snapshot = dynamic.snapshot()
         queries = make_queries(snapshot.graph, 16, seed=5)
+        paths = []
         with prepare_engine(engine, hand_over(snapshot), spec) as built:
-            before = built.run(queries, seed=9)
-            apply_batch(dynamic, trace.batches[0])
-            snapshot = dynamic.snapshot()
-            del scratch_builds[:]
-            built.swap_snapshot(snapshot)
-            return before.paths + built.run(queries, seed=9).paths, list(scratch_builds)
+            paths += built.run(queries, seed=9).paths
+            for batch in trace.batches[:4]:
+                apply_batch(dynamic, batch)
+                built.swap_snapshot(dynamic.snapshot())
+                paths += built.run(queries, seed=9).paths
+        assert dynamic.epoch == 4
+        return paths, dict(dynamic.state_builds)
 
-    from_snapshot, swap_built = drive(lambda snapshot: snapshot)
-    from_graph, swap_built_late = drive(lambda snapshot: snapshot.graph)
+    from_snapshot, ledger = drive(lambda snapshot: snapshot)
+    from_graph, ledger_from_graph = drive(lambda snapshot: snapshot.graph)
     assert all(map(np.array_equal, from_snapshot, from_graph))
-    # The scalar reference engine prepares per run and reads no snapshot state.
-    assert swap_built == []
-    assert swap_built_late == ([] if engine == "reference" else ["alias_slots"])
+    assert ledger == ledger_from_graph
+    if engine == "reference":
+        # The scalar reference engine prepares per run and reads no sampler state.
+        assert ledger == {} and scratch_builds == []
+    else:
+        # One read at epoch 0; every later epoch carried the slots incrementally.
+        assert ledger == {("alias_slots", "scratch"): 1, ("alias_slots", "incremental"): 4}
+        assert scratch_builds == ["alias_slots", "alias_slots"]
+
+
+@pytest.mark.parametrize("algorithm", ["rejection", "reservoir"])
+def test_a_second_order_swap_builds_nothing(algorithm, scratch_builds):
+    """An engine handed a Node2Vec snapshot's graph reads its edge set
+    once; every later epoch's snapshot carries one, so no swap builds."""
+    trace = small_trace(10)
+    dynamic = trace.build_dynamic()
+    snapshot = dynamic.snapshot()
+    spec = Node2VecSpec(p=2.0, q=0.5, strategy=algorithm, max_length=8)
+    with prepare_engine("batch", snapshot.graph, spec) as engine:
+        for batch in trace.batches[:3]:
+            apply_batch(dynamic, batch)
+            snapshot = dynamic.snapshot()
+            assert "edge_set" in snapshot.sampler_state.held
+            engine.swap_snapshot(snapshot)
+            assert engine._kernel._edge_set is snapshot.sampler_state.edge_set
+    assert scratch_builds == ["edge_set"]
+    assert dict(dynamic.state_builds) == {("edge_set", "scratch"): 1,
+                                          ("edge_set", "incremental"): 3}
 
 
 # --- the apply path: base membership for a whole call at once ----------------
@@ -307,19 +351,16 @@ def test_a_failing_remove_mid_call_keeps_the_earlier_ops():
 # --- structure: one mechanism, nothing eager -----------------------------------
 
 
-def test_only_the_bench_asks_for_everything_and_nothing_is_a_cached_property():
-    import ast
-    from pathlib import Path
-
-    package = Path(state_module.__file__).parent
-    for path in sorted(package.glob("*.py")):
+def test_a_state_is_only_reached_through_its_graph():
+    """One owner per graph: nothing in the package calls the
+    ``SamplerState`` constructor (``SamplerState.of`` makes the one state
+    of a graph), and no kernel takes arrays any way but ``prepare(graph)``."""
+    root = Path(repro.__file__).parent
+    for path in sorted(root.rglob("*.py")):
         tree = ast.parse(path.read_text())
+        assert not [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "SamplerState"], path.name
         names = {node.attr if isinstance(node, ast.Attribute) else node.id
                  for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))}
-        if path.name not in ("bench.py", "state.py"):      # state.py defines it
-            assert "full_build" not in names, f"{path.name} builds a whole SamplerState"
-        if path.name == "state.py":
-            assert "cached_property" not in names
-            calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-                     and getattr(node.func, "attr", None) == "full_build"]
-            assert not calls, "state.py calls full_build"
+        assert not names & {"load_state", "state_arrays", "kernel_arrays", "full_build"}, \
+            path.name

@@ -4,10 +4,10 @@ For >= 20 seeds, a random insert/delete/reweight sequence (with forced
 degenerate cases: vertices dropping to degree 0, duplicate inserts,
 remove-then-readd) is streamed into a ``DynamicGraph``; after every
 batch the published snapshot — CSR arrays *and* every prepared sampler
-structure (packed alias slots, edge keys) — must equal a
+structure (packed alias slots, the edge set's arrays) — must equal a
 from-scratch build of the same logical edge set computed with the
 repo's own builders (``from_edges``, ``build_alias_table``,
-``build_edge_keys``), bit-identically.  The edge set comes from every
+``EdgeSet.build``), bit-identically.  The edge set comes from every
 op replayed into a plain dict, not from the dynamic graph: once a
 snapshot is published its own edges are that snapshot's.  This is the
 invariant the engine-swap and serving layers rely on.
@@ -16,8 +16,9 @@ invariant the engine-swap and serving layers rely on.
 import numpy as np
 import pytest
 
-from repro.dynamic import DynamicGraph, SamplerState
+from repro.dynamic import DynamicGraph
 from repro.graph import from_edges
+from repro.sampling import SamplerState
 
 NUM_SEEDS = 24
 NUM_VERTICES = 24
@@ -44,7 +45,16 @@ def fresh_build(model: dict, weighted: bool):
     rebuilt = from_edges(edges, num_vertices=NUM_VERTICES,
                          weights=[model[e] for e in edges] if weighted else None,
                          name="prop")
-    return rebuilt, SamplerState.full_build(rebuilt)
+    return rebuilt, SamplerState.of(rebuilt)
+
+
+def prepared_arrays(state) -> dict:
+    """Every member of ``state`` (read, so built), as the named arrays its
+    kernels read."""
+    edge_set = state.edge_set
+    return {"alias_slots": state.alias_slots, "edge_filter": edge_set.filter,
+            "edge_table": edge_set.table, "edge_overflow": edge_set.overflow,
+            "edge_stash": edge_set.stash}
 
 
 def assert_snapshot_matches(snapshot, model: dict, weighted, context: str):
@@ -55,8 +65,9 @@ def assert_snapshot_matches(snapshot, model: dict, weighted, context: str):
         assert np.array_equal(snapshot.graph.weights, rebuilt.weights), context
     else:
         assert snapshot.graph.weights is None, context
-    for name, expected in state.arrays().items():
-        actual = snapshot.sampler_state.arrays()[name]
+    ours = prepared_arrays(snapshot.sampler_state)
+    for name, expected in prepared_arrays(state).items():
+        actual = ours[name]
         assert np.array_equal(actual, expected), f"{context}: {name}"
         assert (actual.dtype, actual.tobytes()) == (expected.dtype, expected.tobytes()), \
             f"{context}: {name} differs in its bytes"

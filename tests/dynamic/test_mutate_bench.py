@@ -11,10 +11,10 @@ trace small enough for the tier-1 suite.
 import numpy as np
 import pytest
 
+import repro.dynamic.graph as graph_module
 from repro.bench.workloads import make_spec
 from repro.cli import main
 from repro.dynamic import (
-    SamplerState,
     UpdateTrace,
     apply_batch,
     run_mutate_bench,
@@ -25,6 +25,9 @@ from repro.dynamic.bench import (
     rebuild_from_edge_set,
     snapshot_matches_static,
 )
+from repro.sampling import SamplerState
+from repro.sampling.vectorized import EdgeSet, VectorizedKernel
+from repro.walks.engine import PreparedEngine
 
 
 @pytest.fixture(scope="module")
@@ -55,14 +58,87 @@ def test_snapshot_equivalence_holds_and_detects_divergence(report):
     # array of a fresh build and require a mismatch.
     dynamic = trace.build_dynamic()
     snapshot = dynamic.snapshot()
+    snapshot.sampler_state.alias_slots
     graph, state = fresh_static_build(dynamic)
     assert snapshot_matches_static(snapshot, graph, state)
-    # A full build holds every member; the comparison asks the snapshot
-    # for each of them in turn.
-    doctored = state.edge_keys.copy()
-    doctored[0] += 1
-    tampered = SamplerState(graph, {**state.held, "edge_keys": doctored})
+    # The comparison reads each member the snapshot holds from the fresh
+    # build's state.
+    doctored = state.alias_slots.copy()
+    doctored["prob"][0] = np.nextafter(doctored["prob"][0], 0.0)
+    tampered = SamplerState(graph)
+    tampered.held["alias_slots"] = doctored
     assert not snapshot_matches_static(snapshot, graph, tampered)
+
+
+@pytest.mark.parametrize("field", ["filter", "table", "overflow", "stash"])
+def test_one_flipped_bit_in_any_edge_set_array_fails_the_comparison(field):
+    """The comparison holds the snapshot's edge set to a fresh build's
+    array by array, as the probe reads them."""
+    trace = sliding_window_trace(9, edge_factor=8, batch_size=100, num_batches=2,
+                                 seed=4, weighted=False)
+    dynamic = trace.build_dynamic()
+    dynamic.snapshot().sampler_state.edge_set
+    for batch in trace.batches:
+        apply_batch(dynamic, batch)
+    snapshot = dynamic.snapshot()
+    graph, state = fresh_static_build(dynamic)
+    assert snapshot_matches_static(snapshot, graph, state)
+    fresh = state.edge_set
+    arrays = {name: getattr(fresh, name).copy()
+              for name in ("filter", "table", "overflow", "stash")}
+    assert arrays["stash"].size, "RMAT-9 overflows a line: the stash is not empty"
+    flipped = arrays[field].reshape(-1).view(np.uint8)
+    flipped[flipped.size // 2] ^= 1
+    tampered = SamplerState(graph)
+    tampered.held["edge_set"] = EdgeSet(arrays["filter"], arrays["table"],
+                                        arrays["overflow"], arrays["stash"],
+                                        fresh.num_vertices)
+    assert not snapshot_matches_static(snapshot, graph, tampered)
+
+
+def test_node2vec_edge_sets_are_built_at_snapshot_time(monkeypatch):
+    """What a swap reads is built inside the timed ``snapshot()``: after
+    epoch 0, every ``EdgeSet.build`` on the dynamic graph's epochs runs
+    inside ``DynamicGraph.snapshot``, none in a swap or a kernel's
+    ``prepare``."""
+    where, inside, epochs = [], [], []
+    build = EdgeSet.build.__func__
+
+    def counted_build(cls, graph):
+        where.append((graph, tuple(inside)))
+        return build(cls, graph)
+
+    def snapshot(dynamic):
+        published = real_snapshot(dynamic)
+        epochs.append(published.graph)
+        return published
+
+    def inside_of(label, method):
+        def wrapped(*args, **kwargs):
+            inside.append(label)
+            try:
+                return method(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapped
+
+    monkeypatch.setattr(EdgeSet, "build", classmethod(counted_build))
+    real_snapshot = graph_module.DynamicGraph.snapshot
+    monkeypatch.setattr(graph_module.DynamicGraph, "snapshot", inside_of("snapshot", snapshot))
+    monkeypatch.setattr(PreparedEngine, "swap_snapshot",
+                        inside_of("swap", PreparedEngine.swap_snapshot))
+    for kernel in VectorizedKernel.__subclasses__():
+        monkeypatch.setattr(kernel, "prepare", inside_of("prepare", kernel.prepare))
+    trace = sliding_window_trace(8, edge_factor=6, batch_size=60, num_batches=4,
+                                 seed=5, weighted=False)
+    result = run_mutate_bench(trace, make_spec("Node2Vec"), seed=5, walk_queries=32,
+                              full_rebuild_samples=0)
+    assert result.snapshot_equivalent
+    dynamic_builds = [context for graph, context in where
+                      if any(graph is epoch for epoch in epochs)]
+    # Epoch 0: the walk's kernel asks first; then one build per batch.
+    assert dynamic_builds[0] == ("prepare",)
+    assert dynamic_builds[1:] == [("snapshot",)] * len(trace.batches)
 
 
 def test_rebuild_baseline_matches_logical_edges(report):

@@ -155,36 +155,23 @@ def test_first_order_snapshots_and_swaps_never_build_the_filter(filter_builds):
     assert filter_builds == []
 
 
-def test_edge_keys_are_built_on_the_first_request_only(monkeypatch):
-    """``snapshot()`` used to rebuild the sorted keys at every epoch; now
-    they are derived, once per state, when something second-order asks."""
-    import repro.dynamic.state as state_module
-    from repro.sampling.vectorized import build_edge_keys
+def test_the_edge_set_is_built_on_the_first_request_only(filter_builds):
+    """A first-order engine never asks for the edge set; the first
+    second-order reader of a graph builds it, once, for every later one."""
     from repro.walks import Node2VecSpec
 
-    builds = []
-
-    def counted(graph):
-        builds.append(graph.num_edges)
-        return build_edge_keys(graph)
-
-    monkeypatch.setattr(state_module, "build_edge_keys", counted)
     graph = mutated_dynamic_graph()  # four snapshots along an update trace
     snapshot = graph.snapshot()
     with prepare_engine("batch", snapshot.graph, DeepWalkSpec(max_length=12)) as engine:
         engine.swap_snapshot(snapshot)
-    assert builds == []
+    assert filter_builds == []
     state = snapshot.sampler_state
     spec = Node2VecSpec(p=2.0, q=0.5, strategy="rejection", max_length=12)
     with prepare_engine("batch", snapshot.graph, spec) as engine:
         engine.swap_snapshot(snapshot)
         engine.swap_snapshot(snapshot)
-    assert builds == [snapshot.graph.num_edges]
-    assert state.arrays()["edge_keys"] is state.edge_keys
-    assert state.edge_set is state.edge_set  # derived once per state
-    assert np.array_equal(state.edge_keys, build_edge_keys(snapshot.graph))
-    assert not state.edge_keys.flags.writeable
-    assert len(builds) == 1
+    assert filter_builds == [snapshot.graph.num_edges]
+    assert state.edge_set is state.edge_set
 
 
 def test_second_order_swap_builds_one_filter_per_state(filter_builds):
@@ -203,8 +190,7 @@ def test_second_order_swap_builds_one_filter_per_state(filter_builds):
             filter_builds.clear()
             engine.swap_snapshot(snapshot)
             builds.append(len(filter_builds))
-            arrays = engine._kernel.state_arrays()
-            held.append(arrays["edge_filter"])
+            held.append(engine._kernel._edge_set.filter)
             swap_stats = EngineStats()
             swapped = engine.run(queries, seed=3, stats=swap_stats)
         fresh_stats = EngineStats()

@@ -87,6 +87,7 @@ def test_per_tenant_counters_match_the_ledgers_exactly(driven_service):
     service, _ = driven_service
     registry = service.snapshot_metrics()
     requests = registry.get("repro_serve_requests_total")
+    totals = registry.totals()
     for tenant, ledger in service.tenant_stats.items():
         assert requests.value(outcome="completed", tenant=tenant) == ledger.completed
         assert requests.value(outcome="dropped", tenant=tenant) == ledger.dropped
@@ -94,9 +95,10 @@ def test_per_tenant_counters_match_the_ledgers_exactly(driven_service):
         assert registry.get("repro_serve_cache_hits_total").value(
             tenant=tenant
         ) == ledger.cache_hits
-        latency = registry.get("repro_serve_latency_seconds")
-        assert latency.count(tenant=tenant) == len(ledger.latencies)
-        assert latency.sum(tenant=tenant) == pytest.approx(sum(ledger.latencies))
+        label = f'tenant="{tenant}"'
+        assert totals["repro_serve_latency_seconds_count"][label] == len(ledger.latencies)
+        assert totals["repro_serve_latency_seconds_sum"][label] == \
+            pytest.approx(sum(ledger.latencies))
 
 
 def test_lane_occupancy_and_service_counters_match_the_ledgers(driven_service):
@@ -127,6 +129,7 @@ def test_accounting_identity_holds_on_exported_values(driven_service):
     service, reports = driven_service
     registry = service.snapshot_metrics()
     requests = registry.get("repro_serve_requests_total")
+    totals = registry.totals()
     for tenant, ledger in service.tenant_stats.items():
         exported_offered = sum(
             requests.value(outcome=outcome, tenant=tenant)

@@ -28,7 +28,6 @@ from repro.obs.trace import (
     configure_tracer,
     disable_tracing,
     enable_tracing,
-    get_tracer,
     tracing,
 )
 from repro.sampling import vectorized
@@ -47,7 +46,7 @@ def fresh_global_tracer():
 
 class TestDisabledPath:
     def test_disabled_is_the_default(self):
-        assert get_tracer().enabled is False
+        assert configure_tracer().enabled is False
         assert active() is None
 
     def test_active_returns_the_tracer_only_when_enabled(self):
@@ -57,16 +56,16 @@ class TestDisabledPath:
         assert active() is None
 
     def test_disabled_recording_is_a_no_op(self):
-        tracer = get_tracer()
+        tracer = configure_tracer()
         tracer.instant("ignored")
         tracer.end(tracer.begin(), "ignored")
         with tracer.span("ignored"):
             pass
-        assert len(tracer) == 0
+        assert tracer.events() == ()
         assert tracer.dropped == 0
 
     def test_disabled_span_is_a_shared_singleton(self):
-        tracer = get_tracer()
+        tracer = configure_tracer()
         assert tracer.span("a") is tracer.span("b")
 
 
@@ -99,10 +98,10 @@ class TestRecording:
         assert event.args == {"epoch": 2}
 
     def test_span_annotate_adds_payload_known_mid_span(self):
-        tracer = get_tracer()
+        tracer = configure_tracer()
         with tracer.span("off") as span:
             span.annotate(rows=3)          # disabled: the shared no-op
-        assert len(tracer) == 0
+        assert tracer.events() == ()
         tracer.enable()
         with tracer.span("outer", epoch=2) as span:
             span.annotate(rows=3)
@@ -131,7 +130,6 @@ class TestRingBounds:
         tracer.enable()
         for i in range(12):
             tracer.instant("event", i=i)
-        assert len(tracer) == 4
         assert tracer.dropped == 8
         # Oldest evicted: only the suffix survives.
         assert [event.args["i"] for event in tracer.events()] == [8, 9, 10, 11]
@@ -153,7 +151,7 @@ class TestRingBounds:
         for i in range(5):
             tracer.instant("event", i=i)
         tracer.clear()
-        assert len(tracer) == 0
+        assert tracer.events() == ()
         assert tracer.dropped == 0
 
     def test_capacity_must_be_positive(self):
@@ -163,29 +161,29 @@ class TestRingBounds:
 
 class TestGlobalLifecycle:
     def test_enable_tracing_resizes_by_replacing_the_tracer(self):
-        before = get_tracer()
+        before = configure_tracer()
         after = enable_tracing(capacity=16)
         assert after is not before
         assert after.capacity == 16
-        assert get_tracer() is after
+        assert active() is after
 
     def test_enable_tracing_without_capacity_keeps_the_tracer(self):
-        before = get_tracer()
+        before = configure_tracer()
         assert enable_tracing() is before
 
     def test_tracing_guard_restores_prior_state(self):
         with tracing() as tracer:
             assert tracer.enabled
             tracer.instant("inside")
-        assert get_tracer().enabled is False
+        assert not tracer.enabled and active() is None
         # Buffered events survive the guard for post-hoc export.
-        assert len(get_tracer()) == 1
+        assert len(tracer.events()) == 1
 
     def test_tracing_guard_nests_without_disabling_the_outer(self):
-        with tracing():
+        with tracing() as outer:
             with tracing():
                 pass
-            assert get_tracer().enabled is True
+            assert active() is outer
 
 
 class TestNoEffectOnWalks:
@@ -200,9 +198,9 @@ class TestNoEffectOnWalks:
             return results, stats
 
         untraced, untraced_stats = run()
-        with tracing():
+        with tracing() as tracer:
             traced, traced_stats = run()
-        assert len(get_tracer()) > 0, "the superstep loop should have spans"
+        assert tracer.events(), "the superstep loop should have spans"
         assert traced_stats.total_hops == untraced_stats.total_hops
         assert traced_stats.per_query_hops == untraced_stats.per_query_hops
         for a, b in zip(traced.paths, untraced.paths):

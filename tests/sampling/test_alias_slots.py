@@ -2,9 +2,9 @@
 
 ``pack_alias_slots`` is held to a scalar oracle; the kernel that samples
 from the records is held to the scalar ``AliasSampler.draw``; and every place
-that carries alias state — the kernel's export, the dynamic snapshots, an
-engine swapped onto one — is shown to carry the one record array,
-zero-copy, without packing it again.
+that carries alias state — a graph's one sampler state, the dynamic
+snapshots, an engine swapped onto one — is shown to carry the one record
+array, zero-copy, without packing it again.
 """
 
 import ast
@@ -19,7 +19,7 @@ from repro.engines import prepare_engine, run_software_walks
 from repro.errors import GraphError
 from repro.graph import CSRGraph, from_edges, rmat
 from repro.graph.alias import build_alias_table
-from repro.sampling import AliasSampler
+from repro.sampling import AliasSampler, SamplerState
 from repro.sampling import vectorized
 from repro.sampling.vectorized import (
     ALIAS_SLOT,
@@ -119,23 +119,21 @@ def weighted_rmat() -> CSRGraph:
     return graph.with_weights(rng.pareto(1.2, size=graph.num_edges) + 0.05)
 
 
-def test_state_round_trip_is_zero_copy_and_read_only():
+def test_kernels_of_one_graph_share_one_read_only_record_array(monkeypatch):
     graph = weighted_rmat()
     kernel = AliasKernel()
     kernel.prepare(graph)
-    exported = kernel.state_arrays()
-    assert list(exported) == ["alias_slots"]
-    shared = exported["alias_slots"].copy()
-    shared.setflags(write=False)
-    loaded = AliasKernel()
-    loaded.load_state({"alias_slots": shared})
-    assert loaded.state_arrays()["alias_slots"] is shared
+    shared = SamplerState.of(graph).alias_slots
+    assert kernel._slots is shared and not shared.flags.writeable
+    forbid_packing(monkeypatch)
+    again = AliasKernel()
+    again.prepare(graph)                               # the graph's records, not a rebuild
+    assert again._slots is shared
     current = np.flatnonzero(graph.degrees() > 0)
     previous = np.full(current.size, -1, dtype=np.int64)
     a = kernel.sample(graph, current, previous, None, QueryStreams(1, current), None)
-    b = loaded.sample(graph, current, previous, None, QueryStreams(1, current), None)
+    b = again.sample(graph, current, previous, None, QueryStreams(1, current), None)
     assert np.array_equal(a.vertex, b.vertex)
-    assert not shared.flags.writeable
     # The kernel holds the records and nothing beside them.
     assert [name for name, value in vars(kernel).items() if isinstance(value, np.ndarray)] \
         == ["_slots"]
@@ -234,17 +232,17 @@ def test_a_swap_hands_the_records_over_and_never_packs(monkeypatch):
         with monkeypatch.context() as patch:
             forbid_packing(patch)
             engine.swap_snapshot(snapshot)
-            held = engine._kernel.state_arrays()["alias_slots"]
-            assert held is snapshot.sampler_state.alias_slots
+            assert engine._kernel._slots is snapshot.sampler_state.alias_slots
             swapped = engine.run(queries, seed=3)
     fresh, _ = run_software_walks("batch", snapshot.graph, spec, queries, seed=3)
     assert all(map(np.array_equal, swapped.paths, fresh.paths))
 
 
 def test_snapshot_state_holds_no_unpacked_tables():
-    state = DynamicGraph(weighted_rmat()).snapshot().sampler_state
+    snapshot = DynamicGraph(weighted_rmat()).snapshot()
+    state = snapshot.sampler_state
     assert state.alias_slots.dtype == ALIAS_SLOT
-    assert state.alias_slots.size == state.graph.num_edges
+    assert state.alias_slots.size == snapshot.graph.num_edges
     assert not hasattr(state, "alias_prob") and not hasattr(state, "alias_index")
 
 

@@ -5,9 +5,9 @@ change how much work a probe costs, never its answer — so everything
 here compares against ``graph.has_edge`` (or a plain set of keys) pair
 by pair, on graphs of every shape, on one built to overflow a bucket
 into the stash, and on keys at the top of the int64 key space; then pins
-the shipped sizing rules, the table's layout, the zero-copy state
-hand-off, a dynamic state's derived table, the probe span, and
-(structurally) that no second probe path grows back beside it.
+the shipped sizing rules, the table's layout, one edge set per graph
+shared by its kernels, a dynamic state's carried table, the probe span,
+and (structurally) that no second probe path grows back beside it.
 """
 
 import ast
@@ -22,10 +22,11 @@ from repro.dynamic.bench import rebuild_from_edge_set
 from repro.graph import CSRGraph, erdos_renyi, from_edges, powerlaw, rmat
 from repro.graph.builders import _MAX_KEYED_VERTICES
 from repro.obs.trace import tracing
-from repro.sampling import vectorized
+from repro.sampling import SamplerState, vectorized
 from repro.sampling.vectorized import (
     EdgeSet,
     QueryStreams,
+    RejectionKernel,
     ReservoirKernel,
     build_edge_filter,
     build_edge_keys,
@@ -44,6 +45,18 @@ def _sorted_hashes(keys):
     hashes = keys.view(np.uint64) * np.uint64(_GAMMA)
     hashes.sort()
     return hashes
+
+
+def _edge_set_of_keys(keys, n):
+    """An ``EdgeSet`` over ``src * n + dst`` keys in any order, from the
+    builders ``EdgeSet.build`` runs: no CSR with ``n`` this large fits
+    in memory."""
+    hashes = _sorted_hashes(keys)
+    return EdgeSet(build_edge_filter(hashes), *build_edge_table(hashes), n)
+
+
+#: The arrays a probe reads.
+_FIELDS = ("filter", "table", "overflow", "stash")
 
 
 def _hub_graph():
@@ -214,7 +227,7 @@ def test_an_overflowing_bucket_answers_through_the_stash():
 
 
 def test_keys_picked_through_the_inverse_multiplier_overflow_a_bucket():
-    """The same shape over the whole int64 key space of ``from_keys``:
+    """The same shape over the whole int64 key space:
     each key is a random hash under a chosen prefix, taken back through
     the inverse multiplier — 20 under bucket 5 of 16, 44 under the other
     buckets, and 30 absent ones under the 10-bit filter slots of bucket
@@ -231,7 +244,7 @@ def test_keys_picked_through_the_inverse_multiplier_overflow_a_bucket():
 
     crowded = [key_under(5, 4) for _ in range(20)]
     others = [key_under(int(b), 4) for b in rng.choice([b for b in range(16) if b != 5], 44)]
-    edges = EdgeSet.from_keys(np.array(crowded + others, dtype=np.int64), n)
+    edges = _edge_set_of_keys(np.array(crowded + others, dtype=np.int64), n)
     assert edges.overflow.tolist() == [bucket == 5 for bucket in range(16)]
     assert edges.stash.size == 12
     members = set(crowded + others)
@@ -248,14 +261,14 @@ def test_keys_picked_through_the_inverse_multiplier_overflow_a_bucket():
 
 def test_keys_at_the_top_of_the_key_space():
     """No CSR with ``_MAX_KEYED_VERTICES`` vertices fits in memory; its
-    largest keys still probe exactly through ``from_keys``."""
+    largest keys still probe exactly."""
     n = _MAX_KEYED_VERTICES
     rng = np.random.default_rng(2)
     src = n - 1 - rng.integers(0, 40, size=300)
     dst = n - 1 - rng.integers(0, 40, size=300)
     keys = np.unique(src * np.int64(n) + dst)
     assert keys.max() <= n * n - 1 <= 2**63 - 1
-    edges = EdgeSet.from_keys(keys, n)
+    edges = _edge_set_of_keys(keys, n)
     members = set(keys.tolist())
     probe_src = n - 1 - rng.integers(0, 40, size=2000)
     probe_dst = n - 1 - rng.integers(0, 40, size=2000)
@@ -350,46 +363,41 @@ def table_builds(monkeypatch):
     return builds
 
 
-def test_state_round_trip_builds_nothing_and_shares_memory(table_builds):
-    graph = GRAPHS["rmat-1"]
-    built = EdgeSet.build(graph)
+def test_kernels_of_one_graph_share_one_edge_set(table_builds):
+    graph = rmat(6, edge_factor=4, seed=12)
+    kernels = [RejectionKernel(p=2.0, q=0.5), ReservoirKernel(p=2.0, q=0.5)]
+    for kernel in kernels:
+        kernel.prepare(graph)
     assert table_builds == ["build_edge_keys", "build_edge_filter", "build_edge_table"]
-    arrays = built.state_arrays()
-    assert set(arrays) == {"edge_filter", "edge_table", "edge_overflow", "edge_stash",
-                           "edge_stride"}
-    for array in arrays.values():
-        array.setflags(write=False)  # what a shared-memory view looks like
+    shared = SamplerState.of(graph).edge_set
+    assert all(kernel._edge_set is shared for kernel in kernels)
     table_builds.clear()
-    adopted = EdgeSet.from_state(arrays)
-    assert table_builds == []
-    for name in ("filter", "table", "overflow", "stash"):
-        assert getattr(adopted, name) is getattr(built, name), name
-    assert adopted.num_vertices == graph.num_vertices
+    built = EdgeSet.build(graph)
+    for name in _FIELDS:
+        assert np.array_equal(getattr(shared, name), getattr(built, name)), name
     src, dst = _edge_pairs(graph)
     probe = (np.concatenate((src, dst)), np.concatenate((dst, src)))
-    assert np.array_equal(adopted.contains(*probe), built.contains(*probe))
-    assert table_builds == []
+    assert np.array_equal(shared.contains(*probe), built.contains(*probe))
 
 
 def test_a_dynamic_states_edge_set_equals_a_static_build_after_updates():
-    """The state maintains the keys; the table derived from them after
-    inserts and deletes is the one a fresh CSR of the same edges builds."""
+    """Each snapshot carries the edge set a reader asked an earlier epoch
+    for, built from its new CSR after inserts and deletes: the table a
+    fresh CSR of the same edges builds."""
     trace = sliding_window_trace(8, edge_factor=6, batch_size=150, num_batches=4,
                                  weighted=False, seed=21)
     dynamic = trace.build_dynamic()
-    dynamic.snapshot().sampler_state.edge_set  # asked first: keys maintained from here
+    dynamic.snapshot().sampler_state.edge_set  # asked first: carried from here
     for batch in trace.batches:
         apply_batch(dynamic, batch)
         snapshot = dynamic.snapshot()
     state = snapshot.sampler_state
-    assert state.builds["edge_keys", "incremental"] == len(trace.batches)
+    assert state.builds["edge_set", "incremental"] == len(trace.batches)
     static, _ = rebuild_from_edge_set(*trace.final_edges(), dynamic.num_vertices,
                                       dynamic.name)
-    derived = state.edge_set.state_arrays()
-    expected = EdgeSet.build(static).state_arrays()
-    assert derived.keys() == expected.keys()
-    for name, array in expected.items():
-        assert np.array_equal(derived[name], array), name
+    expected = EdgeSet.build(static)
+    for name in _FIELDS:
+        assert np.array_equal(getattr(state.edge_set, name), getattr(expected, name)), name
     src, dst = _edge_pairs(static)
     assert state.edge_set.contains(src, dst).all()
 
@@ -410,7 +418,8 @@ def test_reservoir_first_hop_frontier_issues_no_probes():
     kernel.prepare(graph)
     plain = ReservoirKernel(p=2.0, q=0.5)
     plain.prepare(graph)
-    kernel._edge_set = _CountingEdgeSet.from_state(kernel.state_arrays())
+    kernel._edge_set = _CountingEdgeSet(*(getattr(kernel._edge_set, name) for name in _FIELDS),
+                                        graph.num_vertices)
     current = np.flatnonzero(graph.degrees() > 0)[:60]
     first_hop = np.full(current.size, -1, dtype=np.int64)
 

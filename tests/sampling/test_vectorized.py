@@ -108,16 +108,16 @@ class TestQueryStreams:
         idx = np.arange(3)
         oracle.uniforms(idx)
         live.uniforms(idx)
-        resumed = QueryStreams.from_states(live.states().copy())
+        resumed = QueryStreams.from_states(live._state.copy())
         assert np.array_equal(oracle.uniforms(idx), resumed.uniforms(idx))
 
     def test_from_states_wraps_by_reference(self):
         # Zero-copy: draws through the wrapper advance the caller's
         # array in place, so a frontier's state column IS the RNG state.
-        carried = QueryStreams(1, [0, 1]).states().copy()
+        carried = seed_sequence_states(1, [0, 1])
         before = carried.copy()
         streams = QueryStreams.from_states(carried)
-        assert streams.states() is carried
+        assert streams._state is carried
         streams.uniforms(np.arange(2))
         assert not np.array_equal(carried, before)
 

@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from repro.errors import SamplingError
+from repro.sampling import SamplerState
 from repro.sampling.rejection import _MAX_REJECTION_ROUNDS
 from repro.sampling.vectorized import (
     AliasKernel,
@@ -111,9 +112,8 @@ class ScalarWalks:
         self._weights = None if graph.weights is None else graph.weights.tolist()
         self._edge_types = None if graph.edge_types is None else graph.edge_types.tolist()
         self._n = graph.num_vertices
-        arrays = kernel.state_arrays()
-        if "alias_slots" in arrays:
-            slots = arrays["alias_slots"]
+        if isinstance(kernel, AliasKernel):
+            slots = SamplerState.of(graph).alias_slots
             self._slots = (slots["prob"].tolist(), slots["col"].tolist(),
                            slots["alias_col"].tolist())
         # Adjacency from the graph itself, not the kernel's edge table.

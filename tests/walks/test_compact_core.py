@@ -242,7 +242,7 @@ def test_identity_stream_draws_match_explicit_arange():
         assert np.array_equal(implicit.randints(bounds), explicit.randints(bounds, everyone))
         assert np.array_equal(implicit.element_uniforms(None, counts),
                               explicit.element_uniforms(everyone, counts))
-    assert np.array_equal(implicit.states(), explicit.states())
+    assert np.array_equal(implicit._state, explicit._state)
 
 
 def test_identity_draws_advance_carried_states_in_place():
@@ -274,7 +274,7 @@ def test_kernels_sample_identically_without_stream_idx(golden_inputs, algorithm)
                           np.arange(200))
         assert np.array_equal(a.vertex, b.vertex)
         assert (a.proposals, a.neighbor_reads) == (b.proposals, b.neighbor_reads)
-    assert np.array_equal(implicit.states(), explicit.states())
+    assert np.array_equal(implicit._state, explicit._state)
 
 
 # --- guards: the dense matrix and the masked lanes stay gone ---------------

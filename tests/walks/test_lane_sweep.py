@@ -27,6 +27,7 @@ from repro.cli import ALGORITHMS
 from repro.graph.builders import from_edges
 from repro.graph.datasets import assign_metapath_schema, thunderrw_weights
 from repro.graph.generators import powerlaw
+from repro.sampling import SamplerState
 from repro.walks import EngineStats, Query, URWSpec, make_queries
 from repro.walks import batch
 from repro.walks.batch import BatchEngine, lane_count
@@ -237,8 +238,8 @@ def test_threads_sharing_an_engine_get_the_serial_paths(monkeypatch, algorithm):
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_lanes_sample_the_one_prepared_state(monkeypatch, algorithm):
     """Every lane samples through the engine's one kernel: a fanned-out
-    run prepares and loads nothing, and the kernel still holds the very
-    objects it held before."""
+    run prepares nothing and reads no sampler state, and the kernel still
+    holds the very objects it held before."""
     engine = sweep_engine(True, algorithm)
     kernel = engine._kernel
     queries = make_queries(sweep_graph(True), 60, seed=9, require_outgoing=False)
@@ -250,7 +251,7 @@ def test_lanes_sample_the_one_prepared_state(monkeypatch, algorithm):
         raise AssertionError("a lane rebuilt kernel state")
 
     monkeypatch.setattr(type(kernel), "prepare", never)
-    monkeypatch.setattr(type(kernel), "load_state", never)
+    monkeypatch.setattr(SamplerState, "of", never)
     force_lanes(monkeypatch, 3, len(queries))
     assert_same_run(expected, flat_run(engine, queries, 4), "at 3 lanes")
     assert vars(kernel).keys() == held.keys()
