@@ -18,7 +18,7 @@ import numpy as np
 
 from common import add_engine_arguments, run_with_engine
 from repro.graph import load_dataset
-from repro.walks import PPRSpec, Query, estimate_ppr
+from repro.walks import PPRSpec, WalkBatch, estimate_ppr
 
 ALPHA = 0.2
 NUM_WALKS = 3000
@@ -67,7 +67,7 @@ def main() -> None:
     print(f"graph: {graph}; personalization vertex: {source}")
 
     spec = PPRSpec(alpha=ALPHA, max_length=200)
-    queries = [Query(i, source) for i in range(NUM_WALKS)]
+    queries = WalkBatch(np.arange(NUM_WALKS), np.full(NUM_WALKS, source))
     results = run_with_engine(args.engine, graph, spec, queries, seed=7)
 
     estimated = estimate_ppr(results, graph.num_vertices)

@@ -44,7 +44,7 @@ from repro.resources import DEVICE_CATALOG, get_device
 from repro.sampling.base import derive_seed, normalize_seed
 from repro.serve.workload import SCENARIOS
 from repro.sim import UtilizationTracer, render_dashboard
-from repro.walks import EngineStats, Query, make_queries
+from repro.walks import EngineStats, WalkBatch, make_queries
 
 ALGORITHMS = ("URW", "PPR", "DeepWalk", "Node2Vec", "Node2Vec-reservoir", "MetaPath")
 
@@ -377,9 +377,7 @@ def cmd_serve_bench(args) -> int:
     graph = _load_graph(args)
     spec = make_spec(args.algorithm)
     spec.max_length = args.length
-    queries = make_queries(graph, args.requests, seed=derive_seed(args.seed, "queries"))
-    starts = np.fromiter((q.start_vertex for q in queries), dtype=np.int64,
-                         count=len(queries))
+    starts = make_queries(graph, args.requests, seed=derive_seed(args.seed, "queries")).starts
     # The CLI default never sheds; a deployment passes the depth its own
     # latency budget allows.
     depth = args.depth or max(2 * args.max_batch, args.requests)
@@ -456,10 +454,11 @@ def cmd_serve_bench(args) -> int:
     for report in reports.values():
         all_requests.update(report.requests)
         all_paths.update(report.paths)
-    replay = [Query(qid, start) for qid, start in sorted(all_requests.items())]
+    replay_ids = sorted(all_requests)
+    replay = WalkBatch(replay_ids, [all_requests[qid] for qid in replay_ids])
     with prepare_engine(args.engine, graph, spec) as engine:
         results = engine.run(replay, seed=engine_seed)
-    oracle = {query.query_id: results.path_of(k) for k, query in enumerate(replay)}
+    oracle = dict(zip(replay_ids, results.paths))
     mismatched = [qid for qid, path in all_paths.items()
                   if not np.array_equal(path, oracle[qid])]
     if mismatched:

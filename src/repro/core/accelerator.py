@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from repro.core.access_engine import ResponseRouter
 from repro.core.config import RidgeWalkerConfig
 from repro.core.endpoints import QueryLoader, QueryWriter, TaskDemux
@@ -39,7 +37,7 @@ from repro.rng.thundering import ThunderRing
 from repro.sampling.base import RingRandomSource
 from repro.sim.kernel import SimulationKernel
 from repro.sim.stats import RunMetrics
-from repro.walks.base import Query, WalkResults, WalkSpec
+from repro.walks.base import Query, WalkBatch, WalkResults, WalkSpec
 from repro.walks.engine import check_start_vertices
 
 #: Depth of loader-side distribution FIFOs.
@@ -133,11 +131,11 @@ class _Machine:
         self.graph = graph
         self.spec = spec
         self.config = config
-        self.queries = list(queries)
+        self.queries = WalkBatch.of(queries)
         self.endless = endless
         # The pipelines decode vertices through per-vertex tables, which
         # take any id the graph holds; only a start vertex comes from outside.
-        check_start_vertices(graph, np.array([q.start_vertex for q in self.queries]))
+        check_start_vertices(graph, self.queries.starts)
         n = config.num_pipelines
 
         self.kernel = SimulationKernel()

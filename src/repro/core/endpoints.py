@@ -17,7 +17,7 @@ from repro.core.task import Task, TaskStatus
 from repro.errors import SchedulerError
 from repro.sim.fifo import StreamFifo
 from repro.sim.module import Module
-from repro.walks.base import Query
+from repro.walks.base import Query, WalkBatch
 
 
 class QueryLoader(Module):
@@ -46,7 +46,9 @@ class QueryLoader(Module):
             raise SchedulerError("max_inflight must be >= 1")
         if batch_size is not None and batch_size < 1:
             raise SchedulerError("batch_size must be >= 1")
-        self._queries = list(queries)
+        # Each query enters the pipeline as two words, its id and start.
+        batch = WalkBatch.of(queries)
+        self._ids, self._starts = batch.ids.tolist(), batch.starts.tolist()
         self._outputs = outputs
         self._recorder = recorder
         self._max_inflight = max_inflight
@@ -55,7 +57,7 @@ class QueryLoader(Module):
         self._endless = endless
         self._next = 0
         #: ``_next`` at which the stream is exhausted (never, when endless).
-        self._end = math.inf if endless else len(self._queries)
+        self._end = math.inf if endless else len(self._ids)
         self.injected = 0
 
     def _inflight(self) -> int:
@@ -70,14 +72,14 @@ class QueryLoader(Module):
             return True
         return self._recorder.finished == self.injected
 
-    def _peek_query(self) -> Query | None:
-        """Next query to inject, wrapping with fresh ids when endless."""
-        if self._next < len(self._queries):
-            return self._queries[self._next]
+    def _peek_query(self) -> tuple[int, int] | None:
+        """``(query_id, start_vertex)`` of the next query to inject,
+        wrapping with fresh ids when endless."""
+        if self._next < len(self._ids):
+            return self._ids[self._next], self._starts[self._next]
         if not self._endless:
             return None
-        base = self._queries[self._next % len(self._queries)]
-        return Query(query_id=self._next, start_vertex=base.start_vertex)
+        return self._next, self._starts[self._next % len(self._starts)]
 
     def tick(self, cycle: int) -> None:
         if self._next >= self._end:
@@ -94,12 +96,13 @@ class QueryLoader(Module):
                 break
             if not self._batch_open():
                 break
-            if self._static and port != query.query_id % len(self._outputs):
+            query_id, start = query
+            if self._static and port != query_id % len(self._outputs):
                 continue
             if fifo.is_full():
                 continue
-            task = Task(query_id=query.query_id, vertex=query.start_vertex)
-            self._recorder.start_query(query.query_id, query.start_vertex)
+            task = Task(query_id=query_id, vertex=start)
+            self._recorder.start_query(query_id, start)
             fifo.push(task)
             self._next += 1
             self.injected += 1

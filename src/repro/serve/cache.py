@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ServeError
-from repro.walks.base import Query
+from repro.walks.base import WalkBatch
 
 #: First query id reserved for cache pools.  Client query ids must stay
 #: below this; the service enforces it at submission.  2**40 leaves
@@ -105,7 +105,7 @@ class HotWalkCache:
             del self._pools[start_vertex]
         return entry
 
-    def note_miss(self, start_vertex: int) -> list[Query] | None:
+    def note_miss(self, start_vertex: int) -> WalkBatch | None:
         """Count one cacheable miss; return pool-fill queries at threshold.
 
         Returns ``None`` until the vertex is hot (or while a fill for it
@@ -122,9 +122,8 @@ class HotWalkCache:
             return None
         self._misses.pop(start_vertex, None)
         self._filling.add(start_vertex)
-        queries = [
-            Query(self._next_id + i, start_vertex) for i in range(self.pool_size)
-        ]
+        queries = WalkBatch(np.arange(self._next_id, self._next_id + self.pool_size),
+                            np.full(self.pool_size, start_vertex))
         self._next_id += self.pool_size
         return queries
 

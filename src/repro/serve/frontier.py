@@ -79,11 +79,8 @@ def _queued(queue: asyncio.Queue):
 def _seat_fill(frontier: OpenFrontier | RunFrontier, run: _FillRun, walkers: dict) -> int:
     """Seat as many of ``run``'s unseated walkers as there are free slots."""
     queries = run.fill.queries[run.seated:run.seated + frontier.free]
-    slots = frontier.admit(
-        [query.query_id for query in queries],
-        [query.start_vertex for query in queries],
-        run.states[run.seated:run.seated + len(queries)],
-    )
+    slots = frontier.admit(queries.ids, queries.starts,
+                           run.states[run.seated:run.seated + len(queries)])
     for index, slot in enumerate(slots.tolist(), start=run.seated):
         walkers[slot] = (run, index)
     run.seated += len(queries)
@@ -148,7 +145,7 @@ async def frontier_loop(service: "WalkService", frontier: OpenFrontier | RunFron
                 if isinstance(group[-1], _PoolFill):
                     fill = group.pop()
                     fills.append(_FillRun(fill, seed_sequence_states(
-                        seed, [query.query_id for query in fill.queries])))
+                        seed, fill.queries.ids)))
                 if group:
                     try:
                         slots = frontier.admit(
@@ -204,7 +201,7 @@ async def frontier_loop(service: "WalkService", frontier: OpenFrontier | RunFron
                             busy.append(share - seated_share[slot])
                             continue
                         run, index = pool_walkers.pop(slot)
-                        run.entries[index] = (run.fill.queries[index].query_id, path)
+                        run.entries[index] = (run.fill.queries.ids.item(index), path)
                         run.left -= 1
                         if run.left == 0:
                             cache.install(run.fill.start_vertex, run.entries)

@@ -8,10 +8,10 @@ events: a client request and a cache pool fill.  The dispatcher in
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.serve.qos import DEFAULT_TENANT
-from repro.walks.base import Query
+from repro.walks.base import WalkBatch
 
 
 @dataclass(slots=True, eq=False)
@@ -47,5 +47,5 @@ class _PoolFill:
     """
 
     start_vertex: int
-    queries: list[Query] = field(default_factory=list)
+    queries: WalkBatch
 

@@ -75,7 +75,7 @@ from repro.serve.frontier import frontier_loop
 from repro.serve.items import _PendingRequest, _PoolFill
 from repro.serve.qos import DEFAULT_TENANT, TenantScheduler, TenantSpec
 from repro.serve.stats import ServeStats
-from repro.walks.base import Query, WalkResults, WalkSpec, walk_index
+from repro.walks.base import WalkBatch, WalkResults, WalkSpec, walk_index
 from repro.walks.reference import EngineStats
 
 
@@ -540,9 +540,6 @@ def replay_paths(
     from repro.walks.batch import run_walks_batch
 
     require_default("sampler", sampler)
-    queries = [Query(query_id, start) for query_id, start in sorted(requests.items())]
-    results = run_walks_batch(graph, spec, queries, seed=seed)
-    return {
-        query.query_id: results.path_of(position)
-        for position, query in enumerate(queries)
-    }
+    ids = sorted(requests)
+    results = run_walks_batch(graph, spec, WalkBatch(ids, [requests[i] for i in ids]), seed=seed)
+    return dict(zip(ids, results.paths))

@@ -3,6 +3,7 @@
 from repro.walks.base import (
     DEFAULT_MAX_LENGTH,
     Query,
+    WalkBatch,
     WalkResults,
     WalkSpec,
     make_queries,
@@ -31,6 +32,7 @@ __all__ = [
     "PPRSpec",
     "Query",
     "URWSpec",
+    "WalkBatch",
     "WalkResults",
     "WalkSpec",
     "cooccurrence_counts",

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import operator
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Sequence
 
 import numpy as np
 
@@ -47,7 +47,31 @@ def walk_index(value, name: str) -> int:
     return index
 
 
-@dataclass(frozen=True)
+def _index_array(values, name: str) -> np.ndarray:
+    """``values`` as a read-only int64 array the caller cannot reach,
+    every entry a non-negative integer by :func:`walk_index`'s rule, or
+    :class:`WalkConfigError` naming ``name``.
+
+    An integer array is checked whole.  Anything else is checked value
+    by value, so a bool, a float or a string is refused wherever it sits
+    (numpy alone would read ``[True, 2]`` as ``[1, 2]``).
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        array = values.astype(np.int64)  # a copy, always
+    else:
+        try:
+            array = np.fromiter((walk_index(v, name) for v in values), dtype=np.int64)
+        except OverflowError:
+            raise WalkConfigError(f"{name} must fit in int64") from None
+    if array.ndim != 1:
+        raise WalkConfigError(f"{name} values must form one dimension, got shape {array.shape}")
+    if array.size and array.min() < 0:  # an unsigned value past int64 wraps here too
+        raise WalkConfigError(f"{name} must be non-negative, got {int(array[array < 0][0])}")
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, slots=True)
 class Query:
     """One random-walk query: a start vertex plus a tracking id."""
 
@@ -57,6 +81,61 @@ class Query:
     def __post_init__(self) -> None:
         walk_index(self.query_id, "query_id")
         walk_index(self.start_vertex, "start_vertex")
+
+
+class WalkBatch(Sequence):
+    """A batch of queries as two aligned read-only int64 arrays.
+
+    ``ids[k]`` and ``starts[k]`` are query ``k``'s id and start vertex —
+    the two words the Query Loader feeds the pipeline per query.  Every
+    value is checked once, when the batch is built; the engines read the
+    arrays as they are (:func:`unpack_queries`).  To everyone else it is
+    a ``Sequence[Query]``: indexing or iterating makes a :class:`Query`
+    of Python ints per query read, and a slice is another ``WalkBatch``
+    over views of the same arrays.
+    """
+
+    __slots__ = ("_ids", "_starts")
+
+    def __init__(self, ids, starts) -> None:
+        ids, starts = _index_array(ids, "query_id"), _index_array(starts, "start_vertex")
+        if ids.size != starts.size:
+            raise WalkConfigError(f"{ids.size} query ids for {starts.size} start vertices")
+        self._ids, self._starts = ids, starts
+
+    @classmethod
+    def of(cls, queries: Sequence[Query]) -> "WalkBatch":
+        """``queries`` as a batch: a ``WalkBatch`` as it is, any other
+        sequence of :class:`Query` read once."""
+        if isinstance(queries, WalkBatch):
+            return queries
+        count = len(queries)
+        return cls(np.fromiter((q.query_id for q in queries), dtype=np.int64, count=count),
+                   np.fromiter((q.start_vertex for q in queries), dtype=np.int64, count=count))
+
+    @property
+    def ids(self) -> np.ndarray:
+        return self._ids
+
+    @property
+    def starts(self) -> np.ndarray:
+        return self._starts
+
+    def __len__(self) -> int:
+        return self._ids.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            part = WalkBatch.__new__(WalkBatch)
+            part._ids, part._starts = self._ids[index], self._starts[index]
+            return part
+        return Query(self._ids.item(index), self._starts.item(index))
+
+    def __iter__(self):
+        return map(Query, self._ids.tolist(), self._starts.tolist())
+
+    def __repr__(self) -> str:
+        return f"WalkBatch({len(self)} queries)"
 
 
 class WalkSpec(ABC):
@@ -279,11 +358,11 @@ class WalkResults:
 
 
 def unpack_queries(queries: Sequence[Query]) -> tuple[np.ndarray, np.ndarray]:
-    """``(query_ids, start_vertices)`` of a batch as aligned int64 arrays."""
-    count = len(queries)
-    query_ids = np.fromiter((q.query_id for q in queries), dtype=np.int64, count=count)
-    starts = np.fromiter((q.start_vertex for q in queries), dtype=np.int64, count=count)
-    return query_ids, starts
+    """``(query_ids, start_vertices)`` of a batch as aligned read-only
+    int64 arrays: a :class:`WalkBatch`'s own two arrays, not copied; any
+    other sequence of :class:`Query` read once into new ones."""
+    batch = WalkBatch.of(queries)
+    return batch.ids, batch.starts
 
 
 def compact_path_matrix(paths: np.ndarray, hops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -379,9 +458,15 @@ def make_queries(
     seed: int = 0,
     start_vertices: Sequence[int] | None = None,
     require_outgoing: bool = True,
-) -> list[Query]:
+) -> WalkBatch:
     """Build a query batch with random (or given) start vertices.
 
+    Query ``i`` has id ``i``.  The batch is two arrays (a
+    :class:`WalkBatch`); an engine run reads them as they are, and a
+    :class:`Query` is made only for a caller that indexes or iterates
+    the batch.  Given ``start_vertices`` are held to
+    :func:`walk_index`'s rule: a bool, a float or a negative start
+    raises :class:`WalkConfigError` naming ``start_vertex``.
     ``require_outgoing`` skips dangling start vertices, matching the
     paper's setup where every query performs at least one hop attempt.
     """
@@ -392,7 +477,7 @@ def make_queries(
             raise WalkConfigError(
                 f"start_vertices has {len(start_vertices)} entries, expected {count}"
             )
-        return [Query(i, int(v)) for i, v in enumerate(start_vertices)]
+        return WalkBatch(np.arange(count), start_vertices)
     rng = np.random.default_rng(seed)
     if require_outgoing:
         candidates = np.nonzero(graph.degrees() > 0)[0]
@@ -400,5 +485,4 @@ def make_queries(
             raise WalkConfigError("graph has no vertex with outgoing edges")
     else:
         candidates = np.arange(graph.num_vertices)
-    starts = rng.choice(candidates, size=count, replace=True)
-    return [Query(i, int(v)) for i, v in enumerate(starts)]
+    return WalkBatch(np.arange(count), rng.choice(candidates, size=count, replace=True))

@@ -4,7 +4,9 @@ A :class:`PreparedEngine` holds its per-graph setup (the prepared
 sampling kernel) and answers ``run(queries, seed, stats)``.  The request
 and result handling around a run is the same for every engine, so it is
 written once here: empty check, one
-:func:`~repro.walks.base.unpack_queries`, one start-vertex check, the
+:func:`~repro.walks.base.unpack_queries` (a
+:class:`~repro.walks.base.WalkBatch` is two arrays already; any other
+``Query`` sequence is read once), one start-vertex check, the
 engine's array hook, one :func:`record_run`, one
 ``WalkResults.from_flat``.  An engine is a subclass with that one hook::
 
@@ -32,7 +34,7 @@ import numpy as np
 from repro.errors import GraphError, WalkConfigError
 from repro.graph.csr import CSRGraph
 from repro.sampling.vectorized import VectorizedKernel, make_kernel
-from repro.walks.base import Query, WalkResults, WalkSpec, unpack_queries
+from repro.walks.base import Query, WalkBatch, WalkResults, WalkSpec, unpack_queries
 from repro.walks.reference import EngineStats
 
 #: Scalar EngineStats counters one run accumulates, in the order of the
@@ -237,9 +239,10 @@ class PreparedEngine:
 class RunFrontier:
     """The open-frontier interface over an engine's :meth:`~PreparedEngine.run`.
 
-    ``capacity`` slots.  :meth:`admit` seats ``Query(query_id, start)``
-    records; :meth:`step` walks every seated one to its end in one
-    ``run(seated, seed)`` and returns all their slots; :meth:`take` hands a
+    ``capacity`` slots.  :meth:`admit` seats aligned ``(query_id, start)``
+    arrays as one :class:`~repro.walks.base.WalkBatch`; :meth:`step` walks
+    every seated walker to its end in one ``run(seated, seed)`` and returns
+    all their slots; :meth:`take` hands a
     finished path out and frees its slot.  ``run`` derives each query's
     stream from ``(seed, query_id)``, so a path equals the one a closed run
     of any other company gives it, and :attr:`counts` sums the
@@ -259,7 +262,7 @@ class RunFrontier:
     @property
     def live(self) -> int:
         """Walkers the next :meth:`step` will run."""
-        return len(self._seated)
+        return sum(len(batch) for _, batch in self._seated)
 
     @property
     def free(self) -> int:
@@ -275,20 +278,24 @@ class RunFrontier:
                 f"cannot admit {len(query_ids)} ids and {count} starts "
                 f"into {len(self._free)} free slots"
             )
-        queries = [Query(int(query_id), int(start)) for query_id, start in zip(query_ids, starts)]
-        slots = [self._free.pop() for _ in queries]
-        self._seated.update(zip(slots, queries))
-        return np.array(slots, dtype=np.int64)
+        batch = WalkBatch(query_ids, starts)
+        slots = np.array([self._free.pop() for _ in range(count)], dtype=np.int64)
+        self._seated.append((slots, batch))
+        return slots
 
     def step(self) -> np.ndarray:
         """One run over the seated walkers; every seated slot ends in it."""
+        if not self._seated:
+            return np.empty(0, dtype=np.int64)
+        slots = np.concatenate([slots for slots, _ in self._seated])
+        batch = WalkBatch(np.concatenate([batch.ids for _, batch in self._seated]),
+                          np.concatenate([batch.starts for _, batch in self._seated]))
         stats = EngineStats()
-        results = self._engine.run(list(self._seated.values()), self._seed, stats)
+        results = self._engine.run(batch, self._seed, stats)
         self.counts += [getattr(stats, name) for name in STAT_FIELDS]
-        slots = list(self._seated)
-        self._ended.update((slot, results.owned_path(k)) for k, slot in enumerate(slots))
-        self._seated.clear()
-        return np.array(slots, dtype=np.int64)
+        self._seated = []
+        self._ended.update((slot, results.owned_path(k)) for k, slot in enumerate(slots.tolist()))
+        return slots
 
     def take(self, slot: int) -> np.ndarray:
         """The finished walk of ``slot`` (start vertex included), owning its
@@ -299,6 +306,7 @@ class RunFrontier:
 
     def abandon(self) -> None:
         """Drop every walker, seated or ended and untaken: all slots free."""
-        self._seated: dict[int, Query] = {}
+        #: ``(slots, batch)`` per :meth:`admit` since the last step.
+        self._seated: list[tuple[np.ndarray, WalkBatch]] = []
         self._ended: dict[int, np.ndarray] = {}
         self._free = list(range(self.capacity - 1, -1, -1))

@@ -14,6 +14,7 @@ from repro.walks import (
     PPRSpec,
     Query,
     URWSpec,
+    WalkBatch,
     WalkResults,
     make_queries,
 )
@@ -63,6 +64,30 @@ class TestMakeQueries:
         qs = make_queries(cycle_graph(5), 3, start_vertices=[4, 2, 0])
         assert [q.start_vertex for q in qs] == [4, 2, 0]
 
+    def test_returns_a_batch_of_the_same_draw(self):
+        batch = make_queries(cycle_graph(50), 20, seed=3)
+        assert isinstance(batch, WalkBatch)
+        assert batch.ids.tolist() == list(range(20))
+        assert batch.starts.tolist() == [q.start_vertex for q in batch]
+
+    @pytest.mark.parametrize("starts", [[1.5, True], [True, 2], np.array([2.9, 1.0]),
+                                        np.array([True, False]), ["1", 2]])
+    def test_explicit_starts_must_be_integers(self, starts):
+        """A bool or a float never walks from the vertex it truncates to."""
+        with pytest.raises(WalkConfigError, match="start_vertex must be an integer"):
+            make_queries(cycle_graph(5), 2, start_vertices=starts)
+
+    @pytest.mark.parametrize("starts", [[2, -1], np.array([0, -3])])
+    def test_explicit_starts_must_be_non_negative(self, starts):
+        with pytest.raises(WalkConfigError, match="start_vertex must be non-negative"):
+            make_queries(cycle_graph(5), 2, start_vertices=starts)
+
+    def test_explicit_starts_accept_integer_arrays(self):
+        starts = np.array([4, 2], dtype=np.int32)
+        batch = make_queries(cycle_graph(5), 2, start_vertices=starts)
+        starts[0] = 0  # the batch holds its own copy
+        assert batch.starts.tolist() == [4, 2]
+
     def test_explicit_starts_length_mismatch(self):
         with pytest.raises(WalkConfigError, match="entries"):
             make_queries(cycle_graph(5), 3, start_vertices=[1])
@@ -75,6 +100,79 @@ class TestMakeQueries:
     def test_rejects_zero_count(self):
         with pytest.raises(WalkConfigError):
             make_queries(cycle_graph(4), 0)
+
+
+class TestWalkBatch:
+    def batch(self):
+        return WalkBatch(np.array([10, 11, 12, 13, 14]), [4, 3, 2, 1, 0])
+
+    def test_len_and_arrays(self):
+        batch = self.batch()
+        assert len(batch) == 5
+        assert batch.ids.dtype == batch.starts.dtype == np.int64
+        assert batch.ids.tolist() == [10, 11, 12, 13, 14]
+        assert batch.starts.tolist() == [4, 3, 2, 1, 0]
+
+    def test_index_gives_a_query_of_python_ints(self):
+        batch = self.batch()
+        assert batch[1] == Query(11, 3)
+        assert batch[-1] == Query(14, 0)
+        assert batch[np.int64(2)] == Query(12, 2)
+        assert type(batch[0].query_id) is int and type(batch[0].start_vertex) is int
+
+    def test_index_past_the_end(self):
+        with pytest.raises(IndexError):
+            self.batch()[5]
+        with pytest.raises(IndexError):
+            self.batch()[-6]
+
+    def test_slice_is_a_batch(self):
+        part = self.batch()[3:0:-2]
+        assert isinstance(part, WalkBatch)
+        assert list(part) == [Query(13, 1), Query(11, 3)]
+        assert list(self.batch()[::2]) == [Query(10, 4), Query(12, 2), Query(14, 0)]
+        assert len(self.batch()[7:]) == 0
+
+    def test_iteration_and_sequence_mixins(self):
+        batch = self.batch()
+        assert list(batch) == [Query(10 + k, 4 - k) for k in range(5)]
+        assert list(reversed(batch))[0] == Query(14, 0)
+        assert Query(12, 2) in batch and Query(12, 3) not in batch
+        assert batch.index(Query(13, 1)) == 3
+
+    def test_arrays_are_read_only_and_the_batch_owns_them(self):
+        ids = np.array([0, 1])
+        batch = WalkBatch(ids, np.array([1, 1]))
+        ids[0] = 7
+        assert batch.ids.tolist() == [0, 1]
+        for array in (batch.ids, batch.starts, batch[:1].ids):
+            with pytest.raises(ValueError):
+                array[0] = 5
+        with pytest.raises(AttributeError):
+            batch.ids = np.zeros(2, dtype=np.int64)
+
+    def test_empty(self):
+        batch = WalkBatch([], np.empty(0, dtype=np.int64))
+        assert len(batch) == 0 and list(batch) == [] and not batch
+        assert batch.ids.dtype == np.int64
+
+    def test_validated_once_when_built(self):
+        with pytest.raises(WalkConfigError, match="query_id must be an integer"):
+            WalkBatch([0, 1.5], [0, 0])
+        with pytest.raises(WalkConfigError, match="query_id must be non-negative"):
+            WalkBatch(np.array([0, -1]), [0, 0])
+        with pytest.raises(WalkConfigError, match="start_vertex must be non-negative"):
+            WalkBatch([0], np.array([2**63], dtype=np.uint64))
+        with pytest.raises(WalkConfigError, match="2 query ids for 1 start vertices"):
+            WalkBatch([0, 1], [0])
+        with pytest.raises(WalkConfigError, match="one dimension"):
+            WalkBatch(np.zeros((1, 2), dtype=np.int64), np.zeros((1, 2), dtype=np.int64))
+
+    def test_of_reads_a_query_sequence_once(self):
+        queries = [Query(5, 1), Query(2, 0)]
+        batch = WalkBatch.of(queries)
+        assert list(batch) == queries
+        assert WalkBatch.of(batch) is batch
 
 
 class TestWalkResults:

@@ -19,6 +19,7 @@ output instead of silently skipping.  (Today the map is empty — all 12
 cells execute.)
 """
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -28,6 +29,7 @@ from stat_helpers import CHI_SQUARE_ALPHA, chi_square_compare
 from repro.bench.workloads import make_spec
 from repro.cli import ALGORITHMS
 from repro.engines import SOFTWARE_ENGINES, run_software_walks
+from repro.walks import EngineStats, WalkBatch
 from repro.graph import load_dataset
 from repro.graph.datasets import assign_metapath_schema
 
@@ -106,6 +108,21 @@ class TestEngineMatrix:
         assert first.num_queries == again.num_queries == NUM_QUERIES
         for a, b in zip(first.paths, again.paths):
             assert np.array_equal(a, b)
+
+    def test_walk_batch_runs_like_its_query_list(self, algorithm, engine):
+        """A batch given as two arrays walks exactly as the equal list of
+        ``Query`` objects does: same paths, every counter equal."""
+        batch = WalkBatch.of(list(_queries(algorithm)))
+        stats = EngineStats(), EngineStats()
+        (from_batch, _), (from_list, _) = (
+            run_software_walks(engine, _graph(), _spec(algorithm), queries,
+                               seed=RUN_SEED, stats=run_stats)
+            for queries, run_stats in zip((batch, list(batch)), stats)
+        )
+        assert from_batch.num_queries == from_list.num_queries == NUM_QUERIES
+        for a, b in zip(from_batch.paths, from_list.paths):
+            assert np.array_equal(a, b)
+        assert dataclasses.asdict(stats[0]) == dataclasses.asdict(stats[1])
 
     def test_agrees_with_reference_distribution(self, algorithm, engine):
         """Visit histogram matches the reference engine's (chi-square).

@@ -142,6 +142,27 @@ def test_out_of_range_start_fails_in_the_parent(epochs, engine, monkeypatch):
         assert stats == EngineStats()
 
 
+def test_a_made_batch_runs_without_making_a_query(epochs, monkeypatch):
+    """``make_queries`` and a batch engine's ``run`` over what it returns
+    construct no :class:`Query`: the batch is two arrays from the start
+    draw to the engine's array hook."""
+    _, _, graph, spec, _ = epochs
+    made = []
+    post_init = Query.__post_init__
+
+    def counted(query):
+        made.append(query)
+        post_init(query)
+
+    monkeypatch.setattr(Query, "__post_init__", counted)
+    with prepare_engine("batch", graph, spec) as engine:
+        results = engine.run(make_queries(graph, 1000, seed=3), seed=SEED)
+    assert results.num_queries == 1000
+    assert made == []
+    Query(0, 0)  # the count does see a construction
+    assert len(made) == 1
+
+
 def test_run_close_only_subclass_serves_without_base_init(epochs):
     """The shape of the benchmark's ``TimedEngine`` and the serving test
     doubles: no ``__init__`` call, only ``run``/``close`` overridden."""

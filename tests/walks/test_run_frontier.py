@@ -125,6 +125,9 @@ def test_admit_refuses_more_walkers_than_free_slots():
         frontier.admit(IDS[:3], STARTS[:3])
     with pytest.raises(WalkConfigError, match="2 free"):
         frontier.admit(IDS[:2], STARTS[:1])
+    # A float start is refused, not truncated to the vertex below it.
+    with pytest.raises(WalkConfigError, match="start_vertex must be an integer"):
+        frontier.admit(IDS[:2], [1.5, 2.0])
     assert (frontier.live, frontier.free) == (0, 2)
     with pytest.raises(WalkConfigError, match="capacity"):
         RunOnlyBatch().open_frontier(SEED, 0)
