@@ -11,7 +11,7 @@
 # 1.3x a rebuild, one tracer lookup per untraced run) —
 # then CLI smokes whose exit codes are gates: every `serve-bench` run
 # replays each served path bit-identically through its engine (plain,
-# multi-tenant flash crowd, MetaPath, the run-backed reference
+# paced PPR, multi-tenant flash crowd, MetaPath, the run-backed reference
 # frontier, and a paced walk-cache run that must also serve cache hits),
 # `mutate-bench` exits non-zero unless its final snapshot
 # equals a from-scratch build (per small batch, for bursts larger than a
@@ -91,6 +91,9 @@ fi
 echo
 echo "== serve smokes (exit code gates bit-identical replay) =="
 python -m repro serve-bench --requests 400 --scale 0.05 --length 40
+# PPR is the spec the serve benchmark serves, paced at its open-loop rate.
+python -m repro serve-bench --algorithm PPR --requests 400 --rate 4000 --scale 0.05 \
+  --length 40 --max-batch 64
 python -m repro serve-bench --scenario flash-crowd --tenants 2 \
   --requests 200 --rate 2000 --scale 0.05 --length 16 --max-batch 64
 # MetaPath's edge type follows each walker's own hop count: served by the

@@ -67,6 +67,8 @@ def cli_smokes(workdir: Path) -> list[list[str]]:
         ["lint", "--format", "json", "src/repro"],
         ["lint", "--select", "RW101", "src/repro"],
         ["serve-bench", "--requests", "400", "--scale", "0.05", "--length", "40"],
+        ["serve-bench", "--algorithm", "PPR", "--requests", "400", "--rate", "4000",
+         "--scale", "0.05", "--length", "40", "--max-batch", "64"],
         ["serve-bench", *flash],
         ["serve-bench", "--algorithm", "MetaPath", *flash],
         ["serve-bench", "--engine", "reference", *flash],

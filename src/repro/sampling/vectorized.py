@@ -62,6 +62,10 @@ _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 _ELEMENT_GAMMA = np.uint64(0xD1B54A32D192ED03)
 _TO_UNIT = 1.0 / (1 << 53)
+#: The shifts of the splitmix64 finalizer and of the 53-bit uniform, made
+#: once: a numpy scalar built per call costs as much as a small pass.
+_SHIFT_30, _SHIFT_27, _SHIFT_31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_SHIFT_UNIT = np.uint64(11)
 
 #: The inverse of ``_GAMMA`` mod 2**64: a key back from its hash.
 _GAMMA_INVERSE = np.uint64(pow(int(_GAMMA), -1, 1 << 64))
@@ -88,7 +92,8 @@ STALL = -2
 #: the scalar sampler allows), counted per walker by the superstep.
 MAX_STALLS = _MAX_REJECTION_ROUNDS
 
-#: ``BatchSample.stalled`` of a decision that left no walker undecided.
+#: ``BatchSample.stalled`` of a decision that left no walker undecided,
+#: and ``BatchSample.ended`` of one that ended no walk.
 NO_STALLS = np.empty(0, dtype=np.intp)
 NO_STALLS.setflags(write=False)
 
@@ -102,19 +107,77 @@ _SS_INIT_A = 0x43B0D7E5
 _SS_MULT_A = 0x931E8875
 _SS_INIT_B = 0x8B51F9DD
 _SS_MULT_B = 0x58F38DED
-_SS_MIX_L = np.uint32(0xCA01F9DD)
-_SS_MIX_R = np.uint32(0x4973F715)
+_SS_MIX_MULT_L = 0xCA01F9DD
+_SS_MIX_MULT_R = 0x4973F715
+_SS_MIX_L = np.uint32(_SS_MIX_MULT_L)
+_SS_MIX_R = np.uint32(_SS_MIX_MULT_R)
 _SS_XSHIFT = np.uint32(16)
 _SS_WORD_MASK = 0xFFFFFFFF
 
-#: Up to this many ids, :func:`seed_sequence_states` seeds one numpy
-#: ``SeedSequence`` per id: the array pipeline is ~40 tiny passes, ~105 us
-#: a call however few ids it carries, against ~9 us an id, narrow or
-#: wide.  The two cross at 11-12 ids on the reference host; the cut is 8
-#: because from 9 ids up they are within a quarter of each other and the
-#: winner moves with host load, while at 8 the scalar route is still
-#: 30 us ahead.
+#: Up to this many ids, :func:`seed_sequence_states` hashes each id in
+#: Python ints (:func:`_ss_state`): the array pipeline is ~40 tiny passes,
+#: ~105 us a call however few ids it carries, against ~10 us an id (numpy's
+#: own ``SeedSequence`` takes ~15 us an id on the same 2-CPU host).  The
+#: two routes cross near ten ids, and the winner moves with host load.
 _SS_SCALAR_MAX_IDS = 8
+
+
+def _ss_rounds(init: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """The ``(xor, multiplier)`` constants of ``count`` successive hash
+    rounds from ``init``: SeedSequence's hash constant does not depend on
+    the data, so every round's pair is known before any id is."""
+    rounds, const = [], init
+    for _ in range(count):
+        rounds.append((const, (const * mult) & _SS_WORD_MASK))
+        const = rounds[-1][1]
+    return rounds
+
+
+#: The rounds of one id: the entropy-pool fill (one a word), the pool mix
+#: (``(src, dst, xor, multiplier)``, one per ordered pair of distinct
+#: words) and the two output words.
+_SS_HASH_ROUNDS = _ss_rounds(_SS_INIT_A, _SS_MULT_A, _SS_POOL_SIZE + 12)
+_SS_FILL_ROUNDS = _SS_HASH_ROUNDS[:_SS_POOL_SIZE]
+_SS_MIX_ROUNDS = [
+    (src, dst, *constants)
+    for (src, dst), constants in zip(
+        [(src, dst) for src in range(_SS_POOL_SIZE) for dst in range(_SS_POOL_SIZE) if src != dst],
+        _SS_HASH_ROUNDS[_SS_POOL_SIZE:],
+    )
+]
+_SS_OUTPUT_ROUNDS = _ss_rounds(_SS_INIT_B, _SS_MULT_B, 2)
+
+
+def _ss_state(words: list[int]) -> int:
+    """``SeedSequence(words).generate_state(1, np.uint64)[0]`` as a Python
+    int, for at most :data:`_SS_POOL_SIZE` 32-bit entropy words: the hash
+    pipeline of :func:`_ss_states_for_words`, one id at a time."""
+    if len(words) > _SS_POOL_SIZE:
+        raise SamplingError("seed/query-id entropy exceeds the SeedSequence pool")
+    pool = []
+    for word, (xor, mult) in zip(words + [0] * (_SS_POOL_SIZE - len(words)), _SS_FILL_ROUNDS):
+        value = (word ^ xor) * mult & _SS_WORD_MASK
+        pool.append(value ^ value >> 16)
+    for src, dst, xor, mult in _SS_MIX_ROUNDS:
+        value = (pool[src] ^ xor) * mult & _SS_WORD_MASK
+        value = pool[dst] * _SS_MIX_MULT_L - (value ^ value >> 16) * _SS_MIX_MULT_R
+        value &= _SS_WORD_MASK
+        pool[dst] = value ^ value >> 16
+    (xor_lo, mult_lo), (xor_hi, mult_hi) = _SS_OUTPUT_ROUNDS
+    low = (pool[0] ^ xor_lo) * mult_lo & _SS_WORD_MASK
+    high = (pool[1] ^ xor_hi) * mult_hi & _SS_WORD_MASK
+    return (low ^ low >> 16) | (high ^ high >> 16) << 32
+
+
+def _ss_states_one_by_one(seed_words: list[int], query_ids) -> np.ndarray:
+    """The states of a few ids, one :func:`_ss_state` each."""
+    states = []
+    for query_id in query_ids:
+        query_id = int(query_id)
+        if query_id < 0:
+            raise SamplingError("query ids must be non-negative")
+        states.append(_ss_state(seed_words + _int_to_words(query_id)))
+    return np.array(states, dtype=np.uint64)
 
 
 def _ss_hash(value: np.ndarray, hash_const: int) -> tuple[np.ndarray, int]:
@@ -180,15 +243,22 @@ def seed_sequence_states(seed: int, query_ids: Sequence[int] | np.ndarray) -> np
     with uint32 array arithmetic.  Queries are grouped by how many 32-bit
     words their id coerces to, since the entropy layout — and therefore
     the sequence of hash constants — depends only on that count.
-    A handful of ids (:data:`_SS_SCALAR_MAX_IDS`; an open frontier admits
-    a few walkers a turn) go through numpy's own ``SeedSequence`` instead,
-    which is cheaper than the array passes' fixed cost.  Equality of the
-    two routes is enforced by tests.
+    A handful of ids (:data:`_SS_SCALAR_MAX_IDS`; the walk service
+    derives a turn's arrivals, a few at most) are hashed one by one in
+    Python ints (:func:`_ss_state`), which is cheaper than the array
+    passes' fixed cost and than numpy's own ``SeedSequence``.  Equality of
+    the routes with each other and with numpy is enforced by tests.
     """
     # Mask to valid SeedSequence entropy first: a negative int would make
     # _int_to_words loop forever (Python's >> keeps negatives negative),
     # and the engines' contract is "any int seed works".
     seed = normalize_seed(seed)
+    seed_words = _int_to_words(seed)
+    if isinstance(query_ids, np.ndarray):
+        if query_ids.size <= _SS_SCALAR_MAX_IDS:
+            return _ss_states_one_by_one(seed_words, query_ids.ravel().tolist())
+    elif len(query_ids) <= _SS_SCALAR_MAX_IDS:
+        return _ss_states_one_by_one(seed_words, query_ids)
     ids = np.asarray(query_ids)
     if ids.dtype.kind == "i" and ids.size and ids.min() < 0:
         raise SamplingError("query ids must be non-negative")
@@ -196,11 +266,6 @@ def seed_sequence_states(seed: int, query_ids: Sequence[int] | np.ndarray) -> np
     if ids.ndim != 1:
         ids = ids.reshape(-1)
     states = np.empty(ids.size, dtype=np.uint64)
-    if ids.size <= _SS_SCALAR_MAX_IDS:
-        for k, query_id in enumerate(ids.tolist()):
-            states[k] = np.random.SeedSequence((seed, query_id)).generate_state(1, np.uint64)[0]
-        return states
-    seed_words = _int_to_words(int(seed))
     wide = ids >= np.uint64(1 << 32)
     narrow = np.nonzero(~wide)[0]
     if narrow.size:
@@ -217,14 +282,16 @@ def seed_sequence_states(seed: int, query_ids: Sequence[int] | np.ndarray) -> np
 
 def _mix64(z: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer over a uint64 array (wrapping arithmetic)."""
-    z = (z ^ (z >> np.uint64(30))) * _MIX_1
-    z = (z ^ (z >> np.uint64(27))) * _MIX_2
-    return z ^ (z >> np.uint64(31))
+    z = (z ^ (z >> _SHIFT_30)) * _MIX_1
+    z = (z ^ (z >> _SHIFT_27)) * _MIX_2
+    return z ^ (z >> _SHIFT_31)
 
 
 def _to_unit(bits: np.ndarray) -> np.ndarray:
     """Map uint64 outputs to float64 uniforms in [0, 1) (53 usable bits)."""
-    return (bits >> np.uint64(11)).astype(np.float64) * _TO_UNIT
+    unit = (bits >> _SHIFT_UNIT).astype(np.float64)
+    unit *= _TO_UNIT
+    return unit
 
 
 class QueryStreams:
@@ -287,10 +354,16 @@ class QueryStreams:
         return _to_unit(_mix64(self._advance(idx)))
 
     def randints(self, bounds: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
-        """One integer in ``[0, bounds[k])`` from each selected stream."""
-        bounds = np.asarray(bounds, dtype=np.int64)
-        draw = (self.uniforms(idx) * bounds).astype(np.int64)
-        return np.minimum(draw, bounds - 1)
+        """One integer in ``[0, bounds[k])`` from each selected stream.
+
+        ``bounds`` is an int64 array of positive bounds below ``2**53``,
+        and the draw needs no clamp: a uniform is at most ``1 - 2**-53``,
+        and times such a bound that rounds to a float below the bound
+        (``tests/sampling/test_vectorized.py::TestNoClamp``).
+        """
+        draw = self.uniforms(idx)
+        draw *= bounds
+        return draw.astype(np.int64)
 
     def element_uniforms(
         self,
@@ -310,7 +383,6 @@ class QueryStreams:
         redundant repeat/cumsum pass — they must describe exactly the
         ``counts`` layout.
         """
-        counts = np.asarray(counts, dtype=np.int64)
         advanced = self._advance(idx)
         if segment is None or within is None:
             total = int(counts.sum())
@@ -607,18 +679,21 @@ class BatchSample:
     to, ``-1`` when nothing was admissible (the walk terminates early),
     or :data:`STALL` when this call left the walker undecided — a
     rejected proposal, made again by the next call.  ``stalled`` lists
-    the :data:`STALL` positions, ascending, so no caller searches for
-    them.  Every kernel reads the neighbour itself — most hold it
-    already when they decide — so the engine's superstep never touches
-    ``col``.  ``proposals``/``neighbor_reads`` follow the same accounting
-    contract as :class:`~repro.sampling.base.SampleOutcome`, summed over
-    walkers and over this call's proposals only.
+    the :data:`STALL` positions and ``ended`` the ``-1`` positions, each
+    ascending and the two disjoint, so no caller scans ``vertex`` for
+    them; only :class:`ReservoirKernel` ever ends a walk.  Every kernel
+    reads the neighbour itself — most hold it already when they decide —
+    so the engine's superstep never touches ``col``.
+    ``proposals``/``neighbor_reads`` follow the same accounting contract
+    as :class:`~repro.sampling.base.SampleOutcome`, summed over walkers
+    and over this call's proposals only.
     """
 
     vertex: np.ndarray
     proposals: int
     neighbor_reads: int
     stalled: np.ndarray = field(default_factory=lambda: NO_STALLS)
+    ended: np.ndarray = field(default_factory=lambda: NO_STALLS)
 
 
 def neighbor_at(graph: CSRGraph, current: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -628,23 +703,22 @@ def neighbor_at(graph: CSRGraph, current: np.ndarray, index: np.ndarray) -> np.n
 
 
 def flatten_frontier(
-    graph: CSRGraph, current: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    graph: CSRGraph, current: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Segment arrays for a frontier's concatenated neighbor lists.
 
-    Returns ``(counts, segment, within, position)``: walker ``k`` owns
-    ``counts[k]`` consecutive flat entries, ``segment[j]`` is the walker
-    of flat entry ``j``, ``within[j]`` its within-neighborhood index and
-    ``position[j]`` its offset into the CSR column list: the gather
-    behind the whole-row scan of :class:`ReservoirKernel`.
+    Walker ``k`` owns ``counts[k]`` (its out-degree) consecutive flat
+    entries.  Returns ``(segment, within, position)``: ``segment[j]`` is
+    the walker of flat entry ``j``, ``within[j]`` its within-neighborhood
+    index and ``position[j]`` its offset into the CSR column list: the
+    gather behind the whole-row scan of :class:`ReservoirKernel`.
     """
-    counts = graph.degrees()[current].astype(np.int64)
     total = int(counts.sum())
     segment = np.repeat(np.arange(current.size), counts)
     starts = np.cumsum(counts) - counts
     within = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
     position = graph.row_ptr[current][segment] + within
-    return counts, segment, within, position
+    return segment, within, position
 
 
 class VectorizedKernel(ABC):
@@ -668,10 +742,12 @@ class VectorizedKernel(ABC):
         admissible_type: np.ndarray | None,
         streams: QueryStreams,
         stream_idx: np.ndarray | None,
+        degrees: np.ndarray,
     ) -> BatchSample:
         """Choose the next vertex of every walker in the frontier
         (:class:`BatchSample`: neighbour ids, ``-1`` = nothing admissible,
-        :data:`STALL` = undecided, ask again).  ``admissible_type[k]`` is
+        listed in ``ended``; :data:`STALL` = undecided, ask again, listed
+        in ``stalled``).  ``admissible_type[k]`` is
         the edge type walker ``k`` must take (MetaPath: it follows the
         walker's own hop count); ``None``: any edge, for every walker.
 
@@ -681,6 +757,9 @@ class VectorizedKernel(ABC):
         ``current``/``previous`` are aligned int64 arrays (``previous`` is
         ``-1`` on a first hop); every ``current[k]`` must have out-degree
         >= 1 — the engine terminates dangling walkers before sampling.
+        ``degrees[k]`` is that out-degree (int64): the superstep reads it
+        once, to find the dangling, and hands it on, so no kernel reads
+        ``graph.degrees()`` again.
         ``stream_idx[k]`` addresses walker ``k``'s substream; ``None``
         means stream ``k`` *is* walker ``k`` (the engines' compact
         frontier), which lets whole-frontier draws advance in place.
@@ -697,8 +776,8 @@ class VectorizedKernel(ABC):
 class UniformKernel(VectorizedKernel):
     """Uniform neighbor choice (URW, PPR): one draw, one read per walker."""
 
-    def sample(self, graph, current, previous, admissible_type, streams, stream_idx):
-        choice = streams.randints(graph.degrees()[current], stream_idx)
+    def sample(self, graph, current, previous, admissible_type, streams, stream_idx, degrees):
+        choice = streams.randints(degrees, stream_idx)
         return BatchSample(neighbor_at(graph, current, choice),
                            proposals=current.size, neighbor_reads=current.size)
 
@@ -713,14 +792,14 @@ class AliasKernel(VectorizedKernel):
     def prepare(self, graph: CSRGraph) -> None:
         self._slots = SamplerState.of(graph).alias_slots
 
-    def sample(self, graph, current, previous, admissible_type, streams, stream_idx):
+    def sample(self, graph, current, previous, admissible_type, streams, stream_idx, degrees):
         if self._slots is None:
             raise SamplingError("AliasKernel.prepare(graph) must be called before sampling")
-        degrees = graph.degrees()[current]
-        u1 = streams.uniforms(stream_idx)
+        # The slot is drawn as QueryStreams.randints draws: no clamp.
+        slot = streams.randints(degrees, stream_idx)
         u2 = streams.uniforms(stream_idx)
-        slot = np.minimum((u1 * degrees).astype(np.int64), degrees - 1)
-        entry = self._slots[graph.row_ptr[current] + slot]
+        slot += graph.row_ptr[current]
+        entry = self._slots[slot]
         # where(u2 < prob, col, alias_col), written without a branch: on
         # a mask no predictor can learn, np.where costs twice these
         # three passes.
@@ -760,6 +839,7 @@ class RejectionKernel(VectorizedKernel):
             sampler = RejectionSampler(p=p, q=q)
         self._sampler = sampler
         self._edge_set: EdgeSet | None = None
+        self._degrees: np.ndarray | None = None
         max_bias = sampler.max_bias
         # Accept thresholds per candidate class.
         self._return_accept = sampler.return_bias / max_bias
@@ -785,6 +865,8 @@ class RejectionKernel(VectorizedKernel):
 
     def prepare(self, graph: CSRGraph) -> None:
         self._edge_set = SamplerState.of(graph).edge_set
+        # The modelled scan of each previous vertex's row reads its degree.
+        self._degrees = graph.degrees()
 
     def stalled_out(self, stalls: int) -> SamplingError:
         return SamplingError(
@@ -792,10 +874,9 @@ class RejectionKernel(VectorizedKernel):
             f"(p={self.p}, q={self.q})"
         )
 
-    def sample(self, graph, current, previous, admissible_type, streams, stream_idx):
+    def sample(self, graph, current, previous, admissible_type, streams, stream_idx, degrees):
         if self._edge_set is None:
             raise SamplingError("RejectionKernel.prepare(graph) must be called before sampling")
-        degrees = graph.degrees()[current]
         first_hop = previous < 0
         if first_hop.all():
             # A whole frontier on its first hop (every engine's step 0):
@@ -814,7 +895,7 @@ class RejectionKernel(VectorizedKernel):
             vertex[first] = neighbor_at(graph, current[first], choice)
             # Rejection (Node2Vec) walks are untyped: no admissible types.
             batch = self.sample(graph, current[rest], previous[rest], None,
-                                streams, sub_streams(stream_idx, rest))
+                                streams, sub_streams(stream_idx, rest), degrees[rest])
             vertex[rest] = batch.vertex
             return BatchSample(vertex, proposals=first.size + batch.proposals,
                                neighbor_reads=first.size + batch.neighbor_reads,
@@ -840,7 +921,7 @@ class RejectionKernel(VectorizedKernel):
         # whenever the candidate is not the return edge — not the lookup
         # work done here (a mostly skipped filter + sorted-key probe).  It
         # is part of the cross-engine ``EngineStats`` identity.
-        reads = u.size + int(graph.degrees()[previous[not_return]].sum())
+        reads = u.size + int(self._degrees[previous[not_return]].sum())
         stalled = np.flatnonzero(u >= threshold)
         candidate[stalled] = STALL
         return BatchSample(candidate, proposals=current.size, neighbor_reads=reads,
@@ -884,10 +965,11 @@ class ReservoirKernel(VectorizedKernel):
         if self.second_order:
             self._edge_set = SamplerState.of(graph).edge_set
 
-    def sample(self, graph, current, previous, admissible_type, streams, stream_idx):
+    def sample(self, graph, current, previous, admissible_type, streams, stream_idx, degrees):
         if admissible_type is not None and graph.edge_types is None:
             raise SamplingError("admissible_type given but the graph has no edge types")
-        counts, segment, within, position = flatten_frontier(graph, current)
+        counts = degrees
+        segment, within, position = flatten_frontier(graph, current, counts)
         if graph.is_weighted:
             weight = graph.weights[position]
         else:
@@ -924,8 +1006,11 @@ class ReservoirKernel(VectorizedKernel):
             key = np.where(eligible, u ** (1.0 / weight), -1.0)
         # Ties go to the later entry, as a stable sort of the keys would.
         best = segment_last_argmax(key, np.cumsum(counts) - counts, segment)
-        vertex = np.where(key[best] > -0.5, graph.col[position[best]], np.int64(-1))
-        return BatchSample(vertex, proposals=current.size, neighbor_reads=position.size)
+        vertex = graph.col[position[best]]
+        ended = np.flatnonzero(key[best] < -0.5)
+        vertex[ended] = -1
+        return BatchSample(vertex, proposals=current.size, neighbor_reads=position.size,
+                           ended=ended)
 
 
 def make_kernel(sampler: Sampler) -> VectorizedKernel:

@@ -7,7 +7,8 @@ superstep a step, or any other engine's
 everything seated a step — on the event loop itself; every turn
 
 1. **ingests** what the queue holds into the tenant scheduler, deriving
-   the stream states of everything that arrived in one array pass;
+   the stream states of everything that arrived in one call (a few ids
+   are hashed one by one in Python ints, a burst in one array pass);
 2. **seats** ``scheduler.next_batch(free)`` — clients by weighted
    round-robin, then pool-fill walkers — into the frontier's free slots;
 3. runs **one step** over the live walkers;
@@ -18,7 +19,9 @@ everything seated a step — on the event loop itself; every turn
    released together — on ``serve_poisson``'s saturating bursts (a turn
    ends ~10 of 64 walks) that pass, with one slotted record per request
    in place of three objects, took saturated ``hops_per_s`` from 308k to
-   366k (2-core host, medians of ten alternating runs);
+   366k (2-core host, medians of ten alternating runs).  A turn that
+   ends no walk books only its step: the engine counters catch up with
+   the frontier's on the next turn that ends one;
 5. **yields** (``await asyncio.sleep(0)``), so submitters and callers'
    callbacks run between steps.
 
@@ -27,6 +30,34 @@ never spins.  A pool fill's walkers take the slots clients leave, over
 as many turns as that needs, and the pool installs whole when its last
 walker ends.  If ``step()`` raises, exactly the seated
 requests fail and the loop carries on with what is buffered.
+
+**A served walk's latency is its turns times the turn.**  A request is
+seated on the first turn after it arrives and moves one hop a turn, so
+it waits about ``hops + 1`` turns, and at the few walkers a paced
+service holds (3-5 at 4000 req/s) a turn costs what it costs whatever
+it carries: the fixed cost of each phase *is* the latency.  The budget
+of one turn, µs, on ``serve_poisson``'s paced phase (PPR on RMAT-16 at
+4000 req/s through the suite's generator, one CPU of a 2-CPU host; each
+phase's calls wrapped and timed, idle waits left out, medians of five
+alternating runs a side), before and after the superstep and the turn
+shed their fixed costs (one degree read, one stream view, one
+compaction, no clamp and no end scan in the superstep; single ids
+hashed in Python ints; nothing booked on a turn that ends no walk):
+
+=========  ======  =====
+phase      before  after
+=========  ======  =====
+ingest       20.8   10.7
+seat         10.5    8.2
+superstep    81.3   58.2
+book         11.9    7.9
+rest         41.9   31.0
+turn          165    116
+=========  ======  =====
+
+"rest" is the loop's own glue, the event loop and the generator's
+submits and callbacks.  p50 went from 1.21 to 0.91 ms (7.3 and 7.9
+turns of the turn each side measured).
 
 This is :class:`~repro.serve.service.WalkService`'s own dispatcher,
 split out by file: it works on the service's state directly.  Nothing
@@ -105,6 +136,40 @@ async def frontier_loop(service: "WalkService", frontier: OpenFrontier | RunFron
     share = 0.0
     seated_share = [0.0] * frontier.capacity
     booked = frontier.counts.copy()
+
+    def book_ended(ended: list[int], now: float, tracer) -> int:
+        """Hand out the walks of the ``ended`` slots and book them: their
+        requests resolve, a pool whose last walk came back installs, and
+        the engine counters catch up with the frontier's.  Returns the
+        hops of the walks.  Only a turn that ends walks books anything."""
+        hops: list[int] = []
+        done: list[_PendingRequest] = []
+        paths: list[np.ndarray] = []
+        busy: list[float] = []
+        for slot in ended:
+            path = frontier.take(slot)
+            hops.append(path.size - 1)
+            request = clients.pop(slot, None)
+            if request is not None:
+                done.append(request)
+                paths.append(path)
+                busy.append(share - seated_share[slot])
+                continue
+            run, index = pool_walkers.pop(slot)
+            run.entries[index] = (run.fill.queries.ids.item(index), path)
+            run.left -= 1
+            if run.left == 0:
+                cache.install(run.fill.start_vertex, run.entries)
+                if tracer is not None:
+                    tracer.instant("serve.cache_fill", vertex=run.fill.start_vertex,
+                                   entries=len(run.entries))
+        turn_hops = sum(hops)
+        engine_stats.per_query_hops.extend(hops)
+        engine_stats.total_hops += turn_hops
+        add_counts(engine_stats, frontier.counts - booked)
+        booked[:] = frontier.counts
+        service._resolve(done, paths, busy, now)
+        return turn_hops
 
     def fail_seated(error: Exception, now: float) -> None:
         """``step()`` raised: exactly what was seated is lost."""
@@ -187,34 +252,10 @@ async def frontier_loop(service: "WalkService", frontier: OpenFrontier | RunFron
                 else:
                     now = clock()
                     share += (now - began) / live
-                    hops: list[int] = []
-                    done: list[_PendingRequest] = []
-                    paths: list[np.ndarray] = []
-                    busy: list[float] = []
-                    for slot in ended:
-                        path = frontier.take(slot)
-                        hops.append(path.size - 1)
-                        request = clients.pop(slot, None)
-                        if request is not None:
-                            done.append(request)
-                            paths.append(path)
-                            busy.append(share - seated_share[slot])
-                            continue
-                        run, index = pool_walkers.pop(slot)
-                        run.entries[index] = (run.fill.queries.ids.item(index), path)
-                        run.left -= 1
-                        if run.left == 0:
-                            cache.install(run.fill.start_vertex, run.entries)
-                            if tracer is not None:
-                                tracer.instant("serve.cache_fill", vertex=run.fill.start_vertex,
-                                               entries=len(run.entries))
-                    turn_hops = sum(hops)
-                    engine_stats.per_query_hops.extend(hops)
-                    engine_stats.total_hops += turn_hops
+                    turn_hops = 0
+                    if ended:
+                        turn_hops = book_ended(ended, now, tracer)
                     stats.record_step(live, turn_hops, now - began)
-                    add_counts(engine_stats, frontier.counts - booked)
-                    booked[:] = frontier.counts
-                    service._resolve(done, paths, busy, now)
                 if tracer is not None:
                     tracer.end(_t_step, "serve.step", live=live, seated=seated,
                                ended=len(ended) if ended is not None else live,

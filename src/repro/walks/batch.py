@@ -201,6 +201,14 @@ def superstep(
     fixed by that walker's trajectory, so neither frontier composition
     nor how many supersteps a hop took can change a path.
 
+    The fixed cost is paid once: each walker's out-degree is read once,
+    to find the dangling, and handed to the kernel as ``degrees``; the
+    kernel and the teleport draw through one :class:`QueryStreams` view
+    of the carried states; the kernel names the walks it ended
+    (``BatchSample.ended``) and the walkers it stalled, so ``vertex`` is
+    never scanned; and every walker that ends after sampling — early,
+    by teleport or by length — leaves in one compaction at the end.
+
     The spec's hooks are asked with ``frontier.hops`` before the hop —
     each walker's 0-based index of the hop it is taking — so walkers of
     any age, stalled or not, share a superstep under any spec.  A stall
@@ -209,116 +217,125 @@ def superstep(
     and so does a kernel ending a walker it stalled.
     """
     second_order = spec.needs_prev_vertex
-    dangling = graph.degrees()[frontier.current] == 0
-    if dangling.any():
-        counts[_DANGLING] += np.count_nonzero(dangling)
-        frontier.keep(~dangling, second_order)
+    degrees = graph.degrees()[frontier.current]
+    # One count finds the dangling, not a mask and a reduction: on a few
+    # dozen walkers a pass's set-up is its cost.
+    dead = degrees.size - np.count_nonzero(degrees)
+    if dead:
+        counts[_DANGLING] += dead
+        walking = degrees > 0
+        frontier.keep(walking, second_order)
+        degrees = degrees[walking]
     if frontier.size == 0:
         # Kernels are never asked to sample an empty frontier.
         return frontier.pos, frontier.hops, frontier.current, _NO_SLOTS
 
-    batch = kernel.sample(
-        graph,
-        frontier.current,
-        frontier.previous,
-        spec.admissible_type(frontier.hops),
-        QueryStreams.from_states(frontier.state),
-        None,
-    )
+    streams = QueryStreams.from_states(frontier.state)
+    taken = frontier.hops
+    batch = kernel.sample(graph, frontier.current, frontier.previous,
+                          spec.admissible_type(taken), streams, None, degrees)
     counts[_PROPOSALS] += batch.proposals
     counts[_READS] += batch.neighbor_reads
-    if batch.stalled.size:
-        next_vertex, stalled, moved = _stall(kernel, frontier, counts, batch, second_order)
+    if batch.stalled.size or batch.ended.size:
+        moved, gone, record = _settle(kernel, frontier, counts, batch, second_order)
     else:
-        next_vertex, stalled, moved = batch.vertex, _NO_SLOTS, None
-        decided = next_vertex >= 0
-        if not decided.all():
-            _end_early(kernel, frontier, counts, ~decided)
-            frontier.keep(decided, second_order)
-            next_vertex = next_vertex[decided]
-        # Nobody stalled: every stall streak is over.
+        # Everyone moved: every stall streak is over.
+        moved = gone = None
         frontier.stalls = None
         if second_order:
             frontier.previous = frontier.current
-        frontier.current = next_vertex
+        frontier.current = batch.vertex
+        frontier.hops = taken + 1
+        record = frontier.pos, frontier.hops, batch.vertex, _NO_SLOTS
 
-    pos, taken = frontier.pos, frontier.hops
-    frontier.hops = hop = taken + 1 if moved is None else taken + moved
-    _teleport(spec, frontier, taken, moved, counts)
-    max_length = spec.max_length
-    if frontier.size and frontier.hops.max() >= max_length:
-        short = frontier.hops < max_length
-        counts[_LENGTH] += short.size - np.count_nonzero(short)
-        frontier.keep(short, second_order)
-    return pos, hop, next_vertex, stalled
-
-
-def _end_early(
-    kernel: VectorizedKernel, frontier: Frontier, counts: np.ndarray, ended: np.ndarray
-) -> None:
-    """Count the walkers ``ended`` marks as ended by the kernel, which may
-    not end one it stalled: that walker's hop was promised."""
-    if frontier.stalls is not None and frontier.stalls[ended].any():
-        raise SamplingError(
-            f"{type(kernel).__name__} ended a walker it had stalled; a stalled "
-            "walker must take its hop in a later superstep"
-        )
-    counts[_EARLY] += np.count_nonzero(ended)
+    teleported = _teleport(spec, streams, taken, moved, counts)
+    if teleported is not None:
+        gone = teleported if gone is None else gone | teleported
+    hops, max_length = frontier.hops, spec.max_length
+    if hops.max() >= max_length:
+        # Only a mover reaches the length, and one that teleported has ended.
+        long = hops >= max_length
+        if gone is not None:
+            long &= ~gone
+            gone |= long
+        else:
+            gone = long
+        counts[_LENGTH] += np.count_nonzero(long)
+    if gone is not None:
+        frontier.keep(~gone, second_order)
+    return record
 
 
-def _stall(
+def _settle(
     kernel: VectorizedKernel,
     frontier: Frontier,
     counts: np.ndarray,
     batch: BatchSample,
     second_order: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The moves of a superstep in which the kernel stalled walkers: the
+) -> tuple[np.ndarray, np.ndarray | None, tuple]:
+    """Apply a decision in which the kernel stalled or ended walkers: the
     stalled keep their vertices and extend their streaks, the movers
-    advance.  Returns ``(next_vertex, stalled, moved)`` over the walkers
-    left."""
-    stalled = batch.stalled
-    if frontier.stalls is None:
-        streak = np.ones(stalled.size, dtype=np.int64)
-    else:
-        streak = frontier.stalls[stalled] + 1
-    if streak.max() >= MAX_STALLS:
-        raise kernel.stalled_out(MAX_STALLS)
+    advance, the ended are counted.  Nothing is compacted.  Returns
+    ``(moved, ended, record)``: the movers' mask, the ended walkers' mask
+    (``None`` when there are none) and the superstep's hop record, which
+    leaves the ended out."""
+    stalled, ended = batch.stalled, batch.ended
+    if stalled.size:
+        streak = (np.ones(stalled.size, dtype=np.int64) if frontier.stalls is None
+                  else frontier.stalls[stalled] + 1)
+        if streak.max() >= MAX_STALLS:
+            raise kernel.stalled_out(MAX_STALLS)
+    if ended.size:
+        if frontier.stalls is not None and frontier.stalls[ended].any():
+            raise SamplingError(
+                f"{type(kernel).__name__} ended a walker it had stalled; a stalled "
+                "walker must take its hop in a later superstep"
+            )
+        counts[_EARLY] += ended.size
 
+    moved = np.ones(frontier.size, dtype=bool)
+    moved[stalled] = False
+    moved[ended] = False
+    frontier.hops = frontier.hops + moved
     next_vertex = batch.vertex
-    moved = next_vertex >= 0
-    if np.count_nonzero(moved) + stalled.size < moved.size:
-        walking = moved.copy()
-        walking[stalled] = True
-        _end_early(kernel, frontier, counts, ~walking)
-        # Stall indices into the walkers that are left.
-        stalled = np.cumsum(walking)[stalled] - 1
-        frontier.keep(walking, second_order)
-        next_vertex, moved = next_vertex[walking], moved[walking]
-
-    if second_order:
-        previous = frontier.current.copy()
-        previous[stalled] = frontier.previous[stalled]
-        frontier.previous = previous
-    next_vertex[stalled] = frontier.current[stalled]
+    if stalled.size:
+        if second_order:
+            previous = frontier.current.copy()
+            previous[stalled] = frontier.previous[stalled]
+            frontier.previous = previous
+        next_vertex[stalled] = frontier.current[stalled]
+        frontier.stalls = np.zeros(frontier.size, dtype=np.int64)
+        frontier.stalls[stalled] = streak
+    else:
+        if second_order:
+            frontier.previous = frontier.current
+        frontier.stalls = None
     frontier.current = next_vertex
-    frontier.stalls = np.zeros(next_vertex.size, dtype=np.int64)
-    frontier.stalls[stalled] = streak
-    return next_vertex, stalled, moved
+    if not ended.size:
+        return moved, None, (frontier.pos, frontier.hops, next_vertex, stalled)
+    gone = np.zeros(frontier.size, dtype=bool)
+    gone[ended] = True
+    kept = ~gone
+    if stalled.size:
+        # Stall indices into the record, which leaves the ended out.
+        stalled = np.cumsum(kept)[stalled] - 1
+    record = frontier.pos[kept], frontier.hops[kept], next_vertex[kept], stalled
+    return moved, gone, record
 
 
 def _teleport(
     spec: WalkSpec,
-    frontier: Frontier,
+    streams: QueryStreams,
     taken: np.ndarray,
     moved: np.ndarray | None,
     counts: np.ndarray,
-) -> None:
+) -> np.ndarray | None:
     """Draw the teleport uniform of every mover whose termination
     probability at the hop it took (``taken``, its count before it) is
-    above 0, and drop the walkers it ends.  ``moved`` masks the movers;
-    ``None``: every walker moved.  A stalled walker draws nothing: its
-    uniform belongs to the hop it has yet to take."""
+    above 0; returns the mask of the walkers it ends (``None``: none).
+    ``moved`` masks the movers; ``None``: every walker moved.  A stalled
+    walker draws nothing: its uniform belongs to the hop it has yet to
+    take."""
     probability = spec.termination_probability(taken)
     if isinstance(probability, np.ndarray):
         draw = probability > 0.0
@@ -326,19 +343,21 @@ def _teleport(
             draw &= moved
         probability = probability[draw]
         if probability.size == 0:
-            return
+            return None
     elif probability > 0.0:
         draw = moved
     else:
-        return
-    stay = QueryStreams.from_states(frontier.state).uniforms(draw) >= probability
-    if not stay.all():
-        counts[_PROBABILISTIC] += stay.size - np.count_nonzero(stay)
-        if draw is not None:
-            keep = np.ones(frontier.size, dtype=bool)
-            keep[draw] = stay
-            stay = keep
-        frontier.keep(stay, spec.needs_prev_vertex)
+        return None
+    leave = streams.uniforms(draw) < probability
+    left = np.count_nonzero(leave)
+    if not left:
+        return None
+    counts[_PROBABILISTIC] += left
+    if draw is None:
+        return leave
+    gone = np.zeros(taken.size, dtype=bool)
+    gone[draw] = leave
+    return gone
 
 
 def lane_count(walkers: int) -> int:
@@ -509,7 +528,18 @@ class OpenFrontier:
         self._paths = np.empty((capacity, engine._spec.max_length + 1), dtype=np.int64)
         #: Each slot's hops so far: its walk is ``_paths[slot, :_hops[slot] + 1]``.
         self._hops = np.zeros(capacity, dtype=np.int64)
-        self._walking = np.zeros(capacity, dtype=bool)
+        #: The last step in which each slot's walker lived on: a step that
+        #: ends walks marks its survivors, and every other seated slot is
+        #: one that ended (no per-admission mark, no clearing pass).
+        self._lived = np.zeros(capacity, dtype=np.int64)
+        self._steps = 0
+        #: What a newly seated walker brings: no previous vertex, no hops.
+        #: Sliced, never built, at each admission; a first-order frontier's
+        #: ``previous`` is a prefix of the first.
+        self._unset = np.full(capacity, -1, dtype=np.int64)
+        self._no_hops = np.zeros(capacity, dtype=np.int64)
+        for array in (self._unset, self._no_hops):
+            array.setflags(write=False)
         self.capacity = capacity
         #: Running :data:`STAT_FIELDS` counters of everything stepped here.
         self.counts = np.zeros(len(STAT_FIELDS), dtype=np.int64)
@@ -551,15 +581,17 @@ class OpenFrontier:
         del self._free[-count:]
         self._paths[slots, 0] = starts
         self._hops[slots] = 0
-        self._walking[slots] = True
         frontier = self._frontier
         frontier.pos = np.concatenate((frontier.pos, slots))
         frontier.current = np.concatenate((frontier.current, starts))
-        frontier.previous = np.concatenate((frontier.previous, np.full(count, -1, dtype=np.int64)))
+        frontier.previous = (
+            np.concatenate((frontier.previous, self._unset[:count]))
+            if self._engine._spec.needs_prev_vertex else self._unset[: frontier.pos.size]
+        )
         frontier.state = np.concatenate((frontier.state, np.asarray(states, dtype=np.uint64)))
-        frontier.hops = np.concatenate((frontier.hops, np.zeros(count, dtype=np.int64)))
+        frontier.hops = np.concatenate((frontier.hops, self._no_hops[:count]))
         if frontier.stalls is not None:
-            frontier.stalls = np.concatenate((frontier.stalls, np.zeros(count, dtype=np.int64)))
+            frontier.stalls = np.concatenate((frontier.stalls, self._no_hops[:count]))
         return slots
 
     def step(self) -> np.ndarray:
@@ -575,10 +607,10 @@ class OpenFrontier:
         self._paths[pos, hop] = next_vertex
         if frontier.size == seated.size:
             return _NO_SLOTS
-        walking = self._walking
-        walking[seated] = False
-        walking[frontier.pos] = True
-        return seated[~walking[seated]]
+        self._steps += 1
+        lived = self._lived
+        lived[frontier.pos] = self._steps
+        return seated[lived[seated] != self._steps]
 
     def take(self, slot: int) -> np.ndarray:
         """The finished walk of ``slot`` (start vertex included) as an
@@ -594,7 +626,6 @@ class OpenFrontier:
         self._frontier = Frontier.start(
             _NO_SLOTS, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint64)
         )
-        self._walking[:] = False
         self._free = list(range(self.capacity - 1, -1, -1))
 
 

@@ -81,8 +81,10 @@ def check_batch_spec(spec: WalkSpec) -> None:
 
 
 def check_start_vertices(graph: CSRGraph, starts: np.ndarray) -> None:
-    """Reject a batch with a start vertex outside the graph."""
-    if starts.size and (starts.min() < 0 or starts.max() >= graph.num_vertices):
+    """Reject a batch with a start vertex outside the graph (int64
+    ``starts``: read as unsigned, a negative one is out of range too, so
+    one reduction checks both ends)."""
+    if starts.size and starts.view(np.uint64).max() >= graph.num_vertices:
         bad = int(starts[(starts < 0) | (starts >= graph.num_vertices)][0])
         raise GraphError(
             f"vertex {bad} out of range for graph with {graph.num_vertices} vertices"

@@ -131,8 +131,9 @@ def test_kernels_of_one_graph_share_one_read_only_record_array(monkeypatch):
     assert again._slots is shared
     current = np.flatnonzero(graph.degrees() > 0)
     previous = np.full(current.size, -1, dtype=np.int64)
-    a = kernel.sample(graph, current, previous, None, QueryStreams(1, current), None)
-    b = again.sample(graph, current, previous, None, QueryStreams(1, current), None)
+    degrees = graph.degrees()[current]
+    a = kernel.sample(graph, current, previous, None, QueryStreams(1, current), None, degrees)
+    b = again.sample(graph, current, previous, None, QueryStreams(1, current), None, degrees)
     assert np.array_equal(a.vertex, b.vertex)
     # The kernel holds the records and nothing beside them.
     assert [name for name, value in vars(kernel).items() if isinstance(value, np.ndarray)] \
@@ -161,7 +162,7 @@ def test_kernel_moves_where_the_scalar_table_points(make_graph):
     current = rng.choice(np.flatnonzero(graph.degrees() > 0), size=4000)
     ids = np.arange(current.size)
     batch = kernel.sample(graph, current, np.full(current.size, -1, dtype=np.int64), None,
-                          QueryStreams(6, ids), None)
+                          QueryStreams(6, ids), None, graph.degrees()[current])
     twin = QueryStreams(6, ids)
     u1, u2 = twin.uniforms(), twin.uniforms()
     index = np.array([

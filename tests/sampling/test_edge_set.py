@@ -425,7 +425,7 @@ def test_reservoir_first_hop_frontier_issues_no_probes():
 
     def sample(k, previous):
         streams = QueryStreams(3, np.arange(current.size))
-        return k.sample(graph, current, previous, None, streams, None)
+        return k.sample(graph, current, previous, None, streams, None, graph.degrees()[current])
 
     _CountingEdgeSet.probes = 0
     batch = sample(kernel, first_hop)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import SamplingError
 from repro.graph import from_edges, rmat
+from repro.graph.datasets import thunderrw_weights
 from repro.sampling import (
     AliasSampler,
     QueryStreams,
@@ -20,6 +21,7 @@ from repro.sampling.vectorized import (
     ReservoirKernel,
     UniformKernel,
     EdgeSet,
+    _to_unit,
     seed_sequence_states,
 )
 
@@ -41,6 +43,16 @@ class TestSeedSequenceStates:
     def test_bit_exact_vs_seed_sequence(self, seed):
         ids = [0, 1, 2, 1000, 2**31, 2**32 - 1, 2**32, 2**32 + 7, 2**48, 2**63 - 1]
         assert np.array_equal(seed_sequence_states(seed, ids), self._oracle(seed, ids))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_one_id_at_a_time_is_bit_exact(self, seed):
+        """The Python-int route a handful of ids take."""
+        ids = [0, 1, 2, 1000, 2**31, 2**32 - 1, 2**32, 2**32 + 7, 2**48, 2**63 - 1, 2**64 - 1]
+        for query_id in ids:
+            state = seed_sequence_states(seed, [query_id])
+            assert state.dtype == np.uint64
+            assert state.tolist() == self._oracle(seed, [query_id]).tolist()
+        assert np.array_equal(seed_sequence_states(seed, ids[:8]), self._oracle(seed, ids[:8]))
 
     def test_bit_exact_on_random_ids(self):
         rng = np.random.default_rng(9)
@@ -138,6 +150,63 @@ class TestQueryStreams:
             QueryStreams.from_states(np.zeros((2, 2), dtype=np.uint64))
 
 
+class TestNoClamp:
+    """``randints`` and the alias slot take ``int(u * bound)`` without
+    clamping it to ``bound - 1``: a uniform is at most ``1 - 2**-53`` and
+    every bound is below ``2**53``, so the product rounds below the bound
+    and the clamp the draws once carried never bound."""
+
+    LARGEST = 1.0 - 2.0**-53
+    #: Draws each equality test compares, in rounds of a quarter.
+    DRAWS = 1 << 20
+
+    def test_the_largest_uniform_stays_below_every_bound(self):
+        # The largest a stream can give: all 64 bits set.
+        assert _to_unit(np.array([2**64 - 1], dtype=np.uint64))[0] == self.LARGEST
+        bounds = sorted({b + d for b in (1 << k for k in range(53)) for d in (-1, 0, 1)} - {0})
+        assert bounds[-1] == 2**52 + 1
+        for bound in bounds:
+            assert int(self.LARGEST * bound) <= bound - 1
+        bounds = np.array(bounds, dtype=np.int64)
+        assert ((np.full(bounds.size, self.LARGEST) * bounds).astype(np.int64) <= bounds - 1).all()
+
+    def test_randints_equal_the_clamped_draw(self):
+        rng = np.random.default_rng(12)
+        walkers = self.DRAWS // 4
+        # Small bounds (degrees) and bounds of every magnitude below 2**53.
+        bounds = np.concatenate([
+            rng.integers(1, 65, walkers // 2),
+            np.minimum((2.0 ** rng.uniform(0, 53, walkers - walkers // 2)).astype(np.int64),
+                       2**53 - 1),
+        ])
+        ids = np.arange(walkers)
+        streams, twin = QueryStreams(4, ids), QueryStreams(4, ids)
+        for _ in range(4):
+            clamped = np.minimum((twin.uniforms() * bounds).astype(np.int64), bounds - 1)
+            assert np.array_equal(streams.randints(bounds), clamped)
+
+    def test_the_alias_slot_equals_the_clamped_slot(self):
+        graph = rmat(10, edge_factor=8, seed=3)
+        graph = graph.with_weights(thunderrw_weights(graph, 3))
+        kernel = AliasKernel()
+        kernel.prepare(graph)
+        rng = np.random.default_rng(13)
+        walkers = self.DRAWS // 4
+        current = rng.choice(np.flatnonzero(graph.degrees() > 0), size=walkers)
+        degrees = graph.degrees()[current]
+        previous = np.full(walkers, -1, dtype=np.int64)
+        ids = np.arange(walkers)
+        streams, twin = QueryStreams(6, ids), QueryStreams(6, ids)
+        for _ in range(4):
+            batch = kernel.sample(graph, current, previous, None, streams, None, degrees)
+            u1, u2 = twin.uniforms(), twin.uniforms()
+            slot = np.minimum((u1 * degrees).astype(np.int64), degrees - 1)
+            entry = kernel._slots[graph.row_ptr[current] + slot]
+            assert np.array_equal(
+                batch.vertex, np.where(u2 < entry["prob"], entry["col"], entry["alias_col"])
+            )
+
+
 class TestEdgeKeys:
     def test_matches_has_edge_everywhere(self):
         g = rmat(6, edge_factor=3, seed=2)
@@ -231,7 +300,8 @@ class TestKernelDistributions:
         current = np.flatnonzero(g.degrees() > 0)[:40]
         previous = np.roll(current, 1)
         previous[::3] = -1
-        batch = kernel.sample(g, current, previous, None, QueryStreams(7, np.arange(40)), None)
+        batch = kernel.sample(g, current, previous, None, QueryStreams(7, np.arange(40)), None,
+                              g.degrees()[current])
         assert batch.proposals == current.size
         assert batch.stalled.size and (np.diff(batch.stalled) > 0).all()
         assert np.array_equal(np.flatnonzero(batch.vertex == STALL), batch.stalled)
@@ -263,9 +333,11 @@ class TestKernelDistributions:
         kernel.prepare(g)
         streams = QueryStreams(0, [0])
         batch = kernel.sample(
-            g, np.array([0]), np.array([-1]), np.array([5]), streams, np.array([0])
+            g, np.array([0]), np.array([-1]), np.array([5]), streams, np.array([0]),
+            g.degrees()[[0]],
         )
         assert batch.vertex[0] == -1
+        assert batch.ended.tolist() == [0]
 
 
 class TestKernelFactory:

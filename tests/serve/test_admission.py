@@ -1,6 +1,7 @@
 """Admission control: bounded occupancy and shedding."""
 
 import asyncio
+import selectors
 
 import numpy as np
 import pytest
@@ -16,6 +17,55 @@ from repro.serve import (
 from repro.walks import URWSpec
 
 from test_service import SlowEngine
+
+
+class VirtualClockLoop(asyncio.SelectorEventLoop):
+    """An event loop on a clock of its own: ``time()`` reads a counter that
+    moves only when a timed wait is due (the wait jumps the counter to its
+    deadline instead of sleeping) or when :meth:`advance` moves it.  Work
+    done on the loop takes no time unless it says so, and a stall of the
+    host delays arrivals and service alike: neither sees it."""
+
+    def __init__(self) -> None:
+        self._now = 0.0
+        super().__init__(_VirtualSelector(self))
+
+    def time(self) -> float:
+        return self._now
+
+    def advance(self, seconds: float) -> None:
+        self._now += seconds
+
+
+class _VirtualSelector(selectors.DefaultSelector):
+    """Polls without blocking, and turns a timed wait into a clock jump."""
+
+    def __init__(self, loop: VirtualClockLoop) -> None:
+        super().__init__()
+        self._loop = loop
+
+    def select(self, timeout=None):
+        if timeout is None:
+            # Nothing scheduled: block as a real loop does (a thread's
+            # call_soon_threadsafe still wakes it).
+            return super().select(None)
+        events = super().select(0)
+        if not events and timeout > 0:
+            self._loop.advance(timeout)
+        return events
+
+
+class ClockedEngine(SlowEngine):
+    """The stub, whose batch takes ``step_seconds`` of the running loop's
+    virtual clock instead of blocking the host."""
+
+    def __init__(self, step_seconds: float) -> None:
+        super().__init__()
+        self.step_seconds = step_seconds
+
+    def run(self, queries, seed=0, stats=None):
+        asyncio.get_running_loop().advance(self.step_seconds)
+        return super().run(queries, seed=seed, stats=stats)
 
 
 class TestAdmissionGate:
@@ -82,10 +132,12 @@ class TestServiceShedding:
     def test_nominal_open_loop_load_never_sheds(self):
         """At an offered load well under capacity, with a depth of two
         full batches, zero requests are dropped — the invariant the CI
-        smoke also asserts."""
+        smoke also asserts.  On a virtual clock: the arrivals and the
+        stub's service time run on it, so a stalled host cannot bunch
+        arrivals behind a late step and shed them."""
         graph = powerlaw(num_vertices=40, num_edges=160, seed=2)
         # The stub serves a batch in 1ms -> capacity ~ max_batch / 1ms.
-        engine = SlowEngine(delay_seconds=0.001)
+        engine = ClockedEngine(step_seconds=0.001)
         arrival_rate = 500.0  # requests/s, ~6% of the stub's capacity
         depth = 16
 
@@ -101,7 +153,8 @@ class TestServiceShedding:
                 )
                 return report, service
 
-        report, service = asyncio.run(scenario())
+        with asyncio.Runner(loop_factory=VirtualClockLoop) as runner:
+            report, service = runner.run(scenario())
         assert report.dropped == []
         assert report.completed == 60
         assert service.stats.dropped == 0

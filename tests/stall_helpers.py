@@ -26,7 +26,9 @@ def sample_decided(kernel, graph, current, previous, admissible_type, streams, s
     """``kernel.sample`` repeated over its stalled walkers until none is
     left: neighbour ids (``-1`` = nothing admissible) and the cost of
     every round."""
-    batch = kernel.sample(graph, current, previous, admissible_type, streams, stream_idx)
+    degrees = graph.degrees()[current]
+    batch = kernel.sample(graph, current, previous, admissible_type, streams, stream_idx,
+                          degrees)
     vertex = batch.vertex.copy()
     proposals, reads = batch.proposals, batch.neighbor_reads
     pending = batch.stalled
@@ -36,12 +38,13 @@ def sample_decided(kernel, graph, current, previous, admissible_type, streams, s
         assert rounds <= MAX_STALLS, "kernel never decided its stalled walkers"
         batch = kernel.sample(graph, current[pending], previous[pending],
                               None if admissible_type is None else admissible_type[pending],
-                              streams, sub_streams(stream_idx, pending))
+                              streams, sub_streams(stream_idx, pending), degrees[pending])
         vertex[pending] = batch.vertex
         proposals += batch.proposals
         reads += batch.neighbor_reads
         pending = pending[batch.stalled]
-    return BatchSample(vertex, proposals=proposals, neighbor_reads=reads)
+    return BatchSample(vertex, proposals=proposals, neighbor_reads=reads,
+                       ended=np.flatnonzero(vertex == -1))
 
 
 class NeverAccepting(Node2VecSpec):

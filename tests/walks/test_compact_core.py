@@ -269,9 +269,10 @@ def test_kernels_sample_identically_without_stream_idx(golden_inputs, algorithm)
     implicit, explicit = QueryStreams(9, np.arange(200)), QueryStreams(9, np.arange(200))
     admissible = spec.admissible_type(np.zeros(200, dtype=np.int64))
     for previous_arg in (previous, np.maximum(previous, 0), np.full(200, -1)):
-        a = kernel.sample(graph, current, previous_arg, admissible, implicit, None)
+        degrees = graph.degrees()[current]
+        a = kernel.sample(graph, current, previous_arg, admissible, implicit, None, degrees)
         b = kernel.sample(graph, current, previous_arg, admissible, explicit,
-                          np.arange(200))
+                          np.arange(200), degrees)
         assert np.array_equal(a.vertex, b.vertex)
         assert (a.proposals, a.neighbor_reads) == (b.proposals, b.neighbor_reads)
     assert np.array_equal(implicit._state, explicit._state)

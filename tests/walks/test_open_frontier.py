@@ -203,8 +203,9 @@ def test_offered_for_every_spec():
 
 
 class TestSeedStateRoutes:
-    """A handful of ids take numpy's own SeedSequence; more take the
-    array pipeline.  Same states either way."""
+    """A handful of ids are hashed one by one in Python ints; more take
+    the array pipeline.  Same states either way (and numpy's own, which
+    ``tests/sampling/test_vectorized.py`` holds both to)."""
 
     def _vectorised(self, seed, ids):
         # Pad past the scalar bound so the array route runs, then cut.

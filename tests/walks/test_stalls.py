@@ -151,12 +151,15 @@ class StallsThenGivesUp(VectorizedKernel):
     def __init__(self):
         self.calls = 0
 
-    def sample(self, graph, current, previous, admissible_type, streams, stream_idx):
+    def sample(self, graph, current, previous, admissible_type, streams, stream_idx, degrees):
         self.calls += 1
         vertex = np.full(current.size, STALL if self.calls == 1 else -1, dtype=np.int64)
-        stalled = np.arange(current.size) if self.calls == 1 else np.empty(0, dtype=np.int64)
+        everyone, nobody = np.arange(current.size), np.empty(0, dtype=np.int64)
+        if self.calls == 1:
+            return BatchSample(vertex, proposals=current.size, neighbor_reads=current.size,
+                               stalled=everyone)
         return BatchSample(vertex, proposals=current.size, neighbor_reads=current.size,
-                           stalled=stalled)
+                           ended=everyone)
 
 
 def test_a_kernel_may_not_end_a_walker_it_stalled():
