@@ -1,15 +1,14 @@
-"""Trace a flash crowd: telemetry from a multi-tenant cached serve run.
+"""Trace a flash crowd: telemetry from a multi-tenant serve run.
 
 Drives a two-tenant flash-crowd workload (a steady premium stream plus
 a best-effort burst dense enough to shed) against the async walk
-service with the hot-walk cache enabled, with span tracing on.  Writes
+service, with span tracing on.  Writes
 
 * ``flash_crowd_trace.json`` — Chrome ``trace_event`` JSON: open
-  https://ui.perfetto.dev and drag the file in to see the
-  coalesce→admit→execute→respond cascade, shed markers, and cache
-  pool fills on real thread tracks;
+  https://ui.perfetto.dev and drag the file in to see one
+  ``serve.step`` span per dispatcher turn and the shed markers;
 * ``flash_crowd_metrics.prom`` — a Prometheus text snapshot of the
-  service's exported metrics (tenant ledgers, cache counters, gauges);
+  service's exported metrics (tenant ledgers, engine counters, gauges);
 
 then verifies the exported counters against the in-memory per-tenant
 ledgers — the accounting identity ``offered == completed + dropped +
@@ -25,7 +24,6 @@ import numpy as np
 from repro.graph import powerlaw
 from repro.obs import render_prometheus, tracing, write_chrome_trace, write_prometheus
 from repro.serve import (
-    HotWalkCache,
     ServeConfig,
     TenantSpec,
     TenantTrace,
@@ -47,8 +45,6 @@ def build_workload():
     spec = DeepWalkSpec(max_length=20)
     rng = np.random.default_rng(4)
     candidates = np.nonzero(graph.degrees() > 0)[0]
-    # Few distinct hot vertices so the cache crosses its fill threshold
-    # and starts serving pool hits mid-run.
     hot = rng.choice(candidates, size=8, replace=False)
     tenants = [
         TenantSpec("premium", weight=8,
@@ -64,23 +60,19 @@ def build_workload():
             "premium",
             rng.choice(hot, size=REQUESTS_PER_TENANT, replace=True),
             np.full(REQUESTS_PER_TENANT, 1e-4),
-            use_cache=True,
         ),
         TenantTrace(
             "besteffort",
             rng.choice(hot, size=REQUESTS_PER_TENANT, replace=True),
             flash_crowd_gaps(REQUESTS_PER_TENANT, 200000.0, seed=6),
-            use_cache=True,
         ),
     ]
     return graph, spec, tenants, config, traces
 
 
 async def drive(graph, spec, tenants, config, traces):
-    service = WalkService(
-        graph, spec, engine="batch", seed=11, config=config,
-        tenants=tenants, cache=HotWalkCache(pool_size=8, hot_threshold=3),
-    )
+    service = WalkService(graph, spec, engine="batch", seed=11, config=config,
+                          tenants=tenants)
     async with service:
         reports = await run_tenant_traces(service, traces)
     return service, reports
@@ -103,12 +95,9 @@ def main() -> None:
         print(f"  {tenant:<10} offered {ledger.offered:>4}  "
               f"completed {ledger.completed:>4}  "
               f"dropped {ledger.dropped:>4}  failed {ledger.failed:>4}")
-    print(f"cache: {service.cache.hits} hits / "
-          f"{service.cache.misses} misses "
-          f"({service.cache.pools_built} pools built)")
 
     # Export 1: the Chrome trace.  Every span the serve path recorded —
-    # coalesce windows, batch execution, responds, shed instants.
+    # one per dispatcher turn, and the shed instants.
     events = write_chrome_trace(TRACE_OUT, tracer)
     print(f"\ntrace: {events} events ({tracer.dropped} dropped) "
           f"-> {TRACE_OUT}  (load at https://ui.perfetto.dev)")

@@ -104,12 +104,6 @@ python -m repro serve-bench --algorithm MetaPath --scenario flash-crowd --tenant
 # per step); the exit code gates replay identity against its own run.
 python -m repro serve-bench --engine reference --scenario flash-crowd --tenants 2 \
   --requests 200 --rate 2000 --scale 0.05 --length 16 --max-batch 64
-# The walk cache must serve hits: paced arrivals leave the dispatcher idle
-# between requests, so pool fills run and later requests hit them (at
-# saturation every fill queues behind the client requests and is dropped
-# at stop).  Zero hits fails the grep.
-python -m repro serve-bench --cache --requests 1000 --rate 4000 --scale 0.002 \
-  --length 16 --max-batch 64 | tee /dev/stderr | grep -E "^cache: \{'hits': [1-9]"
 
 echo
 echo "== dynamic smoke (exit code gates snapshot == from-scratch build) =="
@@ -148,7 +142,7 @@ scripts/examples_smoke.sh
 echo
 echo "== observability smoke (traced CLI artifacts) =="
 python -m repro trace --out benchmarks/sample_trace.jsonl --format jsonl -- \
-  serve-bench --scenario flash-crowd --tenants 2 --cache \
+  serve-bench --scenario flash-crowd --tenants 2 \
   --requests 200 --rate 2000 --scale 0.05 --length 16 --max-batch 64
 python -m repro metrics --out benchmarks/sample_metrics.prom -- \
   walk --engine batch --queries 200 --length 20 --scale 0.05

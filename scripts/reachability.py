@@ -72,8 +72,6 @@ def cli_smokes(workdir: Path) -> list[list[str]]:
         ["serve-bench", *flash],
         ["serve-bench", "--algorithm", "MetaPath", *flash],
         ["serve-bench", "--engine", "reference", *flash],
-        ["serve-bench", "--cache", "--requests", "1000", "--rate", "4000", "--scale", "0.002",
-         "--length", "16", "--max-batch", "64"],
         ["mutate-bench", "--scale", "9", "--batch-size", "200", "--batches", "6",
          "--queries", "256", "--length", "40"],
         ["mutate-bench", "--scale", "10", "--batch-size", "2500", "--batches", "3",
@@ -90,7 +88,7 @@ def cli_smokes(workdir: Path) -> list[list[str]]:
         ["walk", *graph, "--dataset", str(workdir / "rmat8.npz")],
         ["walk", *graph, "--dataset", str(workdir / "rmat8.el")],
         ["trace", "--out", str(workdir / "sample_trace.jsonl"), "--format", "jsonl", "--",
-         "serve-bench", *flash[:4], "--cache", *flash[4:]],
+         "serve-bench", *flash],
         ["metrics", "--out", str(workdir / "sample_metrics.prom"), "--",
          "walk", "--engine", "batch", "--queries", "200", "--length", "20",
          "--scale", "0.05"],

@@ -149,10 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="arrival shape for the last (stressor) "
                        "tenant — or for the whole stream without --tenants; "
                        "other tenants stay steady Poisson (default steady)")
-    serve.add_argument("--cache", action="store_true",
-                       help="attach a hot-walk cache and submit via the "
-                       "query-id-independent cached path; responses stay "
-                       "bit-identical to offline replay of the ids they carry")
 
     mutate = sub.add_parser(
         "mutate-bench",
@@ -362,7 +358,6 @@ def cmd_serve_bench(args) -> int:
 
     from repro.obs.metrics import global_registry
     from repro.serve import (
-        HotWalkCache,
         ServeConfig,
         TenantSpec,
         TenantTrace,
@@ -391,8 +386,7 @@ def cmd_serve_bench(args) -> int:
     print(f"service: engine={args.engine}, "
           f"max_batch={args.max_batch}, "
           f"depth={depth}"
-          + (f", tenants={args.tenants}" if args.tenants else "")
-          + (", cache" if args.cache else ""))
+          + (f", tenants={args.tenants}" if args.tenants else ""))
 
     engine_seed = derive_seed(args.seed, "engine")
 
@@ -416,14 +410,12 @@ def cmd_serve_bench(args) -> int:
             tenant_starts = starts[:per_tenant]
         gaps = scenario_gaps(scenario, per_tenant, args.rate,
                              seed=derive_seed(args.seed, "arrivals", i))
-        traces.append(TenantTrace(name or "default", tenant_starts, gaps,
-                                  use_cache=args.cache))
+        traces.append(TenantTrace(name or "default", tenant_starts, gaps))
 
     async def _drive():
-        cache = HotWalkCache() if args.cache else None
         service = WalkService(graph, spec, engine=args.engine,
                               seed=engine_seed, config=config,
-                              tenants=tenant_specs, cache=cache)
+                              tenants=tenant_specs)
         async with service:
             reports = await run_tenant_traces(service, traces)
         return reports, service
@@ -441,14 +433,10 @@ def cmd_serve_bench(args) -> int:
             p99 = tenant_stats.latency_percentiles()["p99"]
             if np.isfinite(p99):
                 line += f", p99 {p99 * 1e3:.2f}ms"
-        if report.cache_hits:
-            line += f", {len(report.cache_hits)} cache hits"
         print(line)
-    if service.cache is not None:
-        print(f"cache: {service.cache.snapshot()}")
-    # Every completed path — cache hits included — must replay
-    # bit-identically through one offline run of the serving engine; the
-    # CLI run is its own determinism check.
+    # Every completed path must replay bit-identically through one
+    # offline run of the serving engine; the CLI run is its own
+    # determinism check.
     all_requests: dict[int, int] = {}
     all_paths: dict[int, np.ndarray] = {}
     for report in reports.values():

@@ -2,13 +2,13 @@
 
 One instrumentation story for every subsystem grown in PRs 1–8.  The
 :mod:`~repro.obs.trace` tracer records where time goes *inside* a run
-(supersteps, lanes, serve dispatcher steps, dynamic snapshots, cache
-pool fills) into a bounded ring; the
-:mod:`~repro.obs.metrics` registry unifies the end-of-run ledgers
-(``EngineStats``, ``ServeStats``, tenant QoS ledgers, cache and dynamic
-graph counters) into Prometheus-shaped counters/gauges/histograms; the
-:mod:`~repro.obs.exporters` render both as JSONL, Chrome
-``trace_event`` JSON (Perfetto-loadable), or Prometheus text.
+(supersteps, lanes, serve dispatcher steps, dynamic snapshots) into a
+bounded ring; the :mod:`~repro.obs.metrics` registry unifies the
+end-of-run ledgers (``EngineStats``, ``ServeStats``, tenant QoS ledgers,
+dynamic graph counters) into Prometheus-shaped
+counters/gauges/histograms; the :mod:`~repro.obs.exporters` render both
+as JSONL, Chrome ``trace_event`` JSON (Perfetto-loadable), or
+Prometheus text.
 
 The contract that keeps this shippable: tracing is **off by default**
 and its disabled path is one tracer lookup per closed run
@@ -34,7 +34,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    cache_into,
     dynamic_graph_into,
     engine_stats_into,
     global_registry,
@@ -65,7 +64,6 @@ __all__ = [
     "SpanEvent",
     "Tracer",
     "active",
-    "cache_into",
     "chrome_trace",
     "configure_tracer",
     "disable_tracing",

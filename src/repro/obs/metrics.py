@@ -2,10 +2,10 @@
 
 One registry unifies every subsystem ledger the reproduction has grown
 — :class:`~repro.walks.EngineStats`, :class:`~repro.serve.ServeStats`
-(global and per-tenant), the :class:`~repro.serve.HotWalkCache`
-counters, and :class:`~repro.dynamic.DynamicGraph` update/overlay/epoch
-stats — into one namespace that the exporters render as Prometheus
-text exposition or JSONL (:mod:`repro.obs.exporters`).
+(global and per-tenant) and :class:`~repro.dynamic.DynamicGraph`
+update/overlay/epoch stats — into one namespace that the exporters
+render as Prometheus text exposition or JSONL
+(:mod:`repro.obs.exporters`).
 
 The bridge functions (``*_into``) translate each ledger into metrics
 *by copy*: they read the ledger's already-maintained counters and write
@@ -270,10 +270,6 @@ def serve_stats_into(registry: MetricsRegistry, stats, **labels) -> None:
     requests.inc(stats.dropped, outcome="dropped", **labels)
     requests.inc(stats.failed, outcome="failed", **labels)
     registry.counter(
-        "repro_serve_cache_hits_total",
-        "Requests served from the hot-walk cache (subset of completed)",
-    ).inc(stats.cache_hits, **labels)
-    registry.counter(
         "repro_serve_hops_total", "Walk hops executed on behalf of the service",
     ).inc(stats.total_hops, **labels)
     registry.counter(
@@ -298,22 +294,6 @@ def serve_stats_into(registry: MetricsRegistry, stats, **labels) -> None:
         "Requests per admission group (seated in one dispatcher turn)",
         buckets=BATCH_SIZE_BUCKETS,
     ).observe_many(stats.batch_sizes, **labels)
-
-
-def cache_into(registry: MetricsRegistry, cache, **labels) -> None:
-    """Copy :class:`~repro.serve.HotWalkCache` counters into ``registry``."""
-    lookups = registry.counter(
-        "repro_cache_lookups_total", "Hot-walk cache lookups by result",
-    )
-    lookups.inc(cache.hits, result="hit", **labels)
-    lookups.inc(cache.misses, result="miss", **labels)
-    pools = registry.counter(
-        "repro_cache_pools_total", "Walk pools built",
-    )
-    pools.inc(cache.pools_built, event="built", **labels)
-    registry.gauge(
-        "repro_cache_live_pools", "Walk pools currently installed",
-    ).set(cache.live_pools, **labels)
 
 
 def dynamic_graph_into(registry: MetricsRegistry, graph, **labels) -> None:

@@ -765,13 +765,6 @@ class VectorizedKernel(ABC):
         frontier), which lets whole-frontier draws advance in place.
         """
 
-    def stalled_out(self, stalls: int) -> SamplingError:
-        """The error of a walker this kernel left undecided ``stalls``
-        calls running (the superstep raises it at :data:`MAX_STALLS`)."""
-        return SamplingError(
-            f"{type(self).__name__} left a walker undecided for {stalls} supersteps"
-        )
-
 
 class UniformKernel(VectorizedKernel):
     """Uniform neighbor choice (URW, PPR): one draw, one read per walker."""
@@ -837,7 +830,6 @@ class RejectionKernel(VectorizedKernel):
             if p is None or q is None:
                 raise SamplingError("RejectionKernel needs a sampler or both p and q")
             sampler = RejectionSampler(p=p, q=q)
-        self._sampler = sampler
         self._edge_set: EdgeSet | None = None
         self._degrees: np.ndarray | None = None
         max_bias = sampler.max_bias
@@ -855,24 +847,10 @@ class RejectionKernel(VectorizedKernel):
         self._probe_lo = min(self._adjacent_accept, self._explore_accept)
         self._probe_hi = max(self._adjacent_accept, self._explore_accept)
 
-    @property
-    def p(self) -> float:
-        return self._sampler.p
-
-    @property
-    def q(self) -> float:
-        return self._sampler.q
-
     def prepare(self, graph: CSRGraph) -> None:
         self._edge_set = SamplerState.of(graph).edge_set
         # The modelled scan of each previous vertex's row reads its degree.
         self._degrees = graph.degrees()
-
-    def stalled_out(self, stalls: int) -> SamplingError:
-        return SamplingError(
-            f"rejection sampling failed to accept after {stalls} rounds "
-            f"(p={self.p}, q={self.q})"
-        )
 
     def sample(self, graph, current, previous, admissible_type, streams, stream_idx, degrees):
         if self._edge_set is None:

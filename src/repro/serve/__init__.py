@@ -8,15 +8,13 @@ high-water mark the caller passes (``ServeConfig.queue_depth``);
 sustained throughput.  On top of that, ``TenantSpec``/``TenantScheduler``
 give the service per-tenant admission classes with weighted-priority
 dispatch (a flooding tenant sheds its own traffic, not its neighbors'
-SLOs), and ``HotWalkCache``
-serves repeated query-id-independent requests from pre-generated walk
-pools.  The service is a scheduling layer only —
-per-request determinism (``SeedSequence((seed, query_id))``) survives
-any step composition, any tenant interleaving, and any cache hit.
+SLOs).  The service is a scheduling layer only — per-request determinism
+(``SeedSequence((seed, query_id))``) survives any step composition and
+any tenant interleaving, and every response replays offline
+(``replay_paths``).
 """
 
 from repro.serve.admission import AdmissionGate
-from repro.serve.cache import POOL_ID_BASE, HotWalkCache, ServedWalk
 from repro.serve.qos import DEFAULT_TENANT, TenantScheduler, TenantSpec
 from repro.serve.service import ServeConfig, WalkService, replay_paths
 from repro.serve.stats import ServeStats
@@ -34,13 +32,10 @@ from repro.serve.workload import (
 __all__ = [
     "AdmissionGate",
     "DEFAULT_TENANT",
-    "HotWalkCache",
     "OpenLoopReport",
-    "POOL_ID_BASE",
     "SCENARIOS",
     "ServeConfig",
     "ServeStats",
-    "ServedWalk",
     "TenantScheduler",
     "TenantSpec",
     "TenantTrace",

@@ -75,9 +75,9 @@ class TenantSpec:
 class TenantScheduler:
     """Per-tenant admission gates plus weighted-priority batch composition.
 
-    The service's dispatch loop pushes admitted requests (and cache pool
-    fills) here instead of batching them FIFO; :meth:`next_batch` then
-    composes each admission group by smooth weighted round-robin.  Like
+    The service's dispatch loop pushes admitted requests here instead of
+    batching them FIFO; :meth:`next_batch` then composes each admission
+    group by smooth weighted round-robin.  Like
     :class:`AdmissionGate`, all state is plain single-threaded (asyncio)
     bookkeeping.
 
@@ -104,7 +104,6 @@ class TenantScheduler:
             for spec in specs
         }
         self._credit = {name: 0 for name in names}
-        self._fills: deque = deque()
         self._pending_clients = 0
         self._occupancy = 0
 
@@ -123,7 +122,7 @@ class TenantScheduler:
         return self._pending_clients
 
     def has_work(self) -> bool:
-        return self._pending_clients > 0 or bool(self._fills)
+        return self._pending_clients > 0
 
     def gate(self, tenant: str) -> AdmissionGate:
         try:
@@ -152,14 +151,10 @@ class TenantScheduler:
         """
         return {name: len(self._queues[name]) for name in self._order}
 
-    def push(self, item) -> None:
-        """Buffer one dispatchable item (request or pool fill)."""
-        tenant = getattr(item, "tenant", None)
-        if tenant is None:
-            self._fills.append(item)
-        else:
-            self._queues[tenant].append(item)
-            self._pending_clients += 1
+    def push(self, request) -> None:
+        """Buffer one admitted request in its tenant's queue."""
+        self._queues[request.tenant].append(request)
+        self._pending_clients += 1
 
     def _pick(self, backlogged: list[str]) -> str:
         total = sum(self._specs[name].weight for name in backlogged)
@@ -172,13 +167,10 @@ class TenantScheduler:
         return best
 
     def next_batch(self, max_batch: int) -> list:
-        """Compose one admission group: weighted client picks plus one fill.
+        """Compose one admission group by weighted picks.
 
         Up to ``max_batch`` client requests by weighted round-robin
-        (FIFO within each tenant), then at most one pending cache pool
-        fill appended whole — fills are atomic (a pool installs whole)
-        and gate-exempt, so they ride along without displacing client
-        slots.
+        (FIFO within each tenant).
 
         A tenant backlogged alone wins every pick, and each pick credits
         it its weight and charges it the same total, so its run of picks
@@ -195,8 +187,6 @@ class TenantScheduler:
                 break
             batch.append(self._queues[self._pick(backlogged)].popleft())
             self._pending_clients -= 1
-        if self._fills:
-            batch.append(self._fills.popleft())
         return batch
 
     def drain_all(self) -> list:
@@ -205,7 +195,5 @@ class TenantScheduler:
         for name in self._order:
             items.extend(self._queues[name])
             self._queues[name].clear()
-        items.extend(self._fills)
-        self._fills.clear()
         self._pending_clients = 0
         return items

@@ -34,19 +34,16 @@ On top of that, the service is (optionally) **multi-tenant**: each
 :class:`~repro.serve.qos.TenantSpec` gets its own admission gate and a
 weighted-priority share of every admission group
 (:class:`~repro.serve.qos.TenantScheduler`), so a flooding tenant sheds
-its own traffic instead of starving other tenants' latency SLOs.  And it
-(optionally) serves repeated query-id-independent requests from a
-**hot-walk cache** (:class:`~repro.serve.cache.HotWalkCache`): pools of
-engine-generated walks under reserved query ids, keyed by start vertex.
+its own traffic instead of starving other tenants' latency SLOs.
 
 The service is a scheduling layer, never a semantics layer.  Every
 request's randomness is keyed by ``SeedSequence((seed, query_id))`` —
 the engines' own per-query substream derivation — and a walker draws
 only from the stream state that travels with it, so a request's paths
 are bit-identical whether it was served alone, beside 63 strangers of
-any age, from a cache pool, or replayed offline through the engine's own
-``run`` with the same seed.  Who shares a step with whom and tenant
-interleaving cannot change a single vertex; ``tests/serve/`` holds the service to that.
+any age, or replayed offline through the engine's own ``run`` with the
+same seed.  Who shares a step with whom and tenant interleaving cannot
+change a single vertex; ``tests/serve/`` holds the service to that.
 """
 
 from __future__ import annotations
@@ -61,18 +58,12 @@ import numpy as np
 from repro.engines import PreparedEngine, prepare_engine
 from repro.errors import GraphError, ServeError, ServeOverloadError
 from repro.graph.csr import CSRGraph
-from repro.obs.metrics import (
-    MetricsRegistry,
-    cache_into,
-    engine_stats_into,
-    serve_stats_into,
-)
+from repro.obs.metrics import MetricsRegistry, engine_stats_into, serve_stats_into
 from repro.obs.trace import active as _active_tracer
 from repro.sampling.base import normalize_seed
 from repro.sampling.hybrid import require_default
-from repro.serve.cache import POOL_ID_BASE, HotWalkCache, ServedWalk
 from repro.serve.frontier import frontier_loop
-from repro.serve.items import _PendingRequest, _PoolFill
+from repro.serve.items import _PendingRequest
 from repro.serve.qos import DEFAULT_TENANT, TenantScheduler, TenantSpec
 from repro.serve.stats import ServeStats
 from repro.walks.base import WalkBatch, WalkResults, WalkSpec, walk_index
@@ -110,14 +101,6 @@ class ServeConfig:
             raise ServeError(f"queue_depth must be >= 1, got {self.queue_depth}")
 
 
-def _check_client_id(query_id: int) -> None:
-    if query_id >= POOL_ID_BASE:
-        raise ServeError(
-            f"query ids >= {POOL_ID_BASE} are reserved for hot-walk "
-            f"cache pools, got {query_id}"
-        )
-
-
 class WalkService:
     """Open-queue walk server over a prepared engine.
 
@@ -139,9 +122,7 @@ class WalkService:
     service (see :mod:`repro.serve.qos`); requests then carry a
     ``tenant=`` name and per-tenant ledgers appear in
     :attr:`tenant_stats`.  Without it the service runs one anonymous
-    class, exactly as before.  ``cache`` attaches a
-    :class:`~repro.serve.cache.HotWalkCache` consulted by
-    :meth:`try_submit_cached`.
+    class, exactly as before.
     """
 
     def __init__(
@@ -152,7 +133,6 @@ class WalkService:
         seed: int = 0,
         config: ServeConfig | None = None,
         tenants: Sequence[TenantSpec] | None = None,
-        cache: HotWalkCache | None = None,
     ) -> None:
         self._config = config or ServeConfig()
         self._seed = normalize_seed(seed)
@@ -176,7 +156,6 @@ class WalkService:
         self.tenant_stats: dict[str, ServeStats] = (
             {spec.name: ServeStats() for spec in specs} if tenants else {}
         )
-        self.cache = cache
         self._queue: asyncio.Queue | None = None
         self._dispatcher: asyncio.Task | None = None
         self._drained: asyncio.Event | None = None
@@ -192,17 +171,6 @@ class WalkService:
         """Requests admitted and not yet resolved."""
         return self._scheduler.occupancy
 
-    def reserve_query_ids(self, minimum: int) -> None:
-        """Advance the auto-id counter to at least ``minimum``.
-
-        Callers that mix explicit query-id ranges with auto-assigned ids
-        on one service (the multi-tenant trace driver) use this to keep
-        the ranges disjoint — duplicate ids would mean duplicate
-        randomness and a colliding replay map.
-        """
-        _check_client_id(minimum)
-        self._next_query_id = max(self._next_query_id, minimum)
-
     def snapshot_metrics(
         self, registry: MetricsRegistry | None = None
     ) -> MetricsRegistry:
@@ -211,11 +179,11 @@ class WalkService:
         Builds (or extends) a :class:`~repro.obs.metrics.MetricsRegistry`
         from the global :class:`~repro.serve.stats.ServeStats` ledger,
         the per-tenant ledgers (labelled ``tenant="..."``), the merged
-        engine counters, the hot-walk cache counters (when attached),
-        and point-in-time gauges (occupancy, per-tenant backlog).  The
-        export copies the ledgers exactly, so the accounting identity
-        ``offered == completed + dropped + failed`` holds per tenant on
-        the exported counters whenever it holds on the ledgers; render
+        engine counters, and point-in-time gauges (occupancy, per-tenant
+        backlog).  The export copies the ledgers exactly, so the
+        accounting identity ``offered == completed + dropped + failed``
+        holds per tenant on the exported counters whenever it holds on
+        the ledgers; render
         it with
         :func:`repro.obs.exporters.render_prometheus` or
         :func:`repro.obs.exporters.write_jsonl`.  Safe to call at any
@@ -226,8 +194,6 @@ class WalkService:
         for name in sorted(self.tenant_stats):
             serve_stats_into(registry, self.tenant_stats[name], tenant=name)
         engine_stats_into(registry, self.engine_stats, engine=self.engine_name)
-        if self.cache is not None:
-            cache_into(registry, self.cache)
         registry.gauge(
             "repro_serve_occupancy", "Requests admitted and not yet resolved",
         ).set(self.occupancy)
@@ -274,27 +240,17 @@ class WalkService:
             await self._dispatcher
         except asyncio.CancelledError:
             pass
-        # Drain leftovers.  Requests only remain on a no-drain stop (the
-        # drained event guarantees none otherwise); cache pool fills can
-        # remain on any stop — they do not count against the admission
-        # gate, so draining does not wait for them.  Either way, fail the
-        # request futures so no caller hangs; fills have no futures and
-        # are simply discarded.
+        # Requests only remain on a no-drain stop (the drained event
+        # guarantees none otherwise): fail their futures so no caller
+        # hangs.
         abandoned: Counter[str] = Counter()
         while not self._queue.empty():
-            item = self._queue.get_nowait()
-            if isinstance(item, _PoolFill):
-                # The cache marked this vertex in-flight at enqueue time;
-                # without the abort a restart sharing this cache object
-                # would treat the vertex as forever-filling and never
-                # trigger (or serve) another fill for it.
-                self.cache.fill_aborted(item.start_vertex)
-                continue
-            if not item.future.done():
-                item.future.set_exception(
+            request = self._queue.get_nowait()
+            if not request.future.done():
+                request.future.set_exception(
                     ServeError("service stopped before the request executed")
                 )
-            abandoned[item.tenant] += 1
+            abandoned[request.tenant] += 1
         for tenant, count in abandoned.items():
             self._release(tenant, count)
         self._runner.close()
@@ -363,21 +319,17 @@ class WalkService:
         Sheds with :class:`~repro.errors.ServeOverloadError` past the
         tenant's admission high-water (the error carries the observed
         occupancy).  ``query_id`` defaults to a monotonically assigned
-        id; pass one explicitly to make the request replayable offline
-        by ``(service seed, query_id)``.  ``tenant`` selects the
-        admission class on a multi-tenant service (mandatory there,
-        ignored-by-default on an anonymous one).
+        id; pass one explicitly (any non-negative int64) to make the
+        request replayable offline by ``(service seed, query_id)``.
+        ``tenant`` selects the admission class on a multi-tenant service
+        (mandatory there, ignored-by-default on an anonymous one).
         """
         self._require_running()
         tenant = self._resolve_tenant(tenant)
         # Validate before admitting: a request that can only fail must be
         # rejected here, at its own call site, not discovered mid-batch
         # where the engine error would poison co-batched requests.
-        if query_id is None:
-            query_id = self._next_query_id
-        else:
-            query_id = walk_index(query_id, "query_id")
-        _check_client_id(query_id)
+        query_id = walk_index(self._next_query_id if query_id is None else query_id, "query_id")
         start_vertex = walk_index(start_vertex, "start_vertex")
         self._admit(tenant, start_vertex)
         # Only advance the auto-id counter for admitted requests, and keep
@@ -394,64 +346,6 @@ class WalkService:
     ) -> WalkResults:
         """Admit one request and await its :class:`WalkResults` slice."""
         return await self.try_submit(start_vertex, query_id=query_id, tenant=tenant)
-
-    def try_submit_cached(
-        self, start_vertex: int, tenant: str | None = None
-    ) -> asyncio.Future:
-        """Admit one *query-id-independent* request; may serve from cache.
-
-        The caller asks for "a fresh walk from ``start_vertex``" and
-        lets the service pick the query id; the future resolves with a
-        :class:`~repro.serve.cache.ServedWalk` carrying the id that
-        actually keyed the walk's randomness — a cache-pool reserved id
-        on a hit, a service-assigned id on a miss — so every response
-        replays bit-identically offline.
-        Hits resolve immediately, bypass admission (no engine work), and
-        count as completions; misses ride the normal admission /
-        batching / QoS path and feed the cache's hotness counters.
-        """
-        self._require_running()
-        tenant = self._resolve_tenant(tenant)
-        loop = asyncio.get_running_loop()
-        # Validate up front: a bad vertex must be rejected before it can
-        # touch cache counters or gate occupancy.  The id is spent only
-        # on a miss.
-        start_vertex = walk_index(start_vertex, "start_vertex")
-        self._check_vertex(start_vertex)
-        entry = self.cache.take(start_vertex) if self.cache is not None else None
-        if entry is not None:
-            pool_id, path = entry
-            now = loop.time()
-            for ledger in (self.stats, self.tenant_stats.get(tenant)):
-                if ledger is not None:
-                    ledger.record_submit(now)
-                    ledger.cache_hits += 1
-                    ledger.record_completions([0.0], now)
-            tracer = _active_tracer()
-            if tracer is not None:
-                tracer.instant("serve.cache_hit", vertex=start_vertex, tenant=tenant)
-            future: asyncio.Future = loop.create_future()
-            future.set_result(ServedWalk(pool_id, path, cache_hit=True))
-            return future
-        # A miss spends the next auto id: refuse it before it counts
-        # anywhere if it has run into the pools' reserved range.
-        query_id = self._next_query_id
-        _check_client_id(query_id)
-        if self.cache is not None:
-            fill_queries = self.cache.note_miss(start_vertex)
-            if fill_queries is not None:
-                # Gate-exempt: pool generation is the service's own work.
-                tracer = _active_tracer()
-                if tracer is not None:
-                    tracer.instant("serve.cache_fill_queued", vertex=start_vertex,
-                                   pool_size=len(fill_queries))
-                self._queue.put_nowait(_PoolFill(start_vertex, fill_queries))
-        self._admit(tenant, start_vertex)
-        self._next_query_id += 1
-        future = loop.create_future()
-        self._enqueue(_PendingRequest(query_id, start_vertex, future, loop.time(),
-                                      tenant, cacheable=True))
-        return future
 
     def _release(self, tenant: str, count: int = 1) -> None:
         """Return ``count`` closed requests' places to their tenant's gate."""
@@ -476,10 +370,7 @@ class WalkService:
         for request, path in zip(requests, paths):
             future = request.future
             if not future.done():
-                future.set_result(
-                    ServedWalk(request.query_id, path, cache_hit=False)
-                    if request.cacheable else WalkResults.from_path(path)
-                )
+                future.set_result(WalkResults.from_path(path))
             latencies.append(now - request.submitted_at)
         self.stats.record_completions(latencies, now)
         if not self.tenant_stats:
@@ -532,10 +423,8 @@ def replay_paths(
     the service seed, in one closed batch.  A correct ``batch``-served
     service returns exactly these paths regardless of how its frontier
     happened to slice the request stream — the determinism contract the
-    serve tests and the CI smoke assert.  This covers cache-served walks too: a
-    :class:`~repro.serve.cache.ServedWalk`'s ``query_id`` (a reserved
-    pool id on hits) replays to its path bit-for-bit.  ``sampler`` accepts only ``"default"``: every
-    engine runs the spec's own kernel.
+    serve tests and the CI smoke assert.  ``sampler`` accepts only
+    ``"default"``: every engine runs the spec's own kernel.
     """
     from repro.walks.batch import run_walks_batch
 

@@ -59,8 +59,6 @@ class ServeStats:
     #: Admitted requests whose frontier step raised; they resolve with the
     #: engine's exception and land here instead of ``completed``.
     failed: int = 0
-    #: Requests served from the hot-walk cache (subset of ``completed``).
-    cache_hits: int = 0
     total_hops: int = 0
     #: Wall-clock engine time summed over frontier steps (busy time).
     busy_seconds: float = 0.0
@@ -180,11 +178,7 @@ class ServeStats:
             f"{sustained:,.0f} hops/s sustained" if np.isfinite(sustained)
             else "hops/s n/a"
         )
-        extras = ""
-        if self.failed:
-            extras += f", {self.failed} failed"
-        if self.cache_hits:
-            extras += f", {self.cache_hits} cache hits"
+        extras = f", {self.failed} failed" if self.failed else ""
         steps = (
             f"\nsupersteps: {self.supersteps}, "
             f"mean occupancy {self.mean_step_occupancy():.1f} walkers"

@@ -56,8 +56,6 @@ class OpenLoopReport:
     failed: list[int] = field(default_factory=list)
     #: ``{query_id: start_vertex}`` for every submitted request.
     requests: dict[int, int] = field(default_factory=dict)
-    #: Query ids served from the hot-walk cache (cached runs only).
-    cache_hits: list[int] = field(default_factory=list)
     elapsed_seconds: float = 0.0
 
     @property
@@ -162,7 +160,6 @@ async def run_open_loop(
     arrival_seed: int = 0,
     tenant: str | None = None,
     query_id_base: int = 0,
-    use_cache: bool = False,
     gaps: np.ndarray | None = None,
 ) -> OpenLoopReport:
     """Submit one request per start vertex on an open-loop schedule.
@@ -180,9 +177,7 @@ async def run_open_loop(
     every request already due is submitted, so the requested rate is
     offered however slowly the loop turns.  ``gaps`` overrides
     the Poisson schedule with a precomputed one (the scenario
-    generators); ``use_cache`` submits through
-    :meth:`WalkService.try_submit_cached`, recording each response's
-    true query id and cache-hit flag.
+    generators).
     """
     starts = np.asarray(start_vertices, dtype=np.int64)
     if gaps is None:
@@ -223,15 +218,10 @@ async def run_open_loop(
         position += 1
         back_to_back += 1
         try:
-            if use_cache:
-                pending[query_id] = service.try_submit_cached(
-                    int(start), tenant=tenant
-                )
-            else:
-                pending[query_id] = service.try_submit(
-                    int(start), query_id=query_id, tenant=tenant
-                )
-                report.requests[query_id] = int(start)
+            pending[query_id] = service.try_submit(
+                int(start), query_id=query_id, tenant=tenant
+            )
+            report.requests[query_id] = int(start)
         except ServeOverloadError:
             report.dropped.append(query_id)
     for query_id, future in pending.items():
@@ -242,15 +232,7 @@ async def run_open_loop(
         except Exception:
             report.failed.append(query_id)
             continue
-        if use_cache:
-            # Cached submissions resolve with a ServedWalk whose id (a
-            # pool-reserved id on hits) keys the walk's randomness.
-            report.paths[outcome.query_id] = outcome.path
-            report.requests[outcome.query_id] = int(outcome.path[0])
-            if outcome.cache_hit:
-                report.cache_hits.append(outcome.query_id)
-        else:
-            report.paths[query_id] = outcome.path_of(0)
+        report.paths[query_id] = outcome.path_of(0)
     report.elapsed_seconds = loop.time() - began
     return report
 
@@ -262,7 +244,6 @@ class TenantTrace:
     tenant: str
     start_vertices: np.ndarray
     gaps: np.ndarray
-    use_cache: bool = False
 
 
 async def run_tenant_traces(
@@ -287,16 +268,12 @@ async def run_tenant_traces(
                 f"trace for {trace.tenant!r} has {len(trace.start_vertices)} "
                 f"requests, more than id_stride={id_stride}"
             )
-    # Cached traces draw auto-assigned ids; push the counter past every
-    # explicit range so the union of all id sets stays collision-free.
-    service.reserve_query_ids(len(traces) * id_stride)
     reports = await asyncio.gather(*(
         run_open_loop(
             service,
             trace.start_vertices,
             tenant=trace.tenant,
             query_id_base=index * id_stride,
-            use_cache=trace.use_cache,
             gaps=trace.gaps,
         )
         for index, trace in enumerate(traces)

@@ -18,23 +18,26 @@ from itertools import pairwise
 
 import numpy as np
 
-from repro.errors import WalkConfigError
+from repro.errors import SamplingError, WalkConfigError
 from repro.graph.csr import CSRGraph
 from repro.sampling.base import RandomSource, Sampler
 
 #: The paper's query length for all throughput experiments (Section VIII-A4).
 DEFAULT_MAX_LENGTH = 80
 
+#: The largest query id or start vertex: the engines hold both as int64.
+_INDEX_MAX = int(np.iinfo(np.int64).max)
+
 
 def walk_index(value, name: str) -> int:
-    """``value`` as a non-negative Python ``int`` — a query id or a start
-    vertex — or :class:`WalkConfigError` naming it.
+    """``value`` as a non-negative Python ``int`` that fits in int64 — a
+    query id or a start vertex — or :class:`WalkConfigError` naming it.
 
     Anything with ``__index__`` passes (numpy integers included); a
     ``bool``, a float or a string does not, so ``1.5`` or ``True`` can
     never quietly walk from vertex 1.
     """
-    if type(value) is int and value >= 0:  # the common case, checked first
+    if type(value) is int and 0 <= value <= _INDEX_MAX:  # the common case, checked first
         return value
     if isinstance(value, bool):
         raise WalkConfigError(f"{name} must be an integer, got {value!r}")
@@ -44,6 +47,8 @@ def walk_index(value, name: str) -> int:
         raise WalkConfigError(f"{name} must be an integer, got {value!r}") from None
     if index < 0:
         raise WalkConfigError(f"{name} must be non-negative, got {index}")
+    if index > _INDEX_MAX:
+        raise WalkConfigError(f"{name} must fit in int64, got {index}")
     return index
 
 
@@ -57,15 +62,14 @@ def _index_array(values, name: str) -> np.ndarray:
     (numpy alone would read ``[True, 2]`` as ``[1, 2]``).
     """
     if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        if values.dtype == np.uint64 and values.size and values.max() > _INDEX_MAX:
+            raise WalkConfigError(f"{name} must fit in int64, got {values.max()}")
         array = values.astype(np.int64)  # a copy, always
     else:
-        try:
-            array = np.fromiter((walk_index(v, name) for v in values), dtype=np.int64)
-        except OverflowError:
-            raise WalkConfigError(f"{name} must fit in int64") from None
+        array = np.fromiter((walk_index(v, name) for v in values), dtype=np.int64)
     if array.ndim != 1:
         raise WalkConfigError(f"{name} values must form one dimension, got shape {array.shape}")
-    if array.size and array.min() < 0:  # an unsigned value past int64 wraps here too
+    if array.size and array.min() < 0:
         raise WalkConfigError(f"{name} must be non-negative, got {int(array[array < 0][0])}")
     array.flags.writeable = False
     return array
@@ -188,6 +192,11 @@ class WalkSpec(ABC):
         kind: one type per walker — or ``None``, any edge for all.
         """
         return None
+
+    def stall_error(self, rounds: int) -> SamplingError:
+        """The error of a walker left undecided ``rounds`` supersteps
+        running (the batch superstep raises it at its stall bound)."""
+        return SamplingError(f"{self.name} left a walker undecided for {rounds} supersteps")
 
     def termination_probability(self, hops: int | np.ndarray) -> float | np.ndarray:
         """Probability the walk ends after the hop a walker that has
@@ -348,7 +357,7 @@ class WalkResults:
         """Path at ``position`` as an array that owns its memory.
 
         Engine paths are views into one buffer covering the whole batch; a
-        longer-lived holder (a served reply, a cache pool) given a view
+        longer-lived holder (a served reply) given a view
         would pin every other query's path with it.
         """
         if self._flat is not None:

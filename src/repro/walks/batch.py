@@ -213,8 +213,10 @@ def superstep(
     each walker's 0-based index of the hop it is taking — so walkers of
     any age, stalled or not, share a superstep under any spec.  A stall
     promises a later hop: a walker stalled :data:`MAX_STALLS` supersteps
-    running raises the kernel's :class:`~repro.errors.SamplingError`,
-    and so does a kernel ending a walker it stalled.
+    running raises the spec's :meth:`~repro.walks.base.WalkSpec.stall_error`,
+    and a kernel ending a walker it stalled raises a
+    :class:`~repro.errors.SamplingError` too.  Either way the kernel is
+    asked for nothing beyond ``sample``.
     """
     second_order = spec.needs_prev_vertex
     degrees = graph.degrees()[frontier.current]
@@ -237,7 +239,7 @@ def superstep(
     counts[_PROPOSALS] += batch.proposals
     counts[_READS] += batch.neighbor_reads
     if batch.stalled.size or batch.ended.size:
-        moved, gone, record = _settle(kernel, frontier, counts, batch, second_order)
+        moved, gone, record = _settle(spec, kernel, frontier, counts, batch)
     else:
         # Everyone moved: every stall streak is over.
         moved = gone = None
@@ -267,11 +269,11 @@ def superstep(
 
 
 def _settle(
+    spec: WalkSpec,
     kernel: VectorizedKernel,
     frontier: Frontier,
     counts: np.ndarray,
     batch: BatchSample,
-    second_order: bool,
 ) -> tuple[np.ndarray, np.ndarray | None, tuple]:
     """Apply a decision in which the kernel stalled or ended walkers: the
     stalled keep their vertices and extend their streaks, the movers
@@ -279,12 +281,13 @@ def _settle(
     ``(moved, ended, record)``: the movers' mask, the ended walkers' mask
     (``None`` when there are none) and the superstep's hop record, which
     leaves the ended out."""
+    second_order = spec.needs_prev_vertex
     stalled, ended = batch.stalled, batch.ended
     if stalled.size:
         streak = (np.ones(stalled.size, dtype=np.int64) if frontier.stalls is None
                   else frontier.stalls[stalled] + 1)
         if streak.max() >= MAX_STALLS:
-            raise kernel.stalled_out(MAX_STALLS)
+            raise spec.stall_error(MAX_STALLS)
     if ended.size:
         if frontier.stalls is not None and frontier.stalls[ended].any():
             raise SamplingError(

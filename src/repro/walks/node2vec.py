@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import WalkConfigError
+from repro.errors import SamplingError, WalkConfigError
 from repro.graph.csr import CSRGraph
 from repro.sampling.base import Sampler
 from repro.sampling.rejection import RejectionSampler
@@ -67,6 +67,12 @@ class Node2VecSpec(WalkSpec):
         if self.strategy == "rejection":
             return RejectionSampler(p=self.p, q=self.q)
         return ReservoirSampler(p=self.p, q=self.q)
+
+    def stall_error(self, rounds: int) -> SamplingError:
+        return SamplingError(
+            f"{self.strategy} sampling failed to accept after {rounds} rounds "
+            f"(p={self.p}, q={self.q})"
+        )
 
 
 def exact_step_distribution(

@@ -97,14 +97,14 @@ class TestCommands:
 
     @pytest.mark.parametrize("engine", ["batch", "reference"])
     def test_serve_bench_replays_through_the_serving_engine(self, engine, capsys):
-        """Every run, plain or with tenants / scenario / cache, checks
+        """Every run, plain or with tenants and a scenario, checks
         every served path against one offline run of the engine that
         served it: reference paths equal reference's own run, not
         batch's."""
         plain = ["serve-bench", "--engine", engine, "--requests", "100",
                  "--scale", "0.05", "--length", "16"]
         for argv in (plain, plain + ["--scenario", "flash-crowd", "--tenants", "2",
-                                     "--cache", "--rate", "2000"]):
+                                     "--rate", "2000"]):
             code = main(argv)
             captured = capsys.readouterr()
             assert code == 0, captured.err

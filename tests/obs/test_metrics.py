@@ -14,7 +14,6 @@ from repro.obs.metrics import (
     BATCH_SIZE_BUCKETS,
     Histogram,
     MetricsRegistry,
-    cache_into,
     dynamic_graph_into,
     engine_stats_into,
     format_labels,
@@ -24,7 +23,6 @@ from repro.obs.metrics import (
     tracer_into,
 )
 from repro.obs.trace import Tracer
-from repro.serve.cache import HotWalkCache
 from repro.serve.stats import ServeStats
 from repro.walks import EngineStats
 
@@ -169,18 +167,6 @@ class TestBridges:
             pytest.approx(sum(stats.latencies))
         assert registry.get("repro_serve_batch_size").buckets == BATCH_SIZE_BUCKETS
         assert totals["repro_serve_batch_size_count"][tenant] == 1
-
-    def test_cache_bridge(self):
-        cache = HotWalkCache(pool_size=2, hot_threshold=1)
-        cache.hits = 7
-        cache.misses = 13
-        cache.pools_built = 2
-        registry = MetricsRegistry()
-        cache_into(registry, cache)
-        lookups = registry.get("repro_cache_lookups_total")
-        assert lookups.value(result="hit") == 7
-        assert lookups.value(result="miss") == 13
-        assert registry.get("repro_cache_live_pools").value() == 0
 
     def test_dynamic_graph_bridge_uses_duck_typed_counters(self):
         class FakeDynamic:

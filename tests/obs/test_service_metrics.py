@@ -1,8 +1,8 @@
 """``WalkService.snapshot_metrics``: exported counters == the ledgers.
 
 The acceptance criterion for the telemetry layer's serve integration:
-drive a real multi-tenant service (flash-crowd stressor, hot-walk
-cache, small gates so shedding actually happens), export with
+drive a real multi-tenant service (flash-crowd stressor, small gates
+so shedding actually happens), export with
 ``snapshot_metrics``, and require
 
 * per-tenant exported counters to equal the per-tenant ``ServeStats``
@@ -21,7 +21,6 @@ from repro.graph import powerlaw
 from repro.obs.exporters import parse_prometheus, render_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import (
-    HotWalkCache,
     ServeConfig,
     TenantSpec,
     TenantTrace,
@@ -42,7 +41,6 @@ def driven_service():
     spec = DeepWalkSpec(max_length=10)
     rng = np.random.default_rng(4)
     candidates = np.nonzero(graph.degrees() > 0)[0]
-    # Few distinct hot vertices so the cache crosses its fill threshold.
     hot = rng.choice(candidates, size=6, replace=False)
     tenants = [
         TenantSpec("premium", weight=8, queue_depth=4 * REQUESTS_PER_TENANT),
@@ -55,10 +53,8 @@ def driven_service():
         TenantTrace(
             "premium",
             rng.choice(hot, size=REQUESTS_PER_TENANT, replace=True),
-            # 30 ms of steady traffic: long enough for the pools its early
-            # misses trigger to walk out and serve its later requests.
+            # 30 ms of steady traffic beside the crowd.
             np.full(REQUESTS_PER_TENANT, 5e-4),
-            use_cache=True,
         ),
         TenantTrace(
             "besteffort",
@@ -67,14 +63,12 @@ def driven_service():
             # at 50k req/s the 60-request crowd lands in ~0.7 ms, far
             # inside one max_wait window, so the 8-deep gate must shed.
             flash_crowd_gaps(REQUESTS_PER_TENANT, 50000.0, seed=6),
-            use_cache=True,
         ),
     ]
 
     async def _drive():
         service = WalkService(
-            graph, spec, engine="batch", seed=11, config=config,
-            tenants=tenants, cache=HotWalkCache(pool_size=4, hot_threshold=3),
+            graph, spec, engine="batch", seed=11, config=config, tenants=tenants,
         )
         async with service:
             reports = await run_tenant_traces(service, traces)
@@ -92,9 +86,6 @@ def test_per_tenant_counters_match_the_ledgers_exactly(driven_service):
         assert requests.value(outcome="completed", tenant=tenant) == ledger.completed
         assert requests.value(outcome="dropped", tenant=tenant) == ledger.dropped
         assert requests.value(outcome="failed", tenant=tenant) == ledger.failed
-        assert registry.get("repro_serve_cache_hits_total").value(
-            tenant=tenant
-        ) == ledger.cache_hits
         label = f'tenant="{tenant}"'
         assert totals["repro_serve_latency_seconds_count"][label] == len(ledger.latencies)
         assert totals["repro_serve_latency_seconds_sum"][label] == \
@@ -157,18 +148,6 @@ def test_global_counters_are_the_tenant_sums(driven_service):
             requests.value(outcome=outcome, tenant=t)
             for t in service.tenant_stats
         )
-
-
-def test_cache_counters_are_exported(driven_service):
-    service, _ = driven_service
-    registry = service.snapshot_metrics()
-    lookups = registry.get("repro_cache_lookups_total")
-    assert lookups.value(result="hit") == service.cache.hits
-    assert lookups.value(result="miss") == service.cache.misses
-    assert service.cache.hits > 0, "hot traffic should have earned pool hits"
-    assert registry.get("repro_cache_pools_total").value(
-        event="built"
-    ) == service.cache.pools_built
 
 
 def test_gauges_report_drained_state(driven_service):

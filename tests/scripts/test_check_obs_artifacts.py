@@ -100,7 +100,7 @@ def artifacts(tmp_path_factory):
                                                       env.get("PYTHONPATH")]))
     commands = [
         ["trace", "--out", str(workdir / "trace.jsonl"), "--format", "jsonl", "--",
-         "serve-bench", "--scenario", "flash-crowd", "--tenants", "2", "--cache",
+         "serve-bench", "--scenario", "flash-crowd", "--tenants", "2",
          "--requests", "60", "--rate", "2000", "--scale", "0.02", "--length", "8",
          "--max-batch", "32"],
         ["metrics", "--out", str(workdir / "metrics.prom"), "--",

@@ -3,8 +3,8 @@
 A batch engine can keep its run open, so the service seats requests
 into free walker slots and steps the engine itself, one superstep per
 event-loop turn — no coalescing wait, no thread.  What that buys (a short
-walk does not wait for a long one) and what it must keep (whole pools,
-failure isolation, the ledger identity, owned replies) are held here;
+walk does not wait for a long one) and what it must keep (failure
+isolation, the ledger identity, owned replies) are held here;
 determinism against ``replay_paths`` is in ``test_determinism.py``.
 """
 
@@ -18,14 +18,7 @@ from stall_helpers import NeverAccepting
 from repro.errors import ReproError, SamplingError, ServeError
 from repro.graph import from_edges
 from repro.obs.trace import tracing
-from repro.serve import (
-    POOL_ID_BASE,
-    HotWalkCache,
-    ServeConfig,
-    TenantSpec,
-    WalkService,
-    replay_paths,
-)
+from repro.serve import ServeConfig, TenantSpec, WalkService, replay_paths
 from repro.walks import PPRSpec, URWSpec
 from repro.walks.batch import BatchEngine
 
@@ -113,55 +106,6 @@ def test_short_walk_overtakes_the_walks_it_joined():
     assert stats.batch_sizes == [4, 1]
     assert stats.supersteps >= 40
     assert 1.0 <= stats.mean_step_occupancy() <= 5.0
-
-
-def test_pool_fill_split_over_turns_installs_once_whole():
-    graph, spec = lollipop(), URWSpec(max_length=6)
-    cache = HotWalkCache(pool_size=10, hot_threshold=1)
-
-    async def scenario():
-        # Ten pool walkers through three slots: at least four seatings.
-        async with WalkService(graph, spec, seed=5, config=config(3),
-                               cache=cache) as service:
-            miss = await service.try_submit_cached(2)
-            assert not miss.cache_hit
-            installs = []
-            install = cache.install
-            cache.install = lambda *args: (installs.append(args), install(*args))[1]
-            while not cache.live_pools:
-                assert cache.pools_built == 0
-                await asyncio.sleep(0)
-            hits = [await service.try_submit_cached(2) for _ in range(10)]
-            return installs, hits
-
-    installs, hits = drive(scenario())
-    assert len(installs) == 1 and cache.pools_built == 1
-    vertex, entries = installs[0]
-    assert (vertex, len(entries)) == (2, 10)
-    assert all(hit.cache_hit for hit in hits)
-    assert len({hit.query_id for hit in hits}) == 10
-    oracle = replay_paths(graph, spec, {hit.query_id: 2 for hit in hits}, seed=5)
-    for hit in hits:
-        assert np.array_equal(hit.path, oracle[hit.query_id])
-        assert hit.path.base is None
-
-
-def test_stop_with_a_half_seated_fill_aborts_it():
-    graph, spec = lollipop(), URWSpec(max_length=30)
-    cache = HotWalkCache(pool_size=10, hot_threshold=1)
-
-    async def scenario():
-        service = WalkService(graph, spec, seed=5, config=config(3), cache=cache)
-        await service.start()
-        await service.try_submit_cached(2)  # its fill now holds the three slots
-        assert cache.note_miss(2) is None  # marked in flight
-        await service.stop()
-        return service
-
-    service = drive(scenario())
-    assert cache.pools_built == 0 and service.occupancy == 0
-    # Not stuck "filling": the next miss at the threshold triggers again.
-    assert cache.note_miss(2) is not None
 
 
 def test_raising_step_fails_exactly_the_seated_requests():
@@ -253,40 +197,6 @@ def test_group_refused_at_seating_fails_alone():
     assert service.occupancy == 0
 
 
-def test_pool_fill_refused_at_seating_is_aborted_and_the_loop_carries_on():
-    """If a fill's ``admit`` raises, the fill is aborted, nothing else is
-    lost, and the dispatcher lives."""
-    graph, spec = lollipop(), URWSpec(max_length=5)
-    cache = HotWalkCache(pool_size=4, hot_threshold=1)
-
-    class NoPoolEngine(BatchEngine):
-        def open_frontier(self, seed, capacity):
-            frontier = super().open_frontier(seed, capacity)
-            admit = frontier.admit
-
-            def refuse_pool_ids(query_ids, starts, states=None):
-                if any(query_id >= POOL_ID_BASE for query_id in query_ids):
-                    raise ReproError("injected fill refusal")
-                return admit(query_ids, starts, states)
-
-            frontier.admit = refuse_pool_ids
-            return frontier
-
-    async def scenario():
-        async with WalkService(graph, spec, engine=NoPoolEngine(graph, spec), seed=2,
-                               config=config(4), cache=cache) as service:
-            miss = await service.try_submit_cached(2)
-            await turns(4)  # the fill reaches the frontier and is refused
-            later = await service.submit(3, query_id=9)
-            return miss, later, service
-
-    miss, later, service = drive(scenario())
-    assert not miss.cache_hit and later.path_of(0)[0] == 3
-    assert cache.pools_built == 0 and service.occupancy == 0
-    # Not stuck "filling": the next miss at the threshold triggers again.
-    assert cache.note_miss(2) is not None
-
-
 def test_no_drain_stop_resolves_every_seated_and_queued_future():
     graph, spec = lollipop(), URWSpec(max_length=60)
 
@@ -314,19 +224,15 @@ def test_replies_own_their_memory():
     graph, spec = lollipop(), PPRSpec(alpha=0.3, max_length=20)
 
     async def scenario():
-        async with WalkService(graph, spec, seed=8, config=config(2),
-                               cache=HotWalkCache(hot_threshold=10_000)) as service:
-            plain = [service.try_submit(v % RING, query_id=v) for v in range(12)]
-            cached = [service.try_submit_cached(v % RING) for v in range(6)]
-            return await asyncio.gather(*plain), await asyncio.gather(*cached)
+        async with WalkService(graph, spec, seed=8, config=config(2)) as service:
+            return await asyncio.gather(
+                *(service.try_submit(v % RING, query_id=v) for v in range(12)))
 
-    plain, cached = drive(scenario())
+    plain = drive(scenario())
     oracle = replay_paths(graph, spec, {v: v % RING for v in range(12)}, seed=8)
     for query_id, results in enumerate(plain):
         assert results.path_of(0).base is None
         assert np.array_equal(results.path_of(0), oracle[query_id])
-    for walk in cached:
-        assert walk.path.base is None
 
 
 def test_both_tenants_ledgers_book_their_hops_and_engine_time():
@@ -351,7 +257,7 @@ def test_both_tenants_ledgers_book_their_hops_and_engine_time():
         registry = service.snapshot_metrics()
         exercised = 0
         for name in ("repro_serve_requests_total", "repro_serve_hops_total",
-                     "repro_serve_busy_seconds_total", "repro_serve_cache_hits_total"):
+                     "repro_serve_busy_seconds_total"):
             counter = registry.get(name)
             labels = {"outcome": "completed"} if name.endswith("requests_total") else {}
             if not counter.value(**labels):
@@ -359,7 +265,7 @@ def test_both_tenants_ledgers_book_their_hops_and_engine_time():
             exercised += 1
             for tenant in ("gold", "bronze"):
                 assert counter.value(tenant=tenant, **labels) > 0, (engine, name, tenant)
-        assert exercised == 3  # requests, hops, busy seconds; no cache here
+        assert exercised == 3
         ledgers = service.tenant_stats
         assert sum(l.total_hops for l in ledgers.values()) == service.stats.total_hops
         assert sum(l.busy_seconds for l in ledgers.values()) == pytest.approx(

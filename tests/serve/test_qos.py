@@ -42,11 +42,10 @@ def drive(coro):
 
 
 class FakeItem:
-    """Scheduler item stub: a tenant tag (or None for a pool fill)."""
+    """Scheduler item stub: a tenant tag and a label."""
 
-    def __init__(self, tenant=None, label=None):
-        if tenant is not None:
-            self.tenant = tenant
+    def __init__(self, tenant, label=None):
+        self.tenant = tenant
         self.label = label
 
 
@@ -168,23 +167,12 @@ class TestTenantScheduler:
             scheduler.push(FakeItem("a", label=i))
         assert [i.label for i in scheduler.next_batch(8)] == [0, 1, 2, 3]
 
-    def test_fills_ride_along_one_per_batch(self):
-        scheduler = TenantScheduler((TenantSpec("a"),), default_depth=8)
-        scheduler.push(FakeItem("a", label="client"))
-        scheduler.push(FakeItem(label="fill-1"))
-        scheduler.push(FakeItem(label="fill-2"))
-        batch = scheduler.next_batch(4)
-        assert [getattr(i, "label") for i in batch] == ["client", "fill-1"]
-        assert scheduler.has_work()
-        assert [i.label for i in scheduler.next_batch(4)] == ["fill-2"]
-        assert not scheduler.has_work()
-
     def test_drain_all_empties_everything(self):
         scheduler = TenantScheduler(
             (TenantSpec("a"), TenantSpec("b")), default_depth=8)
         scheduler.push(FakeItem("a"))
         scheduler.push(FakeItem("b"))
-        scheduler.push(FakeItem())
+        scheduler.push(FakeItem("b"))
         assert len(scheduler.drain_all()) == 3
         assert not scheduler.has_work()
         assert scheduler.pending_clients == 0
@@ -209,15 +197,13 @@ def pick_by_pick_batch(scheduler, max_batch, lone_picks):
         scheduler._credit[best] -= total
         batch.append(scheduler._queues[best].popleft())
         scheduler._pending_clients -= 1
-    if scheduler._fills:
-        batch.append(scheduler._fills.popleft())
     return batch
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_one_slice_for_a_lone_tenant_equals_pick_by_pick(seed):
     """``next_batch`` takes a lone backlogged tenant's run in one slice;
-    over random pushes, pool fills and batch sizes it composes exactly
+    over random pushes and batch sizes it composes exactly
     the oracle's batches and leaves exactly its credits."""
     rng = np.random.default_rng(seed)
     specs = tuple(TenantSpec(f"t{k}", weight=int(rng.integers(1, 6)))
@@ -235,10 +221,6 @@ def test_one_slice_for_a_lone_tenant_equals_pick_by_pick(seed):
                 tenant = specs[int(rng.choice(burst_tenants))].name
                 for scheduler in (fast, oracle):
                     scheduler.push(FakeItem(tenant, label=label))
-                label += 1
-            if rng.random() < 0.2:
-                for scheduler in (fast, oracle):
-                    scheduler.push(FakeItem(label=f"fill-{label}"))
                 label += 1
         else:
             max_batch = int(rng.integers(1, 33))

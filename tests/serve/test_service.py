@@ -435,35 +435,3 @@ class TestStopWithRequestsQueued:
             assert service.occupancy == 0
 
         drive(scenario())
-
-    def test_stop_discards_pending_pool_fills_quietly(self):
-        """A queued cache pool fill has no future and no gate slot: a
-        no-drain stop must discard it without hanging or miscounting."""
-        from repro.serve import HotWalkCache
-
-        engine = SlowEngine(delay_seconds=0.05)
-        graph = make_graph()
-        cache = HotWalkCache(pool_size=4, hot_threshold=1)
-
-        async def scenario():
-            config = ServeConfig(max_batch=2, max_wait_ms=50.0, queue_depth=64)
-            service = WalkService(graph, URWSpec(max_length=5), engine=engine,
-                                  config=config, cache=cache)
-            await service.start()
-            # The miss triggers a fill; the slow first batch keeps the
-            # fill queued when stop() lands.
-            first = service.try_submit_cached(0)
-            await asyncio.sleep(0.01)
-            extra = [service.try_submit_cached(0) for _ in range(3)]
-            await service.stop(drain=False)
-            outcomes = 0
-            for future in (first, *extra):
-                try:
-                    await future
-                except ServeError:
-                    pass
-                outcomes += 1
-            assert outcomes == 4
-            assert service.occupancy == 0
-
-        drive(scenario())

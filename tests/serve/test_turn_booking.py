@@ -7,7 +7,7 @@ ledger, one engine-time and hop booking per tenant, one gate release per
 tenant.  The oracle here is the per-request booking that pass replaced,
 fed the very same turns: every ledger must come out equal, on either
 kind of frontier, anonymous or with three weighted tenants, through a
-pool fill and a turn that raises.
+turn that raises.
 """
 
 import ast
@@ -21,7 +21,7 @@ import pytest
 from repro.engines import PreparedEngine
 from repro.errors import ReproError, WalkConfigError
 from repro.graph import powerlaw
-from repro.serve import HotWalkCache, ServeConfig, TenantSpec, WalkService, replay_paths
+from repro.serve import ServeConfig, TenantSpec, WalkService, replay_paths
 from repro.serve.stats import ServeStats
 from repro.walks import PPRSpec
 from repro.walks.batch import BatchEngine
@@ -88,9 +88,8 @@ def per_request_oracle(service):
 
 
 async def burst(service, engine, names):
-    """Forty requests and three cacheable ones (the second triggers a
-    pool fill), a failing turn once the service is under way, then forty
-    more; returns ``{query_id: (tenant, start, outcome)}``."""
+    """Forty requests, a failing turn once the service is under way, then
+    forty more; returns ``{query_id: (tenant, start, outcome)}``."""
     rng = np.random.default_rng(9)
     submitted = {}
 
@@ -102,7 +101,6 @@ async def burst(service, engine, names):
             submitted[query_id] = (tenant, start, future)
 
     wave(range(40))
-    cached = [service.try_submit_cached(HOT, tenant=names[0]) for _ in range(3)]
     first = submitted[0][2]
     while not first.done():
         await asyncio.sleep(0)
@@ -110,9 +108,8 @@ async def burst(service, engine, names):
     wave(range(40, 80))
     outcomes = await asyncio.gather(*(future for _, _, future in submitted.values()),
                                     return_exceptions=True)
-    cached = await asyncio.gather(*cached, return_exceptions=True)
     return {query_id: (tenant, start, outcome) for (query_id, (tenant, start, _)), outcome
-            in zip(submitted.items(), outcomes)}, cached
+            in zip(submitted.items(), outcomes)}
 
 
 @pytest.mark.parametrize("dispatcher", ["frontier", "run-only"])
@@ -120,18 +117,17 @@ async def burst(service, engine, names):
 def test_turn_booking_equals_per_request_booking(dispatcher, tenancy):
     specs = TENANCIES[tenancy]
     names = [spec.name for spec in specs] if specs else [None]
-    cache = HotWalkCache(pool_size=6, hot_threshold=2)
     engine = (FlakyKernelEngine if dispatcher == "frontier" else FlakyRunEngine)(GRAPH, SPEC)
 
     async def scenario():
-        service = WalkService(GRAPH, SPEC, engine=engine, seed=SEED, tenants=specs, cache=cache,
+        service = WalkService(GRAPH, SPEC, engine=engine, seed=SEED, tenants=specs,
                               config=ServeConfig(max_batch=8, max_wait_ms=1.0, queue_depth=512))
         oracle = per_request_oracle(service)
         async with service:
-            served, cached = await burst(service, engine, names)
-        return service, oracle, served, cached
+            served = await burst(service, engine, names)
+        return service, oracle, served
 
-    service, oracle, served, cached = asyncio.run(scenario())
+    service, oracle, served = asyncio.run(scenario())
     # Either frontier is stepped by the one dispatcher.
     assert service.stats.supersteps > 0
 
@@ -160,14 +156,6 @@ def test_turn_booking_equals_per_request_booking(dispatcher, tenancy):
         completions[tenant] += 1
         hops[tenant] += outcome.total_steps
         requests[query_id] = (start, outcome.path_of(0))
-    for walk in cached:
-        if isinstance(walk, ReproError):
-            failures[names[0]] += 1
-        else:
-            assert not walk.cache_hit
-            completions[names[0]] += 1
-            hops[names[0]] += walk.path.size - 1
-            requests[walk.query_id] = (HOT, walk.path)
     assert sum(failures.values()) > 0, "the armed turn failed nothing"
     assert service.stats.failed == sum(failures.values())
     assert service.stats.completed == sum(completions.values())
@@ -176,13 +164,10 @@ def test_turn_booking_equals_per_request_booking(dispatcher, tenancy):
         assert (ledger.completed, ledger.failed, ledger.total_hops) == (
             completions[tenant], failures[tenant], hops[tenant])
 
-    # Gates drained, the fill installed or aborted (never stuck filling),
-    # and every served path replays exactly.
+    # Gates drained, and every served path replays exactly.
     assert service.occupancy == 0
     scheduler = service._scheduler
     assert {scheduler.gate(name).occupancy for name in scheduler.tenant_names} == {0}
-    assert cache.misses == 3
-    assert cache.pools_built == 1 or HOT not in cache._filling
     oracle_paths = replay_paths(GRAPH, SPEC, {qid: start for qid, (start, _) in requests.items()},
                                 seed=SEED, sampler="default")
     for query_id, (_, path) in requests.items():
@@ -190,7 +175,8 @@ def test_turn_booking_equals_per_request_booking(dispatcher, tenancy):
         assert path.base is None
 
 
-#: A non-integral id, the call that offers it, and the value its error names.
+#: An id that is not a non-negative int64, the call that offers it, and
+#: the value its error names.
 BAD_IDS = [
     ("start 1.5", lambda service: service.try_submit(1.5), 1.5),
     ("start True", lambda service: service.try_submit(True), True),
@@ -198,8 +184,8 @@ BAD_IDS = [
     ("start np.float64", lambda service: service.try_submit(np.float64(3.0)), np.float64(3.0)),
     ("query_id 2.5", lambda service: service.try_submit(0, query_id=2.5), 2.5),
     ("query_id False", lambda service: service.try_submit(0, query_id=False), False),
-    ("cached start 1.5", lambda service: service.try_submit_cached(1.5), 1.5),
-    ("cached start True", lambda service: service.try_submit_cached(True), True),
+    ("query_id 2**63", lambda service: service.try_submit(0, query_id=2**63), 2**63),
+    ("start 2**63", lambda service: service.try_submit(2**63), 2**63),
 ]
 
 
@@ -209,19 +195,16 @@ def test_a_non_integral_id_is_refused_before_admission(case, engine):
     _, call, value = case
 
     async def scenario():
-        async with WalkService(GRAPH, SPEC, engine=engine, seed=SEED,
-                               cache=HotWalkCache(hot_threshold=1)) as service:
+        async with WalkService(GRAPH, SPEC, engine=engine, seed=SEED) as service:
             await service.submit(1, query_id=0)
-            before = (service.occupancy, service.stats.offered, service._next_query_id,
-                      service.cache.misses)
+            before = (service.occupancy, service.stats.offered, service._next_query_id)
             with pytest.raises(WalkConfigError, match=re.escape(f"got {value!r}")):
                 call(service)
-            after = (service.occupancy, service.stats.offered, service._next_query_id,
-                     service.cache.misses)
+            after = (service.occupancy, service.stats.offered, service._next_query_id)
             return before, after, service.stats
 
     before, after, stats = asyncio.run(scenario())
-    assert before == after == (0, 1, 1, 0)
+    assert before == after == (0, 1, 1)
     assert stats.dropped == 0 and stats.offered == stats.completed == 1
 
 
@@ -238,6 +221,35 @@ def test_a_numpy_integer_request_replays_like_an_int_one():
     for paths in (as_numpy, as_int):
         assert np.array_equal(paths[0], oracle[7]) and np.array_equal(paths[1], oracle[8])
         assert type(paths[2]) is int and paths[2] == 9
+
+
+def test_an_id_past_2_to_the_40_is_a_client_id_like_any_other():
+    """Every non-negative int64 is a client id: one at 2**40 + 5 is
+    served, the auto id after it too, and both replay offline."""
+    query_id = 2**40 + 5
+
+    async def serve():
+        async with WalkService(GRAPH, SPEC, engine="batch", seed=SEED) as service:
+            explicit = await service.submit(HOT, query_id=query_id)
+            auto = await service.submit(HOT)
+            return explicit.path_of(0), auto.path_of(0)
+
+    explicit, auto = asyncio.run(serve())
+    oracle = replay_paths(GRAPH, SPEC, {query_id: HOT, query_id + 1: HOT}, seed=SEED)
+    assert np.array_equal(explicit, oracle[query_id])
+    assert np.array_equal(auto, oracle[query_id + 1])
+
+
+def test_an_auto_id_past_int64_is_refused_before_admission():
+    async def scenario():
+        async with WalkService(GRAPH, SPEC, engine="batch", seed=SEED) as service:
+            await service.submit(HOT, query_id=2**63 - 1)
+            with pytest.raises(WalkConfigError, match="query_id must fit in int64"):
+                service.try_submit(HOT)
+            return service.stats
+
+    stats = asyncio.run(scenario())
+    assert stats.offered == stats.completed == 1
 
 
 def _constructs_query_or_adds_paths(tree: ast.AST) -> list[str]:
@@ -259,7 +271,7 @@ def test_no_query_and_no_add_path_on_the_request_path():
     service = ast.parse((SRC / "serve" / "service.py").read_text())
     functions = {node.name: node for node in ast.walk(service)
                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
-    for name in ("try_submit", "try_submit_cached", "_resolve"):
+    for name in ("try_submit", "_resolve"):
         assert _constructs_query_or_adds_paths(functions[name]) == [], name
     assert "_complete" not in functions
     frontier = ast.parse((SRC / "serve" / "frontier.py").read_text())

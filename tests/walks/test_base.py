@@ -43,6 +43,15 @@ class TestQuery:
         q = Query(np.int64(3), np.int32(7))
         assert q.query_id == 3 and q.start_vertex == 7
 
+    def test_rejects_values_past_int64_by_name(self):
+        """The engines hold ids and starts as int64: one past it is refused
+        up front, not left to overflow in an engine."""
+        with pytest.raises(WalkConfigError, match="query_id must fit in int64"):
+            Query(2**63, 0)
+        with pytest.raises(WalkConfigError, match="start_vertex must fit in int64"):
+            Query(0, np.uint64(2**63))
+        assert Query(2**63 - 1, 0).query_id == 2**63 - 1
+
 
 class TestMakeQueries:
     def test_count(self):
@@ -106,6 +115,10 @@ class TestWalkBatch:
     def batch(self):
         return WalkBatch(np.array([10, 11, 12, 13, 14]), [4, 3, 2, 1, 0])
 
+    def test_an_unsigned_array_inside_int64_passes(self):
+        batch = WalkBatch(np.array([2**63 - 1], dtype=np.uint64), np.array([3], dtype=np.uint8))
+        assert batch.ids.tolist() == [2**63 - 1] and batch.starts.tolist() == [3]
+
     def test_len_and_arrays(self):
         batch = self.batch()
         assert len(batch) == 5
@@ -161,8 +174,11 @@ class TestWalkBatch:
             WalkBatch([0, 1.5], [0, 0])
         with pytest.raises(WalkConfigError, match="query_id must be non-negative"):
             WalkBatch(np.array([0, -1]), [0, 0])
-        with pytest.raises(WalkConfigError, match="start_vertex must be non-negative"):
+        # An unsigned array is checked before it could wrap to a negative.
+        with pytest.raises(WalkConfigError, match="start_vertex must fit in int64"):
             WalkBatch([0], np.array([2**63], dtype=np.uint64))
+        with pytest.raises(WalkConfigError, match="query_id must fit in int64"):
+            WalkBatch([2**63], [0])
         with pytest.raises(WalkConfigError, match="2 query ids for 1 start vertices"):
             WalkBatch([0, 1], [0])
         with pytest.raises(WalkConfigError, match="one dimension"):

@@ -16,12 +16,14 @@ import pytest
 
 from repro.bench.workloads import make_spec
 from repro.cli import ALGORITHMS
+from repro.errors import SamplingError
 from repro.graph.csr import CSRGraph
 from repro.sampling.vectorized import STALL, QueryStreams, seed_sequence_states
 from repro.walks import EngineStats
 from repro.walks.batch import BatchEngine, Frontier, superstep
 from repro.walks.engine import STAT_FIELDS, prepared_kernel
 
+from stall_helpers import NeverAccepting
 from test_compact_core import golden_graph, golden_queries
 
 SEED = 11
@@ -146,3 +148,14 @@ def test_a_sample_only_proxy_serves_an_open_frontier_alike(graph, queries, algor
     (plain, plain_counts), (proxied, proxied_counts) = paths
     assert all(np.array_equal(a, b) for a, b in zip(plain, proxied))
     assert np.array_equal(plain_counts, proxied_counts)
+
+
+def test_a_sample_only_proxy_stalls_out_with_a_sampling_error(graph, queries):
+    """A walker stalled past the bound behind a proxy that forwards only
+    ``sample`` fails its run as the bare kernel does: a
+    :class:`SamplingError` naming p and q."""
+    spec = NeverAccepting(p=4.0, q=0.25, max_length=LENGTH)
+    _, kernel = prepared_kernel(spec, graph)
+    for engine in (BatchEngine(graph, spec), BatchEngine(graph, spec, kernel=SampleOnly(kernel))):
+        with pytest.raises(SamplingError, match=r"after 10000 rounds \(p=4\.0, q=0\.25\)"):
+            engine.run(queries[:4], seed=SEED)
