@@ -53,6 +53,45 @@ class TestQuery:
         assert Query(2**63 - 1, 0).query_id == 2**63 - 1
 
 
+
+def offer(form, field, value):
+    """``value`` as ``field`` (query id or start vertex) through one of
+    the ways it reaches the bound check; returns the value stored."""
+    ids, starts = ([value], [0]) if field == "query_id" else ([0], [value])
+    if form == "Query int":
+        return getattr(Query(ids[0], starts[0]), field)
+    if form == "Query numpy uint64":
+        return int(getattr(Query(np.uint64(ids[0]), np.uint64(starts[0])), field))
+    if form == "WalkBatch list":
+        batch = WalkBatch(ids, starts)
+    else:
+        batch = WalkBatch(np.array(ids, dtype=np.uint64), np.array(starts, dtype=np.uint64))
+    return int((batch.ids if field == "query_id" else batch.starts)[0])
+
+
+OFFER_FORMS = ("Query int", "Query numpy uint64", "WalkBatch list", "WalkBatch uint64 array")
+INDEX_FIELDS = ("query_id", "start_vertex")
+
+
+class TestInt64Bound:
+    """Ids and starts are int64 in every engine: each way in refuses a
+    value past it by name, with the value unwrapped, and keeps the
+    largest one exactly."""
+
+    @pytest.mark.parametrize("value", [2**63, 2**64 - 1])
+    @pytest.mark.parametrize("field", INDEX_FIELDS)
+    @pytest.mark.parametrize("form", OFFER_FORMS)
+    def test_past_int64_is_refused_by_name(self, form, field, value):
+        with pytest.raises(WalkConfigError,
+                           match=re.escape(f"{field} must fit in int64, got {value}")):
+            offer(form, field, value)
+
+    @pytest.mark.parametrize("field", INDEX_FIELDS)
+    @pytest.mark.parametrize("form", OFFER_FORMS)
+    def test_int64_max_is_kept_exactly(self, form, field):
+        assert offer(form, field, 2**63 - 1) == 2**63 - 1
+
+
 class TestMakeQueries:
     def test_count(self):
         qs = make_queries(cycle_graph(5), 10, seed=1)

@@ -18,8 +18,9 @@ from repro.bench.workloads import make_spec
 from repro.cli import ALGORITHMS
 from repro.errors import SamplingError
 from repro.graph.csr import CSRGraph
-from repro.sampling.vectorized import STALL, QueryStreams, seed_sequence_states
-from repro.walks import EngineStats
+from repro.sampling.vectorized import STALL, BatchSample, QueryStreams, seed_sequence_states
+from repro.walks import EngineStats, Node2VecSpec
+from repro.walks import batch as batch_module
 from repro.walks.batch import BatchEngine, Frontier, superstep
 from repro.walks.engine import STAT_FIELDS, prepared_kernel
 
@@ -159,3 +160,37 @@ def test_a_sample_only_proxy_stalls_out_with_a_sampling_error(graph, queries):
     for engine in (BatchEngine(graph, spec), BatchEngine(graph, spec, kernel=SampleOnly(kernel))):
         with pytest.raises(SamplingError, match=r"after 10000 rounds \(p=4\.0, q=0\.25\)"):
             engine.run(queries[:4], seed=SEED)
+
+
+class AlwaysStalls:
+    """A ``sample``-only kernel that leaves every walker it is asked
+    about undecided, counting its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def sample(self, graph, current, *args):
+        self.calls += 1
+        return BatchSample(np.full(current.size, STALL, dtype=np.int64), proposals=current.size,
+                           neighbor_reads=0, stalled=np.arange(current.size))
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_stall_out_raises_the_specs_error_at_the_bound(monkeypatch, graph, queries,
+                                                         algorithm):
+    """Under every spec a walker stalled for the bound's supersteps
+    fails the run with the spec's own :class:`SamplingError`, raised on
+    the superstep that reaches the bound, from a kernel that offers
+    nothing but ``sample``."""
+    monkeypatch.setattr(batch_module, "MAX_STALLS", 5)
+    spec = spec_of(algorithm)
+    kernel = AlwaysStalls()
+    with pytest.raises(SamplingError) as raised:
+        BatchEngine(graph, spec, kernel=kernel).run(queries[:4], seed=SEED)
+    if isinstance(spec, Node2VecSpec):
+        expected = (f"{spec.strategy} sampling failed to accept after 5 rounds "
+                    f"(p={spec.p}, q={spec.q})")
+    else:
+        expected = f"{spec.name} left a walker undecided for 5 supersteps"
+    assert str(raised.value) == expected
+    assert kernel.calls == 5
