@@ -8,8 +8,9 @@ benchmark suite's ``sim_deepwalk`` shape and for small RMAT-8 shapes that
 reach every branch of the FIFO flags, the memory channels and the return
 network (static binding, bulk-synchronous ghost laps, the synchronous
 access engine, 1 and 8 pipelines, multi-cycle
-rejection sampling with long bursts, reservoir scans, probabilistic
-termination), plus one streaming run's tracer windows.
+rejection sampling with long bursts, reservoir scans, the reservoir's
+edge-type filter, probabilistic termination), plus one streaming run's
+tracer windows.
 
 A change to how the model is *computed* must leave every value here
 unedited.  Regenerate only for an intended change to what it simulates::
@@ -27,20 +28,24 @@ import pytest
 from repro.core import RidgeWalker, RidgeWalkerConfig
 from repro.core.accelerator import _Machine
 from repro.graph import rmat
-from repro.graph.datasets import thunderrw_weights
+from repro.graph.datasets import assign_metapath_schema, thunderrw_weights
 from repro.memory.spec import HBM2_U55C
 from repro.sampling.base import derive_seed
 from repro.sim.trace import UtilizationTracer
-from repro.walks import DeepWalkSpec, Node2VecSpec, PPRSpec, make_queries
+from repro.walks import DeepWalkSpec, MetaPathSpec, Node2VecSpec, PPRSpec, make_queries
 
 SMALL_SCALE = 8
 SMALL_QUERIES = 32
 SMALL_LENGTH = 16
 
 
-def graph_of(scale: int, weighted: bool, seed: int = 1):
+def graph_of(scale: int, weighted: bool | str, seed: int = 1):
+    """``weighted="typed"`` also attaches a three-type MetaPath schema."""
     graph = rmat(scale, edge_factor=16, seed=seed)
-    return graph.with_weights(thunderrw_weights(graph, seed)) if weighted else graph
+    if not weighted:
+        return graph
+    graph = graph.with_weights(thunderrw_weights(graph, seed))
+    return assign_metapath_schema(graph, num_types=3, seed=seed) if weighted == "typed" else graph
 
 
 def paths_sha256(paths) -> str:
@@ -76,6 +81,9 @@ CASES = {
                            SMALL_QUERIES, {}),
     "ppr": (SMALL_SCALE, False, lambda: PPRSpec(alpha=0.15, max_length=SMALL_LENGTH),
             SMALL_QUERIES, {}),
+    "metapath": (SMALL_SCALE, "typed",
+                 lambda: MetaPathSpec(pattern=[0, 1, 2], max_length=SMALL_LENGTH),
+                 SMALL_QUERIES, {}),
 }
 
 #: (total_steps, cycles, random_transactions, words_transferred,
@@ -112,6 +120,9 @@ GOLDEN = {
     "ppr": (157, 3618, 314, 314, 14174, 14472, 0,
             "1191c8c98af88eaf7afd06c84c2114ea70f2fbae05a0121c2b8c97f93fc78ba9",
             "84f18e6da090e8b9e64debd8d34e7b4043ca520e758f6b24861f276533e400ab"),
+    "metapath": (237, 3710, 497, 7740, 13617, 14840, 0,
+                 "6057ee61df8c0d941bfd21fb08a2dfccb455b07fbe40836a0ab4578736bcfe60",
+                 "73bc0be7b07876a80144ba42b1e857d8dc99eea33621f74c5cec879343a3d5d4"),
 }
 
 #: (total_steps, cycles, random_transactions, words_transferred,
@@ -175,13 +186,15 @@ def test_streaming_counters_and_tracer_windows_are_pinned():
 def test_the_small_shapes_reach_the_branches_they_stand_for():
     """Guards the golden's coverage, not the model: ghost laps happen
     only in the bulk-synchronous case, the Node2Vec cases burst many
-    words per transaction, and PPR walks end before their length."""
+    words per transaction, and PPR and MetaPath walks end before their
+    length (MetaPath's when no neighbour has the admissible type)."""
     ghosts = {name: GOLDEN[name][6] for name in CASES}
     assert [name for name, laps in ghosts.items() if laps] == ["bulk_synchronous"]
     for name in ("node2vec_rejection", "node2vec_reservoir"):
         transactions, words = GOLDEN[name][2:4]
         assert words > 10 * transactions
     assert GOLDEN["ppr"][0] < SMALL_QUERIES * SMALL_LENGTH / 2
+    assert GOLDEN["metapath"][0] < SMALL_QUERIES * SMALL_LENGTH / 2
 
 
 if __name__ == "__main__":
