@@ -11,8 +11,8 @@
 # 1.3x a rebuild, one tracer lookup per untraced run) —
 # then CLI smokes whose exit codes are gates: every `serve-bench` run
 # replays each served path bit-identically through its engine (plain,
-# paced PPR, multi-tenant flash crowd, MetaPath, the run-backed reference
-# frontier, and a paced walk-cache run that must also serve cache hits),
+# paced PPR, multi-tenant flash crowd, MetaPath and the run-backed
+# reference frontier),
 # `mutate-bench` exits non-zero unless its final snapshot
 # equals a from-scratch build (per small batch, for bursts larger than a
 # quarter of the base graph, and for the edge set Node2Vec's snapshots

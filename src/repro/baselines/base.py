@@ -26,7 +26,7 @@ from repro.graph.csr import CSRGraph
 from repro.sim.stats import RunMetrics
 from repro.walks.base import Query, WalkSpec
 from repro.walks.batch import run_walks_batch
-from repro.walks.reference import EngineStats
+from repro.walks.engine import EngineStats
 
 
 class BaselineModel(ABC):

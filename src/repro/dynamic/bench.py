@@ -36,7 +36,7 @@ from repro.sampling.base import derive_seed
 from repro.sampling.vectorized import SamplerState, VectorizedKernel, make_kernel
 from repro.walks.base import WalkSpec, make_queries
 from repro.walks.batch import run_walks_batch
-from repro.walks.reference import EngineStats
+from repro.walks.engine import EngineStats
 
 
 @dataclass

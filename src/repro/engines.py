@@ -1,13 +1,16 @@
 """Engine registry: the one table that maps engine names to engines.
 
-Three engines execute the same ``WalkSpec``/``Query`` workloads and are
-held to the same statistical oracle.  Two run as plain software and are
-one class hierarchy rooted at :class:`~repro.walks.engine.PreparedEngine`
-— the vectorized batch engine (``batch``), which fans a large run out to
-one thread lane per usable CPU, and the pure-Python reference loop
-(``reference``); the third is the cycle-level accelerator model
-(``sim``, :func:`run_accelerator_walks`).  Every software engine samples
-with the spec's own kernel.
+Three engines execute the same ``WalkSpec``/``Query`` workloads.  Two
+run as plain software and are one class hierarchy rooted at
+:class:`~repro.walks.engine.PreparedEngine` — the vectorized batch
+engine (``batch``), which fans a large run out to one thread lane per
+usable CPU, and the pure-Python reference loop (``reference``), which
+walks one query at a time through the scalar samplers.  Both draw each
+query's one ``SeedSequence((seed, query_id))`` stream in the same order,
+so they are bit-identical: paths and every ``EngineStats`` counter.  The
+third is the cycle-level accelerator model (``sim``,
+:func:`run_accelerator_walks`), which draws from ThundeRiNG streams and
+is held to the reference engine's distribution by chi-square tests.
 
 :data:`SOFTWARE_ENGINES` is the registry: ``{cls.name: cls}``.  The
 protocol's shared ``run`` / ``swap_snapshot`` mean an engine is one
@@ -31,30 +34,10 @@ from repro.graph.csr import CSRGraph
 from repro.memory.spec import HBM2_U55C
 from repro.obs.metrics import global_registry
 from repro.obs.trace import span as _trace_span
-from repro.walks import EngineStats, Query, WalkResults, WalkSpec, run_walks
+from repro.walks import EngineStats, Query, WalkResults, WalkSpec
 from repro.walks.batch import BatchEngine
-from repro.walks.engine import PreparedEngine, snapshot_graph
-
-
-class ReferenceEngine(PreparedEngine):
-    """The scalar reference loop: nothing to amortize and no array hook
-    (it is the oracle the array engines are tested against), so it
-    overrides the protocol's two entry points whole."""
-
-    name = "reference"
-
-    def __init__(self, graph, spec: WalkSpec) -> None:
-        # Not _configure: that rejects specs only this engine runs.
-        self._graph = snapshot_graph(graph)
-        self._spec = spec
-
-    def run(self, queries, seed=0, stats=None):
-        return run_walks(self._graph, self._spec, queries, seed=seed, stats=stats)
-
-    def swap_snapshot(self, snapshot) -> None:
-        # The scalar samplers re-prepare per run; only the graph swaps.
-        self._graph = snapshot_graph(snapshot)
-
+from repro.walks.engine import PreparedEngine
+from repro.walks.reference import ReferenceEngine
 
 #: The engines that run as plain software (no cycle model), by name.
 SOFTWARE_ENGINES: dict[str, type[PreparedEngine]] = {

@@ -33,6 +33,8 @@ bandwidth (Figure 8a discussion).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import SamplingError
 from repro.rng.xorshift import SplitMix64, XorShift128
 
@@ -135,6 +137,10 @@ class RingRandomSource:
         lanes[3] = low
         word = ((root + self._increment) & _MASK64) ^ ((high << 32) | low)
         return (word >> 11) * (1.0 / (1 << 53))
+
+    def element_uniforms(self, within) -> np.ndarray:
+        """One :meth:`uniform` per listed within-row index, in order."""
+        return np.array([self.uniform() for _ in range(len(within))], dtype=np.float64)
 
     def randint(self, bound: int) -> int:
         """Uniform integer in ``[0, bound)`` via 64-bit rejection.

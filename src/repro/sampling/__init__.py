@@ -2,7 +2,6 @@
 
 from repro.sampling.alias_sampler import AliasSampler
 from repro.sampling.base import (
-    NumpyRandomSource,
     RandomSource,
     RingRandomSource,
     SampleOutcome,
@@ -17,6 +16,7 @@ from repro.sampling.vectorized import (
     BatchSample,
     QueryStreams,
     SamplerState,
+    StreamRandomSource,
     VectorizedKernel,
     make_kernel,
 )
@@ -24,7 +24,6 @@ from repro.sampling.vectorized import (
 __all__ = [
     "AliasSampler",
     "BatchSample",
-    "NumpyRandomSource",
     "QueryStreams",
     "VectorizedKernel",
     "make_kernel",
@@ -37,5 +36,6 @@ __all__ = [
     "SamplerState",
     "Sampler",
     "StepContext",
+    "StreamRandomSource",
     "UniformSampler",
 ]

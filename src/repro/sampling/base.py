@@ -76,28 +76,20 @@ def derive_seed(seed: int, *tags: int | str) -> int:
 
 
 class RandomSource(Protocol):
-    """Uniform randomness interface consumed by samplers."""
+    """Uniform randomness interface consumed by samplers: the reference
+    engine's :class:`~repro.sampling.vectorized.StreamRandomSource`, the
+    cycle model's :class:`RingRandomSource`."""
 
     def uniform(self) -> float:
         """Uniform float in [0, 1)."""
 
     def randint(self, bound: int) -> int:
-        """Uniform integer in [0, bound)."""
+        """Uniform integer in [0, bound); ``bound <= 0`` is a
+        :class:`SamplingError`."""
 
-
-class NumpyRandomSource:
-    """Adapter over ``numpy.random.Generator`` (reference engine)."""
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        self._rng = rng
-
-    def uniform(self) -> float:
-        return float(self._rng.random())
-
-    def randint(self, bound: int) -> int:
-        if bound <= 0:
-            raise SamplingError(f"bound must be positive, got {bound}")
-        return int(self._rng.integers(0, bound))
+    def element_uniforms(self, within: np.ndarray) -> np.ndarray:
+        """One uniform per listed within-row index, in order (a reservoir
+        scan's draws for the row entries it may pick)."""
 
 
 @dataclass(frozen=True, slots=True)

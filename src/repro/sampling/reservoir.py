@@ -15,6 +15,8 @@ zero-bubble scheduler exists to absorb (Figure 8d).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import SamplingError
 from repro.graph.csr import CSRGraph
 from repro.sampling.base import RandomSource, SampleOutcome, Sampler, StepContext
@@ -40,51 +42,35 @@ class ReservoirSampler(Sampler):
         """Whether Node2Vec biases are applied."""
         return self.p is not None
 
-    def _bias(self, graph: CSRGraph, prev_vertex: int | None, candidate: int) -> float:
-        if not self.second_order or prev_vertex is None:
-            return 1.0
-        if candidate == prev_vertex:
-            return 1.0 / self.p
-        if graph.has_edge(prev_vertex, candidate):
-            return 1.0
-        return 1.0 / self.q
-
     def sample(
         self,
         graph: CSRGraph,
         context: StepContext,
         random_source: RandomSource,
     ) -> SampleOutcome:
+        """The reservoir kernel's scan of one row: one uniform per eligible
+        entry (weight > 0, admissible type), keys ``u**(1/w)``, ties to the
+        later entry; every entry is read."""
         degree = self._require_degree(graph, context.vertex)
-        neighbors = graph.neighbors(context.vertex)
-        weights = graph.neighbor_weights(context.vertex)
-        edge_types = (
-            graph.neighbor_edge_types(context.vertex) if graph.has_edge_types else None
-        )
-        best_key = -1.0
-        best_index: int | None = None
-        reads = 0
-        for i in range(degree):
-            reads += 1
-            if context.admissible_type is not None:
-                if edge_types is None:
-                    raise SamplingError(
-                        "admissible_type given but the graph has no edge types"
-                    )
-                if int(edge_types[i]) != context.admissible_type:
-                    continue
-            weight = float(weights[i]) * self._bias(
-                graph, context.prev_vertex, int(neighbors[i])
-            )
-            if weight <= 0:
-                continue
-            u = random_source.uniform()
-            # Guard u == 0: key would be 0 for every weight; nudge to the
-            # smallest positive double instead so ordering stays correct.
-            if u == 0.0:
-                u = 5e-324
-            key = u ** (1.0 / weight)
-            if key > best_key:
-                best_key = key
-                best_index = i
-        return SampleOutcome(index=best_index, proposals=1, neighbor_reads=reads)
+        if context.admissible_type is not None and not graph.has_edge_types:
+            raise SamplingError("admissible_type given but the graph has no edge types")
+        weight = graph.neighbor_weights(context.vertex)
+        prev = context.prev_vertex
+        if self.second_order and prev is not None:
+            neighbors = graph.neighbors(context.vertex)
+            adjacent = np.isin(neighbors, graph.neighbors(prev))
+            weight = weight * np.where(
+                neighbors == prev, 1.0 / self.p, np.where(adjacent, 1.0, 1.0 / self.q))
+        eligible = weight > 0
+        if context.admissible_type is not None:
+            eligible &= graph.neighbor_edge_types(context.vertex) == context.admissible_type
+        u = np.ones(degree)
+        u[eligible] = random_source.element_uniforms(np.flatnonzero(eligible))
+        # Guard u == 0: key would be 0 for every weight; nudge to the
+        # smallest positive double instead so ordering stays correct.
+        u[u == 0.0] = 5e-324
+        with np.errstate(divide="ignore"):
+            key = np.where(eligible, u ** (1.0 / weight), -1.0)
+        best = degree - 1 - int(np.argmax(key[::-1]))
+        index = best if key[best] > -0.5 else None
+        return SampleOutcome(index=index, proposals=1, neighbor_reads=degree)

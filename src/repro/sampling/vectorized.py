@@ -10,9 +10,10 @@ Three ingredients make the kernels drop-in replacements for the scalar
 samplers in this package:
 
 * :class:`QueryStreams` — one independent random substream per query,
-  keyed by ``np.random.SeedSequence((seed, query_id))`` exactly like the
-  reference engine, but advanced for the whole frontier with vectorized
-  splitmix64 arithmetic.
+  keyed by ``np.random.SeedSequence((seed, query_id))`` and advanced for
+  the whole frontier with vectorized splitmix64 arithmetic.  The
+  reference engine draws from the same streams one query at a time,
+  through :class:`StreamRandomSource`.
 * :class:`EdgeSet` — the one exact edge-membership structure every
   second-order kernel probes: a bucketed table of the edge keys
   (``src * |V| + dst``) behind a 16-bits-per-edge bit filter, so a batch
@@ -29,10 +30,10 @@ samplers in this package:
   cross-engine ``EngineStats`` identity — not a measure of the lookup
   work the filter saves.
 
-Statistical equivalence with the scalar samplers is enforced by
-chi-square tests in ``tests/walks/test_batch.py``; streams are *not*
-bit-identical across engines, only identically distributed and
-identically keyed per query.
+A kernel draws what its scalar sampler draws, in the same order, from
+the same stream, so the reference engine walks bit-identically to the
+batch engine (``tests/walks/test_engine_matrix.py``,
+``tests/sampling/test_kernel_properties.py``).
 """
 
 from __future__ import annotations
@@ -98,8 +99,8 @@ NO_STALLS = np.empty(0, dtype=np.intp)
 NO_STALLS.setflags(write=False)
 
 # numpy SeedSequence hashing constants (numpy/random/bit_generator.pyx).
-# The batched derivation below reproduces SeedSequence bit-for-bit so the
-# per-query substream keying stays identical to the reference engine's
+# The batched derivation below reproduces SeedSequence bit-for-bit, so
+# the per-query substreams stay ``SeedSequence((seed, query_id))``-keyed
 # while costing a handful of array ops instead of one SeedSequence object
 # per query.
 _SS_POOL_SIZE = 4
@@ -297,11 +298,14 @@ def _to_unit(bits: np.ndarray) -> np.ndarray:
 class QueryStreams:
     """Per-query random substreams advanced in batch.
 
-    Stream ``q`` is seeded from ``SeedSequence((seed, query_id))`` — the
-    same derivation the reference engine uses — and advanced with
-    splitmix64, so every query's randomness is independent of batch
-    composition and query order, and two distinct ``(seed, query_id)``
-    pairs never collide (the property the old xor-mix derivation lacked).
+    Stream ``q`` is seeded from ``SeedSequence((seed, query_id))`` and
+    advanced with splitmix64, so every query's randomness is independent
+    of batch composition and query order, and two distinct ``(seed,
+    query_id)`` pairs never collide (the property the old xor-mix
+    derivation lacked).  The batch engine draws a frontier's streams
+    here; the reference engine draws each query's one stream through a
+    :class:`StreamRandomSource` over ``from_states`` of one state — the
+    same arithmetic, so both engines walk alike.
     """
 
     def __init__(self, seed: int, query_ids: Sequence[int] | np.ndarray) -> None:
@@ -368,20 +372,22 @@ class QueryStreams:
     def element_uniforms(
         self,
         idx: np.ndarray | None,
-        counts: np.ndarray,
+        counts: np.ndarray | None,
         segment: np.ndarray | None = None,
         within: np.ndarray | None = None,
     ) -> np.ndarray:
         """``counts[k]`` uniforms from stream ``idx[k]``, flattened.
 
         Each selected stream's state advances once; the per-element values
-        are derived counter-style from the advanced state, so a scan over
-        a large neighbor list costs one state bump regardless of degree.
+        are derived counter-style from the advanced state and the
+        element's index inside its segment, so a scan over a large
+        neighbor list costs one state bump regardless of degree.
         Callers that already flattened ``counts`` into ``segment`` (the
         selected-stream position of each element) and ``within`` (the
         element's index inside its segment) can pass both to skip the
-        redundant repeat/cumsum pass — they must describe exactly the
-        ``counts`` layout.
+        redundant repeat/cumsum pass; ``counts`` is then not read, and
+        ``within`` may list any indices (:class:`StreamRandomSource`
+        asks for a row's eligible entries only).
         """
         advanced = self._advance(idx)
         if segment is None or within is None:
@@ -391,6 +397,40 @@ class QueryStreams:
             within = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
         salt = _mix64(within.astype(np.uint64) + _ELEMENT_GAMMA)
         return _to_unit(_mix64(advanced[segment] ^ salt))
+
+
+class StreamRandomSource:
+    """One query's :class:`QueryStreams` stream as a scalar sampler's
+    random source (the reference engine's).
+
+    ``state`` is a one-element uint64 array, e.g. a slice of
+    :func:`seed_sequence_states`, advanced in place by every draw.  A
+    draw is the batch kernels' own draw on a one-stream frontier, so a
+    scalar sampler that draws what its kernel draws, in the same order,
+    takes the same walk.
+    """
+
+    def __init__(self, state: np.ndarray) -> None:
+        self._streams = QueryStreams.from_states(state)
+
+    def uniform(self) -> float:
+        """Uniform float in ``[0, 1)``: one bump."""
+        return float(self._streams.uniforms()[0])
+
+    def randint(self, bound: int) -> int:
+        """Uniform integer in ``[0, bound)``, drawn as
+        :meth:`QueryStreams.randints` draws it: ``int(u * bound)``."""
+        if bound <= 0:
+            raise SamplingError(f"bound must be positive, got {bound}")
+        return int(self.uniform() * bound)
+
+    def element_uniforms(self, within: np.ndarray) -> np.ndarray:
+        """One uniform per listed within-row index, in order, for one
+        bump — whatever their number, none included, as the reservoir
+        kernel bumps each walker once per scan."""
+        within = np.asarray(within, dtype=np.int64)
+        return self._streams.element_uniforms(
+            None, None, np.zeros(within.size, dtype=np.intp), within)
 
 
 def sub_streams(stream_idx: np.ndarray | None, group: np.ndarray) -> np.ndarray:

@@ -67,7 +67,7 @@ from repro.serve.items import _PendingRequest
 from repro.serve.qos import DEFAULT_TENANT, TenantScheduler, TenantSpec
 from repro.serve.stats import ServeStats
 from repro.walks.base import WalkBatch, WalkResults, WalkSpec, walk_index
-from repro.walks.reference import EngineStats
+from repro.walks.engine import EngineStats
 
 
 @dataclass(frozen=True)

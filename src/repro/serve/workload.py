@@ -138,18 +138,25 @@ def scenario_gaps(
 ) -> np.ndarray:
     """Arrival gaps for a named scenario (see :data:`SCENARIOS`).
 
-    ``steady`` uses plain Poisson gaps, ``flash-crowd``
-    :func:`flash_crowd_gaps`.  A non-positive rate degenerates every
-    scenario to back-to-back saturation.
+    ``steady`` uses plain Poisson gaps, and a non-positive rate
+    degenerates it to back-to-back saturation.  ``flash-crowd`` is
+    :func:`flash_crowd_gaps`: a burst is a multiple of a nominal rate, so
+    it needs a positive one (``serve-bench --rate``); a non-positive rate
+    is a :class:`WalkConfigError`, not a quiet steady run.
     """
     if scenario not in SCENARIOS:
         raise WalkConfigError(
             f"unknown scenario {scenario!r}; choose from {list(SCENARIOS)}"
         )
+    if scenario == "flash-crowd":
+        if rate_per_second <= 0:
+            raise WalkConfigError(
+                f"the flash-crowd scenario needs a positive nominal rate "
+                f"(--rate), got {rate_per_second}"
+            )
+        return flash_crowd_gaps(count, rate_per_second, seed=seed)
     if rate_per_second <= 0:
         return arrival_gaps(count, 0.0)
-    if scenario == "flash-crowd":
-        return flash_crowd_gaps(count, rate_per_second, seed=seed)
     return arrival_gaps(count, rate_per_second, seed=seed)
 
 

@@ -10,6 +10,7 @@ from repro.walks.base import (
 )
 from repro.walks.batch import run_walks_batch
 from repro.walks.deepwalk import DeepWalkSpec, cooccurrence_counts, skip_gram_pairs
+from repro.walks.engine import EngineStats
 from repro.walks.metapath import MetaPathSpec
 from repro.walks.node2vec import (
     PAPER_P,
@@ -18,7 +19,7 @@ from repro.walks.node2vec import (
     exact_step_distribution,
 )
 from repro.walks.ppr import PPRSpec, estimate_ppr
-from repro.walks.reference import EngineStats, run_walks
+from repro.walks.reference import run_walks
 from repro.walks.urw import URWSpec
 
 __all__ = [

@@ -49,10 +49,11 @@ thread allocates from its own malloc arena, which at the fill holds its
 lane's hop log (10.6 MB) and 1.8 MB of freed temporaries, so peak RSS
 grows by ~12 MiB on the first run that fans out and not after.
 
-Same API, ``SeedSequence((seed, query_id))`` substream keying and
-:class:`EngineStats` semantics as :func:`repro.walks.reference.run_walks`;
-chi-square tests hold it to that engine, ``tests/walks/test_compact_core.py``
-to the pre-compaction core bit for bit, ``benchmarks/suite`` measures it.
+Same API, ``SeedSequence((seed, query_id))`` substreams and
+:class:`EngineStats` semantics as :func:`repro.walks.reference.run_walks`,
+which walks bit-identically (``tests/walks/test_engine_matrix.py``);
+``tests/walks/test_compact_core.py`` holds it to the pre-compaction core
+bit for bit, ``benchmarks/suite`` measures it.
 :class:`BatchEngine` is the engine; :func:`run_walks_batch` is the
 one-call ``Query`` form, :func:`run_walks_batch_flat` the one-call array
 form and :func:`run_walks_batch_arrays` its dense adapter.
@@ -89,13 +90,13 @@ from repro.walks.base import (
 )
 from repro.walks.engine import (
     STAT_FIELDS,
+    EngineStats,
     PreparedEngine,
     check_start_vertices,
     prepared_kernel,
     run_arrays,
     usable_cpus,
 )
-from repro.walks.reference import EngineStats
 
 (_PROPOSALS, _READS, _DANGLING, _EARLY, _PROBABILISTIC, _LENGTH) = range(len(STAT_FIELDS))
 
@@ -690,10 +691,8 @@ def run_walks_batch(
 ) -> WalkResults:
     """Execute ``queries`` under ``spec`` with frontier supersteps.
 
-    Deterministic in ``seed`` and independent of query order, like the
-    reference engine; per-query paths are *statistically* equivalent to
-    the reference engine's, not bit-identical (the engines consume their
-    substreams in different patterns).
+    Deterministic in ``seed`` and independent of query order; every
+    path and counter equals the reference engine's (:func:`run_walks`).
 
     ``kernel``, when given, must already be prepared for ``graph``;
     otherwise the spec's own kernel is prepared here.  Repeated callers

@@ -27,6 +27,7 @@ one closed ``run`` per step.
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,7 +36,6 @@ from repro.errors import GraphError, WalkConfigError
 from repro.graph.csr import CSRGraph
 from repro.sampling.vectorized import VectorizedKernel, make_kernel
 from repro.walks.base import Query, WalkBatch, WalkResults, WalkSpec, unpack_queries
-from repro.walks.reference import EngineStats
 
 #: Scalar EngineStats counters one run accumulates, in the order of the
 #: hook's ``counts`` vector.
@@ -47,6 +47,28 @@ STAT_FIELDS = (
     "probabilistic_terminations",
     "length_terminations",
 )
+
+
+@dataclass
+class EngineStats:
+    """Cost counters a run accumulates: the :data:`STAT_FIELDS`, hops in
+    total and per query.  Every software engine counts them alike."""
+
+    total_hops: int = 0
+    sampling_proposals: int = 0
+    neighbor_reads: int = 0
+    early_terminations: int = 0
+    dangling_terminations: int = 0
+    probabilistic_terminations: int = 0
+    length_terminations: int = 0
+    per_query_hops: list[int] = field(default_factory=list)
+
+    def imbalance_ratio(self) -> float:
+        """max/mean of per-query hop counts (1.0 = perfectly balanced)."""
+        hops = np.asarray(self.per_query_hops, dtype=np.float64)
+        if hops.size == 0 or hops.mean() == 0:
+            return 1.0
+        return float(hops.max() / hops.mean())
 
 
 def usable_cpus() -> int:

@@ -1,11 +1,17 @@
 """Pure-software reference walk engine.
 
 Implements Algorithm II.1 of the paper directly: row access, sampling,
-column access, termination check — one query at a time, no hardware
-modelling.  Every accelerator model in this repository (RidgeWalker's
-cycle simulator and all baselines) must produce walk *statistics*
-indistinguishable from this engine; the integration test suite enforces
-that with chi-square comparisons.
+column access, termination check — one query at a time, whole walk in
+one loop, through the scalar samplers, with no hardware modelling.
+
+Each query draws from its own :class:`~repro.sampling.vectorized.QueryStreams`
+stream (``SeedSequence((seed, query_id))``, splitmix64), through a
+:class:`~repro.sampling.vectorized.StreamRandomSource`, and each scalar
+sampler draws what its batch kernel draws, in the same order.  So this
+loop and the batch engine's interleaved frontier walk bit-identically —
+paths and every ``EngineStats`` counter — which is the paper's claim
+that a Markov walk split into stateless tasks may run in any order
+(§III-C), checked exactly by ``tests/walks/test_engine_matrix.py``.
 
 The engine is also the correctness oracle for downstream applications
 (PPR estimation, DeepWalk corpora) in ``examples/``.
@@ -13,39 +19,74 @@ The engine is also the correctness oracle for downstream applications
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.sampling.base import (
-    NumpyRandomSource,
-    StepContext,
-    normalize_seed,
-)
-from repro.walks.base import Query, WalkResults, WalkSpec
+from repro.sampling.base import StepContext
+from repro.sampling.vectorized import StreamRandomSource, seed_sequence_states
+from repro.walks.base import Query, WalkResults, WalkSpec, path_offsets
+from repro.walks.engine import STAT_FIELDS, EngineStats, PreparedEngine, snapshot_graph
+
+(_PROPOSALS, _READS, _DANGLING, _EARLY, _PROBABILISTIC, _LENGTH) = range(len(STAT_FIELDS))
 
 
-@dataclass
-class EngineStats:
-    """Cost counters accumulated while running the reference engine."""
+class ReferenceEngine(PreparedEngine):
+    """The scalar reference loop as an engine: its array hook walks one
+    query at a time; the protocol's ``run`` checks the starts and folds
+    the counters, as for every engine."""
 
-    total_hops: int = 0
-    sampling_proposals: int = 0
-    neighbor_reads: int = 0
-    early_terminations: int = 0
-    dangling_terminations: int = 0
-    probabilistic_terminations: int = 0
-    length_terminations: int = 0
-    per_query_hops: list[int] = field(default_factory=list)
+    name = "reference"
 
-    def imbalance_ratio(self) -> float:
-        """max/mean of per-query hop counts (1.0 = perfectly balanced)."""
-        hops = np.asarray(self.per_query_hops, dtype=np.float64)
-        if hops.size == 0 or hops.mean() == 0:
-            return 1.0
-        return float(hops.max() / hops.mean())
+    def __init__(self, graph, spec: WalkSpec) -> None:
+        # Not _configure: this loop asks terminates_probabilistically()
+        # every hop, so it runs specs that override it, which that rejects.
+        self._graph = snapshot_graph(graph)
+        self._spec = spec
+
+    def _run_arrays(self, query_ids, starts, seed):
+        graph, spec = self._graph, self._spec
+        sampler = spec.make_sampler()
+        sampler.prepare(graph)
+        counts = [0] * len(STAT_FIELDS)
+        paths = []
+        states = seed_sequence_states(seed, query_ids)
+        for k, current in enumerate(starts.tolist()):
+            source = StreamRandomSource(states[k:k + 1])
+            path = [current]
+            previous = None
+            for hop in range(spec.max_length):
+                if graph.degree(current) == 0:
+                    counts[_DANGLING] += 1
+                    break
+                context = StepContext(
+                    vertex=current,
+                    prev_vertex=previous if spec.needs_prev_vertex else None,
+                    admissible_type=spec.admissible_type(hop),
+                )
+                outcome = sampler.sample(graph, context, source)
+                counts[_PROPOSALS] += outcome.proposals
+                counts[_READS] += outcome.neighbor_reads
+                if outcome.terminated:
+                    counts[_EARLY] += 1
+                    break
+                previous, current = current, int(graph.neighbors(current)[outcome.index])
+                path.append(current)
+                if spec.terminates_probabilistically(hop, source):
+                    counts[_PROBABILISTIC] += 1
+                    break
+            else:
+                counts[_LENGTH] += 1
+            paths.append(path)
+        offsets = path_offsets(np.array([len(path) for path in paths], dtype=np.int64))
+        flat = np.fromiter(chain.from_iterable(paths), dtype=np.int64, count=int(offsets[-1]))
+        return flat, offsets, np.array(counts, dtype=np.int64)
+
+    def swap_snapshot(self, snapshot) -> None:
+        # The scalar samplers re-prepare per run; only the graph swaps.
+        self._graph = snapshot_graph(snapshot)
 
 
 def run_walks(
@@ -61,55 +102,4 @@ def run_walks(
     results do not depend on query order.  Pass an :class:`EngineStats`
     to collect cost counters (used by the baseline performance models).
     """
-    sampler = spec.make_sampler()
-    sampler.prepare(graph)
-    results = WalkResults()
-    seed = normalize_seed(seed)
-    for query in queries:
-        # SeedSequence((seed, query_id)) gives provably well-separated
-        # substreams; the previous xor-mix derivation produced colliding
-        # streams across (seed, query_id) pairs (e.g. (0, 1) and
-        # (salt, 0) were identical).
-        rng = NumpyRandomSource(
-            np.random.default_rng(np.random.SeedSequence((seed, query.query_id)))
-        )
-        path = [query.start_vertex]
-        current = query.start_vertex
-        previous: int | None = None
-        hops = 0
-        for step in range(spec.max_length):
-            if graph.degree(current) == 0:
-                if stats is not None:
-                    stats.dangling_terminations += 1
-                break
-            context = StepContext(
-                vertex=current,
-                prev_vertex=previous if spec.needs_prev_vertex else None,
-                admissible_type=spec.admissible_type(step),
-            )
-            outcome = sampler.sample(graph, context, rng)
-            if stats is not None:
-                stats.sampling_proposals += outcome.proposals
-                stats.neighbor_reads += outcome.neighbor_reads
-            if outcome.terminated:
-                if stats is not None:
-                    stats.early_terminations += 1
-                break
-            next_vertex = int(graph.neighbors(current)[outcome.index])
-            path.append(next_vertex)
-            previous = current
-            current = next_vertex
-            hops += 1
-            if spec.terminates_probabilistically(step, rng):
-                if stats is not None:
-                    stats.probabilistic_terminations += 1
-                break
-        else:
-            if stats is not None:
-                stats.length_terminations += 1
-        results.add_path(path)
-        if stats is not None:
-            stats.total_hops += hops
-            stats.per_query_hops.append(hops)
-    return results
-
+    return ReferenceEngine(graph, spec).run(queries, seed=seed, stats=stats)

@@ -10,9 +10,9 @@ from repro.core.sampling_module import (
 )
 from repro.errors import SimulationError
 from repro.graph import from_edges
+from repro.rng import RingRandomSource, ThunderRing
 from repro.sampling import (
     AliasSampler,
-    NumpyRandomSource,
     RejectionSampler,
     ReservoirSampler,
     SampleOutcome,
@@ -20,8 +20,6 @@ from repro.sampling import (
 )
 from repro.sim import SimulationKernel
 from repro.walks import URWSpec
-
-import numpy as np
 
 
 class TestCostModel:
@@ -61,7 +59,7 @@ class TestSamplingModule:
         dst = kernel.make_fifo(8, "dst")
         module = SamplingModule(
             "sp", src, dst, graph, spec, sampler,
-            NumpyRandomSource(np.random.default_rng(1)),
+            RingRandomSource(ThunderRing(1, seed=1), 0),
         )
         kernel.add_module(module)
         return kernel, src, dst, module

@@ -10,7 +10,8 @@ from repro.graph import (
     build_alias_table,
     from_edges,
 )
-from repro.sampling import AliasSampler, NumpyRandomSource, StepContext
+from repro.rng import RingRandomSource, ThunderRing
+from repro.sampling import AliasSampler, StepContext
 
 
 def alias_exact_distribution(prob: np.ndarray, alias: np.ndarray) -> np.ndarray:
@@ -104,7 +105,7 @@ class TestBuildAliasTable:
     def test_sample_index_statistics(self):
         g = self.graph()
         sampler = AliasSampler(build_alias_table(g))
-        source = NumpyRandomSource(np.random.default_rng(0))
+        source = RingRandomSource(ThunderRing(1, seed=0), 0)
         d = g.degree(0)
         draws = np.zeros(d)
         n = 40_000
@@ -116,6 +117,6 @@ class TestBuildAliasTable:
     def test_sample_index_rejects_empty(self):
         g = self.graph()
         sampler = AliasSampler(build_alias_table(g))
-        source = NumpyRandomSource(np.random.default_rng(0))
+        source = RingRandomSource(ThunderRing(1, seed=0), 0)
         with pytest.raises(SamplingError, match="dangling vertex 3"):
             sampler.sample(g, StepContext(3), source)

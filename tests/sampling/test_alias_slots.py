@@ -1,7 +1,8 @@
 """The packed alias slot: one 16-byte record per edge, everywhere.
 
-``pack_alias_slots`` is held to a scalar oracle; the kernel that samples
-from the records is held to the scalar ``AliasSampler.draw``; and every place
+``pack_alias_slots`` is held to a scalar packer; the kernel that samples
+from the records is held to the scalar ``AliasSampler.draw`` on the same
+stream; and every place
 that carries alias state — a graph's one sampler state, the dynamic
 snapshots, an engine swapped onto one — is shown to carry the one record
 array, zero-copy, without packing it again.
@@ -19,7 +20,7 @@ from repro.engines import prepare_engine, run_software_walks
 from repro.errors import GraphError
 from repro.graph import CSRGraph, from_edges, rmat
 from repro.graph.alias import build_alias_table
-from repro.sampling import AliasSampler, SamplerState
+from repro.sampling import AliasSampler, SamplerState, StreamRandomSource
 from repro.sampling import vectorized
 from repro.sampling.vectorized import (
     ALIAS_SLOT,
@@ -28,13 +29,14 @@ from repro.sampling.vectorized import (
     QueryStreams,
     graph_alias_slots,
     pack_alias_slots,
+    seed_sequence_states,
 )
 from repro.walks import DeepWalkSpec, make_queries
 
 from row_oracles import pack_slots_scalar
 
 
-# --- the packer against a scalar oracle ------------------------------------
+# --- the packer against a scalar packer ------------------------------------
 
 
 def random_graph(seed: int, weighted: bool) -> CSRGraph:
@@ -80,7 +82,7 @@ GRAPHS = {
 
 
 @pytest.mark.parametrize("make_graph", GRAPHS.values(), ids=GRAPHS.keys())
-def test_pack_matches_the_scalar_oracle(make_graph):
+def test_pack_matches_the_scalar_packer(make_graph):
     graph = make_graph()
     table = build_alias_table(graph)
     slots = pack_alias_slots(table.prob, table.alias, graph.row_ptr, graph.col)
@@ -140,20 +142,13 @@ def test_kernels_of_one_graph_share_one_read_only_record_array(monkeypatch):
         == ["_slots"]
 
 
-class Replay:
-    """A random source handing out the given uniforms in order."""
-
-    def __init__(self, *uniforms):
-        self.uniform = iter(uniforms).__next__
-
-
 @pytest.mark.parametrize("make_graph", [weighted_rmat, hub_graph, unsorted_graph,
                                         lambda: random_graph(4, False)],
                          ids=["rmat", "hub", "unsorted", "unweighted"])
 def test_kernel_moves_where_the_scalar_table_points(make_graph):
-    """Same uniforms, same slot, same compare: the vertex the kernel
+    """Same stream, same slot, same compare: the vertex the kernel
     returns is the neighbour at the index the scalar ``AliasSampler.draw``
-    (the cycle model's decision) picks."""
+    (the reference engine's and the cycle model's decision) picks."""
     graph = make_graph()
     sampler = AliasSampler(build_alias_table(graph))
     kernel = AliasKernel()
@@ -163,11 +158,10 @@ def test_kernel_moves_where_the_scalar_table_points(make_graph):
     ids = np.arange(current.size)
     batch = kernel.sample(graph, current, np.full(current.size, -1, dtype=np.int64), None,
                           QueryStreams(6, ids), None, graph.degrees()[current])
-    twin = QueryStreams(6, ids)
-    u1, u2 = twin.uniforms(), twin.uniforms()
+    states = seed_sequence_states(6, ids)
     index = np.array([
-        sampler.draw(graph, int(v), graph.degree(int(v)), Replay(float(a), float(b)))
-        for v, a, b in zip(current, u1, u2)
+        sampler.draw(graph, v, graph.degree(v), StreamRandomSource(states[k:k + 1]))
+        for k, v in enumerate(current.tolist())
     ])
     assert batch.vertex.dtype == np.int64
     assert np.array_equal(batch.vertex, graph.col[graph.row_ptr[current] + index])

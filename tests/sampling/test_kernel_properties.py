@@ -3,9 +3,9 @@
 Every engine samples through ``make_kernel(spec.make_sampler())``, so
 each algorithm's kernel is held to four contracts on 24 seeded graphs:
 
-1. **Batch equals the scalar oracle.**  The frontier engine and the
-   one-walker-at-a-time loop of ``tests/scalar_oracle.py`` agree on
-   every path and every ``EngineStats`` counter, walk by walk.
+1. **Batch equals the reference engine.**  The frontier engine and the
+   one-walker-at-a-time reference loop agree on every path and every
+   ``EngineStats`` counter, walk by walk.
 2. **Grouped dispatch equals per-query dispatch.**  A walker draws only
    from its own substream, so a query run alone takes the path it took
    in the batch, whatever rows its batch-mates sat on.
@@ -27,7 +27,7 @@ import inspect
 
 import numpy as np
 import pytest
-from scalar_oracle import assert_same_runs, run_walks_scalar_arrays
+from stat_helpers import assert_reference_equals_batch
 
 from repro.dynamic import DynamicGraph
 from repro.dynamic.bench import fresh_static_build, snapshot_matches_static
@@ -40,7 +40,6 @@ from repro.sampling.base import Sampler
 from repro.sampling.vectorized import VectorizedKernel, make_kernel
 from repro.walks import (
     DeepWalkSpec,
-    EngineStats,
     MetaPathSpec,
     Node2VecSpec,
     PPRSpec,
@@ -48,8 +47,6 @@ from repro.walks import (
     make_queries,
     run_walks_batch,
 )
-from repro.walks.base import unpack_queries
-from repro.walks.batch import run_walks_batch_arrays
 
 #: The sweep's seed universe.
 SEEDS = tuple(range(24))
@@ -167,19 +164,12 @@ def assert_same_results(a, b):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("case", CASES)
-def test_batch_equals_the_scalar_oracle(case, seed):
+def test_batch_equals_the_reference_engine(case, seed):
     """Contract 1."""
     graph, spec, queries = case_inputs(case, seed)
-    kernel = prepared_kernel(graph, spec)
-    ids, starts = unpack_queries(queries)
-    runs = []
-    for run in (run_walks_batch_arrays, run_walks_scalar_arrays):
-        stats = EngineStats()
-        paths, hops = run(graph, spec, kernel, starts, ids, seed=seed + 2, stats=stats)
-        runs.append((paths, hops, stats))
-    assert_same_runs(*runs)
+    stats = assert_reference_equals_batch(graph, spec, queries, seed + 2)
     # The dangling vertex and the degree-1 row are in play.
-    assert runs[0][2].total_hops > 0
+    assert stats.total_hops > 0
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -8,16 +8,20 @@ import numpy as np
 import pytest
 
 from repro.errors import SamplingError
-from repro.graph import from_edges
+from repro.graph import from_edges, rmat
 from repro.graph.alias import alias_expected_distribution, build_alias_table
+from repro.graph.datasets import assign_metapath_schema
+from repro.rng import RingRandomSource, ThunderRing
 from repro.sampling import (
     AliasSampler,
-    NumpyRandomSource,
+    QueryStreams,
     RejectionSampler,
     ReservoirSampler,
     StepContext,
+    StreamRandomSource,
     UniformSampler,
 )
+from repro.sampling.vectorized import ReservoirKernel, seed_sequence_states
 from repro.walks.node2vec import exact_step_distribution
 
 SAMPLES = 30_000
@@ -25,7 +29,14 @@ TOLERANCE = 0.02
 
 
 def rng_source(seed=0):
-    return NumpyRandomSource(np.random.default_rng(seed))
+    """A ThundeRiNG stream, the cycle model's source: the cheapest draw
+    for the distribution tests' many samples."""
+    return RingRandomSource(ThunderRing(1, seed=seed), 0)
+
+
+def stream_source(seed=0):
+    """One query stream, the reference engine's source."""
+    return StreamRandomSource(seed_sequence_states(seed, [0]))
 
 
 def weighted_fan():
@@ -265,3 +276,132 @@ def test_a_degree_one_row_always_takes_its_edge(make_sampler):
     for context in (StepContext(vertex=0), StepContext(vertex=0, prev_vertex=1)):
         for _ in range(50):
             assert sampler.sample(g, context, source).index == 0
+
+
+#: name -> (a fresh scalar source, the stream bumps of ``element_uniforms(within)``).
+SOURCES = {
+    "stream": (lambda: stream_source(5), lambda within: 1),
+    "ring": (lambda: rng_source(5), len),
+}
+
+
+@pytest.mark.parametrize("name", SOURCES)
+def test_scalar_source_contract(name):
+    """``randint`` refuses an empty range; ``element_uniforms`` gives one
+    uniform per listed index, none for none, and moves the stream as its
+    engine's scan does: the ring one draw per index, the query stream one
+    bump per call."""
+    make_source, bumps = SOURCES[name]
+    for bound in (0, -3):
+        with pytest.raises(SamplingError, match="bound must be positive"):
+            make_source().randint(bound)
+    for within in ([], [4], [0, 2, 9]):
+        source, twin = make_source(), make_source()
+        values = source.element_uniforms(np.array(within, dtype=np.int64))
+        assert len(values) == len(within)
+        assert all(0.0 <= u < 1.0 for u in values)
+        for _ in range(bumps(within)):
+            twin.uniform()
+        assert source.uniform() == twin.uniform()
+
+
+def test_stream_source_scans_like_the_reservoir_kernel():
+    """The adapter's uniforms are ``QueryStreams.element_uniforms`` of the
+    whole row, at the listed indices."""
+    within = np.array([0, 2, 9])
+    row = QueryStreams.from_states(seed_sequence_states(5, [0])).element_uniforms(
+        None, np.array([10]))
+    assert stream_source(5).element_uniforms(within).tolist() == row[within].tolist()
+
+
+# --- the reservoir scan draws in the kernel's order -------------------------
+
+
+def typed_weighted_rmat():
+    graph = rmat(8, edge_factor=8, seed=2)
+    graph = graph.with_weights(np.random.default_rng(2).pareto(1.2, graph.num_edges) + 0.05)
+    return assign_metapath_schema(graph, num_types=3, seed=2)
+
+
+#: name -> (sampler factory, walkers carry a previous vertex, typed hops).
+SCANS = {
+    "first-order": (ReservoirSampler, False, False),
+    "node2vec": (lambda: ReservoirSampler(p=4.0, q=0.25), True, False),
+    "typed": (ReservoirSampler, False, True),
+}
+
+
+@pytest.mark.parametrize("name", SCANS)
+def test_scalar_scan_equals_the_kernel_walker_by_walker(name):
+    """On the same stream states, ``ReservoirSampler.sample`` picks the
+    neighbour ``ReservoirKernel`` picks for every walker of a frontier,
+    charges the same costs, and leaves each stream where the kernel
+    leaves it (one bump per scan)."""
+    make_sampler, second_order, typed = SCANS[name]
+    graph = typed_weighted_rmat()
+    rng = np.random.default_rng(4)
+    current = rng.choice(np.flatnonzero(graph.degrees() > 0), size=600)
+    previous = np.full(current.size, -1, dtype=np.int64)
+    if second_order:  # every other walker came from its row's first neighbour
+        previous[::2] = graph.col[graph.row_ptr[current[::2]]]
+    types = rng.integers(0, 3, size=current.size) if typed else None
+    sampler = make_sampler()
+    kernel = ReservoirKernel(sampler)
+    kernel.prepare(graph)
+    states = seed_sequence_states(11, np.arange(current.size))
+    kernel_states = states.copy()
+    batch = kernel.sample(graph, current, previous, types,
+                          QueryStreams.from_states(kernel_states), None,
+                          graph.degrees()[current])
+    chosen, proposals, reads = [], 0, 0
+    for k, (vertex, prev) in enumerate(zip(current.tolist(), previous.tolist())):
+        context = StepContext(vertex, None if prev < 0 else prev,
+                              None if types is None else int(types[k]))
+        outcome = sampler.sample(graph, context, StreamRandomSource(states[k:k + 1]))
+        chosen.append(-1 if outcome.terminated
+                      else int(graph.neighbors(vertex)[outcome.index]))
+        proposals += outcome.proposals
+        reads += outcome.neighbor_reads
+    assert chosen == batch.vertex.tolist()
+    assert np.array_equal(states, kernel_states)
+    assert (proposals, reads) == (batch.proposals, batch.neighbor_reads)
+    if typed:
+        assert -1 in chosen
+
+
+class FixedUniforms:
+    """Every element uniform is 0.5, so equal weights give equal keys."""
+
+    def element_uniforms(self, within):
+        return np.full(len(within), 0.5)
+
+
+@pytest.mark.parametrize("admissible,winner", [(None, 2), (0, 1)],
+                         ids=["untyped", "last-entry-filtered"])
+def test_scalar_scan_gives_ties_to_the_later_eligible_entry(admissible, winner):
+    g = from_edges([(0, 1), (0, 2), (0, 3)], weights=[2.0, 2.0, 2.0],
+                   edge_types=[0, 0, 1], num_vertices=4)
+    outcome = ReservoirSampler().sample(g, StepContext(0, admissible_type=admissible),
+                                        FixedUniforms())
+    assert outcome.index == winner
+
+
+@pytest.mark.parametrize("name", SOURCES)
+def test_a_type_on_an_untyped_graph_is_refused_before_any_draw(name):
+    make_source, _ = SOURCES[name]
+    g = from_edges([(0, 1), (0, 2)], num_vertices=3)
+    source, twin = make_source(), make_source()
+    with pytest.raises(SamplingError, match="no edge types"):
+        ReservoirSampler().sample(g, StepContext(0, admissible_type=0), source)
+    assert source.uniform() == twin.uniform()
+
+
+def test_a_row_with_nothing_eligible_ends_the_walk_after_one_bump():
+    """The kernel bumps every walker's stream once per scan, eligible
+    entries or not; so does the scalar scan."""
+    g = from_edges([(0, 1), (0, 2)], edge_types=[1, 1], num_vertices=3)
+    source, twin = stream_source(8), stream_source(8)
+    outcome = ReservoirSampler().sample(g, StepContext(0, admissible_type=0), source)
+    assert outcome.terminated and outcome.neighbor_reads == 2
+    twin.uniform()
+    assert source.uniform() == twin.uniform()

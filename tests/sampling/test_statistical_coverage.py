@@ -31,14 +31,14 @@ from repro.graph import from_edges
 from repro.graph.alias import alias_expected_distribution
 from repro.sampling import (
     AliasSampler,
-    NumpyRandomSource,
     QueryStreams,
     RejectionSampler,
     ReservoirSampler,
     StepContext,
+    StreamRandomSource,
     UniformSampler,
 )
-from repro.sampling.vectorized import RejectionKernel, make_kernel
+from repro.sampling.vectorized import RejectionKernel, make_kernel, seed_sequence_states
 from repro.walks.node2vec import exact_step_distribution
 
 #: Skewed Node2Vec corners: return-averse, return-seeking, explore-averse.
@@ -46,6 +46,11 @@ PQ_CORNERS = ((0.25, 4.0), (4.0, 0.25), (2.0, 0.5), (10.0, 10.0))
 
 SCALAR_SAMPLES = 20_000
 KERNEL_SAMPLES = 40_000
+
+
+def stream_source(seed, query_id=0):
+    """The reference engine's random source: one query's stream."""
+    return StreamRandomSource(seed_sequence_states(seed, [query_id]))
 
 
 def node2vec_graph():
@@ -64,7 +69,7 @@ def node2vec_graph():
 def test_scalar_rejection_fits_exact_distribution_under_skew(p, q):
     graph = node2vec_graph()
     sampler = RejectionSampler(p=p, q=q)
-    source = NumpyRandomSource(np.random.default_rng((hash((p, q)) & 0xFFFF, 71)))
+    source = stream_source(hash((p, q)) & 0xFFFF, 71)
     context = StepContext(vertex=1, prev_vertex=0)
     counts = np.zeros(graph.degree(1))
     for _ in range(SCALAR_SAMPLES):
@@ -144,7 +149,7 @@ def test_scalar_weighted_sampler_fits_exact_distribution(name):
     graph = weighted_row(SKEWED_ROWS["light-tail"])
     sampler = WEIGHTED_SAMPLERS[name]()
     sampler.prepare(graph)
-    source = NumpyRandomSource(np.random.default_rng(31))
+    source = stream_source(31)
     context = StepContext(vertex=0)
     counts = np.zeros(graph.degree(0))
     for _ in range(SCALAR_SAMPLES):
@@ -172,7 +177,7 @@ def test_kernel_read_accounting_matches_scalar(make_sampler):
     _, batch = kernel_draws(make_sampler(), graph, n, seed=3)
     sampler = make_sampler()
     sampler.prepare(graph)
-    source = NumpyRandomSource(np.random.default_rng(3))
+    source = stream_source(3)
     outcomes = [sampler.sample(graph, StepContext(vertex=0), source) for _ in range(n)]
     assert batch.proposals == sum(outcome.proposals for outcome in outcomes)
     assert batch.neighbor_reads == sum(outcome.neighbor_reads for outcome in outcomes)

@@ -65,7 +65,11 @@ class TestGenerators:
         # steady == plain Poisson; zero rate degenerates to saturation.
         assert np.array_equal(scenario_gaps("steady", 50, 100.0, seed=1),
                               arrival_gaps(50, 100.0, seed=1))
-        assert (scenario_gaps("flash-crowd", 50, 0.0) == 0).all()
+        assert (scenario_gaps("steady", 50, 0.0) == 0).all()
+        # A flash crowd is a multiple of a nominal rate: none is an error.
+        for rate in (0.0, -5.0):
+            with pytest.raises(WalkConfigError, match="--rate"):
+                scenario_gaps("flash-crowd", 50, rate)
         with pytest.raises(WalkConfigError):
             scenario_gaps("tsunami", 50, 100.0)
 

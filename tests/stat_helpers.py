@@ -1,4 +1,4 @@
-"""Statistical helpers shared across engine-equivalence test suites.
+"""Statistical and exact helpers shared across engine-equivalence test suites.
 
 Importable from any test module because ``tests/conftest.py`` puts this
 directory on ``sys.path``; keeping one copy of the oracle means a tuning
@@ -6,9 +6,13 @@ change (binning rule, significance floor) cannot silently leave two
 suites testing different statistics.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
+
+from repro.walks import EngineStats, run_walks, run_walks_batch
 
 #: Shared significance floor for every chi-square assertion in the suite.
 #: One constant — not per-file copies — so loosening or tightening the
@@ -67,3 +71,18 @@ def chi_square_compare(counts_a, counts_b, min_expected=5.0):
     chi2 = float((((a - pooled * total_a) ** 2) / (pooled * total_a)).sum()
                  + (((b - pooled * total_b) ** 2) / (pooled * total_b)).sum())
     return 1.0 - scipy_stats.chi2.cdf(chi2, int(keep.sum() - 1))
+
+
+def assert_reference_equals_batch(graph, spec, queries, seed):
+    """Walk ``queries`` on the batch and on the reference engine and
+    assert they agree walk by walk and on every ``EngineStats`` counter
+    (``per_query_hops`` included); returns the batch run's stats."""
+    runs = []
+    for run in (run_walks_batch, run_walks):
+        stats = EngineStats()
+        runs.append((run(graph, spec, queries, seed=seed, stats=stats), stats))
+    (batch, batch_stats), (reference, reference_stats) = runs
+    for row, (a, b) in enumerate(zip(batch.paths, reference.paths, strict=True)):
+        assert np.array_equal(a, b), row
+    assert dataclasses.asdict(batch_stats) == dataclasses.asdict(reference_stats)
+    return batch_stats

@@ -293,8 +293,9 @@ class TestThroughput:
         """The reason the vectorized engine exists: 10k DeepWalk queries
         of length 80 on RMAT-14 (edge factor 8) against the reference
         loop on a 300-query subsample (its hops/s is flat in the query
-        count), each side paying its own prepare.  Measured ~97x on a
-        2-CPU host."""
+        count), each side paying its own prepare.  Measured ~300x on a
+        2-CPU host (the reference draws the batch engine's streams one
+        query at a time)."""
         graph = rmat(14, edge_factor=8, seed=1)
         spec = make_spec("DeepWalk")
         queries = make_queries(graph, 10_000, seed=2)

@@ -1,17 +1,20 @@
 """Cross-engine equivalence matrix: every algorithm x every software engine.
 
-One parametrized test sweeps the full CLI algorithm list (``URW``,
+One parametrized test class sweeps the full CLI algorithm list (``URW``,
 ``PPR``, ``DeepWalk``, ``Node2Vec``, ``Node2Vec-reservoir``, ``MetaPath``)
-across the ``reference`` and ``batch`` engines, holding each cell to the
-strongest relation it supports:
+across the ``reference`` and ``batch`` engines, holding each cell to
+exact determinism — every engine re-run at the same seed must be
+bit-identical to itself, and a ``WalkBatch`` walks like its ``Query``
+list.  (That ``batch`` is bit-identical whatever its lane count is
+``tests/walks/test_lanes.py``'s job.)
 
-* **Exact determinism** — every engine re-run at the same seed must be
-  bit-identical to itself.  (That ``batch`` is bit-identical whatever
-  its lane count is ``tests/walks/test_lanes.py``'s job.)
-* **Chi-square agreement** — every engine's visit histogram must match
-  the reference engine's under the shared two-sample oracle (the engines
-  consume their substreams differently, so bit-equality across that
-  boundary is not expected, only distributional equality).
+Across engines, one cell per algorithm holds ``reference`` to ``batch``
+exactly: both draw each query's one stream in the same order, so paths
+and every ``EngineStats`` counter are equal.  Distributional checks live
+where a distribution is all there is: the cycle model against the
+reference engine (``tests/integration/test_statistical_equivalence.py``)
+and the samplers against exact distributions
+(``tests/sampling/test_statistical_coverage.py``).
 
 Every cell *runs*: a cell an engine cannot execute must be listed in
 ``XFAIL_CELLS`` with a tracking reason so the gap stays visible in test
@@ -24,7 +27,7 @@ import functools
 
 import numpy as np
 import pytest
-from stat_helpers import CHI_SQUARE_ALPHA, chi_square_compare
+from stat_helpers import assert_reference_equals_batch
 
 from repro.bench.workloads import make_spec
 from repro.cli import ALGORITHMS
@@ -32,10 +35,6 @@ from repro.engines import SOFTWARE_ENGINES, run_software_walks
 from repro.walks import EngineStats, WalkBatch
 from repro.graph import load_dataset
 from repro.graph.datasets import assign_metapath_schema
-
-#: The matrix's chi-square cells run the scalar reference loop: full CI
-#: lane only.
-pytestmark = pytest.mark.slow
 
 SOFTWARE_ENGINE_NAMES = tuple(sorted(SOFTWARE_ENGINES))
 
@@ -47,7 +46,6 @@ XFAIL_CELLS: dict[tuple[str, str], str] = {}
 NUM_QUERIES = 300
 WALK_LENGTH = 12
 RUN_SEED = 31
-ORACLE_SEED = 32
 
 
 @functools.lru_cache(maxsize=None)
@@ -124,23 +122,14 @@ class TestEngineMatrix:
             assert np.array_equal(a, b)
         assert dataclasses.asdict(stats[0]) == dataclasses.asdict(stats[1])
 
-    def test_agrees_with_reference_distribution(self, algorithm, engine):
-        """Visit histogram matches the reference engine's (chi-square).
 
-        The oracle runs at an independent seed: same distribution, fresh
-        randomness — so the reference-engine cell is a genuine
-        self-consistency check, not a comparison of a run with itself.
-        """
-        cell = _run(algorithm, engine, RUN_SEED)
-        oracle = _run(algorithm, "reference", ORACLE_SEED)
-        p = chi_square_compare(
-            cell.visit_counts(_graph().num_vertices),
-            oracle.visit_counts(_graph().num_vertices),
-        )
-        assert p > CHI_SQUARE_ALPHA, (
-            f"{algorithm} on {engine} diverges from the reference "
-            f"distribution (p={p:.5f})"
-        )
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_reference_equals_batch(algorithm):
+    """The scalar loop and the frontier walk bit-identically: every path,
+    every ``EngineStats`` counter."""
+    stats = assert_reference_equals_batch(_graph(), _spec(algorithm),
+                                          list(_queries(algorithm)), RUN_SEED)
+    assert stats.total_hops > NUM_QUERIES
 
 
 def test_matrix_covers_every_cell():

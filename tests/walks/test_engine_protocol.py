@@ -133,13 +133,11 @@ def test_out_of_range_start_fails_in_the_parent(epochs, engine, monkeypatch):
 
     stats = EngineStats()
     with prepare_engine(engine, graph, spec) as prepared:
-        if engine != "reference":  # the scalar loop has no hook; it checks per hop
-            monkeypatch.setattr(prepared, "_run_arrays", never)
+        monkeypatch.setattr(prepared, "_run_arrays", never)
         with pytest.raises(GraphError, match="out of range"):
             prepared.run([Query(0, 0), Query(1, graph.num_vertices + 7)],
                          seed=SEED, stats=stats)
-    if engine != "reference":
-        assert stats == EngineStats()
+    assert stats == EngineStats()
 
 
 def test_a_made_batch_runs_without_making_a_query(epochs, monkeypatch):
@@ -282,8 +280,8 @@ def test_one_walker_clock():
     scalar step, no spec declares itself step-invariant, and the
     max-length rule lives in ``superstep`` alone — no superstep caller
     counts a length termination of its own.  (The scalar reference
-    engine has no superstep: it walks each query whole and tallies its
-    own ``EngineStats``.)"""
+    engine has no superstep: its array hook walks each query whole and
+    tallies its own counters.)"""
     from repro.walks.batch import superstep
 
     assert "step" not in inspect.signature(superstep).parameters
@@ -305,4 +303,4 @@ def test_one_walker_clock():
                         isinstance(target, ast.Attribute)
                         and target.attr == "length_terminations"):
                     counted.add((path, function.name))
-    assert counted == {("walks/batch.py", "superstep"), ("walks/reference.py", "run_walks")}
+    assert counted == {("walks/batch.py", "superstep"), ("walks/reference.py", "_run_arrays")}

@@ -76,6 +76,26 @@ class TestPPR:
         mean_length = results.lengths().mean()
         assert mean_length == pytest.approx(1 / 0.2, rel=0.1)
 
+    def test_a_scalar_termination_hook_is_honoured(self):
+        """A spec that overrides ``terminates_probabilistically()`` runs
+        here (the batch engine refuses it): the hook ends walks as it
+        says."""
+        from repro.sampling import UniformSampler
+        from repro.walks import WalkSpec
+
+        class HookedPPR(WalkSpec):
+            def make_sampler(self):
+                return UniformSampler()
+
+            def terminates_probabilistically(self, hops, random_source):
+                return random_source.uniform() < 0.2
+
+        stats = EngineStats()
+        results = run_walks(cycle_graph(1000), HookedPPR(max_length=10_000),
+                            [Query(i, 0) for i in range(2000)], seed=6, stats=stats)
+        assert stats.probabilistic_terminations == 2000
+        assert results.lengths().mean() == pytest.approx(1 / 0.2, rel=0.1)
+
     def test_estimate_ppr_normalized(self):
         g = cycle_graph(10)
         results = run_walks(g, PPRSpec(alpha=0.3), [Query(i, 0) for i in range(500)], seed=7)

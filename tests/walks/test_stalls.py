@@ -5,11 +5,11 @@ walkers it left undecided; :func:`~repro.walks.batch.superstep` keeps
 them where they are, so the superstep is the retry loop.  A walker still
 draws only from its own stream, in its own order, so nothing about how
 many supersteps a hop took may reach a path or a counter.  Held here
-against the scalar oracle (``tests/scalar_oracle.py``) — a per-walker
-loop that retries in place — at retry-heavy ``(p, q)``, beside the rules around a stall: the teleport
-draw belongs to movers only, a hook that reads the hop reads the
-walker's own count, a kernel may not end a walker it stalled, and the
-safety valve fires.
+against the reference engine — a per-walker loop whose scalar sampler
+retries in place — at retry-heavy ``(p, q)``, beside the rules around a
+stall: the teleport draw belongs to movers only, a hook that reads the
+hop reads the walker's own count, a kernel may not end a walker it
+stalled, and the safety valve fires.
 """
 
 import functools
@@ -17,8 +17,8 @@ import time
 
 import numpy as np
 import pytest
-from scalar_oracle import assert_same_runs, run_walks_scalar_arrays
 from stall_helpers import RETRY_HEAVY, HopTeleport, NeverAccepting
+from stat_helpers import assert_reference_equals_batch
 
 from repro.errors import SamplingError
 from repro.graph import load_dataset
@@ -29,9 +29,9 @@ from repro.sampling.vectorized import (
     make_kernel,
     seed_sequence_states,
 )
-from repro.walks import EngineStats, Node2VecSpec, make_queries
-from repro.walks.base import paths_from_step_log, start_path_buffer, unpack_queries
-from repro.walks.batch import BatchEngine, Frontier, run_walks_batch_arrays, superstep
+from repro.walks import Node2VecSpec, make_queries
+from repro.walks.base import paths_from_step_log, start_path_buffer
+from repro.walks.batch import BatchEngine, Frontier, superstep
 from repro.walks.engine import STAT_FIELDS
 
 SEED = 23
@@ -49,27 +49,17 @@ def queries():
     return tuple(make_queries(graph(), NUM_QUERIES, seed=3))
 
 
-def batch_and_scalar(spec):
-    """Dense ``(paths, hops, stats)`` of the batch engine and of the
-    scalar oracle on one prepared kernel."""
-    kernel = make_kernel(spec.make_sampler())
-    kernel.prepare(graph())
-    ids, starts = unpack_queries(queries())
-    runs = []
-    for run in (run_walks_batch_arrays, run_walks_scalar_arrays):
-        stats = EngineStats()
-        paths, hops = run(graph(), spec, kernel, starts, ids, seed=SEED, stats=stats)
-        runs.append((paths, hops, stats))
-    return runs
+def batch_equals_reference(spec):
+    """The batch run's ``EngineStats``, once it equals the reference
+    engine's walk by walk and counter by counter."""
+    return assert_reference_equals_batch(graph(), spec, queries(), SEED)
 
 
 @pytest.mark.parametrize("p,q", RETRY_HEAVY)
-def test_retry_heavy_batch_equals_the_scalar_kernel(p, q):
-    spec = Node2VecSpec(p=p, q=q, max_length=WALK_LENGTH)
-    batch, scalar = batch_and_scalar(spec)
-    assert_same_runs(batch, scalar)
+def test_retry_heavy_batch_equals_the_reference_engine(p, q):
+    stats = batch_equals_reference(Node2VecSpec(p=p, q=q, max_length=WALK_LENGTH))
     # Retries happened: more proposals than hops.
-    assert batch[2].sampling_proposals > batch[2].total_hops
+    assert stats.sampling_proposals > stats.total_hops
 
 
 class Teleporting(Node2VecSpec):
@@ -83,10 +73,9 @@ class Teleporting(Node2VecSpec):
 @pytest.mark.parametrize("p,q", RETRY_HEAVY)
 def test_only_movers_draw_the_teleport_uniform(p, q):
     """A walker that stalled must not draw its teleport uniform until
-    its hop is taken — the scalar oracle draws it once, after the hop."""
-    batch, scalar = batch_and_scalar(Teleporting(p=p, q=q, max_length=WALK_LENGTH))
-    assert_same_runs(batch, scalar)
-    assert 0 < batch[2].probabilistic_terminations < NUM_QUERIES
+    its hop is taken — the reference engine draws it once, after the hop."""
+    stats = batch_equals_reference(Teleporting(p=p, q=q, max_length=WALK_LENGTH))
+    assert 0 < stats.probabilistic_terminations < NUM_QUERIES
 
 
 def stalling_frontier(spec):
@@ -108,16 +97,14 @@ class HopTeleporting(HopTeleport, Node2VecSpec):
 def test_a_stall_under_a_step_dependent_spec_keeps_the_walkers_own_hop(p, q):
     """A stalled walker has taken fewer hops than supersteps have run, so
     a hook asked with the superstep count would teleport it on the wrong
-    hop.  The scalar oracle indexes its per-hop tables by the walker's
-    own hop; the batch engine must agree with it."""
-    spec = HopTeleporting(p=p, q=q, max_length=WALK_LENGTH)
-    batch, scalar = batch_and_scalar(spec)
-    assert_same_runs(batch, scalar)
-    assert batch[2].sampling_proposals > batch[2].total_hops
+    hop.  The reference engine asks with the walker's own hop; the batch
+    engine must agree with it."""
+    stats = batch_equals_reference(HopTeleporting(p=p, q=q, max_length=WALK_LENGTH))
+    assert stats.sampling_proposals > stats.total_hops
     # Walks teleport only after hop 2, 5 or 8: 3, 6 or 9 hops.
-    teleported = batch[2].probabilistic_terminations
+    teleported = stats.probabilistic_terminations
     assert 0 < teleported < NUM_QUERIES
-    assert np.count_nonzero(np.isin(batch[1], (3, 6, 9))) >= teleported
+    assert np.count_nonzero(np.isin(stats.per_query_hops, (3, 6, 9))) >= teleported
 
 
 def test_stalled_walkers_keep_their_place_and_extend_their_streaks():
