@@ -215,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reset the global repro.obs metrics registry, run one "
         "wrapped command (walk, serve-bench or mutate-bench), and export "
         "every counter, gauge and histogram the run fed — engine hop and "
-        "termination counters, per-tenant serve ledgers, cache and "
-        "dynamic-graph accounting — in Prometheus text exposition format.",
+        "termination counters, per-tenant serve ledgers, dynamic-graph "
+        "accounting — in Prometheus text exposition format.",
     )
     metrics.add_argument("--out", default=None,
                          help="output path (default: print to stdout)")

@@ -28,7 +28,7 @@ from repro.memory.system import ChannelGroup, MemorySystem
 from repro.sampling.base import RandomSource, Sampler
 from repro.sim.fifo import StreamFifo
 from repro.sim.kernel import SimulationKernel
-from repro.walks.base import WalkSpec
+from repro.walks.base import WalkSpec, draw_termination
 
 #: Depth of the intra-pipeline FIFOs ("shallow FIFOs within the
 #: AXI-Stream protocol", Section IV-B).
@@ -112,7 +112,8 @@ class _HopLogic:
     The routes hand back channel objects, bound here at wiring through
     :meth:`MemorySystem.channel`: a layout naming a channel the memory
     system lacks fails at construction, and a hop looks no channel up.
-    So are the column list, walk length, ``record_hop`` and termination hook.
+    So are the column list, walk length, ``record_hop`` and the spec whose
+    termination :func:`~repro.walks.base.draw_termination` draws.
     """
 
     def __init__(
@@ -127,7 +128,7 @@ class _HopLogic:
     ) -> None:
         self._col = graph.col
         self._max_length = spec.max_length
-        self._terminates = spec.terminates_probabilistically
+        self._spec = spec
         self._termination_random = termination_random
         self._record_hop = recorder.record_hop
         n = layout.num_channels
@@ -185,5 +186,5 @@ class _HopLogic:
         task.step = step = task.step + 1
         if step >= self._max_length:
             task.status = TaskStatus.TERMINATED_LENGTH
-        elif self._terminates(step - 1, self._termination_random):
+        elif draw_termination(self._spec, step - 1, self._termination_random):
             task.status = TaskStatus.TERMINATED_PROBABILISTIC

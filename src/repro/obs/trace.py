@@ -178,7 +178,7 @@ class Tracer:
         ))
 
     def instant(self, name: str, **args) -> None:
-        """Record a zero-duration marker (shed decision, cache hit, ...)."""
+        """Record a zero-duration marker (a shed decision, ...)."""
         self._record(SpanEvent(
             name=name,
             ts=time.perf_counter() - self._origin,

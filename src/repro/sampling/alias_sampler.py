@@ -20,14 +20,12 @@ class AliasSampler(Sampler):
     rp_entry_bits = 256
     name = "alias"
 
-    def __init__(self, table: AliasTable | None = None) -> None:
-        self._table = table
-        self._prepared_for: int | None = None
+    def __init__(self) -> None:
+        self._table: AliasTable | None = None
 
     def prepare(self, graph: CSRGraph) -> None:
         """Build (or rebuild) the flat alias tables for ``graph``."""
         self._table = build_alias_table(graph)
-        self._prepared_for = id(graph)
 
     @property
     def table(self) -> AliasTable:

@@ -83,7 +83,9 @@ class RejectionSampler(Sampler):
             accept_probability = self.bias(graph, prev, candidate) / self.max_bias
             if random_source.uniform() < accept_probability:
                 return SampleOutcome(index=index, proposals=proposals, neighbor_reads=reads)
+        # Word for word the batch superstep's stall error
+        # (Node2VecSpec.stall_error): one failure, one message, any engine.
         raise SamplingError(
             f"rejection sampling failed to accept after {_MAX_REJECTION_ROUNDS} "
-            f"rounds at vertex {context.vertex} (p={self.p}, q={self.q})"
+            f"rounds (p={self.p}, q={self.q})"
         )

@@ -764,10 +764,6 @@ def flatten_frontier(
 class VectorizedKernel(ABC):
     """A sampler that advances a whole frontier per call."""
 
-    #: Whether sampling probes adjacency to the previous vertex, i.e. the
-    #: kernel's prepared state is an :class:`EdgeSet`.
-    second_order = False
-
     def prepare(self, graph: CSRGraph) -> None:
         """Ready this kernel for ``graph``: take what it samples from
         ``SamplerState.of(graph)``, shared and read-only (built there on
@@ -859,17 +855,9 @@ class RejectionKernel(VectorizedKernel):
     :class:`~repro.sampling.rejection.RejectionSampler`.
     """
 
-    second_order = True
-
-    def __init__(self, sampler: RejectionSampler | None = None, *,
-                 p: float | None = None, q: float | None = None) -> None:
+    def __init__(self, sampler: RejectionSampler) -> None:
         # Wrap the (already validated) scalar sampler so the bias
-        # derivation has one source of truth; p/q kwargs are a
-        # convenience that constructs one.
-        if sampler is None:
-            if p is None or q is None:
-                raise SamplingError("RejectionKernel needs a sampler or both p and q")
-            sampler = RejectionSampler(p=p, q=q)
+        # derivation has one source of truth.
         self._edge_set: EdgeSet | None = None
         self._degrees: np.ndarray | None = None
         max_bias = sampler.max_bias
@@ -958,29 +946,14 @@ class ReservoirKernel(VectorizedKernel):
     gets ``-1`` (early termination), mirroring the scalar sampler.
     """
 
-    def __init__(self, sampler: ReservoirSampler | None = None, *,
-                 p: float | None = None, q: float | None = None) -> None:
-        # Wrap the (already validated) scalar sampler; p/q kwargs are a
-        # convenience that constructs one.
-        if sampler is None:
-            sampler = ReservoirSampler(p=p, q=q)
+    def __init__(self, sampler: ReservoirSampler) -> None:
+        # Wrap the (already validated) scalar sampler: its p/q are the
+        # Node2Vec biases, if it has them.
         self._sampler = sampler
         self._edge_set: EdgeSet | None = None
 
-    @property
-    def p(self) -> float | None:
-        return self._sampler.p
-
-    @property
-    def q(self) -> float | None:
-        return self._sampler.q
-
-    @property
-    def second_order(self) -> bool:
-        return self._sampler.second_order
-
     def prepare(self, graph: CSRGraph) -> None:
-        if self.second_order:
+        if self._sampler.second_order:
             self._edge_set = SamplerState.of(graph).edge_set
 
     def sample(self, graph, current, previous, admissible_type, streams, stream_idx, degrees):
@@ -993,7 +966,8 @@ class ReservoirKernel(VectorizedKernel):
         else:
             weight = np.ones(position.size, dtype=np.float64)
 
-        if self.second_order:
+        sampler = self._sampler
+        if sampler.second_order:
             if self._edge_set is None:
                 raise SamplingError(
                     "ReservoirKernel.prepare(graph) must be called before sampling"
@@ -1009,8 +983,8 @@ class ReservoirKernel(VectorizedKernel):
                 adjacent = self._edge_set.contains(prev, candidate)
                 weight[biased] *= np.where(
                     candidate == prev,
-                    1.0 / self.p,
-                    np.where(adjacent, 1.0, 1.0 / self.q),
+                    1.0 / sampler.p,
+                    np.where(adjacent, 1.0, 1.0 / sampler.q),
                 )
 
         eligible = weight > 0

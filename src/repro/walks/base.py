@@ -203,24 +203,15 @@ class WalkSpec(ABC):
         taken ``hops`` hops takes next, by algorithmic choice (PPR's
         teleport).  0.0 — never — by default.
 
+        The spec's one termination hook: the reference loop and the
+        cycle model ask it through :func:`draw_termination`, one walker
+        at a time, and the batch superstep asks it for a whole frontier.
         ``hops`` is an int or an int64 array of per-walker counts, as
         for :meth:`admissible_type`; an answer that does not depend on
-        the hop may stay one scalar for every walker.  Declaring the
-        probability (rather than only the draw) lets the batch engine
-        apply termination to a whole frontier with one vectorized draw,
-        made only by walkers whose probability is above 0.
+        the hop may stay one scalar for every walker.  A walker draws its
+        termination uniform only when its probability is above 0.
         """
         return 0.0
-
-    def terminates_probabilistically(
-        self, hops: int, random_source: RandomSource
-    ) -> bool:
-        """Whether the walk ends after the hop taken at ``hops`` by
-        algorithmic choice; draws one uniform only when
-        :meth:`termination_probability` is non-zero, preserving RNG
-        stream alignment for non-terminating specs."""
-        probability = self.termination_probability(hops)
-        return probability > 0.0 and random_source.uniform() < probability
 
     @property
     def rp_entry_bits(self) -> int:
@@ -229,6 +220,16 @@ class WalkSpec(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(max_length={self.max_length})"
+
+
+def draw_termination(spec: WalkSpec, hops: int, random_source: RandomSource) -> bool:
+    """Whether one walker's walk ends, by ``spec``'s algorithmic choice,
+    after the hop it takes at ``hops``: one uniform, drawn only when
+    :meth:`WalkSpec.termination_probability` is above 0, so a spec that
+    never terminates draws nothing.  A function, not a method: no spec
+    can end a walk in a way the batch superstep does not see."""
+    probability = spec.termination_probability(hops)
+    return probability > 0.0 and random_source.uniform() < probability
 
 
 class WalkResults:

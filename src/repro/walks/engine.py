@@ -85,23 +85,6 @@ def usable_cpus() -> int:
         return max(1, os.cpu_count() or 1)
 
 
-def check_batch_spec(spec: WalkSpec) -> None:
-    """Reject specs the array engines cannot run faithfully.
-
-    They apply probabilistic termination as one vectorized draw per
-    superstep, so they never call the scalar
-    ``terminates_probabilistically()`` hook; any spec overriding that hook
-    may carry a termination rule ``termination_probability()`` does not
-    express, and running it here would silently drop it.
-    """
-    if type(spec).terminates_probabilistically is not WalkSpec.terminates_probabilistically:
-        raise WalkConfigError(
-            f"{type(spec).__name__} overrides terminates_probabilistically(), which the "
-            "batch engine never consults — express the rule via "
-            "termination_probability() or use the reference engine"
-        )
-
-
 def check_start_vertices(graph: CSRGraph, starts: np.ndarray) -> None:
     """Reject a batch with a start vertex outside the graph (int64
     ``starts``: read as unsigned, a negative one is out of range too, so
@@ -195,11 +178,11 @@ class PreparedEngine:
     name: str
 
     def _configure(self, graph, spec: WalkSpec) -> None:
-        """Validate and hold what the shared methods read (``graph`` is a
-        ``CSRGraph`` or a ``GraphSnapshot``, as for a swap).  A method,
-        not ``__init__``: test doubles subclass this with no constructor
+        """Hold what the shared methods read (``graph`` is a ``CSRGraph``
+        or a ``GraphSnapshot``, as for a swap); every engine, the scalar
+        reference loop too, is configured here.  A method, not
+        ``__init__``: test doubles subclass this with no constructor
         arguments at all."""
-        check_batch_spec(spec)
         self._graph = snapshot_graph(graph)
         self._spec = spec
 

@@ -27,7 +27,7 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.sampling.base import StepContext
 from repro.sampling.vectorized import StreamRandomSource, seed_sequence_states
-from repro.walks.base import Query, WalkResults, WalkSpec, path_offsets
+from repro.walks.base import Query, WalkResults, WalkSpec, draw_termination, path_offsets
 from repro.walks.engine import STAT_FIELDS, EngineStats, PreparedEngine, snapshot_graph
 
 (_PROPOSALS, _READS, _DANGLING, _EARLY, _PROBABILISTIC, _LENGTH) = range(len(STAT_FIELDS))
@@ -41,10 +41,7 @@ class ReferenceEngine(PreparedEngine):
     name = "reference"
 
     def __init__(self, graph, spec: WalkSpec) -> None:
-        # Not _configure: this loop asks terminates_probabilistically()
-        # every hop, so it runs specs that override it, which that rejects.
-        self._graph = snapshot_graph(graph)
-        self._spec = spec
+        self._configure(graph, spec)
 
     def _run_arrays(self, query_ids, starts, seed):
         graph, spec = self._graph, self._spec
@@ -74,7 +71,7 @@ class ReferenceEngine(PreparedEngine):
                     break
                 previous, current = current, int(graph.neighbors(current)[outcome.index])
                 path.append(current)
-                if spec.terminates_probabilistically(hop, source):
+                if draw_termination(spec, hop, source):
                     counts[_PROBABILISTIC] += 1
                     break
             else:

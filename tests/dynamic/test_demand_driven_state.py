@@ -24,7 +24,7 @@ from repro.errors import DynamicGraphError
 from repro.graph import from_edges
 from repro.obs import MetricsRegistry, dynamic_graph_into
 from repro.obs.trace import tracing
-from repro.sampling import SamplerState
+from repro.sampling import ReservoirSampler, SamplerState
 from repro.sampling.vectorized import ReservoirKernel, UniformKernel
 from repro.walks import DeepWalkSpec, Node2VecSpec, PPRSpec, make_queries
 
@@ -181,7 +181,7 @@ def test_kernels_without_prepared_state_build_nothing(scratch_builds):
     for batch in trace.batches[:3]:
         snapshot = dynamic.snapshot()
         UniformKernel().prepare(snapshot.graph)
-        ReservoirKernel().prepare(snapshot.graph)
+        ReservoirKernel(ReservoirSampler()).prepare(snapshot.graph)
         assert not snapshot.sampler_state.held
         apply_batch(dynamic, batch)
     assert scratch_builds == [] and not dynamic.snapshot().sampler_state.held

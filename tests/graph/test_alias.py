@@ -104,7 +104,8 @@ class TestBuildAliasTable:
 
     def test_sample_index_statistics(self):
         g = self.graph()
-        sampler = AliasSampler(build_alias_table(g))
+        sampler = AliasSampler()
+        sampler.prepare(g)
         source = RingRandomSource(ThunderRing(1, seed=0), 0)
         d = g.degree(0)
         draws = np.zeros(d)
@@ -116,7 +117,8 @@ class TestBuildAliasTable:
 
     def test_sample_index_rejects_empty(self):
         g = self.graph()
-        sampler = AliasSampler(build_alias_table(g))
+        sampler = AliasSampler()
+        sampler.prepare(g)
         source = RingRandomSource(ThunderRing(1, seed=0), 0)
         with pytest.raises(SamplingError, match="dangling vertex 3"):
             sampler.sample(g, StepContext(3), source)

@@ -150,7 +150,8 @@ def test_kernel_moves_where_the_scalar_table_points(make_graph):
     returns is the neighbour at the index the scalar ``AliasSampler.draw``
     (the reference engine's and the cycle model's decision) picks."""
     graph = make_graph()
-    sampler = AliasSampler(build_alias_table(graph))
+    sampler = AliasSampler()
+    sampler.prepare(graph)
     kernel = AliasKernel()
     kernel.prepare(graph)
     rng = np.random.default_rng(8)

@@ -22,7 +22,7 @@ from repro.dynamic.bench import rebuild_from_edge_set
 from repro.graph import CSRGraph, erdos_renyi, from_edges, powerlaw, rmat
 from repro.graph.builders import _MAX_KEYED_VERTICES
 from repro.obs.trace import tracing
-from repro.sampling import SamplerState, vectorized
+from repro.sampling import RejectionSampler, ReservoirSampler, SamplerState, vectorized
 from repro.sampling.vectorized import (
     EdgeSet,
     QueryStreams,
@@ -365,7 +365,8 @@ def table_builds(monkeypatch):
 
 def test_kernels_of_one_graph_share_one_edge_set(table_builds):
     graph = rmat(6, edge_factor=4, seed=12)
-    kernels = [RejectionKernel(p=2.0, q=0.5), ReservoirKernel(p=2.0, q=0.5)]
+    kernels = [RejectionKernel(RejectionSampler(p=2.0, q=0.5)),
+               ReservoirKernel(ReservoirSampler(p=2.0, q=0.5))]
     for kernel in kernels:
         kernel.prepare(graph)
     assert table_builds == ["build_edge_keys", "build_edge_filter", "build_edge_table"]
@@ -414,9 +415,9 @@ def test_reservoir_first_hop_frontier_issues_no_probes():
     """Step 0 of a second-order reservoir walk used to look every
     flattened neighbor up against row 0 and discard the answers."""
     graph = rmat(7, edge_factor=6, seed=4)
-    kernel = ReservoirKernel(p=2.0, q=0.5)
+    kernel = ReservoirKernel(ReservoirSampler(p=2.0, q=0.5))
     kernel.prepare(graph)
-    plain = ReservoirKernel(p=2.0, q=0.5)
+    plain = ReservoirKernel(ReservoirSampler(p=2.0, q=0.5))
     plain.prepare(graph)
     kernel._edge_set = _CountingEdgeSet(*(getattr(kernel._edge_set, name) for name in _FIELDS),
                                         graph.num_vertices)

@@ -118,17 +118,6 @@ class TestAliasSampler:
         d_reservoir = empirical(ReservoirSampler(), g, StepContext(vertex=0), seed=2)
         assert np.allclose(d_alias, d_reservoir, atol=2 * TOLERANCE)
 
-    def test_given_table_draws_like_a_prepared_one(self):
-        g = weighted_fan()
-        given = AliasSampler(build_alias_table(g))
-        prepared = AliasSampler()
-        prepared.prepare(g)
-        source_a, source_b = rng_source(5), rng_source(5)
-        for _ in range(500):
-            a = given.sample(g, StepContext(vertex=0), source_a)
-            b = prepared.sample(g, StepContext(vertex=0), source_b)
-            assert (a.index, a.neighbor_reads) == (b.index, b.neighbor_reads)
-
     def test_prepare_rebuilds_for_the_latest_graph(self):
         """A second ``prepare`` replaces the tables, so the sampler
         draws by the new graph's weights, not the first one's."""

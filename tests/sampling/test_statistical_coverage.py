@@ -84,7 +84,7 @@ def test_scalar_rejection_fits_exact_distribution_under_skew(p, q):
 @pytest.mark.parametrize("p,q", PQ_CORNERS)
 def test_rejection_kernel_fits_exact_distribution_under_skew(p, q):
     graph = node2vec_graph()
-    kernel = RejectionKernel(p=p, q=q)
+    kernel = RejectionKernel(RejectionSampler(p=p, q=q))
     kernel.prepare(graph)
     streams = QueryStreams(int(p * 100 + q), np.arange(KERNEL_SAMPLES))
     current = np.full(KERNEL_SAMPLES, 1, dtype=np.int64)

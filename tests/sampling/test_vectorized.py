@@ -265,7 +265,7 @@ class TestKernelDistributions:
             [(0, 1), (0, 2), (1, 0), (1, 2), (1, 3), (2, 0), (3, 1)],
             num_vertices=4,
         )
-        kernel = RejectionKernel(p=2.0, q=0.5)
+        kernel = RejectionKernel(RejectionSampler(p=2.0, q=0.5))
         kernel.prepare(g)
         dist = empirical_kernel(kernel, g, 1, prev=0)
         expected = exact_step_distribution(g, current=1, previous=0, p=2.0, q=0.5)
@@ -275,7 +275,7 @@ class TestKernelDistributions:
         """First hops, decided and retrying walkers in one frontier: every
         walker's choice and cost are those of sampling it on its own."""
         g = rmat(6, edge_factor=4, seed=2)
-        kernel = RejectionKernel(p=4.0, q=0.25)  # retry-heavy
+        kernel = RejectionKernel(RejectionSampler(p=4.0, q=0.25))  # retry-heavy
         kernel.prepare(g)
         current = np.flatnonzero(g.degrees() > 0)[:40]
         previous = np.roll(current, 1)
@@ -295,7 +295,7 @@ class TestKernelDistributions:
         """A call proposes once per walker: the rejected come back as
         ``STALL``, listed ascending in ``stalled``; first hops never stall."""
         g = rmat(6, edge_factor=4, seed=2)
-        kernel = RejectionKernel(p=4.0, q=0.25)
+        kernel = RejectionKernel(RejectionSampler(p=4.0, q=0.25))
         kernel.prepare(g)
         current = np.flatnonzero(g.degrees() > 0)[:40]
         previous = np.roll(current, 1)
@@ -310,7 +310,7 @@ class TestKernelDistributions:
 
     def test_reservoir_kernel_weighted(self):
         g = weighted_fan()
-        kernel = ReservoirKernel()
+        kernel = ReservoirKernel(ReservoirSampler())
         kernel.prepare(g)
         dist = empirical_kernel(kernel, g, 0)
         assert np.allclose(dist, np.array([1, 2, 3, 4]) / 10.0, atol=0.02)
@@ -321,7 +321,7 @@ class TestKernelDistributions:
             edge_types=[0, 1, 0],
             num_vertices=4,
         )
-        kernel = ReservoirKernel()
+        kernel = ReservoirKernel(ReservoirSampler())
         kernel.prepare(g)
         dist = empirical_kernel(kernel, g, 0, admissible=0, rounds=6000)
         assert dist[1] == 0.0
@@ -329,7 +329,7 @@ class TestKernelDistributions:
 
     def test_reservoir_kernel_no_admissible_terminates(self):
         g = from_edges([(0, 1)], edge_types=[0], num_vertices=2)
-        kernel = ReservoirKernel()
+        kernel = ReservoirKernel(ReservoirSampler())
         kernel.prepare(g)
         streams = QueryStreams(0, [0])
         batch = kernel.sample(
@@ -345,13 +345,11 @@ class TestKernelFactory:
         assert isinstance(make_kernel(UniformSampler()), UniformKernel)
         assert isinstance(make_kernel(AliasSampler()), AliasKernel)
         assert isinstance(make_kernel(RejectionSampler(p=2, q=0.5)), RejectionKernel)
-        reservoir = make_kernel(ReservoirSampler(p=2.0, q=0.5))
-        assert isinstance(reservoir, ReservoirKernel)
-        assert reservoir.second_order
+        assert isinstance(make_kernel(ReservoirSampler(p=2.0, q=0.5)), ReservoirKernel)
 
     def test_unknown_sampler_rejected(self):
-        """An unmapped sampler must fail loudly *and* tell the user where
-        to go: the reference engine runs any scalar sampler."""
+        """An unmapped sampler must fail loudly, naming the offending
+        sampler so the error is actionable from a CLI stack trace."""
         from repro.sampling.base import SampleOutcome, Sampler
 
         class NovelSampler(Sampler):
@@ -361,16 +359,13 @@ class TestKernelFactory:
             def sample(self, graph, context, random_source):
                 return SampleOutcome(index=0, proposals=1, neighbor_reads=1)
 
-        with pytest.raises(SamplingError, match="reference engine") as excinfo:
+        with pytest.raises(SamplingError, match="sampler 'novel'"):
             make_kernel(NovelSampler())
-        # The message names the offending sampler so the error is
-        # actionable from a CLI stack trace.
-        assert "novel" in str(excinfo.value)
 
     def test_unknown_sampler_subclass_rejected(self):
         """The factory keys on known types, not hasattr duck-typing: a
-        novel Sampler subclass (no kernel written yet) is rejected with
-        the same pointer at the reference engine."""
+        novel Sampler subclass (no kernel written yet) is rejected by
+        name."""
         from repro.sampling.base import SampleOutcome, Sampler
 
         class BespokeSampler(Sampler):
@@ -380,5 +375,5 @@ class TestKernelFactory:
             def sample(self, graph, context, random_source):
                 return SampleOutcome(index=0, proposals=1, neighbor_reads=1)
 
-        with pytest.raises(SamplingError, match="reference engine"):
+        with pytest.raises(SamplingError, match="sampler 'bespoke'"):
             make_kernel(BespokeSampler())

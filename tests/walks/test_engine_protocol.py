@@ -243,7 +243,8 @@ def test_shared_pieces_are_written_once():
     assert len(swappers) <= 2, swappers
     retired = {"run_walks_jit", "run_walks_jit_prepared", "run_walks_parallel",
                "run_walks_dist", "JitEngine", "HybridKernel", "HybridSampler",
-               "ParallelWalkEngine", "DistWalkEngine", "WorkerError", "SharedArrayStore"}
+               "ParallelWalkEngine", "DistWalkEngine", "WorkerError", "SharedArrayStore",
+               "check_batch_spec", "terminates_probabilistically"}
     assert not retired & {node.name for node in definitions}
 
 

@@ -33,6 +33,7 @@ from repro.walks import Node2VecSpec, make_queries
 from repro.walks.base import paths_from_step_log, start_path_buffer
 from repro.walks.batch import BatchEngine, Frontier, superstep
 from repro.walks.engine import STAT_FIELDS
+from repro.walks.reference import ReferenceEngine
 
 SEED = 23
 NUM_QUERIES = 150
@@ -123,8 +124,12 @@ def test_stalled_walkers_keep_their_place_and_extend_their_streaks():
     assert counts[0] == 3 * current.size and not counts[2:].any()
 
 
-def test_the_safety_valve_bounds_each_walkers_stalls():
-    engine = BatchEngine(graph(), NeverAccepting(p=4.0, q=0.25, max_length=WALK_LENGTH))
+@pytest.mark.parametrize("make_engine", [BatchEngine, ReferenceEngine],
+                         ids=["batch", "reference"])
+def test_the_safety_valve_bounds_each_walkers_stalls(make_engine):
+    """Stalls in the batch superstep, retries in the scalar sampler's
+    loop: either way the walk fails at the same bound, in one message."""
+    engine = make_engine(graph(), NeverAccepting(p=4.0, q=0.25, max_length=WALK_LENGTH))
     began = time.perf_counter()
     with pytest.raises(SamplingError, match=r"after 10000 rounds \(p=4\.0, q=0\.25\)"):
         engine.run(queries()[:4], seed=SEED)
