@@ -6,13 +6,17 @@ accounting contracts.  That the two walk bit-identically, per walk spec,
 is held by ``test_engine_matrix.py``.
 """
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
+from stat_helpers import assert_chi_square_fit, assert_reference_equals_batch
 
 from repro.bench.workloads import make_spec
 from repro.engines import hops_per_second, run_software_walks
 from repro.errors import SamplingError
 from repro.graph import cycle_graph, from_edges, load_dataset, path_graph, rmat
+from repro.graph.alias import alias_expected_distribution
 from repro.graph.datasets import assign_metapath_schema
 from repro.walks import (
     DeepWalkSpec,
@@ -22,10 +26,12 @@ from repro.walks import (
     PPRSpec,
     Query,
     URWSpec,
+    estimate_ppr,
     make_queries,
     run_walks,
     run_walks_batch,
 )
+from repro.walks.node2vec import exact_step_distribution
 
 
 class TestBasicSemantics:
@@ -144,6 +150,26 @@ class TestBasicSemantics:
         results = run_walks_batch(g, MetaPathSpec(pattern=[0], max_length=10), [Query(0, 0)], seed=12)
         assert results.path_of(0).tolist() == [0]
 
+    def test_a_spec_declared_termination_ends_batch_walks(self):
+        """A spec of its own declaring ``termination_probability()`` ends
+        the superstep's walks as it ends the reference loop's: certain
+        after the third hop, never before it."""
+        from repro.sampling.uniform import UniformSampler
+        from repro.walks.base import WalkSpec
+
+        class ThreeHops(WalkSpec):
+            def make_sampler(self):
+                return UniformSampler()
+
+            def termination_probability(self, hops):
+                return np.where(np.asarray(hops) >= 2, 1.0, 0.0)
+
+        queries = [Query(i, 0) for i in range(200)]
+        stats = assert_reference_equals_batch(cycle_graph(1000), ThreeHops(max_length=10_000),
+                                              queries, seed=6)
+        assert stats.probabilistic_terminations == 200
+        assert stats.per_query_hops == [3] * 200
+
     def test_unknown_sampler_rejected(self):
         from repro.sampling.base import SampleOutcome, Sampler
         from repro.walks.base import WalkSpec
@@ -164,16 +190,151 @@ class TestBasicSemantics:
 
 
 
+def exact_walk_law(graph, spec, source, step_law, hops):
+    """The exact law of ``spec``'s walk from ``source``, by dynamic
+    programming over walker states (the current vertex, and the previous
+    one for a second-order spec).
+
+    ``step_law(current, previous, hop)`` gives the probability of each
+    entry of ``current``'s row on hop ``hop``; an all-zero law ends the
+    walk there, as a dangling vertex does.  Returns, per hop ``1..hops``,
+    the distribution of the vertex the walk stands on after that hop
+    (one entry per vertex, then the mass of walks already over), and the
+    distribution of the walk's last vertex, which is the endpoint law
+    when ``hops`` is ``spec.max_length``.
+    """
+    n = graph.num_vertices
+    states = {(None, source): 1.0}
+    ended = np.zeros(n)
+    at_hop = []
+    for hop in range(hops):
+        arrivals = np.zeros(n)
+        following = defaultdict(float)
+        stop = spec.termination_probability(hop)
+        for (previous, current), mass in states.items():
+            law = step_law(current, previous, hop) if graph.degree(current) else None
+            if law is None or not law.any():
+                ended[current] += mass
+                continue
+            key = current if spec.needs_prev_vertex else None
+            for vertex, share in zip(graph.neighbors(current).tolist(), (mass * law).tolist()):
+                if share:
+                    arrivals[vertex] += share
+                    following[(key, vertex)] += share * (1.0 - stop)
+        ended += arrivals * stop
+        at_hop.append(np.append(arrivals, max(0.0, 1.0 - arrivals.sum())))
+        states = following
+    for (_, current), mass in states.items():
+        ended[current] += mass
+    return at_hop, ended
+
+
+def weighted_law(graph):
+    def law(current, previous, hop):
+        return alias_expected_distribution(graph, current)
+    return law
+
+
+def uniform_law(graph):
+    def law(current, previous, hop):
+        return np.full(graph.degree(current), 1.0 / graph.degree(current))
+    return law
+
+
+def node2vec_law(graph, spec):
+    def law(current, previous, hop):
+        return exact_step_distribution(graph, current, previous, spec.p, spec.q)
+    return law
+
+
+def metapath_law(graph, spec):
+    def law(current, previous, hop):
+        weights = graph.neighbor_weights(current).astype(np.float64)
+        weights = weights * (graph.neighbor_edge_types(current) == spec.admissible_type(hop))
+        total = weights.sum()
+        return weights / total if total > 0 else weights
+    return law
+
+
+def assert_fits_exact_law(counts, law, label):
+    """No draw lands where the exact law puts no mass, and the counts fit
+    the law on its support (the chi-square cannot pool zero-mass bins)."""
+    support = law > 0
+    assert not counts[~support].any(), f"{label}: a draw the exact law rules out"
+    assert_chi_square_fit(counts[support], law[support], label=label)
+
+
+def hub(graph):
+    return int(np.argmax(graph.degrees()))
+
+
 class TestStatisticalEquivalence:
-    """The batch walk against an exact answer.  Against the reference
-    engine it is bit-identical, so a statistical check there would sample
-    one distribution twice: ``test_engine_matrix.py`` holds that exactly."""
+    """The batch walk against an exact answer: the law of the vertex at
+    each of the first hops, or of the walk's endpoint, computed by
+    :func:`exact_walk_law`, with every walk started at one vertex.
+    Against the reference engine the batch walk is bit-identical, so a
+    statistical check there would sample one distribution twice:
+    ``test_engine_matrix.py`` holds that exactly."""
+
+    HOPS = 3
+
+    def _compare_hops(self, graph, spec, step_law, source, num_queries=4000, seed=5):
+        results = run_walks_batch(
+            graph, spec, [Query(i, source) for i in range(num_queries)], seed=seed
+        )
+        at_hop, _ = exact_walk_law(graph, spec, source, step_law, self.HOPS)
+        n = graph.num_vertices
+        for hop, expected in enumerate(at_hop, start=1):
+            counts = np.zeros(n + 1)
+            for path in results.paths:
+                counts[int(path[hop]) if path.size > hop else n] += 1
+            assert_fits_exact_law(counts, expected, f"{spec.name} hop {hop}")
+
+    def test_deepwalk_weighted(self):
+        g = load_dataset("WG", scale=0.08, seed=1, weighted=True)
+        self._compare_hops(g, DeepWalkSpec(max_length=25), weighted_law(g), hub(g))
+
+    def test_node2vec_rejection(self):
+        g = load_dataset("AS", scale=0.05, seed=1)
+        spec = Node2VecSpec(max_length=20)
+        self._compare_hops(g, spec, node2vec_law(g, spec), hub(g))
+
+    def test_node2vec_reservoir_weighted(self):
+        g = load_dataset("WG", scale=0.08, seed=1, weighted=True)
+        spec = Node2VecSpec(max_length=20, strategy="reservoir")
+        self._compare_hops(g, spec, node2vec_law(g, spec), hub(g))
+
+    def test_ppr(self):
+        g = load_dataset("AS", scale=0.05, seed=1)
+        spec = PPRSpec(alpha=0.2, max_length=40)
+        source = hub(g)
+        results = run_walks_batch(g, spec, [Query(i, source) for i in range(4000)], seed=5)
+        _, endpoints = exact_walk_law(g, spec, source, uniform_law(g), spec.max_length)
+        counts = np.bincount([int(path[-1]) for path in results.paths], minlength=g.num_vertices)
+        assert_fits_exact_law(counts, endpoints, "PPR endpoint")
+
+    def test_metapath(self):
+        g = load_dataset("WG", scale=0.08, seed=1, weighted=True)
+        g = assign_metapath_schema(g, num_types=3, seed=2)
+        spec = MetaPathSpec(pattern=[0, 1, 2], max_length=12)
+        first_type = np.add.reduceat(g.edge_types == 0, g.row_ptr[:-1])
+        first_type[g.degrees() == 0] = 0
+        self._compare_hops(g, spec, metapath_law(g, spec), int(np.argmax(first_type)))
 
     def test_ppr_lengths_are_geometric(self):
         g = cycle_graph(1000)
         spec = PPRSpec(alpha=0.2, max_length=10_000)
         results = run_walks_batch(g, spec, [Query(i, 0) for i in range(2000)], seed=6)
         assert results.lengths().mean() == pytest.approx(1 / 0.2, rel=0.1)
+
+    def test_ppr_estimates_agree(self):
+        g = load_dataset("CP", scale=0.1, seed=1)
+        source = hub(g)
+        queries = [Query(i, source) for i in range(4000)]
+        spec = PPRSpec(alpha=0.2, max_length=100)
+        _, exact = exact_walk_law(g, spec, source, uniform_law(g), spec.max_length)
+        estimate = estimate_ppr(run_walks_batch(g, spec, queries, seed=8), g.num_vertices)
+        assert float(np.abs(estimate - exact).sum()) < 0.5  # L1 of an MC estimate
 
 
 class TestEngineStats:

@@ -17,6 +17,7 @@ from repro.walks import (
     make_queries,
     run_walks,
 )
+from repro.walks.base import draw_termination
 from repro.walks.reference import run_walks as run_walks_direct
 
 
@@ -75,6 +76,45 @@ class TestPPR:
         results = run_walks(g, spec, qs, seed=6)
         mean_length = results.lengths().mean()
         assert mean_length == pytest.approx(1 / 0.2, rel=0.1)
+
+    def test_a_scalar_termination_hook_is_honoured(self):
+        """A spec of its own declaring ``termination_probability()`` ends
+        the scalar loop's walks as it says, hop by hop: certain after the
+        third hop, never before it."""
+        from repro.sampling import UniformSampler
+        from repro.walks import WalkSpec
+
+        class ThreeHops(WalkSpec):
+            def make_sampler(self):
+                return UniformSampler()
+
+            def termination_probability(self, hops):
+                return np.where(np.asarray(hops) >= 2, 1.0, 0.0)
+
+        stats = EngineStats()
+        results = run_walks(cycle_graph(1000), ThreeHops(max_length=10_000),
+                            [Query(i, 0) for i in range(200)], seed=6, stats=stats)
+        assert stats.probabilistic_terminations == 200
+        assert results.lengths().tolist() == [3] * 200
+
+    def test_draw_termination_draws_only_when_the_walk_can_end(self):
+        """One uniform when the probability is above 0, compared against
+        it; none at 0, so a spec that never terminates moves no stream."""
+
+        class Uniforms:
+            def __init__(self, *values):
+                self.values = list(values)
+
+            def uniform(self):
+                return self.values.pop(0)
+
+        never, alpha = URWSpec(max_length=5), PPRSpec(alpha=0.2, max_length=5)
+        source = Uniforms(0.1, 0.3)
+        assert not draw_termination(never, 0, source)
+        assert source.values == [0.1, 0.3]
+        assert draw_termination(alpha, 0, source)
+        assert not draw_termination(alpha, 1, source)
+        assert source.values == []
 
     def test_estimate_ppr_normalized(self):
         g = cycle_graph(10)
