@@ -3,7 +3,8 @@
 # unsuppressed findings over src/repro — see the README's "Determinism
 # contract"; text, JSON and one `--select`ed rule), then the two
 # cycle-model goldens (every simulated counter pinned at 1, 4, 8 and 16
-# pipelines, so a counter drift is the first red line) — run twice, the
+# pipelines, so a counter drift is the first red line) and the cycle
+# model's paths held to the batch engine's — run twice, the
 # second time with numpy's SIMD sort kernels switched off beside the
 # `micro-depth` pins, so a tie order that depends on the CPU fails here —
 # then the tier-1 test suite — which holds the perf gates too (batch >=
@@ -55,8 +56,9 @@ else
 fi
 
 echo
-echo "== cycle-model goldens (every simulated counter, 1 to 16 pipelines) =="
-python -m pytest -q tests/sim/test_cycle_golden.py tests/sim/test_cycle_golden_wide.py
+echo "== cycle-model goldens (every simulated counter, 1 to 16 pipelines; the batch engine's paths) =="
+python -m pytest -q tests/sim/test_cycle_golden.py tests/sim/test_cycle_golden_wide.py \
+  tests/sim/test_sim_equals_batch.py
 
 echo
 echo "== the goldens and the micro-depth pins again at baseline SIMD dispatch =="
@@ -65,6 +67,7 @@ echo "== the goldens and the micro-depth pins again at baseline SIMD dispatch ==
 # numpy ignores a feature name the host does not know.
 NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR" python -m pytest -q \
   tests/sim/test_cycle_golden.py tests/sim/test_cycle_golden_wide.py \
+  tests/sim/test_sim_equals_batch.py \
   tests/bench/test_experiments.py::test_micro_depth \
   tests/queueing/test_queueing.py::TestDelayedFeedbackSimulation::test_a_small_shape_is_pinned
 

@@ -3,8 +3,8 @@
 A cycle-level Python reproduction of *RidgeWalker: Perfectly Pipelined
 Graph Random Walks on FPGAs* (HPCA 2026): the accelerator (asynchronous
 pipelines + zero-bubble scheduler), every substrate it depends on (CSR
-graphs, Table I samplers, the GRW algorithms, an HBM/DDR channel timing
-model, ThundeRiNG-style RNG), the baselines it is compared against
+graphs, Table I samplers, the GRW algorithms, per-query random streams,
+an HBM/DDR channel timing model), the baselines it is compared against
 (FastRW, LightRW, Su et al., gSampler), and a benchmark harness that
 regenerates every table and figure of the paper's evaluation.
 

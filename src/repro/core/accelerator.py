@@ -13,14 +13,22 @@ Builds the full Figure 4a machine over the simulation kernel:
 * per-pipeline demux into recirculation vs the Query Writer.
 
 ``run()`` executes a query batch to completion and returns both the
-walk results (statistically interchangeable with the reference engine's)
-and the cycle-accurate :class:`~repro.sim.stats.RunMetrics`.
+walk results and the cycle-accurate :class:`~repro.sim.stats.RunMetrics`.
+Every task draws from its query's own stream, as the software engines
+do, so the results are the ``batch`` engine's paths, in the batch's
+order, whatever the pipeline count, scheduling, FIFO depths or memory.
+
+The model does not simulate ThundeRiNG's values (the hardware RNG
+RidgeWalker pairs with each sampler, Tan et al., ICS'21): a draw costs
+no cycles, and Tab. IV prices the RNG as a constant resource unit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from repro.core.access_engine import ResponseRouter
 from repro.core.config import RidgeWalkerConfig
@@ -33,8 +41,6 @@ from repro.errors import WalkConfigError
 from repro.graph.csr import CSRGraph
 from repro.memory.layout import GraphMemoryLayout
 from repro.memory.system import MemorySystem
-from repro.rng.thundering import ThunderRing
-from repro.sampling.base import RingRandomSource
 from repro.sim.kernel import SimulationKernel
 from repro.sim.stats import RunMetrics
 from repro.walks.base import Query, WalkBatch, WalkResults, WalkSpec
@@ -75,13 +81,11 @@ class RidgeWalker:
     def run(self, queries: Sequence[Query]) -> RidgeWalkerRun:
         """Execute a query batch to completion on a fresh machine.
 
-        Returns complete paths for every query — use this for statistical
-        correctness work (the walk results are interchangeable with the
-        reference engine's).
+        Returns complete paths for every query, in the batch's order: the
+        paths the software engines walk for the same queries and seed.
         """
-        if not queries:
-            raise WalkConfigError("query batch must not be empty")
-        machine = _Machine(self.graph, self.spec, self.config, self.seed, queries)
+        machine = _Machine(self.graph, self.spec, self.config, self.seed,
+                           _checked_batch(queries))
         return machine.execute()
 
     def run_streaming(
@@ -104,16 +108,28 @@ class RidgeWalker:
         scheduler FIFO (the cycle-level visibility Section VI's design
         is built around).
         """
-        if not queries:
-            raise WalkConfigError("query batch must not be empty")
+        batch = _checked_batch(queries)
         if warmup_cycles < 0 or measure_cycles < 1:
             raise WalkConfigError("invalid warmup/measure cycle counts")
         machine = _Machine(
-            self.graph, self.spec, self.config, self.seed, queries, endless=True
+            self.graph, self.spec, self.config, self.seed, batch, endless=True
         )
         if tracer is not None:
             machine.attach_tracer(tracer)
         return machine.execute_streaming(warmup_cycles, measure_cycles)
+
+
+def _checked_batch(queries: Sequence[Query]) -> WalkBatch:
+    """``queries`` as a batch the machine can run: not empty, and no id
+    twice (the recorder keys each path by its query id)."""
+    batch = WalkBatch.of(queries)
+    if len(batch) == 0:
+        raise WalkConfigError("query batch must not be empty")
+    ids = np.sort(batch.ids)
+    repeated = ids[1:][ids[1:] == ids[:-1]]
+    if repeated.size:
+        raise WalkConfigError(f"query id {int(repeated[0])} appears more than once")
+    return batch
 
 
 class _Machine:
@@ -144,11 +160,7 @@ class _Machine:
         )
         self.layout = GraphMemoryLayout(graph, num_channels=n, rp_entry_bits=spec.rp_entry_bits)
         self.recorder = WalkRecorder()
-
-        # ThundeRiNG streams: one per sampling module, one per column
-        # engine (PPR termination draws), mirroring the per-module RNG
-        # pairing of Section VII.
-        self.ring = ThunderRing(num_streams=2 * n, seed=seed)
+        self.seed = seed
         sampler_proto = spec.make_sampler()
         sampler_proto.prepare(graph)
 
@@ -173,8 +185,6 @@ class _Machine:
                 memory=self.memory,
                 spec=spec,
                 sampler=sampler_proto,
-                sampling_random=RingRandomSource(self.ring, i),
-                termination_random=RingRandomSource(self.ring, n + i),
                 recorder=self.recorder,
                 input_fifo=pipe_in[i],
                 output_fifo=pipe_out[i],
@@ -238,6 +248,7 @@ class _Machine:
             recorder=self.recorder,
             max_inflight=self.config.safe_inflight_limit(),
             endless=self.endless,
+            seed=self.seed,
         )
         self.kernel.add_module(self.loader)
 
@@ -272,6 +283,7 @@ class _Machine:
             static_binding=True,
             batch_size=batch,
             endless=self.endless,
+            seed=self.seed,
         )
         self.kernel.add_module(self.loader)
 
@@ -285,7 +297,7 @@ class _Machine:
             return self.writer.completed >= total
 
         cycles = self.kernel.run_until(done)
-        results = self.recorder.to_results()
+        results = self.recorder.to_results(self.queries.ids.tolist())
         metrics = self._metrics(results.total_steps, max(1, cycles))
         return RidgeWalkerRun(results=results, metrics=metrics)
 

@@ -15,6 +15,7 @@ from typing import Sequence
 from repro.core.recorder import WalkRecorder
 from repro.core.task import Task, TaskStatus
 from repro.errors import SchedulerError
+from repro.sampling.vectorized import QueryStream, seed_sequence_states
 from repro.sim.fifo import StreamFifo
 from repro.sim.module import Module
 from repro.walks.base import Query, WalkBatch
@@ -26,6 +27,10 @@ class QueryLoader(Module):
     In bulk-synchronous mode (the Figure 11 baseline) the loader releases
     queries in batches and waits for the whole batch to drain, mimicking
     FastRW/LightRW's batched execution.
+
+    Each task leaves with its query's stream, ``SeedSequence((seed,
+    query_id))`` as the software engines key it.  An endless stream
+    numbers its fresh ids on from the batch's largest.
     """
 
     def __init__(
@@ -38,6 +43,7 @@ class QueryLoader(Module):
         static_binding: bool = False,
         batch_size: int | None = None,
         endless: bool = False,
+        seed: int = 0,
     ) -> None:
         super().__init__(name)
         if not outputs:
@@ -49,6 +55,11 @@ class QueryLoader(Module):
         # Each query enters the pipeline as two words, its id and start.
         batch = WalkBatch.of(queries)
         self._ids, self._starts = batch.ids.tolist(), batch.starts.tolist()
+        self._seed = seed
+        self._states = seed_sequence_states(seed, batch.ids).tolist()
+        #: An endless stream's position ``p`` past the batch runs as id
+        #: ``p + _fresh_offset``: the ids count on from the largest.
+        self._fresh_offset = max(self._ids, default=-1) + 1 - len(self._ids)
         self._outputs = outputs
         self._recorder = recorder
         self._max_inflight = max_inflight
@@ -79,7 +90,14 @@ class QueryLoader(Module):
             return self._ids[self._next], self._starts[self._next]
         if not self._endless:
             return None
-        return self._next, self._starts[self._next % len(self._starts)]
+        return self._next + self._fresh_offset, self._starts[self._next % len(self._starts)]
+
+    def _stream(self, query_id: int) -> QueryStream:
+        """The stream of ``query_id``, the query at ``_next``: derived
+        with the batch, or on its own for a fresh id."""
+        if self._next < len(self._states):
+            return QueryStream(self._states[self._next])
+        return QueryStream(seed_sequence_states(self._seed, [query_id])[0])
 
     def tick(self, cycle: int) -> None:
         if self._next >= self._end:
@@ -101,7 +119,7 @@ class QueryLoader(Module):
                 continue
             if fifo.is_full():
                 continue
-            task = Task(query_id=query_id, vertex=start)
+            task = Task(query_id, start, self._stream(query_id))
             self._recorder.start_query(query_id, start)
             fifo.push(task)
             self._next += 1

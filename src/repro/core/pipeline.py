@@ -13,7 +13,7 @@ the degree-aware memory layout (Figure 4b):
   element (``element mod N``), and its response advances the walk:
   record the hop, bump the step counter, thread ``prev_vertex`` for
   second-order walks, and apply length or probabilistic (PPR)
-  termination.
+  termination, drawn from the task's own query stream.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.core.task import Task, TaskStatus
 from repro.graph.csr import CSRGraph
 from repro.memory.layout import GraphMemoryLayout
 from repro.memory.system import ChannelGroup, MemorySystem
-from repro.sampling.base import RandomSource, Sampler
+from repro.sampling.base import Sampler
 from repro.sim.fifo import StreamFifo
 from repro.sim.kernel import SimulationKernel
 from repro.walks.base import WalkSpec, draw_termination
@@ -50,15 +50,13 @@ class AsyncPipeline:
         memory: MemorySystem,
         spec: WalkSpec,
         sampler: Sampler,
-        sampling_random: RandomSource,
-        termination_random: RandomSource,
         recorder: WalkRecorder,
         input_fifo: StreamFifo,
         output_fifo: StreamFifo,
         outstanding_capacity: int,
     ) -> None:
         self.index = index
-        hop = _HopLogic(index, graph, layout, memory, spec, termination_random, recorder)
+        hop = _HopLogic(index, graph, layout, memory, spec, recorder)
 
         name = f"pipe{index}"
         sp_in = kernel.make_fifo(_STAGE_FIFO_DEPTH, f"{name}.sp_in")
@@ -82,7 +80,6 @@ class AsyncPipeline:
             graph=graph,
             spec=spec,
             sampler=sampler,
-            random_source=sampling_random,
         )
         self.column_access = AccessEngine(
             name=f"{name}.ca",
@@ -123,13 +120,11 @@ class _HopLogic:
         layout: GraphMemoryLayout,
         memory: MemorySystem,
         spec: WalkSpec,
-        termination_random: RandomSource,
         recorder: WalkRecorder,
     ) -> None:
         self._col = graph.col
         self._max_length = spec.max_length
         self._spec = spec
-        self._termination_random = termination_random
         self._record_hop = recorder.record_hop
         n = layout.num_channels
         # Row Access routes and decodes through per-vertex tables.
@@ -184,7 +179,9 @@ class _HopLogic:
         task.prev_vertex = task.vertex
         task.vertex = next_vertex
         task.step = step = task.step + 1
+        # Length first: the last hop draws no termination.  The reference
+        # loop draws one there, but the walk is over either way.
         if step >= self._max_length:
             task.status = TaskStatus.TERMINATED_LENGTH
-        elif draw_termination(self._spec, step - 1, self._termination_random):
+        elif draw_termination(self._spec, step - 1, task.stream):
             task.status = TaskStatus.TERMINATED_PROBABILISTIC

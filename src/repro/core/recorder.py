@@ -58,8 +58,9 @@ class WalkRecorder:
         """Whether every started query has finished."""
         return len(self._finished) == len(self._paths)
 
-    def to_results(self) -> WalkResults:
-        """Assemble final :class:`WalkResults`, ordered by query id."""
+    def to_results(self, query_ids: list[int]) -> WalkResults:
+        """Assemble final :class:`WalkResults`, one path per id of
+        ``query_ids``, in that order (the batch's)."""
         if not self.all_done():
             unfinished = sorted(set(self._paths) - self._finished)[:8]
             raise SimulationError(
@@ -67,6 +68,6 @@ class WalkRecorder:
                 f"(first: {unfinished})"
             )
         results = WalkResults()
-        for query_id in sorted(self._paths):
+        for query_id in query_ids:
             results.add_path(self._paths[query_id])
         return results

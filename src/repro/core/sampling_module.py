@@ -1,9 +1,9 @@
 """The Sampling module of one asynchronous pipeline (Figure 4a, step 5).
 
 Sampling sits between Row Access and Column Access.  It consumes one task
-per cycle in the best case (uniform/alias sampling: the paired ThundeRiNG
-stream delivers pipelined random numbers, so the draw itself never
-stalls), but data-dependent samplers occupy the stage longer:
+per cycle in the best case (uniform/alias sampling: the draw itself never
+stalls, as a pipelined hardware RNG delivers a number per cycle), but
+data-dependent samplers occupy the stage longer:
 
 * **rejection sampling** (Node2Vec unweighted) loops until acceptance —
   one cycle per proposal, the "rejection retries" inner loop of
@@ -13,13 +13,15 @@ stalls), but data-dependent samplers occupy the stage longer:
   the scan as a sequential burst on the column channel.
 
 The *semantic* decision is made by the exact same sampler objects the
-reference engine uses (statistical equivalence by construction).  Uniform
-and alias samplers decide through their one ``draw(graph, vertex, degree,
-random_source)`` — the method their reference-engine ``sample()`` wraps —
-called with the degree Row Access decoded; their cost is fixed, so that
-path builds no ``StepContext`` and no ``SampleOutcome``.  Rejection and
-reservoir samplers go through ``sample()``, and their *timing* comes from
-the outcome's cost counters.
+reference engine uses, drawing from the task's own query stream
+(``task.stream``), so a walk takes the path the software engines give
+it, whichever pipeline serves each hop.  Uniform and alias samplers
+decide through their one ``draw(graph, vertex, degree, random_source)``
+— the method their reference-engine ``sample()`` wraps — called with
+the degree Row Access decoded; their cost is fixed, so that path builds
+no ``StepContext`` and no ``SampleOutcome``.  Rejection and reservoir
+samplers go through ``sample()``, and their *timing* comes from the
+outcome's cost counters.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from repro.core.task import Task, TaskStatus
 from repro.errors import SimulationError
 from repro.graph.csr import CSRGraph
-from repro.sampling.base import RandomSource, SampleOutcome, Sampler, StepContext
+from repro.sampling.base import SampleOutcome, Sampler, StepContext
 from repro.sim.fifo import StreamFifo
 from repro.sim.module import Module
 from repro.walks.base import WalkSpec
@@ -85,7 +87,6 @@ class SamplingModule(Module):
         graph: CSRGraph,
         spec: WalkSpec,
         sampler: Sampler,
-        random_source: RandomSource,
     ) -> None:
         super().__init__(name)
         self.input_fifo = input_fifo
@@ -93,7 +94,6 @@ class SamplingModule(Module):
         self._graph = graph
         self._spec = spec
         self._sampler = sampler
-        self._random = random_source
         self._needs_prev_vertex = spec.needs_prev_vertex
         # Uniform and alias draws cost the same whatever the outcome: bind
         # their ``draw`` and (service cycles, burst words) once, here; the
@@ -140,7 +140,7 @@ class SamplingModule(Module):
         self.samples_taken += 1
         fixed = self._fixed_cost
         if fixed is not None:
-            task.sample_index = self._draw(self._graph, task.vertex, task.degree, self._random)
+            task.sample_index = self._draw(self._graph, task.vertex, task.degree, task.stream)
             service, task.column_burst_words = fixed
             return service
         prev_vertex = task.prev_vertex
@@ -149,7 +149,7 @@ class SamplingModule(Module):
             prev_vertex if self._needs_prev_vertex and prev_vertex >= 0 else None,
             self._spec.admissible_type(task.step),
         )
-        outcome = self._sampler.sample(self._graph, context, self._random)
+        outcome = self._sampler.sample(self._graph, context, task.stream)
         if outcome.index is None:
             task.status = TaskStatus.TERMINATED_FILTERED
             return 1

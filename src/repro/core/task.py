@@ -7,15 +7,21 @@ needs travels *inside* the task; no module keeps per-query state, which is
 what allows out-of-order execution and per-cycle rescheduling without
 rollback (Section V-C).
 
-The simulator's :class:`Task` carries the same fields plus the transient
-values a hop accumulates as it flows through the pipeline (decoded RP
-entry, sampled index, priced burst length).
+The simulator's :class:`Task` carries the same fields, plus its query's
+random stream (so a hop's draws depend on the walk alone, not on which
+pipeline serves it or when), plus the transient values a hop accumulates
+as it flows through the pipeline (decoded RP entry, sampled index, priced
+burst length).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.sampling.vectorized import QueryStream
 
 
 class TaskStatus(Enum):
@@ -61,13 +67,16 @@ class Task:
 
     Persistent fields (the paper's tuple): ``query_id``, ``step``,
     ``vertex`` (v_last) and ``prev_vertex`` (second dependent vertex for
-    higher-order walks).  The rest is per-hop transient state produced by
-    Row Access (decoded RP entry) and Sampling (chosen index, priced
-    column burst).
+    higher-order walks), plus ``stream``, the query's own
+    :class:`~repro.sampling.vectorized.QueryStream`, which Sampling and
+    the termination draw read.  The rest is per-hop transient state
+    produced by Row Access (decoded RP entry) and Sampling (chosen index,
+    priced column burst).
     """
 
     query_id: int
     vertex: int
+    stream: QueryStream
     step: int = 0
     prev_vertex: int = -1
     status: TaskStatus = TaskStatus.RUNNING

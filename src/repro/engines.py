@@ -5,12 +5,12 @@ run as plain software and are one class hierarchy rooted at
 :class:`~repro.walks.engine.PreparedEngine` — the vectorized batch
 engine (``batch``), which fans a large run out to one thread lane per
 usable CPU, and the pure-Python reference loop (``reference``), which
-walks one query at a time through the scalar samplers.  Both draw each
-query's one ``SeedSequence((seed, query_id))`` stream in the same order,
-so they are bit-identical: paths and every ``EngineStats`` counter.  The
-third is the cycle-level accelerator model (``sim``,
-:func:`run_accelerator_walks`), which draws from ThundeRiNG streams and
-is held to the reference engine's distribution by chi-square tests.
+walks one query at a time through the scalar samplers.  The third is
+the cycle-level accelerator model (``sim``, :func:`run_accelerator_walks`),
+whose tasks carry their query's stream through the same scalar samplers.
+All three draw each query's one ``SeedSequence((seed, query_id))``
+stream in the same order, so they walk the same paths, in the batch's
+order; the software engines also agree on every ``EngineStats`` counter.
 
 :data:`SOFTWARE_ENGINES` is the registry: ``{cls.name: cls}``.  The
 protocol's shared ``run`` / ``swap_snapshot`` mean an engine is one

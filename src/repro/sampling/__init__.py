@@ -3,7 +3,6 @@
 from repro.sampling.alias_sampler import AliasSampler
 from repro.sampling.base import (
     RandomSource,
-    RingRandomSource,
     SampleOutcome,
     Sampler,
     StepContext,
@@ -14,9 +13,9 @@ from repro.sampling.reservoir import ReservoirSampler
 from repro.sampling.uniform import UniformSampler
 from repro.sampling.vectorized import (
     BatchSample,
+    QueryStream,
     QueryStreams,
     SamplerState,
-    StreamRandomSource,
     VectorizedKernel,
     make_kernel,
 )
@@ -24,6 +23,7 @@ from repro.sampling.vectorized import (
 __all__ = [
     "AliasSampler",
     "BatchSample",
+    "QueryStream",
     "QueryStreams",
     "VectorizedKernel",
     "make_kernel",
@@ -31,11 +31,9 @@ __all__ = [
     "RandomSource",
     "RejectionSampler",
     "ReservoirSampler",
-    "RingRandomSource",
     "SampleOutcome",
     "SamplerState",
     "Sampler",
     "StepContext",
-    "StreamRandomSource",
     "UniformSampler",
 ]

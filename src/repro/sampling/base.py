@@ -5,6 +5,8 @@ which within-neighborhood index does the walk take?*  That is exactly the
 job of the hardware Sampling module sitting between Row Access and Column
 Access; keeping the software contract identical lets the cycle simulator
 and the pure-software reference engine share sampler implementations.
+Both hand a sampler the one scalar random source, the query's own
+:class:`~repro.sampling.vectorized.QueryStream`, so they draw alike.
 
 Outcomes carry cost counters (memory reads of the neighbor list, proposal
 attempts) because different samplers stress the memory system differently:
@@ -23,7 +25,6 @@ import numpy as np
 
 from repro.errors import SamplingError
 from repro.graph.csr import CSRGraph
-from repro.rng.thundering import RingRandomSource  # noqa: F401  (re-exported)
 
 
 def normalize_seed(seed: int) -> int:
@@ -76,9 +77,9 @@ def derive_seed(seed: int, *tags: int | str) -> int:
 
 
 class RandomSource(Protocol):
-    """Uniform randomness interface consumed by samplers: the reference
-    engine's :class:`~repro.sampling.vectorized.StreamRandomSource`, the
-    cycle model's :class:`RingRandomSource`."""
+    """Uniform randomness interface consumed by samplers: one query's
+    :class:`~repro.sampling.vectorized.QueryStream`, in the reference
+    engine and in every task of the cycle model."""
 
     def uniform(self) -> float:
         """Uniform float in [0, 1)."""

@@ -12,8 +12,9 @@ samplers in this package:
 * :class:`QueryStreams` — one independent random substream per query,
   keyed by ``np.random.SeedSequence((seed, query_id))`` and advanced for
   the whole frontier with vectorized splitmix64 arithmetic.  The
-  reference engine draws from the same streams one query at a time,
-  through :class:`StreamRandomSource`.
+  reference engine and the cycle model draw from the same streams one
+  query at a time, through :class:`QueryStream`, the same arithmetic in
+  Python ints.
 * :class:`EdgeSet` — the one exact edge-membership structure every
   second-order kernel probes: a bucketed table of the edge keys
   (``src * |V| + dst``) behind a 16-bits-per-edge bit filter, so a batch
@@ -31,9 +32,10 @@ samplers in this package:
   work the filter saves.
 
 A kernel draws what its scalar sampler draws, in the same order, from
-the same stream, so the reference engine walks bit-identically to the
-batch engine (``tests/walks/test_engine_matrix.py``,
-``tests/sampling/test_kernel_properties.py``).
+the same stream, so the reference engine and the cycle model walk
+bit-identically to the batch engine (``tests/walks/test_engine_matrix.py``,
+``tests/sampling/test_kernel_properties.py``,
+``tests/sim/test_sim_equals_batch.py``).
 """
 
 from __future__ import annotations
@@ -63,6 +65,9 @@ _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 _ELEMENT_GAMMA = np.uint64(0xD1B54A32D192ED03)
 _TO_UNIT = 1.0 / (1 << 53)
+#: The same constants as Python ints, for :class:`QueryStream`.
+_GAMMA_INT, _MIX_1_INT, _MIX_2_INT = int(_GAMMA), int(_MIX_1), int(_MIX_2)
+_MASK_64 = (1 << 64) - 1
 #: The shifts of the splitmix64 finalizer and of the 53-bit uniform, made
 #: once: a numpy scalar built per call costs as much as a small pass.
 _SHIFT_30, _SHIFT_27, _SHIFT_31 = np.uint64(30), np.uint64(27), np.uint64(31)
@@ -303,9 +308,9 @@ class QueryStreams:
     of batch composition and query order, and two distinct ``(seed,
     query_id)`` pairs never collide (the property the old xor-mix
     derivation lacked).  The batch engine draws a frontier's streams
-    here; the reference engine draws each query's one stream through a
-    :class:`StreamRandomSource` over ``from_states`` of one state — the
-    same arithmetic, so both engines walk alike.
+    here; the reference engine and the cycle model's tasks draw each
+    query's one stream through a :class:`QueryStream` — the same
+    arithmetic, so every executor walks alike.
     """
 
     def __init__(self, seed: int, query_ids: Sequence[int] | np.ndarray) -> None:
@@ -386,8 +391,8 @@ class QueryStreams:
         selected-stream position of each element) and ``within`` (the
         element's index inside its segment) can pass both to skip the
         redundant repeat/cumsum pass; ``counts`` is then not read, and
-        ``within`` may list any indices (:class:`StreamRandomSource`
-        asks for a row's eligible entries only).
+        ``within`` may list any indices (:class:`QueryStream` asks for a
+        row's eligible entries only).
         """
         advanced = self._advance(idx)
         if segment is None or within is None:
@@ -399,23 +404,33 @@ class QueryStreams:
         return _to_unit(_mix64(advanced[segment] ^ salt))
 
 
-class StreamRandomSource:
-    """One query's :class:`QueryStreams` stream as a scalar sampler's
-    random source (the reference engine's).
+class QueryStream:
+    """One query's :class:`QueryStreams` stream, held as a Python int: the
+    scalar samplers' random source, in the reference engine and in every
+    task of the cycle model.
 
-    ``state`` is a one-element uint64 array, e.g. a slice of
-    :func:`seed_sequence_states`, advanced in place by every draw.  A
-    draw is the batch kernels' own draw on a one-stream frontier, so a
-    scalar sampler that draws what its kernel draws, in the same order,
-    takes the same walk.
+    ``state`` is the stream's splitmix64 state, e.g. one entry of
+    :func:`seed_sequence_states`; every draw is the batch kernels' draw on
+    a one-stream frontier — advance by ``_GAMMA``, the ``_mix64``
+    finaliser, ``(z >> 11) * 2**-53`` — so a scalar sampler that draws
+    what its kernel draws, in the same order, takes the same walk.
     """
 
-    def __init__(self, state: np.ndarray) -> None:
-        self._streams = QueryStreams.from_states(state)
+    __slots__ = ("state",)
+
+    def __init__(self, state: int) -> None:
+        self.state = int(state)
+
+    def _advance(self) -> int:
+        self.state = state = (self.state + _GAMMA_INT) & _MASK_64
+        return state
 
     def uniform(self) -> float:
         """Uniform float in ``[0, 1)``: one bump."""
-        return float(self._streams.uniforms()[0])
+        z = self._advance()
+        z = (z ^ z >> 30) * _MIX_1_INT & _MASK_64
+        z = (z ^ z >> 27) * _MIX_2_INT & _MASK_64
+        return ((z ^ z >> 31) >> 11) * _TO_UNIT
 
     def randint(self, bound: int) -> int:
         """Uniform integer in ``[0, bound)``, drawn as
@@ -428,9 +443,8 @@ class StreamRandomSource:
         """One uniform per listed within-row index, in order, for one
         bump — whatever their number, none included, as the reservoir
         kernel bumps each walker once per scan."""
-        within = np.asarray(within, dtype=np.int64)
-        return self._streams.element_uniforms(
-            None, None, np.zeros(within.size, dtype=np.intp), within)
+        salt = _mix64(np.asarray(within, dtype=np.uint64) + _ELEMENT_GAMMA)
+        return _to_unit(_mix64(np.uint64(self._advance()) ^ salt))
 
 
 def sub_streams(stream_idx: np.ndarray | None, group: np.ndarray) -> np.ndarray:

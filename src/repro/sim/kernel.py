@@ -5,19 +5,12 @@ Each cycle the kernel (1) ticks every module in registration order,
 pushes become visible, and (3) checks progress for deadlock detection.
 FIFO writes are registered (:mod:`repro.sim.fifo`), so FIFO traffic
 does not depend on the tick order — the kernel is a synchronous digital
-circuit evaluator, not an event queue.  Two couplings outside the FIFOs
-do depend on it:
-
-* ThundeRiNG's one shared root (:mod:`repro.rng.thundering`) is
-  advanced by every draw of every stream, so the value one sampling
-  module draws depends on how many draws the modules ticked before it
-  made;
-* two access engines that submit to one memory channel in one cycle
-  queue there in tick order.
-
-Reversing the four sampling modules' tick order on the suite's RMAT-12
-shape moves ``total_steps`` from 13,917 to 13,863 and ``cycles`` from
-18,224 to 18,204.  ROADMAP item 11 takes the root's coupling out.
+circuit evaluator, not an event queue.  Random draws do not either: each
+task carries its query's own stream.  One coupling outside the FIFOs
+does: two access engines that submit to one memory channel in one cycle
+queue there in tick order.  Reversing the sampling modules' tick order
+leaves every counter and path of a run as it was
+(``tests/sim/test_cycle_golden.py``).
 
 Nothing is re-derived per cycle that hardware would hold in a register.
 A FIFO's empty/full flags are its ``ready`` / ``space`` counters, which

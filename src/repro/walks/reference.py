@@ -5,13 +5,14 @@ column access, termination check — one query at a time, whole walk in
 one loop, through the scalar samplers, with no hardware modelling.
 
 Each query draws from its own :class:`~repro.sampling.vectorized.QueryStreams`
-stream (``SeedSequence((seed, query_id))``, splitmix64), through a
-:class:`~repro.sampling.vectorized.StreamRandomSource`, and each scalar
-sampler draws what its batch kernel draws, in the same order.  So this
-loop and the batch engine's interleaved frontier walk bit-identically —
-paths and every ``EngineStats`` counter — which is the paper's claim
-that a Markov walk split into stateless tasks may run in any order
-(§III-C), checked exactly by ``tests/walks/test_engine_matrix.py``.
+stream (``SeedSequence((seed, query_id))``, splitmix64), held in Python
+ints by a :class:`~repro.sampling.vectorized.QueryStream`, and each
+scalar sampler draws what its batch kernel draws, in the same order.  So
+this loop and the batch engine's interleaved frontier walk
+bit-identically — paths and every ``EngineStats`` counter — which is the
+paper's claim that a Markov walk split into stateless tasks may run in
+any order (§III-C), checked exactly by ``tests/walks/test_engine_matrix.py``.
+The cycle model's tasks draw the same streams through the same samplers.
 
 The engine is also the correctness oracle for downstream applications
 (PPR estimation, DeepWalk corpora) in ``examples/``.
@@ -26,7 +27,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.sampling.base import StepContext
-from repro.sampling.vectorized import StreamRandomSource, seed_sequence_states
+from repro.sampling.vectorized import QueryStream, seed_sequence_states
 from repro.walks.base import Query, WalkResults, WalkSpec, draw_termination, path_offsets
 from repro.walks.engine import STAT_FIELDS, EngineStats, PreparedEngine, snapshot_graph
 
@@ -49,9 +50,9 @@ class ReferenceEngine(PreparedEngine):
         sampler.prepare(graph)
         counts = [0] * len(STAT_FIELDS)
         paths = []
-        states = seed_sequence_states(seed, query_ids)
-        for k, current in enumerate(starts.tolist()):
-            source = StreamRandomSource(states[k:k + 1])
+        states = seed_sequence_states(seed, query_ids).tolist()
+        for state, current in zip(states, starts.tolist()):
+            source = QueryStream(state)
             path = [current]
             previous = None
             for hop in range(spec.max_length):

@@ -177,6 +177,21 @@ class TestModesAndMetrics:
         with pytest.raises(WalkConfigError):
             RidgeWalker(g, URWSpec(), small_config()).run([])
 
+    def test_duplicate_query_ids_are_refused_before_a_module_is_built(self, monkeypatch):
+        """The recorder keys each path by its id, so an id given twice is
+        refused up front, by name, by both entry points."""
+        import repro.core.accelerator as accelerator
+
+        def no_machine(*args, **kwargs):
+            raise AssertionError("a machine was built")
+
+        monkeypatch.setattr(accelerator, "_Machine", no_machine)
+        walker = RidgeWalker(cycle_graph(4), URWSpec(), small_config())
+        with pytest.raises(WalkConfigError, match="query id 3 appears more than once"):
+            walker.run([Query(3, 1), Query(5, 0), Query(3, 2)])
+        with pytest.raises(WalkConfigError, match="query id 3 appears more than once"):
+            walker.run_streaming([Query(3, 1), Query(3, 2)], measure_cycles=10)
+
     def test_out_of_range_start_rejected_before_the_run(self):
         walker = RidgeWalker(cycle_graph(4), URWSpec(), small_config())
         with pytest.raises(GraphError, match="out of range"):
@@ -204,6 +219,16 @@ class TestStreaming:
         warmed = rw2.run_streaming(qs, warmup_cycles=2000, measure_cycles=400)
         # warmed-up machine is at steady state: strictly more work done
         assert warmed.total_steps > short.total_steps
+
+    def test_run_streaming_crashes_on_ids_that_do_not_start_at_0(self):
+        """Regression: fresh ids were numbered from the batch size, so
+        they collided with ids above it ("query 40 started twice").  They
+        now count on from the largest id."""
+        g = load_dataset("AS", scale=0.1, seed=1)
+        rw = RidgeWalker(g, URWSpec(max_length=8), small_config(), seed=3)
+        metrics = rw.run_streaming([Query(40, 1), Query(41, 2)], warmup_cycles=500,
+                                   measure_cycles=2000)
+        assert metrics.total_steps > 0
 
     def test_streaming_validation(self):
         g = cycle_graph(4)

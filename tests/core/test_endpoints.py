@@ -22,8 +22,7 @@ from repro.memory import (
     MemorySpec,
     MemorySystem,
 )
-from repro.rng import ThunderRing
-from repro.sampling.base import RingRandomSource
+from repro.sampling import QueryStream
 from repro.sim import SimulationKernel, StreamFifo
 from repro.walks import Query, URWSpec
 
@@ -95,7 +94,7 @@ class TestQueryWriter:
         writer = QueryWriter("w", fifos, recorder)
         kernel.add_module(writer)
         for qid in range(4):
-            fifos[qid % 2].push(Task(query_id=qid, vertex=0,
+            fifos[qid % 2].push(Task(query_id=qid, vertex=0, stream=QueryStream(0),
                                      status=TaskStatus.TERMINATED_LENGTH))
         for _ in range(6):
             kernel.step()
@@ -116,7 +115,7 @@ class TestTaskDemux:
 
     def test_running_tasks_recirculate(self):
         kernel, src, recirc, done, _ = self.build()
-        task = Task(query_id=0, vertex=1, degree=5, sample_index=2)
+        task = Task(query_id=0, vertex=1, stream=QueryStream(0), degree=5, sample_index=2)
         src.push(task)
         for _ in range(4):
             kernel.step()
@@ -127,7 +126,8 @@ class TestTaskDemux:
 
     def test_terminal_tasks_finish(self):
         kernel, src, recirc, done, _ = self.build()
-        src.push(Task(query_id=1, vertex=1, status=TaskStatus.TERMINATED_DANGLING))
+        src.push(Task(query_id=1, vertex=1, stream=QueryStream(0),
+                      status=TaskStatus.TERMINATED_DANGLING))
         for _ in range(4):
             kernel.step()
         assert done.pop().query_id == 1
@@ -135,7 +135,7 @@ class TestTaskDemux:
 
     def test_bulk_mode_converts_early_death_to_ghost(self):
         kernel, src, recirc, done, demux = self.build(bulk=True, max_length=10)
-        src.push(Task(query_id=2, vertex=1, step=3,
+        src.push(Task(query_id=2, vertex=1, stream=QueryStream(0), step=3,
                       status=TaskStatus.TERMINATED_DANGLING))
         for _ in range(4):
             kernel.step()
@@ -146,7 +146,8 @@ class TestTaskDemux:
 
     def test_ghost_retires_at_walk_length(self):
         kernel, src, recirc, done, _ = self.build(bulk=True, max_length=5)
-        src.push(Task(query_id=3, vertex=1, step=4, status=TaskStatus.GHOST))
+        src.push(Task(query_id=3, vertex=1, stream=QueryStream(0), step=4,
+                      status=TaskStatus.GHOST))
         for _ in range(4):
             kernel.step()
         finished = done.pop()
@@ -175,7 +176,8 @@ class TestAccessEngineBypass:
             outstanding_capacity=4,
         )
         kernel.add_module(engine)
-        src.push(Task(query_id=0, vertex=0, status=TaskStatus.TERMINATED_LENGTH))
+        src.push(Task(query_id=0, vertex=0, stream=QueryStream(0),
+                      status=TaskStatus.TERMINATED_LENGTH))
         for _ in range(4):
             kernel.step()
         assert dst.pop().query_id == 0
@@ -200,7 +202,7 @@ class TestAccessEngineBypass:
         )
         kernel.add_module(engine)
         kernel.add_module(ResponseRouter("r", memory))
-        src.push(Task(query_id=7, vertex=3))
+        src.push(Task(query_id=7, vertex=3, stream=QueryStream(0)))
         for _ in range(15):
             kernel.step()
         assert touched == [7]
@@ -281,14 +283,10 @@ class TestPipelineWiring:
         kernel = SimulationKernel()
         memory = MemorySystem(SPEC, core_mhz=320, num_channels=2)
         layout = GraphMemoryLayout(graph, num_channels=4)
-        ring = ThunderRing(2, seed=0)
         with pytest.raises(MemoryModelError, match="out of range"):
             AsyncPipeline(
                 kernel=kernel, index=0, graph=graph, layout=layout, memory=memory,
-                spec=spec, sampler=spec.make_sampler(),
-                sampling_random=RingRandomSource(ring, 0),
-                termination_random=RingRandomSource(ring, 1),
-                recorder=WalkRecorder(),
+                spec=spec, sampler=spec.make_sampler(), recorder=WalkRecorder(),
                 input_fifo=kernel.make_fifo(4, "in"), output_fifo=kernel.make_fifo(4, "out"),
                 outstanding_capacity=4,
             )

@@ -10,9 +10,9 @@ from repro.core.sampling_module import (
 )
 from repro.errors import SimulationError
 from repro.graph import from_edges
-from repro.rng import RingRandomSource, ThunderRing
 from repro.sampling import (
     AliasSampler,
+    QueryStream,
     RejectionSampler,
     ReservoirSampler,
     SampleOutcome,
@@ -57,10 +57,7 @@ class TestSamplingModule:
         kernel = SimulationKernel()
         src = kernel.make_fifo(8, "src")
         dst = kernel.make_fifo(8, "dst")
-        module = SamplingModule(
-            "sp", src, dst, graph, spec, sampler,
-            RingRandomSource(ThunderRing(1, seed=1), 0),
-        )
+        module = SamplingModule("sp", src, dst, graph, spec, sampler)
         kernel.add_module(module)
         return kernel, src, dst, module
 
@@ -70,18 +67,19 @@ class TestSamplingModule:
     def test_samples_running_task(self):
         g = self.graph()
         kernel, src, dst, module = self.build(g, URWSpec(max_length=5), UniformSampler())
-        task = Task(query_id=0, vertex=0, degree=3, column_address=0)
+        task = Task(query_id=0, vertex=0, stream=QueryStream(0), degree=3, column_address=0)
         src.push(task)
         for _ in range(5):
             kernel.step()
         out = dst.pop()
-        assert 0 <= out.sample_index < 3
+        assert out.sample_index == QueryStream(0).randint(3)  # the task's own stream
         assert module.samples_taken == 1
 
     def test_passthrough_for_terminated(self):
         g = self.graph()
         kernel, src, dst, module = self.build(g, URWSpec(max_length=5), UniformSampler())
-        src.push(Task(query_id=0, vertex=0, status=TaskStatus.TERMINATED_DANGLING))
+        src.push(Task(query_id=0, vertex=0, stream=QueryStream(0),
+                      status=TaskStatus.TERMINATED_DANGLING))
         for _ in range(5):
             kernel.step()
         assert dst.pop().status is TaskStatus.TERMINATED_DANGLING
@@ -90,7 +88,7 @@ class TestSamplingModule:
     def test_zero_degree_running_task_is_a_bug(self):
         g = self.graph()
         kernel, src, dst, module = self.build(g, URWSpec(max_length=5), UniformSampler())
-        src.push(Task(query_id=0, vertex=0, degree=0))
+        src.push(Task(query_id=0, vertex=0, stream=QueryStream(0), degree=0))
         with pytest.raises(SimulationError, match="dangling"):
             for _ in range(5):
                 kernel.step()
@@ -99,7 +97,8 @@ class TestSamplingModule:
         g = self.graph()
         kernel, src, dst, module = self.build(g, URWSpec(max_length=5), UniformSampler())
         for i in range(6):
-            src.push(Task(query_id=i, vertex=0, degree=3, column_address=0))
+            src.push(Task(query_id=i, vertex=0, stream=QueryStream(i), degree=3,
+                          column_address=0))
         cycles = 0
         while dst.occupancy() < 6 and cycles < 40:
             kernel.step()

@@ -14,11 +14,12 @@ from repro.core import (
 from repro.core.config import SYNC_OUTSTANDING
 from repro.errors import SchedulerError, SimulationError
 from repro.memory.spec import DDR4_U250, HBM2_U55C
+from repro.sampling import QueryStream
 
 
 class TestTask:
     def test_defaults(self):
-        t = Task(query_id=1, vertex=5)
+        t = Task(query_id=1, vertex=5, stream=QueryStream(0))
         assert t.is_running()
         assert not t.is_terminal()
         assert t.needs_memory()
@@ -30,19 +31,19 @@ class TestTask:
             TaskStatus.TERMINATED_PROBABILISTIC,
             TaskStatus.TERMINATED_LENGTH,
         ):
-            t = Task(query_id=0, vertex=0, status=status)
+            t = Task(query_id=0, vertex=0, stream=QueryStream(0), status=status)
             assert t.is_terminal()
             assert not t.needs_memory()
 
     def test_ghost_is_not_terminal_but_uses_memory(self):
-        t = Task(query_id=0, vertex=0, status=TaskStatus.GHOST)
+        t = Task(query_id=0, vertex=0, stream=QueryStream(0), status=TaskStatus.GHOST)
         assert not t.is_terminal()
         assert t.is_ghost()
         assert t.needs_memory()  # dead slots still burn bandwidth
 
     def test_reset_hop_state(self):
-        t = Task(query_id=0, vertex=0, degree=5, column_address=10, sample_index=2,
-                 column_burst_words=4)
+        t = Task(query_id=0, vertex=0, stream=QueryStream(0), degree=5, column_address=10,
+                 sample_index=2, column_burst_words=4)
         t.reset_hop_state()
         assert t.degree == -1
         assert t.column_address == -1
@@ -57,7 +58,7 @@ class TestWalkRecorder:
         r.record_hop(0, 6)
         r.record_hop(0, 7)
         r.finish_query(0)
-        results = r.to_results()
+        results = r.to_results([0])
         assert results.path_of(0).tolist() == [5, 6, 7]
         assert results.total_steps == 2
 
@@ -68,9 +69,9 @@ class TestWalkRecorder:
         r.record_hop(1, 11)
         r.finish_query(1)
         r.finish_query(0)
-        results = r.to_results()
-        assert results.path_of(0).tolist() == [20]
-        assert results.path_of(1).tolist() == [10, 11]
+        results = r.to_results([1, 0])
+        assert results.path_of(0).tolist() == [10, 11]
+        assert results.path_of(1).tolist() == [20]
 
     def test_double_start_rejected(self):
         r = WalkRecorder()
@@ -100,7 +101,7 @@ class TestWalkRecorder:
         r = WalkRecorder()
         r.start_query(0, 1)
         with pytest.raises(SimulationError, match="unfinished"):
-            r.to_results()
+            r.to_results([0])
 
 
 class TestTheoremDepth:

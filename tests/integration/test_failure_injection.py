@@ -16,6 +16,7 @@ from repro.core.accelerator import _Machine
 from repro.errors import DeadlockError, SimulationError
 from repro.graph import load_dataset
 from repro.memory.spec import MemorySpec
+from repro.sampling import QueryStream
 from repro.sim import Module, SimulationKernel
 from repro.walks import URWSpec, make_queries
 
@@ -65,7 +66,7 @@ class TaskForger(Module):
 
     def tick(self, cycle):
         if not self.fired and cycle >= self._fire_at and not self._fifo.is_full():
-            self._fifo.push(Task(query_id=self._query_id, vertex=0))
+            self._fifo.push(Task(query_id=self._query_id, vertex=0, stream=QueryStream(0)))
             self.fired = True
 
 
@@ -126,7 +127,7 @@ class TestRecorderGuards:
         recorder.start_query(1, 2)
         recorder.finish_query(0)
         with pytest.raises(SimulationError, match="unfinished"):
-            recorder.to_results()
+            recorder.to_results([0, 1])
 
 
 class TestKernelGuards:

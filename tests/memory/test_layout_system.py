@@ -15,8 +15,7 @@ from repro.memory import (
     MemorySpec,
     MemorySystem,
 )
-from repro.rng.thundering import ThunderRing
-from repro.sampling.base import RingRandomSource
+from repro.sampling import QueryStream
 from repro.walks import URWSpec
 
 SPEC = MemorySpec(
@@ -139,9 +138,8 @@ class TestColumnInterleave:
     def route(self):
         g = graph()
         memory = MemorySystem(SPEC, core_mhz=320, num_channels=self.N)
-        ring = ThunderRing(1, seed=0)
         hop = _HopLogic(0, g, GraphMemoryLayout(g, self.N), memory, URWSpec(max_length=4),
-                        RingRandomSource(ring, 0), WalkRecorder())
+                        WalkRecorder())
         # Column channel ids follow the N row channel ids.
         return g, hop, lambda task: hop.route_column(task)[0].channel_id - self.N
 
@@ -150,22 +148,24 @@ class TestColumnInterleave:
         for vertex in range(0, g.num_vertices, 7):
             start = int(g.row_ptr[vertex])
             for index in range(g.degree(vertex)):
-                task = Task(query_id=0, vertex=vertex, column_address=start,
-                            sample_index=index)
+                task = Task(query_id=0, vertex=vertex, stream=QueryStream(0),
+                            column_address=start, sample_index=index)
                 assert channel_of(task) == (start + index) % self.N
 
     def test_a_hub_list_spans_every_channel(self):
         g, _, channel_of = self.route()
         hub = int(np.argmax(g.degrees()))
         start = int(g.row_ptr[hub])
-        touched = {channel_of(Task(query_id=0, vertex=hub, column_address=start,
-                                   sample_index=i)) for i in range(g.degree(hub))}
+        touched = {channel_of(Task(query_id=0, vertex=hub, stream=QueryStream(0),
+                                   column_address=start, sample_index=i))
+                   for i in range(g.degree(hub))}
         assert touched == set(range(self.N))
 
     def test_a_ghost_routes_by_query_id(self):
         _, hop, channel_of = self.route()
         for query_id in range(2 * self.N):
-            ghost = Task(query_id=query_id, vertex=0, status=TaskStatus.GHOST)
+            ghost = Task(query_id=query_id, vertex=0, stream=QueryStream(0),
+                         status=TaskStatus.GHOST)
             assert channel_of(ghost) == query_id % self.N
             assert hop.route_column(ghost)[1] == 1
 

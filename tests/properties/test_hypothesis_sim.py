@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from repro.core import Dispatcher, Merger
 from repro.memory import MemoryChannel, MemoryRequest, MemorySpec
-from repro.rng import RingRandomSource, ThunderRing
+from repro.sampling import QueryStream
+from repro.sampling.vectorized import seed_sequence_states
 from repro.sim import SimulationKernel, StreamFifo
 
 actions = st.lists(st.sampled_from(["push", "pop", "commit"]), min_size=1, max_size=200)
@@ -122,15 +123,14 @@ class TestRngContracts:
     @given(seed=st.integers(0, 2**32), streams=st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
     def test_uniforms_in_unit_interval(self, seed, streams):
-        ring = ThunderRing(streams, seed=seed)
-        for s in range(streams):
-            source = RingRandomSource(ring, s)
+        for state in seed_sequence_states(seed, range(streams)).tolist():
+            source = QueryStream(state)
             for _ in range(20):
                 assert 0.0 <= source.uniform() < 1.0
 
-    @given(seed=st.integers(0, 2**32), bound=st.integers(1, 1000))
+    @given(state=st.integers(0, 2**64 - 1), bound=st.integers(1, 1000))
     @settings(max_examples=40, deadline=None)
-    def test_randint_in_bounds(self, seed, bound):
-        source = RingRandomSource(ThunderRing(1, seed=seed), 0)
+    def test_randint_in_bounds(self, state, bound):
+        source = QueryStream(state)
         for _ in range(30):
             assert 0 <= source.randint(bound) < bound

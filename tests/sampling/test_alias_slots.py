@@ -20,7 +20,7 @@ from repro.engines import prepare_engine, run_software_walks
 from repro.errors import GraphError
 from repro.graph import CSRGraph, from_edges, rmat
 from repro.graph.alias import build_alias_table
-from repro.sampling import AliasSampler, SamplerState, StreamRandomSource
+from repro.sampling import AliasSampler, QueryStream, SamplerState
 from repro.sampling import vectorized
 from repro.sampling.vectorized import (
     ALIAS_SLOT,
@@ -159,10 +159,10 @@ def test_kernel_moves_where_the_scalar_table_points(make_graph):
     ids = np.arange(current.size)
     batch = kernel.sample(graph, current, np.full(current.size, -1, dtype=np.int64), None,
                           QueryStreams(6, ids), None, graph.degrees()[current])
-    states = seed_sequence_states(6, ids)
+    states = seed_sequence_states(6, ids).tolist()
     index = np.array([
-        sampler.draw(graph, v, graph.degree(v), StreamRandomSource(states[k:k + 1]))
-        for k, v in enumerate(current.tolist())
+        sampler.draw(graph, v, graph.degree(v), QueryStream(state))
+        for state, v in zip(states, current.tolist())
     ])
     assert batch.vertex.dtype == np.int64
     assert np.array_equal(batch.vertex, graph.col[graph.row_ptr[current] + index])

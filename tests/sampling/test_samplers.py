@@ -11,14 +11,13 @@ from repro.errors import SamplingError
 from repro.graph import from_edges, rmat
 from repro.graph.alias import alias_expected_distribution, build_alias_table
 from repro.graph.datasets import assign_metapath_schema
-from repro.rng import RingRandomSource, ThunderRing
 from repro.sampling import (
     AliasSampler,
+    QueryStream,
     QueryStreams,
     RejectionSampler,
     ReservoirSampler,
     StepContext,
-    StreamRandomSource,
     UniformSampler,
 )
 from repro.sampling.vectorized import ReservoirKernel, seed_sequence_states
@@ -28,15 +27,9 @@ SAMPLES = 30_000
 TOLERANCE = 0.02
 
 
-def rng_source(seed=0):
-    """A ThundeRiNG stream, the cycle model's source: the cheapest draw
-    for the distribution tests' many samples."""
-    return RingRandomSource(ThunderRing(1, seed=seed), 0)
-
-
 def stream_source(seed=0):
-    """One query stream, the reference engine's source."""
-    return StreamRandomSource(seed_sequence_states(seed, [0]))
+    """One query's stream, the scalar samplers' one random source."""
+    return QueryStream(seed_sequence_states(seed, [0])[0])
 
 
 def weighted_fan():
@@ -49,7 +42,7 @@ def weighted_fan():
 
 
 def empirical(sampler, graph, context, seed=0, samples=SAMPLES):
-    source = rng_source(seed)
+    source = stream_source(seed)
     degree = graph.degree(context.vertex)
     counts = np.zeros(degree)
     for _ in range(samples):
@@ -66,14 +59,14 @@ class TestUniformSampler:
 
     def test_cost_counters(self):
         g = weighted_fan()
-        outcome = UniformSampler().sample(g, StepContext(vertex=0), rng_source())
+        outcome = UniformSampler().sample(g, StepContext(vertex=0), stream_source())
         assert outcome.proposals == 1
         assert outcome.neighbor_reads == 1
 
     def test_dangling_vertex_rejected(self):
         g = from_edges([(0, 1)], num_vertices=2)
         with pytest.raises(SamplingError, match="dangling"):
-            UniformSampler().sample(g, StepContext(vertex=1), rng_source())
+            UniformSampler().sample(g, StepContext(vertex=1), stream_source())
 
     def test_rp_entry_bits(self):
         assert UniformSampler().rp_entry_bits == 64
@@ -83,7 +76,7 @@ class TestAliasSampler:
     def test_requires_prepare(self):
         g = weighted_fan()
         with pytest.raises(SamplingError, match="prepare"):
-            AliasSampler().sample(g, StepContext(vertex=0), rng_source())
+            AliasSampler().sample(g, StepContext(vertex=0), stream_source())
 
     def test_weighted_distribution(self):
         g = weighted_fan()
@@ -103,7 +96,7 @@ class TestAliasSampler:
         g = weighted_fan()
         sampler = AliasSampler()
         sampler.prepare(g)
-        outcome = sampler.sample(g, StepContext(vertex=0), rng_source())
+        outcome = sampler.sample(g, StepContext(vertex=0), stream_source())
         assert outcome.neighbor_reads == 2  # alias slot + chosen neighbor
 
     def test_rp_entry_bits_is_256(self):
@@ -169,7 +162,7 @@ class TestRejectionSampler:
         # through rejected proposals and inflating the cost counters.
         g = self.diamond()
         sampler = RejectionSampler(p=100.0, q=0.001)  # max_bias = 1000
-        source = rng_source(7)
+        source = stream_source(7)
         for _ in range(50):
             outcome = sampler.sample(g, StepContext(vertex=1), source)
             assert outcome.proposals == 1
@@ -180,7 +173,7 @@ class TestRejectionSampler:
         context = StepContext(vertex=1, prev_vertex=0)
         sampler = RejectionSampler(p=10.0, q=10.0)
         total = 0
-        source = rng_source(3)
+        source = stream_source(3)
         for _ in range(200):
             total += sampler.sample(g, context, source).proposals
         assert total > 200  # some rejections must occur with strong bias
@@ -228,7 +221,7 @@ class TestReservoirSampler:
     def test_no_admissible_neighbor_terminates(self):
         g = from_edges([(0, 1)], edge_types=[0], num_vertices=2)
         outcome = ReservoirSampler().sample(
-            g, StepContext(vertex=0, admissible_type=5), rng_source()
+            g, StepContext(vertex=0, admissible_type=5), stream_source()
         )
         assert outcome.terminated
 
@@ -236,12 +229,12 @@ class TestReservoirSampler:
         g = from_edges([(0, 1)], num_vertices=2)
         with pytest.raises(SamplingError, match="edge types"):
             ReservoirSampler().sample(
-                g, StepContext(vertex=0, admissible_type=0), rng_source()
+                g, StepContext(vertex=0, admissible_type=0), stream_source()
             )
 
     def test_reads_whole_list(self):
         g = weighted_fan()
-        outcome = ReservoirSampler().sample(g, StepContext(vertex=0), rng_source())
+        outcome = ReservoirSampler().sample(g, StepContext(vertex=0), stream_source())
         assert outcome.neighbor_reads == g.degree(0)
 
     def test_p_and_q_must_come_together(self):
@@ -261,36 +254,25 @@ def test_a_degree_one_row_always_takes_its_edge(make_sampler):
     g = from_edges([(0, 1), (1, 0)], weights=[3.0, 1.0], num_vertices=2)
     sampler = make_sampler()
     sampler.prepare(g)
-    source = rng_source(9)
+    source = stream_source(9)
     for context in (StepContext(vertex=0), StepContext(vertex=0, prev_vertex=1)):
         for _ in range(50):
             assert sampler.sample(g, context, source).index == 0
 
 
-#: name -> (a fresh scalar source, the stream bumps of ``element_uniforms(within)``).
-SOURCES = {
-    "stream": (lambda: stream_source(5), lambda within: 1),
-    "ring": (lambda: rng_source(5), len),
-}
-
-
-@pytest.mark.parametrize("name", SOURCES)
-def test_scalar_source_contract(name):
+def test_scalar_source_contract():
     """``randint`` refuses an empty range; ``element_uniforms`` gives one
-    uniform per listed index, none for none, and moves the stream as its
-    engine's scan does: the ring one draw per index, the query stream one
-    bump per call."""
-    make_source, bumps = SOURCES[name]
+    uniform per listed index, none for none, and moves the stream one
+    bump per call, as the reservoir kernel's scan does."""
     for bound in (0, -3):
         with pytest.raises(SamplingError, match="bound must be positive"):
-            make_source().randint(bound)
+            stream_source(5).randint(bound)
     for within in ([], [4], [0, 2, 9]):
-        source, twin = make_source(), make_source()
+        source, twin = stream_source(5), stream_source(5)
         values = source.element_uniforms(np.array(within, dtype=np.int64))
         assert len(values) == len(within)
         assert all(0.0 <= u < 1.0 for u in values)
-        for _ in range(bumps(within)):
-            twin.uniform()
+        twin.uniform()
         assert source.uniform() == twin.uniform()
 
 
@@ -337,8 +319,8 @@ def test_scalar_scan_equals_the_kernel_walker_by_walker(name):
     sampler = make_sampler()
     kernel = ReservoirKernel(sampler)
     kernel.prepare(graph)
-    states = seed_sequence_states(11, np.arange(current.size))
-    kernel_states = states.copy()
+    kernel_states = seed_sequence_states(11, np.arange(current.size))
+    sources = [QueryStream(state) for state in kernel_states.tolist()]
     batch = kernel.sample(graph, current, previous, types,
                           QueryStreams.from_states(kernel_states), None,
                           graph.degrees()[current])
@@ -346,13 +328,13 @@ def test_scalar_scan_equals_the_kernel_walker_by_walker(name):
     for k, (vertex, prev) in enumerate(zip(current.tolist(), previous.tolist())):
         context = StepContext(vertex, None if prev < 0 else prev,
                               None if types is None else int(types[k]))
-        outcome = sampler.sample(graph, context, StreamRandomSource(states[k:k + 1]))
+        outcome = sampler.sample(graph, context, sources[k])
         chosen.append(-1 if outcome.terminated
                       else int(graph.neighbors(vertex)[outcome.index]))
         proposals += outcome.proposals
         reads += outcome.neighbor_reads
     assert chosen == batch.vertex.tolist()
-    assert np.array_equal(states, kernel_states)
+    assert [source.state for source in sources] == kernel_states.tolist()
     assert (proposals, reads) == (batch.proposals, batch.neighbor_reads)
     if typed:
         assert -1 in chosen
@@ -375,11 +357,9 @@ def test_scalar_scan_gives_ties_to_the_later_eligible_entry(admissible, winner):
     assert outcome.index == winner
 
 
-@pytest.mark.parametrize("name", SOURCES)
-def test_a_type_on_an_untyped_graph_is_refused_before_any_draw(name):
-    make_source, _ = SOURCES[name]
+def test_a_type_on_an_untyped_graph_is_refused_before_any_draw():
     g = from_edges([(0, 1), (0, 2)], num_vertices=3)
-    source, twin = make_source(), make_source()
+    source, twin = stream_source(5), stream_source(5)
     with pytest.raises(SamplingError, match="no edge types"):
         ReservoirSampler().sample(g, StepContext(0, admissible_type=0), source)
     assert source.uniform() == twin.uniform()

@@ -31,11 +31,11 @@ from repro.graph import from_edges
 from repro.graph.alias import alias_expected_distribution
 from repro.sampling import (
     AliasSampler,
+    QueryStream,
     QueryStreams,
     RejectionSampler,
     ReservoirSampler,
     StepContext,
-    StreamRandomSource,
     UniformSampler,
 )
 from repro.sampling.vectorized import RejectionKernel, make_kernel, seed_sequence_states
@@ -50,7 +50,7 @@ KERNEL_SAMPLES = 40_000
 
 def stream_source(seed, query_id=0):
     """The reference engine's random source: one query's stream."""
-    return StreamRandomSource(seed_sequence_states(seed, [query_id]))
+    return QueryStream(seed_sequence_states(seed, [query_id])[0])
 
 
 def node2vec_graph():

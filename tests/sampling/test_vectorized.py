@@ -8,6 +8,7 @@ from repro.graph import from_edges, rmat
 from repro.graph.datasets import thunderrw_weights
 from repro.sampling import (
     AliasSampler,
+    QueryStream,
     QueryStreams,
     RejectionSampler,
     ReservoirSampler,
@@ -148,6 +149,44 @@ class TestQueryStreams:
             QueryStreams.from_states(np.zeros(3, dtype=np.int64))
         with pytest.raises(SamplingError, match="1-D uint64"):
             QueryStreams.from_states(np.zeros((2, 2), dtype=np.uint64))
+
+
+class TestQueryStream:
+    """The scalar stream is :class:`QueryStreams`' arithmetic in Python
+    ints: held bit for bit to a frontier of the same states, draw by
+    draw, over all three draws."""
+
+    STREAMS = 300
+
+    def test_every_draw_equals_the_frontier_draw(self):
+        ids = np.arange(self.STREAMS) * 7919  # some ids past 2**16
+        states = seed_sequence_states(3, ids)
+        frontier = QueryStreams.from_states(states.copy())
+        scalars = [QueryStream(state) for state in states.tolist()]
+        rng = np.random.default_rng(3)
+        bounds = rng.integers(1, 2**40, self.STREAMS)
+        for counts in (rng.integers(0, 6, self.STREAMS), np.zeros(self.STREAMS, np.int64)):
+            expected = frontier.uniforms()
+            assert [s.uniform() for s in scalars] == expected.tolist()
+            expected = frontier.randints(bounds)
+            assert [s.randint(int(b)) for s, b in zip(scalars, bounds)] == expected.tolist()
+            flat = frontier.element_uniforms(None, counts)
+            ends = np.cumsum(counts)
+            for s, count, end in zip(scalars, counts.tolist(), ends.tolist()):
+                drawn = s.element_uniforms(np.arange(count))
+                assert drawn.tolist() == flat[end - count:end].tolist()
+            assert [s.state for s in scalars] == frontier._state.tolist()
+
+    def test_randint_refuses_an_empty_range(self):
+        for bound in (0, -1):
+            with pytest.raises(SamplingError, match="bound must be positive"):
+                QueryStream(1).randint(bound)
+
+    def test_the_state_wraps_at_64_bits(self):
+        stream, frontier = QueryStream(2**64 - 1), QueryStreams.from_states(
+            np.array([2**64 - 1], dtype=np.uint64))
+        assert stream.uniform() == frontier.uniforms()[0]
+        assert stream.state == int(frontier._state[0])
 
 
 class TestNoClamp:

@@ -90,45 +90,45 @@ CASES = {
 #:  bubble_cycles, pipeline_cycles, ghost_laps, paths sha256,
 #:  sha256 of every module's, FIFO's and channel's counters)
 GOLDEN = {
-    "suite_rmat12": (13917, 18224, 27980, 84086, 46461, 72896, 0,
-                     "c2b0fc0795a935c005793a0ceee70fdd0c896f322760094dea0df7e978e09bbe",
-                     "2d5540e044f12455fa324885f3d7ecd3f86b1d56d37ee974665bb189b6272a1d"),
-    "deepwalk": (488, 3623, 981, 2948, 13560, 14492, 0,
-                 "20d97105430aa6ac9af6042c4cf0e734c6cad6fb73cee3a55b63e9b34ac708a3",
-                 "154311a1787ce2755d5e1de2222e2888a309fb246b6dcc1868633f175c3266d5"),
-    "static": (500, 3424, 1002, 3008, 12783, 13696, 0,
-               "feb0bb0c0b8646c7c8487a0fc99fbfef29d2535072445d4d7fd4d90a397d4d1f",
-               "f7b72a16de50176db67c2fdc75fbdd1eb02fc2f4985a0b50233179a4ef725af2"),
-    "bulk_synchronous": (139, 3406, 964, 964, 12797, 13624, 343,
-                         "a7844abb9c105fc77958e1f68a08748c9651eddd969963382fed8e9e3d388e58",
-                         "585c52fb0146f4519bcc3902c104f9839a254349b0a67540d4976d56782c1422"),
-    "sync_memory": (488, 3709, 981, 2948, 13899, 14836, 0,
-                    "20d97105430aa6ac9af6042c4cf0e734c6cad6fb73cee3a55b63e9b34ac708a3",
-                    "459cf86bc6e5cc2f566b8d0dfe028b1bcffbfe076e8ac6a611df8fc2d61e138b"),
-    "one_pipeline": (482, 3489, 969, 2912, 2515, 3489, 0,
-                     "fde5b4bf9e861aa8e752d55077d7846ce4bfbbcd15adaf90121827901386b45f",
-                     "ad4d42e49fd84db36450977613bcf29f6adc038923327102100f44223930c8f2"),
-    "eight_pipelines": (474, 3722, 952, 2860, 28833, 29776, 0,
-                        "15401d23ba5a2b4217883710f8d8436cda60ce0e3be2cfab8062ae7e0f7d1ad3",
-                        "6d40190817a48fb85e5a8b3bbcd9e34841a7d2147c7d004b882a288060c9f665"),
-    "node2vec_rejection": (487, 3905, 976, 25417, 11748, 15620, 0,
-                           "c5558af38472655073db87a389ba48d9f77b43c8ecce13699672f7c382c24ff2",
-                           "f8498011be5bd72d8bde394e67382e380fdcd83e6c48f983e9a1c3e447e80bc2"),
-    "node2vec_reservoir": (506, 3759, 1014, 15521, 12607, 15036, 0,
-                           "628d1ffecab7aaaa2cdbf975d4cc927d8f84955bae800bfb89af5dca9aad897b",
-                           "af0fe6ccfbc27292b6a059f74583ece8764e3395cdc9e30a3f4f603c1dc25307"),
-    "ppr": (157, 3618, 314, 314, 14174, 14472, 0,
-            "1191c8c98af88eaf7afd06c84c2114ea70f2fbae05a0121c2b8c97f93fc78ba9",
-            "84f18e6da090e8b9e64debd8d34e7b4043ca520e758f6b24861f276533e400ab"),
-    "metapath": (237, 3710, 497, 7740, 13617, 14840, 0,
-                 "6057ee61df8c0d941bfd21fb08a2dfccb455b07fbe40836a0ab4578736bcfe60",
-                 "73bc0be7b07876a80144ba42b1e857d8dc99eea33621f74c5cec879343a3d5d4"),
+    "suite_rmat12": (13225, 18207, 26604, 79966, 47625, 72828, 0,
+                     "39d3bd9c25d1024d0c422a965222271288513b603ef82827ea6c22d9c6a1ddcf",
+                     "10082a23a4a20f901b5278f72cf57ec3485f7d79262dbbcae4f6aab03292bb00"),
+    "deepwalk": (449, 3623, 905, 2722, 13633, 14492, 0,
+                 "915b98033424f2877b1c6f49a9e0d3c5c387239c4936ee89e8116e5c08fc2658",
+                 "40ef14edc10cfb6aa9ed12a21eff87f042cdbbe04544559c251a98632bf2e81d"),
+    "static": (449, 3416, 905, 2722, 12853, 13664, 0,
+               "915b98033424f2877b1c6f49a9e0d3c5c387239c4936ee89e8116e5c08fc2658",
+               "6f05bc4c78a5dc975684c1434ad34122bcfdb42720e55202b6118e8a509b9b04"),
+    "bulk_synchronous": (127, 3299, 961, 961, 12375, 13196, 353,
+                         "628ede35603745573c22abe63c76cc7f90ea4f0bd88e34c80fc63d12fd509c1a",
+                         "f657bb60568e18796740d682d3cb1ea2b80bab7128193bd59a26b6077a460842"),
+    "sync_memory": (449, 3709, 905, 2722, 13973, 14836, 0,
+                    "915b98033424f2877b1c6f49a9e0d3c5c387239c4936ee89e8116e5c08fc2658",
+                    "bc4738a390d0497034c34ca1276eebc5d18907e6a562a44610cc0ceaaa3c78e7"),
+    "one_pipeline": (449, 3489, 905, 2722, 2577, 3489, 0,
+                     "915b98033424f2877b1c6f49a9e0d3c5c387239c4936ee89e8116e5c08fc2658",
+                     "60b4a0a8d597ce281090beaab1e38d8e1e12cd70abaca09997069859ed99cc8c"),
+    "eight_pipelines": (449, 3722, 905, 2722, 28883, 29776, 0,
+                        "915b98033424f2877b1c6f49a9e0d3c5c387239c4936ee89e8116e5c08fc2658",
+                        "a5b4f3fb71b1791d82cbc29d619017369eae884376129b6836af67198bcc3a39"),
+    "node2vec_rejection": (509, 3891, 1020, 26860, 11535, 15564, 0,
+                           "c4c86e1e47a52a0af7ab45d3c6b0f56a83346861d849a8a7911b3f1b95666f76",
+                           "6ad804cb12f883d68337ee04e0ec6542bbf14ae53b6f653cd9852cd14953f830"),
+    "node2vec_reservoir": (473, 3742, 953, 13997, 12760, 14968, 0,
+                           "43d9d9832cb9cbe4bce953ad3a2cb1f23be17e02e71d728fafe4a538c594d9ef",
+                           "12393ad65969201ee493657556091de16eb72f823cc7381a2db63ced30980066"),
+    "ppr": (152, 3156, 307, 307, 12323, 12624, 0,
+            "37fb0a94a2b66ae56fe9eb67d424d307c53becf29f61439ad2ff94aeb9fbafad",
+            "0f584f5945a39aa40c8dee076882748d454655834470d3f5c277f41b49dcfa96"),
+    "metapath": (290, 3740, 600, 10033, 13396, 14960, 0,
+                 "c30ad3eaaf8e47347538ff3cef165e435e5d4cb392dea8dba5de845395c2a60d",
+                 "a661b68ce02e3381542762b517f5d5b3440606f63ebb40a0a08af89c586d9242"),
 }
 
 #: (total_steps, cycles, random_transactions, words_transferred,
 #:  bubble_cycles, pipeline_cycles, sha256 of every tracer window)
-STREAMING_GOLDEN = (4470, 3000, 9091, 26936, 3927, 12000,
-                    "f6abfe6d1e5186d78333819f347af512b1f423e5810d5995633000f7f29d870b")
+STREAMING_GOLDEN = (4453, 3000, 9084, 26902, 3957, 12000,
+                    "c26aa57b203969499b8438abd34f6c21cf088046a41e945d2f21951a7a427c32")
 
 
 def machine_sha256(machine: _Machine) -> str:
@@ -183,18 +183,46 @@ def test_streaming_counters_and_tracer_windows_are_pinned():
     assert run_streaming() == STREAMING_GOLDEN
 
 
+def test_the_sampling_modules_tick_order_moves_nothing():
+    """A draw reads its task's own stream, not a generator shared by the
+    modules, so ticking the sampling modules in reverse changes no
+    counter, path or module statistic."""
+    scale, weighted, make_spec, num_queries, _ = CASES["node2vec_rejection"]
+    graph = graph_of(scale, weighted)
+    queries = make_queries(graph, num_queries, seed=derive_seed(1, "queries"))
+    config = RidgeWalkerConfig(num_pipelines=4, memory=HBM2_U55C)
+    machine = _Machine(graph, make_spec(), config, 1, queries)
+    ticks = machine.kernel._ticks
+    sampling = [pipeline.sampling.tick for pipeline in machine.pipelines]
+    slots = [ticks.index(tick) for tick in sampling]
+    for slot, tick in zip(slots, reversed(sampling)):
+        ticks[slot] = tick
+    run = machine.execute()
+    m = run.metrics
+    assert (m.total_steps, m.cycles, m.random_transactions, m.words_transferred,
+            m.bubble_cycles, m.pipeline_cycles, m.extra["ghost_laps"],
+            paths_sha256(run.results.paths), machine_sha256(machine)) == GOLDEN["node2vec_rejection"]
+
+
 def test_the_small_shapes_reach_the_branches_they_stand_for():
     """Guards the golden's coverage, not the model: ghost laps happen
     only in the bulk-synchronous case, the Node2Vec cases burst many
-    words per transaction, and PPR and MetaPath walks end before their
-    length (MetaPath's when no neighbour has the admissible type)."""
+    words per transaction, PPR walks end before their length, and most
+    MetaPath walks end at the type filter (short, at a vertex that has
+    neighbours, none of the admissible type)."""
     ghosts = {name: GOLDEN[name][6] for name in CASES}
     assert [name for name, laps in ghosts.items() if laps] == ["bulk_synchronous"]
     for name in ("node2vec_rejection", "node2vec_reservoir"):
         transactions, words = GOLDEN[name][2:4]
         assert words > 10 * transactions
     assert GOLDEN["ppr"][0] < SMALL_QUERIES * SMALL_LENGTH / 2
-    assert GOLDEN["metapath"][0] < SMALL_QUERIES * SMALL_LENGTH / 2
+    scale, weighted, make_spec, num_queries, _ = CASES["metapath"]
+    graph = graph_of(scale, weighted)
+    queries = make_queries(graph, num_queries, seed=derive_seed(1, "queries"))
+    config = RidgeWalkerConfig(num_pipelines=4, memory=HBM2_U55C)
+    paths = RidgeWalker(graph, make_spec(), config, seed=1).run(queries).results.paths
+    filtered = [p for p in paths if p.size <= SMALL_LENGTH and graph.degree(int(p[-1]))]
+    assert len(filtered) > num_queries / 2
 
 
 if __name__ == "__main__":

@@ -31,15 +31,15 @@ WIDE_CASES = {
 
 #: Same tuple layout as ``test_cycle_golden.GOLDEN``.
 GOLDEN_WIDE = {
-    "deepwalk_16": (500, 3821, 1002, 3008, 60139, 61136, 0,
-                    "b226059e24761a22e5c56cc9b64eb76ce4c1302a05ec7a1b01b1ad220bbd9e7d",
-                    "db8108500fbdf13a92ffd81d1710ad35146d4767c8fab69975d62be7c9dad023"),
-    "node2vec_rejection_16": (483, 4064, 969, 25120, 60923, 65024, 0,
-                              "be0b7aba5b03f8540eaf29dec7b97e5d5c14e79f51b6c966bfb9f8ab555a0053",
-                              "a46b5739c21fb6f43b7db5fad5ac15270ae92637a82b2bae9ddcbcccf8b19595"),
-    "node2vec_reservoir_16": (492, 3894, 988, 14711, 59901, 62304, 0,
-                              "66a99f3e914626553a43029b37e5c4ebd09a06256633dcf140a1ab7bba968405",
-                              "92229b8b59cc255b54352731666d81bcca0c2700c73588f9b84f452008771085"),
+    "deepwalk_16": (449, 3821, 905, 2722, 60229, 61136, 0,
+                    "915b98033424f2877b1c6f49a9e0d3c5c387239c4936ee89e8116e5c08fc2658",
+                    "04e6c2ecfc54caf787cd86dc284356ac8d27b737b41fd0b5c4d550cfd724768a"),
+    "node2vec_rejection_16": (509, 3985, 1020, 26860, 59647, 63760, 0,
+                              "c4c86e1e47a52a0af7ab45d3c6b0f56a83346861d849a8a7911b3f1b95666f76",
+                              "2b9172719cfee4f534a1b248cad993eff13b8fed1d3bb0c133969368331d7126"),
+    "node2vec_reservoir_16": (473, 3890, 953, 13997, 59950, 62240, 0,
+                              "43d9d9832cb9cbe4bce953ad3a2cb1f23be17e02e71d728fafe4a538c594d9ef",
+                              "dc19637ccbe0e046890cee6b07b8c8313605746ab43805f6bb0766026de48624"),
 }
 
 

@@ -58,21 +58,6 @@ def assert_chi_square_fit(observed_counts, expected_probs, label,
     )
 
 
-def chi_square_compare(counts_a, counts_b, min_expected=5.0):
-    """Two-sample chi-square on visit histograms; returns the p-value."""
-    counts_a = np.asarray(counts_a, dtype=np.float64)
-    counts_b = np.asarray(counts_b, dtype=np.float64)
-    keep = (counts_a + counts_b) >= 2 * min_expected
-    if keep.sum() < 2:
-        pytest.skip("not enough populated bins for a chi-square test")
-    a, b = counts_a[keep], counts_b[keep]
-    total_a, total_b = a.sum(), b.sum()
-    pooled = (a + b) / (total_a + total_b)
-    chi2 = float((((a - pooled * total_a) ** 2) / (pooled * total_a)).sum()
-                 + (((b - pooled * total_b) ** 2) / (pooled * total_b)).sum())
-    return 1.0 - scipy_stats.chi2.cdf(chi2, int(keep.sum() - 1))
-
-
 def assert_reference_equals_batch(graph, spec, queries, seed):
     """Walk ``queries`` on the batch and on the reference engine and
     assert they agree walk by walk and on every ``EngineStats`` counter

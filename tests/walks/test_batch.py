@@ -290,6 +290,10 @@ class TestStatisticalEquivalence:
                 counts[int(path[hop]) if path.size > hop else n] += 1
             assert_fits_exact_law(counts, expected, f"{spec.name} hop {hop}")
 
+    def test_urw(self):
+        g = load_dataset("WG", scale=0.08, seed=1)
+        self._compare_hops(g, URWSpec(max_length=30), uniform_law(g), hub(g))
+
     def test_deepwalk_weighted(self):
         g = load_dataset("WG", scale=0.08, seed=1, weighted=True)
         self._compare_hops(g, DeepWalkSpec(max_length=25), weighted_law(g), hub(g))
@@ -325,7 +329,11 @@ class TestStatisticalEquivalence:
         g = cycle_graph(1000)
         spec = PPRSpec(alpha=0.2, max_length=10_000)
         results = run_walks_batch(g, spec, [Query(i, 0) for i in range(2000)], seed=6)
-        assert results.lengths().mean() == pytest.approx(1 / 0.2, rel=0.1)
+        lengths = results.lengths()
+        assert lengths.mean() == pytest.approx(1 / 0.2, rel=0.1)
+        # Memorylessness: P(L > 8 | L > 4) ~ P(L > 4).
+        p_gt4 = (lengths > 4).mean()
+        assert abs(p_gt4 - (lengths > 8).sum() / (lengths > 4).sum()) < 0.12
 
     def test_ppr_estimates_agree(self):
         g = load_dataset("CP", scale=0.1, seed=1)

@@ -10,11 +10,11 @@ list.  (That ``batch`` is bit-identical whatever its lane count is
 
 Across engines, one cell per algorithm holds ``reference`` to ``batch``
 exactly: both draw each query's one stream in the same order, so paths
-and every ``EngineStats`` counter are equal.  Distributional checks live
-where a distribution is all there is: the cycle model against the
-reference engine (``tests/integration/test_statistical_equivalence.py``)
-and the samplers against exact distributions
-(``tests/sampling/test_statistical_coverage.py``).
+and every ``EngineStats`` counter are equal (the cycle model walks the
+same paths too: ``tests/sim/test_sim_equals_batch.py``).  Distributional
+checks live where a distribution is all there is: the batch walk and the
+samplers against exact laws (``tests/walks/test_batch.py``,
+``tests/sampling/test_statistical_coverage.py``).
 
 Every cell *runs*: a cell an engine cannot execute must be listed in
 ``XFAIL_CELLS`` with a tracking reason so the gap stays visible in test
