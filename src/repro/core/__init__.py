@@ -7,7 +7,7 @@ from repro.core.endpoints import QueryLoader, QueryWriter, TaskDemux
 from repro.core.interconnect import ButterflyBalancer, DistributionTree, Forwarder
 from repro.core.pipeline import AsyncPipeline
 from repro.core.recorder import WalkRecorder
-from repro.core.sampling_module import SamplingModule, sampling_service_cycles
+from repro.core.sampling_module import SamplingModule
 from repro.core.scheduling import Dispatcher, Merger
 from repro.core.task import TERMINAL_STATUSES, Task, TaskStatus
 
@@ -31,6 +31,5 @@ __all__ = [
     "TaskDemux",
     "TaskStatus",
     "WalkRecorder",
-    "sampling_service_cycles",
     "theorem_fifo_depth",
 ]

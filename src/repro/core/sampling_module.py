@@ -9,19 +9,18 @@ data-dependent samplers occupy the stage longer:
   one cycle per proposal, the "rejection retries" inner loop of
   Section VI-A's problem statement;
 * **reservoir sampling** (Node2Vec weighted, MetaPath) streams the whole
-  neighbor list through the stage at one neighbor per cycle, and prices
+  neighbor list through the stage one 512-bit beat per cycle, and prices
   the scan as a sequential burst on the column channel.
 
-The *semantic* decision is made by the exact same sampler objects the
-reference engine uses, drawing from the task's own query stream
-(``task.stream``), so a walk takes the path the software engines give
-it, whichever pipeline serves each hop.  Uniform and alias samplers
-decide through their one ``draw(graph, vertex, degree, random_source)``
-— the method their reference-engine ``sample()`` wraps — called with
-the degree Row Access decoded; their cost is fixed, so that path builds
-no ``StepContext`` and no ``SampleOutcome``.  Rejection and reservoir
-samplers go through ``sample()``, and their *timing* comes from the
-outcome's cost counters.
+Every row decides through the sampler's one ``draw`` — the call the
+reference engine's loop makes — on the degree Row Access decoded and the
+task's own query stream (``task.stream``), so a walk takes the path the
+software engines give it, whichever pipeline serves each hop.  The stage
+prices the decision from the draw's own counters: the column burst is
+``min(max(1, reads), MAX_SCAN_BURST_WORDS)`` and the occupancy
+``max(1, proposals)`` — or, for the one row that scans
+(:class:`~repro.sampling.reservoir.ReservoirSampler`), the scanned words
+at :data:`SCAN_WORDS_PER_CYCLE` a cycle.
 """
 
 from __future__ import annotations
@@ -29,7 +28,8 @@ from __future__ import annotations
 from repro.core.task import Task, TaskStatus
 from repro.errors import SimulationError
 from repro.graph.csr import CSRGraph
-from repro.sampling.base import SampleOutcome, Sampler, StepContext
+from repro.sampling.base import Sampler
+from repro.sampling.reservoir import ReservoirSampler
 from repro.sim.fifo import StreamFifo
 from repro.sim.module import Module
 from repro.walks.base import WalkSpec
@@ -42,38 +42,6 @@ MAX_SCAN_BURST_WORDS = 64
 #: 64-bit neighbor words one 512-bit AXI beat delivers per cycle — the
 #: reservoir scanner consumes a full beat per cycle, not one neighbor.
 SCAN_WORDS_PER_CYCLE = 8
-
-
-#: ``(service cycles, column burst words)`` of the samplers whose cost
-#: does not depend on the outcome: one cycle, and a one-word burst for
-#: uniform, a two-word one (alias slot + neighbor) for alias.
-_FIXED_COSTS = {"uniform": (1, 1), "alias": (1, 2)}
-
-
-def sampling_service_cycles(sampler: Sampler, outcome: SampleOutcome, degree: int) -> int:
-    """Stage occupancy in cycles for one sampling decision."""
-    fixed = _FIXED_COSTS.get(sampler.name)
-    if fixed is not None:
-        return fixed[0]
-    if sampler.name == "rejection":
-        return max(1, outcome.proposals)
-    # reservoir: scan the list one 512-bit beat per cycle, tiled at the
-    # burst cap.
-    words = min(degree, MAX_SCAN_BURST_WORDS)
-    return max(1, (words + SCAN_WORDS_PER_CYCLE - 1) // SCAN_WORDS_PER_CYCLE)
-
-
-def column_burst_words(sampler: Sampler, outcome: SampleOutcome, degree: int) -> int:
-    """Column-channel burst length charged for this hop's data movement."""
-    fixed = _FIXED_COSTS.get(sampler.name)
-    if fixed is not None:
-        return fixed[1]
-    if sampler.name == "rejection":
-        # Each proposal reads one candidate; adjacency probes are bounded
-        # scans of the previous vertex's list, tiled like reservoir scans.
-        return min(max(1, outcome.neighbor_reads), MAX_SCAN_BURST_WORDS)
-    # reservoir-style scans read the whole list once.
-    return min(max(1, degree), MAX_SCAN_BURST_WORDS)
 
 
 class SamplingModule(Module):
@@ -92,14 +60,10 @@ class SamplingModule(Module):
         self.input_fifo = input_fifo
         self.output_fifo = output_fifo
         self._graph = graph
-        self._spec = spec
+        self._admissible_type = spec.admissible_type
         self._sampler = sampler
         self._needs_prev_vertex = spec.needs_prev_vertex
-        # Uniform and alias draws cost the same whatever the outcome: bind
-        # their ``draw`` and (service cycles, burst words) once, here; the
-        # other samplers price each outcome through the functions above.
-        self._fixed_cost: tuple[int, int] | None = _FIXED_COSTS.get(sampler.name)
-        self._draw = sampler.draw if self._fixed_cost is not None else None
+        self._scans = isinstance(sampler, ReservoirSampler)
         self._current: Task | None = None
         self._ready_at = 0
         self.samples_taken = 0
@@ -138,24 +102,23 @@ class SamplingModule(Module):
                 f"degree {task.degree}; Row Access must terminate dangling walks"
             )
         self.samples_taken += 1
-        fixed = self._fixed_cost
-        if fixed is not None:
-            task.sample_index = self._draw(self._graph, task.vertex, task.degree, task.stream)
-            service, task.column_burst_words = fixed
-            return service
-        prev_vertex = task.prev_vertex
-        context = StepContext(
-            task.vertex,
-            prev_vertex if self._needs_prev_vertex and prev_vertex >= 0 else None,
-            self._spec.admissible_type(task.step),
-        )
-        outcome = self._sampler.sample(self._graph, context, task.stream)
-        if outcome.index is None:
+        index, proposals, reads = self._sampler.draw(
+            self._graph, task.vertex, task.degree,
+            task.prev_vertex if self._needs_prev_vertex else -1,
+            self._admissible_type(task.step), task.stream)
+        if index < 0:
             task.status = TaskStatus.TERMINATED_FILTERED
             return 1
-        task.sample_index = outcome.index
-        task.column_burst_words = column_burst_words(self._sampler, outcome, task.degree)
-        return sampling_service_cycles(self._sampler, outcome, task.degree)
+        task.sample_index = index
+        # The burst is min(max(1, reads), MAX_SCAN_BURST_WORDS): scans and
+        # adjacency probes are tiled at the cap.  A scan holds the stage one
+        # 512-bit beat per cycle, any other decision max(1, proposals)
+        # cycles.  (Comparisons, not min/max calls: this runs every hop.)
+        words = reads if reads < MAX_SCAN_BURST_WORDS else MAX_SCAN_BURST_WORDS
+        task.column_burst_words = words if words > 1 else 1
+        if self._scans:
+            return max(1, -(-words // SCAN_WORDS_PER_CYCLE))
+        return proposals if proposals > 1 else 1
 
     def busy(self) -> bool:
         return self._current is not None

@@ -1,12 +1,7 @@
 """Sampling substrate: the Table I sampling algorithms behind one protocol."""
 
 from repro.sampling.alias_sampler import AliasSampler
-from repro.sampling.base import (
-    RandomSource,
-    SampleOutcome,
-    Sampler,
-    StepContext,
-)
+from repro.sampling.base import Sampler
 from repro.sampling.hybrid import make_walk_kernel
 from repro.sampling.rejection import RejectionSampler
 from repro.sampling.reservoir import ReservoirSampler
@@ -28,12 +23,9 @@ __all__ = [
     "VectorizedKernel",
     "make_kernel",
     "make_walk_kernel",
-    "RandomSource",
     "RejectionSampler",
     "ReservoirSampler",
-    "SampleOutcome",
     "SamplerState",
     "Sampler",
-    "StepContext",
     "UniformSampler",
 ]

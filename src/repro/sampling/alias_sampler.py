@@ -8,10 +8,15 @@ paper's template-based graph representation does.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.errors import SamplingError
 from repro.graph.alias import AliasTable, build_alias_table
 from repro.graph.csr import CSRGraph
-from repro.sampling.base import RandomSource, SampleOutcome, Sampler, StepContext
+from repro.sampling.base import DANGLING_MESSAGE, Sampler
+
+if TYPE_CHECKING:
+    from repro.sampling.vectorized import QueryStream
 
 
 class AliasSampler(Sampler):
@@ -34,24 +39,15 @@ class AliasSampler(Sampler):
             raise SamplingError("AliasSampler.prepare(graph) must be called before sampling")
         return self._table
 
-    def draw(
-        self, graph: CSRGraph, vertex: int, degree: int, random_source: RandomSource
-    ) -> int:
-        """The index of ``vertex``'s next neighbour, ``degree >= 1``: one
-        uniform picks the table slot, a second keeps it or takes its alias."""
+    def draw(self, graph: CSRGraph, vertex: int, degree: int, previous: int,
+             admissible_type: int | None, stream: QueryStream) -> tuple[int, int, int]:
+        """One draw picks the table slot, as ``AliasKernel`` draws it; a
+        second keeps the slot or takes its alias.  Two reads: the alias
+        slot and the chosen neighbor."""
+        if degree < 1:
+            raise SamplingError(DANGLING_MESSAGE.format(vertex))
         table = self.table
-        slot = min(int(random_source.uniform() * degree), degree - 1)
-        accept = random_source.uniform()
+        slot = stream.randint(degree)
+        accept = stream.uniform()
         element = int(graph.row_ptr[vertex]) + slot
-        return slot if accept < table.prob[element] else int(table.alias[element])
-
-    def sample(
-        self,
-        graph: CSRGraph,
-        context: StepContext,
-        random_source: RandomSource,
-    ) -> SampleOutcome:
-        degree = self._require_degree(graph, context.vertex)
-        index = self.draw(graph, context.vertex, degree, random_source)
-        # One read for the alias slot, one for the chosen neighbor.
-        return SampleOutcome(index=index, proposals=1, neighbor_reads=2)
+        return (slot if accept < table.prob[element] else int(table.alias[element])), 1, 2

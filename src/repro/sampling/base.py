@@ -3,28 +3,31 @@
 A sampler answers one question: *given the current vertex's neighbor list,
 which within-neighborhood index does the walk take?*  That is exactly the
 job of the hardware Sampling module sitting between Row Access and Column
-Access; keeping the software contract identical lets the cycle simulator
-and the pure-software reference engine share sampler implementations.
-Both hand a sampler the one scalar random source, the query's own
+Access.  Each sampler answers it through one call,
+:meth:`Sampler.draw`, which the reference engine's loop and the cycle
+model's Sampling module both make, drawing from the query's own
 :class:`~repro.sampling.vectorized.QueryStream`, so they draw alike.
 
-Outcomes carry cost counters (memory reads of the neighbor list, proposal
-attempts) because different samplers stress the memory system differently:
-uniform/alias sampling touch O(1) entries per hop while reservoir
-sampling scans the whole list — the effect behind the paper's Node2Vec
-observations in Figure 9d.
+A draw returns ``(index, proposals, neighbor_reads)``: the counters are
+the decision's cost, because different samplers stress the memory system
+differently — uniform/alias sampling touch O(1) entries per hop while
+reservoir sampling scans the whole list (the effect behind the paper's
+Node2Vec observations in Figure 9d), and the cycle model prices the
+Sampling stage's occupancy and the column burst from them alone.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Protocol
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import SamplingError
 from repro.graph.csr import CSRGraph
+
+if TYPE_CHECKING:
+    from repro.sampling.vectorized import QueryStream
 
 
 def normalize_seed(seed: int) -> int:
@@ -76,61 +79,8 @@ def derive_seed(seed: int, *tags: int | str) -> int:
     return int(sequence.generate_state(1, dtype=np.uint64)[0])
 
 
-class RandomSource(Protocol):
-    """Uniform randomness interface consumed by samplers: one query's
-    :class:`~repro.sampling.vectorized.QueryStream`, in the reference
-    engine and in every task of the cycle model."""
-
-    def uniform(self) -> float:
-        """Uniform float in [0, 1)."""
-
-    def randint(self, bound: int) -> int:
-        """Uniform integer in [0, bound); ``bound <= 0`` is a
-        :class:`SamplingError`."""
-
-    def element_uniforms(self, within: np.ndarray) -> np.ndarray:
-        """One uniform per listed within-row index, in order (a reservoir
-        scan's draws for the row entries it may pick)."""
-
-
-@dataclass(frozen=True, slots=True)
-class SampleOutcome:
-    """Result of one sampling decision.
-
-    Attributes
-    ----------
-    index:
-        Chosen within-neighborhood index, or ``None`` when no admissible
-        neighbor exists (MetaPath type mismatch) — the walk terminates.
-    proposals:
-        Number of candidate draws (rejection sampling retries count here).
-    neighbor_reads:
-        Neighbor-list entries the sampler had to *fetch* to decide; this
-        feeds the memory cost model (O(1) for uniform/alias, O(d) for
-        reservoir / rejection adjacency checks).
-    """
-
-    index: int | None
-    proposals: int = 1
-    neighbor_reads: int = 0
-
-    @property
-    def terminated(self) -> bool:
-        """Whether the walk must end because nothing was admissible."""
-        return self.index is None
-
-
-@dataclass(frozen=True, slots=True)
-class StepContext:
-    """Everything a sampler may consult for one hop.
-
-    ``prev_vertex`` is populated for second-order walks (Node2Vec);
-    ``admissible_type`` for MetaPath-style edge-type constraints.
-    """
-
-    vertex: int
-    prev_vertex: int | None = None
-    admissible_type: int | None = None
+#: The error text of a draw asked at a vertex with no out-edges.
+DANGLING_MESSAGE = "cannot sample a neighbor of dangling vertex {}; terminate the walk instead"
 
 
 class Sampler(ABC):
@@ -143,27 +93,22 @@ class Sampler(ABC):
     name: str = "sampler"
 
     @abstractmethod
-    def sample(
-        self,
-        graph: CSRGraph,
-        context: StepContext,
-        random_source: RandomSource,
-    ) -> SampleOutcome:
-        """Choose a neighbor index for the walk at ``context.vertex``.
+    def draw(self, graph: CSRGraph, vertex: int, degree: int, previous: int,
+             admissible_type: int | None, stream: QueryStream) -> tuple[int, int, int]:
+        """Decide one hop from ``vertex``, whose out-degree is ``degree``.
 
-        Implementations must raise :class:`SamplingError` when called on a
-        vertex with zero out-degree; callers are expected to terminate
-        walks at dangling vertices before sampling.
+        Returns ``(index, proposals, neighbor_reads)``: the chosen
+        within-neighborhood index, ``-1`` when no neighbor is admissible
+        (MetaPath type mismatch — the walk terminates); the candidate
+        draws made (rejection retries count here); and the
+        neighbor-list entries fetched to decide (O(1) for uniform/alias,
+        O(d) for reservoir scans and rejection adjacency probes).
+        ``previous`` is the vertex the walk came from, ``-1`` for none
+        (first hops, first-order walks); ``admissible_type`` is the edge
+        type the hop must take, ``None`` for any.  ``degree < 1`` raises
+        :class:`SamplingError`: callers end walks at dangling vertices
+        before sampling.
         """
 
     def prepare(self, graph: CSRGraph) -> None:
         """Hook for per-graph preprocessing (alias table construction)."""
-
-    def _require_degree(self, graph: CSRGraph, vertex: int) -> int:
-        degree = graph.degree(vertex)
-        if degree == 0:
-            raise SamplingError(
-                f"cannot sample a neighbor of dangling vertex {vertex}; "
-                "terminate the walk instead"
-            )
-        return degree

@@ -16,14 +16,24 @@ data-dependent inner loop the paper's scheduler absorbs.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.errors import SamplingError
 from repro.graph.csr import CSRGraph
-from repro.sampling.base import RandomSource, SampleOutcome, Sampler, StepContext
+from repro.sampling.base import DANGLING_MESSAGE, Sampler
+
+if TYPE_CHECKING:
+    from repro.sampling.vectorized import QueryStream
 
 #: Safety valve: the accept probability is always >= min_bias/max_bias > 0,
 #: so this bound is never hit in practice, but it turns a latent infinite
 #: loop into a diagnosable error.
 _MAX_REJECTION_ROUNDS = 10_000
+
+#: The error text of a Node2Vec walker left undecided after ``rounds``
+#: rounds: one message, raised by this sampler's retry loop and by the
+#: batch superstep's stall bound (``Node2VecSpec.stall_error``).
+STALL_MESSAGE = "{strategy} sampling failed to accept after {rounds} rounds (p={p}, q={q})"
 
 
 class RejectionSampler(Sampler):
@@ -43,49 +53,37 @@ class RejectionSampler(Sampler):
         self.explore_bias = 1.0 / q
         self.max_bias = max(self.return_bias, 1.0, self.explore_bias)
 
-    def bias(self, graph: CSRGraph, prev_vertex: int | None, candidate: int) -> float:
-        """The Node2Vec bias of moving to ``candidate``."""
-        if prev_vertex is None:
-            return 1.0  # first hop degenerates to uniform
+    def bias(self, graph: CSRGraph, prev_vertex: int, candidate: int) -> float:
+        """The Node2Vec bias of moving to ``candidate`` from a walk that
+        came from ``prev_vertex``."""
         if candidate == prev_vertex:
             return self.return_bias
         if graph.has_edge(prev_vertex, candidate):
             return 1.0
         return self.explore_bias
 
-    def sample(
-        self,
-        graph: CSRGraph,
-        context: StepContext,
-        random_source: RandomSource,
-    ) -> SampleOutcome:
-        degree = self._require_degree(graph, context.vertex)
-        neighbors = graph.neighbors(context.vertex)
-        prev = context.prev_vertex
-        if prev is None:
+    def draw(self, graph: CSRGraph, vertex: int, degree: int, previous: int,
+             admissible_type: int | None, stream: QueryStream) -> tuple[int, int, int]:
+        if degree < 1:
+            raise SamplingError(DANGLING_MESSAGE.format(vertex))
+        if previous < 0:
             # First hop: every candidate has bias 1.0, so the walk is
             # exactly uniform — accept the first proposal outright rather
             # than spinning through rejections at probability 1/max_bias,
             # which inflated proposal/read counters in the cost models.
-            return SampleOutcome(
-                index=random_source.randint(degree), proposals=1, neighbor_reads=1
-            )
-        prev_degree = graph.degree(prev)
+            return stream.randint(degree), 1, 1
+        neighbors = graph.neighbors(vertex)
+        prev_degree = graph.degree(previous)
         reads = 0
         for proposals in range(1, _MAX_REJECTION_ROUNDS + 1):
-            index = random_source.randint(degree)
+            index = stream.randint(degree)
             candidate = int(neighbors[index])
             reads += 1
-            if candidate != prev:
+            if candidate != previous:
                 # Adjacency probe of t's neighbor list costs O(deg(t)) reads
                 # in the worst case; hardware does a bounded scan.
                 reads += prev_degree
-            accept_probability = self.bias(graph, prev, candidate) / self.max_bias
-            if random_source.uniform() < accept_probability:
-                return SampleOutcome(index=index, proposals=proposals, neighbor_reads=reads)
-        # Word for word the batch superstep's stall error
-        # (Node2VecSpec.stall_error): one failure, one message, any engine.
-        raise SamplingError(
-            f"rejection sampling failed to accept after {_MAX_REJECTION_ROUNDS} "
-            f"rounds (p={self.p}, q={self.q})"
-        )
+            if stream.uniform() < self.bias(graph, previous, candidate) / self.max_bias:
+                return index, proposals, reads
+        raise SamplingError(STALL_MESSAGE.format(
+            strategy="rejection", rounds=_MAX_REJECTION_ROUNDS, p=self.p, q=self.q))

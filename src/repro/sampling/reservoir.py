@@ -9,17 +9,23 @@ reads, no preprocessing; the RP entry is 128 bits (pointer + degree +
 session metadata).
 
 When *no* neighbor is admissible (MetaPath with a type nobody matches),
-the outcome reports termination — the early-termination irregularity the
-zero-bubble scheduler exists to absorb (Figure 8d).
+the draw returns index ``-1`` and the walk terminates — the
+early-termination irregularity the zero-bubble scheduler exists to
+absorb (Figure 8d).
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import SamplingError
 from repro.graph.csr import CSRGraph
-from repro.sampling.base import RandomSource, SampleOutcome, Sampler, StepContext
+from repro.sampling.base import DANGLING_MESSAGE, Sampler
+
+if TYPE_CHECKING:
+    from repro.sampling.vectorized import QueryStream
 
 
 class ReservoirSampler(Sampler):
@@ -42,35 +48,30 @@ class ReservoirSampler(Sampler):
         """Whether Node2Vec biases are applied."""
         return self.p is not None
 
-    def sample(
-        self,
-        graph: CSRGraph,
-        context: StepContext,
-        random_source: RandomSource,
-    ) -> SampleOutcome:
+    def draw(self, graph: CSRGraph, vertex: int, degree: int, previous: int,
+             admissible_type: int | None, stream: QueryStream) -> tuple[int, int, int]:
         """The reservoir kernel's scan of one row: one uniform per eligible
         entry (weight > 0, admissible type), keys ``u**(1/w)``, ties to the
         later entry; every entry is read."""
-        degree = self._require_degree(graph, context.vertex)
-        if context.admissible_type is not None and not graph.has_edge_types:
+        if degree < 1:
+            raise SamplingError(DANGLING_MESSAGE.format(vertex))
+        if admissible_type is not None and not graph.has_edge_types:
             raise SamplingError("admissible_type given but the graph has no edge types")
-        weight = graph.neighbor_weights(context.vertex)
-        prev = context.prev_vertex
-        if self.second_order and prev is not None:
-            neighbors = graph.neighbors(context.vertex)
-            adjacent = np.isin(neighbors, graph.neighbors(prev))
+        weight = graph.neighbor_weights(vertex)
+        if self.second_order and previous >= 0:
+            neighbors = graph.neighbors(vertex)
+            adjacent = np.isin(neighbors, graph.neighbors(previous))
             weight = weight * np.where(
-                neighbors == prev, 1.0 / self.p, np.where(adjacent, 1.0, 1.0 / self.q))
+                neighbors == previous, 1.0 / self.p, np.where(adjacent, 1.0, 1.0 / self.q))
         eligible = weight > 0
-        if context.admissible_type is not None:
-            eligible &= graph.neighbor_edge_types(context.vertex) == context.admissible_type
+        if admissible_type is not None:
+            eligible &= graph.neighbor_edge_types(vertex) == admissible_type
         u = np.ones(degree)
-        u[eligible] = random_source.element_uniforms(np.flatnonzero(eligible))
+        u[eligible] = stream.element_uniforms(np.flatnonzero(eligible))
         # Guard u == 0: key would be 0 for every weight; nudge to the
         # smallest positive double instead so ordering stays correct.
         u[u == 0.0] = 5e-324
         with np.errstate(divide="ignore"):
             key = np.where(eligible, u ** (1.0 / weight), -1.0)
         best = degree - 1 - int(np.argmax(key[::-1]))
-        index = best if key[best] > -0.5 else None
-        return SampleOutcome(index=index, proposals=1, neighbor_reads=degree)
+        return (best if key[best] > -0.5 else -1), 1, degree

@@ -6,8 +6,14 @@ One random draw, one column-list access; the 64-bit RP entry holds just
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+from repro.errors import SamplingError
 from repro.graph.csr import CSRGraph
-from repro.sampling.base import RandomSource, SampleOutcome, Sampler, StepContext
+from repro.sampling.base import DANGLING_MESSAGE, Sampler
+
+if TYPE_CHECKING:
+    from repro.sampling.vectorized import QueryStream
 
 
 class UniformSampler(Sampler):
@@ -16,18 +22,9 @@ class UniformSampler(Sampler):
     rp_entry_bits = 64
     name = "uniform"
 
-    def draw(
-        self, graph: CSRGraph, vertex: int, degree: int, random_source: RandomSource
-    ) -> int:
-        """The index of ``vertex``'s next neighbour, ``degree >= 1``."""
-        return random_source.randint(degree)
-
-    def sample(
-        self,
-        graph: CSRGraph,
-        context: StepContext,
-        random_source: RandomSource,
-    ) -> SampleOutcome:
-        degree = self._require_degree(graph, context.vertex)
-        index = self.draw(graph, context.vertex, degree, random_source)
-        return SampleOutcome(index=index, proposals=1, neighbor_reads=1)
+    def draw(self, graph: CSRGraph, vertex: int, degree: int, previous: int,
+             admissible_type: int | None, stream: QueryStream) -> tuple[int, int, int]:
+        """One draw, one read."""
+        if degree < 1:
+            raise SamplingError(DANGLING_MESSAGE.format(vertex))
+        return stream.randint(degree), 1, 1

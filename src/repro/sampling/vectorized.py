@@ -738,9 +738,9 @@ class BatchSample:
     them; only :class:`ReservoirKernel` ever ends a walk.  Every kernel
     reads the neighbour itself — most hold it already when they decide —
     so the engine's superstep never touches ``col``.
-    ``proposals``/``neighbor_reads`` follow the same accounting contract
-    as :class:`~repro.sampling.base.SampleOutcome`, summed over walkers
-    and over this call's proposals only.
+    ``proposals``/``neighbor_reads`` count as the scalar
+    :meth:`~repro.sampling.base.Sampler.draw`'s counters do, summed over
+    walkers and over this call's proposals only.
     """
 
     vertex: np.ndarray

@@ -20,7 +20,8 @@ import numpy as np
 
 from repro.errors import SamplingError, WalkConfigError
 from repro.graph.csr import CSRGraph
-from repro.sampling.base import RandomSource, Sampler
+from repro.sampling.base import Sampler
+from repro.sampling.vectorized import QueryStream
 
 #: The paper's query length for all throughput experiments (Section VIII-A4).
 DEFAULT_MAX_LENGTH = 80
@@ -222,14 +223,14 @@ class WalkSpec(ABC):
         return f"{type(self).__name__}(max_length={self.max_length})"
 
 
-def draw_termination(spec: WalkSpec, hops: int, random_source: RandomSource) -> bool:
+def draw_termination(spec: WalkSpec, hops: int, stream: QueryStream) -> bool:
     """Whether one walker's walk ends, by ``spec``'s algorithmic choice,
     after the hop it takes at ``hops``: one uniform, drawn only when
     :meth:`WalkSpec.termination_probability` is above 0, so a spec that
     never terminates draws nothing.  A function, not a method: no spec
     can end a walk in a way the batch superstep does not see."""
     probability = spec.termination_probability(hops)
-    return probability > 0.0 and random_source.uniform() < probability
+    return probability > 0.0 and stream.uniform() < probability
 
 
 class WalkResults:

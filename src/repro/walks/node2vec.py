@@ -22,7 +22,7 @@ import numpy as np
 from repro.errors import SamplingError, WalkConfigError
 from repro.graph.csr import CSRGraph
 from repro.sampling.base import Sampler
-from repro.sampling.rejection import RejectionSampler
+from repro.sampling.rejection import STALL_MESSAGE, RejectionSampler
 from repro.sampling.reservoir import ReservoirSampler
 from repro.walks.base import DEFAULT_MAX_LENGTH, WalkSpec
 
@@ -69,10 +69,8 @@ class Node2VecSpec(WalkSpec):
         return ReservoirSampler(p=self.p, q=self.q)
 
     def stall_error(self, rounds: int) -> SamplingError:
-        return SamplingError(
-            f"{self.strategy} sampling failed to accept after {rounds} rounds "
-            f"(p={self.p}, q={self.q})"
-        )
+        return SamplingError(STALL_MESSAGE.format(strategy=self.strategy, rounds=rounds,
+                                                  p=self.p, q=self.q))
 
 
 def exact_step_distribution(

@@ -2,7 +2,8 @@
 
 Implements Algorithm II.1 of the paper directly: row access, sampling,
 column access, termination check — one query at a time, whole walk in
-one loop, through the scalar samplers, with no hardware modelling.
+one loop, each hop decided by the scalar sampler's one ``draw``, with
+no hardware modelling.
 
 Each query draws from its own :class:`~repro.sampling.vectorized.QueryStreams`
 stream (``SeedSequence((seed, query_id))``, splitmix64), held in Python
@@ -26,7 +27,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.sampling.base import StepContext
 from repro.sampling.vectorized import QueryStream, seed_sequence_states
 from repro.walks.base import Query, WalkResults, WalkSpec, draw_termination, path_offsets
 from repro.walks.engine import STAT_FIELDS, EngineStats, PreparedEngine, snapshot_graph
@@ -51,28 +51,27 @@ class ReferenceEngine(PreparedEngine):
         counts = [0] * len(STAT_FIELDS)
         paths = []
         states = seed_sequence_states(seed, query_ids).tolist()
+        second_order = spec.needs_prev_vertex
         for state, current in zip(states, starts.tolist()):
-            source = QueryStream(state)
+            stream = QueryStream(state)
             path = [current]
-            previous = None
+            previous = -1
             for hop in range(spec.max_length):
-                if graph.degree(current) == 0:
+                degree = graph.degree(current)
+                if degree == 0:
                     counts[_DANGLING] += 1
                     break
-                context = StepContext(
-                    vertex=current,
-                    prev_vertex=previous if spec.needs_prev_vertex else None,
-                    admissible_type=spec.admissible_type(hop),
-                )
-                outcome = sampler.sample(graph, context, source)
-                counts[_PROPOSALS] += outcome.proposals
-                counts[_READS] += outcome.neighbor_reads
-                if outcome.terminated:
+                index, proposals, reads = sampler.draw(
+                    graph, current, degree, previous if second_order else -1,
+                    spec.admissible_type(hop), stream)
+                counts[_PROPOSALS] += proposals
+                counts[_READS] += reads
+                if index < 0:
                     counts[_EARLY] += 1
                     break
-                previous, current = current, int(graph.neighbors(current)[outcome.index])
+                previous, current = current, int(graph.neighbors(current)[index])
                 path.append(current)
-                if draw_termination(spec, hop, source):
+                if draw_termination(spec, hop, stream):
                     counts[_PROBABILISTIC] += 1
                     break
             else:

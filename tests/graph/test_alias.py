@@ -10,7 +10,7 @@ from repro.graph import (
     build_alias_table,
     from_edges,
 )
-from repro.sampling import AliasSampler, QueryStream, StepContext
+from repro.sampling import AliasSampler, QueryStream
 
 
 def alias_exact_distribution(prob: np.ndarray, alias: np.ndarray) -> np.ndarray:
@@ -110,7 +110,7 @@ class TestBuildAliasTable:
         draws = np.zeros(d)
         n = 40_000
         for _ in range(n):
-            draws[sampler.draw(g, 0, d, source)] += 1
+            draws[sampler.draw(g, 0, d, -1, None, source)[0]] += 1
         expected = alias_expected_distribution(g, 0)
         assert np.allclose(draws / n, expected, atol=0.02)
 
@@ -120,4 +120,4 @@ class TestBuildAliasTable:
         sampler.prepare(g)
         source = QueryStream(0)
         with pytest.raises(SamplingError, match="dangling vertex 3"):
-            sampler.sample(g, StepContext(3), source)
+            sampler.draw(g, 3, g.degree(3), -1, None, source)

@@ -161,7 +161,7 @@ def test_kernel_moves_where_the_scalar_table_points(make_graph):
                           QueryStreams(6, ids), None, graph.degrees()[current])
     states = seed_sequence_states(6, ids).tolist()
     index = np.array([
-        sampler.draw(graph, v, graph.degree(v), QueryStream(state))
+        sampler.draw(graph, v, graph.degree(v), -1, None, QueryStream(state))[0]
         for state, v in zip(states, current.tolist())
     ])
     assert batch.vertex.dtype == np.int64
@@ -278,13 +278,14 @@ def test_no_sort_picks_a_reservoir_winner():
 
 
 def test_no_sampler_loops_until_it_decides():
-    """Retries belong to the superstep: a ``sample`` method under
-    ``sampling/`` holds no ``while`` loop (a rejected proposal is reported
-    stalled, and bounded retries are a ``for``)."""
+    """Retries belong to the superstep: a kernel's ``sample`` or a scalar
+    sampler's ``draw`` under ``sampling/`` holds no ``while`` loop (a
+    rejected proposal is reported stalled, and bounded retries are a
+    ``for``)."""
     methods = 0
     for path in _sources("sampling"):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.FunctionDef) and node.name == "sample":
+            if isinstance(node, ast.FunctionDef) and node.name in ("sample", "draw"):
                 methods += 1
                 loops = [n for n in ast.walk(node) if isinstance(n, ast.While)]
                 assert not loops, f"{path.name}:{loops[0].lineno}"

@@ -17,7 +17,6 @@ from repro.sampling import (
     QueryStreams,
     RejectionSampler,
     ReservoirSampler,
-    StepContext,
     UniformSampler,
 )
 from repro.sampling.vectorized import ReservoirKernel, seed_sequence_states
@@ -41,32 +40,37 @@ def weighted_fan():
     )
 
 
-def empirical(sampler, graph, context, seed=0, samples=SAMPLES):
+def draw(sampler, graph, vertex, stream, previous=-1, admissible_type=None):
+    """One decision at ``vertex``: ``(index, proposals, neighbor_reads)``."""
+    return sampler.draw(graph, vertex, graph.degree(vertex), previous, admissible_type, stream)
+
+
+def empirical(sampler, graph, vertex, previous=-1, admissible_type=None, seed=0,
+              samples=SAMPLES):
     source = stream_source(seed)
-    degree = graph.degree(context.vertex)
-    counts = np.zeros(degree)
+    counts = np.zeros(graph.degree(vertex))
     for _ in range(samples):
-        outcome = sampler.sample(graph, context, source)
-        counts[outcome.index] += 1
+        index, _, _ = draw(sampler, graph, vertex, source, previous, admissible_type)
+        counts[index] += 1
     return counts / samples
 
 
 class TestUniformSampler:
     def test_uniform_distribution(self):
         g = weighted_fan()
-        dist = empirical(UniformSampler(), g, StepContext(vertex=0))
+        dist = empirical(UniformSampler(), g, 0)
         assert np.allclose(dist, 0.25, atol=TOLERANCE)
 
     def test_cost_counters(self):
         g = weighted_fan()
-        outcome = UniformSampler().sample(g, StepContext(vertex=0), stream_source())
-        assert outcome.proposals == 1
-        assert outcome.neighbor_reads == 1
+        _, proposals, reads = draw(UniformSampler(), g, 0, stream_source())
+        assert proposals == 1
+        assert reads == 1
 
     def test_dangling_vertex_rejected(self):
         g = from_edges([(0, 1)], num_vertices=2)
         with pytest.raises(SamplingError, match="dangling"):
-            UniformSampler().sample(g, StepContext(vertex=1), stream_source())
+            draw(UniformSampler(), g, 1, stream_source())
 
     def test_rp_entry_bits(self):
         assert UniformSampler().rp_entry_bits == 64
@@ -76,28 +80,28 @@ class TestAliasSampler:
     def test_requires_prepare(self):
         g = weighted_fan()
         with pytest.raises(SamplingError, match="prepare"):
-            AliasSampler().sample(g, StepContext(vertex=0), stream_source())
+            draw(AliasSampler(), g, 0, stream_source())
 
     def test_weighted_distribution(self):
         g = weighted_fan()
         sampler = AliasSampler()
         sampler.prepare(g)
-        dist = empirical(sampler, g, StepContext(vertex=0))
+        dist = empirical(sampler, g, 0)
         assert np.allclose(dist, alias_expected_distribution(g, 0), atol=TOLERANCE)
 
     def test_unweighted_degenerates_to_uniform(self):
         g = from_edges([(0, 1), (0, 2), (0, 3)], num_vertices=4)
         sampler = AliasSampler()
         sampler.prepare(g)
-        dist = empirical(sampler, g, StepContext(vertex=0))
+        dist = empirical(sampler, g, 0)
         assert np.allclose(dist, 1 / 3, atol=TOLERANCE)
 
     def test_constant_cost(self):
         g = weighted_fan()
         sampler = AliasSampler()
         sampler.prepare(g)
-        outcome = sampler.sample(g, StepContext(vertex=0), stream_source())
-        assert outcome.neighbor_reads == 2  # alias slot + chosen neighbor
+        _, _, reads = draw(sampler, g, 0, stream_source())
+        assert reads == 2  # alias slot + chosen neighbor
 
     def test_rp_entry_bits_is_256(self):
         assert AliasSampler().rp_entry_bits == 256
@@ -107,8 +111,8 @@ class TestAliasSampler:
         g = weighted_fan()
         alias = AliasSampler()
         alias.prepare(g)
-        d_alias = empirical(alias, g, StepContext(vertex=0), seed=1)
-        d_reservoir = empirical(ReservoirSampler(), g, StepContext(vertex=0), seed=2)
+        d_alias = empirical(alias, g, 0, seed=1)
+        d_reservoir = empirical(ReservoirSampler(), g, 0, seed=2)
         assert np.allclose(d_alias, d_reservoir, atol=2 * TOLERANCE)
 
     def test_prepare_rebuilds_for_the_latest_graph(self):
@@ -123,7 +127,7 @@ class TestAliasSampler:
         expected = build_alias_table(second)
         assert np.array_equal(sampler.table.prob, expected.prob)
         assert np.array_equal(sampler.table.alias, expected.alias)
-        dist = empirical(sampler, second, StepContext(vertex=0))
+        dist = empirical(sampler, second, 0)
         assert np.allclose(dist, alias_expected_distribution(second, 0), atol=TOLERANCE)
 
 
@@ -137,21 +141,19 @@ class TestRejectionSampler:
 
     def test_first_hop_is_uniform(self):
         g = self.diamond()
-        dist = empirical(RejectionSampler(p=2, q=0.5), g, StepContext(vertex=1))
+        dist = empirical(RejectionSampler(p=2, q=0.5), g, 1)
         assert np.allclose(dist, 1 / 3, atol=TOLERANCE)
 
     def test_second_order_matches_exact(self):
         g = self.diamond()
         p, q = 2.0, 0.5
-        context = StepContext(vertex=1, prev_vertex=0)
-        dist = empirical(RejectionSampler(p=p, q=q), g, context)
+        dist = empirical(RejectionSampler(p=p, q=q), g, 1, previous=0)
         expected = exact_step_distribution(g, current=1, previous=0, p=p, q=q)
         assert np.allclose(dist, expected, atol=TOLERANCE)
 
     def test_extreme_p_suppresses_return(self):
         g = self.diamond()
-        context = StepContext(vertex=1, prev_vertex=0)
-        dist = empirical(RejectionSampler(p=1000.0, q=1.0), g, context, samples=5000)
+        dist = empirical(RejectionSampler(p=1000.0, q=1.0), g, 1, previous=0, samples=5000)
         # neighbor 0 (the return edge) should almost never be chosen
         return_index = list(g.neighbors(1)).index(0)
         assert dist[return_index] < 0.01
@@ -164,18 +166,17 @@ class TestRejectionSampler:
         sampler = RejectionSampler(p=100.0, q=0.001)  # max_bias = 1000
         source = stream_source(7)
         for _ in range(50):
-            outcome = sampler.sample(g, StepContext(vertex=1), source)
-            assert outcome.proposals == 1
-            assert outcome.neighbor_reads == 1
+            _, proposals, reads = draw(sampler, g, 1, source)
+            assert proposals == 1
+            assert reads == 1
 
     def test_proposals_counted(self):
         g = self.diamond()
-        context = StepContext(vertex=1, prev_vertex=0)
         sampler = RejectionSampler(p=10.0, q=10.0)
         total = 0
         source = stream_source(3)
         for _ in range(200):
-            total += sampler.sample(g, context, source).proposals
+            total += draw(sampler, g, 1, source, previous=0)[1]
         assert total > 200  # some rejections must occur with strong bias
 
     def test_rejects_bad_parameters(self):
@@ -188,12 +189,12 @@ class TestRejectionSampler:
 class TestReservoirSampler:
     def test_weighted_distribution(self):
         g = weighted_fan()
-        dist = empirical(ReservoirSampler(), g, StepContext(vertex=0))
+        dist = empirical(ReservoirSampler(), g, 0)
         assert np.allclose(dist, alias_expected_distribution(g, 0), atol=TOLERANCE)
 
     def test_unweighted_uniform(self):
         g = from_edges([(0, 1), (0, 2)], num_vertices=3)
-        dist = empirical(ReservoirSampler(), g, StepContext(vertex=0))
+        dist = empirical(ReservoirSampler(), g, 0)
         assert np.allclose(dist, 0.5, atol=TOLERANCE)
 
     def test_node2vec_bias_matches_exact(self):
@@ -202,8 +203,7 @@ class TestReservoirSampler:
             num_vertices=4,
         )
         p, q = 2.0, 0.5
-        context = StepContext(vertex=1, prev_vertex=0)
-        dist = empirical(ReservoirSampler(p=p, q=q), g, context)
+        dist = empirical(ReservoirSampler(p=p, q=q), g, 1, previous=0)
         expected = exact_step_distribution(g, current=1, previous=0, p=p, q=q)
         assert np.allclose(dist, expected, atol=TOLERANCE)
 
@@ -213,29 +213,24 @@ class TestReservoirSampler:
             edge_types=[0, 1, 0],
             num_vertices=4,
         )
-        context = StepContext(vertex=0, admissible_type=0)
-        dist = empirical(ReservoirSampler(), g, context, samples=4000)
+        dist = empirical(ReservoirSampler(), g, 0, admissible_type=0, samples=4000)
         assert dist[1] == 0.0  # type-1 edge never taken
         assert np.allclose(dist[[0, 2]], 0.5, atol=0.03)
 
     def test_no_admissible_neighbor_terminates(self):
         g = from_edges([(0, 1)], edge_types=[0], num_vertices=2)
-        outcome = ReservoirSampler().sample(
-            g, StepContext(vertex=0, admissible_type=5), stream_source()
-        )
-        assert outcome.terminated
+        index, _, _ = draw(ReservoirSampler(), g, 0, stream_source(), admissible_type=5)
+        assert index == -1
 
     def test_type_filter_without_types_rejected(self):
         g = from_edges([(0, 1)], num_vertices=2)
         with pytest.raises(SamplingError, match="edge types"):
-            ReservoirSampler().sample(
-                g, StepContext(vertex=0, admissible_type=0), stream_source()
-            )
+            draw(ReservoirSampler(), g, 0, stream_source(), admissible_type=0)
 
     def test_reads_whole_list(self):
         g = weighted_fan()
-        outcome = ReservoirSampler().sample(g, StepContext(vertex=0), stream_source())
-        assert outcome.neighbor_reads == g.degree(0)
+        _, _, reads = draw(ReservoirSampler(), g, 0, stream_source())
+        assert reads == g.degree(0)
 
     def test_p_and_q_must_come_together(self):
         with pytest.raises(SamplingError, match="together"):
@@ -255,9 +250,9 @@ def test_a_degree_one_row_always_takes_its_edge(make_sampler):
     sampler = make_sampler()
     sampler.prepare(g)
     source = stream_source(9)
-    for context in (StepContext(vertex=0), StepContext(vertex=0, prev_vertex=1)):
+    for previous in (-1, 1):
         for _ in range(50):
-            assert sampler.sample(g, context, source).index == 0
+            assert draw(sampler, g, 0, source, previous)[0] == 0
 
 
 def test_scalar_source_contract():
@@ -304,7 +299,7 @@ SCANS = {
 
 @pytest.mark.parametrize("name", SCANS)
 def test_scalar_scan_equals_the_kernel_walker_by_walker(name):
-    """On the same stream states, ``ReservoirSampler.sample`` picks the
+    """On the same stream states, ``ReservoirSampler.draw`` picks the
     neighbour ``ReservoirKernel`` picks for every walker of a frontier,
     charges the same costs, and leaves each stream where the kernel
     leaves it (one bump per scan)."""
@@ -326,13 +321,11 @@ def test_scalar_scan_equals_the_kernel_walker_by_walker(name):
                           graph.degrees()[current])
     chosen, proposals, reads = [], 0, 0
     for k, (vertex, prev) in enumerate(zip(current.tolist(), previous.tolist())):
-        context = StepContext(vertex, None if prev < 0 else prev,
-                              None if types is None else int(types[k]))
-        outcome = sampler.sample(graph, context, sources[k])
-        chosen.append(-1 if outcome.terminated
-                      else int(graph.neighbors(vertex)[outcome.index]))
-        proposals += outcome.proposals
-        reads += outcome.neighbor_reads
+        index, drawn, read = draw(sampler, graph, vertex, sources[k], prev,
+                                  None if types is None else int(types[k]))
+        chosen.append(-1 if index < 0 else int(graph.neighbors(vertex)[index]))
+        proposals += drawn
+        reads += read
     assert chosen == batch.vertex.tolist()
     assert [source.state for source in sources] == kernel_states.tolist()
     assert (proposals, reads) == (batch.proposals, batch.neighbor_reads)
@@ -352,16 +345,15 @@ class FixedUniforms:
 def test_scalar_scan_gives_ties_to_the_later_eligible_entry(admissible, winner):
     g = from_edges([(0, 1), (0, 2), (0, 3)], weights=[2.0, 2.0, 2.0],
                    edge_types=[0, 0, 1], num_vertices=4)
-    outcome = ReservoirSampler().sample(g, StepContext(0, admissible_type=admissible),
-                                        FixedUniforms())
-    assert outcome.index == winner
+    index, _, _ = draw(ReservoirSampler(), g, 0, FixedUniforms(), admissible_type=admissible)
+    assert index == winner
 
 
 def test_a_type_on_an_untyped_graph_is_refused_before_any_draw():
     g = from_edges([(0, 1), (0, 2)], num_vertices=3)
     source, twin = stream_source(5), stream_source(5)
     with pytest.raises(SamplingError, match="no edge types"):
-        ReservoirSampler().sample(g, StepContext(0, admissible_type=0), source)
+        draw(ReservoirSampler(), g, 0, source, admissible_type=0)
     assert source.uniform() == twin.uniform()
 
 
@@ -370,7 +362,7 @@ def test_a_row_with_nothing_eligible_ends_the_walk_after_one_bump():
     entries or not; so does the scalar scan."""
     g = from_edges([(0, 1), (0, 2)], edge_types=[1, 1], num_vertices=3)
     source, twin = stream_source(8), stream_source(8)
-    outcome = ReservoirSampler().sample(g, StepContext(0, admissible_type=0), source)
-    assert outcome.terminated and outcome.neighbor_reads == 2
+    index, _, reads = draw(ReservoirSampler(), g, 0, source, admissible_type=0)
+    assert index == -1 and reads == 2
     twin.uniform()
     assert source.uniform() == twin.uniform()

@@ -35,7 +35,6 @@ from repro.sampling import (
     QueryStreams,
     RejectionSampler,
     ReservoirSampler,
-    StepContext,
     UniformSampler,
 )
 from repro.sampling.vectorized import RejectionKernel, make_kernel, seed_sequence_states
@@ -70,10 +69,9 @@ def test_scalar_rejection_fits_exact_distribution_under_skew(p, q):
     graph = node2vec_graph()
     sampler = RejectionSampler(p=p, q=q)
     source = stream_source(hash((p, q)) & 0xFFFF, 71)
-    context = StepContext(vertex=1, prev_vertex=0)
     counts = np.zeros(graph.degree(1))
     for _ in range(SCALAR_SAMPLES):
-        counts[sampler.sample(graph, context, source).index] += 1
+        counts[sampler.draw(graph, 1, graph.degree(1), 0, None, source)[0]] += 1
     assert_chi_square_fit(
         counts,
         exact_step_distribution(graph, 1, 0, p, q),
@@ -150,10 +148,9 @@ def test_scalar_weighted_sampler_fits_exact_distribution(name):
     sampler = WEIGHTED_SAMPLERS[name]()
     sampler.prepare(graph)
     source = stream_source(31)
-    context = StepContext(vertex=0)
     counts = np.zeros(graph.degree(0))
     for _ in range(SCALAR_SAMPLES):
-        counts[sampler.sample(graph, context, source).index] += 1
+        counts[sampler.draw(graph, 0, graph.degree(0), -1, None, source)[0]] += 1
     assert_chi_square_fit(counts, alias_expected_distribution(graph, 0),
                           label=f"scalar {name}")
 
@@ -178,6 +175,6 @@ def test_kernel_read_accounting_matches_scalar(make_sampler):
     sampler = make_sampler()
     sampler.prepare(graph)
     source = stream_source(3)
-    outcomes = [sampler.sample(graph, StepContext(vertex=0), source) for _ in range(n)]
-    assert batch.proposals == sum(outcome.proposals for outcome in outcomes)
-    assert batch.neighbor_reads == sum(outcome.neighbor_reads for outcome in outcomes)
+    draws = [sampler.draw(graph, 0, graph.degree(0), -1, None, source) for _ in range(n)]
+    assert batch.proposals == sum(proposals for _, proposals, _ in draws)
+    assert batch.neighbor_reads == sum(reads for _, _, reads in draws)

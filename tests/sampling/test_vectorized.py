@@ -389,14 +389,14 @@ class TestKernelFactory:
     def test_unknown_sampler_rejected(self):
         """An unmapped sampler must fail loudly, naming the offending
         sampler so the error is actionable from a CLI stack trace."""
-        from repro.sampling.base import SampleOutcome, Sampler
+        from repro.sampling.base import Sampler
 
         class NovelSampler(Sampler):
             name = "novel"
             rp_entry_bits = 64
 
-            def sample(self, graph, context, random_source):
-                return SampleOutcome(index=0, proposals=1, neighbor_reads=1)
+            def draw(self, graph, vertex, degree, previous, admissible_type, stream):
+                return 0, 1, 1
 
         with pytest.raises(SamplingError, match="sampler 'novel'"):
             make_kernel(NovelSampler())
@@ -405,14 +405,14 @@ class TestKernelFactory:
         """The factory keys on known types, not hasattr duck-typing: a
         novel Sampler subclass (no kernel written yet) is rejected by
         name."""
-        from repro.sampling.base import SampleOutcome, Sampler
+        from repro.sampling.base import Sampler
 
         class BespokeSampler(Sampler):
             name = "bespoke"
             rp_entry_bits = 64
 
-            def sample(self, graph, context, random_source):
-                return SampleOutcome(index=0, proposals=1, neighbor_reads=1)
+            def draw(self, graph, vertex, degree, previous, admissible_type, stream):
+                return 0, 1, 1
 
         with pytest.raises(SamplingError, match="sampler 'bespoke'"):
             make_kernel(BespokeSampler())

@@ -171,14 +171,14 @@ class TestBasicSemantics:
         assert stats.per_query_hops == [3] * 200
 
     def test_unknown_sampler_rejected(self):
-        from repro.sampling.base import SampleOutcome, Sampler
+        from repro.sampling.base import Sampler
         from repro.walks.base import WalkSpec
 
         class BespokeSampler(Sampler):
             name = "bespoke"
 
-            def sample(self, graph, context, random_source):
-                return SampleOutcome(index=0, proposals=1, neighbor_reads=1)
+            def draw(self, graph, vertex, degree, previous, admissible_type, stream):
+                return 0, 1, 1
 
         class BespokeSpec(WalkSpec):
             def make_sampler(self):

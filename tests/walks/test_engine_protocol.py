@@ -222,8 +222,9 @@ def _call_sites(name: str) -> int:
 def test_shared_pieces_are_written_once():
     """What the protocol shares must stay shared: the request unpack and
     the stats fold have one call site each, kernel construction stays
-    behind the snapshot hand-off, and only the base and
-    the scalar reference engine define ``swap_snapshot``."""
+    behind the snapshot hand-off, only the base and
+    the scalar reference engine define ``swap_snapshot``, and no retired
+    name is bound anywhere under ``src/repro``."""
     assert _call_sites("unpack_queries") == 1
     assert _call_sites("record_run") == 1
     assert _call_sites("make_walk_kernel") == 0
@@ -244,8 +245,29 @@ def test_shared_pieces_are_written_once():
     retired = {"run_walks_jit", "run_walks_jit_prepared", "run_walks_parallel",
                "run_walks_dist", "JitEngine", "HybridKernel", "HybridSampler",
                "ParallelWalkEngine", "DistWalkEngine", "WorkerError", "SharedArrayStore",
-               "check_batch_spec", "terminates_probabilistically"}
-    assert not retired & {node.name for node in definitions}
+               "check_batch_spec", "terminates_probabilistically", "StepContext",
+               "SampleOutcome", "RandomSource", "sampling_service_cycles",
+               "column_burst_words", "_FIXED_COSTS"}
+    defined = set()  # every class, function and module name bound anywhere under src
+    for _, tree in _src_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    assert not retired & defined
+
+
+@pytest.mark.parametrize("module", ["walks/reference.py", "core/sampling_module.py"])
+def test_one_scalar_sampling_call(module):
+    """The reference loop and the cycle model's Sampling stage each reach
+    the sampler through ``draw`` at exactly one call site, and through
+    nothing else."""
+    (tree,) = [tree for path, tree in _src_trees() if path == module]
+    calls = [node.func.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
+    assert calls.count("draw") == 1
+    assert "sample" not in calls
 
 
 def _src_trees():
