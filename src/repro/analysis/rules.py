@@ -84,7 +84,7 @@ def _stdlib_random_names(tree: ast.Module) -> tuple[set[str], set[str]]:
 
 #: Legacy ``numpy.random`` module-level draw/state functions.  Anything
 #: here consumes the *global* NumPy RNG — hidden cross-call coupling the
-#: per-query ``SeedSequence`` contract forbids.
+#: seeded-stream contract forbids.
 _NP_GLOBAL_FNS = frozenset({
     "seed", "get_state", "set_state",
     "rand", "randn", "randint", "random_integers",

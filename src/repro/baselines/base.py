@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.sampling import AliasSampler, RejectionSampler, ReservoirSampler
 from repro.sim.stats import RunMetrics
 from repro.walks.base import Query, WalkSpec
 from repro.walks.batch import run_walks_batch
@@ -74,16 +75,23 @@ class WorkloadTrace:
         return max(1.0, self.stats.neighbor_reads / self.total_steps)
 
 
-def rng_words_per_step(spec: WalkSpec) -> int:
-    """64-bit random words one step of this algorithm consumes.
+def rng_words_per_step(spec: WalkSpec, trace: WorkloadTrace) -> float:
+    """64-bit random words a step of ``trace`` consumed, on average.
 
-    Alias sampling needs two uniforms, rejection needs two per proposal;
-    uniform sampling needs one.  (Used to price FastRW's CPU-pregenerated
-    RNG stream, which travels through DRAM.)
+    Read off the trace's counters, as each sampler draws: alias and
+    rejection draw two uniforms a proposal (alias proposes once a hop), a
+    reservoir scan one a neighbor entry it reads, uniform sampling one a
+    hop.  (Used to price FastRW's CPU-pregenerated RNG stream, which
+    travels through DRAM.)
     """
+    if trace.total_steps == 0:
+        return 0.0
     sampler = spec.make_sampler()
-    if sampler.name == "alias":
-        return 2
-    if sampler.name == "rejection":
-        return 2
-    return 1
+    stats = trace.stats
+    if isinstance(sampler, (AliasSampler, RejectionSampler)):
+        words = 2 * stats.sampling_proposals
+    elif isinstance(sampler, ReservoirSampler):
+        words = stats.neighbor_reads
+    else:
+        words = stats.total_hops
+    return words / trace.total_steps

@@ -76,7 +76,7 @@ class FastRWModel(BaselineModel):
             self.memory.sequential_gbs * 1e9 / 8 / (self.core_mhz * 1e6)
         )
         round_trip = self.memory.round_trip_cycles
-        rng_words = rng_words_per_step(spec)
+        rng_words = rng_words_per_step(spec, trace)
 
         total_cycles = 0.0
         total_tx = 0

@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="statically check determinism & resource-safety invariants",
         description="AST-based static analysis enforcing the repository's "
-        "determinism contract (README.md): SeedSequence-rooted RNG streams "
+        "determinism contract (README.md): seed-rooted RNG streams "
         "(RW101/RW102), a non-blocking asyncio serve path (RW104), no set-ordered "
         "outputs (RW105), and monotonic-clock duration measurement (RW107). "
         "Exits 1 if any unsuppressed finding remains; "

@@ -15,7 +15,7 @@ from typing import Sequence
 from repro.core.recorder import WalkRecorder
 from repro.core.task import Task, TaskStatus
 from repro.errors import SchedulerError
-from repro.sampling.vectorized import QueryStream, seed_sequence_states
+from repro.sampling.vectorized import QueryStream, stream_states
 from repro.sim.fifo import StreamFifo
 from repro.sim.module import Module
 from repro.walks.base import Query, WalkBatch
@@ -28,9 +28,9 @@ class QueryLoader(Module):
     queries in batches and waits for the whole batch to drain, mimicking
     FastRW/LightRW's batched execution.
 
-    Each task leaves with its query's stream, ``SeedSequence((seed,
-    query_id))`` as the software engines key it.  An endless stream
-    numbers its fresh ids on from the batch's largest.
+    Each task leaves with its query's stream, keyed by ``(seed,
+    query_id)`` as the software engines key it (:func:`stream_states`).
+    An endless stream numbers its fresh ids on from the batch's largest.
     """
 
     def __init__(
@@ -56,7 +56,7 @@ class QueryLoader(Module):
         batch = WalkBatch.of(queries)
         self._ids, self._starts = batch.ids.tolist(), batch.starts.tolist()
         self._seed = seed
-        self._states = seed_sequence_states(seed, batch.ids).tolist()
+        self._states = stream_states(seed, batch.ids).tolist()
         #: An endless stream's position ``p`` past the batch runs as id
         #: ``p + _fresh_offset``: the ids count on from the largest.
         self._fresh_offset = max(self._ids, default=-1) + 1 - len(self._ids)
@@ -97,7 +97,7 @@ class QueryLoader(Module):
         with the batch, or on its own for a fresh id."""
         if self._next < len(self._states):
             return QueryStream(self._states[self._next])
-        return QueryStream(seed_sequence_states(self._seed, [query_id])[0])
+        return QueryStream(stream_states(self._seed, [query_id])[0])
 
     def tick(self, cycle: int) -> None:
         if self._next >= self._end:

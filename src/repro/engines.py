@@ -8,9 +8,10 @@ usable CPU, and the pure-Python reference loop (``reference``), which
 walks one query at a time through the scalar samplers.  The third is
 the cycle-level accelerator model (``sim``, :func:`run_accelerator_walks`),
 whose tasks carry their query's stream through the same scalar samplers.
-All three draw each query's one ``SeedSequence((seed, query_id))``
-stream in the same order, so they walk the same paths, in the batch's
-order; the software engines also agree on every ``EngineStats`` counter.
+All three draw each query's one splitmix64 stream
+(:func:`~repro.sampling.vectorized.stream_states`) in the same order, so
+they walk the same paths, in the batch's order; the software engines
+also agree on every ``EngineStats`` counter.
 
 :data:`SOFTWARE_ENGINES` is the registry: ``{cls.name: cls}``.  The
 protocol's shared ``run`` / ``swap_snapshot`` mean an engine is one

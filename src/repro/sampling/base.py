@@ -31,7 +31,8 @@ if TYPE_CHECKING:
 
 
 def normalize_seed(seed: int) -> int:
-    """Map any Python int onto valid ``SeedSequence`` entropy.
+    """Map any Python int onto a 64-bit seed: valid ``SeedSequence``
+    entropy and a per-query stream key.
 
     ``SeedSequence`` rejects negative integers; masking to 64 bits keeps
     the engines' historical "any int seed works" contract while staying
@@ -67,8 +68,8 @@ def derive_seed(seed: int, *tags: int | str) -> int:
     become separate ``SeedSequence`` entropy words, so distinct tag
     paths give independent streams for *every* root seed, and the
     result is a plain int usable anywhere a seed is — including as the
-    root of the engines' per-query ``SeedSequence((seed, query_id))``
-    spawn keys.
+    seed of the engines' per-query streams
+    (:func:`~repro.sampling.vectorized.stream_states`).
 
     >>> derive_seed(7, "queries") != derive_seed(7, "engine")
     True

@@ -10,8 +10,9 @@ Three ingredients make the kernels drop-in replacements for the scalar
 samplers in this package:
 
 * :class:`QueryStreams` — one independent random substream per query,
-  keyed by ``np.random.SeedSequence((seed, query_id))`` and advanced for
-  the whole frontier with vectorized splitmix64 arithmetic.  The
+  keyed by :func:`stream_states` (output ``query_id`` of a splitmix64
+  generator seeded with the mixed seed) and advanced for the whole
+  frontier with vectorized splitmix64 arithmetic.  The
   reference engine and the cycle model draw from the same streams one
   query at a time, through :class:`QueryStream`, the same arithmetic in
   Python ints.
@@ -103,194 +104,41 @@ MAX_STALLS = _MAX_REJECTION_ROUNDS
 NO_STALLS = np.empty(0, dtype=np.intp)
 NO_STALLS.setflags(write=False)
 
-# numpy SeedSequence hashing constants (numpy/random/bit_generator.pyx).
-# The batched derivation below reproduces SeedSequence bit-for-bit, so
-# the per-query substreams stay ``SeedSequence((seed, query_id))``-keyed
-# while costing a handful of array ops instead of one SeedSequence object
-# per query.
-_SS_POOL_SIZE = 4
-_SS_INIT_A = 0x43B0D7E5
-_SS_MULT_A = 0x931E8875
-_SS_INIT_B = 0x8B51F9DD
-_SS_MULT_B = 0x58F38DED
-_SS_MIX_MULT_L = 0xCA01F9DD
-_SS_MIX_MULT_R = 0x4973F715
-_SS_MIX_L = np.uint32(_SS_MIX_MULT_L)
-_SS_MIX_R = np.uint32(_SS_MIX_MULT_R)
-_SS_XSHIFT = np.uint32(16)
-_SS_WORD_MASK = 0xFFFFFFFF
-
-#: Up to this many ids, :func:`seed_sequence_states` hashes each id in
-#: Python ints (:func:`_ss_state`): the array pipeline is ~40 tiny passes,
-#: ~105 us a call however few ids it carries, against ~10 us an id (numpy's
-#: own ``SeedSequence`` takes ~15 us an id on the same 2-CPU host).  The
-#: two routes cross near ten ids, and the winner moves with host load.
-_SS_SCALAR_MAX_IDS = 8
-
-
-def _ss_rounds(init: int, mult: int, count: int) -> list[tuple[int, int]]:
-    """The ``(xor, multiplier)`` constants of ``count`` successive hash
-    rounds from ``init``: SeedSequence's hash constant does not depend on
-    the data, so every round's pair is known before any id is."""
-    rounds, const = [], init
-    for _ in range(count):
-        rounds.append((const, (const * mult) & _SS_WORD_MASK))
-        const = rounds[-1][1]
-    return rounds
-
-
-#: The rounds of one id: the entropy-pool fill (one a word), the pool mix
-#: (``(src, dst, xor, multiplier)``, one per ordered pair of distinct
-#: words) and the two output words.
-_SS_HASH_ROUNDS = _ss_rounds(_SS_INIT_A, _SS_MULT_A, _SS_POOL_SIZE + 12)
-_SS_FILL_ROUNDS = _SS_HASH_ROUNDS[:_SS_POOL_SIZE]
-_SS_MIX_ROUNDS = [
-    (src, dst, *constants)
-    for (src, dst), constants in zip(
-        [(src, dst) for src in range(_SS_POOL_SIZE) for dst in range(_SS_POOL_SIZE) if src != dst],
-        _SS_HASH_ROUNDS[_SS_POOL_SIZE:],
-    )
-]
-_SS_OUTPUT_ROUNDS = _ss_rounds(_SS_INIT_B, _SS_MULT_B, 2)
-
-
-def _ss_state(words: list[int]) -> int:
-    """``SeedSequence(words).generate_state(1, np.uint64)[0]`` as a Python
-    int, for at most :data:`_SS_POOL_SIZE` 32-bit entropy words: the hash
-    pipeline of :func:`_ss_states_for_words`, one id at a time."""
-    if len(words) > _SS_POOL_SIZE:
-        raise SamplingError("seed/query-id entropy exceeds the SeedSequence pool")
-    pool = []
-    for word, (xor, mult) in zip(words + [0] * (_SS_POOL_SIZE - len(words)), _SS_FILL_ROUNDS):
-        value = (word ^ xor) * mult & _SS_WORD_MASK
-        pool.append(value ^ value >> 16)
-    for src, dst, xor, mult in _SS_MIX_ROUNDS:
-        value = (pool[src] ^ xor) * mult & _SS_WORD_MASK
-        value = pool[dst] * _SS_MIX_MULT_L - (value ^ value >> 16) * _SS_MIX_MULT_R
-        value &= _SS_WORD_MASK
-        pool[dst] = value ^ value >> 16
-    (xor_lo, mult_lo), (xor_hi, mult_hi) = _SS_OUTPUT_ROUNDS
-    low = (pool[0] ^ xor_lo) * mult_lo & _SS_WORD_MASK
-    high = (pool[1] ^ xor_hi) * mult_hi & _SS_WORD_MASK
-    return (low ^ low >> 16) | (high ^ high >> 16) << 32
-
-
-def _ss_states_one_by_one(seed_words: list[int], query_ids) -> np.ndarray:
-    """The states of a few ids, one :func:`_ss_state` each."""
-    states = []
-    for query_id in query_ids:
-        query_id = int(query_id)
-        if query_id < 0:
-            raise SamplingError("query ids must be non-negative")
-        states.append(_ss_state(seed_words + _int_to_words(query_id)))
-    return np.array(states, dtype=np.uint64)
-
-
-def _ss_hash(value: np.ndarray, hash_const: int) -> tuple[np.ndarray, int]:
-    """One SeedSequence hash round over a uint32 array; advances the
-    (position-dependent, data-independent) hash constant."""
-    value = value ^ np.uint32(hash_const)
-    hash_const = (hash_const * _SS_MULT_A) & _SS_WORD_MASK
-    value = value * np.uint32(hash_const)
-    return value ^ (value >> _SS_XSHIFT), hash_const
-
-
-def _ss_mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = x * _SS_MIX_L - y * _SS_MIX_R
-    return result ^ (result >> _SS_XSHIFT)
-
-
-def _int_to_words(value: int) -> list[int]:
-    """SeedSequence's little-endian 32-bit word coercion of one int."""
-    if value == 0:
-        return [0]
-    words = []
-    while value:
-        words.append(value & _SS_WORD_MASK)
-        value >>= 32
-    return words
-
-
-def _ss_states_for_words(seed_words: list[int], qid_words: list[np.ndarray]) -> np.ndarray:
-    """States for one group of queries whose ids coerce to the same number
-    of 32-bit words (so every query sees the same entropy layout)."""
-    n = qid_words[0].size
-    entropy = [np.full(n, word, dtype=np.uint32) for word in seed_words] + qid_words
-    if len(entropy) > _SS_POOL_SIZE:  # pragma: no cover - ids are < 2**64
-        raise SamplingError("seed/query-id entropy exceeds the SeedSequence pool")
-    hash_const = _SS_INIT_A
-    pool: list[np.ndarray] = []
-    for i in range(_SS_POOL_SIZE):
-        word = entropy[i] if i < len(entropy) else np.zeros(n, dtype=np.uint32)
-        hashed, hash_const = _ss_hash(word, hash_const)
-        pool.append(hashed)
-    for src in range(_SS_POOL_SIZE):
-        for dst in range(_SS_POOL_SIZE):
-            if src != dst:
-                hashed, hash_const = _ss_hash(pool[src], hash_const)
-                pool[dst] = _ss_mix(pool[dst], hashed)
-    hash_const = _SS_INIT_B
-    words: list[np.ndarray] = []
-    for i in range(2):
-        value = pool[i] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _SS_MULT_B) & _SS_WORD_MASK
-        value = value * np.uint32(hash_const)
-        words.append(value ^ (value >> _SS_XSHIFT))
-    return words[0].astype(np.uint64) | (words[1].astype(np.uint64) << np.uint64(32))
-
-
-def seed_sequence_states(seed: int, query_ids: Sequence[int] | np.ndarray) -> np.ndarray:
-    """``SeedSequence((seed, qid)).generate_state(1, uint64)[0]`` for every
-    query id, bit-exactly, in a handful of vectorized passes.
-
-    Seeding one ``SeedSequence`` object per query is the remaining
-    O(num_queries) scalar cost in batch-engine setup; this reproduces the
-    exact hash pipeline (entropy coercion, pool mixing, state generation)
-    with uint32 array arithmetic.  Queries are grouped by how many 32-bit
-    words their id coerces to, since the entropy layout — and therefore
-    the sequence of hash constants — depends only on that count.
-    A handful of ids (:data:`_SS_SCALAR_MAX_IDS`; the walk service
-    derives a turn's arrivals, a few at most) are hashed one by one in
-    Python ints (:func:`_ss_state`), which is cheaper than the array
-    passes' fixed cost and than numpy's own ``SeedSequence``.  Equality of
-    the routes with each other and with numpy is enforced by tests.
-    """
-    # Mask to valid SeedSequence entropy first: a negative int would make
-    # _int_to_words loop forever (Python's >> keeps negatives negative),
-    # and the engines' contract is "any int seed works".
-    seed = normalize_seed(seed)
-    seed_words = _int_to_words(seed)
-    if isinstance(query_ids, np.ndarray):
-        if query_ids.size <= _SS_SCALAR_MAX_IDS:
-            return _ss_states_one_by_one(seed_words, query_ids.ravel().tolist())
-    elif len(query_ids) <= _SS_SCALAR_MAX_IDS:
-        return _ss_states_one_by_one(seed_words, query_ids)
-    ids = np.asarray(query_ids)
-    if ids.dtype.kind == "i" and ids.size and ids.min() < 0:
-        raise SamplingError("query ids must be non-negative")
-    ids = ids.astype(np.uint64)
-    if ids.ndim != 1:
-        ids = ids.reshape(-1)
-    states = np.empty(ids.size, dtype=np.uint64)
-    wide = ids >= np.uint64(1 << 32)
-    narrow = np.nonzero(~wide)[0]
-    if narrow.size:
-        states[narrow] = _ss_states_for_words(
-            seed_words, [ids[narrow].astype(np.uint32)]
-        )
-    wide_idx = np.nonzero(wide)[0]
-    if wide_idx.size:
-        lo = (ids[wide_idx] & np.uint64(_SS_WORD_MASK)).astype(np.uint32)
-        hi = (ids[wide_idx] >> np.uint64(32)).astype(np.uint32)
-        states[wide_idx] = _ss_states_for_words(seed_words, [lo, hi])
-    return states
-
 
 def _mix64(z: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer over a uint64 array (wrapping arithmetic)."""
     z = (z ^ (z >> _SHIFT_30)) * _MIX_1
     z = (z ^ (z >> _SHIFT_27)) * _MIX_2
     return z ^ (z >> _SHIFT_31)
+
+
+def stream_states(seed: int, query_ids: Sequence[int] | np.ndarray) -> np.ndarray:
+    """The splitmix64 state of every listed query's stream.
+
+    Stream ``q`` is output ``q`` of a splitmix64 generator whose state is
+    the mixed seed: ``_mix64(q * _GAMMA + _mix64(seed))``, one array
+    formula for one id or fifty thousand.  Both finalisers are needed:
+    without the outer one stream ``q + 1`` would be stream ``q`` one draw
+    on, and without mixing the seed ``(s, q)`` and ``(s + _GAMMA, q - 1)``
+    would share a stream.  Any int seed works (it is masked to 64 bits);
+    a negative or non-integer id is refused.
+    """
+    key = normalize_seed(seed)
+    key = (key ^ key >> 30) * _MIX_1_INT & _MASK_64
+    key = (key ^ key >> 27) * _MIX_2_INT & _MASK_64
+    key ^= key >> 31
+    ids = np.asarray(query_ids)
+    if ids.size and ids.dtype.kind not in "iu":
+        # e.g. a list mixing ids past int64 with small ones: numpy makes
+        # it float64, which would round the large ids.
+        raise SamplingError(f"query ids must be integers, got {ids.dtype}")
+    if ids.dtype.kind == "i" and ids.size and ids.min() < 0:
+        raise SamplingError("query ids must be non-negative")
+    # Array arithmetic throughout: numpy scalar uint64 math warns on wrap.
+    states = ids.astype(np.uint64).reshape(-1)
+    states *= _GAMMA
+    states += np.uint64(key)
+    return _mix64(states)
 
 
 def _to_unit(bits: np.ndarray) -> np.ndarray:
@@ -303,22 +151,18 @@ def _to_unit(bits: np.ndarray) -> np.ndarray:
 class QueryStreams:
     """Per-query random substreams advanced in batch.
 
-    Stream ``q`` is seeded from ``SeedSequence((seed, query_id))`` and
-    advanced with splitmix64, so every query's randomness is independent
-    of batch composition and query order, and two distinct ``(seed,
-    query_id)`` pairs never collide (the property the old xor-mix
-    derivation lacked).  The batch engine draws a frontier's streams
+    Stream ``q`` starts at :func:`stream_states`' state for ``(seed,
+    query_id)`` and advances with splitmix64, so every query's randomness
+    is independent of batch composition and query order, and two
+    distinct ``(seed, query_id)`` pairs never share a stream (the
+    property the old xor-mix derivation lacked).  The batch engine draws a frontier's streams
     here; the reference engine and the cycle model's tasks draw each
     query's one stream through a :class:`QueryStream` — the same
     arithmetic, so every executor walks alike.
     """
 
     def __init__(self, seed: int, query_ids: Sequence[int] | np.ndarray) -> None:
-        seed = normalize_seed(seed)
-        # Batched bit-exact SeedSequence derivation — same states as
-        # seeding one SeedSequence per query, minus the per-query Python
-        # object cost (see seed_sequence_states).
-        self._state = seed_sequence_states(seed, query_ids)
+        self._state = stream_states(seed, query_ids)
 
     @classmethod
     def from_states(cls, states: np.ndarray) -> "QueryStreams":
@@ -330,9 +174,8 @@ class QueryStreams:
         caller's array in place — and the walk continues bit-identically
         to one drawn from a single :class:`QueryStreams` throughout.
         ``states`` must be the uint64 array a :class:`QueryStreams`
-        seeded from ``SeedSequence((seed, query_id))`` would hold (see
-        :func:`seed_sequence_states`); arbitrary integers would step
-        outside the per-query substream contract.
+        would hold (see :func:`stream_states`); arbitrary integers would
+        step outside the per-query substream contract.
         """
         states = np.asarray(states)
         if states.dtype != np.uint64 or states.ndim != 1:
@@ -410,7 +253,7 @@ class QueryStream:
     task of the cycle model.
 
     ``state`` is the stream's splitmix64 state, e.g. one entry of
-    :func:`seed_sequence_states`; every draw is the batch kernels' draw on
+    :func:`stream_states`; every draw is the batch kernels' draw on
     a one-stream frontier — advance by ``_GAMMA``, the ``_mix64``
     finaliser, ``(z >> 11) * 2**-53`` — so a scalar sampler that draws
     what its kernel draws, in the same order, takes the same walk.

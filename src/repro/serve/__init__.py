@@ -9,7 +9,7 @@ sustained throughput.  On top of that, ``TenantSpec``/``TenantScheduler``
 give the service per-tenant admission classes with weighted-priority
 dispatch (a flooding tenant sheds its own traffic, not its neighbors'
 SLOs).  The service is a scheduling layer only — per-request determinism
-(``SeedSequence((seed, query_id))``) survives any step composition and
+(each query's own ``(seed, query_id)`` stream) survives any step composition and
 any tenant interleaving, and every response replays offline
 (``replay_paths``).
 """

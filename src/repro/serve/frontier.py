@@ -72,7 +72,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.obs.trace import active as _active_tracer
-from repro.sampling.vectorized import seed_sequence_states
+from repro.sampling.vectorized import stream_states
 from repro.serve.items import _PendingRequest
 from repro.walks.batch import OpenFrontier
 from repro.walks.engine import RunFrontier, add_counts
@@ -132,9 +132,7 @@ async def frontier_loop(service: "WalkService", frontier: OpenFrontier | RunFron
             idle = not (frontier.live or scheduler.has_work())
             if idle or not queue.empty():
                 arrived = list(chain([await queue.get()] if idle else (), _queued(queue)))
-                states = seed_sequence_states(
-                    seed, [request.query_id for request in arrived]
-                ).tolist()
+                states = stream_states(seed, [request.query_id for request in arrived]).tolist()
                 for request, state in zip(arrived, states):
                     request.state = state
                     scheduler.push(request)

@@ -25,7 +25,7 @@ this module gives :class:`~repro.serve.service.WalkService` tenancy:
 
 QoS is *scheduling, never semantics*: tenancy decides when a request
 runs and whether it is shed, but a served request's paths are still
-``SeedSequence((seed, query_id))``-determined and bit-identical to the
+determined by ``(seed, query_id)`` alone and bit-identical to the
 offline replay oracle regardless of tenant interleaving.
 """
 

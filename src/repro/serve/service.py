@@ -37,8 +37,9 @@ weighted-priority share of every admission group
 its own traffic instead of starving other tenants' latency SLOs.
 
 The service is a scheduling layer, never a semantics layer.  Every
-request's randomness is keyed by ``SeedSequence((seed, query_id))`` —
-the engines' own per-query substream derivation — and a walker draws
+request's randomness is its query's stream, keyed by ``(seed, query_id)``
+(:func:`~repro.sampling.vectorized.stream_states`, the engines' own
+per-query substream derivation), and a walker draws
 only from the stream state that travels with it, so a request's paths
 are bit-identical whether it was served alone, beside 63 strangers of
 any age, or replayed offline through the engine's own ``run`` with the

@@ -49,11 +49,11 @@ thread allocates from its own malloc arena, which at the fill holds its
 lane's hop log (10.6 MB) and 1.8 MB of freed temporaries, so peak RSS
 grows by ~12 MiB on the first run that fans out and not after.
 
-Same API, ``SeedSequence((seed, query_id))`` substreams and
-:class:`EngineStats` semantics as :func:`repro.walks.reference.run_walks`,
+Same API, per-query substreams (:func:`~repro.sampling.vectorized.stream_states`)
+and :class:`EngineStats` semantics as :func:`repro.walks.reference.run_walks`,
 which walks bit-identically (``tests/walks/test_engine_matrix.py``);
-``tests/walks/test_compact_core.py`` holds it to the pre-compaction core
-bit for bit, ``benchmarks/suite`` measures it.
+``tests/walks/test_compact_core.py`` pins its paths and counters bit for
+bit, ``benchmarks/suite`` measures it.
 :class:`BatchEngine` is the engine; :func:`run_walks_batch` is the
 one-call ``Query`` form, :func:`run_walks_batch_flat` the one-call array
 form and :func:`run_walks_batch_arrays` its dense adapter.
@@ -79,7 +79,7 @@ from repro.sampling.vectorized import (
     BatchSample,
     QueryStreams,
     VectorizedKernel,
-    seed_sequence_states,
+    stream_states,
 )
 from repro.walks.base import (
     Query,
@@ -394,7 +394,7 @@ def _walk_block(
     if tracer is not None:
         _lane_start = tracer.begin()
     frontier = Frontier.start(
-        np.arange(starts.size), starts, seed_sequence_states(seed, query_ids)
+        np.arange(starts.size), starts, stream_states(seed, query_ids)
     )
     counts = np.zeros(len(STAT_FIELDS), dtype=np.int64)
     log: list = []
@@ -563,7 +563,7 @@ class OpenFrontier:
         """Seat one walker per aligned ``(query_id, start)``; returns their slots.
 
         ``states`` are the walkers' stream states where the caller has
-        already derived them (``seed_sequence_states(seed, query_ids)``),
+        already derived them (``stream_states(seed, query_ids)``),
         else they are derived here.  More walkers than :attr:`free`, a
         start vertex outside the graph or a negative id raise before
         anything is seated.
@@ -576,7 +576,7 @@ class OpenFrontier:
             )
         check_start_vertices(self._engine._graph, starts)
         if states is None:
-            states = seed_sequence_states(self._seed, query_ids)
+            states = stream_states(self._seed, query_ids)
         if len(states) != count or len(query_ids) != count:
             raise WalkConfigError("query ids, starts and states must align")
         if count == 0:

@@ -6,7 +6,7 @@ one loop, each hop decided by the scalar sampler's one ``draw``, with
 no hardware modelling.
 
 Each query draws from its own :class:`~repro.sampling.vectorized.QueryStreams`
-stream (``SeedSequence((seed, query_id))``, splitmix64), held in Python
+stream (:func:`~repro.sampling.vectorized.stream_states`, splitmix64), held in Python
 ints by a :class:`~repro.sampling.vectorized.QueryStream`, and each
 scalar sampler draws what its batch kernel draws, in the same order.  So
 this loop and the batch engine's interleaved frontier walk
@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.sampling.vectorized import QueryStream, seed_sequence_states
+from repro.sampling.vectorized import QueryStream, stream_states
 from repro.walks.base import Query, WalkResults, WalkSpec, draw_termination, path_offsets
 from repro.walks.engine import STAT_FIELDS, EngineStats, PreparedEngine, snapshot_graph
 
@@ -50,7 +50,7 @@ class ReferenceEngine(PreparedEngine):
         sampler.prepare(graph)
         counts = [0] * len(STAT_FIELDS)
         paths = []
-        states = seed_sequence_states(seed, query_ids).tolist()
+        states = stream_states(seed, query_ids).tolist()
         second_order = spec.needs_prev_vertex
         for state, current in zip(states, starts.tolist()):
             stream = QueryStream(state)

@@ -12,7 +12,7 @@ from repro.baselines import (
     rng_words_per_step,
 )
 from repro.errors import SimulationError
-from repro.graph import cycle_graph, load_dataset, powerlaw
+from repro.graph import cycle_graph, load_dataset, powerlaw, rmat
 from repro.walks import DeepWalkSpec, Node2VecSpec, PPRSpec, Query, URWSpec, make_queries
 
 
@@ -44,9 +44,28 @@ class TestWorkloadTrace:
         assert trace.mean_scan_words_per_step() >= 1.0
 
     def test_rng_words_per_step(self):
-        assert rng_words_per_step(URWSpec()) == 1
-        assert rng_words_per_step(DeepWalkSpec()) == 2
-        assert rng_words_per_step(Node2VecSpec(strategy="rejection")) == 2
+        g, queries = workload(weighted=True)
+        for spec, words in ((URWSpec(max_length=10), 1.0), (DeepWalkSpec(max_length=10), 2.0)):
+            trace = WorkloadTrace(g, spec, queries, seed=1)
+            assert rng_words_per_step(spec, trace) == words
+
+    @pytest.mark.parametrize("strategy", ["rejection", "reservoir"])
+    def test_fastrw_streams_the_words_its_sampler_drew(self, strategy):
+        """Rejection draws two uniforms a proposal and a reservoir scan
+        one a neighbor entry, and FastRW's RNG stream carries that many
+        words a step, not a fixed count per sampler."""
+        g = rmat(10, seed=1)
+        queries = make_queries(g, 128, seed=2)
+        spec = Node2VecSpec(p=0.5, q=2.0, max_length=20, strategy=strategy)
+        trace = WorkloadTrace(g, spec, queries, seed=3)
+        stats = trace.stats
+        drawn = 2 * stats.sampling_proposals if strategy == "rejection" else stats.neighbor_reads
+        assert drawn > 2 * trace.total_steps
+        metrics = FastRWModel().run(g, spec, queries, seed=3)
+        rng_words = metrics.words_transferred - metrics.random_transactions
+        # One batch of rounds, each rounding its words and transactions.
+        assert len(queries) <= FastRWModel().batch_size
+        assert abs(rng_words - drawn) <= metrics.extra["horizon"]
 
 
 class TestFastRWModel:

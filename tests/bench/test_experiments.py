@@ -150,15 +150,15 @@ def test_fig10(fig10):
 
 
 @pytest.mark.slow
-@pytest.mark.xfail(
-    strict=True,
-    reason="SC16-32 Graph500 lockstep efficiency reads 0.780 here and 0.763 at "
-    "the full size, not < 0.75: the scaled skew is too mild for this row. "
-    "Whether the GPU lockstep model or the bound is wrong is ROADMAP item 9's "
-    "open Fig. 10 question.",
-)
 def test_fig10_graph500_lockstep_efficiency(fig10):
-    """Graph500 skew costs the GPU warp lockstep on every RMAT row."""
+    """Graph500 skew costs the GPU warp lockstep on every RMAT row.
+
+    SC16-32's row sits near the bound and moves with the walks' random
+    streams: it read 0.780 here (0.763 at the full size) under the old
+    ``SeedSequence`` stream key, and reads 0.709 (0.748) under the
+    splitmix64 key.  So this passing says nothing yet on whether the GPU
+    lockstep model or the bound is wrong (ROADMAP item 9).
+    """
     _, skewed = fig10
     for row in skewed:
         assert row["lockstep_efficiency"] < 0.75, row

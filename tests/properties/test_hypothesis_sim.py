@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.core import Dispatcher, Merger
 from repro.memory import MemoryChannel, MemoryRequest, MemorySpec
 from repro.sampling import QueryStream
-from repro.sampling.vectorized import seed_sequence_states
+from repro.sampling.vectorized import stream_states
 from repro.sim import SimulationKernel, StreamFifo
 
 actions = st.lists(st.sampled_from(["push", "pop", "commit"]), min_size=1, max_size=200)
@@ -123,7 +123,7 @@ class TestRngContracts:
     @given(seed=st.integers(0, 2**32), streams=st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
     def test_uniforms_in_unit_interval(self, seed, streams):
-        for state in seed_sequence_states(seed, range(streams)).tolist():
+        for state in stream_states(seed, range(streams)).tolist():
             source = QueryStream(state)
             for _ in range(20):
                 assert 0.0 <= source.uniform() < 1.0

@@ -29,7 +29,7 @@ from repro.sampling.vectorized import (
     QueryStreams,
     graph_alias_slots,
     pack_alias_slots,
-    seed_sequence_states,
+    stream_states,
 )
 from repro.walks import DeepWalkSpec, make_queries
 
@@ -159,7 +159,7 @@ def test_kernel_moves_where_the_scalar_table_points(make_graph):
     ids = np.arange(current.size)
     batch = kernel.sample(graph, current, np.full(current.size, -1, dtype=np.int64), None,
                           QueryStreams(6, ids), None, graph.degrees()[current])
-    states = seed_sequence_states(6, ids).tolist()
+    states = stream_states(6, ids).tolist()
     index = np.array([
         sampler.draw(graph, v, graph.degree(v), -1, None, QueryStream(state))[0]
         for state, v in zip(states, current.tolist())

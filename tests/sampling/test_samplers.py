@@ -19,7 +19,7 @@ from repro.sampling import (
     ReservoirSampler,
     UniformSampler,
 )
-from repro.sampling.vectorized import ReservoirKernel, seed_sequence_states
+from repro.sampling.vectorized import ReservoirKernel, stream_states
 from repro.walks.node2vec import exact_step_distribution
 
 SAMPLES = 30_000
@@ -28,7 +28,7 @@ TOLERANCE = 0.02
 
 def stream_source(seed=0):
     """One query's stream, the scalar samplers' one random source."""
-    return QueryStream(seed_sequence_states(seed, [0])[0])
+    return QueryStream(stream_states(seed, [0])[0])
 
 
 def weighted_fan():
@@ -275,7 +275,7 @@ def test_stream_source_scans_like_the_reservoir_kernel():
     """The adapter's uniforms are ``QueryStreams.element_uniforms`` of the
     whole row, at the listed indices."""
     within = np.array([0, 2, 9])
-    row = QueryStreams.from_states(seed_sequence_states(5, [0])).element_uniforms(
+    row = QueryStreams.from_states(stream_states(5, [0])).element_uniforms(
         None, np.array([10]))
     assert stream_source(5).element_uniforms(within).tolist() == row[within].tolist()
 
@@ -314,7 +314,7 @@ def test_scalar_scan_equals_the_kernel_walker_by_walker(name):
     sampler = make_sampler()
     kernel = ReservoirKernel(sampler)
     kernel.prepare(graph)
-    kernel_states = seed_sequence_states(11, np.arange(current.size))
+    kernel_states = stream_states(11, np.arange(current.size))
     sources = [QueryStream(state) for state in kernel_states.tolist()]
     batch = kernel.sample(graph, current, previous, types,
                           QueryStreams.from_states(kernel_states), None,

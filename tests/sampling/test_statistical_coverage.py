@@ -37,7 +37,7 @@ from repro.sampling import (
     ReservoirSampler,
     UniformSampler,
 )
-from repro.sampling.vectorized import RejectionKernel, make_kernel, seed_sequence_states
+from repro.sampling.vectorized import RejectionKernel, make_kernel, stream_states
 from repro.walks.node2vec import exact_step_distribution
 
 #: Skewed Node2Vec corners: return-averse, return-seeking, explore-averse.
@@ -49,7 +49,7 @@ KERNEL_SAMPLES = 40_000
 
 def stream_source(seed, query_id=0):
     """The reference engine's random source: one query's stream."""
-    return QueryStream(seed_sequence_states(seed, [query_id])[0])
+    return QueryStream(stream_states(seed, [query_id])[0])
 
 
 def node2vec_graph():

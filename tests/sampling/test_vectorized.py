@@ -23,59 +23,100 @@ from repro.sampling.vectorized import (
     UniformKernel,
     EdgeSet,
     _to_unit,
-    seed_sequence_states,
+    stream_states,
 )
 
 from row_oracles import row_index
 from stall_helpers import sample_decided
 
 
-class TestSeedSequenceStates:
-    """The batched derivation must be bit-exact SeedSequence((seed, qid))."""
+_MASK_64 = 2**64 - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
-    def _oracle(self, seed, query_ids):
-        return np.array(
-            [np.random.SeedSequence((seed, int(q))).generate_state(1, dtype=np.uint64)[0]
-             for q in query_ids],
-            dtype=np.uint64,
-        )
 
-    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1])
-    def test_bit_exact_vs_seed_sequence(self, seed):
-        ids = [0, 1, 2, 1000, 2**31, 2**32 - 1, 2**32, 2**32 + 7, 2**48, 2**63 - 1]
-        assert np.array_equal(seed_sequence_states(seed, ids), self._oracle(seed, ids))
+def _mix64(z):
+    """The splitmix64 finaliser on one Python int."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK_64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK_64
+    return z ^ z >> 31
 
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
-    def test_one_id_at_a_time_is_bit_exact(self, seed):
-        """The Python-int route a handful of ids take."""
-        ids = [0, 1, 2, 1000, 2**31, 2**32 - 1, 2**32, 2**32 + 7, 2**48, 2**63 - 1, 2**64 - 1]
-        for query_id in ids:
-            state = seed_sequence_states(seed, [query_id])
-            assert state.dtype == np.uint64
-            assert state.tolist() == self._oracle(seed, [query_id]).tolist()
-        assert np.array_equal(seed_sequence_states(seed, ids[:8]), self._oracle(seed, ids[:8]))
 
-    def test_bit_exact_on_random_ids(self):
-        rng = np.random.default_rng(9)
+class TestStreamStates:
+    """Stream ``q`` under seed ``s`` starts at output ``q`` of a splitmix64
+    generator whose state is the mixed seed: ``mix64(q * γ + mix64(s))``."""
+
+    IDS = [0, 1, 2, 1000, 2**31, 2**32 - 1, 2**32, 2**32 + 7, 2**48, 2**63 - 1, 2**64 - 1]
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**32, 2**64 - 1])
+    def test_the_formula(self, seed):
+        expected = [_mix64((q * _GAMMA + _mix64(seed)) & _MASK_64) for q in self.IDS]
+        together = stream_states(seed, np.array(self.IDS, dtype=np.uint64))
+        assert together.dtype == np.uint64
+        assert together.tolist() == expected
+        assert stream_states(seed, self.IDS[:-1]).tolist() == expected[:-1]
+
+    @pytest.mark.parametrize("count", range(1, 17))
+    def test_one_id_at_a_time_equals_the_array_call(self, count):
+        # No route depends on how many ids a call carries.
+        rng = np.random.default_rng(count)
         ids = np.concatenate([
-            rng.integers(0, 2**32, 200), rng.integers(2**32, 2**63, 50)
-        ]).astype(np.uint64)
-        assert np.array_equal(seed_sequence_states(7, ids), self._oracle(7, ids))
+            rng.integers(0, 2**32, count - count // 3),
+            rng.integers(2**32, 2**63, count // 3),
+        ])
+        for seed in (0, 7, 2**64 - 1):
+            together = stream_states(seed, ids)
+            assert together.tolist() == [stream_states(seed, [q])[0] for q in ids.tolist()]
+            assert np.array_equal(together, stream_states(seed, ids.tolist()))
+            assert np.array_equal(together, stream_states(seed, ids.astype(np.uint64)))
+
+    def test_distinct_ids_get_distinct_states(self):
+        # A bijection of the id: a million ids, at the bottom, around
+        # 2**32 and at the top of int64, share no state.
+        ids = np.concatenate([
+            np.arange(0, 333_334),
+            np.arange(2**32 - 166_667, 2**32 + 166_666),
+            2**63 - 1 - np.arange(333_333),
+        ])
+        assert ids.size == 1_000_000 and np.unique(ids).size == ids.size
+        assert np.unique(stream_states(5, ids)).size == ids.size
+
+    def test_streams_do_not_overlap(self):
+        # The first 64 states of 10,000 streams are 640,000 distinct
+        # values.  Without the outer finaliser stream q + 1 would be
+        # stream q one draw on, and this would fail.
+        streams = QueryStreams(2, np.arange(10_000))
+        states = [streams._state.copy()]
+        for _ in range(63):
+            streams.uniforms()
+            states.append(streams._state.copy())
+        seen = np.concatenate(states)
+        assert np.unique(seen).size == seen.size
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63, 2**64 - 1 - _GAMMA])
+    def test_a_seed_and_an_id_do_not_trade_off(self, seed):
+        # Without mixing the seed, (s, q) and (s + γ, q - 1) would be one
+        # stream.
+        ids = np.arange(1, 1001)
+        shifted = stream_states((seed + _GAMMA) & _MASK_64, ids - 1)
+        assert np.intersect1d(stream_states(seed, ids), shifted).size == 0
 
     def test_empty(self):
-        assert seed_sequence_states(1, []).size == 0
+        assert stream_states(1, []).size == 0
+        assert stream_states(1, np.empty(0, dtype=np.int64)).dtype == np.uint64
 
-    def test_negative_seed_normalized_not_hung(self):
-        # Regression: a negative seed must be masked like normalize_seed
-        # does (a raw negative int would loop forever in word coercion).
-        masked = (-3) & (2**64 - 1)
-        assert np.array_equal(
-            seed_sequence_states(-3, [0, 5]), seed_sequence_states(masked, [0, 5])
-        )
+    def test_negative_seed_is_masked(self):
+        masked = (-3) & _MASK_64
+        assert np.array_equal(stream_states(-3, [0, 5]), stream_states(masked, [0, 5]))
 
-    def test_negative_ids_rejected(self):
+    @pytest.mark.parametrize("ids", [[-1], [3, -2], np.array([5, -1])])
+    def test_negative_ids_rejected(self, ids):
         with pytest.raises(SamplingError, match="non-negative"):
-            seed_sequence_states(1, [-1])
+            stream_states(1, ids)
+
+    def test_non_integer_ids_rejected(self):
+        # numpy makes this list float64, which would round 2**64 - 1.
+        with pytest.raises(SamplingError, match="integers"):
+            stream_states(1, [0, 2**64 - 1])
 
 
 class TestQueryStreams:
@@ -127,7 +168,7 @@ class TestQueryStreams:
     def test_from_states_wraps_by_reference(self):
         # Zero-copy: draws through the wrapper advance the caller's
         # array in place, so a frontier's state column IS the RNG state.
-        carried = seed_sequence_states(1, [0, 1])
+        carried = stream_states(1, [0, 1])
         before = carried.copy()
         streams = QueryStreams.from_states(carried)
         assert streams._state is carried
@@ -137,7 +178,7 @@ class TestQueryStreams:
     def test_from_states_permutation_matches_reseeding(self):
         # Compaction and admission reorder walkers; a permuted slice of
         # the state array must behave as streams for the permuted ids.
-        states = seed_sequence_states(9, [0, 1, 2, 3])
+        states = stream_states(9, [0, 1, 2, 3])
         perm = np.array([2, 0, 3, 1])
         shuffled = QueryStreams.from_states(states[perm].copy())
         direct = QueryStreams(9, [2, 0, 3, 1])
@@ -160,7 +201,7 @@ class TestQueryStream:
 
     def test_every_draw_equals_the_frontier_draw(self):
         ids = np.arange(self.STREAMS) * 7919  # some ids past 2**16
-        states = seed_sequence_states(3, ids)
+        states = stream_states(3, ids)
         frontier = QueryStreams.from_states(states.copy())
         scalars = [QueryStream(state) for state in states.tolist()]
         rng = np.random.default_rng(3)

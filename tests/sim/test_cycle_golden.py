@@ -90,45 +90,45 @@ CASES = {
 #:  bubble_cycles, pipeline_cycles, ghost_laps, paths sha256,
 #:  sha256 of every module's, FIFO's and channel's counters)
 GOLDEN = {
-    "suite_rmat12": (13225, 18207, 26604, 79966, 47625, 72828, 0,
-                     "39d3bd9c25d1024d0c422a965222271288513b603ef82827ea6c22d9c6a1ddcf",
-                     "10082a23a4a20f901b5278f72cf57ec3485f7d79262dbbcae4f6aab03292bb00"),
-    "deepwalk": (449, 3623, 905, 2722, 13633, 14492, 0,
-                 "915b98033424f2877b1c6f49a9e0d3c5c387239c4936ee89e8116e5c08fc2658",
-                 "40ef14edc10cfb6aa9ed12a21eff87f042cdbbe04544559c251a98632bf2e81d"),
-    "static": (449, 3416, 905, 2722, 12853, 13664, 0,
-               "915b98033424f2877b1c6f49a9e0d3c5c387239c4936ee89e8116e5c08fc2658",
-               "6f05bc4c78a5dc975684c1434ad34122bcfdb42720e55202b6118e8a509b9b04"),
-    "bulk_synchronous": (127, 3299, 961, 961, 12375, 13196, 353,
-                         "628ede35603745573c22abe63c76cc7f90ea4f0bd88e34c80fc63d12fd509c1a",
-                         "f657bb60568e18796740d682d3cb1ea2b80bab7128193bd59a26b6077a460842"),
-    "sync_memory": (449, 3709, 905, 2722, 13973, 14836, 0,
-                    "915b98033424f2877b1c6f49a9e0d3c5c387239c4936ee89e8116e5c08fc2658",
-                    "bc4738a390d0497034c34ca1276eebc5d18907e6a562a44610cc0ceaaa3c78e7"),
-    "one_pipeline": (449, 3489, 905, 2722, 2577, 3489, 0,
-                     "915b98033424f2877b1c6f49a9e0d3c5c387239c4936ee89e8116e5c08fc2658",
-                     "60b4a0a8d597ce281090beaab1e38d8e1e12cd70abaca09997069859ed99cc8c"),
-    "eight_pipelines": (449, 3722, 905, 2722, 28883, 29776, 0,
-                        "915b98033424f2877b1c6f49a9e0d3c5c387239c4936ee89e8116e5c08fc2658",
-                        "a5b4f3fb71b1791d82cbc29d619017369eae884376129b6836af67198bcc3a39"),
-    "node2vec_rejection": (509, 3891, 1020, 26860, 11535, 15564, 0,
-                           "c4c86e1e47a52a0af7ab45d3c6b0f56a83346861d849a8a7911b3f1b95666f76",
-                           "6ad804cb12f883d68337ee04e0ec6542bbf14ae53b6f653cd9852cd14953f830"),
-    "node2vec_reservoir": (473, 3742, 953, 13997, 12760, 14968, 0,
-                           "43d9d9832cb9cbe4bce953ad3a2cb1f23be17e02e71d728fafe4a538c594d9ef",
-                           "12393ad65969201ee493657556091de16eb72f823cc7381a2db63ced30980066"),
-    "ppr": (152, 3156, 307, 307, 12323, 12624, 0,
-            "37fb0a94a2b66ae56fe9eb67d424d307c53becf29f61439ad2ff94aeb9fbafad",
-            "0f584f5945a39aa40c8dee076882748d454655834470d3f5c277f41b49dcfa96"),
-    "metapath": (290, 3740, 600, 10033, 13396, 14960, 0,
-                 "c30ad3eaaf8e47347538ff3cef165e435e5d4cb392dea8dba5de845395c2a60d",
-                 "a661b68ce02e3381542762b517f5d5b3440606f63ebb40a0a08af89c586d9242"),
+    "suite_rmat12": (13953, 18216, 28049, 84290, 46474, 72864, 0,
+                     "fa44801aa42f2441a3450ba6690ae1fd322c9e811e731942b62cca7499235dc3",
+                     "9408bbffd3bd381a9953f6c423d7cfe1e6072e18ae26951c90aa1c1c40538cf8"),
+    "deepwalk": (483, 3623, 969, 2910, 13579, 14492, 0,
+                 "dbc4cbe46dd6c9e3d23391dec31a4439cc0d93bdfed12416a198981311e81f72",
+                 "c29f091cc53ba621e80cdbf69ad6281123df0a93514c2da0f33b7b7b9a9a58c3"),
+    "static": (483, 3416, 969, 2910, 12816, 13664, 0,
+               "dbc4cbe46dd6c9e3d23391dec31a4439cc0d93bdfed12416a198981311e81f72",
+               "af5c2d9c830989f309d9a93f17d4af9087933f2a07367687c8ea10ac1dca0807"),
+    "bulk_synchronous": (147, 3394, 962, 962, 12791, 13576, 334,
+                         "c61429e06380f1bf90cda44f715fad787f657b7043f4e51044d3a566f72b152c",
+                         "55c8ca6fae79e77589e7049677b018505f5fa53363d7d9fe953c90adde6055a1"),
+    "sync_memory": (483, 3709, 969, 2910, 13921, 14836, 0,
+                    "dbc4cbe46dd6c9e3d23391dec31a4439cc0d93bdfed12416a198981311e81f72",
+                    "e637270c64829964daa973c1f32f9f14a5d6ced1c1056ef6adc0c45b4978841f"),
+    "one_pipeline": (483, 3489, 969, 2910, 2517, 3489, 0,
+                     "dbc4cbe46dd6c9e3d23391dec31a4439cc0d93bdfed12416a198981311e81f72",
+                     "19f44eb33698322ad24358c54c8777198f96a630b30edd7c4f245763f98e60fb"),
+    "eight_pipelines": (483, 3722, 969, 2910, 28817, 29776, 0,
+                        "dbc4cbe46dd6c9e3d23391dec31a4439cc0d93bdfed12416a198981311e81f72",
+                        "6aaf0dd6adf9c78a52523a58d7495987ae218e109cfc9fa3a9788469da006223"),
+    "node2vec_rejection": (469, 3988, 946, 25156, 11852, 15952, 0,
+                           "a7f3900befacfe35e9c5643644409e1ca7af6c5c1e18e18c898e95876665a376",
+                           "c2555f42b850c3e1e439d0395b779df49463916c002ac80adc9ef97d6be56c60"),
+    "node2vec_reservoir": (469, 3752, 943, 14603, 12717, 15008, 0,
+                           "ee99d79af26edd0780486b0f6160e12652aa04ce03a6a72936537e0f6c16a74f",
+                           "1167850e6bbc061130f9eb806c23783337271f19ed57b8ccd773a741d807905f"),
+    "ppr": (179, 3606, 358, 358, 14082, 14424, 0,
+            "938b126e2c7457cb951a119cb1d5c53a7d4f38759069948deca3e356d9555422",
+            "0411999c4ee7b261bebf6d3b0aa9df34da9c78ae6f1a658e0afb82a59985ad02"),
+    "metapath": (281, 3723, 582, 9151, 13441, 14892, 0,
+                 "f3bbc8121fd9875744a2150f518cacde94394a1536c3292c46baf025fe9da3a9",
+                 "941e8d507e046ec6e4fc2698fb10bc6f48abc755fb4956bb69a67f007ad022e0"),
 }
 
 #: (total_steps, cycles, random_transactions, words_transferred,
 #:  bubble_cycles, pipeline_cycles, sha256 of every tracer window)
-STREAMING_GOLDEN = (4453, 3000, 9084, 26902, 3957, 12000,
-                    "c26aa57b203969499b8438abd34f6c21cf088046a41e945d2f21951a7a427c32")
+STREAMING_GOLDEN = (4469, 3000, 9071, 26938, 3935, 12000,
+                    "07baad7b4c79fc907543f7b6fa8392e5c5e1bf05906d88638b460b63708101a0")
 
 
 def machine_sha256(machine: _Machine) -> str:

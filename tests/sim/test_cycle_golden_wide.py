@@ -31,15 +31,15 @@ WIDE_CASES = {
 
 #: Same tuple layout as ``test_cycle_golden.GOLDEN``.
 GOLDEN_WIDE = {
-    "deepwalk_16": (449, 3821, 905, 2722, 60229, 61136, 0,
-                    "915b98033424f2877b1c6f49a9e0d3c5c387239c4936ee89e8116e5c08fc2658",
-                    "04e6c2ecfc54caf787cd86dc284356ac8d27b737b41fd0b5c4d550cfd724768a"),
-    "node2vec_rejection_16": (509, 3985, 1020, 26860, 59647, 63760, 0,
-                              "c4c86e1e47a52a0af7ab45d3c6b0f56a83346861d849a8a7911b3f1b95666f76",
-                              "2b9172719cfee4f534a1b248cad993eff13b8fed1d3bb0c133969368331d7126"),
-    "node2vec_reservoir_16": (473, 3890, 953, 13997, 59950, 62240, 0,
-                              "43d9d9832cb9cbe4bce953ad3a2cb1f23be17e02e71d728fafe4a538c594d9ef",
-                              "dc19637ccbe0e046890cee6b07b8c8313605746ab43805f6bb0766026de48624"),
+    "deepwalk_16": (483, 3821, 969, 2910, 60171, 61136, 0,
+                    "dbc4cbe46dd6c9e3d23391dec31a4439cc0d93bdfed12416a198981311e81f72",
+                    "2a3147592b7e180e8b805c3bb46552cd83542b2f0af1efc233176b42c60c3694"),
+    "node2vec_rejection_16": (469, 4083, 946, 25156, 61149, 65328, 0,
+                              "a7f3900befacfe35e9c5643644409e1ca7af6c5c1e18e18c898e95876665a376",
+                              "834a7d99a657eb3df7a793ca216dbcef4d7cf1d8ac5c79bafd3653d9b33a2d37"),
+    "node2vec_reservoir_16": (469, 3890, 943, 14603, 59888, 62240, 0,
+                              "ee99d79af26edd0780486b0f6160e12652aa04ce03a6a72936537e0f6c16a74f",
+                              "c530ecd1d35be0b1a4b28dfffd83beb2c9a122232c2d64b904953ae5737a00ca"),
 }
 
 

@@ -1,7 +1,7 @@
 """The cycle model walks the ``batch`` engine's walks, exactly.
 
-Every task carries its query's own stream (``SeedSequence((seed,
-query_id))``, splitmix64) and the samplers draw what the batch kernels
+Every task carries its query's own splitmix64 stream (``stream_states``
+of ``(seed, query_id)``) and the samplers draw what the batch kernels
 draw, in the same order, so which pipeline serves a hop, and when, cannot
 change the walk: the paper's claim that a walk split into stateless tasks
 gives the same walk in any order (§III-C).  Each cell runs one of the

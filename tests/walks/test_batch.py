@@ -97,8 +97,8 @@ class TestBasicSemantics:
         assert np.array_equal(alone.path_of(0), crowd.path_of(5))
 
     def test_negative_seed_accepted_by_both_engines(self):
-        # Regression: SeedSequence rejects negative entropy; the engines
-        # must keep the historical "any int seed" contract by masking.
+        # Regression: the engines keep the historical "any int seed"
+        # contract by masking the seed to 64 bits.
         g = load_dataset("WG", scale=0.1, seed=1)
         for runner in (run_walks, run_walks_batch):
             results = runner(g, URWSpec(max_length=5), [Query(0, 5)], seed=-3)
@@ -412,7 +412,7 @@ class TestThroughput:
 
 
 class TestRNGStreamDerivation:
-    """Regression: SeedSequence((seed, query_id)) keying must not collide.
+    """Regression: per-query stream keying by (seed, query_id) must not collide.
 
     The old xor-mix derivation mapped (seed=0, query_id=1) and
     (seed=salt, query_id=0) to the same stream.

@@ -247,7 +247,8 @@ def test_shared_pieces_are_written_once():
                "ParallelWalkEngine", "DistWalkEngine", "WorkerError", "SharedArrayStore",
                "check_batch_spec", "terminates_probabilistically", "StepContext",
                "SampleOutcome", "RandomSource", "sampling_service_cycles",
-               "column_burst_words", "_FIXED_COSTS"}
+               "column_burst_words", "_FIXED_COSTS", "seed_sequence_states", "_ss_state",
+               "_ss_states_for_words", "_SS_SCALAR_MAX_IDS"}
     defined = set()  # every class, function and module name bound anywhere under src
     for _, tree in _src_trees():
         for node in ast.walk(tree):

@@ -17,7 +17,7 @@ from stall_helpers import RETRY_HEAVY, HopTeleport
 from repro.errors import GraphError, SamplingError, WalkConfigError
 from repro.graph import from_edges, load_dataset
 from repro.graph.datasets import assign_metapath_schema
-from repro.sampling.vectorized import _SS_SCALAR_MAX_IDS, seed_sequence_states
+from repro.sampling.vectorized import stream_states
 from repro.walks import (
     DeepWalkSpec,
     EngineStats,
@@ -137,7 +137,7 @@ def test_admit_rejects_before_seating_anything():
     with pytest.raises(SamplingError, match="non-negative"):
         frontier.admit([-1], starts[3:4])
     with pytest.raises(WalkConfigError, match="align"):
-        frontier.admit(ids[3:4], starts[3:4], states=seed_sequence_states(SEED, ids[3:5]))
+        frontier.admit(ids[3:4], starts[3:4], states=stream_states(SEED, ids[3:5]))
 
     assert (frontier.live, frontier.free) == before[:2]
     assert np.array_equal(frontier.counts, before[2])
@@ -157,7 +157,7 @@ def test_wide_pool_ids_seat_correctly():
     ids = np.array([(1 << 40) + 3, 7, (1 << 40) + 4, (1 << 33), 2**63 - 1])
     starts = np.arange(5) + 10
     results = engine.run([Query(int(q), int(v)) for q, v in zip(ids, starts)], seed=SEED)
-    for given_states in (None, seed_sequence_states(SEED, ids)):
+    for given_states in (None, stream_states(SEED, ids)):
         frontier = engine.open_frontier(SEED, 8)
         owner = dict(zip(frontier.admit(ids, starts, given_states).tolist(), range(5)))
         while frontier.live:
@@ -201,32 +201,3 @@ def test_offered_for_every_spec():
     # its own.
     assert BatchEngine.open_frontier is not PreparedEngine.open_frontier
 
-
-class TestSeedStateRoutes:
-    """A handful of ids are hashed one by one in Python ints; more take
-    the array pipeline.  Same states either way (and numpy's own, which
-    ``tests/sampling/test_vectorized.py`` holds both to)."""
-
-    def _vectorised(self, seed, ids):
-        # Pad past the scalar bound so the array route runs, then cut.
-        pad = np.arange(_SS_SCALAR_MAX_IDS + 1, dtype=np.uint64) + np.uint64(1 << 20)
-        padded = np.concatenate([np.asarray(ids, dtype=np.uint64), pad])
-        return seed_sequence_states(seed, padded)[:len(ids)]
-
-    @pytest.mark.parametrize("count", range(1, 17))
-    def test_routes_agree(self, count):
-        rng = np.random.default_rng(count)
-        ids = np.concatenate([
-            rng.integers(0, 2**32, count - count // 3),
-            rng.integers(2**32, 2**63, count // 3),
-        ]).astype(np.uint64)
-        rng.shuffle(ids)
-        for seed in (0, 7, 2**64 - 1):
-            direct = seed_sequence_states(seed, ids)
-            assert np.array_equal(direct, self._vectorised(seed, ids))
-            assert np.array_equal(direct, seed_sequence_states(seed, ids.tolist()))
-
-    def test_negative_id_raises_on_the_scalar_route(self):
-        for ids in ([-1], [3, -2], np.array([5, -1])):
-            with pytest.raises(SamplingError, match="non-negative"):
-                seed_sequence_states(1, ids)

@@ -27,7 +27,7 @@ from repro.sampling.vectorized import (
     BatchSample,
     VectorizedKernel,
     make_kernel,
-    seed_sequence_states,
+    stream_states,
 )
 from repro.walks import Node2VecSpec, make_queries
 from repro.walks.base import paths_from_step_log, start_path_buffer
@@ -86,7 +86,7 @@ def stalling_frontier(spec):
     kernel.prepare(graph())
     current = np.flatnonzero(graph().degrees() > 0)[:12]
     previous = graph().col[graph().row_ptr[current]]
-    states = seed_sequence_states(SEED, np.arange(current.size))
+    states = stream_states(SEED, np.arange(current.size))
     return kernel, Frontier(np.arange(current.size), current, previous, states)
 
 

@@ -18,7 +18,7 @@ from repro.bench.workloads import make_spec
 from repro.cli import ALGORITHMS
 from repro.errors import SamplingError
 from repro.graph.csr import CSRGraph
-from repro.sampling.vectorized import STALL, BatchSample, QueryStreams, seed_sequence_states
+from repro.sampling.vectorized import STALL, BatchSample, QueryStreams, stream_states
 from repro.walks import EngineStats, Node2VecSpec
 from repro.walks import batch as batch_module
 from repro.walks.batch import BatchEngine, Frontier, superstep
@@ -65,7 +65,7 @@ def test_a_superstep_reads_the_degrees_once(monkeypatch, graph, queries, algorit
     spec = spec_of(algorithm)
     _, kernel = prepared_kernel(spec, graph)
     frontier = Frontier.start(np.arange(len(queries)), queries.starts,
-                              seed_sequence_states(SEED, queries.ids))
+                              stream_states(SEED, queries.ids))
     counts = np.zeros(len(STAT_FIELDS), dtype=np.int64)
     calls = []
     degrees = CSRGraph.degrees
